@@ -2,11 +2,24 @@
 //! row↔column conversion that replaces CAGNET's broadcasts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rdm_comm::{Cluster, CollectiveKind};
+use rdm_comm::{Cluster, CollectiveKind, Form, RankCtx, Redistribution, Wire};
 use rdm_dense::{part_range, Mat};
 
+/// One whole-cluster blocking Row→Col redistribution on `wire`.
+fn row_to_col(ctx: &RankCtx, local: &Mat, wire: Wire) -> Mat {
+    let group: Vec<usize> = (0..ctx.size()).collect();
+    let spec = Redistribution {
+        group: &group,
+        to: Form::Col,
+        wire,
+        chunks: 1,
+        kind: CollectiveKind::Redistribute,
+    };
+    ctx.redistribute(&spec, local, |_, _| {})
+}
+
 fn bench_redistribution(c: &mut Criterion) {
-    let mut group = c.benchmark_group("redistribute_h_to_v");
+    let mut group = c.benchmark_group("redistribute_row_to_col");
     group.sample_size(20);
     for &p in &[2usize, 4, 8] {
         {
@@ -20,7 +33,7 @@ fn bench_redistribution(c: &mut Criterion) {
                         Cluster::new(p).run(|ctx| {
                             let rows = part_range(n, p, ctx.rank());
                             let local = Mat::zeros(rows.len(), f);
-                            ctx.redistribute_h_to_v(&local, CollectiveKind::Redistribute)
+                            row_to_col(ctx, &local, Wire::Dense)
                         })
                     })
                 },
@@ -33,9 +46,9 @@ fn bench_redistribution(c: &mut Criterion) {
 fn bench_sparse_redistribution(c: &mut Criterion) {
     // The sparsity-aware indexed-strip path on a payload with one third of
     // its rows bit-zero (isolated vertices under self-loop-free row
-    // aggregation). Compare against `redistribute_h_to_v` above for the
+    // aggregation). Compare against `redistribute_row_to_col` above for the
     // packing overhead vs volume saving trade.
-    let mut group = c.benchmark_group("redistribute_h_to_v_sparse");
+    let mut group = c.benchmark_group("redistribute_row_to_col_indexed");
     group.sample_size(20);
     for &p in &[2usize, 4, 8] {
         let &(n, f) = &(20_000usize, 128usize);
@@ -54,7 +67,7 @@ fn bench_sparse_redistribution(c: &mut Criterion) {
                                 1.0
                             }
                         });
-                        ctx.redistribute_h_to_v_sparse(&local, CollectiveKind::Redistribute)
+                        row_to_col(ctx, &local, Wire::Indexed)
                     })
                 })
             },

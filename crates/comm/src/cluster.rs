@@ -230,28 +230,6 @@ impl RankCtx {
         msg
     }
 
-    /// Nonblocking point-to-point send. On this fabric sends never block
-    /// (the wire is unbounded), so `isend` *is* [`RankCtx::send`]; the
-    /// alias exists so pipelined call sites read as what they are and stay
-    /// source-compatible if the wire ever gains backpressure.
-    pub fn isend(&self, dst: usize, msg: Mat, kind: CollectiveKind) {
-        self.send(dst, msg, kind);
-    }
-
-    /// Nonblocking point-to-point receive: returns a [`PendingRecv`]
-    /// handle immediately. The message is claimed by [`PendingRecv::wait`]
-    /// (blocking) or [`PendingRecv::try_take`] (polling). Handles on one
-    /// link resolve in the order they were created — per-link FIFO is the
-    /// fabric invariant, so the k-th handle always yields the k-th message.
-    ///
-    /// # Panics
-    /// If `src` is this rank or out of range.
-    pub fn irecv(&self, src: usize) -> PendingRecv {
-        assert_ne!(src, self.rank, "self-recv is meaningless");
-        assert!(src < self.size(), "recv from rank {src} out of range");
-        PendingRecv { src }
-    }
-
     /// Record modeled hidden-communication time (see
     /// `CommStats::overlap_ns`).
     pub fn record_overlap(&self, ns: u64) {
@@ -270,45 +248,6 @@ impl RankCtx {
     /// Snapshot of this rank's statistics so far.
     pub fn stats_snapshot(&self) -> CommStats {
         self.stats.borrow().clone()
-    }
-}
-
-/// An in-flight nonblocking receive issued by [`RankCtx::irecv`].
-///
-/// The handle does not own the message — it is a claim ticket on the next
-/// undelivered in-order message of its link, valid for the `RankCtx` that
-/// issued it. Dropping a `PendingRecv` without consuming it leaves the
-/// message on the wire, which `Cluster::run`'s drain check will report.
-#[derive(Debug)]
-#[must_use = "an unconsumed irecv leaves its message on the wire"]
-pub struct PendingRecv {
-    src: usize,
-}
-
-impl PendingRecv {
-    /// The rank this receive is listening to.
-    pub fn src(&self) -> usize {
-        self.src
-    }
-
-    /// Block until the message arrives and return it.
-    pub fn wait(self, ctx: &RankCtx) -> Mat {
-        let t0 = Instant::now();
-        let msg = ctx.fabric.recv(self.src, ctx.rank);
-        ctx.stats.borrow_mut().record_time(t0.elapsed());
-        msg
-    }
-
-    /// Return the message if it has already arrived; `Err(self)` keeps the
-    /// claim alive for a later poll or a final `wait`.
-    pub fn try_take(self, ctx: &RankCtx) -> Result<Mat, PendingRecv> {
-        let t0 = Instant::now();
-        let got = ctx.fabric.try_recv(self.src, ctx.rank);
-        ctx.stats.borrow_mut().record_time(t0.elapsed());
-        match got {
-            Some(msg) => Ok(msg),
-            None => Err(self),
-        }
     }
 }
 
@@ -388,48 +327,6 @@ mod tests {
         Cluster::new(2).run(|ctx| {
             if ctx.rank() == 0 {
                 ctx.send(0, Mat::zeros(1, 1), CollectiveKind::Other);
-            }
-        });
-    }
-
-    #[test]
-    fn irecv_resolves_in_issue_order() {
-        let out = Cluster::new(2).run(|ctx| {
-            if ctx.rank() == 0 {
-                ctx.isend(1, Mat::from_vec(1, 1, vec![1.0]), CollectiveKind::Other);
-                ctx.isend(1, Mat::from_vec(1, 1, vec![2.0]), CollectiveKind::Other);
-                0.0
-            } else {
-                let first = ctx.irecv(0);
-                let second = ctx.irecv(0);
-                let a = first.wait(ctx).get(0, 0);
-                let b = second.wait(ctx).get(0, 0);
-                assert_eq!((a, b), (1.0, 2.0));
-                a + b
-            }
-        });
-        assert_eq!(out.results[1], 3.0);
-    }
-
-    #[test]
-    fn try_take_polls_then_waits() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let sent = AtomicBool::new(false);
-        Cluster::new(2).run(|ctx| {
-            if ctx.rank() == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                ctx.isend(1, Mat::from_vec(1, 1, vec![9.0]), CollectiveKind::Other);
-                sent.store(true, Ordering::SeqCst);
-            } else {
-                let mut pending = ctx.irecv(0);
-                let msg = loop {
-                    match pending.try_take(ctx) {
-                        Ok(m) => break m,
-                        Err(p) => pending = p,
-                    }
-                };
-                assert!(sent.load(Ordering::SeqCst));
-                assert_eq!(msg.get(0, 0), 9.0);
             }
         });
     }

@@ -19,10 +19,11 @@
 //!   are bit-identical to the fault-free run while retransmission cost is
 //!   accounted separately in [`CommStats`].
 //! * [`collectives`] — broadcast / all-gather / all-to-all / all-reduce /
-//!   reduce-scatter / barrier, including *group* variants over a subset of
-//!   ranks (needed by the `R_A < P` row-panel scheme of §III-E) and the
-//!   chunk-pipelined all-to-all ([`ChunkedAllToAll`]) that overlapped
-//!   redistribution is built on.
+//!   reduce-scatter over an explicit rank group (the `R_A < P` row-panel
+//!   scheme of §III-E needs subsets), and the one Row↔Col redistribution
+//!   primitive: a [`Redistribution`] value names group, target form,
+//!   [`Wire`] and pipeline depth, and [`RankCtx::exchange`] /
+//!   [`RankCtx::redistribute`] execute it.
 //! * [`strip`] — the indexed-strip wire format of sparsity-aware
 //!   redistribution: bit-zero rows are elided on the wire and zero-filled
 //!   on receive, adaptively (never above the dense byte bound) and
@@ -37,8 +38,9 @@ pub mod mailbox;
 pub mod stats;
 pub mod strip;
 
-pub use cluster::{Cluster, PendingRecv, RankCtx, RunOutput};
-pub use collectives::{ChunkAxis, ChunkedAllToAll};
+pub use cluster::{Cluster, RankCtx, RunOutput};
+pub use collectives::{Redistribution, Wire};
 pub use fault::{FaultPlan, Resolution};
+pub use rdm_trace::Form;
 pub use stats::{CollectiveKind, CommStats};
 pub use strip::{pack_nonzero_rows, unpack_rows, Expect};

@@ -259,40 +259,6 @@ impl Fabric {
         }
     }
 
-    /// Nonblocking mirror of [`Fabric::recv`]: deliver the next in-order
-    /// message from `src` addressed to `dst` if one is available, else
-    /// `None`. Shares `recv`'s reorder/ack bookkeeping, so blocking and
-    /// nonblocking receives can be mixed freely on one link. If only
-    /// delayed copies are held back, they are released (the poll itself is
-    /// the receiver draining the link) and retried once before giving up.
-    pub fn try_recv(&self, src: usize, dst: usize) -> Option<Mat> {
-        let slot = self.slot(src, dst);
-        let mut st = slot.state.lock().unwrap();
-        loop {
-            let want = st.next_deliver;
-            if let Some(payload) = st.reorder.remove(&want) {
-                st.next_deliver += 1;
-                st.acked = st.next_deliver;
-                return Some(payload);
-            }
-            if let Some(env) = st.arrived.pop_front() {
-                if env.seq == want {
-                    st.next_deliver += 1;
-                    st.acked = st.next_deliver;
-                    return Some(env.payload);
-                }
-                debug_assert!(env.seq > want, "duplicate delivery of seq {}", env.seq);
-                st.reorder.insert(env.seq, env.payload);
-                continue;
-            }
-            if !st.delayed.is_empty() {
-                st.release_all();
-                continue;
-            }
-            return None;
-        }
-    }
-
     /// True if every link is drained — used by `Cluster::run` to assert no
     /// rank left unconsumed messages behind (a collective-ordering bug).
     pub fn all_drained(&self) -> bool {
@@ -457,35 +423,6 @@ mod tests {
             assert_eq!(st.acked, 10);
         }
         let _ = f.recv(0, 1);
-        assert!(f.all_drained());
-    }
-
-    #[test]
-    fn try_recv_polls_without_blocking() {
-        let f = Fabric::new(2);
-        assert!(f.try_recv(0, 1).is_none());
-        f.send(0, 1, Mat::from_vec(1, 1, vec![3.0]));
-        f.send(0, 1, Mat::from_vec(1, 1, vec![4.0]));
-        assert_eq!(f.try_recv(0, 1).unwrap().get(0, 0), 3.0);
-        // Mixing with the blocking receive preserves FIFO.
-        assert_eq!(f.recv(0, 1).get(0, 0), 4.0);
-        assert!(f.try_recv(0, 1).is_none());
-        assert!(f.all_drained());
-    }
-
-    #[test]
-    fn try_recv_releases_delayed_copies() {
-        let plan = FaultPlan::new(7).delay(1.0, 4);
-        let f = Fabric::with_faults(2, Some(plan));
-        for i in 0..20 {
-            f.send(0, 1, Mat::from_vec(1, 1, vec![i as f32]));
-        }
-        // Every copy is recoverable by polling alone: the poll counts as
-        // the receiver draining the link past all delay windows.
-        for i in 0..20 {
-            assert_eq!(f.try_recv(0, 1).unwrap().get(0, 0), i as f32);
-        }
-        assert!(f.try_recv(0, 1).is_none());
         assert!(f.all_drained());
     }
 

@@ -13,7 +13,7 @@
 //! (the `chaos` job pins three values so failures stay reproducible).
 
 use proptest::prelude::*;
-use rdm_comm::{Cluster, CollectiveKind, CommStats, FaultPlan};
+use rdm_comm::{Cluster, CollectiveKind, CommStats, FaultPlan, Form, Redistribution, Wire};
 use rdm_dense::Mat;
 
 const K: CollectiveKind = CollectiveKind::Other;
@@ -226,7 +226,15 @@ fn redistribution_volume_formula_holds_under_faults() {
     let out = Cluster::with_faults(p, plan).run(move |ctx| {
         let r = rdm_dense::part_range(n, p, ctx.rank());
         let local = Mat::zeros(r.len(), f);
-        ctx.redistribute_h_to_v(&local, CollectiveKind::Redistribute);
+        let group: Vec<usize> = (0..p).collect();
+        let spec = Redistribution {
+            group: &group,
+            to: Form::Col,
+            wire: Wire::Dense,
+            chunks: 1,
+            kind: CollectiveKind::Redistribute,
+        };
+        ctx.redistribute(&spec, &local, |_, _| {});
     });
     let payload: u64 = out
         .stats

@@ -2,10 +2,62 @@
 //! every trainer relies on, over randomized shapes and cluster sizes.
 
 use proptest::prelude::*;
-use rdm_comm::{ChunkAxis, Cluster, CollectiveKind, FaultPlan};
-use rdm_dense::{allclose, part_range, Mat};
+use rdm_comm::{Cluster, CollectiveKind, FaultPlan, Form, RankCtx, Redistribution, Wire};
+use rdm_dense::{allclose, hstack, part_range, vstack, Mat};
+use rdm_trace::{EventData, Span};
 
 const K: CollectiveKind = CollectiveKind::Other;
+
+/// The whole-cluster blocking dense redistribution to `to`, charged to
+/// `kind`.
+fn redistribute_all(ctx: &RankCtx, to: Form, local: &Mat, kind: CollectiveKind) -> Mat {
+    let group: Vec<usize> = (0..ctx.size()).collect();
+    let spec = Redistribution {
+        group: &group,
+        to,
+        wire: Wire::Dense,
+        chunks: 1,
+        kind,
+    };
+    ctx.redistribute(&spec, local, |_, _| {})
+}
+
+/// The all-to-all view of the primitive: `exchange` on arbitrary pre-split
+/// parts, every sender's chunks reassembled.
+fn exchange_all(ctx: &RankCtx, spec: &Redistribution<'_>, parts: Vec<Mat>) -> Vec<Mat> {
+    let mut per_sender: Vec<Vec<Mat>> = parts.iter().map(|_| Vec::new()).collect();
+    ctx.exchange(spec, parts, |_, pieces| {
+        for (sender, piece) in pieces.into_iter().enumerate() {
+            per_sender[sender].push(piece);
+        }
+    });
+    per_sender
+        .iter()
+        .map(|c| match spec.to {
+            Form::Col => hstack(c),
+            Form::Row => vstack(c),
+        })
+        .collect()
+}
+
+/// `exchange_all` over the whole cluster.
+fn exchange_everyone(
+    ctx: &RankCtx,
+    to: Form,
+    wire: Wire,
+    chunks: usize,
+    parts: Vec<Mat>,
+) -> Vec<Mat> {
+    let group: Vec<usize> = (0..ctx.size()).collect();
+    let spec = Redistribution {
+        group: &group,
+        to,
+        wire,
+        chunks,
+        kind: K,
+    };
+    exchange_all(ctx, &spec, parts)
+}
 
 fn chaos_base() -> u64 {
     std::env::var("CHAOS_SEED")
@@ -71,8 +123,8 @@ proptest! {
         let out = Cluster::new(p).run(move |ctx| {
             let r = part_range(n, p, ctx.rank());
             let local = g2.row_block(r.start, r.end);
-            let v = ctx.redistribute_h_to_v(&local, K);
-            ctx.redistribute_v_to_h(&v, K)
+            let v = redistribute_all(ctx, Form::Col, &local, K);
+            redistribute_all(ctx, Form::Row, &v, K)
         });
         for (rank, got) in out.results.iter().enumerate() {
             let r = part_range(n, p, rank);
@@ -94,7 +146,7 @@ proptest! {
         let out = Cluster::new(p).run(move |ctx| {
             let r = part_range(n, p, ctx.rank());
             let local = Mat::zeros(r.len(), f);
-            ctx.redistribute_h_to_v(&local, CollectiveKind::Redistribute);
+            redistribute_all(ctx, Form::Col, &local, CollectiveKind::Redistribute);
         });
         let total: u64 = out
             .stats
@@ -141,10 +193,10 @@ proptest! {
         }
     }
 
-    /// The chunked all-to-all is bitwise the plain all-to-all for *any*
+    /// The chunked exchange is bitwise the plain all-to-all for *any*
     /// chunk count — including counts that don't divide the split axis
     /// (ragged tails) and counts exceeding it (empty chunks) — on both
-    /// axes.
+    /// axes and both wires.
     #[test]
     fn chunked_all_to_all_equals_blocking(
         p in 1usize..6,
@@ -152,24 +204,38 @@ proptest! {
         cols in 1usize..9,
         chunks in 1usize..20,
         by_rows in 0usize..2,
+        indexed in 0usize..2,
         seed in 0u64..500,
     ) {
-        let axis = if by_rows == 1 { ChunkAxis::Rows } else { ChunkAxis::Cols };
+        let to = if by_rows == 1 { Form::Row } else { Form::Col };
+        let wire = if indexed == 1 { Wire::Indexed } else { Wire::Dense };
         let make = move |me: usize| -> Vec<Mat> {
             (0..p)
-                .map(|j| Mat::random(rows, cols, 1.0, seed ^ ((me * 31 + j) as u64)))
+                .map(|j| {
+                    // Zero some parts outright so the indexed wire packs.
+                    if (me + j + seed as usize).is_multiple_of(3) {
+                        Mat::zeros(rows, cols)
+                    } else {
+                        Mat::random(rows, cols, 1.0, seed ^ ((me * 31 + j) as u64))
+                    }
+                })
                 .collect()
         };
         let blocking = Cluster::new(p).run(move |ctx| ctx.all_to_all(make(ctx.rank()), K));
         let chunked = Cluster::new(p)
-            .run(move |ctx| ctx.all_to_all_chunked(make(ctx.rank()), axis, chunks, K));
+            .run(move |ctx| exchange_everyone(ctx, to, wire, chunks, make(ctx.rank())));
         for (rank, (b, c)) in blocking.results.iter().zip(&chunked.results).enumerate() {
             prop_assert_eq!(b, c, "rank {} chunked payload diverged", rank);
         }
-        // Payload bytes are identical; only message counts scale with
-        // the (non-empty) chunk count.
+        // The dense-equivalent book is the all-to-all's payload, which the
+        // wire never exceeds and the dense wire carries exactly; only
+        // message counts scale with the (non-empty) chunk count.
         for (sb, sc) in blocking.stats.iter().zip(&chunked.stats) {
-            prop_assert_eq!(sb.bytes(K), sc.bytes(K));
+            prop_assert_eq!(sb.bytes(K), sc.dense_bytes(K));
+            prop_assert!(sc.bytes(K) <= sb.bytes(K));
+            if wire == Wire::Dense {
+                prop_assert_eq!(sb.bytes(K), sc.bytes(K));
+            }
             prop_assert!(sc.messages(K) >= sb.messages(K));
         }
     }
@@ -199,7 +265,7 @@ proptest! {
                     local.col_block(c.start, c.end)
                 })
                 .collect();
-            let got = ctx.all_to_all_chunked(parts, ChunkAxis::Cols, chunks, K);
+            let got = exchange_everyone(ctx, Form::Col, Wire::Dense, chunks, parts);
             let mine = part_range(f, p, me);
             let v = rdm_dense::vstack(&got);
             assert_eq!(v.cols(), mine.len());
@@ -211,7 +277,7 @@ proptest! {
                     v.row_block(rr.start, rr.end)
                 })
                 .collect();
-            let got = ctx.all_to_all_chunked(back, ChunkAxis::Rows, chunks, K);
+            let got = exchange_everyone(ctx, Form::Row, Wire::Dense, chunks, back);
             rdm_dense::hstack(&got)
         });
         for (rank, got) in out.results.iter().enumerate() {
@@ -230,11 +296,11 @@ proptest! {
         drop in 0.0f64..0.4,
         seed in 0u64..32,
     ) {
-        let prog = move |ctx: &rdm_comm::RankCtx| {
+        let prog = move |ctx: &RankCtx| {
             let parts: Vec<Mat> = (0..p)
                 .map(|j| Mat::random(5, 7, 1.0, (ctx.rank() * 31 + j) as u64))
                 .collect();
-            ctx.all_to_all_chunked(parts, ChunkAxis::Cols, chunks, K)
+            exchange_everyone(ctx, Form::Col, Wire::Dense, chunks, parts)
         };
         let plan = FaultPlan::new(chaos_base() ^ seed ^ 0xA17)
             .drop_rate(drop)
@@ -294,19 +360,14 @@ proptest! {
             .delay(0.2, 3);
         let sparse = Cluster::with_faults(p, plan).run(move |ctx| {
             let me = ctx.rank();
-            let group = row_group(me);
-            let mut pipe =
-                ctx.group_all_to_all_chunked_sparse(&group, make(me), ChunkAxis::Cols, chunks, K);
-            let mut per_sender: Vec<Vec<Mat>> = (0..r_a).map(|_| Vec::new()).collect();
-            while let Some(pieces) = pipe.recv_chunk() {
-                for (sender, piece) in pieces.into_iter().enumerate() {
-                    per_sender[sender].push(piece);
-                }
-            }
-            per_sender
-                .into_iter()
-                .map(|c| rdm_dense::hstack(&c))
-                .collect::<Vec<Mat>>()
+            let spec = Redistribution {
+                group: &row_group(me),
+                to: Form::Col,
+                wire: Wire::Indexed,
+                chunks,
+                kind: K,
+            };
+            exchange_all(ctx, &spec, make(me))
         });
         for (rank, (d, s)) in dense.results.iter().zip(&sparse.results).enumerate() {
             prop_assert_eq!(d, s, "rank {} diverged from the dense group all-to-all", rank);
@@ -343,4 +404,134 @@ proptest! {
             prop_assert!(allclose(got, &expect, 1e-5));
         }
     }
+}
+
+/// The whole {group} × {wire} × {chunks} × {direction} × {fabric} lattice
+/// of the one redistribution primitive, as a table. Every corner must
+/// reproduce the scatter reference bitwise, stream exactly `chunks` strips
+/// that tile the result, book the paper's `(g-1)/g·|M|` dense-equivalent
+/// volume, never put more than that on the wire (exactly that on the dense
+/// wire), cost `chunks·(g-1)` messages per rank, and open exactly one
+/// `Redistribute { chunks }` span per call.
+#[test]
+fn redistribution_lattice() {
+    const KIND: CollectiveKind = CollectiveKind::Redistribute;
+    let p = 4;
+    // Scope: the whole cluster, or the row groups of a P=4, R_A=2 grid.
+    type GroupOf = fn(usize) -> Vec<usize>;
+    let scopes: [(&str, GroupOf); 2] = [
+        ("global", |_| (0..4).collect()),
+        ("row group", |me| vec![me / 2 * 2, me / 2 * 2 + 1]),
+    ];
+    // The matrix each group redistributes: every third row bit-zero so the
+    // indexed wire has something to elide; distinct per group. `g` divides
+    // the first shape (the formula is exact), not the second (ragged).
+    let matrix = |base: usize, n: usize, f: usize| {
+        Mat::from_fn(n, f, move |i, j| {
+            if i % 3 == 1 {
+                0.0
+            } else {
+                (base * 10_000 + i * 100 + j + 1) as f32
+            }
+        })
+    };
+    let mut retries = 0u64;
+    for (scope, group_of) in scopes {
+        for (n, f) in [(8usize, 12usize), (7, 5)] {
+            for wire in [Wire::Dense, Wire::Indexed] {
+                for chunks in [1usize, 2, 3, 5, 13] {
+                    for to in [Form::Col, Form::Row] {
+                        for faulty in [false, true] {
+                            let case = format!(
+                                "{scope} {n}x{f} {wire:?} chunks={chunks} to={to:?} faulty={faulty}"
+                            );
+                            let cluster = if faulty {
+                                let plan = FaultPlan::new(chaos_base() ^ 0x1A77)
+                                    .drop_rate(0.3)
+                                    .delay(0.4, 3);
+                                Cluster::with_faults(p, plan)
+                            } else {
+                                Cluster::new(p)
+                            };
+                            let out = cluster.traced().run(move |ctx| {
+                                let group = group_of(ctx.rank());
+                                let (g, idx) = (group.len(), ctx.rank() - group[0]);
+                                let m = matrix(group[0], n, f);
+                                let (rows, cols) = (part_range(n, g, idx), part_range(f, g, idx));
+                                let (local, expect) = match to {
+                                    Form::Col => (
+                                        m.row_block(rows.start, rows.end),
+                                        m.col_block(cols.start, cols.end),
+                                    ),
+                                    Form::Row => (
+                                        m.col_block(cols.start, cols.end),
+                                        m.row_block(rows.start, rows.end),
+                                    ),
+                                };
+                                let spec = Redistribution {
+                                    group: &group,
+                                    to,
+                                    wire,
+                                    chunks,
+                                    kind: KIND,
+                                };
+                                let mut strips = Vec::new();
+                                let got = ctx.redistribute(&spec, &local, |q, strip| {
+                                    assert_eq!(q, strips.len(), "strips arrive in order");
+                                    strips.push(strip.clone());
+                                });
+                                assert_eq!(got, expect, "result is the scatter reference");
+                                assert_eq!(strips.len(), chunks, "one strip per chunk");
+                                let tiled = match to {
+                                    Form::Col => hstack(&strips),
+                                    Form::Row => vstack(&strips),
+                                };
+                                assert_eq!(tiled, expect, "strips tile the result");
+                                // Dense-equivalent bytes this rank ships: its
+                                // slice minus the part it keeps.
+                                (g, 4 * (local.len() - rows.len() * cols.len()))
+                            });
+                            let traces = out.traces.as_ref().expect("traced");
+                            for (rank, st) in out.stats.iter().enumerate() {
+                                let (g, dense) = out.results[rank];
+                                assert_eq!(st.dense_bytes(KIND), dense as u64, "{case}");
+                                assert!(st.bytes(KIND) <= st.dense_bytes(KIND), "{case}");
+                                if wire == Wire::Dense {
+                                    assert_eq!(st.bytes(KIND), st.dense_bytes(KIND), "{case}");
+                                }
+                                assert_eq!(st.messages(KIND), (chunks * (g - 1)) as u64, "{case}");
+                                assert_eq!(st.total_bytes(), st.bytes(KIND), "{case}");
+                                let spans: Vec<_> = traces[rank]
+                                    .events
+                                    .iter()
+                                    .filter_map(|e| match e.data {
+                                        EventData::Begin(Span::Redistribute { chunks, .. }) => {
+                                            Some(chunks)
+                                        }
+                                        _ => None,
+                                    })
+                                    .collect();
+                                assert_eq!(spans, [chunks], "{case}: one span per call");
+                                retries += st.retries;
+                            }
+                            // Σ over a group of what its members ship is the
+                            // paper's (g-1)/g·|M| when g divides the shape.
+                            if (n, f) == (8, 12) {
+                                let g = out.results[0].0;
+                                let total: u64 =
+                                    out.stats.iter().map(|s| s.dense_bytes(KIND)).sum();
+                                let groups = (p / g) as u64;
+                                assert_eq!(
+                                    total,
+                                    groups * ((g - 1) * n * f * 4 / g) as u64,
+                                    "{case}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(retries > 0, "the fault plan never fired");
 }

@@ -9,7 +9,7 @@
 //! schedules without code changes.
 
 use proptest::prelude::*;
-use rdm_comm::{ChunkAxis, Cluster, CollectiveKind, FaultPlan, RankCtx};
+use rdm_comm::{Cluster, CollectiveKind, FaultPlan, Form, RankCtx, Redistribution, Wire};
 use rdm_dense::{part_range, Mat};
 use rdm_trace::EventData;
 
@@ -28,13 +28,29 @@ fn workload(ctx: &RankCtx) -> Mat {
     let me = ctx.rank();
     let r = part_range(40, p, me);
     let local = Mat::random(r.len(), 12, 1.0, me as u64);
-    let v = ctx.redistribute_h_to_v(&local, CollectiveKind::Redistribute);
-    let _h = ctx.redistribute_v_to_h(&v, CollectiveKind::Redistribute);
+    let group: Vec<usize> = (0..p).collect();
+    let to_col = Redistribution {
+        group: &group,
+        to: Form::Col,
+        wire: Wire::Dense,
+        chunks: 1,
+        kind: CollectiveKind::Redistribute,
+    };
+    let to_row = Redistribution {
+        to: Form::Row,
+        ..to_col
+    };
+    let v = ctx.redistribute(&to_col, &local, |_, _| {});
+    let _h = ctx.redistribute(&to_row, &v, |_, _| {});
     ctx.barrier();
     let parts: Vec<Mat> = (0..p)
         .map(|j| Mat::random(5, 7, 1.0, (me * 31 + j) as u64))
         .collect();
-    let _c = ctx.all_to_all_chunked(parts, ChunkAxis::Cols, 3, CollectiveKind::Redistribute);
+    let chunked = Redistribution {
+        chunks: 3,
+        ..to_col
+    };
+    ctx.exchange(&chunked, parts, |_, _| {});
     ctx.all_reduce_ring(Mat::random(6, 3, 1.0, me as u64), CollectiveKind::AllReduce)
 }
 

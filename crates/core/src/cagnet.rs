@@ -19,7 +19,7 @@ use crate::loss::{accuracy, softmax_xent, LossSpec};
 use crate::ops::{
     bcast_spmm, dist_gemm, dist_gemm_nt, panel_spmm, weight_grad, OpCounters, PanelGrid,
 };
-use rdm_comm::{CollectiveKind, RankCtx};
+use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution, Wire};
 use rdm_dense::{part_range, relu, relu_backward, Mat};
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_sparse::Csr;
@@ -117,20 +117,22 @@ impl CagnetTrainer {
                 let f = x.cols;
                 // Group redistribution: P-way row slices → 2-D tiles
                 // (my panel's rows × my f/c column slice).
-                let row_group = self.grid.row_group(me);
-                let tile_local = ctx.group_redistribute_h_to_v(
-                    &row_group,
-                    &x.local,
-                    CollectiveKind::Redistribute,
-                );
+                let to_tile = Redistribution {
+                    group: &self.grid.row_group(me),
+                    to: Form::Col,
+                    wire: Wire::Dense,
+                    chunks: 1,
+                    kind: CollectiveKind::Redistribute,
+                };
+                let tile_local = ctx.redistribute(&to_tile, &x.local, |_, _| {});
                 // Broadcast within the column group and multiply my panel.
                 let out_tile = panel_spmm(self.grid, &self.panel, &tile_local, self.n, f, ctx, ops);
                 // 2-D tiles → P-way row slices for the GEMM.
-                let out_local = ctx.group_redistribute_v_to_h(
-                    &row_group,
-                    &out_tile,
-                    CollectiveKind::Redistribute,
-                );
+                let to_row = Redistribution {
+                    to: Form::Row,
+                    ..to_tile
+                };
+                let out_local = ctx.redistribute(&to_row, &out_tile, |_, _| {});
                 DistMat {
                     dist: Dist::Row,
                     rows: self.n,

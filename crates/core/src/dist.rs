@@ -14,8 +14,8 @@
 //! redistribution), which is how the backward pass reuses forward
 //! redistributions instead of paying for new ones (§III-C).
 
-use rdm_comm::{ChunkAxis, CollectiveKind, RankCtx};
-use rdm_dense::{hstack, part_range, vstack, Mat};
+use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution, Wire};
+use rdm_dense::{part_range, Mat};
 
 /// How a global matrix is laid out across ranks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,15 +25,26 @@ pub enum Dist {
     Col,
 }
 
+impl Dist {
+    /// This sliced layout as the redistribution primitive names it.
+    ///
+    /// # Panics
+    /// If `Replicated`, which no exchange produces.
+    fn form(self) -> Form {
+        match self {
+            Dist::Row => Form::Row,
+            Dist::Col => Form::Col,
+            Dist::Replicated => panic!("Replicated is not a redistribution target"),
+        }
+    }
+}
+
 /// Why a redistribution request cannot be served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RedistError {
     /// Widening a sliced layout to `Replicated` is an all-gather, not a
     /// redistribution — use [`DistMat::gather`] instead.
     ToReplicated { from: Dist },
-    /// The pipelined path exists only for the Row↔Col all-to-all; other
-    /// transitions move no inter-rank chunks to stream.
-    NotPipelined { from: Dist, to: Dist },
 }
 
 impl std::fmt::Display for RedistError {
@@ -43,11 +54,6 @@ impl std::fmt::Display for RedistError {
                 f,
                 "cannot redistribute {from:?} -> Replicated: replication is an \
                  all-gather, use DistMat::gather"
-            ),
-            RedistError::NotPipelined { from, to } => write!(
-                f,
-                "no pipelined redistribution for {from:?} -> {to:?}: only the \
-                 Row<->Col all-to-all can be chunk-streamed"
             ),
         }
     }
@@ -133,138 +139,86 @@ impl DistMat {
     }
 
     /// Redistribute to the other sliced layout (Row↔Col) with one
-    /// all-to-all, charging `kind`. Redistributing to the current layout
-    /// is a no-op clone; downgrading `Replicated` to a sliced layout is a
-    /// free local slice (every rank already holds its piece). Widening to
-    /// `Replicated` is refused — that is [`DistMat::gather`]'s job.
+    /// whole-cluster blocking exchange on the dense wire, charging `kind`.
+    /// Redistributing to the current layout is a no-op clone; downgrading
+    /// `Replicated` to a sliced layout is a free local slice (every rank
+    /// already holds its piece). Widening to `Replicated` is refused —
+    /// that is [`DistMat::gather`]'s job.
     pub fn redistribute(
         &self,
         ctx: &RankCtx,
         target: Dist,
         kind: CollectiveKind,
     ) -> Result<DistMat, RedistError> {
-        self.redistribute_inner(ctx, target, kind, false)
-    }
-
-    /// Sparsity-aware [`DistMat::redistribute`]: the Row↔Col all-to-all
-    /// ships indexed strips (`rdm_comm::strip`) instead of raw pieces
-    /// where that is strictly smaller. The result is **bit-identical** to
-    /// the dense path; `CommStats` books actual wire bytes alongside the
-    /// unchanged dense-equivalent volume. Transitions that move no bytes
-    /// behave exactly as in [`DistMat::redistribute`].
-    pub fn redistribute_sparse(
-        &self,
-        ctx: &RankCtx,
-        target: Dist,
-        kind: CollectiveKind,
-    ) -> Result<DistMat, RedistError> {
-        self.redistribute_inner(ctx, target, kind, true)
-    }
-
-    fn redistribute_inner(
-        &self,
-        ctx: &RankCtx,
-        target: Dist,
-        kind: CollectiveKind,
-        sparse: bool,
-    ) -> Result<DistMat, RedistError> {
         match (self.dist, target) {
             (a, b) if a == b => Ok(self.clone()),
-            (Dist::Row, Dist::Col) => Ok(DistMat {
-                dist: Dist::Col,
-                rows: self.rows,
-                cols: self.cols,
-                local: if sparse {
-                    ctx.redistribute_h_to_v_sparse(&self.local, kind)
-                } else {
-                    ctx.redistribute_h_to_v(&self.local, kind)
-                },
-            }),
-            (Dist::Col, Dist::Row) => Ok(DistMat {
-                dist: Dist::Row,
-                rows: self.rows,
-                cols: self.cols,
-                local: if sparse {
-                    ctx.redistribute_v_to_h_sparse(&self.local, kind)
-                } else {
-                    ctx.redistribute_v_to_h(&self.local, kind)
-                },
-            }),
-            (Dist::Replicated, Dist::Row) => {
-                let r = part_range(self.rows, ctx.size(), ctx.rank());
-                Ok(DistMat {
-                    dist: Dist::Row,
-                    rows: self.rows,
-                    cols: self.cols,
-                    local: self.local.row_block(r.start, r.end),
-                })
-            }
-            (Dist::Replicated, Dist::Col) => {
-                let c = part_range(self.cols, ctx.size(), ctx.rank());
-                Ok(DistMat {
-                    dist: Dist::Col,
-                    rows: self.rows,
-                    cols: self.cols,
-                    local: self.local.col_block(c.start, c.end),
-                })
-            }
             (from, Dist::Replicated) => Err(RedistError::ToReplicated { from }),
-            (from, to) => unreachable!("all (from={from:?}, to={to:?}) pairs handled above"),
+            (Dist::Replicated, to) => {
+                let local = if to == Dist::Row {
+                    let r = part_range(self.rows, ctx.size(), ctx.rank());
+                    self.local.row_block(r.start, r.end)
+                } else {
+                    let c = part_range(self.cols, ctx.size(), ctx.rank());
+                    self.local.col_block(c.start, c.end)
+                };
+                Ok(DistMat {
+                    dist: to,
+                    rows: self.rows,
+                    cols: self.cols,
+                    local,
+                })
+            }
+            (_, to) => {
+                let group: Vec<usize> = (0..ctx.size()).collect();
+                let spec = Redistribution {
+                    group: &group,
+                    to: to.form(),
+                    wire: Wire::Dense,
+                    chunks: 1,
+                    kind,
+                };
+                Ok(self.convert(ctx, &spec, |_, _| {}))
+            }
         }
     }
 
-    /// Chunk-pipelined Row↔Col redistribution (the overlapped execution
-    /// path): the all-to-all is issued as `chunks` column- (Row→Col) or
-    /// row- (Col→Row) strips via [`RankCtx::group_all_to_all_chunked`],
-    /// and as each strip of the *destination* layout completes it is handed
-    /// to `sink(q, strip)` so downstream compute runs on strip `q` while
-    /// strips `q+1..` are still in flight (sends never block, so the whole
-    /// exchange is on the wire before the first strip is consumed).
-    ///
-    /// Strip `q` of a Row→Col redistribution is the column sub-range
-    /// `part_range(my_cols, chunks, q)` of this rank's final column slice,
-    /// with all global rows present; Col→Row is the mirror image. The
-    /// returned matrix is the strips reassembled — **bit-identical** to
-    /// [`DistMat::redistribute`], with identical payload-byte accounting
-    /// (message counts scale by `chunks`).
+    /// The Row↔Col conversion described by `spec`, through the one
+    /// redistribution primitive ([`RankCtx::redistribute`]): any group
+    /// (the local block is split `spec.group.len()` ways — the row group
+    /// under `R_A < P`, where `Col` is the tile layout), either wire, any
+    /// pipeline depth, handing strip `q` of the destination slice to `sink`
+    /// while later strips are in flight.
     ///
     /// # Panics
-    /// If `chunks == 0`.
-    pub fn redistribute_overlapped(
+    /// If this matrix is not in the sliced form opposite to `spec.to`.
+    pub(crate) fn convert(
         &self,
         ctx: &RankCtx,
-        target: Dist,
-        kind: CollectiveKind,
-        chunks: usize,
+        spec: &Redistribution<'_>,
         sink: impl FnMut(usize, &Mat),
-    ) -> Result<DistMat, RedistError> {
-        let group: Vec<usize> = (0..ctx.size()).collect();
-        self.redistribute_overlapped_inner(ctx, &group, target, kind, chunks, false, sink)
+    ) -> DistMat {
+        let target = match spec.to {
+            Form::Row => Dist::Row,
+            Form::Col => Dist::Col,
+        };
+        assert!(
+            self.dist != Dist::Replicated && self.dist != target,
+            "Row<->Col conversion of a {:?} matrix to {target:?}",
+            self.dist
+        );
+        DistMat {
+            dist: target,
+            rows: self.rows,
+            cols: self.cols,
+            local: ctx.redistribute(spec, &self.local, sink),
+        }
     }
 
-    /// Sparsity-aware [`DistMat::redistribute_overlapped`]: each pipeline
-    /// sub-block is adaptively packed as an indexed strip. Strip contents,
-    /// chunk boundaries and the reassembled result are bit-identical to
-    /// the dense pipeline; only actual wire bytes shrink.
-    pub fn redistribute_overlapped_sparse(
-        &self,
-        ctx: &RankCtx,
-        target: Dist,
-        kind: CollectiveKind,
-        chunks: usize,
-        sink: impl FnMut(usize, &Mat),
-    ) -> Result<DistMat, RedistError> {
-        let group: Vec<usize> = (0..ctx.size()).collect();
-        self.redistribute_overlapped_inner(ctx, &group, target, kind, chunks, true, sink)
-    }
+    // Kept only because the frozen benchmark's `comm.redistribute_chunked_ms`
+    // probe calls them by name (`bench/src/probes.rs`); a later benchmark PR
+    // ports the probe and deletes both.
 
-    /// Group form of [`DistMat::redistribute_overlapped`]: the chunked
-    /// all-to-all runs inside `group` (the `R_A < P` row group), splitting
-    /// the local block `group.len()` ways instead of `P` ways. With the
-    /// full-cluster group this is exactly `redistribute_overlapped`; with a
-    /// row group it streams the tile-layout conversion of
-    /// [`crate::ops::Topology::row_to_tile`] / `tile_to_row` strip by
-    /// strip, bit-identical to the blocking group redistribution.
+    #[doc(hidden)]
     pub fn redistribute_overlapped_grouped(
         &self,
         ctx: &RankCtx,
@@ -274,10 +228,17 @@ impl DistMat {
         chunks: usize,
         sink: impl FnMut(usize, &Mat),
     ) -> Result<DistMat, RedistError> {
-        self.redistribute_overlapped_inner(ctx, group, target, kind, chunks, false, sink)
+        let spec = Redistribution {
+            group,
+            to: target.form(),
+            wire: Wire::Dense,
+            chunks,
+            kind,
+        };
+        Ok(self.convert(ctx, &spec, sink))
     }
 
-    /// Sparsity-aware [`DistMat::redistribute_overlapped_grouped`].
+    #[doc(hidden)]
     pub fn redistribute_overlapped_grouped_sparse(
         &self,
         ctx: &RankCtx,
@@ -287,65 +248,14 @@ impl DistMat {
         chunks: usize,
         sink: impl FnMut(usize, &Mat),
     ) -> Result<DistMat, RedistError> {
-        self.redistribute_overlapped_inner(ctx, group, target, kind, chunks, true, sink)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn redistribute_overlapped_inner(
-        &self,
-        ctx: &RankCtx,
-        group: &[usize],
-        target: Dist,
-        kind: CollectiveKind,
-        chunks: usize,
-        sparse: bool,
-        mut sink: impl FnMut(usize, &Mat),
-    ) -> Result<DistMat, RedistError> {
-        assert!(chunks > 0, "need at least one chunk");
-        let g = group.len();
-        match (self.dist, target) {
-            (Dist::Row, Dist::Col) => {
-                let parts = rdm_dense::split_cols(&self.local, g);
-                let mut pipe = if sparse {
-                    ctx.group_all_to_all_chunked_sparse(group, parts, ChunkAxis::Cols, chunks, kind)
-                } else {
-                    ctx.group_all_to_all_chunked(group, parts, ChunkAxis::Cols, chunks, kind)
-                };
-                let mut units = Vec::with_capacity(chunks);
-                while let Some(pieces) = pipe.recv_chunk() {
-                    let unit = vstack(&pieces);
-                    sink(units.len(), &unit);
-                    units.push(unit);
-                }
-                Ok(DistMat {
-                    dist: Dist::Col,
-                    rows: self.rows,
-                    cols: self.cols,
-                    local: hstack(&units),
-                })
-            }
-            (Dist::Col, Dist::Row) => {
-                let parts = rdm_dense::split_rows(&self.local, g);
-                let mut pipe = if sparse {
-                    ctx.group_all_to_all_chunked_sparse(group, parts, ChunkAxis::Rows, chunks, kind)
-                } else {
-                    ctx.group_all_to_all_chunked(group, parts, ChunkAxis::Rows, chunks, kind)
-                };
-                let mut units = Vec::with_capacity(chunks);
-                while let Some(pieces) = pipe.recv_chunk() {
-                    let unit = hstack(&pieces);
-                    sink(units.len(), &unit);
-                    units.push(unit);
-                }
-                Ok(DistMat {
-                    dist: Dist::Row,
-                    rows: self.rows,
-                    cols: self.cols,
-                    local: vstack(&units),
-                })
-            }
-            (from, to) => Err(RedistError::NotPipelined { from, to }),
-        }
+        let spec = Redistribution {
+            group,
+            to: target.form(),
+            wire: Wire::Indexed,
+            chunks,
+            kind,
+        };
+        Ok(self.convert(ctx, &spec, sink))
     }
 
     /// Gather the full global matrix onto every rank (tests and final
@@ -546,29 +456,37 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_redistribution_is_bitwise_blocking() {
+    fn pipelined_conversion_is_bitwise_blocking() {
         for p in [1usize, 2, 3, 4] {
             for chunks in [1usize, 2, 3, 8, 17] {
                 let global = Mat::random(13, 9, 1.0, 7);
                 let out = Cluster::new(p).run(move |ctx| {
+                    let group: Vec<usize> = (0..p).collect();
+                    let to_col = Redistribution {
+                        group: &group,
+                        to: Form::Col,
+                        wire: Wire::Dense,
+                        chunks,
+                        kind: K,
+                    };
                     let r = DistMat::scatter_rows(&global, ctx.size(), ctx.rank());
                     let blocking = r.redistribute(ctx, Dist::Col, K).unwrap();
                     let mut strips = 0usize;
-                    let overlapped = r
-                        .redistribute_overlapped(ctx, Dist::Col, K, chunks, |q, strip| {
-                            assert_eq!(q, strips);
-                            assert_eq!(strip.rows(), 13);
-                            strips += 1;
-                        })
-                        .unwrap();
+                    let pipelined = r.convert(ctx, &to_col, |q, strip| {
+                        assert_eq!(q, strips);
+                        assert_eq!(strip.rows(), 13);
+                        strips += 1;
+                    });
                     assert_eq!(strips, chunks);
-                    assert_eq!(blocking.local, overlapped.local, "p={p} chunks={chunks}");
+                    assert_eq!(blocking.local, pipelined.local, "p={p} chunks={chunks}");
                     // And the reverse direction.
+                    let to_row = Redistribution {
+                        to: Form::Row,
+                        ..to_col
+                    };
                     let back = blocking.redistribute(ctx, Dist::Row, K).unwrap();
-                    let back_o = overlapped
-                        .redistribute_overlapped(ctx, Dist::Row, K, chunks, |_, _| {})
-                        .unwrap();
-                    assert_eq!(back.local, back_o.local);
+                    let back_p = pipelined.convert(ctx, &to_row, |_, _| {});
+                    assert_eq!(back.local, back_p.local);
                 });
                 drop(out);
             }
@@ -576,19 +494,17 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_refuses_non_sliced_transitions() {
+    #[should_panic(expected = "rank thread panicked")]
+    fn conversion_refuses_non_sliced_sources() {
         Cluster::new(2).run(|ctx| {
-            let rep = DistMat::replicated(Mat::zeros(4, 4));
-            let err = rep
-                .redistribute_overlapped(ctx, Dist::Row, K, 2, |_, _| {})
-                .unwrap_err();
-            assert_eq!(
-                err,
-                RedistError::NotPipelined {
-                    from: Dist::Replicated,
-                    to: Dist::Row
-                }
-            );
+            let spec = Redistribution {
+                group: &[0, 1],
+                to: Form::Row,
+                wire: Wire::Dense,
+                chunks: 2,
+                kind: K,
+            };
+            DistMat::replicated(Mat::zeros(4, 4)).convert(ctx, &spec, |_, _| {});
         });
     }
 

@@ -24,19 +24,19 @@ use crate::aggcache::AggCache;
 use crate::dist::{Dist, DistMat, FormCache};
 use crate::ops::{dist_gemm, dist_gemm_nt, weight_grad, OpCounters, Topology};
 use crate::plan::Plan;
-use rdm_comm::{ChunkAxis, CollectiveKind, RankCtx};
+use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution};
 use rdm_dense::{gemm, gemm_nt, hstack, part_range, relu, relu_backward, vstack, Mat};
 use rdm_model::{AdmitOutcome, DeviceModel, Order};
-use rdm_trace::{Form, Span};
+use rdm_trace::Span;
 
 /// Settings of the pipelined (overlapped) execution path, threaded through
 /// [`rdm_forward_with`] / [`rdm_backward_with`].
 ///
 /// When active, every Row↔Col redistribution that feeds a distributed
-/// SpMM or GEMM is issued as `chunks` strips
-/// ([`DistMat::redistribute_overlapped`]) and the kernel runs strip by
-/// strip, consuming chunk `q` while chunks `q+1..` are in flight. Both
-/// kernels are strip-separable (SpMM per output column, GEMM per output
+/// SpMM or GEMM is issued as `chunks` strips (a
+/// [`rdm_comm::Redistribution`] with `chunks > 1`) and the kernel runs
+/// strip by strip, consuming chunk `q` while chunks `q+1..` are in flight.
+/// Both kernels are strip-separable (SpMM per output column, GEMM per output
 /// row), so results are **bit-identical** to the blocking path, as are the
 /// payload-byte counters; the win is modeled by `device` and recorded as
 /// `CommStats::overlap_ns`.
@@ -186,12 +186,11 @@ fn spmm_via_col(
         &topo.panel
     };
     let row = cache.row.as_ref().expect("cache holds a layout").clone();
-    let group = topo.grid.row_group(ctx.rank());
     let col_group = topo.grid.col_group(ctx.rank());
     let bcast_peers = col_group.len() - 1;
     let comm_s = chunk_comm_times(
         spec,
-        group.len(),
+        topo.grid.r_a,
         ctx.rank() % topo.grid.r_a,
         row.local.rows(),
         row.local.cols(),
@@ -231,26 +230,14 @@ fn spmm_via_col(
         comp_s.push(spec.device.compute_time(fma, 0.0));
         record_strip(spec, q, &comm_s, &comp_s);
     };
-    let col = if topo.sparse {
-        row.redistribute_overlapped_grouped_sparse(
-            ctx,
-            &group,
-            Dist::Col,
-            CollectiveKind::Redistribute,
-            spec.chunks,
-            on_strip,
-        )
-    } else {
-        row.redistribute_overlapped_grouped(
-            ctx,
-            &group,
-            Dist::Col,
-            CollectiveKind::Redistribute,
-            spec.chunks,
-            on_strip,
-        )
-    }
-    .expect("Row->Col is always pipelined");
+    let col = topo.convert(
+        &row,
+        Form::Col,
+        ctx,
+        CollectiveKind::Redistribute,
+        spec.chunks,
+        on_strip,
+    );
     record_hidden(ctx, spec, &comm_s, &comp_s);
     let out = DistMat {
         dist: Dist::Col,
@@ -320,10 +307,9 @@ fn gemm_via_row(
         }
     };
     let col = cache.col.as_ref().expect("cache holds a layout").clone();
-    let group = topo.grid.row_group(ctx.rank());
     let comm_s = chunk_comm_times(
         spec,
-        group.len(),
+        topo.grid.r_a,
         ctx.rank() % topo.grid.r_a,
         col.local.rows(),
         col.local.cols(),
@@ -344,26 +330,14 @@ fn gemm_via_row(
         comp_s.push(spec.device.compute_time(0.0, fma));
         record_strip(spec, q, &comm_s, &comp_s);
     };
-    let row = if topo.sparse {
-        col.redistribute_overlapped_grouped_sparse(
-            ctx,
-            &group,
-            Dist::Row,
-            CollectiveKind::Redistribute,
-            spec.chunks,
-            on_strip,
-        )
-    } else {
-        col.redistribute_overlapped_grouped(
-            ctx,
-            &group,
-            Dist::Row,
-            CollectiveKind::Redistribute,
-            spec.chunks,
-            on_strip,
-        )
-    }
-    .expect("Col->Row is always pipelined");
+    let row = topo.convert(
+        &col,
+        Form::Row,
+        ctx,
+        CollectiveKind::Redistribute,
+        spec.chunks,
+        on_strip,
+    );
     record_hidden(ctx, spec, &comm_s, &comp_s);
     let out = DistMat {
         dist: Dist::Row,
@@ -587,9 +561,9 @@ fn spmm_layer1_cached(
         .sum();
     ops.spmm_fma += live_nnz as f64 * tile.local.cols() as f64;
     // Col→Row exchange thinned to the uncached rows of every
-    // destination's slice (the blocking `redistribute_v_to_h` with the
-    // cached rows cut out of each piece — including this rank's own, so
-    // the sparse wire path sees matching piece heights).
+    // destination's slice (the blocking redistribution with the cached
+    // rows cut out of each piece — including this rank's own, so the
+    // indexed wire sees matching piece heights).
     let parts: Vec<Mat> = (0..p)
         .map(|j| {
             let rj = part_range(n, p, j);
@@ -601,19 +575,15 @@ fn spmm_layer1_cached(
             piece
         })
         .collect();
-    let received = {
-        let _span = rdm_trace::span(Span::Redistribute {
-            from: Form::Col,
-            to: Form::Row,
-            chunks: 1,
-            kind: CollectiveKind::Redistribute.trace_tag(),
-        });
-        if topo.sparse {
-            ctx.all_to_all_sparse(parts, ChunkAxis::Rows, CollectiveKind::Redistribute)
-        } else {
-            ctx.all_to_all(parts, CollectiveKind::Redistribute)
-        }
+    let spec = Redistribution {
+        group: &topo.grid.row_group(me),
+        to: Form::Row,
+        wire: topo.wire,
+        chunks: 1,
+        kind: CollectiveKind::Redistribute,
     };
+    let mut received = Vec::new();
+    ctx.exchange(&spec, parts, |_, pieces| received = pieces);
     // Assemble this rank's full-width row slice: cached rows from the
     // cache, live rows from the received column pieces in order.
     let my_rows = part_range(n, p, me);

@@ -7,7 +7,7 @@
 //! Fig. 6 (`R_A < P`).
 
 use crate::dist::{Dist, DistMat};
-use rdm_comm::{CollectiveKind, RankCtx};
+use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution, Wire};
 use rdm_dense::{gemm, gemm_nt, gemm_tn, Mat};
 use rdm_sparse::{spmm, Csr};
 use rdm_trace::Span;
@@ -281,12 +281,12 @@ pub struct Topology {
     /// (mean/GraphSAGE normalization): the backward pass must multiply by
     /// the transpose. `None` for the symmetric GCN normalization.
     pub panel_t: Option<Csr>,
-    /// Route redistributions through the sparsity-aware indexed-strip path
-    /// (`rdm_comm::strip`): bit-zero rows of every shipped piece are
-    /// elided on the wire. Results are bit-identical to the dense path;
+    /// The wire every redistribution of this topology rides. On
+    /// [`Wire::Indexed`] bit-zero rows of every shipped piece are elided
+    /// (`rdm_comm::strip`); results are bit-identical to [`Wire::Dense`],
     /// only actual bytes (and never the dense-equivalent accounting)
-    /// change. Off by default.
-    pub sparse: bool,
+    /// change. Dense by default.
+    pub wire: Wire,
 }
 
 impl Topology {
@@ -305,7 +305,7 @@ impl Topology {
             n: adj.rows(),
             mask: None,
             panel_t: None,
-            sparse: false,
+            wire: Wire::Dense,
         }
     }
 
@@ -341,9 +341,9 @@ impl Topology {
     }
 
     /// Enable or disable sparsity-aware redistribution (see
-    /// [`Topology::sparse`]).
+    /// [`Topology::wire`]).
     pub fn set_sparse(&mut self, sparse: bool) {
-        self.sparse = sparse;
+        self.wire = if sparse { Wire::Indexed } else { Wire::Dense };
     }
 
     /// Fully replicated topology (`r_a == p`).
@@ -439,41 +439,41 @@ impl Topology {
         }
     }
 
-    /// Convert a tile-layout matrix to `P`-way row slices (group
-    /// all-to-all within this rank's row group): `(R_A-1)/R_A·N·f`
-    /// elements total.
+    /// The Row↔tile conversion of this topology: one redistribution inside
+    /// this rank's row group on [`Topology::wire`], `(R_A-1)/R_A·N·f`
+    /// elements in total, shipped as `chunks` strips with strip `q` of the
+    /// destination handed to `sink` as it completes (`chunks == 1` is the
+    /// blocking conversion).
+    pub(crate) fn convert(
+        &self,
+        m: &DistMat,
+        to: Form,
+        ctx: &RankCtx,
+        kind: CollectiveKind,
+        chunks: usize,
+        sink: impl FnMut(usize, &Mat),
+    ) -> DistMat {
+        let spec = Redistribution {
+            group: &self.grid.row_group(ctx.rank()),
+            to,
+            wire: self.wire,
+            chunks,
+            kind,
+        };
+        m.convert(ctx, &spec, sink)
+    }
+
+    /// Convert a tile-layout matrix to `P`-way row slices.
     pub fn tile_to_row(&self, m: &DistMat, ctx: &RankCtx, kind: CollectiveKind) -> DistMat {
         assert_eq!(m.dist, Dist::Col, "tile_to_row needs the tile layout");
-        let group = self.grid.row_group(ctx.rank());
-        let local = if self.sparse {
-            ctx.group_redistribute_v_to_h_sparse(&group, &m.local, kind)
-        } else {
-            ctx.group_redistribute_v_to_h(&group, &m.local, kind)
-        };
-        DistMat {
-            dist: Dist::Row,
-            rows: m.rows,
-            cols: m.cols,
-            local,
-        }
+        self.convert(m, Form::Row, ctx, kind, 1, |_, _| {})
     }
 
     /// Convert `P`-way row slices to the tile layout (inverse of
     /// [`Topology::tile_to_row`], same volume).
     pub fn row_to_tile(&self, m: &DistMat, ctx: &RankCtx, kind: CollectiveKind) -> DistMat {
         assert_eq!(m.dist, Dist::Row, "row_to_tile needs row slices");
-        let group = self.grid.row_group(ctx.rank());
-        let local = if self.sparse {
-            ctx.group_redistribute_h_to_v_sparse(&group, &m.local, kind)
-        } else {
-            ctx.group_redistribute_h_to_v(&group, &m.local, kind)
-        };
-        DistMat {
-            dist: Dist::Col,
-            rows: m.rows,
-            cols: m.cols,
-            local,
-        }
+        self.convert(m, Form::Col, ctx, kind, 1, |_, _| {})
     }
 
     /// Gather a tile-layout matrix onto every rank (tests only).

@@ -553,33 +553,41 @@ fn predict_epoch_into(pr: &mut Predictor<'_>, config: &OrderConfig, memoize: boo
     }
 }
 
-/// Reduce one rank's recorded trace to the schedule-level events of epoch
-/// `epoch`. Bare `Collective` sends outside a redistribution/all-reduce
-/// span (loss and accuracy scalar reductions, dynamic-selection traffic)
-/// are ignored, as are `Retry`, `OverlapStrip` and `AggCache` instants.
+/// One item of [`walk_schedule`]'s reduction of a trace.
+pub(crate) enum Walked {
+    /// A scope span of interest opened, or a `Serve` span opened inside one.
+    Begin(Span),
+    /// The open scope span closed.
+    ScopeEnd,
+    Sched(SchedEvent),
+}
+
+/// The trace reducer behind [`extract_epoch`] and
+/// `serving::extract_session` (whose docs say what is booked and what is
+/// ignored): walk one rank's events with a span stack and emit the
+/// schedule-level events recorded inside the spans `scope` selects
+/// (`Some(true)` = a scope to reduce, `Some(false)` = a scope span to
+/// skip, `None` = not a scope span).
 ///
-/// Attribution is kind-aware: a redistribution frame books only sends of
-/// its own collective kind, while `Broadcast`-kind sends — the replicated
-/// panels' tile exchange — accumulate wherever they occur (inside the
-/// kernel span when blocking, inside the preceding redistribution span
-/// when the overlapped sink assembles strip by strip) and are flushed as
-/// one [`SchedEvent::Broadcast`] when the carrying SpMM span closes. A
-/// blocking and an overlapped run of the same plan therefore extract to
-/// identical schedules at every replication factor.
+/// Returns the items and whether any selected scope was entered.
 ///
 /// # Errors
-/// If the trace is malformed (unbalanced spans, broadcast sends with no
-/// kernel span to book them) or never enters epoch `epoch`.
-pub fn extract_epoch(trace: &RankTrace, epoch: usize) -> Result<Vec<SchedEvent>, String> {
+/// If the trace is malformed: unbalanced spans, broadcast sends with no
+/// kernel span to book them, or a redistribution that sent more than its
+/// dense-equivalent bytes.
+pub(crate) fn walk_schedule(
+    trace: &RankTrace,
+    scope: impl Fn(Span) -> Option<bool>,
+) -> Result<(Vec<Walked>, bool), String> {
     enum Frame {
-        Epoch {
+        Scope {
             ours: bool,
         },
         Redist {
             from: Form,
             to: Form,
             kind: TraceCollective,
-            /// Actual wire bytes (compressed when the sparse path packed).
+            /// Actual wire bytes (compressed when the indexed wire packed).
             bytes: u64,
             /// Dense-equivalent bytes — what the schedule predictor prices.
             dense: u64,
@@ -594,49 +602,51 @@ pub fn extract_epoch(trace: &RankTrace, epoch: usize) -> Result<Vec<SchedEvent>,
     }
     let mut stack: Vec<Frame> = Vec::new();
     let mut out = Vec::new();
-    let mut in_epoch = false;
+    let mut in_scope = false;
     let mut found = false;
     let mut pending_bcast = 0u64;
     for (i, e) in trace.events.iter().enumerate() {
         match e.data {
             EventData::Begin(span) => {
-                let frame = match span {
-                    Span::Epoch { idx } => {
-                        let ours = idx == epoch;
+                let frame = match (scope(span), span) {
+                    (Some(ours), _) => {
                         if ours {
-                            in_epoch = true;
+                            in_scope = true;
                             found = true;
+                            out.push(Walked::Begin(span));
                         }
-                        Frame::Epoch { ours }
+                        Frame::Scope { ours }
                     }
-                    Span::Redistribute { from, to, kind, .. } if in_epoch => Frame::Redist {
+                    (None, _) if !in_scope => Frame::Other,
+                    (None, Span::Serve { .. }) => {
+                        out.push(Walked::Begin(span));
+                        Frame::Other
+                    }
+                    (None, Span::Redistribute { from, to, kind, .. }) => Frame::Redist {
                         from,
                         to,
                         kind,
                         bytes: 0,
                         dense: 0,
                     },
-                    Span::AllReduce { .. } if in_epoch => Frame::AllReduce { bytes: 0 },
+                    (None, Span::AllReduce { .. }) => Frame::AllReduce { bytes: 0 },
                     // `width` is deliberately dropped: the scheduler
                     // predicts op shapes, not kernel paths, so conformance
                     // holds for scalar and fast kernels alike.
-                    Span::Spmm {
-                        rows, cols, nnz, ..
-                    } => {
-                        if in_epoch {
-                            out.push(SchedEvent::Spmm { rows, cols, nnz });
-                            Frame::Spmm
-                        } else {
-                            Frame::Other
-                        }
+                    (
+                        None,
+                        Span::Spmm {
+                            rows, cols, nnz, ..
+                        },
+                    ) => {
+                        out.push(Walked::Sched(SchedEvent::Spmm { rows, cols, nnz }));
+                        Frame::Spmm
                     }
-                    Span::Gemm { m, n, k, .. } => {
-                        if in_epoch {
-                            out.push(SchedEvent::Gemm { m, n, k });
-                        }
+                    (None, Span::Gemm { m, n, k, .. }) => {
+                        out.push(Walked::Sched(SchedEvent::Gemm { m, n, k }));
                         Frame::Other
                     }
-                    _ => Frame::Other,
+                    (None, _) => Frame::Other,
                 };
                 stack.push(frame);
             }
@@ -645,9 +655,10 @@ pub fn extract_epoch(trace: &RankTrace, epoch: usize) -> Result<Vec<SchedEvent>,
                     format!("rank {} event {i}: End with no open span", trace.rank)
                 })?;
                 match frame {
-                    Frame::Epoch { ours } => {
+                    Frame::Scope { ours } => {
                         if ours {
-                            in_epoch = false;
+                            in_scope = false;
+                            out.push(Walked::ScopeEnd);
                         }
                     }
                     Frame::Redist {
@@ -666,19 +677,21 @@ pub fn extract_epoch(trace: &RankTrace, epoch: usize) -> Result<Vec<SchedEvent>,
                                 trace.rank
                             ));
                         }
-                        out.push(SchedEvent::Redist {
+                        out.push(Walked::Sched(SchedEvent::Redist {
                             from,
                             to,
                             kind,
                             bytes: dense,
-                        });
+                        }));
                     }
-                    Frame::AllReduce { bytes } => out.push(SchedEvent::AllReduce { bytes }),
+                    Frame::AllReduce { bytes } => {
+                        out.push(Walked::Sched(SchedEvent::AllReduce { bytes }));
+                    }
                     Frame::Spmm => {
                         if pending_bcast > 0 {
-                            out.push(SchedEvent::Broadcast {
+                            out.push(Walked::Sched(SchedEvent::Broadcast {
                                 bytes: pending_bcast,
-                            });
+                            }));
                             pending_bcast = 0;
                         }
                     }
@@ -696,7 +709,7 @@ pub fn extract_epoch(trace: &RankTrace, epoch: usize) -> Result<Vec<SchedEvent>,
                 // belong to that frame; broadcast sends accumulate toward
                 // the carrying SpMM; anything else (loss/accuracy scalar
                 // reductions) is unpriced traffic.
-                if in_epoch && kind == TraceCollective::Broadcast {
+                if in_scope && kind == TraceCollective::Broadcast {
                     pending_bcast += bytes as u64;
                 } else {
                     match stack.last_mut() {
@@ -736,13 +749,44 @@ pub fn extract_epoch(trace: &RankTrace, epoch: usize) -> Result<Vec<SchedEvent>,
             trace.rank
         ));
     }
+    Ok((out, found))
+}
+
+/// Reduce one rank's recorded trace to the schedule-level events of epoch
+/// `epoch`. Bare `Collective` sends outside a redistribution/all-reduce
+/// span (loss and accuracy scalar reductions, dynamic-selection traffic)
+/// are ignored, as are `Retry`, `OverlapStrip` and `AggCache` instants.
+///
+/// Attribution is kind-aware: a redistribution frame books only sends of
+/// its own collective kind, while `Broadcast`-kind sends — the replicated
+/// panels' tile exchange — accumulate wherever they occur (inside the
+/// kernel span when blocking, inside the preceding redistribution span
+/// when the overlapped sink assembles strip by strip) and are flushed as
+/// one [`SchedEvent::Broadcast`] when the carrying SpMM span closes. A
+/// blocking and an overlapped run of the same plan therefore extract to
+/// identical schedules at every replication factor.
+///
+/// # Errors
+/// If the trace is malformed (unbalanced spans, broadcast sends with no
+/// kernel span to book them) or never enters epoch `epoch`.
+pub fn extract_epoch(trace: &RankTrace, epoch: usize) -> Result<Vec<SchedEvent>, String> {
+    let (walked, found) = walk_schedule(trace, |span| match span {
+        Span::Epoch { idx } => Some(idx == epoch),
+        _ => None,
+    })?;
     if !found {
         return Err(format!(
             "rank {}: trace contains no epoch {epoch}",
             trace.rank
         ));
     }
-    Ok(out)
+    Ok(walked
+        .into_iter()
+        .filter_map(|w| match w {
+            Walked::Sched(e) => Some(e),
+            Walked::Begin(_) | Walked::ScopeEnd => None,
+        })
+        .collect())
 }
 
 /// Elementwise diff of a predicted and an extracted schedule.

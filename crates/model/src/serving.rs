@@ -15,9 +15,9 @@
 //! trace against it the way `check_run` does for training epochs.
 
 use crate::config::{Order, OrderConfig};
-use crate::conformance::{part_len, predict_forward, Predictor, SchedEvent};
+use crate::conformance::{part_len, predict_forward, walk_schedule, Predictor, SchedEvent, Walked};
 use crate::cost::GnnShape;
-use rdm_trace::{EventData, Form, RankTrace, Span, TraceCollective};
+use rdm_trace::{RankTrace, Span};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -322,182 +322,39 @@ pub fn predict_session_ra(
     Ok(out)
 }
 
-/// Reduce one rank's recorded serving trace to [`ServeEvent`]s. Mirrors
-/// `extract_epoch`, keyed on `Span::Batch` instead of `Span::Epoch`:
-/// traffic outside a batch (barriers) is ignored, `Redist` frames are
-/// priced at their dense-equivalent volume (hard error if the wire sent
-/// more), and `Retry`/`OverlapStrip`/`AggCache` instants are transparent —
-/// a pipelined, chaotic or cache-instrumented session extracts to the same
-/// schedule as a plain one with the same shapes.
+/// Reduce one rank's recorded serving trace to [`ServeEvent`]s. The same
+/// reducer as `extract_epoch`, keyed on `Span::Batch` instead of
+/// `Span::Epoch`: traffic outside a batch (barriers) is ignored, `Redist`
+/// frames are priced at their dense-equivalent volume (hard error if the
+/// wire sent more), and `Retry`/`OverlapStrip`/`AggCache` instants are
+/// transparent — a pipelined, chaotic or cache-instrumented session
+/// extracts to the same schedule as a plain one with the same shapes.
 ///
 /// # Errors
 /// If the trace is malformed (unbalanced spans), contains no batch span,
 /// or a redistribution sent more than its dense-equivalent bytes.
 pub fn extract_session(trace: &RankTrace) -> Result<Vec<ServeEvent>, String> {
-    enum Frame {
-        Batch,
-        Redist {
-            from: Form,
-            to: Form,
-            kind: TraceCollective,
-            bytes: u64,
-            dense: u64,
-        },
-        AllReduce {
-            bytes: u64,
-        },
-        /// A kernel span that can carry the replicated panels' tile
-        /// broadcast; closing it flushes the pending broadcast bytes.
-        Spmm,
-        Other,
-    }
-    let mut stack: Vec<Frame> = Vec::new();
-    let mut out = Vec::new();
-    let mut in_batch = false;
-    let mut found = false;
-    let mut pending_bcast = 0u64;
-    for (i, e) in trace.events.iter().enumerate() {
-        match e.data {
-            EventData::Begin(span) => {
-                let frame = match span {
-                    Span::Batch { idx, size } => {
-                        in_batch = true;
-                        found = true;
-                        out.push(ServeEvent::BatchBegin { idx, size });
-                        Frame::Batch
-                    }
-                    Span::Serve { client, req_id } if in_batch => {
-                        out.push(ServeEvent::Serve { client, req_id });
-                        Frame::Other
-                    }
-                    Span::Redistribute { from, to, kind, .. } if in_batch => Frame::Redist {
-                        from,
-                        to,
-                        kind,
-                        bytes: 0,
-                        dense: 0,
-                    },
-                    Span::AllReduce { .. } if in_batch => Frame::AllReduce { bytes: 0 },
-                    Span::Spmm {
-                        rows, cols, nnz, ..
-                    } => {
-                        if in_batch {
-                            out.push(ServeEvent::Sched(SchedEvent::Spmm { rows, cols, nnz }));
-                            Frame::Spmm
-                        } else {
-                            Frame::Other
-                        }
-                    }
-                    Span::Gemm { m, n, k, .. } => {
-                        if in_batch {
-                            out.push(ServeEvent::Sched(SchedEvent::Gemm { m, n, k }));
-                        }
-                        Frame::Other
-                    }
-                    _ => Frame::Other,
-                };
-                stack.push(frame);
-            }
-            EventData::End => {
-                let frame = stack.pop().ok_or_else(|| {
-                    format!("rank {} event {i}: End with no open span", trace.rank)
-                })?;
-                match frame {
-                    Frame::Batch => {
-                        out.push(ServeEvent::BatchEnd);
-                        in_batch = false;
-                    }
-                    Frame::Redist {
-                        from,
-                        to,
-                        kind,
-                        bytes,
-                        dense,
-                    } => {
-                        if bytes > dense {
-                            return Err(format!(
-                                "rank {}: redistribution sent {bytes} B, above its \
-                                 dense-equivalent {dense} B",
-                                trace.rank
-                            ));
-                        }
-                        out.push(ServeEvent::Sched(SchedEvent::Redist {
-                            from,
-                            to,
-                            kind,
-                            bytes: dense,
-                        }));
-                    }
-                    Frame::AllReduce { bytes } => {
-                        out.push(ServeEvent::Sched(SchedEvent::AllReduce { bytes }));
-                    }
-                    Frame::Spmm => {
-                        if pending_bcast > 0 {
-                            out.push(ServeEvent::Sched(SchedEvent::Broadcast {
-                                bytes: pending_bcast,
-                            }));
-                            pending_bcast = 0;
-                        }
-                    }
-                    Frame::Other => {}
-                }
-            }
-            EventData::Collective {
-                kind,
-                bytes,
-                dense_bytes,
-                ..
-            } => {
-                // Kind-aware attribution, mirroring `extract_epoch`: a
-                // redistribution frame books only its own kind; broadcast
-                // sends accumulate toward the carrying SpMM span's close.
-                if in_batch && kind == TraceCollective::Broadcast {
-                    pending_bcast += bytes as u64;
-                } else {
-                    match stack.last_mut() {
-                        Some(Frame::Redist {
-                            kind: fk,
-                            bytes: b,
-                            dense,
-                            ..
-                        }) if *fk == kind => {
-                            *b += bytes as u64;
-                            *dense += dense_bytes as u64;
-                        }
-                        Some(Frame::AllReduce { bytes: b })
-                            if kind == TraceCollective::AllReduce =>
-                        {
-                            *b += bytes as u64;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            EventData::Retry { .. }
-            | EventData::OverlapStrip { .. }
-            | EventData::AggCache { .. } => {}
-        }
-    }
-    if !stack.is_empty() {
-        return Err(format!(
-            "rank {}: {} span(s) left open at end of trace",
-            trace.rank,
-            stack.len()
-        ));
-    }
-    if pending_bcast > 0 {
-        return Err(format!(
-            "rank {}: {pending_bcast} broadcast bytes with no kernel span to book them",
-            trace.rank
-        ));
-    }
+    let (walked, found) = walk_schedule(trace, |span| {
+        matches!(span, Span::Batch { .. }).then_some(true)
+    })?;
     if !found {
         return Err(format!(
             "rank {}: trace contains no batch spans",
             trace.rank
         ));
     }
-    Ok(out)
+    Ok(walked
+        .into_iter()
+        .filter_map(|w| match w {
+            Walked::Begin(Span::Batch { idx, size }) => Some(ServeEvent::BatchBegin { idx, size }),
+            Walked::Begin(Span::Serve { client, req_id }) => {
+                Some(ServeEvent::Serve { client, req_id })
+            }
+            Walked::Begin(_) => None,
+            Walked::ScopeEnd => Some(ServeEvent::BatchEnd),
+            Walked::Sched(e) => Some(ServeEvent::Sched(e)),
+        })
+        .collect())
 }
 
 /// Elementwise diff of a predicted and an extracted serving schedule,

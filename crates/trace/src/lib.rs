@@ -25,10 +25,9 @@
 //!   when the frozen-weight aggregation cache is on, carrying its
 //!   hit/miss/skip accounting).
 //!
-//! Only *sender-side* events are recorded: receive completion order under
-//! `try_take` polling is timing-dependent, while the send schedule is a
-//! pure function of the plan, so same-seed runs produce identical
-//! normalized traces. [`chrome`] exports the stream as Chrome-trace JSON
+//! Only *sender-side* events are recorded: receive completion order is
+//! timing-dependent, while the send schedule is a pure function of the
+//! plan, so same-seed runs produce identical normalized traces. [`chrome`] exports the stream as Chrome-trace JSON
 //! for `chrome://tracing` / Perfetto.
 
 use std::cell::RefCell;

@@ -15,20 +15,14 @@
 //! run fails if any steady-state batch needed a fresh workspace
 //! allocation — the pool must serve everything after warmup.
 
-use gnn_rdm::comm::FaultPlan;
+use gnn_rdm::cli::CommonArgs;
 use gnn_rdm::core::{train_gcn, TrainerConfig, WeightSnapshot};
-use gnn_rdm::graph::dataset::load_edge_list;
-use gnn_rdm::graph::{paper_datasets, Dataset, DatasetSpec};
+use gnn_rdm::graph::Dataset;
 use gnn_rdm::serve::{serve, BatchPolicy, LoadGen, ServeConfig, ServeSampler};
 use std::process::ExitCode;
 
 struct Args {
-    dataset: Option<String>,
-    edge_list: Option<String>,
-    synthetic: Option<(usize, usize)>,
-    features: usize,
-    classes: usize,
-    scale: Option<usize>,
+    common: CommonArgs,
     weights: Option<String>,
     train_epochs: usize,
     ranks: usize,
@@ -47,21 +41,13 @@ struct Args {
     cache: usize,
     zipf: u32,
     fast_kernels: bool,
-    chaos: Option<u64>,
-    drop_rate: f64,
-    trace: Option<String>,
     quiet: bool,
 }
 
 impl Default for Args {
     fn default() -> Self {
         Args {
-            dataset: None,
-            edge_list: None,
-            synthetic: None,
-            features: 64,
-            classes: 16,
-            scale: None,
+            common: CommonArgs::default(),
             weights: None,
             train_epochs: 5,
             ranks: 4,
@@ -80,9 +66,6 @@ impl Default for Args {
             cache: 0,
             zipf: 0,
             fast_kernels: false,
-            chaos: None,
-            drop_rate: 0.05,
-            trace: None,
             quiet: false,
         }
     }
@@ -155,26 +138,10 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+        if args.common.parse_flag(&flag, &mut value)? {
+            continue;
+        }
         match flag.as_str() {
-            "--dataset" => args.dataset = Some(value("--dataset")?),
-            "--edge-list" => args.edge_list = Some(value("--edge-list")?),
-            "--synthetic" => {
-                let v = value("--synthetic")?;
-                let (n, e) = v
-                    .split_once('x')
-                    .ok_or_else(|| format!("--synthetic wants NxE, got {v}"))?;
-                args.synthetic = Some((
-                    n.parse().map_err(|e| format!("bad N: {e}"))?,
-                    e.parse().map_err(|e| format!("bad E: {e}"))?,
-                ));
-            }
-            "--features" => {
-                args.features = value("--features")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--classes" => {
-                args.classes = value("--classes")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--scale" => args.scale = Some(value("--scale")?.parse().map_err(|e| format!("{e}"))?),
             "--weights" => args.weights = Some(value("--weights")?),
             "--train-epochs" => {
                 args.train_epochs = value("--train-epochs")?
@@ -230,17 +197,6 @@ fn parse_args() -> Result<Args, String> {
             "--cache" => args.cache = value("--cache")?.parse().map_err(|e| format!("{e}"))?,
             "--zipf" => args.zipf = value("--zipf")?.parse().map_err(|e| format!("{e}"))?,
             "--fast-kernels" => args.fast_kernels = true,
-            "--chaos" => args.chaos = Some(value("--chaos")?.parse().map_err(|e| format!("{e}"))?),
-            "--drop-rate" => {
-                args.drop_rate = value("--drop-rate")?.parse().map_err(|e| format!("{e}"))?;
-                if !(0.0..1.0).contains(&args.drop_rate) {
-                    return Err(format!(
-                        "--drop-rate must be in [0, 1), got {}",
-                        args.drop_rate
-                    ));
-                }
-            }
-            "--trace" => args.trace = Some(value("--trace")?),
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -250,38 +206,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn build_dataset(args: &Args) -> Result<Dataset, String> {
-    if let Some(path) = &args.edge_list {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        return load_edge_list(path, &text, args.features, args.classes, args.seed);
-    }
-    if let Some((n, e)) = args.synthetic {
-        return Ok(
-            DatasetSpec::synthetic("synthetic", n, e, args.features, args.classes)
-                .instantiate(args.seed),
-        );
-    }
-    if let Some(name) = &args.dataset {
-        let wanted = name.to_lowercase().replace('_', "-");
-        let spec = paper_datasets()
-            .into_iter()
-            .find(|s| s.name.to_lowercase() == wanted)
-            .ok_or_else(|| {
-                format!(
-                    "unknown dataset {name}; options: {}",
-                    paper_datasets()
-                        .iter()
-                        .map(|s| s.name.to_lowercase())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            })?;
-        let scale = args.scale.unwrap_or((spec.edges / 100_000).max(1));
-        return Ok(spec.scaled(scale).instantiate(args.seed));
-    }
-    Err("pick a dataset: --dataset, --synthetic or --edge-list (see --help)".into())
 }
 
 fn obtain_weights(args: &Args, ds: &Dataset) -> Result<WeightSnapshot, String> {
@@ -308,7 +232,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let ds = match build_dataset(&args) {
+    let ds = match args.common.build_dataset(args.seed) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("error: {e}");
@@ -357,19 +281,12 @@ fn main() -> ExitCode {
     if args.fast_kernels {
         cfg = cfg.fast_kernels();
     }
-    cfg.trace = args.trace.is_some();
+    cfg.trace = args.common.trace.is_some();
     cfg.sample_seed = args.seed;
     if let Some(budget) = args.budget {
         cfg.sampler = ServeSampler::Induced { budget };
     }
-    if let Some(chaos_seed) = args.chaos {
-        cfg.faults = Some(
-            FaultPlan::new(chaos_seed)
-                .drop_rate(args.drop_rate)
-                .delay(0.2, 3)
-                .straggler(0.02, 20_000),
-        );
-    }
+    cfg.faults = args.common.fault_plan();
     let out = match serve(&ds, &snap, &requests, &cfg) {
         Ok(o) => o,
         Err(e) => {
@@ -405,31 +322,21 @@ fn main() -> ExitCode {
             cfg.kernels.width(),
         );
     }
-    if args.chaos.is_some() {
+    if args.common.chaos.is_some() {
         println!(
             "chaos: {} retransmits; logits and payload book bit-identical to fault-free",
             report.retries
         );
     }
-    if let Some(path) = &args.trace {
-        let traces = out.traces.as_ref().expect("traced run returns traces");
-        let events: usize = traces.iter().map(|t| t.events.len()).sum();
-        let json = gnn_rdm::trace::chrome::to_chrome_json(traces, false);
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "trace: {events} events across {} ranks written to {path} \
-             (chrome://tracing / Perfetto)",
-            traces.len(),
-        );
+    if let Err(e) = args.common.write_trace(out.traces.as_ref()) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     // The steady-state guarantee the workspace pool exists for: after the
     // warmup batch, serving must be alloc-free. Fault injection is exempt:
     // retransmission and reordering raise the peak number of concurrently
     // live buffers past what the warmup batch could shelve.
-    if args.chaos.is_none() && report.batches.len() >= 2 && report.ws_fresh_steady > 0 {
+    if args.common.chaos.is_none() && report.batches.len() >= 2 && report.ws_fresh_steady > 0 {
         eprintln!(
             "error: {} fresh workspace allocations after warmup (expected 0)",
             report.ws_fresh_steady

@@ -11,19 +11,13 @@
 //! keep the fastest — §IV-B), `cagnet1d`, `cagnet15d:<c>`, `dgcl`,
 //! `saint-rdm`, `saint-ddp`, `masked:<keep>`.
 
-use gnn_rdm::comm::FaultPlan;
+use gnn_rdm::cli::CommonArgs;
 use gnn_rdm::core::{train_gcn, Algo, Plan, TrainerConfig};
-use gnn_rdm::graph::dataset::load_edge_list;
-use gnn_rdm::graph::{paper_datasets, Dataset, DatasetSpec, SaintSampler};
+use gnn_rdm::graph::{Dataset, SaintSampler};
 use std::process::ExitCode;
 
 struct Args {
-    dataset: Option<String>,
-    edge_list: Option<String>,
-    synthetic: Option<(usize, usize)>,
-    features: usize,
-    classes: usize,
-    scale: Option<usize>,
+    common: CommonArgs,
     algo: String,
     ranks: usize,
     layers: usize,
@@ -37,21 +31,13 @@ struct Args {
     sparse: bool,
     fast_kernels: bool,
     agg: String,
-    chaos: Option<u64>,
-    drop_rate: f64,
-    trace: Option<String>,
     quiet: bool,
 }
 
 impl Default for Args {
     fn default() -> Self {
         Args {
-            dataset: None,
-            edge_list: None,
-            synthetic: None,
-            features: 64,
-            classes: 16,
-            scale: None,
+            common: CommonArgs::default(),
             algo: "rdm".into(),
             ranks: 4,
             layers: 2,
@@ -65,9 +51,6 @@ impl Default for Args {
             sparse: false,
             fast_kernels: false,
             agg: "gcn".into(),
-            chaos: None,
-            drop_rate: 0.05,
-            trace: None,
             quiet: false,
         }
     }
@@ -141,26 +124,10 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+        if args.common.parse_flag(&flag, &mut value)? {
+            continue;
+        }
         match flag.as_str() {
-            "--dataset" => args.dataset = Some(value("--dataset")?),
-            "--edge-list" => args.edge_list = Some(value("--edge-list")?),
-            "--synthetic" => {
-                let v = value("--synthetic")?;
-                let (n, e) = v
-                    .split_once('x')
-                    .ok_or_else(|| format!("--synthetic wants NxE, got {v}"))?;
-                args.synthetic = Some((
-                    n.parse().map_err(|e| format!("bad N: {e}"))?,
-                    e.parse().map_err(|e| format!("bad E: {e}"))?,
-                ));
-            }
-            "--features" => {
-                args.features = value("--features")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--classes" => {
-                args.classes = value("--classes")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--scale" => args.scale = Some(value("--scale")?.parse().map_err(|e| format!("{e}"))?),
             "--algo" => args.algo = value("--algo")?,
             "--ranks" => args.ranks = value("--ranks")?.parse().map_err(|e| format!("{e}"))?,
             "--layers" => args.layers = value("--layers")?.parse().map_err(|e| format!("{e}"))?,
@@ -186,17 +153,6 @@ fn parse_args() -> Result<Args, String> {
             "--lr" => args.lr = value("--lr")?.parse().map_err(|e| format!("{e}"))?,
             "--epochs" => args.epochs = value("--epochs")?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--chaos" => args.chaos = Some(value("--chaos")?.parse().map_err(|e| format!("{e}"))?),
-            "--drop-rate" => {
-                args.drop_rate = value("--drop-rate")?.parse().map_err(|e| format!("{e}"))?;
-                if !(0.0..1.0).contains(&args.drop_rate) {
-                    return Err(format!(
-                        "--drop-rate must be in [0, 1), got {}",
-                        args.drop_rate
-                    ));
-                }
-            }
-            "--trace" => args.trace = Some(value("--trace")?),
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -209,44 +165,12 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn build_dataset(args: &Args) -> Result<Dataset, String> {
-    let ds = build_base_dataset(args)?;
+    let ds = args.common.build_dataset(args.seed)?;
     Ok(match args.agg.as_str() {
         "mean" => ds.with_mean_aggregation(),
         "row" => ds.with_row_aggregation(),
         _ => ds,
     })
-}
-
-fn build_base_dataset(args: &Args) -> Result<Dataset, String> {
-    if let Some(path) = &args.edge_list {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        return load_edge_list(path, &text, args.features, args.classes, args.seed);
-    }
-    if let Some((n, e)) = args.synthetic {
-        return Ok(
-            DatasetSpec::synthetic("synthetic", n, e, args.features, args.classes)
-                .instantiate(args.seed),
-        );
-    }
-    if let Some(name) = &args.dataset {
-        let wanted = name.to_lowercase().replace('_', "-");
-        let spec = paper_datasets()
-            .into_iter()
-            .find(|s| s.name.to_lowercase() == wanted)
-            .ok_or_else(|| {
-                format!(
-                    "unknown dataset {name}; options: {}",
-                    paper_datasets()
-                        .iter()
-                        .map(|s| s.name.to_lowercase())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            })?;
-        let scale = args.scale.unwrap_or((spec.edges / 100_000).max(1));
-        return Ok(spec.scaled(scale).instantiate(args.seed));
-    }
-    Err("pick a dataset: --dataset, --synthetic or --edge-list (see --help)".into())
 }
 
 fn build_algo(args: &Args) -> Result<Algo, String> {
@@ -353,15 +277,10 @@ fn main() -> ExitCode {
     if args.fast_kernels {
         cfg = cfg.fast_kernels();
     }
-    if let Some(chaos_seed) = args.chaos {
-        cfg = cfg.faults(
-            FaultPlan::new(chaos_seed)
-                .drop_rate(args.drop_rate)
-                .delay(0.2, 3)
-                .straggler(0.02, 20_000),
-        );
+    if let Some(plan) = args.common.fault_plan() {
+        cfg = cfg.faults(plan);
     }
-    if args.trace.is_some() {
+    if args.common.trace.is_some() {
         cfg = cfg.trace();
     }
 
@@ -406,7 +325,7 @@ fn main() -> ExitCode {
         report.mean_bytes_per_epoch() / 1e6,
         report.sim_epochs_per_sec(),
     );
-    if args.chaos.is_some() {
+    if args.common.chaos.is_some() {
         println!(
             "chaos: {} retransmits re-sent {:.2} MB (excluded from volume above); \
              losses bit-identical to the fault-free run",
@@ -464,19 +383,9 @@ fn main() -> ExitCode {
                 .join("→"),
         );
     }
-    if let Some(path) = &args.trace {
-        let traces = report.traces.as_ref().expect("traced run returns traces");
-        let events: usize = traces.iter().map(|t| t.events.len()).sum();
-        let json = gnn_rdm::trace::chrome::to_chrome_json(traces, false);
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "trace: {events} events across {} ranks written to {path} \
-             (chrome://tracing / Perfetto)",
-            traces.len(),
-        );
+    if let Err(e) = args.common.write_trace(report.traces.as_ref()) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

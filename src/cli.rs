@@ -1,0 +1,144 @@
+//! The command-line surface `rdm-train` and `rdm-serve` share: dataset
+//! selection, fault injection and trace output — one parser, one set of
+//! error strings, one `FaultPlan` recipe for both binaries.
+
+use crate::comm::FaultPlan;
+use crate::graph::dataset::load_edge_list;
+use crate::graph::{paper_datasets, Dataset, DatasetSpec};
+use crate::trace::RankTrace;
+
+/// The flags both binaries accept, with their shared defaults.
+pub struct CommonArgs {
+    pub dataset: Option<String>,
+    pub edge_list: Option<String>,
+    pub synthetic: Option<(usize, usize)>,
+    pub features: usize,
+    pub classes: usize,
+    pub scale: Option<usize>,
+    pub chaos: Option<u64>,
+    pub drop_rate: f64,
+    pub trace: Option<String>,
+}
+
+impl Default for CommonArgs {
+    fn default() -> Self {
+        CommonArgs {
+            dataset: None,
+            edge_list: None,
+            synthetic: None,
+            features: 64,
+            classes: 16,
+            scale: None,
+            chaos: None,
+            drop_rate: 0.05,
+            trace: None,
+        }
+    }
+}
+
+impl CommonArgs {
+    /// Consume `flag` if it is one of the shared flags, pulling its value
+    /// from `value`. `Ok(false)` leaves the flag to the binary's own parser.
+    pub fn parse_flag(
+        &mut self,
+        flag: &str,
+        value: &mut dyn FnMut(&str) -> Result<String, String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--dataset" => self.dataset = Some(value("--dataset")?),
+            "--edge-list" => self.edge_list = Some(value("--edge-list")?),
+            "--synthetic" => {
+                let v = value("--synthetic")?;
+                let (n, e) = v
+                    .split_once('x')
+                    .ok_or_else(|| format!("--synthetic wants NxE, got {v}"))?;
+                self.synthetic = Some((
+                    n.parse().map_err(|e| format!("bad N: {e}"))?,
+                    e.parse().map_err(|e| format!("bad E: {e}"))?,
+                ));
+            }
+            "--features" => {
+                self.features = value("--features")?.parse().map_err(|e| format!("{e}"))?
+            }
+            "--classes" => {
+                self.classes = value("--classes")?.parse().map_err(|e| format!("{e}"))?
+            }
+            "--scale" => self.scale = Some(value("--scale")?.parse().map_err(|e| format!("{e}"))?),
+            "--chaos" => self.chaos = Some(value("--chaos")?.parse().map_err(|e| format!("{e}"))?),
+            "--drop-rate" => {
+                self.drop_rate = value("--drop-rate")?.parse().map_err(|e| format!("{e}"))?;
+                if !(0.0..1.0).contains(&self.drop_rate) {
+                    return Err(format!(
+                        "--drop-rate must be in [0, 1), got {}",
+                        self.drop_rate
+                    ));
+                }
+            }
+            "--trace" => self.trace = Some(value("--trace")?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Instantiate the dataset the data flags select.
+    pub fn build_dataset(&self, seed: u64) -> Result<Dataset, String> {
+        if let Some(path) = &self.edge_list {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            return load_edge_list(path, &text, self.features, self.classes, seed);
+        }
+        if let Some((n, e)) = self.synthetic {
+            return Ok(
+                DatasetSpec::synthetic("synthetic", n, e, self.features, self.classes)
+                    .instantiate(seed),
+            );
+        }
+        if let Some(name) = &self.dataset {
+            let wanted = name.to_lowercase().replace('_', "-");
+            let spec = paper_datasets()
+                .into_iter()
+                .find(|s| s.name.to_lowercase() == wanted)
+                .ok_or_else(|| {
+                    format!(
+                        "unknown dataset {name}; options: {}",
+                        paper_datasets()
+                            .iter()
+                            .map(|s| s.name.to_lowercase())
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    )
+                })?;
+            let scale = self.scale.unwrap_or((spec.edges / 100_000).max(1));
+            return Ok(spec.scaled(scale).instantiate(seed));
+        }
+        Err("pick a dataset: --dataset, --synthetic or --edge-list (see --help)".into())
+    }
+
+    /// The fault plan `--chaos <seed>` asks for: seeded drops at
+    /// `--drop-rate`, reordering delays and stragglers.
+    pub fn fault_plan(&self) -> Option<FaultPlan> {
+        self.chaos.map(|seed| {
+            FaultPlan::new(seed)
+                .drop_rate(self.drop_rate)
+                .delay(0.2, 3)
+                .straggler(0.02, 20_000)
+        })
+    }
+
+    /// Write `traces` as Chrome trace JSON to the `--trace` path, if one
+    /// was given, and report it on stdout.
+    pub fn write_trace(&self, traces: Option<&Vec<RankTrace>>) -> Result<(), String> {
+        let Some(path) = &self.trace else {
+            return Ok(());
+        };
+        let traces = traces.expect("traced run returns traces");
+        let events: usize = traces.iter().map(|t| t.events.len()).sum();
+        let json = crate::trace::chrome::to_chrome_json(traces, false);
+        std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
+        println!(
+            "trace: {events} events across {} ranks written to {path} \
+             (chrome://tracing / Perfetto)",
+            traces.len(),
+        );
+        Ok(())
+    }
+}

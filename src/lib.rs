@@ -38,6 +38,8 @@
 //! assert_eq!(report.epochs.len(), 3);
 //! ```
 
+pub mod cli;
+
 pub use rdm_comm as comm;
 pub use rdm_core as core;
 pub use rdm_dense as dense;
