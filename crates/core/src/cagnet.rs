@@ -16,9 +16,7 @@ use crate::adam::Adam;
 use crate::dist::{Dist, DistMat};
 use crate::gcn::GcnWeights;
 use crate::loss::{accuracy, softmax_xent, LossSpec};
-use crate::ops::{
-    bcast_spmm, dist_gemm, dist_gemm_nt, panel_spmm, weight_grad, OpCounters, PanelGrid,
-};
+use crate::ops::{bcast_spmm, dist_gemm, panel_spmm, weight_grad, OpCounters, PanelGrid};
 use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution, Wire};
 use rdm_dense::{part_range, relu, relu_backward, Mat};
 use rdm_graph::dataset::{Dataset, Split};
@@ -83,13 +81,7 @@ impl CagnetTrainer {
             .collect();
         let prows = grid.panel_rows(n, grid.panel_of(me));
         let panel = ds.adj_norm.row_panel(prows.start, prows.end);
-        let mut shape = Vec::with_capacity(layers + 1);
-        shape.push(ds.spec.feature_size);
-        for _ in 1..layers {
-            shape.push(hidden);
-        }
-        shape.push(ds.spec.labels);
-        let weights = GcnWeights::init(&shape, seed);
+        let weights = GcnWeights::init(&ds.shape_layers(hidden, layers).feats, seed);
         let adam = Adam::new(lr, &weights.shapes());
         CagnetTrainer {
             variant,
@@ -126,7 +118,8 @@ impl CagnetTrainer {
                 };
                 let tile_local = ctx.redistribute(&to_tile, &x.local, |_, _| {});
                 // Broadcast within the column group and multiply my panel.
-                let out_tile = panel_spmm(self.grid, &self.panel, &tile_local, self.n, f, ctx, ops);
+                let out_tile =
+                    panel_spmm(self.grid, &self.panel, None, &tile_local, self.n, ctx, ops);
                 // 2-D tiles → P-way row slices for the GEMM.
                 let to_row = Redistribution {
                     to: Form::Row,
@@ -150,7 +143,7 @@ impl CagnetTrainer {
         let mut h: Vec<DistMat> = vec![self.input.clone()];
         for l in 1..=layers {
             let t = self.aggregate(&h[l - 1], ctx, ops);
-            let mut z = dist_gemm(&t, &self.weights.w[l - 1], ops);
+            let mut z = dist_gemm(&t, &self.weights.w[l - 1], false, ops);
             if l < layers {
                 z.local = relu(&z.local);
             }
@@ -173,7 +166,7 @@ impl CagnetTrainer {
             let t = self.aggregate(&g, ctx, ops);
             grads.push(weight_grad(&h[l - 1], &t, ctx, ops));
             if l > 1 {
-                let mut gp = dist_gemm_nt(&t, &self.weights.w[l - 1], ops);
+                let mut gp = dist_gemm(&t, &self.weights.w[l - 1], true, ops);
                 gp.local = relu_backward(&gp.local, &h[l - 1].local);
                 g = gp;
             }

@@ -16,7 +16,7 @@ use crate::adam::Adam;
 use crate::dist::{Dist, DistMat};
 use crate::gcn::GcnWeights;
 use crate::loss::{accuracy, softmax_xent, LossSpec};
-use crate::ops::{dist_gemm, dist_gemm_nt, weight_grad, OpCounters};
+use crate::ops::{dist_gemm, weight_grad, OpCounters};
 use rdm_comm::{CollectiveKind, RankCtx};
 use rdm_dense::{part_range, relu, relu_backward, Mat};
 use rdm_graph::dataset::{Dataset, Split};
@@ -175,13 +175,7 @@ impl DgclTrainer {
             list.sort_unstable();
             serve[d] = list;
         }
-        let mut shape = Vec::with_capacity(layers + 1);
-        shape.push(ds.spec.feature_size);
-        for _ in 1..layers {
-            shape.push(hidden);
-        }
-        shape.push(ds.spec.labels);
-        let weights = GcnWeights::init(&shape, seed);
+        let weights = GcnWeights::init(&ds.shape_layers(hidden, layers).feats, seed);
         let adam = Adam::new(lr, &weights.shapes());
         DgclTrainer {
             panel_ext,
@@ -247,7 +241,7 @@ impl DgclTrainer {
         let mut h: Vec<DistMat> = vec![self.input.clone()];
         for l in 1..=layers {
             let t = self.aggregate(&h[l - 1], ctx, ops);
-            let mut z = dist_gemm(&t, &self.weights.w[l - 1], ops);
+            let mut z = dist_gemm(&t, &self.weights.w[l - 1], false, ops);
             if l < layers {
                 z.local = relu(&z.local);
             }
@@ -268,7 +262,7 @@ impl DgclTrainer {
             let t = self.aggregate(&g, ctx, ops);
             grads.push(weight_grad(&h[l - 1], &t, ctx, ops));
             if l > 1 {
-                let mut gp = dist_gemm_nt(&t, &self.weights.w[l - 1], ops);
+                let mut gp = dist_gemm(&t, &self.weights.w[l - 1], true, ops);
                 gp.local = relu_backward(&gp.local, &h[l - 1].local);
                 g = gp;
             }

@@ -1,9 +1,9 @@
 //! Distributed dense matrices.
 //!
 //! A [`DistMat`] is one rank's view of a global `rows × cols` matrix under
-//! one of three distributions (Fig. 2 of the paper):
+//! one of the two sliced distributions of Fig. 2 of the paper (replicated
+//! matrices — weights, the adjacency — are plain [`Mat`]s):
 //!
-//! * `Replicated` — every rank holds the whole matrix (weights).
 //! * `Row` — rank `r` holds the balanced row slice `part_range(rows, P, r)`
 //!   ("horizontal" in the paper; what communication-free GEMM needs).
 //! * `Col` — rank `r` holds the balanced column slice ("vertical"; what
@@ -16,50 +16,11 @@
 
 use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution, Wire};
 use rdm_dense::{part_range, Mat};
+use std::convert::Infallible;
 
-/// How a global matrix is laid out across ranks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Dist {
-    Replicated,
-    Row,
-    Col,
-}
-
-impl Dist {
-    /// This sliced layout as the redistribution primitive names it.
-    ///
-    /// # Panics
-    /// If `Replicated`, which no exchange produces.
-    fn form(self) -> Form {
-        match self {
-            Dist::Row => Form::Row,
-            Dist::Col => Form::Col,
-            Dist::Replicated => panic!("Replicated is not a redistribution target"),
-        }
-    }
-}
-
-/// Why a redistribution request cannot be served.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RedistError {
-    /// Widening a sliced layout to `Replicated` is an all-gather, not a
-    /// redistribution — use [`DistMat::gather`] instead.
-    ToReplicated { from: Dist },
-}
-
-impl std::fmt::Display for RedistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RedistError::ToReplicated { from } => write!(
-                f,
-                "cannot redistribute {from:?} -> Replicated: replication is an \
-                 all-gather, use DistMat::gather"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RedistError {}
+/// How a global matrix is laid out across ranks: the form the
+/// redistribution primitive converts between.
+pub type Dist = Form;
 
 /// One rank's piece of a distributed matrix.
 #[derive(Clone, Debug)]
@@ -73,16 +34,6 @@ pub struct DistMat {
 }
 
 impl DistMat {
-    /// Wrap a fully replicated matrix.
-    pub fn replicated(local: Mat) -> Self {
-        DistMat {
-            dist: Dist::Replicated,
-            rows: local.rows(),
-            cols: local.cols(),
-            local,
-        }
-    }
-
     /// Take this rank's row slice of a global matrix (setup only — real
     /// training never materializes the global matrix on a rank).
     pub fn scatter_rows(global: &Mat, p: usize, rank: usize) -> Self {
@@ -138,50 +89,6 @@ impl DistMat {
         part_range(self.cols, ctx.size(), ctx.rank())
     }
 
-    /// Redistribute to the other sliced layout (Row↔Col) with one
-    /// whole-cluster blocking exchange on the dense wire, charging `kind`.
-    /// Redistributing to the current layout is a no-op clone; downgrading
-    /// `Replicated` to a sliced layout is a free local slice (every rank
-    /// already holds its piece). Widening to `Replicated` is refused —
-    /// that is [`DistMat::gather`]'s job.
-    pub fn redistribute(
-        &self,
-        ctx: &RankCtx,
-        target: Dist,
-        kind: CollectiveKind,
-    ) -> Result<DistMat, RedistError> {
-        match (self.dist, target) {
-            (a, b) if a == b => Ok(self.clone()),
-            (from, Dist::Replicated) => Err(RedistError::ToReplicated { from }),
-            (Dist::Replicated, to) => {
-                let local = if to == Dist::Row {
-                    let r = part_range(self.rows, ctx.size(), ctx.rank());
-                    self.local.row_block(r.start, r.end)
-                } else {
-                    let c = part_range(self.cols, ctx.size(), ctx.rank());
-                    self.local.col_block(c.start, c.end)
-                };
-                Ok(DistMat {
-                    dist: to,
-                    rows: self.rows,
-                    cols: self.cols,
-                    local,
-                })
-            }
-            (_, to) => {
-                let group: Vec<usize> = (0..ctx.size()).collect();
-                let spec = Redistribution {
-                    group: &group,
-                    to: to.form(),
-                    wire: Wire::Dense,
-                    chunks: 1,
-                    kind,
-                };
-                Ok(self.convert(ctx, &spec, |_, _| {}))
-            }
-        }
-    }
-
     /// The Row↔Col conversion described by `spec`, through the one
     /// redistribution primitive ([`RankCtx::redistribute`]): any group
     /// (the local block is split `spec.group.len()` ways — the row group
@@ -190,24 +97,19 @@ impl DistMat {
     /// while later strips are in flight.
     ///
     /// # Panics
-    /// If this matrix is not in the sliced form opposite to `spec.to`.
+    /// If this matrix is already in the form `spec.to`.
     pub(crate) fn convert(
         &self,
         ctx: &RankCtx,
         spec: &Redistribution<'_>,
         sink: impl FnMut(usize, &Mat),
     ) -> DistMat {
-        let target = match spec.to {
-            Form::Row => Dist::Row,
-            Form::Col => Dist::Col,
-        };
-        assert!(
-            self.dist != Dist::Replicated && self.dist != target,
-            "Row<->Col conversion of a {:?} matrix to {target:?}",
-            self.dist
+        assert_ne!(
+            self.dist, spec.to,
+            "Row<->Col conversion of a matrix already in the target form"
         );
         DistMat {
-            dist: target,
+            dist: spec.to,
             rows: self.rows,
             cols: self.cols,
             local: ctx.redistribute(spec, &self.local, sink),
@@ -215,8 +117,9 @@ impl DistMat {
     }
 
     // Kept only because the frozen benchmark's `comm.redistribute_chunked_ms`
-    // probe calls them by name (`bench/src/probes.rs`); a later benchmark PR
-    // ports the probe and deletes both.
+    // probe calls them by name and `.expect`s their result
+    // (`bench/src/probes.rs`); a later benchmark PR ports the probe and
+    // deletes both.
 
     #[doc(hidden)]
     pub fn redistribute_overlapped_grouped(
@@ -227,10 +130,10 @@ impl DistMat {
         kind: CollectiveKind,
         chunks: usize,
         sink: impl FnMut(usize, &Mat),
-    ) -> Result<DistMat, RedistError> {
+    ) -> Result<DistMat, Infallible> {
         let spec = Redistribution {
             group,
-            to: target.form(),
+            to: target,
             wire: Wire::Dense,
             chunks,
             kind,
@@ -247,10 +150,10 @@ impl DistMat {
         kind: CollectiveKind,
         chunks: usize,
         sink: impl FnMut(usize, &Mat),
-    ) -> Result<DistMat, RedistError> {
+    ) -> Result<DistMat, Infallible> {
         let spec = Redistribution {
             group,
-            to: target.form(),
+            to: target,
             wire: Wire::Indexed,
             chunks,
             kind,
@@ -261,16 +164,10 @@ impl DistMat {
     /// Gather the full global matrix onto every rank (tests and final
     /// output collection only).
     pub fn gather(&self, ctx: &RankCtx, kind: CollectiveKind) -> Mat {
+        let parts = ctx.all_gather(self.local.clone(), kind);
         match self.dist {
-            Dist::Replicated => self.local.clone(),
-            Dist::Row => {
-                let parts = ctx.all_gather(self.local.clone(), kind);
-                rdm_dense::vstack(&parts)
-            }
-            Dist::Col => {
-                let parts = ctx.all_gather(self.local.clone(), kind);
-                rdm_dense::hstack(&parts)
-            }
+            Dist::Row => rdm_dense::vstack(&parts),
+            Dist::Col => rdm_dense::hstack(&parts),
         }
     }
 }
@@ -305,12 +202,18 @@ impl FormCache {
         }
     }
 
+    /// Cache holding only `m`, in whichever form it is.
+    pub fn of(m: DistMat) -> Self {
+        let mut cache = FormCache::default();
+        cache.put(m);
+        cache
+    }
+
     /// Insert a layout (overwrites the slot).
     pub fn put(&mut self, m: DistMat) {
         match m.dist {
             Dist::Row => self.row = Some(m),
             Dist::Col => self.col = Some(m),
-            Dist::Replicated => panic!("FormCache stores sliced layouts only"),
         }
     }
 
@@ -384,14 +287,16 @@ mod tests {
     }
 
     #[test]
-    fn redistribute_row_to_col_and_back() {
+    fn row_to_col_and_back_roundtrips() {
         let global = Mat::random(12, 8, 1.0, 3);
         let g = global.clone();
+        let adj = rdm_sparse::Csr::identity(12);
         let out = Cluster::new(4).run(move |ctx| {
+            let topo = crate::ops::Topology::full(&adj, ctx);
             let r = DistMat::scatter_rows(&g, ctx.size(), ctx.rank());
-            let c = r.redistribute(ctx, Dist::Col, K).unwrap();
+            let c = topo.row_to_tile(&r, ctx, K);
             assert_eq!(c.dist, Dist::Col);
-            let r2 = c.redistribute(ctx, Dist::Row, K).unwrap();
+            let r2 = topo.tile_to_row(&c, ctx, K);
             (c.gather(ctx, K), r2.gather(ctx, K))
         });
         for (gc, gr) in &out.results {
@@ -401,66 +306,14 @@ mod tests {
     }
 
     #[test]
-    fn redistribute_to_same_dist_is_free() {
-        let global = Mat::random(8, 8, 1.0, 4);
-        let out = Cluster::new(2).run(move |ctx| {
-            let r = DistMat::scatter_rows(&global, ctx.size(), ctx.rank());
-            let same = r.redistribute(ctx, Dist::Row, K).unwrap();
-            assert_eq!(same.local, r.local);
-        });
-        for st in &out.stats {
-            assert_eq!(st.total_bytes(), 0);
-        }
-    }
-
-    #[test]
-    fn replicated_downgrades_are_free_local_slices() {
-        let global = Mat::from_fn(11, 7, |i, j| (i * 100 + j) as f32);
-        let g = global.clone();
-        let out = Cluster::new(3).run(move |ctx| {
-            let rep = DistMat::replicated(g.clone());
-            let row = rep.redistribute(ctx, Dist::Row, K).unwrap();
-            let col = rep.redistribute(ctx, Dist::Col, K).unwrap();
-            assert_eq!(row.dist, Dist::Row);
-            assert_eq!(col.dist, Dist::Col);
-            (row.local, col.local)
-        });
-        for (r, (row, col)) in out.results.iter().enumerate() {
-            let rr = part_range(11, 3, r);
-            let cc = part_range(7, 3, r);
-            assert_eq!(*row, global.row_block(rr.start, rr.end));
-            assert_eq!(*col, global.col_block(cc.start, cc.end));
-        }
-        // Downgrades are local slicing: no bytes move.
-        for st in &out.stats {
-            assert_eq!(st.total_bytes(), 0);
-        }
-    }
-
-    #[test]
-    fn widening_to_replicated_is_a_typed_error() {
-        let global = Mat::zeros(6, 6);
-        let out = Cluster::new(2).run(move |ctx| {
-            let r = DistMat::scatter_rows(&global, ctx.size(), ctx.rank());
-            let c = DistMat::scatter_cols(&global, ctx.size(), ctx.rank());
-            (
-                r.redistribute(ctx, Dist::Replicated, K).unwrap_err(),
-                c.redistribute(ctx, Dist::Replicated, K).unwrap_err(),
-            )
-        });
-        for (er, ec) in &out.results {
-            assert_eq!(*er, RedistError::ToReplicated { from: Dist::Row });
-            assert_eq!(*ec, RedistError::ToReplicated { from: Dist::Col });
-            assert!(er.to_string().contains("gather"));
-        }
-    }
-
-    #[test]
     fn pipelined_conversion_is_bitwise_blocking() {
         for p in [1usize, 2, 3, 4] {
             for chunks in [1usize, 2, 3, 8, 17] {
                 let global = Mat::random(13, 9, 1.0, 7);
+                let adj = rdm_sparse::Csr::identity(13);
                 let out = Cluster::new(p).run(move |ctx| {
+                    // The blocking reference: the engine's own conversions.
+                    let topo = crate::ops::Topology::full(&adj, ctx);
                     let group: Vec<usize> = (0..p).collect();
                     let to_col = Redistribution {
                         group: &group,
@@ -470,7 +323,7 @@ mod tests {
                         kind: K,
                     };
                     let r = DistMat::scatter_rows(&global, ctx.size(), ctx.rank());
-                    let blocking = r.redistribute(ctx, Dist::Col, K).unwrap();
+                    let blocking = topo.row_to_tile(&r, ctx, K);
                     let mut strips = 0usize;
                     let pipelined = r.convert(ctx, &to_col, |q, strip| {
                         assert_eq!(q, strips);
@@ -484,7 +337,7 @@ mod tests {
                         to: Form::Row,
                         ..to_col
                     };
-                    let back = blocking.redistribute(ctx, Dist::Row, K).unwrap();
+                    let back = topo.tile_to_row(&blocking, ctx, K);
                     let back_p = pipelined.convert(ctx, &to_row, |_, _| {});
                     assert_eq!(back.local, back_p.local);
                 });
@@ -495,7 +348,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "rank thread panicked")]
-    fn conversion_refuses_non_sliced_sources() {
+    fn conversion_refuses_the_form_it_already_has() {
         Cluster::new(2).run(|ctx| {
             let spec = Redistribution {
                 group: &[0, 1],
@@ -504,7 +357,7 @@ mod tests {
                 chunks: 2,
                 kind: K,
             };
-            DistMat::replicated(Mat::zeros(4, 4)).convert(ctx, &spec, |_, _| {});
+            DistMat::from_row_slice(Mat::zeros(2, 4), 4).convert(ctx, &spec, |_, _| {});
         });
     }
 

@@ -19,10 +19,16 @@
 //!   `AllReduce`);
 //! * ReLU-mask alignment in configurations where the gradient and the
 //!   saved activation exist only in opposite layouts (tagged `Other`).
+//!
+//! A layer is two products — the aggregation (`spmm_via_col`) and the
+//! update (`gemm_via_row`) — in the plan's order, with the redistribution
+//! each needs in between; `propagate` is that step, and the forward pass,
+//! the backward pass (`Âᵀ`, `Wᵀ`) and the cached serving forward all run
+//! it.
 
 use crate::aggcache::AggCache;
 use crate::dist::{Dist, DistMat, FormCache};
-use crate::ops::{dist_gemm, dist_gemm_nt, weight_grad, OpCounters, Topology};
+use crate::ops::{dist_gemm, panel_spmm, weight_grad, OpCounters, Topology};
 use crate::plan::Plan;
 use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution};
 use rdm_dense::{gemm, gemm_nt, hstack, part_range, relu, relu_backward, vstack, Mat};
@@ -63,8 +69,7 @@ impl OverlapSpec {
 /// `overlap_active`'s gate exactly so reports can explain a silently
 /// blocking run: no pipeline depth (`chunks < 2`), nothing to overlap
 /// (single rank, or `r_a = 1` where the redistribution group is this rank
-/// alone), or the masked SpMM kernel (which assembles its column slice
-/// inline and cannot stream strips).
+/// alone), or an edge mask (masked aggregation always runs blocking).
 pub fn overlap_inert_reason(
     chunks: usize,
     p: usize,
@@ -170,24 +175,12 @@ fn spmm_via_col(
     let spec = match overlap_active(overlap, ctx, topo) {
         Some(s) if !cache.has_col() => s,
         _ => {
-            let tile = cache
-                .require_col(topo, ctx, CollectiveKind::Redistribute)
-                .clone();
-            return if bwd {
-                topo.spmm_bwd(&tile, ctx, ops)
-            } else {
-                topo.spmm(&tile, ctx, ops)
-            };
+            let tile = cache.require_col(topo, ctx, CollectiveKind::Redistribute);
+            return topo.spmm(tile, bwd, ctx, ops);
         }
     };
-    let panel = if bwd {
-        topo.panel_t.as_ref().unwrap_or(&topo.panel)
-    } else {
-        &topo.panel
-    };
-    let row = cache.row.as_ref().expect("cache holds a layout").clone();
-    let col_group = topo.grid.col_group(ctx.rank());
-    let bcast_peers = col_group.len() - 1;
+    let panel = topo.aggregator(bwd);
+    let row = cache.row.as_ref().expect("cache holds a layout");
     let comm_s = chunk_comm_times(
         spec,
         topo.grid.r_a,
@@ -195,43 +188,26 @@ fn spmm_via_col(
         row.local.rows(),
         row.local.cols(),
         true,
-        bcast_peers,
+        topo.grid.panels() - 1,
         topo.tile_rows(ctx.rank()).len(),
     );
     let mut comp_s = Vec::with_capacity(spec.chunks);
     let mut strips: Vec<Mat> = Vec::with_capacity(spec.chunks);
     let on_strip = |q: usize, strip: &Mat| {
         // Under `R_A < P` the strip is this rank's *tile* strip (panel
-        // rows × chunk of its column slice); assemble the full rows of
-        // those columns by broadcasting inside the column group (Fig. 6),
-        // strip by strip instead of once per product. Column groups share
-        // the grid column index, so their strip boundaries agree and the
-        // stacked strips equal the blocking assembly bitwise.
-        let full;
-        let slice: &Mat = if bcast_peers == 0 {
-            strip
-        } else {
-            let mut parts: Vec<Mat> = Vec::with_capacity(col_group.len());
-            for &root in &col_group {
-                let payload = (root == ctx.rank()).then(|| strip.clone());
-                parts.push(ctx.group_broadcast(
-                    &col_group,
-                    root,
-                    payload,
-                    CollectiveKind::Broadcast,
-                ));
-            }
-            full = vstack(&parts);
-            &full
-        };
-        strips.push(rdm_sparse::spmm(panel, slice));
-        let fma = panel.nnz() as f64 * slice.cols() as f64;
-        ops.spmm_fma += fma;
+        // rows × chunk of its column slice); `panel_spmm` assembles the
+        // full rows of those columns by broadcasting inside the column
+        // group (Fig. 6), strip by strip instead of once per product.
+        // Column groups share the grid column index, so their strip
+        // boundaries agree and the stacked strips equal the blocking
+        // assembly bitwise.
+        strips.push(panel_spmm(topo.grid, panel, None, strip, topo.n, ctx, ops));
+        let fma = panel.nnz() as f64 * strip.cols() as f64;
         comp_s.push(spec.device.compute_time(fma, 0.0));
         record_strip(spec, q, &comm_s, &comp_s);
     };
     let col = topo.convert(
-        &row,
+        row,
         Form::Col,
         ctx,
         CollectiveKind::Redistribute,
@@ -296,17 +272,11 @@ fn gemm_via_row(
     let spec = match overlap_active(overlap, ctx, topo) {
         Some(s) if !cache.has_row() => s,
         _ => {
-            let row = cache
-                .require_row(topo, ctx, CollectiveKind::Redistribute)
-                .clone();
-            return if transpose_w {
-                dist_gemm_nt(&row, w, ops)
-            } else {
-                dist_gemm(&row, w, ops)
-            };
+            let row = cache.require_row(topo, ctx, CollectiveKind::Redistribute);
+            return dist_gemm(row, w, transpose_w, ops);
         }
     };
-    let col = cache.col.as_ref().expect("cache holds a layout").clone();
+    let col = cache.col.as_ref().expect("cache holds a layout");
     let comm_s = chunk_comm_times(
         spec,
         topo.grid.r_a,
@@ -317,6 +287,11 @@ fn gemm_via_row(
         0,
         0,
     );
+    let (k, n) = if transpose_w {
+        (w.cols(), w.rows())
+    } else {
+        w.shape()
+    };
     let mut comp_s = Vec::with_capacity(spec.chunks);
     let mut strips: Vec<Mat> = Vec::with_capacity(spec.chunks);
     let on_strip = |q: usize, strip: &Mat| {
@@ -325,13 +300,13 @@ fn gemm_via_row(
         } else {
             gemm(strip, w)
         });
-        let fma = strip.rows() as f64 * w.rows() as f64 * w.cols() as f64;
+        let fma = strip.rows() as f64 * k as f64 * n as f64;
         ops.gemm_fma += fma;
         comp_s.push(spec.device.compute_time(0.0, fma));
         record_strip(spec, q, &comm_s, &comp_s);
     };
     let row = topo.convert(
-        &col,
+        col,
         Form::Row,
         ctx,
         CollectiveKind::Redistribute,
@@ -341,15 +316,15 @@ fn gemm_via_row(
     record_hidden(ctx, spec, &comm_s, &comp_s);
     let out = DistMat {
         dist: Dist::Row,
-        rows: col.rows,
-        cols: if transpose_w { w.rows() } else { w.cols() },
+        rows: row.rows,
+        cols: n,
         local: vstack(&strips),
     };
-    // Aggregate kernel span mirroring the blocking `dist_gemm{,_nt}` span.
+    // Aggregate kernel span mirroring the blocking `dist_gemm` span.
     drop(rdm_trace::span(Span::Gemm {
         m: out.local.rows(),
-        n: if transpose_w { w.rows() } else { w.cols() },
-        k: if transpose_w { w.cols() } else { w.rows() },
+        n,
+        k,
         width: rdm_dense::kernels::active_width(),
     }));
     cache.put(row);
@@ -444,6 +419,33 @@ pub fn rdm_forward_with(
     overlap: Option<&OverlapSpec>,
     ops: &mut OpCounters,
 ) -> ForwardArtifacts {
+    forward_pass(ctx, topo, input, weights, plan, overlap, None, ops).0
+}
+
+/// The one forward loop, optionally under the serving aggregation cache:
+/// with `cache = (cache, targets)` supplied, layer 1 runs the cached SpMM
+/// and thinned exchange (`spmm_layer1_cached`) and then admits the batch's
+/// request `targets` (copying freshly exchanged rows into the cache — fills
+/// happen *after* the batch that missed, so cached rows are bitwise
+/// recomputation), returning the admission's hit/miss accounting. Layer 1
+/// itself then stays blocking (its exchange is the one the cache thins);
+/// every other layer is [`propagate`], pipelined under `overlap` as usual.
+///
+/// # Panics
+/// If a cache is supplied and the first layer is not SpMM-first (the cache
+/// stores the layer-1 SpMM intermediate; callers gate `GemmFirst` plans
+/// off), or the topology is not fully replicated/unmasked.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn forward_pass(
+    ctx: &RankCtx,
+    topo: &Topology,
+    input: FormCache,
+    weights: &GcnWeights,
+    plan: &Plan,
+    overlap: Option<&OverlapSpec>,
+    mut cache: Option<(&mut AggCache, &[u32])>,
+    ops: &mut OpCounters,
+) -> (ForwardArtifacts, Option<AdmitOutcome>) {
     let layers = plan.config.layers();
     assert_eq!(weights.layers(), layers, "weight/plan layer mismatch");
     assert_eq!(
@@ -453,60 +455,64 @@ pub fn rdm_forward_with(
     let mut h: Vec<FormCache> = Vec::with_capacity(layers + 1);
     h.push(input);
     let mut t_fwd: Vec<Option<FormCache>> = (0..layers).map(|_| None).collect();
+    let mut outcome = None;
     for l in 1..=layers {
-        let (out, tf) = forward_layer(
-            ctx,
-            topo,
-            &mut h[l - 1],
-            &weights.w[l - 1],
-            plan.config.forward[l - 1],
-            plan.memoize,
-            l == layers,
-            overlap,
-            ops,
-        );
-        h.push(out);
-        t_fwd[l - 1] = tf;
+        let (w, order) = (&weights.w[l - 1], plan.config.forward[l - 1]);
+        let (z, t) = match &mut cache {
+            Some((cache, targets)) if l == 1 => {
+                assert_eq!(
+                    order,
+                    Order::SpmmFirst,
+                    "the aggregation cache stores the SpMM-first layer-1 intermediate"
+                );
+                let t_row = spmm_layer1_cached(ctx, topo, &mut h[0], cache, ops);
+                outcome = Some(cache.admit(targets, &t_row.local));
+                let mut tc = FormCache::of_row(t_row);
+                let z = gemm_via_row(ctx, topo, &mut tc, w, false, None, ops);
+                (z, Some(tc))
+            }
+            _ => propagate(ctx, topo, &mut h[l - 1], w, order, false, overlap, ops),
+        };
+        if plan.memoize {
+            t_fwd[l - 1] = t;
+        }
+        h.push(FormCache::of(activate(z, l != layers)));
     }
-    ForwardArtifacts { h, t_fwd }
+    (ForwardArtifacts { h, t_fwd }, outcome)
 }
 
-/// One forward layer under either ordering: the loop body of
-/// [`rdm_forward_with`], shared with the cached serving forward (which
-/// replaces only layer 1).
+/// One layer's two products under either ordering — forward (`Â`, `W`) or,
+/// with `bwd`, the gradient propagation (`Âᵀ`, `Wᵀ`). Under `overlap` each
+/// redistribution is chunk-pipelined into its kernel. Returns the output
+/// and, SpMM-first, the intermediate `T`'s cache (both forms: the GEMM
+/// consumed its row form) — what the forward pass memoizes and the
+/// backward pass multiplies into the weight gradient.
 #[allow(clippy::too_many_arguments)]
-fn forward_layer(
+fn propagate(
     ctx: &RankCtx,
     topo: &Topology,
-    h_prev: &mut FormCache,
+    input: &mut FormCache,
     w: &Mat,
     order: Order,
-    memoize: bool,
-    is_last: bool,
+    bwd: bool,
     overlap: Option<&OverlapSpec>,
     ops: &mut OpCounters,
-) -> (FormCache, Option<FormCache>) {
+) -> (DistMat, Option<FormCache>) {
     match order {
         Order::SpmmFirst => {
-            // T = Â·H^{l-1} (needs the tile layout), then Z = T·W
-            // (needs row slices): one intra-layer redistribution of
-            // width f_{l-1}. Under `overlap` each redistribution is
-            // chunk-pipelined into its kernel.
-            let t = spmm_via_col(ctx, topo, h_prev, false, overlap, ops);
+            // T = Â·In (needs the tile layout), then Out = T·W (needs row
+            // slices): one intra-layer redistribution of T's width.
+            let t = spmm_via_col(ctx, topo, input, bwd, overlap, ops);
             let mut tc = FormCache::of_col(t);
-            let z = gemm_via_row(ctx, topo, &mut tc, w, false, overlap, ops);
-            (
-                FormCache::of_row(activate(z, !is_last)),
-                memoize.then_some(tc),
-            )
+            let out = gemm_via_row(ctx, topo, &mut tc, w, bwd, overlap, ops);
+            (out, Some(tc))
         }
         Order::GemmFirst => {
-            // T = H^{l-1}·W (row slices), then Z = Â·T (tile layout):
-            // one redistribution of width f_l.
-            let t = gemm_via_row(ctx, topo, h_prev, w, false, overlap, ops);
-            let mut ttc = FormCache::of_row(t);
-            let z = spmm_via_col(ctx, topo, &mut ttc, false, overlap, ops);
-            (FormCache::of_col(activate(z, !is_last)), None)
+            // T = In·W (row slices), then Out = Â·T (tile layout): one
+            // redistribution of the output's width.
+            let t = gemm_via_row(ctx, topo, input, w, bwd, overlap, ops);
+            let mut tc = FormCache::of_row(t);
+            (spmm_via_col(ctx, topo, &mut tc, bwd, overlap, ops), None)
         }
     }
 }
@@ -536,9 +542,7 @@ fn spmm_layer1_cached(
         topo.mask.is_none(),
         "the aggregation cache cannot run under an edge mask"
     );
-    let tile = input
-        .require_col(topo, ctx, CollectiveKind::Redistribute)
-        .clone();
+    let tile = input.require_col(topo, ctx, CollectiveKind::Redistribute);
     let (n, p, me) = (topo.n, ctx.size(), ctx.rank());
     let f = tile.cols;
     let mask = cache.mask();
@@ -604,70 +608,6 @@ fn spmm_layer1_cached(
     DistMat::from_row_slice(out, n)
 }
 
-/// [`rdm_forward_with`] under the serving aggregation cache: layer 1 runs
-/// the cached SpMM and thinned exchange (`spmm_layer1_cached`) and then
-/// admits the batch's request `targets` (copying freshly exchanged rows
-/// into the cache — fills happen *after* the batch that missed, so cached
-/// rows are bitwise recomputation). Layers 2+ run the shared layer body,
-/// pipelined under `overlap` as usual; layer 1 itself stays blocking (its
-/// exchange is the one the cache thins).
-///
-/// # Panics
-/// If the first layer is not SpMM-first (the cache stores the layer-1
-/// SpMM intermediate; callers gate `GemmFirst` plans off), or the
-/// topology is not fully replicated/unmasked.
-#[allow(clippy::too_many_arguments)]
-pub fn rdm_forward_cached(
-    ctx: &RankCtx,
-    topo: &Topology,
-    input: FormCache,
-    weights: &GcnWeights,
-    plan: &Plan,
-    overlap: Option<&OverlapSpec>,
-    cache: &mut AggCache,
-    targets: &[u32],
-    ops: &mut OpCounters,
-) -> (ForwardArtifacts, AdmitOutcome) {
-    let layers = plan.config.layers();
-    assert_eq!(weights.layers(), layers, "weight/plan layer mismatch");
-    assert_eq!(
-        plan.r_a, topo.grid.r_a,
-        "plan replication factor does not match the topology"
-    );
-    assert_eq!(
-        plan.config.forward[0],
-        Order::SpmmFirst,
-        "the aggregation cache stores the SpMM-first layer-1 intermediate"
-    );
-    let mut h: Vec<FormCache> = Vec::with_capacity(layers + 1);
-    h.push(input);
-    let mut t_fwd: Vec<Option<FormCache>> = (0..layers).map(|_| None).collect();
-    let t_row = spmm_layer1_cached(ctx, topo, &mut h[0], cache, ops);
-    let outcome = cache.admit(targets, &t_row.local);
-    let mut tc = FormCache::of_row(t_row);
-    let z = gemm_via_row(ctx, topo, &mut tc, &weights.w[0], false, None, ops);
-    if plan.memoize {
-        t_fwd[0] = Some(tc);
-    }
-    h.push(FormCache::of_row(activate(z, layers != 1)));
-    for l in 2..=layers {
-        let (out, tf) = forward_layer(
-            ctx,
-            topo,
-            &mut h[l - 1],
-            &weights.w[l - 1],
-            plan.config.forward[l - 1],
-            plan.memoize,
-            l == layers,
-            overlap,
-            ops,
-        );
-        h.push(out);
-        t_fwd[l - 1] = tf;
-    }
-    (ForwardArtifacts { h, t_fwd }, outcome)
-}
-
 /// Gradients produced by the backward pass.
 pub struct BackwardResult {
     /// Replicated, already all-reduced weight gradients (one per layer).
@@ -725,26 +665,11 @@ pub fn rdm_backward_with(
     let mut g0: Option<DistMat> = None;
     for l in (1..=layers).rev() {
         let w = &weights.w[l - 1];
-        // Stage 1: propagate the gradient through aggregation + weights.
-        let (g_prev_pre, t_b_row) = match plan.config.backward[l - 1] {
-            Order::SpmmFirst => {
-                // T = Â·Gˡ (tile layout), redistribute, then Gˡ⁻¹ = T·Wᵀ
-                // (row slices).
-                let t = spmm_via_col(ctx, topo, &mut g_cache, true, overlap, ops);
-                let mut tc = FormCache::of_col(t);
-                let gp = gemm_via_row(ctx, topo, &mut tc, w, true, overlap, ops);
-                let t_row = tc.row.as_ref().expect("GEMM left the row form").clone();
-                (gp, Some(t_row))
-            }
-            Order::GemmFirst => {
-                // T = Gˡ·Wᵀ (row slices), redistribute, then Gˡ⁻¹ = Â·T
-                // (tile layout).
-                let t = gemm_via_row(ctx, topo, &mut g_cache, w, true, overlap, ops);
-                let mut ttc = FormCache::of_row(t);
-                let gp = spmm_via_col(ctx, topo, &mut ttc, true, overlap, ops);
-                (gp, None)
-            }
-        };
+        // Stage 1: propagate the gradient through aggregation + weights,
+        // Gˡ⁻¹ = Âᵀ·Gˡ·Wᵀ. SpMM-first leaves T = Âᵀ·Gˡ behind in row form.
+        let order = plan.config.backward[l - 1];
+        let (g_prev_pre, t) = propagate(ctx, topo, &mut g_cache, w, order, true, overlap, ops);
+        let t_b_row = t.map(|tc| tc.row.expect("GEMM left the row form"));
         // Stage 2: the weight gradient Yˡ (eq. 4).
         weight_grads[l - 1] = compute_weight_grad(
             ctx,
@@ -760,11 +685,7 @@ pub fn rdm_backward_with(
         // input features).
         if l > 1 {
             let masked = apply_relu_mask(ctx, topo, g_prev_pre, &mut artifacts.h[l - 1]);
-            g_cache = match masked.dist {
-                Dist::Row => FormCache::of_row(masked),
-                Dist::Col => FormCache::of_col(masked),
-                Dist::Replicated => unreachable!(),
-            };
+            g_cache = FormCache::of(masked);
         } else {
             g0 = Some(g_prev_pre);
         }
@@ -790,44 +711,27 @@ fn compute_weight_grad(
     feats: &[usize],
     ops: &mut OpCounters,
 ) -> Mat {
+    const KIND: CollectiveKind = CollectiveKind::Redistribute;
     if let Some(t_b) = t_b_row {
         // Backward was SpMM-first: Â·Gˡ is already in row form.
-        if artifacts.h[l - 1].has_row() {
-            let h_row = artifacts.h[l - 1].row.as_ref().unwrap();
+        if let Some(h_row) = &artifacts.h[l - 1].row {
             return weight_grad(h_row, t_b, ctx, ops);
         }
         // H^{l-1} exists only tile-sliced; if the forward intermediate
         // and the gradient have row forms, use Yˡ = (Â H^{l-1})ᵀ Gˡ.
-        if artifacts.t_fwd[l - 1].is_some() && g_cache.has_row() {
-            let t_f = artifacts.t_fwd[l - 1]
-                .as_mut()
-                .unwrap()
-                .require_row(topo, ctx, CollectiveKind::Redistribute)
-                .clone();
-            let g_row = g_cache.row.as_ref().unwrap();
-            return weight_grad(&t_f, g_row, ctx, ops);
+        if let (Some(t_f), Some(g_row)) = (&mut artifacts.t_fwd[l - 1], &g_cache.row) {
+            return weight_grad(t_f.require_row(topo, ctx, KIND), g_row, ctx, ops);
         }
         // Pathological 3-layer-only case: pay one extra redistribution.
-        let h_row = artifacts.h[l - 1]
-            .require_row(topo, ctx, CollectiveKind::Redistribute)
-            .clone();
-        return weight_grad(&h_row, t_b, ctx, ops);
+        let h_row = artifacts.h[l - 1].require_row(topo, ctx, KIND);
+        return weight_grad(h_row, t_b, ctx, ops);
     }
     // Backward was GEMM-first. The gradient's row form exists (the GEMM
     // consumed it).
-    let g_row = g_cache
-        .row
-        .as_ref()
-        .expect("GEMM-first consumed row form")
-        .clone();
-    if artifacts.t_fwd[l - 1].is_some() {
+    let g_row = g_cache.row.as_ref().expect("GEMM-first consumed row form");
+    if let Some(t_f) = &mut artifacts.t_fwd[l - 1] {
         // Memoized: Yˡ = (Â H^{l-1})ᵀ Gˡ — zero extra sparse work.
-        let t_f = artifacts.t_fwd[l - 1]
-            .as_mut()
-            .unwrap()
-            .require_row(topo, ctx, CollectiveKind::Redistribute)
-            .clone();
-        return weight_grad(&t_f, &g_row, ctx, ops);
+        return weight_grad(t_f.require_row(topo, ctx, KIND), g_row, ctx, ops);
     }
     // Non-memoized (forward was GEMM-first, or memoization disabled): an
     // extra SpMM of the cheaper width, plus redistributions around it
@@ -836,29 +740,16 @@ fn compute_weight_grad(
     let f_out = feats[l];
     if f_out <= f_in {
         // Recompute T = Â·Gˡ.
-        let g_tile = g_cache
-            .require_col(topo, ctx, CollectiveKind::Redistribute)
-            .clone();
-        let t = topo.spmm_bwd(&g_tile, ctx, ops);
-        let mut tc = FormCache::of_col(t);
-        let t_row = tc
-            .require_row(topo, ctx, CollectiveKind::Redistribute)
-            .clone();
-        let h_row = artifacts.h[l - 1]
-            .require_row(topo, ctx, CollectiveKind::Redistribute)
-            .clone();
-        weight_grad(&h_row, &t_row, ctx, ops)
+        let g_tile = g_cache.require_col(topo, ctx, KIND);
+        let mut tc = FormCache::of_col(topo.spmm(g_tile, true, ctx, ops));
+        let t_row = tc.require_row(topo, ctx, KIND);
+        let h_row = artifacts.h[l - 1].require_row(topo, ctx, KIND);
+        weight_grad(h_row, t_row, ctx, ops)
     } else {
         // Recompute T = Â·H^{l-1}.
-        let h_tile = artifacts.h[l - 1]
-            .require_col(topo, ctx, CollectiveKind::Redistribute)
-            .clone();
-        let t = topo.spmm(&h_tile, ctx, ops);
-        let mut tc = FormCache::of_col(t);
-        let t_row = tc
-            .require_row(topo, ctx, CollectiveKind::Redistribute)
-            .clone();
-        weight_grad(&t_row, &g_row, ctx, ops)
+        let h_tile = artifacts.h[l - 1].require_col(topo, ctx, KIND);
+        let mut tc = FormCache::of_col(topo.spmm(h_tile, false, ctx, ops));
+        weight_grad(tc.require_row(topo, ctx, KIND), g_row, ctx, ops)
     }
 }
 
@@ -876,7 +767,6 @@ fn apply_relu_mask(
     let h = match g.dist {
         Dist::Row => h_cache.require_row(topo, ctx, CollectiveKind::Other),
         Dist::Col => h_cache.require_col(topo, ctx, CollectiveKind::Other),
-        Dist::Replicated => unreachable!("gradients are never replicated"),
     };
     g.local = relu_backward(&g.local, &h.local);
     g
@@ -1025,7 +915,6 @@ mod tests {
                 let g0 = match back.g0.dist {
                     Dist::Row => back.g0.gather(ctx, CollectiveKind::Other),
                     Dist::Col => topo.gather_tile(&back.g0, ctx, CollectiveKind::Other),
-                    Dist::Replicated => unreachable!(),
                 };
                 (back.weight_grads, g0)
             });
@@ -1409,7 +1298,6 @@ mod tests {
                     let g0 = match back.g0.dist {
                         Dist::Row => back.g0.gather(ctx, CollectiveKind::Other),
                         Dist::Col => topo.gather_tile(&back.g0, ctx, CollectiveKind::Other),
-                        Dist::Replicated => unreachable!(),
                     };
                     (loss, back.weight_grads, g0, ops)
                 });
@@ -1514,7 +1402,6 @@ mod tests {
                         let g0 = match back.g0.dist {
                             Dist::Row => back.g0.gather(ctx, CollectiveKind::Other),
                             Dist::Col => topo.gather_tile(&back.g0, ctx, CollectiveKind::Other),
-                            Dist::Replicated => unreachable!(),
                         };
                         (loss, back.weight_grads, g0, ops)
                     });

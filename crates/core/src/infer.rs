@@ -1,15 +1,16 @@
 //! Forward-only inference: the serving-path entry into the RDM engine.
 //!
-//! Training and serving share one forward implementation
-//! ([`crate::gcn::rdm_forward_with`]); this module wraps
-//! it for the online case — no loss, no backward, no optimizer — so
-//! `rdm-serve` and the equivalence harness run *exactly* the code path a
-//! training epoch's forward half runs. That shared implementation is what
-//! makes the serving outputs bitwise identical to a direct engine pass.
+//! Training and serving share one forward loop (the one behind
+//! [`crate::gcn::rdm_forward_with`]); this module wraps it for the online
+//! case — no loss, no backward, no optimizer, optionally the layer-1
+//! aggregation cache — so `rdm-serve` and the equivalence harness run
+//! *exactly* the code path a training epoch's forward half runs. That
+//! shared implementation is what makes the serving outputs bitwise
+//! identical to a direct engine pass.
 
 use crate::aggcache::AggCache;
 use crate::dist::DistMat;
-use crate::gcn::{input_cache, rdm_forward_cached, rdm_forward_with, GcnWeights, OverlapSpec};
+use crate::gcn::{forward_pass, input_cache, GcnWeights, OverlapSpec};
 use crate::ops::{OpCounters, Topology};
 use crate::plan::Plan;
 use rdm_comm::RankCtx;
@@ -79,17 +80,7 @@ pub fn forward_logits_with(
     let mut topo = Topology::new(adj_norm, plan.r_a, ctx);
     topo.set_sparse(sparse);
     let input = input_cache(features, &topo, ctx);
-    let (mut art, outcome) = match cache {
-        Some((c, targets)) => {
-            let (art, o) =
-                rdm_forward_cached(ctx, &topo, input, weights, plan, overlap, c, targets, ops);
-            (art, Some(o))
-        }
-        None => (
-            rdm_forward_with(ctx, &topo, input, weights, plan, overlap, ops),
-            None,
-        ),
-    };
+    let (mut art, outcome) = forward_pass(ctx, &topo, input, weights, plan, overlap, cache, ops);
     (art.logits_row(&topo, ctx), outcome)
 }
 
@@ -121,14 +112,16 @@ mod tests {
     }
 
     /// The cached forward must produce bitwise-identical logits while
-    /// shrinking the redistribution payload once repeats start hitting.
+    /// shrinking the redistribution payload once repeats start hitting —
+    /// and with a cache that can hold nothing, the loop's cached arm must
+    /// be the uncached one to the byte.
     #[test]
     fn cached_forward_is_bitwise_and_thins_the_exchange() {
         let ds = toy(54, 7);
         let weights = GcnWeights::init(&[16, 8, 4], 9);
         let p = 3;
         let batches: Vec<Vec<u32>> = vec![vec![3, 17, 40], vec![3, 17, 8], vec![3, 17, 40, 8]];
-        let run = |cache_rows: usize| {
+        let run = |cache_rows: Option<usize>| {
             let (adj, feats, w) = (ds.adj_norm.clone(), ds.features.clone(), weights.clone());
             let b2 = batches.clone();
             Cluster::new(p).run(move |ctx| {
@@ -139,13 +132,13 @@ mod tests {
                     adj.rows(),
                     ctx.size(),
                     ctx.rank(),
-                    cache_rows,
+                    cache_rows.unwrap_or(0),
                     16,
                 );
                 let mut outs = Vec::new();
                 let mut hits = 0u64;
                 for t in &b2 {
-                    let (logits, o) = if cache_rows > 0 {
+                    let (logits, o) = if cache_rows.is_some() {
                         forward_logits_with(
                             ctx,
                             &adj,
@@ -169,8 +162,9 @@ mod tests {
                 (outs, hits)
             })
         };
-        let base = run(0);
-        let cached = run(4);
+        let base = run(None);
+        let empty = run(Some(0));
+        let cached = run(Some(4));
         for (b, c) in base.results.iter().zip(&cached.results) {
             for (lb, lc) in b.0.iter().zip(&c.0) {
                 assert_eq!(lb.as_slice(), lc.as_slice(), "cached logits drifted");
@@ -183,6 +177,15 @@ mod tests {
                 .map(|s| s.bytes(CollectiveKind::Redistribute))
                 .sum()
         };
+        for (b, e) in base.results.iter().zip(&empty.results) {
+            assert_eq!(b.0, e.0, "capacity-0 cache changed the logits");
+            assert_eq!(e.1, 0, "a capacity-0 cache cannot hit");
+        }
+        assert_eq!(
+            bytes(&empty),
+            bytes(&base),
+            "a capacity-0 cache must leave the exchange whole"
+        );
         assert!(
             bytes(&cached) < bytes(&base),
             "cache hits must thin the exchange: {} !< {}",

@@ -2,13 +2,13 @@
 //!
 //! The crate implements the paper's contribution and every comparator:
 //!
-//! * [`dist`] — distributed dense matrices ([`DistMat`]: replicated /
-//!   row-sliced / column-sliced) and the form cache that tracks which
-//!   layouts of a tensor exist on a rank.
-//! * [`ops`] — FLOP-counted local kernels and the communication-free
-//!   distributed SpMM/GEMM primitives of Fig. 2, the row-panel replicated
-//!   SpMM of Fig. 6 (`R_A < P`), and the partial+all-reduce weight-gradient
-//!   GEMM.
+//! * [`dist`] — distributed dense matrices ([`DistMat`]: row-sliced /
+//!   column-sliced) and the form cache that tracks which layouts of a
+//!   tensor exist on a rank.
+//! * [`ops`] — FLOP-counted distributed products: the row-panel SpMM of
+//!   Fig. 6 (communication-free at full replication, Fig. 2a), the
+//!   communication-free GEMM of Fig. 2b, and the partial+all-reduce
+//!   weight-gradient GEMM.
 //! * [`loss`] — softmax cross-entropy over row-distributed embeddings.
 //! * [`adam`] — the Adam optimizer (replicated weights, deterministic).
 //! * [`plan`] — execution plans: per-layer SpMM/GEMM orders plus
@@ -41,7 +41,7 @@ pub mod snapshot;
 pub mod trainer;
 
 pub use aggcache::AggCache;
-pub use dist::{Dist, DistMat, RedistError};
+pub use dist::{Dist, DistMat};
 pub use gcn::{overlap_inert_reason, OverlapSpec};
 pub use metrics::{EpochMetrics, TrainReport};
 pub use plan::{best_plan, best_plan_with_ra_sparsity, LayerOrder, Plan};

@@ -1,15 +1,16 @@
 //! FLOP-counted distributed matrix primitives.
 //!
 //! Every kernel that the cost model prices goes through this module so
-//! that per-rank FMA counts are measured, not estimated. The three
-//! distributed products implement Fig. 2 (communication-free forms), the
-//! CAGNET broadcast SpMM (§II), and the row-panel replicated SpMM of
-//! Fig. 6 (`R_A < P`).
+//! that per-rank FMA counts are measured, not estimated. The engine's
+//! aggregation is one function, [`panel_spmm`] — the row-panel product of
+//! Fig. 6, whose column-group broadcast degenerates to nothing at full
+//! replication (Fig. 2a) — and its update is [`dist_gemm`] (Fig. 2b);
+//! [`bcast_spmm`] is the CAGNET 1-D baseline (§II).
 
 use crate::dist::{Dist, DistMat};
 use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution, Wire};
 use rdm_dense::{gemm, gemm_nt, gemm_tn, Mat};
-use rdm_sparse::{spmm, Csr};
+use rdm_sparse::{spmm, spmm_masked, Csr};
 use rdm_trace::Span;
 
 /// Per-rank FMA counters, split the way the device model prices them.
@@ -26,78 +27,34 @@ impl OpCounters {
     }
 }
 
-/// Communication-free distributed SpMM (Fig. 2a): `Out = A · In` with `A`
-/// replicated and `In` column-sliced; the output inherits the column
-/// slicing.
-///
-/// # Panics
-/// If `input` is not column-sliced or shapes mismatch.
-pub fn dist_spmm(adj: &Csr, input: &DistMat, ops: &mut OpCounters) -> DistMat {
-    assert_eq!(
-        input.dist,
-        Dist::Col,
-        "dist_spmm needs a column-sliced input"
-    );
-    assert_eq!(
-        adj.cols(),
-        input.rows,
-        "dist_spmm: A is {}x{} but In has {} global rows",
-        adj.rows(),
-        adj.cols(),
-        input.rows
-    );
-    let local = spmm(adj, &input.local);
-    ops.spmm_fma += adj.nnz() as f64 * input.local.cols() as f64;
-    DistMat {
-        dist: Dist::Col,
-        rows: adj.rows(),
-        cols: input.cols,
-        local,
-    }
-}
-
-/// Communication-free distributed GEMM (Fig. 2b): `Out = In · W` with `W`
-/// replicated and `In` row-sliced; the output inherits the row slicing.
-pub fn dist_gemm(input: &DistMat, w: &Mat, ops: &mut OpCounters) -> DistMat {
+/// Communication-free distributed GEMM (Fig. 2b): `Out = In · W` — or,
+/// `transposed`, `Out = In · Wᵀ` (the backward gradient propagation
+/// `G·Wᵀ`) — with `W` replicated and `In` row-sliced; the output inherits
+/// the row slicing.
+pub fn dist_gemm(input: &DistMat, w: &Mat, transposed: bool, ops: &mut OpCounters) -> DistMat {
     assert_eq!(input.dist, Dist::Row, "dist_gemm needs a row-sliced input");
-    assert_eq!(input.cols, w.rows(), "dist_gemm shape mismatch");
+    let (k, n) = if transposed {
+        (w.cols(), w.rows())
+    } else {
+        w.shape()
+    };
+    assert_eq!(input.cols, k, "dist_gemm shape mismatch");
     let _span = rdm_trace::span(Span::Gemm {
         m: input.local.rows(),
-        n: w.cols(),
-        k: w.rows(),
+        n,
+        k,
         width: rdm_dense::kernels::active_width(),
     });
-    let local = gemm(&input.local, w);
-    ops.gemm_fma += input.local.rows() as f64 * w.rows() as f64 * w.cols() as f64;
+    let local = if transposed {
+        gemm_nt(&input.local, w)
+    } else {
+        gemm(&input.local, w)
+    };
+    ops.gemm_fma += input.local.rows() as f64 * k as f64 * n as f64;
     DistMat {
         dist: Dist::Row,
         rows: input.rows,
-        cols: w.cols(),
-        local,
-    }
-}
-
-/// Communication-free distributed GEMM against a transposed replicated
-/// weight: `Out = In · Wᵀ` (the backward gradient propagation `G·Wᵀ`).
-pub fn dist_gemm_nt(input: &DistMat, w: &Mat, ops: &mut OpCounters) -> DistMat {
-    assert_eq!(
-        input.dist,
-        Dist::Row,
-        "dist_gemm_nt needs a row-sliced input"
-    );
-    assert_eq!(input.cols, w.cols(), "dist_gemm_nt shape mismatch");
-    let _span = rdm_trace::span(Span::Gemm {
-        m: input.local.rows(),
-        n: w.rows(),
-        k: w.cols(),
-        width: rdm_dense::kernels::active_width(),
-    });
-    let local = gemm_nt(&input.local, w);
-    ops.gemm_fma += input.local.rows() as f64 * w.rows() as f64 * w.cols() as f64;
-    DistMat {
-        dist: Dist::Row,
-        rows: input.rows,
-        cols: w.rows(),
+        cols: n,
         local,
     }
 }
@@ -221,38 +178,53 @@ impl PanelGrid {
 /// tiled — this rank holds tile `(panel, col-slice)` of the global dense
 /// matrix, i.e. `N/P_i` rows × `f/R_A` columns. Each column group
 /// broadcasts its tiles so every member assembles the full rows of its
-/// column slice, then multiplies its panel. The output keeps the same
-/// 2-D tiling.
+/// column slice, then multiplies its panel — over the nonzeros flagged in
+/// `mask` only, when one is given (§III-F). The output keeps the same 2-D
+/// tiling. This is the only place the engine assembles a column slice and
+/// the only place it multiplies a panel.
 ///
-/// Total traffic per product: `(P/R_A - 1) · N · f` elements (§III-E).
+/// Total traffic per product: `(P/R_A - 1) · N · f` elements (§III-E);
+/// at full replication the column group is this rank alone and the tile
+/// *is* the column slice, multiplied in place.
 pub fn panel_spmm(
     grid: PanelGrid,
     panel: &Csr,
+    mask: Option<&[bool]>,
     tile: &Mat,
     global_rows: usize,
-    global_cols: usize,
     ctx: &RankCtx,
     ops: &mut OpCounters,
 ) -> Mat {
     let col_group = grid.col_group(ctx.rank());
     // Assemble the full column slice: stack the tiles of every panel in
     // vertical order. Each member broadcasts its own tile to the group.
-    let mut parts: Vec<Mat> = Vec::with_capacity(col_group.len());
-    for (i, &root) in col_group.iter().enumerate() {
-        let payload = (root == ctx.rank()).then(|| tile.clone());
-        let part = ctx.group_broadcast(&col_group, root, payload, CollectiveKind::Broadcast);
-        let _ = i;
-        parts.push(part);
-    }
-    let col_slice = rdm_dense::vstack(&parts);
+    let assembled;
+    let col_slice = if col_group.len() == 1 {
+        tile
+    } else {
+        let parts: Vec<Mat> = col_group
+            .iter()
+            .map(|&root| {
+                let payload = (root == ctx.rank()).then(|| tile.clone());
+                ctx.group_broadcast(&col_group, root, payload, CollectiveKind::Broadcast)
+            })
+            .collect();
+        assembled = rdm_dense::vstack(&parts);
+        &assembled
+    };
     assert_eq!(
         col_slice.rows(),
         global_rows,
         "assembled slice must span all rows"
     );
-    let _ = global_cols;
-    let out = spmm(panel, &col_slice);
-    ops.spmm_fma += panel.nnz() as f64 * col_slice.cols() as f64;
+    let (out, nnz) = match mask {
+        None => (spmm(panel, col_slice), panel.nnz()),
+        Some(m) => (
+            spmm_masked(panel, col_slice, m),
+            m.iter().filter(|&&keep| keep).count(),
+        ),
+    };
+    ops.spmm_fma += nnz as f64 * col_slice.cols() as f64;
     out
 }
 
@@ -373,69 +345,37 @@ impl Topology {
         }
     }
 
-    /// Distributed SpMM `Out = Â·In` on a tiled input (Fig. 6): broadcast
-    /// tiles within the column group, multiply this rank's panel. Output
-    /// keeps the tile layout. Traffic: `(P/R_A - 1)·N·f` elements total;
-    /// zero when `r_a == p`.
-    pub fn spmm(&self, input: &DistMat, ctx: &RankCtx, ops: &mut OpCounters) -> DistMat {
-        self.spmm_with(&self.panel, input, ctx, ops)
+    /// The panel an aggregation multiplies by: `Â`'s, or — for the
+    /// backward pass (`bwd`) of a non-symmetric aggregation — `Âᵀ`'s.
+    pub(crate) fn aggregator(&self, bwd: bool) -> &Csr {
+        match &self.panel_t {
+            Some(t) if bwd => t,
+            _ => &self.panel,
+        }
     }
 
-    /// The backward-pass aggregation `Out = Âᵀ·In`: identical to
-    /// [`Topology::spmm`] for the symmetric GCN normalization, and the
-    /// transposed panel for mean/GraphSAGE aggregation.
-    pub fn spmm_bwd(&self, input: &DistMat, ctx: &RankCtx, ops: &mut OpCounters) -> DistMat {
-        self.spmm_with(
-            self.panel_t.as_ref().unwrap_or(&self.panel),
-            input,
-            ctx,
-            ops,
-        )
-    }
-
-    fn spmm_with(
-        &self,
-        panel: &Csr,
-        input: &DistMat,
-        ctx: &RankCtx,
-        ops: &mut OpCounters,
-    ) -> DistMat {
+    /// Distributed SpMM `Out = Â·In` on a tiled input (Fig. 6) — or, for
+    /// the backward pass (`bwd`), `Out = Âᵀ·In`, which differs only under
+    /// mean/GraphSAGE aggregation: broadcast tiles within the column
+    /// group, multiply this rank's panel (under the edge mask, if one is
+    /// installed). Output keeps the tile layout. Traffic:
+    /// `(P/R_A - 1)·N·f` elements total; zero when `r_a == p`.
+    pub fn spmm(&self, input: &DistMat, bwd: bool, ctx: &RankCtx, ops: &mut OpCounters) -> DistMat {
         assert_eq!(input.dist, Dist::Col, "topology spmm needs the tile layout");
         assert_eq!(self.n, input.rows, "vertex count mismatch");
+        let panel = self.aggregator(bwd);
         let _span = rdm_trace::span(Span::Spmm {
             rows: panel.rows(),
             cols: input.local.cols(),
             nnz: panel.nnz(),
             width: rdm_dense::kernels::active_width(),
         });
-        let local = match &self.mask {
-            None => panel_spmm(self.grid, panel, &input.local, self.n, input.cols, ctx, ops),
-            Some(mask) => {
-                // Masked aggregation (§III-F): assemble the column slice
-                // exactly like the unmasked path, then run the masked
-                // kernel over the sampled neighbors.
-                let col_group = self.grid.col_group(ctx.rank());
-                let mut parts: Vec<Mat> = Vec::with_capacity(col_group.len());
-                for &root in &col_group {
-                    let payload = (root == ctx.rank()).then(|| input.local.clone());
-                    parts.push(ctx.group_broadcast(
-                        &col_group,
-                        root,
-                        payload,
-                        CollectiveKind::Broadcast,
-                    ));
-                }
-                let col_slice = rdm_dense::vstack(&parts);
-                let kept = mask.iter().filter(|&&b| b).count();
-                ops.spmm_fma += kept as f64 * col_slice.cols() as f64;
-                rdm_sparse::spmm_masked(panel, &col_slice, mask)
-            }
-        };
+        let mask = self.mask.as_deref();
         DistMat {
             dist: Dist::Col,
             rows: self.n,
             cols: input.cols,
-            local,
+            local: panel_spmm(self.grid, panel, mask, &input.local, self.n, ctx, ops),
         }
     }
 
@@ -521,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn dist_spmm_matches_serial() {
+    fn full_topology_spmm_matches_serial() {
         let n = 24;
         let f = 10;
         let adj = random_adj(n, 1);
@@ -531,7 +471,7 @@ mod tests {
         let out = Cluster::new(4).run(move |ctx| {
             let mut ops = OpCounters::default();
             let input = DistMat::scatter_cols(&h2, ctx.size(), ctx.rank());
-            let result = dist_spmm(&a2, &input, &mut ops);
+            let result = Topology::full(&a2, ctx).spmm(&input, false, ctx, &mut ops);
             assert_eq!(result.dist, Dist::Col);
             (result.gather(ctx, K), ops)
         });
@@ -545,14 +485,14 @@ mod tests {
     }
 
     #[test]
-    fn dist_spmm_is_communication_free() {
+    fn full_topology_spmm_is_communication_free() {
         let n = 16;
         let adj = random_adj(n, 3);
         let h = Mat::random(n, 8, 1.0, 4);
         let out = Cluster::new(4).run(move |ctx| {
             let mut ops = OpCounters::default();
             let input = DistMat::scatter_cols(&h, ctx.size(), ctx.rank());
-            let _ = dist_spmm(&adj, &input, &mut ops);
+            let _ = Topology::full(&adj, ctx).spmm(&input, false, ctx, &mut ops);
         });
         for st in &out.stats {
             assert_eq!(st.total_bytes(), 0, "Fig 2a product must move no bytes");
@@ -569,7 +509,7 @@ mod tests {
         let out = Cluster::new(4).run(move |ctx| {
             let mut ops = OpCounters::default();
             let input = DistMat::scatter_rows(&h, ctx.size(), ctx.rank());
-            let r = dist_gemm(&input, &w, &mut ops);
+            let r = dist_gemm(&input, &w, false, &mut ops);
             assert_eq!(r.dist, Dist::Row);
             (r.gather(ctx, K), ops.gemm_fma)
         });
@@ -583,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn dist_gemm_nt_matches_transpose() {
+    fn dist_gemm_transposed_matches_transpose() {
         let n = 12;
         let (fi, fo) = (5, 7);
         let g = Mat::random(n, fo, 1.0, 7);
@@ -592,7 +532,7 @@ mod tests {
         let out = Cluster::new(3).run(move |ctx| {
             let mut ops = OpCounters::default();
             let input = DistMat::scatter_rows(&g, ctx.size(), ctx.rank());
-            dist_gemm_nt(&input, &w, &mut ops).gather(ctx, K)
+            dist_gemm(&input, &w, true, &mut ops).gather(ctx, K)
         });
         for got in &out.results {
             assert!(allclose(got, &expect, 1e-5));
@@ -673,40 +613,55 @@ mod tests {
 
     #[test]
     fn panel_spmm_matches_serial_fig6() {
-        // P = 4, R_A = 2 — exactly the Fig. 6 example.
+        // P = 4, R_A = 2 — exactly the Fig. 6 example — unmasked, and under
+        // an edge mask (§III-F), which must thin the product and its FMA
+        // count but not the panel broadcast.
         let n = 24;
         let f = 8;
         let p = 4;
         let r_a = 2;
         let adj = random_adj(n, 13);
         let h = Mat::random(n, f, 1.0, 14);
-        let expect = spmm(&adj, &h);
-        let (a2, h2, e2) = (adj.clone(), h.clone(), expect.clone());
-        let out = Cluster::new(p).run(move |ctx| {
-            let grid = PanelGrid::new(p, r_a);
-            let me = ctx.rank();
-            let panel_idx = grid.panel_of(me);
-            let prows = grid.panel_rows(n, panel_idx);
-            let panel = a2.row_panel(prows.start, prows.end);
-            // My tile of the dense input: rows of my panel, my column slice.
-            let col = part_range(f, r_a, me % r_a);
-            let tile = h2
-                .row_block(prows.start, prows.end)
-                .col_block(col.start, col.end);
-            let mut ops = OpCounters::default();
-            let out_tile = panel_spmm(grid, &panel, &tile, n, f, ctx, &mut ops);
-            // Check my output tile against the serial product.
-            let expect_tile = e2
-                .row_block(prows.start, prows.end)
-                .col_block(col.start, col.end);
-            assert!(allclose(&out_tile, &expect_tile, 1e-5));
-        });
-        // Fig. 6 volume: (P/R_A - 1)·N·f elements total.
-        let total: u64 = out
-            .stats
-            .iter()
-            .map(|s| s.bytes(CollectiveKind::Broadcast))
-            .sum();
-        assert_eq!(total as usize, (p / r_a - 1) * n * f * 4);
+        let edge_mask: Vec<bool> = (0..adj.nnz()).map(|i| i % 3 != 0).collect();
+        for masked in [false, true] {
+            let expect = if masked {
+                spmm_masked(&adj, &h, &edge_mask)
+            } else {
+                spmm(&adj, &h)
+            };
+            let (a2, h2, e2, m2) = (adj.clone(), h.clone(), expect.clone(), edge_mask.clone());
+            let out = Cluster::new(p).run(move |ctx| {
+                let grid = PanelGrid::new(p, r_a);
+                let me = ctx.rank();
+                let panel_idx = grid.panel_of(me);
+                let prows = grid.panel_rows(n, panel_idx);
+                let panel = a2.row_panel(prows.start, prows.end);
+                // A row panel's nonzeros are a contiguous run of the global
+                // ones, so its mask is that run of the global mask.
+                let nz = a2.indptr()[prows.start]..a2.indptr()[prows.end];
+                let mask = masked.then(|| &m2[nz]);
+                // My tile of the dense input: rows of my panel, my column slice.
+                let col = part_range(f, r_a, me % r_a);
+                let tile = h2
+                    .row_block(prows.start, prows.end)
+                    .col_block(col.start, col.end);
+                let mut ops = OpCounters::default();
+                let out_tile = panel_spmm(grid, &panel, mask, &tile, n, ctx, &mut ops);
+                // Check my output tile against the serial product.
+                let expect_tile = e2
+                    .row_block(prows.start, prows.end)
+                    .col_block(col.start, col.end);
+                assert!(allclose(&out_tile, &expect_tile, 1e-5));
+                let live = mask.map_or(panel.nnz(), |m| m.iter().filter(|&&k| k).count());
+                assert_eq!(ops.spmm_fma, (live * col.len()) as f64);
+            });
+            // Fig. 6 volume: (P/R_A - 1)·N·f elements total.
+            let total: u64 = out
+                .stats
+                .iter()
+                .map(|s| s.bytes(CollectiveKind::Broadcast))
+                .sum();
+            assert_eq!(total as usize, (p / r_a - 1) * n * f * 4);
+        }
     }
 }

@@ -50,12 +50,7 @@ impl SaintCommon {
         sampler: SaintSampler,
         steps_per_epoch: usize,
     ) -> Self {
-        let mut feats = Vec::with_capacity(layers + 1);
-        feats.push(ds.spec.feature_size);
-        for _ in 1..layers {
-            feats.push(hidden);
-        }
-        feats.push(ds.spec.labels);
+        let feats = ds.shape_layers(hidden, layers).feats;
         let weights = GcnWeights::init(&feats, seed);
         let adam = Adam::new(lr, &weights.shapes());
         SaintCommon {

@@ -304,13 +304,8 @@ impl DynSelect {
 
 impl RdmState {
     fn setup(ds: &Dataset, cfg: &TrainerConfig, plan: Plan, ctx: &RankCtx) -> Self {
-        let mut feats = Vec::with_capacity(cfg.layers + 1);
-        feats.push(ds.spec.feature_size);
-        for _ in 1..cfg.layers {
-            feats.push(cfg.hidden);
-        }
-        feats.push(ds.spec.labels);
-        let weights = GcnWeights::init(&feats, cfg.seed);
+        let shape = ds.shape_layers(cfg.hidden, cfg.layers);
+        let weights = GcnWeights::init(&shape.feats, cfg.seed);
         let adam = Adam::new(cfg.lr, &weights.shapes());
         let mut topo = match &ds.adj_norm_t {
             None => Topology::new(&ds.adj_norm, plan.r_a, ctx),
@@ -320,11 +315,6 @@ impl RdmState {
         let input_tile = topo.scatter_tile(&ds.features, ctx);
         let dynamic = match cfg.algo {
             Algo::RdmDynamic { trial_epochs } => {
-                let shape = GnnShape {
-                    n: ds.n(),
-                    nnz: ds.adj_norm.nnz(),
-                    feats: feats.clone(),
-                };
                 // Candidates are priced at the replication factor the
                 // trials will actually execute with.
                 let candidates: Vec<_> = rdm_model::pareto_configs(&shape, cfg.p, plan.r_a)
@@ -346,7 +336,7 @@ impl RdmState {
             topo,
             weights,
             adam,
-            feats,
+            feats: shape.feats,
             input_row: DistMat::scatter_rows(&ds.features, ctx.size(), ctx.rank()),
             input_tile,
             train_mask: ds.split.iter().map(|&s| s == Split::Train).collect(),

@@ -385,59 +385,51 @@ pub fn serve(
             let mut ops = OpCounters::default();
             let skipped = cache.as_ref().map_or(0, |c| c.cached_total() as u64);
             let (mut hits, mut misses) = (0u64, 0u64);
-            match verts {
-                None => {
-                    let targets: Vec<u32> = batch.requests.iter().map(|r| r.target).collect();
-                    let (logits, outcome) = forward_logits_with(
-                        ctx,
-                        &ds.adj_norm,
-                        &ds.features,
-                        &weights,
-                        &plan,
-                        cfg.sparse,
-                        ospec.as_ref(),
-                        cache.as_mut().map(|c| (c, targets.as_slice())),
-                        &mut ops,
-                    );
-                    if let Some(o) = outcome {
-                        (hits, misses) = (o.hits, o.misses);
-                        next_is_warmup = o.changed();
-                        rdm_trace::record(EventData::AggCache {
-                            hits,
-                            misses,
-                            skipped,
-                        });
-                    }
-                    let range = part_range(n, p, ctx.rank());
-                    for r in &batch.requests {
-                        let t = r.target as usize;
-                        if range.contains(&t) {
-                            rows.push((r.idx, logits.local.row(t - range.start).to_vec()));
-                        }
-                    }
-                }
-                Some(verts) => {
-                    let sub = ds.induced(verts);
-                    let (logits, _) = forward_logits_with(
-                        ctx,
-                        &sub.adj_norm,
-                        &sub.features,
-                        &weights,
-                        &plan,
-                        cfg.sparse,
-                        ospec.as_ref(),
-                        None,
-                        &mut ops,
-                    );
-                    let range = part_range(sub.n(), p, ctx.rank());
-                    for r in &batch.requests {
-                        let li = verts
-                            .binary_search(&r.target)
-                            .expect("sampler always includes batch targets");
-                        if range.contains(&li) {
-                            rows.push((r.idx, logits.local.row(li - range.start).to_vec()));
-                        }
-                    }
+            // Resolve what this batch runs on — the whole graph, or the
+            // subgraph induced on the sampler's vertices — and how a
+            // request's target maps to a row of its logits.
+            let sub = verts.as_ref().map(|v| ds.induced(v));
+            let (adj, features) = match &sub {
+                None => (&ds.adj_norm, &ds.features),
+                Some(sub) => (&sub.adj_norm, &sub.features),
+            };
+            let local_index_of = |target: u32| match verts {
+                None => target as usize,
+                Some(v) => v
+                    .binary_search(&target)
+                    .expect("sampler always includes batch targets"),
+            };
+            // The aggregation cache indexes rows of the whole graph.
+            let targets: Vec<u32> = batch.requests.iter().map(|r| r.target).collect();
+            let batch_cache = match verts {
+                None => cache.as_mut().map(|c| (c, targets.as_slice())),
+                Some(_) => None,
+            };
+            let (logits, outcome) = forward_logits_with(
+                ctx,
+                adj,
+                features,
+                &weights,
+                &plan,
+                cfg.sparse,
+                ospec.as_ref(),
+                batch_cache,
+                &mut ops,
+            );
+            if let Some(o) = outcome {
+                (hits, misses) = (o.hits, o.misses);
+                next_is_warmup = o.changed();
+                rdm_trace::record(EventData::AggCache {
+                    hits,
+                    misses,
+                    skipped,
+                });
+            }
+            let range = part_range(adj.rows(), p, ctx.rank());
+            for r in &batch.requests {
+                let li = local_index_of(r.target);
+                if range.contains(&li) {
+                    rows.push((r.idx, logits.local.row(li - range.start).to_vec()));
                 }
             }
             let ws1 = pool::stats();

@@ -1,20 +1,23 @@
 //! Sparse × dense matrix multiplication.
 //!
-//! Like the dense GEMM kernels, SpMM has two per-thread implementations
-//! selected via [`rdm_dense::kernels`]: the scalar reference (row-major
-//! axpy per nonzero — the bitwise-pinned path) and a register-blocked
-//! fast path that walks each row in `SB`-by-`W`-wide column strips,
-//! holding the strips' accumulators in registers across all of the row's
-//! nonzeros (the `SB` blocks per pass amortize each nonzero's column
-//! decode over `SB` vector FMAs). That reordering cuts the `C` traffic
-//! per nonzero from a full-row read+write to one register update — the
-//! dominant win on this memory-bound kernel — while keeping the
-//! per-element accumulation order (nonzeros ascending) identical to the
-//! scalar sweep. Like the GEMM bodies, each fast row kernel is compiled
-//! twice (baseline and `#[target_feature(enable = "avx2")]`, chosen at
-//! runtime) from one inlined body, so the host changes speed, never
-//! bits. Both paths run under the same cached nnz-balanced panel
-//! partition, so load balance and rank-count determinism are unchanged.
+//! Every product — plain, accumulating, row-skipping, edge-masked — runs
+//! through one driver (`drive`): one task per cached nnz-balanced row
+//! panel, one row kernel per output row. Like the dense GEMM kernels, the
+//! row kernel has two implementations selected via [`rdm_dense::kernels`]:
+//! the scalar reference (row-major axpy per nonzero — the bitwise-pinned
+//! path) and a register-blocked fast path that walks each row in
+//! `SB`-by-`W`-wide column strips, holding the strips' accumulators in
+//! registers across all of the row's nonzeros (the `SB` blocks per pass
+//! amortize each nonzero's column decode over `SB` vector FMAs). That
+//! reordering cuts the `C` traffic per nonzero from a full-row read+write
+//! to one register update — the dominant win on this memory-bound kernel —
+//! while keeping the per-element accumulation order (nonzeros ascending)
+//! identical to the scalar sweep. Like the GEMM bodies, the fast row
+//! kernel is compiled twice (baseline and
+//! `#[target_feature(enable = "avx2")]`, chosen at runtime) from one
+//! inlined body, so the host changes speed, never bits. The edge mask is a
+//! const generic of the row kernel, so the unmasked instantiation carries
+//! no per-nonzero test.
 
 use crate::csr::Csr;
 use rdm_dense::kernels::{self, Mode, Width};
@@ -36,68 +39,7 @@ pub fn spmm(a: &Csr, b: &Mat) -> Mat {
 /// # Panics
 /// On shape mismatch.
 pub fn spmm_acc(a: &Csr, b: &Mat, c: &mut Mat) {
-    let n = b.cols();
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "spmm: A is {}x{} but B is {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        n
-    );
-    assert_eq!(c.shape(), (a.rows(), n), "spmm: C shape mismatch");
-    if a.rows() == 0 || n == 0 || a.nnz() == 0 {
-        return;
-    }
-    let b_data = b.as_slice();
-    let indptr = a.indptr();
-    let indices = a.indices();
-    let vals = a.vals();
-    // One task per nnz-balanced row panel: boundaries are precomputed from
-    // `indptr` (and cached on `A`, which is reused every epoch) so each task
-    // owns ~equal nonzeros and skewed (power-law) rows still balance. Panels
-    // are whole rows, so per-row accumulation order — and hence every output
-    // bit — is identical to a sequential sweep.
-    let bounds = a.nnz_partition(task_count(a.rows()));
-    // Kernel mode is read on the calling thread and captured by value;
-    // pool workers never consult their own thread-local.
-    let mode = kernels::mode();
-    let avx = kernels::avx2_available();
-    rayon::par_partition_mut(c.as_mut_slice(), bounds, n, |t, c_chunk| {
-        for (rr, r) in (bounds[t]..bounds[t + 1]).enumerate() {
-            let c_row = &mut c_chunk[rr * n..(rr + 1) * n];
-            let row_idx = indptr[r]..indptr[r + 1];
-            match mode {
-                Mode::Scalar | Mode::Fast(Width::W1) => {
-                    for idx in row_idx {
-                        let k = indices[idx] as usize;
-                        let v = vals[idx];
-                        let b_row = &b_data[k * n..(k + 1) * n];
-                        for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                            *cv += v * bv;
-                        }
-                    }
-                }
-                Mode::Fast(Width::W4) => fast_row::<4>(
-                    avx,
-                    n,
-                    &indices[row_idx.clone()],
-                    &vals[row_idx],
-                    b_data,
-                    c_row,
-                ),
-                Mode::Fast(Width::W8) => fast_row::<8>(
-                    avx,
-                    n,
-                    &indices[row_idx.clone()],
-                    &vals[row_idx],
-                    b_data,
-                    c_row,
-                ),
-            }
-        }
-    });
+    drive::<false>("spmm", a, b, c, None, &[]);
 }
 
 /// Row-skipping SpMM: like [`spmm`] but output rows flagged in `skip` are
@@ -111,67 +53,96 @@ pub fn spmm_acc(a: &Csr, b: &Mat, c: &mut Mat) {
 /// If `skip.len() != a.rows()` or shapes mismatch.
 pub fn spmm_skip(a: &Csr, b: &Mat, skip: &[bool]) -> Mat {
     assert_eq!(skip.len(), a.rows(), "skip length must equal A's rows");
+    let mut c = Mat::zeros(a.rows(), b.cols());
+    drive::<false>("spmm_skip", a, b, &mut c, Some(skip), &[]);
+    c
+}
+
+/// Masked SpMM (§III-F): like [`spmm`] but only the entries of `A` whose
+/// flag in `mask` is true participate. `mask` is indexed by nonzero
+/// position (same order as `A`'s value array) — the "sampled neighbor"
+/// pattern of sampling-based GNNs that do not build explicit subgraphs.
+///
+/// # Panics
+/// If `mask.len() != a.nnz()` or shapes mismatch.
+pub fn spmm_masked(a: &Csr, b: &Mat, mask: &[bool]) -> Mat {
+    assert_eq!(mask.len(), a.nnz(), "mask length must equal nnz");
+    let mut c = Mat::zeros(a.rows(), b.cols());
+    drive::<true>("spmm_masked", a, b, &mut c, None, mask);
+    c
+}
+
+/// The one SpMM driver: `C += A·B` over the rows not flagged in `skip`,
+/// using — when `MASKED` — only the nonzeros flagged in `mask` (indexed by
+/// nonzero position; ignored otherwise). `what` names the public entry
+/// point in the shape panics.
+fn drive<const MASKED: bool>(
+    what: &str,
+    a: &Csr,
+    b: &Mat,
+    c: &mut Mat,
+    skip: Option<&[bool]>,
+    mask: &[bool],
+) {
     let n = b.cols();
     assert_eq!(
         a.cols(),
         b.rows(),
-        "spmm_skip: A is {}x{} but B is {}x{}",
+        "{what}: A is {}x{} but B is {}x{}",
         a.rows(),
         a.cols(),
         b.rows(),
         n
     );
-    let mut c = Mat::zeros(a.rows(), n);
+    assert_eq!(c.shape(), (a.rows(), n), "{what}: C shape mismatch");
     if a.rows() == 0 || n == 0 || a.nnz() == 0 {
-        return c;
+        return;
     }
     let b_data = b.as_slice();
     let indptr = a.indptr();
     let indices = a.indices();
     let vals = a.vals();
-    // Same nnz-balanced panels as the full kernel (skips only thin work;
-    // the cached partition is still the right upper bound).
+    // One task per nnz-balanced row panel: boundaries are precomputed from
+    // `indptr` (and cached on `A`, which is reused every epoch) so each task
+    // owns ~equal nonzeros and skewed (power-law) rows still balance. Panels
+    // are whole rows, so per-row accumulation order — and hence every output
+    // bit — is identical to a sequential sweep. Skips and masks only thin
+    // work; the cached partition is still the right upper bound.
     let bounds = a.nnz_partition(task_count(a.rows()));
+    // Kernel mode is read on the calling thread and captured by value;
+    // pool workers never consult their own thread-local.
     let mode = kernels::mode();
     let avx = kernels::avx2_available();
     rayon::par_partition_mut(c.as_mut_slice(), bounds, n, |t, c_chunk| {
         for (rr, r) in (bounds[t]..bounds[t + 1]).enumerate() {
-            if skip[r] {
+            if skip.is_some_and(|s| s[r]) {
                 continue;
             }
             let c_row = &mut c_chunk[rr * n..(rr + 1) * n];
-            let row_idx = indptr[r]..indptr[r + 1];
+            let nz = indptr[r]..indptr[r + 1];
+            let keep = if MASKED { &mask[nz.clone()] } else { mask };
+            let (cols, vals) = (&indices[nz.clone()], &vals[nz]);
             match mode {
                 Mode::Scalar | Mode::Fast(Width::W1) => {
-                    for idx in row_idx {
-                        let k = indices[idx] as usize;
-                        let v = vals[idx];
-                        let b_row = &b_data[k * n..(k + 1) * n];
+                    for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
+                        if MASKED && !keep[i] {
+                            continue;
+                        }
+                        let b_row = &b_data[k as usize * n..(k as usize + 1) * n];
                         for (cv, &bv) in c_row.iter_mut().zip(b_row) {
                             *cv += v * bv;
                         }
                     }
                 }
-                Mode::Fast(Width::W4) => fast_row::<4>(
-                    avx,
-                    n,
-                    &indices[row_idx.clone()],
-                    &vals[row_idx],
-                    b_data,
-                    c_row,
-                ),
-                Mode::Fast(Width::W8) => fast_row::<8>(
-                    avx,
-                    n,
-                    &indices[row_idx.clone()],
-                    &vals[row_idx],
-                    b_data,
-                    c_row,
-                ),
+                Mode::Fast(Width::W4) => {
+                    fast_row::<4, MASKED>(avx, n, cols, vals, keep, b_data, c_row)
+                }
+                Mode::Fast(Width::W8) => {
+                    fast_row::<8, MASKED>(avx, n, cols, vals, keep, b_data, c_row)
+                }
             }
         }
     });
-    c
 }
 
 /// `W`-wide strips processed together per pass over a row's nonzeros:
@@ -183,41 +154,46 @@ const SB: usize = 4;
 /// strips' accumulators in registers across all nonzeros. Per output
 /// element the accumulation order is nonzeros ascending — the scalar
 /// sweep's order — so only strip traversal, not arithmetic order, differs.
+/// When `MASKED`, `keep` is indexed in step with `cols`/`vals` and thins
+/// nonzeros without changing their order.
 #[inline]
-fn fast_row<const W: usize>(
+fn fast_row<const W: usize, const MASKED: bool>(
     avx: bool,
     n: usize,
     cols: &[u32],
     vals: &[f32],
+    keep: &[bool],
     b: &[f32],
     c_row: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx {
         // SAFETY: `avx` witnesses runtime AVX2 support.
-        return unsafe { fast_row_avx2::<W>(n, cols, vals, b, c_row) };
+        return unsafe { fast_row_avx2::<W, MASKED>(n, cols, vals, keep, b, c_row) };
     }
     let _ = avx;
-    fast_row_body::<W>(n, cols, vals, b, c_row)
+    fast_row_body::<W, MASKED>(n, cols, vals, keep, b, c_row)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn fast_row_avx2<const W: usize>(
+fn fast_row_avx2<const W: usize, const MASKED: bool>(
     n: usize,
     cols: &[u32],
     vals: &[f32],
+    keep: &[bool],
     b: &[f32],
     c_row: &mut [f32],
 ) {
-    fast_row_body::<W>(n, cols, vals, b, c_row)
+    fast_row_body::<W, MASKED>(n, cols, vals, keep, b, c_row)
 }
 
 #[inline(always)]
-fn fast_row_body<const W: usize>(
+fn fast_row_body<const W: usize, const MASKED: bool>(
     n: usize,
     cols: &[u32],
     vals: &[f32],
+    keep: &[bool],
     b: &[f32],
     c_row: &mut [f32],
 ) {
@@ -227,7 +203,10 @@ fn fast_row_body<const W: usize>(
         for (s, acc_s) in acc.iter_mut().enumerate() {
             acc_s.copy_from_slice(&c_row[j + s * W..j + (s + 1) * W]);
         }
-        for (&k, &v) in cols.iter().zip(vals) {
+        for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
+            if MASKED && !keep[i] {
+                continue;
+            }
             let base = k as usize * n + j;
             let b_blk = &b[base..base + SB * W];
             for (s, acc_s) in acc.iter_mut().enumerate() {
@@ -245,7 +224,10 @@ fn fast_row_body<const W: usize>(
         let mut acc = [0.0f32; W];
         let c_blk = &mut c_row[j..j + W];
         acc.copy_from_slice(c_blk);
-        for (&k, &v) in cols.iter().zip(vals) {
+        for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
+            if MASKED && !keep[i] {
+                continue;
+            }
             let base = k as usize * n + j;
             let b_blk = &b[base..base + W];
             for l in 0..W {
@@ -258,101 +240,8 @@ fn fast_row_body<const W: usize>(
     // Lane tail (`n % W` columns): width-1 strips, same nnz order.
     while j < n {
         let mut acc = c_row[j];
-        for (&k, &v) in cols.iter().zip(vals) {
-            acc += v * b[k as usize * n + j];
-        }
-        c_row[j] = acc;
-        j += 1;
-    }
-}
-
-/// Masked twin of [`fast_row`]: `mask` is indexed in step with
-/// `cols`/`vals` and thins nonzeros without changing their order.
-#[inline]
-fn fast_row_masked<const W: usize>(
-    avx: bool,
-    n: usize,
-    cols: &[u32],
-    vals: &[f32],
-    mask: &[bool],
-    b: &[f32],
-    c_row: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx {
-        // SAFETY: `avx` witnesses runtime AVX2 support.
-        return unsafe { fast_row_masked_avx2::<W>(n, cols, vals, mask, b, c_row) };
-    }
-    let _ = avx;
-    fast_row_masked_body::<W>(n, cols, vals, mask, b, c_row)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn fast_row_masked_avx2<const W: usize>(
-    n: usize,
-    cols: &[u32],
-    vals: &[f32],
-    mask: &[bool],
-    b: &[f32],
-    c_row: &mut [f32],
-) {
-    fast_row_masked_body::<W>(n, cols, vals, mask, b, c_row)
-}
-
-#[inline(always)]
-fn fast_row_masked_body<const W: usize>(
-    n: usize,
-    cols: &[u32],
-    vals: &[f32],
-    mask: &[bool],
-    b: &[f32],
-    c_row: &mut [f32],
-) {
-    let mut j = 0;
-    while j + SB * W <= n {
-        let mut acc = [[0.0f32; W]; SB];
-        for (s, acc_s) in acc.iter_mut().enumerate() {
-            acc_s.copy_from_slice(&c_row[j + s * W..j + (s + 1) * W]);
-        }
-        for ((&k, &v), &keep) in cols.iter().zip(vals).zip(mask) {
-            if !keep {
-                continue;
-            }
-            let base = k as usize * n + j;
-            let b_blk = &b[base..base + SB * W];
-            for (s, acc_s) in acc.iter_mut().enumerate() {
-                for l in 0..W {
-                    acc_s[l] += v * b_blk[s * W + l];
-                }
-            }
-        }
-        for (s, acc_s) in acc.iter().enumerate() {
-            c_row[j + s * W..j + (s + 1) * W].copy_from_slice(acc_s);
-        }
-        j += SB * W;
-    }
-    while j + W <= n {
-        let mut acc = [0.0f32; W];
-        let c_blk = &mut c_row[j..j + W];
-        acc.copy_from_slice(c_blk);
-        for ((&k, &v), &keep) in cols.iter().zip(vals).zip(mask) {
-            if !keep {
-                continue;
-            }
-            let base = k as usize * n + j;
-            let b_blk = &b[base..base + W];
-            for l in 0..W {
-                acc[l] += v * b_blk[l];
-            }
-        }
-        c_blk.copy_from_slice(&acc);
-        j += W;
-    }
-    while j < n {
-        let mut acc = c_row[j];
-        for ((&k, &v), &keep) in cols.iter().zip(vals).zip(mask) {
-            if keep {
+        for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
+            if !MASKED || keep[i] {
                 acc += v * b[k as usize * n + j];
             }
         }
@@ -365,72 +254,6 @@ fn fast_row_masked_body<const W: usize>(
 /// keep every worker fed with slack for imbalance, never more than rows.
 fn task_count(rows: usize) -> usize {
     (rayon::current_num_threads() * 8).clamp(1, rows.max(1))
-}
-
-/// Masked SpMM (§III-F): like [`spmm`] but only the entries of `A` whose
-/// flag in `mask` is true participate. `mask` is indexed by nonzero
-/// position (same order as `A`'s value array) — the "sampled neighbor"
-/// pattern of sampling-based GNNs that do not build explicit subgraphs.
-///
-/// # Panics
-/// If `mask.len() != a.nnz()` or shapes mismatch.
-pub fn spmm_masked(a: &Csr, b: &Mat, mask: &[bool]) -> Mat {
-    assert_eq!(mask.len(), a.nnz(), "mask length must equal nnz");
-    assert_eq!(a.cols(), b.rows(), "spmm_masked shape mismatch");
-    let n = b.cols();
-    let mut c = Mat::zeros(a.rows(), n);
-    if a.rows() == 0 || n == 0 || a.nnz() == 0 {
-        return c;
-    }
-    let b_data = b.as_slice();
-    let indptr = a.indptr();
-    let indices = a.indices();
-    let vals = a.vals();
-    // Same nnz-balanced panels as the unmasked kernel (the mask only thins
-    // work within a row; the partition is still the right upper bound).
-    let bounds = a.nnz_partition(task_count(a.rows()));
-    let mode = kernels::mode();
-    let avx = kernels::avx2_available();
-    rayon::par_partition_mut(c.as_mut_slice(), bounds, n, |t, c_chunk| {
-        for (rr, r) in (bounds[t]..bounds[t + 1]).enumerate() {
-            let c_row = &mut c_chunk[rr * n..(rr + 1) * n];
-            let row_idx = indptr[r]..indptr[r + 1];
-            match mode {
-                Mode::Scalar | Mode::Fast(Width::W1) => {
-                    for idx in row_idx {
-                        if !mask[idx] {
-                            continue;
-                        }
-                        let k = indices[idx] as usize;
-                        let v = vals[idx];
-                        let b_row = &b_data[k * n..(k + 1) * n];
-                        for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                            *cv += v * bv;
-                        }
-                    }
-                }
-                Mode::Fast(Width::W4) => fast_row_masked::<4>(
-                    avx,
-                    n,
-                    &indices[row_idx.clone()],
-                    &vals[row_idx.clone()],
-                    &mask[row_idx],
-                    b_data,
-                    c_row,
-                ),
-                Mode::Fast(Width::W8) => fast_row_masked::<8>(
-                    avx,
-                    n,
-                    &indices[row_idx.clone()],
-                    &vals[row_idx.clone()],
-                    &mask[row_idx],
-                    b_data,
-                    c_row,
-                ),
-            }
-        }
-    });
-    c
 }
 
 #[cfg(test)]

@@ -1,15 +1,18 @@
 //! Differential property suite for the register-blocked SpMM fast path:
 //! every forced lane width vs the scalar bitwise reference, over random
 //! CSRs, hub-heavy RMAT-skewed CSRs (the adjacency shape the nnz-balanced
-//! panels exist for), masked variants, and degenerate shapes. The fast
-//! SpMM keeps the per-element accumulation order of the scalar sweep, so
-//! the envelope here is tight — and width 1 must be exactly bitwise.
+//! panels exist for), masked and row-skipping variants, and degenerate
+//! shapes. The fast SpMM keeps the per-element accumulation order of the
+//! scalar sweep, so the envelope here is tight — and width 1 must be
+//! exactly bitwise. All three kernels are one driver, so at any one width
+//! the row-skip kernel's kept rows, skipping nothing and masking nothing
+//! must all be *bitwise* the dense kernel (`assert_seams`).
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rdm_dense::kernels::{with_mode, Mode, Width};
 use rdm_dense::Mat;
-use rdm_sparse::{spmm, spmm_masked, Coo, Csr};
+use rdm_sparse::{spmm, spmm_masked, spmm_skip, Coo, Csr};
 
 fn ordinal(x: f32) -> i64 {
     let b = x.to_bits();
@@ -83,6 +86,32 @@ fn mask_for(a: &Csr, seed: u64) -> Vec<bool> {
     (0..a.nnz()).map(|_| rng.gen_bool(0.6)).collect()
 }
 
+/// The driver's seams at the active kernel width: the row-skip kernel
+/// leaves skipped rows exactly zero and is bitwise the dense kernel on kept
+/// rows; skipping no row and masking no nonzero are bitwise the dense
+/// kernel.
+fn assert_seams(a: &Csr, b: &Mat, seed: u64, label: &str) {
+    let full = spmm(a, b);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let skip: Vec<bool> = (0..a.rows()).map(|_| rng.gen_bool(0.4)).collect();
+    let thin = spmm_skip(a, b, &skip);
+    assert_eq!(thin.shape(), full.shape(), "{label}: skip shape");
+    for (r, &skipped) in skip.iter().enumerate() {
+        for (j, (&t, &f)) in thin.row(r).iter().zip(full.row(r)).enumerate() {
+            let expect = if skipped { 0.0f32 } else { f };
+            assert_eq!(
+                t.to_bits(),
+                expect.to_bits(),
+                "{label}: skip row {r} (skipped: {skipped}) col {j}: {t} vs {expect}"
+            );
+        }
+    }
+    let none = spmm_skip(a, b, &vec![false; a.rows()]);
+    assert_bitwise(&none, &full, &format!("{label}: skip nothing"));
+    let all = spmm_masked(a, b, &vec![true; a.nnz()]);
+    assert_bitwise(&all, &full, &format!("{label}: mask nothing"));
+}
+
 fn coo_strategy() -> impl Strategy<Value = Coo> {
     (1usize..24, 1usize..24).prop_flat_map(|(rows, cols)| {
         let entry = (0..rows as u32, 0..cols as u32, -2.0f32..2.0f32);
@@ -100,7 +129,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Random CSRs, ragged feature widths: every fast width stays in the
-    /// envelope of the scalar reference, masked and unmasked.
+    /// envelope of the scalar reference, masked and unmasked, and the
+    /// row-skip kernel is bitwise the dense one at every width.
     #[test]
     fn fast_widths_match_scalar(coo in coo_strategy(), n in 1usize..19, seed in 0u64..1000) {
         let a = coo.to_csr();
@@ -108,8 +138,10 @@ proptest! {
         let mask = mask_for(&a, seed + 1);
         let scalar = spmm(&a, &b);
         let scalar_masked = spmm_masked(&a, &b, &mask);
+        assert_seams(&a, &b, seed + 2, &format!("scalar n={n}"));
         for width in [Width::W4, Width::W8] {
             let (f, fm) = with_mode(Mode::Fast(width), || {
+                assert_seams(&a, &b, seed + 2, &format!("{width:?} n={n}"));
                 (spmm(&a, &b), spmm_masked(&a, &b, &mask))
             });
             assert_close(&f, &scalar, 16, &format!("{width:?} spmm n={n}"));
@@ -126,6 +158,7 @@ proptest! {
         let scalar = spmm(&a, &b);
         let scalar_masked = spmm_masked(&a, &b, &mask);
         let (f, fm) = with_mode(Mode::Fast(Width::W1), || {
+            assert_seams(&a, &b, seed + 2, "W1");
             (spmm(&a, &b), spmm_masked(&a, &b, &mask))
         });
         assert_bitwise(&f, &scalar, "W1 spmm");
@@ -185,6 +218,14 @@ fn degenerate_shapes_every_width() {
             assert_eq!(spmm(&Csr::empty(0, 5), &b).shape(), (0, 3));
             assert_eq!(spmm(&Csr::empty(7, 5), &b).shape(), (7, 3));
             assert_eq!(spmm(&Csr::empty(7, 5), &Mat::zeros(5, 0)).shape(), (7, 0));
+            assert_eq!(spmm_skip(&Csr::empty(0, 5), &b, &[]).shape(), (0, 3));
+            assert_seams(&Csr::empty(7, 5), &b, 12, &format!("{width:?} empty rows"));
+            assert_seams(
+                &Csr::empty(7, 5),
+                &Mat::zeros(5, 0),
+                12,
+                &format!("{width:?} zero width"),
+            );
             let mut coo = Coo::new(1, 5);
             coo.push(0, 2, 1.5);
             coo.push(0, 4, -0.5);
@@ -193,6 +234,7 @@ fn degenerate_shapes_every_width() {
             assert_eq!(got.shape(), (1, 3));
             let scalar = with_mode(Mode::Scalar, || spmm(&single, &b));
             assert_bitwise(&got, &scalar, &format!("{width:?} single row"));
+            assert_seams(&single, &b, 13, &format!("{width:?} single row"));
         });
     }
 }
