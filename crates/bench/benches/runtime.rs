@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rdm_core::{train_gcn, TrainerConfig};
 use rdm_dense::kernels::{with_mode, Mode};
-use rdm_dense::{gemm, Mat};
+use rdm_dense::{gemm, gemm_nt, gemm_tn, Mat};
 use rdm_graph::{rmat, symmetrize, DatasetSpec};
 use rdm_sparse::{balanced_panels, gcn_normalize, spmm, Csr};
 use std::hint::black_box;
@@ -167,53 +167,58 @@ fn bench_spmm_balance(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `--fast-kernels` microkernels, measured head to head against the
-/// scalar bitwise reference they shadow: raw GEMM and SpMM throughput at
-/// the auto-detected lane width (these two ratios calibrate
-/// `DeviceModel::a6000_pcie_fast`), and the end-to-end training epoch on
-/// the bench-smoke configuration, which must come out ≥ 2× faster.
+/// The default (fast) microkernels, measured head to head against the
+/// scalar reference they are bitwise equal to: raw GEMM in all three
+/// orientations and SpMM at the auto-detected lane width, and the
+/// end-to-end training epoch on the bench-smoke configuration, which must
+/// come out ≥ 2× faster than `reference_kernels()`. `gemm_tn` / `gemm_nt`
+/// are timed at a training shape (reduction over the vertices, 128-wide
+/// features) because that is where a fast path that only re-tiles `gemm`
+/// falls behind the reference; the fast `gemm_tn` must never be slower.
 fn bench_fast_kernels(c: &mut Criterion) {
-    let fast = Mode::Fast(rdm_dense::kernels::detect_width());
+    let fast = rdm_dense::kernels::default_mode();
+    // (scalar, fast) best-of-5 batch times of one kernel call.
+    let both = |run: &dyn Fn()| {
+        with_mode(fast, run); // warm the pool and the scratch shelf
+        let scalar = with_mode(Mode::Scalar, || min_batch_time(5, 3, run));
+        (scalar, with_mode(fast, || min_batch_time(5, 3, run)))
+    };
+    let speedup = |(scalar, fast): (Duration, Duration)| scalar.as_secs_f64() / fast.as_secs_f64();
 
-    // Raw GEMM: a training-shaped tile (tall activations × square weights).
+    // Forward GEMM: tall activations × square weights.
     let a = Mat::random(512, 192, 1.0, 1);
     let b = Mat::random(192, 192, 1.0, 2);
-    with_mode(fast, || black_box(gemm(&a, &b))); // warm the pool
-    let t_gemm_scalar = min_batch_time(5, 3, || {
-        black_box(gemm(&a, &b));
-    });
-    let t_gemm_fast = with_mode(fast, || {
-        min_batch_time(5, 3, || {
-            black_box(gemm(&a, &b));
-        })
-    });
-    let gemm_speedup = t_gemm_scalar.as_secs_f64() / t_gemm_fast.as_secs_f64();
-
-    // Raw SpMM on the skewed RMAT graph the panel scheduler targets.
+    let t_gemm = both(&|| drop(black_box(gemm(&a, &b))));
+    // Backward GEMMs: weight gradient Hᵀ·G and gradient propagation G·Wᵀ.
+    let h = Mat::random(8192, 128, 1.0, 3);
+    let g = Mat::random(8192, 128, 1.0, 4);
+    let w = Mat::random(128, 128, 1.0, 5);
+    let t_tn = both(&|| drop(black_box(gemm_tn(&h, &g))));
+    let t_nt = both(&|| drop(black_box(gemm_nt(&g, &w))));
+    // SpMM on the skewed RMAT graph the panel scheduler targets.
     let n = 1 << 12;
     let adj = gcn_normalize(&symmetrize(n, &rmat(n, 16 * n, 7)));
-    let feats = Mat::random(n, 64, 1.0, 3);
-    let t_spmm_scalar = min_batch_time(5, 3, || {
-        black_box(spmm(&adj, &feats));
-    });
-    let t_spmm_fast = with_mode(fast, || {
-        min_batch_time(5, 3, || {
-            black_box(spmm(&adj, &feats));
-        })
-    });
-    let spmm_speedup = t_spmm_scalar.as_secs_f64() / t_spmm_fast.as_secs_f64();
+    let feats = Mat::random(n, 64, 1.0, 6);
+    let t_spmm = both(&|| drop(black_box(spmm(&adj, &feats))));
     eprintln!(
-        "fast kernels ({fast:?}): gemm 512x192x192 {t_gemm_scalar:?} -> {t_gemm_fast:?} \
-         ({gemm_speedup:.2}x), spmm rmat(n={n})x64 {t_spmm_scalar:?} -> {t_spmm_fast:?} \
-         ({spmm_speedup:.2}x)"
+        "fast kernels ({fast:?}) vs scalar: gemm 512x192x192 {:.2}x, gemm_tn 8192x128ᵀ·8192x128 \
+         {:.2}x, gemm_nt 8192x128·(128x128)ᵀ {:.2}x, spmm rmat(n={n})x64 {:.2}x",
+        speedup(t_gemm),
+        speedup(t_tn),
+        speedup(t_nt),
+        speedup(t_spmm),
+    );
+    assert!(
+        t_tn.1 <= t_tn.0,
+        "fast gemm_tn must not be slower than the scalar reference: {t_tn:?}"
     );
 
     // End-to-end: the bench-smoke training config. Compute-heavy (wide
     // features and hidden layer) so kernel time dominates the epoch, as
     // it does at paper scale.
     let ds = DatasetSpec::synthetic("fastk", 2048, 8 * 2048, 192, 8).instantiate(3);
-    let scalar_cfg = TrainerConfig::rdm_auto(2).hidden(192).epochs(2);
-    let fast_cfg = scalar_cfg.clone().fast_kernels();
+    let fast_cfg = TrainerConfig::rdm_auto(2).hidden(192).epochs(2);
+    let scalar_cfg = fast_cfg.clone().reference_kernels();
     train_gcn(&ds, &fast_cfg).unwrap(); // warm-up
     let time_train = |cfg: &TrainerConfig| {
         (0..3)
@@ -234,22 +239,26 @@ fn bench_fast_kernels(c: &mut Criterion) {
     );
     assert!(
         epoch_speedup >= 2.0,
-        "--fast-kernels must deliver >= 2x on the bench-smoke epoch \
-         (measured {epoch_speedup:.2}x: scalar {t_epoch_scalar:?}, fast {t_epoch_fast:?})"
+        "the default kernels must deliver >= 2x over --reference-kernels on the bench-smoke \
+         epoch (measured {epoch_speedup:.2}x: scalar {t_epoch_scalar:?}, fast {t_epoch_fast:?})"
     );
 
     let mut group = c.benchmark_group("fast_kernels");
     group.sample_size(10);
-    group.bench_function("gemm_scalar", |bch| bch.iter(|| black_box(gemm(&a, &b))));
-    group.bench_function("gemm_fast", |bch| {
-        bch.iter(|| with_mode(fast, || black_box(gemm(&a, &b))))
-    });
-    group.bench_function("spmm_scalar", |bch| {
-        bch.iter(|| black_box(spmm(&adj, &feats)))
-    });
-    group.bench_function("spmm_fast", |bch| {
-        bch.iter(|| with_mode(fast, || black_box(spmm(&adj, &feats))))
-    });
+    for (label, mode) in [("scalar", Mode::Scalar), ("fast", fast)] {
+        group.bench_function(format!("gemm_{label}"), |bch| {
+            bch.iter(|| with_mode(mode, || black_box(gemm(&a, &b))))
+        });
+        group.bench_function(format!("gemm_tn_{label}"), |bch| {
+            bch.iter(|| with_mode(mode, || black_box(gemm_tn(&h, &g))))
+        });
+        group.bench_function(format!("gemm_nt_{label}"), |bch| {
+            bch.iter(|| with_mode(mode, || black_box(gemm_nt(&g, &w))))
+        });
+        group.bench_function(format!("spmm_{label}"), |bch| {
+            bch.iter(|| with_mode(mode, || black_box(spmm(&adj, &feats))))
+        });
+    }
     group.finish();
 }
 

@@ -87,11 +87,11 @@ pub struct TrainerConfig {
     /// dense-equivalent volume alongside the (smaller or equal) actual
     /// wire bytes.
     pub sparse: bool,
-    /// Kernel path every rank's GEMM/SpMM calls dispatch to. The default,
-    /// [`KernelMode::Scalar`], is the bitwise-reference path every golden
-    /// in the repo pins; `Fast(w)` enables the lane-unrolled microkernels,
-    /// which are run-to-run and rank-count deterministic for a fixed
-    /// width but only epsilon-bounded against scalar.
+    /// Kernel path every rank's GEMM/SpMM calls dispatch to. The default
+    /// is [`kernels::default_mode`]: the lane-unrolled microkernels at the
+    /// host's widest width. [`KernelMode::Scalar`] is the reference loops
+    /// every golden was recorded with; the two are bitwise identical (see
+    /// [`rdm_dense::kernels`]), so this changes speed, never results.
     pub kernels: KernelMode,
 }
 
@@ -162,7 +162,7 @@ impl TrainerConfig {
             ra: None,
             trace: false,
             sparse: false,
-            kernels: KernelMode::Scalar,
+            kernels: kernels::default_mode(),
         }
     }
 
@@ -226,24 +226,24 @@ impl TrainerConfig {
         self
     }
 
-    /// Dispatch every rank's GEMM/SpMM calls to the lane-unrolled fast
-    /// microkernels at the widest profitable width for this host.
-    /// Deterministic run-to-run and across rank counts for a fixed width,
-    /// but only epsilon-bounded against the scalar reference path.
+    /// Select the default (fast) kernels — a no-op unless
+    /// [`Self::reference_kernels`] came first. Kept for callers written
+    /// when the fast microkernels were opt-in.
     pub fn fast_kernels(self) -> Self {
-        self.kernel_mode(KernelMode::Fast(kernels::detect_width()))
+        self.kernel_mode(kernels::default_mode())
+    }
+
+    /// Run every rank's GEMM/SpMM on the scalar reference loops (what
+    /// `--reference-kernels` selects). Same bits as the default, slower;
+    /// the differential suites use it as the oracle.
+    pub fn reference_kernels(self) -> Self {
+        self.kernel_mode(KernelMode::Scalar)
     }
 
     /// Force a specific kernel mode (differential tests use this to pin
-    /// the lane width regardless of host capabilities). Also swaps the
-    /// simulated [`DeviceModel`] to the calibration matching the kernel
-    /// path, so the report's `sim` times track the executed kernels.
+    /// the lane width regardless of host capabilities).
     pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernels = mode;
-        self.device = match mode {
-            KernelMode::Scalar => DeviceModel::a6000_pcie(),
-            KernelMode::Fast(_) => DeviceModel::a6000_pcie_fast(),
-        };
         self
     }
 

@@ -12,22 +12,26 @@
 //!
 //! * The **scalar** path keeps the `i-k-j` loop order with the inner loop
 //!   a contiguous axpy over rows of `B` (or a sequential dot product for
-//!   `gemm_nt`). It is the bitwise reference every golden in the repo is
-//!   pinned against and is never changed.
-//! * The **fast** path uses lane-unrolled register tiles: `MR×2W`
-//!   accumulator blocks held across the whole `k` loop, so `C` traffic
-//!   drops from `O(m·k·n)` to `O(m·n)` and the compiler maps the
-//!   fixed-width accumulator arrays onto vector registers. Each fast
-//!   body is compiled twice — once at the crate's baseline target and
-//!   once inside an `#[target_feature(enable = "avx2")]` wrapper chosen
-//!   at runtime — but both compilations inline the *same* body (plain
-//!   mul-then-add, never contracted to FMA), so the host CPU affects
-//!   speed only, never bits. For a fixed width the accumulation order
-//!   per output element is fixed (`k` ascending; `gemm_nt` uses `W`
-//!   strided partials plus a pairwise reduction tree), so the fast path
-//!   is run-to-run deterministic but only epsilon-bounded against
-//!   scalar. Width 1 delegates to the scalar kernel and is bitwise-equal
-//!   by construction.
+//!   `gemm_nt`). It is the reference every golden in the repo was
+//!   recorded with and is never changed.
+//! * The **fast** path — the default — is one register-tile body under
+//!   all three orientations: an `MR×2W` block of `C` is loaded into
+//!   accumulators, swept over one block of `k` rows, and stored back, so
+//!   `C` traffic drops from `O(m·k·n)` to `O(m·n·k/KC)` and the compiler
+//!   maps the fixed-width accumulator arrays onto vector registers.
+//!   `gemm_tn` reads `A` by columns instead of rows; sweeping `k` in
+//!   blocks keeps the `A`/`B` blocks and the `C` panel in L2 across the
+//!   panel's tiles even when `k` is the vertex count. `gemm_nt` transposes
+//!   its small `B` once and is `gemm` from there. The body is compiled
+//!   twice — at the crate's baseline target and inside an
+//!   `#[target_feature(enable = "avx2")]` wrapper chosen at runtime — but
+//!   both compilations inline the *same* code (plain mul-then-add, never
+//!   contracted to FMA), so the host CPU affects speed only, never bits.
+//!
+//! Per output element both paths compute `c + a₀b₀ + a₁b₁ + …` with `k`
+//! ascending, so at every width the fast path is **bitwise** the scalar
+//! one on finite inputs; [`crate::kernels`] states the contract and its
+//! one exception (the scalar `a == 0` skip).
 
 use crate::kernels::{self, Mode, Width};
 use crate::mat::Mat;
@@ -40,6 +44,12 @@ const ROW_PANEL: usize = 64;
 /// Row-tile height of the fast kernels: `MR` independent accumulator
 /// vectors per column block, enough to hide FMA latency.
 const MR: usize = 4;
+
+/// Rows of `k` per block of the fast kernels' sweep: with feature
+/// dimensions up to a few hundred, one block of `A`, one of `B` and the
+/// task's panel of `C` stay in L2 while every tile of the panel visits
+/// them.
+const KC: usize = 128;
 
 /// `C = A · B`, allocating the output.
 ///
@@ -67,8 +77,8 @@ pub fn gemm_acc(a: &Mat, b: &Mat, c: &mut Mat) {
     // thread-local.
     match kernels::mode() {
         Mode::Scalar | Mode::Fast(Width::W1) => scalar_gemm_acc(k, n, a_data, b_data, c),
-        Mode::Fast(Width::W4) => fast_gemm_acc::<4>(k, n, a_data, b_data, c),
-        Mode::Fast(Width::W8) => fast_gemm_acc::<8>(k, n, a_data, b_data, c),
+        Mode::Fast(Width::W4) => fast_acc::<4, 8, false>(k, n, a_data, b_data, c),
+        Mode::Fast(Width::W8) => fast_acc::<8, 16, false>(k, n, a_data, b_data, c),
     }
 }
 
@@ -96,159 +106,169 @@ fn scalar_gemm_acc(k: usize, n: usize, a_data: &[f32], b_data: &[f32], c: &mut M
         });
 }
 
-// The `[x0, x1, x2, x3]` row unrolls in the tile bodies below are tied to
-// this exact height.
-const _: () = assert!(MR == 4, "fast tile bodies unroll exactly four A rows");
-
-fn fast_gemm_acc<const W: usize>(k: usize, n: usize, a_data: &[f32], b_data: &[f32], c: &mut Mat) {
+/// `C += op(A) · B` on the fast path, for both `A` orientations: `TA`
+/// reads `A` as stored `k×m` (the `gemm_tn` operand), otherwise `m×k`.
+/// `W2` is always `2 * W` (stable Rust cannot spell that in a const
+/// generic position).
+///
+/// `C` is cut into row panels, one task each, and every task sweeps `k`
+/// in blocks of [`KC`] rows with the register tiles **loaded from `C` and
+/// stored back** around each block. `k` is never split across tasks and
+/// the blocks run in ascending order, so each output element is
+/// `c + a₀b₀ + a₁b₁ + …` in exactly the scalar kernel's order whatever
+/// the panel height, block size or pool size.
+fn fast_acc<const W: usize, const W2: usize, const TA: bool>(
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut Mat,
+) {
+    let m = c.rows();
+    let lda = if TA { m } else { k };
+    let panel = if TA { tn_panel_rows(m) } else { ROW_PANEL };
     let avx = kernels::avx2_available();
     c.as_mut_slice()
-        .par_chunks_mut(ROW_PANEL * n)
+        .par_chunks_mut(panel * n)
         .enumerate()
-        .for_each(|(panel, c_panel)| {
-            let i0 = panel * ROW_PANEL;
+        .for_each(|(p, c_panel)| {
+            let i0 = p * panel;
             let rows_here = c_panel.len() / n;
-            let mut ii = 0;
-            while ii + MR <= rows_here {
-                let i = i0 + ii;
-                let a_rows = &a_data[i * k..(i + MR) * k];
-                let c_rows = &mut c_panel[ii * n..(ii + MR) * n];
-                tile_nn::<W>(avx, n, a_rows, b_data, c_rows);
-                ii += MR;
-            }
-            while ii < rows_here {
-                let i = i0 + ii;
-                let a_row = &a_data[i * k..(i + 1) * k];
-                let c_row = &mut c_panel[ii * n..(ii + 1) * n];
-                row_nn::<W>(avx, n, a_row, b_data, c_row);
-                ii += 1;
+            for k0 in (0..k).step_by(KC) {
+                let b_blk = &b[k0 * n..(k0 + KC).min(k) * n];
+                for ii in (0..rows_here).step_by(MR) {
+                    let mr = MR.min(rows_here - ii);
+                    let c_rows = &mut c_panel[ii * n..(ii + mr) * n];
+                    tile::<W, W2, TA>(avx, a, lda, i0 + ii, k0, b_blk, n, c_rows);
+                }
             }
         });
 }
 
+/// Rows of `C` per `gemm_tn` task. `C` is a weight gradient there — a few
+/// dozen rows — so the panel shrinks until every thread has a couple of
+/// tasks, but not below 16 rows: a task reads its 16 columns of `A` as one
+/// whole cache line per row.
+fn tn_panel_rows(m: usize) -> usize {
+    m.div_ceil(2 * rayon::current_num_threads())
+        .next_multiple_of(16)
+        .min(ROW_PANEL)
+}
+
 /// Route one tile to the AVX2 compilation when the host supports it.
 #[inline]
-fn tile_nn<const W: usize>(avx: bool, n: usize, a_rows: &[f32], b: &[f32], c_rows: &mut [f32]) {
+#[allow(clippy::too_many_arguments)]
+fn tile<const W: usize, const W2: usize, const TA: bool>(
+    avx: bool,
+    a: &[f32],
+    lda: usize,
+    i: usize,
+    k0: usize,
+    b_blk: &[f32],
+    n: usize,
+    c_rows: &mut [f32],
+) {
     #[cfg(target_arch = "x86_64")]
     if avx {
         // SAFETY: `avx` witnesses runtime AVX2 support.
-        return unsafe { tile_nn_avx2::<W>(n, a_rows, b, c_rows) };
+        return unsafe { tile_avx2::<W, W2, TA>(a, lda, i, k0, b_blk, n, c_rows) };
     }
     let _ = avx;
-    tile_nn_body::<W>(n, a_rows, b, c_rows)
+    tile_body::<W, W2, TA>(a, lda, i, k0, b_blk, n, c_rows)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn tile_nn_avx2<const W: usize>(n: usize, a_rows: &[f32], b: &[f32], c_rows: &mut [f32]) {
-    tile_nn_body::<W>(n, a_rows, b, c_rows)
+fn tile_avx2<const W: usize, const W2: usize, const TA: bool>(
+    a: &[f32],
+    lda: usize,
+    i: usize,
+    k0: usize,
+    b_blk: &[f32],
+    n: usize,
+    c_rows: &mut [f32],
+) {
+    tile_body::<W, W2, TA>(a, lda, i, k0, b_blk, n, c_rows)
 }
 
-/// `MR` rows of `C += A·B`: `MR×2W` register accumulators held across the
-/// whole `k` loop (the second `W` block doubles the FMAs amortizing each
-/// load of `A`). Per output element the accumulation order is `k`
-/// ascending — the scalar kernel's order, minus its `aik == 0` skip.
+/// The `mr = c_rows.len() / n ≤ MR` rows of `C` starting at row `i`, plus
+/// one `k` block: `C[i.., :] += op(A)[i.., k0..] · b_blk`, where `b_blk`
+/// holds rows `k0..` of `B`. A short tile (`mr < MR`) reads its last real
+/// row of `op(A)` again for the missing ones and stores only the real
+/// rows, so the hot loop has no row count in it.
 #[inline(always)]
-fn tile_nn_body<const W: usize>(n: usize, a_rows: &[f32], b: &[f32], c_rows: &mut [f32]) {
-    let k = a_rows.len() / MR;
-    let (a01, a23) = a_rows.split_at(2 * k);
-    let (a0, a1) = a01.split_at(k);
-    let (a2, a3) = a23.split_at(k);
+fn tile_body<const W: usize, const W2: usize, const TA: bool>(
+    a: &[f32],
+    lda: usize,
+    i: usize,
+    k0: usize,
+    b_blk: &[f32],
+    n: usize,
+    c_rows: &mut [f32],
+) {
+    let (mr, kb) = (c_rows.len() / n, b_blk.len() / n);
+    let rows: [usize; MR] = std::array::from_fn(|r| i + r.min(mr - 1));
+    if TA {
+        let xs = a[k0 * lda..(k0 + kb) * lda]
+            .chunks_exact(lda)
+            .map(|a_row| rows.map(|r| a_row[r]));
+        col_blocks::<W, W2>(xs, b_blk, n, c_rows)
+    } else {
+        let [a0, a1, a2, a3] = rows.map(|r| &a[r * lda + k0..][..kb]);
+        let xs =
+            (a0.iter().zip(a1).zip(a2).zip(a3)).map(|(((&x0, &x1), &x2), &x3)| [x0, x1, x2, x3]);
+        col_blocks::<W, W2>(xs, b_blk, n, c_rows)
+    }
+}
+
+/// Sweep the tile's columns in register blocks of `2W`, then `W`, then
+/// single lanes; `xs` yields the tile's `MR` values of `op(A)` per `k` row.
+#[inline(always)]
+fn col_blocks<const W: usize, const W2: usize>(
+    xs: impl Iterator<Item = [f32; MR]> + Clone,
+    b_blk: &[f32],
+    n: usize,
+    c_rows: &mut [f32],
+) {
     let mut j = 0;
-    while j + 2 * W <= n {
-        let mut lo = [[0.0f32; W]; MR];
-        let mut hi = [[0.0f32; W]; MR];
-        for ((((b_row, &x0), &x1), &x2), &x3) in b.chunks_exact(n).zip(a0).zip(a1).zip(a2).zip(a3) {
-            let b_blk = &b_row[j..j + 2 * W];
-            for (r, &x) in [x0, x1, x2, x3].iter().enumerate() {
-                for l in 0..W {
-                    lo[r][l] += x * b_blk[l];
-                    hi[r][l] += x * b_blk[W + l];
-                }
-            }
-        }
-        for r in 0..MR {
-            let c_blk = &mut c_rows[r * n + j..r * n + j + 2 * W];
-            for l in 0..W {
-                c_blk[l] += lo[r][l];
-                c_blk[W + l] += hi[r][l];
-            }
-        }
-        j += 2 * W;
+    while j + W2 <= n {
+        col_block::<W2>(xs.clone(), b_blk, n, j, c_rows);
+        j += W2;
     }
     if j + W <= n {
-        let mut acc = [[0.0f32; W]; MR];
-        for ((((b_row, &x0), &x1), &x2), &x3) in b.chunks_exact(n).zip(a0).zip(a1).zip(a2).zip(a3) {
-            let b_blk = &b_row[j..j + W];
-            for (r, &x) in [x0, x1, x2, x3].iter().enumerate() {
-                for l in 0..W {
-                    acc[r][l] += x * b_blk[l];
-                }
-            }
-        }
-        for r in 0..MR {
-            let c_blk = &mut c_rows[r * n + j..r * n + j + W];
-            for l in 0..W {
-                c_blk[l] += acc[r][l];
-            }
-        }
+        col_block::<W>(xs.clone(), b_blk, n, j, c_rows);
         j += W;
     }
-    // Lane tail (`n % W` columns): width-1 blocks, same k-ascending order.
     while j < n {
-        for (r, a_row) in [a0, a1, a2, a3].iter().enumerate() {
-            let mut acc = 0.0f32;
-            for (b_row, &x) in b.chunks_exact(n).zip(*a_row) {
-                acc += x * b_row[j];
-            }
-            c_rows[r * n + j] += acc;
-        }
+        col_block::<1>(xs.clone(), b_blk, n, j, c_rows);
         j += 1;
     }
 }
 
-/// Single-row remainder of [`tile_nn_body`] for `rows_here % MR` rows.
-#[inline]
-fn row_nn<const W: usize>(avx: bool, n: usize, a_row: &[f32], b: &[f32], c_row: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx {
-        // SAFETY: `avx` witnesses runtime AVX2 support.
-        return unsafe { row_nn_avx2::<W>(n, a_row, b, c_row) };
-    }
-    let _ = avx;
-    row_nn_body::<W>(n, a_row, b, c_row)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn row_nn_avx2<const W: usize>(n: usize, a_row: &[f32], b: &[f32], c_row: &mut [f32]) {
-    row_nn_body::<W>(n, a_row, b, c_row)
-}
-
+/// One `MR×NB` register block: accumulators loaded from `C`, one
+/// mul-then-add per `k` row in ascending order, stored back.
 #[inline(always)]
-fn row_nn_body<const W: usize>(n: usize, a_row: &[f32], b: &[f32], c_row: &mut [f32]) {
-    let mut j = 0;
-    while j + W <= n {
-        let mut acc = [0.0f32; W];
-        for (b_row, &x) in b.chunks_exact(n).zip(a_row) {
-            let b_blk = &b_row[j..j + W];
-            for l in 0..W {
-                acc[l] += x * b_blk[l];
+fn col_block<const NB: usize>(
+    xs: impl Iterator<Item = [f32; MR]>,
+    b_blk: &[f32],
+    n: usize,
+    j: usize,
+    c_rows: &mut [f32],
+) {
+    let mut acc = [[0.0f32; NB]; MR];
+    for (acc_r, c_row) in acc.iter_mut().zip(c_rows.chunks_exact(n)) {
+        acc_r.copy_from_slice(&c_row[j..j + NB]);
+    }
+    for (x, b_row) in xs.zip(b_blk.chunks_exact(n)) {
+        let b_lanes = &b_row[j..j + NB];
+        for (acc_r, x_r) in acc.iter_mut().zip(x) {
+            for l in 0..NB {
+                acc_r[l] += x_r * b_lanes[l];
             }
         }
-        let c_blk = &mut c_row[j..j + W];
-        for l in 0..W {
-            c_blk[l] += acc[l];
-        }
-        j += W;
     }
-    while j < n {
-        let mut acc = 0.0f32;
-        for (b_row, &x) in b.chunks_exact(n).zip(a_row) {
-            acc += x * b_row[j];
-        }
-        c_row[j] += acc;
-        j += 1;
+    for (acc_r, c_row) in acc.iter().zip(c_rows.chunks_exact_mut(n)) {
+        c_row[j..j + NB].copy_from_slice(acc_r);
     }
 }
 
@@ -276,8 +296,8 @@ pub fn gemm_tn_acc(a: &Mat, b: &Mat, c: &mut Mat) {
     let b_data = b.as_slice();
     match kernels::mode() {
         Mode::Scalar | Mode::Fast(Width::W1) => scalar_gemm_tn_acc(k, m, n, a_data, b_data, c),
-        Mode::Fast(Width::W4) => fast_gemm_tn_acc::<4>(m, n, a_data, b_data, c),
-        Mode::Fast(Width::W8) => fast_gemm_tn_acc::<8>(m, n, a_data, b_data, c),
+        Mode::Fast(Width::W4) => fast_acc::<4, 8, true>(k, n, a_data, b_data, c),
+        Mode::Fast(Width::W8) => fast_acc::<8, 16, true>(k, n, a_data, b_data, c),
     }
 }
 
@@ -307,151 +327,13 @@ fn scalar_gemm_tn_acc(k: usize, m: usize, n: usize, a_data: &[f32], b_data: &[f3
         });
 }
 
-fn fast_gemm_tn_acc<const W: usize>(
-    m: usize,
-    n: usize,
-    a_data: &[f32],
-    b_data: &[f32],
-    c: &mut Mat,
-) {
-    let avx = kernels::avx2_available();
-    c.as_mut_slice()
-        .par_chunks_mut(ROW_PANEL * n)
-        .enumerate()
-        .for_each(|(panel, c_panel)| {
-            let i0 = panel * ROW_PANEL;
-            let rows_here = c_panel.len() / n;
-            let mut ii = 0;
-            while ii < rows_here {
-                let mr = MR.min(rows_here - ii);
-                tile_tn::<W>(
-                    avx,
-                    m,
-                    n,
-                    i0 + ii,
-                    a_data,
-                    b_data,
-                    &mut c_panel[ii * n..],
-                    mr,
-                );
-                ii += mr;
-            }
-        });
-}
-
-/// Route one tile to the AVX2 compilation when the host supports it.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn tile_tn<const W: usize>(
-    avx: bool,
-    m: usize,
-    n: usize,
-    i_base: usize,
-    a: &[f32],
-    b: &[f32],
-    c_rows: &mut [f32],
-    mr: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx {
-        // SAFETY: `avx` witnesses runtime AVX2 support.
-        return unsafe { tile_tn_avx2::<W>(m, n, i_base, a, b, c_rows, mr) };
-    }
-    let _ = avx;
-    tile_tn_body::<W>(m, n, i_base, a, b, c_rows, mr)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-fn tile_tn_avx2<const W: usize>(
-    m: usize,
-    n: usize,
-    i_base: usize,
-    a: &[f32],
-    b: &[f32],
-    c_rows: &mut [f32],
-    mr: usize,
-) {
-    tile_tn_body::<W>(m, n, i_base, a, b, c_rows, mr)
-}
-
-/// `mr ≤ MR` rows of `C += Aᵀ·B` starting at absolute row `i_base` of
-/// `C` (column `i_base` of `A`), with `MR×2W` register accumulators.
-/// Accumulation order per element is `k` ascending, matching the scalar
-/// kernel minus its zero-skip.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn tile_tn_body<const W: usize>(
-    m: usize,
-    n: usize,
-    i_base: usize,
-    a: &[f32],
-    b: &[f32],
-    c_rows: &mut [f32],
-    mr: usize,
-) {
-    let mut j = 0;
-    while j + 2 * W <= n {
-        let mut lo = [[0.0f32; W]; MR];
-        let mut hi = [[0.0f32; W]; MR];
-        for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-            let b_blk = &b_row[j..j + 2 * W];
-            let a_blk = &a_row[i_base..i_base + mr];
-            for ((acc_lo, acc_hi), &x) in lo.iter_mut().zip(&mut hi).zip(a_blk) {
-                for l in 0..W {
-                    acc_lo[l] += x * b_blk[l];
-                    acc_hi[l] += x * b_blk[W + l];
-                }
-            }
-        }
-        for (r, (acc_lo, acc_hi)) in lo.iter().zip(&hi).take(mr).enumerate() {
-            let c_blk = &mut c_rows[r * n + j..r * n + j + 2 * W];
-            for l in 0..W {
-                c_blk[l] += acc_lo[l];
-                c_blk[W + l] += acc_hi[l];
-            }
-        }
-        j += 2 * W;
-    }
-    if j + W <= n {
-        let mut acc = [[0.0f32; W]; MR];
-        for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-            let b_blk = &b_row[j..j + W];
-            let a_blk = &a_row[i_base..i_base + mr];
-            for (acc_r, &x) in acc.iter_mut().zip(a_blk) {
-                for l in 0..W {
-                    acc_r[l] += x * b_blk[l];
-                }
-            }
-        }
-        for (r, acc_r) in acc.iter().take(mr).enumerate() {
-            let c_blk = &mut c_rows[r * n + j..r * n + j + W];
-            for l in 0..W {
-                c_blk[l] += acc_r[l];
-            }
-        }
-        j += W;
-    }
-    while j < n {
-        for r in 0..mr {
-            let mut acc = 0.0f32;
-            for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-                acc += a_row[i_base + r] * b_row[j];
-            }
-            c_rows[r * n + j] += acc;
-        }
-        j += 1;
-    }
-}
-
 /// `C = A · Bᵀ`, allocating the output (`A: m×k`, `B: n×k`, `C: m×n`).
 ///
-/// The inner loop is a dot product of two contiguous length-`k` rows. The
-/// fast path splits the dot into `W` strided partial accumulators folded
-/// by a fixed pairwise reduction tree, then adds the `k % W` tail
-/// sequentially — a fixed order per width, so deterministic, but
-/// different rounding from the scalar sequential sum.
+/// The scalar inner loop is a dot product of two contiguous length-`k`
+/// rows, summed in `k` order. The fast path transposes `B` — a weight
+/// matrix wherever a GCN layer calls this — once into pool-backed scratch
+/// and runs the [`gemm`] tiles on it: the same `k`-ascending sum, so the
+/// same bits.
 pub fn gemm_nt(a: &Mat, b: &Mat) -> Mat {
     let (m, k) = a.shape();
     let (n, kb) = b.shape();
@@ -461,11 +343,14 @@ pub fn gemm_nt(a: &Mat, b: &Mat) -> Mat {
         return c;
     }
     let a_data = a.as_slice();
-    let b_data = b.as_slice();
     match kernels::mode() {
-        Mode::Scalar | Mode::Fast(Width::W1) => scalar_gemm_nt(k, n, a_data, b_data, &mut c),
-        Mode::Fast(Width::W4) => fast_gemm_nt::<4>(k, n, a_data, b_data, &mut c),
-        Mode::Fast(Width::W8) => fast_gemm_nt::<8>(k, n, a_data, b_data, &mut c),
+        Mode::Scalar | Mode::Fast(Width::W1) => scalar_gemm_nt(k, n, a_data, b.as_slice(), &mut c),
+        Mode::Fast(Width::W4) => {
+            fast_acc::<4, 8, false>(k, n, a_data, b.transpose().as_slice(), &mut c)
+        }
+        Mode::Fast(Width::W8) => {
+            fast_acc::<8, 16, false>(k, n, a_data, b.transpose().as_slice(), &mut c)
+        }
     }
     c
 }
@@ -490,76 +375,6 @@ fn scalar_gemm_nt(k: usize, n: usize, a_data: &[f32], b_data: &[f32], c: &mut Ma
                 }
             }
         });
-}
-
-fn fast_gemm_nt<const W: usize>(k: usize, n: usize, a_data: &[f32], b_data: &[f32], c: &mut Mat) {
-    let avx = kernels::avx2_available();
-    c.as_mut_slice()
-        .par_chunks_mut(ROW_PANEL * n)
-        .enumerate()
-        .for_each(|(panel, c_panel)| {
-            let i0 = panel * ROW_PANEL;
-            let rows_here = c_panel.len() / n;
-            for ii in 0..rows_here {
-                let a_row = &a_data[(i0 + ii) * k..(i0 + ii + 1) * k];
-                let c_row = &mut c_panel[ii * n..(ii + 1) * n];
-                nt_row::<W>(avx, k, a_row, b_data, c_row);
-            }
-        });
-}
-
-/// Route one output row to the AVX2 compilation when the host supports it.
-#[inline]
-fn nt_row<const W: usize>(avx: bool, k: usize, a_row: &[f32], b: &[f32], c_row: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx {
-        // SAFETY: `avx` witnesses runtime AVX2 support.
-        return unsafe { nt_row_avx2::<W>(k, a_row, b, c_row) };
-    }
-    let _ = avx;
-    nt_row_body::<W>(k, a_row, b, c_row)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn nt_row_avx2<const W: usize>(k: usize, a_row: &[f32], b: &[f32], c_row: &mut [f32]) {
-    nt_row_body::<W>(k, a_row, b, c_row)
-}
-
-#[inline(always)]
-fn nt_row_body<const W: usize>(k: usize, a_row: &[f32], b: &[f32], c_row: &mut [f32]) {
-    for (cv, b_row) in c_row.iter_mut().zip(b.chunks_exact(k)) {
-        *cv += fast_dot::<W>(a_row, b_row);
-    }
-}
-
-/// Lane-unrolled dot product: `W` strided partial sums over the body,
-/// folded with a fixed pairwise tree, then the `k % W` tail added
-/// sequentially. The order is a pure function of `k` and `W`.
-#[inline(always)]
-fn fast_dot<const W: usize>(a: &[f32], b: &[f32]) -> f32 {
-    let a_chunks = a.chunks_exact(W);
-    let b_chunks = b.chunks_exact(W);
-    let a_tail = a_chunks.remainder();
-    let b_tail = b_chunks.remainder();
-    let mut acc = [0.0f32; W];
-    for (a_blk, b_blk) in a_chunks.zip(b_chunks) {
-        for l in 0..W {
-            acc[l] += a_blk[l] * b_blk[l];
-        }
-    }
-    let mut stride = W / 2;
-    while stride > 0 {
-        for l in 0..stride {
-            acc[l] += acc[l + stride];
-        }
-        stride /= 2;
-    }
-    let mut sum = acc[0];
-    for (&av, &bv) in a_tail.iter().zip(b_tail) {
-        sum += av * bv;
-    }
-    sum
 }
 
 #[cfg(test)]
@@ -707,8 +522,8 @@ mod tests {
 
     #[test]
     fn fast_cols_narrower_than_width_use_the_lane_tail() {
-        // n < W exercises the pure-remainder column loop; k < W exercises
-        // the gemm_nt sequential tail with an empty vector body.
+        // n < W exercises the pure-remainder column loop; m < MR and
+        // m % MR != 0 exercise the short tile that re-reads its last row.
         for width in Width::all() {
             with_mode(Mode::Fast(width), || {
                 for (m, k, n) in [(5, 7, 1), (9, 2, 3), (MR + 1, 1, 2), (2, 3, 5)] {
@@ -729,6 +544,40 @@ mod tests {
                     ));
                 }
             });
+        }
+    }
+
+    #[test]
+    fn zero_skip_is_the_only_fast_vs_scalar_divergence() {
+        // The documented gap in the bitwise contract, pinned from both
+        // sides so it can neither widen nor silently close: the scalar
+        // `gemm` / `gemm_tn` skip terms with `a == 0`, the fast tiles add
+        // `0·b`. That shows only when `b` is non-finite, or when the `C`
+        // of an accumulating form holds `-0.0` and every term is skipped.
+        let a = Mat::from_vec(1, 2, vec![0.0, 1.0]);
+        let b = Mat::from_vec(2, 1, vec![f32::INFINITY, 2.0]);
+        let at = a.transpose();
+        let neg_zero = Mat::from_vec(1, 1, vec![-0.0]);
+        let zero_a = Mat::zeros(1, 2);
+        let ones = Mat::from_vec(2, 1, vec![1.0, 1.0]);
+        let run = || {
+            let mut acc = neg_zero.clone();
+            gemm_acc(&zero_a, &ones, &mut acc);
+            [gemm(&a, &b), gemm_tn(&at, &b), acc].map(|c| c.get(0, 0))
+        };
+        let [s_nn, s_tn, s_acc] = with_mode(Mode::Scalar, run);
+        assert_eq!([s_nn, s_tn], [2.0, 2.0], "scalar skips 0·∞");
+        assert_eq!(s_acc.to_bits(), (-0.0f32).to_bits(), "scalar leaves -0");
+        // gemm_nt skips nothing in either path: bitwise even here.
+        let (g, w) = (a.clone(), b.transpose());
+        let scalar_nt = with_mode(Mode::Scalar, || gemm_nt(&g, &w)).get(0, 0);
+        assert!(scalar_nt.is_nan(), "scalar gemm_nt adds 0·∞");
+        for width in [Width::W4, Width::W8] {
+            let [f_nn, f_tn, f_acc] = with_mode(Mode::Fast(width), run);
+            assert!(f_nn.is_nan() && f_tn.is_nan(), "{width:?} adds 0·∞");
+            assert_eq!(f_acc.to_bits(), 0.0f32.to_bits(), "{width:?}: -0 + 0·1");
+            let fast_nt = with_mode(Mode::Fast(width), || gemm_nt(&g, &w)).get(0, 0);
+            assert_eq!(fast_nt.to_bits(), scalar_nt.to_bits(), "{width:?} gemm_nt");
         }
     }
 }

@@ -1,33 +1,41 @@
-//! Kernel-path selection: scalar reference vs lane-unrolled fast kernels.
+//! Kernel-path selection: lane-unrolled fast kernels vs the scalar oracle.
 //!
 //! Every GEMM variant in [`mod@crate::gemm`] (and the SpMM kernels in
 //! `rdm-sparse`) exists in two implementations:
 //!
-//! * **Scalar** — the canonical, bitwise-reference path. Every
-//!   equivalence golden in the repo is pinned against it.
-//! * **Fast** — a portable, lane-unrolled accumulator-block kernel with a
-//!   fixed width `W ∈ {1, 4, 8}`. For a fixed width the fast path is
-//!   run-to-run and rank-count deterministic (the accumulation order per
-//!   output element is fixed), but it is only epsilon/ULP-bounded against
-//!   the scalar reference — except width 1, which delegates to the scalar
-//!   kernel and is therefore bitwise identical to it.
+//! * **Fast** — portable, lane-unrolled register-tile kernels with a fixed
+//!   width `W ∈ {1, 4, 8}`; [`default_mode`] picks the widest width this
+//!   host profits from, and that is what every thread runs unless told
+//!   otherwise.
+//! * **Scalar** — the canonical loops every equivalence golden in the repo
+//!   was recorded with, kept as the oracle the differential suites force
+//!   with [`with_mode`] (and `--reference-kernels` selects).
 //!
-//! The selection is a *thread-local* [`Mode`], defaulting to
-//! [`Mode::Scalar`]. Engine entry points (`train_gcn`, `serve`) set the
-//! mode at the top of each rank closure; kernel entry points read the
-//! mode **on the calling thread** and capture it by value before any
-//! parallel dispatch, so worker-pool threads never consult their own
-//! thread-local. Tests force a specific width with [`with_mode`] — the
-//! forced-width hook this module exposes in the same spirit as
-//! `rayon::internals::run_pooled`.
+//! The two are **bitwise identical on finite inputs at every width**: the
+//! fast kernels reorder which output elements are computed together, never
+//! the order in which one element's terms are added (always `k`, or
+//! nonzero, ascending, starting from the value already in `C`), and never
+//! contract mul-then-add to FMA. Bits therefore depend on neither the
+//! width, nor the host, nor the pool size. The one divergence is the
+//! scalar `gemm` / `gemm_tn` loops' `a == 0` skip: the fast tiles add the
+//! `0·b` term the reference drops, which shows only where that term is not
+//! absorbed — `b` non-finite (`0·∞ = NaN`), or a `−0.0` already in the
+//! `C` of an accumulating form that receives nothing but skipped terms
+//! (`−0 + 0 = +0`). Neither arises in training or serving; one unit test
+//! in `gemm.rs` pins both so the gap cannot widen silently.
+//!
+//! The selection is a *thread-local* [`Mode`]. Engine entry points
+//! (`train_gcn`, `serve`) set the mode at the top of each rank closure;
+//! kernel entry points read the mode **on the calling thread** and capture
+//! it by value before any parallel dispatch, so worker-pool threads never
+//! consult their own thread-local.
 
 use std::cell::Cell;
 
 /// Lane width of the fast kernels' accumulator blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Width {
-    /// One lane: the fast dispatcher delegates to the scalar kernel, so
-    /// this width is bitwise-equal to the reference by construction.
+    /// One lane: the fast dispatcher delegates to the scalar kernel.
     W1,
     /// Four lanes (128-bit vectors: SSE2 / NEON).
     W4,
@@ -54,9 +62,10 @@ impl Width {
 /// Which kernel implementation the current thread dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Canonical scalar kernels — the bitwise reference.
+    /// Canonical scalar kernels — the reference the suites diff against.
     Scalar,
-    /// Lane-unrolled fast kernels at a fixed width.
+    /// Lane-unrolled fast kernels at a fixed width — bitwise the reference
+    /// on finite inputs (see the module docs).
     Fast(Width),
 }
 
@@ -71,7 +80,13 @@ impl Mode {
 }
 
 thread_local! {
-    static MODE: Cell<Mode> = const { Cell::new(Mode::Scalar) };
+    static MODE: Cell<Mode> = Cell::new(default_mode());
+}
+
+/// The mode every thread starts in and both engine configs default to:
+/// the fast kernels at this host's widest profitable width.
+pub fn default_mode() -> Mode {
+    Mode::Fast(detect_width())
 }
 
 /// Pick the widest profitable lane width for this host. Portable
@@ -94,8 +109,7 @@ pub fn detect_width() -> Width {
 /// of the fast kernel bodies. The specialization changes instruction
 /// selection only — both compilations inline the *same* body (plain
 /// mul-then-add, never contracted to FMA), so which one runs is invisible
-/// to every determinism contract: bits depend on the forced [`Width`]
-/// alone, never on the host.
+/// in the output bits.
 #[inline]
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -126,8 +140,8 @@ pub fn active_width() -> usize {
 }
 
 /// Run `f` with the kernel mode forced to `mode`, restoring the previous
-/// mode afterwards (also on panic). This is the forced-width hook the
-/// differential suites use to exercise every lane width on any host.
+/// mode afterwards (also on panic). This is the hook the differential
+/// suites use to run the scalar oracle, or every lane width, on any host.
 pub fn with_mode<R>(mode: Mode, f: impl FnOnce() -> R) -> R {
     struct Restore(Mode);
     impl Drop for Restore {
@@ -145,10 +159,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_mode_is_scalar() {
+    fn fresh_threads_start_in_the_fast_default() {
         std::thread::spawn(|| {
-            assert_eq!(mode(), Mode::Scalar);
-            assert_eq!(active_width(), 1);
+            assert_eq!(mode(), Mode::Fast(detect_width()));
         })
         .join()
         .unwrap();
@@ -171,10 +184,10 @@ mod tests {
     #[test]
     fn with_mode_restores_on_panic() {
         let res = std::panic::catch_unwind(|| {
-            with_mode(Mode::Fast(Width::W4), || panic!("boom"));
+            with_mode(Mode::Scalar, || panic!("boom"));
         });
         assert!(res.is_err());
-        assert_eq!(mode(), Mode::Scalar);
+        assert_eq!(mode(), default_mode());
     }
 
     #[test]

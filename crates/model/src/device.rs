@@ -56,24 +56,6 @@ impl DeviceModel {
         }
     }
 
-    /// The same node with the `--fast-kernels` execution paths.
-    ///
-    /// Compute rates are the scalar rates scaled by the *measured*
-    /// speedups of the lane-unrolled microkernels over the scalar
-    /// reference (the `fast_kernels` group of `cargo bench -p rdm-bench
-    /// --bench runtime`: ~2.7× GEMM from `MR×2W` register tiling, ~1.8×
-    /// SpMM from register-blocked column strips). Link rates are
-    /// untouched — the kernel path moves no bytes differently — so
-    /// simulated compute/comm ratios shift exactly as the executed
-    /// system's do when `--fast-kernels` is enabled.
-    pub fn a6000_pcie_fast() -> Self {
-        DeviceModel {
-            gemm_fma_per_sec: 2.5e13,
-            spmm_fma_per_sec: 1.05e11,
-            ..Self::a6000_pcie()
-        }
-    }
-
     /// Seconds to execute the given FMA counts on one device.
     pub fn compute_time(&self, spmm_fma: f64, gemm_fma: f64) -> f64 {
         spmm_fma / self.spmm_fma_per_sec + gemm_fma / self.gemm_fma_per_sec
@@ -183,21 +165,6 @@ mod tests {
     fn spmm_is_slower_than_gemm_per_op() {
         let d = DeviceModel::a6000_pcie();
         assert!(d.spmm_fma_per_sec < d.gemm_fma_per_sec / 50.0);
-    }
-
-    #[test]
-    fn fast_device_scales_compute_rates_only() {
-        let s = DeviceModel::a6000_pcie();
-        let f = DeviceModel::a6000_pcie_fast();
-        assert!(f.gemm_fma_per_sec >= 2.0 * s.gemm_fma_per_sec);
-        assert!(f.spmm_fma_per_sec >= 1.5 * s.spmm_fma_per_sec);
-        // Aggregation still dominates per-op: the paper's premise holds on
-        // both calibrations.
-        assert!(f.spmm_fma_per_sec < f.gemm_fma_per_sec / 50.0);
-        // The kernel path moves no bytes differently.
-        assert_eq!(f.link_bytes_per_sec, s.link_bytes_per_sec);
-        assert_eq!(f.msg_latency, s.msg_latency);
-        assert_eq!(f.epoch_overhead, s.epoch_overhead);
     }
 
     #[test]

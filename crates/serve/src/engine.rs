@@ -78,10 +78,9 @@ pub struct ServeConfig {
     pub device: DeviceModel,
     /// Seed for the induced sampler's hash fill.
     pub sample_seed: u64,
-    /// Kernel path the session's GEMM/SpMM calls dispatch to. Scalar (the
-    /// default) keeps serving bitwise-identical to the scalar direct
-    /// forward; `Fast(w)` serves with the lane-unrolled microkernels and
-    /// stays bitwise-identical to a direct forward run at the same width.
+    /// Kernel path the session's GEMM/SpMM calls dispatch to: by default
+    /// [`kernels::default_mode`], the lane-unrolled microkernels. Every
+    /// mode serves logits bitwise identical to the scalar direct forward.
     pub kernels: KernelMode,
     /// Pipelined batch admission: issue every redistribution as this many
     /// strips and run the kernels strip by strip
@@ -111,7 +110,7 @@ impl ServeConfig {
             trace: false,
             device: DeviceModel::a6000_pcie(),
             sample_seed: 0x5EED,
-            kernels: KernelMode::Scalar,
+            kernels: kernels::default_mode(),
             pipeline: None,
             cache: 0,
         }
@@ -136,21 +135,22 @@ impl ServeConfig {
         self
     }
 
-    /// Serve with the lane-unrolled fast microkernels at the widest
-    /// profitable width for this host.
+    /// Select the default (fast) kernels — a no-op unless
+    /// [`Self::reference_kernels`] came first. Kept for callers written
+    /// when the fast microkernels were opt-in.
     pub fn fast_kernels(self) -> Self {
-        self.kernel_mode(KernelMode::Fast(kernels::detect_width()))
+        self.kernel_mode(kernels::default_mode())
     }
 
-    /// Force a specific kernel mode, swapping the simulated
-    /// [`DeviceModel`] to the calibration matching the kernel path so
-    /// virtual service times track the executed kernels.
+    /// Serve on the scalar reference loops (what `--reference-kernels`
+    /// selects). Same logits as the default, slower.
+    pub fn reference_kernels(self) -> Self {
+        self.kernel_mode(KernelMode::Scalar)
+    }
+
+    /// Force a specific kernel mode.
     pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernels = mode;
-        self.device = match mode {
-            KernelMode::Scalar => DeviceModel::a6000_pcie(),
-            KernelMode::Fast(_) => DeviceModel::a6000_pcie_fast(),
-        };
         self
     }
 }

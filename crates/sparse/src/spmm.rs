@@ -4,16 +4,18 @@
 //! through one driver (`drive`): one task per cached nnz-balanced row
 //! panel, one row kernel per output row. Like the dense GEMM kernels, the
 //! row kernel has two implementations selected via [`rdm_dense::kernels`]:
-//! the scalar reference (row-major axpy per nonzero — the bitwise-pinned
-//! path) and a register-blocked fast path that walks each row in
-//! `SB`-by-`W`-wide column strips, holding the strips' accumulators in
+//! the scalar reference (row-major axpy per nonzero) and the default
+//! register-blocked fast path that walks each row in `SB`-by-`W`-wide
+//! column strips, holding the strips' accumulators — loaded from `C` — in
 //! registers across all of the row's nonzeros (the `SB` blocks per pass
 //! amortize each nonzero's column decode over `SB` vector FMAs). That
 //! reordering cuts the `C` traffic per nonzero from a full-row read+write
 //! to one register update — the dominant win on this memory-bound kernel —
 //! while keeping the per-element accumulation order (nonzeros ascending)
-//! identical to the scalar sweep. Like the GEMM bodies, the fast row
-//! kernel is compiled twice (baseline and
+//! identical to the scalar sweep, so at every width all three entry points
+//! are **bitwise** the scalar ones (the scalar row kernel skips nothing,
+//! so this holds for non-finite inputs too). Like the GEMM bodies, the
+//! fast row kernel is compiled twice (baseline and
 //! `#[target_feature(enable = "avx2")]`, chosen at runtime) from one
 //! inlined body, so the host changes speed, never bits. The edge mask is a
 //! const generic of the row kernel, so the unmasked instantiation carries

@@ -1,44 +1,18 @@
 //! Differential property suite for the register-blocked SpMM fast path:
-//! every forced lane width vs the scalar bitwise reference, over random
-//! CSRs, hub-heavy RMAT-skewed CSRs (the adjacency shape the nnz-balanced
-//! panels exist for), masked and row-skipping variants, and degenerate
-//! shapes. The fast SpMM keeps the per-element accumulation order of the
-//! scalar sweep, so the envelope here is tight — and width 1 must be
-//! exactly bitwise. All three kernels are one driver, so at any one width
-//! the row-skip kernel's kept rows, skipping nothing and masking nothing
-//! must all be *bitwise* the dense kernel (`assert_seams`).
+//! every forced lane width vs the scalar reference, over random CSRs,
+//! hub-heavy RMAT-skewed CSRs (the adjacency shape the nnz-balanced panels
+//! exist for), masked and row-skipping variants, and degenerate shapes.
+//! The fast SpMM keeps the per-element accumulation order of the scalar
+//! sweep, so the contract is **bitwise** at every width for all three
+//! entry points. All three are one driver, so at any one width the
+//! row-skip kernel's kept rows, skipping nothing and masking nothing must
+//! also be bitwise the dense kernel (`assert_seams`).
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rdm_dense::kernels::{with_mode, Mode, Width};
 use rdm_dense::Mat;
 use rdm_sparse::{spmm, spmm_masked, spmm_skip, Coo, Csr};
-
-fn ordinal(x: f32) -> i64 {
-    let b = x.to_bits();
-    if b & 0x8000_0000 != 0 {
-        -((b & 0x7FFF_FFFF) as i64)
-    } else {
-        b as i64
-    }
-}
-
-fn assert_close(fast: &Mat, scalar: &Mat, max_ulps: i64, label: &str) {
-    assert_eq!(fast.shape(), scalar.shape(), "{label}: shape");
-    for (i, (&f, &s)) in fast
-        .as_slice()
-        .iter()
-        .zip(scalar.as_slice().iter())
-        .enumerate()
-    {
-        let u = (ordinal(f) - ordinal(s)).abs();
-        let scale = 1.0f32.max(f.abs()).max(s.abs());
-        assert!(
-            u <= max_ulps || (f - s).abs() <= 1e-4 * scale,
-            "{label}: element {i}: fast {f} vs scalar {s} ({u} ulps)"
-        );
-    }
-}
 
 fn assert_bitwise(fast: &Mat, scalar: &Mat, label: &str) {
     assert_eq!(fast.shape(), scalar.shape(), "{label}: shape");
@@ -125,59 +99,42 @@ fn coo_strategy() -> impl Strategy<Value = Coo> {
     })
 }
 
+/// `(spmm, spmm_masked, spmm_skip)` under the current thread's mode.
+fn all_entry_points(a: &Csr, b: &Mat, mask: &[bool], skip: &[bool]) -> [Mat; 3] {
+    [spmm(a, b), spmm_masked(a, b, mask), spmm_skip(a, b, skip)]
+}
+
+/// Every width against the scalar reference, all three entry points.
+fn assert_all_widths_bitwise(a: &Csr, b: &Mat, seed: u64, label: &str) {
+    let mask = mask_for(a, seed);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 1);
+    let skip: Vec<bool> = (0..a.rows()).map(|_| rng.gen_bool(0.4)).collect();
+    let scalar = with_mode(Mode::Scalar, || all_entry_points(a, b, &mask, &skip));
+    for width in Width::all() {
+        let fast = with_mode(Mode::Fast(width), || {
+            assert_seams(a, b, seed + 2, &format!("{width:?} {label}"));
+            all_entry_points(a, b, &mask, &skip)
+        });
+        for (name, (f, s)) in ["spmm", "masked", "skip"]
+            .iter()
+            .zip(fast.iter().zip(&scalar))
+        {
+            assert_bitwise(f, s, &format!("{width:?} {name} {label}"));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Random CSRs, ragged feature widths: every fast width stays in the
-    /// envelope of the scalar reference, masked and unmasked, and the
-    /// row-skip kernel is bitwise the dense one at every width.
+    /// Random CSRs, ragged feature widths: every fast width is bitwise the
+    /// scalar reference — plain, masked and row-skipping.
     #[test]
-    fn fast_widths_match_scalar(coo in coo_strategy(), n in 1usize..19, seed in 0u64..1000) {
+    fn every_width_is_bitwise_scalar(coo in coo_strategy(), n in 1usize..40, seed in 0u64..1000) {
         let a = coo.to_csr();
         let b = Mat::random(a.cols(), n, 1.0, seed);
-        let mask = mask_for(&a, seed + 1);
-        let scalar = spmm(&a, &b);
-        let scalar_masked = spmm_masked(&a, &b, &mask);
-        assert_seams(&a, &b, seed + 2, &format!("scalar n={n}"));
-        for width in [Width::W4, Width::W8] {
-            let (f, fm) = with_mode(Mode::Fast(width), || {
-                assert_seams(&a, &b, seed + 2, &format!("{width:?} n={n}"));
-                (spmm(&a, &b), spmm_masked(&a, &b, &mask))
-            });
-            assert_close(&f, &scalar, 16, &format!("{width:?} spmm n={n}"));
-            assert_close(&fm, &scalar_masked, 16, &format!("{width:?} masked n={n}"));
-        }
-    }
-
-    /// Width 1 delegates to the scalar kernel: bitwise equal.
-    #[test]
-    fn width1_is_bitwise_scalar(coo in coo_strategy(), n in 1usize..12, seed in 0u64..1000) {
-        let a = coo.to_csr();
-        let b = Mat::random(a.cols(), n, 1.0, seed);
-        let mask = mask_for(&a, seed + 1);
-        let scalar = spmm(&a, &b);
-        let scalar_masked = spmm_masked(&a, &b, &mask);
-        let (f, fm) = with_mode(Mode::Fast(Width::W1), || {
-            assert_seams(&a, &b, seed + 2, "W1");
-            (spmm(&a, &b), spmm_masked(&a, &b, &mask))
-        });
-        assert_bitwise(&f, &scalar, "W1 spmm");
-        assert_bitwise(&fm, &scalar_masked, "W1 masked");
-    }
-
-    /// Re-running the fast path yields identical bits (run-to-run
-    /// determinism across pool scheduling).
-    #[test]
-    fn fast_path_is_run_to_run_deterministic(
-        coo in coo_strategy(), n in 1usize..12, seed in 0u64..1000,
-    ) {
-        let a = coo.to_csr();
-        let b = Mat::random(a.cols(), n, 1.0, seed);
-        for width in Width::all() {
-            let one = with_mode(Mode::Fast(width), || spmm(&a, &b));
-            let two = with_mode(Mode::Fast(width), || spmm(&a, &b));
-            assert_bitwise(&one, &two, &format!("{width:?} rerun"));
-        }
+        with_mode(Mode::Scalar, || assert_seams(&a, &b, seed + 2, &format!("scalar n={n}")));
+        assert_all_widths_bitwise(&a, &b, seed, &format!("n={n}"));
     }
 }
 
@@ -188,23 +145,9 @@ fn hub_heavy_rmat_every_width() {
     // under the exact panel partition spmm uses for skewed matrices.
     for (scale, edges, seed) in [(7u32, 1600usize, 3u64), (8, 4000, 4)] {
         let a = rmat_csr(scale, edges, seed);
-        for n in [1usize, 3, 8, 17] {
+        for n in [1usize, 3, 8, 17, 40] {
             let b = Mat::random(a.cols(), n, 1.0, seed + n as u64);
-            let mask = mask_for(&a, seed + 7);
-            let scalar = spmm(&a, &b);
-            let scalar_masked = spmm_masked(&a, &b, &mask);
-            for width in Width::all() {
-                let (f, fm) = with_mode(Mode::Fast(width), || {
-                    (spmm(&a, &b), spmm_masked(&a, &b, &mask))
-                });
-                assert_close(&f, &scalar, 16, &format!("{width:?} rmat2^{scale} n={n}"));
-                assert_close(
-                    &fm,
-                    &scalar_masked,
-                    16,
-                    &format!("{width:?} rmat2^{scale} masked n={n}"),
-                );
-            }
+            assert_all_widths_bitwise(&a, &b, seed + 7, &format!("rmat2^{scale} n={n}"));
         }
     }
 }

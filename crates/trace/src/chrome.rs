@@ -53,8 +53,10 @@ fn push_event(
     out.push_str("}}");
 }
 
-fn span_args(s: Span) -> Vec<(&'static str, String)> {
-    match s {
+/// A span's `args`. The kernel spans' lane `width` names the host's SIMD
+/// width, not the schedule, so normalized exports leave it out.
+fn span_args(s: Span, normalized: bool) -> Vec<(&'static str, String)> {
+    let mut args = match s {
         Span::Epoch { idx } => vec![("idx", idx.to_string())],
         Span::Redistribute {
             from,
@@ -68,21 +70,16 @@ fn span_args(s: Span) -> Vec<(&'static str, String)> {
             ("kind", format!("\"{}\"", kind.name())),
         ],
         Span::Spmm {
-            rows,
-            cols,
-            nnz,
-            width,
+            rows, cols, nnz, ..
         } => vec![
             ("rows", rows.to_string()),
             ("cols", cols.to_string()),
             ("nnz", nnz.to_string()),
-            ("width", width.to_string()),
         ],
-        Span::Gemm { m, n, k, width } => vec![
+        Span::Gemm { m, n, k, .. } => vec![
             ("m", m.to_string()),
             ("n", n.to_string()),
             ("k", k.to_string()),
-            ("width", width.to_string()),
         ],
         Span::AllReduce { elems } => vec![("elems", elems.to_string())],
         Span::Batch { idx, size } => vec![("idx", idx.to_string()), ("size", size.to_string())],
@@ -90,12 +87,19 @@ fn span_args(s: Span) -> Vec<(&'static str, String)> {
             ("client", client.to_string()),
             ("req_id", req_id.to_string()),
         ],
+    };
+    if !normalized {
+        if let Span::Spmm { width, .. } | Span::Gemm { width, .. } = s {
+            args.push(("width", width.to_string()));
+        }
     }
+    args
 }
 
 /// Export traces as Chrome-trace JSON. With `normalized` set, all
-/// timestamps are zeroed so same-seed runs serialize byte-identically
-/// (the event *sequence* is deterministic; wall-clock stamps are not).
+/// timestamps are zeroed and the kernel spans' lane width is dropped, so
+/// same-seed runs serialize byte-identically on any host (the event
+/// *sequence* is deterministic; wall-clock stamps and SIMD width are not).
 pub fn to_chrome_json(traces: &[RankTrace], normalized: bool) -> String {
     let mut out = String::from("{\"traceEvents\":[\n");
     let mut first = true;
@@ -119,7 +123,7 @@ pub fn to_chrome_json(traces: &[RankTrace], normalized: bool) -> String {
             match data {
                 EventData::Begin(s) => {
                     open.push(s.name());
-                    let mut args = span_args(s);
+                    let mut args = span_args(s, normalized);
                     args.push(seq_arg);
                     push_event(&mut out, &mut first, s.name(), 'B', ts, t.rank, None, &args);
                 }

@@ -40,7 +40,6 @@ struct Args {
     pipeline: Option<usize>,
     cache: usize,
     zipf: u32,
-    fast_kernels: bool,
     quiet: bool,
 }
 
@@ -65,7 +64,6 @@ impl Default for Args {
             pipeline: None,
             cache: 0,
             zipf: 0,
-            fast_kernels: false,
             quiet: false,
         }
     }
@@ -119,9 +117,9 @@ SERVING:
                         full-graph sampler; inert on GEMM-first plans
   --zipf <tiers>        skew request targets toward a hot set with <tiers>
                         halving tiers; 0 keeps the stream uniform [0]
-  --fast-kernels        lane-unrolled SIMD microkernels for GEMM/SpMM; logits
-                        stay bitwise-equal to a direct forward at the same
-                        width, epsilon-close to the scalar reference path
+  --reference-kernels   run GEMM/SpMM on the scalar reference loops, not the
+                        default lane-unrolled microkernels; same logits,
+                        slower (the differential suites' oracle)
   --trace <out.json>    write per-rank Chrome traces with per-batch and
                         per-request (Serve) spans
   --quiet               report only, no per-batch table
@@ -196,7 +194,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--cache" => args.cache = value("--cache")?.parse().map_err(|e| format!("{e}"))?,
             "--zipf" => args.zipf = value("--zipf")?.parse().map_err(|e| format!("{e}"))?,
-            "--fast-kernels" => args.fast_kernels = true,
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -278,9 +275,7 @@ fn main() -> ExitCode {
     cfg.sparse = args.sparse;
     cfg.pipeline = args.pipeline;
     cfg.cache = args.cache;
-    if args.fast_kernels {
-        cfg = cfg.fast_kernels();
-    }
+    cfg = cfg.kernel_mode(args.common.kernel_mode());
     cfg.trace = args.common.trace.is_some();
     cfg.sample_seed = args.seed;
     if let Some(budget) = args.budget {
@@ -315,13 +310,7 @@ fn main() -> ExitCode {
             args.ranks
         );
     }
-    if args.fast_kernels {
-        println!(
-            "kernels: fast path at lane width {} (bitwise vs direct forward \
-             at this width; epsilon-close to scalar)",
-            cfg.kernels.width(),
-        );
-    }
+    println!("{}", args.common.kernels_line());
     if args.common.chaos.is_some() {
         println!(
             "chaos: {} retransmits; logits and payload book bit-identical to fault-free",

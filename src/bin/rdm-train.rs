@@ -29,7 +29,6 @@ struct Args {
     save_weights: Option<String>,
     overlap: Option<usize>,
     sparse: bool,
-    fast_kernels: bool,
     agg: String,
     quiet: bool,
 }
@@ -49,7 +48,6 @@ impl Default for Args {
             save_weights: None,
             overlap: None,
             sparse: false,
-            fast_kernels: false,
             agg: "gcn".into(),
             quiet: false,
         }
@@ -94,10 +92,9 @@ MODEL / TRAINING:
                         rows ride an indexed-strip wire format; results are
                         bit-identical to dense, actual vs dense-equivalent
                         volume is reported
-  --fast-kernels        lane-unrolled SIMD microkernels for GEMM/SpMM at the
-                        widest width this host profits from; deterministic
-                        run-to-run and across rank counts, but results are
-                        only epsilon-close to the scalar reference path
+  --reference-kernels   run GEMM/SpMM on the scalar reference loops, not the
+                        default lane-unrolled microkernels; same bits,
+                        slower (the differential suites' oracle)
   --agg <kind>          aggregation matrix: gcn (symmetric D̃^-½(A+I)D̃^-½),
                         mean (D̃^-1(A+I)), row (self-loop-free D^-1 A;
                         isolated vertices stay zero — what --sparse
@@ -142,7 +139,6 @@ fn parse_args() -> Result<Args, String> {
                 args.overlap = Some(c);
             }
             "--sparse" => args.sparse = true,
-            "--fast-kernels" => args.fast_kernels = true,
             "--agg" => {
                 let v = value("--agg")?;
                 if !["gcn", "mean", "row"].contains(&v.as_str()) {
@@ -274,9 +270,7 @@ fn main() -> ExitCode {
     if args.sparse {
         cfg = cfg.sparse();
     }
-    if args.fast_kernels {
-        cfg = cfg.fast_kernels();
-    }
+    cfg = cfg.kernel_mode(args.common.kernel_mode());
     if let Some(plan) = args.common.fault_plan() {
         cfg = cfg.faults(plan);
     }
@@ -354,13 +348,7 @@ fn main() -> ExitCode {
             dense as f64 / 1e6,
         );
     }
-    if args.fast_kernels {
-        println!(
-            "kernels: fast path at lane width {} (scalar reference path \
-             re-run is epsilon-close, not bitwise)",
-            cfg.kernels.width(),
-        );
-    }
+    println!("{}", args.common.kernels_line());
     if let Some(path) = &args.save_weights {
         let snap = match &report.weights {
             Some(s) => s,

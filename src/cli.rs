@@ -1,8 +1,9 @@
 //! The command-line surface `rdm-train` and `rdm-serve` share: dataset
-//! selection, fault injection and trace output — one parser, one set of
-//! error strings, one `FaultPlan` recipe for both binaries.
+//! selection, fault injection, kernel path and trace output — one parser,
+//! one set of error strings, one `FaultPlan` recipe for both binaries.
 
 use crate::comm::FaultPlan;
+use crate::dense::kernels::{self, Mode as KernelMode};
 use crate::graph::dataset::load_edge_list;
 use crate::graph::{paper_datasets, Dataset, DatasetSpec};
 use crate::trace::RankTrace;
@@ -18,6 +19,7 @@ pub struct CommonArgs {
     pub chaos: Option<u64>,
     pub drop_rate: f64,
     pub trace: Option<String>,
+    pub reference_kernels: bool,
 }
 
 impl Default for CommonArgs {
@@ -32,6 +34,7 @@ impl Default for CommonArgs {
             chaos: None,
             drop_rate: 0.05,
             trace: None,
+            reference_kernels: false,
         }
     }
 }
@@ -75,6 +78,7 @@ impl CommonArgs {
                 }
             }
             "--trace" => self.trace = Some(value("--trace")?),
+            "--reference-kernels" => self.reference_kernels = true,
             _ => return Ok(false),
         }
         Ok(true)
@@ -124,6 +128,26 @@ impl CommonArgs {
         })
     }
 
+    /// The kernel path the flags select: the library default unless
+    /// `--reference-kernels` asked for the scalar loops.
+    pub fn kernel_mode(&self) -> KernelMode {
+        if self.reference_kernels {
+            KernelMode::Scalar
+        } else {
+            kernels::default_mode()
+        }
+    }
+
+    /// The `kernels:` line both binaries always print.
+    pub fn kernels_line(&self) -> String {
+        match self.kernel_mode() {
+            KernelMode::Scalar => "kernels: reference".to_string(),
+            KernelMode::Fast(w) => {
+                format!("kernels: fast W{} (bitwise = reference)", w.lanes())
+            }
+        }
+    }
+
     /// Write `traces` as Chrome trace JSON to the `--trace` path, if one
     /// was given, and report it on stdout.
     pub fn write_trace(&self, traces: Option<&Vec<RankTrace>>) -> Result<(), String> {
@@ -140,5 +164,28 @@ impl CommonArgs {
             traces.len(),
         );
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kernel_flag_is_shared_and_fast_kernels_is_no_longer_one() {
+        let mut no_value =
+            |f: &str| -> Result<String, String> { Err(format!("{f} takes no value")) };
+        let mut args = CommonArgs::default();
+        assert_eq!(args.kernel_mode(), kernels::default_mode());
+        assert!(args.kernels_line().starts_with("kernels: fast W"));
+        assert!(args.kernels_line().ends_with("(bitwise = reference)"));
+        // Left to the binaries' own parsers, which both reject it.
+        assert_eq!(args.parse_flag("--fast-kernels", &mut no_value), Ok(false));
+        assert_eq!(
+            args.parse_flag("--reference-kernels", &mut no_value),
+            Ok(true)
+        );
+        assert_eq!(args.kernel_mode(), KernelMode::Scalar);
+        assert_eq!(args.kernels_line(), "kernels: reference");
     }
 }

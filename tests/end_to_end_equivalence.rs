@@ -141,115 +141,66 @@ fn steady_state_epochs_allocate_no_fresh_buffers() {
     }
 }
 
+fn bits(losses: &[f32]) -> Vec<u32> {
+    losses.iter().map(|l| l.to_bits()).collect()
+}
+
 #[test]
-fn fast_kernels_trajectory_stays_close_to_scalar() {
-    // The --fast-kernels axis: losses are epsilon-close to the scalar
-    // baseline (never bitwise-pinned — the microkernels reassociate), and
-    // the drift must not grow across epochs.
+fn fast_kernels_trajectory_is_bitwise_scalar() {
+    // The kernel axis: the default (fast) path and every forced lane
+    // width reproduce the scalar reference's loss trajectory bit for bit
+    // — the microkernels never reassociate a sum.
     let ds = dataset();
-    let scalar = losses(&ds, TrainerConfig::rdm_auto(4).hidden(8).epochs(5));
+    let base = TrainerConfig::rdm_auto(4).hidden(8).epochs(4).seed(9);
+    let scalar = bits(&losses(&ds, base.clone().reference_kernels()));
+    assert_eq!(scalar, bits(&losses(&ds, base.clone())), "default kernels");
     for width in KernelWidth::all() {
-        let fast = losses(
-            &ds,
-            TrainerConfig::rdm_auto(4)
-                .hidden(8)
-                .epochs(5)
-                .kernel_mode(KernelMode::Fast(width)),
-        );
-        for (i, (a, b)) in scalar.iter().zip(&fast).enumerate() {
-            assert!(
-                (a - b).abs() < 2e-3,
-                "{width:?} epoch {i}: loss {a} vs {b} diverged from scalar"
-            );
-        }
+        let fast = losses(&ds, base.clone().kernel_mode(KernelMode::Fast(width)));
+        assert_eq!(scalar, bits(&fast), "{width:?} diverged from scalar");
     }
 }
 
 #[test]
-fn fast_kernels_width1_is_bitwise_scalar() {
-    // Width 1 delegates to the scalar kernels, so the whole training
-    // trajectory — not just single ops — must be bit-identical.
+fn fast_kernels_bitwise_scalar_across_axes() {
+    // At every lane width, overlap, the sparse wire format and chaos all
+    // leave the trajectory bit-identical to the scalar blocking dense
+    // fault-free run.
     let ds = dataset();
-    let scalar = losses(&ds, TrainerConfig::rdm_auto(4).hidden(8).epochs(4).seed(9));
-    let w1 = losses(
-        &ds,
-        TrainerConfig::rdm_auto(4)
-            .hidden(8)
-            .epochs(4)
-            .seed(9)
-            .kernel_mode(KernelMode::Fast(KernelWidth::W1)),
-    );
-    assert_eq!(
-        scalar.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-        w1.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-    );
-}
-
-#[test]
-fn fast_kernels_deterministic_and_invariant_across_axes() {
-    // For a fixed lane width the fast path keeps every determinism
-    // contract the scalar path has: run-to-run, cluster size, ordering
-    // plan, overlap, sparse wire format and chaos must all leave the
-    // trajectory bit-identical.
-    let ds = dataset();
-    for width in KernelWidth::all() {
-        let base = TrainerConfig::rdm(4, Plan::from_id(5, 2, 4))
+    let plan = |p: usize, id: usize| {
+        TrainerConfig::rdm(p, Plan::from_id(id, 2, p))
             .hidden(8)
             .epochs(3)
-            .kernel_mode(KernelMode::Fast(width));
-        let reference = losses(&ds, base.clone());
-        let rerun = losses(&ds, base.clone());
-        let bits = |l: &[f32]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&reference), bits(&rerun), "{width:?}: run-to-run");
-        assert_eq!(
-            bits(&reference),
-            bits(&losses(&ds, base.clone().overlap(3))),
-            "{width:?}: overlap"
-        );
-        assert_eq!(
-            bits(&reference),
-            bits(&losses(&ds, base.clone().sparse())),
-            "{width:?}: sparse wire format"
-        );
-        assert_eq!(
-            bits(&reference),
-            bits(&losses(
-                &ds,
+    };
+    let scalar = losses(&ds, plan(4, 5).reference_kernels());
+    for width in KernelWidth::all() {
+        let base = plan(4, 5).kernel_mode(KernelMode::Fast(width));
+        for (axis, cfg) in [
+            ("blocking", base.clone()),
+            ("overlap", base.clone().overlap(3)),
+            ("sparse wire format", base.clone().sparse()),
+            (
+                "chaos",
                 base.clone()
-                    .faults(FaultPlan::new(71).drop_rate(0.15).delay(0.2, 3))
-            )),
-            "{width:?}: chaos"
-        );
+                    .faults(FaultPlan::new(71).drop_rate(0.15).delay(0.2, 3)),
+            ),
+        ] {
+            assert_eq!(bits(&scalar), bits(&losses(&ds, cfg)), "{width:?}: {axis}");
+        }
         // Rank count and ordering plan genuinely re-partition reductions
         // (ring all-reduce, tile sweeps), so — exactly as for the scalar
-        // path — those axes agree to tolerance, not bitwise; and each
-        // (P, plan, width) point is individually bit-deterministic.
-        for p in [1usize, 2] {
-            let cfg = TrainerConfig::rdm(p, Plan::from_id(5, 2, p))
-                .hidden(8)
-                .epochs(3)
-                .kernel_mode(KernelMode::Fast(width));
-            let other = losses(&ds, cfg.clone());
-            assert_eq!(bits(&other), bits(&losses(&ds, cfg)), "{width:?}: P={p}");
-            for (i, (a, b)) in reference.iter().zip(&other).enumerate() {
-                assert!(
-                    (a - b).abs() < 2e-3,
-                    "{width:?} P={p} epoch {i}: {a} vs {b}"
-                );
-            }
-        }
-        for id in [0usize, 10] {
-            let other = losses(
-                &ds,
-                TrainerConfig::rdm(4, Plan::from_id(id, 2, 4))
-                    .hidden(8)
-                    .epochs(3)
-                    .kernel_mode(KernelMode::Fast(width)),
+        // path — those axes agree to tolerance, not bitwise; each point is
+        // still bitwise its own scalar run.
+        for (p, id) in [(1usize, 5usize), (2, 5), (4, 0), (4, 10)] {
+            let other = losses(&ds, plan(p, id).kernel_mode(KernelMode::Fast(width)));
+            assert_eq!(
+                bits(&other),
+                bits(&losses(&ds, plan(p, id).reference_kernels())),
+                "{width:?}: P={p} id={id}"
             );
-            for (i, (a, b)) in reference.iter().zip(&other).enumerate() {
+            for (i, (a, b)) in scalar.iter().zip(&other).enumerate() {
                 assert!(
                     (a - b).abs() < 2e-3,
-                    "{width:?} id={id} epoch {i}: {a} vs {b}"
+                    "{width:?} P={p} id={id} epoch {i}: {a} vs {b}"
                 );
             }
         }

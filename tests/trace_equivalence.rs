@@ -155,6 +155,28 @@ fn normalized_trace_matches_golden_snapshot() {
 }
 
 #[test]
+fn lane_width_is_in_the_raw_export_only() {
+    // The kernel spans' `width` names the host's SIMD width, not the
+    // schedule: a raw trace records it, the normalized export (the golden
+    // above) must not, or the snapshot would differ between W4 and W8
+    // hosts and between the default and `reference_kernels()`.
+    let ds = dataset();
+    let cfg = TrainerConfig::rdm(2, Plan::from_id(0, 2, 2))
+        .hidden(8)
+        .epochs(1)
+        .trace();
+    let fast = report(&ds, cfg.clone());
+    let scalar = report(&ds, cfg.reference_kernels());
+    let json = |r: &TrainReport, normalized| {
+        chrome::to_chrome_json(r.traces.as_ref().unwrap(), normalized)
+    };
+    assert!(json(&fast, false).contains("\"width\":"));
+    assert!(json(&scalar, false).contains("\"width\":1,"));
+    assert!(!json(&fast, true).contains("\"width\""));
+    assert_eq!(json(&fast, true), json(&scalar, true));
+}
+
+#[test]
 #[ignore = "writes the golden snapshot; run explicitly after deliberate schedule changes"]
 fn regenerate_golden() {
     let ds = dataset();
