@@ -13,7 +13,7 @@ use rdm_comm::{Cluster, CollectiveKind};
 use rdm_core::{Plan, TrainerConfig};
 use rdm_dense::Mat;
 use rdm_model::cost::all_config_costs;
-use rdm_model::{pareto_ids, rdm_bytes_per_gpu, GnnShape, MemoryParams};
+use rdm_model::{pareto_ids, rdm_bytes_per_gpu, DeviceModel, GnnShape, MemoryParams};
 
 fn main() {
     ablation_order_selection();
@@ -46,9 +46,9 @@ fn ablation_order_selection() {
             ds.spec.labels,
             2,
         );
-        let pareto = pareto_ids(&shape, p, p);
+        let pareto = pareto_ids(&shape, p, p, 1.0);
         // Worst = the config maximizing comm + spmm by the model.
-        let worst = all_config_costs(&shape, p, p)
+        let worst = all_config_costs(&shape, p, p, 1.0)
             .into_iter()
             .max_by(|(_, a), (_, b)| {
                 (a.comm_elems + a.spmm_ops)
@@ -134,7 +134,7 @@ fn ablation_replication() {
         ds.spec.labels,
         2,
     );
-    let base_plan = rdm_core::best_plan(&shape, p);
+    let base_plan = rdm_core::best_plan(&shape, p, p, &DeviceModel::a6000_pcie(), 1.0);
     let t = TablePrinter::new(&[6, 14, 14, 14, 14]);
     t.row(&[
         "R_A".into(),

@@ -27,7 +27,7 @@ fn main() {
             spec.labels,
             2,
         );
-        let ids = pareto_ids(&shape, 8, 8);
+        let ids = pareto_ids(&shape, 8, 8, 1.0);
         let ids_str = ids
             .iter()
             .map(|i| i.to_string())

@@ -35,7 +35,7 @@ fn main() {
             2,
         );
         for p in GPU_COUNTS {
-            let pareto = pareto_ids(&shape, p, p);
+            let pareto = pareto_ids(&shape, p, p, 1.0);
             let mut pareto_times = Vec::new();
             let mut rest_times = Vec::new();
             for id in 0..16 {

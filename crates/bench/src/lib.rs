@@ -100,7 +100,7 @@ pub fn throughput_trio(p: usize, layers: usize, hidden: usize) -> Vec<TrainerCon
 /// Run one config, panicking with context on configuration errors (the
 /// harness always builds valid configs).
 pub fn run(ds: &Dataset, cfg: &TrainerConfig) -> TrainReport {
-    train_gcn(ds, cfg).unwrap_or_else(|e| panic!("{} on {}: {e}", cfg.algo_label(), ds.spec.name))
+    train_gcn(ds, cfg).unwrap_or_else(|e| panic!("{} on {}: {e}", cfg.algo.label(), ds.spec.name))
 }
 
 /// Geometric mean of a slice of positive ratios.

@@ -12,7 +12,9 @@
 //! * [`loss`] — softmax cross-entropy over row-distributed embeddings.
 //! * [`adam`] — the Adam optimizer (replicated weights, deterministic).
 //! * [`plan`] — execution plans: per-layer SpMM/GEMM orders plus
-//!   memoization, and model-driven plan selection ([`best_plan`]).
+//!   memoization, model-driven plan selection ([`best_plan`]), and the one
+//!   resolution of a run's request into a plan ([`plan::resolve`]) that
+//!   training and serving share.
 //! * [`gcn`] — the RDM forward/backward engine that executes any plan and
 //!   charges exactly the redistributions of §IV-A.
 //! * [`cagnet`] — the CAGNET 1D / 1.5D broadcast baselines.

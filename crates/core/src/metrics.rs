@@ -196,6 +196,9 @@ pub struct TrainReport {
     /// fails — this field makes that fallback visible in reports instead
     /// of masquerading as "overlap hid 0 ms".
     pub overlap_inert: Option<&'static str>,
+    /// Why a requested indexed-strip wire carried nothing for the whole
+    /// run, like [`TrainReport::overlap_inert`].
+    pub sparse_inert: Option<&'static str>,
 }
 
 impl TrainReport {
@@ -326,6 +329,7 @@ mod tests {
             traces: None,
             weights: None,
             overlap_inert: None,
+            sparse_inert: None,
         };
         assert!((r.mean_wall_epoch_s() - 0.015).abs() < 1e-9);
         assert_eq!(r.mean_bytes_per_epoch(), 200.0);

@@ -1,6 +1,11 @@
-//! Execution plans and model-driven plan selection (§IV-B).
+//! Execution plans, model-driven plan selection (§IV-B), and the one
+//! resolution of a run's request into a plan that training and serving
+//! share ([`resolve`]).
 
+use crate::gcn::overlap_inert_reason;
+use crate::trainer::Algo;
 use rdm_model::{DeviceModel, GnnShape, Order, OrderConfig};
+use rdm_sparse::Csr;
 
 /// Re-export: the per-layer, per-pass order (SpMM-first / GEMM-first).
 pub type LayerOrder = Order;
@@ -57,65 +62,27 @@ impl Plan {
     }
 }
 
-/// Pick the best plan for a shape on `p` ranks: enumerate all orderings,
-/// keep the Pareto-optimal ones (communication × SpMM ops), then rank them
-/// with the device model — the automated version of the paper's "execute
-/// every Pareto-optimal candidate for a few epochs and keep the fastest".
-pub fn best_plan(shape: &GnnShape, p: usize) -> Plan {
-    best_plan_with(shape, p, &DeviceModel::a6000_pcie())
-}
-
-/// [`best_plan`] with an explicit device model.
-pub fn best_plan_with(shape: &GnnShape, p: usize, device: &DeviceModel) -> Plan {
-    best_plan_with_sparsity(shape, p, device, 1.0)
-}
-
-/// [`best_plan_with`] re-priced for the sparsity-aware redistribution
-/// path: candidate communication volumes are scaled by `sigma`, the
-/// expected fraction of intermediate rows that carry data (use
-/// `1.0 - empty_row_fraction` of the normalized adjacency). With full
-/// replication the Pareto membership matches the dense pricing, but the
-/// device-model ranking sees cheaper communication and can shift toward
-/// compute-lighter candidates.
+/// Pick the best plan for a shape on `p` ranks at replication factor
+/// `r_a`: enumerate all orderings, keep the Pareto-optimal ones
+/// (communication × SpMM ops), then rank them with the device model — the
+/// automated version of the paper's "execute every Pareto-optimal
+/// candidate for a few epochs and keep the fastest".
 ///
-/// `sigma` re-prices **redistribution volume only** — SpMM/GEMM op
-/// counts (and panel broadcasts under `R_A < P`, which ride the dense
-/// wire), and therefore the compute side of the ranking, are unchanged
-/// by sparsity.
-pub fn best_plan_with_sparsity(
-    shape: &GnnShape,
-    p: usize,
-    device: &DeviceModel,
-    sigma: f64,
-) -> Plan {
-    best_plan_with_ra_sparsity(shape, p, p, device, sigma)
-}
-
-/// Pick the best ordering **at a fixed replication factor**: candidates
-/// are priced by `config_cost(shape, cfg, p, r_a)` (sigma-repriced), so
-/// the `r_a`-dependent group-redistribution and panel-broadcast terms
-/// participate in both the Pareto cut and the device-model ranking. This
-/// is the selection rule behind `rdm-train --ra <r>` with auto ordering:
-/// the replication factor changes the comm/compute trade-off (group
-/// redistributions shrink to `(R_A-1)/R_A` while dense panel broadcasts
-/// appear), so the best Table-IV ID at `r_a < p` can differ from the one
-/// at full replication — bolting `r_a` onto a full-replication pick
-/// misprices the plan.
+/// `r_a` joins the pricing (group redistributions shrink while dense panel
+/// broadcasts appear), so the best ordering at `r_a < p` can differ from
+/// the one at full replication. `sigma`, the expected fraction of
+/// intermediate rows that carry data (`1.0` on the dense wire), re-prices
+/// redistribution volume only — op counts and panel broadcasts are
+/// unchanged by sparsity.
 ///
 /// # Panics
 /// If `r_a` does not divide `p`.
-pub fn best_plan_with_ra_sparsity(
-    shape: &GnnShape,
-    p: usize,
-    r_a: usize,
-    device: &DeviceModel,
-    sigma: f64,
-) -> Plan {
+pub fn best_plan(shape: &GnnShape, p: usize, r_a: usize, device: &DeviceModel, sigma: f64) -> Plan {
     assert!(
         r_a >= 1 && r_a <= p && p.is_multiple_of(r_a),
         "R_A = {r_a} must divide P = {p}"
     );
-    let candidates = rdm_model::pareto_configs_with_sparsity(shape, p, r_a, sigma);
+    let candidates = rdm_model::pareto_configs(shape, p, r_a, sigma);
     let best = candidates
         .into_iter()
         .min_by(|(_, a), (_, b)| {
@@ -132,6 +99,118 @@ pub fn best_plan_with_ra_sparsity(
     }
 }
 
+/// [`best_plan`] under the name the frozen benchmark calls.
+#[doc(hidden)]
+pub use self::best_plan as best_plan_with_ra_sparsity;
+
+/// A replication factor over `p` ranks must be nonzero and divide `p`.
+///
+/// # Errors
+/// The one message both binaries print for it.
+pub fn check_replication(r: usize, p: usize) -> Result<(), String> {
+    if r == 0 || !p.is_multiple_of(r) {
+        return Err(format!("replication factor {r} must divide P = {p}"));
+    }
+    Ok(())
+}
+
+/// What a run asks of planning, as `train_gcn` and `rdm_serve::serve`
+/// (always [`Algo::Rdm`]) know it before the cluster comes up.
+#[derive(Debug)]
+pub struct PlanRequest<'a> {
+    pub algo: &'a Algo,
+    pub p: usize,
+    /// `None` takes the explicit plan's `r_a`, or full replication.
+    pub ra: Option<usize>,
+    /// Indexed-strip wire requested.
+    pub sparse: bool,
+    /// Pipeline depth requested.
+    pub overlap: Option<usize>,
+    pub device: &'a DeviceModel,
+}
+
+/// A resolved request: the plan, the row occupancy `σ` it was priced at,
+/// and why each requested optimisation that will not run is inert.
+#[derive(Debug)]
+pub struct Resolution {
+    /// `None` for algorithms that read no plan; the initial plan under
+    /// dynamic selection.
+    pub plan: Option<Plan>,
+    pub sigma: f64,
+    pub overlap_inert: Option<&'static str>,
+    pub sparse_inert: Option<&'static str>,
+}
+
+/// Turn a run's request into a plan — the one place training and serving
+/// check it: `--ra` only for RDM, an explicit plan's `r_a` against the
+/// requested one, `r_a` (and CAGNET-1.5D's `c`) dividing `P`, the plan's
+/// layer count against `shape`. Then price `σ = 1 − empty_row_fraction(adj)`
+/// under the indexed wire, select through [`best_plan`] when no plan is
+/// given, and name why a requested overlap or indexed wire stays inert.
+///
+/// # Errors
+/// The first check the request fails, with the message both binaries print.
+pub fn resolve(req: &PlanRequest<'_>, shape: &GnnShape, adj: &Csr) -> Result<Resolution, String> {
+    let p = req.p;
+    let (rdm, explicit) = match req.algo {
+        Algo::Rdm { plan } => (true, plan.as_ref()),
+        Algo::RdmDynamic { .. } => (true, None),
+        Algo::Cagnet15D { c } => {
+            check_replication(*c, p)?;
+            (false, None)
+        }
+        _ => (false, None),
+    };
+    match (rdm, explicit, req.ra) {
+        (false, _, Some(r)) => Err(format!(
+            "{} does not read a replication factor (r_a = {r})",
+            req.algo.label()
+        )),
+        (_, Some(pl), Some(r)) if pl.r_a != r => Err(format!(
+            "explicit plan has r_a = {} but the config asks for r_a = {r}",
+            pl.r_a
+        )),
+        _ => Ok(()),
+    }?;
+    let r_a = explicit.map(|pl| pl.r_a).or(req.ra).unwrap_or(p);
+    check_replication(r_a, p)?;
+    if let Some(pl) = explicit.filter(|pl| pl.config.layers() != shape.layers()) {
+        let (plan, model) = (pl.config.layers(), shape.layers());
+        return Err(format!(
+            "plan orders {plan} layers but the model has {model}"
+        ));
+    }
+    // Rows of `Â·X` are all-zero exactly where `Â` has empty rows, and the
+    // indexed wire drops all-zero rows.
+    let sigma = if req.sparse {
+        1.0 - adj.empty_row_fraction()
+    } else {
+        1.0
+    };
+    let plan = rdm.then(|| {
+        explicit
+            .cloned()
+            .unwrap_or_else(|| best_plan(shape, p, r_a, req.device, sigma))
+    });
+    let overlap_inert = req.overlap.and_then(|chunks| match req.algo {
+        Algo::Rdm { .. } => overlap_inert_reason(chunks, p, r_a, false),
+        Algo::RdmDynamic { .. } => Some("dynamic selection runs the blocking path"),
+        Algo::SaintMasked { .. } => Some("edge mask"),
+        _ => Some("non-RDM algorithm"),
+    });
+    let sparse_inert = match (req.sparse, rdm) {
+        (false, _) => None,
+        (true, false) => Some("non-RDM algorithm"),
+        (true, true) => (p < 2).then_some("single rank"),
+    };
+    Ok(Resolution {
+        plan,
+        sigma,
+        overlap_inert,
+        sparse_inert,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,8 +218,8 @@ mod tests {
     #[test]
     fn best_plan_is_pareto_member() {
         let shape = GnnShape::gcn(10_000, 100_000, 602, 128, 41, 2);
-        let plan = best_plan(&shape, 8);
-        let pareto: Vec<usize> = rdm_model::pareto_ids(&shape, 8, 8);
+        let plan = best_plan(&shape, 8, 8, &DeviceModel::a6000_pcie(), 1.0);
+        let pareto: Vec<usize> = rdm_model::pareto_ids(&shape, 8, 8, 1.0);
         assert!(
             pareto.contains(&plan.id()),
             "chosen {} not in pareto {pareto:?}",
@@ -154,7 +233,7 @@ mod tests {
         // GEMM and nnz/N huge, the device model should not pick an option
         // dominated on sparse ops.
         let shape = GnnShape::gcn(232_965, 114_848_857, 602, 128, 41, 2);
-        let plan = best_plan(&shape, 8);
+        let plan = best_plan(&shape, 8, 8, &DeviceModel::a6000_pcie(), 1.0);
         assert!([2, 3, 10].contains(&plan.id()), "picked {}", plan.id());
     }
 
@@ -163,8 +242,8 @@ mod tests {
         let shape = GnnShape::gcn(10_000, 100_000, 602, 128, 41, 2);
         let device = DeviceModel::a6000_pcie();
         for sigma in [1.0, 0.6, 0.2] {
-            let plan = best_plan_with_sparsity(&shape, 8, &device, sigma);
-            let pareto = rdm_model::pareto_ids(&shape, 8, 8);
+            let plan = best_plan(&shape, 8, 8, &device, sigma);
+            let pareto = rdm_model::pareto_ids(&shape, 8, 8, 1.0);
             assert!(
                 pareto.contains(&plan.id()),
                 "sigma={sigma}: chosen {} not in pareto {pareto:?}",
@@ -183,7 +262,7 @@ mod tests {
     #[test]
     fn three_layer_plans_supported() {
         let shape = GnnShape::gcn(10_000, 100_000, 128, 128, 40, 3);
-        let plan = best_plan(&shape, 4);
+        let plan = best_plan(&shape, 4, 4, &DeviceModel::a6000_pcie(), 1.0);
         assert_eq!(plan.config.layers(), 3);
         assert!(plan.id() < 64);
     }
@@ -204,8 +283,8 @@ mod ra_selection_tests {
     fn replication_factor_changes_the_chosen_plan() {
         let device = DeviceModel::a6000_pcie();
         let shape = GnnShape::gcn(2048, 8192, 32, 16, 8, 2);
-        let full = best_plan_with_ra_sparsity(&shape, 4, 4, &device, 1.0);
-        let half = best_plan_with_ra_sparsity(&shape, 4, 2, &device, 1.0);
+        let full = best_plan(&shape, 4, 4, &device, 1.0);
+        let half = best_plan(&shape, 4, 2, &device, 1.0);
         assert_eq!(full.id(), 10, "full-replication pick moved");
         assert_eq!(half.id(), 3, "r_a = 2 pick moved");
         assert_ne!(
@@ -224,17 +303,11 @@ mod ra_selection_tests {
     fn sigma_repricing_composes_with_replication_factor() {
         let device = DeviceModel::a6000_pcie();
         let shape = GnnShape::gcn(50_000, 500_000, 512, 8, 4, 2);
-        assert_eq!(
-            best_plan_with_ra_sparsity(&shape, 4, 4, &device, 1.0).id(),
-            10
-        );
-        assert_eq!(
-            best_plan_with_ra_sparsity(&shape, 4, 4, &device, 0.5).id(),
-            3
-        );
+        assert_eq!(best_plan(&shape, 4, 4, &device, 1.0).id(), 10);
+        assert_eq!(best_plan(&shape, 4, 4, &device, 0.5).id(), 3);
         for sigma in [1.0, 0.5] {
             assert_eq!(
-                best_plan_with_ra_sparsity(&shape, 4, 2, &device, sigma).id(),
+                best_plan(&shape, 4, 2, &device, sigma).id(),
                 3,
                 "sigma={sigma}"
             );
@@ -245,6 +318,6 @@ mod ra_selection_tests {
     #[should_panic(expected = "must divide")]
     fn non_dividing_replication_factor_is_rejected() {
         let shape = GnnShape::gcn(2048, 8192, 32, 16, 8, 2);
-        best_plan_with_ra_sparsity(&shape, 4, 3, &DeviceModel::a6000_pcie(), 1.0);
+        best_plan(&shape, 4, 3, &DeviceModel::a6000_pcie(), 1.0);
     }
 }

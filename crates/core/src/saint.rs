@@ -26,6 +26,7 @@ use rdm_comm::{CollectiveKind, RankCtx};
 use rdm_dense::Mat;
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_graph::SaintSampler;
+use rdm_model::DeviceModel;
 
 /// Shared bits of both GraphSAINT trainers.
 struct SaintCommon {
@@ -135,7 +136,7 @@ impl SaintRdmTrainer {
                 nnz: sd.adj_norm.nnz(),
                 feats: c.feats.clone(),
             };
-            let plan = crate::plan::best_plan(&shape, p);
+            let plan = crate::plan::best_plan(&shape, p, p, &DeviceModel::a6000_pcie(), 1.0);
             assert_eq!(plan.config.layers(), self.plan_layers);
             // Distribute the subgraph inputs (local slicing, no traffic).
             let topo = Topology::full(&sd.adj_norm, ctx);
@@ -306,7 +307,7 @@ impl SaintMaskedTrainer {
             nnz: self.adj_scaled.nnz(),
             feats: c.feats.clone(),
         };
-        let plan = crate::plan::best_plan(&shape, p);
+        let plan = crate::plan::best_plan(&shape, p, p, &DeviceModel::a6000_pcie(), 1.0);
         assert_eq!(plan.config.layers(), self.plan_layers);
         for step in 0..c.steps_per_epoch {
             // The shared-seed mask: identical on every rank, no traffic.

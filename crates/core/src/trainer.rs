@@ -9,13 +9,13 @@ use crate::gcn::{rdm_backward_with, rdm_forward_with, GcnWeights, OverlapSpec};
 use crate::loss::{accuracy, softmax_xent, LossSpec};
 use crate::metrics::{EpochMetrics, RankEpoch, TrainReport};
 use crate::ops::{OpCounters, Topology};
-use crate::plan::Plan;
+use crate::plan::{Plan, PlanRequest, Resolution};
 use crate::saint::{SaintDdpTrainer, SaintMaskedTrainer, SaintRdmTrainer};
 use rdm_comm::{Cluster, CollectiveKind, FaultPlan, RankCtx};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_graph::SaintSampler;
-use rdm_model::{DeviceModel, GnnShape};
+use rdm_model::DeviceModel;
 use std::time::Instant;
 
 /// Which distributed GNN system to run.
@@ -44,6 +44,23 @@ pub enum Algo {
     SaintMasked { keep: f32 },
 }
 
+impl Algo {
+    /// Human-readable algorithm label for reports.
+    pub fn label(&self) -> String {
+        match self {
+            Algo::Rdm { plan: Some(pl) } => format!("RDM(id={})", pl.id()),
+            Algo::Rdm { plan: None } => "RDM(auto)".to_string(),
+            Algo::RdmDynamic { trial_epochs } => format!("RDM(dynamic,trials={trial_epochs})"),
+            Algo::Cagnet1D => "CAGNET-1D".to_string(),
+            Algo::Cagnet15D { c } => format!("CAGNET-1.5D(c={c})"),
+            Algo::Dgcl => "DGCL-like".to_string(),
+            Algo::SaintRdm { .. } => "GraphSAINT-RDM".to_string(),
+            Algo::SaintDdp { .. } => "GraphSAINT-DDP".to_string(),
+            Algo::SaintMasked { keep } => format!("MaskedSpMM(keep={keep})"),
+        }
+    }
+}
+
 /// Everything needed to run a training job.
 #[derive(Clone, Debug)]
 pub struct TrainerConfig {
@@ -67,14 +84,14 @@ pub struct TrainerConfig {
     /// bytes are bit-identical to blocking, and the hidden communication
     /// time lands in [`EpochMetrics::overlap_ns`].
     pub overlap: Option<usize>,
-    /// Adjacency replication factor for *model-selected* RDM plans
-    /// (`Algo::Rdm { plan: None }` and `Algo::RdmDynamic`): `Some(r)`
-    /// prices every candidate ordering at `config_cost(shape, cfg, p, r)`
-    /// — the group-redistribution and panel-broadcast terms participate
-    /// in the selection — and the chosen plan carries `r_a = r`. `None`
-    /// selects at full replication. Must divide `P`. An explicit plan's
-    /// own `r_a` always wins; setting both to different values is an
-    /// error.
+    /// Adjacency replication factor for RDM plans (`Algo::Rdm` and
+    /// `Algo::RdmDynamic`): `Some(r)` prices every candidate ordering at
+    /// `config_cost(shape, cfg, p, r)` — the group-redistribution and
+    /// panel-broadcast terms participate in the selection — and the chosen
+    /// plan carries `r_a = r`. `None` selects at full replication. Must
+    /// divide `P`; an explicit plan with a different `r_a`, or an
+    /// algorithm that reads no plan, is an error
+    /// ([`crate::plan::resolve`]).
     pub ra: Option<usize>,
     /// Record a per-rank structured event trace of the run into
     /// [`TrainReport::traces`]. Off by default; when off, no trace code
@@ -246,21 +263,6 @@ impl TrainerConfig {
         self.kernels = mode;
         self
     }
-
-    /// Human-readable algorithm label for reports.
-    pub fn algo_label(&self) -> String {
-        match &self.algo {
-            Algo::Rdm { plan: Some(pl) } => format!("RDM(id={})", pl.id()),
-            Algo::Rdm { plan: None } => "RDM(auto)".to_string(),
-            Algo::RdmDynamic { trial_epochs } => format!("RDM(dynamic,trials={trial_epochs})"),
-            Algo::Cagnet1D => "CAGNET-1D".to_string(),
-            Algo::Cagnet15D { c } => format!("CAGNET-1.5D(c={c})"),
-            Algo::Dgcl => "DGCL-like".to_string(),
-            Algo::SaintRdm { .. } => "GraphSAINT-RDM".to_string(),
-            Algo::SaintDdp { .. } => "GraphSAINT-DDP".to_string(),
-            Algo::SaintMasked { keep } => format!("MaskedSpMM(keep={keep})"),
-        }
-    }
 }
 
 /// Per-rank RDM full-batch state (the other algorithms keep their state in
@@ -303,7 +305,8 @@ impl DynSelect {
 }
 
 impl RdmState {
-    fn setup(ds: &Dataset, cfg: &TrainerConfig, plan: Plan, ctx: &RankCtx) -> Self {
+    fn setup(ds: &Dataset, cfg: &TrainerConfig, resolved: &Resolution, ctx: &RankCtx) -> Self {
+        let plan = resolved.plan.clone().expect("RDM always resolves a plan");
         let shape = ds.shape_layers(cfg.hidden, cfg.layers);
         let weights = GcnWeights::init(&shape.feats, cfg.seed);
         let adam = Adam::new(cfg.lr, &weights.shapes());
@@ -315,12 +318,14 @@ impl RdmState {
         let input_tile = topo.scatter_tile(&ds.features, ctx);
         let dynamic = match cfg.algo {
             Algo::RdmDynamic { trial_epochs } => {
-                // Candidates are priced at the replication factor the
-                // trials will actually execute with.
-                let candidates: Vec<_> = rdm_model::pareto_configs(&shape, cfg.p, plan.r_a)
-                    .into_iter()
-                    .map(|(c, _)| c)
-                    .collect();
+                // Candidates are priced as the initial plan was: at the
+                // replication factor and row occupancy the trials execute
+                // with.
+                let candidates: Vec<_> =
+                    rdm_model::pareto_configs(&shape, cfg.p, plan.r_a, resolved.sigma)
+                        .into_iter()
+                        .map(|(c, _)| c)
+                        .collect();
                 Some(DynSelect {
                     scores: vec![0.0; candidates.len()],
                     candidates,
@@ -448,8 +453,8 @@ impl RdmState {
 ///
 /// # Errors
 /// Returns a description if the configuration is inconsistent (zero
-/// epochs/ranks, replication factor not dividing `P`, graph smaller than
-/// the cluster).
+/// epochs/ranks, graph smaller than the cluster, or a request
+/// [`crate::plan::resolve`] rejects).
 pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, String> {
     if cfg.p == 0 {
         return Err("need at least one rank".into());
@@ -463,11 +468,6 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
     if ds.n() < cfg.p {
         return Err(format!("graph has {} vertices but P={}", ds.n(), cfg.p));
     }
-    if let Algo::Cagnet15D { c } = cfg.algo {
-        if c == 0 || !cfg.p.is_multiple_of(c) {
-            return Err(format!("replication factor {c} must divide P={}", cfg.p));
-        }
-    }
     if let Algo::SaintMasked { keep } = cfg.algo {
         if !(keep > 0.0 && keep <= 1.0) {
             return Err(format!("edge keep probability {keep} must be in (0, 1]"));
@@ -476,80 +476,19 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
     if ds.adj_norm_t.is_some() && !matches!(cfg.algo, Algo::Rdm { .. }) {
         return Err("non-symmetric (mean) aggregation is only supported by the RDM trainer".into());
     }
-    if let Algo::Rdm { plan: Some(pl) } = &cfg.algo {
-        if pl.config.layers() != cfg.layers {
-            return Err(format!(
-                "plan has {} layers but config wants {}",
-                pl.config.layers(),
-                cfg.layers
-            ));
-        }
-        if pl.r_a == 0 || !cfg.p.is_multiple_of(pl.r_a) {
-            return Err(format!(
-                "replication factor {} must divide P={}",
-                pl.r_a, cfg.p
-            ));
-        }
-        if let Some(r) = cfg.ra {
-            if r != pl.r_a {
-                return Err(format!(
-                    "explicit plan has r_a={} but the config asks for r_a={r}",
-                    pl.r_a
-                ));
-            }
-        }
-    }
-    if let Some(r) = cfg.ra {
-        if r == 0 || !cfg.p.is_multiple_of(r) {
-            return Err(format!("replication factor {r} must divide P={}", cfg.p));
-        }
-    }
-    let shape = GnnShape::gcn(
-        ds.n(),
-        ds.adj_norm.nnz(),
-        ds.spec.feature_size,
-        cfg.hidden,
-        ds.spec.labels,
-        cfg.layers,
-    );
-    let resolved_plan = match &cfg.algo {
-        Algo::Rdm { plan: Some(pl) } => Some(pl.clone()),
-        Algo::Rdm { plan: None } | Algo::RdmDynamic { .. } => {
-            // Sparse wire path: re-price candidate communication by the
-            // fraction of adjacency rows that aggregate anything at all.
-            // An explicit replication factor joins the pricing here —
-            // the group-redistribution/panel-broadcast trade-off can
-            // change which ordering wins, so `r_a` is never bolted onto
-            // a full-replication pick.
-            let sigma = if cfg.sparse {
-                1.0 - ds.adj_norm.empty_row_fraction()
-            } else {
-                1.0
-            };
-            Some(crate::plan::best_plan_with_ra_sparsity(
-                &shape,
-                cfg.p,
-                cfg.ra.unwrap_or(cfg.p),
-                &cfg.device,
-                sigma,
-            ))
-        }
-        _ => None,
-    };
-
-    // A requested overlap the engine's gate would silently drop is
-    // surfaced in the report instead of reading as "hid 0 ms".
-    let overlap_inert = cfg.overlap.and_then(|chunks| match &cfg.algo {
-        Algo::Rdm { .. } => crate::gcn::overlap_inert_reason(
-            chunks,
-            cfg.p,
-            resolved_plan.as_ref().map_or(cfg.p, |pl| pl.r_a),
-            false,
-        ),
-        Algo::RdmDynamic { .. } => Some("dynamic selection runs the blocking path"),
-        Algo::SaintMasked { .. } => Some("edge mask"),
-        _ => Some("non-RDM algorithm"),
-    });
+    let shape = ds.shape_layers(cfg.hidden, cfg.layers);
+    let resolved = crate::plan::resolve(
+        &PlanRequest {
+            algo: &cfg.algo,
+            p: cfg.p,
+            ra: cfg.ra,
+            sparse: cfg.sparse,
+            overlap: cfg.overlap,
+            device: &cfg.device,
+        },
+        &shape,
+        &ds.adj_norm,
+    )?;
 
     let mut cluster = match cfg.fault_plan {
         Some(plan) => Cluster::with_faults(cfg.p, plan),
@@ -571,12 +510,9 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
             SaintMasked(Box<SaintMaskedTrainer>),
         }
         let mut state = match &cfg.algo {
-            Algo::Rdm { .. } | Algo::RdmDynamic { .. } => State::Rdm(Box::new(RdmState::setup(
-                ds,
-                cfg,
-                resolved_plan.clone().unwrap(),
-                ctx,
-            ))),
+            Algo::Rdm { .. } | Algo::RdmDynamic { .. } => {
+                State::Rdm(Box::new(RdmState::setup(ds, cfg, &resolved, ctx)))
+            }
             Algo::Cagnet1D => State::Cagnet(Box::new(CagnetTrainer::setup(
                 ds,
                 cfg.hidden,
@@ -697,9 +633,9 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
         let snapshot: Vec<RankEpoch> = per_rank.iter().map(|r| r.0[e].clone()).collect();
         epochs.push(EpochMetrics::from_ranks(e, &snapshot, &cfg.device));
     }
-    let algo = match &resolved_plan {
+    let algo = match &resolved.plan {
         Some(pl) if matches!(cfg.algo, Algo::Rdm { .. }) => format!("RDM(id={})", pl.id()),
-        _ => cfg.algo_label(),
+        _ => cfg.algo.label(),
     };
     Ok(TrainReport {
         algo,
@@ -708,14 +644,15 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
         epochs,
         traces: out.traces,
         weights: per_rank[0].1.take(),
-        overlap_inert,
+        overlap_inert: resolved.overlap_inert,
+        sparse_inert: resolved.sparse_inert,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdm_graph::dataset::toy;
+    use rdm_graph::dataset::{toy, DatasetSpec};
 
     /// Every overlap gate reason must surface in the report instead of a
     /// silent blocking fallback, and an active `r_a < P` overlap must
@@ -765,6 +702,55 @@ mod tests {
         let cfg = TrainerConfig::rdm_auto(4).epochs(1).hidden(8).ra(3);
         let err = train_gcn(&ds, &cfg).unwrap_err();
         assert!(err.contains("divide"), "got {err}");
+    }
+
+    /// A requested indexed wire that carries nothing says why, and `--ra`
+    /// outside RDM is an error naming the algorithm: neither is silent.
+    #[test]
+    fn inert_sparse_wire_and_foreign_ra_are_reported() {
+        let ds = toy(60, 3);
+        let run = |cfg: TrainerConfig| train_gcn(&ds, &cfg.epochs(1).hidden(8));
+        let inert = |cfg: TrainerConfig| run(cfg.sparse()).unwrap().sparse_inert;
+        let saint = SaintSampler::Node { budget: 40 };
+        for (cfg, reason) in [
+            (TrainerConfig::cagnet_1d(4), Some("non-RDM algorithm")),
+            (
+                TrainerConfig::saint_rdm(4, saint),
+                Some("non-RDM algorithm"),
+            ),
+            (
+                TrainerConfig::rdm(1, Plan::from_id(5, 2, 1)),
+                Some("single rank"),
+            ),
+            (TrainerConfig::rdm_auto(4), None),
+        ] {
+            assert_eq!(inert(cfg), reason);
+        }
+        for cfg in [TrainerConfig::dgcl(4), TrainerConfig::saint_masked(4, 0.5)] {
+            let label = cfg.algo.label();
+            let err = run(cfg.ra(2)).unwrap_err();
+            assert!(err.starts_with(&label) && err.contains("r_a = 2"), "{err}");
+        }
+    }
+
+    /// Dynamic selection trials the Pareto set its initial plan was priced
+    /// from: at `R_A < P` on the indexed wire, the σ-priced set. The raw
+    /// (symmetric, self-loop-free) adjacency keeps isolated vertices' rows
+    /// empty, so σ < 1.
+    #[test]
+    fn dynamic_selection_trials_the_sigma_priced_pareto_set() {
+        let mut ds = DatasetSpec::synthetic("isolated", 256, 100, 128, 41).instantiate(1);
+        ds.adj_norm = ds.adj.clone();
+        let sigma = 1.0 - ds.adj_norm.empty_row_fraction();
+        let shape = ds.shape_layers(64, 2);
+        let priced = rdm_model::pareto_ids(&shape, 4, 2, sigma);
+        let dense = rdm_model::pareto_ids(&shape, 4, 2, 1.0);
+        assert_ne!(dense, priced, "sigma = {sigma} must separate the sets");
+        let cfg = TrainerConfig::rdm_dynamic(4, 1).ra(2).sparse().hidden(64);
+        for e in train_gcn(&ds, &cfg.epochs(3)).unwrap().epochs {
+            let id = e.plan_id.expect("RDM epochs carry a plan id");
+            assert!(priced.contains(&id), "epoch {} ran {id}", e.epoch);
+        }
     }
 
     #[test]
@@ -876,7 +862,7 @@ mod tests {
             nnz: ds.adj_norm.nnz(),
             feats: vec![16, 16, 4],
         };
-        let pareto = rdm_model::pareto_ids(&shape, 4, 4);
+        let pareto = rdm_model::pareto_ids(&shape, 4, 4, 1.0);
         // Every epoch ran some pareto candidate.
         for e in &report.epochs {
             let id = e.plan_id.expect("RDM epochs carry a plan id");

@@ -180,11 +180,6 @@ impl Dataset {
         self.spec.labels
     }
 
-    /// Model shape for a GCN with the given hidden width / depth.
-    pub fn shape(&self, hidden: usize) -> GnnShape {
-        self.shape_layers(hidden, 2)
-    }
-
     /// Model shape with explicit layer count, using the *materialized* nnz.
     pub fn shape_layers(&self, hidden: usize, layers: usize) -> GnnShape {
         GnnShape::gcn(
@@ -421,7 +416,7 @@ mod tests {
     fn shape_matches_materialization() {
         let spec = DatasetSpec::synthetic("t", 300, 2000, 24, 6);
         let d = spec.instantiate(3);
-        let sh = d.shape(128);
+        let sh = d.shape_layers(128, 2);
         assert_eq!(sh.n, 300);
         assert_eq!(sh.nnz, d.adj_norm.nnz());
         assert_eq!(sh.feats, vec![24, 128, 6]);

@@ -24,10 +24,10 @@
 //! identical schedules. Traffic the schedule does not price
 //! (loss/accuracy scalar all-reduces, dynamic selection) appears in
 //! traces as bare `Collective` events outside any span and is ignored by
-//! the extractor. [`predict_epoch`] keeps the full-replication signature;
-//! [`predict_epoch_ra`] takes `(p, r_a)` plus the per-panel adjacency
-//! nonzero counts and errors on inputs outside its scope instead of
-//! silently assuming full replication.
+//! the extractor. [`predict_epoch`] takes `(p, r_a)` plus the per-panel
+//! adjacency nonzero counts — full replication is `r_a = p` with one panel
+//! — and errors on inputs outside its scope instead of silently assuming
+//! full replication.
 //!
 //! The extractor is insensitive to pipelining: the chunk-pipelined
 //! redistribution path opens the same `Redistribute` span (with its
@@ -180,10 +180,10 @@ pub(crate) struct Predictor<'a> {
 }
 
 impl<'a> Predictor<'a> {
-    /// A symbolic engine for the replicated-panel regime: rank `rank` of
-    /// the `p/r_a × r_a` grid, with `panel_nnz[k]` the nonzero count of
-    /// panel `k`'s row slice of the adjacency.
-    pub(crate) fn with_ra(
+    /// A symbolic engine for rank `rank` of the `p/r_a × r_a` grid, with
+    /// `panel_nnz[k]` the nonzero count of panel `k`'s row slice of the
+    /// adjacency.
+    pub(crate) fn new(
         shape: &'a GnnShape,
         p: usize,
         r_a: usize,
@@ -439,34 +439,22 @@ pub(crate) fn predict_forward(
     (h, t_fwd)
 }
 
-/// Predict the schedule-level event sequence rank `rank` of `p` produces
-/// during one training epoch of `config` on `shape` (full replication,
-/// no edge mask). Every epoch of a fixed-plan run produces this same
-/// sequence: the engine rebuilds its layout caches from the (dual-form)
-/// input every epoch.
-pub fn predict_epoch(
-    shape: &GnnShape,
-    config: &OrderConfig,
-    memoize: bool,
-    p: usize,
-    rank: usize,
-) -> Vec<SchedEvent> {
-    predict_epoch_ra(shape, config, memoize, p, p, rank, &[shape.nnz])
-        .expect("full replication is always in scope")
-}
-
-/// [`predict_epoch`] for the replicated-panel regime: the event sequence
-/// rank `rank` of the `p/r_a × r_a` grid produces, with group-scoped
-/// redistribution bytes and one dense tile [`SchedEvent::Broadcast`] per
-/// panel SpMM. `panel_nnz[k]` is the nonzero count of panel `k`'s row
-/// slice of the (symmetric) adjacency — data-dependent, so callers read
-/// it off the partitioned graph.
+/// Predict the schedule-level event sequence rank `rank` of the
+/// `p/r_a × r_a` grid produces during one training epoch of `config` on
+/// `shape` (no edge mask). Every epoch of a fixed-plan run produces this
+/// same sequence: the engine rebuilds its layout caches from the
+/// (dual-form) input every epoch. Redistribution bytes are group-scoped,
+/// and at `r_a < p` every panel SpMM carries one dense tile
+/// [`SchedEvent::Broadcast`]. `panel_nnz[k]` is the nonzero count of panel
+/// `k`'s row slice of the (symmetric) adjacency — data-dependent, so
+/// callers read it off the partitioned graph; full replication is
+/// `r_a = p, panel_nnz = [shape.nnz]`.
 ///
 /// # Errors
 /// If `r_a` does not divide `p`, `rank` is out of range, or `panel_nnz`
 /// has the wrong length or does not sum to `shape.nnz` — inputs the
 /// predictor would otherwise silently misprice.
-pub fn predict_epoch_ra(
+pub fn predict_epoch(
     shape: &GnnShape,
     config: &OrderConfig,
     memoize: bool,
@@ -475,20 +463,12 @@ pub fn predict_epoch_ra(
     rank: usize,
     panel_nnz: &[usize],
 ) -> Result<Vec<SchedEvent>, String> {
-    let mut pr = Predictor::with_ra(shape, p, r_a, rank, panel_nnz)?;
-    predict_epoch_into(&mut pr, config, memoize);
-    Ok(pr.into_events())
-}
-
-/// The epoch schedule body, shared by the full-replication and
-/// replicated-panel entry points.
-fn predict_epoch_into(pr: &mut Predictor<'_>, config: &OrderConfig, memoize: bool) {
+    let mut pr = Predictor::new(shape, p, r_a, rank, panel_nnz)?;
     let layers = config.layers();
-    let feats = pr.shape.feats.clone();
-    let feats = &feats;
+    let feats = &shape.feats;
 
     // ---- forward ----
-    let (mut h, t_fwd) = predict_forward(pr, config, memoize, None);
+    let (mut h, t_fwd) = predict_forward(&mut pr, config, memoize, None);
 
     // ---- backward ----
     // The loss gradient arrives row-sliced with the logits' width.
@@ -551,6 +531,7 @@ fn predict_epoch_into(pr: &mut Predictor<'_>, config: &OrderConfig, memoize: boo
             }
         }
     }
+    Ok(pr.into_events())
 }
 
 /// One item of [`walk_schedule`]'s reduction of a trace.
@@ -807,29 +788,14 @@ fn diff(rank: usize, epoch: usize, expected: &[SchedEvent], got: &[SchedEvent]) 
     v
 }
 
-/// Check one rank's trace of one epoch against the model's prediction.
+/// Check one rank's trace of one epoch against the model's prediction
+/// for the `(p, r_a, panel_nnz)` grid (see [`predict_epoch`]).
 ///
 /// # Errors
-/// If the trace is structurally malformed (see [`extract_epoch`]).
-pub fn check_epoch(
-    trace: &RankTrace,
-    epoch: usize,
-    shape: &GnnShape,
-    config: &OrderConfig,
-    memoize: bool,
-    p: usize,
-) -> Result<Vec<Violation>, String> {
-    check_epoch_ra(trace, epoch, shape, config, memoize, p, p, &[shape.nnz])
-}
-
-/// [`check_epoch`] at a replication factor: the prediction runs the
-/// replicated-panel schedule (see [`predict_epoch_ra`]).
-///
-/// # Errors
-/// If the trace is structurally malformed, or the `(p, r_a, panel_nnz)`
-/// inputs are outside the predictor's scope.
+/// If the trace is structurally malformed (see [`extract_epoch`]), or the
+/// `(p, r_a, panel_nnz)` inputs are outside the predictor's scope.
 #[allow(clippy::too_many_arguments)]
-pub fn check_epoch_ra(
+pub fn check_epoch(
     trace: &RankTrace,
     epoch: usize,
     shape: &GnnShape,
@@ -840,36 +806,20 @@ pub fn check_epoch_ra(
     panel_nnz: &[usize],
 ) -> Result<Vec<Violation>, String> {
     trace.validate_nesting()?;
-    let expected = predict_epoch_ra(shape, config, memoize, p, r_a, trace.rank, panel_nnz)?;
+    let expected = predict_epoch(shape, config, memoize, p, r_a, trace.rank, panel_nnz)?;
     let got = extract_epoch(trace, epoch)?;
     Ok(diff(trace.rank, epoch, &expected, &got))
 }
 
 /// Check a whole recorded run (all ranks, every epoch present in the
-/// traces) against the model's prediction for a fixed plan. Returns the
-/// full list of schedule violations — empty means the run conformed.
+/// traces) against the model's prediction for a fixed plan at replication
+/// factor `r_a` (`P` is `traces.len()`). Returns the full list of schedule
+/// violations — empty means the run conformed.
 ///
 /// # Errors
-/// If any trace is structurally malformed, or ranks disagree on the set
-/// of epochs.
+/// If any trace is structurally malformed, ranks disagree on the set of
+/// epochs, or `(r_a, panel_nnz)` are outside the predictor's scope.
 pub fn check_run(
-    traces: &[RankTrace],
-    shape: &GnnShape,
-    config: &OrderConfig,
-    memoize: bool,
-) -> Result<Vec<Violation>, String> {
-    let p = traces.len();
-    assert!(p > 0, "need at least one rank trace");
-    check_run_ra(traces, shape, config, memoize, p, &[shape.nnz])
-}
-
-/// [`check_run`] at a replication factor: every rank's every epoch is
-/// diffed against the replicated-panel prediction.
-///
-/// # Errors
-/// If any trace is structurally malformed, or `(r_a, panel_nnz)` are
-/// outside the predictor's scope for `traces.len()` ranks.
-pub fn check_run_ra(
     traces: &[RankTrace],
     shape: &GnnShape,
     config: &OrderConfig,
@@ -894,7 +844,7 @@ pub fn check_run_ra(
     let mut violations = Vec::new();
     for trace in traces {
         for &epoch in &epochs {
-            violations.extend(check_epoch_ra(
+            violations.extend(check_epoch(
                 trace, epoch, shape, config, memoize, p, r_a, panel_nnz,
             )?);
         }
@@ -928,7 +878,7 @@ mod tests {
     fn single_rank_prediction_moves_no_bytes() {
         for id in 0..16 {
             let cfg = OrderConfig::from_id(id, 2);
-            let ev = predict_epoch(&shape(), &cfg, true, 1, 0);
+            let ev = predict_epoch(&shape(), &cfg, true, 1, 1, 0, &[shape().nnz]).unwrap();
             for e in &ev {
                 match e {
                     SchedEvent::Redist { bytes, .. } | SchedEvent::AllReduce { bytes } => {
@@ -952,7 +902,7 @@ mod tests {
         // All-SpMM-first: the input has both forms, so layer 1's SpMM is
         // free; each layer pays exactly one intra-layer Col→Row.
         let cfg = OrderConfig::from_id(0, 2);
-        let ev = predict_epoch(&shape(), &cfg, true, 4, 1);
+        let ev = predict_epoch(&shape(), &cfg, true, 4, 4, 1, &[shape().nnz]).unwrap();
         // Forward slice: up to the loss boundary there are 2 layers ×
         // (Spmm, Redist, Gemm).
         assert!(matches!(ev[0], SchedEvent::Spmm { .. }));
@@ -986,8 +936,8 @@ mod tests {
         // weight grad must recompute an SpMM, so the schedules differ.
         let cfg = OrderConfig::from_id(4, 2);
         assert!(cfg.memoize_forward_spmm(1));
-        let with = predict_epoch(&shape(), &cfg, true, 4, 0);
-        let without = predict_epoch(&shape(), &cfg, false, 4, 0);
+        let with = predict_epoch(&shape(), &cfg, true, 4, 4, 0, &[shape().nnz]).unwrap();
+        let without = predict_epoch(&shape(), &cfg, false, 4, 4, 0, &[shape().nnz]).unwrap();
         assert_ne!(with, without);
         let spmms = |ev: &[SchedEvent]| {
             ev.iter()
@@ -1006,7 +956,7 @@ mod tests {
             let cfg = OrderConfig::from_id(0, 2);
             let mut totals = [0u64; 3];
             for r in 0..p {
-                let ev = predict_epoch(&s, &cfg, true, p, r);
+                let ev = predict_epoch(&s, &cfg, true, p, p, r, &[s.nnz]).unwrap();
                 for (i, e) in ev
                     .iter()
                     .filter(|e| {
@@ -1217,7 +1167,7 @@ mod tests {
         let (p, r_a) = (4usize, 2usize);
         let panel_nnz = [620usize, 480];
         let cfg = OrderConfig::from_id(0, 2);
-        let ev = predict_epoch_ra(&s, &cfg, true, p, r_a, 1, &panel_nnz).unwrap();
+        let ev = predict_epoch(&s, &cfg, true, p, r_a, 1, &panel_nnz).unwrap();
 
         // Every panel SpMM carries the column group's dense tile
         // broadcast: (P/R_A - 1) · panel_len · tile_cols · 4 bytes.
@@ -1255,10 +1205,9 @@ mod tests {
             .unwrap();
         assert_eq!(first_redist, (35 * 8 * 4) as u64);
 
-        // Full replication through the r_a entry point is exactly the
-        // legacy prediction: no Broadcast events, identical sequence.
-        let full = predict_epoch_ra(&s, &cfg, true, p, p, 1, &[s.nnz]).unwrap();
-        assert_eq!(full, predict_epoch(&s, &cfg, true, p, 1));
+        // Full replication (one panel, r_a = p) carries no Broadcast
+        // events.
+        let full = predict_epoch(&s, &cfg, true, p, p, 1, &[s.nnz]).unwrap();
         assert!(!full
             .iter()
             .any(|e| matches!(e, SchedEvent::Broadcast { .. })));
@@ -1272,7 +1221,7 @@ mod tests {
             v[0] += slack;
             v
         };
-        let ev1 = predict_epoch_ra(&s, &cfg, true, p, 1, 2, &parted).unwrap();
+        let ev1 = predict_epoch(&s, &cfg, true, p, 1, 2, &parted).unwrap();
         for e in &ev1 {
             if let SchedEvent::Redist {
                 kind: TraceCollective::Redistribute,
@@ -1292,13 +1241,13 @@ mod tests {
     fn replicated_panel_prediction_rejects_malformed_grids() {
         let s = shape();
         let cfg = OrderConfig::from_id(0, 2);
-        let err = predict_epoch_ra(&s, &cfg, true, 4, 3, 0, &[s.nnz]).unwrap_err();
+        let err = predict_epoch(&s, &cfg, true, 4, 3, 0, &[s.nnz]).unwrap_err();
         assert!(err.contains("must divide"), "{err}");
-        let err = predict_epoch_ra(&s, &cfg, true, 4, 2, 4, &[600, 500]).unwrap_err();
+        let err = predict_epoch(&s, &cfg, true, 4, 2, 4, &[600, 500]).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
-        let err = predict_epoch_ra(&s, &cfg, true, 4, 2, 0, &[s.nnz]).unwrap_err();
+        let err = predict_epoch(&s, &cfg, true, 4, 2, 0, &[s.nnz]).unwrap_err();
         assert!(err.contains("panel nonzero counts"), "{err}");
-        let err = predict_epoch_ra(&s, &cfg, true, 4, 2, 0, &[600, 600]).unwrap_err();
+        let err = predict_epoch(&s, &cfg, true, 4, 2, 0, &[600, 600]).unwrap_err();
         assert!(err.contains("sum to"), "{err}");
     }
 

@@ -1,10 +1,13 @@
 //! Whole-network cost evaluation and the Pareto filter (§IV-B, Table VI).
+//!
+//! One entry point per question, each taking the replication factor `r_a`
+//! and the row-occupancy factor `sigma` (`r_a = p, sigma = 1.0` is the
+//! paper's dense, fully replicated pricing). The one exception is
+//! [`config_cost`], the dense form of [`config_cost_with_sparsity`], which
+//! the frozen benchmark calls by name.
 
 use crate::config::{Order, OrderConfig};
-use crate::layer::{
-    backward_layer_cost_with_sparsity, forward_layer_cost_with_sparsity, redistribution_elems,
-    LayerDims,
-};
+use crate::layer::{backward_layer_cost, forward_layer_cost, redistribution_elems, LayerDims};
 
 /// The shape of a GCN training problem: vertex count, edge count (nnz of
 /// the normalized adjacency), and the feature width of every boundary —
@@ -76,8 +79,7 @@ impl Cost {
 ///
 /// Implements the composition rules of §IV-A (verified against Table IV):
 ///
-/// * intra-layer cost per [`crate::layer::forward_layer_cost`] /
-///   [`crate::layer::backward_layer_cost`];
+/// * intra-layer cost per [`forward_layer_cost`] / [`backward_layer_cost`];
 /// * an extra redistribution of `f_l` between adjacent forward layers with
 ///   the same order, and of `f_l` between adjacent backward layers with the
 ///   same order;
@@ -129,7 +131,7 @@ pub fn config_cost_with_sparsity(
 
     // Forward pass.
     for layer in 1..=l {
-        let c = forward_layer_cost_with_sparsity(
+        let c = forward_layer_cost(
             shape.layer_dims(layer),
             cfg.forward[layer - 1],
             n,
@@ -160,7 +162,7 @@ pub fn config_cost_with_sparsity(
     // Backward pass, executed from layer L down to 1.
     for layer in (1..=l).rev() {
         let fwd_was_s = cfg.forward[layer - 1] == Order::SpmmFirst;
-        let c = backward_layer_cost_with_sparsity(
+        let c = backward_layer_cost(
             shape.layer_dims(layer),
             cfg.backward[layer - 1],
             fwd_was_s,
@@ -183,13 +185,10 @@ pub fn config_cost_with_sparsity(
     total
 }
 
-/// Every configuration with its cost, ordered by ID.
-pub fn all_config_costs(shape: &GnnShape, p: usize, r_a: usize) -> Vec<(OrderConfig, Cost)> {
-    all_config_costs_with_sparsity(shape, p, r_a, 1.0)
-}
-
-/// [`all_config_costs`] priced with a row-sparsity factor.
-pub fn all_config_costs_with_sparsity(
+/// Every configuration with its cost, ordered by ID, priced at
+/// replication factor `r_a` and row-occupancy factor `sigma` (see
+/// [`config_cost_with_sparsity`]).
+pub fn all_config_costs(
     shape: &GnnShape,
     p: usize,
     r_a: usize,
@@ -208,23 +207,19 @@ pub fn all_config_costs_with_sparsity(
 /// SpMM operations) — §IV-B / Table VI. Ties collapse: among configurations
 /// with identical cost vectors only the lowest ID is kept, matching how the
 /// paper lists candidate IDs.
-pub fn pareto_configs(shape: &GnnShape, p: usize, r_a: usize) -> Vec<(OrderConfig, Cost)> {
-    pareto_configs_with_sparsity(shape, p, r_a, 1.0)
-}
-
-/// [`pareto_configs`] priced with a row-sparsity factor. With `r_a == p`
-/// the factor scales every candidate's communication uniformly, so the
-/// Pareto *membership* matches the dense pricing; under `R_A < P` the
-/// dense broadcast share shifts the trade-off and the set can differ.
-/// Either way the device-model ranking downstream sees the re-priced
-/// volumes.
-pub fn pareto_configs_with_sparsity(
+///
+/// With `r_a == p` the factor `sigma` scales every candidate's
+/// communication uniformly, so the membership matches the dense pricing;
+/// under `R_A < P` the dense broadcast share shifts the trade-off and the
+/// set can differ. Either way the device-model ranking downstream sees the
+/// re-priced volumes.
+pub fn pareto_configs(
     shape: &GnnShape,
     p: usize,
     r_a: usize,
     sigma: f64,
 ) -> Vec<(OrderConfig, Cost)> {
-    let all = all_config_costs_with_sparsity(shape, p, r_a, sigma);
+    let all = all_config_costs(shape, p, r_a, sigma);
     let mut keep = Vec::new();
     'outer: for (i, (cfg, cost)) in all.iter().enumerate() {
         for (j, (_, other)) in all.iter().enumerate() {
@@ -242,8 +237,8 @@ pub fn pareto_configs_with_sparsity(
 }
 
 /// Just the Pareto-optimal IDs (Table VI's "Candidates IDs" column).
-pub fn pareto_ids(shape: &GnnShape, p: usize, r_a: usize) -> Vec<usize> {
-    pareto_configs(shape, p, r_a)
+pub fn pareto_ids(shape: &GnnShape, p: usize, r_a: usize, sigma: f64) -> Vec<usize> {
+    pareto_configs(shape, p, r_a, sigma)
         .iter()
         .map(|(cfg, _)| cfg.id())
         .collect()
@@ -272,7 +267,7 @@ mod tests {
     fn reproduces_table6_pareto_candidates() {
         for &(name, f_in, f_h, f_out, expect) in TABLE6 {
             let shape = GnnShape::gcn(10_000, 100_000, f_in, f_h, f_out, 2);
-            let ids = pareto_ids(&shape, 8, 8);
+            let ids = pareto_ids(&shape, 8, 8, 1.0);
             assert_eq!(ids, expect, "dataset {name}");
         }
     }
@@ -282,14 +277,17 @@ mod tests {
         let shape_a = GnnShape::gcn(1_000, 5_000, 602, 128, 41, 2);
         let shape_b = GnnShape::gcn(232_965, 114_848_857, 602, 128, 41, 2);
         for p in [2, 4, 8] {
-            assert_eq!(pareto_ids(&shape_a, p, p), pareto_ids(&shape_b, 8, 8));
+            assert_eq!(
+                pareto_ids(&shape_a, p, p, 1.0),
+                pareto_ids(&shape_b, 8, 8, 1.0)
+            );
         }
     }
 
     #[test]
     fn pareto_set_is_nonempty_and_nondominated() {
         let shape = GnnShape::gcn(5_000, 60_000, 64, 32, 10, 2);
-        let pareto = pareto_configs(&shape, 4, 4);
+        let pareto = pareto_configs(&shape, 4, 4, 1.0);
         assert!(!pareto.is_empty());
         for (_, a) in &pareto {
             for (_, b) in &pareto {
@@ -318,9 +316,9 @@ mod tests {
     #[test]
     fn three_layer_enumeration_has_64_configs() {
         let shape = GnnShape::gcn(1_000, 10_000, 128, 128, 40, 3);
-        let all = all_config_costs(&shape, 8, 8);
+        let all = all_config_costs(&shape, 8, 8, 1.0);
         assert_eq!(all.len(), 64);
-        let pareto = pareto_configs(&shape, 8, 8);
+        let pareto = pareto_configs(&shape, 8, 8, 1.0);
         assert!(pareto.len() < 64);
         assert!(!pareto.is_empty());
     }
@@ -328,7 +326,7 @@ mod tests {
     #[test]
     fn gemm_ops_are_order_independent() {
         let shape = GnnShape::gcn(1_000, 10_000, 64, 32, 8, 2);
-        let all = all_config_costs(&shape, 4, 4);
+        let all = all_config_costs(&shape, 4, 4, 1.0);
         let g0 = all[0].1.gemm_ops;
         assert!(all.iter().all(|(_, c)| c.gemm_ops == g0));
     }
@@ -378,11 +376,11 @@ mod tests {
         // selection keeps choosing among the paper's Table VI candidates.
         for &(name, f_in, f_h, f_out, _) in TABLE6 {
             let shape = GnnShape::gcn(10_000, 100_000, f_in, f_h, f_out, 2);
-            let dense: Vec<usize> = pareto_configs(&shape, 8, 8)
+            let dense: Vec<usize> = pareto_configs(&shape, 8, 8, 1.0)
                 .iter()
                 .map(|(c, _)| c.id())
                 .collect();
-            let sparse: Vec<usize> = pareto_configs_with_sparsity(&shape, 8, 8, 0.37)
+            let sparse: Vec<usize> = pareto_configs(&shape, 8, 8, 0.37)
                 .iter()
                 .map(|(c, _)| c.id())
                 .collect();

@@ -2,7 +2,10 @@
 //!
 //! All quantities are *global* (summed over ranks). Communication is in
 //! **elements** (multiply by 4 for bytes); compute is in FMA operations
-//! (`nnz·f` for SpMM, `N·f_{l-1}·f_l` for GEMM).
+//! (`nnz·f` for SpMM, `N·f_{l-1}·f_l` for GEMM). Every entry takes the
+//! replication factor `r_a` and the row-occupancy factor `sigma` as
+//! inputs: `r_a = p, sigma = 1.0` is the paper's fully replicated, dense
+//! pricing, not a separate entry point.
 
 use crate::config::Order;
 
@@ -61,24 +64,12 @@ pub fn group_redistribution_elems(n: usize, f: usize, r_a: usize) -> f64 {
 /// communication-free; the only traffic is the intra-layer redistribution.
 /// When `r_a < p` the SpMM adds the panel-group broadcast and the
 /// redistribution happens inside groups of `R_A`.
+///
+/// `sigma` is the expected fraction of intermediate rows that carry data
+/// (`1.0` = the paper's dense pricing): the indexed-strip wire drops
+/// all-zero rows, so every redistribution term scales by `sigma` while the
+/// panel broadcast — which does not ride that path — stays dense.
 pub fn forward_layer_cost(
-    dims: LayerDims,
-    ord: Order,
-    n: usize,
-    nnz: usize,
-    p: usize,
-    r_a: usize,
-) -> LayerCost {
-    forward_layer_cost_with_sparsity(dims, ord, n, nnz, p, r_a, 1.0)
-}
-
-/// [`forward_layer_cost`] with a row-sparsity factor `sigma` applied to
-/// every redistribution term. `sigma` is the expected fraction of
-/// intermediate rows that carry data (`1.0` = dense pricing); the
-/// indexed-strip wire path drops all-zero rows, so redistribution volume
-/// scales by `sigma` while the panel broadcast — which does not ride that
-/// path — stays dense.
-pub fn forward_layer_cost_with_sparsity(
     dims: LayerDims,
     ord: Order,
     n: usize,
@@ -114,22 +105,9 @@ pub fn forward_layer_cost_with_sparsity(
 /// backward order is GEMM-first *and* no memoized product exists, the
 /// weight-gradient SpMM must be recomputed: `min(f_{l-1}, f_l)` extra ops
 /// and `2·min(f_{l-1}, f_l)` extra redistribution volume (the N.M. rows).
-pub fn backward_layer_cost(
-    dims: LayerDims,
-    ord: Order,
-    fwd_was_spmm_first: bool,
-    n: usize,
-    nnz: usize,
-    p: usize,
-    r_a: usize,
-) -> LayerCost {
-    backward_layer_cost_with_sparsity(dims, ord, fwd_was_spmm_first, n, nnz, p, r_a, 1.0)
-}
-
-/// [`backward_layer_cost`] with a row-sparsity factor `sigma` on every
-/// redistribution term (see [`forward_layer_cost_with_sparsity`]).
+/// `sigma` scales every redistribution term (see [`forward_layer_cost`]).
 #[allow(clippy::too_many_arguments)]
-pub fn backward_layer_cost_with_sparsity(
+pub fn backward_layer_cost(
     dims: LayerDims,
     ord: Order,
     fwd_was_spmm_first: bool,
@@ -196,7 +174,7 @@ mod tests {
 
     #[test]
     fn forward_spmm_first_uses_input_width() {
-        let c = forward_layer_cost(dims(), SpmmFirst, N, NNZ, P, P);
+        let c = forward_layer_cost(dims(), SpmmFirst, N, NNZ, P, P, 1.0);
         assert_eq!(c.spmm_ops, (NNZ * 64) as f64);
         assert_eq!(c.comm_elems, redistribution_elems(N, 64, P));
         assert_eq!(c.gemm_ops, (N * 64 * 16) as f64);
@@ -204,13 +182,13 @@ mod tests {
 
     #[test]
     fn forward_gemm_first_uses_output_width() {
-        let c = forward_layer_cost(dims(), GemmFirst, N, NNZ, P, P);
+        let c = forward_layer_cost(dims(), GemmFirst, N, NNZ, P, P, 1.0);
         assert_eq!(c.spmm_ops, (NNZ * 16) as f64);
         assert_eq!(c.comm_elems, redistribution_elems(N, 16, P));
         // GEMM op count is order-independent (Table II).
         assert_eq!(
             c.gemm_ops,
-            forward_layer_cost(dims(), SpmmFirst, N, NNZ, P, P).gemm_ops
+            forward_layer_cost(dims(), SpmmFirst, N, NNZ, P, P, 1.0).gemm_ops
         );
     }
 
@@ -222,30 +200,30 @@ mod tests {
             f_in: 128,
             f_out: 32,
         };
-        let s = forward_layer_cost(narrow_out, SpmmFirst, N, NNZ, P, P);
-        let d = forward_layer_cost(narrow_out, GemmFirst, N, NNZ, P, P);
+        let s = forward_layer_cost(narrow_out, SpmmFirst, N, NNZ, P, P, 1.0);
+        let d = forward_layer_cost(narrow_out, GemmFirst, N, NNZ, P, P, 1.0);
         assert!(d.spmm_ops < s.spmm_ops && d.comm_elems < s.comm_elems);
         let wide_out = LayerDims {
             f_in: 32,
             f_out: 128,
         };
-        let s = forward_layer_cost(wide_out, SpmmFirst, N, NNZ, P, P);
-        let d = forward_layer_cost(wide_out, GemmFirst, N, NNZ, P, P);
+        let s = forward_layer_cost(wide_out, SpmmFirst, N, NNZ, P, P, 1.0);
+        let d = forward_layer_cost(wide_out, GemmFirst, N, NNZ, P, P, 1.0);
         assert!(s.spmm_ops < d.spmm_ops && s.comm_elems < d.comm_elems);
     }
 
     #[test]
     fn backward_spmm_first_no_penalty_ever() {
-        let a = backward_layer_cost(dims(), SpmmFirst, true, N, NNZ, P, P);
-        let b = backward_layer_cost(dims(), SpmmFirst, false, N, NNZ, P, P);
+        let a = backward_layer_cost(dims(), SpmmFirst, true, N, NNZ, P, P, 1.0);
+        let b = backward_layer_cost(dims(), SpmmFirst, false, N, NNZ, P, P, 1.0);
         assert_eq!(a, b);
         assert_eq!(a.spmm_ops, (NNZ * 16) as f64);
     }
 
     #[test]
     fn backward_gemm_first_memoized_vs_not() {
-        let memo = backward_layer_cost(dims(), GemmFirst, true, N, NNZ, P, P);
-        let no_memo = backward_layer_cost(dims(), GemmFirst, false, N, NNZ, P, P);
+        let memo = backward_layer_cost(dims(), GemmFirst, true, N, NNZ, P, P, 1.0);
+        let no_memo = backward_layer_cost(dims(), GemmFirst, false, N, NNZ, P, P, 1.0);
         let w = 16; // min(64, 16)
         assert_eq!(no_memo.spmm_ops - memo.spmm_ops, (NNZ * w) as f64);
         assert_eq!(
@@ -256,7 +234,7 @@ mod tests {
 
     #[test]
     fn backward_has_two_gemms() {
-        let c = backward_layer_cost(dims(), SpmmFirst, false, N, NNZ, P, P);
+        let c = backward_layer_cost(dims(), SpmmFirst, false, N, NNZ, P, P, 1.0);
         assert_eq!(c.gemm_ops, (2 * N * 64 * 16) as f64);
     }
 
@@ -266,7 +244,7 @@ mod tests {
         let p = 8;
         let mut prev = f64::INFINITY;
         for r_a in [1, 2, 4, 8] {
-            let c = forward_layer_cost(dims(), SpmmFirst, N, NNZ, p, r_a);
+            let c = forward_layer_cost(dims(), SpmmFirst, N, NNZ, p, r_a, 1.0);
             assert!(
                 c.comm_elems < prev,
                 "R_A={r_a} comm {} not below previous {prev}",
@@ -281,14 +259,14 @@ mod tests {
         // R_A = 1: no group redistribution, broadcast volume (P-1)·N·f —
         // identical to CAGNET 1D (§III-E).
         let p = 8;
-        let c = forward_layer_cost(dims(), SpmmFirst, N, NNZ, p, 1);
+        let c = forward_layer_cost(dims(), SpmmFirst, N, NNZ, p, 1, 1.0);
         assert_eq!(c.comm_elems, ((p - 1) * N * 64) as f64);
     }
 
     #[test]
     fn ra_equal_p_matches_plain_formula() {
         let p = 8;
-        let via_ra = forward_layer_cost(dims(), SpmmFirst, N, NNZ, p, p);
+        let via_ra = forward_layer_cost(dims(), SpmmFirst, N, NNZ, p, p, 1.0);
         assert_eq!(via_ra.comm_elems, redistribution_elems(N, 64, p));
     }
 

@@ -2,8 +2,11 @@
 //!
 //! Everything here is a pure function of the GNN shape
 //! (`N`, `nnz`, feature widths), the cluster size `P`, the adjacency
-//! replication factor `R_A`, and the per-layer SpMM/GEMM ordering — no I/O,
-//! no execution. The same quantities are measured by `rdm-comm`'s byte
+//! replication factor `R_A`, the row-occupancy factor `σ` of the indexed
+//! wire, and the per-layer SpMM/GEMM ordering — no I/O, no execution.
+//! Each question has one entry point, and `R_A` and `σ` are arguments of
+//! every pricing, selection, prediction and check: full replication on the
+//! dense wire is `R_A = P, σ = 1`, not a separate signature. The same quantities are measured by `rdm-comm`'s byte
 //! counters during real runs, and integration tests assert the two agree
 //! exactly.
 //!
@@ -35,21 +38,15 @@ pub mod serving;
 pub mod symbolic;
 
 pub use config::{Order, OrderConfig};
-pub use conformance::{
-    check_epoch, check_epoch_ra, check_run, check_run_ra, predict_epoch, predict_epoch_ra,
-    SchedEvent, Violation,
-};
-pub use cost::{
-    config_cost_with_sparsity, pareto_configs, pareto_configs_with_sparsity, pareto_ids, Cost,
-    GnnShape,
-};
+pub use conformance::{check_epoch, check_run, predict_epoch, SchedEvent, Violation};
+pub use cost::{config_cost_with_sparsity, pareto_configs, pareto_ids, Cost, GnnShape};
 pub use device::{DeviceModel, MeasuredRank, Predicted};
 pub use layer::{
     group_redistribution_elems, panel_broadcast_elems, redistribution_elems, LayerDims,
 };
 pub use memory::{cagnet_bytes_per_gpu, max_replication, rdm_bytes_per_gpu, MemoryParams};
 pub use serving::{
-    check_session, check_session_ra, extract_session, predict_session, predict_session_ra,
-    AdmitOutcome, CacheSim, ServeEvent, ServeViolation, SessionBatch,
+    check_session, extract_session, predict_session, AdmitOutcome, CacheSim, ServeEvent,
+    ServeViolation, SessionBatch,
 };
 pub use symbolic::{table4, Table4Row};

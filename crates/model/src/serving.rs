@@ -223,42 +223,19 @@ pub struct SessionBatch {
     pub targets: Vec<u32>,
 }
 
-/// Predict the serving-schedule event sequence rank `rank` of `p` produces
-/// for a full-graph serving session of `batches` under `config`, with a
-/// `cache_rows`-per-rank layer-0 aggregation cache (`0` = off).
+/// Predict the serving-schedule event sequence rank `rank` of the
+/// `p/r_a × r_a` grid produces for a full-graph serving session of
+/// `batches` under `config`, with a `cache_rows`-per-rank layer-0
+/// aggregation cache (`0` = off). Redistribution bytes and panel-tile
+/// broadcasts are priced as [`crate::conformance::predict_epoch`] prices
+/// them; `panel_nnz[k]` is the nonzero count of panel `k`'s row slice of
+/// the adjacency (full replication: `r_a = p, panel_nnz = [shape.nnz]`).
 ///
 /// The cache prunes layer 1's intra-layer Col→Row exchange only when the
 /// plan runs that layer SpMM-first (the cached tensor *is* the SpMM
 /// output); under a GemmFirst first layer the cache is inert and the
 /// schedule equals the uncached one. Bytes of the pruned exchange follow
 /// the directory state at each batch's open, replayed by [`CacheSim`].
-pub fn predict_session(
-    shape: &GnnShape,
-    config: &OrderConfig,
-    memoize: bool,
-    p: usize,
-    rank: usize,
-    batches: &[SessionBatch],
-    cache_rows: usize,
-) -> Vec<ServeEvent> {
-    predict_session_ra(
-        shape,
-        config,
-        memoize,
-        p,
-        p,
-        rank,
-        batches,
-        cache_rows,
-        &[shape.nnz],
-    )
-    .expect("full replication is always in scope")
-}
-
-/// [`predict_session`] for the replicated-panel regime: group-scoped
-/// redistribution bytes and one dense tile broadcast per panel SpMM, as
-/// [`crate::conformance::predict_epoch_ra`] prices them. `panel_nnz[k]`
-/// is the nonzero count of panel `k`'s row slice of the adjacency.
 ///
 /// # Errors
 /// If `r_a` does not divide `p`, `rank` is out of range, `panel_nnz` is
@@ -266,7 +243,7 @@ pub fn predict_session(
 /// layer-0 aggregation cache indexes the fully replicated adjacency) —
 /// inputs the predictor would otherwise silently misprice.
 #[allow(clippy::too_many_arguments)]
-pub fn predict_session_ra(
+pub fn predict_session(
     shape: &GnnShape,
     config: &OrderConfig,
     memoize: bool,
@@ -284,7 +261,7 @@ pub fn predict_session_ra(
         ));
     }
     // Validate the grid once up front (also covers the empty-session case).
-    Predictor::with_ra(shape, p, r_a, rank, panel_nnz)?;
+    Predictor::new(shape, p, r_a, rank, panel_nnz)?;
     let cached = cache_rows > 0 && config.forward[0] == Order::SpmmFirst;
     let mut sim = CacheSim::new(shape.n, p, cache_rows);
     let cols_me = part_len(shape.feats[0], p, rank);
@@ -311,7 +288,7 @@ pub fn predict_session_ra(
         } else {
             None
         };
-        let mut pr = Predictor::with_ra(shape, p, r_a, rank, panel_nnz)?;
+        let mut pr = Predictor::new(shape, p, r_a, rank, panel_nnz)?;
         predict_forward(&mut pr, config, memoize, layer1_bytes);
         out.extend(pr.into_events().into_iter().map(ServeEvent::Sched));
         out.push(ServeEvent::BatchEnd);
@@ -380,40 +357,19 @@ fn diff_session(rank: usize, expected: &[ServeEvent], got: &[ServeEvent]) -> Vec
     v
 }
 
-/// Check a whole recorded serving session (all ranks) against the model's
-/// prediction. Returns every serving-schedule violation — empty means the
-/// session conformed.
+/// Check a whole recorded serving session (all ranks; `P` is
+/// `traces.len()`) against the model's prediction at replication factor
+/// `r_a`: each rank's expected schedule is predicted from
+/// `(plan, P, r_a)` and the per-panel adjacency populations, so
+/// group-scoped redistributions and panel-tile broadcasts are
+/// conformance-checked rather than silently skipped. Returns every
+/// serving-schedule violation — empty means the session conformed.
 ///
 /// # Errors
-/// If any trace is structurally malformed (see [`extract_session`]).
-pub fn check_session(
-    traces: &[RankTrace],
-    shape: &GnnShape,
-    config: &OrderConfig,
-    memoize: bool,
-    batches: &[SessionBatch],
-    cache_rows: usize,
-) -> Result<Vec<ServeViolation>, String> {
-    let p = traces.len();
-    assert!(p > 0, "need at least one rank trace");
-    check_session_ra(
-        traces,
-        shape,
-        config,
-        memoize,
-        batches,
-        cache_rows,
-        p,
-        &[shape.nnz],
-    )
-}
-
-/// [`check_session`] generalized to replicated row panels: each rank's
-/// expected schedule is predicted from `(plan, P, r_a)` and the per-panel
-/// adjacency populations, so group-scoped redistributions and panel-tile
-/// broadcasts are conformance-checked rather than silently skipped.
+/// If any trace is structurally malformed (see [`extract_session`]), or
+/// the grid inputs are outside the predictor's scope.
 #[allow(clippy::too_many_arguments)]
-pub fn check_session_ra(
+pub fn check_session(
     traces: &[RankTrace],
     shape: &GnnShape,
     config: &OrderConfig,
@@ -428,7 +384,7 @@ pub fn check_session_ra(
     let mut violations = Vec::new();
     for trace in traces {
         trace.validate_nesting()?;
-        let expected = predict_session_ra(
+        let expected = predict_session(
             shape, config, memoize, p, r_a, trace.rank, batches, cache_rows, panel_nnz,
         )?;
         let got = extract_session(trace)?;
@@ -519,7 +475,7 @@ mod tests {
         ];
         // Targets 3 and 9 are owned by rank 0, so rank 1's sends *to*
         // rank 0 shrink once they are cached — predict rank 1's schedule.
-        let ev = predict_session(&shape, &cfg, true, 2, 1, &batches, 4);
+        let ev = predict_session(&shape, &cfg, true, 2, 2, 1, &batches, 4, &[shape.nnz]).unwrap();
         // Two batches, each bracketed.
         let begins = ev
             .iter()
@@ -589,8 +545,8 @@ mod tests {
         // GemmFirst layer 1: cache on and off predict identical schedules.
         let cfg = OrderConfig::from_id(3, 2);
         assert_eq!(cfg.forward[0], Order::GemmFirst);
-        let on = predict_session(&shape, &cfg, true, 2, 1, &batches, 8);
-        let off = predict_session(&shape, &cfg, true, 2, 1, &batches, 0);
+        let on = predict_session(&shape, &cfg, true, 2, 2, 1, &batches, 8, &[shape.nnz]).unwrap();
+        let off = predict_session(&shape, &cfg, true, 2, 2, 1, &batches, 0, &[shape.nnz]).unwrap();
         assert_eq!(on, off);
     }
 }

@@ -20,8 +20,8 @@
 use rdm_comm::{Cluster, CommStats, FaultPlan};
 use rdm_core::infer::forward_logits_with;
 use rdm_core::ops::OpCounters;
-use rdm_core::plan::{best_plan_with_ra_sparsity, Plan};
-use rdm_core::{AggCache, OverlapSpec, WeightSnapshot};
+use rdm_core::plan::{resolve, Plan, PlanRequest};
+use rdm_core::{AggCache, Algo, OverlapSpec, WeightSnapshot};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::mat::part_range;
 use rdm_dense::pool;
@@ -260,42 +260,26 @@ pub fn serve(
         }
     };
 
-    // One plan for the whole session, priced for the serving shape.
+    // One plan for the whole session, priced for the serving shape (a
+    // one-layer shape has no hidden width: `feats[1]` is then unused).
     let layers = snap.layers();
-    let hidden = if layers >= 2 {
-        feats[1]
-    } else {
-        ds.num_classes()
-    };
     let nnz_est = ((ds.adj_norm.nnz() * serve_n) / n).max(serve_n);
-    let shape = GnnShape::gcn(
-        serve_n,
-        nnz_est,
-        ds.features.cols(),
-        hidden,
-        ds.num_classes(),
-        layers,
-    );
-    if let (Some(plan), Some(r)) = (&cfg.plan, cfg.ra) {
-        if plan.r_a != r {
-            return Err(format!(
-                "explicit plan has r_a = {} but the config asks for r_a = {r}",
-                plan.r_a
-            ));
-        }
-    }
-    let r_a = cfg.plan.as_ref().map(|pl| pl.r_a).or(cfg.ra).unwrap_or(p);
-    if r_a == 0 || !p.is_multiple_of(r_a) {
-        return Err(format!("replication factor {r_a} must divide P = {p}"));
-    }
-    let plan = cfg.plan.clone().unwrap_or_else(|| {
-        let sigma = if cfg.sparse {
-            1.0 - ds.adj_norm.empty_row_fraction()
-        } else {
-            1.0
-        };
-        best_plan_with_ra_sparsity(&shape, p, r_a, &cfg.device, sigma)
-    });
+    let shape = GnnShape::gcn(serve_n, nnz_est, feats[0], feats[1], feats[layers], layers);
+    let resolved = resolve(
+        &PlanRequest {
+            algo: &Algo::Rdm {
+                plan: cfg.plan.clone(),
+            },
+            p,
+            ra: cfg.ra,
+            sparse: cfg.sparse,
+            overlap: cfg.pipeline,
+            device: &cfg.device,
+        },
+        &shape,
+        &ds.adj_norm,
+    )?;
+    let plan = resolved.plan.expect("RDM always resolves a plan");
     if cfg.cache > 0 && plan.r_a != p {
         return Err(format!(
             "the layer-0 aggregation cache indexes the fully replicated \
@@ -304,21 +288,9 @@ pub fn serve(
             plan.r_a
         ));
     }
-    if plan.config.layers() != layers {
-        return Err(format!(
-            "plan orders {} layers, snapshot has {layers}",
-            plan.config.layers()
-        ));
-    }
     // The cache stores the SpMM-first layer-1 intermediate; on GEMM-first
     // first layers it is inert by design (counters stay zero).
     let cache_active = cfg.cache > 0 && plan.config.forward[0] == Order::SpmmFirst;
-    // Requested pipelining that the engine gate will drop anyway (e.g. a
-    // single rank, or `r_a = 1` leaving no redistribution group) is
-    // surfaced on the report instead of silently serving blocking.
-    let overlap_inert = cfg
-        .pipeline
-        .and_then(|chunks| rdm_core::overlap_inert_reason(chunks, p, plan.r_a, false));
 
     // The batch schedule and (for the induced sampler) each batch's vertex
     // set are pure functions of the shared inputs — computed once here,
@@ -574,7 +546,10 @@ pub fn serve(
         retries: stats.retries,
         cache_hits,
         cache_misses,
-        overlap_inert,
+        // Requested pipelining that the engine gate drops anyway (a single
+        // rank, or `r_a = 1` leaving no redistribution group) is surfaced
+        // on the report instead of silently serving blocking.
+        overlap_inert: resolved.overlap_inert,
     };
     Ok(ServeOutput {
         report,

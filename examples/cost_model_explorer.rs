@@ -21,7 +21,7 @@ fn main() {
     let n = 100_000;
     let nnz = 2_000_000;
     let shape = GnnShape::gcn(n, nnz, f_in, f_h, f_out, 2);
-    let pareto: Vec<usize> = gnn_rdm::model::pareto_ids(&shape, p, p);
+    let pareto: Vec<usize> = gnn_rdm::model::pareto_ids(&shape, p, p, 1.0);
     let device = DeviceModel::a6000_pcie();
 
     println!("2-layer GCN, f_in={f_in}, f_h={f_h}, f_out={f_out}, N={n}, nnz={nnz}, P={p}");
@@ -30,7 +30,7 @@ fn main() {
         "{:<4} {:<10} {:>14} {:>14} {:>12}  pareto?",
         "ID", "orders", "comm (elems)", "SpMM (FMA)", "pred (ms)"
     );
-    for (cfg, cost) in all_config_costs(&shape, p, p) {
+    for (cfg, cost) in all_config_costs(&shape, p, p, 1.0) {
         let pred = device.predict(&cost, p, 40.0);
         let mark = if pareto.contains(&cfg.id()) {
             "  *"
@@ -48,7 +48,7 @@ fn main() {
         );
     }
     println!();
-    let plan = best_plan(&shape, p);
+    let plan = best_plan(&shape, p, p, &device, 1.0);
     println!(
         "device-model pick: ID {} ({}) out of pareto set {:?}",
         plan.id(),

@@ -22,8 +22,8 @@ fn main() {
 
     // Ask the analytical model for the best SpMM/GEMM ordering on 4 GPUs.
     let p = 4;
-    let shape = ds.shape(64); // 2 layers, 64 hidden features
-    let plan = best_plan(&shape, p);
+    let shape = ds.shape_layers(64, 2); // 2 layers, 64 hidden features
+    let plan = best_plan(&shape, p, p, &DeviceModel::a6000_pcie(), 1.0);
     println!(
         "model-selected plan: Table-IV ID {} ({})",
         plan.id(),

@@ -13,8 +13,8 @@ fn main() {
     let ds = DatasetSpec::synthetic("ra-demo", 8_000, 96_000, 64, 16).instantiate(7);
     let p = 8;
     let hidden = 64;
-    let shape = ds.shape(hidden);
-    let plan = best_plan(&shape, p);
+    let shape = ds.shape_layers(hidden, 2);
+    let plan = best_plan(&shape, p, p, &DeviceModel::a6000_pcie(), 1.0);
     println!(
         "dataset: N={}, nnz={}, plan ID {} on P={p} ranks",
         ds.n(),

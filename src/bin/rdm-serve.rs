@@ -25,22 +25,15 @@ struct Args {
     common: CommonArgs,
     weights: Option<String>,
     train_epochs: usize,
-    ranks: usize,
-    layers: usize,
-    hidden: usize,
     requests: usize,
     clients: usize,
     mean_gap: u64,
     max_batch: usize,
     max_wait: u64,
     budget: Option<usize>,
-    seed: u64,
-    ra: Option<usize>,
-    sparse: bool,
     pipeline: Option<usize>,
     cache: usize,
     zipf: u32,
-    quiet: bool,
 }
 
 impl Default for Args {
@@ -49,22 +42,15 @@ impl Default for Args {
             common: CommonArgs::default(),
             weights: None,
             train_epochs: 5,
-            ranks: 4,
-            layers: 2,
-            hidden: 128,
             requests: 64,
             clients: 4,
             mean_gap: 200,
             max_batch: 8,
             max_wait: 2_000,
             budget: None,
-            seed: 42,
-            ra: None,
-            sparse: false,
             pipeline: None,
             cache: 0,
             zipf: 0,
-            quiet: false,
         }
     }
 }
@@ -146,9 +132,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
-            "--ranks" => args.ranks = value("--ranks")?.parse().map_err(|e| format!("{e}"))?,
-            "--layers" => args.layers = value("--layers")?.parse().map_err(|e| format!("{e}"))?,
-            "--hidden" => args.hidden = value("--hidden")?.parse().map_err(|e| format!("{e}"))?,
             "--requests" => {
                 args.requests = value("--requests")?.parse().map_err(|e| format!("{e}"))?
             }
@@ -176,15 +159,6 @@ fn parse_args() -> Result<Args, String> {
             "--budget" => {
                 args.budget = Some(value("--budget")?.parse().map_err(|e| format!("{e}"))?)
             }
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--ra" => {
-                let r: usize = value("--ra")?.parse().map_err(|e| format!("{e}"))?;
-                if r == 0 {
-                    return Err("--ra needs a positive replication factor".into());
-                }
-                args.ra = Some(r);
-            }
-            "--sparse" => args.sparse = true,
             "--pipeline" => {
                 let chunks: usize = value("--pipeline")?.parse().map_err(|e| format!("{e}"))?;
                 if chunks < 2 {
@@ -194,7 +168,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--cache" => args.cache = value("--cache")?.parse().map_err(|e| format!("{e}"))?,
             "--zipf" => args.zipf = value("--zipf")?.parse().map_err(|e| format!("{e}"))?,
-            "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -202,6 +175,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
+    args.common.validate()?;
     Ok(args)
 }
 
@@ -210,11 +184,12 @@ fn obtain_weights(args: &Args, ds: &Dataset) -> Result<WeightSnapshot, String> {
         return WeightSnapshot::load(path);
     }
     // Train-first fallback: a short RDM run on the serving cluster size.
-    let cfg = TrainerConfig::rdm_auto(args.ranks)
-        .layers(args.layers)
-        .hidden(args.hidden)
+    let common = &args.common;
+    let cfg = TrainerConfig::rdm_auto(common.ranks)
+        .layers(common.layers)
+        .hidden(common.hidden)
         .epochs(args.train_epochs)
-        .seed(args.seed);
+        .seed(common.seed);
     let report = train_gcn(ds, &cfg)?;
     report
         .weights
@@ -229,7 +204,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let ds = match args.common.build_dataset(args.seed) {
+    let common = &args.common;
+    let ds = match common.build_dataset(common.seed) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("error: {e}");
@@ -267,21 +243,22 @@ fn main() -> ExitCode {
         },
     );
 
-    let load = LoadGen::new(args.seed, args.clients, args.mean_gap, args.requests).zipf(args.zipf);
+    let load =
+        LoadGen::new(common.seed, args.clients, args.mean_gap, args.requests).zipf(args.zipf);
     let requests = load.generate(ds.n());
-    let mut cfg = ServeConfig::new(args.ranks);
+    let mut cfg = ServeConfig::new(common.ranks);
     cfg.policy = BatchPolicy::new(args.max_batch, args.max_wait);
-    cfg.ra = args.ra;
-    cfg.sparse = args.sparse;
+    cfg.ra = common.ra;
+    cfg.sparse = common.sparse;
     cfg.pipeline = args.pipeline;
     cfg.cache = args.cache;
-    cfg = cfg.kernel_mode(args.common.kernel_mode());
-    cfg.trace = args.common.trace.is_some();
-    cfg.sample_seed = args.seed;
+    cfg = cfg.kernel_mode(common.kernel_mode());
+    cfg.trace = common.trace.is_some();
+    cfg.sample_seed = common.seed;
     if let Some(budget) = args.budget {
         cfg.sampler = ServeSampler::Induced { budget };
     }
-    cfg.faults = args.common.fault_plan();
+    cfg.faults = common.fault_plan();
     let out = match serve(&ds, &snap, &requests, &cfg) {
         Ok(o) => o,
         Err(e) => {
@@ -290,7 +267,7 @@ fn main() -> ExitCode {
         }
     };
     let report = &out.report;
-    if !args.quiet {
+    if !common.quiet {
         println!(
             "{:>5} {:>5} {:>10} {:>10} {:>10} {:>10}",
             "batch", "size", "close us", "dispatch", "service", "done us"
@@ -303,21 +280,21 @@ fn main() -> ExitCode {
         }
     }
     print!("{}", report.render());
-    if let Some(r) = args.ra {
+    if let Some(r) = common.ra {
         println!(
             "replication: r_a={r} of P={} (replicated row panels; logits \
              bitwise identical to full replication)",
-            args.ranks
+            common.ranks
         );
     }
-    println!("{}", args.common.kernels_line());
-    if args.common.chaos.is_some() {
+    println!("{}", common.kernels_line());
+    if common.chaos.is_some() {
         println!(
             "chaos: {} retransmits; logits and payload book bit-identical to fault-free",
             report.retries
         );
     }
-    if let Err(e) = args.common.write_trace(out.traces.as_ref()) {
+    if let Err(e) = common.write_trace(out.traces.as_ref()) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
@@ -325,7 +302,7 @@ fn main() -> ExitCode {
     // warmup batch, serving must be alloc-free. Fault injection is exempt:
     // retransmission and reordering raise the peak number of concurrently
     // live buffers past what the warmup batch could shelve.
-    if args.common.chaos.is_none() && report.batches.len() >= 2 && report.ws_fresh_steady > 0 {
+    if common.chaos.is_none() && report.batches.len() >= 2 && report.ws_fresh_steady > 0 {
         eprintln!(
             "error: {} fresh workspace allocations after warmup (expected 0)",
             report.ws_fresh_steady

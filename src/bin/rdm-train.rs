@@ -19,18 +19,11 @@ use std::process::ExitCode;
 struct Args {
     common: CommonArgs,
     algo: String,
-    ranks: usize,
-    layers: usize,
-    hidden: usize,
     lr: f32,
     epochs: usize,
-    seed: u64,
-    ra: Option<usize>,
     save_weights: Option<String>,
     overlap: Option<usize>,
-    sparse: bool,
     agg: String,
-    quiet: bool,
 }
 
 impl Default for Args {
@@ -38,18 +31,11 @@ impl Default for Args {
         Args {
             common: CommonArgs::default(),
             algo: "rdm".into(),
-            ranks: 4,
-            layers: 2,
-            hidden: 128,
             lr: 0.01,
             epochs: 10,
-            seed: 42,
-            ra: None,
             save_weights: None,
             overlap: None,
-            sparse: false,
             agg: "gcn".into(),
-            quiet: false,
         }
     }
 }
@@ -126,10 +112,6 @@ fn parse_args() -> Result<Args, String> {
         }
         match flag.as_str() {
             "--algo" => args.algo = value("--algo")?,
-            "--ranks" => args.ranks = value("--ranks")?.parse().map_err(|e| format!("{e}"))?,
-            "--layers" => args.layers = value("--layers")?.parse().map_err(|e| format!("{e}"))?,
-            "--hidden" => args.hidden = value("--hidden")?.parse().map_err(|e| format!("{e}"))?,
-            "--ra" => args.ra = Some(value("--ra")?.parse().map_err(|e| format!("{e}"))?),
             "--save-weights" => args.save_weights = Some(value("--save-weights")?),
             "--overlap" => {
                 let c: usize = value("--overlap")?.parse().map_err(|e| format!("{e}"))?;
@@ -138,7 +120,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.overlap = Some(c);
             }
-            "--sparse" => args.sparse = true,
             "--agg" => {
                 let v = value("--agg")?;
                 if !["gcn", "mean", "row"].contains(&v.as_str()) {
@@ -148,8 +129,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--lr" => args.lr = value("--lr")?.parse().map_err(|e| format!("{e}"))?,
             "--epochs" => args.epochs = value("--epochs")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -157,11 +136,12 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
+    args.common.validate()?;
     Ok(args)
 }
 
 fn build_dataset(args: &Args) -> Result<Dataset, String> {
-    let ds = args.common.build_dataset(args.seed)?;
+    let ds = args.common.build_dataset(args.common.seed)?;
     Ok(match args.agg.as_str() {
         "mean" => ds.with_mean_aggregation(),
         "row" => ds.with_row_aggregation(),
@@ -174,24 +154,24 @@ fn build_algo(args: &Args) -> Result<Algo, String> {
         Some((n, p)) => (n, Some(p)),
         None => (args.algo.as_str(), None),
     };
+    let common = &args.common;
     let sampler = SaintSampler::Node {
-        budget: 256.max(args.hidden),
+        budget: 256.max(common.hidden),
     };
     Ok(match name {
         "rdm" => match param {
-            // Auto ordering; an explicit --ra is applied in main once the
-            // dataset shape is known.
+            // Auto ordering; --ra joins the pricing inside the trainer.
             None => Algo::Rdm { plan: None },
             Some(id) => {
                 let id: usize = id.parse().map_err(|e| format!("bad plan id: {e}"))?;
-                if id >= 1 << (2 * args.layers) {
+                if id >= 1 << (2 * common.layers) {
                     return Err(format!(
                         "plan id {id} out of range for {} layers",
-                        args.layers
+                        common.layers
                     ));
                 }
-                let plan = Plan::from_id(id, args.layers, args.ranks)
-                    .with_ra(args.ra.unwrap_or(args.ranks));
+                let plan = Plan::from_id(id, common.layers, common.ranks)
+                    .with_ra(common.ra.unwrap_or(common.ranks));
                 Algo::Rdm { plan: Some(plan) }
             }
         },
@@ -248,33 +228,29 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let common = &args.common;
     let mut cfg = TrainerConfig {
         algo,
-        ..TrainerConfig::rdm_auto(args.ranks)
+        // The trainer prices every candidate ordering at r_a = r
+        // (sigma-repriced under --sparse), and rejects --ra for
+        // algorithms that read no plan.
+        ra: common.ra,
+        sparse: common.sparse,
+        ..TrainerConfig::rdm_auto(common.ranks)
     }
-    .layers(args.layers)
-    .hidden(args.hidden)
+    .layers(common.layers)
+    .hidden(common.hidden)
     .lr(args.lr)
     .epochs(args.epochs)
-    .seed(args.seed);
-    // Auto ordering with an explicit replication factor: the trainer
-    // prices every candidate ordering at r_a = r (sigma-repriced under
-    // --sparse), so the replication factor participates in selection
-    // instead of being bolted onto a full-replication pick.
-    if let (Algo::Rdm { plan: None } | Algo::RdmDynamic { .. }, Some(r)) = (&cfg.algo, args.ra) {
-        cfg = cfg.ra(r);
-    }
+    .seed(common.seed);
     if let Some(c) = args.overlap {
         cfg = cfg.overlap(c);
     }
-    if args.sparse {
-        cfg = cfg.sparse();
-    }
-    cfg = cfg.kernel_mode(args.common.kernel_mode());
-    if let Some(plan) = args.common.fault_plan() {
+    cfg = cfg.kernel_mode(common.kernel_mode());
+    if let Some(plan) = common.fault_plan() {
         cfg = cfg.faults(plan);
     }
-    if args.common.trace.is_some() {
+    if common.trace.is_some() {
         cfg = cfg.trace();
     }
 
@@ -295,7 +271,7 @@ fn main() -> ExitCode {
         }
     };
     println!("algorithm {} on {} ranks", report.algo, report.p);
-    if !args.quiet {
+    if !common.quiet {
         println!(
             "{:>5} {:>10} {:>10} {:>10} {:>12} {:>12}",
             "epoch", "loss", "train-acc", "test-acc", "MB moved", "sim ms"
@@ -319,7 +295,7 @@ fn main() -> ExitCode {
         report.mean_bytes_per_epoch() / 1e6,
         report.sim_epochs_per_sec(),
     );
-    if args.common.chaos.is_some() {
+    if common.chaos.is_some() {
         println!(
             "chaos: {} retransmits re-sent {:.2} MB (excluded from volume above); \
              losses bit-identical to the fault-free run",
@@ -337,7 +313,9 @@ fn main() -> ExitCode {
             ),
         }
     }
-    if args.sparse {
+    if let Some(reason) = report.sparse_inert {
+        println!("sparse: inert ({reason})");
+    } else if common.sparse {
         let actual = report.total_redistribution_bytes();
         let dense = report.total_redistribution_dense_bytes();
         let saved = 100.0 * (1.0 - actual as f64 / dense.max(1) as f64);
@@ -348,7 +326,7 @@ fn main() -> ExitCode {
             dense as f64 / 1e6,
         );
     }
-    println!("{}", args.common.kernels_line());
+    println!("{}", common.kernels_line());
     if let Some(path) = &args.save_weights {
         let snap = match &report.weights {
             Some(s) => s,
@@ -371,7 +349,7 @@ fn main() -> ExitCode {
                 .join("→"),
         );
     }
-    if let Err(e) = args.common.write_trace(report.traces.as_ref()) {
+    if let Err(e) = common.write_trace(report.traces.as_ref()) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }

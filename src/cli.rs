@@ -1,8 +1,10 @@
 //! The command-line surface `rdm-train` and `rdm-serve` share: dataset
-//! selection, fault injection, kernel path and trace output — one parser,
+//! selection, cluster and model size, replication factor and wire, fault
+//! injection, kernel path and trace output — one parser, one validation,
 //! one set of error strings, one `FaultPlan` recipe for both binaries.
 
 use crate::comm::FaultPlan;
+use crate::core::plan::check_replication;
 use crate::dense::kernels::{self, Mode as KernelMode};
 use crate::graph::dataset::load_edge_list;
 use crate::graph::{paper_datasets, Dataset, DatasetSpec};
@@ -20,6 +22,13 @@ pub struct CommonArgs {
     pub drop_rate: f64,
     pub trace: Option<String>,
     pub reference_kernels: bool,
+    pub ranks: usize,
+    pub layers: usize,
+    pub hidden: usize,
+    pub seed: u64,
+    pub ra: Option<usize>,
+    pub sparse: bool,
+    pub quiet: bool,
 }
 
 impl Default for CommonArgs {
@@ -35,6 +44,13 @@ impl Default for CommonArgs {
             drop_rate: 0.05,
             trace: None,
             reference_kernels: false,
+            ranks: 4,
+            layers: 2,
+            hidden: 128,
+            seed: 42,
+            ra: None,
+            sparse: false,
+            quiet: false,
         }
     }
 }
@@ -79,9 +95,23 @@ impl CommonArgs {
             }
             "--trace" => self.trace = Some(value("--trace")?),
             "--reference-kernels" => self.reference_kernels = true,
+            "--ranks" => self.ranks = value("--ranks")?.parse().map_err(|e| format!("{e}"))?,
+            "--layers" => self.layers = value("--layers")?.parse().map_err(|e| format!("{e}"))?,
+            "--hidden" => self.hidden = value("--hidden")?.parse().map_err(|e| format!("{e}"))?,
+            "--seed" => self.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
+            "--ra" => self.ra = Some(value("--ra")?.parse().map_err(|e| format!("{e}"))?),
+            "--sparse" => self.sparse = true,
+            "--quiet" => self.quiet = true,
             _ => return Ok(false),
         }
         Ok(true)
+    }
+
+    /// Reject flag combinations no run can execute, once all flags are
+    /// parsed — with the library's own check, so the message is the one
+    /// `train_gcn` and `serve` would return.
+    pub fn validate(&self) -> Result<(), String> {
+        self.ra.map_or(Ok(()), |r| check_replication(r, self.ranks))
     }
 
     /// Instantiate the dataset the data flags select.
@@ -187,5 +217,19 @@ mod tests {
         );
         assert_eq!(args.kernel_mode(), KernelMode::Scalar);
         assert_eq!(args.kernels_line(), "kernels: reference");
+    }
+
+    #[test]
+    fn replication_factor_is_validated_against_ranks() {
+        let validate = |ra: &str| {
+            let mut args = CommonArgs::default(); // --ranks 4
+            args.parse_flag("--ra", &mut |_| Ok(ra.into())).unwrap();
+            args.validate().err()
+        };
+        assert_eq!(validate("2"), None);
+        for ra in ["0", "3"] {
+            let expect = format!("replication factor {ra} must divide P = 4");
+            assert_eq!(validate(ra), Some(expect));
+        }
     }
 }

@@ -32,7 +32,9 @@
 //!
 //! // A small synthetic dataset, 4 simulated GPUs, 2-layer GCN.
 //! let ds = DatasetSpec::synthetic("demo", 256, 2_000, 16, 4).instantiate(42);
-//! let plan = best_plan(&ds.shape(16), 4);
+//! let device = DeviceModel::a6000_pcie();
+//! // Full replication (r_a = P = 4) on the dense wire (sigma = 1).
+//! let plan = best_plan(&ds.shape_layers(16, 2), 4, 4, &device, 1.0);
 //! let cfg = TrainerConfig::rdm(4, plan).epochs(3);
 //! let report = train_gcn(&ds, &cfg).unwrap();
 //! assert_eq!(report.epochs.len(), 3);

@@ -7,6 +7,7 @@ use gnn_rdm::comm::FaultPlan;
 use gnn_rdm::core::{best_plan, train_gcn, Plan, TrainerConfig};
 use gnn_rdm::dense::{KernelMode, KernelWidth};
 use gnn_rdm::graph::DatasetSpec;
+use gnn_rdm::model::DeviceModel;
 
 fn dataset() -> gnn_rdm::graph::Dataset {
     DatasetSpec::synthetic("e2e", 150, 1200, 16, 5).instantiate(23)
@@ -114,7 +115,8 @@ fn steady_state_epochs_allocate_no_fresh_buffers() {
     // onward, while `ws_reused` shows the pool is actually being used.
     let ds = DatasetSpec::synthetic("demo", 5_000, 40_000, 32, 8).instantiate(42);
     let p = 4;
-    let plan = best_plan(&ds.shape(64), p);
+    let device = DeviceModel::a6000_pcie();
+    let plan = best_plan(&ds.shape_layers(64, 2), p, p, &device, 1.0);
     let report = train_gcn(
         &ds,
         &TrainerConfig::rdm(p, plan).hidden(64).epochs(4).lr(0.02),

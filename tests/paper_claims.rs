@@ -61,7 +61,7 @@ fn pareto_configs_beat_non_pareto_on_their_metrics() {
         nnz: ds.adj_norm.nnz(),
         feats: vec![32, 16, 8],
     };
-    let pareto = pareto_ids(&shape, p, p);
+    let pareto = pareto_ids(&shape, p, p, 1.0);
     let mut best_pareto_comm = u64::MAX;
     let mut best_rest_comm = u64::MAX;
     for id in 0..16 {

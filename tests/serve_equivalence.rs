@@ -12,10 +12,11 @@ use gnn_rdm::comm::{Cluster, FaultPlan};
 use gnn_rdm::core::gcn::GcnWeights;
 use gnn_rdm::core::infer::forward_logits;
 use gnn_rdm::core::ops::OpCounters;
-use gnn_rdm::core::{train_gcn, Plan, TrainerConfig, WeightSnapshot};
+use gnn_rdm::core::{best_plan, train_gcn, Algo, Plan, TrainerConfig, WeightSnapshot};
 use gnn_rdm::dense::mat::part_range;
 use gnn_rdm::dense::{kernels, KernelMode, KernelWidth};
 use gnn_rdm::graph::{Dataset, DatasetSpec};
+use gnn_rdm::model::DeviceModel;
 use gnn_rdm::serve::{
     planned_batches, planned_vertices, serve, LoadGen, ServeConfig, ServeSampler,
 };
@@ -298,7 +299,7 @@ fn serving_report_replays_byte_identically() {
 }
 
 /// Regression for the trainer's replication-factor rejection path, the
-/// rule `rdm-train --ra` and `best_plan_with_sparsity` document: `r_a`
+/// rule `rdm-train --ra` and `best_plan` document: `r_a`
 /// must divide `P`, and zero is never valid.
 #[test]
 fn trainer_rejects_replication_factors_that_do_not_divide_p() {
@@ -328,4 +329,55 @@ fn trainer_rejects_replication_factors_that_do_not_divide_p() {
     cfg.cache = 16;
     let err = serve(&ds, &snap, &requests, &cfg).unwrap_err();
     assert!(err.contains("cannot cache"), "unexpected error {err:?}");
+}
+
+/// One plan resolution (`rdm_core::plan::resolve`) behind both entry
+/// points: `train_gcn` and `serve` reject a request with one message...
+#[test]
+fn train_and_serve_reject_a_request_with_one_message() {
+    let ds = dataset();
+    let requests = LoadGen::new(2, 1, 10, 4).generate(ds.n());
+    let conflict = "explicit plan has r_a = 4 but the config asks for r_a = 2";
+    let layers = "plan orders 3 layers but the model has 2";
+    for (plan, ra, expect) in [
+        (None, Some(0), "replication factor 0 must divide P = 4"),
+        (None, Some(3), "replication factor 3 must divide P = 4"),
+        (Some(Plan::from_id(5, 2, 4)), Some(2), conflict),
+        (Some(Plan::from_id(5, 3, 4)), None, layers),
+    ] {
+        let mut train = TrainerConfig::rdm_auto(4).hidden(10).epochs(1);
+        (train.algo, train.ra) = (Algo::Rdm { plan: plan.clone() }, ra);
+        let mut cfg = ServeConfig::new(4);
+        (cfg.plan, cfg.ra) = (plan, ra);
+        let served = serve(&ds, &snapshot(), &requests, &cfg);
+        assert_eq!(train_gcn(&ds, &train).unwrap_err(), expect);
+        assert_eq!(served.unwrap_err(), expect);
+    }
+}
+
+/// ...and both run `best_plan` of the run's shape, `r_a` and `σ` when no
+/// plan is given.
+#[test]
+fn train_and_serve_auto_select_the_best_plan() {
+    let requests = LoadGen::new(3, 2, 20, 24).generate(dataset().n());
+    let row = dataset().with_row_aggregation();
+    let sigma = 1.0 - row.adj_norm.empty_row_fraction();
+    for (ds, sparse, sigma) in [(dataset(), false, 1.0), (row, true, sigma)] {
+        for r_a in [4, 2] {
+            let shape = ds.shape_layers(10, 2);
+            let best = best_plan(&shape, 4, r_a, &DeviceModel::a6000_pcie(), sigma);
+            let mut train = TrainerConfig::rdm_auto(4).hidden(10).epochs(1).ra(r_a);
+            train.sparse = sparse;
+            let report = train_gcn(&ds, &train).unwrap();
+            assert_eq!(report.epochs[0].plan_id, Some(best.id()), "r_a={r_a}");
+            let run = |plan: Option<Plan>| {
+                let mut cfg = ServeConfig::new(4).ra(r_a);
+                (cfg.plan, cfg.sparse) = (plan, sparse);
+                serve(&ds, &snapshot(), &requests, &cfg).unwrap().report
+            };
+            let other = Plan::from_id((best.id() + 1) % 16, 2, 4).with_ra(r_a);
+            assert_eq!(run(None), run(Some(best)), "r_a={r_a} sparse={sparse}");
+            assert_ne!(run(None), run(Some(other)), "plans must be told apart");
+        }
+    }
 }

@@ -12,9 +12,7 @@ use gnn_rdm::core::gcn::GcnWeights;
 use gnn_rdm::core::{train_gcn, Plan, TrainerConfig, WeightSnapshot};
 use gnn_rdm::dense::mat::part_range;
 use gnn_rdm::graph::{Dataset, DatasetSpec};
-use gnn_rdm::model::{
-    check_session, check_session_ra, conformance, GnnShape, OrderConfig, SessionBatch,
-};
+use gnn_rdm::model::{check_session, conformance, GnnShape, OrderConfig, SessionBatch};
 use gnn_rdm::serve::{planned_batches, serve, LoadGen, ServeConfig};
 use gnn_rdm::trace::{chrome, EventData, RankTrace, Span};
 
@@ -75,10 +73,11 @@ fn all_16_plans_conform_at_p_1_2_4_with_and_without_memoization() {
                 let traces = traced_run(&ds, cfg);
                 assert_eq!(traces.len(), p);
                 let config = OrderConfig::from_id(id, 2);
-                let violations = conformance::check_run(&traces, &shape, &config, memoize)
-                    .unwrap_or_else(|e| {
-                        panic!("p={p} id={id} memoize={memoize}: malformed trace: {e}")
-                    });
+                let violations =
+                    conformance::check_run(&traces, &shape, &config, memoize, p, &[shape.nnz])
+                        .unwrap_or_else(|e| {
+                            panic!("p={p} id={id} memoize={memoize}: malformed trace: {e}")
+                        });
                 assert!(
                     violations.is_empty(),
                     "p={p} id={id} memoize={memoize}: {} violation(s), first: {}",
@@ -108,7 +107,8 @@ fn conformance_holds_under_overlap_and_chaos() {
             .faults(faults);
         let traces = traced_run(&ds, cfg);
         let config = OrderConfig::from_id(id, 2);
-        let violations = conformance::check_run(&traces, &shape, &config, true).unwrap();
+        let violations =
+            conformance::check_run(&traces, &shape, &config, true, 4, &[shape.nnz]).unwrap();
         assert!(
             violations.is_empty(),
             "id={id}: overlap+chaos broke conformance: {}",
@@ -143,11 +143,10 @@ fn replicated_panel_runs_conform_across_plans_and_chaos() {
                 let traces = traced_run(&ds, cfg);
                 let config = OrderConfig::from_id(id, 2);
                 let nnz = panel_nnz(&ds, 4, r_a);
-                let violations =
-                    conformance::check_run_ra(&traces, &shape, &config, true, r_a, &nnz)
-                        .unwrap_or_else(|e| {
-                            panic!("id={id} r_a={r_a} overlap={overlap:?} chaos={chaos}: {e}")
-                        });
+                let violations = conformance::check_run(&traces, &shape, &config, true, r_a, &nnz)
+                    .unwrap_or_else(|e| {
+                        panic!("id={id} r_a={r_a} overlap={overlap:?} chaos={chaos}: {e}")
+                    });
                 assert!(
                     violations.is_empty(),
                     "id={id} r_a={r_a} overlap={overlap:?} chaos={chaos}: {} violation(s), \
@@ -174,7 +173,7 @@ fn replicated_panel_corruption_yields_one_addressed_violation() {
     let config = OrderConfig::from_id(10, 2);
     let nnz = panel_nnz(&ds, 4, 2);
     assert!(
-        conformance::check_run_ra(&traces, &shape, &config, true, 2, &nnz)
+        conformance::check_run(&traces, &shape, &config, true, 2, &nnz)
             .unwrap()
             .is_empty()
     );
@@ -198,7 +197,7 @@ fn replicated_panel_corruption_yields_one_addressed_violation() {
             width,
         });
     }
-    let violations = conformance::check_run_ra(&traces, &shape, &config, true, 2, &nnz).unwrap();
+    let violations = conformance::check_run(&traces, &shape, &config, true, 2, &nnz).unwrap();
     assert_eq!(
         violations.len(),
         1,
@@ -223,7 +222,7 @@ fn full_replication_traces_fail_a_mismatched_grid_prediction() {
     let traces = traced_run(&ds, cfg);
     let config = OrderConfig::from_id(10, 2);
     let nnz = panel_nnz(&ds, 4, 2);
-    let violations = conformance::check_run_ra(&traces, &shape, &config, true, 2, &nnz).unwrap();
+    let violations = conformance::check_run(&traces, &shape, &config, true, 2, &nnz).unwrap();
     assert!(
         !violations.is_empty(),
         "a full-replication trace conformed to the R_A = 2 schedule"
@@ -239,9 +238,11 @@ fn corrupting_one_event_fails_with_rank_and_index_specific_diff() {
         .epochs(1);
     let mut traces = traced_run(&ds, cfg);
     let config = OrderConfig::from_id(0, 2);
-    assert!(conformance::check_run(&traces, &shape, &config, true)
-        .unwrap()
-        .is_empty());
+    assert!(
+        conformance::check_run(&traces, &shape, &config, true, 2, &[shape.nnz])
+            .unwrap()
+            .is_empty()
+    );
     // Corrupt the first SpMM span of rank 1: one wrong column count.
     let victim = traces[1]
         .events
@@ -262,7 +263,8 @@ fn corrupting_one_event_fails_with_rank_and_index_specific_diff() {
             width,
         });
     }
-    let violations = conformance::check_run(&traces, &shape, &config, true).unwrap();
+    let violations =
+        conformance::check_run(&traces, &shape, &config, true, 2, &[shape.nnz]).unwrap();
     assert_eq!(
         violations.len(),
         1,
@@ -312,7 +314,8 @@ fn corrupting_payload_bytes_is_caught() {
             msg_seq,
         };
     }
-    let violations = conformance::check_run(&traces, &shape, &config, true).unwrap();
+    let violations =
+        conformance::check_run(&traces, &shape, &config, true, 4, &[shape.nnz]).unwrap();
     assert!(!violations.is_empty(), "byte corruption went unnoticed");
     assert!(violations.iter().all(|v| v.rank == 2));
 }
@@ -379,8 +382,12 @@ fn serving_sessions_conform_across_plans_cache_and_pipeline() {
                 cfg.pipeline = pipeline;
                 let (traces, batches) = traced_session(&ds, &snap, &cfg);
                 let config = OrderConfig::from_id(id, 2);
-                let violations = check_session(&traces, &shape, &config, true, &batches, cache)
-                    .unwrap_or_else(|e| panic!("id={id} cache={cache} pipeline={pipeline:?}: {e}"));
+                let nnz = [shape.nnz];
+                let violations =
+                    check_session(&traces, &shape, &config, true, &batches, cache, 2, &nnz)
+                        .unwrap_or_else(|e| {
+                            panic!("id={id} cache={cache} pipeline={pipeline:?}: {e}")
+                        });
                 assert!(
                     violations.is_empty(),
                     "id={id} cache={cache} pipeline={pipeline:?}: {} violation(s), first: {}",
@@ -415,7 +422,8 @@ fn serving_conformance_survives_chaos() {
     );
     let (traces, batches) = traced_session(&ds, &snap, &cfg);
     let config = OrderConfig::from_id(5, 2);
-    let violations = check_session(&traces, &shape, &config, true, &batches, 16).unwrap();
+    let nnz = [shape.nnz];
+    let violations = check_session(&traces, &shape, &config, true, &batches, 16, 2, &nnz).unwrap();
     assert!(
         violations.is_empty(),
         "chaos broke serving conformance: {}",
@@ -446,7 +454,7 @@ fn replicated_panel_serving_sessions_conform() {
                 let config = OrderConfig::from_id(id, 2);
                 let nnz = panel_nnz(&ds, 4, r_a);
                 let violations =
-                    check_session_ra(&traces, &shape, &config, true, &batches, 0, r_a, &nnz)
+                    check_session(&traces, &shape, &config, true, &batches, 0, r_a, &nnz)
                         .unwrap_or_else(|e| panic!("id={id} r_a={r_a} pipeline={pipeline:?}: {e}"));
                 assert!(
                     violations.is_empty(),
@@ -473,9 +481,12 @@ fn corrupting_one_batch_event_yields_one_addressed_serving_violation() {
     cfg.cache = 16;
     let (mut traces, batches) = traced_session(&ds, &snap, &cfg);
     let config = OrderConfig::from_id(5, 2);
-    assert!(check_session(&traces, &shape, &config, true, &batches, 16)
-        .unwrap()
-        .is_empty());
+    let nnz = [shape.nnz];
+    assert!(
+        check_session(&traces, &shape, &config, true, &batches, 16, 2, &nnz)
+            .unwrap()
+            .is_empty()
+    );
     // Corrupt rank 1's second batch span: one wrong admission count.
     let victim = traces[1]
         .events
@@ -492,7 +503,7 @@ fn corrupting_one_batch_event_yields_one_addressed_serving_violation() {
     } else {
         unreachable!()
     };
-    let violations = check_session(&traces, &shape, &config, true, &batches, 16).unwrap();
+    let violations = check_session(&traces, &shape, &config, true, &batches, 16, 2, &nnz).unwrap();
     assert_eq!(
         violations.len(),
         1,
@@ -525,7 +536,8 @@ fn three_layer_plans_conform_too() {
             .epochs(2);
         let traces = traced_run(&ds, cfg);
         let config = OrderConfig::from_id(id, 3);
-        let violations = conformance::check_run(&traces, &shape, &config, true).unwrap();
+        let violations =
+            conformance::check_run(&traces, &shape, &config, true, 3, &[shape.nnz]).unwrap();
         assert!(violations.is_empty(), "3-layer id={id}: {}", violations[0]);
     }
 }
