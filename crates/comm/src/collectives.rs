@@ -234,7 +234,8 @@ impl RankCtx {
     /// `Form::Row`) — true of any Row↔Col split.
     ///
     /// The whole exchange, `on_chunk` calls included, is one
-    /// `Span::Redistribute`; this is the only place that opens one.
+    /// `Span::Redistribute` (so kernel spans a caller opens per chunk nest
+    /// inside it); this is the only place that opens one.
     ///
     /// # Panics
     /// If `parts.len() != spec.group.len()`, `spec.chunks == 0`, or this
@@ -306,7 +307,8 @@ impl RankCtx {
     /// handed to `sink(q, strip)`: strip `q` of a Row→Col redistribution is
     /// the column sub-range `part_range(my_cols, chunks, q)` of the final
     /// column slice with all the group's rows present; Col→Row is the
-    /// mirror image. The returned matrix is the strips reassembled —
+    /// mirror image. The received pieces of a strip are freed before `sink`
+    /// sees it. The returned matrix is the strips reassembled —
     /// bit-identical for every `chunks` and `wire`.
     ///
     /// [`exchange`]: RankCtx::exchange
@@ -325,6 +327,7 @@ impl RankCtx {
         let mut strips = Vec::with_capacity(spec.chunks);
         self.exchange(spec, parts, |q, pieces| {
             let strip = merge_pieces(&pieces);
+            drop(pieces);
             sink(q, &strip);
             strips.push(strip);
         });

@@ -217,16 +217,6 @@ impl FormCache {
         }
     }
 
-    /// True if the row form is already materialized.
-    pub fn has_row(&self) -> bool {
-        self.row.is_some()
-    }
-
-    /// True if the col form is already materialized.
-    pub fn has_col(&self) -> bool {
-        self.col.is_some()
-    }
-
     /// Get the row form, converting from the tile/column form under the
     /// given topology if needed.
     pub fn require_row(
@@ -369,7 +359,7 @@ mod tests {
             let topo = crate::ops::Topology::full(&adj, ctx);
             let mut cache =
                 FormCache::of_row(DistMat::scatter_rows(&global, ctx.size(), ctx.rank()));
-            assert!(!cache.has_col());
+            assert!(cache.col.is_none());
             let before = ctx.stats_snapshot().total_bytes();
             cache.require_col(&topo, ctx, K);
             let after_first = ctx.stats_snapshot().total_bytes();

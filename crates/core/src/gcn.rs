@@ -24,28 +24,33 @@
 //! update (`gemm_via_row`) — in the plan's order, with the redistribution
 //! each needs in between; `propagate` is that step, and the forward pass,
 //! the backward pass (`Âᵀ`, `Wᵀ`) and the cached serving forward all run
-//! it.
+//! it. Both products have one body, `fed_product`: a product whose input
+//! layout is cached runs on it, and any other converts the layout it has
+//! through the one redistribution primitive, running the kernel on each
+//! strip as it lands. Blocking is the one-strip pipeline, so every kernel
+//! span times the kernel it names, nested in the `Redistribute` span that
+//! feeds it.
 
 use crate::aggcache::AggCache;
 use crate::dist::{Dist, DistMat, FormCache};
-use crate::ops::{dist_gemm, panel_spmm, weight_grad, OpCounters, Topology};
+use crate::ops::{row_gemm, weight_grad, OpCounters, Topology};
 use crate::plan::Plan;
 use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution};
-use rdm_dense::{gemm, gemm_nt, hstack, part_range, relu, relu_backward, vstack, Mat};
+use rdm_dense::{hstack, part_range, relu, relu_backward, vstack, Mat};
 use rdm_model::{AdmitOutcome, DeviceModel, Order};
 use rdm_trace::Span;
 
 /// Settings of the pipelined (overlapped) execution path, threaded through
-/// [`rdm_forward_with`] / [`rdm_backward_with`].
+/// [`rdm_forward`] / [`rdm_backward`].
 ///
 /// When active, every Row↔Col redistribution that feeds a distributed
 /// SpMM or GEMM is issued as `chunks` strips (a
 /// [`rdm_comm::Redistribution`] with `chunks > 1`) and the kernel runs
 /// strip by strip, consuming chunk `q` while chunks `q+1..` are in flight.
 /// Both kernels are strip-separable (SpMM per output column, GEMM per output
-/// row), so results are **bit-identical** to the blocking path, as are the
-/// payload-byte counters; the win is modeled by `device` and recorded as
-/// `CommStats::overlap_ns`.
+/// row), so results are **bit-identical** to the blocking (one-strip) path,
+/// as are the payload-byte counters; the win is modeled by `device` and
+/// recorded as `CommStats::overlap_ns`.
 #[derive(Clone, Copy, Debug)]
 pub struct OverlapSpec {
     /// Pipeline depth: how many strips each redistribution splits into.
@@ -67,21 +72,14 @@ impl OverlapSpec {
 /// Why a user-requested [`OverlapSpec`] would be inert on this execution
 /// shape, or `None` when the pipelined path runs. The reasons mirror
 /// `overlap_active`'s gate exactly so reports can explain a silently
-/// blocking run: no pipeline depth (`chunks < 2`), nothing to overlap
+/// blocking run: no pipeline depth (`chunks < 2`), or nothing to overlap
 /// (single rank, or `r_a = 1` where the redistribution group is this rank
-/// alone), or an edge mask (masked aggregation always runs blocking).
-pub fn overlap_inert_reason(
-    chunks: usize,
-    p: usize,
-    r_a: usize,
-    masked: bool,
-) -> Option<&'static str> {
+/// alone).
+pub fn overlap_inert_reason(chunks: usize, p: usize, r_a: usize) -> Option<&'static str> {
     if chunks < 2 {
         Some("chunks < 2")
     } else if p < 2 {
         Some("single rank")
-    } else if masked {
-        Some("edge mask")
     } else if r_a < 2 {
         Some("r_a = 1 leaves no redistribution group to pipeline")
     } else {
@@ -89,45 +87,45 @@ pub fn overlap_inert_reason(
     }
 }
 
-/// The pipelined path replaces a blocking redistribution only when there
-/// is a pipeline to run (`chunks > 1`, more than one rank, a
+/// An overlap spec raises a conversion's strip count above one only when
+/// there is a pipeline to run (`chunks > 1`, more than one rank, a
 /// redistribution group wider than this rank alone — `r_a > 1`; under
 /// `R_A < P` the chunked all-to-all runs inside the row group and the
-/// panel broadcast is issued strip by strip) without an edge mask.
+/// panel broadcast is issued strip by strip). Edge masks pipeline like
+/// any other panel: `panel_spmm` applies the mask per strip.
 fn overlap_active<'s>(
     overlap: Option<&'s OverlapSpec>,
     ctx: &RankCtx,
     topo: &Topology,
 ) -> Option<&'s OverlapSpec> {
-    overlap.filter(|o| {
-        overlap_inert_reason(o.chunks, ctx.size(), topo.grid.r_a, topo.mask.is_some()).is_none()
-    })
+    overlap.filter(|o| overlap_inert_reason(o.chunks, ctx.size(), topo.grid.r_a).is_none())
 }
 
 /// Modeled per-chunk send-side communication seconds of this rank's share
-/// of a chunked **group** redistribution of its `rows_l × cols_l` local
-/// block (split along columns for Row→Col, along rows for Col→Row) across
-/// the `g` members of its row group, plus — on the SpMM path under
-/// `R_A < P` — the per-strip panel-broadcast sends (`bcast_peers` copies
-/// of this rank's `bcast_rows × strip` tile strip). Send-side bytes are
-/// symmetric across ranks for balanced slicings, so this is the per-rank
-/// link time the device model would charge the blocking exchange, divided
-/// over the chunks exactly as the bytes are.
-#[allow(clippy::too_many_arguments)]
+/// of a chunked **group** conversion of its local block `src` to form `to`
+/// (split along columns for Row→Col, along rows for Col→Row) across the
+/// members of its row group, plus — on the SpMM path (`to == Col`) under
+/// `R_A < P` — the per-strip panel-broadcast sends (one copy of this
+/// rank's tile strip per other panel). Send-side bytes are symmetric
+/// across ranks for balanced slicings, so this is the per-rank link time
+/// the device model would charge the blocking exchange, divided over the
+/// chunks exactly as the bytes are.
 fn chunk_comm_times(
     spec: &OverlapSpec,
-    g: usize,
-    my_idx: usize,
-    rows_l: usize,
-    cols_l: usize,
-    split_cols: bool,
-    bcast_peers: usize,
-    bcast_rows: usize,
+    topo: &Topology,
+    ctx: &RankCtx,
+    src: &Mat,
+    to: Form,
 ) -> Vec<f64> {
-    let (peer_dim, fixed) = if split_cols {
-        (cols_l, rows_l)
-    } else {
-        (rows_l, cols_l)
+    let (g, my_idx) = (topo.grid.r_a, ctx.rank() % topo.grid.r_a);
+    let (peer_dim, fixed, bcast_peers, bcast_rows) = match to {
+        Form::Col => (
+            src.cols(),
+            src.rows(),
+            topo.grid.panels() - 1,
+            topo.tile_rows(ctx.rank()).len(),
+        ),
+        Form::Row => (src.rows(), src.cols(), 0, 0),
     };
     // My strip of the *destination* tile: what the panel broadcast ships.
     let my_dim = part_range(peer_dim, g, my_idx).len();
@@ -152,89 +150,6 @@ fn chunk_comm_times(
         .collect()
 }
 
-/// Account the modeled comm time this pipeline hid behind compute.
-fn record_hidden(ctx: &RankCtx, spec: &OverlapSpec, comm_s: &[f64], comp_s: &[f64]) {
-    let hidden = spec.device.hidden_time(comm_s, comp_s);
-    ctx.record_overlap((hidden * 1e9) as u64);
-}
-
-/// `Â·(tile form of cache)` — the aggregation fed by a Row→Col
-/// redistribution. With `overlap` active and the tile form missing, the
-/// redistribution is chunk-pipelined and the SpMM runs strip by strip;
-/// SpMM output columns are independent, so the result is bit-identical to
-/// the blocking path. The freshly built tile form lands in `cache` either
-/// way (mirroring `require_col`).
-fn spmm_via_col(
-    ctx: &RankCtx,
-    topo: &Topology,
-    cache: &mut FormCache,
-    bwd: bool,
-    overlap: Option<&OverlapSpec>,
-    ops: &mut OpCounters,
-) -> DistMat {
-    let spec = match overlap_active(overlap, ctx, topo) {
-        Some(s) if !cache.has_col() => s,
-        _ => {
-            let tile = cache.require_col(topo, ctx, CollectiveKind::Redistribute);
-            return topo.spmm(tile, bwd, ctx, ops);
-        }
-    };
-    let panel = topo.aggregator(bwd);
-    let row = cache.row.as_ref().expect("cache holds a layout");
-    let comm_s = chunk_comm_times(
-        spec,
-        topo.grid.r_a,
-        ctx.rank() % topo.grid.r_a,
-        row.local.rows(),
-        row.local.cols(),
-        true,
-        topo.grid.panels() - 1,
-        topo.tile_rows(ctx.rank()).len(),
-    );
-    let mut comp_s = Vec::with_capacity(spec.chunks);
-    let mut strips: Vec<Mat> = Vec::with_capacity(spec.chunks);
-    let on_strip = |q: usize, strip: &Mat| {
-        // Under `R_A < P` the strip is this rank's *tile* strip (panel
-        // rows × chunk of its column slice); `panel_spmm` assembles the
-        // full rows of those columns by broadcasting inside the column
-        // group (Fig. 6), strip by strip instead of once per product.
-        // Column groups share the grid column index, so their strip
-        // boundaries agree and the stacked strips equal the blocking
-        // assembly bitwise.
-        strips.push(panel_spmm(topo.grid, panel, None, strip, topo.n, ctx, ops));
-        let fma = panel.nnz() as f64 * strip.cols() as f64;
-        comp_s.push(spec.device.compute_time(fma, 0.0));
-        record_strip(spec, q, &comm_s, &comp_s);
-    };
-    let col = topo.convert(
-        row,
-        Form::Col,
-        ctx,
-        CollectiveKind::Redistribute,
-        spec.chunks,
-        on_strip,
-    );
-    record_hidden(ctx, spec, &comm_s, &comp_s);
-    let out = DistMat {
-        dist: Dist::Col,
-        rows: topo.n,
-        cols: col.cols,
-        local: hstack(&strips),
-    };
-    // An aggregate kernel span equal to the blocking path's, so the traced
-    // schedule is identical whether or not the pipeline ran (the per-strip
-    // work already appeared as OverlapStrip instants inside the
-    // redistribution span).
-    drop(rdm_trace::span(Span::Spmm {
-        rows: panel.rows(),
-        cols: out.local.cols(),
-        nnz: panel.nnz(),
-        width: rdm_dense::kernels::active_width(),
-    }));
-    cache.put(col);
-    out
-}
-
 /// Emit one `OverlapStrip` instant for pipeline strip `q`: the modeled
 /// time this strip's compute can hide of the *next* strip's communication
 /// (zero for the last strip — nothing is left in flight behind it).
@@ -253,13 +168,114 @@ fn record_strip(spec: &OverlapSpec, q: usize, comm_s: &[f64], comp_s: &[f64]) {
     });
 }
 
-/// `(row form of cache)·W` (or `·Wᵀ`) — the dense product fed by a
-/// Col→Row redistribution. With `overlap` active and the row form missing,
-/// strips of the incoming row slice are multiplied while later strips are
-/// in flight; GEMM output rows are independent, so the result is
-/// bit-identical. The row form lands in `cache` either way (mirroring
-/// `require_row`) — the memoization and weight-gradient reuse paths read
-/// it from there.
+/// Account the modeled comm time this pipeline hid behind compute.
+fn record_hidden(ctx: &RankCtx, spec: &OverlapSpec, comm_s: &[f64], comp_s: &[f64]) {
+    let hidden = spec.device.hidden_time(comm_s, comp_s);
+    ctx.record_overlap((hidden * 1e9) as u64);
+}
+
+/// The one body of a product fed by a Row↔Col conversion: `kernel` applied
+/// to `cache`'s form `to` — the tile form for the aggregation, row slices
+/// for the update — returning this rank's block of the product in that
+/// same form.
+///
+/// With the form cached the kernel runs on it. Otherwise the other form is
+/// converted as `chunks` strips — one unless an overlap spec is active, so
+/// blocking is the one-strip pipeline — and the kernel runs on each strip
+/// as it lands, opening its own kernel span inside the `Redistribute` span
+/// that feeds it while later strips are in flight. Both kernels are
+/// strip-separable (SpMM output columns, GEMM output rows), so the product
+/// is bitwise the same for every strip count; one strip is moved out, not
+/// copied. The converted form lands in `cache` (mirroring `require_*`).
+/// Under an active overlap spec the strips also feed the modeled-time
+/// books (`OverlapStrip` instants, `overlap_ns`), which never change what
+/// runs.
+fn fed_product(
+    ctx: &RankCtx,
+    topo: &Topology,
+    cache: &mut FormCache,
+    to: Form,
+    overlap: Option<&OverlapSpec>,
+    ops: &mut OpCounters,
+    mut kernel: impl FnMut(&Mat, &mut OpCounters) -> Mat,
+) -> Mat {
+    let (have, other) = match to {
+        Form::Col => (&cache.col, &cache.row),
+        Form::Row => (&cache.row, &cache.col),
+    };
+    if let Some(m) = have {
+        return kernel(&m.local, ops);
+    }
+    let src = other.as_ref().expect("cache holds a layout");
+    let books = overlap_active(overlap, ctx, topo)
+        .map(|spec| (spec, chunk_comm_times(spec, topo, ctx, &src.local, to)));
+    let chunks = books.as_ref().map_or(1, |(spec, _)| spec.chunks);
+    let mut comp_s = Vec::with_capacity(chunks);
+    let mut outs: Vec<Mat> = Vec::with_capacity(chunks);
+    let converted = topo.convert(
+        src,
+        to,
+        ctx,
+        CollectiveKind::Redistribute,
+        chunks,
+        |q, strip| {
+            let before = *ops;
+            outs.push(kernel(strip, ops));
+            if let Some((spec, comm_s)) = &books {
+                // FMA counts are integers far below 2^53, so the deltas are
+                // exact: this strip's work, whichever kernel ran.
+                comp_s.push(spec.device.compute_time(
+                    ops.spmm_fma - before.spmm_fma,
+                    ops.gemm_fma - before.gemm_fma,
+                ));
+                record_strip(spec, q, comm_s, &comp_s);
+            }
+        },
+    );
+    if let Some((spec, comm_s)) = &books {
+        record_hidden(ctx, spec, comm_s, &comp_s);
+    }
+    cache.put(converted);
+    match (outs.len(), to) {
+        (1, _) => outs.pop().expect("one strip"),
+        (_, Form::Col) => hstack(&outs),
+        (_, Form::Row) => vstack(&outs),
+    }
+}
+
+/// `Â·(tile form of cache)` (or `Âᵀ·` with `bwd`) — the aggregation.
+/// Under `R_A < P` a strip is this rank's *tile* strip (panel rows × chunk
+/// of its column slice) and the kernel assembles the full rows of those
+/// columns by broadcasting inside the column group (Fig. 6). Column groups
+/// share the grid column index, so their strip boundaries agree.
+fn spmm_via_col(
+    ctx: &RankCtx,
+    topo: &Topology,
+    cache: &mut FormCache,
+    bwd: bool,
+    overlap: Option<&OverlapSpec>,
+    ops: &mut OpCounters,
+) -> DistMat {
+    let cols = cache
+        .row
+        .as_ref()
+        .or(cache.col.as_ref())
+        .expect("cache holds a layout")
+        .cols;
+    let local = fed_product(ctx, topo, cache, Form::Col, overlap, ops, |tile, ops| {
+        topo.spmm_tile(tile, bwd, ctx, ops)
+    });
+    DistMat {
+        dist: Dist::Col,
+        rows: topo.n,
+        cols,
+        local,
+    }
+}
+
+/// `(row form of cache)·W` (or `·Wᵀ`) — the update. The row form lands in
+/// `cache` — the memoization and weight-gradient reuse paths read it from
+/// there.
 fn gemm_via_row(
     ctx: &RankCtx,
     topo: &Topology,
@@ -269,66 +285,10 @@ fn gemm_via_row(
     overlap: Option<&OverlapSpec>,
     ops: &mut OpCounters,
 ) -> DistMat {
-    let spec = match overlap_active(overlap, ctx, topo) {
-        Some(s) if !cache.has_row() => s,
-        _ => {
-            let row = cache.require_row(topo, ctx, CollectiveKind::Redistribute);
-            return dist_gemm(row, w, transpose_w, ops);
-        }
-    };
-    let col = cache.col.as_ref().expect("cache holds a layout");
-    let comm_s = chunk_comm_times(
-        spec,
-        topo.grid.r_a,
-        ctx.rank() % topo.grid.r_a,
-        col.local.rows(),
-        col.local.cols(),
-        false,
-        0,
-        0,
-    );
-    let (k, n) = if transpose_w {
-        (w.cols(), w.rows())
-    } else {
-        w.shape()
-    };
-    let mut comp_s = Vec::with_capacity(spec.chunks);
-    let mut strips: Vec<Mat> = Vec::with_capacity(spec.chunks);
-    let on_strip = |q: usize, strip: &Mat| {
-        strips.push(if transpose_w {
-            gemm_nt(strip, w)
-        } else {
-            gemm(strip, w)
-        });
-        let fma = strip.rows() as f64 * k as f64 * n as f64;
-        ops.gemm_fma += fma;
-        comp_s.push(spec.device.compute_time(0.0, fma));
-        record_strip(spec, q, &comm_s, &comp_s);
-    };
-    let row = topo.convert(
-        col,
-        Form::Row,
-        ctx,
-        CollectiveKind::Redistribute,
-        spec.chunks,
-        on_strip,
-    );
-    record_hidden(ctx, spec, &comm_s, &comp_s);
-    let out = DistMat {
-        dist: Dist::Row,
-        rows: row.rows,
-        cols: n,
-        local: vstack(&strips),
-    };
-    // Aggregate kernel span mirroring the blocking `dist_gemm` span.
-    drop(rdm_trace::span(Span::Gemm {
-        m: out.local.rows(),
-        n,
-        k,
-        width: rdm_dense::kernels::active_width(),
-    }));
-    cache.put(row);
-    out
+    let local = fed_product(ctx, topo, cache, Form::Row, overlap, ops, |rows, ops| {
+        row_gemm(rows, w, transpose_w, ops)
+    });
+    DistMat::from_row_slice(local, topo.n)
 }
 
 /// Replicated GCN weights, `w[l-1]` has shape `feats[l-1] × feats[l]`.
@@ -393,24 +353,12 @@ fn activate(mut z: DistMat, apply: bool) -> DistMat {
 /// Run the forward pass of eq. (1)–(2) under `plan`.
 ///
 /// `input` must hold *both* layouts of `H^0` (the initial distribution is
-/// free — data is loaded wherever the plan wants it, §IV-B).
-pub fn rdm_forward(
-    ctx: &RankCtx,
-    topo: &Topology,
-    input: FormCache,
-    weights: &GcnWeights,
-    plan: &Plan,
-    ops: &mut OpCounters,
-) -> ForwardArtifacts {
-    rdm_forward_with(ctx, topo, input, weights, plan, None, ops)
-}
-
-/// [`rdm_forward`] with an optional pipelined-redistribution spec. With
+/// free — data is loaded wherever the plan wants it, §IV-B). With
 /// `overlap = None` (or when [`OverlapSpec`] does not apply to this
-/// topology) the execution is the classic blocking schedule; results and
-/// payload bytes are identical either way.
+/// topology) every conversion runs as one strip — the classic blocking
+/// schedule; results and payload bytes are identical either way.
 #[allow(clippy::too_many_arguments)]
-pub fn rdm_forward_with(
+pub fn rdm_forward(
     ctx: &RankCtx,
     topo: &Topology,
     input: FormCache,
@@ -618,28 +566,11 @@ pub struct BackwardResult {
 
 /// Run the backward pass of eq. (3)–(4) under `plan`, consuming the
 /// forward artifacts (their caches may gain layouts as reuse demands).
+/// `overlap` pipelines the gradient propagation as in [`rdm_forward`]; the
+/// weight-gradient and ReLU-mask stages stay blocking (they reuse cached
+/// layouts and are rarely on the critical redistribution path).
 #[allow(clippy::too_many_arguments)]
 pub fn rdm_backward(
-    ctx: &RankCtx,
-    topo: &Topology,
-    artifacts: &mut ForwardArtifacts,
-    weights: &GcnWeights,
-    plan: &Plan,
-    loss_grad: DistMat,
-    feats: &[usize],
-    ops: &mut OpCounters,
-) -> BackwardResult {
-    rdm_backward_with(
-        ctx, topo, artifacts, weights, plan, loss_grad, feats, None, ops,
-    )
-}
-
-/// [`rdm_backward`] with an optional pipelined-redistribution spec; see
-/// [`rdm_forward_with`]. The weight-gradient and ReLU-mask stages stay
-/// blocking (they reuse cached layouts and are rarely on the critical
-/// redistribution path).
-#[allow(clippy::too_many_arguments)]
-pub fn rdm_backward_with(
     ctx: &RankCtx,
     topo: &Topology,
     artifacts: &mut ForwardArtifacts,
@@ -843,9 +774,10 @@ pub fn input_cache(features: &Mat, topo: &Topology, ctx: &RankCtx) -> FormCache 
 mod tests {
     use super::*;
     use crate::loss::{serial as loss_serial, softmax_xent, LossSpec};
-    use rdm_comm::Cluster;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rdm_comm::{Cluster, RunOutput};
     use rdm_dense::allclose;
-    use rdm_graph::dataset::toy;
+    use rdm_graph::dataset::{toy, Dataset};
     use rdm_model::OrderConfig;
 
     /// Distributed forward under every 2-layer plan must equal the serial
@@ -868,7 +800,7 @@ mod tests {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
                 let input = input_cache(&feats, &topo, ctx);
-                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, &mut ops);
+                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
                 let logits = art.logits_row(&topo, ctx);
                 logits.gather(ctx, CollectiveKind::Other)
             });
@@ -903,7 +835,7 @@ mod tests {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
                 let input = input_cache(&feats, &topo, ctx);
-                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, &mut ops);
+                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
                 let logits = art.logits_row(&topo, ctx);
                 let spec = LossSpec {
                     labels: &labels,
@@ -911,7 +843,8 @@ mod tests {
                     num_classes: 4,
                 };
                 let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-                let back = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, &mut ops);
+                let back =
+                    rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
                 let g0 = match back.g0.dist {
                     Dist::Row => back.g0.gather(ctx, CollectiveKind::Other),
                     Dist::Col => topo.gather_tile(&back.g0, ctx, CollectiveKind::Other),
@@ -961,7 +894,7 @@ mod tests {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
                 let input = input_cache(&feats, &topo, ctx);
-                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, &mut ops);
+                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
                 let logits = art.logits_row(&topo, ctx);
                 let spec = LossSpec {
                     labels: &labels,
@@ -969,7 +902,8 @@ mod tests {
                     num_classes: 4,
                 };
                 let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-                let back = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, &mut ops);
+                let back =
+                    rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
                 back.weight_grads
             });
             for grads in &out.results {
@@ -1014,7 +948,7 @@ mod tests {
                     let topo = Topology::new(&adj, r_a, ctx);
                     let mut ops = OpCounters::default();
                     let input = input_cache(&feats, &topo, ctx);
-                    let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, &mut ops);
+                    let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
                     let logits = art.logits_row(&topo, ctx);
                     let spec = LossSpec {
                         labels: &labels,
@@ -1022,7 +956,8 @@ mod tests {
                         num_classes: 4,
                     };
                     let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-                    let back = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, &mut ops);
+                    let back =
+                        rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
                     back.weight_grads
                 });
                 for grads in &out.results {
@@ -1063,7 +998,7 @@ mod tests {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
                 let input = input_cache(&feats, &topo, ctx);
-                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, &mut ops);
+                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
                 let logits = art.logits_row(&topo, ctx);
                 let mask = vec![true; labels.len()];
                 let spec = LossSpec {
@@ -1072,7 +1007,8 @@ mod tests {
                     num_classes: 4,
                 };
                 let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-                let back = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, &mut ops);
+                let back =
+                    rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
                 (back.weight_grads, ops)
             })
         };
@@ -1118,7 +1054,7 @@ mod tests {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
                 let input = input_cache(&feats, &topo, ctx);
-                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, &mut ops);
+                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
                 let logits = art.logits_row(&topo, ctx);
                 let mask = vec![true; labels.len()];
                 let spec = LossSpec {
@@ -1127,7 +1063,7 @@ mod tests {
                     num_classes: 4,
                 };
                 let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-                let _ = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, &mut ops);
+                let _ = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
                 ops
             });
             let measured_bytes: u64 = out
@@ -1180,7 +1116,7 @@ mod tests {
                 let topo = Topology::new(&adj, r_a, ctx);
                 let mut ops = OpCounters::default();
                 let input = input_cache(&feats, &topo, ctx);
-                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, &mut ops);
+                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
                 let logits = art.logits_row(&topo, ctx);
                 let mask = vec![true; labels.len()];
                 let spec = LossSpec {
@@ -1189,7 +1125,7 @@ mod tests {
                     num_classes: 4,
                 };
                 let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-                let _ = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, &mut ops);
+                let _ = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
             });
             let measured: u64 = out
                 .stats
@@ -1224,7 +1160,7 @@ mod tests {
             let topo = Topology::full(&adj, ctx);
             let mut ops = OpCounters::default();
             let input = input_cache(&feats, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, &mut ops);
+            let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
             let logits = art.logits_row(&topo, ctx);
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
@@ -1233,7 +1169,7 @@ mod tests {
                 num_classes: 4,
             };
             let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-            let _ = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, &mut ops);
+            let _ = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
         });
         let redistribute: u64 = out
             .stats
@@ -1248,81 +1184,146 @@ mod tests {
         }
     }
 
+    /// What one training step leaves on a rank: loss, weight gradients,
+    /// gathered G⁰, FMA counters, and the panel's (kept, total) nonzeros.
+    type Step = (f32, Vec<Mat>, Mat, OpCounters, (usize, usize));
+
+    /// One training step (forward, loss, backward) of `plan` on `p` ranks:
+    /// pipelined as `chunks` strips or blocking, on the indexed or dense
+    /// wire, and — with `edge_mask` — under a seeded keep-mask over the
+    /// adjacency's nonzeros, of which each rank installs its panel's run.
+    fn engine_step(
+        ds: &Dataset,
+        weights: &GcnWeights,
+        plan: &Plan,
+        p: usize,
+        chunks: Option<usize>,
+        sparse: bool,
+        edge_mask: bool,
+    ) -> RunOutput<Step> {
+        let keep: Vec<bool> = {
+            let mut rng = StdRng::seed_from_u64(29);
+            (0..ds.adj_norm.nnz()).map(|_| rng.gen_bool(0.6)).collect()
+        };
+        let mut feats = vec![weights.w[0].rows()];
+        feats.extend(weights.w.iter().map(|w| w.cols()));
+        Cluster::new(p).run(|ctx| {
+            let spec = chunks.map(OverlapSpec::new);
+            let mut topo = Topology::new(&ds.adj_norm, plan.r_a, ctx);
+            topo.set_sparse(sparse);
+            if edge_mask {
+                let rows = topo.tile_rows(ctx.rank());
+                let indptr = ds.adj_norm.indptr();
+                topo.set_mask(Some(keep[indptr[rows.start]..indptr[rows.end]].to_vec()));
+            }
+            let nnz = topo.panel.nnz();
+            let kept = topo
+                .mask
+                .as_ref()
+                .map_or(nnz, |m| m.iter().filter(|&&k| k).count());
+            let mut ops = OpCounters::default();
+            let input = input_cache(&ds.features, &topo, ctx);
+            let mut art = rdm_forward(ctx, &topo, input, weights, plan, spec.as_ref(), &mut ops);
+            let logits = art.logits_row(&topo, ctx);
+            let mask = vec![true; ds.labels.len()];
+            let lspec = LossSpec {
+                labels: &ds.labels,
+                mask: &mask,
+                num_classes: 4,
+            };
+            let (loss, lgrad) = softmax_xent(&logits, &lspec, ctx);
+            let back = rdm_backward(
+                ctx,
+                &topo,
+                &mut art,
+                weights,
+                plan,
+                lgrad,
+                &feats,
+                spec.as_ref(),
+                &mut ops,
+            );
+            let g0 = match back.g0.dist {
+                Dist::Row => back.g0.gather(ctx, CollectiveKind::Other),
+                Dist::Col => topo.gather_tile(&back.g0, ctx, CollectiveKind::Other),
+            };
+            (loss, back.weight_grads, g0, ops, (kept, nnz))
+        })
+    }
+
+    /// `run` is bitwise `blocking` — loss, gradients, G⁰, FMA counters —
+    /// with identical dense-equivalent Redistribute and Broadcast books and
+    /// identical (always dense) broadcast bytes.
+    fn assert_same_step(blocking: &RunOutput<Step>, run: &RunOutput<Step>, what: &str) {
+        for (b, o) in blocking.results.iter().zip(&run.results) {
+            assert_eq!(b.0.to_bits(), o.0.to_bits(), "{what}: loss drifted");
+            for (l, (gb, go)) in b.1.iter().zip(&o.1).enumerate() {
+                assert_eq!(gb.as_slice(), go.as_slice(), "{what}: grad layer {}", l + 1);
+            }
+            assert_eq!(b.2.as_slice(), o.2.as_slice(), "{what}: g0 drifted");
+            assert_eq!(b.3, o.3, "{what}: FMA drifted");
+        }
+        for (sb, so) in blocking.stats.iter().zip(&run.stats) {
+            for kind in [CollectiveKind::Redistribute, CollectiveKind::Broadcast] {
+                assert_eq!(
+                    sb.dense_bytes(kind),
+                    so.dense_bytes(kind),
+                    "{what}: {kind:?} book drifted"
+                );
+            }
+            assert_eq!(
+                sb.bytes(CollectiveKind::Broadcast),
+                so.bytes(CollectiveKind::Broadcast),
+                "{what}: broadcast bytes drifted"
+            );
+        }
+    }
+
+    /// The masked step multiplies only the kept nonzeros: its SpMM FMAs are
+    /// kept nonzeros × the unmasked step's widths; GEMM work is untouched.
+    fn assert_masked_fmas(unmasked: &RunOutput<Step>, masked: &RunOutput<Step>, what: &str) {
+        for (u, m) in unmasked.results.iter().zip(&masked.results) {
+            let (kept, nnz) = m.4;
+            assert!(kept < nnz, "{what}: the keep-mask dropped nothing");
+            assert_eq!(
+                m.3.spmm_fma * nnz as f64,
+                u.3.spmm_fma * kept as f64,
+                "{what}: masked SpMM FMAs are not kept nonzeros × width"
+            );
+            assert_eq!(m.3.gemm_fma, u.3.gemm_fma, "{what}: GEMM FMAs drifted");
+        }
+    }
+
     /// The pipelined engine must be *bitwise* identical to the blocking
     /// one — logits, weight gradients, G⁰ and payload bytes — for every
-    /// 2-layer plan, while actually hiding modeled communication time.
+    /// 2-layer plan, unmasked and under an edge mask, while actually
+    /// hiding modeled communication time.
     #[test]
     fn overlapped_engine_is_bitwise_blocking() {
         let ds = toy(57, 13);
         let p = 3;
-        let feats_dims = vec![16usize, 8, 4];
-        let weights = GcnWeights::init(&feats_dims, 21);
+        let weights = GcnWeights::init(&[16, 8, 4], 21);
         for id in 0..16 {
             let plan = Plan::from_id(id, 2, p);
-            let mut runs = Vec::new();
-            for chunks in [None, Some(3usize)] {
-                let plan = plan.clone();
-                let (adj, feats, w2, labels) = (
-                    ds.adj_norm.clone(),
-                    ds.features.clone(),
-                    weights.clone(),
-                    ds.labels.clone(),
-                );
-                let fd = feats_dims.clone();
-                let out = Cluster::new(p).run(move |ctx| {
-                    let spec = chunks.map(OverlapSpec::new);
-                    let topo = Topology::full(&adj, ctx);
-                    let mut ops = OpCounters::default();
-                    let input = input_cache(&feats, &topo, ctx);
-                    let mut art =
-                        rdm_forward_with(ctx, &topo, input, &w2, &plan, spec.as_ref(), &mut ops);
-                    let logits = art.logits_row(&topo, ctx);
-                    let mask = vec![true; labels.len()];
-                    let lspec = LossSpec {
-                        labels: &labels,
-                        mask: &mask,
-                        num_classes: 4,
-                    };
-                    let (loss, lgrad) = softmax_xent(&logits, &lspec, ctx);
-                    let back = rdm_backward_with(
-                        ctx,
-                        &topo,
-                        &mut art,
-                        &w2,
-                        &plan,
-                        lgrad,
-                        &fd,
-                        spec.as_ref(),
-                        &mut ops,
+            let mut blocking_runs = Vec::new();
+            for masked in [false, true] {
+                let what = format!("id {id} masked {masked}");
+                let blocking = engine_step(&ds, &weights, &plan, p, None, false, masked);
+                let overlapped = engine_step(&ds, &weights, &plan, p, Some(3), false, masked);
+                assert_same_step(&blocking, &overlapped, &what);
+                for (sb, so) in blocking.stats.iter().zip(&overlapped.stats) {
+                    assert_eq!(
+                        sb.bytes(CollectiveKind::Redistribute),
+                        so.bytes(CollectiveKind::Redistribute),
+                        "{what}: payload bytes drifted"
                     );
-                    let g0 = match back.g0.dist {
-                        Dist::Row => back.g0.gather(ctx, CollectiveKind::Other),
-                        Dist::Col => topo.gather_tile(&back.g0, ctx, CollectiveKind::Other),
-                    };
-                    (loss, back.weight_grads, g0, ops)
-                });
-                runs.push(out);
-            }
-            let (blocking, overlapped) = (&runs[0], &runs[1]);
-            for (b, o) in blocking.results.iter().zip(&overlapped.results) {
-                assert_eq!(b.0.to_bits(), o.0.to_bits(), "id {id} loss drifted");
-                for (l, (gb, go)) in b.1.iter().zip(&o.1).enumerate() {
-                    assert_eq!(gb.as_slice(), go.as_slice(), "id {id} grad layer {}", l + 1);
+                    assert_eq!(sb.overlap_ns, 0, "blocking path must not record overlap");
                 }
-                assert_eq!(b.2.as_slice(), o.2.as_slice(), "id {id} g0 drifted");
-                assert_eq!(b.3.spmm_fma, o.3.spmm_fma, "id {id} spmm FMA drifted");
-                assert_eq!(b.3.gemm_fma, o.3.gemm_fma, "id {id} gemm FMA drifted");
+                let hidden: u64 = overlapped.stats.iter().map(|s| s.overlap_ns).sum();
+                assert!(hidden > 0, "{what}: hid no communication time");
+                blocking_runs.push(blocking);
             }
-            for (sb, so) in blocking.stats.iter().zip(&overlapped.stats) {
-                assert_eq!(
-                    sb.bytes(CollectiveKind::Redistribute),
-                    so.bytes(CollectiveKind::Redistribute),
-                    "id {id} payload bytes drifted"
-                );
-                assert_eq!(sb.overlap_ns, 0, "blocking path must not record overlap");
-            }
-            let hidden: u64 = overlapped.stats.iter().map(|s| s.overlap_ns).sum();
-            assert!(hidden > 0, "id {id} hid no communication time");
+            assert_masked_fmas(&blocking_runs[0], &blocking_runs[1], &format!("id {id}"));
         }
     }
 
@@ -1330,128 +1331,47 @@ mod tests {
     /// the report strings reports print must track the gate exactly.
     #[test]
     fn overlap_inert_reasons_cover_every_gate() {
-        assert_eq!(overlap_inert_reason(1, 4, 4, false), Some("chunks < 2"));
-        assert_eq!(overlap_inert_reason(4, 1, 1, false), Some("single rank"));
-        assert_eq!(overlap_inert_reason(4, 4, 4, true), Some("edge mask"));
-        let ra1 = overlap_inert_reason(4, 4, 1, false).expect("r_a = 1 must be inert");
+        assert_eq!(overlap_inert_reason(1, 4, 4), Some("chunks < 2"));
+        assert_eq!(overlap_inert_reason(4, 1, 1), Some("single rank"));
+        let ra1 = overlap_inert_reason(4, 4, 1).expect("r_a = 1 must be inert");
         assert!(ra1.contains("r_a = 1"), "got {ra1:?}");
-        assert_eq!(overlap_inert_reason(4, 4, 2, false), None);
-        assert_eq!(overlap_inert_reason(4, 4, 4, false), None);
+        assert_eq!(overlap_inert_reason(4, 4, 2), None);
+        assert_eq!(overlap_inert_reason(4, 4, 4), None);
     }
 
     /// Replicated-panel parity: at `R_A < P` the pipelined engine (dense
-    /// or sparse wire) must match the blocking dense engine bitwise —
-    /// loss, gradients, G⁰, FMA counters — with identical
-    /// dense-equivalent Redistribute *and* Broadcast books, and still
-    /// hide communication time when a redistribution group exists
-    /// (`r_a > 1`). At `r_a = 1` the overlap request is inert and must
-    /// record nothing.
+    /// or sparse wire, unmasked or under an edge mask) must match the
+    /// blocking dense engine bitwise — loss, gradients, G⁰, FMA counters —
+    /// with identical dense-equivalent Redistribute *and* Broadcast books,
+    /// and still hide communication time when a redistribution group
+    /// exists (`r_a > 1`). At `r_a = 1` the overlap request is inert and
+    /// must record nothing.
     #[test]
     fn overlapped_engine_is_bitwise_blocking_at_ra_lt_p() {
         let ds = toy(57, 13);
         let p = 4;
-        let feats_dims = vec![16usize, 8, 4];
-        let weights = GcnWeights::init(&feats_dims, 21);
+        let weights = GcnWeights::init(&[16, 8, 4], 21);
         for id in [0usize, 5, 10, 15] {
             for r_a in [1usize, 2] {
                 let plan = Plan::from_id(id, 2, p).with_ra(r_a);
-                let mut runs = Vec::new();
-                for (chunks, sparse) in [(None, false), (Some(3usize), false), (Some(3), true)] {
-                    let plan = plan.clone();
-                    let (adj, feats, w2, labels) = (
-                        ds.adj_norm.clone(),
-                        ds.features.clone(),
-                        weights.clone(),
-                        ds.labels.clone(),
-                    );
-                    let fd = feats_dims.clone();
-                    let out = Cluster::new(p).run(move |ctx| {
-                        let spec = chunks.map(OverlapSpec::new);
-                        let mut topo = Topology::new(&adj, r_a, ctx);
-                        topo.set_sparse(sparse);
-                        let mut ops = OpCounters::default();
-                        let input = input_cache(&feats, &topo, ctx);
-                        let mut art = rdm_forward_with(
-                            ctx,
-                            &topo,
-                            input,
-                            &w2,
-                            &plan,
-                            spec.as_ref(),
-                            &mut ops,
-                        );
-                        let logits = art.logits_row(&topo, ctx);
-                        let mask = vec![true; labels.len()];
-                        let lspec = LossSpec {
-                            labels: &labels,
-                            mask: &mask,
-                            num_classes: 4,
-                        };
-                        let (loss, lgrad) = softmax_xent(&logits, &lspec, ctx);
-                        let back = rdm_backward_with(
-                            ctx,
-                            &topo,
-                            &mut art,
-                            &w2,
-                            &plan,
-                            lgrad,
-                            &fd,
-                            spec.as_ref(),
-                            &mut ops,
-                        );
-                        let g0 = match back.g0.dist {
-                            Dist::Row => back.g0.gather(ctx, CollectiveKind::Other),
-                            Dist::Col => topo.gather_tile(&back.g0, ctx, CollectiveKind::Other),
-                        };
-                        (loss, back.weight_grads, g0, ops)
-                    });
-                    runs.push(out);
-                }
-                let blocking = &runs[0];
-                for (which, run) in runs.iter().enumerate().skip(1) {
-                    for (b, o) in blocking.results.iter().zip(&run.results) {
-                        assert_eq!(
-                            b.0.to_bits(),
-                            o.0.to_bits(),
-                            "id {id} r_a {r_a} run {which} loss drifted"
-                        );
-                        for (l, (gb, go)) in b.1.iter().zip(&o.1).enumerate() {
-                            assert_eq!(
-                                gb.as_slice(),
-                                go.as_slice(),
-                                "id {id} r_a {r_a} run {which} grad layer {}",
-                                l + 1
-                            );
+                let mut blocking_runs = Vec::new();
+                for masked in [false, true] {
+                    let blocking = engine_step(&ds, &weights, &plan, p, None, false, masked);
+                    for sparse in [false, true] {
+                        let what = format!("id {id} r_a {r_a} masked {masked} sparse {sparse}");
+                        let run = engine_step(&ds, &weights, &plan, p, Some(3), sparse, masked);
+                        assert_same_step(&blocking, &run, &what);
+                        let hidden: u64 = run.stats.iter().map(|s| s.overlap_ns).sum();
+                        if r_a > 1 {
+                            assert!(hidden > 0, "{what}: hid no communication time");
+                        } else {
+                            assert_eq!(hidden, 0, "{what}: r_a 1 must leave overlap inert");
                         }
-                        assert_eq!(
-                            b.2.as_slice(),
-                            o.2.as_slice(),
-                            "id {id} r_a {r_a} run {which} g0 drifted"
-                        );
-                        assert_eq!(b.3, o.3, "id {id} r_a {r_a} run {which} FMA drifted");
                     }
-                    for (sb, so) in blocking.stats.iter().zip(&run.stats) {
-                        for kind in [CollectiveKind::Redistribute, CollectiveKind::Broadcast] {
-                            assert_eq!(
-                                sb.dense_bytes(kind),
-                                so.dense_bytes(kind),
-                                "id {id} r_a {r_a} run {which} {kind:?} book drifted"
-                            );
-                        }
-                        // Broadcasts always ride the dense wire.
-                        assert_eq!(
-                            sb.bytes(CollectiveKind::Broadcast),
-                            so.bytes(CollectiveKind::Broadcast),
-                            "id {id} r_a {r_a} run {which} broadcast bytes drifted"
-                        );
-                    }
-                    let hidden: u64 = run.stats.iter().map(|s| s.overlap_ns).sum();
-                    if r_a > 1 {
-                        assert!(hidden > 0, "id {id} r_a {r_a} hid no communication time");
-                    } else {
-                        assert_eq!(hidden, 0, "id {id} r_a 1 must leave overlap inert");
-                    }
+                    blocking_runs.push(blocking);
                 }
+                let what = format!("id {id} r_a {r_a}");
+                assert_masked_fmas(&blocking_runs[0], &blocking_runs[1], &what);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Forward-only inference: the serving-path entry into the RDM engine.
 //!
 //! Training and serving share one forward loop (the one behind
-//! [`crate::gcn::rdm_forward_with`]); this module wraps it for the online
+//! [`crate::gcn::rdm_forward`]); this module wraps it for the online
 //! case — no loss, no backward, no optimizer, optionally the layer-1
 //! aggregation cache — so `rdm-serve` and the equivalence harness run
 //! *exactly* the code path a training epoch's forward half runs. That

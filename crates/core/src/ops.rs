@@ -33,29 +33,30 @@ impl OpCounters {
 /// the row slicing.
 pub fn dist_gemm(input: &DistMat, w: &Mat, transposed: bool, ops: &mut OpCounters) -> DistMat {
     assert_eq!(input.dist, Dist::Row, "dist_gemm needs a row-sliced input");
+    DistMat::from_row_slice(row_gemm(&input.local, w, transposed, ops), input.rows)
+}
+
+/// The local product of [`dist_gemm`] on any block of whole rows — a row
+/// slice, or one strip of it as a redistribution delivers it — inside a
+/// `Gemm` span shaped as that block.
+pub(crate) fn row_gemm(rows: &Mat, w: &Mat, transposed: bool, ops: &mut OpCounters) -> Mat {
     let (k, n) = if transposed {
         (w.cols(), w.rows())
     } else {
         w.shape()
     };
-    assert_eq!(input.cols, k, "dist_gemm shape mismatch");
+    assert_eq!(rows.cols(), k, "dist_gemm shape mismatch");
     let _span = rdm_trace::span(Span::Gemm {
-        m: input.local.rows(),
+        m: rows.rows(),
         n,
         k,
         width: rdm_dense::kernels::active_width(),
     });
-    let local = if transposed {
-        gemm_nt(&input.local, w)
+    ops.gemm_fma += rows.rows() as f64 * k as f64 * n as f64;
+    if transposed {
+        gemm_nt(rows, w)
     } else {
-        gemm(&input.local, w)
-    };
-    ops.gemm_fma += input.local.rows() as f64 * k as f64 * n as f64;
-    DistMat {
-        dist: Dist::Row,
-        rows: input.rows,
-        cols: n,
-        local,
+        gemm(rows, w)
     }
 }
 
@@ -363,20 +364,34 @@ impl Topology {
     pub fn spmm(&self, input: &DistMat, bwd: bool, ctx: &RankCtx, ops: &mut OpCounters) -> DistMat {
         assert_eq!(input.dist, Dist::Col, "topology spmm needs the tile layout");
         assert_eq!(self.n, input.rows, "vertex count mismatch");
-        let panel = self.aggregator(bwd);
-        let _span = rdm_trace::span(Span::Spmm {
-            rows: panel.rows(),
-            cols: input.local.cols(),
-            nnz: panel.nnz(),
-            width: rdm_dense::kernels::active_width(),
-        });
-        let mask = self.mask.as_deref();
         DistMat {
             dist: Dist::Col,
             rows: self.n,
             cols: input.cols,
-            local: panel_spmm(self.grid, panel, mask, &input.local, self.n, ctx, ops),
+            local: self.spmm_tile(&input.local, bwd, ctx, ops),
         }
+    }
+
+    /// The local product of [`Topology::spmm`] on any block of whole
+    /// columns of this rank's tile — the tile, or one strip of it as a
+    /// redistribution delivers it — inside an `Spmm` span shaped as that
+    /// block.
+    pub(crate) fn spmm_tile(
+        &self,
+        tile: &Mat,
+        bwd: bool,
+        ctx: &RankCtx,
+        ops: &mut OpCounters,
+    ) -> Mat {
+        let panel = self.aggregator(bwd);
+        let _span = rdm_trace::span(Span::Spmm {
+            rows: panel.rows(),
+            cols: tile.cols(),
+            nnz: panel.nnz(),
+            width: rdm_dense::kernels::active_width(),
+        });
+        let mask = self.mask.as_deref();
+        panel_spmm(self.grid, panel, mask, tile, self.n, ctx, ops)
     }
 
     /// The Row↔tile conversion of this topology: one redistribution inside

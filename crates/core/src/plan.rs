@@ -193,9 +193,11 @@ pub fn resolve(req: &PlanRequest<'_>, shape: &GnnShape, adj: &Csr) -> Result<Res
             .unwrap_or_else(|| best_plan(shape, p, r_a, req.device, sigma))
     });
     let overlap_inert = req.overlap.and_then(|chunks| match req.algo {
-        Algo::Rdm { .. } => overlap_inert_reason(chunks, p, r_a, false),
+        Algo::Rdm { .. } => overlap_inert_reason(chunks, p, r_a),
         Algo::RdmDynamic { .. } => Some("dynamic selection runs the blocking path"),
-        Algo::SaintMasked { .. } => Some("edge mask"),
+        Algo::SaintRdm { .. } | Algo::SaintDdp { .. } | Algo::SaintMasked { .. } => {
+            Some("SAINT trainers run the blocking path")
+        }
         _ => Some("non-RDM algorithm"),
     });
     let sparse_inert = match (req.sparse, rdm) {

@@ -141,7 +141,7 @@ impl SaintRdmTrainer {
             // Distribute the subgraph inputs (local slicing, no traffic).
             let topo = Topology::full(&sd.adj_norm, ctx);
             let input = input_cache(&sd.features, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &c.weights, &plan, ops);
+            let mut art = rdm_forward(ctx, &topo, input, &c.weights, &plan, None, ops);
             let logits = art.logits_row(&topo, ctx);
             let sub_train: Vec<bool> = sd.split.iter().map(|&s| s == Split::Train).collect();
             let spec = LossSpec {
@@ -151,7 +151,7 @@ impl SaintRdmTrainer {
             };
             let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
             let back = rdm_backward(
-                ctx, &topo, &mut art, &c.weights, &plan, lgrad, &c.feats, ops,
+                ctx, &topo, &mut art, &c.weights, &plan, lgrad, &c.feats, None, ops,
             );
             c.adam.step(&mut c.weights.w, &back.weight_grads);
         }
@@ -322,7 +322,7 @@ impl SaintMaskedTrainer {
             let mut topo = Topology::full(&self.adj_scaled, ctx);
             topo.set_mask(Some(mask));
             let input = input_cache(&c.ds.features, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &c.weights, &plan, ops);
+            let mut art = rdm_forward(ctx, &topo, input, &c.weights, &plan, None, ops);
             let logits = art.logits_row(&topo, ctx);
             let spec = LossSpec {
                 labels: &c.ds.labels,
@@ -331,7 +331,7 @@ impl SaintMaskedTrainer {
             };
             let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
             let back = rdm_backward(
-                ctx, &topo, &mut art, &c.weights, &plan, lgrad, &c.feats, ops,
+                ctx, &topo, &mut art, &c.weights, &plan, lgrad, &c.feats, None, ops,
             );
             c.adam.step(&mut c.weights.w, &back.weight_grads);
         }
@@ -353,7 +353,7 @@ pub fn eval_accuracy_distributed(
     let mut scratch = OpCounters::default();
     let topo = Topology::full(&ds.adj_norm, ctx);
     let input = input_cache(&ds.features, &topo, ctx);
-    let mut art = rdm_forward(ctx, &topo, input, weights, plan, &mut scratch);
+    let mut art = rdm_forward(ctx, &topo, input, weights, plan, None, &mut scratch);
     let last = art.h.len() - 1;
     let logits = art.h[last]
         .require_row(&topo, ctx, CollectiveKind::Eval)

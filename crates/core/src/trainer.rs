@@ -5,7 +5,7 @@ use crate::adam::Adam;
 use crate::cagnet::{CagnetTrainer, CagnetVariant};
 use crate::dgcl::DgclTrainer;
 use crate::dist::{DistMat, FormCache};
-use crate::gcn::{rdm_backward_with, rdm_forward_with, GcnWeights, OverlapSpec};
+use crate::gcn::{rdm_backward, rdm_forward, GcnWeights, OverlapSpec};
 use crate::loss::{accuracy, softmax_xent, LossSpec};
 use crate::metrics::{EpochMetrics, RankEpoch, TrainReport};
 use crate::ops::{OpCounters, Topology};
@@ -415,7 +415,7 @@ impl RdmState {
             chunks,
             device: self.device,
         });
-        let mut art = rdm_forward_with(
+        let mut art = rdm_forward(
             ctx,
             &self.topo,
             input,
@@ -433,7 +433,7 @@ impl RdmState {
         let (loss, lgrad) = softmax_xent(&logits, &spec, ctx);
         let train_acc = accuracy(&logits, &ds.labels, &self.train_mask, ctx);
         let test_acc = accuracy(&logits, &ds.labels, &self.test_mask, ctx);
-        let back = rdm_backward_with(
+        let back = rdm_backward(
             ctx,
             &self.topo,
             &mut art,
@@ -680,7 +680,10 @@ mod tests {
                 .overlap(4),
         )
         .unwrap();
-        assert_eq!(r.overlap_inert_reason(), Some("edge mask"));
+        assert_eq!(
+            r.overlap_inert_reason(),
+            Some("SAINT trainers run the blocking path")
+        );
         // No overlap requested → no reason, even where one would apply.
         let r = train_gcn(&ds, &TrainerConfig::rdm_auto(1).epochs(1).hidden(8)).unwrap();
         assert_eq!(r.overlap_inert_reason(), None);

@@ -58,7 +58,7 @@ proptest! {
             let topo = Topology::new(&adj, r_a, ctx);
             let mut ops = OpCounters::default();
             let input = input_cache(&features, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, &mut ops);
+            let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
             let logits = art.logits_row(&topo, ctx);
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
@@ -67,7 +67,7 @@ proptest! {
                 num_classes: 4,
             };
             let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-            rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &f2, &mut ops)
+            rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &f2, None, &mut ops)
                 .weight_grads
         });
         for grads in &out.results {
@@ -107,7 +107,7 @@ proptest! {
             let topo = Topology::full(&adj, ctx);
             let mut ops = OpCounters::default();
             let input = input_cache(&features, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &weights, &plan, &mut ops);
+            let mut art = rdm_forward(ctx, &topo, input, &weights, &plan, None, &mut ops);
             let logits = art.logits_row(&topo, ctx);
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
@@ -116,7 +116,7 @@ proptest! {
                 num_classes: 4,
             };
             let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-            let _ = rdm_backward(ctx, &topo, &mut art, &weights, &plan, lgrad, &feats, &mut ops);
+            let _ = rdm_backward(ctx, &topo, &mut art, &weights, &plan, lgrad, &feats, None, &mut ops);
         });
         let measured: u64 = out
             .stats

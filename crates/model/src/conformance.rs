@@ -17,23 +17,22 @@
 //! redistributions are group-scoped (priced by the replicated-panel
 //! geometry of Fig. 6) and every panel SpMM carries the column group's
 //! dense tile broadcast, which the extractor books as one
-//! [`SchedEvent::Broadcast`] at the kernel span's close — whether the
-//! sends happened inside the kernel span (blocking `panel_spmm`) or
-//! inside the preceding redistribution span (the overlapped engine's
-//! strip-by-strip sink) — so blocking and pipelined runs still extract to
-//! identical schedules. Traffic the schedule does not price
-//! (loss/accuracy scalar all-reduces, dynamic selection) appears in
-//! traces as bare `Collective` events outside any span and is ignored by
-//! the extractor. [`predict_epoch`] takes `(p, r_a)` plus the per-panel
-//! adjacency nonzero counts — full replication is `r_a = p` with one panel
-//! — and errors on inputs outside its scope instead of silently assuming
-//! full replication.
+//! [`SchedEvent::Broadcast`] per product, after its SpMM. Traffic the
+//! schedule does not price (loss/accuracy scalar all-reduces, dynamic
+//! selection) appears in traces as bare `Collective` events outside any
+//! span and is ignored by the extractor. [`predict_epoch`] takes
+//! `(p, r_a)` plus the per-panel adjacency nonzero counts — full
+//! replication is `r_a = p` with one panel — and errors on inputs outside
+//! its scope instead of silently assuming full replication.
 //!
-//! The extractor is insensitive to pipelining: the chunk-pipelined
-//! redistribution path opens the same `Redistribute` span (with its
-//! per-strip `OverlapStrip` instants inside) and emits the same aggregate
-//! kernel span afterwards, so a blocking and an overlapped run of the same
-//! plan extract to identical schedules.
+//! The extractor is insensitive to pipelining. A product fed by a
+//! conversion runs one kernel span per strip *inside* the `Redistribute`
+//! span that feeds it (one strip when blocking, `chunks` when pipelined;
+//! the strips' panel broadcasts inside them), and the extractor folds
+//! those strip spans into one SpMM (`cols` summed) or GEMM (`m` summed)
+//! emitted after the redistribution; a product on an already-cached form
+//! is a top-level kernel span. A blocking and an overlapped run of the
+//! same plan therefore extract to identical schedules.
 
 use crate::config::{Order, OrderConfig};
 use crate::cost::GnnShape;
@@ -534,6 +533,43 @@ pub fn predict_epoch(
     Ok(pr.into_events())
 }
 
+/// The schedule event a kernel span names. `width` is deliberately
+/// dropped: the scheduler predicts op shapes, not kernel paths, so
+/// conformance holds for scalar and fast kernels alike.
+fn kernel_event(span: Span) -> Option<SchedEvent> {
+    match span {
+        Span::Spmm {
+            rows, cols, nnz, ..
+        } => Some(SchedEvent::Spmm { rows, cols, nnz }),
+        Span::Gemm { m, n, k, .. } => Some(SchedEvent::Gemm { m, n, k }),
+        _ => None,
+    }
+}
+
+/// Fold the next strip kernel of a conversion-fed product into the product
+/// so far: SpMM strips are column strips (`cols` add), GEMM strips row
+/// strips (`m` adds). `None` unless every other dimension agrees.
+fn fold_strip(product: Option<SchedEvent>, strip: SchedEvent) -> Option<SchedEvent> {
+    use SchedEvent::{Gemm, Spmm};
+    let Some(product) = product else {
+        return Some(strip);
+    };
+    let (folded, fixed) = match (product, strip) {
+        (Spmm { cols, .. }, Spmm { rows, cols: c, nnz }) => (
+            Spmm {
+                rows,
+                cols: cols + c,
+                nnz,
+            },
+            Spmm { rows, cols, nnz },
+        ),
+        (Gemm { m, .. }, Gemm { m: dm, n, k }) => (Gemm { m: m + dm, n, k }, Gemm { m, n, k }),
+        _ => return None,
+    };
+    // `fixed` is the product so far with the strip's other dimensions.
+    (fixed == product).then_some(folded)
+}
+
 /// One item of [`walk_schedule`]'s reduction of a trace.
 pub(crate) enum Walked {
     /// A scope span of interest opened, or a `Serve` span opened inside one.
@@ -554,8 +590,8 @@ pub(crate) enum Walked {
 ///
 /// # Errors
 /// If the trace is malformed: unbalanced spans, broadcast sends with no
-/// kernel span to book them, or a redistribution that sent more than its
-/// dense-equivalent bytes.
+/// kernel span to book them, a redistribution that sent more than its
+/// dense-equivalent bytes, or strip kernels that do not tile one product.
 pub(crate) fn walk_schedule(
     trace: &RankTrace,
     scope: impl Fn(Span) -> Option<bool>,
@@ -572,15 +608,25 @@ pub(crate) fn walk_schedule(
             bytes: u64,
             /// Dense-equivalent bytes — what the schedule predictor prices.
             dense: u64,
+            /// The product the strip kernels nested in this conversion
+            /// fold into.
+            product: Option<SchedEvent>,
         },
         AllReduce {
             bytes: u64,
         },
-        /// A kernel span that can carry the replicated panels' tile
-        /// broadcast; closing it flushes the pending broadcast bytes.
+        /// A top-level SpMM span, which can carry the replicated panels'
+        /// tile broadcast; closing it flushes the pending broadcast bytes.
         Spmm,
         Other,
     }
+    // One broadcast event per SpMM product, after it.
+    let flush = |out: &mut Vec<Walked>, pending: &mut u64| {
+        if *pending > 0 {
+            out.push(Walked::Sched(SchedEvent::Broadcast { bytes: *pending }));
+            *pending = 0;
+        }
+    };
     let mut stack: Vec<Frame> = Vec::new();
     let mut out = Vec::new();
     let mut in_scope = false;
@@ -609,25 +655,30 @@ pub(crate) fn walk_schedule(
                         kind,
                         bytes: 0,
                         dense: 0,
+                        product: None,
                     },
                     (None, Span::AllReduce { .. }) => Frame::AllReduce { bytes: 0 },
-                    // `width` is deliberately dropped: the scheduler
-                    // predicts op shapes, not kernel paths, so conformance
-                    // holds for scalar and fast kernels alike.
-                    (
-                        None,
-                        Span::Spmm {
-                            rows, cols, nnz, ..
-                        },
-                    ) => {
-                        out.push(Walked::Sched(SchedEvent::Spmm { rows, cols, nnz }));
-                        Frame::Spmm
-                    }
-                    (None, Span::Gemm { m, n, k, .. }) => {
-                        out.push(Walked::Sched(SchedEvent::Gemm { m, n, k }));
-                        Frame::Other
-                    }
-                    (None, _) => Frame::Other,
+                    (None, _) => match (kernel_event(span), stack.last_mut()) {
+                        (None, _) => Frame::Other,
+                        // A strip of the product its conversion feeds.
+                        (Some(strip), Some(Frame::Redist { product, .. })) => {
+                            *product = Some(fold_strip(*product, strip).ok_or_else(|| {
+                                format!(
+                                    "rank {} event {i}: strip {strip} does not continue the \
+                                     product of its redistribution",
+                                    trace.rank
+                                )
+                            })?);
+                            Frame::Other
+                        }
+                        (Some(event), _) => {
+                            out.push(Walked::Sched(event));
+                            match event {
+                                SchedEvent::Spmm { .. } => Frame::Spmm,
+                                _ => Frame::Other,
+                            }
+                        }
+                    },
                 };
                 stack.push(frame);
             }
@@ -648,6 +699,7 @@ pub(crate) fn walk_schedule(
                         kind,
                         bytes,
                         dense,
+                        product,
                     } => {
                         // The predictor prices the dense-equivalent volume;
                         // the sparse path may send less, never more.
@@ -664,18 +716,17 @@ pub(crate) fn walk_schedule(
                             kind,
                             bytes: dense,
                         }));
+                        if let Some(product) = product {
+                            out.push(Walked::Sched(product));
+                            if let SchedEvent::Spmm { .. } = product {
+                                flush(&mut out, &mut pending_bcast);
+                            }
+                        }
                     }
                     Frame::AllReduce { bytes } => {
                         out.push(Walked::Sched(SchedEvent::AllReduce { bytes }));
                     }
-                    Frame::Spmm => {
-                        if pending_bcast > 0 {
-                            out.push(Walked::Sched(SchedEvent::Broadcast {
-                                bytes: pending_bcast,
-                            }));
-                            pending_bcast = 0;
-                        }
-                    }
+                    Frame::Spmm => flush(&mut out, &mut pending_bcast),
                     Frame::Other => {}
                 }
             }
@@ -740,16 +791,17 @@ pub(crate) fn walk_schedule(
 ///
 /// Attribution is kind-aware: a redistribution frame books only sends of
 /// its own collective kind, while `Broadcast`-kind sends — the replicated
-/// panels' tile exchange — accumulate wherever they occur (inside the
-/// kernel span when blocking, inside the preceding redistribution span
-/// when the overlapped sink assembles strip by strip) and are flushed as
-/// one [`SchedEvent::Broadcast`] when the carrying SpMM span closes. A
-/// blocking and an overlapped run of the same plan therefore extract to
-/// identical schedules at every replication factor.
+/// panels' tile exchange — accumulate wherever they occur (inside each
+/// strip kernel span) and are flushed as one [`SchedEvent::Broadcast`]
+/// after the SpMM product they carry. Strip kernel spans nested in a
+/// redistribution fold into one product event emitted after it, so a
+/// blocking and an overlapped run of the same plan extract to identical
+/// schedules at every replication factor.
 ///
 /// # Errors
 /// If the trace is malformed (unbalanced spans, broadcast sends with no
-/// kernel span to book them) or never enters epoch `epoch`.
+/// kernel span to book them, strips that do not tile one product) or
+/// never enters epoch `epoch`.
 pub fn extract_epoch(trace: &RankTrace, epoch: usize) -> Result<Vec<SchedEvent>, String> {
     let (walked, found) = walk_schedule(trace, |span| match span {
         Span::Epoch { idx } => Some(idx == epoch),
@@ -1252,93 +1304,137 @@ mod tests {
     }
 
     #[test]
-    fn extract_flushes_broadcasts_at_the_carrying_kernel_span() {
-        // Broadcast-kind sends land in two placements: inside the SpMM
-        // span (blocking) or inside the preceding Redistribute span
-        // (overlapped, where the on-strip sink runs). Both must extract
-        // to the same [Redist, Spmm, Broadcast] sequence.
-        let mk = |seq: u64, data: EventData| Event {
-            seq,
-            ts_ns: seq,
-            data,
+    fn extract_folds_strip_kernels_into_one_product() {
+        // A conversion-fed product is one kernel span per strip nested in
+        // the Redistribute span feeding it — one strip blocking, several
+        // pipelined — and a product on a cached form is a top-level span.
+        // Every placement extracts to the same [Redist, Spmm], plus one
+        // Broadcast per product when the replicated panels' tile broadcast
+        // rides inside the kernel spans.
+        use EventData::{Begin, End};
+        let trace = |body: Vec<EventData>| RankTrace {
+            rank: 0,
+            events: std::iter::once(Begin(Span::Epoch { idx: 0 }))
+                .chain(body)
+                .chain([End])
+                .enumerate()
+                .map(|(i, data)| Event {
+                    seq: i as u64,
+                    ts_ns: i as u64,
+                    data,
+                })
+                .collect(),
         };
-        let redist = Span::Redistribute {
-            from: Form::Col,
-            to: Form::Row,
-            chunks: 1,
-            kind: TraceCollective::Redistribute,
+        let send = |kind, bytes| EventData::Collective {
+            kind,
+            peer: 1,
+            bytes,
+            dense_bytes: bytes,
+            msg_seq: 0,
         };
-        let spmm = Span::Spmm {
-            rows: 70,
-            cols: 8,
-            nnz: 620,
-            width: 8,
+        let redist = |to| {
+            let from = if to == Form::Col {
+                Form::Row
+            } else {
+                Form::Col
+            };
+            vec![
+                Begin(Span::Redistribute {
+                    from,
+                    to,
+                    chunks: 1,
+                    kind: TraceCollective::Redistribute,
+                }),
+                send(TraceCollective::Redistribute, 96),
+            ]
         };
-        let send = |seq, kind, bytes| {
-            mk(
-                seq,
-                EventData::Collective {
-                    kind,
-                    peer: 1,
-                    bytes,
-                    dense_bytes: bytes,
-                    msg_seq: seq,
-                },
-            )
-        };
-        let blocking = vec![
-            mk(0, EventData::Begin(Span::Epoch { idx: 0 })),
-            mk(1, EventData::Begin(redist)),
-            send(2, TraceCollective::Redistribute, 96),
-            mk(3, EventData::End),
-            mk(4, EventData::Begin(spmm)),
-            send(5, TraceCollective::Broadcast, 2240),
-            mk(6, EventData::End),
-            mk(7, EventData::End),
-        ];
-        let overlapped = vec![
-            mk(0, EventData::Begin(Span::Epoch { idx: 0 })),
-            mk(1, EventData::Begin(redist)),
-            send(2, TraceCollective::Redistribute, 96),
-            // The pipelined strip sink broadcasts inside the
-            // redistribution span; the aggregate kernel span follows.
-            send(3, TraceCollective::Broadcast, 2240),
-            mk(4, EventData::End),
-            mk(5, EventData::Begin(spmm)),
-            mk(6, EventData::End),
-            mk(7, EventData::End),
-        ];
-        let expect = vec![
-            SchedEvent::Redist {
-                from: Form::Col,
-                to: Form::Row,
-                kind: TraceCollective::Redistribute,
-                bytes: 96,
-            },
-            SchedEvent::Spmm {
+        // SpMM strips of a 70-row panel (620 nonzeros) over 8 tile
+        // columns, each broadcasting its 70 × cols tile strip (or not).
+        let spmm = |cols: usize, nnz: usize, bcast: bool| {
+            let mut ev = vec![Begin(Span::Spmm {
                 rows: 70,
-                cols: 8,
-                nnz: 620,
-            },
-            SchedEvent::Broadcast { bytes: 2240 },
-        ];
-        for events in [blocking, overlapped] {
-            let trace = RankTrace { rank: 0, events };
-            assert_eq!(extract_epoch(&trace, 0).unwrap(), expect);
+                cols,
+                nnz,
+                width: 8,
+            })];
+            if bcast {
+                ev.push(send(TraceCollective::Broadcast, 70 * cols * 4));
+            }
+            ev.push(End);
+            ev
+        };
+        let nested = |strips: &[usize], bcast: bool| {
+            let mut ev = redist(Form::Col);
+            for (idx, &cols) in strips.iter().enumerate() {
+                ev.extend(spmm(cols, 620, bcast));
+                ev.push(EventData::OverlapStrip { idx, hidden_ns: 1 });
+            }
+            ev.push(End);
+            ev
+        };
+        let redist_event = |from, to| SchedEvent::Redist {
+            from,
+            to,
+            kind: TraceCollective::Redistribute,
+            bytes: 96,
+        };
+        for bcast in [false, true] {
+            let top_level = [redist(Form::Col), vec![End], spmm(8, 620, bcast)].concat();
+            let mut expect = vec![
+                redist_event(Form::Row, Form::Col),
+                SchedEvent::Spmm {
+                    rows: 70,
+                    cols: 8,
+                    nnz: 620,
+                },
+            ];
+            if bcast {
+                expect.push(SchedEvent::Broadcast { bytes: 2240 });
+            }
+            for (what, body) in [
+                ("top-level", top_level),
+                ("one strip", nested(&[8], bcast)),
+                ("three strips", nested(&[3, 3, 2], bcast)),
+            ] {
+                let got = extract_epoch(&trace(body), 0).unwrap();
+                assert_eq!(got, expect, "{what}, broadcast {bcast}");
+            }
         }
 
-        // Broadcast bytes with no kernel span to book them are a
-        // malformed trace, not silence.
-        let dangling = vec![
-            mk(0, EventData::Begin(Span::Epoch { idx: 0 })),
-            send(1, TraceCollective::Broadcast, 64),
-            mk(2, EventData::End),
+        // GEMM strips are row strips: `m` sums.
+        let mut body = redist(Form::Row);
+        for m in [12, 12, 11] {
+            body.extend([
+                Begin(Span::Gemm {
+                    m,
+                    n: 5,
+                    k: 16,
+                    width: 8,
+                }),
+                End,
+            ]);
+        }
+        body.push(End);
+        assert_eq!(
+            extract_epoch(&trace(body), 0).unwrap(),
+            vec![
+                redist_event(Form::Col, Form::Row),
+                SchedEvent::Gemm { m: 35, n: 5, k: 16 },
+            ]
+        );
+
+        // Strips that do not tile one product, and broadcast bytes with no
+        // kernel span to book them, are malformed traces, not silence.
+        let ragged = [
+            redist(Form::Col),
+            spmm(4, 620, false),
+            spmm(4, 610, false),
+            vec![End],
         ];
-        let trace = RankTrace {
-            rank: 0,
-            events: dangling,
-        };
-        let err = extract_epoch(&trace, 0).unwrap_err();
+        let err = extract_epoch(&trace(ragged.concat()), 0).unwrap_err();
+        assert!(err.contains("does not continue"), "{err}");
+        let dangling = vec![send(TraceCollective::Broadcast, 64)];
+        let err = extract_epoch(&trace(dangling), 0).unwrap_err();
         assert!(err.contains("no kernel span"), "{err}");
     }
 }

@@ -3,13 +3,16 @@
 //! count is bitwise identical to the untraced run, across the Table-IV
 //! order-plan corners and the overlapped pipeline. Two same-seed traced
 //! runs serialize to byte-identical normalized Chrome JSON, pinned by a
-//! golden snapshot; and dynamic selection's trial epochs stay blocking
-//! even when `--overlap` and `--trace` are both set.
+//! golden snapshot; every kernel span that consumes a conversion nests in
+//! the `Redistribute` span feeding it, one span per strip; and dynamic
+//! selection's trial epochs stay blocking even when `--overlap` and
+//! `--trace` are both set.
 
 use gnn_rdm::comm::CollectiveKind;
 use gnn_rdm::core::{train_gcn, Plan, TrainReport, TrainerConfig};
+use gnn_rdm::dense::part_range;
 use gnn_rdm::graph::{Dataset, DatasetSpec};
-use gnn_rdm::trace::{chrome, EventData};
+use gnn_rdm::trace::{chrome, EventData, RankTrace, Span, TraceCollective};
 
 fn dataset() -> Dataset {
     DatasetSpec::synthetic("traceq", 140, 1100, 16, 5).instantiate(31)
@@ -191,6 +194,163 @@ fn regenerate_golden() {
         "/tests/golden/trace_p2_id0.json"
     );
     std::fs::write(path, &json).unwrap();
+}
+
+/// One conversion-fed product of a rank's trace, its strips folded: the
+/// kernel, its fixed dimensions (`rows, nnz` for SpMM, `n, k` for GEMM)
+/// and the strip-summed one (`cols` for SpMM, `m` for GEMM).
+type Product = (&'static str, usize, usize, usize);
+
+/// Walk one rank's trace and return its conversion-fed products, checking
+/// that each Redistribute span which feeds a kernel holds `chunks` strip
+/// kernel spans, and that no kernel span follows an empty-handed
+/// Redistribute — weight-gradient GEMMs, which nest their all-reduce,
+/// excepted (their conversions are not fused into the kernel).
+fn fed_products(trace: &RankTrace, chunks: usize) -> Vec<Product> {
+    struct Frame {
+        span: Span,
+        strips: Vec<Span>,
+        allreduce: bool,
+        after_empty_redist: bool,
+    }
+    let mut stack: Vec<Frame> = Vec::new();
+    let mut products = Vec::new();
+    let mut empty_redist_closed = false;
+    for e in &trace.events {
+        match e.data {
+            EventData::Begin(span) => {
+                if let Some(parent) = stack.last_mut() {
+                    match span {
+                        Span::Spmm { .. } | Span::Gemm { .. }
+                            if matches!(parent.span, Span::Redistribute { .. }) =>
+                        {
+                            parent.strips.push(span)
+                        }
+                        Span::AllReduce { .. } => parent.allreduce = true,
+                        _ => {}
+                    }
+                }
+                stack.push(Frame {
+                    span,
+                    strips: Vec::new(),
+                    allreduce: false,
+                    after_empty_redist: std::mem::take(&mut empty_redist_closed),
+                });
+            }
+            EventData::End => {
+                let f = stack.pop().expect("balanced trace");
+                match f.span {
+                    Span::Redistribute {
+                        chunks: c,
+                        kind: TraceCollective::Redistribute,
+                        ..
+                    } => {
+                        empty_redist_closed = f.strips.is_empty();
+                        if !f.strips.is_empty() {
+                            assert_eq!(c, chunks, "rank {}: conversion chunk count", trace.rank);
+                            assert_eq!(
+                                f.strips.len(),
+                                c,
+                                "rank {}: one kernel span per strip",
+                                trace.rank
+                            );
+                            let mut product = match f.strips[0] {
+                                Span::Spmm { rows, nnz, .. } => ("spmm", rows, nnz, 0),
+                                Span::Gemm { n, k, .. } => ("gemm", n, k, 0),
+                                _ => unreachable!("strips are kernel spans"),
+                            };
+                            for s in &f.strips {
+                                let (fixed, summed) = match *s {
+                                    Span::Spmm {
+                                        rows, nnz, cols, ..
+                                    } => (("spmm", rows, nnz), cols),
+                                    Span::Gemm { n, k, m, .. } => (("gemm", n, k), m),
+                                    _ => unreachable!("strips are kernel spans"),
+                                };
+                                assert_eq!(
+                                    fixed,
+                                    (product.0, product.1, product.2),
+                                    "rank {}: ragged strips",
+                                    trace.rank
+                                );
+                                product.3 += summed;
+                            }
+                            products.push(product);
+                        }
+                    }
+                    Span::Spmm { .. } | Span::Gemm { .. } => {
+                        assert!(
+                            !f.after_empty_redist || f.allreduce,
+                            "rank {}: {:?} follows its Redistribute empty-handed",
+                            trace.rank,
+                            f.span
+                        );
+                        empty_redist_closed = false;
+                    }
+                    _ => empty_redist_closed = false,
+                }
+            }
+            // Traffic in between (the loss's reductions after the loss
+            // boundary) means the next kernel does not consume it.
+            EventData::Collective { .. } => empty_redist_closed = false,
+            _ => {}
+        }
+    }
+    products
+}
+
+#[test]
+fn kernel_spans_nest_in_the_redistribution_that_feeds_them() {
+    // P = 4 at R_A = 2 (group conversions plus panel broadcasts), blocking
+    // and 3-chunk pipelined: each conversion-fed product is one kernel
+    // span per strip inside its Redistribute span, the strips tile the
+    // product (GEMM strips sum to this rank's row slice, SpMM strips to a
+    // tile width), and the pipelined run folds to the blocking products.
+    let ds = dataset();
+    let (p, r_a) = (4usize, 2usize);
+    for id in [0usize, 5, 10] {
+        let base = TrainerConfig::rdm(p, Plan::from_id(id, 2, p).with_ra(r_a))
+            .hidden(8)
+            .epochs(1)
+            .trace();
+        let mut folded = Vec::new();
+        for chunks in [1usize, 3] {
+            let cfg = if chunks > 1 {
+                base.clone().overlap(chunks)
+            } else {
+                base.clone()
+            };
+            let r = report(&ds, cfg);
+            let per_rank: Vec<Vec<Product>> = r
+                .traces
+                .as_ref()
+                .unwrap()
+                .iter()
+                .map(|t| fed_products(t, chunks))
+                .collect();
+            for (rank, products) in per_rank.iter().enumerate() {
+                assert!(!products.is_empty(), "id={id}: no fed products");
+                let tile_widths: Vec<usize> = [16usize, 8, 5]
+                    .iter()
+                    .map(|&f| part_range(f, r_a, rank % r_a).len())
+                    .collect();
+                for &(kernel, _, _, summed) in products {
+                    match kernel {
+                        "gemm" => assert_eq!(summed, part_range(ds.n(), p, rank).len()),
+                        _ => assert!(
+                            tile_widths.contains(&summed),
+                            "id={id}: SpMM width {summed}"
+                        ),
+                    }
+                }
+            }
+            folded.push(per_rank);
+        }
+        assert_eq!(
+            folded[0], folded[1],
+            "id={id}: pipelined strips fold differently"
+        );
+    }
 }
 
 #[test]
