@@ -8,23 +8,28 @@
 //! partitions fragment; that scaling contrast is what the paper's Figs.
 //! 8–11 exercise.
 //!
+//! Here it is the aggregation of the row-sliced epoch the baselines share
+//! ([`crate::trainer`]): the graph is relabelled so each partition is one
+//! balanced row slice, and `Â · X` is a halo exchange followed by one local
+//! SpMM; everything else is CAGNET's epoch.
+//!
 //! Substitutions: METIS → [`rdm_graph::greedy_bfs_partition`]; NVLink-aware
 //! transfer planning → direct owner-to-requester messages (the volume, not
 //! the routing, is what the comparison needs).
 
-use crate::adam::Adam;
 use crate::dist::{Dist, DistMat};
-use crate::gcn::GcnWeights;
-use crate::loss::{accuracy, softmax_xent, LossSpec};
-use crate::ops::{dist_gemm, weight_grad, OpCounters};
+use crate::ops::OpCounters;
+use crate::plan::Resolution;
+use crate::trainer::{Model, RowAggregation, RowTrainer, Targets, TrainerConfig};
 use rdm_comm::{CollectiveKind, RankCtx};
-use rdm_dense::{part_range, relu, relu_backward, Mat};
+use rdm_dense::{part_range, Mat};
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_graph::greedy_bfs_partition;
 use rdm_sparse::{Coo, Csr};
 
-/// Per-rank state of the DGCL-like trainer.
-pub struct DgclTrainer {
+/// DGCL's aggregation `Â · X`: exchange halo rows of the row-sliced `X`,
+/// then one local SpMM against the ext-indexed panel.
+pub(crate) struct Halo {
     /// My adjacency rows with columns remapped to `[0, local + halo)`:
     /// index `< local` is a local vertex, `local + k` is the `k`-th halo
     /// entry.
@@ -35,14 +40,6 @@ pub struct DgclTrainer {
     /// What I must send: `serve[d]` = local row indices of my vertices that
     /// rank `d` needs.
     serve: Vec<Vec<u32>>,
-    /// My row slice of the (permuted) features.
-    input: DistMat,
-    pub weights: GcnWeights,
-    adam: Adam,
-    labels: Vec<u32>,
-    train_mask: Vec<bool>,
-    test_mask: Vec<bool>,
-    num_classes: usize,
     n: usize,
 }
 
@@ -69,41 +66,42 @@ fn partition_permutation(owner: &[u32], p: usize) -> Vec<u32> {
     perm
 }
 
-impl DgclTrainer {
-    /// Partition the graph, relabel, and build halo exchange lists. All
-    /// ranks compute the same deterministic partition, so no setup
-    /// communication is needed.
-    pub fn setup(
-        ds: &Dataset,
-        hidden: usize,
-        layers: usize,
-        lr: f32,
-        seed: u64,
-        ctx: &RankCtx,
-    ) -> Self {
-        let p = ctx.size();
-        let me = ctx.rank();
-        let n = ds.n();
-        let owner = greedy_bfs_partition(&ds.adj_norm, p, seed);
-        let perm = partition_permutation(&owner, p);
-        // Permute the normalized adjacency and vertex attributes.
-        let adj_perm = ds.adj_norm.permute_symmetric(&perm);
-        let mut features = Mat::zeros(n, ds.features.cols());
-        let mut labels = vec![0u32; n];
-        let mut train_mask = vec![false; n];
-        let mut test_mask = vec![false; n];
-        for (new, &old) in perm.iter().enumerate() {
-            features
-                .row_mut(new)
-                .copy_from_slice(ds.features.row(old as usize));
-            labels[new] = ds.labels[old as usize];
-            train_mask[new] = ds.split[old as usize] == Split::Train;
-            test_mask[new] = ds.split[old as usize] == Split::Test;
-        }
-        // My rows and the halo structure.
+/// Partition the graph, relabel it so each partition is one balanced row
+/// slice, and build the halo exchange lists. All ranks compute the same
+/// deterministic partition, so no setup communication is needed.
+pub(crate) fn setup(
+    ds: &Dataset,
+    cfg: &TrainerConfig,
+    _: &Resolution,
+    ctx: &RankCtx,
+) -> RowTrainer<Halo> {
+    let (p, me, n) = (ctx.size(), ctx.rank(), ds.n());
+    let owner = greedy_bfs_partition(&ds.adj_norm, p, cfg.seed);
+    let perm = partition_permutation(&owner, p);
+    // Vertex `v` of the relabelled graph is vertex `perm[v]` of `ds`.
+    let old = |v: usize| perm[v] as usize;
+    let labels = (0..n).map(|v| ds.labels[old(v)]).collect();
+    let split: Vec<Split> = (0..n).map(|v| ds.split[old(v)]).collect();
+    let rows = part_range(n, p, me);
+    let mut input = Mat::zeros(rows.len(), ds.features.cols());
+    for (i, v) in rows.enumerate() {
+        input.row_mut(i).copy_from_slice(ds.features.row(old(v)));
+    }
+    RowTrainer {
+        agg: Halo::new(&ds.adj_norm.permute_symmetric(&perm), ctx),
+        input: DistMat::from_row_slice(input, n),
+        model: Model::new(ds, cfg),
+        targets: Targets::new(labels, &split, ds.spec.labels),
+    }
+}
+
+impl Halo {
+    /// My rows of the relabelled adjacency `adj` and the halo structure.
+    fn new(adj: &Csr, ctx: &RankCtx) -> Self {
+        let (p, me, n) = (ctx.size(), ctx.rank(), adj.rows());
         let my_range = part_range(n, p, me);
         let local = my_range.len();
-        let panel = adj_perm.row_panel(my_range.start, my_range.end);
+        let panel = adj.row_panel(my_range.start, my_range.end);
         let owner_of = |v: usize| -> usize {
             // part_range boundaries are monotone; binary search the owner.
             (0..p).find(|&r| part_range(n, p, r).contains(&v)).unwrap()
@@ -162,7 +160,7 @@ impl DgclTrainer {
                 continue;
             }
             let d_range = part_range(n, p, d);
-            let d_panel = adj_perm.row_panel(d_range.start, d_range.end);
+            let d_panel = adj.row_panel(d_range.start, d_range.end);
             let mut seen = vec![false; my_range.len()];
             let mut list = Vec::new();
             for idx in d_panel.indices() {
@@ -175,25 +173,16 @@ impl DgclTrainer {
             list.sort_unstable();
             serve[d] = list;
         }
-        let weights = GcnWeights::init(&ds.shape_layers(hidden, layers).feats, seed);
-        let adam = Adam::new(lr, &weights.shapes());
-        DgclTrainer {
+        Halo {
             panel_ext,
             need,
             serve,
-            input: DistMat::from_row_slice(features.row_block(my_range.start, my_range.end), n),
-            weights,
-            adam,
-            labels,
-            train_mask,
-            test_mask,
-            num_classes: ds.spec.labels,
             n,
         }
     }
+}
 
-    /// The aggregation `Â · X`: exchange halo rows of the row-sliced `X`,
-    /// then one local SpMM against the ext-indexed panel.
+impl RowAggregation for Halo {
     fn aggregate(&self, x: &DistMat, ctx: &RankCtx, ops: &mut OpCounters) -> DistMat {
         assert_eq!(x.dist, Dist::Row);
         let p = ctx.size();
@@ -234,83 +223,46 @@ impl DgclTrainer {
             local,
         }
     }
-
-    /// One full-batch training epoch; returns (loss, train acc, test acc).
-    pub fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
-        let layers = self.weights.layers();
-        let mut h: Vec<DistMat> = vec![self.input.clone()];
-        for l in 1..=layers {
-            let t = self.aggregate(&h[l - 1], ctx, ops);
-            let mut z = dist_gemm(&t, &self.weights.w[l - 1], false, ops);
-            if l < layers {
-                z.local = relu(&z.local);
-            }
-            h.push(z);
-        }
-        let logits = h.last().unwrap();
-        let spec = LossSpec {
-            labels: &self.labels,
-            mask: &self.train_mask,
-            num_classes: self.num_classes,
-        };
-        let (loss, lg) = softmax_xent(logits, &spec, ctx);
-        let train_acc = accuracy(logits, &self.labels, &self.train_mask, ctx);
-        let test_acc = accuracy(logits, &self.labels, &self.test_mask, ctx);
-        let mut grads: Vec<Mat> = Vec::with_capacity(layers);
-        let mut g = lg;
-        for l in (1..=layers).rev() {
-            let t = self.aggregate(&g, ctx, ops);
-            grads.push(weight_grad(&h[l - 1], &t, ctx, ops));
-            if l > 1 {
-                let mut gp = dist_gemm(&t, &self.weights.w[l - 1], true, ops);
-                gp.local = relu_backward(&gp.local, &h[l - 1].local);
-                g = gp;
-            }
-        }
-        grads.reverse();
-        self.adam.step(&mut self.weights.w, &grads);
-        (loss, train_acc, test_acc)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cagnet::{CagnetTrainer, CagnetVariant};
-    use rdm_comm::Cluster;
+    use crate::trainer::on_ranks;
     use rdm_graph::dataset::toy;
     use rdm_graph::DatasetSpec;
+
+    /// Rank 0's losses over `epochs` epochs of `cfg`, and the bytes of
+    /// `kind` the whole run moved.
+    fn run(
+        ds: &Dataset,
+        cfg: TrainerConfig,
+        epochs: usize,
+        kind: CollectiveKind,
+    ) -> (Vec<f32>, u64) {
+        let out = on_ranks(ds, &cfg.hidden(8).seed(5), |t, ctx| {
+            let mut ops = OpCounters::default();
+            (0..epochs)
+                .map(|_| t.epoch(ctx, &mut ops).0)
+                .collect::<Vec<f32>>()
+        });
+        let bytes = out.stats.iter().map(|s| s.bytes(kind)).sum();
+        (out.results[0].clone(), bytes)
+    }
 
     #[test]
     fn dgcl_loss_matches_cagnet_loss_sequence() {
         // Same model, same data, different distribution strategy and a
         // vertex relabeling: per-epoch losses must agree.
         let ds = toy(60, 3);
-        let run_dgcl = {
-            let ds = ds.clone();
-            Cluster::new(4)
-                .run(move |ctx| {
-                    let mut t = DgclTrainer::setup(&ds, 8, 2, 0.01, 5, ctx);
-                    let mut ops = OpCounters::default();
-                    (0..3)
-                        .map(|_| t.epoch(ctx, &mut ops).0)
-                        .collect::<Vec<f32>>()
-                })
-                .results
-        };
-        let run_cag = {
-            let ds = ds.clone();
-            Cluster::new(4)
-                .run(move |ctx| {
-                    let mut t = CagnetTrainer::setup(&ds, 8, 2, 0.01, 5, CagnetVariant::OneD, ctx);
-                    let mut ops = OpCounters::default();
-                    (0..3)
-                        .map(|_| t.epoch(ctx, &mut ops).0)
-                        .collect::<Vec<f32>>()
-                })
-                .results
-        };
-        for (a, b) in run_dgcl[0].iter().zip(&run_cag[0]) {
+        let (dgcl, _) = run(&ds, TrainerConfig::dgcl(4), 3, CollectiveKind::Halo);
+        let (cag, _) = run(
+            &ds,
+            TrainerConfig::cagnet_1d(4),
+            3,
+            CollectiveKind::Broadcast,
+        );
+        for (a, b) in dgcl.iter().zip(&cag) {
             assert!((a - b).abs() < 1e-3, "dgcl {a} vs cagnet {b}");
         }
     }
@@ -320,31 +272,13 @@ mod tests {
         // On a community graph the cut is small, so DGCL must move far
         // less than CAGNET's full broadcast.
         let ds = DatasetSpec::synthetic("comm", 240, 2400, 16, 4).instantiate(7);
-        let p = 4;
-        let halo = {
-            let ds = ds.clone();
-            let out = Cluster::new(p).run(move |ctx| {
-                let mut t = DgclTrainer::setup(&ds, 8, 2, 0.01, 5, ctx);
-                let mut ops = OpCounters::default();
-                t.epoch(ctx, &mut ops);
-            });
-            out.stats
-                .iter()
-                .map(|s| s.bytes(CollectiveKind::Halo))
-                .sum::<u64>()
-        };
-        let bcast = {
-            let ds = ds.clone();
-            let out = Cluster::new(p).run(move |ctx| {
-                let mut t = CagnetTrainer::setup(&ds, 8, 2, 0.01, 5, CagnetVariant::OneD, ctx);
-                let mut ops = OpCounters::default();
-                t.epoch(ctx, &mut ops);
-            });
-            out.stats
-                .iter()
-                .map(|s| s.bytes(CollectiveKind::Broadcast))
-                .sum::<u64>()
-        };
+        let (_, halo) = run(&ds, TrainerConfig::dgcl(4), 1, CollectiveKind::Halo);
+        let (_, bcast) = run(
+            &ds,
+            TrainerConfig::cagnet_1d(4),
+            1,
+            CollectiveKind::Broadcast,
+        );
         assert!(
             halo < bcast,
             "halo volume {halo} not below broadcast {bcast}"
@@ -356,18 +290,7 @@ mod tests {
         // Fragmenting the partition increases the cut and hence traffic —
         // the scaling weakness RDM exploits.
         let ds = toy(240, 9);
-        let vol = |p: usize| {
-            let ds = ds.clone();
-            let out = Cluster::new(p).run(move |ctx| {
-                let mut t = DgclTrainer::setup(&ds, 8, 2, 0.01, 5, ctx);
-                let mut ops = OpCounters::default();
-                t.epoch(ctx, &mut ops);
-            });
-            out.stats
-                .iter()
-                .map(|s| s.bytes(CollectiveKind::Halo))
-                .sum::<u64>()
-        };
+        let vol = |p| run(&ds, TrainerConfig::dgcl(p), 1, CollectiveKind::Halo).1;
         let v2 = vol(2);
         let v8 = vol(8);
         assert!(v8 > v2, "halo volume at P=8 ({v8}) not above P=2 ({v2})");

@@ -343,7 +343,8 @@ impl ForwardArtifacts {
     }
 }
 
-fn activate(mut z: DistMat, apply: bool) -> DistMat {
+/// `relu(z)` when `apply` (every layer but the last), else `z`.
+pub(crate) fn activate(mut z: DistMat, apply: bool) -> DistMat {
     if apply {
         z.local = relu(&z.local);
     }

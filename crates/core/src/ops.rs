@@ -1,11 +1,11 @@
 //! FLOP-counted distributed matrix primitives.
 //!
 //! Every kernel that the cost model prices goes through this module so
-//! that per-rank FMA counts are measured, not estimated. The engine's
-//! aggregation is one function, [`panel_spmm`] — the row-panel product of
-//! Fig. 6, whose column-group broadcast degenerates to nothing at full
-//! replication (Fig. 2a) — and its update is [`dist_gemm`] (Fig. 2b);
-//! [`bcast_spmm`] is the CAGNET 1-D baseline (§II).
+//! that per-rank FMA counts are measured, not estimated. Every aggregation
+//! is one function, [`panel_spmm`] — the row-panel product of Fig. 6,
+//! whose column-group broadcast degenerates to nothing at full replication
+//! (Fig. 2a) and is CAGNET-1D's broadcast SpMM (§II) at `R_A = 1` — and
+//! the update is [`dist_gemm`] (Fig. 2b).
 
 use crate::dist::{Dist, DistMat};
 use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution, Wire};
@@ -84,38 +84,6 @@ pub fn weight_grad(a: &DistMat, b: &DistMat, ctx: &RankCtx, ops: &mut OpCounters
     // bandwidth-optimal schedule (the naive gather would grow the total
     // volume quadratically in P).
     ctx.all_reduce_ring(partial, CollectiveKind::AllReduce)
-}
-
-/// CAGNET 1D broadcast SpMM (§II, Fig. 1): `Out = A · In` where this rank
-/// holds a row panel of `A` pre-split into `P` column blocks
-/// (`panel_blocks[s]` holds the columns owned by rank `s`) and `In` is
-/// row-sliced. Every rank broadcasts its row block of `In`; partial
-/// products accumulate into this rank's row slice of the output.
-pub fn bcast_spmm(
-    panel_blocks: &[Csr],
-    input: &DistMat,
-    ctx: &RankCtx,
-    ops: &mut OpCounters,
-) -> DistMat {
-    assert_eq!(input.dist, Dist::Row, "bcast_spmm needs a row-sliced input");
-    let p = ctx.size();
-    assert_eq!(panel_blocks.len(), p, "need one column block per rank");
-    let f = input.cols;
-    let my_rows = panel_blocks[0].rows();
-    let mut acc = Mat::zeros(my_rows, f);
-    #[allow(clippy::needless_range_loop)] // s is the broadcasting rank id
-    for s in 0..p {
-        let payload = (s == ctx.rank()).then(|| input.local.clone());
-        let block = ctx.broadcast(s, payload, CollectiveKind::Broadcast);
-        rdm_sparse::spmm_acc(&panel_blocks[s], &block, &mut acc);
-        ops.spmm_fma += panel_blocks[s].nnz() as f64 * f as f64;
-    }
-    DistMat {
-        dist: Dist::Row,
-        rows: input.rows,
-        cols: f,
-        local: acc,
-    }
 }
 
 /// The replication-group layout of the `R_A < P` schemes (Fig. 6 and
@@ -574,43 +542,6 @@ mod tests {
         for st in &out.stats {
             assert_eq!(st.total_bytes(), st.bytes(CollectiveKind::AllReduce));
         }
-    }
-
-    #[test]
-    fn bcast_spmm_matches_serial_and_charges_broadcast() {
-        let n = 32;
-        let f = 6;
-        let p = 4;
-        let adj = random_adj(n, 11);
-        let h = Mat::random(n, f, 1.0, 12);
-        let expect = spmm(&adj, &h);
-        let (a2, h2) = (adj.clone(), h.clone());
-        let out = Cluster::new(p).run(move |ctx| {
-            let me = ctx.rank();
-            let rows = part_range(n, p, me);
-            let panel = a2.row_panel(rows.start, rows.end);
-            let blocks: Vec<Csr> = (0..p)
-                .map(|s| {
-                    let c = part_range(n, p, s);
-                    panel.col_block(c.start, c.end)
-                })
-                .collect();
-            let mut ops = OpCounters::default();
-            let input = DistMat::scatter_rows(&h2, p, me);
-            let r = bcast_spmm(&blocks, &input, ctx, &mut ops);
-            r.gather(ctx, K)
-        });
-        for got in &out.results {
-            assert!(allclose(got, &expect, 1e-5));
-        }
-        // CAGNET volume: each rank broadcasts its N/P × f block to P-1
-        // peers → (P-1)·N·f elements in total.
-        let total: u64 = out
-            .stats
-            .iter()
-            .map(|s| s.bytes(CollectiveKind::Broadcast))
-            .sum();
-        assert_eq!(total as usize, (p - 1) * n * f * 4);
     }
 
     #[test]

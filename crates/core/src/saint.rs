@@ -1,230 +1,199 @@
-//! GraphSAINT trainers (§V-C).
+//! The sampling trainers: GraphSAINT (§V-C) and masked-SpMM (§III-F).
 //!
 //! * **GraphSAINT-RDM**: every step samples *one* subgraph (all ranks draw
 //!   it from a shared seed — §III-F's trick for avoiding mask
-//!   communication) and trains on it with the full RDM machinery across
-//!   all `P` ranks. Weights update after every subgraph, independent of
-//!   `P`.
+//!   communication) and trains on it across all `P` ranks. Weights update
+//!   after every subgraph, independent of `P`.
 //! * **GraphSAINT-DDP**: every rank samples its *own* subgraph, trains it
 //!   locally, and gradients are averaged with an all-reduce — the
 //!   DGL+DistributedDataParallel setup the paper compares against. With
 //!   `S` subgraphs per epoch and `G` GPUs there are only `S/G` weight
 //!   updates, so the effective batch grows with `G` and convergence per
 //!   epoch degrades (the effect Fig. 13 shows).
+//! * **Masked-SpMM**: for sampling schemes that do not build independent
+//!   subgraphs, every step draws a Bernoulli mask over the edges and
+//!   aggregates only the sampled neighbors with the masked kernel. The
+//!   mask is generated from a seed shared by all ranks — "a random
+//!   generated seed can be passed to all processes and each process can
+//!   generate its sparse mask individually, reducing the communication
+//!   overhead for the sampling mask" — so sampling costs zero
+//!   communication. Edge values are pre-scaled by `1/keep` so the masked
+//!   aggregation is an unbiased estimator of the full one.
+//!
+//! GraphSAINT-RDM and masked-SpMM train through the RDM step full-batch RDM
+//! runs ([`crate::trainer`]), under plans selected for each step's graph on
+//! the configured device ([`TrainerConfig::device`]).
 //!
 //! Held-out evaluation runs as a *serial local forward* on the full graph
 //! (weights are replicated, the graph fits every rank at our scale), so it
 //! adds no inter-rank traffic and is excluded from timed communication.
 
-use crate::adam::Adam;
-use crate::gcn::{input_cache, rdm_backward, rdm_forward, serial, GcnWeights};
-use crate::loss::{accuracy, serial as loss_serial, softmax_xent, LossSpec};
-use crate::ops::OpCounters;
-use crate::ops::Topology;
-use crate::plan::Plan;
+use crate::dist::FormCache;
+use crate::gcn::{input_cache, serial, GcnWeights};
+use crate::loss::serial as loss_serial;
+use crate::ops::{OpCounters, Topology};
+use crate::plan::{best_plan, Plan, Resolution};
+use crate::trainer::{split_mask, Algo, Model, Targets, Trainer, TrainerConfig};
 use rdm_comm::{CollectiveKind, RankCtx};
 use rdm_dense::Mat;
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_graph::SaintSampler;
-use rdm_model::DeviceModel;
+use rdm_model::{DeviceModel, GnnShape};
 
-/// Shared bits of both GraphSAINT trainers.
-struct SaintCommon {
-    ds: Dataset,
-    weights: GcnWeights,
-    adam: Adam,
-    sampler: SaintSampler,
-    feats: Vec<usize>,
+/// What every sampling trainer shares: the full graph, the model, the
+/// per-epoch draw schedule, plan selection and the serial evaluation.
+struct SaintCommon<'a> {
+    ds: &'a Dataset,
+    model: Model,
+    /// The full graph's labels and split.
+    targets: Targets,
     steps_per_epoch: usize,
-    train_mask: Vec<bool>,
-    test_mask: Vec<bool>,
     seed: u64,
+    epoch_no: u64,
+    /// The device every per-step plan is priced on.
+    device: DeviceModel,
 }
 
-impl SaintCommon {
-    fn new(
-        ds: &Dataset,
-        hidden: usize,
-        layers: usize,
-        lr: f32,
-        seed: u64,
-        sampler: SaintSampler,
-        steps_per_epoch: usize,
-    ) -> Self {
-        let feats = ds.shape_layers(hidden, layers).feats;
-        let weights = GcnWeights::init(&feats, seed);
-        let adam = Adam::new(lr, &weights.shapes());
+impl<'a> SaintCommon<'a> {
+    fn new(ds: &'a Dataset, cfg: &TrainerConfig, steps_per_epoch: usize) -> Self {
         SaintCommon {
-            ds: ds.clone(),
-            weights,
-            adam,
-            sampler,
-            feats,
+            ds,
+            model: Model::new(ds, cfg),
+            targets: Targets::of(ds),
             steps_per_epoch,
-            train_mask: ds.split.iter().map(|&s| s == Split::Train).collect(),
-            test_mask: ds.split.iter().map(|&s| s == Split::Test).collect(),
-            seed,
+            seed: cfg.seed,
+            epoch_no: 0,
+            device: cfg.device,
         }
     }
 
-    /// Number of subgraph draws that roughly cover the graph once.
-    fn default_steps(n: usize, sampler: SaintSampler) -> usize {
-        (n / sampler.nominal_size().max(1)).max(1)
+    /// A GraphSAINT trainer's shared state and sampler. The `S` draws that
+    /// roughly cover the graph once make an epoch: one optimizer step per
+    /// draw under RDM, one per `P` draws (one per rank) under DDP.
+    fn sampling(ds: &'a Dataset, cfg: &TrainerConfig) -> (Self, SaintSampler) {
+        let (sampler, draws_per_step) = match cfg.algo {
+            Algo::SaintRdm { sampler } => (sampler, 1),
+            Algo::SaintDdp { sampler } => (sampler, cfg.p),
+            _ => unreachable!("a GraphSAINT trainer runs a GraphSAINT algorithm"),
+        };
+        let draws = (ds.n() / sampler.nominal_size().max(1)).max(1);
+        let steps = (draws / draws_per_step).max(1);
+        (Self::new(ds, cfg, steps), sampler)
     }
 
-    /// Serial full-graph evaluation: (train loss, train acc, test acc).
-    fn evaluate(&self) -> (f32, f32, f32) {
-        let h = serial::forward(&self.ds.adj_norm, &self.ds.features, &self.weights);
+    /// The shared seed of this epoch's draw `k`, epochs `stride` apart.
+    fn draw_seed(&self, stride: u64, k: usize) -> u64 {
+        self.seed
+            .wrapping_add(self.epoch_no.wrapping_mul(stride))
+            .wrapping_add(k as u64)
+    }
+
+    /// The model-selected, fully replicated plan for a graph of `n`
+    /// vertices and `nnz` nonzeros on `p` ranks.
+    fn plan(&self, n: usize, nnz: usize, p: usize) -> Plan {
+        let feats = self.model.feats.clone();
+        best_plan(&GnnShape { n, nnz, feats }, p, p, &self.device, 1.0)
+    }
+
+    /// Close the epoch with a serial full-graph evaluation:
+    /// (train loss, train acc, test acc).
+    fn finish_epoch(&mut self) -> (f32, f32, f32) {
+        self.epoch_no += 1;
+        let (ds, t) = (self.ds, &self.targets);
+        let h = serial::forward(&ds.adj_norm, &ds.features, &self.model.weights);
         let logits = h.last().unwrap();
-        let (loss, _) = loss_serial::softmax_xent(logits, &self.ds.labels, &self.train_mask);
-        let tr = loss_serial::accuracy(logits, &self.ds.labels, &self.train_mask);
-        let te = loss_serial::accuracy(logits, &self.ds.labels, &self.test_mask);
+        let (loss, _) = loss_serial::softmax_xent(logits, &t.labels, &t.train);
+        let tr = loss_serial::accuracy(logits, &t.labels, &t.train);
+        let te = loss_serial::accuracy(logits, &t.labels, &t.test);
         (loss, tr, te)
     }
 }
 
 /// GraphSAINT with RDM-parallel subgraph training.
-pub struct SaintRdmTrainer {
-    common: SaintCommon,
-    plan_layers: usize,
-    epoch_no: u64,
+pub(crate) struct SaintRdmTrainer<'a> {
+    common: SaintCommon<'a>,
+    sampler: SaintSampler,
 }
 
-impl SaintRdmTrainer {
-    /// The current (replicated) weights — the trained model once the
-    /// epochs are done.
-    pub fn weights(&self) -> &GcnWeights {
-        &self.common.weights
+impl<'a> SaintRdmTrainer<'a> {
+    pub(crate) fn setup(ds: &'a Dataset, cfg: &TrainerConfig, _: &Resolution, _: &RankCtx) -> Self {
+        let (common, sampler) = SaintCommon::sampling(ds, cfg);
+        SaintRdmTrainer { common, sampler }
     }
+}
 
-    pub fn setup(
-        ds: &Dataset,
-        hidden: usize,
-        layers: usize,
-        lr: f32,
-        seed: u64,
-        sampler: SaintSampler,
-    ) -> Self {
-        let steps = SaintCommon::default_steps(ds.n(), sampler);
-        SaintRdmTrainer {
-            common: SaintCommon::new(ds, hidden, layers, lr, seed, sampler, steps),
-            plan_layers: layers,
-            epoch_no: 0,
-        }
-    }
-
+impl Trainer for SaintRdmTrainer<'_> {
     /// One epoch = `steps_per_epoch` subgraphs, each trained across all
-    /// ranks with RDM; returns (loss, train acc, test acc) from a full
-    /// graph evaluation.
-    pub fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
+    /// ranks with the RDM step; returns a full-graph evaluation.
+    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
         let c = &mut self.common;
         let p = ctx.size();
         for step in 0..c.steps_per_epoch {
             // Identical subgraph on every rank from the shared seed.
-            let draw_seed = c
-                .seed
-                .wrapping_add(self.epoch_no.wrapping_mul(10_007))
-                .wrapping_add(step as u64);
-            let sub = c.sampler.sample(&c.ds.adj, draw_seed);
+            let sub = self.sampler.sample(&c.ds.adj, c.draw_seed(10_007, step));
             if sub.vertices.len() < p.max(4) {
                 continue; // degenerate draw
             }
             let sd = c.ds.induced(&sub.vertices);
-            // Plan for this subgraph's shape.
-            let shape = rdm_model::GnnShape {
-                n: sd.n(),
-                nnz: sd.adj_norm.nnz(),
-                feats: c.feats.clone(),
-            };
-            let plan = crate::plan::best_plan(&shape, p, p, &DeviceModel::a6000_pcie(), 1.0);
-            assert_eq!(plan.config.layers(), self.plan_layers);
+            let plan = c.plan(sd.n(), sd.adj_norm.nnz(), p);
             // Distribute the subgraph inputs (local slicing, no traffic).
             let topo = Topology::full(&sd.adj_norm, ctx);
             let input = input_cache(&sd.features, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &c.weights, &plan, None, ops);
-            let logits = art.logits_row(&topo, ctx);
-            let sub_train: Vec<bool> = sd.split.iter().map(|&s| s == Split::Train).collect();
-            let spec = LossSpec {
-                labels: &sd.labels,
-                mask: &sub_train,
-                num_classes: sd.spec.labels,
-            };
-            let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-            let back = rdm_backward(
-                ctx, &topo, &mut art, &c.weights, &plan, lgrad, &c.feats, None, ops,
-            );
-            c.adam.step(&mut c.weights.w, &back.weight_grads);
+            let targets = Targets::of(&sd);
+            c.model
+                .rdm_step(ctx, &topo, input, &plan, &targets, false, None, ops);
         }
-        self.epoch_no += 1;
-        c.evaluate()
+        c.finish_epoch()
+    }
+
+    fn weights(&self) -> &GcnWeights {
+        &self.common.model.weights
     }
 }
 
 /// GraphSAINT with one subgraph per rank and gradient all-reduce (DDP).
-pub struct SaintDdpTrainer {
-    common: SaintCommon,
-    epoch_no: u64,
+pub(crate) struct SaintDdpTrainer<'a> {
+    common: SaintCommon<'a>,
+    sampler: SaintSampler,
 }
 
-impl SaintDdpTrainer {
-    /// The current (replicated) weights.
-    pub fn weights(&self) -> &GcnWeights {
-        &self.common.weights
+impl<'a> SaintDdpTrainer<'a> {
+    pub(crate) fn setup(ds: &'a Dataset, cfg: &TrainerConfig, _: &Resolution, _: &RankCtx) -> Self {
+        let (common, sampler) = SaintCommon::sampling(ds, cfg);
+        SaintDdpTrainer { common, sampler }
     }
+}
 
-    pub fn setup(
-        ds: &Dataset,
-        hidden: usize,
-        layers: usize,
-        lr: f32,
-        seed: u64,
-        sampler: SaintSampler,
-        p: usize,
-    ) -> Self {
-        // S subgraphs per epoch overall → S/G optimizer steps.
-        let s = SaintCommon::default_steps(ds.n(), sampler);
-        let steps = (s / p).max(1);
-        SaintDdpTrainer {
-            common: SaintCommon::new(ds, hidden, layers, lr, seed, sampler, steps),
-            epoch_no: 0,
-        }
-    }
-
+impl Trainer for SaintDdpTrainer<'_> {
     /// One epoch; every step trains `P` subgraphs (one per rank) and takes
     /// a single averaged optimizer step.
-    pub fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
+    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
         let c = &mut self.common;
         let p = ctx.size();
         for step in 0..c.steps_per_epoch {
-            let draw_seed = c
-                .seed
-                .wrapping_add(self.epoch_no.wrapping_mul(20_011))
-                .wrapping_add((step * p + ctx.rank()) as u64);
-            let sub = c.sampler.sample(&c.ds.adj, draw_seed);
+            let sub = self
+                .sampler
+                .sample(&c.ds.adj, c.draw_seed(20_011, step * p + ctx.rank()));
+            let (w, feats) = (&c.model.weights, &c.model.feats);
             let grads: Vec<Mat> = if sub.vertices.len() >= 4 {
                 let sd = c.ds.induced(&sub.vertices);
-                let h = serial::forward(&sd.adj_norm, &sd.features, &c.weights);
-                // Count the local compute.
-                for l in 1..=c.weights.layers() {
-                    ops.spmm_fma += sd.adj_norm.nnz() as f64 * c.feats[l - 1] as f64;
-                    ops.gemm_fma += sd.n() as f64 * c.feats[l - 1] as f64 * c.feats[l] as f64;
-                }
-                let sub_train: Vec<bool> = sd.split.iter().map(|&s| s == Split::Train).collect();
+                let h = serial::forward(&sd.adj_norm, &sd.features, w);
+                let sub_train = split_mask(&sd.split, Split::Train);
                 let (_, lg) = loss_serial::softmax_xent(h.last().unwrap(), &sd.labels, &sub_train);
-                let (grads, _) = serial::backward(&sd.adj_norm, &h, &c.weights, &lg);
-                for l in 1..=c.weights.layers() {
-                    ops.spmm_fma += sd.adj_norm.nnz() as f64 * c.feats[l] as f64;
-                    ops.gemm_fma += 2.0 * sd.n() as f64 * c.feats[l - 1] as f64 * c.feats[l] as f64;
+                let (grads, _) = serial::backward(&sd.adj_norm, &h, w, &lg);
+                // Count the local compute: per layer, the forward products
+                // and the backward's SpMM at the output width and two GEMMs.
+                let (nnz, n) = (sd.adj_norm.nnz() as f64, sd.n() as f64);
+                for f in feats.windows(2) {
+                    let (f_in, f_out) = (f[0] as f64, f[1] as f64);
+                    ops.spmm_fma += nnz * (f_in + f_out);
+                    ops.gemm_fma += 3.0 * n * f_in * f_out;
                 }
                 grads
             } else {
                 // Degenerate draw: contribute zero gradients but keep the
                 // collective schedule aligned.
-                c.weights
-                    .w
-                    .iter()
-                    .map(|w| Mat::zeros(w.rows(), w.cols()))
-                    .collect()
+                w.w.iter().map(|w| Mat::zeros(w.rows(), w.cols())).collect()
             };
             // Average gradients across ranks (DDP all-reduce).
             let mut avg = Vec::with_capacity(grads.len());
@@ -233,162 +202,112 @@ impl SaintDdpTrainer {
                 rdm_dense::scale(&mut summed, 1.0 / p as f32);
                 avg.push(summed);
             }
-            c.adam.step(&mut c.weights.w, &avg);
+            let m = &mut c.model;
+            m.adam.step(&mut m.weights.w, &avg);
         }
-        self.epoch_no += 1;
-        c.evaluate()
+        c.finish_epoch()
+    }
+
+    fn weights(&self) -> &GcnWeights {
+        &self.common.model.weights
     }
 }
 
-/// Sampling by **masked SpMM** (§III-F): for sampling schemes that do not
-/// build independent subgraphs, every training step draws a Bernoulli mask
-/// over the edges and aggregates only the sampled neighbors with the
-/// masked kernel. The mask is generated from a seed shared by all ranks —
-/// "a random generated seed can be passed to all processes and each
-/// process can generate its sparse mask individually, reducing the
-/// communication overhead for the sampling mask" — so sampling costs zero
-/// communication. Edge values are pre-scaled by `1/keep` so the masked
-/// aggregation is an unbiased estimator of the full one.
-pub struct SaintMaskedTrainer {
-    common: SaintCommon,
+/// Sampling by masked SpMM: `⌈1/keep⌉` steps per epoch, each the RDM step
+/// on the full graph under a fresh shared-seed edge mask.
+pub(crate) struct SaintMaskedTrainer<'a> {
+    common: SaintCommon<'a>,
     /// Edge keep probability `q ∈ (0, 1]`.
     keep: f64,
-    /// Adjacency with values scaled by `1/q`.
-    adj_scaled: rdm_sparse::Csr,
-    plan_layers: usize,
-    epoch_no: u64,
+    /// The fully replicated adjacency with values scaled by `1/q`; every
+    /// step installs its own mask.
+    topo: Topology,
+    input: FormCache,
+    plan: Plan,
 }
 
-impl SaintMaskedTrainer {
-    /// The current (replicated) weights.
-    pub fn weights(&self) -> &GcnWeights {
-        &self.common.weights
-    }
-
-    /// # Panics
-    /// If `keep` is not in `(0, 1]`.
-    pub fn setup(
-        ds: &Dataset,
-        hidden: usize,
-        layers: usize,
-        lr: f32,
-        seed: u64,
-        keep: f64,
+impl<'a> SaintMaskedTrainer<'a> {
+    pub(crate) fn setup(
+        ds: &'a Dataset,
+        cfg: &TrainerConfig,
+        _: &Resolution,
+        ctx: &RankCtx,
     ) -> Self {
-        assert!(
-            keep > 0.0 && keep <= 1.0,
-            "keep probability must be in (0,1]"
-        );
+        let Algo::SaintMasked { keep } = cfg.algo else {
+            unreachable!("the masked trainer runs masked-SpMM sampling")
+        };
+        let keep = keep as f64;
         // One epoch touches every edge once in expectation.
         let steps = (1.0 / keep).ceil() as usize;
-        let dummy = SaintSampler::Node { budget: ds.n() };
         let mut adj_scaled = ds.adj_norm.clone();
         let inv = (1.0 / keep) as f32;
         for v in adj_scaled.vals_mut() {
             *v *= inv;
         }
+        let common = SaintCommon::new(ds, cfg, steps);
+        let topo = Topology::full(&adj_scaled, ctx);
         SaintMaskedTrainer {
-            common: SaintCommon::new(ds, hidden, layers, lr, seed, dummy, steps),
+            plan: common.plan(ds.n(), adj_scaled.nnz(), ctx.size()),
+            input: input_cache(&ds.features, &topo, ctx),
+            common,
             keep,
-            adj_scaled,
-            plan_layers: layers,
-            epoch_no: 0,
+            topo,
         }
-    }
-
-    /// One epoch = `⌈1/keep⌉` masked full-graph steps; returns
-    /// (loss, train acc, test acc) from an unmasked evaluation.
-    pub fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
-        use rand::{Rng, SeedableRng};
-        let c = &mut self.common;
-        let p = ctx.size();
-        let shape = rdm_model::GnnShape {
-            n: c.ds.n(),
-            nnz: self.adj_scaled.nnz(),
-            feats: c.feats.clone(),
-        };
-        let plan = crate::plan::best_plan(&shape, p, p, &DeviceModel::a6000_pcie(), 1.0);
-        assert_eq!(plan.config.layers(), self.plan_layers);
-        for step in 0..c.steps_per_epoch {
-            // The shared-seed mask: identical on every rank, no traffic.
-            let draw_seed = c
-                .seed
-                .wrapping_add(self.epoch_no.wrapping_mul(30_029))
-                .wrapping_add(step as u64);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(draw_seed);
-            let mask: Vec<bool> = (0..self.adj_scaled.nnz())
-                .map(|_| rng.gen_bool(self.keep))
-                .collect();
-            let mut topo = Topology::full(&self.adj_scaled, ctx);
-            topo.set_mask(Some(mask));
-            let input = input_cache(&c.ds.features, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &c.weights, &plan, None, ops);
-            let logits = art.logits_row(&topo, ctx);
-            let spec = LossSpec {
-                labels: &c.ds.labels,
-                mask: &c.train_mask,
-                num_classes: c.ds.spec.labels,
-            };
-            let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-            let back = rdm_backward(
-                ctx, &topo, &mut art, &c.weights, &plan, lgrad, &c.feats, None, ops,
-            );
-            c.adam.step(&mut c.weights.w, &back.weight_grads);
-        }
-        self.epoch_no += 1;
-        c.evaluate()
     }
 }
 
-/// Full-batch RDM evaluation helper shared by the trainer driver: runs the
-/// distributed forward with evaluation-tagged traffic to compute held-out
-/// accuracy without polluting training metrics. (Used by tests; the
-/// GraphSAINT trainers evaluate serially instead.)
-pub fn eval_accuracy_distributed(
-    ds: &Dataset,
-    weights: &GcnWeights,
-    plan: &Plan,
-    ctx: &RankCtx,
-) -> (f32, f32) {
-    let mut scratch = OpCounters::default();
-    let topo = Topology::full(&ds.adj_norm, ctx);
-    let input = input_cache(&ds.features, &topo, ctx);
-    let mut art = rdm_forward(ctx, &topo, input, weights, plan, None, &mut scratch);
-    let last = art.h.len() - 1;
-    let logits = art.h[last]
-        .require_row(&topo, ctx, CollectiveKind::Eval)
-        .clone();
-    let train_mask: Vec<bool> = ds.split.iter().map(|&s| s == Split::Train).collect();
-    let test_mask: Vec<bool> = ds.split.iter().map(|&s| s == Split::Test).collect();
-    let tr = accuracy(&logits, &ds.labels, &train_mask, ctx);
-    let te = accuracy(&logits, &ds.labels, &test_mask, ctx);
-    (tr, te)
+impl Trainer for SaintMaskedTrainer<'_> {
+    /// One epoch = `⌈1/keep⌉` masked full-graph steps; returns an unmasked
+    /// evaluation.
+    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
+        use rand::{Rng, SeedableRng};
+        let c = &mut self.common;
+        for step in 0..c.steps_per_epoch {
+            // The shared-seed mask: identical on every rank, no traffic.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(c.draw_seed(30_029, step));
+            let nnz = self.topo.panel.nnz();
+            let mask = (0..nnz).map(|_| rng.gen_bool(self.keep)).collect();
+            self.topo.set_mask(Some(mask));
+            let (topo, input, plan) = (&self.topo, self.input.clone(), &self.plan);
+            c.model
+                .rdm_step(ctx, topo, input, plan, &c.targets, false, None, ops);
+        }
+        c.finish_epoch()
+    }
+
+    fn weights(&self) -> &GcnWeights {
+        &self.common.model.weights
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdm_comm::Cluster;
+    use crate::train_gcn;
+    use crate::trainer::on_ranks;
     use rdm_graph::dataset::toy;
 
     fn sampler() -> SaintSampler {
         SaintSampler::Node { budget: 40 }
     }
 
+    /// Every rank's result of each of `epochs` epochs of `cfg`.
+    fn run(ds: &Dataset, cfg: TrainerConfig, epochs: usize) -> Vec<Vec<(f32, f32, f32)>> {
+        on_ranks(ds, &cfg, |t, ctx| {
+            let mut ops = OpCounters::default();
+            (0..epochs).map(|_| t.epoch(ctx, &mut ops)).collect()
+        })
+        .results
+    }
+
     #[test]
     fn saint_rdm_learns_on_toy_data() {
         let ds = toy(200, 1);
-        let ds2 = ds.clone();
-        let out = Cluster::new(4).run(move |ctx| {
-            let mut t = SaintRdmTrainer::setup(&ds2, 16, 2, 0.02, 3, sampler());
-            let mut ops = OpCounters::default();
-            let mut accs = Vec::new();
-            for _ in 0..6 {
-                accs.push(t.epoch(ctx, &mut ops).2);
-            }
-            accs
-        });
-        let accs = &out.results[0];
+        let cfg = TrainerConfig::saint_rdm(4, sampler())
+            .hidden(16)
+            .lr(0.02)
+            .seed(3);
+        let accs: Vec<f32> = run(&ds, cfg, 6)[0].iter().map(|e| e.2).collect();
         let baseline = 1.0 / 4.0; // 4 classes
         assert!(
             *accs.last().unwrap() > baseline + 0.2,
@@ -399,19 +318,17 @@ mod tests {
     #[test]
     fn saint_ddp_learns_and_all_ranks_agree() {
         let ds = toy(200, 2);
-        let ds2 = ds.clone();
-        let out = Cluster::new(4).run(move |ctx| {
-            let mut t = SaintDdpTrainer::setup(&ds2, 16, 2, 0.02, 3, sampler(), ctx.size());
-            let mut ops = OpCounters::default();
-            let mut last = (0.0, 0.0, 0.0);
-            for _ in 0..6 {
-                last = t.epoch(ctx, &mut ops);
-            }
-            last
-        });
-        let first = out.results[0];
-        for r in &out.results {
-            assert!((r.2 - first.2).abs() < 1e-6, "ranks disagree on accuracy");
+        let cfg = TrainerConfig::saint_ddp(4, sampler())
+            .hidden(16)
+            .lr(0.02)
+            .seed(3);
+        let out = run(&ds, cfg, 6);
+        let first = out[0][5];
+        for r in &out {
+            assert!(
+                (r[5].2 - first.2).abs() < 1e-6,
+                "ranks disagree on accuracy"
+            );
         }
         assert!(first.2 > 0.45, "SAINT-DDP failed to learn: {first:?}");
     }
@@ -421,50 +338,41 @@ mod tests {
         // With S subgraphs per epoch, RDM takes S optimizer steps and DDP
         // takes S/P — the §V-C batch-size effect.
         let ds = toy(400, 3);
-        let rdm = SaintRdmTrainer::setup(&ds, 16, 2, 0.01, 3, sampler());
-        let ddp = SaintDdpTrainer::setup(&ds, 16, 2, 0.01, 3, sampler(), 4);
-        assert_eq!(rdm.common.steps_per_epoch, 10);
-        assert_eq!(ddp.common.steps_per_epoch, 2);
+        let steps = |cfg| SaintCommon::sampling(&ds, &cfg).0.steps_per_epoch;
+        assert_eq!(steps(TrainerConfig::saint_rdm(4, sampler())), 10);
+        assert_eq!(steps(TrainerConfig::saint_ddp(4, sampler())), 2);
     }
 
     #[test]
     fn ddp_allreduce_traffic_scales_with_steps_not_graph() {
         let ds = toy(200, 4);
-        let ds2 = ds.clone();
-        let out = Cluster::new(2).run(move |ctx| {
-            let mut t = SaintDdpTrainer::setup(&ds2, 16, 2, 0.01, 3, sampler(), ctx.size());
-            let mut ops = OpCounters::default();
-            t.epoch(ctx, &mut ops);
-            t.common.steps_per_epoch
+        let cfg = TrainerConfig::saint_ddp(2, sampler()).hidden(16).seed(3);
+        let out = on_ranks(&ds, &cfg, |t, ctx| {
+            t.epoch(ctx, &mut OpCounters::default());
         });
-        let steps = out.results[0];
+        let steps = SaintCommon::sampling(&ds, &cfg).0.steps_per_epoch;
         // Per step: one all-reduce per layer; naive all-gather impl sends
         // (P-1)·|W| per rank per layer.
         // Both layers' weights: (16×16 + 16×4) f32s; P-1 = 1 copy per rank.
         let w_bytes = (16 * 16 + 16 * 4) * 4;
         let expect = steps * w_bytes;
         for st in &out.stats {
-            assert_eq!(st.bytes(rdm_comm::CollectiveKind::AllReduce), expect as u64);
+            assert_eq!(st.bytes(CollectiveKind::AllReduce), expect as u64);
         }
     }
 
     #[test]
     fn masked_trainer_learns() {
         let ds = toy(250, 7);
-        let ds2 = ds.clone();
-        let out = Cluster::new(4).run(move |ctx| {
-            let mut t = SaintMaskedTrainer::setup(&ds2, 16, 2, 0.02, 3, 0.5);
-            let mut ops = OpCounters::default();
-            let mut last = (0.0, 0.0, 0.0);
-            for _ in 0..8 {
-                last = t.epoch(ctx, &mut ops);
-            }
-            last
-        });
-        let acc = out.results[0].2;
+        let cfg = TrainerConfig::saint_masked(4, 0.5)
+            .hidden(16)
+            .lr(0.02)
+            .seed(3);
+        let out = run(&ds, cfg, 8);
+        let acc = out[0][7].2;
         assert!(acc > 0.5, "masked-SpMM training failed to learn: {acc}");
-        for r in &out.results {
-            assert_eq!(r.2, out.results[0].2, "ranks disagree");
+        for r in &out {
+            assert_eq!(r[7].2, acc, "ranks disagree");
         }
     }
 
@@ -473,21 +381,16 @@ mod tests {
         // §III-F: the mask comes from a shared seed — zero communication
         // beyond the ordinary RDM redistributions.
         let ds = toy(120, 8);
-        let ds2 = ds.clone();
-        let out = Cluster::new(4).run(move |ctx| {
-            let mut t = SaintMaskedTrainer::setup(&ds2, 8, 2, 0.01, 5, 0.25);
+        let cfg = TrainerConfig::saint_masked(4, 0.25).hidden(8).seed(5);
+        let out = on_ranks(&ds, &cfg, |t, ctx| {
             let mut ops = OpCounters::default();
             t.epoch(ctx, &mut ops);
             ops
         });
         for st in &out.stats {
-            assert_eq!(st.bytes(rdm_comm::CollectiveKind::Sampling), 0);
-            assert_eq!(st.bytes(rdm_comm::CollectiveKind::Broadcast), 0);
+            assert_eq!(st.bytes(CollectiveKind::Sampling), 0);
+            assert_eq!(st.bytes(CollectiveKind::Broadcast), 0);
         }
-        // Masked steps do fewer SpMM FMAs than the keep=1 equivalent
-        // would (~keep fraction of edges participate).
-        let full_fma_per_step = ds.adj_norm.nnz() as f64; // per unit width
-        let _ = full_fma_per_step;
         assert!(out.results[0].spmm_fma > 0.0);
     }
 
@@ -496,19 +399,16 @@ mod tests {
         // keep = 1.0: the mask keeps everything and values are unscaled,
         // so one masked step equals one full-batch step.
         let ds = toy(100, 9);
-        let ds2 = ds.clone();
-        let masked = Cluster::new(2).run(move |ctx| {
-            let mut t = SaintMaskedTrainer::setup(&ds2, 8, 2, 0.01, 5, 1.0);
-            let mut ops = OpCounters::default();
-            (0..3)
-                .map(|_| t.epoch(ctx, &mut ops).0)
-                .collect::<Vec<f32>>()
-        });
+        let masked = run(
+            &ds,
+            TrainerConfig::saint_masked(2, 1.0).hidden(8).seed(5),
+            3,
+        );
         // Reference: serial full-batch training with identical init.
         let weights = GcnWeights::init(&[16, 8, 4], 5);
         let mut w = weights.clone();
         let mut adam = crate::adam::Adam::new(0.01, &w.shapes());
-        let train_mask: Vec<bool> = ds.split.iter().map(|&s| s == Split::Train).collect();
+        let train_mask = split_mask(&ds.split, Split::Train);
         let mut expect = Vec::new();
         for _ in 0..3 {
             let h = serial::forward(&ds.adj_norm, &ds.features, &w);
@@ -520,26 +420,41 @@ mod tests {
             let (l2, _) = loss_serial::softmax_xent(h2.last().unwrap(), &ds.labels, &train_mask);
             expect.push(l2);
         }
-        for (a, b) in masked.results[0].iter().zip(&expect) {
-            assert!((a - b).abs() < 1e-3, "masked {a} vs full-batch {b}");
+        for (a, b) in masked[0].iter().zip(&expect) {
+            assert!((a.0 - b).abs() < 1e-3, "masked {} vs full-batch {b}", a.0);
         }
     }
 
+    /// Every per-step plan is priced on `TrainerConfig::device`, the device
+    /// simulated time is priced on: a device under which the model picks
+    /// another ordering for the step's graph trains that ordering, which
+    /// the FMA book shows (GEMM-first and SpMM-first layers multiply at
+    /// different widths).
     #[test]
-    fn distributed_eval_matches_serial_eval() {
-        let ds = toy(80, 5);
-        let weights = GcnWeights::init(&[16, 8, 4], 9);
-        let serial_h = serial::forward(&ds.adj_norm, &ds.features, &weights);
-        let test_mask: Vec<bool> = ds.split.iter().map(|&s| s == Split::Test).collect();
-        let expect = loss_serial::accuracy(serial_h.last().unwrap(), &ds.labels, &test_mask);
-        let ds2 = ds.clone();
-        let w2 = weights.clone();
-        let out = Cluster::new(4).run(move |ctx| {
-            let plan = Plan::from_id(0, 2, ctx.size());
-            eval_accuracy_distributed(&ds2, &w2, &plan, ctx).1
-        });
-        for acc in &out.results {
-            assert!((acc - expect).abs() < 1e-6);
+    fn sampling_trainers_plan_on_the_configured_device() {
+        let ds = toy(120, 7);
+        let default = DeviceModel::a6000_pcie();
+        // Sparse kernels so slow that only the SpMM op count matters.
+        let slow_spmm = DeviceModel {
+            spmm_fma_per_sec: 1.0,
+            ..default
+        };
+        let shape = ds.shape_layers(8, 2);
+        let pick = |device| best_plan(&shape, 4, 4, &device, 1.0).id();
+        assert_ne!(pick(default), pick(slow_spmm), "the devices must disagree");
+        let sampler = SaintSampler::Node { budget: 100 };
+        for cfg in [
+            TrainerConfig::saint_masked(4, 0.5),
+            TrainerConfig::saint_rdm(4, sampler),
+        ] {
+            let fma = |device| {
+                let cfg = TrainerConfig {
+                    device,
+                    ..cfg.clone()
+                };
+                train_gcn(&ds, &cfg.hidden(8).epochs(1)).unwrap().epochs[0].ops
+            };
+            assert_ne!(fma(default), fma(slow_spmm), "{}", cfg.algo.label());
         }
     }
 }

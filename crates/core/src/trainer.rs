@@ -1,18 +1,27 @@
 //! The public training entry point: pick an algorithm, a cluster size and
 //! an epoch budget, get back a [`TrainReport`] with per-epoch metrics.
+//!
+//! Every algorithm trains through one of two step bodies. The baselines
+//! (CAGNET 1D / 1.5D and DGCL) share one row-sliced epoch whose only
+//! per-algorithm part is the aggregation `Â·X`; full-batch RDM,
+//! GraphSAINT-RDM and masked-SpMM share one RDM step — forward under a
+//! plan, loss, backward, Adam. GraphSAINT-DDP trains local subgraphs
+//! serially and all-reduces their gradients ([`crate::saint`]).
+//! [`train_gcn`] drives every algorithm through one per-rank trainer
+//! interface: an epoch, the weights, the plan id, and a post-epoch hook
+//! that only dynamic selection uses.
 
 use crate::adam::Adam;
-use crate::cagnet::{CagnetTrainer, CagnetVariant};
-use crate::dgcl::DgclTrainer;
 use crate::dist::{DistMat, FormCache};
-use crate::gcn::{rdm_backward, rdm_forward, GcnWeights, OverlapSpec};
+use crate::gcn::{activate, input_cache, rdm_backward, rdm_forward, GcnWeights, OverlapSpec};
 use crate::loss::{accuracy, softmax_xent, LossSpec};
 use crate::metrics::{EpochMetrics, RankEpoch, TrainReport};
-use crate::ops::{OpCounters, Topology};
+use crate::ops::{dist_gemm, weight_grad, OpCounters, Topology};
 use crate::plan::{Plan, PlanRequest, Resolution};
 use crate::saint::{SaintDdpTrainer, SaintMaskedTrainer, SaintRdmTrainer};
-use rdm_comm::{Cluster, CollectiveKind, FaultPlan, RankCtx};
+use rdm_comm::{Cluster, CollectiveKind, CommStats, FaultPlan, RankCtx};
 use rdm_dense::kernels::{self, Mode as KernelMode};
+use rdm_dense::{relu_backward, Mat};
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_graph::SaintSampler;
 use rdm_model::DeviceModel;
@@ -265,23 +274,209 @@ impl TrainerConfig {
     }
 }
 
-/// Per-rank RDM full-batch state (the other algorithms keep their state in
-/// their own modules).
-struct RdmState {
+/// One rank's training state, as [`train_gcn`] drives it.
+pub(crate) trait Trainer {
+    /// One epoch; returns (loss, train accuracy, test accuracy).
+    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32);
+
+    /// The current (replicated) weights — the trained model once the
+    /// epochs are done.
+    fn weights(&self) -> &GcnWeights;
+
+    /// The Table-IV ordering the last epoch ran (RDM trainers only).
+    fn plan_id(&self) -> Option<usize> {
+        None
+    }
+
+    /// Runs after the epoch's closing barrier with what this rank measured
+    /// in it; only dynamic selection uses it.
+    fn post_epoch(&mut self, _ctx: &RankCtx, _ops: &OpCounters, _comm: &CommStats) {}
+}
+
+/// Set up this rank's trainer for `cfg.algo`.
+fn setup<'a>(
+    ds: &'a Dataset,
+    cfg: &TrainerConfig,
+    resolved: &Resolution,
+    ctx: &RankCtx,
+) -> Box<dyn Trainer + 'a> {
+    match cfg.algo {
+        Algo::Rdm { .. } | Algo::RdmDynamic { .. } => {
+            Box::new(RdmTrainer::setup(ds, cfg, resolved, ctx))
+        }
+        Algo::Cagnet1D | Algo::Cagnet15D { .. } => {
+            Box::new(crate::cagnet::setup(ds, cfg, resolved, ctx))
+        }
+        Algo::Dgcl => Box::new(crate::dgcl::setup(ds, cfg, resolved, ctx)),
+        Algo::SaintRdm { .. } => Box::new(SaintRdmTrainer::setup(ds, cfg, resolved, ctx)),
+        Algo::SaintDdp { .. } => Box::new(SaintDdpTrainer::setup(ds, cfg, resolved, ctx)),
+        Algo::SaintMasked { .. } => Box::new(SaintMaskedTrainer::setup(ds, cfg, resolved, ctx)),
+    }
+}
+
+/// The replicated weights and their optimizer, identical on every rank.
+pub(crate) struct Model {
+    pub(crate) weights: GcnWeights,
+    pub(crate) adam: Adam,
+    /// Layer widths `f_0 … f_L`.
+    pub(crate) feats: Vec<usize>,
+}
+
+impl Model {
+    /// `cfg`'s model on `ds`: Glorot weights from `cfg.seed`, fresh Adam
+    /// state at `cfg.lr`.
+    pub(crate) fn new(ds: &Dataset, cfg: &TrainerConfig) -> Self {
+        let feats = ds.shape_layers(cfg.hidden, cfg.layers).feats;
+        let weights = GcnWeights::init(&feats, cfg.seed);
+        let adam = Adam::new(cfg.lr, &weights.shapes());
+        Model {
+            weights,
+            adam,
+            feats,
+        }
+    }
+
+    /// The RDM step that full-batch RDM, GraphSAINT-RDM (on each subgraph)
+    /// and masked-SpMM (under each edge mask) share: the forward pass under
+    /// `plan`, the loss at the row-sliced logits, the backward pass and the
+    /// Adam update. With `measure`, train and test accuracy are taken
+    /// between the loss and the backward pass.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn rdm_step(
+        &mut self,
+        ctx: &RankCtx,
+        topo: &Topology,
+        input: FormCache,
+        plan: &Plan,
+        targets: &Targets,
+        measure: bool,
+        overlap: Option<&OverlapSpec>,
+        ops: &mut OpCounters,
+    ) -> (f32, Option<(f32, f32)>) {
+        let (w, feats) = (&self.weights, &self.feats);
+        let mut art = rdm_forward(ctx, topo, input, w, plan, overlap, ops);
+        let logits = art.logits_row(topo, ctx);
+        let (loss, lgrad) = softmax_xent(&logits, &targets.loss_spec(), ctx);
+        let acc = measure.then(|| targets.accuracies(&logits, ctx));
+        let back = rdm_backward(ctx, topo, &mut art, w, plan, lgrad, feats, overlap, ops);
+        self.adam.step(&mut self.weights.w, &back.weight_grads);
+        (loss, acc)
+    }
+}
+
+/// The vertices of `split` that lie in `set` — the one place a split
+/// becomes a train or test mask.
+pub(crate) fn split_mask(split: &[Split], set: Split) -> Vec<bool> {
+    split.iter().map(|&s| s == set).collect()
+}
+
+/// What a step scores its logits against: every vertex's label and the
+/// train / test masks.
+pub(crate) struct Targets {
+    pub(crate) labels: Vec<u32>,
+    pub(crate) train: Vec<bool>,
+    pub(crate) test: Vec<bool>,
+    classes: usize,
+}
+
+impl Targets {
+    pub(crate) fn new(labels: Vec<u32>, split: &[Split], classes: usize) -> Self {
+        Targets {
+            labels,
+            train: split_mask(split, Split::Train),
+            test: split_mask(split, Split::Test),
+            classes,
+        }
+    }
+
+    /// `ds`'s own labels and split.
+    pub(crate) fn of(ds: &Dataset) -> Self {
+        Self::new(ds.labels.clone(), &ds.split, ds.spec.labels)
+    }
+
+    /// The training loss over this split.
+    fn loss_spec(&self) -> LossSpec<'_> {
+        LossSpec {
+            labels: &self.labels,
+            mask: &self.train,
+            num_classes: self.classes,
+        }
+    }
+
+    /// Train and test accuracy of row-sliced logits (one all-reduce each,
+    /// in that order).
+    fn accuracies(&self, logits: &DistMat, ctx: &RankCtx) -> (f32, f32) {
+        (
+            accuracy(logits, &self.labels, &self.train, ctx),
+            accuracy(logits, &self.labels, &self.test, ctx),
+        )
+    }
+}
+
+/// The one per-algorithm part of a row-sliced baseline: the aggregation
+/// `Â·X` of a row-sliced `X`, returned row-sliced.
+pub(crate) trait RowAggregation {
+    fn aggregate(&self, x: &DistMat, ctx: &RankCtx, ops: &mut OpCounters) -> DistMat;
+}
+
+/// The baselines' epoch (CAGNET, DGCL): activations and gradients stay
+/// row-sliced, every layer aggregates first — in both passes — and
+/// multiplies the replicated weights locally; only `agg` differs.
+pub(crate) struct RowTrainer<A> {
+    pub(crate) agg: A,
+    /// This rank's row slice of the input features.
+    pub(crate) input: DistMat,
+    pub(crate) model: Model,
+    pub(crate) targets: Targets,
+}
+
+impl<A: RowAggregation> Trainer for RowTrainer<A> {
+    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
+        let w = &self.model.weights.w;
+        let layers = w.len();
+        let mut h: Vec<DistMat> = vec![self.input.clone()];
+        for l in 1..=layers {
+            let t = self.agg.aggregate(&h[l - 1], ctx, ops);
+            h.push(activate(dist_gemm(&t, &w[l - 1], false, ops), l < layers));
+        }
+        let logits = &h[layers];
+        let (loss, lg) = softmax_xent(logits, &self.targets.loss_spec(), ctx);
+        let (train_acc, test_acc) = self.targets.accuracies(logits, ctx);
+        // Backward: reuse Â·Gˡ for both the weight gradient and the
+        // propagated gradient.
+        let mut grads: Vec<Mat> = Vec::with_capacity(layers);
+        let mut g = lg;
+        for l in (1..=layers).rev() {
+            let t = self.agg.aggregate(&g, ctx, ops);
+            grads.push(weight_grad(&h[l - 1], &t, ctx, ops));
+            if l > 1 {
+                let mut gp = dist_gemm(&t, &w[l - 1], true, ops);
+                gp.local = relu_backward(&gp.local, &h[l - 1].local);
+                g = gp;
+            }
+        }
+        grads.reverse();
+        let m = &mut self.model;
+        m.adam.step(&mut m.weights.w, &grads);
+        (loss, train_acc, test_acc)
+    }
+
+    fn weights(&self) -> &GcnWeights {
+        &self.model.weights
+    }
+}
+
+/// Full-batch RDM under a fixed plan, or under dynamic selection.
+struct RdmTrainer {
     plan: Plan,
     topo: Topology,
-    weights: GcnWeights,
-    adam: Adam,
-    feats: Vec<usize>,
-    input_row: DistMat,
-    input_tile: DistMat,
-    train_mask: Vec<bool>,
-    test_mask: Vec<bool>,
-    /// §IV-B dynamic selection state, when enabled.
+    /// Both layouts of the input features (the initial distribution is
+    /// free).
+    input: FormCache,
+    model: Model,
+    targets: Targets,
     dynamic: Option<DynSelect>,
-    device: DeviceModel,
-    /// Pipelined-redistribution depth, when enabled.
-    overlap: Option<usize>,
+    overlap: Option<OverlapSpec>,
 }
 
 /// Measurement-driven configuration selection (§IV-B): cycle through the
@@ -296,31 +491,63 @@ struct DynSelect {
     /// Simulated seconds accumulated per candidate during its trials.
     scores: Vec<f64>,
     chosen: Option<usize>,
+    device: DeviceModel,
 }
 
 impl DynSelect {
-    fn trials_total(&self) -> usize {
-        self.candidates.len() * self.trial_epochs
+    /// The candidate on trial this epoch.
+    fn trial(&self) -> usize {
+        (self.epoch_no / self.trial_epochs).min(self.candidates.len() - 1)
+    }
+
+    /// The configuration this epoch runs: its trial, or the winner.
+    fn current(&self) -> &rdm_model::OrderConfig {
+        &self.candidates[self.chosen.unwrap_or_else(|| self.trial())]
+    }
+
+    /// Score the finished trial epoch from globally aggregated
+    /// measurements, and decide once all trials are done.
+    fn score(&mut self, ctx: &RankCtx, ops: &OpCounters, comm: &CommStats) {
+        if self.chosen.is_some() {
+            return;
+        }
+        // Aggregate this epoch's cost across ranks so every rank scores
+        // identically (local byte counts differ by partition remainders).
+        let measured = [
+            ops.spmm_fma as f32,
+            ops.gemm_fma as f32,
+            comm.total_bytes() as f32,
+            comm.total_messages() as f32,
+        ];
+        let local = Mat::from_fn(1, 4, |_, j| measured[j]);
+        let total = ctx.all_reduce_sum(local, CollectiveKind::AllReduce);
+        let p = ctx.size() as f64;
+        let mean = |j| total.get(0, j) as f64 / p;
+        let trial = self.trial();
+        self.scores[trial] +=
+            self.device.compute_time(mean(0), mean(1)) + self.device.comm_time(mean(2), mean(3));
+        self.epoch_no += 1;
+        if self.epoch_no >= self.candidates.len() * self.trial_epochs {
+            let s = &self.scores;
+            self.chosen = (0..s.len()).min_by(|&a, &b| s[a].total_cmp(&s[b]));
+        }
     }
 }
 
-impl RdmState {
+impl RdmTrainer {
     fn setup(ds: &Dataset, cfg: &TrainerConfig, resolved: &Resolution, ctx: &RankCtx) -> Self {
         let plan = resolved.plan.clone().expect("RDM always resolves a plan");
-        let shape = ds.shape_layers(cfg.hidden, cfg.layers);
-        let weights = GcnWeights::init(&shape.feats, cfg.seed);
-        let adam = Adam::new(cfg.lr, &weights.shapes());
         let mut topo = match &ds.adj_norm_t {
             None => Topology::new(&ds.adj_norm, plan.r_a, ctx),
             Some(t) => Topology::new_asym(&ds.adj_norm, t, plan.r_a, ctx),
         };
         topo.set_sparse(cfg.sparse);
-        let input_tile = topo.scatter_tile(&ds.features, ctx);
         let dynamic = match cfg.algo {
             Algo::RdmDynamic { trial_epochs } => {
                 // Candidates are priced as the initial plan was: at the
                 // replication factor and row occupancy the trials execute
                 // with.
+                let shape = ds.shape_layers(cfg.hidden, cfg.layers);
                 let candidates: Vec<_> =
                     rdm_model::pareto_configs(&shape, cfg.p, plan.r_a, resolved.sigma)
                         .into_iter()
@@ -332,130 +559,70 @@ impl RdmState {
                     trial_epochs: trial_epochs.max(1),
                     epoch_no: 0,
                     chosen: None,
+                    device: cfg.device,
                 })
             }
             _ => None,
         };
-        RdmState {
+        // Dynamic selection scores candidates on message counts, which
+        // chunking multiplies; keep its trials on the blocking path.
+        let overlap = cfg.overlap.filter(|_| dynamic.is_none());
+        RdmTrainer {
+            input: input_cache(&ds.features, &topo, ctx),
+            model: Model::new(ds, cfg),
+            targets: Targets::of(ds),
+            overlap: overlap.map(|chunks| OverlapSpec {
+                chunks,
+                device: cfg.device,
+            }),
             plan,
             topo,
-            weights,
-            adam,
-            feats: shape.feats,
-            input_row: DistMat::scatter_rows(&ds.features, ctx.size(), ctx.rank()),
-            input_tile,
-            train_mask: ds.split.iter().map(|&s| s == Split::Train).collect(),
-            test_mask: ds.split.iter().map(|&s| s == Split::Test).collect(),
             dynamic,
-            device: cfg.device,
-            // Dynamic selection scores candidates on message counts, which
-            // chunking multiplies; keep its trials on the blocking path.
-            overlap: match cfg.algo {
-                Algo::RdmDynamic { .. } => None,
-                _ => cfg.overlap,
-            },
         }
-    }
-
-    /// Advance the dynamic-selection schedule: pick this epoch's
-    /// configuration, and after the trial phase lock in the fastest.
-    fn dynamic_pre_epoch(&mut self) {
-        let Some(dy) = &mut self.dynamic else { return };
-        if let Some(best) = dy.chosen {
-            self.plan.config = dy.candidates[best].clone();
-            return;
-        }
-        let idx = (dy.epoch_no / dy.trial_epochs).min(dy.candidates.len() - 1);
-        self.plan.config = dy.candidates[idx].clone();
-    }
-
-    /// Score the finished trial epoch from globally aggregated
-    /// measurements, and decide once all trials are done.
-    fn dynamic_post_epoch(&mut self, ctx: &RankCtx, ops: &OpCounters, bytes: u64, msgs: u64) {
-        let Some(dy) = &mut self.dynamic else { return };
-        if dy.chosen.is_some() {
-            return;
-        }
-        // Aggregate this epoch's cost across ranks so every rank scores
-        // identically (local byte counts differ by partition remainders).
-        let measured = [
-            ops.spmm_fma as f32,
-            ops.gemm_fma as f32,
-            bytes as f32,
-            msgs as f32,
-        ];
-        let local = rdm_dense::Mat::from_fn(1, 4, |_, j| measured[j]);
-        let total = ctx.all_reduce_sum(local, CollectiveKind::AllReduce);
-        let p = ctx.size() as f64;
-        let compute = self
-            .device
-            .compute_time(total.get(0, 0) as f64 / p, total.get(0, 1) as f64 / p);
-        let comm = self
-            .device
-            .comm_time(total.get(0, 2) as f64 / p, total.get(0, 3) as f64 / p);
-        let idx = (dy.epoch_no / dy.trial_epochs).min(dy.candidates.len() - 1);
-        dy.scores[idx] += compute + comm;
-        dy.epoch_no += 1;
-        if dy.epoch_no >= dy.trials_total() {
-            let best = dy
-                .scores
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, _)| i)
-                .unwrap();
-            dy.chosen = Some(best);
-        }
-    }
-
-    fn epoch(&mut self, ds: &Dataset, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
-        let mut input = FormCache::of_row(self.input_row.clone());
-        input.put(self.input_tile.clone());
-        let overlap = self.overlap.map(|chunks| OverlapSpec {
-            chunks,
-            device: self.device,
-        });
-        let mut art = rdm_forward(
-            ctx,
-            &self.topo,
-            input,
-            &self.weights,
-            &self.plan,
-            overlap.as_ref(),
-            ops,
-        );
-        let logits = art.logits_row(&self.topo, ctx);
-        let spec = LossSpec {
-            labels: &ds.labels,
-            mask: &self.train_mask,
-            num_classes: ds.spec.labels,
-        };
-        let (loss, lgrad) = softmax_xent(&logits, &spec, ctx);
-        let train_acc = accuracy(&logits, &ds.labels, &self.train_mask, ctx);
-        let test_acc = accuracy(&logits, &ds.labels, &self.test_mask, ctx);
-        let back = rdm_backward(
-            ctx,
-            &self.topo,
-            &mut art,
-            &self.weights,
-            &self.plan,
-            lgrad,
-            &self.feats,
-            overlap.as_ref(),
-            ops,
-        );
-        self.adam.step(&mut self.weights.w, &back.weight_grads);
-        (loss, train_acc, test_acc)
     }
 }
 
-/// Train a GCN on `ds` per `cfg` and return per-epoch metrics.
+impl Trainer for RdmTrainer {
+    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
+        if let Some(dy) = &self.dynamic {
+            self.plan.config = dy.current().clone();
+        }
+        let (loss, acc) = self.model.rdm_step(
+            ctx,
+            &self.topo,
+            self.input.clone(),
+            &self.plan,
+            &self.targets,
+            true,
+            self.overlap.as_ref(),
+            ops,
+        );
+        let (train_acc, test_acc) = acc.expect("full-batch steps measure accuracy");
+        (loss, train_acc, test_acc)
+    }
+
+    fn weights(&self) -> &GcnWeights {
+        &self.model.weights
+    }
+
+    fn plan_id(&self) -> Option<usize> {
+        Some(self.plan.id())
+    }
+
+    fn post_epoch(&mut self, ctx: &RankCtx, ops: &OpCounters, comm: &CommStats) {
+        if let Some(dy) = &mut self.dynamic {
+            dy.score(ctx, ops, comm);
+        }
+    }
+}
+
+/// Check `cfg` against `ds` and resolve its plan.
 ///
 /// # Errors
-/// Returns a description if the configuration is inconsistent (zero
-/// epochs/ranks, graph smaller than the cluster, or a request
-/// [`crate::plan::resolve`] rejects).
-pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, String> {
+/// Zero epochs/ranks/layers, a graph smaller than the cluster, a keep
+/// probability outside `(0, 1]`, a non-symmetric aggregation outside RDM,
+/// or a request [`crate::plan::resolve`] rejects.
+fn resolve(ds: &Dataset, cfg: &TrainerConfig) -> Result<Resolution, String> {
     if cfg.p == 0 {
         return Err("need at least one rank".into());
     }
@@ -476,8 +643,7 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
     if ds.adj_norm_t.is_some() && !matches!(cfg.algo, Algo::Rdm { .. }) {
         return Err("non-symmetric (mean) aggregation is only supported by the RDM trainer".into());
     }
-    let shape = ds.shape_layers(cfg.hidden, cfg.layers);
-    let resolved = crate::plan::resolve(
+    crate::plan::resolve(
         &PlanRequest {
             algo: &cfg.algo,
             p: cfg.p,
@@ -486,10 +652,19 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
             overlap: cfg.overlap,
             device: &cfg.device,
         },
-        &shape,
+        &ds.shape_layers(cfg.hidden, cfg.layers),
         &ds.adj_norm,
-    )?;
+    )
+}
 
+/// Train a GCN on `ds` per `cfg` and return per-epoch metrics.
+///
+/// # Errors
+/// Returns a description if the configuration is inconsistent (zero
+/// epochs/ranks, graph smaller than the cluster, or a request
+/// [`crate::plan::resolve`] rejects).
+pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, String> {
+    let resolved = resolve(ds, cfg)?;
     let mut cluster = match cfg.fault_plan {
         Some(plan) => Cluster::with_faults(cfg.p, plan),
         None => Cluster::new(cfg.p),
@@ -501,60 +676,7 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
         // Rank threads are spawned fresh per run: pin this rank's kernel
         // path before any compute.
         kernels::set_mode(cfg.kernels);
-        enum State {
-            Rdm(Box<RdmState>),
-            Cagnet(Box<CagnetTrainer>),
-            Dgcl(Box<DgclTrainer>),
-            SaintRdm(Box<SaintRdmTrainer>),
-            SaintDdp(Box<SaintDdpTrainer>),
-            SaintMasked(Box<SaintMaskedTrainer>),
-        }
-        let mut state = match &cfg.algo {
-            Algo::Rdm { .. } | Algo::RdmDynamic { .. } => {
-                State::Rdm(Box::new(RdmState::setup(ds, cfg, &resolved, ctx)))
-            }
-            Algo::Cagnet1D => State::Cagnet(Box::new(CagnetTrainer::setup(
-                ds,
-                cfg.hidden,
-                cfg.layers,
-                cfg.lr,
-                cfg.seed,
-                CagnetVariant::OneD,
-                ctx,
-            ))),
-            Algo::Cagnet15D { c } => State::Cagnet(Box::new(CagnetTrainer::setup(
-                ds,
-                cfg.hidden,
-                cfg.layers,
-                cfg.lr,
-                cfg.seed,
-                CagnetVariant::OneFiveD(*c),
-                ctx,
-            ))),
-            Algo::Dgcl => State::Dgcl(Box::new(DgclTrainer::setup(
-                ds, cfg.hidden, cfg.layers, cfg.lr, cfg.seed, ctx,
-            ))),
-            Algo::SaintRdm { sampler } => State::SaintRdm(Box::new(SaintRdmTrainer::setup(
-                ds, cfg.hidden, cfg.layers, cfg.lr, cfg.seed, *sampler,
-            ))),
-            Algo::SaintDdp { sampler } => State::SaintDdp(Box::new(SaintDdpTrainer::setup(
-                ds,
-                cfg.hidden,
-                cfg.layers,
-                cfg.lr,
-                cfg.seed,
-                *sampler,
-                ctx.size(),
-            ))),
-            Algo::SaintMasked { keep } => State::SaintMasked(Box::new(SaintMaskedTrainer::setup(
-                ds,
-                cfg.hidden,
-                cfg.layers,
-                cfg.lr,
-                cfg.seed,
-                *keep as f64,
-            ))),
-        };
+        let mut trainer = setup(ds, cfg, &resolved, ctx);
         let mut epochs = Vec::with_capacity(cfg.epochs);
         let mut prev_stats = ctx.stats_snapshot();
         // Ranks are threads, so the thread-local workspace-pool counters
@@ -568,33 +690,15 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
             let epoch_span = rdm_trace::span(rdm_trace::Span::Epoch { idx: epoch_idx });
             let t0 = Instant::now();
             let mut ops = OpCounters::default();
-            if let State::Rdm(s) = &mut state {
-                s.dynamic_pre_epoch();
-            }
-            let plan_id = match &state {
-                State::Rdm(s) => Some(s.plan.id()),
-                _ => None,
-            };
-            let (loss, train_acc, test_acc) = match &mut state {
-                State::Rdm(s) => s.epoch(ds, ctx, &mut ops),
-                State::Cagnet(s) => s.epoch(ctx, &mut ops),
-                State::Dgcl(s) => s.epoch(ctx, &mut ops),
-                State::SaintRdm(s) => s.epoch(ctx, &mut ops),
-                State::SaintDdp(s) => s.epoch(ctx, &mut ops),
-                State::SaintMasked(s) => s.epoch(ctx, &mut ops),
-            };
+            let (loss, train_acc, test_acc) = trainer.epoch(ctx, &mut ops);
             drop(epoch_span);
             ctx.barrier();
             let wall = t0.elapsed();
-            let now = ctx.stats_snapshot();
-            let delta = now.delta_since(&prev_stats);
-            if let State::Rdm(s) = &mut state {
-                // Dynamic selection scores the epoch on globally aggregated
-                // measurements; its own small all-reduce is excluded from
-                // the epoch metrics (the paper does not model selection
-                // overhead).
-                s.dynamic_post_epoch(ctx, &ops, delta.total_bytes(), delta.total_messages());
-            }
+            let delta = ctx.stats_snapshot().delta_since(&prev_stats);
+            // Dynamic selection scores the epoch on globally aggregated
+            // measurements; its own small all-reduce is excluded from the
+            // epoch metrics (the paper does not model selection overhead).
+            trainer.post_epoch(ctx, &ops, &delta);
             prev_stats = ctx.stats_snapshot();
             let ws = rdm_dense::pool::stats();
             let (ws_fresh, ws_reused) = (ws.fresh - prev_ws.fresh, ws.reused - prev_ws.reused);
@@ -607,22 +711,14 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
                 comm_wall: delta.comm_time,
                 comm: delta,
                 ops,
-                plan_id,
+                plan_id: trainer.plan_id(),
                 ws_fresh,
                 ws_reused,
             });
         }
         // Weights are replicated, so rank 0's copy is the trained model.
-        let weights = (ctx.rank() == 0).then(|| {
-            crate::snapshot::WeightSnapshot::from_weights(match &state {
-                State::Rdm(s) => &s.weights,
-                State::Cagnet(s) => &s.weights,
-                State::Dgcl(s) => &s.weights,
-                State::SaintRdm(s) => s.weights(),
-                State::SaintDdp(s) => s.weights(),
-                State::SaintMasked(s) => s.weights(),
-            })
-        });
+        let weights = (ctx.rank() == 0)
+            .then(|| crate::snapshot::WeightSnapshot::from_weights(trainer.weights()));
         (epochs, weights)
     });
 
@@ -633,12 +729,15 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
         let snapshot: Vec<RankEpoch> = per_rank.iter().map(|r| r.0[e].clone()).collect();
         epochs.push(EpochMetrics::from_ranks(e, &snapshot, &cfg.device));
     }
-    let algo = match &resolved.plan {
-        Some(pl) if matches!(cfg.algo, Algo::Rdm { .. }) => format!("RDM(id={})", pl.id()),
-        _ => cfg.algo.label(),
+    // An auto-selected plan is reported by the id it resolved to.
+    let algo = match &cfg.algo {
+        Algo::Rdm { .. } => Algo::Rdm {
+            plan: resolved.plan,
+        },
+        algo => algo.clone(),
     };
     Ok(TrainReport {
-        algo,
+        algo: algo.label(),
         dataset: ds.spec.name.clone(),
         p: cfg.p,
         epochs,
@@ -647,6 +746,18 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
         overlap_inert: resolved.overlap_inert,
         sparse_inert: resolved.sparse_inert,
     })
+}
+
+/// Set up every rank's trainer for `cfg` on `ds` and run `body` on it (the
+/// per-algorithm unit tests).
+#[cfg(test)]
+pub(crate) fn on_ranks<T: Send>(
+    ds: &Dataset,
+    cfg: &TrainerConfig,
+    body: impl Fn(&mut dyn Trainer, &RankCtx) -> T + Sync,
+) -> rdm_comm::RunOutput<T> {
+    let resolved = resolve(ds, cfg).expect("a valid test configuration");
+    Cluster::new(cfg.p).run(|ctx| body(&mut *setup(ds, cfg, &resolved, ctx), ctx))
 }
 
 #[cfg(test)]
