@@ -135,6 +135,34 @@ mod tests {
     }
 
     #[test]
+    fn balanced_panels_beat_uniform_chunking_on_rmat() {
+        // Graph500-skewed RMAT: a handful of hub vertices own most edges.
+        // The makespan (max per-task nnz) is what parallel SpMM time tracks.
+        let n = 1 << 12;
+        let a = rdm_sparse::gcn_normalize(&symmetrize(n, &rmat(n, 16 * n, 7)));
+        let tasks = 32;
+        let chunk = n / tasks;
+        let uniform = (0..tasks)
+            .map(|t| a.indptr()[(t + 1) * chunk] - a.indptr()[t * chunk])
+            .max()
+            .unwrap() as f64;
+        let balanced = rdm_sparse::balanced_panels(a.indptr(), tasks)
+            .windows(2)
+            .map(|w| a.indptr()[w[1]] - a.indptr()[w[0]])
+            .max()
+            .unwrap() as f64;
+        let mean = a.nnz() as f64 / tasks as f64;
+        assert!(
+            balanced < 0.8 * uniform,
+            "nnz-balanced makespan {balanced} must clearly beat uniform chunking's {uniform}"
+        );
+        assert!(
+            balanced < 1.5 * mean,
+            "balanced makespan {balanced} should be near the per-task mean {mean:.0}"
+        );
+    }
+
+    #[test]
     fn erdos_renyi_is_not_skewed() {
         let n = 1024;
         let edges = erdos_renyi(n, 16 * n, 3);

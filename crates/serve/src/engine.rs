@@ -135,13 +135,6 @@ impl ServeConfig {
         self
     }
 
-    /// Select the default (fast) kernels — a no-op unless
-    /// [`Self::reference_kernels`] came first. Kept for callers written
-    /// when the fast microkernels were opt-in.
-    pub fn fast_kernels(self) -> Self {
-        self.kernel_mode(kernels::default_mode())
-    }
-
     /// Serve on the scalar reference loops (what `--reference-kernels`
     /// selects). Same logits as the default, slower.
     pub fn reference_kernels(self) -> Self {
@@ -290,7 +283,9 @@ pub fn serve(
     }
     // The cache stores the SpMM-first layer-1 intermediate; on GEMM-first
     // first layers it is inert by design (counters stay zero).
-    let cache_active = cfg.cache > 0 && plan.config.forward[0] == Order::SpmmFirst;
+    let cache_inert = (cfg.cache > 0 && plan.config.forward[0] != Order::SpmmFirst)
+        .then_some("layer 0 runs GEMM first: no aggregation to cache");
+    let cache_active = cfg.cache > 0 && cache_inert.is_none();
 
     // The batch schedule and (for the induced sampler) each batch's vertex
     // set are pure functions of the shared inputs — computed once here,
@@ -301,14 +296,7 @@ pub fn serve(
         .map(|b| match cfg.sampler {
             ServeSampler::Full => None,
             ServeSampler::Induced { budget } => {
-                let targets: Vec<u32> = b.requests.iter().map(|r| r.target).collect();
-                let sub = Subgraph::around(
-                    &ds.adj,
-                    &targets,
-                    budget.min(n),
-                    cfg.sample_seed ^ b.idx as u64,
-                );
-                Some(sub.vertices)
+                Some(planned_vertices(ds, b, budget, cfg.sample_seed))
             }
         })
         .collect();
@@ -548,8 +536,11 @@ pub fn serve(
         cache_misses,
         // Requested pipelining that the engine gate drops anyway (a single
         // rank, or `r_a = 1` leaving no redistribution group) is surfaced
-        // on the report instead of silently serving blocking.
+        // on the report instead of silently serving blocking; so are a
+        // requested indexed wire and cache that the session cannot use.
         overlap_inert: resolved.overlap_inert,
+        sparse_inert: resolved.sparse_inert,
+        cache_inert,
     };
     Ok(ServeOutput {
         report,
@@ -699,8 +690,9 @@ mod tests {
     /// hidden communication time lands in the nanosecond-resolution comm
     /// book and the timeline keeps its queueing invariants. (Whether the
     /// pipeline *wins* depends on shape — chunking pays a per-message
-    /// latency toll — so the p99 victory is asserted by the serving bench
-    /// on a realistic shape, not here on a toy graph.)
+    /// latency toll — so the p99 victory is asserted by
+    /// `tests/serving_claims.rs` on a realistic shape, not here on a toy
+    /// graph.)
     #[test]
     fn pipelined_session_is_bitwise_and_hides_communication() {
         let (ds, snap) = setup();
@@ -791,6 +783,31 @@ mod tests {
         for (a, b) in base.report.requests.iter().zip(&out.report.requests) {
             assert_eq!(a.logits, b.logits);
         }
+        assert_eq!(
+            out.report.cache_inert,
+            Some("layer 0 runs GEMM first: no aggregation to cache")
+        );
+    }
+
+    /// A single rank has no redistribution to compress: the session says so
+    /// instead of reporting `wire=sparse` over zero payload bytes.
+    #[test]
+    fn single_rank_sessions_report_the_sparse_wire_inert() {
+        let (ds, snap) = setup();
+        let reqs = LoadGen::new(13, 2, 20, 24).generate(ds.n());
+        let mut cfg = ServeConfig::new(1);
+        cfg.sparse = true;
+        let out = serve(&ds, &snap, &reqs, &cfg).unwrap();
+        assert_eq!(out.report.payload_bytes, 0);
+        assert_eq!(out.report.sparse_inert, Some("single rank"));
+        assert!(out
+            .report
+            .render()
+            .contains("\nsparse      inert (single rank)\n"));
+        cfg.p = 2;
+        let out = serve(&ds, &snap, &reqs, &cfg).unwrap();
+        assert_eq!(out.report.sparse_inert, None);
+        assert!(!out.report.render().contains("inert"));
     }
 
     /// Serving from a replicated-panel plan (`r_a < p`) must produce

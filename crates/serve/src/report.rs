@@ -110,6 +110,14 @@ pub struct ServeReport {
     /// the blocking schedule), mirroring the engine's overlap gate: `None`
     /// when the pipeline ran — or was never requested.
     pub overlap_inert: Option<&'static str>,
+    /// Why a requested indexed-strip wire stayed inert (a single rank has
+    /// no redistribution to compress); `None` when it ran or was never
+    /// requested.
+    pub sparse_inert: Option<&'static str>,
+    /// Why a requested aggregation cache stayed inert (a GEMM-first layer 0
+    /// has no aggregation to store); `None` when it ran or was never
+    /// requested.
+    pub cache_inert: Option<&'static str>,
 }
 
 impl ServeReport {
@@ -200,6 +208,19 @@ impl ServeReport {
             Some(reason) => format!("inert ({reason}); the session ran blocking"),
             None => format!("{} us hidden by pipelining", self.overlap_us_total()),
         };
+        let sparse = self
+            .sparse_inert
+            .map(|reason| format!("sparse      inert ({reason})\n"))
+            .unwrap_or_default();
+        let cache = match self.cache_inert {
+            Some(reason) => format!("inert ({reason})"),
+            None => format!(
+                "{} hits  {} misses  (hit rate {:.2})",
+                self.cache_hits,
+                self.cache_misses,
+                self.cache_hit_rate()
+            ),
+        };
         format!(
             "== rdm-serve report ==\n\
              dataset     {}  P={}  wire={}\n\
@@ -207,7 +228,8 @@ impl ServeReport {
              latency     p50 {} us  p99 {} us  mean {} us  max {} us\n\
              throughput  {:.1} req/s (virtual)\n\
              overlap     {}\n\
-             agg-cache   {} hits  {} misses  (hit rate {:.2})\n\
+             {}\
+             agg-cache   {}\n\
              workspace   warmup fresh {}  steady fresh {}  steady reused {}\n\
              comm        {} payload bytes in {} messages  retries {}\n",
             self.dataset,
@@ -222,9 +244,8 @@ impl ServeReport {
             self.max_us(),
             self.throughput_rps(),
             overlap,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate(),
+            sparse,
+            cache,
             self.ws_fresh_warmup,
             self.ws_fresh_steady,
             self.ws_reused_steady,
@@ -332,6 +353,8 @@ mod tests {
             cache_hits: 3,
             cache_misses: 1,
             overlap_inert: None,
+            sparse_inert: None,
+            cache_inert: None,
         }
     }
 
@@ -403,6 +426,8 @@ mod tests {
             cache_hits: 0,
             cache_misses: 0,
             overlap_inert: None,
+            sparse_inert: None,
+            cache_inert: None,
         };
         assert_eq!(r.p50_us(), 0);
         assert_eq!(r.p99_us(), 0);

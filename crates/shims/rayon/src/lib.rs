@@ -367,48 +367,17 @@ impl<T: Send> ParIterMut<'_, T> {
     }
 }
 
-/// Test and benchmark hooks. Not part of the rayon-compatible surface.
+/// Test hooks. Not part of the rayon-compatible surface.
 #[doc(hidden)]
 pub mod internals {
     /// Pooled dispatch with an explicit helper count, bypassing the
     /// `SPAWN_MIN` inline fallback. Used to exercise the pool on hosts
-    /// where `current_num_threads() == 1` and to benchmark dispatch cost.
+    /// where `current_num_threads() == 1`.
     pub fn run_pooled<F>(total: usize, helpers: usize, f: F)
     where
         F: Fn(usize) + Sync,
     {
         super::inject(total, helpers, f);
-    }
-
-    /// The pre-pool spawn-per-call implementation (fresh scoped OS threads
-    /// every invocation, indices dealt round-robin). Kept only so
-    /// benchmarks can measure what the persistent pool replaces.
-    pub fn run_scoped<F>(total: usize, threads: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if total == 0 {
-            return;
-        }
-        let threads = threads.min(total).max(1);
-        if threads == 1 {
-            for i in 0..total {
-                f(i);
-            }
-            return;
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                scope.spawn(move || {
-                    let mut i = w;
-                    while i < total {
-                        f(i);
-                        i += threads;
-                    }
-                });
-            }
-        });
     }
 }
 

@@ -669,6 +669,16 @@ mod tests {
             max / mean < 2.0,
             "balanced partition still skewed: max {max} vs mean {mean}"
         );
+        // Uniform row chunking puts all eight hub rows in its first chunk.
+        let chunk = 512 / tasks;
+        let uniform = (0..tasks)
+            .map(|t| m.indptr()[(t + 1) * chunk] - m.indptr()[t * chunk])
+            .max()
+            .unwrap() as f64;
+        assert!(
+            max < 0.8 * uniform,
+            "balanced makespan {max} must clearly beat uniform chunking's {uniform}"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/bin/bash
 # Regenerate every table and figure; outputs land in results/.
-cd /root/repo
+cd "$(dirname "$0")/.." || exit 1
 export RDM_EPOCHS=${RDM_EPOCHS:-3}
 for bin in table4 table6 table10 fig12 ablations table9 fig8_11 table7 table8; do
   echo "=== running $bin ==="
