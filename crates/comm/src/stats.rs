@@ -14,28 +14,19 @@ pub enum CollectiveKind {
     Broadcast,
     /// Gradient / weight all-reduce.
     AllReduce,
-    /// Gathering distributed embeddings (loss evaluation, output collection).
-    AllGather,
     /// Halo exchange of remote-vertex features (the DGCL-like baseline).
     Halo,
-    /// Subgraph / sample distribution (GraphSAINT).
-    Sampling,
-    /// Held-out evaluation traffic (excluded from training-time metrics).
-    Eval,
-    /// Anything else (tests, setup).
+    /// Anything else (tests, setup, output collection).
     Other,
 }
 
 impl CollectiveKind {
     /// All variants, for iteration in reports.
-    pub const ALL: [CollectiveKind; 8] = [
+    pub const ALL: [CollectiveKind; 5] = [
         CollectiveKind::Redistribute,
         CollectiveKind::Broadcast,
         CollectiveKind::AllReduce,
-        CollectiveKind::AllGather,
         CollectiveKind::Halo,
-        CollectiveKind::Sampling,
-        CollectiveKind::Eval,
         CollectiveKind::Other,
     ];
 
@@ -47,10 +38,7 @@ impl CollectiveKind {
             CollectiveKind::Redistribute => T::Redistribute,
             CollectiveKind::Broadcast => T::Broadcast,
             CollectiveKind::AllReduce => T::AllReduce,
-            CollectiveKind::AllGather => T::AllGather,
             CollectiveKind::Halo => T::Halo,
-            CollectiveKind::Sampling => T::Sampling,
-            CollectiveKind::Eval => T::Eval,
             CollectiveKind::Other => T::Other,
         }
     }
@@ -378,10 +366,10 @@ mod tests {
         base.record_send(CollectiveKind::Broadcast, 10);
         let mut now = base.clone();
         now.record_send(CollectiveKind::Broadcast, 30);
-        now.record_send(CollectiveKind::Sampling, 4);
+        now.record_send(CollectiveKind::Halo, 4);
         let d = now.delta_since(&base);
         assert_eq!(d.bytes(CollectiveKind::Broadcast), 30);
         assert_eq!(d.messages(CollectiveKind::Broadcast), 1);
-        assert_eq!(d.bytes(CollectiveKind::Sampling), 4);
+        assert_eq!(d.bytes(CollectiveKind::Halo), 4);
     }
 }

@@ -1,9 +1,102 @@
-//! Epoch-level measurement records.
+//! One measurement path and one price for every unit of work.
+//!
+//! A unit is a training epoch or a served batch. [`session`] is the one
+//! cluster set-up both loops run under, and [`book_unit`] the one way a
+//! rank measures a unit: a [`UnitBook`] of wall time, communication,
+//! FMAs and workspace-pool activity between the unit's opening and
+//! closing barriers. Each rank's book prices through
+//! [`DeviceModel::rank_time`] and a unit's through
+//! [`DeviceModel::slowest`] — the one clock [`EpochMetrics::from_ranks`]
+//! and the serving timeline share.
 
 use crate::ops::OpCounters;
-use rdm_comm::{CollectiveKind, CommStats};
+use rdm_comm::{Cluster, CollectiveKind, CommStats, FaultPlan, RankCtx, RunOutput};
+use rdm_dense::kernels::{self, Mode as KernelMode};
+use rdm_dense::pool;
 use rdm_model::{DeviceModel, MeasuredRank, Predicted};
-use std::time::Duration;
+use rdm_trace::Span;
+use std::time::{Duration, Instant};
+
+/// Run `body` on every rank of a fresh `p`-rank cluster — on a faulty
+/// fabric per `faults`, traced when `trace` — with each rank's kernel path
+/// pinned to `mode` before any compute.
+pub fn session<T: Send>(
+    p: usize,
+    faults: Option<FaultPlan>,
+    trace: bool,
+    mode: KernelMode,
+    body: impl Fn(&RankCtx) -> T + Sync,
+) -> RunOutput<T> {
+    let mut cluster = match faults {
+        Some(plan) => Cluster::with_faults(p, plan),
+        None => Cluster::new(p),
+    };
+    if trace {
+        cluster = cluster.traced();
+    }
+    cluster.run(|ctx| {
+        // Rank threads are spawned fresh per run.
+        kernels::set_mode(mode);
+        body(ctx)
+    })
+}
+
+/// What one rank measured over one unit of work.
+#[derive(Clone, Debug, Default)]
+pub struct UnitBook {
+    /// From the start of the unit's body to its closing barrier.
+    pub wall: Duration,
+    /// Bytes/messages this rank sent, opening barrier to closing barrier.
+    pub comm: CommStats,
+    /// FMA counts.
+    pub ops: OpCounters,
+    /// Workspace-pool buffers this rank freshly allocated. Zero after the
+    /// first unit in steady state (the pool's guarantee).
+    pub ws_fresh: u64,
+    /// Workspace-pool buffers this rank reused from its shelf.
+    pub ws_reused: u64,
+}
+
+impl UnitBook {
+    /// What the clock prices.
+    pub fn measured(&self) -> MeasuredRank {
+        MeasuredRank {
+            spmm_fma: self.ops.spmm_fma,
+            gemm_fma: self.ops.gemm_fma,
+            bytes_sent: self.comm.total_bytes() as f64,
+            messages: self.comm.total_messages() as f64,
+            hidden_ns: self.comm.overlap_ns,
+        }
+    }
+}
+
+/// Run one unit of work on this rank and book it. The book opens before
+/// the opening barrier and closes after the closing barrier, so whatever a
+/// rank does between units stays out of it; `span` wraps only `body`.
+pub fn book_unit<R>(
+    ctx: &RankCtx,
+    span: Span,
+    body: impl FnOnce(&mut OpCounters) -> R,
+) -> (R, UnitBook) {
+    let (comm0, ws0) = (ctx.stats_snapshot(), pool::stats());
+    ctx.barrier();
+    let guard = rdm_trace::span(span);
+    let t0 = Instant::now();
+    let mut ops = OpCounters::default();
+    let out = body(&mut ops);
+    drop(guard);
+    ctx.barrier();
+    let wall = t0.elapsed();
+    let ws = pool::stats();
+    let book = UnitBook {
+        wall,
+        comm: ctx.stats_snapshot().delta_since(&comm0),
+        ops,
+        ws_fresh: ws.fresh - ws0.fresh,
+        ws_reused: ws.reused - ws0.reused,
+    };
+    (out, book)
+}
 
 /// What one rank recorded during one epoch (returned from inside the SPMD
 /// closure; aggregated into [`EpochMetrics`] by the trainer).
@@ -12,22 +105,11 @@ pub struct RankEpoch {
     pub loss: f32,
     pub train_acc: f32,
     pub test_acc: f32,
-    /// Wall time of the whole epoch on this rank.
-    pub wall: Duration,
-    /// Wall time spent inside communication calls.
-    pub comm_wall: Duration,
-    /// Bytes/messages this rank sent this epoch.
-    pub comm: CommStats,
-    /// FMA counts this epoch.
-    pub ops: OpCounters,
     /// The Table-IV ordering this epoch executed (RDM trainers; `None`
     /// for the fixed-order baselines).
     pub plan_id: Option<usize>,
-    /// Workspace-pool buffers this rank freshly allocated this epoch.
-    /// Zero from epoch 2 onward in steady state (the pool's guarantee).
-    pub ws_fresh: u64,
-    /// Workspace-pool buffers this rank reused from its shelf this epoch.
-    pub ws_reused: u64,
+    /// What this rank measured over the epoch.
+    pub book: UnitBook,
 }
 
 /// One epoch, aggregated over ranks.
@@ -62,64 +144,26 @@ impl EpochMetrics {
     pub fn from_ranks(epoch: usize, ranks: &[RankEpoch], device: &DeviceModel) -> Self {
         assert!(!ranks.is_empty());
         let mut comm = CommStats::default();
-        for r in ranks {
-            comm.merge(&r.comm);
-        }
-        let measured: Vec<MeasuredRank> = ranks
-            .iter()
-            .map(|r| {
-                // Held-out evaluation traffic is not part of the training
-                // epoch the paper times.
-                let eval_b = r.comm.bytes(CollectiveKind::Eval);
-                let eval_m = r.comm.messages(CollectiveKind::Eval);
-                MeasuredRank {
-                    spmm_fma: r.ops.spmm_fma,
-                    gemm_fma: r.ops.gemm_fma,
-                    bytes_sent: r.comm.total_bytes() - eval_b,
-                    messages: r.comm.total_messages() - eval_m,
-                }
-            })
-            .collect();
-        let sim = if ranks.iter().all(|r| r.comm.overlap_ns == 0) {
-            device.epoch_from_measured(&measured)
-        } else {
-            // Pipelined redistribution hides part of each rank's comm
-            // time behind its kernels; the epoch still finishes with the
-            // slowest rank.
-            let mut worst = Predicted::default();
-            for (r, m) in ranks.iter().zip(&measured) {
-                let compute = device.compute_time(m.spmm_fma, m.gemm_fma);
-                let comm = device.comm_time(m.bytes_sent as f64, m.messages as f64);
-                let hidden = (r.comm.overlap_ns as f64 * 1e-9).min(comm);
-                let total = compute + comm - hidden + device.epoch_overhead;
-                if total > worst.total_s {
-                    worst = Predicted {
-                        compute_s: compute,
-                        comm_s: comm - hidden,
-                        total_s: total,
-                    };
-                }
-            }
-            worst
-        };
         let mut ops = OpCounters::default();
         for r in ranks {
-            ops.add(r.ops);
+            comm.merge(&r.book.comm);
+            ops.add(r.book.ops);
         }
+        let measured: Vec<MeasuredRank> = ranks.iter().map(|r| r.book.measured()).collect();
         EpochMetrics {
             plan_id: ranks[0].plan_id,
-            ws_fresh: ranks.iter().map(|r| r.ws_fresh).sum(),
-            ws_reused: ranks.iter().map(|r| r.ws_reused).sum(),
+            ws_fresh: ranks.iter().map(|r| r.book.ws_fresh).sum(),
+            ws_reused: ranks.iter().map(|r| r.book.ws_reused).sum(),
             epoch,
             loss: ranks[0].loss,
             train_acc: ranks[0].train_acc,
             test_acc: ranks[0].test_acc,
-            wall: ranks.iter().map(|r| r.wall).max().unwrap(),
-            comm_wall: ranks.iter().map(|r| r.comm_wall).max().unwrap(),
+            wall: ranks.iter().map(|r| r.book.wall).max().unwrap(),
+            comm_wall: ranks.iter().map(|r| r.book.comm.comm_time).max().unwrap(),
             total_bytes: comm.total_bytes(),
             comm,
             ops,
-            sim,
+            sim: device.slowest(&measured),
         }
     }
 
@@ -155,7 +199,8 @@ impl EpochMetrics {
 
     /// Modeled communication time hidden behind compute by pipelined
     /// redistribution this epoch (summed over ranks, virtual nanoseconds).
-    /// Zero on the blocking path.
+    /// Zero on the blocking path. What the epoch saved is the slowest
+    /// rank's share, `sim.hidden_s`.
     pub fn overlap_ns(&self) -> u64 {
         self.comm.overlap_ns
     }
@@ -266,8 +311,8 @@ impl TrainReport {
     }
 
     /// Modeled communication time hidden by pipelined redistribution over
-    /// the whole run, virtual nanoseconds. Zero unless the trainer ran
-    /// with `overlap`.
+    /// the whole run, summed over ranks, virtual nanoseconds. Zero unless
+    /// the trainer ran with `overlap`.
     pub fn total_overlap_ns(&self) -> u64 {
         self.epochs.iter().map(|e| e.overlap_ns()).sum()
     }
@@ -286,19 +331,20 @@ mod tests {
     fn rank(ms: u64, bytes: usize, spmm: f64) -> RankEpoch {
         let mut comm = CommStats::default();
         comm.record_send(CollectiveKind::Redistribute, bytes);
+        comm.record_time(Duration::from_millis(ms / 4));
         RankEpoch {
             plan_id: None,
-            ws_fresh: 0,
-            ws_reused: 0,
             loss: 1.0,
             train_acc: 0.5,
             test_acc: 0.4,
-            wall: Duration::from_millis(ms),
-            comm_wall: Duration::from_millis(ms / 4),
-            comm,
-            ops: OpCounters {
-                spmm_fma: spmm,
-                gemm_fma: 0.0,
+            book: UnitBook {
+                wall: Duration::from_millis(ms),
+                comm,
+                ops: OpCounters {
+                    spmm_fma: spmm,
+                    gemm_fma: 0.0,
+                },
+                ..UnitBook::default()
             },
         }
     }

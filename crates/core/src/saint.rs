@@ -388,7 +388,13 @@ mod tests {
             ops
         });
         for st in &out.stats {
-            assert_eq!(st.bytes(CollectiveKind::Sampling), 0);
+            let rdm_step =
+                st.bytes(CollectiveKind::Redistribute) + st.bytes(CollectiveKind::AllReduce);
+            assert_eq!(
+                st.total_bytes(),
+                rdm_step,
+                "bytes charged outside the RDM step"
+            );
             assert_eq!(st.bytes(CollectiveKind::Broadcast), 0);
         }
         assert!(out.results[0].spmm_fma > 0.0);

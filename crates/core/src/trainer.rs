@@ -15,17 +15,17 @@ use crate::adam::Adam;
 use crate::dist::{DistMat, FormCache};
 use crate::gcn::{activate, input_cache, rdm_backward, rdm_forward, GcnWeights, OverlapSpec};
 use crate::loss::{accuracy, softmax_xent, LossSpec};
-use crate::metrics::{EpochMetrics, RankEpoch, TrainReport};
+use crate::metrics::{book_unit, session, EpochMetrics, RankEpoch, TrainReport};
 use crate::ops::{dist_gemm, weight_grad, OpCounters, Topology};
 use crate::plan::{Plan, PlanRequest, Resolution};
 use crate::saint::{SaintDdpTrainer, SaintMaskedTrainer, SaintRdmTrainer};
-use rdm_comm::{Cluster, CollectiveKind, CommStats, FaultPlan, RankCtx};
+use rdm_comm::{CollectiveKind, CommStats, FaultPlan, RankCtx};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::{relu_backward, Mat};
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_graph::SaintSampler;
-use rdm_model::DeviceModel;
-use std::time::Instant;
+use rdm_model::{DeviceModel, MeasuredRank};
+use rdm_trace::Span;
 
 /// Which distributed GNN system to run.
 #[derive(Clone, Debug)]
@@ -524,8 +524,14 @@ impl DynSelect {
         let p = ctx.size() as f64;
         let mean = |j| total.get(0, j) as f64 / p;
         let trial = self.trial();
-        self.scores[trial] +=
-            self.device.compute_time(mean(0), mean(1)) + self.device.comm_time(mean(2), mean(3));
+        let mean_rank = MeasuredRank {
+            spmm_fma: mean(0),
+            gemm_fma: mean(1),
+            bytes_sent: mean(2),
+            messages: mean(3),
+            hidden_ns: 0,
+        };
+        self.scores[trial] += self.device.rank_time(&mean_rank).total_s;
         self.epoch_no += 1;
         if self.epoch_no >= self.candidates.len() * self.trial_epochs {
             let s = &self.scores;
@@ -665,55 +671,23 @@ fn resolve(ds: &Dataset, cfg: &TrainerConfig) -> Result<Resolution, String> {
 /// [`crate::plan::resolve`] rejects).
 pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, String> {
     let resolved = resolve(ds, cfg)?;
-    let mut cluster = match cfg.fault_plan {
-        Some(plan) => Cluster::with_faults(cfg.p, plan),
-        None => Cluster::new(cfg.p),
-    };
-    if cfg.trace {
-        cluster = cluster.traced();
-    }
-    let out = cluster.run(|ctx| {
-        // Rank threads are spawned fresh per run: pin this rank's kernel
-        // path before any compute.
-        kernels::set_mode(cfg.kernels);
+    let out = session(cfg.p, cfg.fault_plan, cfg.trace, cfg.kernels, |ctx| {
         let mut trainer = setup(ds, cfg, &resolved, ctx);
         let mut epochs = Vec::with_capacity(cfg.epochs);
-        let mut prev_stats = ctx.stats_snapshot();
-        // Ranks are threads, so the thread-local workspace-pool counters
-        // are exactly this rank's allocation activity.
-        let mut prev_ws = rdm_dense::pool::stats();
-        for epoch_idx in 0..cfg.epochs {
-            ctx.barrier();
-            // The epoch span covers exactly the training work between the
-            // barriers; the dynamic-selection all-reduce and the stats
-            // bookkeeping after the closing barrier stay outside it.
-            let epoch_span = rdm_trace::span(rdm_trace::Span::Epoch { idx: epoch_idx });
-            let t0 = Instant::now();
-            let mut ops = OpCounters::default();
-            let (loss, train_acc, test_acc) = trainer.epoch(ctx, &mut ops);
-            drop(epoch_span);
-            ctx.barrier();
-            let wall = t0.elapsed();
-            let delta = ctx.stats_snapshot().delta_since(&prev_stats);
+        for idx in 0..cfg.epochs {
+            let ((loss, train_acc, test_acc), book) =
+                book_unit(ctx, Span::Epoch { idx }, |ops| trainer.epoch(ctx, ops));
             // Dynamic selection scores the epoch on globally aggregated
-            // measurements; its own small all-reduce is excluded from the
-            // epoch metrics (the paper does not model selection overhead).
-            trainer.post_epoch(ctx, &ops, &delta);
-            prev_stats = ctx.stats_snapshot();
-            let ws = rdm_dense::pool::stats();
-            let (ws_fresh, ws_reused) = (ws.fresh - prev_ws.fresh, ws.reused - prev_ws.reused);
-            prev_ws = ws;
+            // measurements; its own small all-reduce runs after the closing
+            // barrier, outside the book (the paper does not model selection
+            // overhead).
+            trainer.post_epoch(ctx, &book.ops, &book.comm);
             epochs.push(RankEpoch {
                 loss,
                 train_acc,
                 test_acc,
-                wall,
-                comm_wall: delta.comm_time,
-                comm: delta,
-                ops,
                 plan_id: trainer.plan_id(),
-                ws_fresh,
-                ws_reused,
+                book,
             });
         }
         // Weights are replicated, so rank 0's copy is the trained model.
@@ -757,7 +731,7 @@ pub(crate) fn on_ranks<T: Send>(
     body: impl Fn(&mut dyn Trainer, &RankCtx) -> T + Sync,
 ) -> rdm_comm::RunOutput<T> {
     let resolved = resolve(ds, cfg).expect("a valid test configuration");
-    Cluster::new(cfg.p).run(|ctx| body(&mut *setup(ds, cfg, &resolved, ctx), ctx))
+    rdm_comm::Cluster::new(cfg.p).run(|ctx| body(&mut *setup(ds, cfg, &resolved, ctx), ctx))
 }
 
 #[cfg(test)]

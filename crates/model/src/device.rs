@@ -66,13 +66,6 @@ impl DeviceModel {
         bytes / self.link_bytes_per_sec + msgs * self.msg_latency
     }
 
-    /// Cost of one layer when its redistribution is perfectly overlapped
-    /// with its kernels: `max(T_comm, T_compute)` — the `c → ∞` ideal of
-    /// the chunk pipeline.
-    pub fn overlapped_time(&self, comm_s: f64, compute_s: f64) -> f64 {
-        comm_s.max(compute_s)
-    }
-
     /// Completion time of a `c`-stage chunk pipeline: chunk `q`'s compute
     /// starts when chunk `q` has arrived **and** chunk `q-1`'s compute is
     /// done (double buffering; the wire carries later chunks while earlier
@@ -106,45 +99,63 @@ impl DeviceModel {
         Predicted {
             compute_s: compute,
             comm_s: comm,
+            hidden_s: 0.0,
             total_s: compute + comm + self.epoch_overhead,
         }
     }
 
-    /// Epoch time from *measured* per-rank quantities; the epoch finishes
-    /// when the slowest rank does.
-    pub fn epoch_from_measured(&self, per_rank: &[MeasuredRank]) -> Predicted {
+    /// The clock: one rank's modeled time for one unit of work (a training
+    /// epoch or a served batch) from what it measured — compute, plus the
+    /// communication the chunk pipeline did not hide, plus the fixed
+    /// overhead. Hidden time is capped at the rank's communication time.
+    pub fn rank_time(&self, r: &MeasuredRank) -> Predicted {
+        let compute = self.compute_time(r.spmm_fma, r.gemm_fma);
+        let comm = self.comm_time(r.bytes_sent, r.messages);
+        let hidden = (r.hidden_ns as f64 * 1e-9).min(comm);
+        Predicted {
+            compute_s: compute,
+            comm_s: comm - hidden,
+            hidden_s: hidden,
+            total_s: compute + comm - hidden + self.epoch_overhead,
+        }
+    }
+
+    /// A unit finishes when its slowest rank does: the [`Self::rank_time`]
+    /// with the largest total (the first of equals; the default for no
+    /// ranks).
+    pub fn slowest(&self, per_rank: &[MeasuredRank]) -> Predicted {
         let mut worst = Predicted::default();
         for r in per_rank {
-            let compute = self.compute_time(r.spmm_fma, r.gemm_fma);
-            let comm = self.comm_time(r.bytes_sent as f64, r.messages as f64);
-            let total = compute + comm + self.epoch_overhead;
-            if total > worst.total_s {
-                worst = Predicted {
-                    compute_s: compute,
-                    comm_s: comm,
-                    total_s: total,
-                };
+            let t = self.rank_time(r);
+            if t.total_s > worst.total_s {
+                worst = t;
             }
         }
         worst
     }
 }
 
-/// What one rank did during an epoch (filled from `rdm-comm` stats and the
-/// executors' op counters).
+/// What one rank did during one unit of work (filled from `rdm-comm` stats
+/// and the executors' op counters).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MeasuredRank {
     pub spmm_fma: f64,
     pub gemm_fma: f64,
-    pub bytes_sent: u64,
-    pub messages: u64,
+    pub bytes_sent: f64,
+    pub messages: f64,
+    /// Modeled communication time the chunk pipeline hid behind compute,
+    /// virtual nanoseconds (zero on the blocking path).
+    pub hidden_ns: u64,
 }
 
 /// A simulated epoch-time breakdown.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Predicted {
     pub compute_s: f64,
+    /// Exposed communication: what the pipeline did not hide.
     pub comm_s: f64,
+    /// Communication hidden behind compute (never more than it).
+    pub hidden_s: f64,
     pub total_s: f64,
 }
 
@@ -220,7 +231,7 @@ mod tests {
             // Never more than the ideal overlap, and the pipelined total
             // never beats max(T_comm, T_comp).
             assert!(hidden <= 1.0 + 1e-12);
-            assert!(d.pipelined_time(&comm, &comp) >= d.overlapped_time(1.0, 1.0) - 1e-12);
+            assert!(d.pipelined_time(&comm, &comp) >= 1.0 - 1e-12);
         }
         // One chunk degenerates to the blocking schedule.
         assert_eq!(d.hidden_time(&[2.0], &[3.0]), 0.0);
@@ -229,27 +240,76 @@ mod tests {
         assert!((hidden - 0.1).abs() < 1e-12);
     }
 
+    /// What `epoch_from_measured` priced before the clock replaced it.
+    fn blocking_price(d: &DeviceModel, r: &MeasuredRank) -> (f64, f64, f64) {
+        let compute = d.compute_time(r.spmm_fma, r.gemm_fma);
+        let comm = d.comm_time(r.bytes_sent, r.messages);
+        (compute, comm, compute + comm + d.epoch_overhead)
+    }
+
     #[test]
     fn measured_epoch_takes_slowest_rank() {
         let d = DeviceModel::a6000_pcie();
         let ranks = vec![
             MeasuredRank {
                 spmm_fma: 1e8,
-                gemm_fma: 0.0,
-                bytes_sent: 0,
-                messages: 0,
+                ..MeasuredRank::default()
             },
             MeasuredRank {
                 spmm_fma: 5e8,
-                gemm_fma: 0.0,
-                bytes_sent: 1 << 20,
-                messages: 4,
+                gemm_fma: 3e7,
+                bytes_sent: (1 << 20) as f64,
+                messages: 4.0,
+                hidden_ns: 0,
             },
         ];
-        let pred = d.epoch_from_measured(&ranks);
-        let slow = d.compute_time(5e8, 0.0);
+        let pred = d.slowest(&ranks);
+        let slow = d.compute_time(5e8, 3e7);
         assert!(pred.compute_s == slow);
         assert!(pred.total_s > slow);
+        // Zero hidden time prices every rank bit for bit as before.
+        for r in &ranks {
+            let t = d.rank_time(r);
+            let (compute, comm, total) = blocking_price(&d, r);
+            assert_eq!(t.compute_s.to_bits(), compute.to_bits());
+            assert_eq!(t.comm_s.to_bits(), comm.to_bits());
+            assert_eq!(t.total_s.to_bits(), total.to_bits());
+            assert_eq!(t.hidden_s, 0.0);
+        }
+        assert_eq!(pred, d.rank_time(&ranks[1]));
+    }
+
+    #[test]
+    fn hidden_time_above_comm_clamps() {
+        let d = DeviceModel {
+            epoch_overhead: 0.25,
+            ..DeviceModel::a6000_pcie()
+        };
+        let r = MeasuredRank {
+            spmm_fma: 6e10,
+            gemm_fma: 0.0,
+            bytes_sent: 2e10,
+            messages: 0.0,
+            hidden_ns: 5_000_000_000,
+        };
+        // One second of compute, one of comm, five "hidden".
+        let t = d.rank_time(&r);
+        assert_eq!(t.comm_s, 0.0);
+        assert_eq!(t.hidden_s, 1.0);
+        assert_eq!(t.total_s, t.compute_s + d.epoch_overhead);
+        // Partly hidden: the rest stays exposed.
+        let t = d.rank_time(&MeasuredRank {
+            hidden_ns: 250_000_000,
+            ..r
+        });
+        assert_eq!((t.comm_s, t.hidden_s), (0.75, 0.25));
+        assert_eq!(t.total_s, 2.0);
+    }
+
+    #[test]
+    fn no_ranks_is_the_default() {
+        let d = DeviceModel::a6000_pcie();
+        assert_eq!(d.slowest(&[]), Predicted::default());
     }
 
     #[test]
@@ -257,6 +317,7 @@ mod tests {
         let p = Predicted {
             compute_s: 0.2,
             comm_s: 0.3,
+            hidden_s: 0.0,
             total_s: 0.5,
         };
         assert!((p.epochs_per_sec() - 2.0).abs() < 1e-12);

@@ -2,32 +2,33 @@
 //!
 //! [`serve`] brings up a simulated cluster once, loads the weight snapshot
 //! on every rank, and drives the whole batch schedule through a single
-//! [`Cluster::run`] call — the persistent worker pool and each rank's
-//! workspace shelf live for the session, so after the first (warmup) batch
-//! every matrix the forward pass needs comes off the shelf without a fresh
+//! [`session`] — the persistent worker pool and each rank's workspace
+//! shelf live for the session, so after the first (warmup) batch every
+//! matrix the forward pass needs comes off the shelf without a fresh
 //! allocation. Batch composition is a pure function of the shared load
 //! stream ([`crate::form_batches`]), so all ranks compute the identical
 //! schedule with zero coordination traffic, the same shared-seed
 //! discipline the paper's §III-F uses for redistribution.
 //!
-//! Latency is *virtual*: each batch's service time is the slowest rank's
-//! device-model compute + communication cost, and completions follow the
-//! one-batch-at-a-time queueing recurrence `dispatch_k = max(close_k,
-//! completion_{k-1})`. Nothing reads the wall clock, so a session replays
-//! byte-identically under a fixed seed — including under fault injection,
-//! whose retransmissions never touch the payload book.
+//! Each rank books every batch with [`book_unit`], between barriers, as
+//! the trainer books an epoch. Latency is *virtual*: a batch's service
+//! time is what [`DeviceModel::slowest`] prices its books at — the clock
+//! training epochs use — and completions follow the one-batch-at-a-time
+//! queueing recurrence `dispatch_k = max(close_k, completion_{k-1})`. The
+//! timeline reads no wall clock, so a session replays byte-identically
+//! under a fixed seed — including under fault injection, whose
+//! retransmissions never touch the payload book.
 
-use rdm_comm::{Cluster, CommStats, FaultPlan};
+use rdm_comm::{CommStats, FaultPlan};
 use rdm_core::infer::forward_logits_with;
-use rdm_core::ops::OpCounters;
+use rdm_core::metrics::{book_unit, session, UnitBook};
 use rdm_core::plan::{resolve, Plan, PlanRequest};
 use rdm_core::{AggCache, Algo, OverlapSpec, WeightSnapshot};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::mat::part_range;
-use rdm_dense::pool;
 use rdm_graph::dataset::Dataset;
 use rdm_graph::sampler::Subgraph;
-use rdm_model::{DeviceModel, GnnShape, Order};
+use rdm_model::{DeviceModel, GnnShape, MeasuredRank, Order};
 use rdm_trace::{EventData, RankTrace, Span};
 
 use crate::batch::{form_batches, Batch, BatchPolicy};
@@ -86,7 +87,8 @@ pub struct ServeConfig {
     /// strips and run the kernels strip by strip
     /// ([`OverlapSpec`]), hiding communication behind compute. The hidden
     /// time lands in the virtual latency timeline (and lets a dispatched
-    /// batch prefetch behind its predecessor); logits stay bitwise
+    /// batch prefetch behind its predecessor; an inert pipeline is timed
+    /// as the blocking session it ran); logits stay bitwise
     /// identical to sequential serving. `None` (default) is the blocking
     /// schedule; `Some(chunks)` needs `chunks >= 2`.
     pub pipeline: Option<usize>,
@@ -160,13 +162,7 @@ pub struct ServeOutput {
 
 /// What one rank records about one batch.
 struct RankBatchRecord {
-    ops: OpCounters,
-    bytes: u64,
-    msgs: u64,
-    ws_fresh: u64,
-    ws_reused: u64,
-    /// Modeled nanoseconds of communication the pipeline hid this batch.
-    overlap_ns: u64,
+    book: UnitBook,
     /// Aggregation-cache accounting (identical on every rank — the
     /// directory is a shared deterministic simulation).
     hits: u64,
@@ -301,15 +297,7 @@ pub fn serve(
         })
         .collect();
 
-    let cluster = match cfg.faults {
-        Some(fp) => Cluster::with_faults(p, fp),
-        None => Cluster::new(p),
-    };
-    let cluster = if cfg.trace { cluster.traced() } else { cluster };
-
-    let out = cluster.run(|ctx| {
-        // Rank threads are fresh per session: pin the kernel path first.
-        kernels::set_mode(cfg.kernels);
+    let out = session(p, cfg.faults, cfg.trace, cfg.kernels, |ctx| {
         let weights = snap.to_weights();
         let ospec = cfg.pipeline.map(|chunks| OverlapSpec {
             chunks,
@@ -319,90 +307,76 @@ pub fn serve(
             cache_active.then(|| AggCache::new(n, p, ctx.rank(), cfg.cache, ds.features.cols()));
         let mut records: Vec<RankBatchRecord> = Vec::with_capacity(batches.len());
         let mut rows: Vec<(usize, Vec<f32>)> = Vec::new();
-        let mut prev_stats = ctx.stats_snapshot();
         // A batch after a directory change re-warms the thinned exchange's
         // buffer shapes; batch 0 is always warmup.
         let mut next_is_warmup = true;
         for (batch, verts) in batches.iter().zip(&batch_verts) {
-            // Align batch boundaries so per-batch deltas of the workspace
-            // and communication books are attributable to one batch.
-            ctx.barrier();
-            let ws0 = pool::stats();
             let warmup = next_is_warmup;
-            next_is_warmup = false;
-            let _bspan = rdm_trace::span(Span::Batch {
+            let span = Span::Batch {
                 idx: batch.idx,
                 size: batch.requests.len(),
-            });
-            for r in &batch.requests {
-                // Admission markers: one Serve span per request, nested in
-                // the batch span, so Chrome traces show batch membership.
-                let _s = rdm_trace::span(Span::Serve {
-                    client: r.client,
-                    req_id: r.req_id,
-                });
-            }
-            let mut ops = OpCounters::default();
-            let skipped = cache.as_ref().map_or(0, |c| c.cached_total() as u64);
-            let (mut hits, mut misses) = (0u64, 0u64);
-            // Resolve what this batch runs on — the whole graph, or the
-            // subgraph induced on the sampler's vertices — and how a
-            // request's target maps to a row of its logits.
-            let sub = verts.as_ref().map(|v| ds.induced(v));
-            let (adj, features) = match &sub {
-                None => (&ds.adj_norm, &ds.features),
-                Some(sub) => (&sub.adj_norm, &sub.features),
             };
-            let local_index_of = |target: u32| match verts {
-                None => target as usize,
-                Some(v) => v
-                    .binary_search(&target)
-                    .expect("sampler always includes batch targets"),
-            };
-            // The aggregation cache indexes rows of the whole graph.
-            let targets: Vec<u32> = batch.requests.iter().map(|r| r.target).collect();
-            let batch_cache = match verts {
-                None => cache.as_mut().map(|c| (c, targets.as_slice())),
-                Some(_) => None,
-            };
-            let (logits, outcome) = forward_logits_with(
-                ctx,
-                adj,
-                features,
-                &weights,
-                &plan,
-                cfg.sparse,
-                ospec.as_ref(),
-                batch_cache,
-                &mut ops,
-            );
-            if let Some(o) = outcome {
-                (hits, misses) = (o.hits, o.misses);
-                next_is_warmup = o.changed();
-                rdm_trace::record(EventData::AggCache {
-                    hits,
-                    misses,
-                    skipped,
-                });
-            }
-            let range = part_range(adj.rows(), p, ctx.rank());
-            for r in &batch.requests {
-                let li = local_index_of(r.target);
-                if range.contains(&li) {
-                    rows.push((r.idx, logits.local.row(li - range.start).to_vec()));
+            let ((hits, misses), book) = book_unit(ctx, span, |ops| {
+                for r in &batch.requests {
+                    // Admission markers: one Serve span per request, nested
+                    // in the batch span, so Chrome traces show batch
+                    // membership.
+                    let _s = rdm_trace::span(Span::Serve {
+                        client: r.client,
+                        req_id: r.req_id,
+                    });
                 }
-            }
-            let ws1 = pool::stats();
-            let now = ctx.stats_snapshot();
-            let delta = now.delta_since(&prev_stats);
-            prev_stats = now;
+                let skipped = cache.as_ref().map_or(0, |c| c.cached_total() as u64);
+                // Resolve what this batch runs on — the whole graph, or the
+                // subgraph induced on the sampler's vertices — and how a
+                // request's target maps to a row of its logits.
+                let sub = verts.as_ref().map(|v| ds.induced(v));
+                let (adj, features) = match &sub {
+                    None => (&ds.adj_norm, &ds.features),
+                    Some(sub) => (&sub.adj_norm, &sub.features),
+                };
+                let local_index_of = |target: u32| match verts {
+                    None => target as usize,
+                    Some(v) => v
+                        .binary_search(&target)
+                        .expect("sampler always includes batch targets"),
+                };
+                // The aggregation cache indexes rows of the whole graph.
+                let targets: Vec<u32> = batch.requests.iter().map(|r| r.target).collect();
+                let batch_cache = match verts {
+                    None => cache.as_mut().map(|c| (c, targets.as_slice())),
+                    Some(_) => None,
+                };
+                let (logits, outcome) = forward_logits_with(
+                    ctx,
+                    adj,
+                    features,
+                    &weights,
+                    &plan,
+                    cfg.sparse,
+                    ospec.as_ref(),
+                    batch_cache,
+                    ops,
+                );
+                next_is_warmup = outcome.as_ref().is_some_and(|o| o.changed());
+                if let Some(o) = &outcome {
+                    rdm_trace::record(EventData::AggCache {
+                        hits: o.hits,
+                        misses: o.misses,
+                        skipped,
+                    });
+                }
+                let range = part_range(adj.rows(), p, ctx.rank());
+                for r in &batch.requests {
+                    let li = local_index_of(r.target);
+                    if range.contains(&li) {
+                        rows.push((r.idx, logits.local.row(li - range.start).to_vec()));
+                    }
+                }
+                outcome.map_or((0, 0), |o| (o.hits, o.misses))
+            });
             records.push(RankBatchRecord {
-                ops,
-                bytes: delta.total_bytes(),
-                msgs: delta.total_messages(),
-                ws_fresh: ws1.fresh - ws0.fresh,
-                ws_reused: ws1.reused - ws0.reused,
-                overlap_ns: delta.overlap_ns,
+                book,
                 hits,
                 misses,
                 warmup,
@@ -425,40 +399,32 @@ pub fn serve(
         return Err(format!("request {miss} was never served"));
     }
 
-    // Virtual timeline: service = slowest rank per batch, one batch in
-    // flight at a time. The pipeline shortens a batch two ways: within
-    // the batch, each rank's recorded overlap time comes off its
-    // comm-exposed total; across batches, a batch dispatched while its
-    // predecessor still runs can prefetch up to its exposed communication
-    // behind that predecessor's compute. With the pipeline off, both
-    // terms are zero and the recurrence is the classic blocking one.
+    // Virtual timeline: service = the clock's slowest rank per batch, one
+    // batch in flight at a time. The pipeline shortens a batch two ways:
+    // within the batch, the clock takes each rank's hidden time off its
+    // comm; across batches, a batch dispatched while its predecessor still
+    // runs can prefetch up to its exposed communication behind that
+    // predecessor's compute. A blocking session — no pipeline, or one
+    // `resolve` declared inert — has neither, and the recurrence is the
+    // classic blocking one.
+    let prefetch = cfg.pipeline.is_some() && resolved.overlap_inert.is_none();
     let mut timings: Vec<BatchTiming> = Vec::with_capacity(batches.len());
     let mut prev_completion = 0u64;
     for batch in &batches {
-        let mut service_raw = 0.0f64;
-        let mut hidden_slowest = 0.0f64;
-        let mut exposed_slowest = 0.0f64;
-        for (_, recs) in &out.results {
-            let r = &recs[batch.idx];
-            let comp = cfg.device.compute_time(r.ops.spmm_fma, r.ops.gemm_fma);
-            let comm = cfg.device.comm_time(r.bytes as f64, r.msgs as f64);
-            let hidden = (r.overlap_ns as f64 / 1.0e9).min(comm);
-            let t = comp + comm - hidden;
-            if t > service_raw {
-                service_raw = t;
-                hidden_slowest = hidden;
-                exposed_slowest = comm - hidden;
-            }
-        }
-        let service_s = service_raw + cfg.device.epoch_overhead;
+        let measured: Vec<MeasuredRank> = out
+            .results
+            .iter()
+            .map(|(_, recs)| recs[batch.idx].book.measured())
+            .collect();
+        let t = cfg.device.slowest(&measured);
         let dispatch_us = batch.close_us.max(prev_completion);
-        let prefetch_us = if cfg.pipeline.is_some() && batch.idx > 0 {
+        let prefetch_us = if prefetch && batch.idx > 0 {
             let busy_us = prev_completion.saturating_sub(batch.close_us);
-            ((exposed_slowest * 1.0e6).round() as u64).min(busy_us)
+            ((t.comm_s * 1.0e6).round() as u64).min(busy_us)
         } else {
             0
         };
-        let service_us = ((service_s * 1.0e6).round() as u64)
+        let service_us = ((t.total_s * 1.0e6).round() as u64)
             .saturating_sub(prefetch_us)
             .max(1);
         let completion_us = dispatch_us + service_us;
@@ -470,7 +436,7 @@ pub fn serve(
             dispatch_us,
             service_us,
             completion_us,
-            overlap_us: ((hidden_slowest * 1.0e6).round() as u64) + prefetch_us,
+            overlap_us: ((t.hidden_s * 1.0e6).round() as u64) + prefetch_us,
         });
     }
 
@@ -498,10 +464,10 @@ pub fn serve(
     for (_, recs) in &out.results {
         for r in recs.iter() {
             if r.warmup {
-                ws_fresh_warmup += r.ws_fresh;
+                ws_fresh_warmup += r.book.ws_fresh;
             } else {
-                ws_fresh_steady += r.ws_fresh;
-                ws_reused_steady += r.ws_reused;
+                ws_fresh_steady += r.book.ws_fresh;
+                ws_reused_steady += r.book.ws_reused;
             }
         }
     }
@@ -848,11 +814,14 @@ mod tests {
         }
         // A one-panel-column grid (r_a = 1) has no redistribution group to
         // pipeline: the session still serves correct logits but reports the
-        // requested pipeline as inert.
-        let mut cfg = ServeConfig::new(4);
-        cfg.ra = Some(1);
-        cfg.plan = Some(Plan::from_id(10, 2, 4).with_ra(1));
-        cfg.pipeline = Some(3);
+        // requested pipeline as inert — and, on a stream dense enough that
+        // batches queue, is timed exactly as the blocking session it ran.
+        let dense = LoadGen::new(17, 3, 1, 32).generate(ds.n());
+        let mut blocking = ServeConfig::new(4);
+        blocking.ra = Some(1);
+        blocking.plan = Some(Plan::from_id(10, 2, 4).with_ra(1));
+        blocking.policy = BatchPolicy::new(2, 2_000);
+        let cfg = blocking.clone().pipelined(3);
         let out = serve(&ds, &snap, &reqs, &cfg).unwrap();
         for (a, b) in base.report.requests.iter().zip(&out.report.requests) {
             assert_eq!(a.logits, b.logits, "r_a=1 drifted on request {}", a.idx);
@@ -862,6 +831,20 @@ mod tests {
             Some("r_a = 1 leaves no redistribution group to pipeline")
         );
         assert!(out.report.render().contains("overlap     inert (r_a = 1"));
+        let queued = serve(&ds, &snap, &dense, &blocking).unwrap();
+        assert!(
+            queued
+                .report
+                .batches
+                .iter()
+                .any(|t| t.dispatch_us > t.close_us),
+            "no batch queued behind its predecessor"
+        );
+        let inert = serve(&ds, &snap, &dense, &cfg).unwrap();
+        assert_eq!(
+            inert.report.batches, queued.report.batches,
+            "an inert pipeline must not prefetch"
+        );
     }
 
     #[test]

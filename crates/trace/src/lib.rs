@@ -42,10 +42,7 @@ pub enum TraceCollective {
     Redistribute,
     Broadcast,
     AllReduce,
-    AllGather,
     Halo,
-    Sampling,
-    Eval,
     Other,
 }
 
@@ -55,10 +52,7 @@ impl TraceCollective {
             TraceCollective::Redistribute => "redistribute",
             TraceCollective::Broadcast => "broadcast",
             TraceCollective::AllReduce => "allreduce",
-            TraceCollective::AllGather => "allgather",
             TraceCollective::Halo => "halo",
-            TraceCollective::Sampling => "sampling",
-            TraceCollective::Eval => "eval",
             TraceCollective::Other => "other",
         }
     }

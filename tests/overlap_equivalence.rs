@@ -54,19 +54,10 @@ fn volumes(r: &TrainReport) -> Vec<Vec<u64>> {
     r.epochs
         .iter()
         .map(|e| {
-            [
-                Redistribute,
-                Broadcast,
-                AllReduce,
-                AllGather,
-                Halo,
-                Sampling,
-                Eval,
-                Other,
-            ]
-            .iter()
-            .map(|&k| e.comm.bytes(k))
-            .collect()
+            [Redistribute, Broadcast, AllReduce, Halo, Other]
+                .iter()
+                .map(|&k| e.comm.bytes(k))
+                .collect()
         })
         .collect()
 }
