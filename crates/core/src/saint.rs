@@ -36,7 +36,7 @@ use crate::plan::{best_plan, Plan, Resolution};
 use crate::trainer::{split_mask, Algo, Model, Targets, Trainer, TrainerConfig};
 use rdm_comm::{CollectiveKind, RankCtx};
 use rdm_dense::Mat;
-use rdm_graph::dataset::{Dataset, Split};
+use rdm_graph::dataset::{Dataset, InducedBatch, Split};
 use rdm_graph::SaintSampler;
 use rdm_model::{DeviceModel, GnnShape};
 
@@ -113,12 +113,18 @@ impl<'a> SaintCommon<'a> {
 pub(crate) struct SaintRdmTrainer<'a> {
     common: SaintCommon<'a>,
     sampler: SaintSampler,
+    /// Every step's subgraph is induced into the same buffers.
+    sub: InducedBatch,
 }
 
 impl<'a> SaintRdmTrainer<'a> {
     pub(crate) fn setup(ds: &'a Dataset, cfg: &TrainerConfig, _: &Resolution, _: &RankCtx) -> Self {
         let (common, sampler) = SaintCommon::sampling(ds, cfg);
-        SaintRdmTrainer { common, sampler }
+        SaintRdmTrainer {
+            common,
+            sampler,
+            sub: InducedBatch::default(),
+        }
     }
 }
 
@@ -134,12 +140,13 @@ impl Trainer for SaintRdmTrainer<'_> {
             if sub.vertices.len() < p.max(4) {
                 continue; // degenerate draw
             }
-            let sd = c.ds.induced(&sub.vertices);
+            let sd = &mut self.sub;
+            c.ds.induced_into(&sub.vertices, sd);
             let plan = c.plan(sd.n(), sd.adj_norm.nnz(), p);
             // Distribute the subgraph inputs (local slicing, no traffic).
             let topo = Topology::full(&sd.adj_norm, ctx);
             let input = input_cache(&sd.features, &topo, ctx);
-            let targets = Targets::of(&sd);
+            let targets = Targets::new(sd.labels.clone(), &sd.split, c.ds.spec.labels);
             c.model
                 .rdm_step(ctx, &topo, input, &plan, &targets, false, None, ops);
         }
@@ -155,12 +162,18 @@ impl Trainer for SaintRdmTrainer<'_> {
 pub(crate) struct SaintDdpTrainer<'a> {
     common: SaintCommon<'a>,
     sampler: SaintSampler,
+    /// This rank's subgraphs are induced into the same buffers.
+    sub: InducedBatch,
 }
 
 impl<'a> SaintDdpTrainer<'a> {
     pub(crate) fn setup(ds: &'a Dataset, cfg: &TrainerConfig, _: &Resolution, _: &RankCtx) -> Self {
         let (common, sampler) = SaintCommon::sampling(ds, cfg);
-        SaintDdpTrainer { common, sampler }
+        SaintDdpTrainer {
+            common,
+            sampler,
+            sub: InducedBatch::default(),
+        }
     }
 }
 
@@ -176,7 +189,8 @@ impl Trainer for SaintDdpTrainer<'_> {
                 .sample(&c.ds.adj, c.draw_seed(20_011, step * p + ctx.rank()));
             let (w, feats) = (&c.model.weights, &c.model.feats);
             let grads: Vec<Mat> = if sub.vertices.len() >= 4 {
-                let sd = c.ds.induced(&sub.vertices);
+                let sd = &mut self.sub;
+                c.ds.induced_into(&sub.vertices, sd);
                 let h = serial::forward(&sd.adj_norm, &sd.features, w);
                 let sub_train = split_mask(&sd.split, Split::Train);
                 let (_, lg) = loss_serial::softmax_xent(h.last().unwrap(), &sd.labels, &sub_train);

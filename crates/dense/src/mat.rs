@@ -178,6 +178,23 @@ impl Mat {
         self.data.fill(0.0);
     }
 
+    /// `out = self[rows, :]`: row `i` of `out` is row `rows[i]` of `self`.
+    /// `out`'s buffer is reused while its capacity suffices and swapped
+    /// for a pool buffer otherwise, so a caller gathering into one `out`
+    /// allocates nothing once it has gathered its largest block.
+    pub fn gather_rows_into(&self, rows: &[u32], out: &mut Mat) {
+        let len = rows.len() * self.cols;
+        if out.data.capacity() < len {
+            pool::give(std::mem::replace(&mut out.data, pool::take_empty(len)));
+        }
+        out.data.clear();
+        for &r in rows {
+            out.data.extend_from_slice(self.row(r as usize));
+        }
+        out.rows = rows.len();
+        out.cols = self.cols;
+    }
+
     /// Copy of rows `r0..r1` as a new matrix.
     pub fn row_block(&self, r0: usize, r1: usize) -> Mat {
         assert!(
@@ -298,6 +315,21 @@ mod tests {
                 assert_eq!(m.get(i, j), if i == j { 1.0 } else { 0.0 });
             }
         }
+    }
+
+    #[test]
+    fn gather_rows_into_reuses_the_buffer_once_large_enough() {
+        let src = Mat::from_fn(5, 3, |i, j| (i * 10 + j) as f32);
+        let mut out = Mat::from_vec(0, 0, Vec::new());
+        src.gather_rows_into(&[4, 0, 2], &mut out);
+        assert_eq!(
+            out,
+            Mat::from_fn(3, 3, |i, j| ([4, 0, 2][i] * 10 + j) as f32)
+        );
+        let buf = out.as_slice().as_ptr();
+        src.gather_rows_into(&[1], &mut out);
+        assert_eq!(out.as_slice(), src.row(1));
+        assert_eq!(out.as_slice().as_ptr(), buf, "a smaller gather reallocated");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdm_dense::Mat;
 use rdm_model::GnnShape;
-use rdm_sparse::{gcn_normalize, Coo, Csr};
+use rdm_sparse::{gcn_normalize, gcn_normalize_induced, Coo, Csr, InduceScratch};
 
 /// Shape parameters of one evaluation dataset — the columns of Table V.
 #[derive(Clone, Debug)]
@@ -203,20 +203,13 @@ impl Dataset {
 
     /// Restrict to an induced subgraph on `keep` (GraphSAINT). Features,
     /// labels and splits are relabelled; the normalized adjacency is
-    /// re-normalized on the subgraph as GraphSAINT does.
+    /// re-normalized on the subgraph as GraphSAINT does. The same bits as
+    /// [`Dataset::induced_into`], plus the raw induced adjacency, in a
+    /// dataset of its own.
     pub fn induced(&self, keep: &[u32]) -> Dataset {
+        let mut batch = InducedBatch::default();
+        self.induced_into(keep, &mut batch);
         let adj = self.adj.induced(keep);
-        let adj_norm = gcn_normalize(&adj);
-        let mut features = Mat::zeros(keep.len(), self.features.cols());
-        let mut labels = Vec::with_capacity(keep.len());
-        let mut split = Vec::with_capacity(keep.len());
-        for (new, &old) in keep.iter().enumerate() {
-            features
-                .row_mut(new)
-                .copy_from_slice(self.features.row(old as usize));
-            labels.push(self.labels[old as usize]);
-            split.push(self.split[old as usize]);
-        }
         Dataset {
             spec: DatasetSpec {
                 name: format!("{}-sub", self.spec.name),
@@ -225,12 +218,31 @@ impl Dataset {
                 ..self.spec.clone()
             },
             adj,
-            adj_norm,
+            adj_norm: batch.adj_norm,
             adj_norm_t: None,
-            features,
-            labels,
-            split,
+            features: batch.features,
+            labels: batch.labels,
+            split: batch.split,
         }
+    }
+
+    /// The subgraph induced on `keep`, into `out`'s reused buffers: the
+    /// GCN-normalised adjacency (one fused pass,
+    /// [`rdm_sparse::gcn_normalize_induced`]) and the relabelled features,
+    /// labels and split. Allocates nothing once `out` has held the
+    /// subgraph of a superset of `keep`'s vertices, in any order.
+    ///
+    /// # Panics
+    /// If `keep` contains an out-of-range or duplicate vertex.
+    pub fn induced_into(&self, keep: &[u32], out: &mut InducedBatch) {
+        gcn_normalize_induced(&self.adj, keep, &mut out.scratch, &mut out.adj_norm);
+        self.features.gather_rows_into(keep, &mut out.features);
+        out.labels.clear();
+        out.labels
+            .extend(keep.iter().map(|&v| self.labels[v as usize]));
+        out.split.clear();
+        out.split
+            .extend(keep.iter().map(|&v| self.split[v as usize]));
     }
 
     /// Switch to GraphSAGE-style mean aggregation (`D̃^{-1}(A+I)`): the
@@ -255,6 +267,41 @@ impl Dataset {
         self.adj_norm_t = Some(m.transpose());
         self.adj_norm = m;
         self
+    }
+}
+
+/// One induced minibatch in buffers that outlive it — what
+/// [`Dataset::induced_into`] fills. A serving rank or a sampling trainer
+/// keeps one for its whole session, so inducing a batch costs no
+/// allocation in steady state.
+#[derive(Debug)]
+pub struct InducedBatch {
+    /// `D̃^{-1/2}(A[keep, keep] + I)D̃^{-1/2}`.
+    pub adj_norm: Csr,
+    /// `keep.len() × f` input features (pool-backed).
+    pub features: Mat,
+    /// Class id per kept vertex.
+    pub labels: Vec<u32>,
+    pub split: Vec<Split>,
+    scratch: InduceScratch,
+}
+
+impl Default for InducedBatch {
+    fn default() -> Self {
+        InducedBatch {
+            adj_norm: Csr::empty(0, 0),
+            features: Mat::from_vec(0, 0, Vec::new()),
+            labels: Vec::new(),
+            split: Vec::new(),
+            scratch: InduceScratch::default(),
+        }
+    }
+}
+
+impl InducedBatch {
+    /// Vertices of the batch's subgraph.
+    pub fn n(&self) -> usize {
+        self.adj_norm.rows()
     }
 }
 

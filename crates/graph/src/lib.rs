@@ -24,7 +24,7 @@ pub mod gen;
 pub mod partition;
 pub mod sampler;
 
-pub use dataset::{paper_datasets, Dataset, DatasetSpec};
+pub use dataset::{paper_datasets, Dataset, DatasetSpec, InducedBatch};
 pub use gen::{erdos_renyi, rmat, sbm, symmetrize};
 pub use partition::{edge_cut, greedy_bfs_partition, random_partition, range_partition};
 pub use sampler::{SaintSampler, Subgraph};

@@ -26,7 +26,7 @@ use rdm_core::plan::{resolve, Plan, PlanRequest};
 use rdm_core::{AggCache, Algo, OverlapSpec, WeightSnapshot};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::mat::part_range;
-use rdm_graph::dataset::Dataset;
+use rdm_graph::dataset::{Dataset, InducedBatch};
 use rdm_graph::sampler::Subgraph;
 use rdm_model::{DeviceModel, GnnShape, MeasuredRank, Order};
 use rdm_trace::{EventData, RankTrace, Span};
@@ -230,6 +230,11 @@ pub fn serve(
                     (induced minibatches have per-batch aggregation matrices)"
             .into());
     }
+    if ds.adj_norm_t.is_some() && matches!(cfg.sampler, ServeSampler::Induced { .. }) {
+        return Err("non-symmetric (mean) aggregation is only supported by the \
+                    full-graph sampler (induced minibatches are GCN-normalised)"
+            .into());
+    }
     let serve_n = match cfg.sampler {
         ServeSampler::Full => n,
         ServeSampler::Induced { budget } => {
@@ -306,6 +311,9 @@ pub fn serve(
         let mut cache =
             cache_active.then(|| AggCache::new(n, p, ctx.rank(), cfg.cache, ds.features.cols()));
         let mut records: Vec<RankBatchRecord> = Vec::with_capacity(batches.len());
+        // This rank's induction arena: every induced batch of the session
+        // is built in the same buffers.
+        let mut induced = InducedBatch::default();
         let mut rows: Vec<(usize, Vec<f32>)> = Vec::new();
         // A batch after a directory change re-warms the thinned exchange's
         // buffer shapes; batch 0 is always warmup.
@@ -330,10 +338,12 @@ pub fn serve(
                 // Resolve what this batch runs on — the whole graph, or the
                 // subgraph induced on the sampler's vertices — and how a
                 // request's target maps to a row of its logits.
-                let sub = verts.as_ref().map(|v| ds.induced(v));
-                let (adj, features) = match &sub {
+                let (adj, features) = match verts {
                     None => (&ds.adj_norm, &ds.features),
-                    Some(sub) => (&sub.adj_norm, &sub.features),
+                    Some(v) => {
+                        ds.induced_into(v, &mut induced);
+                        (&induced.adj_norm, &induced.features)
+                    }
                 };
                 let local_index_of = |target: u32| match verts {
                     None => target as usize,
@@ -650,6 +660,30 @@ mod tests {
         cfg.sampler = ServeSampler::Induced { budget: 48 };
         cfg.cache = 8;
         assert!(serve(&ds, &snap, &reqs, &cfg).is_err());
+    }
+
+    /// Induced minibatches are GCN-normalised, so a dataset built with
+    /// another aggregation is refused rather than silently served with a
+    /// different matrix; the full-graph sampler serves its own aggregation.
+    #[test]
+    fn induced_sampler_refuses_non_symmetric_aggregation() {
+        let (ds, snap) = setup();
+        let reqs = LoadGen::new(3, 2, 20, 16).generate(ds.n());
+        let mut induced = ServeConfig::new(2);
+        induced.sampler = ServeSampler::Induced { budget: 48 };
+        assert!(serve(&ds, &snap, &reqs, &induced).is_ok());
+        for agg in [
+            Dataset::with_mean_aggregation,
+            Dataset::with_row_aggregation,
+        ] {
+            let ds = agg(ds.clone());
+            assert_eq!(
+                serve(&ds, &snap, &reqs, &induced).unwrap_err(),
+                "non-symmetric (mean) aggregation is only supported by the \
+                 full-graph sampler (induced minibatches are GCN-normalised)"
+            );
+            assert!(serve(&ds, &snap, &reqs, &ServeConfig::new(2)).is_ok());
+        }
     }
 
     /// Pipelined admission must keep logits bitwise identical while the

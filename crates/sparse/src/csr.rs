@@ -48,20 +48,19 @@ impl Coo {
             vals[slot] = v;
             cursor[r as usize] += 1;
         }
-        // Sort within each row and coalesce duplicates.
+        // Sort within each row (through one reused row buffer) and coalesce
+        // duplicates.
         let mut out_indptr = vec![0usize; self.rows + 1];
         let mut out_cols = Vec::with_capacity(cols.len());
         let mut out_vals = Vec::with_capacity(vals.len());
+        let mut row: Vec<(u32, f32)> = Vec::new();
         for r in 0..self.rows {
             let (s, e) = (counts[r], counts[r + 1]);
-            let mut row: Vec<(u32, f32)> = cols[s..e]
-                .iter()
-                .copied()
-                .zip(vals[s..e].iter().copied())
-                .collect();
+            row.clear();
+            row.extend(cols[s..e].iter().copied().zip(vals[s..e].iter().copied()));
             row.sort_unstable_by_key(|&(c, _)| c);
             let mut last: Option<usize> = None;
-            for (c, v) in row {
+            for &(c, v) in &row {
                 match last {
                     Some(idx) if out_cols[idx] == c => out_vals[idx] += v,
                     _ => {
@@ -109,6 +108,34 @@ impl PartialEq for Csr {
             && self.indptr == other.indptr
             && self.indices == other.indices
             && self.vals == other.vals
+    }
+}
+
+/// Reusable working memory of submatrix induction ([`Csr::induced`],
+/// [`crate::gcn_normalize_induced`]). A caller that induces many subgraphs
+/// of one matrix — a serving rank per batch, a GraphSAINT trainer per step
+/// — keeps one and pays no fill and no allocation per call once it has
+/// seen its largest matrix and row.
+#[derive(Debug, Default)]
+pub struct InduceScratch {
+    /// Old vertex → new index, `u32::MAX` for a vertex not kept. All
+    /// `u32::MAX` between calls: a call stamps its `keep` entries before
+    /// the pass and clears exactly those after it, so no call pays an
+    /// `O(N)` fill.
+    remap: Vec<u32>,
+    /// One row's kept `(new column, value)` pairs, sorted in place when
+    /// `keep` is not increasing (a non-monotone remap scrambles column
+    /// order).
+    row: Vec<(u32, f32)>,
+    /// Per-row `D̃^{-1/2}` of the matrix being normalised.
+    pub(crate) inv_sqrt: Vec<f32>,
+}
+
+impl InduceScratch {
+    /// Whether the remap holds no vertex — the between-calls invariant,
+    /// which also holds after a call that panicked on a bad `keep`.
+    pub fn is_clear(&self) -> bool {
+        self.remap.iter().all(|&m| m == u32::MAX)
     }
 }
 
@@ -442,34 +469,121 @@ impl Csr {
     /// # Panics
     /// If `keep` contains an out-of-range or duplicate vertex.
     pub fn induced(&self, keep: &[u32]) -> Csr {
-        let mut remap = vec![u32::MAX; self.cols.max(self.rows)];
-        for (new, &old) in keep.iter().enumerate() {
-            assert!((old as usize) < self.rows && (old as usize) < self.cols);
-            assert!(remap[old as usize] == u32::MAX, "duplicate vertex {old}");
-            remap[old as usize] = new as u32;
+        let mut out = Csr::empty(0, 0);
+        self.induce_into(keep, false, &mut InduceScratch::default(), &mut out);
+        out
+    }
+
+    /// `A[keep, keep]`, plus `I` when `self_loops`, into `out`, whose
+    /// buffers are cleared and reused (and whose cached partition and
+    /// support are dropped). Each row's kept entries pass through
+    /// `scratch`'s row buffer, already in column order when `keep` is
+    /// increasing (the remap is then monotone) and sorted in place
+    /// otherwise. The self-loop is merged in the scan that writes the row —
+    /// added to an existing diagonal entry, else inserted with weight 1.
+    ///
+    /// Allocates nothing once `scratch` and `out` have served a superset
+    /// of `keep`'s vertices from the same matrix, in any order.
+    ///
+    /// # Panics
+    /// If `keep` contains an out-of-range or duplicate vertex; `scratch`
+    /// is left clear.
+    pub(crate) fn induce_into(
+        &self,
+        keep: &[u32],
+        self_loops: bool,
+        scratch: &mut InduceScratch,
+        out: &mut Csr,
+    ) {
+        let InduceScratch { remap, row, .. } = scratch;
+        let span = self.rows.max(self.cols);
+        if remap.len() < span {
+            remap.resize(span, u32::MAX);
         }
+        for (new, &old) in keep.iter().enumerate() {
+            let o = old as usize;
+            let in_range = o < self.rows && o < self.cols;
+            if !in_range || remap[o] != u32::MAX {
+                keep[..new]
+                    .iter()
+                    .for_each(|&k| remap[k as usize] = u32::MAX);
+                assert!(
+                    in_range,
+                    "vertex {old} outside a {}x{} matrix",
+                    self.rows, self.cols
+                );
+                panic!("duplicate vertex {old}");
+            }
+            remap[o] = new as u32;
+        }
+        let increasing = keep.windows(2).all(|w| w[0] < w[1]);
         let n = keep.len();
-        let mut indptr = vec![0usize; n + 1];
-        let mut indices = Vec::new();
-        let mut vals = Vec::new();
+        // Every kept row's full degree (plus its self-loop) bounds what it
+        // keeps, so the arrays grow at most once per call.
+        let bound = keep
+            .iter()
+            .map(|&k| self.row(k as usize).0.len())
+            .sum::<usize>()
+            + if self_loops { n } else { 0 };
+        out.reset(n, n, bound);
         for (new_r, &old_r) in keep.iter().enumerate() {
             let (cs, vs) = self.row(old_r as usize);
-            let mut row: Vec<(u32, f32)> = cs
-                .iter()
-                .zip(vs)
-                .filter_map(|(&c, &v)| {
-                    let nc = remap[c as usize];
-                    (nc != u32::MAX).then_some((nc, v))
-                })
-                .collect();
-            row.sort_unstable_by_key(|&(c, _)| c);
-            for (c, v) in row {
-                indices.push(c);
-                vals.push(v);
+            row.clear();
+            row.extend(cs.iter().zip(vs).filter_map(|(&c, &v)| {
+                let nc = remap[c as usize];
+                (nc != u32::MAX).then_some((nc, v))
+            }));
+            if !increasing {
+                row.sort_unstable_by_key(|&(c, _)| c);
             }
-            indptr[new_r + 1] = indices.len();
+            out.push_row(row, self_loops.then_some(new_r as u32));
         }
-        Csr::assemble(n, n, indptr, indices, vals)
+        keep.iter().for_each(|&k| remap[k as usize] = u32::MAX);
+    }
+
+    /// Empty this matrix to `rows × cols` with no rows pushed yet, keeping
+    /// its buffers, with room for `nnz` entries.
+    fn reset(&mut self, rows: usize, cols: usize, nnz: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.indptr.clear();
+        self.indptr.reserve(rows + 1);
+        self.indptr.push(0);
+        self.indices.clear();
+        self.indices.reserve(nnz);
+        self.vals.clear();
+        self.vals.reserve(nnz);
+        self.panels = OnceLock::new();
+        self.support = OnceLock::new();
+    }
+
+    /// Append one row from column-sorted entries, merging a self-loop at
+    /// column `diag` (see [`Csr::induce_into`]).
+    fn push_row(&mut self, entries: &[(u32, f32)], mut diag: Option<u32>) {
+        for &(c, mut v) in entries {
+            if let Some(d) = diag.filter(|&d| d <= c) {
+                if d == c {
+                    v += 1.0;
+                } else {
+                    self.indices.push(d);
+                    self.vals.push(1.0);
+                }
+                diag = None;
+            }
+            self.indices.push(c);
+            self.vals.push(v);
+        }
+        if let Some(d) = diag {
+            self.indices.push(d);
+            self.vals.push(1.0);
+        }
+        self.indptr.push(self.indices.len());
+    }
+
+    /// Row pointers and column indices beside mutable values — for
+    /// in-place rescaling that reads the structure as it goes.
+    pub(crate) fn parts_mut(&mut self) -> (&[usize], &[u32], &mut [f32]) {
+        (&self.indptr, &self.indices, &mut self.vals)
     }
 
     /// Apply the same permutation to rows and columns:

@@ -9,12 +9,14 @@
 //!   vertex-partitioned DGCL baseline), permutation.
 //! * [`mod@spmm`] — rayon-parallel `C = A·B` for CSR `A` and dense `B`, plus the
 //!   masked variant from §III-F.
-//! * [`norm`] — the GCN symmetric normalization `D^{-1/2}(A+I)D^{-1/2}`.
+//! * [`norm`] — the GCN symmetric normalization `D^{-1/2}(A+I)D^{-1/2}`,
+//!   of a whole matrix or fused with induction into reused buffers
+//!   ([`gcn_normalize_induced`]).
 
 pub mod csr;
 pub mod norm;
 pub mod spmm;
 
-pub use csr::{balanced_panels, Coo, Csr};
-pub use norm::{gcn_normalize, mean_normalize, row_normalize};
+pub use csr::{balanced_panels, Coo, Csr, InduceScratch};
+pub use norm::{gcn_normalize, gcn_normalize_induced, mean_normalize, row_normalize};
 pub use spmm::{spmm, spmm_acc, spmm_masked, spmm_skip};

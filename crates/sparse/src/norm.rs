@@ -1,6 +1,6 @@
 //! Graph normalizations for GCN.
 
-use crate::csr::{Coo, Csr};
+use crate::csr::{Csr, InduceScratch};
 
 /// The GCN symmetric normalization of Kipf & Welling:
 /// `Â = D̃^{-1/2} (A + I) D̃^{-1/2}` where `D̃` is the degree matrix of
@@ -8,28 +8,47 @@ use crate::csr::{Coo, Csr};
 /// with weight 1 (existing diagonal entries are summed with the added loop,
 /// matching the CAGNET normalization code reused by the paper).
 ///
+/// The identity-`keep` case of [`gcn_normalize_induced`].
+///
 /// # Panics
 /// If `a` is not square.
 pub fn gcn_normalize(a: &Csr) -> Csr {
     assert_eq!(a.rows(), a.cols(), "gcn_normalize needs a square matrix");
-    let n = a.rows();
-    // A + I
-    let mut coo = Coo::new(n, n);
-    for r in 0..n {
-        let (cs, vs) = a.row(r);
-        for (&c, &v) in cs.iter().zip(vs) {
-            coo.push(r as u32, c, v);
+    let mut out = Csr::empty(0, 0);
+    gcn_normalize_induced(a, &all_vertices(a), &mut InduceScratch::default(), &mut out);
+    out
+}
+
+/// The GCN normalization of the subgraph induced on `keep`,
+/// `D̃^{-1/2}(A[keep, keep] + I)D̃^{-1/2}`, into `out` — one induction
+/// pass plus one in-place scaling pass, reusing `out`'s and `scratch`'s
+/// buffers. Vertex `keep[i]` becomes row and column `i`.
+///
+/// Bitwise `gcn_normalize(&a.induced(keep))`: each degree is summed in
+/// column order as [`Csr::row_sums`] does, and each value scaled as
+/// `v * (s_r * s_c)`.
+///
+/// # Panics
+/// If `keep` contains an out-of-range or duplicate vertex.
+pub fn gcn_normalize_induced(a: &Csr, keep: &[u32], scratch: &mut InduceScratch, out: &mut Csr) {
+    a.induce_into(keep, true, scratch, out);
+    let s = &mut scratch.inv_sqrt;
+    s.clear();
+    s.extend((0..out.rows()).map(|r| {
+        let d: f32 = out.row(r).1.iter().sum();
+        if d > 0.0 {
+            1.0 / d.sqrt()
+        } else {
+            0.0
         }
-        coo.push(r as u32, r as u32, 1.0);
+    }));
+    let (indptr, indices, vals) = out.parts_mut();
+    for (r, w) in indptr.windows(2).enumerate() {
+        let sr = s[r];
+        for idx in w[0]..w[1] {
+            vals[idx] *= sr * s[indices[idx] as usize];
+        }
     }
-    let a_tilde = coo.to_csr();
-    // D̃^{-1/2}
-    let deg = a_tilde.row_sums();
-    let inv_sqrt: Vec<f32> = deg
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
-    scale_sym(&a_tilde, &inv_sqrt)
 }
 
 /// GraphSAGE-style mean aggregation: `D̃^{-1}(A + I)` — each vertex
@@ -41,56 +60,49 @@ pub fn gcn_normalize(a: &Csr) -> Csr {
 /// If `a` is not square.
 pub fn mean_normalize(a: &Csr) -> Csr {
     assert_eq!(a.rows(), a.cols(), "mean_normalize needs a square matrix");
-    let n = a.rows();
-    let mut coo = Coo::new(n, n);
-    for r in 0..n {
-        let (cs, vs) = a.row(r);
-        for (&c, &v) in cs.iter().zip(vs) {
-            coo.push(r as u32, c, v);
-        }
-        coo.push(r as u32, r as u32, 1.0);
-    }
-    row_normalize(&coo.to_csr())
+    let mut out = Csr::empty(0, 0);
+    a.induce_into(
+        &all_vertices(a),
+        true,
+        &mut InduceScratch::default(),
+        &mut out,
+    );
+    row_normalize_in_place(&mut out);
+    out
 }
 
 /// Row normalization `D^{-1} A` (mean aggregation). Rows with zero degree
 /// stay zero.
 pub fn row_normalize(a: &Csr) -> Csr {
-    let deg = a.row_sums();
     let mut out = a.clone();
-    let indptr: Vec<usize> = out.indptr().to_vec();
-    let vals = out.vals_mut();
-    for r in 0..indptr.len() - 1 {
-        let d = deg[r];
+    row_normalize_in_place(&mut out);
+    out
+}
+
+fn row_normalize_in_place(a: &mut Csr) {
+    let (indptr, _, vals) = a.parts_mut();
+    for w in indptr.windows(2) {
+        let row = &mut vals[w[0]..w[1]];
+        let d: f32 = row.iter().sum();
         if d == 0.0 {
             continue;
         }
         let inv = 1.0 / d;
-        for v in &mut vals[indptr[r]..indptr[r + 1]] {
+        for v in row {
             *v *= inv;
         }
     }
-    out
 }
 
-/// `diag(s) · A · diag(s)` without changing structure.
-fn scale_sym(a: &Csr, s: &[f32]) -> Csr {
-    let mut out = a.clone();
-    let indptr: Vec<usize> = out.indptr().to_vec();
-    let indices: Vec<u32> = out.indices().to_vec();
-    let vals = out.vals_mut();
-    for r in 0..indptr.len() - 1 {
-        let sr = s[r];
-        for idx in indptr[r]..indptr[r + 1] {
-            vals[idx] *= sr * s[indices[idx] as usize];
-        }
-    }
-    out
+/// `0..n` for an `n × n` matrix: the `keep` that induces all of it.
+fn all_vertices(a: &Csr) -> Vec<u32> {
+    (0..a.rows() as u32).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Coo;
 
     fn path_graph(n: usize) -> Csr {
         let mut coo = Coo::new(n, n);
