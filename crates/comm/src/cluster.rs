@@ -80,9 +80,12 @@ impl Cluster {
 
     /// Run `f` on every rank concurrently and wait for all to finish.
     ///
-    /// The closure receives a [`RankCtx`] scoped to its rank. After all
-    /// ranks return, the fabric is checked for unconsumed messages — leaving
-    /// any behind indicates mismatched collective calls and panics.
+    /// The closure receives a [`RankCtx`] scoped to its rank. Each rank's
+    /// kernels run on `max(1, cores / P)` of the host's cores
+    /// ([`rdm_dense::rank_share`]), so no rank's kernels recruit helper
+    /// threads onto another rank's cores. After all ranks return, the
+    /// fabric is checked for unconsumed messages — leaving any behind
+    /// indicates mismatched collective calls and panics.
     pub fn run<T, F>(&self, f: F) -> RunOutput<T>
     where
         T: Send,
@@ -91,6 +94,7 @@ impl Cluster {
         let fabric = Arc::new(Fabric::with_faults(self.p, self.plan));
         let barrier = Arc::new(Barrier::new(self.p));
         let trace = self.trace;
+        let share = rdm_dense::rank_share(self.p);
         type Slot<T> = Option<(T, CommStats, Option<rdm_trace::RankTrace>)>;
         let mut slots: Vec<Slot<T>> = (0..self.p).map(|_| None).collect();
         std::thread::scope(|scope| {
@@ -109,7 +113,7 @@ impl Cluster {
                         barrier,
                         stats: RefCell::new(CommStats::default()),
                     };
-                    let out = f(&ctx);
+                    let out = rdm_dense::with_share(share, || f(&ctx));
                     *slot = Some((out, ctx.stats.into_inner(), rdm_trace::uninstall()));
                 }));
             }
@@ -260,6 +264,15 @@ mod tests {
         let out = Cluster::new(4).run(|ctx| ctx.rank() * 10);
         assert_eq!(out.results, vec![0, 10, 20, 30]);
         assert_eq!(out.stats.len(), 4);
+    }
+
+    #[test]
+    fn every_rank_runs_on_its_share_of_the_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for p in [1usize, 2, 3, cores, cores + 1] {
+            let out = Cluster::new(p).run(|_| rdm_dense::current_num_threads());
+            assert_eq!(out.results, vec![(cores / p).max(1); p], "P = {p}");
+        }
     }
 
     #[test]

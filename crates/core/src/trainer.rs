@@ -14,7 +14,7 @@
 use crate::adam::Adam;
 use crate::dist::{DistMat, FormCache};
 use crate::gcn::{activate, input_cache, rdm_backward, rdm_forward, GcnWeights, OverlapSpec};
-use crate::loss::{accuracy, softmax_xent, LossSpec};
+use crate::loss::{score, LossSpec, Scores};
 use crate::metrics::{book_unit, session, EpochMetrics, RankEpoch, TrainReport};
 use crate::ops::{dist_gemm, weight_grad, OpCounters, Topology};
 use crate::plan::{Plan, PlanRequest, Resolution};
@@ -356,11 +356,14 @@ impl Model {
         let (w, feats) = (&self.weights, &self.feats);
         let mut art = rdm_forward(ctx, topo, input, w, plan, overlap, ops);
         let logits = art.logits_row(topo, ctx);
-        let (loss, lgrad) = softmax_xent(&logits, &targets.loss_spec(), ctx);
-        let acc = measure.then(|| targets.accuracies(&logits, ctx));
-        let back = rdm_backward(ctx, topo, &mut art, w, plan, lgrad, feats, overlap, ops);
+        let Scores {
+            loss,
+            grad,
+            accuracy,
+        } = targets.score(&logits, measure, ctx);
+        let back = rdm_backward(ctx, topo, &mut art, w, plan, grad, feats, overlap, ops);
         self.adam.step(&mut self.weights.w, &back.weight_grads);
-        (loss, acc)
+        (loss, accuracy)
     }
 }
 
@@ -394,22 +397,15 @@ impl Targets {
         Self::new(ds.labels.clone(), &ds.split, ds.spec.labels)
     }
 
-    /// The training loss over this split.
-    fn loss_spec(&self) -> LossSpec<'_> {
-        LossSpec {
+    /// Loss and gradient of row-sliced logits over the training set and,
+    /// with `measure`, train and test accuracy: one sweep, one all-reduce.
+    fn score(&self, logits: &DistMat, measure: bool, ctx: &RankCtx) -> Scores {
+        let spec = LossSpec {
             labels: &self.labels,
             mask: &self.train,
             num_classes: self.classes,
-        }
-    }
-
-    /// Train and test accuracy of row-sliced logits (one all-reduce each,
-    /// in that order).
-    fn accuracies(&self, logits: &DistMat, ctx: &RankCtx) -> (f32, f32) {
-        (
-            accuracy(logits, &self.labels, &self.train, ctx),
-            accuracy(logits, &self.labels, &self.test, ctx),
-        )
+        };
+        score(logits, &spec, measure.then_some(&self.test[..]), ctx)
     }
 }
 
@@ -439,13 +435,12 @@ impl<A: RowAggregation> Trainer for RowTrainer<A> {
             let t = self.agg.aggregate(&h[l - 1], ctx, ops);
             h.push(activate(dist_gemm(&t, &w[l - 1], false, ops), l < layers));
         }
-        let logits = &h[layers];
-        let (loss, lg) = softmax_xent(logits, &self.targets.loss_spec(), ctx);
-        let (train_acc, test_acc) = self.targets.accuracies(logits, ctx);
+        let scores = self.targets.score(&h[layers], true, ctx);
+        let (train_acc, test_acc) = scores.accuracy.expect("a measured score has accuracies");
         // Backward: reuse Â·Gˡ for both the weight gradient and the
         // propagated gradient.
         let mut grads: Vec<Mat> = Vec::with_capacity(layers);
-        let mut g = lg;
+        let mut g = scores.grad;
         for l in (1..=layers).rev() {
             let t = self.agg.aggregate(&g, ctx, ops);
             grads.push(weight_grad(&h[l - 1], &t, ctx, ops));
@@ -458,7 +453,7 @@ impl<A: RowAggregation> Trainer for RowTrainer<A> {
         grads.reverse();
         let m = &mut self.model;
         m.adam.step(&mut m.weights.w, &grads);
-        (loss, train_acc, test_acc)
+        (scores.loss, train_acc, test_acc)
     }
 
     fn weights(&self) -> &GcnWeights {

@@ -31,4 +31,8 @@ pub use ops::{
     add_assign, allclose, hadamard, log_softmax_rows, max_abs_diff, relu, relu_backward, scale,
     softmax_rows,
 };
+/// The worker pool's per-thread share of the host's cores, for crates that
+/// size it without depending on the pool (the cluster driver gives each
+/// of its `P` rank threads `rank_share(P)`).
+pub use rayon::{current_num_threads, rank_share, with_share};
 pub use split::{hstack, merge_col_chunks, merge_row_chunks, split_cols, split_rows, vstack};

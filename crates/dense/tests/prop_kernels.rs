@@ -4,11 +4,15 @@
 //! ragged shapes (m/n/k deliberately not multiples of the lane width, the
 //! row tile or the `k` block), zero dimensions and single rows, with `A`
 //! passed through ReLU so the reference's zero-skip really skips, and a
-//! non-zero `C` under the accumulating forms.
+//! non-zero `C` under the accumulating forms. Every width also runs under
+//! pool shares 1, 2 and 3 and inside a forced pooled job: neither the
+//! panel cut nor the runner count shows in the bits.
 
 use proptest::prelude::*;
+use rayon::internals::run_pooled;
 use rdm_dense::kernels::{with_mode, Mode, Width};
-use rdm_dense::{gemm, gemm_acc, gemm_nt, gemm_tn, gemm_tn_acc, relu, Mat};
+use rdm_dense::{gemm, gemm_acc, gemm_nt, gemm_tn, gemm_tn_acc, relu, with_share, Mat};
+use std::sync::Mutex;
 
 fn assert_bitwise(fast: &Mat, scalar: &Mat, label: &str) {
     assert_eq!(fast.shape(), scalar.shape(), "{label}: shape");
@@ -44,13 +48,39 @@ fn all_variants(m: usize, k: usize, n: usize, seed: u64) -> [Mat; 5] {
     ]
 }
 
-/// Every width against the scalar reference on one shape.
+/// `f` at pool shares 1, 2 and 3 (3 is above a 2-core host's cores: tasks
+/// are cut for three runners while only the pool's workers join), then
+/// three copies at once inside one forced pooled job, on the caller and
+/// two pool workers.
+fn on_every_share<T: Send>(f: impl Fn() -> T + Sync) -> Vec<(String, T)> {
+    let mut out: Vec<(String, T)> = [1, 2, 3]
+        .map(|s| (format!("share {s}"), with_share(s, &f)))
+        .into();
+    let pooled = Mutex::new(Vec::new());
+    run_pooled(3, 2, |i| {
+        let got = f();
+        pooled
+            .lock()
+            .unwrap()
+            .push((format!("pooled copy {i}"), got));
+    });
+    out.extend(pooled.into_inner().unwrap());
+    out
+}
+
+/// Every width, at every share, against the scalar reference on one shape.
 fn assert_all_widths_bitwise(m: usize, k: usize, n: usize, seed: u64) {
     let scalar = with_mode(Mode::Scalar, || all_variants(m, k, n, seed));
     for width in Width::all() {
-        let fast = with_mode(Mode::Fast(width), || all_variants(m, k, n, seed));
-        for (v, (f, s)) in fast.iter().zip(&scalar).enumerate() {
-            assert_bitwise(f, s, &format!("{width:?} variant {v} ({m}x{k}x{n})"));
+        let runs = on_every_share(|| with_mode(Mode::Fast(width), || all_variants(m, k, n, seed)));
+        for (share, fast) in &runs {
+            for (v, (f, s)) in fast.iter().zip(&scalar).enumerate() {
+                assert_bitwise(
+                    f,
+                    s,
+                    &format!("{width:?} {share} variant {v} ({m}x{k}x{n})"),
+                );
+            }
         }
     }
 }
@@ -100,4 +130,6 @@ fn pooled_panels_are_bitwise_scalar() {
     // (gemm: 64-row panels; gemm_tn: 16-row panels), each swept over
     // three k blocks: neither the cut nor the worker count shows.
     assert_all_widths_bitwise(150, 300, 40, 99);
+    // Tall enough that `gemm_tn`'s panel height follows the share.
+    assert_all_widths_bitwise(40, 520, 24, 98);
 }

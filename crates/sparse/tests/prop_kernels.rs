@@ -6,13 +6,18 @@
 //! sweep, so the contract is **bitwise** at every width for all three
 //! entry points. All three are one driver, so at any one width the
 //! row-skip kernel's kept rows, skipping nothing and masking nothing must
-//! also be bitwise the dense kernel (`assert_seams`).
+//! also be bitwise the dense kernel (`assert_seams`). Every width also
+//! runs under pool shares 1, 2 and 3, each on a fresh matrix whose
+//! nnz-balanced panels are cut for that share, and inside a forced pooled
+//! job: neither the panel count nor the runner count shows in the bits.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+use rayon::internals::run_pooled;
 use rdm_dense::kernels::{with_mode, Mode, Width};
-use rdm_dense::Mat;
+use rdm_dense::{with_share, Mat};
 use rdm_sparse::{spmm, spmm_masked, spmm_skip, Coo, Csr};
+use std::sync::Mutex;
 
 fn assert_bitwise(fast: &Mat, scalar: &Mat, label: &str) {
     assert_eq!(fast.shape(), scalar.shape(), "{label}: shape");
@@ -104,22 +109,56 @@ fn all_entry_points(a: &Csr, b: &Mat, mask: &[bool], skip: &[bool]) -> [Mat; 3] 
     [spmm(a, b), spmm_masked(a, b, mask), spmm_skip(a, b, skip)]
 }
 
-/// Every width against the scalar reference, all three entry points.
+/// `f` at pool shares 1, 2 and 3 (3 is above a 2-core host's cores: tasks
+/// are cut for three runners while only the pool's workers join), then
+/// three copies at once inside one forced pooled job, on the caller and
+/// two pool workers.
+fn on_every_share<T: Send>(f: impl Fn() -> T + Sync) -> Vec<(String, T)> {
+    let mut out: Vec<(String, T)> = [1, 2, 3]
+        .map(|s| (format!("share {s}"), with_share(s, &f)))
+        .into();
+    let pooled = Mutex::new(Vec::new());
+    run_pooled(3, 2, |i| {
+        let got = f();
+        pooled
+            .lock()
+            .unwrap()
+            .push((format!("pooled copy {i}"), got));
+    });
+    out.extend(pooled.into_inner().unwrap());
+    out
+}
+
+/// `a` without its cached panel partition, so the next SpMM cuts panels
+/// for the calling thread's share.
+fn uncut(a: &Csr) -> Csr {
+    let (indptr, indices, vals) = (a.indptr().to_vec(), a.indices().to_vec(), a.vals().to_vec());
+    Csr::from_parts(a.rows(), a.cols(), indptr, indices, vals)
+}
+
+/// Every width, at every share, against the scalar reference, all three
+/// entry points.
 fn assert_all_widths_bitwise(a: &Csr, b: &Mat, seed: u64, label: &str) {
     let mask = mask_for(a, seed);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 1);
     let skip: Vec<bool> = (0..a.rows()).map(|_| rng.gen_bool(0.4)).collect();
     let scalar = with_mode(Mode::Scalar, || all_entry_points(a, b, &mask, &skip));
     for width in Width::all() {
-        let fast = with_mode(Mode::Fast(width), || {
-            assert_seams(a, b, seed + 2, &format!("{width:?} {label}"));
-            all_entry_points(a, b, &mask, &skip)
+        with_mode(Mode::Fast(width), || {
+            assert_seams(a, b, seed + 2, &format!("{width:?} {label}"))
         });
-        for (name, (f, s)) in ["spmm", "masked", "skip"]
-            .iter()
-            .zip(fast.iter().zip(&scalar))
-        {
-            assert_bitwise(f, s, &format!("{width:?} {name} {label}"));
+        let runs = on_every_share(|| {
+            with_mode(Mode::Fast(width), || {
+                all_entry_points(&uncut(a), b, &mask, &skip)
+            })
+        });
+        for (share, fast) in &runs {
+            for (name, (f, s)) in ["spmm", "masked", "skip"]
+                .iter()
+                .zip(fast.iter().zip(&scalar))
+            {
+                assert_bitwise(f, s, &format!("{width:?} {share} {name} {label}"));
+            }
         }
     }
 }
