@@ -172,11 +172,9 @@ impl DistMat {
     }
 }
 
-/// Both layouts of one logical tensor, populated lazily.
-///
-/// `require_*` returns the requested layout, redistributing (and caching)
-/// if only the other exists — the charge is visible in the rank's comm
-/// stats, so tests can assert which accesses were free.
+/// Both layouts of one logical tensor, each present once materialized.
+/// Which layouts exist, and when one is converted or dropped, is the
+/// schedule's business (`rdm_model::schedule`), not the cache's.
 #[derive(Clone, Debug, Default)]
 pub struct FormCache {
     pub row: Option<DistMat>,
@@ -211,46 +209,29 @@ impl FormCache {
 
     /// Insert a layout (overwrites the slot).
     pub fn put(&mut self, m: DistMat) {
-        match m.dist {
-            Dist::Row => self.row = Some(m),
-            Dist::Col => self.col = Some(m),
+        let form = m.dist;
+        *self.layout(form) = Some(m);
+    }
+
+    /// The slot of layout `form`.
+    pub(crate) fn layout(&mut self, form: Dist) -> &mut Option<DistMat> {
+        match form {
+            Dist::Row => &mut self.row,
+            Dist::Col => &mut self.col,
         }
     }
 
-    /// Get the row form, converting from the tile/column form under the
-    /// given topology if needed.
-    pub fn require_row(
-        &mut self,
-        topo: &crate::ops::Topology,
-        ctx: &RankCtx,
-        kind: CollectiveKind,
-    ) -> &DistMat {
-        if self.row.is_none() {
-            let col = self
-                .col
-                .as_ref()
-                .expect("FormCache is empty: no layout to redistribute from");
-            self.row = Some(topo.tile_to_row(col, ctx, kind));
+    /// Layout `form`.
+    ///
+    /// # Panics
+    /// If it was never materialized.
+    pub(crate) fn get(&self, form: Dist) -> &DistMat {
+        match form {
+            Dist::Row => &self.row,
+            Dist::Col => &self.col,
         }
-        self.row.as_ref().unwrap()
-    }
-
-    /// Get the tile/column form, converting from the row form under the
-    /// given topology if needed.
-    pub fn require_col(
-        &mut self,
-        topo: &crate::ops::Topology,
-        ctx: &RankCtx,
-        kind: CollectiveKind,
-    ) -> &DistMat {
-        if self.col.is_none() {
-            let row = self
-                .row
-                .as_ref()
-                .expect("FormCache is empty: no layout to redistribute from");
-            self.col = Some(topo.row_to_tile(row, ctx, kind));
-        }
-        self.col.as_ref().unwrap()
+        .as_ref()
+        .expect("FormCache lacks the layout")
     }
 }
 
@@ -352,24 +333,14 @@ mod tests {
     }
 
     #[test]
-    fn form_cache_redistributes_once_then_caches() {
-        let global = Mat::random(16, 8, 1.0, 5);
-        let adj = rdm_sparse::Csr::identity(16);
-        let out = Cluster::new(4).run(move |ctx| {
-            let topo = crate::ops::Topology::full(&adj, ctx);
-            let mut cache =
-                FormCache::of_row(DistMat::scatter_rows(&global, ctx.size(), ctx.rank()));
-            assert!(cache.col.is_none());
-            let before = ctx.stats_snapshot().total_bytes();
-            cache.require_col(&topo, ctx, K);
-            let after_first = ctx.stats_snapshot().total_bytes();
-            assert!(after_first > before, "first access must redistribute");
-            cache.require_col(&topo, ctx, K);
-            cache.require_row(&topo, ctx, K); // original form: free
-            let after_more = ctx.stats_snapshot().total_bytes();
-            assert_eq!(after_first, after_more, "later accesses must be free");
-        });
-        drop(out);
+    fn form_cache_holds_each_layout_in_its_slot() {
+        let mut cache = FormCache::of(DistMat::from_row_slice(Mat::zeros(2, 4), 8));
+        assert_eq!(cache.get(Dist::Row).rows, 8);
+        assert!(cache.col.is_none());
+        cache.put(DistMat::from_col_slice(Mat::zeros(8, 1), 4));
+        assert_eq!(cache.get(Dist::Col).cols, 4);
+        *cache.layout(Dist::Row) = None;
+        assert!(cache.row.is_none());
     }
 
     #[test]
@@ -385,13 +356,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank thread panicked")]
-    fn empty_form_cache_panics_on_require() {
-        let adj = rdm_sparse::Csr::identity(4);
-        Cluster::new(2).run(|ctx| {
-            let topo = crate::ops::Topology::full(&adj, ctx);
-            let mut cache = FormCache::default();
-            cache.require_row(&topo, ctx, K);
-        });
+    #[should_panic(expected = "FormCache lacks the layout")]
+    fn empty_form_cache_panics_on_get() {
+        FormCache::default().get(Dist::Row);
     }
 }

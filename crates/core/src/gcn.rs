@@ -3,42 +3,38 @@
 //! products and explicit redistributions, on any adjacency replication
 //! factor `R_A` (Fig. 6 topology; `R_A = P` is full replication).
 //!
-//! The engine charges *exactly* the redistributions of §IV-A because layout
-//! conversions happen lazily through [`FormCache`]: an access that the plan
-//! made free (the needed layout already exists) moves no bytes, and an
-//! access the model prices (mismatched adjacent orders, intra-layer
-//! conversion, loss boundary, non-memoized weight gradient) triggers one
-//! group all-to-all tagged [`CollectiveKind::Redistribute`]. Under
-//! `R_A < P` the SpMM itself additionally broadcasts inside column groups
-//! (tagged `Broadcast`), per Table II's `R_A < P` rows.
+//! The engine decides nothing about the schedule. A plan expands into
+//! one ordered step list (`rdm_model::schedule`) — the list the
+//! conformance checker prices — and the engine interprets it over one
+//! [`FormCache`] per tensor, freeing a layout where a `Free` step says.
+//! A `Convert` step is one blocking group all-to-all, tagged
+//! [`CollectiveKind::Redistribute`] where Table IV prices it (mismatched
+//! adjacent orders, loss boundary, non-memoized weight gradient) and
+//! `Other` for the ReLU-mask alignment it does not, so measured
+//! `Redistribute` bytes stay model-exact. Under `R_A < P` the SpMM itself
+//! additionally broadcasts inside column groups (tagged `Broadcast`), per
+//! Table II's `R_A < P` rows, and weight gradients are ring all-reduced
+//! (tagged `AllReduce`).
 //!
-//! Two small traffic classes exist that Table IV ignores; both are tagged
-//! differently so measured `Redistribute` bytes stay model-exact:
-//!
-//! * weight-gradient ring all-reduces (`f_{l-1} × f_l`, tagged
-//!   `AllReduce`);
-//! * ReLU-mask alignment in configurations where the gradient and the
-//!   saved activation exist only in opposite layouts (tagged `Other`).
-//!
-//! A layer is two products — the aggregation (`spmm_via_col`) and the
-//! update (`gemm_via_row`) — in the plan's order, with the redistribution
-//! each needs in between; `propagate` is that step, and the forward pass,
-//! the backward pass (`Âᵀ`, `Wᵀ`) and the cached serving forward all run
-//! it. Both products have one body, `fed_product`: a product whose input
-//! layout is cached runs on it, and any other converts the layout it has
-//! through the one redistribution primitive, running the kernel on each
-//! strip as it lands. Blocking is the one-strip pipeline, so every kernel
-//! span times the kernel it names, nested in the `Redistribute` span that
-//! feeds it.
+//! A layer is two products — the aggregation (SpMM on the tile layout)
+//! and the update (GEMM on row slices) — in the plan's order; the forward
+//! pass, the backward pass (`Âᵀ`, `Wᵀ`) and the cached serving forward all
+//! run them. Both products have one body, `fed_product`: a product on a
+//! cached layout runs on it, and a product the step marks as fed converts
+//! the layout it has through the one redistribution primitive, running
+//! the kernel on each strip as it lands. Blocking is the one-strip
+//! pipeline, so every kernel span times the kernel it names, nested in the
+//! `Redistribute` span that feeds it.
 
 use crate::aggcache::AggCache;
-use crate::dist::{Dist, DistMat, FormCache};
+use crate::dist::{DistMat, FormCache};
 use crate::ops::{row_gemm, weight_grad, OpCounters, Topology};
 use crate::plan::Plan;
 use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution};
 use rdm_dense::{hstack, part_range, relu, relu_backward, vstack, Mat};
-use rdm_model::{AdmitOutcome, DeviceModel, Order};
-use rdm_trace::Span;
+use rdm_model::{schedule, AdmitOutcome, DeviceModel, Op, Slot, Step};
+use rdm_trace::{Span, TraceCollective};
+use std::collections::BTreeMap;
 
 /// Settings of the pipelined (overlapped) execution path, threaded through
 /// [`rdm_forward`] / [`rdm_backward`].
@@ -174,39 +170,36 @@ fn record_hidden(ctx: &RankCtx, spec: &OverlapSpec, comm_s: &[f64], comp_s: &[f6
     ctx.record_overlap((hidden * 1e9) as u64);
 }
 
-/// The one body of a product fed by a Row↔Col conversion: `kernel` applied
-/// to `cache`'s form `to` — the tile form for the aggregation, row slices
-/// for the update — returning this rank's block of the product in that
-/// same form.
+/// The one body of a product: `kernel` applied to `cache`'s form `to` —
+/// the tile form for the aggregation, row slices for the update —
+/// returning this rank's block of the product in that same form.
 ///
-/// With the form cached the kernel runs on it. Otherwise the other form is
-/// converted as `chunks` strips — one unless an overlap spec is active, so
-/// blocking is the one-strip pipeline — and the kernel runs on each strip
-/// as it lands, opening its own kernel span inside the `Redistribute` span
-/// that feeds it while later strips are in flight. Both kernels are
-/// strip-separable (SpMM output columns, GEMM output rows), so the product
-/// is bitwise the same for every strip count; one strip is moved out, not
-/// copied. The converted form lands in `cache` (mirroring `require_*`).
+/// Unless `fed`, the kernel runs on the cached form. Otherwise the other
+/// form is converted as `chunks` strips — one unless an overlap spec is
+/// active, so blocking is the one-strip pipeline — and the kernel runs on
+/// each strip as it lands, opening its own kernel span inside the
+/// `Redistribute` span that feeds it while later strips are in flight.
+/// Both kernels are strip-separable (SpMM output columns, GEMM output
+/// rows), so the product is bitwise the same for every strip count; one
+/// strip is moved out, not copied. The converted form lands in `cache`.
 /// Under an active overlap spec the strips also feed the modeled-time
 /// books (`OverlapStrip` instants, `overlap_ns`), which never change what
 /// runs.
+#[allow(clippy::too_many_arguments)]
 fn fed_product(
     ctx: &RankCtx,
     topo: &Topology,
     cache: &mut FormCache,
     to: Form,
+    fed: bool,
     overlap: Option<&OverlapSpec>,
     ops: &mut OpCounters,
     mut kernel: impl FnMut(&Mat, &mut OpCounters) -> Mat,
 ) -> Mat {
-    let (have, other) = match to {
-        Form::Col => (&cache.col, &cache.row),
-        Form::Row => (&cache.row, &cache.col),
-    };
-    if let Some(m) = have {
-        return kernel(&m.local, ops);
+    if !fed {
+        return kernel(&cache.get(to).local, ops);
     }
-    let src = other.as_ref().expect("cache holds a layout");
+    let src = cache.get(to.other());
     let books = overlap_active(overlap, ctx, topo)
         .map(|spec| (spec, chunk_comm_times(spec, topo, ctx, &src.local, to)));
     let chunks = books.as_ref().map_or(1, |(spec, _)| spec.chunks);
@@ -243,54 +236,6 @@ fn fed_product(
     }
 }
 
-/// `Â·(tile form of cache)` (or `Âᵀ·` with `bwd`) — the aggregation.
-/// Under `R_A < P` a strip is this rank's *tile* strip (panel rows × chunk
-/// of its column slice) and the kernel assembles the full rows of those
-/// columns by broadcasting inside the column group (Fig. 6). Column groups
-/// share the grid column index, so their strip boundaries agree.
-fn spmm_via_col(
-    ctx: &RankCtx,
-    topo: &Topology,
-    cache: &mut FormCache,
-    bwd: bool,
-    overlap: Option<&OverlapSpec>,
-    ops: &mut OpCounters,
-) -> DistMat {
-    let cols = cache
-        .row
-        .as_ref()
-        .or(cache.col.as_ref())
-        .expect("cache holds a layout")
-        .cols;
-    let local = fed_product(ctx, topo, cache, Form::Col, overlap, ops, |tile, ops| {
-        topo.spmm_tile(tile, bwd, ctx, ops)
-    });
-    DistMat {
-        dist: Dist::Col,
-        rows: topo.n,
-        cols,
-        local,
-    }
-}
-
-/// `(row form of cache)·W` (or `·Wᵀ`) — the update. The row form lands in
-/// `cache` — the memoization and weight-gradient reuse paths read it from
-/// there.
-fn gemm_via_row(
-    ctx: &RankCtx,
-    topo: &Topology,
-    cache: &mut FormCache,
-    w: &Mat,
-    transpose_w: bool,
-    overlap: Option<&OverlapSpec>,
-    ops: &mut OpCounters,
-) -> DistMat {
-    let local = fed_product(ctx, topo, cache, Form::Row, overlap, ops, |rows, ops| {
-        row_gemm(rows, w, transpose_w, ops)
-    });
-    DistMat::from_row_slice(local, topo.n)
-}
-
 /// Replicated GCN weights, `w[l-1]` has shape `feats[l-1] × feats[l]`.
 #[derive(Clone, Debug)]
 pub struct GcnWeights {
@@ -320,26 +265,114 @@ impl GcnWeights {
     }
 }
 
-/// Everything the forward pass leaves behind for the backward pass.
+/// One epoch's schedule in execution: the plan's step list, how far it
+/// has run, and the tensors it has not freed. The forward pass runs it to
+/// the loss boundary; the backward pass runs the rest.
 pub struct ForwardArtifacts {
-    /// `h[0]` is the input feature cache; `h[l]` the (activated) output of
-    /// layer `l`; `h[L]` holds the raw logits.
-    pub h: Vec<FormCache>,
-    /// Per layer, the forward SpMM intermediate `Â·H^{l-1}` when the layer
-    /// ran SpMM-first *and* the plan memoizes — the reuse of §III-C. Its
-    /// row form always exists (the intra-layer redistribution produced
-    /// it).
-    pub t_fwd: Vec<Option<FormCache>>,
+    steps: Vec<Step>,
+    /// Index of the next step to run.
+    next: usize,
+    /// Ordered, so the tensors an epoch leaves behind are freed in one
+    /// order every run (the workspace pool's counts depend on it).
+    slots: BTreeMap<Slot, FormCache>,
+    layers: usize,
 }
 
 impl ForwardArtifacts {
-    /// The logits as a row-sliced matrix, redistributing if the last layer
-    /// produced them tile-sliced (the loss boundary of §IV-A.1).
-    pub fn logits_row(&mut self, topo: &Topology, ctx: &RankCtx) -> DistMat {
-        let last = self.h.len() - 1;
-        self.h[last]
-            .require_row(topo, ctx, CollectiveKind::Redistribute)
-            .clone()
+    /// The logits as a row-sliced matrix (the schedule converted them at
+    /// the loss boundary of §IV-A.1 if the last layer left them
+    /// tile-sliced).
+    pub fn logits_row(&self) -> DistMat {
+        self.slots[&Slot::H(self.layers)].get(Form::Row).clone()
+    }
+
+    /// Run steps until the loss boundary or the end of the schedule.
+    /// Weight gradients land in `grads`; the cached aggregation admits its
+    /// batch into `cache` and returns the admission's accounting.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        ctx: &RankCtx,
+        topo: &Topology,
+        weights: &GcnWeights,
+        overlap: Option<&OverlapSpec>,
+        mut cache: Option<(&mut AggCache, &[u32])>,
+        grads: &mut [Mat],
+        ops: &mut OpCounters,
+    ) -> Option<AdmitOutcome> {
+        let mut outcome = None;
+        while let Some(&step) = self.steps.get(self.next) {
+            let slots = &mut self.slots;
+            let slot = |s: Slot| &slots[&s];
+            match step {
+                Step::Loss => break,
+                Step::Convert {
+                    slot: s, to, kind, ..
+                } => {
+                    let kind = match kind {
+                        TraceCollective::Redistribute => CollectiveKind::Redistribute,
+                        _ => CollectiveKind::Other,
+                    };
+                    let m = topo.convert(slot(s).get(to.other()), to, ctx, kind, 1, |_, _| {});
+                    slots.get_mut(&s).expect("converted slot").put(m);
+                }
+                Step::Product {
+                    op,
+                    layer,
+                    src,
+                    dst,
+                    f_out,
+                    fed,
+                    bwd,
+                    ..
+                } => {
+                    let kernel = |m: &Mat, ops: &mut OpCounters| match op {
+                        Op::Spmm => topo.spmm_tile(m, bwd, ctx, ops),
+                        Op::Gemm => row_gemm(m, &weights.w[layer - 1], bwd, ops),
+                    };
+                    let c = slots.get_mut(&src).expect("product source");
+                    let local = fed_product(ctx, topo, c, op.form(), fed, overlap, ops, kernel);
+                    let (dist, rows, cols) = (op.form(), topo.n, f_out);
+                    slots.insert(
+                        dst,
+                        FormCache::of(DistMat {
+                            dist,
+                            rows,
+                            cols,
+                            local,
+                        }),
+                    );
+                }
+                Step::WeightGrad { layer, a, b, .. } => {
+                    let (a, b) = (slot(a).get(Form::Row), slot(b).get(Form::Row));
+                    grads[layer - 1] = weight_grad(a, b, ctx, ops);
+                }
+                Step::Relu { layer, form } => {
+                    let z = slots
+                        .get_mut(&Slot::H(layer))
+                        .expect("activation")
+                        .layout(form);
+                    *z = z.take().map(|z| activate(z, true));
+                }
+                Step::ReluMask { layer, form } => {
+                    let (g, h) = (Slot::G(layer - 1), Slot::H(layer - 1));
+                    let masked = relu_backward(&slot(g).get(form).local, &slot(h).get(form).local);
+                    let g = slots.get_mut(&g).expect("gradient");
+                    g.layout(form).as_mut().expect("gradient layout").local = masked;
+                }
+                Step::Free { slot: s, form } => {
+                    *slots.get_mut(&s).expect("freed slot").layout(form) = None;
+                }
+                Step::CachedAggregation { .. } => {
+                    let (cache, targets) = cache.as_mut().expect("the cached schedule's cache");
+                    let t_row = spmm_layer1_cached(ctx, topo, slot(Slot::H(0)), cache, ops);
+                    outcome = Some(cache.admit(targets, &t_row.local));
+                    slots.insert(Slot::T(1), FormCache::of_row(t_row));
+                }
+            }
+            self.next += 1;
+        }
+        outcome
     }
 }
 
@@ -358,7 +391,6 @@ pub(crate) fn activate(mut z: DistMat, apply: bool) -> DistMat {
 /// `overlap = None` (or when [`OverlapSpec`] does not apply to this
 /// topology) every conversion runs as one strip — the classic blocking
 /// schedule; results and payload bytes are identical either way.
-#[allow(clippy::too_many_arguments)]
 pub fn rdm_forward(
     ctx: &RankCtx,
     topo: &Topology,
@@ -372,18 +404,19 @@ pub fn rdm_forward(
 }
 
 /// The one forward loop, optionally under the serving aggregation cache:
-/// with `cache = (cache, targets)` supplied, layer 1 runs the cached SpMM
-/// and thinned exchange (`spmm_layer1_cached`) and then admits the batch's
-/// request `targets` (copying freshly exchanged rows into the cache — fills
-/// happen *after* the batch that missed, so cached rows are bitwise
-/// recomputation), returning the admission's hit/miss accounting. Layer 1
-/// itself then stays blocking (its exchange is the one the cache thins);
-/// every other layer is [`propagate`], pipelined under `overlap` as usual.
+/// with `cache = (cache, targets)` supplied, the schedule runs layer 1's
+/// aggregation as the cached SpMM and thinned exchange
+/// (`spmm_layer1_cached`) and then admits the batch's request `targets`
+/// (copying freshly exchanged rows into the cache — fills happen *after*
+/// the batch that missed, so cached rows are bitwise recomputation),
+/// returning the admission's hit/miss accounting. That exchange stays
+/// blocking; every other conversion is pipelined under `overlap` as usual.
 ///
 /// # Panics
-/// If a cache is supplied and the first layer is not SpMM-first (the cache
-/// stores the layer-1 SpMM intermediate; callers gate `GemmFirst` plans
-/// off), or the topology is not fully replicated/unmasked.
+/// If the weights do not match the plan's layers, a cache is supplied and
+/// the first layer is not SpMM-first (the cache stores the SpMM-first
+/// layer-1 intermediate; callers gate `GemmFirst` plans off), or the
+/// topology is not fully replicated/unmasked.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_pass(
     ctx: &RankCtx,
@@ -392,78 +425,26 @@ pub(crate) fn forward_pass(
     weights: &GcnWeights,
     plan: &Plan,
     overlap: Option<&OverlapSpec>,
-    mut cache: Option<(&mut AggCache, &[u32])>,
+    cache: Option<(&mut AggCache, &[u32])>,
     ops: &mut OpCounters,
 ) -> (ForwardArtifacts, Option<AdmitOutcome>) {
-    let layers = plan.config.layers();
-    assert_eq!(weights.layers(), layers, "weight/plan layer mismatch");
     assert_eq!(
         plan.r_a, topo.grid.r_a,
         "plan replication factor does not match the topology"
     );
-    let mut h: Vec<FormCache> = Vec::with_capacity(layers + 1);
-    h.push(input);
-    let mut t_fwd: Vec<Option<FormCache>> = (0..layers).map(|_| None).collect();
-    let mut outcome = None;
-    for l in 1..=layers {
-        let (w, order) = (&weights.w[l - 1], plan.config.forward[l - 1]);
-        let (z, t) = match &mut cache {
-            Some((cache, targets)) if l == 1 => {
-                assert_eq!(
-                    order,
-                    Order::SpmmFirst,
-                    "the aggregation cache stores the SpMM-first layer-1 intermediate"
-                );
-                let t_row = spmm_layer1_cached(ctx, topo, &mut h[0], cache, ops);
-                outcome = Some(cache.admit(targets, &t_row.local));
-                let mut tc = FormCache::of_row(t_row);
-                let z = gemm_via_row(ctx, topo, &mut tc, w, false, None, ops);
-                (z, Some(tc))
-            }
-            _ => propagate(ctx, topo, &mut h[l - 1], w, order, false, overlap, ops),
-        };
-        if plan.memoize {
-            t_fwd[l - 1] = t;
-        }
-        h.push(FormCache::of(activate(z, l != layers)));
-    }
-    (ForwardArtifacts { h, t_fwd }, outcome)
-}
-
-/// One layer's two products under either ordering — forward (`Â`, `W`) or,
-/// with `bwd`, the gradient propagation (`Âᵀ`, `Wᵀ`). Under `overlap` each
-/// redistribution is chunk-pipelined into its kernel. Returns the output
-/// and, SpMM-first, the intermediate `T`'s cache (both forms: the GEMM
-/// consumed its row form) — what the forward pass memoizes and the
-/// backward pass multiplies into the weight gradient.
-#[allow(clippy::too_many_arguments)]
-fn propagate(
-    ctx: &RankCtx,
-    topo: &Topology,
-    input: &mut FormCache,
-    w: &Mat,
-    order: Order,
-    bwd: bool,
-    overlap: Option<&OverlapSpec>,
-    ops: &mut OpCounters,
-) -> (DistMat, Option<FormCache>) {
-    match order {
-        Order::SpmmFirst => {
-            // T = Â·In (needs the tile layout), then Out = T·W (needs row
-            // slices): one intra-layer redistribution of T's width.
-            let t = spmm_via_col(ctx, topo, input, bwd, overlap, ops);
-            let mut tc = FormCache::of_col(t);
-            let out = gemm_via_row(ctx, topo, &mut tc, w, bwd, overlap, ops);
-            (out, Some(tc))
-        }
-        Order::GemmFirst => {
-            // T = In·W (row slices), then Out = Â·T (tile layout): one
-            // redistribution of the output's width.
-            let t = gemm_via_row(ctx, topo, input, w, bwd, overlap, ops);
-            let mut tc = FormCache::of_row(t);
-            (spmm_via_col(ctx, topo, &mut tc, bwd, overlap, ops), None)
-        }
-    }
+    let feats: Vec<usize> = std::iter::once(weights.w[0].rows())
+        .chain(weights.w.iter().map(Mat::cols))
+        .collect();
+    let steps = schedule(&plan.config, plan.memoize, &feats, cache.is_some())
+        .unwrap_or_else(|e| panic!("weights do not fit the plan: {e}"));
+    let mut art = ForwardArtifacts {
+        steps,
+        next: 0,
+        slots: BTreeMap::from([(Slot::H(0), input)]),
+        layers: weights.layers(),
+    };
+    let outcome = art.run(ctx, topo, weights, overlap, cache, &mut [], ops);
+    (art, outcome)
 }
 
 /// Layer-1 `T = Â·H⁰` under the frozen-weight aggregation cache: skip the
@@ -474,11 +455,11 @@ fn propagate(
 /// only the `Redistribute` payload shrinks. The kernel span keeps the
 /// full panel shape and the exchange stays a single `Col→Row` frame, so
 /// the traced schedule differs from the uncached one *only* in exchange
-/// bytes — exactly what `rdm-model`'s serving predictor prices.
+/// bytes — exactly what `rdm-model`'s serving pricer prices.
 fn spmm_layer1_cached(
     ctx: &RankCtx,
     topo: &Topology,
-    input: &mut FormCache,
+    input: &FormCache,
     cache: &AggCache,
     ops: &mut OpCounters,
 ) -> DistMat {
@@ -491,7 +472,7 @@ fn spmm_layer1_cached(
         topo.mask.is_none(),
         "the aggregation cache cannot run under an edge mask"
     );
-    let tile = input.require_col(topo, ctx, CollectiveKind::Redistribute);
+    let tile = input.get(Form::Col);
     let (n, p, me) = (topo.n, ctx.size(), ctx.rank());
     let f = tile.cols;
     let mask = cache.mask();
@@ -565,143 +546,42 @@ pub struct BackwardResult {
     pub g0: DistMat,
 }
 
-/// Run the backward pass of eq. (3)–(4) under `plan`, consuming the
-/// forward artifacts (their caches may gain layouts as reuse demands).
-/// `overlap` pipelines the gradient propagation as in [`rdm_forward`]; the
-/// weight-gradient and ReLU-mask stages stay blocking (they reuse cached
-/// layouts and are rarely on the critical redistribution path).
-#[allow(clippy::too_many_arguments)]
+/// Run the backward pass of eq. (3)–(4): the rest of the forward pass's
+/// schedule from the row-sliced loss gradient on. `overlap` pipelines the
+/// gradient propagation as in [`rdm_forward`]; the weight-gradient and
+/// ReLU-mask conversions stay blocking (they are rarely on the critical
+/// redistribution path).
 pub fn rdm_backward(
     ctx: &RankCtx,
     topo: &Topology,
     artifacts: &mut ForwardArtifacts,
     weights: &GcnWeights,
-    plan: &Plan,
     loss_grad: DistMat,
-    feats: &[usize],
     overlap: Option<&OverlapSpec>,
     ops: &mut OpCounters,
 ) -> BackwardResult {
-    let layers = plan.config.layers();
     assert_eq!(
-        loss_grad.dist,
-        Dist::Row,
-        "loss gradient arrives row-sliced"
+        artifacts.steps.get(artifacts.next),
+        Some(&Step::Loss),
+        "the forward pass stops at the loss boundary"
     );
-    let mut g_cache = FormCache::of_row(loss_grad);
+    let g = Slot::G(artifacts.layers);
+    artifacts.slots.insert(g, FormCache::of_row(loss_grad));
+    artifacts.next += 1;
     let mut weight_grads: Vec<Mat> = weights
         .w
         .iter()
         .map(|w| Mat::zeros(w.rows(), w.cols()))
         .collect();
-    let mut g0: Option<DistMat> = None;
-    for l in (1..=layers).rev() {
-        let w = &weights.w[l - 1];
-        // Stage 1: propagate the gradient through aggregation + weights,
-        // Gˡ⁻¹ = Âᵀ·Gˡ·Wᵀ. SpMM-first leaves T = Âᵀ·Gˡ behind in row form.
-        let order = plan.config.backward[l - 1];
-        let (g_prev_pre, t) = propagate(ctx, topo, &mut g_cache, w, order, true, overlap, ops);
-        let t_b_row = t.map(|tc| tc.row.expect("GEMM left the row form"));
-        // Stage 2: the weight gradient Yˡ (eq. 4).
-        weight_grads[l - 1] = compute_weight_grad(
-            ctx,
-            topo,
-            l,
-            artifacts,
-            &mut g_cache,
-            t_b_row.as_ref(),
-            feats,
-            ops,
-        );
-        // Stage 3: mask by σ'(Z^{l-1}) and hand off (no mask into the raw
-        // input features).
-        if l > 1 {
-            let masked = apply_relu_mask(ctx, topo, g_prev_pre, &mut artifacts.h[l - 1]);
-            g_cache = FormCache::of(masked);
-        } else {
-            g0 = Some(g_prev_pre);
-        }
-    }
+    artifacts.run(ctx, topo, weights, overlap, None, &mut weight_grads, ops);
+    let g0 = artifacts
+        .slots
+        .remove(&Slot::G(0))
+        .expect("layer 1 always produces G^0");
     BackwardResult {
         weight_grads,
-        g0: g0.expect("layer 1 always produces G^0"),
+        g0: g0.row.or(g0.col).expect("G^0 has a layout"),
     }
-}
-
-/// Compute `Yˡ = (H^{l-1})ᵀ (Â Gˡ)` choosing the cheapest valid product
-/// (§III-C). For the symmetric GCN adjacency, `Yˡ = (Â H^{l-1})ᵀ Gˡ` is an
-/// equally valid form, which lets the memoized forward intermediate stand
-/// in for the backward SpMM.
-#[allow(clippy::too_many_arguments)]
-fn compute_weight_grad(
-    ctx: &RankCtx,
-    topo: &Topology,
-    l: usize,
-    artifacts: &mut ForwardArtifacts,
-    g_cache: &mut FormCache,
-    t_b_row: Option<&DistMat>,
-    feats: &[usize],
-    ops: &mut OpCounters,
-) -> Mat {
-    const KIND: CollectiveKind = CollectiveKind::Redistribute;
-    if let Some(t_b) = t_b_row {
-        // Backward was SpMM-first: Â·Gˡ is already in row form.
-        if let Some(h_row) = &artifacts.h[l - 1].row {
-            return weight_grad(h_row, t_b, ctx, ops);
-        }
-        // H^{l-1} exists only tile-sliced; if the forward intermediate
-        // and the gradient have row forms, use Yˡ = (Â H^{l-1})ᵀ Gˡ.
-        if let (Some(t_f), Some(g_row)) = (&mut artifacts.t_fwd[l - 1], &g_cache.row) {
-            return weight_grad(t_f.require_row(topo, ctx, KIND), g_row, ctx, ops);
-        }
-        // Pathological 3-layer-only case: pay one extra redistribution.
-        let h_row = artifacts.h[l - 1].require_row(topo, ctx, KIND);
-        return weight_grad(h_row, t_b, ctx, ops);
-    }
-    // Backward was GEMM-first. The gradient's row form exists (the GEMM
-    // consumed it).
-    let g_row = g_cache.row.as_ref().expect("GEMM-first consumed row form");
-    if let Some(t_f) = &mut artifacts.t_fwd[l - 1] {
-        // Memoized: Yˡ = (Â H^{l-1})ᵀ Gˡ — zero extra sparse work.
-        return weight_grad(t_f.require_row(topo, ctx, KIND), g_row, ctx, ops);
-    }
-    // Non-memoized (forward was GEMM-first, or memoization disabled): an
-    // extra SpMM of the cheaper width, plus redistributions around it
-    // (Table III, N.M.).
-    let f_in = feats[l - 1];
-    let f_out = feats[l];
-    if f_out <= f_in {
-        // Recompute T = Â·Gˡ.
-        let g_tile = g_cache.require_col(topo, ctx, KIND);
-        let mut tc = FormCache::of_col(topo.spmm(g_tile, true, ctx, ops));
-        let t_row = tc.require_row(topo, ctx, KIND);
-        let h_row = artifacts.h[l - 1].require_row(topo, ctx, KIND);
-        weight_grad(h_row, t_row, ctx, ops)
-    } else {
-        // Recompute T = Â·H^{l-1}.
-        let h_tile = artifacts.h[l - 1].require_col(topo, ctx, KIND);
-        let mut tc = FormCache::of_col(topo.spmm(h_tile, false, ctx, ops));
-        weight_grad(tc.require_row(topo, ctx, KIND), g_row, ctx, ops)
-    }
-}
-
-/// `G ⊙ σ'(Z)` using the saved activation (`σ'(z) = 1[relu(z) > 0]`),
-/// aligned to whichever layout the gradient is in. If the activation was
-/// never materialized in that layout, the mask is aligned with an
-/// all-to-all tagged `Other` (traffic the paper's model does not price —
-/// see the module docs).
-fn apply_relu_mask(
-    ctx: &RankCtx,
-    topo: &Topology,
-    mut g: DistMat,
-    h_cache: &mut FormCache,
-) -> DistMat {
-    let h = match g.dist {
-        Dist::Row => h_cache.require_row(topo, ctx, CollectiveKind::Other),
-        Dist::Col => h_cache.require_col(topo, ctx, CollectiveKind::Other),
-    };
-    g.local = relu_backward(&g.local, &h.local);
-    g
 }
 
 /// Serial (single-process) GCN forward/backward reference used by tests:
@@ -774,6 +654,7 @@ pub fn input_cache(features: &Mat, topo: &Topology, ctx: &RankCtx) -> FormCache 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::Dist;
     use crate::loss::{serial as loss_serial, softmax_xent, LossSpec};
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use rdm_comm::{Cluster, RunOutput};
@@ -801,8 +682,8 @@ mod tests {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
                 let input = input_cache(&feats, &topo, ctx);
-                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
-                let logits = art.logits_row(&topo, ctx);
+                let art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
+                let logits = art.logits_row();
                 logits.gather(ctx, CollectiveKind::Other)
             });
             for got in &out.results {
@@ -830,22 +711,20 @@ mod tests {
                 weights.clone(),
                 ds.labels.clone(),
             );
-            let fd = feats_dims.clone();
             let m2 = mask.clone();
             let out = Cluster::new(4).run(move |ctx| {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
                 let input = input_cache(&feats, &topo, ctx);
                 let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
-                let logits = art.logits_row(&topo, ctx);
+                let logits = art.logits_row();
                 let spec = LossSpec {
                     labels: &labels,
                     mask: &m2,
                     num_classes: 4,
                 };
                 let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-                let back =
-                    rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
+                let back = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, None, &mut ops);
                 let g0 = match back.g0.dist {
                     Dist::Row => back.g0.gather(ctx, CollectiveKind::Other),
                     Dist::Col => topo.gather_tile(&back.g0, ctx, CollectiveKind::Other),
@@ -889,22 +768,20 @@ mod tests {
                 weights.clone(),
                 ds.labels.clone(),
             );
-            let fd = feats_dims.clone();
             let m2 = mask.clone();
             let out = Cluster::new(4).run(move |ctx| {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
                 let input = input_cache(&feats, &topo, ctx);
                 let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
-                let logits = art.logits_row(&topo, ctx);
+                let logits = art.logits_row();
                 let spec = LossSpec {
                     labels: &labels,
                     mask: &m2,
                     num_classes: 4,
                 };
                 let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-                let back =
-                    rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
+                let back = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, None, &mut ops);
                 back.weight_grads
             });
             for grads in &out.results {
@@ -943,22 +820,20 @@ mod tests {
                     weights.clone(),
                     ds.labels.clone(),
                 );
-                let fd = feats_dims.clone();
                 let m2 = mask.clone();
                 let out = Cluster::new(p).run(move |ctx| {
                     let topo = Topology::new(&adj, r_a, ctx);
                     let mut ops = OpCounters::default();
                     let input = input_cache(&feats, &topo, ctx);
                     let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
-                    let logits = art.logits_row(&topo, ctx);
+                    let logits = art.logits_row();
                     let spec = LossSpec {
                         labels: &labels,
                         mask: &m2,
                         num_classes: 4,
                     };
                     let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-                    let back =
-                        rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
+                    let back = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, None, &mut ops);
                     back.weight_grads
                 });
                 for grads in &out.results {
@@ -994,13 +869,12 @@ mod tests {
                 weights.clone(),
                 ds.labels.clone(),
             );
-            let fd = feats_dims.clone();
             Cluster::new(4).run(move |ctx| {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
                 let input = input_cache(&feats, &topo, ctx);
                 let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
-                let logits = art.logits_row(&topo, ctx);
+                let logits = art.logits_row();
                 let mask = vec![true; labels.len()];
                 let spec = LossSpec {
                     labels: &labels,
@@ -1008,8 +882,7 @@ mod tests {
                     num_classes: 4,
                 };
                 let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-                let back =
-                    rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
+                let back = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, None, &mut ops);
                 (back.weight_grads, ops)
             })
         };
@@ -1050,13 +923,12 @@ mod tests {
                 weights.clone(),
                 ds.labels.clone(),
             );
-            let fd = feats_dims.clone();
             let out = Cluster::new(p).run(move |ctx| {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
                 let input = input_cache(&feats, &topo, ctx);
                 let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
-                let logits = art.logits_row(&topo, ctx);
+                let logits = art.logits_row();
                 let mask = vec![true; labels.len()];
                 let spec = LossSpec {
                     labels: &labels,
@@ -1064,7 +936,7 @@ mod tests {
                     num_classes: 4,
                 };
                 let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-                let _ = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
+                let _ = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, None, &mut ops);
                 ops
             });
             let measured_bytes: u64 = out
@@ -1112,13 +984,12 @@ mod tests {
                 weights.clone(),
                 ds.labels.clone(),
             );
-            let fd = feats_dims.clone();
             let out = Cluster::new(p).run(move |ctx| {
                 let topo = Topology::new(&adj, r_a, ctx);
                 let mut ops = OpCounters::default();
                 let input = input_cache(&feats, &topo, ctx);
                 let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
-                let logits = art.logits_row(&topo, ctx);
+                let logits = art.logits_row();
                 let mask = vec![true; labels.len()];
                 let spec = LossSpec {
                     labels: &labels,
@@ -1126,7 +997,7 @@ mod tests {
                     num_classes: 4,
                 };
                 let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-                let _ = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
+                let _ = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, None, &mut ops);
             });
             let measured: u64 = out
                 .stats
@@ -1156,13 +1027,12 @@ mod tests {
             weights.clone(),
             ds.labels.clone(),
         );
-        let fd = feats_dims.clone();
         let out = Cluster::new(p).run(move |ctx| {
             let topo = Topology::full(&adj, ctx);
             let mut ops = OpCounters::default();
             let input = input_cache(&feats, &topo, ctx);
             let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
-            let logits = art.logits_row(&topo, ctx);
+            let logits = art.logits_row();
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
                 labels: &labels,
@@ -1170,7 +1040,7 @@ mod tests {
                 num_classes: 4,
             };
             let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-            let _ = rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &fd, None, &mut ops);
+            let _ = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, None, &mut ops);
         });
         let redistribute: u64 = out
             .stats
@@ -1206,8 +1076,6 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(29);
             (0..ds.adj_norm.nnz()).map(|_| rng.gen_bool(0.6)).collect()
         };
-        let mut feats = vec![weights.w[0].rows()];
-        feats.extend(weights.w.iter().map(|w| w.cols()));
         Cluster::new(p).run(|ctx| {
             let spec = chunks.map(OverlapSpec::new);
             let mut topo = Topology::new(&ds.adj_norm, plan.r_a, ctx);
@@ -1225,7 +1093,7 @@ mod tests {
             let mut ops = OpCounters::default();
             let input = input_cache(&ds.features, &topo, ctx);
             let mut art = rdm_forward(ctx, &topo, input, weights, plan, spec.as_ref(), &mut ops);
-            let logits = art.logits_row(&topo, ctx);
+            let logits = art.logits_row();
             let mask = vec![true; ds.labels.len()];
             let lspec = LossSpec {
                 labels: &ds.labels,
@@ -1238,9 +1106,7 @@ mod tests {
                 &topo,
                 &mut art,
                 weights,
-                plan,
                 lgrad,
-                &feats,
                 spec.as_ref(),
                 &mut ops,
             );

@@ -80,8 +80,8 @@ pub fn forward_logits_with(
     let mut topo = Topology::new(adj_norm, plan.r_a, ctx);
     topo.set_sparse(sparse);
     let input = input_cache(features, &topo, ctx);
-    let (mut art, outcome) = forward_pass(ctx, &topo, input, weights, plan, overlap, cache, ops);
-    (art.logits_row(&topo, ctx), outcome)
+    let (art, outcome) = forward_pass(ctx, &topo, input, weights, plan, overlap, cache, ops);
+    (art.logits_row(), outcome)
 }
 
 #[cfg(test)]

@@ -353,15 +353,15 @@ impl Model {
         overlap: Option<&OverlapSpec>,
         ops: &mut OpCounters,
     ) -> (f32, Option<(f32, f32)>) {
-        let (w, feats) = (&self.weights, &self.feats);
+        let w = &self.weights;
         let mut art = rdm_forward(ctx, topo, input, w, plan, overlap, ops);
-        let logits = art.logits_row(topo, ctx);
+        let logits = art.logits_row();
         let Scores {
             loss,
             grad,
             accuracy,
         } = targets.score(&logits, measure, ctx);
-        let back = rdm_backward(ctx, topo, &mut art, w, plan, grad, feats, overlap, ops);
+        let back = rdm_backward(ctx, topo, &mut art, w, grad, overlap, ops);
         self.adam.step(&mut self.weights.w, &back.weight_grads);
         (loss, accuracy)
     }

@@ -102,13 +102,12 @@ fn distributed_mean_aggregation_matches_serial_all_configs() {
             ds.labels.clone(),
         );
         let w2 = weights.clone();
-        let f2 = feats.clone();
         let out = Cluster::new(4).run(move |ctx| {
             let topo = Topology::new_asym(&adj, &adj_t, 4, ctx);
             let mut ops = OpCounters::default();
             let input = input_cache(&features, &topo, ctx);
             let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
-            let logits = art.logits_row(&topo, ctx);
+            let logits = art.logits_row();
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
                 labels: &labels,
@@ -116,7 +115,7 @@ fn distributed_mean_aggregation_matches_serial_all_configs() {
                 num_classes: 4,
             };
             let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-            rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &f2, None, &mut ops).weight_grads
+            rdm_backward(ctx, &topo, &mut art, &w2, lgrad, None, &mut ops).weight_grads
         });
         for grads in &out.results {
             for (l, (got, expect)) in grads.iter().zip(&serial_grads).enumerate() {
@@ -166,7 +165,7 @@ fn mean_aggregation_with_replication_factor() {
         let mut ops = OpCounters::default();
         let input = input_cache(&ds.features, &topo, ctx);
         let mut art = rdm_forward(ctx, &topo, input, &weights, &plan, None, &mut ops);
-        let logits = art.logits_row(&topo, ctx);
+        let logits = art.logits_row();
         let mask = vec![true; ds.labels.len()];
         let spec = LossSpec {
             labels: &ds.labels,
@@ -174,10 +173,7 @@ fn mean_aggregation_with_replication_factor() {
             num_classes: 4,
         };
         let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-        rdm_backward(
-            ctx, &topo, &mut art, &weights, &plan, lgrad, &feats, None, &mut ops,
-        )
-        .weight_grads
+        rdm_backward(ctx, &topo, &mut art, &weights, lgrad, None, &mut ops).weight_grads
     });
     for grads in &out.results {
         for (got, expect) in grads.iter().zip(&serial_grads) {

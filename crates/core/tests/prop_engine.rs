@@ -53,13 +53,12 @@ proptest! {
         let (adj, features, labels) =
             (ds.adj_norm.clone(), ds.features.clone(), ds.labels.clone());
         let w2 = weights.clone();
-        let f2 = feats.clone();
         let out = Cluster::new(p).run(move |ctx| {
             let topo = Topology::new(&adj, r_a, ctx);
             let mut ops = OpCounters::default();
             let input = input_cache(&features, &topo, ctx);
             let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
-            let logits = art.logits_row(&topo, ctx);
+            let logits = art.logits_row();
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
                 labels: &labels,
@@ -67,7 +66,7 @@ proptest! {
                 num_classes: 4,
             };
             let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-            rdm_backward(ctx, &topo, &mut art, &w2, &plan, lgrad, &f2, None, &mut ops)
+            rdm_backward(ctx, &topo, &mut art, &w2, lgrad, None, &mut ops)
                 .weight_grads
         });
         for grads in &out.results {
@@ -108,7 +107,7 @@ proptest! {
             let mut ops = OpCounters::default();
             let input = input_cache(&features, &topo, ctx);
             let mut art = rdm_forward(ctx, &topo, input, &weights, &plan, None, &mut ops);
-            let logits = art.logits_row(&topo, ctx);
+            let logits = art.logits_row();
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
                 labels: &labels,
@@ -116,7 +115,7 @@ proptest! {
                 num_classes: 4,
             };
             let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-            let _ = rdm_backward(ctx, &topo, &mut art, &weights, &plan, lgrad, &feats, None, &mut ops);
+            let _ = rdm_backward(ctx, &topo, &mut art, &weights, lgrad, None, &mut ops);
         });
         let measured: u64 = out
             .stats

@@ -1,22 +1,24 @@
 //! Schedule conformance: diff a recorded per-rank trace against the
 //! event sequence the model predicts for a plan.
 //!
-//! [`predict_epoch`] expands an ordering ([`OrderConfig`] + memoization
-//! flag) into the exact per-rank sequence of schedule-level events one
-//! training epoch must produce — redistribution directions and payload
-//! bytes, SpMM/GEMM kernel shapes, weight-gradient ring all-reduce bytes —
-//! by symbolically executing the same lazy `FormCache` logic as the GCN
-//! engine. [`extract_epoch`] reduces a recorded `rdm_trace::RankTrace` to
-//! the same event vocabulary, and [`check_run`] diffs the two, reporting
-//! every mismatch with its rank, epoch and event index.
+//! One schedule, two readers. [`crate::schedule::schedule`] expands a plan
+//! into its one step list; the GCN engine executes that list, and
+//! [`predict_epoch`] prices it into the exact per-rank sequence of
+//! schedule-level events one training epoch must produce — redistribution
+//! directions and payload bytes, SpMM/GEMM kernel shapes, weight-gradient
+//! ring all-reduce bytes. [`extract_epoch`] reduces a recorded
+//! `rdm_trace::RankTrace` to the same event vocabulary, and [`check_run`]
+//! diffs the two, reporting every mismatch with its rank, epoch and event
+//! index. What the check proves is that the engine ran the list and that
+//! the pricing geometry is the wire's; the list itself is pinned by its
+//! golden and by its agreement with `config_cost` (see DESIGN §10).
 //!
-//! Scope: the predictor covers every replication factor the engine
-//! executes — `R_A` dividing `P`, no edge mask, symmetric adjacency (the
-//! backward pass then aggregates with the same panels the forward pass
-//! uses, so one per-panel nonzero count prices both). At `R_A < P`
-//! redistributions are group-scoped (priced by the replicated-panel
-//! geometry of Fig. 6) and every panel SpMM carries the column group's
-//! dense tile broadcast, which the extractor books as one
+//! Scope: every replication factor the engine executes — `R_A` dividing
+//! `P`, no edge mask — on symmetric and asymmetric aggregations (backward
+//! SpMMs multiply `Âᵀ`'s panels, priced on their own per-panel nonzero
+//! counts). At `R_A < P` redistributions are group-scoped (priced by the
+//! replicated-panel geometry of Fig. 6) and every panel SpMM carries the
+//! column group's dense tile broadcast, which the extractor books as one
 //! [`SchedEvent::Broadcast`] per product, after its SpMM. Traffic the
 //! schedule does not price (loss/accuracy scalar all-reduces, dynamic
 //! selection) appears in traces as bare `Collective` events outside any
@@ -34,8 +36,9 @@
 //! is a top-level kernel span. A blocking and an overlapped run of the
 //! same plan therefore extract to identical schedules.
 
-use crate::config::{Order, OrderConfig};
+use crate::config::OrderConfig;
 use crate::cost::GnnShape;
+use crate::schedule::{schedule, Op, Step};
 use rdm_trace::{EventData, Form, RankTrace, Span, TraceCollective};
 use std::fmt;
 
@@ -134,60 +137,34 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Symbolic mirror of the engine's `FormCache`: which layouts of one
-/// logical tensor exist, without the data.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SymCache {
-    has_row: bool,
-    has_col: bool,
-}
-
-impl SymCache {
-    fn of_row() -> Self {
-        SymCache {
-            has_row: true,
-            has_col: false,
-        }
-    }
-    fn of_col() -> Self {
-        SymCache {
-            has_row: false,
-            has_col: true,
-        }
-    }
-    fn both() -> Self {
-        SymCache {
-            has_row: true,
-            has_col: true,
-        }
-    }
-}
-
-/// The symbolic engine: replays the GCN engine's control flow, emitting
-/// [`SchedEvent`]s instead of computing.
-pub(crate) struct Predictor<'a> {
-    shape: &'a GnnShape,
+/// Prices a schedule on one rank of the `p/r_a × r_a` grid: the
+/// schedule-level events each [`Step`] produces there, with this rank's
+/// byte and shape geometry.
+pub(crate) struct Pricer {
+    /// Vertex count.
+    n: usize,
     p: usize,
     /// Adjacency replication factor (`p` = full replication).
     r_a: usize,
     rank: usize,
-    /// Nonzeros of each row panel of the adjacency, indexed by panel
-    /// (`[shape.nnz]` at full replication). Data-dependent, so callers
-    /// supply it from the actual partitioned graph.
-    panel_nnz: Vec<usize>,
-    events: Vec<SchedEvent>,
+    /// Nonzeros of this rank's row panel of `Â` and of `Âᵀ`, which
+    /// backward SpMMs multiply.
+    nnz: (usize, usize),
+    pub(crate) events: Vec<SchedEvent>,
 }
 
-impl<'a> Predictor<'a> {
-    /// A symbolic engine for rank `rank` of the `p/r_a × r_a` grid, with
+impl Pricer {
+    /// A pricer for rank `rank` of the `p/r_a × r_a` grid, with
     /// `panel_nnz[k]` the nonzero count of panel `k`'s row slice of the
-    /// adjacency.
+    /// adjacency and `panel_nnz_t` that of its transpose (`None`: the
+    /// aggregation is symmetric).
     pub(crate) fn new(
-        shape: &'a GnnShape,
+        shape: &GnnShape,
         p: usize,
         r_a: usize,
         rank: usize,
         panel_nnz: &[usize],
+        panel_nnz_t: Option<&[usize]>,
     ) -> Result<Self, String> {
         if rank >= p {
             return Err(format!("rank {rank} out of range for P={p}"));
@@ -195,40 +172,35 @@ impl<'a> Predictor<'a> {
         if r_a == 0 || !p.is_multiple_of(r_a) {
             return Err(format!("replication factor {r_a} must divide P = {p}"));
         }
-        if panel_nnz.len() != p / r_a {
-            return Err(format!(
-                "got {} panel nonzero counts for {} panels",
-                panel_nnz.len(),
-                p / r_a
-            ));
+        let panel_nnz_t = panel_nnz_t.unwrap_or(panel_nnz);
+        for counts in [panel_nnz, panel_nnz_t] {
+            let (panels, sum) = (counts.len(), counts.iter().sum::<usize>());
+            if panels != p / r_a {
+                return Err(format!(
+                    "got {panels} panel nonzero counts for {} panels",
+                    p / r_a
+                ));
+            }
+            if sum != shape.nnz {
+                return Err(format!(
+                    "panel nonzeros sum to {sum}, shape has {}",
+                    shape.nnz
+                ));
+            }
         }
-        if panel_nnz.iter().sum::<usize>() != shape.nnz {
-            return Err(format!(
-                "panel nonzeros sum to {}, shape has {}",
-                panel_nnz.iter().sum::<usize>(),
-                shape.nnz
-            ));
-        }
-        Ok(Predictor {
-            shape,
+        Ok(Pricer {
+            n: shape.n,
             p,
             r_a,
             rank,
-            panel_nnz: panel_nnz.to_vec(),
+            nnz: (panel_nnz[rank / r_a], panel_nnz_t[rank / r_a]),
             events: Vec::new(),
         })
     }
 
-    /// Consume the engine, yielding the events it emitted.
-    pub(crate) fn into_events(self) -> Vec<SchedEvent> {
-        self.events
-    }
-}
-
-impl Predictor<'_> {
     /// Rows of this rank's row slice of the `n`-vertex dense matrices.
     fn rows_r(&self) -> usize {
-        part_len(self.shape.n, self.p, self.rank)
+        part_len(self.n, self.p, self.rank)
     }
 
     /// Columns of this rank's tile slice of a width-`f` matrix: the
@@ -238,17 +210,12 @@ impl Predictor<'_> {
         part_len(f, self.r_a, self.rank % self.r_a)
     }
 
-    /// Number of row panels of the grid (1 at full replication).
-    fn panels(&self) -> usize {
-        self.p / self.r_a
-    }
-
     /// Rows of this rank's adjacency panel: the union of its row group's
     /// row slices (`n` at full replication).
     fn panel_len(&self) -> usize {
         let first = (self.rank / self.r_a) * self.r_a;
         (first..first + self.r_a)
-            .map(|r| part_len(self.shape.n, self.p, r))
+            .map(|r| part_len(self.n, self.p, r))
             .sum()
     }
 
@@ -286,173 +253,106 @@ impl Predictor<'_> {
         (elems * 4) as u64
     }
 
-    fn redist(&mut self, from: Form, to: Form, kind: TraceCollective, f: usize) {
-        let bytes = match from {
-            Form::Row => self.row_to_col_bytes(f),
-            Form::Col => self.col_to_row_bytes(f),
+    fn redist(&mut self, to: Form, kind: TraceCollective, f: usize) {
+        let bytes = match to {
+            Form::Col => self.row_to_col_bytes(f),
+            Form::Row => self.col_to_row_bytes(f),
         };
         self.events.push(SchedEvent::Redist {
-            from,
+            from: to.other(),
             to,
             kind,
             bytes,
         });
     }
 
-    /// `FormCache::require_row` on a width-`f` tensor.
-    fn require_row(&mut self, cache: &mut SymCache, f: usize, kind: TraceCollective) {
-        if !cache.has_row {
-            self.redist(Form::Col, Form::Row, kind, f);
-            cache.has_row = true;
+    /// One panel SpMM (of `Âᵀ` with `bwd`) on a width-`f` tile input. At
+    /// `R_A = P` the panel is the whole adjacency, so the span shape is a
+    /// pure function of the graph shape; at `R_A < P` the kernel runs this
+    /// rank's panel and carries the column group's dense tile broadcast.
+    fn spmm(&mut self, f: usize, bwd: bool) {
+        let (rows, cols, panels) = (self.panel_len(), self.tile_cols(f), self.p / self.r_a);
+        let nnz = if bwd { self.nnz.1 } else { self.nnz.0 };
+        self.events.push(SchedEvent::Spmm { rows, cols, nnz });
+        if panels > 1 {
+            let bytes = ((panels - 1) * rows * cols * 4) as u64;
+            self.events.push(SchedEvent::Broadcast { bytes });
         }
     }
 
-    /// `FormCache::require_col` on a width-`f` tensor.
-    fn require_col(&mut self, cache: &mut SymCache, f: usize, kind: TraceCollective) {
-        if !cache.has_col {
-            self.redist(Form::Row, Form::Col, kind, f);
-            cache.has_col = true;
-        }
-    }
-
-    /// One panel SpMM on a width-`f` tile input. At `R_A = P` the panel is
-    /// the whole adjacency, so the span shape is a pure function of the
-    /// graph shape; at `R_A < P` the kernel runs this rank's panel and
-    /// carries the column group's dense tile broadcast.
-    fn spmm(&mut self, f: usize) {
-        self.events.push(SchedEvent::Spmm {
-            rows: self.panel_len(),
-            cols: self.tile_cols(f),
-            nnz: self.panel_nnz[self.rank / self.r_a],
-        });
-        if self.panels() > 1 {
-            self.events.push(SchedEvent::Broadcast {
-                bytes: ((self.panels() - 1) * self.panel_len() * self.tile_cols(f) * 4) as u64,
-            });
-        }
-    }
-
-    /// One row-sliced GEMM taking width `f_from` to width `f_to`.
-    fn gemm(&mut self, f_from: usize, f_to: usize) {
-        self.events.push(SchedEvent::Gemm {
-            m: self.rows_r(),
-            n: f_to,
-            k: f_from,
-        });
-    }
-
-    /// The engine's `spmm_via_col`: redistribute to the tile form if
-    /// missing, aggregate, cache the tile form.
-    fn spmm_via_col(&mut self, cache: &mut SymCache, f: usize) {
-        self.require_col(cache, f, TraceCollective::Redistribute);
-        self.spmm(f);
-    }
-
-    /// The engine's `gemm_via_row`: redistribute to the row form if
-    /// missing, multiply by the (possibly transposed) weight.
-    fn gemm_via_row(&mut self, cache: &mut SymCache, f_from: usize, f_to: usize) {
-        self.require_row(cache, f_from, TraceCollective::Redistribute);
-        self.gemm(f_from, f_to);
-    }
-
-    /// The engine's `weight_grad` on width-`f_a` / width-`f_b` row-sliced
-    /// operands: a local `f_a × f_b` partial product plus its ring
-    /// all-reduce (nested inside the GEMM span, so the GEMM event comes
-    /// first).
-    fn weight_grad(&mut self, f_a: usize, f_b: usize) {
-        self.events.push(SchedEvent::Gemm {
-            m: f_a,
-            n: f_b,
-            k: self.rows_r(),
-        });
-        let bytes = self.ring_bytes(f_a, f_b);
-        self.events.push(SchedEvent::AllReduce { bytes });
-    }
-}
-
-/// Symbolically execute one forward pass (through the loss boundary's
-/// final Col→Row, which leaves the logits row-sliced), appending its
-/// events to `pr`. Returns the per-layer activation caches and the
-/// memoized-intermediate flags the backward pass consumes.
-///
-/// `layer1_redist_bytes` is the serving aggregation cache's hook: when
-/// `Some(b)` and layer 1 runs SpMM-first, the layer's intra-layer Col→Row
-/// exchange is priced at `b` bytes (the cache-pruned volume) instead of
-/// the dense formula. `None` reproduces the training schedule exactly.
-pub(crate) fn predict_forward(
-    pr: &mut Predictor<'_>,
-    config: &OrderConfig,
-    memoize: bool,
-    layer1_redist_bytes: Option<u64>,
-) -> (Vec<SymCache>, Vec<bool>) {
-    let layers = config.layers();
-    let feats = pr.shape.feats.clone();
-    assert_eq!(
-        feats.len(),
-        layers + 1,
-        "shape has {} widths but the config has {layers} layers",
-        feats.len()
-    );
-    // h[l] mirrors the engine's per-layer FormCache; the input holds both
-    // layouts (the initial distribution is free).
-    let mut h: Vec<SymCache> = Vec::with_capacity(layers + 1);
-    h.push(SymCache::both());
-    let mut t_fwd: Vec<bool> = vec![false; layers];
-    for l in 1..=layers {
-        let (f_in, f_out) = (feats[l - 1], feats[l]);
-        let out = match config.forward[l - 1] {
-            Order::SpmmFirst => {
-                if l == 1 && layer1_redist_bytes.is_some() {
-                    // Cache-pruned layer: the input holds both forms, so
-                    // the SpMM needs no redistribution; the aggregation's
-                    // Col→Row exchange ships only unskipped strips.
-                    pr.spmm_via_col(&mut h[0], f_in);
-                    pr.events.push(SchedEvent::Redist {
+    /// Append the events `steps` produce on this rank. `layer1_bytes`
+    /// prices the serving cache's thinned layer-1 exchange (the
+    /// cache-pruned volume the directory replay derives).
+    pub(crate) fn price(&mut self, steps: &[Step], layer1_bytes: u64) {
+        for step in steps {
+            match *step {
+                Step::Convert { to, kind, f, .. } => self.redist(to, kind, f),
+                Step::Product {
+                    op,
+                    f_in,
+                    f_out,
+                    fed,
+                    bwd,
+                    ..
+                } => {
+                    if fed {
+                        self.redist(op.form(), TraceCollective::Redistribute, f_in);
+                    }
+                    match op {
+                        Op::Spmm => self.spmm(f_in, bwd),
+                        Op::Gemm => self.events.push(SchedEvent::Gemm {
+                            m: self.rows_r(),
+                            n: f_out,
+                            k: f_in,
+                        }),
+                    }
+                }
+                // A local `f_in × f_out` partial product plus its ring
+                // all-reduce (nested inside the GEMM span, so the GEMM
+                // event comes first).
+                Step::WeightGrad { f_in, f_out, .. } => {
+                    self.events.push(SchedEvent::Gemm {
+                        m: f_in,
+                        n: f_out,
+                        k: self.rows_r(),
+                    });
+                    let bytes = self.ring_bytes(f_in, f_out);
+                    self.events.push(SchedEvent::AllReduce { bytes });
+                }
+                Step::CachedAggregation { f } => {
+                    self.spmm(f, false);
+                    self.events.push(SchedEvent::Redist {
                         from: Form::Col,
                         to: Form::Row,
                         kind: TraceCollective::Redistribute,
-                        bytes: layer1_redist_bytes.unwrap_or(0),
+                        bytes: layer1_bytes,
                     });
-                    pr.gemm(f_in, f_out);
-                } else {
-                    pr.spmm_via_col(&mut h[l - 1], f_in);
-                    let mut tc = SymCache::of_col();
-                    pr.gemm_via_row(&mut tc, f_in, f_out);
                 }
-                if memoize {
-                    t_fwd[l - 1] = true;
-                }
-                SymCache::of_row()
+                Step::Relu { .. } | Step::ReluMask { .. } | Step::Loss | Step::Free { .. } => {}
             }
-            Order::GemmFirst => {
-                pr.gemm_via_row(&mut h[l - 1], f_in, f_out);
-                let mut ttc = SymCache::of_row();
-                pr.spmm_via_col(&mut ttc, f_out);
-                SymCache::of_col()
-            }
-        };
-        h.push(out);
+        }
     }
-    // The loss boundary: logits must be row-sliced.
-    pr.require_row(&mut h[layers], feats[layers], TraceCollective::Redistribute);
-    (h, t_fwd)
 }
 
 /// Predict the schedule-level event sequence rank `rank` of the
 /// `p/r_a × r_a` grid produces during one training epoch of `config` on
-/// `shape` (no edge mask). Every epoch of a fixed-plan run produces this
-/// same sequence: the engine rebuilds its layout caches from the
-/// (dual-form) input every epoch. Redistribution bytes are group-scoped,
-/// and at `r_a < p` every panel SpMM carries one dense tile
-/// [`SchedEvent::Broadcast`]. `panel_nnz[k]` is the nonzero count of panel
-/// `k`'s row slice of the (symmetric) adjacency — data-dependent, so
+/// `shape` (no edge mask): the plan's [`schedule`], priced. Every epoch of
+/// a fixed-plan run produces this same sequence: the engine rebuilds its
+/// layout caches from the (dual-form) input every epoch. Redistribution
+/// bytes are group-scoped, and at `r_a < p` every panel SpMM carries one
+/// dense tile [`SchedEvent::Broadcast`]. `panel_nnz[k]` is the nonzero
+/// count of panel `k`'s row slice of the adjacency — data-dependent, so
 /// callers read it off the partitioned graph; full replication is
-/// `r_a = p, panel_nnz = [shape.nnz]`.
+/// `r_a = p, panel_nnz = [shape.nnz]`. `panel_nnz_t` is the same for the
+/// transpose, which backward SpMMs multiply (`None` for a symmetric
+/// aggregation).
 ///
 /// # Errors
-/// If `r_a` does not divide `p`, `rank` is out of range, or `panel_nnz`
-/// has the wrong length or does not sum to `shape.nnz` — inputs the
-/// predictor would otherwise silently misprice.
+/// If `r_a` does not divide `p`, `rank` is out of range, a panel count
+/// has the wrong length or does not sum to `shape.nnz`, or `shape` does
+/// not have a width per layer boundary of `config` — inputs the predictor
+/// would otherwise silently misprice.
+#[allow(clippy::too_many_arguments)]
 pub fn predict_epoch(
     shape: &GnnShape,
     config: &OrderConfig,
@@ -461,76 +361,11 @@ pub fn predict_epoch(
     r_a: usize,
     rank: usize,
     panel_nnz: &[usize],
+    panel_nnz_t: Option<&[usize]>,
 ) -> Result<Vec<SchedEvent>, String> {
-    let mut pr = Predictor::new(shape, p, r_a, rank, panel_nnz)?;
-    let layers = config.layers();
-    let feats = &shape.feats;
-
-    // ---- forward ----
-    let (mut h, t_fwd) = predict_forward(&mut pr, config, memoize, None);
-
-    // ---- backward ----
-    // The loss gradient arrives row-sliced with the logits' width.
-    let mut g = SymCache::of_row();
-    for l in (1..=layers).rev() {
-        let (f_in, f_out) = (feats[l - 1], feats[l]);
-        // Stage 1: propagate through aggregation + weights.
-        let t_b_row = match config.backward[l - 1] {
-            Order::SpmmFirst => {
-                pr.spmm_via_col(&mut g, f_out);
-                let mut tc = SymCache::of_col();
-                pr.gemm_via_row(&mut tc, f_out, f_in);
-                true
-            }
-            Order::GemmFirst => {
-                pr.gemm_via_row(&mut g, f_out, f_in);
-                let mut ttc = SymCache::of_row();
-                pr.spmm_via_col(&mut ttc, f_in);
-                false
-            }
-        };
-        // Stage 2: the weight gradient, choosing the engine's cheapest
-        // valid product.
-        if t_b_row {
-            if h[l - 1].has_row {
-                pr.weight_grad(f_in, f_out);
-            } else if t_fwd[l - 1] && g.has_row {
-                // Memoized forward intermediate stands in; its row form
-                // always exists, so the access is free.
-                pr.weight_grad(f_in, f_out);
-            } else {
-                pr.require_row(&mut h[l - 1], f_in, TraceCollective::Redistribute);
-                pr.weight_grad(f_in, f_out);
-            }
-        } else if t_fwd[l - 1] {
-            pr.weight_grad(f_in, f_out);
-        } else if f_out <= f_in {
-            // Non-memoized: recompute T = Â·Gˡ (the cheaper width).
-            pr.require_col(&mut g, f_out, TraceCollective::Redistribute);
-            pr.spmm(f_out);
-            pr.redist(Form::Col, Form::Row, TraceCollective::Redistribute, f_out);
-            pr.require_row(&mut h[l - 1], f_in, TraceCollective::Redistribute);
-            pr.weight_grad(f_in, f_out);
-        } else {
-            // Non-memoized: recompute T = Â·H^{l-1}.
-            pr.require_col(&mut h[l - 1], f_in, TraceCollective::Redistribute);
-            pr.spmm(f_in);
-            pr.redist(Form::Col, Form::Row, TraceCollective::Redistribute, f_in);
-            pr.weight_grad(f_in, f_out);
-        }
-        // Stage 3: ReLU-mask alignment (not priced by Table IV, hence
-        // tagged Other), then hand the gradient down.
-        if l > 1 {
-            if t_b_row {
-                pr.require_row(&mut h[l - 1], f_in, TraceCollective::Other);
-                g = SymCache::of_row();
-            } else {
-                pr.require_col(&mut h[l - 1], f_in, TraceCollective::Other);
-                g = SymCache::of_col();
-            }
-        }
-    }
-    Ok(pr.into_events())
+    let mut pricer = Pricer::new(shape, p, r_a, rank, panel_nnz, panel_nnz_t)?;
+    pricer.price(&schedule(config, memoize, &shape.feats, false)?, 0);
+    Ok(pricer.events)
 }
 
 /// The schedule event a kernel span names. `width` is deliberately
@@ -840,37 +675,28 @@ fn diff(rank: usize, epoch: usize, expected: &[SchedEvent], got: &[SchedEvent]) 
     v
 }
 
-/// Check one rank's trace of one epoch against the model's prediction
-/// for the `(p, r_a, panel_nnz)` grid (see [`predict_epoch`]).
-///
-/// # Errors
-/// If the trace is structurally malformed (see [`extract_epoch`]), or the
-/// `(p, r_a, panel_nnz)` inputs are outside the predictor's scope.
-#[allow(clippy::too_many_arguments)]
-pub fn check_epoch(
-    trace: &RankTrace,
-    epoch: usize,
-    shape: &GnnShape,
-    config: &OrderConfig,
-    memoize: bool,
-    p: usize,
-    r_a: usize,
-    panel_nnz: &[usize],
-) -> Result<Vec<Violation>, String> {
-    trace.validate_nesting()?;
-    let expected = predict_epoch(shape, config, memoize, p, r_a, trace.rank, panel_nnz)?;
-    let got = extract_epoch(trace, epoch)?;
-    Ok(diff(trace.rank, epoch, &expected, &got))
+/// The epochs a rank's trace recorded, in order.
+fn epochs(trace: &RankTrace) -> Vec<usize> {
+    trace
+        .events
+        .iter()
+        .filter_map(|e| match e.data {
+            EventData::Begin(Span::Epoch { idx }) => Some(idx),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Check a whole recorded run (all ranks, every epoch present in the
-/// traces) against the model's prediction for a fixed plan at replication
-/// factor `r_a` (`P` is `traces.len()`). Returns the full list of schedule
-/// violations — empty means the run conformed.
+/// traces) against the model's prediction for a fixed plan on the
+/// `(P, r_a, panel_nnz, panel_nnz_t)` grid (`P` is `traces.len()`; see
+/// [`predict_epoch`]). Returns the full list of schedule violations —
+/// empty means the run conformed.
 ///
 /// # Errors
-/// If any trace is structurally malformed, ranks disagree on the set of
-/// epochs, or `(r_a, panel_nnz)` are outside the predictor's scope.
+/// If there are no traces, any trace is structurally malformed (see
+/// [`extract_epoch`]), ranks disagree on the set of epochs, or the grid
+/// inputs are outside the predictor's scope.
 pub fn check_run(
     traces: &[RankTrace],
     shape: &GnnShape,
@@ -878,27 +704,30 @@ pub fn check_run(
     memoize: bool,
     r_a: usize,
     panel_nnz: &[usize],
+    panel_nnz_t: Option<&[usize]>,
 ) -> Result<Vec<Violation>, String> {
     let p = traces.len();
-    assert!(p > 0, "need at least one rank trace");
-    // The epochs recorded by rank 0 define the run.
-    let epochs: Vec<usize> = traces[0]
-        .events
-        .iter()
-        .filter_map(|e| match e.data {
-            EventData::Begin(Span::Epoch { idx }) => Some(idx),
-            _ => None,
-        })
-        .collect();
-    if epochs.is_empty() {
+    let Some(first) = traces.first() else {
+        return Err("need at least one rank trace".into());
+    };
+    let run = epochs(first);
+    if run.is_empty() {
         return Err("rank 0 trace contains no epoch spans".into());
     }
     let mut violations = Vec::new();
     for trace in traces {
-        for &epoch in &epochs {
-            violations.extend(check_epoch(
-                trace, epoch, shape, config, memoize, p, r_a, panel_nnz,
-            )?);
+        trace.validate_nesting()?;
+        let recorded = epochs(trace);
+        if recorded != run {
+            return Err(format!(
+                "rank {} recorded epochs {recorded:?}, rank 0 {run:?}",
+                trace.rank
+            ));
+        }
+        let rank = trace.rank;
+        let expected = predict_epoch(shape, config, memoize, p, r_a, rank, panel_nnz, panel_nnz_t)?;
+        for &epoch in &run {
+            violations.extend(diff(rank, epoch, &expected, &extract_epoch(trace, epoch)?));
         }
     }
     Ok(violations)
@@ -930,7 +759,7 @@ mod tests {
     fn single_rank_prediction_moves_no_bytes() {
         for id in 0..16 {
             let cfg = OrderConfig::from_id(id, 2);
-            let ev = predict_epoch(&shape(), &cfg, true, 1, 1, 0, &[shape().nnz]).unwrap();
+            let ev = predict_epoch(&shape(), &cfg, true, 1, 1, 0, &[shape().nnz], None).unwrap();
             for e in &ev {
                 match e {
                     SchedEvent::Redist { bytes, .. } | SchedEvent::AllReduce { bytes } => {
@@ -954,7 +783,7 @@ mod tests {
         // All-SpMM-first: the input has both forms, so layer 1's SpMM is
         // free; each layer pays exactly one intra-layer Col→Row.
         let cfg = OrderConfig::from_id(0, 2);
-        let ev = predict_epoch(&shape(), &cfg, true, 4, 4, 1, &[shape().nnz]).unwrap();
+        let ev = predict_epoch(&shape(), &cfg, true, 4, 4, 1, &[shape().nnz], None).unwrap();
         // Forward slice: up to the loss boundary there are 2 layers ×
         // (Spmm, Redist, Gemm).
         assert!(matches!(ev[0], SchedEvent::Spmm { .. }));
@@ -988,8 +817,8 @@ mod tests {
         // weight grad must recompute an SpMM, so the schedules differ.
         let cfg = OrderConfig::from_id(4, 2);
         assert!(cfg.memoize_forward_spmm(1));
-        let with = predict_epoch(&shape(), &cfg, true, 4, 4, 0, &[shape().nnz]).unwrap();
-        let without = predict_epoch(&shape(), &cfg, false, 4, 4, 0, &[shape().nnz]).unwrap();
+        let with = predict_epoch(&shape(), &cfg, true, 4, 4, 0, &[shape().nnz], None).unwrap();
+        let without = predict_epoch(&shape(), &cfg, false, 4, 4, 0, &[shape().nnz], None).unwrap();
         assert_ne!(with, without);
         let spmms = |ev: &[SchedEvent]| {
             ev.iter()
@@ -1008,7 +837,7 @@ mod tests {
             let cfg = OrderConfig::from_id(0, 2);
             let mut totals = [0u64; 3];
             for r in 0..p {
-                let ev = predict_epoch(&s, &cfg, true, p, p, r, &[s.nnz]).unwrap();
+                let ev = predict_epoch(&s, &cfg, true, p, p, r, &[s.nnz], None).unwrap();
                 for (i, e) in ev
                     .iter()
                     .filter(|e| {
@@ -1219,7 +1048,7 @@ mod tests {
         let (p, r_a) = (4usize, 2usize);
         let panel_nnz = [620usize, 480];
         let cfg = OrderConfig::from_id(0, 2);
-        let ev = predict_epoch(&s, &cfg, true, p, r_a, 1, &panel_nnz).unwrap();
+        let ev = predict_epoch(&s, &cfg, true, p, r_a, 1, &panel_nnz, None).unwrap();
 
         // Every panel SpMM carries the column group's dense tile
         // broadcast: (P/R_A - 1) · panel_len · tile_cols · 4 bytes.
@@ -1259,7 +1088,7 @@ mod tests {
 
         // Full replication (one panel, r_a = p) carries no Broadcast
         // events.
-        let full = predict_epoch(&s, &cfg, true, p, p, 1, &[s.nnz]).unwrap();
+        let full = predict_epoch(&s, &cfg, true, p, p, 1, &[s.nnz], None).unwrap();
         assert!(!full
             .iter()
             .any(|e| matches!(e, SchedEvent::Broadcast { .. })));
@@ -1273,7 +1102,7 @@ mod tests {
             v[0] += slack;
             v
         };
-        let ev1 = predict_epoch(&s, &cfg, true, p, 1, 2, &parted).unwrap();
+        let ev1 = predict_epoch(&s, &cfg, true, p, 1, 2, &parted, None).unwrap();
         for e in &ev1 {
             if let SchedEvent::Redist {
                 kind: TraceCollective::Redistribute,
@@ -1293,14 +1122,103 @@ mod tests {
     fn replicated_panel_prediction_rejects_malformed_grids() {
         let s = shape();
         let cfg = OrderConfig::from_id(0, 2);
-        let err = predict_epoch(&s, &cfg, true, 4, 3, 0, &[s.nnz]).unwrap_err();
+        let err = predict_epoch(&s, &cfg, true, 4, 3, 0, &[s.nnz], None).unwrap_err();
         assert!(err.contains("must divide"), "{err}");
-        let err = predict_epoch(&s, &cfg, true, 4, 2, 4, &[600, 500]).unwrap_err();
+        let err = predict_epoch(&s, &cfg, true, 4, 2, 4, &[600, 500], None).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
-        let err = predict_epoch(&s, &cfg, true, 4, 2, 0, &[s.nnz]).unwrap_err();
+        let err = predict_epoch(&s, &cfg, true, 4, 2, 0, &[s.nnz], None).unwrap_err();
         assert!(err.contains("panel nonzero counts"), "{err}");
-        let err = predict_epoch(&s, &cfg, true, 4, 2, 0, &[600, 600]).unwrap_err();
+        let err = predict_epoch(&s, &cfg, true, 4, 2, 0, &[600, 600], None).unwrap_err();
         assert!(err.contains("sum to"), "{err}");
+    }
+
+    #[test]
+    fn transpose_panel_counts_price_backward_spmms_only() {
+        // An asymmetric aggregation's transpose has its own per-panel
+        // population; it prices the backward SpMMs and must be well formed.
+        let s = shape();
+        let cfg = OrderConfig::from_id(0, 2);
+        let sym = predict_epoch(&s, &cfg, true, 4, 2, 1, &[620, 480], None).unwrap();
+        let asym = predict_epoch(&s, &cfg, true, 4, 2, 1, &[620, 480], Some(&[500, 600])).unwrap();
+        let spmm_nnz = |ev: &[SchedEvent]| -> Vec<usize> {
+            ev.iter()
+                .filter_map(|e| match e {
+                    SchedEvent::Spmm { nnz, .. } => Some(*nnz),
+                    _ => None,
+                })
+                .collect()
+        };
+        // ID 0: two forward SpMMs, then two backward ones.
+        assert_eq!(spmm_nnz(&sym), vec![620; 4]);
+        assert_eq!(spmm_nnz(&asym), vec![620, 620, 500, 500]);
+        let err = predict_epoch(&s, &cfg, true, 4, 2, 0, &[620, 480], Some(&[s.nnz])).unwrap_err();
+        assert!(err.contains("panel nonzero counts"), "{err}");
+    }
+
+    #[test]
+    fn out_of_scope_inputs_are_errors_not_panics() {
+        // A shape whose widths do not match the plan's layer count.
+        let s = shape();
+        let three = OrderConfig::from_id(0, 3);
+        let err = predict_epoch(&s, &three, true, 2, 2, 0, &[s.nnz], None).unwrap_err();
+        assert!(err.contains("layer widths"), "{err}");
+        let epoch = |rank| RankTrace {
+            rank,
+            events: vec![
+                Event {
+                    seq: 0,
+                    ts_ns: 0,
+                    data: EventData::Begin(Span::Epoch { idx: 0 }),
+                },
+                Event {
+                    seq: 1,
+                    ts_ns: 1,
+                    data: EventData::End,
+                },
+            ],
+        };
+        let traces = [epoch(0), epoch(1)];
+        let err = check_run(&traces, &s, &three, true, 2, &[s.nnz], None).unwrap_err();
+        assert!(err.contains("layer widths"), "{err}");
+        let err = check_run(&[], &s, &three, true, 1, &[s.nnz], None).unwrap_err();
+        assert!(err.contains("at least one rank trace"), "{err}");
+    }
+
+    #[test]
+    fn ranks_that_disagree_on_the_epochs_are_an_error() {
+        // Rank 1 recorded an extra epoch that rank 0 never ran: the run is
+        // malformed, whatever the schedule inside either epoch.
+        let span = |seq: u64, idx: usize| {
+            [
+                Event {
+                    seq,
+                    ts_ns: seq,
+                    data: EventData::Begin(Span::Epoch { idx }),
+                },
+                Event {
+                    seq: seq + 1,
+                    ts_ns: seq + 1,
+                    data: EventData::End,
+                },
+            ]
+        };
+        let traces = [
+            RankTrace {
+                rank: 0,
+                events: span(0, 0).to_vec(),
+            },
+            RankTrace {
+                rank: 1,
+                events: [span(0, 0), span(2, 1)].concat(),
+            },
+        ];
+        let s = shape();
+        let cfg = OrderConfig::from_id(0, 2);
+        let err = check_run(&traces, &s, &cfg, true, 2, &[s.nnz], None).unwrap_err();
+        assert!(
+            err.contains("rank 1 recorded epochs [0, 1], rank 0 [0]"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //! * [`memory`] — the per-GPU space model (Table X).
 //! * [`device`] — the calibrated device model translating op counts and
 //!   byte counts into simulated seconds on the paper's 8×A6000 node.
-//! * [`conformance`] — the schedule-conformance checker: expand a plan
-//!   into the predicted per-rank event sequence and diff it against a
-//!   recorded `rdm-trace` run.
+//! * [`schedule`](mod@schedule) — one epoch's schedule as an ordered step list, the one
+//!   description of a plan that the GCN engine executes and the checker
+//!   prices.
+//! * [`conformance`] — the schedule-conformance checker: price a plan's
+//!   step list into the predicted per-rank event sequence and diff it
+//!   against a recorded `rdm-trace` run.
 //! * [`serving`] — the serving-session extension of the checker: the
 //!   frozen-weight aggregation-cache directory ([`CacheSim`]) and the
 //!   per-batch schedule predictor/extractor for online inference traces.
@@ -34,17 +37,19 @@ pub mod cost;
 pub mod device;
 pub mod layer;
 pub mod memory;
+pub mod schedule;
 pub mod serving;
 pub mod symbolic;
 
 pub use config::{Order, OrderConfig};
-pub use conformance::{check_epoch, check_run, predict_epoch, SchedEvent, Violation};
+pub use conformance::{check_run, predict_epoch, SchedEvent, Violation};
 pub use cost::{config_cost_with_sparsity, pareto_configs, pareto_ids, Cost, GnnShape};
 pub use device::{DeviceModel, MeasuredRank, Predicted};
 pub use layer::{
     group_redistribution_elems, panel_broadcast_elems, redistribution_elems, LayerDims,
 };
 pub use memory::{cagnet_bytes_per_gpu, max_replication, rdm_bytes_per_gpu, MemoryParams};
+pub use schedule::{schedule, Op, Slot, Step};
 pub use serving::{
     check_session, extract_session, predict_session, AdmitOutcome, CacheSim, ServeEvent,
     ServeViolation, SessionBatch,

@@ -7,16 +7,19 @@
 //! is the *shared-seed directory* of that cache: a pure function of the
 //! request stream (capacity-bounded, per-owner-rank FIFO), replicated
 //! bit-identically on every rank by `rdm-core`'s executor and re-derived
-//! here by the conformance predictor. Because both sides run the same
-//! simulation, the predictor knows exactly which SpMM rows the executor
-//! skipped and which redistribution strips never crossed the wire —
-//! [`predict_session`] prices every batch's `Redist` frame from the
-//! directory state alone, and [`check_session`] diffs a recorded serving
+//! here by the conformance checker. Both sides also read one step list
+//! (`crate::schedule`): the executor runs its forward half, and
+//! [`predict_session`] prices it batch by batch. Because both run the same
+//! directory simulation, the pricer knows exactly which SpMM rows the
+//! executor skipped and which redistribution strips never crossed the
+//! wire — every batch's cache-pruned `Redist` frame is priced from the
+//! directory state alone — and [`check_session`] diffs a recorded serving
 //! trace against it the way `check_run` does for training epochs.
 
 use crate::config::{Order, OrderConfig};
-use crate::conformance::{part_len, predict_forward, walk_schedule, Predictor, SchedEvent, Walked};
+use crate::conformance::{part_len, walk_schedule, Pricer, SchedEvent, Walked};
 use crate::cost::GnnShape;
+use crate::schedule::{schedule, Step};
 use rdm_trace::{RankTrace, Span};
 use std::collections::VecDeque;
 use std::fmt;
@@ -226,10 +229,11 @@ pub struct SessionBatch {
 /// Predict the serving-schedule event sequence rank `rank` of the
 /// `p/r_a × r_a` grid produces for a full-graph serving session of
 /// `batches` under `config`, with a `cache_rows`-per-rank layer-0
-/// aggregation cache (`0` = off). Redistribution bytes and panel-tile
-/// broadcasts are priced as [`crate::conformance::predict_epoch`] prices
-/// them; `panel_nnz[k]` is the nonzero count of panel `k`'s row slice of
-/// the adjacency (full replication: `r_a = p, panel_nnz = [shape.nnz]`).
+/// aggregation cache (`0` = off): the forward half of the plan's
+/// [`schedule`], priced per batch as [`crate::conformance::predict_epoch`]
+/// prices an epoch; `panel_nnz[k]` is the nonzero count of panel `k`'s row
+/// slice of the adjacency (full replication: `r_a = p, panel_nnz =
+/// [shape.nnz]`).
 ///
 /// The cache prunes layer 1's intra-layer Col→Row exchange only when the
 /// plan runs that layer SpMM-first (the cached tensor *is* the SpMM
@@ -240,8 +244,9 @@ pub struct SessionBatch {
 /// # Errors
 /// If `r_a` does not divide `p`, `rank` is out of range, `panel_nnz` is
 /// inconsistent with the grid, or `cache_rows > 0` at `r_a < p` (the
-/// layer-0 aggregation cache indexes the fully replicated adjacency) —
-/// inputs the predictor would otherwise silently misprice.
+/// layer-0 aggregation cache indexes the fully replicated adjacency), or
+/// `shape` has no width per layer boundary of `config` — inputs the
+/// predictor would otherwise silently misprice.
 #[allow(clippy::too_many_arguments)]
 pub fn predict_session(
     shape: &GnnShape,
@@ -260,9 +265,13 @@ pub fn predict_session(
              adjacency: r_a {r_a} < P {p} cannot cache"
         ));
     }
-    // Validate the grid once up front (also covers the empty-session case).
-    Predictor::new(shape, p, r_a, rank, panel_nnz)?;
+    let mut pricer = Pricer::new(shape, p, r_a, rank, panel_nnz, None)?;
     let cached = cache_rows > 0 && config.forward[0] == Order::SpmmFirst;
+    let steps = schedule(config, memoize, &shape.feats, cached)?;
+    let loss = steps
+        .iter()
+        .position(|s| *s == Step::Loss)
+        .unwrap_or(steps.len());
     let mut sim = CacheSim::new(shape.n, p, cache_rows);
     let cols_me = part_len(shape.feats[0], p, rank);
     let mut out = Vec::new();
@@ -276,21 +285,12 @@ pub fn predict_session(
         }
         // The cache-pruned exchange ships every unskipped remote row of
         // this rank's column slice: Σ_{j≠me} (rows_j − cached_j)·cols_me.
-        let layer1_bytes = if cached {
-            Some(
-                (0..p)
-                    .filter(|&j| j != rank)
-                    .map(|j| {
-                        ((part_len(shape.n, p, j) - sim.cached_in_rank(j)) * cols_me * 4) as u64
-                    })
-                    .sum::<u64>(),
-            )
-        } else {
-            None
-        };
-        let mut pr = Predictor::new(shape, p, r_a, rank, panel_nnz)?;
-        predict_forward(&mut pr, config, memoize, layer1_bytes);
-        out.extend(pr.into_events().into_iter().map(ServeEvent::Sched));
+        let layer1_bytes = (0..p)
+            .filter(|&j| j != rank)
+            .map(|j| ((part_len(shape.n, p, j) - sim.cached_in_rank(j)) * cols_me * 4) as u64)
+            .sum();
+        pricer.price(&steps[..loss], layer1_bytes);
+        out.extend(pricer.events.drain(..).map(ServeEvent::Sched));
         out.push(ServeEvent::BatchEnd);
         if cached {
             sim.admit(&b.targets);
@@ -380,7 +380,9 @@ pub fn check_session(
     panel_nnz: &[usize],
 ) -> Result<Vec<ServeViolation>, String> {
     let p = traces.len();
-    assert!(p > 0, "need at least one rank trace");
+    if p == 0 {
+        return Err("need at least one rank trace".into());
+    }
     let mut violations = Vec::new();
     for trace in traces {
         trace.validate_nesting()?;
@@ -548,5 +550,17 @@ mod tests {
         let on = predict_session(&shape, &cfg, true, 2, 2, 1, &batches, 8, &[shape.nnz]).unwrap();
         let off = predict_session(&shape, &cfg, true, 2, 2, 1, &batches, 0, &[shape.nnz]).unwrap();
         assert_eq!(on, off);
+    }
+
+    #[test]
+    fn a_session_without_traces_is_an_error() {
+        let shape = GnnShape {
+            n: 24,
+            nnz: 100,
+            feats: vec![8, 6, 4],
+        };
+        let cfg = OrderConfig::from_id(0, 2);
+        let err = check_session(&[], &shape, &cfg, true, &[], 0, 1, &[shape.nnz]).unwrap_err();
+        assert!(err.contains("at least one rank trace"), "{err}");
     }
 }

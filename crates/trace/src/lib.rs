@@ -74,6 +74,14 @@ impl Form {
             Form::Col => "col",
         }
     }
+
+    /// The form a conversion to this one starts from.
+    pub fn other(self) -> Form {
+        match self {
+            Form::Row => Form::Col,
+            Form::Col => Form::Row,
+        }
+    }
 }
 
 /// A nested trace region. `Begin`/`End` events carrying these must nest

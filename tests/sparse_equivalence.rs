@@ -223,7 +223,7 @@ fn replicated_panel_volume_reconciles_exactly_with_the_schedule_predictor() {
         .collect();
     let (mut redist, mut bcast) = (0u64, 0u64);
     for rank in 0..p {
-        for e in predict_epoch(&shape, &config, true, p, r_a, rank, &panel_nnz).unwrap() {
+        for e in predict_epoch(&shape, &config, true, p, r_a, rank, &panel_nnz, None).unwrap() {
             match e {
                 SchedEvent::Redist {
                     kind: TraceCollective::Redistribute,
@@ -276,7 +276,7 @@ fn replicated_panel_volume_reconciles_exactly_with_the_schedule_predictor() {
         .map(|&f| (panel_broadcast_elems(n, f, p, r_a) * 4.0) as u64)
         .collect();
     let per_rank: Vec<Vec<SchedEvent>> = (0..p)
-        .map(|rank| predict_epoch(&shape, &config, true, p, r_a, rank, &panel_nnz).unwrap())
+        .map(|rank| predict_epoch(&shape, &config, true, p, r_a, rank, &panel_nnz, None).unwrap())
         .collect();
     for (i, e) in per_rank[0].iter().enumerate() {
         let total = |pick: fn(&SchedEvent) -> Option<u64>| -> u64 {

@@ -14,15 +14,16 @@ use gnn_rdm::dense::mat::part_range;
 use gnn_rdm::graph::{Dataset, DatasetSpec};
 use gnn_rdm::model::{check_session, conformance, GnnShape, OrderConfig, SessionBatch};
 use gnn_rdm::serve::{planned_batches, serve, LoadGen, ServeConfig};
+use gnn_rdm::sparse::{Coo, Csr};
 use gnn_rdm::trace::{chrome, EventData, RankTrace, Span};
 
-/// Nonzeros of each adjacency row panel of the `p/r_a × r_a` grid —
-/// panel `k` spans the contiguous row slices of ranks `[k·r_a, (k+1)·r_a)`.
+/// Nonzeros of each row panel of `adj` on the `p/r_a × r_a` grid — panel
+/// `k` spans the contiguous row slices of ranks `[k·r_a, (k+1)·r_a)`.
 /// The data-dependent input the replicated-panel predictor cannot derive
 /// from the shape alone.
-fn panel_nnz(ds: &Dataset, p: usize, r_a: usize) -> Vec<usize> {
-    let indptr = ds.adj_norm.indptr();
-    let n = ds.n();
+fn panel_nnz(adj: &Csr, p: usize, r_a: usize) -> Vec<usize> {
+    let indptr = adj.indptr();
+    let n = adj.rows();
     (0..p / r_a)
         .map(|k| {
             let r0 = part_range(n, p, k * r_a).start;
@@ -73,11 +74,18 @@ fn all_16_plans_conform_at_p_1_2_4_with_and_without_memoization() {
                 let traces = traced_run(&ds, cfg);
                 assert_eq!(traces.len(), p);
                 let config = OrderConfig::from_id(id, 2);
-                let violations =
-                    conformance::check_run(&traces, &shape, &config, memoize, p, &[shape.nnz])
-                        .unwrap_or_else(|e| {
-                            panic!("p={p} id={id} memoize={memoize}: malformed trace: {e}")
-                        });
+                let violations = conformance::check_run(
+                    &traces,
+                    &shape,
+                    &config,
+                    memoize,
+                    p,
+                    &[shape.nnz],
+                    None,
+                )
+                .unwrap_or_else(|e| {
+                    panic!("p={p} id={id} memoize={memoize}: malformed trace: {e}")
+                });
                 assert!(
                     violations.is_empty(),
                     "p={p} id={id} memoize={memoize}: {} violation(s), first: {}",
@@ -108,7 +116,7 @@ fn conformance_holds_under_overlap_and_chaos() {
         let traces = traced_run(&ds, cfg);
         let config = OrderConfig::from_id(id, 2);
         let violations =
-            conformance::check_run(&traces, &shape, &config, true, 4, &[shape.nnz]).unwrap();
+            conformance::check_run(&traces, &shape, &config, true, 4, &[shape.nnz], None).unwrap();
         assert!(
             violations.is_empty(),
             "id={id}: overlap+chaos broke conformance: {}",
@@ -142,11 +150,12 @@ fn replicated_panel_runs_conform_across_plans_and_chaos() {
                 }
                 let traces = traced_run(&ds, cfg);
                 let config = OrderConfig::from_id(id, 2);
-                let nnz = panel_nnz(&ds, 4, r_a);
-                let violations = conformance::check_run(&traces, &shape, &config, true, r_a, &nnz)
-                    .unwrap_or_else(|e| {
-                        panic!("id={id} r_a={r_a} overlap={overlap:?} chaos={chaos}: {e}")
-                    });
+                let nnz = panel_nnz(&ds.adj_norm, 4, r_a);
+                let violations =
+                    conformance::check_run(&traces, &shape, &config, true, r_a, &nnz, None)
+                        .unwrap_or_else(|e| {
+                            panic!("id={id} r_a={r_a} overlap={overlap:?} chaos={chaos}: {e}")
+                        });
                 assert!(
                     violations.is_empty(),
                     "id={id} r_a={r_a} overlap={overlap:?} chaos={chaos}: {} violation(s), \
@@ -171,9 +180,9 @@ fn replicated_panel_corruption_yields_one_addressed_violation() {
         .epochs(1);
     let mut traces = traced_run(&ds, cfg);
     let config = OrderConfig::from_id(10, 2);
-    let nnz = panel_nnz(&ds, 4, 2);
+    let nnz = panel_nnz(&ds.adj_norm, 4, 2);
     assert!(
-        conformance::check_run(&traces, &shape, &config, true, 2, &nnz)
+        conformance::check_run(&traces, &shape, &config, true, 2, &nnz, None)
             .unwrap()
             .is_empty()
     );
@@ -197,7 +206,7 @@ fn replicated_panel_corruption_yields_one_addressed_violation() {
             width,
         });
     }
-    let violations = conformance::check_run(&traces, &shape, &config, true, 2, &nnz).unwrap();
+    let violations = conformance::check_run(&traces, &shape, &config, true, 2, &nnz, None).unwrap();
     assert_eq!(
         violations.len(),
         1,
@@ -221,8 +230,8 @@ fn full_replication_traces_fail_a_mismatched_grid_prediction() {
         .epochs(1);
     let traces = traced_run(&ds, cfg);
     let config = OrderConfig::from_id(10, 2);
-    let nnz = panel_nnz(&ds, 4, 2);
-    let violations = conformance::check_run(&traces, &shape, &config, true, 2, &nnz).unwrap();
+    let nnz = panel_nnz(&ds.adj_norm, 4, 2);
+    let violations = conformance::check_run(&traces, &shape, &config, true, 2, &nnz, None).unwrap();
     assert!(
         !violations.is_empty(),
         "a full-replication trace conformed to the R_A = 2 schedule"
@@ -239,7 +248,7 @@ fn corrupting_one_event_fails_with_rank_and_index_specific_diff() {
     let mut traces = traced_run(&ds, cfg);
     let config = OrderConfig::from_id(0, 2);
     assert!(
-        conformance::check_run(&traces, &shape, &config, true, 2, &[shape.nnz])
+        conformance::check_run(&traces, &shape, &config, true, 2, &[shape.nnz], None)
             .unwrap()
             .is_empty()
     );
@@ -264,7 +273,7 @@ fn corrupting_one_event_fails_with_rank_and_index_specific_diff() {
         });
     }
     let violations =
-        conformance::check_run(&traces, &shape, &config, true, 2, &[shape.nnz]).unwrap();
+        conformance::check_run(&traces, &shape, &config, true, 2, &[shape.nnz], None).unwrap();
     assert_eq!(
         violations.len(),
         1,
@@ -315,7 +324,7 @@ fn corrupting_payload_bytes_is_caught() {
         };
     }
     let violations =
-        conformance::check_run(&traces, &shape, &config, true, 4, &[shape.nnz]).unwrap();
+        conformance::check_run(&traces, &shape, &config, true, 4, &[shape.nnz], None).unwrap();
     assert!(!violations.is_empty(), "byte corruption went unnoticed");
     assert!(violations.iter().all(|v| v.rank == 2));
 }
@@ -452,7 +461,7 @@ fn replicated_panel_serving_sessions_conform() {
                 cfg.pipeline = pipeline;
                 let (traces, batches) = traced_session(&ds, &snap, &cfg);
                 let config = OrderConfig::from_id(id, 2);
-                let nnz = panel_nnz(&ds, 4, r_a);
+                let nnz = panel_nnz(&ds.adj_norm, 4, r_a);
                 let violations =
                     check_session(&traces, &shape, &config, true, &batches, 0, r_a, &nnz)
                         .unwrap_or_else(|e| panic!("id={id} r_a={r_a} pipeline={pipeline:?}: {e}"));
@@ -537,7 +546,74 @@ fn three_layer_plans_conform_too() {
         let traces = traced_run(&ds, cfg);
         let config = OrderConfig::from_id(id, 3);
         let violations =
-            conformance::check_run(&traces, &shape, &config, true, 3, &[shape.nnz]).unwrap();
+            conformance::check_run(&traces, &shape, &config, true, 3, &[shape.nnz], None).unwrap();
         assert!(violations.is_empty(), "3-layer id={id}: {}", violations[0]);
+    }
+}
+
+/// `ds` on a directed version of its graph: each edge `(u, v)` with
+/// `u > v` and `u + v` even is dropped, so the transpose's row panels hold
+/// other populations than the adjacency's (every loader symmetrizes, so
+/// only a directed graph tells the two apart).
+fn directed(mut ds: Dataset) -> Dataset {
+    let n = ds.n();
+    let mut coo = Coo::new(n, n);
+    for u in 0..n as u32 {
+        for &v in ds.adj.row(u as usize).0 {
+            if u <= v || (u + v) % 2 == 1 {
+                coo.push(u, v, 1.0);
+            }
+        }
+    }
+    ds.adj = coo.to_csr();
+    ds
+}
+
+#[test]
+fn asymmetric_aggregations_conform_on_the_transposes_panels() {
+    // Row (`D⁻¹A`) and mean (`D̃⁻¹(A+I)`) aggregation are not symmetric:
+    // backward SpMMs multiply `Âᵀ`'s panels. On the sparse wire with
+    // 3-chunk overlap (the train-grid-sparse configuration) every run
+    // conforms once the transpose's per-panel populations price the
+    // backward SpMMs. On a directed graph those differ from `Â`'s at
+    // R_A < P, and pricing the backward SpMMs on `Â`'s panels is caught.
+    let cases = [
+        ("row", dataset().with_row_aggregation()),
+        ("mean", dataset().with_mean_aggregation()),
+        ("directed row", directed(dataset()).with_row_aggregation()),
+    ];
+    for (agg, ds) in cases {
+        let adj_t = ds.adj_norm_t.as_ref().expect("the transpose is stored");
+        let shape = shape_of(&ds, 16);
+        for r_a in [2usize, 4] {
+            let (nnz, nnz_t) = (panel_nnz(&ds.adj_norm, 4, r_a), panel_nnz(adj_t, 4, r_a));
+            let differ = agg == "directed row" && r_a == 2;
+            assert_eq!(nnz != nnz_t, differ, "{agg} r_a={r_a}: panel populations");
+            for id in [0usize, 5, 10, 15] {
+                let cfg = TrainerConfig::rdm(4, Plan::from_id(id, 2, 4).with_ra(r_a))
+                    .hidden(16)
+                    .epochs(2)
+                    .sparse()
+                    .overlap(3);
+                let traces = traced_run(&ds, cfg);
+                let config = OrderConfig::from_id(id, 2);
+                let check = |t: Option<&[usize]>| {
+                    conformance::check_run(&traces, &shape, &config, true, r_a, &nnz, t)
+                        .unwrap_or_else(|e| panic!("{agg} id={id} r_a={r_a}: {e}"))
+                };
+                let violations = check(Some(&nnz_t));
+                assert!(
+                    violations.is_empty(),
+                    "{agg} id={id} r_a={r_a}: {} violation(s), first: {}",
+                    violations.len(),
+                    violations[0]
+                );
+                assert_eq!(
+                    check(None).is_empty(),
+                    !differ,
+                    "{agg} id={id} r_a={r_a}: backward SpMMs priced on Â's panels"
+                );
+            }
+        }
     }
 }
