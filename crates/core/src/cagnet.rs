@@ -29,7 +29,7 @@ use crate::trainer::{Algo, Model, RowAggregation, RowTrainer, Targets, TrainerCo
 use rdm_comm::{CollectiveKind, RankCtx};
 use rdm_graph::dataset::Dataset;
 
-impl RowAggregation for Topology {
+impl RowAggregation for Topology<'_> {
     fn aggregate(&self, x: &DistMat, ctx: &RankCtx, ops: &mut OpCounters) -> DistMat {
         if self.grid.r_a == 1 {
             let local = self.spmm_tile(&x.local, false, ctx, ops);
@@ -42,12 +42,12 @@ impl RowAggregation for Topology {
 }
 
 /// CAGNET-1D, or CAGNET-1.5D at `cfg.algo`'s `c`.
-pub(crate) fn setup(
-    ds: &Dataset,
+pub(crate) fn setup<'a>(
+    ds: &'a Dataset,
     cfg: &TrainerConfig,
     _: &Resolution,
     ctx: &RankCtx,
-) -> RowTrainer<Topology> {
+) -> RowTrainer<Topology<'a>> {
     let c = match cfg.algo {
         Algo::Cagnet15D { c } => c,
         _ => 1,

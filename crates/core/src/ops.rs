@@ -7,6 +7,8 @@
 //! (Fig. 2a) and is CAGNET-1D's broadcast SpMM (§II) at `R_A = 1` — and
 //! the update is [`dist_gemm`] (Fig. 2b).
 
+use std::borrow::Cow;
+
 use crate::dist::{Dist, DistMat};
 use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution, Wire};
 use rdm_dense::{gemm, gemm_nt, gemm_tn, Mat};
@@ -200,17 +202,19 @@ pub fn panel_spmm(
 /// The sparse-matrix topology of one rank: which row panel of `Â` it
 /// stores and how dense matrices tile across the grid (§III-E).
 ///
-/// With `r_a == p` (full replication) every rank stores all of `Â`, the
-/// "tile" layout degenerates to a plain `P`-way column slicing, the SpMM
-/// broadcast group is this rank alone (zero traffic) and the group
-/// redistributions span all ranks — exactly the base RDM scheme. The GCN
-/// engine is written against this type only, so one code path executes
-/// both regimes.
-pub struct Topology {
+/// With `r_a == p` (full replication) every rank stores all of `Â` — the
+/// caller's matrix itself, borrowed, so ranks and runs sharing one
+/// adjacency copy nothing — the "tile" layout degenerates to a plain
+/// `P`-way column slicing, the SpMM broadcast group is this rank alone
+/// (zero traffic) and the group redistributions span all ranks — exactly
+/// the base RDM scheme. The GCN engine is written against this type only,
+/// so one code path executes both regimes.
+pub struct Topology<'a> {
     pub grid: PanelGrid,
-    /// This rank's row panel of the normalized adjacency (all of it when
-    /// `r_a == p`).
-    pub panel: Csr,
+    /// This rank's row panel of the normalized adjacency: the caller's
+    /// matrix when the panel is every row (`r_a == p`), an owned copy of
+    /// the row range otherwise.
+    pub panel: Cow<'a, Csr>,
     /// Global vertex count.
     pub n: usize,
     /// Optional per-nonzero edge mask (§III-F): when set, every SpMM runs
@@ -220,8 +224,9 @@ pub struct Topology {
     pub mask: Option<Vec<bool>>,
     /// Row panel of `Âᵀ` when the aggregation matrix is not symmetric
     /// (mean/GraphSAGE normalization): the backward pass must multiply by
-    /// the transpose. `None` for the symmetric GCN normalization.
-    pub panel_t: Option<Csr>,
+    /// the transpose. `None` for the symmetric GCN normalization. Borrowed
+    /// or owned exactly like `panel`.
+    pub panel_t: Option<Cow<'a, Csr>>,
     /// The wire every redistribution of this topology rides. On
     /// [`Wire::Indexed`] bit-zero rows of every shipped piece are elided
     /// (`rdm_comm::strip`); results are bit-identical to [`Wire::Dense`],
@@ -230,19 +235,27 @@ pub struct Topology {
     pub wire: Wire,
 }
 
-impl Topology {
+/// Rows `rows` of `m`: `m` itself when that is every row, else a copy.
+fn row_range(m: &Csr, rows: std::ops::Range<usize>) -> Cow<'_, Csr> {
+    if rows == (0..m.rows()) {
+        Cow::Borrowed(m)
+    } else {
+        Cow::Owned(m.row_panel(rows.start, rows.end))
+    }
+}
+
+impl<'a> Topology<'a> {
     /// Build the topology for this rank.
     ///
     /// # Panics
     /// If `r_a` does not divide the cluster size.
-    pub fn new(adj: &Csr, r_a: usize, ctx: &RankCtx) -> Self {
+    pub fn new(adj: &'a Csr, r_a: usize, ctx: &RankCtx) -> Self {
         let p = ctx.size();
         let grid = PanelGrid::new(p, r_a);
         let rows = grid.panel_rows(adj.rows(), grid.panel_of(ctx.rank()));
-        let panel = adj.row_panel(rows.start, rows.end);
         Topology {
             grid,
-            panel,
+            panel: row_range(adj, rows),
             n: adj.rows(),
             mask: None,
             panel_t: None,
@@ -255,14 +268,11 @@ impl Topology {
     ///
     /// # Panics
     /// If shapes mismatch or `r_a` does not divide the cluster size.
-    pub fn new_asym(adj: &Csr, adj_t: &Csr, r_a: usize, ctx: &RankCtx) -> Self {
+    pub fn new_asym(adj: &'a Csr, adj_t: &'a Csr, r_a: usize, ctx: &RankCtx) -> Self {
         assert_eq!(adj.rows(), adj_t.rows(), "transpose shape mismatch");
         assert_eq!(adj.nnz(), adj_t.nnz(), "transpose nnz mismatch");
         let mut topo = Self::new(adj, r_a, ctx);
-        let rows = topo
-            .grid
-            .panel_rows(adj.rows(), topo.grid.panel_of(ctx.rank()));
-        topo.panel_t = Some(adj_t.row_panel(rows.start, rows.end));
+        topo.panel_t = Some(row_range(adj_t, topo.tile_rows(ctx.rank())));
         topo
     }
 
@@ -288,7 +298,7 @@ impl Topology {
     }
 
     /// Fully replicated topology (`r_a == p`).
-    pub fn full(adj: &Csr, ctx: &RankCtx) -> Self {
+    pub fn full(adj: &'a Csr, ctx: &RankCtx) -> Self {
         Self::new(adj, ctx.size(), ctx)
     }
 
@@ -555,6 +565,29 @@ mod tests {
         assert_eq!(full.panels(), 1);
         assert_eq!(full.row_group(2), vec![0, 1, 2, 3]);
         assert_eq!(full.col_group(2), vec![2]);
+    }
+
+    #[test]
+    fn full_replication_borrows_the_callers_matrix() {
+        // At r_a = P the panel is every row: every rank reads the caller's
+        // matrix itself (and its transpose's) instead of a copy. Below P
+        // each rank owns its row panel.
+        let n = 20;
+        let p = 4;
+        let adj = random_adj(n, 21);
+        let adj_t = adj.transpose();
+        Cluster::new(p).run(|ctx| {
+            let full = Topology::new(&adj, p, ctx);
+            assert!(std::ptr::eq(&*full.panel, &adj));
+            let asym = Topology::new_asym(&adj, &adj_t, p, ctx);
+            assert!(std::ptr::eq(asym.panel_t.as_deref().unwrap(), &adj_t));
+            for r_a in [1, 2] {
+                let topo = Topology::new(&adj, r_a, ctx);
+                let rows = topo.tile_rows(ctx.rank());
+                assert!(matches!(topo.panel, Cow::Owned(_)), "r_a = {r_a}");
+                assert_eq!(*topo.panel, adj.row_panel(rows.start, rows.end));
+            }
+        });
     }
 
     #[test]

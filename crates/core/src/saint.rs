@@ -235,7 +235,7 @@ pub(crate) struct SaintMaskedTrainer<'a> {
     keep: f64,
     /// The fully replicated adjacency with values scaled by `1/q`; every
     /// step installs its own mask.
-    topo: Topology,
+    topo: Topology<'a>,
     input: FormCache,
     plan: Plan,
 }
@@ -253,15 +253,14 @@ impl<'a> SaintMaskedTrainer<'a> {
         let keep = keep as f64;
         // One epoch touches every edge once in expectation.
         let steps = (1.0 / keep).ceil() as usize;
-        let mut adj_scaled = ds.adj_norm.clone();
+        let mut topo = Topology::full(&ds.adj_norm, ctx);
         let inv = (1.0 / keep) as f32;
-        for v in adj_scaled.vals_mut() {
+        for v in topo.panel.to_mut().vals_mut() {
             *v *= inv;
         }
         let common = SaintCommon::new(ds, cfg, steps);
-        let topo = Topology::full(&adj_scaled, ctx);
         SaintMaskedTrainer {
-            plan: common.plan(ds.n(), adj_scaled.nnz(), ctx.size()),
+            plan: common.plan(ds.n(), topo.panel.nnz(), ctx.size()),
             input: input_cache(&ds.features, &topo, ctx),
             common,
             keep,

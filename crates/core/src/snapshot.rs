@@ -85,8 +85,10 @@ impl WeightSnapshot {
     /// Deserialize the binary format.
     ///
     /// # Errors
-    /// Describes the first structural problem (bad magic, truncation,
-    /// shape mismatch between adjacent layers, trailing bytes).
+    /// Describes the first structural problem (bad magic, truncation — a
+    /// header or shape claiming more bytes than remain — shape mismatch
+    /// between adjacent layers, trailing bytes). No input panics or
+    /// allocates more than the bytes it was given justify.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
@@ -114,6 +116,14 @@ impl WeightSnapshot {
         if layers == 0 {
             return Err("snapshot has zero layers".into());
         }
+        // Every layer carries an 8-byte shape header, so the bytes left
+        // bound how many layers there can be before anything is reserved.
+        if layers > (bytes.len() - pos) / 8 {
+            return Err(format!(
+                "snapshot truncated: {layers} layers cannot fit in {} bytes",
+                bytes.len() - pos
+            ));
+        }
         let mut w = Vec::with_capacity(layers);
         for l in 0..layers {
             let rows = u32_at(&mut pos)? as usize;
@@ -129,10 +139,11 @@ impl WeightSnapshot {
                     ));
                 }
             }
-            let n = rows
+            let len = rows
                 .checked_mul(cols)
+                .and_then(|n| n.checked_mul(4))
                 .ok_or_else(|| format!("layer {l} shape {rows}x{cols} overflows"))?;
-            let raw = take(&mut pos, n * 4)?;
+            let raw = take(&mut pos, len)?;
             let data: Vec<f32> = raw
                 .chunks_exact(4)
                 .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
@@ -239,6 +250,84 @@ mod tests {
         assert!(WeightSnapshot::from_bytes(&mismatched)
             .unwrap_err()
             .contains("features"));
+    }
+
+    /// A snapshot header claiming `layers` layers, followed by one layer
+    /// header of shape `rows × cols` and no data.
+    fn crafted(layers: u32, rows: u32, cols: u32) -> Vec<u8> {
+        let mut b = Vec::new();
+        b.extend_from_slice(MAGIC);
+        b.extend_from_slice(&VERSION.to_le_bytes());
+        for x in [layers, rows, cols] {
+            b.extend_from_slice(&x.to_le_bytes());
+        }
+        b
+    }
+
+    #[test]
+    fn a_huge_layer_count_is_an_error_not_an_abort() {
+        // Reserving `u32::MAX` layers up front aborted the process.
+        let err = WeightSnapshot::from_bytes(&crafted(u32::MAX, 1, 1)).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn a_layer_whose_byte_count_wraps_is_an_error_not_a_panic() {
+        // 2³¹ × 2³¹ elements of 4 bytes wrapped to 0 bytes, so the empty
+        // data was taken and `Mat::from_vec` panicked on the shape.
+        let err = WeightSnapshot::from_bytes(&crafted(1, 1 << 31, 1 << 31)).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn corrupted_snapshots_never_panic(
+            widths in proptest::collection::vec(1usize..6, 2..5),
+            seed in 0u64..1000,
+            cut in 0.0f64..1.0,
+            flips in proptest::collection::vec((0.0f64..1.0, 0u8..8), 1..4),
+        ) {
+            let snap = WeightSnapshot::from_weights(&GcnWeights::init(&widths, seed));
+            let good = snap.to_bytes();
+            // Round trip.
+            let back = WeightSnapshot::from_bytes(&good).unwrap();
+            proptest::prop_assert_eq!(back.to_bytes(), good.clone());
+            // Every truncation is an error (a snapshot has no valid prefix).
+            let at = (cut * good.len() as f64) as usize;
+            proptest::prop_assert!(WeightSnapshot::from_bytes(&good[..at]).is_err());
+            // Bit flips anywhere: an error or a snapshot, never a panic;
+            // what parses re-serialises to exactly the bytes it came from.
+            let mut bad = good.clone();
+            for &(where_, bit) in &flips {
+                let i = ((where_ * bad.len() as f64) as usize).min(bad.len() - 1);
+                bad[i] ^= 1 << bit;
+            }
+            if let Ok(s) = WeightSnapshot::from_bytes(&bad) {
+                proptest::prop_assert_eq!(s.to_bytes(), bad);
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_single_bit_flip_is_handled() {
+        let good = sample().to_bytes();
+        for at in 0..good.len() {
+            assert!(
+                WeightSnapshot::from_bytes(&good[..at]).is_err(),
+                "prefix {at}"
+            );
+        }
+        for i in 0..good.len() {
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[i] ^= 1 << bit;
+                if let Ok(s) = WeightSnapshot::from_bytes(&bad) {
+                    assert_eq!(s.to_bytes(), bad, "byte {i} bit {bit}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -462,9 +462,9 @@ impl<A: RowAggregation> Trainer for RowTrainer<A> {
 }
 
 /// Full-batch RDM under a fixed plan, or under dynamic selection.
-struct RdmTrainer {
+struct RdmTrainer<'a> {
     plan: Plan,
-    topo: Topology,
+    topo: Topology<'a>,
     /// Both layouts of the input features (the initial distribution is
     /// free).
     input: FormCache,
@@ -535,8 +535,8 @@ impl DynSelect {
     }
 }
 
-impl RdmTrainer {
-    fn setup(ds: &Dataset, cfg: &TrainerConfig, resolved: &Resolution, ctx: &RankCtx) -> Self {
+impl<'a> RdmTrainer<'a> {
+    fn setup(ds: &'a Dataset, cfg: &TrainerConfig, resolved: &Resolution, ctx: &RankCtx) -> Self {
         let plan = resolved.plan.clone().expect("RDM always resolves a plan");
         let mut topo = match &ds.adj_norm_t {
             None => Topology::new(&ds.adj_norm, plan.r_a, ctx),
@@ -583,7 +583,7 @@ impl RdmTrainer {
     }
 }
 
-impl Trainer for RdmTrainer {
+impl Trainer for RdmTrainer<'_> {
     fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
         if let Some(dy) = &self.dynamic {
             self.plan.config = dy.current().clone();

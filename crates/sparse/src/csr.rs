@@ -89,14 +89,40 @@ pub struct Csr {
     indptr: Vec<usize>,
     indices: Vec<u32>,
     vals: Vec<f32>,
-    /// Lazily computed nonzero-balanced row-panel boundaries (see
-    /// [`Csr::nnz_partition`]). Not part of the matrix value: ignored by
-    /// equality, cloned along for free reuse on copies.
-    panels: OnceLock<Vec<usize>>,
-    /// Lazily computed per-destination remote-row support (see
-    /// [`Csr::col_support`]). Cached exactly like `panels`: the adjacency
-    /// is static across epochs, so the scan runs once per matrix.
-    support: OnceLock<Vec<Vec<u32>>>,
+    /// Lazily computed nonzero-balanced row-panel boundaries, one per task
+    /// count asked for (see [`Csr::nnz_partition`]). Not part of the matrix
+    /// value: ignored by equality, cloned along for free reuse on copies.
+    panels: Memo<Vec<usize>>,
+    /// Lazily computed per-destination remote-row support, one per part
+    /// count asked for (see [`Csr::col_support`]). Cached exactly like
+    /// `panels`: the adjacency is static across epochs, so each scan runs
+    /// once per matrix.
+    support: Memo<Vec<Vec<u32>>>,
+}
+
+/// An append-only, thread-safe memo of values derived from a matrix, one
+/// per `usize` key: a chain of write-once cells, so a lookup hands out a
+/// reference that lives as long as the matrix. Ranks that share one
+/// matrix, each asking for its own key, each get their own value.
+#[derive(Clone, Debug)]
+struct Memo<T>(OnceLock<Box<(usize, T, Memo<T>)>>);
+
+impl<T> Memo<T> {
+    fn new() -> Self {
+        Memo(OnceLock::new())
+    }
+
+    /// The value for `key`, computed by `make` on first request.
+    fn get(&self, key: usize, make: impl Fn() -> T) -> &T {
+        let mut at = self;
+        loop {
+            let (k, v, next) = &**at.0.get_or_init(|| Box::new((key, make(), Memo::new())));
+            if *k == key {
+                return v;
+            }
+            at = next;
+        }
+    }
 }
 
 /// Structural + value equality; the cached scheduling partition is not part
@@ -123,12 +149,14 @@ pub struct InduceScratch {
     /// the pass and clears exactly those after it, so no call pays an
     /// `O(N)` fill.
     remap: Vec<u32>,
-    /// One row's kept `(new column, value)` pairs, sorted in place when
-    /// `keep` is not increasing (a non-monotone remap scrambles column
-    /// order).
-    row: Vec<(u32, f32)>,
-    /// Per-row `D̃^{-1/2}` of the matrix being normalised.
-    pub(crate) inv_sqrt: Vec<f32>,
+    /// One row's kept entries packed as `column << 32 | value bits`, to
+    /// sort them by column when `keep` is not increasing (a non-monotone
+    /// remap scrambles column order). Unused on the increasing path.
+    sort: Vec<u64>,
+    /// Per-row value sums of the last induced matrix, in column order as
+    /// [`Csr::row_sums`] adds them; [`crate::gcn_normalize_induced`] turns
+    /// them into `D̃^{-1/2}` in place.
+    pub(crate) degree: Vec<f32>,
 }
 
 impl InduceScratch {
@@ -189,8 +217,8 @@ impl Csr {
             indptr,
             indices,
             vals,
-            panels: OnceLock::new(),
-            support: OnceLock::new(),
+            panels: Memo::new(),
+            support: Memo::new(),
         }
     }
 
@@ -264,15 +292,14 @@ impl Csr {
         )
     }
 
-    /// Nonzero-balanced row-panel boundaries for parallel SpMM, computed
-    /// on first use with [`balanced_panels`] and cached (the adjacency
-    /// matrix is reused every epoch, so the partition is too). The `tasks`
-    /// hint is honoured by the first caller only; later calls return the
-    /// cached partition regardless — every kernel in this workspace asks
-    /// for the same count.
+    /// Nonzero-balanced row-panel boundaries for parallel SpMM into
+    /// `tasks` panels, `balanced_panels(indptr, tasks)`, computed on first
+    /// use and cached per task count (the adjacency matrix is reused every
+    /// epoch, so the partition is too — and ranks sharing one matrix on
+    /// different core shares each get the partition for their own count).
     pub fn nnz_partition(&self, tasks: usize) -> &[usize] {
         self.panels
-            .get_or_init(|| balanced_panels(&self.indptr, tasks))
+            .get(tasks, || balanced_panels(&self.indptr, tasks))
     }
 
     /// Per-destination remote-row support of this panel under a balanced
@@ -283,12 +310,11 @@ impl Csr {
     /// dense operand, so entry `j` is exactly the set of rows member `j`
     /// must ship here — the basis of sparsity-aware redistribution.
     ///
-    /// Computed by one `indices` scan on first use and cached (the
-    /// adjacency is static across epochs). Like [`Csr::nnz_partition`] the
-    /// `parts` hint is honoured by the first caller only; later calls
-    /// return the cached support regardless.
+    /// Computed by one `indices` scan on first use and cached per `parts`,
+    /// like [`Csr::nnz_partition`] (the adjacency is static across
+    /// epochs).
     pub fn col_support(&self, parts: usize) -> &[Vec<u32>] {
-        self.support.get_or_init(|| {
+        self.support.get(parts, || {
             let parts = parts.max(1);
             let mut present = vec![false; self.cols];
             for &c in &self.indices {
@@ -475,12 +501,19 @@ impl Csr {
     }
 
     /// `A[keep, keep]`, plus `I` when `self_loops`, into `out`, whose
-    /// buffers are cleared and reused (and whose cached partition and
-    /// support are dropped). Each row's kept entries pass through
-    /// `scratch`'s row buffer, already in column order when `keep` is
-    /// increasing (the remap is then monotone) and sorted in place
-    /// otherwise. The self-loop is merged in the scan that writes the row —
-    /// added to an existing diagonal entry, else inserted with weight 1.
+    /// buffers are reused (and whose cached partitions and supports are
+    /// dropped); each row's value sum lands in `scratch.degree`.
+    ///
+    /// One branchless pass per kept row: every entry of the source row is
+    /// written at the output cursor as `(remap[c], v)`, and the cursor
+    /// advances only past kept ones, so the scan runs at memory speed
+    /// whatever fraction it keeps. The written slice is already in column
+    /// order when `keep` is increasing (the remap is then monotone) and is
+    /// sorted in place otherwise. The self-loop is placed by a binary
+    /// search of the compacted row — added to an existing diagonal entry,
+    /// else inserted with weight 1 by shifting the tail one slot (every
+    /// row has a slot reserved for it). The row's sum is taken while the
+    /// row is hot, left to right as [`Csr::row_sums`] does.
     ///
     /// Allocates nothing once `scratch` and `out` have served a superset
     /// of `keep`'s vertices from the same matrix, in any order.
@@ -495,7 +528,11 @@ impl Csr {
         scratch: &mut InduceScratch,
         out: &mut Csr,
     ) {
-        let InduceScratch { remap, row, .. } = scratch;
+        let InduceScratch {
+            remap,
+            sort,
+            degree,
+        } = scratch;
         let span = self.rows.max(self.cols);
         if remap.len() < span {
             remap.resize(span, u32::MAX);
@@ -518,66 +555,60 @@ impl Csr {
         }
         let increasing = keep.windows(2).all(|w| w[0] < w[1]);
         let n = keep.len();
-        // Every kept row's full degree (plus its self-loop) bounds what it
-        // keeps, so the arrays grow at most once per call.
+        // Every kept row's full degree (plus its self-loop's slot) bounds
+        // what it writes, so the arrays are sized once per call.
         let bound = keep
             .iter()
             .map(|&k| self.row(k as usize).0.len())
             .sum::<usize>()
             + if self_loops { n } else { 0 };
-        out.reset(n, n, bound);
+        out.rows = n;
+        out.cols = n;
+        out.panels = Memo::new();
+        out.support = Memo::new();
+        let Csr {
+            indptr,
+            indices,
+            vals,
+            ..
+        } = out;
+        indptr.clear();
+        indptr.push(0);
+        indices.resize(bound, 0);
+        vals.resize(bound, 0.0);
+        degree.clear();
+        let mut end = 0;
         for (new_r, &old_r) in keep.iter().enumerate() {
             let (cs, vs) = self.row(old_r as usize);
-            row.clear();
-            row.extend(cs.iter().zip(vs).filter_map(|(&c, &v)| {
+            let start = end;
+            for (&c, &v) in cs.iter().zip(vs) {
                 let nc = remap[c as usize];
-                (nc != u32::MAX).then_some((nc, v))
-            }));
+                indices[end] = nc;
+                vals[end] = v;
+                end += usize::from(nc != u32::MAX);
+            }
             if !increasing {
-                row.sort_unstable_by_key(|&(c, _)| c);
+                sort_by_column(&mut indices[start..end], &mut vals[start..end], sort);
             }
-            out.push_row(row, self_loops.then_some(new_r as u32));
-        }
-        keep.iter().for_each(|&k| remap[k as usize] = u32::MAX);
-    }
-
-    /// Empty this matrix to `rows × cols` with no rows pushed yet, keeping
-    /// its buffers, with room for `nnz` entries.
-    fn reset(&mut self, rows: usize, cols: usize, nnz: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.indptr.clear();
-        self.indptr.reserve(rows + 1);
-        self.indptr.push(0);
-        self.indices.clear();
-        self.indices.reserve(nnz);
-        self.vals.clear();
-        self.vals.reserve(nnz);
-        self.panels = OnceLock::new();
-        self.support = OnceLock::new();
-    }
-
-    /// Append one row from column-sorted entries, merging a self-loop at
-    /// column `diag` (see [`Csr::induce_into`]).
-    fn push_row(&mut self, entries: &[(u32, f32)], mut diag: Option<u32>) {
-        for &(c, mut v) in entries {
-            if let Some(d) = diag.filter(|&d| d <= c) {
-                if d == c {
-                    v += 1.0;
+            if self_loops {
+                let diag = new_r as u32;
+                let at = start + indices[start..end].partition_point(|&c| c < diag);
+                if at < end && indices[at] == diag {
+                    vals[at] += 1.0;
                 } else {
-                    self.indices.push(d);
-                    self.vals.push(1.0);
+                    indices.copy_within(at..end, at + 1);
+                    vals.copy_within(at..end, at + 1);
+                    indices[at] = diag;
+                    vals[at] = 1.0;
+                    end += 1;
                 }
-                diag = None;
             }
-            self.indices.push(c);
-            self.vals.push(v);
+            degree.push(vals[start..end].iter().sum());
+            indptr.push(end);
         }
-        if let Some(d) = diag {
-            self.indices.push(d);
-            self.vals.push(1.0);
-        }
-        self.indptr.push(self.indices.len());
+        indices.truncate(end);
+        vals.truncate(end);
+        keep.iter().for_each(|&k| remap[k as usize] = u32::MAX);
     }
 
     /// Row pointers and column indices beside mutable values — for
@@ -610,6 +641,23 @@ impl Csr {
     /// True if the matrix equals its transpose (structure and values).
     pub fn is_symmetric(&self) -> bool {
         self.rows == self.cols && *self == self.transpose()
+    }
+}
+
+/// Sort one row's entries by column through `packed`, as
+/// `column << 32 | value bits`: a row's columns are distinct, so ordering
+/// the packed words orders the columns and carries each value along.
+fn sort_by_column(cols: &mut [u32], vals: &mut [f32], packed: &mut Vec<u64>) {
+    packed.clear();
+    packed.extend(
+        cols.iter()
+            .zip(vals.iter())
+            .map(|(&c, &v)| u64::from(c) << 32 | u64::from(v.to_bits())),
+    );
+    packed.sort_unstable();
+    for ((c, v), &p) in cols.iter_mut().zip(vals.iter_mut()).zip(packed.iter()) {
+        *c = (p >> 32) as u32;
+        *v = f32::from_bits(p as u32);
     }
 }
 
@@ -806,13 +854,15 @@ mod tests {
     }
 
     #[test]
-    fn nnz_partition_is_cached_and_survives_clone() {
+    fn nnz_partition_is_cached_per_task_count_and_survives_clone() {
         let m = sample();
-        let a = m.nnz_partition(2).to_vec();
-        // First caller wins; a different hint returns the same partition.
-        assert_eq!(m.nnz_partition(3), &a[..]);
+        let a = m.nnz_partition(2);
+        assert_eq!(a, &balanced_panels(m.indptr(), 2)[..]);
+        // Each task count gets its own partition; the first stays cached.
+        assert_eq!(m.nnz_partition(3), &balanced_panels(m.indptr(), 3)[..]);
+        assert!(std::ptr::eq(m.nnz_partition(2), a));
         let c = m.clone();
-        assert_eq!(c.nnz_partition(2), &a[..]);
+        assert_eq!(c.nnz_partition(2), a);
         assert_eq!(m, c);
     }
 
@@ -850,8 +900,9 @@ mod tests {
     fn col_support_is_cached_and_survives_clone() {
         let m = sample();
         let a: Vec<Vec<u32>> = m.col_support(2).to_vec();
-        // First caller wins; a different hint returns the same support.
-        assert_eq!(m.col_support(3), &a[..]);
+        // Each part count gets its own support; the first stays cached.
+        assert_eq!(m.col_support(3).len(), 3);
+        assert_eq!(m.col_support(2), &a[..]);
         let c = m.clone();
         assert_eq!(c.col_support(2), &a[..]);
         assert_eq!(m, c);

@@ -21,8 +21,9 @@ pub fn gcn_normalize(a: &Csr) -> Csr {
 
 /// The GCN normalization of the subgraph induced on `keep`,
 /// `D̃^{-1/2}(A[keep, keep] + I)D̃^{-1/2}`, into `out` — one induction
-/// pass plus one in-place scaling pass, reusing `out`'s and `scratch`'s
-/// buffers. Vertex `keep[i]` becomes row and column `i`.
+/// pass (which sums each degree while its row is hot) plus one in-place
+/// scaling pass, reusing `out`'s and `scratch`'s buffers. Vertex `keep[i]`
+/// becomes row and column `i`.
 ///
 /// Bitwise `gcn_normalize(&a.induced(keep))`: each degree is summed in
 /// column order as [`Csr::row_sums`] does, and each value scaled as
@@ -32,16 +33,10 @@ pub fn gcn_normalize(a: &Csr) -> Csr {
 /// If `keep` contains an out-of-range or duplicate vertex.
 pub fn gcn_normalize_induced(a: &Csr, keep: &[u32], scratch: &mut InduceScratch, out: &mut Csr) {
     a.induce_into(keep, true, scratch, out);
-    let s = &mut scratch.inv_sqrt;
-    s.clear();
-    s.extend((0..out.rows()).map(|r| {
-        let d: f32 = out.row(r).1.iter().sum();
-        if d > 0.0 {
-            1.0 / d.sqrt()
-        } else {
-            0.0
-        }
-    }));
+    let s = &mut scratch.degree;
+    for d in s.iter_mut() {
+        *d = if *d > 0.0 { 1.0 / d.sqrt() } else { 0.0 };
+    }
     let (indptr, indices, vals) = out.parts_mut();
     for (r, w) in indptr.windows(2).enumerate() {
         let sr = s[r];

@@ -380,7 +380,7 @@ mod tests {
         let b = Mat::random(400, 4, 1.0, 17);
         let c = spmm(&a, &b); // forces the cached partition into existence
         assert_eq!(c.shape(), (400, 4));
-        let bounds = a.nnz_partition(0); // hint ignored: already cached
+        let bounds = a.nnz_partition(task_count(a.rows())); // the one spmm used
         let tasks = bounds.len() - 1;
         assert!(tasks >= 2, "expected a multi-task partition");
         let per_task: Vec<usize> = bounds
@@ -395,6 +395,35 @@ mod tests {
         assert!(
             max / mean <= (399.0 / mean).max(1.5),
             "per-task nnz skew unbounded: max {max}, mean {mean}"
+        );
+    }
+
+    #[test]
+    fn partition_cache_serves_each_share_its_own_task_count() {
+        // One matrix read by callers on different core shares — ranks
+        // sharing a replicated adjacency, or a P = 1 run after a P = 2 one
+        // — must partition for each caller's task count, not the first's.
+        let a = random_csr(96, 96, 0.2, 21);
+        let b = Mat::random(96, 5, 1.0, 22);
+        let narrow = rayon::with_share(1, || {
+            let c = spmm(&a, &b);
+            assert_eq!(task_count(a.rows()), 8);
+            (c, a.nnz_partition(8).as_ptr())
+        });
+        let wide = rayon::with_share(2, || {
+            assert_eq!(task_count(a.rows()), 16);
+            assert_eq!(
+                a.nnz_partition(16),
+                &crate::balanced_panels(a.indptr(), 16)[..]
+            );
+            spmm(&a, &b)
+        });
+        assert_eq!(narrow.0.as_slice(), wide.as_slice());
+        // The first partition is still the cached one.
+        assert_eq!(a.nnz_partition(8).as_ptr(), narrow.1);
+        assert_eq!(
+            a.nnz_partition(8),
+            &crate::balanced_panels(a.indptr(), 8)[..]
         );
     }
 

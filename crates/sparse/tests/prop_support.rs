@@ -83,10 +83,9 @@ proptest! {
 
 #[test]
 fn empty_panel_has_empty_support_everywhere() {
-    // The support cache is first-caller-wins (like `nnz_partition`), so
-    // probe each `parts` value on a fresh matrix.
+    // One matrix answers every `parts` value from its own cache entry.
+    let m = Csr::empty(6, 12);
     for parts in [1usize, 2, 3, 5] {
-        let m = Csr::empty(6, 12);
         let support = m.col_support(parts);
         assert_eq!(support.len(), parts);
         assert!(support.iter().all(|c| c.is_empty()));
@@ -159,12 +158,11 @@ fn hub_heavy_rmat_like_skew_matches_reference() {
         }
     }
     let reference_m = coo.to_csr();
+    let m = coo.to_csr();
     for parts in [1usize, 2, 4, 8] {
-        // `col_support` caches on first call; later `parts` values would
-        // reuse the first bucketing, so probe each on a fresh matrix.
-        let fresh = coo.to_csr();
+        // Cached per `parts`: each count gets its own bucketing.
         assert_eq!(
-            fresh.col_support(parts),
+            m.col_support(parts),
             reference_support(&reference_m, parts),
             "parts={parts}"
         );
