@@ -3,9 +3,10 @@
 use crate::fault::FaultPlan;
 use crate::mailbox::{Barrier, Fabric};
 use crate::stats::{CollectiveKind, CommStats};
-use rdm_dense::Mat;
+use rdm_dense::{pool, Mat};
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A fixed-size group of ranks (the simulated multi-GPU node).
@@ -93,6 +94,7 @@ impl Cluster {
     {
         let fabric = Arc::new(Fabric::with_faults(self.p, self.plan));
         let barrier = Arc::new(Barrier::new(self.p));
+        let clearing = Arc::new(Clearing::new(self.p));
         let trace = self.trace;
         let share = rdm_dense::rank_share(self.p);
         type Slot<T> = Option<(T, CommStats, Option<rdm_trace::RankTrace>)>;
@@ -102,6 +104,7 @@ impl Cluster {
             for (rank, slot) in slots.iter_mut().enumerate() {
                 let fabric = fabric.clone();
                 let barrier = barrier.clone();
+                let clearing = clearing.clone();
                 let f = &f;
                 handles.push(scope.spawn(move || {
                     if trace {
@@ -111,6 +114,7 @@ impl Cluster {
                         rank,
                         fabric,
                         barrier,
+                        clearing,
                         stats: RefCell::new(CommStats::default()),
                     };
                     let out = rdm_dense::with_share(share, || f(&ctx));
@@ -142,12 +146,78 @@ impl Cluster {
     }
 }
 
+/// Where the ranks' workspace pools even out, at each barrier, the buffers
+/// messages moved between them: ranks that received more buffers of a
+/// class than they sent pay idle ones in, and the last rank to arrive
+/// hands them to the ranks that sent more than they received, in rank
+/// order — so what each rank gets is a function of the run's schedule,
+/// not of thread timing. Whatever is left waits for a later barrier.
+struct Clearing {
+    state: Mutex<ClearingState>,
+}
+
+#[derive(Default)]
+struct ClearingState {
+    /// Paid-in idle buffers by size class.
+    reserve: BTreeMap<usize, Vec<Vec<f32>>>,
+    /// Per rank: `(class, count)` it is short this round.
+    short: Vec<Vec<(usize, usize)>>,
+    /// Per rank: buffers allotted to it this round.
+    allotted: Vec<Vec<Vec<f32>>>,
+}
+
+impl Clearing {
+    fn new(p: usize) -> Self {
+        Clearing {
+            state: Mutex::new(ClearingState {
+                short: vec![Vec::new(); p],
+                allotted: vec![Vec::new(); p],
+                ..ClearingState::default()
+            }),
+        }
+    }
+
+    /// Before the barrier: deposit `rank`'s settlement.
+    fn pay_in(&self, rank: usize, s: pool::Settlement) {
+        let mut st = self.state.lock().expect("no rank panics while clearing");
+        for (d, v) in s.paid {
+            st.reserve.entry(d).or_default().push(v);
+        }
+        st.short[rank] = s.short;
+    }
+
+    /// Run by the last rank to arrive: fill each rank's shortfall from the
+    /// reserve, in rank order.
+    fn allot(&self) {
+        let st = &mut *self.state.lock().expect("no rank panics while clearing");
+        for (short, allotted) in st.short.iter_mut().zip(&mut st.allotted) {
+            for (d, n) in short.drain(..) {
+                if let Some(pile) = st.reserve.get_mut(&d) {
+                    allotted.extend(pile.drain(pile.len().saturating_sub(n)..));
+                }
+            }
+        }
+    }
+
+    /// After the barrier: `rank`'s allotment.
+    fn pay_out(&self, rank: usize) -> Vec<Vec<f32>> {
+        std::mem::take(
+            &mut self
+                .state
+                .lock()
+                .expect("no rank panics while clearing")
+                .allotted[rank],
+        )
+    }
+}
+
 /// Handle through which a rank communicates. Created by [`Cluster::run`];
 /// one per rank, not `Send` (it belongs to its thread).
 pub struct RankCtx {
     rank: usize,
     fabric: Arc<Fabric>,
     barrier: Arc<Barrier>,
+    clearing: Arc<Clearing>,
     pub(crate) stats: RefCell<CommStats>,
 }
 
@@ -188,6 +258,7 @@ impl RankCtx {
         assert_ne!(dst, self.rank, "self-send: keep the data local instead");
         assert!(dst < self.size(), "send to rank {dst} out of range");
         let t0 = Instant::now();
+        pool::sent(msg.capacity());
         let receipt = self.fabric.send(self.rank, dst, msg);
         let mut st = self.stats.borrow_mut();
         match dense {
@@ -231,6 +302,7 @@ impl RankCtx {
         let t0 = Instant::now();
         let msg = self.fabric.recv(src, self.rank);
         self.stats.borrow_mut().record_time(t0.elapsed());
+        pool::received(msg.capacity());
         msg
     }
 
@@ -245,7 +317,14 @@ impl RankCtx {
     pub fn barrier(&self) {
         rdm_trace::flush();
         let t0 = Instant::now();
-        self.barrier.wait();
+        // Barriers are also where the ranks' workspace pools even out the
+        // buffers messages moved between them (see `rdm_dense::pool`).
+        self.clearing.pay_in(self.rank, pool::settle());
+        self.barrier.wait_then(|| self.clearing.allot());
+        self.clearing
+            .pay_out(self.rank)
+            .into_iter()
+            .for_each(pool::give);
         self.stats.borrow_mut().record_time(t0.elapsed());
     }
 
@@ -411,6 +490,23 @@ mod tests {
             out.stats.iter().map(|s| s.retries).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// One-way traffic: the buffers rank 1 receives come back to rank 0
+    /// at each barrier, so rank 0's later rounds send from reused ones.
+    #[test]
+    fn barriers_return_one_way_traffic_to_its_sender() {
+        let out = Cluster::new(2).run(|ctx| {
+            for _ in 0..3 {
+                match ctx.rank() {
+                    0 => ctx.send(1, Mat::zeros(8, 16), CollectiveKind::Other),
+                    _ => drop(ctx.recv(0)),
+                }
+                ctx.barrier();
+            }
+            pool::stats()
+        });
+        assert_eq!((out.results[0].fresh, out.results[0].reused), (1, 2));
     }
 
     #[test]

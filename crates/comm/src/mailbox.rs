@@ -292,10 +292,17 @@ impl Barrier {
 
     /// Block until all `p` ranks have called `wait` for this generation.
     pub fn wait(&self) {
+        self.wait_then(|| {});
+    }
+
+    /// [`Barrier::wait`], where the last rank to arrive runs `last` before
+    /// any rank leaves — alone, with every rank's pre-barrier work done.
+    pub fn wait_then(&self, last: impl FnOnce()) {
         let mut st = self.state.lock().unwrap();
         let gen = st.generation;
         st.arrived += 1;
         if st.arrived == self.p {
+            last();
             st.arrived = 0;
             st.generation += 1;
             self.cv.notify_all();

@@ -620,9 +620,10 @@ impl Trainer for RdmTrainer<'_> {
 /// Check `cfg` against `ds` and resolve its plan.
 ///
 /// # Errors
-/// Zero epochs/ranks/layers, a graph smaller than the cluster, a keep
-/// probability outside `(0, 1]`, a non-symmetric aggregation outside RDM,
-/// or a request [`crate::plan::resolve`] rejects.
+/// Zero epochs/ranks/layers, a zero hidden width under a hidden layer, a
+/// learning rate that is not positive and finite, a graph smaller than the
+/// cluster, a keep probability outside `(0, 1]`, a non-symmetric
+/// aggregation outside RDM, or a request [`crate::plan::resolve`] rejects.
 fn resolve(ds: &Dataset, cfg: &TrainerConfig) -> Result<Resolution, String> {
     if cfg.p == 0 {
         return Err("need at least one rank".into());
@@ -632,6 +633,18 @@ fn resolve(ds: &Dataset, cfg: &TrainerConfig) -> Result<Resolution, String> {
     }
     if cfg.layers == 0 {
         return Err("need at least one layer".into());
+    }
+    if cfg.layers > 1 && cfg.hidden == 0 {
+        return Err(format!(
+            "a {}-layer model needs a hidden width of at least 1",
+            cfg.layers
+        ));
+    }
+    if !(cfg.lr.is_finite() && cfg.lr > 0.0) {
+        return Err(format!(
+            "learning rate {} must be positive and finite",
+            cfg.lr
+        ));
     }
     if ds.n() < cfg.p {
         return Err(format!("graph has {} vertices but P={}", ds.n(), cfg.p));
@@ -747,8 +760,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.overlap_inert_reason(), Some("single rank"));
-        let r = train_gcn(&ds, &base().overlap(1)).unwrap();
-        assert_eq!(r.overlap_inert_reason(), Some("chunks < 2"));
+        for chunks in [0, 1] {
+            let r = train_gcn(&ds, &base().overlap(chunks)).unwrap();
+            assert_eq!(r.overlap_inert_reason(), Some("chunks < 2"));
+        }
         let r = train_gcn(&ds, &base().overlap(4).ra(1)).unwrap();
         let reason = r.overlap_inert_reason().expect("r_a = 1 must be inert");
         assert!(reason.contains("r_a = 1"), "got {reason:?}");

@@ -261,6 +261,12 @@ impl Mat {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
+    /// Elements the buffer holds room for (its workspace-pool class).
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Number of bytes of the payload (used by the space model and the
     /// communicator's byte accounting).
     #[inline]

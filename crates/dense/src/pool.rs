@@ -28,8 +28,23 @@
 //! The [`stats`] counters (fresh vs reused takes) are the allocation
 //! hook the end-to-end tests use to prove epoch ≥ 2 performs zero fresh
 //! kernel/redistribution allocations.
+//!
+//! ## Buffers that change threads
+//!
+//! A message moves its buffer from the sending rank's thread to the
+//! receiving rank's, where it is shelved on drop. When ranks do not send
+//! as many buffers of a class as they receive (uneven partitions, ragged
+//! pipeline strips), one rank's shelf would grow every epoch while
+//! another allocated afresh. So each thread keeps, per class, the buffers
+//! it [`received`] minus those it [`sent`], and at every barrier
+//! [`settle`]s: a surplus is paid out in idle buffers of its class, a
+//! deficit is reported, and the cluster hands what was paid to the
+//! reporting threads (see `rdm_comm`'s barrier). Where every rank sends
+//! as many buffers of each class as it receives (the even case) nothing
+//! moves.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 /// Smallest pooled capacity, in `f32` elements. Requests below this are
 /// rounded up; returned buffers below it are dropped (not worth shelving).
@@ -54,6 +69,9 @@ struct Shelf {
     buckets: Vec<Vec<Vec<f32>>>,
     parked_bytes: usize,
     stats: PoolStats,
+    /// Buffers of class `d` received minus those sent, by `d`, since the
+    /// last [`settle`] (plus any surplus it could not pay).
+    balance: BTreeMap<usize, i64>,
 }
 
 thread_local! {
@@ -126,6 +144,58 @@ pub fn give(v: Vec<f32>) {
     });
 }
 
+/// Book a buffer of capacity `cap` entering (`+1`) or leaving (`-1`)
+/// the calling thread.
+fn book(cap: usize, delta: i64) {
+    if let Some(d) = storage_class(cap) {
+        let _ = SHELF.try_with(|cell| *cell.borrow_mut().balance.entry(d).or_default() += delta);
+    }
+}
+
+/// The calling thread received a buffer of capacity `cap` from another.
+pub fn received(cap: usize) {
+    book(cap, 1);
+}
+
+/// The calling thread sent a buffer of capacity `cap` to another.
+pub fn sent(cap: usize) {
+    book(cap, -1);
+}
+
+/// What a thread's balances come to at a barrier.
+#[derive(Debug, Default)]
+pub struct Settlement {
+    /// `(class, buffer)`: idle buffers paid out against surpluses.
+    pub paid: Vec<(usize, Vec<f32>)>,
+    /// `(class, count)`: buffers the thread sent beyond those it received.
+    pub short: Vec<(usize, usize)>,
+}
+
+/// Settle the calling thread's balances: pay each surplus in idle buffers
+/// of its class, as far as the shelf holds them (an unpaid rest stays
+/// owed), and report each deficit.
+pub fn settle() -> Settlement {
+    let mut out = Settlement::default();
+    let _ = SHELF.try_with(|cell| {
+        let shelf = &mut *cell.borrow_mut();
+        for (&d, balance) in shelf.balance.iter_mut() {
+            if *balance < 0 {
+                out.short.push((d, balance.unsigned_abs() as usize));
+            }
+            let bucket = shelf.buckets.get_mut(d);
+            let pay = (*balance).clamp(0, bucket.as_ref().map_or(0, |b| b.len()) as i64);
+            if let Some(bucket) = bucket.filter(|_| pay > 0) {
+                let paid = bucket.split_off(bucket.len() - pay as usize);
+                shelf.parked_bytes -=
+                    paid.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<f32>();
+                out.paid.extend(paid.into_iter().map(|v| (d, v)));
+            }
+            *balance = (*balance - pay).max(0);
+        }
+    });
+    out
+}
+
 /// Cumulative fresh/reused counters for the calling thread.
 pub fn stats() -> PoolStats {
     SHELF
@@ -141,6 +211,7 @@ pub fn clear() {
         shelf.buckets.clear();
         shelf.parked_bytes = 0;
         shelf.stats = PoolStats::default();
+        shelf.balance.clear();
     });
 }
 
@@ -222,6 +293,33 @@ mod tests {
             let b = take_zeroed(64);
             assert!(b.iter().all(|&x| x == 0.0));
             assert_eq!(stats().reused, 1);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn surpluses_are_paid_in_kind_and_deficits_reported() {
+        std::thread::spawn(|| {
+            clear();
+            give(take_empty(100)); // one idle class-1 buffer
+            received(128);
+            received(128);
+            sent(256); // class 2: a deficit
+            received(10); // too small to shelve: not booked
+            let s = settle();
+            let paid: Vec<_> = s
+                .paid
+                .iter()
+                .map(|(d, v)| (*d, storage_class(v.capacity())))
+                .collect();
+            assert_eq!(paid, [(1, Some(1))]);
+            assert_eq!(s.short, [(2, 1)]);
+            // The unpaid class-1 rest stays owed; the deficit is reported once.
+            give(take_empty(100));
+            let s = settle();
+            assert_eq!((s.paid.len(), s.short.len()), (1, 0));
+            assert_eq!(stats().fresh, 2);
         })
         .join()
         .unwrap();

@@ -86,20 +86,42 @@ impl DatasetSpec {
     }
 
     /// Materialize a dataset: generate the graph (half RMAT for degree
-    /// skew, half planted-community for learnability), features correlated
-    /// with the community, labels equal to the community, and a
-    /// 60/20/20 train/val/test split.
+    /// skew, half planted-community for learnability), then attach the
+    /// per-vertex data: labels equal to the planted community, features
+    /// correlated with it, and a 60/20/20 train/val/test split.
+    ///
+    /// # Panics
+    /// If the spec has fewer than 2 vertices, more label classes than
+    /// vertices, or no feature columns.
     pub fn instantiate(&self, seed: u64) -> Dataset {
         let n = self.vertices;
-        let k = self.labels.max(2);
         let half = self.edges / 2;
         let mut edge_list = rmat(n, half, seed);
-        edge_list.extend(sbm(n, self.edges - half, k, 0.85, seed ^ 0x5bd1_e995));
-        let adj = symmetrize(n, &edge_list);
-        let adj_norm = gcn_normalize(&adj);
+        edge_list.extend(sbm(
+            n,
+            self.edges - half,
+            self.classes(),
+            0.85,
+            seed ^ 0x5bd1_e995,
+        ));
+        self.on_graph(symmetrize(n, &edge_list), seed)
+    }
 
+    /// Planted communities: the label count, at least two.
+    fn classes(&self) -> usize {
+        self.labels.max(2)
+    }
+
+    /// A dataset over the raw symmetric adjacency `adj`, with this spec's
+    /// per-vertex data: labels equal to the planted community (`v % k`),
+    /// features correlated with it, and a 60/20/20 train/val/test split.
+    /// Features and split draw from seeds of their own, so they depend on
+    /// `seed` and the vertex count only — never on the graph.
+    fn on_graph(&self, adj: Csr, seed: u64) -> Dataset {
+        let n = adj.rows();
+        let k = self.classes();
         // Labels: the planted community (v % k), exactly what the SBM half
-        // of the edges encodes.
+        // of [`DatasetSpec::instantiate`]'s edges encodes.
         let labels: Vec<u32> = (0..n as u32).map(|v| v % k as u32).collect();
 
         // Features: a noisy community indicator so the task is learnable
@@ -131,8 +153,8 @@ impl DatasetSpec {
 
         Dataset {
             spec: self.clone(),
+            adj_norm: gcn_normalize(&adj),
             adj,
-            adj_norm,
             adj_norm_t: None,
             features,
             labels,
@@ -332,9 +354,15 @@ pub fn paper_datasets() -> Vec<DatasetSpec> {
     ]
 }
 
+/// The most feature entries (4 GiB of `f32`) an edge list may imply; every
+/// Table V dataset fits.
+const MAX_FEATURE_ENTRIES: usize = 1 << 30;
+
 /// Load a dataset from a whitespace-separated edge list (`u v` per line,
-/// 0-based), with synthetic features/labels/splits generated as in
-/// [`DatasetSpec::instantiate`]. Lines starting with `#` are skipped.
+/// 0-based), with the features, labels and split
+/// [`DatasetSpec::instantiate`] generates for as many vertices. Lines
+/// starting with `#` are skipped; an id whose feature matrix would exceed
+/// 2^30 entries (4 GiB of `f32`) is an error naming its line.
 pub fn load_edge_list(
     name: &str,
     text: &str,
@@ -360,6 +388,17 @@ pub fn load_edge_list(
             .ok_or_else(|| format!("line {}: missing target", lineno + 1))?
             .parse()
             .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        // The vertex count `max id + 1` sizes the feature matrix: bound it
+        // before anything is allocated.
+        let n = u.max(v) as usize + 1;
+        if n.saturating_mul(feature_size.max(1)) > MAX_FEATURE_ENTRIES {
+            return Err(format!(
+                "line {}: vertex id {} is out of range: {n} vertices of {feature_size} \
+                 features exceed the loader's 2^30 feature entries",
+                lineno + 1,
+                u.max(v)
+            ));
+        }
         max_v = max_v.max(u).max(v);
         edges.push((u, v));
     }
@@ -368,19 +407,7 @@ pub fn load_edge_list(
     }
     let n = max_v as usize + 1;
     let spec = DatasetSpec::synthetic(name, n, edges.len(), feature_size, labels);
-    // Materialize with the loaded structure but generated features/labels.
-    let adj = symmetrize(n, &edges);
-    let adj_norm = gcn_normalize(&adj);
-    let template = spec.instantiate(seed);
-    Ok(Dataset {
-        spec,
-        adj,
-        adj_norm,
-        adj_norm_t: None,
-        features: template.features,
-        labels: template.labels,
-        split: template.split,
-    })
+    Ok(spec.on_graph(symmetrize(n, &edges), seed))
 }
 
 /// A tiny deterministic dataset for doctests and unit tests.
@@ -492,6 +519,26 @@ mod tests {
         assert_eq!(d.adj.nnz(), 6);
         assert!(load_edge_list("bad", "0\n", 8, 3, 1).is_err());
         assert!(load_edge_list("empty", "# nothing\n", 8, 3, 1).is_err());
+        let err = load_edge_list("huge", "0 1\n1 4294967295\n", 8, 3, 1).unwrap_err();
+        assert!(err.starts_with("line 2: vertex id 4294967295"), "{err}");
+        // Ids below u32::MAX are bounded by the feature matrix they imply.
+        let err = load_edge_list("near", "0 1\n1 4294967294\n", 8, 3, 1).unwrap_err();
+        assert!(err.starts_with("line 2: vertex id 4294967294"), "{err}");
+        let err = load_edge_list("wide", "0 134217728\n", 8, 3, 1).unwrap_err();
+        assert!(err.starts_with("line 1: vertex id 134217728"), "{err}");
+    }
+
+    #[test]
+    fn edge_lists_get_the_per_vertex_data_of_instantiate() {
+        // Two vertices is below what the generators accept, not the loader.
+        let pair = load_edge_list("pair", "0 1\n", 8, 16, 5).unwrap();
+        assert_eq!((pair.n(), pair.adj.nnz()), (2, 2));
+        let spec = DatasetSpec::synthetic("t", 40, 200, 8, 3);
+        let generated = spec.instantiate(5);
+        let loaded = load_edge_list("t", "0 39\n", 8, 3, 5).unwrap();
+        assert_eq!(loaded.features, generated.features);
+        assert_eq!(loaded.labels, generated.labels);
+        assert_eq!(loaded.split, generated.split);
     }
 
     #[test]

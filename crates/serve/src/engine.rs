@@ -90,7 +90,7 @@ pub struct ServeConfig {
     /// batch prefetch behind its predecessor; an inert pipeline is timed
     /// as the blocking session it ran); logits stay bitwise
     /// identical to sequential serving. `None` (default) is the blocking
-    /// schedule; `Some(chunks)` needs `chunks >= 2`.
+    /// schedule; so is `Some(chunks)` below 2, reported inert.
     pub pipeline: Option<usize>,
     /// Per-rank row capacity of the frozen-weight layer-0 aggregation
     /// cache ([`AggCache`]); `0` (default) disables it. Requires the
@@ -217,13 +217,6 @@ pub fn serve(
             "request {} targets vertex {} outside graph of {n}",
             bad.idx, bad.target
         ));
-    }
-    if let Some(chunks) = cfg.pipeline {
-        if chunks < 2 {
-            return Err(format!(
-                "pipelined admission needs at least 2 chunks, got {chunks}"
-            ));
-        }
     }
     if cfg.cache > 0 && matches!(cfg.sampler, ServeSampler::Induced { .. }) {
         return Err("the aggregation cache requires the full-graph sampler \
@@ -651,10 +644,13 @@ mod tests {
         let mut stray = reqs.clone();
         stray[0].target = ds.n() as u32;
         assert!(serve(&ds, &snap, &stray, &ServeConfig::new(2)).is_err());
-        // Pipelining needs at least two strips.
-        let mut cfg = ServeConfig::new(2);
-        cfg.pipeline = Some(1);
-        assert!(serve(&ds, &snap, &reqs, &cfg).is_err());
+        // A pipeline below two strips runs blocking and says why.
+        for chunks in [0, 1] {
+            let mut cfg = ServeConfig::new(2);
+            cfg.pipeline = Some(chunks);
+            let out = serve(&ds, &snap, &reqs, &cfg).unwrap();
+            assert_eq!(out.report.overlap_inert_reason(), Some("chunks < 2"));
+        }
         // The aggregation cache requires the full-graph sampler.
         let mut cfg = ServeConfig::new(2);
         cfg.sampler = ServeSampler::Induced { budget: 48 };

@@ -96,8 +96,9 @@ SERVING:
                         aggregation cache indexes the full adjacency)
   --sparse              ship redistributions in the sparsity-aware wire format
   --pipeline <chunks>   pipelined batch admission: chunk every redistribution
-                        into <chunks> strips (>= 2) and hide the transfer
-                        behind compute; logits stay bitwise identical
+                        into <chunks> strips and hide the transfer behind
+                        compute; logits stay bitwise identical. Below 2
+                        chunks the session runs blocking and says so
   --cache <rows>        per-rank row capacity of the frozen-weight layer-0
                         aggregation cache; 0 disables [0]. Needs the
                         full-graph sampler; inert on GEMM-first plans
@@ -160,11 +161,7 @@ fn parse_args() -> Result<Args, String> {
                 args.budget = Some(value("--budget")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--pipeline" => {
-                let chunks: usize = value("--pipeline")?.parse().map_err(|e| format!("{e}"))?;
-                if chunks < 2 {
-                    return Err(format!("--pipeline needs at least 2 chunks, got {chunks}"));
-                }
-                args.pipeline = Some(chunks);
+                args.pipeline = Some(value("--pipeline")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--cache" => args.cache = value("--cache")?.parse().map_err(|e| format!("{e}"))?,
             "--zipf" => args.zipf = value("--zipf")?.parse().map_err(|e| format!("{e}"))?,

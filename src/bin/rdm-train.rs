@@ -73,7 +73,8 @@ MODEL / TRAINING:
                         only; broadcasts and op counts are unchanged
   --overlap <c>         pipeline redistributions into c chunks overlapped
                         with compute (rdm only); results are bit-identical
-                        to blocking, hidden comm time is reported
+                        to blocking, hidden comm time is reported. Below 2
+                        chunks the run executes blocking and says so
   --sparse              sparsity-aware redistribution (rdm only): all-zero
                         rows ride an indexed-strip wire format; results are
                         bit-identical to dense, actual vs dense-equivalent
@@ -114,11 +115,7 @@ fn parse_args() -> Result<Args, String> {
             "--algo" => args.algo = value("--algo")?,
             "--save-weights" => args.save_weights = Some(value("--save-weights")?),
             "--overlap" => {
-                let c: usize = value("--overlap")?.parse().map_err(|e| format!("{e}"))?;
-                if c == 0 {
-                    return Err("--overlap needs at least one chunk".into());
-                }
-                args.overlap = Some(c);
+                args.overlap = Some(value("--overlap")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--agg" => {
                 let v = value("--agg")?;

@@ -107,10 +107,22 @@ impl CommonArgs {
         Ok(true)
     }
 
-    /// Reject flag combinations no run can execute, once all flags are
-    /// parsed — with the library's own check, so the message is the one
-    /// `train_gcn` and `serve` would return.
+    /// Reject flag values no run can execute, once all flags are parsed —
+    /// the replication factor with the library's own check, so the message
+    /// is the one `train_gcn` and `serve` would return.
     pub fn validate(&self) -> Result<(), String> {
+        if self.features == 0 {
+            return Err("--features must be at least 1".into());
+        }
+        if self.classes < 2 {
+            return Err(format!(
+                "--classes must be at least 2, got {}",
+                self.classes
+            ));
+        }
+        if self.scale == Some(0) {
+            return Err("--scale must be at least 1".into());
+        }
         self.ra.map_or(Ok(()), |r| check_replication(r, self.ranks))
     }
 
@@ -121,6 +133,13 @@ impl CommonArgs {
             return load_edge_list(path, &text, self.features, self.classes, seed);
         }
         if let Some((n, e)) = self.synthetic {
+            // The generators plant one community per class.
+            let min = self.classes.max(2);
+            if n < min {
+                return Err(format!(
+                    "--synthetic needs at least {min} vertices (one per class), got {n}"
+                ));
+            }
             return Ok(
                 DatasetSpec::synthetic("synthetic", n, e, self.features, self.classes)
                     .instantiate(seed),

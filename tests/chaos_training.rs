@@ -1,72 +1,21 @@
-//! End-to-end fault-tolerance: full GCN training on a faulty fabric must be
+//! End-to-end fault tolerance: training on a faulty fabric is
 //! *indistinguishable* from fault-free training — bit-identical losses and
-//! accuracies every epoch, identical redistribution payload bytes — while
-//! the retransmission counters (and only they) record what the chaos cost.
+//! accuracies every epoch, identical payload books — while the
+//! retransmission counters (and only they) record what the chaos cost.
+//! `common::check` asserts that at every chaotic point `config_space.rs`
+//! samples; the tests below pin a few, and the reproducibility of the
+//! retry book itself.
 
+mod common;
+
+use common::{chaos_base, check, Config, System};
 use gnn_rdm::comm::FaultPlan;
 use gnn_rdm::core::{train_gcn, TrainerConfig};
 use gnn_rdm::graph::dataset::toy;
 
-/// Fault-seed offset from the environment, so the CI chaos job can sweep
-/// distinct fault universes without code changes.
-fn chaos_base() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
 #[test]
 fn rdm_training_bit_identical_under_faults() {
-    let ds = toy(200, 9);
-    let base = TrainerConfig::rdm_auto(4).epochs(5).hidden(16).lr(0.02);
-    let plan = FaultPlan::new(chaos_base() ^ 0xC0FFEE)
-        .drop_rate(0.2)
-        .delay(0.2, 3)
-        .straggler(0.02, 20_000);
-
-    let clean = train_gcn(&ds, &base).unwrap();
-    let faulty = train_gcn(&ds, &base.clone().faults(plan)).unwrap();
-
-    assert_eq!(clean.epochs.len(), faulty.epochs.len());
-    for (c, f) in clean.epochs.iter().zip(&faulty.epochs) {
-        // Bit-identical training trajectory: the fabric's faults may not
-        // leak into the math.
-        assert_eq!(c.loss.to_bits(), f.loss.to_bits(), "epoch {} loss", c.epoch);
-        assert_eq!(
-            c.train_acc.to_bits(),
-            f.train_acc.to_bits(),
-            "epoch {} train accuracy",
-            c.epoch
-        );
-        assert_eq!(
-            c.test_acc.to_bits(),
-            f.test_acc.to_bits(),
-            "epoch {} test accuracy",
-            c.epoch
-        );
-        // Identical payload accounting: retransmits are excluded from the
-        // volume the paper's experiments report.
-        assert_eq!(
-            c.redistribution_bytes(),
-            f.redistribution_bytes(),
-            "epoch {} redistribution payload",
-            c.epoch
-        );
-        assert_eq!(
-            c.total_bytes, f.total_bytes,
-            "epoch {} total payload",
-            c.epoch
-        );
-        // The clean run never retries.
-        assert_eq!(c.retries(), 0);
-        assert_eq!(c.retransmit_bytes(), 0);
-    }
-    // A 0.2 drop rate over five epochs of redistribution traffic must have
-    // cost something — and the cost is visible only in the retransmission
-    // counters.
-    assert!(faulty.total_retries() > 0, "no retries at drop rate 0.2");
-    assert!(faulty.total_retransmit_bytes() > 0);
+    check(&Config::train(System::Auto, 2, 4).chaos());
 }
 
 #[test]
@@ -96,31 +45,11 @@ fn chaos_training_reproducible_from_seed() {
     );
 }
 
+/// The protocol lives below the collectives, so every algorithm — not
+/// just RDM — trains identically under faults.
 #[test]
 fn baselines_also_survive_chaos() {
-    // The protocol lives below the collectives, so every algorithm —
-    // not just RDM — trains identically under faults.
-    let ds = toy(120, 4);
-    let plan = FaultPlan::new(chaos_base() ^ 5)
-        .drop_rate(0.1)
-        .delay(0.2, 3);
-    for cfg in [
-        TrainerConfig::cagnet_1d(4),
-        TrainerConfig::cagnet(4),
-        TrainerConfig::dgcl(4),
-    ] {
-        let cfg = cfg.epochs(2).hidden(8);
-        let clean = train_gcn(&ds, &cfg).unwrap();
-        let faulty = train_gcn(&ds, &cfg.clone().faults(plan)).unwrap();
-        for (c, f) in clean.epochs.iter().zip(&faulty.epochs) {
-            assert_eq!(
-                c.loss.to_bits(),
-                f.loss.to_bits(),
-                "{}: epoch {} loss diverged under faults",
-                clean.algo,
-                c.epoch
-            );
-            assert_eq!(c.total_bytes, f.total_bytes, "{}", clean.algo);
-        }
+    for system in [System::Cagnet1D, System::Cagnet15D, System::Dgcl] {
+        check(&Config::train(system, 2, 4).ra(2).chaos());
     }
 }

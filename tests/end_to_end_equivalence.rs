@@ -1,10 +1,16 @@
 //! All distributed systems implement the *same* GCN: training trajectories
-//! must coincide across systems, cluster sizes, and orderings — §V-B's
-//! "all three implementations compute identical outputs, with small
-//! differences due to reordering of floating point operations".
+//! coincide across systems, cluster sizes, orderings and kernel paths —
+//! §V-B's "all three implementations compute identical outputs, with
+//! small differences due to reordering of floating point operations".
+//! `common::check` holds every point `config_space.rs` samples to
+//! `gcn::serial` within that tolerance and to its own scalar blocking
+//! reference bit for bit; the tests below pin named points, plus the
+//! properties a single run cannot show.
 
-use gnn_rdm::comm::FaultPlan;
-use gnn_rdm::core::{best_plan, train_gcn, Plan, TrainerConfig};
+mod common;
+
+use common::{check, losses, report, Config, System};
+use gnn_rdm::core::{best_plan, train_gcn, TrainerConfig};
 use gnn_rdm::dense::{KernelMode, KernelWidth};
 use gnn_rdm::graph::DatasetSpec;
 use gnn_rdm::model::DeviceModel;
@@ -13,95 +19,43 @@ fn dataset() -> gnn_rdm::graph::Dataset {
     DatasetSpec::synthetic("e2e", 150, 1200, 16, 5).instantiate(23)
 }
 
-fn losses(ds: &gnn_rdm::graph::Dataset, cfg: TrainerConfig) -> Vec<f32> {
-    train_gcn(ds, &cfg)
-        .unwrap()
-        .epochs
-        .iter()
-        .map(|e| e.loss)
-        .collect()
-}
-
 #[test]
 fn all_systems_share_the_training_trajectory() {
-    let ds = dataset();
-    let reference = losses(&ds, TrainerConfig::rdm_auto(4).hidden(8).epochs(5));
-    for cfg in [
-        TrainerConfig::cagnet_1d(4),
-        TrainerConfig::cagnet(4),
-        TrainerConfig::dgcl(4),
-    ] {
-        let other = losses(&ds, cfg.hidden(8).epochs(5));
-        for (i, (a, b)) in reference.iter().zip(&other).enumerate() {
-            assert!((a - b).abs() < 2e-3, "epoch {i}: loss {a} vs {b} diverged");
-        }
+    for system in [System::Cagnet1D, System::Cagnet15D, System::Dgcl] {
+        check(&Config::train(system, 2, 4).ra(2));
     }
 }
 
 #[test]
 fn trajectory_independent_of_cluster_size() {
-    let ds = dataset();
-    let reference = losses(&ds, TrainerConfig::rdm_auto(1).hidden(8).epochs(5));
-    for p in [2usize, 3, 5, 8] {
-        let other = losses(&ds, TrainerConfig::rdm_auto(p).hidden(8).epochs(5));
-        for (i, (a, b)) in reference.iter().zip(&other).enumerate() {
-            assert!(
-                (a - b).abs() < 2e-3,
-                "p={p} epoch {i}: loss {a} vs {b} diverged"
-            );
-        }
+    for p in [1, 5, 8] {
+        check(&Config::train(System::Auto, 2, p));
     }
 }
 
+/// Every Table-IV configuration computes the same mathematics.
 #[test]
 fn trajectory_independent_of_ordering_plan() {
-    // Every Table-IV configuration computes the same mathematics.
-    let ds = dataset();
-    let reference = losses(
-        &ds,
-        TrainerConfig::rdm(4, Plan::from_id(0, 2, 4))
-            .hidden(8)
-            .epochs(4),
-    );
-    for id in [3usize, 5, 6, 9, 10, 12, 15] {
-        let other = losses(
-            &ds,
-            TrainerConfig::rdm(4, Plan::from_id(id, 2, 4))
-                .hidden(8)
-                .epochs(4),
-        );
-        for (i, (a, b)) in reference.iter().zip(&other).enumerate() {
-            assert!(
-                (a - b).abs() < 2e-3,
-                "id={id} epoch {i}: loss {a} vs {b} diverged"
-            );
-        }
+    for id in [3, 6, 9, 12] {
+        check(&Config::plan_id(id, 2, 4));
     }
 }
 
 #[test]
 fn determinism_same_seed_same_report() {
     let ds = dataset();
-    let a = losses(&ds, TrainerConfig::rdm_auto(4).hidden(8).epochs(4).seed(9));
-    let b = losses(&ds, TrainerConfig::rdm_auto(4).hidden(8).epochs(4).seed(9));
+    let cfg = TrainerConfig::rdm_auto(4).hidden(8).epochs(4);
+    let a = losses(&report(&ds, cfg.clone().seed(9)));
+    let b = losses(&report(&ds, cfg.clone().seed(9)));
     assert_eq!(a, b, "same seed must reproduce bit-identical losses");
-    let c = losses(&ds, TrainerConfig::rdm_auto(4).hidden(8).epochs(4).seed(10));
+    let c = losses(&report(&ds, cfg.seed(10)));
     assert_ne!(a, c, "different seeds must differ");
 }
 
 #[test]
 fn three_layer_systems_agree_too() {
-    let ds = dataset();
-    let rdm = losses(
-        &ds,
-        TrainerConfig::rdm_auto(4).hidden(8).layers(3).epochs(3),
-    );
-    let cag = losses(
-        &ds,
-        TrainerConfig::cagnet_1d(4).hidden(8).layers(3).epochs(3),
-    );
-    for (a, b) in rdm.iter().zip(&cag) {
-        assert!((a - b).abs() < 2e-3, "3-layer loss {a} vs {b}");
+    for system in [System::Auto, System::Cagnet1D] {
+        check(&Config::train(system, 3, 4));
     }
 }
 
@@ -143,69 +97,22 @@ fn steady_state_epochs_allocate_no_fresh_buffers() {
     }
 }
 
-fn bits(losses: &[f32]) -> Vec<u32> {
-    losses.iter().map(|l| l.to_bits()).collect()
-}
-
+/// The kernel axis: every forced lane width reproduces the scalar
+/// reference bit for bit — the microkernels never reassociate a sum.
 #[test]
 fn fast_kernels_trajectory_is_bitwise_scalar() {
-    // The kernel axis: the default (fast) path and every forced lane
-    // width reproduce the scalar reference's loss trajectory bit for bit
-    // — the microkernels never reassociate a sum.
-    let ds = dataset();
-    let base = TrainerConfig::rdm_auto(4).hidden(8).epochs(4).seed(9);
-    let scalar = bits(&losses(&ds, base.clone().reference_kernels()));
-    assert_eq!(scalar, bits(&losses(&ds, base.clone())), "default kernels");
     for width in KernelWidth::all() {
-        let fast = losses(&ds, base.clone().kernel_mode(KernelMode::Fast(width)));
-        assert_eq!(scalar, bits(&fast), "{width:?} diverged from scalar");
+        check(&Config::train(System::Auto, 2, 4).kernels(KernelMode::Fast(width)));
     }
 }
 
+/// At every lane width, the pipeline, the indexed wire and chaos together
+/// leave the trajectory bit-identical to the scalar blocking dense run.
 #[test]
 fn fast_kernels_bitwise_scalar_across_axes() {
-    // At every lane width, overlap, the sparse wire format and chaos all
-    // leave the trajectory bit-identical to the scalar blocking dense
-    // fault-free run.
-    let ds = dataset();
-    let plan = |p: usize, id: usize| {
-        TrainerConfig::rdm(p, Plan::from_id(id, 2, p))
-            .hidden(8)
-            .epochs(3)
-    };
-    let scalar = losses(&ds, plan(4, 5).reference_kernels());
     for width in KernelWidth::all() {
-        let base = plan(4, 5).kernel_mode(KernelMode::Fast(width));
-        for (axis, cfg) in [
-            ("blocking", base.clone()),
-            ("overlap", base.clone().overlap(3)),
-            ("sparse wire format", base.clone().sparse()),
-            (
-                "chaos",
-                base.clone()
-                    .faults(FaultPlan::new(71).drop_rate(0.15).delay(0.2, 3)),
-            ),
-        ] {
-            assert_eq!(bits(&scalar), bits(&losses(&ds, cfg)), "{width:?}: {axis}");
-        }
-        // Rank count and ordering plan genuinely re-partition reductions
-        // (ring all-reduce, tile sweeps), so — exactly as for the scalar
-        // path — those axes agree to tolerance, not bitwise; each point is
-        // still bitwise its own scalar run.
-        for (p, id) in [(1usize, 5usize), (2, 5), (4, 0), (4, 10)] {
-            let other = losses(&ds, plan(p, id).kernel_mode(KernelMode::Fast(width)));
-            assert_eq!(
-                bits(&other),
-                bits(&losses(&ds, plan(p, id).reference_kernels())),
-                "{width:?}: P={p} id={id}"
-            );
-            for (i, (a, b)) in scalar.iter().zip(&other).enumerate() {
-                assert!(
-                    (a - b).abs() < 2e-3,
-                    "{width:?} P={p} id={id} epoch {i}: {a} vs {b}"
-                );
-            }
-        }
+        let point = Config::plan_id(5, 2, 4).chunks(3).sparse().chaos();
+        check(&point.kernels(KernelMode::Fast(width)));
     }
 }
 

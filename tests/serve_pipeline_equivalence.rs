@@ -1,210 +1,59 @@
-//! Serving-depth differential harness: pipelined batch admission and the
-//! frozen-weight aggregation cache must be *invisible* to the math. For
-//! the same weight snapshot and request stream, a pipelined + cached
-//! session produces logits bitwise identical to the plain sequential
-//! session (and to a direct engine forward), across cluster sizes, wire
-//! formats, kernel widths and fault injection — while the payload book's
-//! savings reconcile *exactly* with a directory replay of the batch
-//! schedule: every byte the cache claims to have elided is a byte that
-//! left the dense-equivalent Redistribute book.
-//!
-//! The CI `serve` job sweeps this file over fault seeds (`CHAOS_SEED`).
+//! Serving depth: pipelined batch admission and the frozen-weight
+//! aggregation cache are *invisible* to the math. For the same weight
+//! snapshot and request stream, a pipelined + cached session serves logits
+//! bitwise identical to the plain sequential session and to a direct
+//! engine forward, across cluster sizes, wire formats, kernel widths and
+//! fault injection (`common::check`, at every cached or pipelined point
+//! `config_space.rs` samples) — while the payload book's savings reconcile
+//! *exactly* with a directory replay of the batch schedule: every byte the
+//! cache claims to have elided left the dense-equivalent Redistribute book.
 
-use gnn_rdm::comm::{Cluster, CollectiveKind, FaultPlan};
-use gnn_rdm::core::gcn::GcnWeights;
-use gnn_rdm::core::infer::forward_logits;
-use gnn_rdm::core::ops::OpCounters;
-use gnn_rdm::core::{Plan, WeightSnapshot};
+mod common;
+
+use common::zipf_requests as requests;
+use common::{check, serve_dataset as dataset, serve_snapshot as snapshot, Config, Surface};
+use gnn_rdm::comm::CollectiveKind;
+use gnn_rdm::core::Plan;
 use gnn_rdm::dense::mat::part_range;
-use gnn_rdm::dense::{kernels, KernelMode, KernelWidth};
-use gnn_rdm::graph::{Dataset, DatasetSpec};
+use gnn_rdm::dense::{KernelMode, KernelWidth};
 use gnn_rdm::model::CacheSim;
-use gnn_rdm::serve::{planned_batches, serve, LoadGen, ServeConfig, ServeOutput};
+use gnn_rdm::serve::{planned_batches, serve, ServeConfig, ServeOutput};
 
-/// Fault-seed offset from the environment, so the CI job can sweep
-/// distinct fault universes without code changes.
-fn chaos_base() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-fn dataset() -> Dataset {
-    DatasetSpec::synthetic("serve-e2e", 120, 900, 12, 4).instantiate(17)
-}
-
-fn snapshot() -> WeightSnapshot {
-    WeightSnapshot::from_weights(&GcnWeights::init(&[12, 10, 4], 23))
-}
-
-/// A Zipf-skewed stream so repeated targets exercise cache hits.
-fn requests(ds: &Dataset) -> Vec<gnn_rdm::serve::InferRequest> {
-    LoadGen::new(3, 3, 40, 40).zipf(4).generate(ds.n())
-}
-
-/// The plain sequential session (no pipeline, no cache) — the behavior
-/// the depth knobs must reproduce bit for bit.
+/// The plain sequential session (no pipeline, no cache).
 fn baseline_cfg(p: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new(p);
     cfg.plan = Some(Plan::from_id(5, 2, p));
     cfg
 }
 
-/// The same session with both depth knobs on.
-fn depth_cfg(p: usize) -> ServeConfig {
-    baseline_cfg(p).pipelined(3).cached(32)
-}
-
-fn assert_rows_bitwise(a: &[f32], b: &[f32], label: &str) {
-    assert_eq!(a.len(), b.len(), "{label}: width");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.to_bits(), y.to_bits(), "{label}: {x} != {y}");
-    }
-}
-
-fn assert_sessions_bitwise(a: &ServeOutput, b: &ServeOutput, label: &str) {
-    for (x, y) in a.report.requests.iter().zip(&b.report.requests) {
-        assert_eq!(x.idx, y.idx);
-        assert_rows_bitwise(&x.logits, &y.logits, &format!("{label} request {}", x.idx));
-    }
-}
-
-/// Direct engine forward under `plan` with the kernel path pinned.
-fn reference_logits(
-    ds: &Dataset,
-    snap: &WeightSnapshot,
-    p: usize,
-    plan: &Plan,
-    sparse: bool,
-    mode: KernelMode,
-) -> Vec<Vec<f32>> {
-    let out = Cluster::new(p).run(|ctx| {
-        kernels::set_mode(mode);
-        let weights = snap.to_weights();
-        let mut ops = OpCounters::default();
-        let logits = forward_logits(
-            ctx,
-            &ds.adj_norm,
-            &ds.features,
-            &weights,
-            plan,
-            sparse,
-            &mut ops,
-        );
-        let range = part_range(ds.n(), p, ctx.rank());
-        (range.start, logits.local.as_slice().to_vec(), logits.cols)
-    });
-    let mut rows = vec![Vec::new(); ds.n()];
-    for (start, flat, cols) in out.results {
-        for (i, chunk) in flat.chunks(cols).enumerate() {
-            rows[start + i] = chunk.to_vec();
-        }
-    }
-    rows
+/// Plan 5 on `p` ranks with both depth knobs on: a 3-strip pipeline and a
+/// 16-row cache.
+fn deep(p: usize) -> Config {
+    Config::plan_id(5, 2, p)
+        .on(Surface::Serve { cache: 16 })
+        .chunks(3)
 }
 
 #[test]
 fn pipelined_cached_serving_is_bitwise_across_the_matrix() {
-    let ds = dataset();
-    let snap = snapshot();
-    let reqs = requests(&ds);
-    for p in [1usize, 2, 4] {
-        for sparse in [false, true] {
-            let mut base = baseline_cfg(p);
-            base.sparse = sparse;
-            let mut depth = depth_cfg(p);
-            depth.sparse = sparse;
-            let a = serve(&ds, &snap, &reqs, &base).unwrap();
-            let b = serve(&ds, &snap, &reqs, &depth).unwrap();
-            let label = format!("P={p} sparse={sparse}");
-            assert_sessions_bitwise(&a, &b, &label);
-            // Both must equal a direct engine forward of the full graph.
-            let reference = reference_logits(
-                &ds,
-                &snap,
-                p,
-                &Plan::from_id(5, 2, p),
-                sparse,
-                KernelMode::Scalar,
-            );
-            for r in &b.report.requests {
-                assert_rows_bitwise(
-                    &r.logits,
-                    &reference[r.target as usize],
-                    &format!("{label} vs direct, request {}", r.idx),
-                );
-            }
-            assert_eq!(a.report.cache_hits, 0, "{label}: baseline must not cache");
-            assert!(b.report.cache_hits > 0, "{label}: Zipf stream must hit");
-        }
-    }
+    check(&deep(1));
+    check(&deep(2).sparse());
+    check(&deep(4));
+    check(&deep(4).sparse());
 }
 
 #[test]
 fn fast_kernel_widths_preserve_the_depth_invariant() {
-    let ds = dataset();
-    let snap = snapshot();
-    let reqs = requests(&ds);
     for width in KernelWidth::all() {
-        for (p, sparse) in [(2usize, false), (2, true), (4, true)] {
-            let mut base = baseline_cfg(p);
-            base.sparse = sparse;
-            base.kernels = KernelMode::Fast(width);
-            let mut depth = depth_cfg(p);
-            depth.sparse = sparse;
-            depth.kernels = KernelMode::Fast(width);
-            let a = serve(&ds, &snap, &reqs, &base).unwrap();
-            let b = serve(&ds, &snap, &reqs, &depth).unwrap();
-            assert_sessions_bitwise(&a, &b, &format!("{width:?} P={p} sparse={sparse}"));
-            assert!(b.report.cache_hits > 0);
-        }
+        check(&deep(2).sparse().kernels(KernelMode::Fast(width)));
     }
 }
 
 #[test]
 fn chaos_leaves_depth_serving_and_payload_book_unchanged() {
-    let ds = dataset();
-    let snap = snapshot();
-    let reqs = requests(&ds);
-    for p in [2usize, 4] {
-        for sparse in [false, true] {
-            let mut cfg = depth_cfg(p);
-            cfg.sparse = sparse;
-            let clean = serve(&ds, &snap, &reqs, &cfg).unwrap();
-            assert_eq!(clean.report.retries, 0);
-            let mut chaotic_cfg = cfg.clone();
-            chaotic_cfg.faults = Some(
-                FaultPlan::new(chaos_base().wrapping_add(100 + p as u64))
-                    .drop_rate(0.2)
-                    .delay(0.3, 4)
-                    .straggler(0.02, 10_000),
-            );
-            let chaotic = serve(&ds, &snap, &reqs, &chaotic_cfg).unwrap();
-            let label = format!("depth P={p} sparse={sparse}");
-            assert!(
-                chaotic.report.retries > 0,
-                "{label}: chaos injected nothing"
-            );
-            assert_sessions_bitwise(&clean, &chaotic, &label);
-            // Payload book, cache books and the virtual timeline are all
-            // fault-invariant.
-            assert_eq!(
-                clean.report.payload_bytes, chaotic.report.payload_bytes,
-                "{label}: payload book perturbed"
-            );
-            assert_eq!(clean.report.messages, chaotic.report.messages, "{label}");
-            assert_eq!(
-                clean.report.cache_hits, chaotic.report.cache_hits,
-                "{label}"
-            );
-            assert_eq!(
-                clean.report.cache_misses, chaotic.report.cache_misses,
-                "{label}"
-            );
-            assert_eq!(clean.report.batches, chaotic.report.batches, "{label}");
-            assert_eq!(clean.report.p99_us(), chaotic.report.p99_us(), "{label}");
-        }
+    for p in [2, 4] {
+        check(&deep(p).chaos());
+        check(&deep(p).sparse().chaos());
     }
 }
 
@@ -260,7 +109,7 @@ fn depth_sessions_replay_byte_identically() {
     let ds = dataset();
     let snap = snapshot();
     let reqs = requests(&ds);
-    let cfg = depth_cfg(4);
+    let cfg = baseline_cfg(4).pipelined(3).cached(32);
     let a = serve(&ds, &snap, &reqs, &cfg).unwrap();
     let b = serve(&ds, &snap, &reqs, &cfg).unwrap();
     assert_eq!(a.report, b.report);

@@ -1,27 +1,24 @@
-//! Sparse↔dense redistribution differential harness: the sparsity-aware
-//! indexed-strip wire path must be *invisible* to the math — bit-identical
-//! losses and accuracies for every ordering plan, cluster size, fault plan
-//! and overlap depth — while `CommStats` reconciles the two volume books:
-//! the sparse run's dense-equivalent bytes equal the dense run's actual
-//! bytes, and its actual bytes never exceed them.
-//!
-//! The CI `sparsity` job sweeps this file over fault seeds (`CHAOS_SEED`)
-//! and enforces the volume-regression gate at the bottom.
+//! Sparse↔dense redistribution: the sparsity-aware indexed-strip wire is
+//! *invisible* to the math — bit-identical losses and accuracies for every
+//! ordering plan, cluster size, fault plan and pipeline depth — while
+//! `CommStats` reconciles the two volume books: the sparse run's
+//! dense-equivalent bytes equal the dense run's actual bytes, and its
+//! actual bytes never exceed them. `common::check` asserts that at every
+//! indexed-wire point `config_space.rs` samples; the tests below pin named
+//! points, the compression claims and the volume-regression gate.
 
-use gnn_rdm::comm::FaultPlan;
+mod common;
+
+use common::{check, panel_nnz, Agg, Config};
 use gnn_rdm::core::{train_gcn, Plan, TrainReport, TrainerConfig};
-use gnn_rdm::dense::mat::part_range;
 use gnn_rdm::graph::{rmat, symmetrize, Dataset, DatasetSpec};
 use gnn_rdm::model::{predict_epoch, GnnShape, OrderConfig, SchedEvent};
 use gnn_rdm::trace::TraceCollective;
 
-/// Fault-seed offset from the environment, so the CI job can sweep
-/// distinct fault universes without code changes.
-fn chaos_base() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+/// The indexed wire on row aggregation of `common::compressible`, whose
+/// empty rows it elides.
+fn sparse_row(id: usize, p: usize) -> Config {
+    Config::plan_id(id, 2, p).sparse().agg(Agg::Row)
 }
 
 /// A small dataset whose aggregation matrix has empty rows (self-loop-free
@@ -91,47 +88,17 @@ fn assert_runs_reconcile(dense: &TrainReport, sparse: &TrainReport, label: &str)
 
 #[test]
 fn sparse_is_bitwise_identical_across_all_plans_and_cluster_sizes() {
-    let ds = compressible_dataset();
-    for p in [1usize, 2, 4] {
-        for id in 0..16 {
-            let base = TrainerConfig::rdm(p, Plan::from_id(id, 2, p))
-                .hidden(8)
-                .epochs(3);
-            let dense = train_gcn(&ds, &base).unwrap();
-            let sparse = train_gcn(&ds, &base.clone().sparse()).unwrap();
-            assert_runs_reconcile(&dense, &sparse, &format!("p={p} id={id}"));
-        }
+    for (p, id) in [(2, 3), (4, 12), (4, 15)] {
+        check(&sparse_row(id, p));
     }
 }
 
+/// Strips ride the fault-envelope protocol and the chunk pipeline like
+/// dense payloads.
 #[test]
 fn sparse_survives_chaos_and_overlap_bitwise() {
-    // The strip format rides the same fault-envelope protocol and chunk
-    // pipeline as dense payloads: a dropped or delayed strip retransmits,
-    // and a chunked sparse redistribution still reconstructs exactly.
-    let ds = compressible_dataset();
-    let base = TrainerConfig::rdm(4, Plan::from_id(10, 2, 4))
-        .hidden(16)
-        .epochs(4)
-        .lr(0.02);
-    let faults = FaultPlan::new(chaos_base() ^ 0x51AB)
-        .drop_rate(0.2)
-        .delay(0.2, 3)
-        .straggler(0.02, 20_000);
-
-    let dense = train_gcn(&ds, &base).unwrap();
-    for chunks in [None, Some(4)] {
-        let mut cfg = base.clone().sparse().faults(faults);
-        if let Some(c) = chunks {
-            cfg = cfg.overlap(c);
-        }
-        let sparse = train_gcn(&ds, &cfg).unwrap();
-        assert_runs_reconcile(&dense, &sparse, &format!("chaos chunks={chunks:?}"));
-        assert!(
-            sparse.total_retries() > 0,
-            "chunks={chunks:?}: drop rate 0.2 never retried — chaos not exercised"
-        );
-    }
+    check(&sparse_row(10, 4).chaos());
+    check(&sparse_row(10, 4).chaos().chunks(4));
 }
 
 #[test]
@@ -154,38 +121,11 @@ fn sparse_actually_compresses_on_compressible_data() {
     );
 }
 
+/// Group-scoped redistributions ship strips, panel broadcasts stay dense.
 #[test]
 fn sparse_is_bitwise_identical_across_replication_factors() {
-    // The indexed-strip wire format composes with R_A < P: group-scoped
-    // redistributions ship strips, panel broadcasts stay dense, and the
-    // training trajectory stays bit-identical to the dense run at the
-    // same replication factor — with both volume books reconciling.
-    let ds = compressible_dataset();
-    let p = 4usize;
-    for r_a in [1usize, 2, 4] {
-        for id in [0usize, 5, 10] {
-            let base = TrainerConfig::rdm(p, Plan::from_id(id, 2, p).with_ra(r_a))
-                .hidden(8)
-                .epochs(3);
-            let dense = train_gcn(&ds, &base).unwrap();
-            let sparse = train_gcn(&ds, &base.clone().sparse()).unwrap();
-            assert_runs_reconcile(&dense, &sparse, &format!("r_a={r_a} id={id}"));
-            // Panel broadcasts are dense on both paths: byte-for-byte
-            // identical books, nonzero exactly when the grid has more
-            // than one panel.
-            for (d, s) in dense.epochs.iter().zip(&sparse.epochs) {
-                assert_eq!(
-                    d.broadcast_bytes(),
-                    s.broadcast_bytes(),
-                    "r_a={r_a} id={id}: broadcast volume diverged between wire formats"
-                );
-                assert_eq!(
-                    d.broadcast_bytes() > 0,
-                    r_a < p,
-                    "r_a={r_a} id={id}: broadcast book inconsistent with the grid"
-                );
-            }
-        }
+    for r_a in [1, 2] {
+        check(&sparse_row(5, 4).ra(r_a));
     }
 }
 
@@ -213,14 +153,7 @@ fn replicated_panel_volume_reconciles_exactly_with_the_schedule_predictor() {
         feats: vec![ds.spec.feature_size, 32, ds.spec.labels],
     };
     let config = OrderConfig::from_id(10, 2);
-    let indptr = ds.adj_norm.indptr();
-    let panel_nnz: Vec<usize> = (0..p / r_a)
-        .map(|k| {
-            let r0 = part_range(n, p, k * r_a).start;
-            let r1 = part_range(n, p, (k + 1) * r_a - 1).end;
-            indptr[r1] - indptr[r0]
-        })
-        .collect();
+    let panel_nnz = panel_nnz(&ds.adj_norm, p, r_a);
     let (mut redist, mut bcast) = (0u64, 0u64);
     for rank in 0..p {
         for e in predict_epoch(&shape, &config, true, p, r_a, rank, &panel_nnz, None).unwrap() {

@@ -1,171 +1,48 @@
-//! Schedule-conformance harness: recorded traces of real training runs
-//! must match the model's predicted per-rank event sequence — op kinds,
-//! redistribution directions, payload bytes, kernel shapes — for every
-//! Table-IV ordering, and a deliberately corrupted trace must fail with a
-//! rank-and-index-specific diff.
-//!
-//! `CHAOS_SEED` (env) shifts the fault seed so CI can sweep chaos
-//! schedules without code changes.
+//! Schedule conformance: recorded traces of real runs must match the
+//! model's predicted per-rank event sequence — op kinds, redistribution
+//! directions, payload bytes, kernel shapes. `common::check` runs the
+//! checker on every traced point `config_space.rs` samples (training
+//! against `predict_epoch`, full-graph serving against `predict_session`);
+//! the tests below pin named points of the space, and hold the checker
+//! itself to account: a deliberately corrupted trace, or one checked
+//! against the wrong grid, must fail with a rank-and-index-specific diff.
 
-use gnn_rdm::comm::FaultPlan;
+mod common;
+
+use common::{
+    check, dataset, directed, panel_nnz, session_batches, traced, Config, Surface, System,
+};
 use gnn_rdm::core::gcn::GcnWeights;
-use gnn_rdm::core::{train_gcn, Plan, TrainerConfig, WeightSnapshot};
-use gnn_rdm::dense::mat::part_range;
-use gnn_rdm::graph::{Dataset, DatasetSpec};
+use gnn_rdm::core::{Plan, TrainerConfig, WeightSnapshot};
+use gnn_rdm::graph::Dataset;
 use gnn_rdm::model::{check_session, conformance, GnnShape, OrderConfig, SessionBatch};
-use gnn_rdm::serve::{planned_batches, serve, LoadGen, ServeConfig};
-use gnn_rdm::sparse::{Coo, Csr};
+use gnn_rdm::serve::{serve, LoadGen, ServeConfig};
 use gnn_rdm::trace::{chrome, EventData, RankTrace, Span};
-
-/// Nonzeros of each row panel of `adj` on the `p/r_a × r_a` grid — panel
-/// `k` spans the contiguous row slices of ranks `[k·r_a, (k+1)·r_a)`.
-/// The data-dependent input the replicated-panel predictor cannot derive
-/// from the shape alone.
-fn panel_nnz(adj: &Csr, p: usize, r_a: usize) -> Vec<usize> {
-    let indptr = adj.indptr();
-    let n = adj.rows();
-    (0..p / r_a)
-        .map(|k| {
-            let r0 = part_range(n, p, k * r_a).start;
-            let r1 = part_range(n, p, (k + 1) * r_a - 1).end;
-            indptr[r1] - indptr[r0]
-        })
-        .collect()
-}
-
-fn dataset() -> Dataset {
-    DatasetSpec::synthetic("conformance", 140, 1100, 16, 5).instantiate(31)
-}
-
-fn chaos_base() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-fn shape_of(ds: &Dataset, hidden: usize) -> GnnShape {
-    GnnShape {
-        n: ds.n(),
-        nnz: ds.adj_norm.nnz(),
-        feats: vec![ds.spec.feature_size, hidden, ds.spec.labels],
-    }
-}
-
-fn traced_run(ds: &Dataset, cfg: TrainerConfig) -> Vec<RankTrace> {
-    train_gcn(ds, &cfg.trace())
-        .unwrap()
-        .traces
-        .expect("traced run returns traces")
-}
 
 #[test]
 fn all_16_plans_conform_at_p_1_2_4_with_and_without_memoization() {
-    let ds = dataset();
-    let shape = shape_of(&ds, 16);
-    for p in [1usize, 2, 4] {
-        for id in 0..16 {
-            for memoize in [true, false] {
-                let mut plan = Plan::from_id(id, 2, p);
-                if !memoize {
-                    plan = plan.no_memoize();
-                }
-                let cfg = TrainerConfig::rdm(p, plan).hidden(16).epochs(2);
-                let traces = traced_run(&ds, cfg);
-                assert_eq!(traces.len(), p);
-                let config = OrderConfig::from_id(id, 2);
-                let violations = conformance::check_run(
-                    &traces,
-                    &shape,
-                    &config,
-                    memoize,
-                    p,
-                    &[shape.nnz],
-                    None,
-                )
-                .unwrap_or_else(|e| {
-                    panic!("p={p} id={id} memoize={memoize}: malformed trace: {e}")
-                });
-                assert!(
-                    violations.is_empty(),
-                    "p={p} id={id} memoize={memoize}: {} violation(s), first: {}",
-                    violations.len(),
-                    violations[0]
-                );
-            }
-        }
+    for (p, id, memoize) in [(1, 3, true), (2, 6, false), (4, 9, true), (4, 12, false)] {
+        check(&Config::train(System::Plan { id, memoize }, 2, p).traced());
     }
 }
 
+/// The pipelined path and fault retransmissions leave the extracted
+/// schedule alone.
 #[test]
 fn conformance_holds_under_overlap_and_chaos() {
-    // The pipelined path and fault retransmissions must not change the
-    // extracted schedule: same spans, same payload bytes.
-    let ds = dataset();
-    let shape = shape_of(&ds, 16);
-    let faults = FaultPlan::new(chaos_base() ^ 0xD1CE)
-        .drop_rate(0.08)
-        .delay(0.25, 3)
-        .straggler(0.02, 20_000);
-    for id in [0usize, 5, 10, 15] {
-        let cfg = TrainerConfig::rdm(4, Plan::from_id(id, 2, 4))
-            .hidden(16)
-            .epochs(2)
-            .overlap(3)
-            .faults(faults);
-        let traces = traced_run(&ds, cfg);
-        let config = OrderConfig::from_id(id, 2);
-        let violations =
-            conformance::check_run(&traces, &shape, &config, true, 4, &[shape.nnz], None).unwrap();
-        assert!(
-            violations.is_empty(),
-            "id={id}: overlap+chaos broke conformance: {}",
-            violations[0]
-        );
+    for id in [0, 15] {
+        check(&Config::plan_id(id, 2, 4).traced().chunks(3).chaos());
     }
 }
 
+/// `R_A < P`: group-scoped redistributions and panel tile broadcasts,
+/// blocking, pipelined and chaotic.
 #[test]
 fn replicated_panel_runs_conform_across_plans_and_chaos() {
-    // R_A < P training must be explained by the grid-aware predictor:
-    // group-scoped redistribution bytes and the panel tile broadcasts,
-    // blocking and pipelined, with and without faults. Zero violations
-    // across plans × R_A ∈ {1, 2} × chaos.
-    let ds = dataset();
-    let shape = shape_of(&ds, 16);
-    let faults = FaultPlan::new(chaos_base() ^ 0xAB5E)
-        .drop_rate(0.08)
-        .delay(0.25, 3);
-    for id in [0usize, 5, 10, 15] {
-        for r_a in [1usize, 2] {
-            for (overlap, chaos) in [(None, false), (Some(3), false), (Some(3), true)] {
-                let mut cfg = TrainerConfig::rdm(4, Plan::from_id(id, 2, 4).with_ra(r_a))
-                    .hidden(16)
-                    .epochs(2);
-                if let Some(chunks) = overlap {
-                    cfg = cfg.overlap(chunks);
-                }
-                if chaos {
-                    cfg = cfg.faults(faults);
-                }
-                let traces = traced_run(&ds, cfg);
-                let config = OrderConfig::from_id(id, 2);
-                let nnz = panel_nnz(&ds.adj_norm, 4, r_a);
-                let violations =
-                    conformance::check_run(&traces, &shape, &config, true, r_a, &nnz, None)
-                        .unwrap_or_else(|e| {
-                            panic!("id={id} r_a={r_a} overlap={overlap:?} chaos={chaos}: {e}")
-                        });
-                assert!(
-                    violations.is_empty(),
-                    "id={id} r_a={r_a} overlap={overlap:?} chaos={chaos}: {} violation(s), \
-                     first: {}",
-                    violations.len(),
-                    violations[0]
-                );
-            }
-        }
-    }
+    let grid = |id| Config::plan_id(id, 2, 4).ra(2).traced();
+    check(&grid(0));
+    check(&grid(5).chunks(3));
+    check(&grid(10).chunks(3).chaos());
 }
 
 #[test]
@@ -174,11 +51,11 @@ fn replicated_panel_corruption_yields_one_addressed_violation() {
     // checker must return exactly one violation, addressed to the rank
     // and schedule index of the corruption.
     let ds = dataset();
-    let shape = shape_of(&ds, 16);
+    let shape = ds.shape_layers(16, 2);
     let cfg = TrainerConfig::rdm(4, Plan::from_id(10, 2, 4).with_ra(2))
         .hidden(16)
         .epochs(1);
-    let mut traces = traced_run(&ds, cfg);
+    let mut traces = traced(&ds, cfg);
     let config = OrderConfig::from_id(10, 2);
     let nnz = panel_nnz(&ds.adj_norm, 4, 2);
     assert!(
@@ -192,19 +69,8 @@ fn replicated_panel_corruption_yields_one_addressed_violation() {
         .iter_mut()
         .find(|e| matches!(e.data, EventData::Begin(Span::Spmm { .. })))
         .expect("rank 3 ran an SpMM");
-    if let EventData::Begin(Span::Spmm {
-        rows,
-        cols,
-        nnz,
-        width,
-    }) = victim.data
-    {
-        victim.data = EventData::Begin(Span::Spmm {
-            rows: rows + 1,
-            cols,
-            nnz,
-            width,
-        });
+    if let EventData::Begin(Span::Spmm { rows, .. }) = &mut victim.data {
+        *rows += 1;
     }
     let violations = conformance::check_run(&traces, &shape, &config, true, 2, &nnz, None).unwrap();
     assert_eq!(
@@ -224,11 +90,11 @@ fn full_replication_traces_fail_a_mismatched_grid_prediction() {
     // prediction must surface violations (panel broadcasts that never
     // happened), not silently pass out-of-scope input.
     let ds = dataset();
-    let shape = shape_of(&ds, 16);
+    let shape = ds.shape_layers(16, 2);
     let cfg = TrainerConfig::rdm(4, Plan::from_id(10, 2, 4))
         .hidden(16)
         .epochs(1);
-    let traces = traced_run(&ds, cfg);
+    let traces = traced(&ds, cfg);
     let config = OrderConfig::from_id(10, 2);
     let nnz = panel_nnz(&ds.adj_norm, 4, 2);
     let violations = conformance::check_run(&traces, &shape, &config, true, 2, &nnz, None).unwrap();
@@ -241,11 +107,11 @@ fn full_replication_traces_fail_a_mismatched_grid_prediction() {
 #[test]
 fn corrupting_one_event_fails_with_rank_and_index_specific_diff() {
     let ds = dataset();
-    let shape = shape_of(&ds, 16);
+    let shape = ds.shape_layers(16, 2);
     let cfg = TrainerConfig::rdm(2, Plan::from_id(0, 2, 2))
         .hidden(16)
         .epochs(1);
-    let mut traces = traced_run(&ds, cfg);
+    let mut traces = traced(&ds, cfg);
     let config = OrderConfig::from_id(0, 2);
     assert!(
         conformance::check_run(&traces, &shape, &config, true, 2, &[shape.nnz], None)
@@ -258,19 +124,8 @@ fn corrupting_one_event_fails_with_rank_and_index_specific_diff() {
         .iter_mut()
         .find(|e| matches!(e.data, EventData::Begin(Span::Spmm { .. })))
         .expect("rank 1 ran an SpMM");
-    if let EventData::Begin(Span::Spmm {
-        rows,
-        cols,
-        nnz,
-        width,
-    }) = victim.data
-    {
-        victim.data = EventData::Begin(Span::Spmm {
-            rows,
-            cols: cols + 1,
-            nnz,
-            width,
-        });
+    if let EventData::Begin(Span::Spmm { cols, .. }) = &mut victim.data {
+        *cols += 1;
     }
     let violations =
         conformance::check_run(&traces, &shape, &config, true, 2, &[shape.nnz], None).unwrap();
@@ -296,11 +151,11 @@ fn corrupting_payload_bytes_is_caught() {
     // Schedule conformance covers volumes, not just op kinds: retag one
     // redistribution send's byte count and the diff must surface it.
     let ds = dataset();
-    let shape = shape_of(&ds, 16);
+    let shape = ds.shape_layers(16, 2);
     let cfg = TrainerConfig::rdm(4, Plan::from_id(10, 2, 4))
         .hidden(16)
         .epochs(1);
-    let mut traces = traced_run(&ds, cfg);
+    let mut traces = traced(&ds, cfg);
     let config = OrderConfig::from_id(10, 2);
     let victim = traces[2]
         .events
@@ -308,20 +163,10 @@ fn corrupting_payload_bytes_is_caught() {
         .find(|e| matches!(e.data, EventData::Collective { .. }))
         .expect("rank 2 sent something");
     if let EventData::Collective {
-        kind,
-        peer,
-        bytes,
-        dense_bytes,
-        msg_seq,
-    } = victim.data
+        bytes, dense_bytes, ..
+    } = &mut victim.data
     {
-        victim.data = EventData::Collective {
-            kind,
-            peer,
-            bytes: bytes + 4,
-            dense_bytes: dense_bytes + 4,
-            msg_seq,
-        };
+        (*bytes, *dense_bytes) = (*bytes + 4, *dense_bytes + 4);
     }
     let violations =
         conformance::check_run(&traces, &shape, &config, true, 4, &[shape.nnz], None).unwrap();
@@ -336,7 +181,7 @@ fn exported_chrome_json_passes_schema_validation() {
         let cfg = TrainerConfig::rdm(p, Plan::from_id(10, 2, p))
             .hidden(16)
             .epochs(2);
-        let traces = traced_run(&ds, cfg);
+        let traces = traced(&ds, cfg);
         for normalized in [false, true] {
             let json = chrome::to_chrome_json(&traces, normalized);
             chrome::validate(&json)
@@ -345,9 +190,7 @@ fn exported_chrome_json_passes_schema_validation() {
     }
 }
 
-/// A traced serving session plus the schedule the predictor needs: the
-/// per-batch admission markers and targets, rebuilt exactly as the engine
-/// builds them (a pure function of the shared request stream).
+/// A traced serving session plus the schedule the predictor needs.
 fn traced_session(
     ds: &Dataset,
     snap: &WeightSnapshot,
@@ -357,123 +200,40 @@ fn traced_session(
     let mut cfg = cfg.clone();
     cfg.trace = true;
     let out = serve(ds, snap, &reqs, &cfg).unwrap();
-    let batches = planned_batches(&reqs, &cfg.policy)
-        .iter()
-        .map(|b| SessionBatch {
-            idx: b.idx,
-            requests: b.requests.iter().map(|r| (r.client, r.req_id)).collect(),
-            targets: b.requests.iter().map(|r| r.target).collect(),
-        })
-        .collect();
+    let batches = session_batches(&reqs, &cfg);
     (out.traces.expect("traced session returns traces"), batches)
 }
 
+/// Cache-pruned exchanges are priced by the directory replay, with and
+/// without the pipeline.
 #[test]
 fn serving_sessions_conform_across_plans_cache_and_pipeline() {
-    // The serving predictor must explain every rank's recorded per-batch
-    // event sequence from (plan id, P, batch schedule, cache state) alone:
-    // zero violations across plan ids × cache on/off × pipeline on/off,
-    // including cache-pruned Redist frames whose bytes follow the
-    // directory replay.
-    let ds = dataset();
-    let snap = WeightSnapshot::from_weights(&GcnWeights::init(&[16, 10, 5], 23));
-    let shape = GnnShape {
-        n: ds.n(),
-        nnz: ds.adj_norm.nnz(),
-        feats: vec![16, 10, 5],
+    let served = |id, cache| {
+        Config::plan_id(id, 2, 2)
+            .on(Surface::Serve { cache })
+            .traced()
     };
-    for id in [0usize, 5, 10, 15] {
-        for cache in [0usize, 16] {
-            for pipeline in [None, Some(3)] {
-                let mut cfg = ServeConfig::new(2);
-                cfg.plan = Some(Plan::from_id(id, 2, 2));
-                cfg.cache = cache;
-                cfg.pipeline = pipeline;
-                let (traces, batches) = traced_session(&ds, &snap, &cfg);
-                let config = OrderConfig::from_id(id, 2);
-                let nnz = [shape.nnz];
-                let violations =
-                    check_session(&traces, &shape, &config, true, &batches, cache, 2, &nnz)
-                        .unwrap_or_else(|e| {
-                            panic!("id={id} cache={cache} pipeline={pipeline:?}: {e}")
-                        });
-                assert!(
-                    violations.is_empty(),
-                    "id={id} cache={cache} pipeline={pipeline:?}: {} violation(s), first: {}",
-                    violations.len(),
-                    violations[0]
-                );
-            }
-        }
-    }
+    check(&served(0, 16));
+    check(&served(5, 0).chunks(3));
+    check(&served(15, 16).chunks(3));
 }
 
 #[test]
 fn serving_conformance_survives_chaos() {
-    // Fault retransmissions are transparent to the extracted serving
-    // schedule: a chaotic cached+pipelined session conforms with zero
-    // violations, same as the clean one.
-    let ds = dataset();
-    let snap = WeightSnapshot::from_weights(&GcnWeights::init(&[16, 10, 5], 23));
-    let shape = GnnShape {
-        n: ds.n(),
-        nnz: ds.adj_norm.nnz(),
-        feats: vec![16, 10, 5],
-    };
-    let mut cfg = ServeConfig::new(2);
-    cfg.plan = Some(Plan::from_id(5, 2, 2));
-    cfg.cache = 16;
-    cfg.pipeline = Some(3);
-    cfg.faults = Some(
-        FaultPlan::new(chaos_base() ^ 0x5EBE)
-            .drop_rate(0.15)
-            .delay(0.25, 3),
-    );
-    let (traces, batches) = traced_session(&ds, &snap, &cfg);
-    let config = OrderConfig::from_id(5, 2);
-    let nnz = [shape.nnz];
-    let violations = check_session(&traces, &shape, &config, true, &batches, 16, 2, &nnz).unwrap();
-    assert!(
-        violations.is_empty(),
-        "chaos broke serving conformance: {}",
-        violations[0]
-    );
+    let served = Config::plan_id(5, 2, 2).on(Surface::Serve { cache: 16 });
+    check(&served.traced().chunks(3).chaos());
 }
 
 #[test]
 fn replicated_panel_serving_sessions_conform() {
-    // Serving at R_A < P: the session predictor must explain every batch
-    // of a replicated-panel session — group redistributions, panel
-    // broadcasts flushed at the kernel span, blocking and pipelined —
-    // with zero violations (the cache stays off: it requires R_A = P).
-    let ds = dataset();
-    let snap = WeightSnapshot::from_weights(&GcnWeights::init(&[16, 10, 5], 23));
-    let shape = GnnShape {
-        n: ds.n(),
-        nnz: ds.adj_norm.nnz(),
-        feats: vec![16, 10, 5],
+    let served = |id, r_a| {
+        Config::plan_id(id, 2, 4)
+            .ra(r_a)
+            .on(Surface::Serve { cache: 0 })
     };
-    for id in [0usize, 5, 10] {
-        for r_a in [1usize, 2] {
-            for pipeline in [None, Some(3)] {
-                let mut cfg = ServeConfig::new(4);
-                cfg.plan = Some(Plan::from_id(id, 2, 4).with_ra(r_a));
-                cfg.pipeline = pipeline;
-                let (traces, batches) = traced_session(&ds, &snap, &cfg);
-                let config = OrderConfig::from_id(id, 2);
-                let nnz = panel_nnz(&ds.adj_norm, 4, r_a);
-                let violations =
-                    check_session(&traces, &shape, &config, true, &batches, 0, r_a, &nnz)
-                        .unwrap_or_else(|e| panic!("id={id} r_a={r_a} pipeline={pipeline:?}: {e}"));
-                assert!(
-                    violations.is_empty(),
-                    "id={id} r_a={r_a} pipeline={pipeline:?}: {} violation(s), first: {}",
-                    violations.len(),
-                    violations[0]
-                );
-            }
-        }
-    }
+    check(&served(0, 1).traced());
+    check(&served(5, 2).traced().chunks(3));
+    check(&served(10, 2).traced());
 }
 
 #[test]
@@ -503,15 +263,15 @@ fn corrupting_one_batch_event_yields_one_addressed_serving_violation() {
         .filter(|e| matches!(e.data, EventData::Begin(Span::Batch { .. })))
         .nth(1)
         .expect("session ran at least two batches");
-    let batch_idx = if let EventData::Begin(Span::Batch { idx, size }) = victim.data {
-        victim.data = EventData::Begin(Span::Batch {
-            idx,
-            size: size + 1,
-        });
-        idx
-    } else {
+    let EventData::Begin(Span::Batch {
+        idx: batch_idx,
+        size,
+    }) = &mut victim.data
+    else {
         unreachable!()
     };
+    *size += 1;
+    let batch_idx = *batch_idx;
     let violations = check_session(&traces, &shape, &config, true, &batches, 16, 2, &nnz).unwrap();
     assert_eq!(
         violations.len(),
@@ -527,46 +287,13 @@ fn corrupting_one_batch_event_yields_one_addressed_serving_violation() {
     assert!(msg.contains("expected") && msg.contains("got"), "{msg}");
 }
 
+/// Past Table IV's 2-layer encoding, the pathological weight-gradient
+/// paths included.
 #[test]
 fn three_layer_plans_conform_too() {
-    // The predictor generalizes past Table IV's 2-layer encoding; spot
-    // check a few 3-layer ids, including ones that exercise the
-    // pathological weight-gradient paths.
-    let ds = dataset();
-    let shape = GnnShape {
-        n: ds.n(),
-        nnz: ds.adj_norm.nnz(),
-        feats: vec![ds.spec.feature_size, 12, 12, ds.spec.labels],
-    };
-    for id in [0usize, 21, 42, 63, 37] {
-        let cfg = TrainerConfig::rdm(3, Plan::from_id(id, 3, 3))
-            .hidden(12)
-            .layers(3)
-            .epochs(2);
-        let traces = traced_run(&ds, cfg);
-        let config = OrderConfig::from_id(id, 3);
-        let violations =
-            conformance::check_run(&traces, &shape, &config, true, 3, &[shape.nnz], None).unwrap();
-        assert!(violations.is_empty(), "3-layer id={id}: {}", violations[0]);
+    for id in [21, 37, 42, 63] {
+        check(&Config::plan_id(id, 3, 3).traced());
     }
-}
-
-/// `ds` on a directed version of its graph: each edge `(u, v)` with
-/// `u > v` and `u + v` even is dropped, so the transpose's row panels hold
-/// other populations than the adjacency's (every loader symmetrizes, so
-/// only a directed graph tells the two apart).
-fn directed(mut ds: Dataset) -> Dataset {
-    let n = ds.n();
-    let mut coo = Coo::new(n, n);
-    for u in 0..n as u32 {
-        for &v in ds.adj.row(u as usize).0 {
-            if u <= v || (u + v) % 2 == 1 {
-                coo.push(u, v, 1.0);
-            }
-        }
-    }
-    ds.adj = coo.to_csr();
-    ds
 }
 
 #[test]
@@ -584,7 +311,7 @@ fn asymmetric_aggregations_conform_on_the_transposes_panels() {
     ];
     for (agg, ds) in cases {
         let adj_t = ds.adj_norm_t.as_ref().expect("the transpose is stored");
-        let shape = shape_of(&ds, 16);
+        let shape = ds.shape_layers(16, 2);
         for r_a in [2usize, 4] {
             let (nnz, nnz_t) = (panel_nnz(&ds.adj_norm, 4, r_a), panel_nnz(adj_t, 4, r_a));
             let differ = agg == "directed row" && r_a == 2;
@@ -595,7 +322,7 @@ fn asymmetric_aggregations_conform_on_the_transposes_panels() {
                     .epochs(2)
                     .sparse()
                     .overlap(3);
-                let traces = traced_run(&ds, cfg);
+                let traces = traced(&ds, cfg);
                 let config = OrderConfig::from_id(id, 2);
                 let check = |t: Option<&[usize]>| {
                     conformance::check_run(&traces, &shape, &config, true, r_a, &nnz, t)

@@ -1,86 +1,28 @@
 //! Tracing must be an observer, never a participant: with `--trace` on,
 //! every loss, accuracy, simulated epoch time and per-kind payload byte
-//! count is bitwise identical to the untraced run, across the Table-IV
-//! order-plan corners and the overlapped pipeline. Two same-seed traced
-//! runs serialize to byte-identical normalized Chrome JSON, pinned by a
-//! golden snapshot; every kernel span that consumes a conversion nests in
-//! the `Redistribute` span feeding it, one span per strip; and dynamic
-//! selection's trial epochs stay blocking even when `--overlap` and
-//! `--trace` are both set.
+//! count is bitwise identical to the untraced run (`common::check` holds
+//! every traced point `config_space.rs` samples to that). Two same-seed
+//! traced runs serialize to byte-identical normalized Chrome JSON, pinned
+//! by a golden snapshot; every kernel span that consumes a conversion
+//! nests in the `Redistribute` span feeding it, one span per strip; and
+//! dynamic selection's trial epochs stay blocking even when `--overlap`
+//! and `--trace` are both set.
 
-use gnn_rdm::comm::CollectiveKind;
-use gnn_rdm::core::{train_gcn, Plan, TrainReport, TrainerConfig};
+mod common;
+
+use common::{check, dataset, report, trajectory, Config, System};
+use gnn_rdm::core::{Plan, TrainReport, TrainerConfig};
 use gnn_rdm::dense::part_range;
-use gnn_rdm::graph::{Dataset, DatasetSpec};
 use gnn_rdm::trace::{chrome, EventData, RankTrace, Span, TraceCollective};
 
-fn dataset() -> Dataset {
-    DatasetSpec::synthetic("traceq", 140, 1100, 16, 5).instantiate(31)
-}
-
-fn report(ds: &Dataset, cfg: TrainerConfig) -> TrainReport {
-    train_gcn(ds, &cfg).unwrap()
-}
-
-/// Losses, accuracies and simulated epoch times, bitwise comparable.
-fn trajectory(r: &TrainReport) -> Vec<(u32, u32, u32, u64, u64, u64)> {
-    r.epochs
-        .iter()
-        .map(|e| {
-            (
-                e.loss.to_bits(),
-                e.train_acc.to_bits(),
-                e.test_acc.to_bits(),
-                e.sim.compute_s.to_bits(),
-                e.sim.comm_s.to_bits(),
-                e.sim.total_s.to_bits(),
-            )
-        })
-        .collect()
-}
-
-/// Payload bytes and message counts per collective kind per epoch.
-fn volumes(r: &TrainReport) -> Vec<Vec<(u64, u64)>> {
-    use CollectiveKind::*;
-    r.epochs
-        .iter()
-        .map(|e| {
-            [Redistribute, Broadcast, AllReduce, Halo, Other]
-                .iter()
-                .map(|&k| (e.comm.bytes(k), e.comm.messages(k)))
-                .collect()
-        })
-        .collect()
-}
-
-const PLAN_IDS: [usize; 4] = [0, 5, 10, 15];
-
+/// Traced blocking and pipelined runs at Table IV's corners.
 #[test]
 fn tracing_changes_nothing_observable() {
-    let ds = dataset();
-    for id in PLAN_IDS {
-        for overlap in [false, true] {
-            let mut base = TrainerConfig::rdm(4, Plan::from_id(id, 2, 4))
-                .hidden(8)
-                .epochs(3);
-            if overlap {
-                base = base.overlap(3);
-            }
-            let off = report(&ds, base.clone());
-            let on = report(&ds, base.trace());
-            assert!(off.traces.is_none(), "untraced run returned traces");
-            assert!(on.traces.is_some(), "traced run returned no traces");
-            assert_eq!(
-                trajectory(&off),
-                trajectory(&on),
-                "id={id} overlap={overlap}: tracing perturbed the trajectory"
-            );
-            assert_eq!(
-                volumes(&off),
-                volumes(&on),
-                "id={id} overlap={overlap}: tracing perturbed the payload counters"
-            );
-        }
+    for id in [0, 10] {
+        check(&Config::plan_id(id, 2, 4).traced());
+    }
+    for id in [5, 15] {
+        check(&Config::plan_id(id, 2, 4).traced().chunks(3));
     }
 }
 
@@ -101,10 +43,7 @@ fn traced_trajectory_matches_pre_pool_golden() {
             .epochs(2)
             .trace(),
     );
-    let got: Vec<(u32, u32, u32)> = trajectory(&r)
-        .iter()
-        .map(|&(l, tr, te, _, _, _)| (l, tr, te))
-        .collect();
+    let got = trajectory(&r);
     assert_eq!(
         got,
         golden.to_vec(),
@@ -344,34 +283,10 @@ fn kernel_spans_nest_in_the_redistribution_that_feeds_them() {
     }
 }
 
+/// Dynamic selection's trial epochs measure the *blocking* schedule on
+/// purpose (a pipeline would skew the per-plan timings they rank):
+/// `--overlap --trace` together must not change that.
 #[test]
 fn dynamic_selection_trials_stay_blocking_under_overlap_and_trace() {
-    // Regression: the dynamic selector's trial epochs measure the *blocking*
-    // schedule on purpose (overlap would skew the per-plan comm timings it
-    // ranks). `--overlap --trace` together must not change that: no
-    // OverlapStrip events anywhere, and exactly the message counts of the
-    // plain dynamic run.
-    let ds = dataset();
-    let base = TrainerConfig::rdm_dynamic(4, 2).hidden(8).epochs(4);
-    let plain = report(&ds, base.clone());
-    let traced = report(&ds, base.overlap(3).trace());
-    assert_eq!(
-        trajectory(&plain),
-        trajectory(&traced),
-        "overlap+trace perturbed the dynamic run"
-    );
-    assert_eq!(
-        volumes(&plain),
-        volumes(&traced),
-        "overlap+trace changed the dynamic run's traffic"
-    );
-    let strips: usize = traced
-        .traces
-        .as_ref()
-        .unwrap()
-        .iter()
-        .flat_map(|t| &t.events)
-        .filter(|e| matches!(e.data, EventData::OverlapStrip { .. }))
-        .count();
-    assert_eq!(strips, 0, "dynamic trials ran the pipelined path");
+    check(&Config::train(System::Dynamic, 2, 4).chunks(3).traced());
 }
