@@ -13,7 +13,7 @@ use rdm_comm::{Cluster, CollectiveKind};
 use rdm_core::{Plan, TrainerConfig};
 use rdm_dense::Mat;
 use rdm_model::cost::all_config_costs;
-use rdm_model::{pareto_ids, rdm_bytes_per_gpu, DeviceModel, GnnShape, MemoryParams};
+use rdm_model::{pareto_ids, rdm_bytes_per_gpu, Cost, DeviceModel, GnnShape, MemoryParams};
 
 fn main() {
     ablation_order_selection();
@@ -50,13 +50,12 @@ fn ablation_order_selection() {
         // Worst = the config maximizing comm + spmm by the model.
         let worst = all_config_costs(&shape, p, p, 1.0)
             .into_iter()
-            .max_by(|(_, a), (_, b)| {
-                (a.comm_elems + a.spmm_ops)
-                    .partial_cmp(&(b.comm_elems + b.spmm_ops))
-                    .unwrap()
+            .max_by(|a, b| {
+                let total = |c: &Cost| c.comm_elems + c.spmm_ops;
+                total(&a.cost).total_cmp(&total(&b.cost))
             })
             .unwrap()
-            .0
+            .config
             .id();
         let best_report = run(
             &ds,

@@ -1,10 +1,10 @@
 //! Collective operations, composed from point-to-point sends so that byte
 //! accounting is uniform and exact.
 //!
-//! The generic collectives (broadcast, all-gather, all-to-all, all-reduce)
-//! take an explicit rank list — the `R_A < P` row-panel scheme of §III-E
-//! broadcasts inside a panel group — and have a whole-cluster convenience
-//! form.
+//! The generic collectives (broadcast, all-gather, all-reduce) take an
+//! explicit rank list — the `R_A < P` row-panel scheme of §III-E
+//! broadcasts inside a panel group; all-gather and all-reduce also have a
+//! whole-cluster convenience form.
 //!
 //! The paper's one communication operation, the Row↔Col redistribution of
 //! Fig. 7, is a single primitive described by a value: a
@@ -17,10 +17,11 @@
 //!
 //! Volume notes (payload of `|m|` bytes per rank, group size `g`):
 //!
-//! * `broadcast`: root sends `g-1` copies → `(g-1)·|m|` total — the paper's
-//!   "no hardware multicast" accounting for CAGNET's SpMM broadcast.
-//! * `all_to_all` / `exchange`: each rank ships all parts except its own →
-//!   `(g-1)/g · |M|` total for a global matrix of `|M|` bytes — the RDM
+//! * `group_broadcast`: root sends `g-1` copies → `(g-1)·|m|` total — the
+//!   paper's "no hardware multicast" accounting for CAGNET's SpMM
+//!   broadcast.
+//! * `exchange` / `redistribute`: each rank ships all parts except its own
+//!   → `(g-1)/g · |M|` total for a global matrix of `|M|` bytes — the RDM
 //!   redistribution volume, whatever the chunk count or wire.
 //! * `all_reduce_sum` (naive gather): `g·(g-1)·|m|` total.
 //! * `all_reduce_ring`: reduce-scatter + all-gather, `2·(g-1)/g·|m|` per
@@ -119,11 +120,6 @@ impl RankCtx {
         }
     }
 
-    /// Whole-cluster broadcast from `root`.
-    pub fn broadcast(&self, root: usize, mat: Option<Mat>, kind: CollectiveKind) -> Mat {
-        self.group_broadcast(&self.everyone(), root, mat, kind)
-    }
-
     /// All-gather within `group`: every rank contributes `part`; returns the
     /// parts of all members ordered by group position.
     pub fn group_all_gather(&self, group: &[usize], part: Mat, kind: CollectiveKind) -> Vec<Mat> {
@@ -149,52 +145,6 @@ impl RankCtx {
     /// Whole-cluster all-gather.
     pub fn all_gather(&self, part: Mat, kind: CollectiveKind) -> Vec<Mat> {
         self.group_all_gather(&self.everyone(), part, kind)
-    }
-
-    /// Personalized all-to-all within `group`: `parts[j]` is destined for
-    /// the `j`-th group member; the return value's `i`-th entry came from
-    /// the `i`-th member. The part addressed to this rank is moved, not
-    /// sent, so it costs no bytes.
-    ///
-    /// # Panics
-    /// If `parts.len() != group.len()`.
-    pub fn group_all_to_all(
-        &self,
-        group: &[usize],
-        mut parts: Vec<Mat>,
-        kind: CollectiveKind,
-    ) -> Vec<Mat> {
-        assert_eq!(
-            parts.len(),
-            group.len(),
-            "all_to_all needs one part per group member"
-        );
-        let my_idx = self.group_index(group);
-        // Ship everything that is not ours. Replace shipped parts with
-        // empty placeholders so we can move out of the vec.
-        let my_part = std::mem::replace(&mut parts[my_idx], Mat::zeros(0, 0));
-        for (idx, &dst) in group.iter().enumerate() {
-            if idx != my_idx {
-                let p = std::mem::replace(&mut parts[idx], Mat::zeros(0, 0));
-                self.send(dst, p, kind);
-            }
-        }
-        group
-            .iter()
-            .enumerate()
-            .map(|(idx, &src)| {
-                if idx == my_idx {
-                    my_part.clone()
-                } else {
-                    self.recv(src)
-                }
-            })
-            .collect()
-    }
-
-    /// Whole-cluster personalized all-to-all.
-    pub fn all_to_all(&self, parts: Vec<Mat>, kind: CollectiveKind) -> Vec<Mat> {
-        self.group_all_to_all(&self.everyone(), parts, kind)
     }
 
     /// Send one redistribution piece on `wire`. Either way the stats book
@@ -415,19 +365,6 @@ impl RankCtx {
         out
     }
 
-    /// Reduce-scatter within the cluster: `parts[j]` is this rank's
-    /// contribution to rank `j`'s result; returns the sum of all
-    /// contributions addressed to this rank. `(g-1)/g` of the payload
-    /// moves.
-    pub fn reduce_scatter_sum(&self, parts: Vec<Mat>, kind: CollectiveKind) -> Mat {
-        let received = self.all_to_all(parts, kind);
-        let mut acc = received[0].clone();
-        for p in &received[1..] {
-            add_assign(&mut acc, p);
-        }
-        acc
-    }
-
     // The six `#[doc(hidden)]` forwards (four here, two on
     // `rdm_core::DistMat`) exist only because the frozen benchmark's probes
     // call them by name (`bench/src/probes.rs`, `comm.redistribute*_ms`); a
@@ -495,7 +432,7 @@ mod tests {
         let p = 4;
         let out = Cluster::new(p).run(|ctx| {
             let payload = (ctx.rank() == 1).then(|| Mat::from_vec(1, 2, vec![3.0, 4.0]));
-            ctx.broadcast(1, payload, K)
+            ctx.group_broadcast(&ctx.everyone(), 1, payload, K)
         });
         for m in &out.results {
             assert_eq!(m.as_slice(), &[3.0, 4.0]);
@@ -534,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn all_to_all_transposes_ownership() {
+    fn exchange_transposes_ownership() {
         let p = 4;
         let out = Cluster::new(p).run(|ctx| {
             let me = ctx.rank() as f32;
@@ -542,7 +479,16 @@ mod tests {
             let parts = (0..p)
                 .map(|j| Mat::from_vec(1, 2, vec![me, j as f32]))
                 .collect();
-            ctx.all_to_all(parts, K)
+            let spec = Redistribution {
+                group: &ctx.everyone(),
+                to: Form::Col,
+                wire: Wire::Dense,
+                chunks: 1,
+                kind: K,
+            };
+            let mut received = Vec::new();
+            ctx.exchange(&spec, parts, |_, pieces| received = pieces);
+            received
         });
         for (r, received) in out.results.iter().enumerate() {
             for (s, m) in received.iter().enumerate() {
@@ -687,21 +633,6 @@ mod tests {
             let got = st.total_bytes() as usize;
             // Chunking of 64 rows over 8 ranks is exact.
             assert_eq!(got, expect_per_rank);
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_sums_contributions() {
-        let p = 3;
-        let out = Cluster::new(p).run(|ctx| {
-            let parts = (0..p)
-                .map(|j| Mat::from_vec(1, 1, vec![(ctx.rank() * 10 + j) as f32]))
-                .collect();
-            ctx.reduce_scatter_sum(parts, K)
-        });
-        for (j, m) in out.results.iter().enumerate() {
-            let expect: f32 = (0..p).map(|r| (r * 10 + j) as f32).sum();
-            assert_eq!(m.get(0, 0), expect);
         }
     }
 

@@ -36,27 +36,35 @@ fn drop_strategy() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0f64), Just(0.05f64), Just(0.2f64)]
 }
 
-/// One SPMD round trip through all four collectives, returning everything
+/// One SPMD round trip through every collective, returning everything
 /// each rank observed. Deterministic in (p, rank) so any cross-run
 /// difference is the fabric's fault.
 fn all_collectives(p: usize) -> impl Fn(&rdm_comm::RankCtx) -> Vec<Mat> + Sync {
     move |ctx| {
         let me = ctx.rank();
+        let everyone: Vec<usize> = (0..p).collect();
         let mut seen = Vec::new();
         // Broadcast from every root in turn.
         for root in 0..p {
             let payload =
                 (me == root).then(|| Mat::from_fn(2, 3, |i, j| (root * 100 + i * 3 + j) as f32));
-            seen.push(ctx.broadcast(root, payload, K));
+            seen.push(ctx.group_broadcast(&everyone, root, payload, K));
         }
         // All-gather of a rank-stamped part.
         let part = Mat::from_fn(1, 4, |_, j| (me * 10 + j) as f32);
         seen.extend(ctx.all_gather(part, K));
-        // Personalized all-to-all.
+        // Personalized exchange, two chunks per part.
         let parts = (0..p)
             .map(|j| Mat::from_fn(1, 2, |_, c| (me * 1000 + j * 10 + c) as f32))
             .collect();
-        seen.extend(ctx.all_to_all(parts, K));
+        let spec = Redistribution {
+            group: &everyone,
+            to: Form::Col,
+            wire: Wire::Dense,
+            chunks: 2,
+            kind: K,
+        };
+        ctx.exchange(&spec, parts, |_, pieces| seen.extend(pieces));
         // Both all-reduce algorithms.
         let m = Mat::from_fn(3, 3, |i, j| (me + i * 3 + j) as f32);
         seen.push(ctx.all_reduce_sum(m.clone(), K));

@@ -84,22 +84,23 @@ proptest! {
         let expect = payload.clone();
         let out = Cluster::new(p).run(move |ctx| {
             let m = (ctx.rank() == root).then(|| payload.clone());
-            ctx.broadcast(root, m, K)
+            let everyone: Vec<usize> = (0..p).collect();
+            ctx.group_broadcast(&everyone, root, m, K)
         });
         for got in &out.results {
             prop_assert_eq!(got, &expect);
         }
     }
 
-    /// All-to-all is an ownership transpose: received[i][j] on rank j
-    /// equals sent[j] by rank i.
+    /// The blocking exchange is an ownership transpose: received[i] on
+    /// rank j equals sent[j] by rank i.
     #[test]
-    fn all_to_all_is_a_transpose(p in 1usize..6, seed in 0u64..500) {
+    fn exchange_is_a_transpose(p in 1usize..6, seed in 0u64..500) {
         let out = Cluster::new(p).run(move |ctx| {
             let parts: Vec<Mat> = (0..p)
                 .map(|j| Mat::random(2, 2, 1.0, seed ^ ((ctx.rank() * 31 + j) as u64)))
                 .collect();
-            ctx.all_to_all(parts, K)
+            exchange_everyone(ctx, Form::Col, Wire::Dense, 1, parts)
         });
         for (j, received) in out.results.iter().enumerate() {
             for (i, m) in received.iter().enumerate() {
@@ -193,12 +194,12 @@ proptest! {
         }
     }
 
-    /// The chunked exchange is bitwise the plain all-to-all for *any*
-    /// chunk count — including counts that don't divide the split axis
-    /// (ragged tails) and counts exceeding it (empty chunks) — on both
-    /// axes and both wires.
+    /// The chunked exchange is the ownership transpose for *any* chunk
+    /// count — including counts that don't divide the split axis (ragged
+    /// tails) and counts exceeding it (empty chunks) — on both axes and
+    /// both wires.
     #[test]
-    fn chunked_all_to_all_equals_blocking(
+    fn chunked_exchange_is_a_transpose(
         p in 1usize..6,
         rows in 1usize..12,
         cols in 1usize..9,
@@ -221,22 +222,24 @@ proptest! {
                 })
                 .collect()
         };
-        let blocking = Cluster::new(p).run(move |ctx| ctx.all_to_all(make(ctx.rank()), K));
         let chunked = Cluster::new(p)
             .run(move |ctx| exchange_everyone(ctx, to, wire, chunks, make(ctx.rank())));
-        for (rank, (b, c)) in blocking.results.iter().zip(&chunked.results).enumerate() {
-            prop_assert_eq!(b, c, "rank {} chunked payload diverged", rank);
-        }
-        // The dense-equivalent book is the all-to-all's payload, which the
-        // wire never exceeds and the dense wire carries exactly; only
-        // message counts scale with the (non-empty) chunk count.
-        for (sb, sc) in blocking.stats.iter().zip(&chunked.stats) {
-            prop_assert_eq!(sb.bytes(K), sc.dense_bytes(K));
-            prop_assert!(sc.bytes(K) <= sb.bytes(K));
-            if wire == Wire::Dense {
-                prop_assert_eq!(sb.bytes(K), sc.bytes(K));
+        for (rank, got) in chunked.results.iter().enumerate() {
+            for (i, m) in got.iter().enumerate() {
+                prop_assert_eq!(m, &make(i)[rank], "rank {} chunked payload from {}", rank, i);
             }
-            prop_assert!(sc.messages(K) >= sb.messages(K));
+        }
+        // The dense-equivalent book is every part but the own one, which
+        // the wire never exceeds and the dense wire carries exactly; only
+        // message counts scale with the (non-empty) chunk count.
+        for (me, sc) in chunked.stats.iter().enumerate() {
+            let sent = make(me).iter().map(Mat::nbytes).sum::<usize>() - make(me)[me].nbytes();
+            prop_assert_eq!(sc.dense_bytes(K), sent as u64);
+            prop_assert!(sc.bytes(K) <= sent as u64);
+            if wire == Wire::Dense {
+                prop_assert_eq!(sc.bytes(K), sent as u64);
+            }
+            prop_assert!(sc.messages(K) >= (p - 1) as u64);
         }
     }
 
@@ -318,13 +321,12 @@ proptest! {
     }
 
     /// Within every row group of a `P/R_A × R_A` grid, the sparsity-aware
-    /// chunk-pipelined all-to-all is bitwise the plain dense group
-    /// all-to-all — for any chunk count (ragged tails, empty chunks), any
-    /// zero-row pattern, and any chaos schedule — and its wire bytes
-    /// never exceed the dense volume while the dense-equivalent book
-    /// matches it exactly.
+    /// chunk-pipelined exchange is the group's ownership transpose — for
+    /// any chunk count (ragged tails, empty chunks), any zero-row pattern,
+    /// and any chaos schedule — and its wire bytes never exceed the dense
+    /// volume while the dense-equivalent book matches it exactly.
     #[test]
-    fn group_chunked_sparse_equals_dense_group_all_to_all(
+    fn group_chunked_sparse_exchange_is_a_transpose(
         panels in 1usize..4,
         r_a in 1usize..4,
         rows in 1usize..10,
@@ -351,10 +353,6 @@ proptest! {
             let base = (me / r_a) * r_a;
             (base..base + r_a).collect()
         };
-        let dense = Cluster::new(p).run(move |ctx| {
-            let me = ctx.rank();
-            ctx.group_all_to_all(&row_group(me), make(me), K)
-        });
         let plan = FaultPlan::new(chaos_base() ^ seed ^ 0x9A7)
             .drop_rate(drop)
             .delay(0.2, 3);
@@ -369,39 +367,21 @@ proptest! {
             };
             exchange_all(ctx, &spec, make(me))
         });
-        for (rank, (d, s)) in dense.results.iter().zip(&sparse.results).enumerate() {
-            prop_assert_eq!(d, s, "rank {} diverged from the dense group all-to-all", rank);
+        for (rank, got) in sparse.results.iter().enumerate() {
+            for (i, (m, &src)) in got.iter().zip(&row_group(rank)).enumerate() {
+                let sent = &make(src)[rank % r_a];
+                prop_assert_eq!(m, sent, "rank {} diverged from member {}'s part", rank, i);
+            }
         }
-        for (sd, ss) in dense.stats.iter().zip(&sparse.stats) {
+        for (me, ss) in sparse.stats.iter().enumerate() {
+            let dense = make(me).iter().map(Mat::nbytes).sum::<usize>() - make(me)[me % r_a].nbytes();
             prop_assert!(
-                ss.bytes(K) <= sd.bytes(K),
+                ss.bytes(K) <= dense as u64,
                 "sparse wire bytes {} above dense {}",
                 ss.bytes(K),
-                sd.bytes(K)
+                dense
             );
-            prop_assert_eq!(ss.dense_bytes(K), sd.bytes(K), "dense-equivalent book diverged");
-        }
-    }
-
-    /// Reduce-scatter sums exactly what each rank addressed to the
-    /// receiver.
-    #[test]
-    fn reduce_scatter_sums(p in 1usize..6, seed in 0u64..500) {
-        let out = Cluster::new(p).run(move |ctx| {
-            let parts: Vec<Mat> = (0..p)
-                .map(|j| Mat::random(2, 2, 1.0, seed ^ ((ctx.rank() * 17 + j) as u64)))
-                .collect();
-            ctx.reduce_scatter_sum(parts, K)
-        });
-        for (j, got) in out.results.iter().enumerate() {
-            let mut expect = Mat::zeros(2, 2);
-            for i in 0..p {
-                rdm_dense::add_assign(
-                    &mut expect,
-                    &Mat::random(2, 2, 1.0, seed ^ ((i * 17 + j) as u64)),
-                );
-            }
-            prop_assert!(allclose(got, &expect, 1e-5));
+            prop_assert_eq!(ss.dense_bytes(K), dense as u64, "dense-equivalent book diverged");
         }
     }
 }

@@ -63,37 +63,29 @@ impl Plan {
 }
 
 /// Pick the best plan for a shape on `p` ranks at replication factor
-/// `r_a`: enumerate all orderings, keep the Pareto-optimal ones
-/// (communication × SpMM ops), then rank them with the device model — the
-/// automated version of the paper's "execute every Pareto-optimal
+/// `r_a`: price every ordering on the schedule it runs, keep the
+/// Pareto-optimal ones (communication × SpMM ops), then rank them by the
+/// clock that books executed epochs — the slowest rank's modeled time —
+/// the automated version of the paper's "execute every Pareto-optimal
 /// candidate for a few epochs and keep the fastest".
 ///
 /// `r_a` joins the pricing (group redistributions shrink while dense panel
 /// broadcasts appear), so the best ordering at `r_a < p` can differ from
 /// the one at full replication. `sigma`, the expected fraction of
 /// intermediate rows that carry data (`1.0` on the dense wire), re-prices
-/// redistribution volume only — op counts and panel broadcasts are
-/// unchanged by sparsity.
+/// the conversions only — op counts and panel broadcasts are unchanged by
+/// sparsity.
 ///
 /// # Panics
 /// If `r_a` does not divide `p`.
 pub fn best_plan(shape: &GnnShape, p: usize, r_a: usize, device: &DeviceModel, sigma: f64) -> Plan {
-    assert!(
-        r_a >= 1 && r_a <= p && p.is_multiple_of(r_a),
-        "R_A = {r_a} must divide P = {p}"
-    );
-    let candidates = rdm_model::pareto_configs(shape, p, r_a, sigma);
-    let best = candidates
+    let time = |c: &rdm_model::PlanPrice| device.slowest(c.ranks.iter().map(|r| &r.book)).total_s;
+    let best = rdm_model::pareto_configs(shape, p, r_a, sigma)
         .into_iter()
-        .min_by(|(_, a), (_, b)| {
-            let ta = device.predict(a, p, 0.0).total_s;
-            let tb = device.predict(b, p, 0.0).total_s;
-            ta.partial_cmp(&tb).unwrap()
-        })
-        .expect("pareto set is never empty")
-        .0;
+        .min_by(|a, b| time(a).total_cmp(&time(b)))
+        .expect("pareto set is never empty");
     Plan {
-        config: best,
+        config: best.config,
         r_a,
         memoize: true,
     }
@@ -251,6 +243,47 @@ mod tests {
                 "sigma={sigma}: chosen {} not in pareto {pareto:?}",
                 plan.id()
             );
+        }
+    }
+
+    /// The price selection reads is the book the engine keeps: for every
+    /// 2- and 3-layer plan on each `(P, R_A)` grid, one fault-free,
+    /// blocking, dense-wire epoch books exactly the priced `Redistribute`
+    /// and `Broadcast` bytes on every rank, and the priced SpMM and GEMM
+    /// FMAs summed over ranks. The nonzeros are unevenly spread over the
+    /// panels, which the price assumes balanced, so FMAs are compared as
+    /// totals.
+    #[test]
+    fn selection_price_is_the_executed_book() {
+        use crate::metrics::book_unit;
+        use crate::trainer::{on_ranks, TrainerConfig};
+        use rdm_comm::CollectiveKind::{Broadcast, Redistribute};
+        const GRIDS: [(usize, usize); 6] = [(2, 2), (4, 4), (8, 8), (4, 2), (4, 1), (8, 2)];
+        let ds = rdm_graph::DatasetSpec::synthetic("booked", 54, 300, 10, 6).instantiate(3);
+        for layers in [2, 3] {
+            let shape = ds.shape_layers(8, layers);
+            for config in OrderConfig::enumerate(layers) {
+                for (p, r_a) in GRIDS {
+                    let plan = Plan::from_id(config.id(), layers, p).with_ra(r_a);
+                    let what = format!("{layers}-layer id {} P {p} R_A {r_a}", plan.id());
+                    let price = rdm_model::price_plan(&shape, &config, p, r_a, 1.0);
+                    let cfg = TrainerConfig::rdm(p, plan).hidden(8).layers(layers);
+                    let books = on_ranks(&ds, &cfg, |t, ctx| {
+                        let idx = 0;
+                        book_unit(ctx, rdm_trace::Span::Epoch { idx }, |ops| t.epoch(ctx, ops)).1
+                    })
+                    .results;
+                    for (rank, (book, priced)) in books.iter().zip(&price.ranks).enumerate() {
+                        let booked = (book.comm.bytes(Redistribute), book.comm.bytes(Broadcast));
+                        let expect = (priced.redistribute, priced.broadcast);
+                        assert_eq!(booked, expect, "{what} rank {rank}: bytes");
+                    }
+                    let spmm: f64 = books.iter().map(|b| b.ops.spmm_fma).sum();
+                    let gemm: f64 = books.iter().map(|b| b.ops.gemm_fma).sum();
+                    assert_eq!(spmm, price.cost.spmm_ops, "{what}: SpMM FMAs");
+                    assert_eq!(gemm, price.cost.gemm_ops, "{what}: GEMM FMAs");
+                }
+            }
         }
     }
 

@@ -95,7 +95,7 @@ pub struct TrainerConfig {
     pub overlap: Option<usize>,
     /// Adjacency replication factor for RDM plans (`Algo::Rdm` and
     /// `Algo::RdmDynamic`): `Some(r)` prices every candidate ordering at
-    /// `config_cost(shape, cfg, p, r)` — the group-redistribution and
+    /// `price_plan(shape, cfg, p, r, σ)` — the group-redistribution and
     /// panel-broadcast terms participate in the selection — and the chosen
     /// plan carries `r_a = r`. `None` selects at full replication. Must
     /// divide `P`; an explicit plan with a different `r_a`, or an
@@ -552,7 +552,7 @@ impl<'a> RdmTrainer<'a> {
                 let candidates: Vec<_> =
                     rdm_model::pareto_configs(&shape, cfg.p, plan.r_a, resolved.sigma)
                         .into_iter()
-                        .map(|(c, _)| c)
+                        .map(|c| c.config)
                         .collect();
                 Some(DynSelect {
                     scores: vec![0.0; candidates.len()],

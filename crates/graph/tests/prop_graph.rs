@@ -1,11 +1,47 @@
 //! Property-based tests for generators, partitioners and samplers.
 
 use proptest::prelude::*;
-use rdm_graph::dataset::Split;
+use rdm_graph::dataset::{load_edge_list, Split};
 use rdm_graph::{
     edge_cut, greedy_bfs_partition, random_partition, range_partition, rmat, sbm, symmetrize,
     DatasetSpec, SaintSampler,
 };
+
+/// The loader's bound on vertex ids at the 4-wide features of
+/// `load_edge_list_never_panics`: `n · 4 ≤ 2^30` entries.
+const ID_BOUND: u64 = 1 << 28;
+
+/// One token of an edge-list line: an id that loads, one past the bound,
+/// one past `u32`, or junk.
+fn token() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0u32..48).prop_map(|v| v.to_string()),
+        (ID_BOUND as u32..=u32::MAX).prop_map(|v| v.to_string()),
+        (1u64 << 32..u64::MAX).prop_map(|v| v.to_string()),
+        (-1000i64..0).prop_map(|v| v.to_string()),
+        Just("9".repeat(40)),
+        prop_oneof![
+            Just("x"),
+            Just("1.5"),
+            Just("+3"),
+            Just("0x10"),
+            Just("é"),
+            Just("#")
+        ]
+        .prop_map(String::from),
+    ]
+}
+
+/// One line: blank, a comment, an edge, or up to four tokens.
+fn line() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        Just("# a comment".to_string()),
+        (0u32..48, 0u32..48).prop_map(|(u, v)| format!("{u} {v}")),
+        proptest::collection::vec(token(), 0..5).prop_map(|t| t.join(" ")),
+        proptest::collection::vec(token(), 2..3).prop_map(|t| format!("\t{}  ", t.join("\t"))),
+    ]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -122,6 +158,42 @@ proptest! {
         for r in 0..n {
             let s: f32 = ds.adj_norm.row(r).1.iter().sum();
             prop_assert!((s - 1.0).abs() < 1e-4);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary text never panics the loader: it loads exactly when every
+    /// data line starts with two in-range ids and there is one, and the
+    /// vertex count is then the largest id plus one.
+    #[test]
+    fn load_edge_list_never_panics(
+        lines in proptest::collection::vec(line(), 0..10),
+        crlf in 0usize..2,
+    ) {
+        let text = lines.join(if crlf == 1 { "\r\n" } else { "\n" });
+        let mut max_id = None;
+        let mut loads = true;
+        for l in text.lines().map(str::trim) {
+            if l.is_empty() || l.starts_with('#') {
+                continue;
+            }
+            let mut ids = l.split_whitespace().map(|t| t.parse::<u32>().ok());
+            match (ids.next().flatten(), ids.next().flatten()) {
+                (Some(u), Some(v)) if u64::from(u.max(v)) < ID_BOUND => {
+                    max_id = max_id.max(Some(u.max(v)));
+                }
+                _ => loads = false,
+            }
+        }
+        match load_edge_list("fuzz", &text, 4, 3, 7) {
+            Ok(ds) => {
+                prop_assert!(loads);
+                prop_assert_eq!(Some(ds.n()), max_id.map(|m| m as usize + 1));
+            }
+            Err(_) => prop_assert!(!loads || max_id.is_none()),
         }
     }
 }

@@ -1,13 +1,23 @@
 //! Whole-network cost evaluation and the Pareto filter (§IV-B, Table VI).
 //!
-//! One entry point per question, each taking the replication factor `r_a`
-//! and the row-occupancy factor `sigma` (`r_a = p, sigma = 1.0` is the
-//! paper's dense, fully replicated pricing). The one exception is
-//! [`config_cost`], the dense form of [`config_cost_with_sparsity`], which
-//! the frozen benchmark calls by name.
+//! A plan is priced on the schedule the engine runs: [`price_plan`]
+//! expands its [`schedule`] once and prices the step list on every rank of
+//! the `p/r_a × r_a` grid, into Table IV's three quantities ([`Cost`]) and
+//! each rank's book as the clock reads it ([`MeasuredRank`]). The Pareto
+//! filter and every selection read that one price, at the replication
+//! factor `r_a` and row-occupancy factor `sigma` they execute with
+//! (`r_a = p, sigma = 1.0` is the paper's dense, fully replicated case).
+//!
+//! [`config_cost`] composes the paper's per-layer rules (Tables II–IV)
+//! instead. It is the oracle the priced schedule is checked against, and
+//! no selection reads it.
 
 use crate::config::{Order, OrderConfig};
+use crate::conformance::{part_len, Pricer, SchedEvent};
+use crate::device::MeasuredRank;
 use crate::layer::{backward_layer_cost, forward_layer_cost, redistribution_elems, LayerDims};
+use crate::schedule::schedule;
+use rdm_trace::TraceCollective;
 
 /// The shape of a GCN training problem: vertex count, edge count (nnz of
 /// the normalized adjacency), and the feature width of every boundary —
@@ -75,7 +85,8 @@ impl Cost {
 }
 
 /// Cost of running one epoch with configuration `cfg` on `p` ranks with
-/// adjacency replication `r_a` (use `r_a = p` for full replication).
+/// adjacency replication `r_a` (use `r_a = p` for full replication), by
+/// the paper's rules — the oracle, not the price plans are chosen on.
 ///
 /// Implements the composition rules of §IV-A (verified against Table IV):
 ///
@@ -89,29 +100,6 @@ impl Cost {
 ///   gradient leaves the loss row-sliced but the SpMM needs it
 ///   column-sliced).
 pub fn config_cost(shape: &GnnShape, cfg: &OrderConfig, p: usize, r_a: usize) -> Cost {
-    config_cost_with_sparsity(shape, cfg, p, r_a, 1.0)
-}
-
-/// [`config_cost`] re-priced for the sparsity-aware redistribution path:
-/// every redistribution term — intra-layer, inter-layer boundary, loss and
-/// gradient boundaries — is scaled by `sigma`, the expected fraction of
-/// intermediate rows that carry data (`1.0 - empty_row_fraction` of the
-/// normalized adjacency is the natural estimate, since rows of `Â·X` are
-/// all-zero exactly where `Â` has empty rows). Panel broadcasts under
-/// `R_A < P` stay dense — they do not ride the indexed-strip path. With
-/// `sigma = 1.0` this is exactly [`config_cost`], keeping the paper's
-/// Table IV/VI formulas as the dense bound.
-pub fn config_cost_with_sparsity(
-    shape: &GnnShape,
-    cfg: &OrderConfig,
-    p: usize,
-    r_a: usize,
-    sigma: f64,
-) -> Cost {
-    assert!(
-        (0.0..=1.0).contains(&sigma),
-        "sparsity factor {sigma} outside [0, 1]"
-    );
     let l = shape.layers();
     assert_eq!(cfg.layers(), l, "config layer count mismatch");
     let mut total = Cost::default();
@@ -121,12 +109,11 @@ pub fn config_cost_with_sparsity(
     // all-to-alls under full replication, and row-group all-to-alls under
     // the R_A < P tiling.
     let boundary = |f: usize| -> f64 {
-        sigma
-            * if r_a == p {
-                redistribution_elems(n, f, p)
-            } else {
-                crate::layer::group_redistribution_elems(n, f, r_a)
-            }
+        if r_a == p {
+            redistribution_elems(n, f, p)
+        } else {
+            crate::layer::group_redistribution_elems(n, f, r_a)
+        }
     };
 
     // Forward pass.
@@ -138,7 +125,6 @@ pub fn config_cost_with_sparsity(
             nnz,
             p,
             r_a,
-            sigma,
         );
         total.comm_elems += c.comm_elems;
         total.spmm_ops += c.spmm_ops;
@@ -170,7 +156,6 @@ pub fn config_cost_with_sparsity(
             nnz,
             p,
             r_a,
-            sigma,
         );
         total.comm_elems += c.comm_elems;
         total.spmm_ops += c.spmm_ops;
@@ -185,21 +170,102 @@ pub fn config_cost_with_sparsity(
     total
 }
 
-/// Every configuration with its cost, ordered by ID, priced at
-/// replication factor `r_a` and row-occupancy factor `sigma` (see
-/// [`config_cost_with_sparsity`]).
-pub fn all_config_costs(
+/// One rank's epoch of a plan, priced on its schedule.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RankPrice {
+    /// Dense payload bytes of this rank's `Redistribute` conversions.
+    pub redistribute: u64,
+    /// Bytes of this rank's panel broadcasts (`R_A < P` only).
+    pub broadcast: u64,
+    /// What the clock reads: FMAs, and every byte the list sends, with
+    /// `sigma` applied to the conversions.
+    pub book: MeasuredRank,
+}
+
+/// One plan's epoch, priced on its schedule.
+#[derive(Clone, Debug)]
+pub struct PlanPrice {
+    pub config: OrderConfig,
+    /// Table IV's quantities, summed over ranks: the `Redistribute`
+    /// elements times `sigma` plus the panel-broadcast elements, and the
+    /// list's FMAs.
+    pub cost: Cost,
+    /// Every rank of the `p/r_a × r_a` grid, in rank order.
+    pub ranks: Vec<RankPrice>,
+}
+
+/// Price one memoized epoch of `cfg` on the schedule the engine runs: the
+/// step list is expanded once and priced on every rank of the
+/// `p/r_a × r_a` grid, with the nonzeros split evenly over the panels.
+/// `sigma`, the expected fraction of intermediate rows that carry data
+/// (`1.0` on the dense wire), scales the Row↔Col conversions only — op
+/// counts, panel broadcasts and weight-gradient all-reduces do not ride
+/// the indexed wire.
+///
+/// # Panics
+/// If `r_a` does not divide `p`, `sigma` is outside `[0, 1]`, or `shape`
+/// does not have a width per layer boundary of `cfg`.
+pub fn price_plan(
     shape: &GnnShape,
+    cfg: &OrderConfig,
     p: usize,
     r_a: usize,
     sigma: f64,
-) -> Vec<(OrderConfig, Cost)> {
-    OrderConfig::enumerate(shape.layers())
-        .into_iter()
-        .map(|cfg| {
-            let c = config_cost_with_sparsity(shape, &cfg, p, r_a, sigma);
-            (cfg, c)
+) -> PlanPrice {
+    assert!(
+        (0.0..=1.0).contains(&sigma),
+        "sparsity factor {sigma} outside [0, 1]"
+    );
+    let steps = schedule(cfg, true, &shape.feats, false).unwrap_or_else(|e| panic!("{e}"));
+    let panels = p / r_a;
+    let panel_nnz: Vec<usize> = (0..panels)
+        .map(|k| part_len(shape.nnz, panels, k))
+        .collect();
+    let ranks: Vec<RankPrice> = (0..p)
+        .map(|rank| {
+            let mut pricer = Pricer::new(shape, p, r_a, rank, &panel_nnz, None)
+                .unwrap_or_else(|e| panic!("{e}"));
+            pricer.price(&steps, 0);
+            let (mut r, mut converted, mut rest) = (RankPrice::default(), 0, 0);
+            for e in pricer.events {
+                match e {
+                    SchedEvent::Redist { kind, bytes, .. } => {
+                        converted += bytes;
+                        if kind == TraceCollective::Redistribute {
+                            r.redistribute += bytes;
+                        }
+                    }
+                    SchedEvent::Broadcast { bytes } => {
+                        r.broadcast += bytes;
+                        rest += bytes;
+                    }
+                    SchedEvent::AllReduce { bytes } => rest += bytes,
+                    SchedEvent::Spmm { cols, nnz, .. } => r.book.spmm_fma += (cols * nnz) as f64,
+                    SchedEvent::Gemm { m, n, k } => r.book.gemm_fma += (m * n * k) as f64,
+                }
+            }
+            r.book.bytes_sent = sigma * converted as f64 + rest as f64;
+            r
         })
+        .collect();
+    let bytes = |f: fn(&RankPrice) -> u64| ranks.iter().map(f).sum::<u64>() as f64;
+    let cost = Cost {
+        comm_elems: (sigma * bytes(|r| r.redistribute) + bytes(|r| r.broadcast)) / 4.0,
+        spmm_ops: ranks.iter().map(|r| r.book.spmm_fma).sum(),
+        gemm_ops: ranks.iter().map(|r| r.book.gemm_fma).sum(),
+    };
+    PlanPrice {
+        config: cfg.clone(),
+        cost,
+        ranks,
+    }
+}
+
+/// Every configuration priced by [`price_plan`], ordered by ID.
+pub fn all_config_costs(shape: &GnnShape, p: usize, r_a: usize, sigma: f64) -> Vec<PlanPrice> {
+    OrderConfig::enumerate(shape.layers())
+        .iter()
+        .map(|cfg| price_plan(shape, cfg, p, r_a, sigma))
         .collect()
 }
 
@@ -211,36 +277,33 @@ pub fn all_config_costs(
 /// With `r_a == p` the factor `sigma` scales every candidate's
 /// communication uniformly, so the membership matches the dense pricing;
 /// under `R_A < P` the dense broadcast share shifts the trade-off and the
-/// set can differ. Either way the device-model ranking downstream sees the
-/// re-priced volumes.
-pub fn pareto_configs(
-    shape: &GnnShape,
-    p: usize,
-    r_a: usize,
-    sigma: f64,
-) -> Vec<(OrderConfig, Cost)> {
+/// set can differ.
+pub fn pareto_configs(shape: &GnnShape, p: usize, r_a: usize, sigma: f64) -> Vec<PlanPrice> {
     let all = all_config_costs(shape, p, r_a, sigma);
-    let mut keep = Vec::new();
-    'outer: for (i, (cfg, cost)) in all.iter().enumerate() {
-        for (j, (_, other)) in all.iter().enumerate() {
-            if other.dominates(cost) {
-                continue 'outer;
-            }
-            // Identical cost vector: keep only the first (lowest ID).
-            if j < i && other.comm_elems == cost.comm_elems && other.spmm_ops == cost.spmm_ops {
-                continue 'outer;
-            }
-        }
-        keep.push((cfg.clone(), *cost));
-    }
-    keep
+    let kept: Vec<bool> = all
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            all.iter().enumerate().all(|(j, b)| {
+                // Identical cost vector: keep only the first (lowest ID).
+                let tie = j < i
+                    && b.cost.comm_elems == a.cost.comm_elems
+                    && b.cost.spmm_ops == a.cost.spmm_ops;
+                !b.cost.dominates(&a.cost) && !tie
+            })
+        })
+        .collect();
+    all.into_iter()
+        .zip(kept)
+        .filter_map(|(c, k)| k.then_some(c))
+        .collect()
 }
 
 /// Just the Pareto-optimal IDs (Table VI's "Candidates IDs" column).
 pub fn pareto_ids(shape: &GnnShape, p: usize, r_a: usize, sigma: f64) -> Vec<usize> {
     pareto_configs(shape, p, r_a, sigma)
         .iter()
-        .map(|(cfg, _)| cfg.id())
+        .map(|c| c.config.id())
         .collect()
 }
 
@@ -289,9 +352,12 @@ mod tests {
         let shape = GnnShape::gcn(5_000, 60_000, 64, 32, 10, 2);
         let pareto = pareto_configs(&shape, 4, 4, 1.0);
         assert!(!pareto.is_empty());
-        for (_, a) in &pareto {
-            for (_, b) in &pareto {
-                assert!(!a.dominates(b), "pareto set contains dominated entry");
+        for a in &pareto {
+            for b in &pareto {
+                assert!(
+                    !a.cost.dominates(&b.cost),
+                    "pareto set contains dominated entry"
+                );
             }
         }
     }
@@ -327,8 +393,8 @@ mod tests {
     fn gemm_ops_are_order_independent() {
         let shape = GnnShape::gcn(1_000, 10_000, 64, 32, 8, 2);
         let all = all_config_costs(&shape, 4, 4, 1.0);
-        let g0 = all[0].1.gemm_ops;
-        assert!(all.iter().all(|(_, c)| c.gemm_ops == g0));
+        let g0 = all[0].cost.gemm_ops;
+        assert!(all.iter().all(|c| c.cost.gemm_ops == g0));
     }
 
     #[test]
@@ -347,27 +413,29 @@ mod tests {
     }
 
     #[test]
-    fn sparsity_factor_scales_redistribution_but_not_broadcast() {
+    fn sparsity_factor_scales_conversions_but_not_broadcast() {
         let shape = GnnShape::gcn(10_000, 200_000, 128, 128, 40, 2);
         let cfg = OrderConfig::from_id(5, 2);
-        // sigma = 1 is exactly the dense pricing.
-        assert_eq!(
-            config_cost_with_sparsity(&shape, &cfg, 8, 8, 1.0),
-            config_cost(&shape, &cfg, 8, 8)
-        );
         // Full replication: every comm term is a redistribution, so the
         // volume scales linearly in sigma while compute is untouched.
-        let dense = config_cost(&shape, &cfg, 8, 8);
-        let half = config_cost_with_sparsity(&shape, &cfg, 8, 8, 0.5);
-        assert!((half.comm_elems - 0.5 * dense.comm_elems).abs() < 1e-6);
-        assert_eq!(half.spmm_ops, dense.spmm_ops);
-        assert_eq!(half.gemm_ops, dense.gemm_ops);
+        let dense = price_plan(&shape, &cfg, 8, 8, 1.0);
+        let half = price_plan(&shape, &cfg, 8, 8, 0.5);
+        assert_eq!(half.cost.comm_elems, 0.5 * dense.cost.comm_elems);
+        assert_eq!(half.cost.spmm_ops, dense.cost.spmm_ops);
+        assert_eq!(half.cost.gemm_ops, dense.cost.gemm_ops);
+        // Each rank's book keeps its weight-gradient all-reduce dense.
+        for (d, h) in dense.ranks.iter().zip(&half.ranks) {
+            assert_eq!(d.redistribute, h.redistribute);
+            let redistribute = d.redistribute as f64;
+            assert_eq!(d.book.bytes_sent - h.book.bytes_sent, 0.5 * redistribute);
+        }
         // R_A < P: the panel broadcast stays dense, so sigma = 0 leaves
         // exactly the broadcast volume standing.
-        let tiled = config_cost_with_sparsity(&shape, &cfg, 8, 2, 0.0);
-        assert!(tiled.comm_elems > 0.0);
-        let tiled_dense = config_cost(&shape, &cfg, 8, 2);
-        assert!(tiled.comm_elems < tiled_dense.comm_elems);
+        let tiled = price_plan(&shape, &cfg, 8, 2, 0.0);
+        let broadcast: u64 = tiled.ranks.iter().map(|r| r.broadcast).sum();
+        assert!(broadcast > 0);
+        assert_eq!(tiled.cost.comm_elems, broadcast as f64 / 4.0);
+        assert!(tiled.cost.comm_elems < price_plan(&shape, &cfg, 8, 2, 1.0).cost.comm_elems);
     }
 
     #[test]
@@ -376,15 +444,8 @@ mod tests {
         // selection keeps choosing among the paper's Table VI candidates.
         for &(name, f_in, f_h, f_out, _) in TABLE6 {
             let shape = GnnShape::gcn(10_000, 100_000, f_in, f_h, f_out, 2);
-            let dense: Vec<usize> = pareto_configs(&shape, 8, 8, 1.0)
-                .iter()
-                .map(|(c, _)| c.id())
-                .collect();
-            let sparse: Vec<usize> = pareto_configs(&shape, 8, 8, 0.37)
-                .iter()
-                .map(|(c, _)| c.id())
-                .collect();
-            assert_eq!(dense, sparse, "dataset {name}");
+            let dense = pareto_ids(&shape, 8, 8, 1.0);
+            assert_eq!(dense, pareto_ids(&shape, 8, 8, 0.37), "dataset {name}");
         }
     }
 

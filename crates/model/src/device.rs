@@ -16,8 +16,6 @@
 //! only on their *ratios*, which are set by the hardware class, not the
 //! specific board.
 
-use crate::cost::Cost;
-
 /// Effective execution rates of one device and its interconnect.
 #[derive(Clone, Copy, Debug)]
 pub struct DeviceModel {
@@ -90,20 +88,6 @@ impl DeviceModel {
         (blocking - self.pipelined_time(comm_s, compute_s)).max(0.0)
     }
 
-    /// Predicted epoch time breakdown for a *global* cost executed on `p`
-    /// ranks, assuming perfect balance: each rank executes `1/p` of the
-    /// compute and ships `1/p` of the communication volume.
-    pub fn predict(&self, cost: &Cost, p: usize, msgs_per_epoch: f64) -> Predicted {
-        let compute = self.compute_time(cost.spmm_ops / p as f64, cost.gemm_ops / p as f64);
-        let comm = self.comm_time(cost.comm_elems * 4.0 / p as f64, msgs_per_epoch);
-        Predicted {
-            compute_s: compute,
-            comm_s: comm,
-            hidden_s: 0.0,
-            total_s: compute + comm + self.epoch_overhead,
-        }
-    }
-
     /// The clock: one rank's modeled time for one unit of work (a training
     /// epoch or a served batch) from what it measured — compute, plus the
     /// communication the chunk pipeline did not hide, plus the fixed
@@ -123,7 +107,7 @@ impl DeviceModel {
     /// A unit finishes when its slowest rank does: the [`Self::rank_time`]
     /// with the largest total (the first of equals; the default for no
     /// ranks).
-    pub fn slowest(&self, per_rank: &[MeasuredRank]) -> Predicted {
+    pub fn slowest<'a>(&self, per_rank: impl IntoIterator<Item = &'a MeasuredRank>) -> Predicted {
         let mut worst = Predicted::default();
         for r in per_rank {
             let t = self.rank_time(r);
@@ -170,27 +154,12 @@ impl Predicted {
 mod tests {
     use super::*;
     use crate::config::OrderConfig;
-    use crate::cost::{config_cost, GnnShape};
+    use crate::cost::{price_plan, GnnShape};
 
     #[test]
     fn spmm_is_slower_than_gemm_per_op() {
         let d = DeviceModel::a6000_pcie();
         assert!(d.spmm_fma_per_sec < d.gemm_fma_per_sec / 50.0);
-    }
-
-    #[test]
-    fn predict_splits_work_by_p() {
-        let d = DeviceModel::a6000_pcie();
-        let cost = Cost {
-            comm_elems: 0.0,
-            spmm_ops: 1e9,
-            gemm_ops: 1e9,
-        };
-        let p1 = d.predict(&cost, 1, 0.0);
-        let p4 = d.predict(&cost, 4, 0.0);
-        let c1 = p1.total_s - d.epoch_overhead;
-        let c4 = p4.total_s - d.epoch_overhead;
-        assert!((c1 / c4 - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -201,11 +170,13 @@ mod tests {
         let shape = GnnShape::gcn(2_000_000, 60_000_000, 128, 128, 47, 2);
         let rdm_cfg = OrderConfig::from_id(5, 2);
         let cag_cfg = OrderConfig::all_spmm_first(2);
+        let time = |cfg, p, r_a| {
+            let price = price_plan(&shape, cfg, p, r_a, 1.0);
+            d.slowest(price.ranks.iter().map(|r| &r.book)).total_s
+        };
         let mut prev_speedup = 0.0;
         for p in [2usize, 4, 8] {
-            let rdm = d.predict(&config_cost(&shape, &rdm_cfg, p, p), p, 40.0);
-            let cag = d.predict(&config_cost(&shape, &cag_cfg, p, 1), p, 40.0);
-            let speedup = cag.total_s / rdm.total_s;
+            let speedup = time(&cag_cfg, p, 1) / time(&rdm_cfg, p, p);
             assert!(
                 speedup > prev_speedup,
                 "speedup {speedup} at P={p} not above {prev_speedup}"

@@ -3,9 +3,10 @@
 //! All quantities are *global* (summed over ranks). Communication is in
 //! **elements** (multiply by 4 for bytes); compute is in FMA operations
 //! (`nnz·f` for SpMM, `N·f_{l-1}·f_l` for GEMM). Every entry takes the
-//! replication factor `r_a` and the row-occupancy factor `sigma` as
-//! inputs: `r_a = p, sigma = 1.0` is the paper's fully replicated, dense
-//! pricing, not a separate entry point.
+//! replication factor `r_a` as an input: `r_a = p` is the paper's fully
+//! replicated pricing, not a separate entry point. These are the paper's
+//! rules, kept as the oracle the priced schedule is checked against
+//! ([`crate::cost::config_cost`]); plans are priced on their schedule.
 
 use crate::config::Order;
 
@@ -64,11 +65,6 @@ pub fn group_redistribution_elems(n: usize, f: usize, r_a: usize) -> f64 {
 /// communication-free; the only traffic is the intra-layer redistribution.
 /// When `r_a < p` the SpMM adds the panel-group broadcast and the
 /// redistribution happens inside groups of `R_A`.
-///
-/// `sigma` is the expected fraction of intermediate rows that carry data
-/// (`1.0` = the paper's dense pricing): the indexed-strip wire drops
-/// all-zero rows, so every redistribution term scales by `sigma` while the
-/// panel broadcast — which does not ride that path — stays dense.
 pub fn forward_layer_cost(
     dims: LayerDims,
     ord: Order,
@@ -76,7 +72,6 @@ pub fn forward_layer_cost(
     nnz: usize,
     p: usize,
     r_a: usize,
-    sigma: f64,
 ) -> LayerCost {
     // Width of the intermediate that crosses between the two operations.
     let inter_width = match ord {
@@ -86,9 +81,9 @@ pub fn forward_layer_cost(
     let spmm_ops = nnz as f64 * inter_width as f64;
     let gemm_ops = n as f64 * dims.f_in as f64 * dims.f_out as f64;
     let comm_elems = if r_a == p {
-        sigma * redistribution_elems(n, inter_width, p)
+        redistribution_elems(n, inter_width, p)
     } else {
-        sigma * group_redistribution_elems(n, inter_width, r_a)
+        group_redistribution_elems(n, inter_width, r_a)
             + panel_broadcast_elems(n, inter_width, p, r_a)
     };
     LayerCost {
@@ -105,8 +100,6 @@ pub fn forward_layer_cost(
 /// backward order is GEMM-first *and* no memoized product exists, the
 /// weight-gradient SpMM must be recomputed: `min(f_{l-1}, f_l)` extra ops
 /// and `2·min(f_{l-1}, f_l)` extra redistribution volume (the N.M. rows).
-/// `sigma` scales every redistribution term (see [`forward_layer_cost`]).
-#[allow(clippy::too_many_arguments)]
 pub fn backward_layer_cost(
     dims: LayerDims,
     ord: Order,
@@ -115,7 +108,6 @@ pub fn backward_layer_cost(
     nnz: usize,
     p: usize,
     r_a: usize,
-    sigma: f64,
 ) -> LayerCost {
     let inter_width = match ord {
         Order::SpmmFirst => dims.f_out, // A·Gˡ has width f_l
@@ -125,9 +117,9 @@ pub fn backward_layer_cost(
     // Two GEMMs: gradient propagation and the weight gradient.
     let gemm_ops = 2.0 * n as f64 * dims.f_in as f64 * dims.f_out as f64;
     let mut comm_elems = if r_a == p {
-        sigma * redistribution_elems(n, inter_width, p)
+        redistribution_elems(n, inter_width, p)
     } else {
-        sigma * group_redistribution_elems(n, inter_width, r_a)
+        group_redistribution_elems(n, inter_width, r_a)
             + panel_broadcast_elems(n, inter_width, p, r_a)
     };
     if ord == Order::GemmFirst && !fwd_was_spmm_first {
@@ -137,10 +129,9 @@ pub fn backward_layer_cost(
         let w = dims.f_in.min(dims.f_out);
         spmm_ops += nnz as f64 * w as f64;
         comm_elems += if r_a == p {
-            sigma * 2.0 * redistribution_elems(n, w, p)
+            2.0 * redistribution_elems(n, w, p)
         } else {
-            sigma * 2.0 * group_redistribution_elems(n, w, r_a)
-                + panel_broadcast_elems(n, w, p, r_a)
+            2.0 * group_redistribution_elems(n, w, r_a) + panel_broadcast_elems(n, w, p, r_a)
         };
     }
     LayerCost {
@@ -174,7 +165,7 @@ mod tests {
 
     #[test]
     fn forward_spmm_first_uses_input_width() {
-        let c = forward_layer_cost(dims(), SpmmFirst, N, NNZ, P, P, 1.0);
+        let c = forward_layer_cost(dims(), SpmmFirst, N, NNZ, P, P);
         assert_eq!(c.spmm_ops, (NNZ * 64) as f64);
         assert_eq!(c.comm_elems, redistribution_elems(N, 64, P));
         assert_eq!(c.gemm_ops, (N * 64 * 16) as f64);
@@ -182,13 +173,13 @@ mod tests {
 
     #[test]
     fn forward_gemm_first_uses_output_width() {
-        let c = forward_layer_cost(dims(), GemmFirst, N, NNZ, P, P, 1.0);
+        let c = forward_layer_cost(dims(), GemmFirst, N, NNZ, P, P);
         assert_eq!(c.spmm_ops, (NNZ * 16) as f64);
         assert_eq!(c.comm_elems, redistribution_elems(N, 16, P));
         // GEMM op count is order-independent (Table II).
         assert_eq!(
             c.gemm_ops,
-            forward_layer_cost(dims(), SpmmFirst, N, NNZ, P, P, 1.0).gemm_ops
+            forward_layer_cost(dims(), SpmmFirst, N, NNZ, P, P).gemm_ops
         );
     }
 
@@ -200,30 +191,30 @@ mod tests {
             f_in: 128,
             f_out: 32,
         };
-        let s = forward_layer_cost(narrow_out, SpmmFirst, N, NNZ, P, P, 1.0);
-        let d = forward_layer_cost(narrow_out, GemmFirst, N, NNZ, P, P, 1.0);
+        let s = forward_layer_cost(narrow_out, SpmmFirst, N, NNZ, P, P);
+        let d = forward_layer_cost(narrow_out, GemmFirst, N, NNZ, P, P);
         assert!(d.spmm_ops < s.spmm_ops && d.comm_elems < s.comm_elems);
         let wide_out = LayerDims {
             f_in: 32,
             f_out: 128,
         };
-        let s = forward_layer_cost(wide_out, SpmmFirst, N, NNZ, P, P, 1.0);
-        let d = forward_layer_cost(wide_out, GemmFirst, N, NNZ, P, P, 1.0);
+        let s = forward_layer_cost(wide_out, SpmmFirst, N, NNZ, P, P);
+        let d = forward_layer_cost(wide_out, GemmFirst, N, NNZ, P, P);
         assert!(s.spmm_ops < d.spmm_ops && s.comm_elems < d.comm_elems);
     }
 
     #[test]
     fn backward_spmm_first_no_penalty_ever() {
-        let a = backward_layer_cost(dims(), SpmmFirst, true, N, NNZ, P, P, 1.0);
-        let b = backward_layer_cost(dims(), SpmmFirst, false, N, NNZ, P, P, 1.0);
+        let a = backward_layer_cost(dims(), SpmmFirst, true, N, NNZ, P, P);
+        let b = backward_layer_cost(dims(), SpmmFirst, false, N, NNZ, P, P);
         assert_eq!(a, b);
         assert_eq!(a.spmm_ops, (NNZ * 16) as f64);
     }
 
     #[test]
     fn backward_gemm_first_memoized_vs_not() {
-        let memo = backward_layer_cost(dims(), GemmFirst, true, N, NNZ, P, P, 1.0);
-        let no_memo = backward_layer_cost(dims(), GemmFirst, false, N, NNZ, P, P, 1.0);
+        let memo = backward_layer_cost(dims(), GemmFirst, true, N, NNZ, P, P);
+        let no_memo = backward_layer_cost(dims(), GemmFirst, false, N, NNZ, P, P);
         let w = 16; // min(64, 16)
         assert_eq!(no_memo.spmm_ops - memo.spmm_ops, (NNZ * w) as f64);
         assert_eq!(
@@ -234,7 +225,7 @@ mod tests {
 
     #[test]
     fn backward_has_two_gemms() {
-        let c = backward_layer_cost(dims(), SpmmFirst, false, N, NNZ, P, P, 1.0);
+        let c = backward_layer_cost(dims(), SpmmFirst, false, N, NNZ, P, P);
         assert_eq!(c.gemm_ops, (2 * N * 64 * 16) as f64);
     }
 
@@ -244,7 +235,7 @@ mod tests {
         let p = 8;
         let mut prev = f64::INFINITY;
         for r_a in [1, 2, 4, 8] {
-            let c = forward_layer_cost(dims(), SpmmFirst, N, NNZ, p, r_a, 1.0);
+            let c = forward_layer_cost(dims(), SpmmFirst, N, NNZ, p, r_a);
             assert!(
                 c.comm_elems < prev,
                 "R_A={r_a} comm {} not below previous {prev}",
@@ -259,14 +250,14 @@ mod tests {
         // R_A = 1: no group redistribution, broadcast volume (P-1)·N·f —
         // identical to CAGNET 1D (§III-E).
         let p = 8;
-        let c = forward_layer_cost(dims(), SpmmFirst, N, NNZ, p, 1, 1.0);
+        let c = forward_layer_cost(dims(), SpmmFirst, N, NNZ, p, 1);
         assert_eq!(c.comm_elems, ((p - 1) * N * 64) as f64);
     }
 
     #[test]
     fn ra_equal_p_matches_plain_formula() {
         let p = 8;
-        let via_ra = forward_layer_cost(dims(), SpmmFirst, N, NNZ, p, p, 1.0);
+        let via_ra = forward_layer_cost(dims(), SpmmFirst, N, NNZ, p, p);
         assert_eq!(via_ra.comm_elems, redistribution_elems(N, 64, p));
     }
 

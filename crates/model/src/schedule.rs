@@ -287,45 +287,22 @@ pub fn schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conformance::{predict_epoch, SchedEvent};
-    use crate::cost::{config_cost, GnnShape};
+    use crate::cost::{config_cost, price_plan, GnnShape};
     use crate::layer::{group_redistribution_elems, redistribution_elems};
 
     /// The `(P, R_A)` grids the priced schedule is checked on.
     const GRIDS: [(usize, usize); 6] = [(2, 2), (4, 4), (8, 8), (4, 2), (4, 1), (8, 2)];
 
-    /// One memoized epoch's `Redistribute` + `Broadcast` bytes and SpMM
-    /// FMAs, priced on every rank of the `p/r_a × r_a` grid and summed.
-    fn priced_totals(shape: &GnnShape, config: &OrderConfig, p: usize, r_a: usize) -> (f64, f64) {
-        let panel_nnz = vec![shape.nnz / (p / r_a); p / r_a];
-        let (mut bytes, mut fma) = (0u64, 0usize);
-        for rank in 0..p {
-            for e in predict_epoch(shape, config, true, p, r_a, rank, &panel_nnz, None).unwrap() {
-                match e {
-                    SchedEvent::Redist {
-                        kind: TraceCollective::Redistribute,
-                        bytes: b,
-                        ..
-                    }
-                    | SchedEvent::Broadcast { bytes: b } => bytes += b,
-                    SchedEvent::Spmm { cols, nnz, .. } => fma += cols * nnz,
-                    _ => {}
-                }
-            }
-        }
-        (bytes as f64, fma as f64)
-    }
-
-    /// The schedule both readers share is checked against the paper's own
+    /// The price selection reads is checked against the paper's own
     /// composition rules (§IV-A, Table IV), not against itself: on a
     /// P-divisible shape, every 2- and 3-layer plan's priced epoch moves
-    /// exactly `config_cost`'s volume and multiplies exactly its SpMM FMAs.
-    /// Where a layer is GEMM-first in both passes, Table IV charges a
-    /// non-memoized redistribution the schedule may find cached, so there
-    /// the model is an upper bound. 3-layer ids 36, 37, 44 and 45 (forward
-    /// D→S into layer 2, backward S at layer 2 under D at layer 3) pay one
-    /// width-f₁ group conversion more than the model: the layer-2 weight
-    /// gradient converts H¹ to row slices as `Redistribute`, which
+    /// exactly `config_cost`'s volume and multiplies exactly its SpMM and
+    /// GEMM FMAs. Where a layer is GEMM-first in both passes, Table IV
+    /// charges a non-memoized redistribution the schedule may find cached,
+    /// so there the rules are an upper bound. 3-layer ids 36, 37, 44 and 45
+    /// (forward D→S into layer 2, backward S at layer 2 under D at layer 3)
+    /// pay one width-f₁ group conversion more than the rules: the layer-2
+    /// weight gradient converts H¹ to row slices as `Redistribute`, which
     /// `config_cost` does not count — and the ReLU mask then finds that
     /// layout cached, so its `Other` alignment is skipped.
     #[test]
@@ -344,10 +321,11 @@ mod tests {
                 for config in OrderConfig::enumerate(layers) {
                     let id = config.id();
                     let what = format!("{layers}-layer id {id} P {p} R_A {r_a}");
-                    let cost = config_cost(&shape, &config, p, r_a);
-                    let (bytes, fma) = priced_totals(&shape, &config, p, r_a);
-                    assert_eq!(fma, cost.spmm_ops, "{what}: SpMM FMAs");
-                    let model = cost.comm_elems * 4.0;
+                    let rules = config_cost(&shape, &config, p, r_a);
+                    let price = price_plan(&shape, &config, p, r_a, 1.0).cost;
+                    assert_eq!(price.spmm_ops, rules.spmm_ops, "{what}: SpMM FMAs");
+                    assert_eq!(price.gemm_ops, rules.gemm_ops, "{what}: GEMM FMAs");
+                    let (bytes, model) = (price.comm_elems * 4.0, rules.comm_elems * 4.0);
                     if layers == 3 && [36, 37, 44, 45].contains(&id) {
                         let excess = boundary(shape.feats[1]) * 4.0;
                         assert_eq!(bytes, model + excess, "{what}: the H¹ conversion");

@@ -62,7 +62,7 @@ pub struct ServeConfig {
     /// replicated-panel topology with bitwise-identical logits.
     pub plan: Option<Plan>,
     /// Adjacency replication factor for the auto-selected plan: candidates
-    /// are priced at `config_cost(shape, cfg, p, r)` so the chosen ordering
+    /// are priced at `price_plan(shape, cfg, p, r, σ)` so the chosen ordering
     /// reflects the group-redistribution / panel-broadcast trade-off.
     /// `None` means full replication. Must divide `p`; an explicit
     /// [`ServeConfig::plan`] carries its own `r_a` and conflicts with a

@@ -262,9 +262,15 @@ impl Json {
     }
 }
 
+/// The deepest container nesting [`validate`] accepts; the emitted format
+/// nests four deep (document, `traceEvents`, event, `args`).
+const MAX_DEPTH: usize = 32;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -272,6 +278,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -305,8 +312,7 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -314,6 +320,21 @@ impl<'a> Parser<'a> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// An object or array, one level deeper: past [`MAX_DEPTH`] an error,
+    /// not a recursion without bound.
+    fn nested(&mut self) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = match self.peek() {
+            Some(b'{') => self.object(),
+            _ => self.array(),
+        };
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
@@ -622,5 +643,14 @@ mod tests {
         assert!(validate(open).unwrap_err().contains("never closed"));
         let bad_json = "{\"traceEvents\":[";
         assert!(validate(bad_json).is_err());
+        // Nesting is bounded: an error, not a stack overflow.
+        let deep = format!("{{\"traceEvents\":{}", "[".repeat(1_000_000));
+        assert!(validate(&deep).unwrap_err().contains("nesting deeper than"));
+        let ok = format!(
+            "{{\"traceEvents\":[],\"x\":{}{}}}",
+            "[".repeat(30),
+            "]".repeat(30)
+        );
+        assert_eq!(validate(&ok), Ok(()));
     }
 }

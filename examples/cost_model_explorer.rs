@@ -30,8 +30,9 @@ fn main() {
         "{:<4} {:<10} {:>14} {:>14} {:>12}  pareto?",
         "ID", "orders", "comm (elems)", "SpMM (FMA)", "pred (ms)"
     );
-    for (cfg, cost) in all_config_costs(&shape, p, p, 1.0) {
-        let pred = device.predict(&cost, p, 40.0);
+    for price in all_config_costs(&shape, p, p, 1.0) {
+        let (cfg, cost) = (&price.config, price.cost);
+        let pred = device.slowest(price.ranks.iter().map(|r| &r.book));
         let mark = if pareto.contains(&cfg.id()) {
             "  *"
         } else {
