@@ -29,9 +29,11 @@
 
 use crate::cluster::RankCtx;
 use crate::stats::CollectiveKind;
-use crate::strip::{self, Expect};
-use rdm_dense::{add_assign, hstack, part_range, split_cols, split_rows, vstack, Mat};
+use crate::strip::{self, Expect, Piece};
+use rdm_dense::{add_assign, part_range, Mat};
 use rdm_trace::{Form, Span};
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
 /// How the pieces of a redistribution travel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,6 +65,19 @@ pub struct Redistribution<'g> {
     pub kind: CollectiveKind,
 }
 
+impl Redistribution<'_> {
+    /// The one `Span::Redistribute` of this redistribution; the exchange,
+    /// the landing of its pieces and every strip a sink sees run inside it.
+    fn span(&self) -> rdm_trace::SpanGuard {
+        rdm_trace::span(Span::Redistribute {
+            from: self.to.other(),
+            to: self.to,
+            chunks: self.chunks,
+            kind: self.kind.trace_tag(),
+        })
+    }
+}
+
 /// Chunk `q` of `chunks` equal-as-possible sub-blocks of `m` along the
 /// axis a redistribution to `to` strips (`part_range` splitting: empty
 /// sub-blocks when `chunks` exceeds the dimension).
@@ -77,6 +92,56 @@ fn sub_block(m: &Mat, to: Form, chunks: usize, q: usize) -> Mat {
             m.row_block(r.start, r.end)
         }
     }
+}
+
+/// One strip of a redistribution, written once: `pieces` in group order,
+/// stacked vertically for `Form::Col` (every piece as wide as the strip)
+/// or side by side for `Form::Row` (every piece as tall).
+///
+/// # Panics
+/// If a piece disagrees with the first along the shared dimension.
+fn land(pieces: &[Piece<'_>], to: Form) -> Mat {
+    let (h, w) = pieces[0].shape();
+    let (rows, cols) = match to {
+        Form::Col => (pieces.iter().map(|p| p.shape().0).sum(), w),
+        Form::Row => (h, pieces.iter().map(|p| p.shape().1).sum()),
+    };
+    for p in pieces {
+        let (ph, pw) = p.shape();
+        match to {
+            Form::Col => assert_eq!(pw, w, "piece width {pw} differs from {w}"),
+            Form::Row => assert_eq!(ph, h, "piece height {ph} differs from {h}"),
+        }
+    }
+    let fill = |out: &mut [MaybeUninit<f32>]| {
+        let mut at = 0;
+        for p in pieces {
+            let (ph, pw) = p.shape();
+            match (to, p.contiguous()) {
+                // Stacked, a whole raw piece is one run of the strip.
+                (Form::Col, Some(all)) => {
+                    out[at * cols..][..all.len()].write_copy_of_slice(all);
+                }
+                _ => {
+                    for (i, row) in p.rows().enumerate() {
+                        let start = match to {
+                            Form::Col => (at + i) * cols,
+                            Form::Row => i * cols + at,
+                        };
+                        strip::store_row(&mut out[start..start + pw], row);
+                    }
+                }
+            }
+            at += match to {
+                Form::Col => ph,
+                Form::Row => pw,
+            };
+        }
+    };
+    // SAFETY: the pieces share the strip's width (`Col`) or height (`Row`),
+    // and their heights (widths) sum to its own, so stacked in order they
+    // tile it; `rows()` yields every row of each piece.
+    unsafe { Mat::write_once(rows, cols, fill) }
 }
 
 impl RankCtx {
@@ -160,17 +225,60 @@ impl RankCtx {
         }
     }
 
+    /// [`RankCtx::send_piece`] of the block `rows × cols` of `m`, packed or
+    /// copied straight from it.
+    fn send_block(
+        &self,
+        dst: usize,
+        m: &Mat,
+        (rows, cols): (Range<usize>, Range<usize>),
+        wire: Wire,
+        kind: CollectiveKind,
+    ) {
+        let packed = match wire {
+            Wire::Dense => None,
+            Wire::Indexed => strip::pack_block(m, rows.clone(), cols.clone()),
+        };
+        match packed {
+            Some(s) => {
+                let dense = strip::dense_bytes_of(rows.len(), cols.len());
+                self.send_compressed(dst, s, kind, dense)
+            }
+            None => self.send(
+                dst,
+                m.block(rows.start, rows.end, cols.start, cols.end),
+                kind,
+            ),
+        }
+    }
+
+    /// The send half of a redistribution's exchange: `piece(j, q)` is
+    /// chunk `q` of the part destined for the `j`-th member of `spec.group`,
+    /// sent **chunk-major** (all of chunk 0 to every peer, then all of
+    /// chunk 1, …), so the first chunk completes everywhere before later
+    /// ones are even on the wire — sends never block on this fabric. Per-link
+    /// FIFO plus this order guarantee the `q`-th receive from a peer is its
+    /// chunk `q`, faults or not.
+    fn send_chunks(
+        &self,
+        spec: &Redistribution<'_>,
+        my_idx: usize,
+        mut piece: impl FnMut(usize, usize),
+    ) {
+        for q in 0..spec.chunks {
+            for idx in (0..spec.group.len()).filter(|&idx| idx != my_idx) {
+                piece(idx, q);
+            }
+        }
+    }
+
     /// The redistribution exchange on pre-split parts: `parts[j]` is
     /// destined for the `j`-th member of `spec.group`, and every part is
-    /// shipped as `spec.chunks` sub-blocks **chunk-major** (all of chunk 0
-    /// to every peer, then all of chunk 1, …), so the first chunk completes
-    /// everywhere before later ones are even on the wire — sends never
-    /// block on this fabric. `on_chunk(q, pieces)` then receives chunk `q`'s
-    /// sub-blocks from every member in group order (this rank's own is
-    /// sliced locally and costs no bytes), so the caller computes on chunk
-    /// `q` while chunks `q+1..` are in flight. Per-link FIFO plus the
-    /// chunk-major send order guarantee the `q`-th receive from a peer is
-    /// its chunk `q`, faults or not.
+    /// shipped as `spec.chunks` sub-blocks chunk-major. `on_chunk(q,
+    /// pieces)` then receives chunk `q`'s sub-blocks from every member in
+    /// group order (this rank's own is sliced locally and costs no bytes),
+    /// so the caller computes on chunk `q` while chunks `q+1..` are in
+    /// flight.
     ///
     /// Payload **bytes** per (src, dst) pair do not depend on `chunks` —
     /// the sub-blocks tile the part exactly — but message *counts* scale
@@ -185,7 +293,7 @@ impl RankCtx {
     ///
     /// The whole exchange, `on_chunk` calls included, is one
     /// `Span::Redistribute` (so kernel spans a caller opens per chunk nest
-    /// inside it); this is the only place that opens one.
+    /// inside it).
     ///
     /// # Panics
     /// If `parts.len() != spec.group.len()`, `spec.chunks == 0`, or this
@@ -203,15 +311,7 @@ impl RankCtx {
             "exchange needs one part per group member"
         );
         assert!(chunks > 0, "need at least one chunk");
-        let _span = rdm_trace::span(Span::Redistribute {
-            from: match to {
-                Form::Col => Form::Row,
-                Form::Row => Form::Col,
-            },
-            to,
-            chunks,
-            kind: spec.kind.trace_tag(),
-        });
+        let _span = spec.span();
         let my_idx = self.group_index(group);
         let take = |part: &mut Mat, q: usize| {
             if chunks == 1 {
@@ -220,13 +320,10 @@ impl RankCtx {
                 sub_block(part, to, chunks, q)
             }
         };
-        for q in 0..chunks {
-            for (idx, &dst) in group.iter().enumerate() {
-                if idx != my_idx {
-                    self.send_piece(dst, take(&mut parts[idx], q), spec.wire, spec.kind);
-                }
-            }
-        }
+        self.send_chunks(spec, my_idx, |idx, q| {
+            let piece = take(&mut parts[idx], q);
+            self.send_piece(group[idx], piece, spec.wire, spec.kind)
+        });
         // Everything but this rank's own part is on the wire: free it before
         // the receive side starts allocating strips.
         let mut own = parts.swap_remove(my_idx);
@@ -252,40 +349,114 @@ impl RankCtx {
 
     /// Redistribute `local` — this rank's slice of a global matrix in the
     /// form opposite to `spec.to` — into its slice in form `spec.to`
-    /// (Fig. 7): divide it into one part per group member, [`exchange`],
-    /// and merge. As each strip of the *destination* slice completes it is
-    /// handed to `sink(q, strip)`: strip `q` of a Row→Col redistribution is
-    /// the column sub-range `part_range(my_cols, chunks, q)` of the final
-    /// column slice with all the group's rows present; Col→Row is the
-    /// mirror image. The received pieces of a strip are freed before `sink`
-    /// sees it. The returned matrix is the strips reassembled —
-    /// bit-identical for every `chunks` and `wire`.
+    /// (Fig. 7). Each piece is packed or copied straight from `local`, and
+    /// each strip of the destination lands in one write-once buffer: this
+    /// rank's own piece and every received piece (raw, or an indexed strip
+    /// expanded on the fly) are stored once, at their final offsets. As
+    /// strip `q` completes it is handed to `sink(q, strip)`: strip `q` of a
+    /// Row→Col redistribution is the column sub-range
+    /// `part_range(my_cols, chunks, q)` of the final column slice with all
+    /// the group's rows present; Col→Row is the mirror image. The received
+    /// pieces of a strip are freed before `sink` sees it. With one chunk
+    /// the strip *is* the returned slice; with more, each strip is copied
+    /// into place once the sink is done with it. Bit-identical for every
+    /// `chunks` and `wire`; messages and both byte books are those of
+    /// [`RankCtx::exchange`] on the split parts.
     ///
-    /// [`exchange`]: RankCtx::exchange
+    /// # Panics
+    /// If `spec.chunks == 0`, this rank is not in the group, or a peer's
+    /// piece does not fit this rank's geometry.
     pub fn redistribute(
         &self,
         spec: &Redistribution<'_>,
         local: &Mat,
         mut sink: impl FnMut(usize, &Mat),
     ) -> Mat {
-        type Stack = fn(&[Mat]) -> Mat;
-        let g = spec.group.len();
-        let (parts, merge_pieces, merge_strips): (_, Stack, Stack) = match spec.to {
-            Form::Col => (split_cols(local, g), vstack, hstack),
-            Form::Row => (split_rows(local, g), hstack, vstack),
+        let (group, to, chunks) = (spec.group, spec.to, spec.chunks);
+        assert!(chunks > 0, "need at least one chunk");
+        let _span = spec.span();
+        let my_idx = self.group_index(group);
+        let (rows, cols) = (0..local.rows(), 0..local.cols());
+        // Chunk `q` of the part of `local` member `idx` gets, as a block.
+        let block = |idx: usize, q: usize| {
+            let axis = match to {
+                Form::Col => local.cols(),
+                Form::Row => local.rows(),
+            };
+            let part = part_range(axis, group.len(), idx);
+            let sub = part_range(part.len(), chunks, q);
+            let cut = part.start + sub.start..part.start + sub.end;
+            match to {
+                Form::Col => (rows.clone(), cut),
+                Form::Row => (cut, cols.clone()),
+            }
         };
-        let mut strips = Vec::with_capacity(spec.chunks);
-        self.exchange(spec, parts, |q, pieces| {
-            let strip = merge_pieces(&pieces);
-            drop(pieces);
-            sink(q, &strip);
-            strips.push(strip);
+        self.send_chunks(spec, my_idx, |idx, q| {
+            self.send_block(group[idx], local, block(idx, q), spec.wire, spec.kind)
         });
-        if strips.len() == 1 {
-            strips.pop().expect("one strip")
-        } else {
-            merge_strips(&strips)
+        let strip = |q: usize| {
+            let (r, c) = block(my_idx, q);
+            let expect = match to {
+                Form::Col => Expect::Cols(c.len()),
+                Form::Row => Expect::Rows(r.len()),
+            };
+            let msgs: Vec<Option<Mat>> = group
+                .iter()
+                .map(|&src| (src != self.rank()).then(|| self.recv(src)))
+                .collect();
+            let pieces: Vec<Piece<'_>> = msgs
+                .iter()
+                .map(|msg| match (msg, spec.wire) {
+                    (None, _) => Piece::block(local, r.clone(), c.clone()),
+                    (Some(m), Wire::Dense) => Piece::block(m, 0..m.rows(), 0..m.cols()),
+                    (Some(m), Wire::Indexed) => Piece::unpack(m, expect),
+                })
+                .collect();
+            land(&pieces, to)
+        };
+        let first = strip(0);
+        if chunks == 1 {
+            sink(0, &first);
+            return first;
         }
+        // Row→Col strips are column ranges of the slice, Col→Row strips
+        // row ranges; chunk 0 fixes the extent along the other axis.
+        let (out_rows, out_cols) = match to {
+            Form::Col => (
+                first.rows(),
+                part_range(local.cols(), group.len(), my_idx).len(),
+            ),
+            Form::Row => (
+                part_range(local.rows(), group.len(), my_idx).len(),
+                first.cols(),
+            ),
+        };
+        let fill = |out: &mut [MaybeUninit<f32>]| {
+            let mut next = Some(first);
+            let mut at = 0;
+            for q in 0..chunks {
+                let s = next.take().unwrap_or_else(|| strip(q));
+                sink(q, &s);
+                match to {
+                    Form::Col => {
+                        assert_eq!(s.rows(), out_rows, "strip {q} has the wrong height");
+                        for i in 0..out_rows {
+                            out[i * out_cols + at..][..s.cols()].write_copy_of_slice(s.row(i));
+                        }
+                        at += s.cols();
+                    }
+                    Form::Row => {
+                        assert_eq!(s.cols(), out_cols, "strip {q} has the wrong width");
+                        out[at * out_cols..][..s.len()].write_copy_of_slice(s.as_slice());
+                        at += s.rows();
+                    }
+                }
+            }
+        };
+        // SAFETY: strip `q` spans `part_range(mine, chunks, q)` along the
+        // split axis (`land` checks each piece against it) and the whole
+        // slice along the other (checked above), so the strips tile it.
+        unsafe { Mat::write_once(out_rows, out_cols, fill) }
     }
 
     /// Element-wise sum all-reduce within `group` (naive all-gather

@@ -33,6 +33,8 @@
 //! gives `k+1 < r` for any `w ≥ 1`, and `w = 0` pieces never pack).
 
 use rdm_dense::Mat;
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
 /// The one dimension of an incoming redistribution piece the receiver
 /// knows a priori, used to discriminate raw pieces from indexed strips.
@@ -46,34 +48,185 @@ pub enum Expect {
     Rows(usize),
 }
 
-/// Is every element of row `i` the bit pattern `0x0000_0000` (`+0.0`)?
+/// Is every element of `row` the bit pattern `0x0000_0000` (`+0.0`)?
 /// `-0.0` and denormals are *kept*: only bit-exact zero rows may be
 /// dropped, which is what makes reconstruction lossless.
-fn row_is_bitzero(m: &Mat, i: usize) -> bool {
-    m.row(i).iter().all(|v| v.to_bits() == 0)
+fn is_bitzero(row: &[f32]) -> bool {
+    row.iter().all(|v| v.to_bits() == 0)
 }
 
 /// Pack `m` into an indexed strip, or `None` when the strip would not be
 /// strictly smaller than `m` (the caller then sends `m` raw).
 pub fn pack_nonzero_rows(m: &Mat) -> Option<Mat> {
-    let (r, w) = (m.rows(), m.cols());
+    pack_block(m, 0..m.rows(), 0..m.cols())
+}
+
+/// [`pack_nonzero_rows`] of the block `rows × cols` of `m`, read in place:
+/// a redistribution packs each piece straight from its local block.
+pub(crate) fn pack_block(m: &Mat, rows: Range<usize>, cols: Range<usize>) -> Option<Mat> {
+    let (r, w) = (rows.len(), cols.len());
     if r == 0 || w == 0 {
         return None;
     }
-    let keep: Vec<usize> = (0..r).filter(|&i| !row_is_bitzero(m, i)).collect();
+    let row = |i: usize| &m.row(rows.start + i)[cols.clone()];
+    let keep: Vec<usize> = (0..r).filter(|&i| !is_bitzero(row(i))).collect();
     let k = keep.len();
     if (k + 1) * (w + 1) >= r * w {
         return None;
     }
-    let mut out = Mat::zeros(k + 1, w + 1);
-    out.set(0, 0, f32::from_bits(r as u32));
-    for (s, &i) in keep.iter().enumerate() {
-        out.set(s + 1, 0, f32::from_bits(i as u32));
-        let src = m.row(i);
-        let dst = &mut out.row_mut(s + 1)[1..];
-        dst.copy_from_slice(src);
+    let fill = |out: &mut [MaybeUninit<f32>]| {
+        let (header, body) = out.split_at_mut(w + 1);
+        header[0].write(f32::from_bits(r as u32));
+        header[1..].fill(MaybeUninit::new(0.0));
+        for (dst, &i) in body.chunks_exact_mut(w + 1).zip(&keep) {
+            dst[0].write(f32::from_bits(i as u32));
+            dst[1..].write_copy_of_slice(row(i));
+        }
+    };
+    // SAFETY: the header row and one row per kept id cover all `k + 1`
+    // rows of width `w + 1`.
+    Some(unsafe { Mat::write_once(k + 1, w + 1, fill) })
+}
+
+/// One redistribution piece as its receiver reads it: a block of a raw
+/// matrix, or an indexed strip expanded on the fly. [`Piece::rows`] yields
+/// the original piece row by row, so a receiver can store it straight at
+/// its final offset.
+pub(crate) struct Piece<'a> {
+    src: &'a Mat,
+    /// Original shape.
+    rows: usize,
+    cols: usize,
+    /// Raw: the block's first row and first column in `src`. Strip:
+    /// `None` (values start at column 1, ids in column 0).
+    at: Option<(usize, usize)>,
+}
+
+impl<'a> Piece<'a> {
+    /// The block `rows × cols` of a raw matrix.
+    ///
+    /// # Panics
+    /// If the block is out of bounds.
+    pub fn block(src: &'a Mat, rows: Range<usize>, cols: Range<usize>) -> Self {
+        assert!(
+            rows.end <= src.rows() && cols.end <= src.cols(),
+            "piece block out of bounds"
+        );
+        Piece {
+            src,
+            rows: rows.len(),
+            cols: cols.len(),
+            at: Some((rows.start, cols.start)),
+        }
     }
-    Some(out)
+
+    /// An incoming piece on the indexed wire: raw when its dimension
+    /// matches `expect`, otherwise a strip [`pack_nonzero_rows`] made.
+    ///
+    /// # Panics
+    /// If `msg` is neither a raw piece matching `expect` nor a well-formed
+    /// strip consistent with it (shape off by more than the strip's `+1`,
+    /// a header contradicting `expect`, or row ids out of range or not
+    /// strictly increasing) — any of which means sender and receiver
+    /// disagree about the link geometry.
+    pub fn unpack(msg: &'a Mat, expect: Expect) -> Self {
+        let (rows, cols) = match expect {
+            Expect::Cols(w) => {
+                if msg.cols() == w {
+                    return Self::block(msg, 0..msg.rows(), 0..w);
+                }
+                assert_eq!(
+                    msg.cols(),
+                    w + 1,
+                    "strip width {} matches neither raw {w} nor indexed {}",
+                    msg.cols(),
+                    w + 1
+                );
+                assert!(msg.rows() >= 1, "strip lost its header row");
+                (msg.get(0, 0).to_bits() as usize, w)
+            }
+            Expect::Rows(r) => {
+                if msg.rows() == r {
+                    return Self::block(msg, 0..r, 0..msg.cols());
+                }
+                assert!(
+                    msg.rows() >= 1 && msg.cols() >= 1,
+                    "strip {}×{} cannot carry a header",
+                    msg.rows(),
+                    msg.cols()
+                );
+                let header = msg.get(0, 0).to_bits() as usize;
+                assert_eq!(
+                    header, r,
+                    "strip header says {header} original rows, link expects {r}"
+                );
+                (r, msg.cols() - 1)
+            }
+        };
+        let k = msg.rows() - 1;
+        assert!(
+            (k + 1) * (cols + 1) < rows * cols,
+            "non-profitable strip ({k} of {rows} rows kept) should have been sent raw"
+        );
+        let mut prev: Option<usize> = None;
+        for s in 1..=k {
+            let i = msg.get(s, 0).to_bits() as usize;
+            assert!(i < rows, "strip row id {i} out of range 0..{rows}");
+            assert!(
+                prev.is_none_or(|p| p < i),
+                "strip row ids not strictly increasing"
+            );
+            prev = Some(i);
+        }
+        Piece {
+            src: msg,
+            rows,
+            cols,
+            at: None,
+        }
+    }
+
+    /// The original piece's `(rows, cols)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// The whole piece as one row-major slice, when it is a raw block
+    /// spanning every column of its matrix (then its rows are adjacent).
+    pub fn contiguous(&self) -> Option<&'a [f32]> {
+        let (r0, c0) = self.at?;
+        (c0 == 0 && self.cols == self.src.cols())
+            .then(|| &self.src.as_slice()[r0 * self.cols..(r0 + self.rows) * self.cols])
+    }
+
+    /// The original piece's rows in order: `Some(values)` for a row that
+    /// travelled, `None` for a row the strip dropped (all `+0.0`).
+    pub fn rows(&self) -> impl Iterator<Item = Option<&'a [f32]>> + '_ {
+        let src = self.src;
+        let mut next = 1;
+        (0..self.rows).map(move |i| match self.at {
+            Some((r0, c0)) => Some(&src.row(r0 + i)[c0..c0 + self.cols]),
+            None if next < src.rows() && src.get(next, 0).to_bits() as usize == i => {
+                next += 1;
+                Some(&src.row(next - 1)[1..])
+            }
+            None => None,
+        })
+    }
+}
+
+/// Store one row [`Piece::rows`] yielded into `dst`: its values, or
+/// `+0.0` for a dropped row.
+///
+/// # Panics
+/// If the lengths differ.
+pub(crate) fn store_row(dst: &mut [MaybeUninit<f32>], row: Option<&[f32]>) {
+    match row {
+        Some(values) => {
+            dst.write_copy_of_slice(values);
+        }
+        None => dst.fill(MaybeUninit::new(0.0)),
+    }
 }
 
 /// Undo [`pack_nonzero_rows`] on the receive side. Raw pieces (dimension
@@ -82,62 +235,21 @@ pub fn pack_nonzero_rows(m: &Mat) -> Option<Mat> {
 /// what the sender elided).
 ///
 /// # Panics
-/// If `msg` is neither a raw piece matching `expect` nor a well-formed
-/// strip consistent with it (shape off by more than the strip's `+1`, a
-/// header contradicting `expect`, or out-of-range row ids) — any of which
-/// means sender and receiver disagree about the link geometry.
+/// As [`Piece::unpack`].
 pub fn unpack_rows(msg: Mat, expect: Expect) -> Mat {
-    let (rows, cols) = match expect {
-        Expect::Cols(w) => {
-            if msg.cols() == w {
-                return msg; // raw
-            }
-            assert_eq!(
-                msg.cols(),
-                w + 1,
-                "strip width {} matches neither raw {w} nor indexed {}",
-                msg.cols(),
-                w + 1
-            );
-            assert!(msg.rows() >= 1, "strip lost its header row");
-            (msg.get(0, 0).to_bits() as usize, w)
-        }
-        Expect::Rows(r) => {
-            if msg.rows() == r {
-                return msg; // raw
-            }
-            assert!(
-                msg.rows() >= 1 && msg.cols() >= 1,
-                "strip {}×{} cannot carry a header",
-                msg.rows(),
-                msg.cols()
-            );
-            let header = msg.get(0, 0).to_bits() as usize;
-            assert_eq!(
-                header, r,
-                "strip header says {header} original rows, link expects {r}"
-            );
-            (r, msg.cols() - 1)
+    let piece = Piece::unpack(&msg, expect);
+    if piece.at.is_some() {
+        return msg; // raw
+    }
+    let (rows, cols) = piece.shape();
+    let fill = |out: &mut [MaybeUninit<f32>]| {
+        for (dst, row) in out.chunks_exact_mut(cols).zip(piece.rows()) {
+            store_row(dst, row);
         }
     };
-    let k = msg.rows() - 1;
-    assert!(
-        (k + 1) * (cols + 1) < rows * cols,
-        "non-profitable strip ({k} of {rows} rows kept) should have been sent raw"
-    );
-    let mut out = Mat::zeros(rows, cols);
-    let mut prev: Option<usize> = None;
-    for s in 0..k {
-        let i = msg.get(s + 1, 0).to_bits() as usize;
-        assert!(i < rows, "strip row id {i} out of range 0..{rows}");
-        assert!(
-            prev.is_none_or(|p| p < i),
-            "strip row ids not strictly increasing"
-        );
-        prev = Some(i);
-        out.row_mut(i).copy_from_slice(&msg.row(s + 1)[1..]);
-    }
-    out
+    // SAFETY: a strip has `cols ≥ 1` (zero-width pieces never pack), and
+    // `rows()` yields all `rows` rows of width `cols`.
+    unsafe { Mat::write_once(rows, cols, fill) }
 }
 
 /// Dense-equivalent byte count of a piece: what the link would carry

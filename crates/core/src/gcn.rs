@@ -31,7 +31,7 @@ use crate::dist::{DistMat, FormCache};
 use crate::ops::{row_gemm, weight_grad, OpCounters, Topology};
 use crate::plan::Plan;
 use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution};
-use rdm_dense::{hstack, part_range, relu, relu_backward, vstack, Mat};
+use rdm_dense::{hstack, part_range, relu_backward_in_place, relu_in_place, vstack, Mat};
 use rdm_model::{schedule, AdmitOutcome, DeviceModel, Op, Slot, Step};
 use rdm_trace::{Span, TraceCollective};
 use std::collections::BTreeMap;
@@ -286,6 +286,12 @@ impl ForwardArtifacts {
         self.slots[&Slot::H(self.layers)].get(Form::Row).clone()
     }
 
+    /// Hand back the input `H⁰`: the schedule reads it and never writes
+    /// or frees it.
+    pub(crate) fn take_input(&mut self) -> FormCache {
+        self.slots.remove(&Slot::H(0)).expect("the input")
+    }
+
     /// Run steps until the loss boundary or the end of the schedule.
     /// Weight gradients land in `grads`; the cached aggregation admits its
     /// batch into `cache` and returns the admission's accounting.
@@ -348,17 +354,17 @@ impl ForwardArtifacts {
                     grads[layer - 1] = weight_grad(a, b, ctx, ops);
                 }
                 Step::Relu { layer, form } => {
-                    let z = slots
-                        .get_mut(&Slot::H(layer))
-                        .expect("activation")
-                        .layout(form);
-                    *z = z.take().map(|z| activate(z, true));
+                    let z = slots.get_mut(&Slot::H(layer)).expect("activation");
+                    relu_in_place(&mut z.layout(form).as_mut().expect("activation layout").local);
                 }
                 Step::ReluMask { layer, form } => {
+                    // Take the gradient's layout out of its slot so the
+                    // activation's can be read beside it, then put it back.
                     let (g, h) = (Slot::G(layer - 1), Slot::H(layer - 1));
-                    let masked = relu_backward(&slot(g).get(form).local, &slot(h).get(form).local);
-                    let g = slots.get_mut(&g).expect("gradient");
-                    g.layout(form).as_mut().expect("gradient layout").local = masked;
+                    let grads = slots.get_mut(&g).expect("gradient");
+                    let mut grad = grads.layout(form).take().expect("gradient layout");
+                    relu_backward_in_place(&mut grad.local, &slots[&h].get(form).local);
+                    slots.get_mut(&g).expect("gradient").put(grad);
                 }
                 Step::Free { slot: s, form } => {
                     *slots.get_mut(&s).expect("freed slot").layout(form) = None;
@@ -376,10 +382,10 @@ impl ForwardArtifacts {
     }
 }
 
-/// `relu(z)` when `apply` (every layer but the last), else `z`.
+/// `relu(z)`, in place, when `apply` (every layer but the last), else `z`.
 pub(crate) fn activate(mut z: DistMat, apply: bool) -> DistMat {
     if apply {
-        z.local = relu(&z.local);
+        relu_in_place(&mut z.local);
     }
     z
 }

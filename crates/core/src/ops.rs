@@ -320,7 +320,7 @@ impl<'a> Topology<'a> {
             dist: Dist::Col,
             rows: global.rows(),
             cols: global.cols(),
-            local: global.row_block(r.start, r.end).col_block(c.start, c.end),
+            local: global.block(r.start, r.end, c.start, c.end),
         }
     }
 

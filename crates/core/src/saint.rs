@@ -145,10 +145,10 @@ impl Trainer for SaintRdmTrainer<'_> {
             let plan = c.plan(sd.n(), sd.adj_norm.nnz(), p);
             // Distribute the subgraph inputs (local slicing, no traffic).
             let topo = Topology::full(&sd.adj_norm, ctx);
-            let input = input_cache(&sd.features, &topo, ctx);
+            let mut input = input_cache(&sd.features, &topo, ctx);
             let targets = Targets::new(sd.labels.clone(), &sd.split, c.ds.spec.labels);
             c.model
-                .rdm_step(ctx, &topo, input, &plan, &targets, false, None, ops);
+                .rdm_step(ctx, &topo, &mut input, &plan, &targets, false, None, ops);
         }
         c.finish_epoch()
     }
@@ -281,7 +281,7 @@ impl Trainer for SaintMaskedTrainer<'_> {
             let nnz = self.topo.panel.nnz();
             let mask = (0..nnz).map(|_| rng.gen_bool(self.keep)).collect();
             self.topo.set_mask(Some(mask));
-            let (topo, input, plan) = (&self.topo, self.input.clone(), &self.plan);
+            let (topo, input, plan) = (&self.topo, &mut self.input, &self.plan);
             c.model
                 .rdm_step(ctx, topo, input, plan, &c.targets, false, None, ops);
         }

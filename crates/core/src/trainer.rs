@@ -21,7 +21,7 @@ use crate::plan::{Plan, PlanRequest, Resolution};
 use crate::saint::{SaintDdpTrainer, SaintMaskedTrainer, SaintRdmTrainer};
 use rdm_comm::{CollectiveKind, CommStats, FaultPlan, RankCtx};
 use rdm_dense::kernels::{self, Mode as KernelMode};
-use rdm_dense::{relu_backward, Mat};
+use rdm_dense::{relu_backward_in_place, Mat};
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_graph::SaintSampler;
 use rdm_model::{DeviceModel, MeasuredRank};
@@ -340,13 +340,14 @@ impl Model {
     /// and masked-SpMM (under each edge mask) share: the forward pass under
     /// `plan`, the loss at the row-sliced logits, the backward pass and the
     /// Adam update. With `measure`, train and test accuracy are taken
-    /// between the loss and the backward pass.
+    /// between the loss and the backward pass. The schedule never writes
+    /// `H⁰`, so `input` is lent to the step and handed back uncopied.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rdm_step(
         &mut self,
         ctx: &RankCtx,
         topo: &Topology,
-        input: FormCache,
+        input: &mut FormCache,
         plan: &Plan,
         targets: &Targets,
         measure: bool,
@@ -354,7 +355,8 @@ impl Model {
         ops: &mut OpCounters,
     ) -> (f32, Option<(f32, f32)>) {
         let w = &self.weights;
-        let mut art = rdm_forward(ctx, topo, input, w, plan, overlap, ops);
+        let lent = std::mem::take(input);
+        let mut art = rdm_forward(ctx, topo, lent, w, plan, overlap, ops);
         let logits = art.logits_row();
         let Scores {
             loss,
@@ -362,6 +364,7 @@ impl Model {
             accuracy,
         } = targets.score(&logits, measure, ctx);
         let back = rdm_backward(ctx, topo, &mut art, w, grad, overlap, ops);
+        *input = art.take_input();
         self.adam.step(&mut self.weights.w, &back.weight_grads);
         (loss, accuracy)
     }
@@ -446,7 +449,7 @@ impl<A: RowAggregation> Trainer for RowTrainer<A> {
             grads.push(weight_grad(&h[l - 1], &t, ctx, ops));
             if l > 1 {
                 let mut gp = dist_gemm(&t, &w[l - 1], true, ops);
-                gp.local = relu_backward(&gp.local, &h[l - 1].local);
+                relu_backward_in_place(&mut gp.local, &h[l - 1].local);
                 g = gp;
             }
         }
@@ -591,7 +594,7 @@ impl Trainer for RdmTrainer<'_> {
         let (loss, acc) = self.model.rdm_step(
             ctx,
             &self.topo,
-            self.input.clone(),
+            &mut self.input,
             &self.plan,
             &self.targets,
             true,
@@ -745,7 +748,32 @@ pub(crate) fn on_ranks<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdm_comm::{Cluster, Form};
     use rdm_graph::dataset::{toy, DatasetSpec};
+
+    /// The schedule never writes `H⁰`: epochs borrow the input's row and
+    /// tile buffers and hand the same buffers back, unchanged and uncopied.
+    #[test]
+    fn epochs_lend_the_input_without_copying_it() {
+        let ds = toy(60, 3);
+        let cfg = TrainerConfig::rdm_auto(2).epochs(2).hidden(8);
+        let resolved = resolve(&ds, &cfg).expect("a valid configuration");
+        Cluster::new(2).run(|ctx| {
+            let mut t = RdmTrainer::setup(&ds, &cfg, &resolved, ctx);
+            let layouts = |t: &RdmTrainer| {
+                [Form::Row, Form::Col].map(|f| t.input.get(f).local.as_slice().as_ptr() as usize)
+            };
+            let (before, snapshot) = (layouts(&t), t.input.clone());
+            let mut ops = OpCounters::default();
+            for _ in 0..2 {
+                t.epoch(ctx, &mut ops);
+            }
+            assert_eq!(layouts(&t), before, "an epoch copied the input");
+            for f in [Form::Row, Form::Col] {
+                assert_eq!(t.input.get(f).local, snapshot.get(f).local, "{f:?} changed");
+            }
+        });
+    }
 
     /// Every overlap gate reason must surface in the report instead of a
     /// silent blocking fallback, and an active `r_a < P` overlap must

@@ -14,8 +14,9 @@
 //!   [`KernelMode`] with a forced-width hook for differential tests).
 //! * [`ops`] — element-wise operations (ReLU and its derivative, Hadamard,
 //!   axpy, softmax / log-softmax rows).
-//! * [`split`] — the divide/merge kernels from Fig. 7 of the paper used by
-//!   row↔column redistribution.
+//! * [`split`] — the divide/merge kernels of Fig. 7 of the paper, for whole
+//!   matrices (a redistribution itself packs each piece from, and lands
+//!   each piece in, its final place).
 
 pub mod gemm;
 pub mod kernels;
@@ -28,8 +29,8 @@ pub use gemm::{gemm, gemm_acc, gemm_nt, gemm_tn, gemm_tn_acc};
 pub use kernels::{Mode as KernelMode, Width as KernelWidth};
 pub use mat::{part_range, Mat};
 pub use ops::{
-    add_assign, allclose, hadamard, log_softmax_rows, max_abs_diff, relu, relu_backward, scale,
-    softmax_rows,
+    add_assign, allclose, hadamard, log_softmax_rows, max_abs_diff, relu, relu_backward,
+    relu_backward_in_place, relu_in_place, scale, softmax_rows,
 };
 /// The worker pool's per-thread share of the host's cores, for crates that
 /// size it without depending on the pool (the cluster driver gives each

@@ -4,6 +4,7 @@ use crate::pool;
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::mem::MaybeUninit;
 
 /// A dense, row-major `f32` matrix with flat `Vec` storage.
 ///
@@ -197,36 +198,56 @@ impl Mat {
 
     /// Copy of rows `r0..r1` as a new matrix.
     pub fn row_block(&self, r0: usize, r1: usize) -> Mat {
-        assert!(
-            r0 <= r1 && r1 <= self.rows,
-            "row range {r0}..{r1} out of bounds"
-        );
-        let src = &self.data[r0 * self.cols..r1 * self.cols];
-        let mut data = pool::take_empty(src.len());
-        data.extend_from_slice(src);
-        Mat {
-            rows: r1 - r0,
-            cols: self.cols,
-            data,
-        }
+        self.block(r0, r1, 0, self.cols)
     }
 
     /// Copy of columns `c0..c1` as a new matrix.
     pub fn col_block(&self, c0: usize, c1: usize) -> Mat {
+        self.block(0, self.rows, c0, c1)
+    }
+
+    /// Copy of the block of rows `r0..r1` and columns `c0..c1` as a new
+    /// matrix, in one strided pass.
+    pub fn block(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Mat {
         assert!(
-            c0 <= c1 && c1 <= self.cols,
-            "col range {c0}..{c1} out of bounds"
+            r0 <= r1 && r1 <= self.rows && c0 <= c1 && c1 <= self.cols,
+            "block {r0}..{r1} x {c0}..{c1} out of bounds"
         );
         let w = c1 - c0;
-        let mut data = pool::take_empty(self.rows * w);
-        for i in 0..self.rows {
-            data.extend_from_slice(&self.row(i)[c0..c1]);
+        let mut data = pool::take_empty((r1 - r0) * w);
+        if w == self.cols {
+            data.extend_from_slice(&self.data[r0 * w..r1 * w]);
+        } else {
+            for i in r0..r1 {
+                data.extend_from_slice(&self.row(i)[c0..c1]);
+            }
         }
         Mat {
-            rows: self.rows,
+            rows: r1 - r0,
             cols: w,
             data,
         }
+    }
+
+    /// An `rows × cols` matrix whose elements `fill` writes into an
+    /// uninitialised pool buffer (row-major, `rows · cols` long): a fresh
+    /// output stored once, never zero-filled first. If `fill` panics the
+    /// buffer is dropped unread.
+    ///
+    /// # Safety
+    /// `fill` must initialise every element of the slice it is given.
+    pub unsafe fn write_once(
+        rows: usize,
+        cols: usize,
+        fill: impl FnOnce(&mut [MaybeUninit<f32>]),
+    ) -> Mat {
+        let len = rows * cols;
+        let mut data = pool::take_empty(len);
+        fill(&mut data.spare_capacity_mut()[..len]);
+        // SAFETY: `take_empty` leaves capacity for `len` elements and the
+        // caller guarantees `fill` initialised all of them.
+        unsafe { data.set_len(len) };
+        Mat { rows, cols, data }
     }
 
     /// Write `block` into this matrix starting at `(r0, c0)`.
@@ -362,6 +383,8 @@ mod tests {
         let cb = m.col_block(2, 5);
         assert_eq!(cb.shape(), (4, 3));
         assert_eq!(cb.get(3, 0), 20.0);
+        assert_eq!(m.block(1, 3, 2, 5), rb.col_block(2, 5));
+        assert_eq!(m.block(2, 2, 0, 6).shape(), (0, 6));
     }
 
     #[test]

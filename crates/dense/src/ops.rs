@@ -4,38 +4,56 @@ use crate::mat::Mat;
 use rayon::prelude::*;
 
 /// Parallelism threshold: below this, rayon overhead beats the win.
-const PAR_MIN: usize = 1 << 14;
+pub const PAR_MIN: usize = 1 << 14;
 
-fn map_inplace(m: &mut Mat, f: impl Fn(&mut f32) + Sync + Send) {
-    let data = m.as_mut_slice();
-    if data.len() >= PAR_MIN {
-        data.par_iter_mut().for_each(f);
-    } else {
-        data.iter_mut().for_each(f);
-    }
+/// `f` over `PAR_MIN`-element chunks of `m` in parallel (inline below
+/// `PAR_MIN`): `f(i, chunk)` sees chunk `i`, elements `i·PAR_MIN..`.
+fn chunked(m: &mut Mat, f: impl Fn(usize, &mut [f32]) + Sync + Send) {
+    m.as_mut_slice()
+        .par_chunks_mut(PAR_MIN)
+        .enumerate()
+        .for_each(|(i, c)| f(i, c));
 }
 
-/// `ReLU(x)` element-wise, out of place.
-pub fn relu(m: &Mat) -> Mat {
-    let mut out = m.clone();
-    map_inplace(&mut out, |v| {
-        if *v < 0.0 {
-            *v = 0.0;
+/// `ReLU(x)` element-wise, in place. A select with an unconditional
+/// store, so it vectorizes and never mispredicts on mixed signs; it is
+/// bitwise `if x < 0 { x = 0 }` (NaN and `−0.0` are kept).
+pub fn relu_in_place(m: &mut Mat) {
+    chunked(m, |_, c| {
+        for v in c {
+            *v = if *v < 0.0 { 0.0 } else { *v };
         }
     });
+}
+
+/// Backward of ReLU in place: `grad ← grad ⊙ 1[z > 0]`, where `z` is the
+/// pre-activation. Branch-free like [`relu_in_place`], and bitwise
+/// `if z <= 0 { grad = 0 }` (a NaN `z` keeps its gradient).
+///
+/// # Panics
+/// If the shapes differ.
+pub fn relu_backward_in_place(grad: &mut Mat, z: &Mat) {
+    assert_eq!(grad.shape(), z.shape(), "relu_backward shape mismatch");
+    let zd = z.as_slice();
+    chunked(grad, |i, c| {
+        for (g, &zv) in c.iter_mut().zip(&zd[i * PAR_MIN..]) {
+            *g = if zv <= 0.0 { 0.0 } else { *g };
+        }
+    });
+}
+
+/// `ReLU(x)` element-wise, out of place: [`relu_in_place`] on a copy.
+pub fn relu(m: &Mat) -> Mat {
+    let mut out = m.clone();
+    relu_in_place(&mut out);
     out
 }
 
-/// Backward of ReLU: `grad ⊙ 1[z > 0]`, where `z` is the pre-activation.
+/// Backward of ReLU out of place: [`relu_backward_in_place`] on a copy of
+/// `grad`.
 pub fn relu_backward(grad: &Mat, z: &Mat) -> Mat {
-    assert_eq!(grad.shape(), z.shape(), "relu_backward shape mismatch");
     let mut out = grad.clone();
-    let zd = z.as_slice();
-    out.as_mut_slice().iter_mut().zip(zd).for_each(|(g, &zv)| {
-        if zv <= 0.0 {
-            *g = 0.0;
-        }
-    });
+    relu_backward_in_place(&mut out, z);
     out
 }
 
@@ -61,7 +79,7 @@ pub fn add_assign(a: &mut Mat, b: &Mat) {
 
 /// `m *= s` in place.
 pub fn scale(m: &mut Mat, s: f32) {
-    map_inplace(m, |v| *v *= s);
+    chunked(m, |_, c| c.iter_mut().for_each(|v| *v *= s));
 }
 
 /// Row-wise softmax (each row sums to 1). Numerically stabilized by the

@@ -3,20 +3,19 @@
 //! Redistribution between a row-sliced ("horizontal") and a column-sliced
 //! ("vertical") distribution is: *divide* the local block into `P` chunks
 //! along the other axis, exchange chunks all-to-all, then *merge* the
-//! received chunks. These helpers implement divide and merge; the exchange
-//! itself lives in `rdm-comm`.
+//! received chunks. These helpers implement divide and merge on whole
+//! matrices; `rdm-comm`'s redistribution does both in place (it packs each
+//! piece from its block of the local slice and lands each received piece
+//! at its final offset) and does not call them.
 //!
 //! The chunking uses [`part_range`] so it agrees exactly with how the
 //! distributed matrices partition rows/columns.
 
 use crate::mat::{part_range, Mat};
+use std::mem::MaybeUninit;
 
 /// Divide `m` into `p` column chunks; chunk `r` holds the columns that rank
-/// `r` owns under a `p`-way column slicing of a width-`total_cols` matrix.
-///
-/// `total_cols` may differ from `m.cols()` only in that `m` must have
-/// exactly `total_cols` columns — the parameter exists so callers state the
-/// global width explicitly.
+/// `r` owns under a `p`-way column slicing of `m`'s `m.cols()` columns.
 pub fn split_cols(m: &Mat, p: usize) -> Vec<Mat> {
     (0..p)
         .map(|r| {
@@ -53,7 +52,8 @@ pub fn vstack(chunks: &[Mat]) -> Mat {
     Mat::from_vec(rows, cols, data)
 }
 
-/// Merge column chunks back into one matrix by horizontal concatenation.
+/// Merge column chunks back into one matrix by horizontal concatenation,
+/// each element written once.
 ///
 /// # Panics
 /// If chunks disagree on row count.
@@ -61,14 +61,21 @@ pub fn hstack(chunks: &[Mat]) -> Mat {
     assert!(!chunks.is_empty(), "hstack of zero chunks");
     let rows = chunks[0].rows();
     let cols: usize = chunks.iter().map(Mat::cols).sum();
-    let mut out = Mat::zeros(rows, cols);
-    let mut c0 = 0;
     for c in chunks {
         assert_eq!(c.rows(), rows, "hstack: inconsistent row counts");
-        out.set_block(0, c0, c);
-        c0 += c.cols();
     }
-    out
+    let fill = |out: &mut [MaybeUninit<f32>]| {
+        let mut c0 = 0;
+        for c in chunks {
+            for i in 0..rows {
+                out[i * cols + c0..][..c.cols()].write_copy_of_slice(c.row(i));
+            }
+            c0 += c.cols();
+        }
+    };
+    // SAFETY: every chunk has `rows` rows and their widths sum to `cols`,
+    // so side by side they cover the output.
+    unsafe { Mat::write_once(rows, cols, fill) }
 }
 
 /// Merge step of a horizontal→vertical redistribution: rank `r` received one

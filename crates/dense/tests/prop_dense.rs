@@ -147,3 +147,95 @@ proptest! {
         }
     }
 }
+
+/// The branchy ReLU and ReLU mask the in-place kernels replaced, kept
+/// here as their bitwise oracle.
+fn branchy_relu(x: &[f32]) -> Vec<f32> {
+    x.iter()
+        .map(|&v| {
+            let mut v = v;
+            if v < 0.0 {
+                v = 0.0;
+            }
+            v
+        })
+        .collect()
+}
+
+fn branchy_mask(grad: &[f32], z: &[f32]) -> Vec<f32> {
+    grad.iter()
+        .zip(z)
+        .map(|(&g, &zv)| {
+            let mut g = g;
+            if zv <= 0.0 {
+                g = 0.0;
+            }
+            g
+        })
+        .collect()
+}
+
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn relu_in_place_matches_branchy_on_special_values() {
+    use rdm_dense::ops::PAR_MIN;
+    use rdm_dense::{relu, relu_backward, relu_backward_in_place, relu_in_place, with_share};
+    let special = [
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7fc0_1234), // a NaN with a payload
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(1), // the smallest subnormal
+        -f32::from_bits(1),
+        f32::MIN_POSITIVE / 4.0,
+        -f32::MIN_POSITIVE / 4.0,
+    ];
+    // Every third element special, the rest random of both signs.
+    let mixed = |len: usize, seed: u64| {
+        let mut m = Mat::random(1, len, 2.0, seed);
+        for (j, v) in m.as_mut_slice().iter_mut().enumerate().step_by(3) {
+            *v = special[(j / 3 + seed as usize) % special.len()];
+        }
+        m
+    };
+    for len in [
+        1,
+        7,
+        100,
+        PAR_MIN - 1,
+        PAR_MIN,
+        PAR_MIN + 1,
+        3 * PAR_MIN + 5,
+    ] {
+        let (z, g) = (mixed(len, 1), mixed(len, 2));
+        let want_relu = bits(&branchy_relu(z.as_slice()));
+        let want_mask = bits(&branchy_mask(g.as_slice(), z.as_slice()));
+        for share in [1, 2] {
+            with_share(share, || {
+                let mut h = z.clone();
+                relu_in_place(&mut h);
+                assert_eq!(
+                    bits(h.as_slice()),
+                    want_relu,
+                    "relu len {len} share {share}"
+                );
+                assert_eq!(bits(relu(&z).as_slice()), want_relu, "relu copy len {len}");
+                let mut masked = g.clone();
+                relu_backward_in_place(&mut masked, &z);
+                assert_eq!(
+                    bits(masked.as_slice()),
+                    want_mask,
+                    "mask len {len} share {share}"
+                );
+                let copy = relu_backward(&g, &z);
+                assert_eq!(bits(copy.as_slice()), want_mask, "mask copy len {len}");
+            });
+        }
+    }
+}

@@ -1,63 +1,57 @@
 //! Sparse × dense matrix multiplication.
 //!
-//! Every product — plain, accumulating, row-skipping, edge-masked — runs
-//! through one driver (`drive`): one task per cached nnz-balanced row
-//! panel, one row kernel per output row. Like the dense GEMM kernels, the
-//! row kernel has two implementations selected via [`rdm_dense::kernels`]:
-//! the scalar reference (row-major axpy per nonzero) and the default
-//! register-blocked fast path that walks each row in `SB`-by-`W`-wide
-//! column strips, holding the strips' accumulators — loaded from `C` — in
-//! registers across all of the row's nonzeros (the `SB` blocks per pass
-//! amortize each nonzero's column decode over `SB` vector FMAs). That
-//! reordering cuts the `C` traffic per nonzero from a full-row read+write
-//! to one register update — the dominant win on this memory-bound kernel —
-//! while keeping the per-element accumulation order (nonzeros ascending)
-//! identical to the scalar sweep, so at every width all three entry points
-//! are **bitwise** the scalar ones (the scalar row kernel skips nothing,
-//! so this holds for non-finite inputs too). Like the GEMM bodies, the
-//! fast row kernel is compiled twice (baseline and
-//! `#[target_feature(enable = "avx2")]`, chosen at runtime) from one
-//! inlined body, so the host changes speed, never bits. The edge mask is a
-//! const generic of the row kernel, so the unmasked instantiation carries
-//! no per-nonzero test.
+//! Every product — plain, row-skipping, edge-masked — runs through one
+//! function (`drive`): one task per cached nnz-balanced row panel, each
+//! panel one call of a panel body. The output is written **once**: every
+//! element starts from `0.0` in a register, accumulates its terms there
+//! and is stored a single time into an uninitialised pool buffer, so no
+//! SpMM zero-fills or reads its output (skipped and empty rows are stored
+//! as zeros). Like the dense GEMM kernels, the panel body has two
+//! implementations selected via [`rdm_dense::kernels`]: the scalar
+//! reference (one output element at a time, nonzeros ascending) and the
+//! default register-blocked fast path that walks each row in `SB`-by-`W`
+//! column strips, holding the strips' accumulators in registers across
+//! all of the row's nonzeros (the `SB` blocks per pass amortize each
+//! nonzero's column decode over `SB` vector FMAs). Per output element
+//! the accumulation order is nonzeros ascending from `0.0` in both, so at
+//! every width all three entry points are **bitwise** the scalar ones (the
+//! scalar body skips nothing, so this holds for non-finite inputs too).
+//! Like the GEMM bodies, the fast panel body is compiled twice (baseline
+//! and `#[target_feature(enable = "avx2")]`, chosen at runtime) from one
+//! inlined body — one dispatch per panel, not per row — so the host
+//! changes speed, never bits. The edge mask is a const generic of the
+//! body, so the unmasked instantiation carries no per-nonzero test.
 
 use crate::csr::Csr;
 use rdm_dense::kernels::{self, Mode, Width};
 use rdm_dense::Mat;
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
 /// `C = A · B` for CSR `A` (m×k) and dense `B` (k×n), allocating `C` (m×n).
 ///
 /// Parallelized over row panels of `C`; each output row accumulates scaled
-/// rows of `B`, a contiguous axpy that vectorizes well. This is the
-/// aggregation kernel of a GCN layer.
-pub fn spmm(a: &Csr, b: &Mat) -> Mat {
-    let mut c = Mat::zeros(a.rows(), b.cols());
-    spmm_acc(a, b, &mut c);
-    c
-}
-
-/// `C += A · B` into an existing output.
+/// rows of `B` in registers. This is the aggregation kernel of a GCN
+/// layer.
 ///
 /// # Panics
 /// On shape mismatch.
-pub fn spmm_acc(a: &Csr, b: &Mat, c: &mut Mat) {
-    drive::<false>("spmm", a, b, c, None, &[]);
+pub fn spmm(a: &Csr, b: &Mat) -> Mat {
+    drive::<false>("spmm", a, b, None, &[])
 }
 
 /// Row-skipping SpMM: like [`spmm`] but output rows flagged in `skip` are
-/// left at zero and their nonzeros do no work — the frozen-weight serving
-/// cache's kernel, where skipped rows are filled from cached aggregations
-/// instead of recomputed. Unskipped rows run the exact per-row kernels of
-/// [`spmm_acc`] (same mode dispatch, same accumulation order), so every
-/// computed row is bitwise identical to the full kernel's.
+/// zero and their nonzeros do no work — the frozen-weight serving cache's
+/// kernel, where skipped rows are filled from cached aggregations instead
+/// of recomputed. Unskipped rows run the exact panel body of [`spmm`]
+/// (same mode dispatch, same accumulation order), so every computed row is
+/// bitwise identical to the full kernel's.
 ///
 /// # Panics
 /// If `skip.len() != a.rows()` or shapes mismatch.
 pub fn spmm_skip(a: &Csr, b: &Mat, skip: &[bool]) -> Mat {
     assert_eq!(skip.len(), a.rows(), "skip length must equal A's rows");
-    let mut c = Mat::zeros(a.rows(), b.cols());
-    drive::<false>("spmm_skip", a, b, &mut c, Some(skip), &[]);
-    c
+    drive::<false>("spmm_skip", a, b, Some(skip), &[])
 }
 
 /// Masked SpMM (§III-F): like [`spmm`] but only the entries of `A` whose
@@ -69,24 +63,34 @@ pub fn spmm_skip(a: &Csr, b: &Mat, skip: &[bool]) -> Mat {
 /// If `mask.len() != a.nnz()` or shapes mismatch.
 pub fn spmm_masked(a: &Csr, b: &Mat, mask: &[bool]) -> Mat {
     assert_eq!(mask.len(), a.nnz(), "mask length must equal nnz");
-    let mut c = Mat::zeros(a.rows(), b.cols());
-    drive::<true>("spmm_masked", a, b, &mut c, None, mask);
-    c
+    drive::<true>("spmm_masked", a, b, None, mask)
 }
 
-/// The one SpMM driver: `C += A·B` over the rows not flagged in `skip`,
-/// using — when `MASKED` — only the nonzeros flagged in `mask` (indexed by
-/// nonzero position; ignored otherwise). `what` names the public entry
-/// point in the shape panics.
+/// What every panel body reads: `A`'s arrays, the rows to skip, the
+/// nonzero mask (ignored unless `MASKED`) and `B` with its width `n`.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    indptr: &'a [usize],
+    indices: &'a [u32],
+    vals: &'a [f32],
+    skip: Option<&'a [bool]>,
+    mask: &'a [bool],
+    b: &'a [f32],
+    n: usize,
+}
+
+/// The SpMM behind all three entry points: `C = A·B` over the rows not
+/// flagged in `skip`, using — when `MASKED` — only the nonzeros flagged in
+/// `mask` (indexed by nonzero position; ignored otherwise). `what` names
+/// the public entry point in the shape panics.
 fn drive<const MASKED: bool>(
     what: &str,
     a: &Csr,
     b: &Mat,
-    c: &mut Mat,
     skip: Option<&[bool]>,
     mask: &[bool],
-) {
-    let n = b.cols();
+) -> Mat {
+    let (m, n) = (a.rows(), b.cols());
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -96,159 +100,150 @@ fn drive<const MASKED: bool>(
         b.rows(),
         n
     );
-    assert_eq!(c.shape(), (a.rows(), n), "{what}: C shape mismatch");
-    if a.rows() == 0 || n == 0 || a.nnz() == 0 {
-        return;
+    if m == 0 || n == 0 || a.nnz() == 0 {
+        return Mat::zeros(m, n);
     }
-    let b_data = b.as_slice();
-    let indptr = a.indptr();
-    let indices = a.indices();
-    let vals = a.vals();
+    let ops = Operands {
+        indptr: a.indptr(),
+        indices: a.indices(),
+        vals: a.vals(),
+        skip,
+        mask,
+        b: b.as_slice(),
+        n,
+    };
     // One task per nnz-balanced row panel: boundaries are precomputed from
     // `indptr` (and cached on `A`, which is reused every epoch) so each task
     // owns ~equal nonzeros and skewed (power-law) rows still balance. Panels
     // are whole rows, so per-row accumulation order — and hence every output
     // bit — is identical to a sequential sweep. Skips and masks only thin
     // work; the cached partition is still the right upper bound.
-    let bounds = a.nnz_partition(task_count(a.rows()));
+    let bounds = a.nnz_partition(task_count(m));
     // Kernel mode is read on the calling thread and captured by value;
     // pool workers never consult their own thread-local.
     let mode = kernels::mode();
     let avx = kernels::avx2_available();
-    rayon::par_partition_mut(c.as_mut_slice(), bounds, n, |t, c_chunk| {
-        for (rr, r) in (bounds[t]..bounds[t + 1]).enumerate() {
-            if skip.is_some_and(|s| s[r]) {
-                continue;
-            }
-            let c_row = &mut c_chunk[rr * n..(rr + 1) * n];
-            let nz = indptr[r]..indptr[r + 1];
-            let keep = if MASKED { &mask[nz.clone()] } else { mask };
-            let (cols, vals) = (&indices[nz.clone()], &vals[nz]);
+    let fill = |c: &mut [MaybeUninit<f32>]| {
+        rayon::par_partition_mut(c, bounds, n, |t, panel| {
+            let rows = bounds[t]..bounds[t + 1];
             match mode {
-                Mode::Scalar | Mode::Fast(Width::W1) => {
-                    for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
-                        if MASKED && !keep[i] {
-                            continue;
-                        }
-                        let b_row = &b_data[k as usize * n..(k as usize + 1) * n];
-                        for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                            *cv += v * bv;
-                        }
-                    }
-                }
-                Mode::Fast(Width::W4) => {
-                    fast_row::<4, MASKED>(avx, n, cols, vals, keep, b_data, c_row)
-                }
-                Mode::Fast(Width::W8) => {
-                    fast_row::<8, MASKED>(avx, n, cols, vals, keep, b_data, c_row)
-                }
+                Mode::Scalar | Mode::Fast(Width::W1) => panel_body::<1, MASKED>(&ops, rows, panel),
+                Mode::Fast(Width::W4) => fast_panel::<4, MASKED>(avx, &ops, rows, panel),
+                Mode::Fast(Width::W8) => fast_panel::<8, MASKED>(avx, &ops, rows, panel),
             }
-        }
-    });
+        })
+    };
+    // SAFETY: the panels tile the `m × n` output (`par_partition_mut`
+    // checks that `bounds` covers it), and `panel_body` stores every
+    // element of every row of its panel.
+    unsafe { Mat::write_once(m, n, fill) }
 }
 
 /// `W`-wide strips processed together per pass over a row's nonzeros:
 /// amortizes each nonzero's column decode over `SB` register blocks.
 const SB: usize = 4;
 
-/// One output row of `C += A·B`, register-blocked: walk the row in
-/// `SB·W`-wide column strips (strips outer, nonzeros inner), keeping the
-/// strips' accumulators in registers across all nonzeros. Per output
-/// element the accumulation order is nonzeros ascending — the scalar
-/// sweep's order — so only strip traversal, not arithmetic order, differs.
-/// When `MASKED`, `keep` is indexed in step with `cols`/`vals` and thins
-/// nonzeros without changing their order.
+/// One row panel of the fast kernel, compiled for AVX2 when `avx`.
 #[inline]
-fn fast_row<const W: usize, const MASKED: bool>(
+fn fast_panel<const W: usize, const MASKED: bool>(
     avx: bool,
-    n: usize,
-    cols: &[u32],
-    vals: &[f32],
-    keep: &[bool],
-    b: &[f32],
-    c_row: &mut [f32],
+    ops: &Operands<'_>,
+    rows: Range<usize>,
+    c: &mut [MaybeUninit<f32>],
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx {
         // SAFETY: `avx` witnesses runtime AVX2 support.
-        return unsafe { fast_row_avx2::<W, MASKED>(n, cols, vals, keep, b, c_row) };
+        return unsafe { fast_panel_avx2::<W, MASKED>(ops, rows, c) };
     }
     let _ = avx;
-    fast_row_body::<W, MASKED>(n, cols, vals, keep, b, c_row)
+    panel_body::<W, MASKED>(ops, rows, c)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn fast_row_avx2<const W: usize, const MASKED: bool>(
-    n: usize,
-    cols: &[u32],
-    vals: &[f32],
-    keep: &[bool],
-    b: &[f32],
-    c_row: &mut [f32],
+fn fast_panel_avx2<const W: usize, const MASKED: bool>(
+    ops: &Operands<'_>,
+    rows: Range<usize>,
+    c: &mut [MaybeUninit<f32>],
 ) {
-    fast_row_body::<W, MASKED>(n, cols, vals, keep, b, c_row)
+    panel_body::<W, MASKED>(ops, rows, c)
 }
 
+/// Rows `rows` of `C = A·B` into `c` (their `rows.len() · n` elements),
+/// each element stored once. A row is walked in `SB·W`-wide column strips
+/// (strips outer, nonzeros inner), then `W`-wide strips, then one column
+/// at a time for the `n % W` tail; `W = 1` is the scalar reference, which
+/// is that last loop alone. Per element the accumulation starts from
+/// `0.0` and runs over the nonzeros ascending — only strip traversal, not
+/// arithmetic order, differs between widths. When `MASKED`, the mask thins
+/// nonzeros without changing their order.
 #[inline(always)]
-fn fast_row_body<const W: usize, const MASKED: bool>(
-    n: usize,
-    cols: &[u32],
-    vals: &[f32],
-    keep: &[bool],
-    b: &[f32],
-    c_row: &mut [f32],
+fn panel_body<const W: usize, const MASKED: bool>(
+    ops: &Operands<'_>,
+    rows: Range<usize>,
+    c: &mut [MaybeUninit<f32>],
 ) {
-    let mut j = 0;
-    while j + SB * W <= n {
-        let mut acc = [[0.0f32; W]; SB];
-        for (s, acc_s) in acc.iter_mut().enumerate() {
-            acc_s.copy_from_slice(&c_row[j + s * W..j + (s + 1) * W]);
+    let (n, b) = (ops.n, ops.b);
+    for (r, c_row) in rows.zip(c.chunks_exact_mut(n)) {
+        if ops.skip.is_some_and(|s| s[r]) {
+            c_row.fill(MaybeUninit::new(0.0));
+            continue;
         }
-        for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
-            if MASKED && !keep[i] {
-                continue;
+        let nz = ops.indptr[r]..ops.indptr[r + 1];
+        let keep = if MASKED {
+            &ops.mask[nz.clone()]
+        } else {
+            ops.mask
+        };
+        let (cols, vals) = (&ops.indices[nz.clone()], &ops.vals[nz]);
+        let mut j = 0;
+        if W > 1 {
+            while j + SB * W <= n {
+                let mut acc = [[0.0f32; W]; SB];
+                for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
+                    if MASKED && !keep[i] {
+                        continue;
+                    }
+                    let base = k as usize * n + j;
+                    let b_blk = &b[base..base + SB * W];
+                    for (s, acc_s) in acc.iter_mut().enumerate() {
+                        for l in 0..W {
+                            acc_s[l] += v * b_blk[s * W + l];
+                        }
+                    }
+                }
+                c_row[j..j + SB * W].write_copy_of_slice(acc.as_flattened());
+                j += SB * W;
             }
-            let base = k as usize * n + j;
-            let b_blk = &b[base..base + SB * W];
-            for (s, acc_s) in acc.iter_mut().enumerate() {
-                for l in 0..W {
-                    acc_s[l] += v * b_blk[s * W + l];
+            while j + W <= n {
+                let mut acc = [0.0f32; W];
+                for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
+                    if MASKED && !keep[i] {
+                        continue;
+                    }
+                    let base = k as usize * n + j;
+                    let b_blk = &b[base..base + W];
+                    for l in 0..W {
+                        acc[l] += v * b_blk[l];
+                    }
+                }
+                c_row[j..j + W].write_copy_of_slice(&acc);
+                j += W;
+            }
+        }
+        // Lane tail (`n % W` columns), or the whole row at `W = 1`:
+        // width-1 strips, same nnz order.
+        while j < n {
+            let mut acc = 0.0f32;
+            for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
+                if !MASKED || keep[i] {
+                    acc += v * b[k as usize * n + j];
                 }
             }
+            c_row[j].write(acc);
+            j += 1;
         }
-        for (s, acc_s) in acc.iter().enumerate() {
-            c_row[j + s * W..j + (s + 1) * W].copy_from_slice(acc_s);
-        }
-        j += SB * W;
-    }
-    while j + W <= n {
-        let mut acc = [0.0f32; W];
-        let c_blk = &mut c_row[j..j + W];
-        acc.copy_from_slice(c_blk);
-        for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
-            if MASKED && !keep[i] {
-                continue;
-            }
-            let base = k as usize * n + j;
-            let b_blk = &b[base..base + W];
-            for l in 0..W {
-                acc[l] += v * b_blk[l];
-            }
-        }
-        c_blk.copy_from_slice(&acc);
-        j += W;
-    }
-    // Lane tail (`n % W` columns): width-1 strips, same nnz order.
-    while j < n {
-        let mut acc = c_row[j];
-        for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
-            if !MASKED || keep[i] {
-                acc += v * b[k as usize * n + j];
-            }
-        }
-        c_row[j] = acc;
-        j += 1;
     }
 }
 
@@ -302,17 +297,6 @@ mod tests {
         let b = Mat::random(6, 3, 1.0, 5);
         let c = spmm(&a, &b);
         assert!(c.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn spmm_acc_accumulates() {
-        let a = random_csr(8, 8, 0.4, 1);
-        let b = Mat::random(8, 4, 1.0, 2);
-        let mut c = spmm(&a, &b);
-        spmm_acc(&a, &b, &mut c);
-        let mut twice = spmm(&a, &b);
-        rdm_dense::scale(&mut twice, 2.0);
-        assert!(allclose(&c, &twice, 1e-4));
     }
 
     #[test]

@@ -220,3 +220,99 @@ fn degenerate_shapes_every_width() {
         });
     }
 }
+
+/// The literal scalar SpMM, kept here so no kernel rewrite touches it:
+/// `C` starts at `+0.0` and every row adds its kept nonzeros' scaled `B`
+/// rows in ascending order; skipped rows stay zero.
+fn literal_spmm(a: &Csr, b: &Mat, skip: Option<&[bool]>, mask: Option<&[bool]>) -> Vec<f32> {
+    let n = b.cols();
+    let mut c = vec![0.0f32; a.rows() * n];
+    for r in 0..a.rows() {
+        if skip.is_some_and(|s| s[r]) {
+            continue;
+        }
+        for p in a.indptr()[r]..a.indptr()[r + 1] {
+            if mask.is_some_and(|m| !m[p]) {
+                continue;
+            }
+            let (k, v) = (a.indices()[p] as usize, a.vals()[p]);
+            for j in 0..n {
+                c[r * n + j] += v * b.get(k, j);
+            }
+        }
+    }
+    c
+}
+
+/// Park NaN-filled buffers of the size class a `len`-element output is
+/// served from on the calling thread's shelf, so a kernel that read its
+/// fresh output before writing it would surface NaN.
+fn poison_shelf(len: usize) {
+    let bufs: Vec<Vec<f32>> = (0..4)
+        .map(|_| {
+            let mut v = rdm_dense::pool::take_empty(len);
+            v.resize(v.capacity(), f32::NAN);
+            v
+        })
+        .collect();
+    bufs.into_iter().for_each(rdm_dense::pool::give);
+}
+
+#[test]
+fn fresh_spmm_never_reads_stale_pool_memory() {
+    // Every third row empty, plus `nnz = 0`; feature widths with `n % W`
+    // tails; skips of none, some and every row. At the widest `n` the
+    // output is large enough for share 2 to split it across pool workers.
+    let mut coo = Coo::new(150, 20);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+    for r in (0..150u32).filter(|r| r % 3 != 1) {
+        for c in 0..20u32 {
+            if rng.gen_bool(0.3) {
+                coo.push(r, c, rng.gen_range(-1.0..1.0));
+            }
+        }
+    }
+    let matrices = [coo.to_csr(), Csr::empty(150, 20)];
+    let modes = std::iter::once(Mode::Scalar).chain(Width::all().map(Mode::Fast));
+    for mode in modes {
+        for (ai, a) in matrices.iter().enumerate() {
+            let mask = mask_for(a, 32);
+            let some: Vec<bool> = (0..a.rows()).map(|r| r % 4 == 0).collect();
+            for n in [1usize, 3, 5, 8, 13, 33, 40] {
+                let b = Mat::random(a.cols(), n, 1.0, n as u64);
+                let len = a.rows() * n;
+                for share in [1, 2] {
+                    let label = format!("{mode:?} matrix {ai} n={n} share {share}");
+                    let run = |f: &dyn Fn() -> Mat| {
+                        poison_shelf(len);
+                        with_share(share, || with_mode(mode, f))
+                    };
+                    let check = |got: Mat, want: Vec<f32>, what: &str| {
+                        assert_bitwise(
+                            &got,
+                            &Mat::from_vec(a.rows(), n, want),
+                            &format!("{label} {what}"),
+                        );
+                    };
+                    check(
+                        run(&|| spmm(&uncut(a), &b)),
+                        literal_spmm(a, &b, None, None),
+                        "spmm",
+                    );
+                    check(
+                        run(&|| spmm_masked(&uncut(a), &b, &mask)),
+                        literal_spmm(a, &b, None, Some(&mask)),
+                        "masked",
+                    );
+                    for skip in [vec![false; a.rows()], some.clone(), vec![true; a.rows()]] {
+                        check(
+                            run(&|| spmm_skip(&uncut(a), &b, &skip)),
+                            literal_spmm(a, &b, Some(&skip), None),
+                            "skip",
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
