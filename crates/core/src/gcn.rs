@@ -18,22 +18,21 @@
 //!
 //! A layer is two products — the aggregation (SpMM on the tile layout)
 //! and the update (GEMM on row slices) — in the plan's order; the forward
-//! pass, the backward pass (`Âᵀ`, `Wᵀ`) and the cached serving forward all
-//! run them. Both products have one body, `fed_product`: a product on a
-//! cached layout runs on it, and a product the step marks as fed converts
-//! the layout it has through the one redistribution primitive, running
-//! the kernel on each strip as it lands. Blocking is the one-strip
+//! and the backward pass (`Âᵀ`, `Wᵀ`) both run them. Both products have
+//! one body, `fed_product`: a product on a cached layout runs on it, and
+//! a product the step marks as fed converts the layout it has through the
+//! one redistribution primitive, running the kernel on each strip as it
+//! lands. Blocking is the one-strip
 //! pipeline, so every kernel span times the kernel it names, nested in the
 //! `Redistribute` span that feeds it.
 
-use crate::aggcache::AggCache;
 use crate::dist::{DistMat, FormCache};
 use crate::ops::{row_gemm, weight_grad, OpCounters, Topology};
 use crate::plan::Plan;
-use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution};
+use rdm_comm::{CollectiveKind, Form, RankCtx};
 use rdm_dense::{hstack, part_range, relu_backward_in_place, relu_in_place, vstack, Mat};
-use rdm_model::{schedule, AdmitOutcome, DeviceModel, Op, Slot, Step};
-use rdm_trace::{Span, TraceCollective};
+use rdm_model::{schedule, DeviceModel, Op, Slot, Step};
+use rdm_trace::TraceCollective;
 use std::collections::BTreeMap;
 
 /// Settings of the pipelined (overlapped) execution path, threaded through
@@ -292,21 +291,24 @@ impl ForwardArtifacts {
         self.slots.remove(&Slot::H(0)).expect("the input")
     }
 
+    /// Hand back layer 1's aggregation `T¹ = Â·H⁰`, row-sliced: what layer
+    /// 1's GEMM read, moved out (a memoized or held `T¹` is never freed).
+    pub(crate) fn take_aggregation(&mut self) -> DistMat {
+        let t = self.slots.remove(&Slot::T(1)).and_then(|t| t.row);
+        t.expect("layer 1's aggregation, row-sliced")
+    }
+
     /// Run steps until the loss boundary or the end of the schedule.
-    /// Weight gradients land in `grads`; the cached aggregation admits its
-    /// batch into `cache` and returns the admission's accounting.
-    #[allow(clippy::too_many_arguments)]
+    /// Weight gradients land in `grads`.
     fn run(
         &mut self,
         ctx: &RankCtx,
         topo: &Topology,
         weights: &GcnWeights,
         overlap: Option<&OverlapSpec>,
-        mut cache: Option<(&mut AggCache, &[u32])>,
         grads: &mut [Mat],
         ops: &mut OpCounters,
-    ) -> Option<AdmitOutcome> {
-        let mut outcome = None;
+    ) {
         while let Some(&step) = self.steps.get(self.next) {
             let slots = &mut self.slots;
             let slot = |s: Slot| &slots[&s];
@@ -369,16 +371,9 @@ impl ForwardArtifacts {
                 Step::Free { slot: s, form } => {
                     *slots.get_mut(&s).expect("freed slot").layout(form) = None;
                 }
-                Step::CachedAggregation { .. } => {
-                    let (cache, targets) = cache.as_mut().expect("the cached schedule's cache");
-                    let t_row = spmm_layer1_cached(ctx, topo, slot(Slot::H(0)), cache, ops);
-                    outcome = Some(cache.admit(targets, &t_row.local));
-                    slots.insert(Slot::T(1), FormCache::of_row(t_row));
-                }
             }
             self.next += 1;
         }
-        outcome
     }
 }
 
@@ -406,34 +401,31 @@ pub fn rdm_forward(
     overlap: Option<&OverlapSpec>,
     ops: &mut OpCounters,
 ) -> ForwardArtifacts {
-    forward_pass(ctx, topo, input, weights, plan, overlap, None, ops).0
+    let entry = (Slot::H(0), input);
+    forward_pass(ctx, topo, entry, weights, plan, plan.memoize, overlap, ops)
 }
 
-/// The one forward loop, optionally under the serving aggregation cache:
-/// with `cache = (cache, targets)` supplied, the schedule runs layer 1's
-/// aggregation as the cached SpMM and thinned exchange
-/// (`spmm_layer1_cached`) and then admits the batch's request `targets`
-/// (copying freshly exchanged rows into the cache — fills happen *after*
-/// the batch that missed, so cached rows are bitwise recomputation),
-/// returning the admission's hit/miss accounting. That exchange stays
-/// blocking; every other conversion is pipelined under `overlap` as usual.
+/// The one forward loop: `plan`'s schedule, memoized or not, run to the
+/// loss boundary from `entry`. The entry is the dual-form input `H⁰` —
+/// or, in a full-graph serving batch after the first, layer 1's held
+/// aggregation `T¹`, row-sliced, from which the `held` schedule starts at
+/// layer 1's GEMM.
 ///
 /// # Panics
-/// If the weights do not match the plan's layers, a cache is supplied and
-/// the first layer is not SpMM-first (the cache stores the SpMM-first
-/// layer-1 intermediate; callers gate `GemmFirst` plans off), or the
-/// topology is not fully replicated/unmasked.
+/// If the weights do not match the plan's layers, the plan's replication
+/// factor is not the topology's, or `T¹` is held by a plan whose first
+/// layer is GEMM-first.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_pass(
     ctx: &RankCtx,
     topo: &Topology,
-    input: FormCache,
+    entry: (Slot, FormCache),
     weights: &GcnWeights,
     plan: &Plan,
+    memoize: bool,
     overlap: Option<&OverlapSpec>,
-    cache: Option<(&mut AggCache, &[u32])>,
     ops: &mut OpCounters,
-) -> (ForwardArtifacts, Option<AdmitOutcome>) {
+) -> ForwardArtifacts {
     assert_eq!(
         plan.r_a, topo.grid.r_a,
         "plan replication factor does not match the topology"
@@ -441,107 +433,17 @@ pub(crate) fn forward_pass(
     let feats: Vec<usize> = std::iter::once(weights.w[0].rows())
         .chain(weights.w.iter().map(Mat::cols))
         .collect();
-    let steps = schedule(&plan.config, plan.memoize, &feats, cache.is_some())
+    let held = entry.0 == Slot::T(1);
+    let steps = schedule(&plan.config, memoize, &feats, held)
         .unwrap_or_else(|e| panic!("weights do not fit the plan: {e}"));
     let mut art = ForwardArtifacts {
         steps,
         next: 0,
-        slots: BTreeMap::from([(Slot::H(0), input)]),
+        slots: BTreeMap::from([entry]),
         layers: weights.layers(),
     };
-    let outcome = art.run(ctx, topo, weights, overlap, cache, &mut [], ops);
-    (art, outcome)
-}
-
-/// Layer-1 `T = Â·H⁰` under the frozen-weight aggregation cache: skip the
-/// cached rows of the SpMM, ship only uncached rows in the intra-layer
-/// Col→Row exchange, and splice the owners' cached full-width rows back
-/// into the assembled row slice. Bitwise identical to the uncached layer
-/// (cached rows were copied out of an identical exchange when admitted);
-/// only the `Redistribute` payload shrinks. The kernel span keeps the
-/// full panel shape and the exchange stays a single `Col→Row` frame, so
-/// the traced schedule differs from the uncached one *only* in exchange
-/// bytes — exactly what `rdm-model`'s serving pricer prices.
-fn spmm_layer1_cached(
-    ctx: &RankCtx,
-    topo: &Topology,
-    input: &FormCache,
-    cache: &AggCache,
-    ops: &mut OpCounters,
-) -> DistMat {
-    assert_eq!(
-        topo.grid.r_a,
-        ctx.size(),
-        "the aggregation cache needs full adjacency replication"
-    );
-    assert!(
-        topo.mask.is_none(),
-        "the aggregation cache cannot run under an edge mask"
-    );
-    let tile = input.get(Form::Col);
-    let (n, p, me) = (topo.n, ctx.size(), ctx.rank());
-    let f = tile.cols;
-    let mask = cache.mask();
-    // Aggregate only the uncached rows. The span keeps the blocking
-    // path's full shape: the schedule is cache-independent, the work is
-    // not.
-    let t_local = {
-        let _span = rdm_trace::span(Span::Spmm {
-            rows: topo.panel.rows(),
-            cols: tile.local.cols(),
-            nnz: topo.panel.nnz(),
-            width: rdm_dense::kernels::active_width(),
-        });
-        rdm_sparse::spmm_skip(&topo.panel, &tile.local, mask)
-    };
-    let indptr = topo.panel.indptr();
-    let live_nnz: usize = (0..n)
-        .filter(|&r| !mask[r])
-        .map(|r| indptr[r + 1] - indptr[r])
-        .sum();
-    ops.spmm_fma += live_nnz as f64 * tile.local.cols() as f64;
-    // Col→Row exchange thinned to the uncached rows of every
-    // destination's slice (the blocking redistribution with the cached
-    // rows cut out of each piece — including this rank's own, so the
-    // indexed wire sees matching piece heights).
-    let parts: Vec<Mat> = (0..p)
-        .map(|j| {
-            let rj = part_range(n, p, j);
-            let live: Vec<usize> = rj.filter(|&r| !mask[r]).collect();
-            let mut piece = Mat::zeros(live.len(), tile.local.cols());
-            for (i, &r) in live.iter().enumerate() {
-                piece.row_mut(i).copy_from_slice(t_local.row(r));
-            }
-            piece
-        })
-        .collect();
-    let spec = Redistribution {
-        group: &topo.grid.row_group(me),
-        to: Form::Row,
-        wire: topo.wire,
-        chunks: 1,
-        kind: CollectiveKind::Redistribute,
-    };
-    let mut received = Vec::new();
-    ctx.exchange(&spec, parts, |_, pieces| received = pieces);
-    // Assemble this rank's full-width row slice: cached rows from the
-    // cache, live rows from the received column pieces in order.
-    let my_rows = part_range(n, p, me);
-    let mut out = Mat::zeros(my_rows.len(), f);
-    let mut cursor = 0usize;
-    for r in my_rows.clone() {
-        let i = r - my_rows.start;
-        if mask[r] {
-            out.row_mut(i).copy_from_slice(cache.row(r as u32));
-        } else {
-            for (j, piece) in received.iter().enumerate() {
-                let cj = part_range(f, p, j);
-                out.row_mut(i)[cj].copy_from_slice(piece.row(cursor));
-            }
-            cursor += 1;
-        }
-    }
-    DistMat::from_row_slice(out, n)
+    art.run(ctx, topo, weights, overlap, &mut [], ops);
+    art
 }
 
 /// Gradients produced by the backward pass.
@@ -579,7 +481,7 @@ pub fn rdm_backward(
         .iter()
         .map(|w| Mat::zeros(w.rows(), w.cols()))
         .collect();
-    artifacts.run(ctx, topo, weights, overlap, None, &mut weight_grads, ops);
+    artifacts.run(ctx, topo, weights, overlap, &mut weight_grads, ops);
     let g0 = artifacts
         .slots
         .remove(&Slot::G(0))

@@ -2,20 +2,18 @@
 //!
 //! Training and serving share one forward loop (the one behind
 //! [`crate::gcn::rdm_forward`]); this module wraps it for the online
-//! case — no loss, no backward, no optimizer, optionally the layer-1
-//! aggregation cache — so `rdm-serve` and the equivalence harness run
-//! *exactly* the code path a training epoch's forward half runs. That
-//! shared implementation is what makes the serving outputs bitwise
-//! identical to a direct engine pass.
+//! case — no loss, no backward, no optimizer — so `rdm-serve` and the
+//! equivalence harness run *exactly* the code path a training epoch's
+//! forward half runs. That shared implementation is what makes the
+//! serving outputs bitwise identical to a direct engine pass.
 
-use crate::aggcache::AggCache;
-use crate::dist::DistMat;
+use crate::dist::{DistMat, FormCache};
 use crate::gcn::{forward_pass, input_cache, GcnWeights, OverlapSpec};
 use crate::ops::{OpCounters, Topology};
 use crate::plan::Plan;
 use rdm_comm::RankCtx;
 use rdm_dense::Mat;
-use rdm_model::AdmitOutcome;
+use rdm_model::Slot;
 use rdm_sparse::Csr;
 
 /// One forward-only pass over a (sub)graph: aggregate `adj_norm`, apply
@@ -39,20 +37,23 @@ pub fn forward_logits(
     forward_logits_with(
         ctx, adj_norm, features, weights, plan, sparse, None, None, ops,
     )
-    .0
 }
 
-/// [`forward_logits`] with the serving depth knobs: an optional
-/// [`OverlapSpec`] pipelining every redistribution into its kernel, and an
-/// optional aggregation cache plus this batch's request targets. With the
-/// cache supplied, layer 1 runs the thinned cached exchange and the batch
-/// is admitted afterwards; the returned [`AdmitOutcome`] carries its
-/// hit/miss accounting. Both knobs preserve bitwise-identical logits.
+/// [`forward_logits`] with a serving session's two knobs: an optional
+/// [`OverlapSpec`] pipelining every redistribution into its kernel, and
+/// `held`, layer 1's aggregation `T¹ = Â·H⁰` kept across the batches of a
+/// full-graph session over one `adj_norm` and `features`.
 ///
-/// The aggregation cache indexes rows of the fully replicated adjacency,
-/// so `cache` requires `plan.r_a == p`; callers serving a replicated-panel
-/// plan must leave it `None` (the serve engine rejects the combination
-/// before a session starts).
+/// Frozen weights and a fixed graph make `T¹` a constant of the session.
+/// An empty `held` (batch 0) runs the whole forward and is then filled
+/// with `T¹`'s row slice, moved out of the pass; a filled one seeds the
+/// pass instead of the input, which is then never built, and layer 1
+/// starts at its GEMM. `T¹`'s row slice exists on every grid (`r_a | p`),
+/// and both knobs keep the logits bitwise identical to a direct forward.
+///
+/// # Panics
+/// If `plan.r_a` does not divide `p`, or `held` is supplied for a plan
+/// whose first layer is GEMM-first (it never forms `Â·H⁰`).
 #[allow(clippy::too_many_arguments)]
 pub fn forward_logits_with(
     ctx: &RankCtx,
@@ -62,26 +63,30 @@ pub fn forward_logits_with(
     plan: &Plan,
     sparse: bool,
     overlap: Option<&OverlapSpec>,
-    cache: Option<(&mut AggCache, &[u32])>,
+    mut held: Option<&mut Option<DistMat>>,
     ops: &mut OpCounters,
-) -> (DistMat, Option<AdmitOutcome>) {
+) -> DistMat {
     assert!(
         plan.r_a >= 1 && ctx.size().is_multiple_of(plan.r_a),
         "plan r_a {} must divide P = {}",
         plan.r_a,
         ctx.size()
     );
-    assert!(
-        cache.is_none() || plan.r_a == ctx.size(),
-        "the aggregation cache requires full adjacency replication (r_a {} != P {})",
-        plan.r_a,
-        ctx.size()
-    );
     let mut topo = Topology::new(adj_norm, plan.r_a, ctx);
     topo.set_sparse(sparse);
-    let input = input_cache(features, &topo, ctx);
-    let (art, outcome) = forward_pass(ctx, &topo, input, weights, plan, overlap, cache, ops);
-    (art.logits_row(), outcome)
+    let entry = match held.as_deref_mut().and_then(Option::take) {
+        Some(t) => (Slot::T(1), FormCache::of_row(t)),
+        None => (Slot::H(0), input_cache(features, &topo, ctx)),
+    };
+    // Without a backward pass, memoization only decides how long each
+    // aggregation lives: a holding session memoizes, so batch 0 leaves
+    // `T¹` behind.
+    let memoize = plan.memoize || held.is_some();
+    let mut art = forward_pass(ctx, &topo, entry, weights, plan, memoize, overlap, ops);
+    if let Some(held) = held {
+        *held = Some(art.take_aggregation());
+    }
+    art.logits_row()
 }
 
 #[cfg(test)]
@@ -111,87 +116,58 @@ mod tests {
         }
     }
 
-    /// The cached forward must produce bitwise-identical logits while
-    /// shrinking the redistribution payload once repeats start hitting —
-    /// and with a cache that can hold nothing, the loop's cached arm must
-    /// be the uncached one to the byte.
+    /// A session holding `T¹` serves every batch bitwise what a direct
+    /// forward serves, on every grid and pipeline depth, and after batch 0
+    /// multiplies layer 2's aggregation alone: `T¹`'s SpMM FMAs go.
     #[test]
-    fn cached_forward_is_bitwise_and_thins_the_exchange() {
-        let ds = toy(54, 7);
-        let weights = GcnWeights::init(&[16, 8, 4], 9);
-        let p = 3;
-        let batches: Vec<Vec<u32>> = vec![vec![3, 17, 40], vec![3, 17, 8], vec![3, 17, 40, 8]];
-        let run = |cache_rows: Option<usize>| {
-            let (adj, feats, w) = (ds.adj_norm.clone(), ds.features.clone(), weights.clone());
-            let b2 = batches.clone();
-            Cluster::new(p).run(move |ctx| {
-                // Plan id 5 runs layer 1 SpMM-first — the cacheable shape.
-                let plan = Plan::from_id(5, 2, ctx.size());
-                let mut ops = OpCounters::default();
-                let mut cache = crate::aggcache::AggCache::new(
-                    adj.rows(),
-                    ctx.size(),
-                    ctx.rank(),
-                    cache_rows.unwrap_or(0),
-                    16,
-                );
-                let mut outs = Vec::new();
-                let mut hits = 0u64;
-                for t in &b2 {
-                    let (logits, o) = if cache_rows.is_some() {
-                        forward_logits_with(
-                            ctx,
-                            &adj,
-                            &feats,
-                            &w,
-                            &plan,
-                            false,
-                            None,
-                            Some((&mut cache, t)),
-                            &mut ops,
-                        )
-                    } else {
-                        (
-                            forward_logits(ctx, &adj, &feats, &w, &plan, false, &mut ops),
-                            None,
-                        )
-                    };
-                    hits += o.map_or(0, |o| o.hits);
-                    outs.push(logits.gather(ctx, CollectiveKind::Other));
+    fn held_aggregation_is_bitwise_and_aggregates_once() {
+        let ds = toy(52, 8);
+        let weights = GcnWeights::init(&[16, 8, 4], 13);
+        let p = 4;
+        for r_a in [4, 2, 1] {
+            for overlap in [None, Some(3)] {
+                let (adj, feats, w) = (ds.adj_norm.clone(), ds.features.clone(), weights.clone());
+                let out = Cluster::new(p).run(move |ctx| {
+                    // Plan id 5 runs layer 1 SpMM-first.
+                    let plan = Plan::from_id(5, 2, ctx.size()).with_ra(r_a);
+                    let spec = overlap.map(OverlapSpec::new);
+                    let mut ops = OpCounters::default();
+                    let direct = forward_logits(ctx, &adj, &feats, &w, &plan, false, &mut ops);
+                    let mut held = None;
+                    let batches: Vec<_> = (0..3)
+                        .map(|_| {
+                            let mut ops = OpCounters::default();
+                            let logits = forward_logits_with(
+                                ctx,
+                                &adj,
+                                &feats,
+                                &w,
+                                &plan,
+                                false,
+                                spec.as_ref(),
+                                Some(&mut held),
+                                &mut ops,
+                            );
+                            (logits.local, ops)
+                        })
+                        .collect();
+                    (direct.local, ops, batches)
+                });
+                for (direct, ops, batches) in &out.results {
+                    let what = format!("r_a {r_a} overlap {overlap:?}");
+                    for (logits, _) in batches {
+                        assert_eq!(logits.as_slice(), direct.as_slice(), "{what}");
+                    }
+                    assert_eq!(batches[0].1, *ops, "{what}: batch 0 is a whole forward");
+                    let (first, later) = (batches[0].1, batches[1].1);
+                    assert_eq!(later, batches[2].1, "{what}");
+                    assert_eq!(later.gemm_fma, first.gemm_fma, "{what}");
+                    // Layer 1 aggregates 16 columns; plan 5's GEMM-first
+                    // layer 2 aggregates its 4 outputs.
+                    assert_eq!(later.spmm_fma * 5.0, first.spmm_fma, "{what}");
                 }
-                (outs, hits)
-            })
-        };
-        let base = run(None);
-        let empty = run(Some(0));
-        let cached = run(Some(4));
-        for (b, c) in base.results.iter().zip(&cached.results) {
-            for (lb, lc) in b.0.iter().zip(&c.0) {
-                assert_eq!(lb.as_slice(), lc.as_slice(), "cached logits drifted");
             }
-            assert!(c.1 > 0, "repeated targets must hit");
         }
-        let bytes = |out: &rdm_comm::RunOutput<(Vec<Mat>, u64)>| -> u64 {
-            out.stats
-                .iter()
-                .map(|s| s.bytes(CollectiveKind::Redistribute))
-                .sum()
-        };
-        for (b, e) in base.results.iter().zip(&empty.results) {
-            assert_eq!(b.0, e.0, "capacity-0 cache changed the logits");
-            assert_eq!(e.1, 0, "a capacity-0 cache cannot hit");
-        }
-        assert_eq!(
-            bytes(&empty),
-            bytes(&base),
-            "a capacity-0 cache must leave the exchange whole"
-        );
-        assert!(
-            bytes(&cached) < bytes(&base),
-            "cache hits must thin the exchange: {} !< {}",
-            bytes(&cached),
-            bytes(&base)
-        );
     }
 
     /// Forward-only serving from a replicated-panel plan (`r_a < p`) must
@@ -209,7 +185,7 @@ mod tests {
                 let plan = Plan::from_id(10, 2, ctx.size()).with_ra(r_a);
                 let spec = overlap.map(OverlapSpec::new);
                 let mut ops = OpCounters::default();
-                let (logits, _) = forward_logits_with(
+                let logits = forward_logits_with(
                     ctx,
                     &adj,
                     &feats,

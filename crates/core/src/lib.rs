@@ -27,12 +27,10 @@
 //!   two step bodies: the row-sliced epoch CAGNET and DGCL share, and the
 //!   RDM step full-batch RDM, GraphSAINT-RDM and masked-SpMM share.
 //! * [`snapshot`] / [`infer`] — byte-exact trained-weight export/import
-//!   and the forward-only entry point the serving path runs on.
-//! * [`aggcache`] — the frozen-weight layer-0 aggregation cache the
-//!   serving engine layers on top of the forward pass.
+//!   and the forward-only entry point the serving path runs on, which can
+//!   hold layer 1's aggregation `Â·H⁰` across a serving session.
 
 pub mod adam;
-pub mod aggcache;
 pub mod cagnet;
 pub mod dgcl;
 pub mod dist;
@@ -46,7 +44,6 @@ pub mod saint;
 pub mod snapshot;
 pub mod trainer;
 
-pub use aggcache::AggCache;
 pub use dist::{Dist, DistMat};
 pub use gcn::{overlap_inert_reason, OverlapSpec};
 pub use metrics::{EpochMetrics, TrainReport};

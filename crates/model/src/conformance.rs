@@ -280,10 +280,8 @@ impl Pricer {
         }
     }
 
-    /// Append the events `steps` produce on this rank. `layer1_bytes`
-    /// prices the serving cache's thinned layer-1 exchange (the
-    /// cache-pruned volume the directory replay derives).
-    pub(crate) fn price(&mut self, steps: &[Step], layer1_bytes: u64) {
+    /// Append the events `steps` produce on this rank.
+    pub(crate) fn price(&mut self, steps: &[Step]) {
         for step in steps {
             match *step {
                 Step::Convert { to, kind, f, .. } => self.redist(to, kind, f),
@@ -318,15 +316,6 @@ impl Pricer {
                     });
                     let bytes = self.ring_bytes(f_in, f_out);
                     self.events.push(SchedEvent::AllReduce { bytes });
-                }
-                Step::CachedAggregation { f } => {
-                    self.spmm(f, false);
-                    self.events.push(SchedEvent::Redist {
-                        from: Form::Col,
-                        to: Form::Row,
-                        kind: TraceCollective::Redistribute,
-                        bytes: layer1_bytes,
-                    });
                 }
                 Step::Relu { .. } | Step::ReluMask { .. } | Step::Loss | Step::Free { .. } => {}
             }
@@ -364,7 +353,7 @@ pub fn predict_epoch(
     panel_nnz_t: Option<&[usize]>,
 ) -> Result<Vec<SchedEvent>, String> {
     let mut pricer = Pricer::new(shape, p, r_a, rank, panel_nnz, panel_nnz_t)?;
-    pricer.price(&schedule(config, memoize, &shape.feats, false)?, 0);
+    pricer.price(&schedule(config, memoize, &shape.feats, false)?);
     Ok(pricer.events)
 }
 
@@ -598,9 +587,7 @@ pub(crate) fn walk_schedule(
                     }
                 }
             }
-            EventData::Retry { .. }
-            | EventData::OverlapStrip { .. }
-            | EventData::AggCache { .. } => {}
+            EventData::Retry { .. } | EventData::OverlapStrip { .. } => {}
         }
     }
     if !stack.is_empty() {
@@ -622,7 +609,7 @@ pub(crate) fn walk_schedule(
 /// Reduce one rank's recorded trace to the schedule-level events of epoch
 /// `epoch`. Bare `Collective` sends outside a redistribution/all-reduce
 /// span (loss and accuracy scalar reductions, dynamic-selection traffic)
-/// are ignored, as are `Retry`, `OverlapStrip` and `AggCache` instants.
+/// are ignored, as are `Retry` and `OverlapStrip` instants.
 ///
 /// Attribution is kind-aware: a redistribution frame books only sends of
 /// its own collective kind, while `Broadcast`-kind sends — the replicated

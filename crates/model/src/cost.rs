@@ -225,7 +225,7 @@ pub fn price_plan(
         .map(|rank| {
             let mut pricer = Pricer::new(shape, p, r_a, rank, &panel_nnz, None)
                 .unwrap_or_else(|e| panic!("{e}"));
-            pricer.price(&steps, 0);
+            pricer.price(&steps);
             let (mut r, mut converted, mut rest) = (RankPrice::default(), 0, 0);
             for e in pricer.events {
                 match e {

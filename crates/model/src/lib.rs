@@ -33,8 +33,8 @@
 //!   step list into the predicted per-rank event sequence and diff it
 //!   against a recorded `rdm-trace` run.
 //! * [`serving`] — the serving-session extension of the checker: the
-//!   frozen-weight aggregation-cache directory ([`CacheSim`]) and the
-//!   per-batch schedule predictor/extractor for online inference traces.
+//!   per-batch schedule predictor/extractor for online inference traces,
+//!   where batches after the first start from layer 1's held aggregation.
 
 pub mod config;
 pub mod conformance;
@@ -56,7 +56,6 @@ pub use layer::{
 pub use memory::{cagnet_bytes_per_gpu, max_replication, rdm_bytes_per_gpu, MemoryParams};
 pub use schedule::{schedule, Op, Slot, Step};
 pub use serving::{
-    check_session, extract_session, predict_session, AdmitOutcome, CacheSim, ServeEvent,
-    ServeViolation, SessionBatch,
+    check_session, extract_session, predict_session, ServeEvent, ServeViolation, SessionBatch,
 };
 pub use symbolic::{table4, Table4Row};

@@ -94,10 +94,6 @@ pub enum Step {
     Relu { layer: usize, form: Form },
     /// `Gˡ⁻¹ ← Gˡ⁻¹ ⊙ σ'(Hˡ⁻¹)` in the gradient's layout `form`.
     ReluMask { layer: usize, form: Form },
-    /// Serving only: `T¹ = Â·H⁰` under the frozen-weight aggregation cache.
-    /// The cached rows are skipped and the one Col→Row exchange ships only
-    /// the others, leaving `T¹` row-sliced.
-    CachedAggregation { f: usize },
     /// The loss boundary: the logits leave `H(L)` row-sliced and the loss
     /// gradient arrives in `G(L)` row-sliced. The forward pass ends here.
     Loss,
@@ -155,18 +151,23 @@ impl Builder {
 /// The schedule of one epoch of `config` over layer widths `feats`
 /// (`feats.len() = L + 1`): the forward pass through the loss boundary,
 /// then the backward pass. With `memoize` an SpMM-first forward layer's
-/// `Â·Hˡ⁻¹` is kept for the weight gradient (§III-C); with `cached`, layer
-/// 1's aggregation runs under the serving cache.
+/// `Â·Hˡ⁻¹` is kept for the weight gradient (§III-C).
+///
+/// With `held`, layer 1's aggregation `T¹ = Â·H⁰` is held row-sliced at
+/// entry instead of the input: a full-graph serving batch after the first,
+/// whose frozen weights and adjacency make `T¹` a constant of the session.
+/// Layer 1 then runs its GEMM alone, on `T¹`'s row slice, and the schedule
+/// never frees `T¹` (the session keeps it, as a memoized plan keeps its
+/// `T`). Such a schedule is forward-only: it ends at the loss boundary.
 ///
 /// # Errors
-/// If `feats` does not have `L + 1` widths, or `cached` is asked of a plan
-/// whose first layer is GEMM-first (the cache stores the SpMM-first
-/// layer-1 intermediate).
+/// If `feats` does not have `L + 1` widths, or `held` is asked of a plan
+/// whose first layer is GEMM-first (its layer 1 never forms `Â·H⁰`).
 pub fn schedule(
     config: &OrderConfig,
     memoize: bool,
     feats: &[usize],
-    cached: bool,
+    held: bool,
 ) -> Result<Vec<Step>, String> {
     use Slot::{Tb, G, H, R, T};
     use TraceCollective::{Other, Redistribute};
@@ -176,22 +177,23 @@ pub fn schedule(
         let widths = feats.len();
         return Err(format!("{widths} layer widths for a {layers}-layer plan"));
     }
-    if cached && config.forward[0] == Order::GemmFirst {
-        return Err("the aggregation cache stores the SpMM-first layer-1 intermediate".into());
+    if held && config.forward[0] == Order::GemmFirst {
+        return Err("a GEMM-first layer 1 never forms the aggregation Â·H⁰".into());
     }
     let mut b = Builder::default();
-    // The input holds both layouts: the initial distribution is free
-    // (§IV-B).
-    b.held.extend([(H(0), Form::Row), (H(0), Form::Col)]);
+    if held {
+        b.held.insert((T(1), Form::Row));
+    } else {
+        // The input holds both layouts: the initial distribution is free
+        // (§IV-B).
+        b.held.extend([(H(0), Form::Row), (H(0), Form::Col)]);
+    }
     for l in 1..=layers {
         let (f_in, f_out) = (feats[l - 1], feats[l]);
         let form = match config.forward[l - 1] {
             // T = Â·Hˡ⁻¹ on the tile layout, then Hˡ = T·W on row slices.
             Order::SpmmFirst => {
-                if cached && l == 1 {
-                    b.steps.push(Step::CachedAggregation { f: f_in });
-                    b.held.insert((T(1), Form::Row));
-                } else {
+                if !(held && l == 1) {
                     b.product(Op::Spmm, l, H(l - 1), T(l), (f_in, f_in));
                 }
                 b.product(Op::Gemm, l, T(l), H(l), (f_in, f_out))
@@ -207,13 +209,17 @@ pub fn schedule(
         if l < layers {
             b.steps.push(Step::Relu { layer: l, form });
         }
-        // A memoized Â·Hˡ⁻¹ lives to the end of the epoch.
-        if !memoize {
+        // A memoized Â·Hˡ⁻¹ lives to the end of the epoch; a held one
+        // outlives it.
+        if !(memoize || held && l == 1) {
             b.free(T(l), BOTH);
         }
     }
     b.require(H(layers), Form::Row, Redistribute, feats[layers]);
     b.steps.push(Step::Loss);
+    if held {
+        return Ok(b.steps);
+    }
     b.held.insert((G(layers), Form::Row));
     for l in (1..=layers).rev() {
         let (f_in, f_out) = (feats[l - 1], feats[l]);

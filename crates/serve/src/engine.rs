@@ -5,7 +5,11 @@
 //! [`session`] — the persistent worker pool and each rank's workspace
 //! shelf live for the session, so after the first (warmup) batch every
 //! matrix the forward pass needs comes off the shelf without a fresh
-//! allocation. Batch composition is a pure function of the shared load
+//! allocation. A full-graph session of a plan whose first layer runs
+//! SpMM first computes layer 1's aggregation `T¹ = Â·H⁰` once: frozen
+//! weights and a fixed graph make it a constant, so batch 0 leaves its row
+//! slice behind and every later batch starts at layer 1's GEMM on it.
+//! Batch composition is a pure function of the shared load
 //! stream ([`crate::form_batches`]), so all ranks compute the identical
 //! schedule with zero coordination traffic, the same shared-seed
 //! discipline the paper's §III-F uses for redistribution.
@@ -23,13 +27,13 @@ use rdm_comm::{CommStats, FaultPlan};
 use rdm_core::infer::forward_logits_with;
 use rdm_core::metrics::{book_unit, session, UnitBook};
 use rdm_core::plan::{resolve, Plan, PlanRequest};
-use rdm_core::{AggCache, Algo, OverlapSpec, WeightSnapshot};
+use rdm_core::{Algo, OverlapSpec, WeightSnapshot};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::mat::part_range;
 use rdm_graph::dataset::{Dataset, InducedBatch};
 use rdm_graph::sampler::Subgraph;
 use rdm_model::{DeviceModel, GnnShape, MeasuredRank, Order};
-use rdm_trace::{EventData, RankTrace, Span};
+use rdm_trace::{RankTrace, Span};
 
 use crate::batch::{form_batches, Batch, BatchPolicy};
 use crate::load::InferRequest;
@@ -66,8 +70,7 @@ pub struct ServeConfig {
     /// reflects the group-redistribution / panel-broadcast trade-off.
     /// `None` means full replication. Must divide `p`; an explicit
     /// [`ServeConfig::plan`] carries its own `r_a` and conflicts with a
-    /// different value here. Incompatible with the aggregation cache
-    /// (which indexes the fully replicated adjacency) when `r < p`.
+    /// different value here.
     pub ra: Option<usize>,
     /// Ship redistribution payloads in the sparsity-compressed wire format.
     pub sparse: bool,
@@ -92,11 +95,6 @@ pub struct ServeConfig {
     /// identical to sequential serving. `None` (default) is the blocking
     /// schedule; so is `Some(chunks)` below 2, reported inert.
     pub pipeline: Option<usize>,
-    /// Per-rank row capacity of the frozen-weight layer-0 aggregation
-    /// cache ([`AggCache`]); `0` (default) disables it. Requires the
-    /// full-graph sampler; on plans whose first layer is GEMM-first the
-    /// cache has nothing to store and stays inert (all counters zero).
-    pub cache: usize,
 }
 
 impl ServeConfig {
@@ -114,7 +112,6 @@ impl ServeConfig {
             sample_seed: 0x5EED,
             kernels: kernels::default_mode(),
             pipeline: None,
-            cache: 0,
         }
     }
 
@@ -122,12 +119,6 @@ impl ServeConfig {
     /// redistribution.
     pub fn pipelined(mut self, chunks: usize) -> Self {
         self.pipeline = Some(chunks);
-        self
-    }
-
-    /// Enable the aggregation cache with `rows` rows per rank.
-    pub fn cached(mut self, rows: usize) -> Self {
-        self.cache = rows;
         self
     }
 
@@ -158,20 +149,6 @@ pub struct ServeOutput {
     pub stats: CommStats,
     /// Per-rank traces when [`ServeConfig::trace`] is set.
     pub traces: Option<Vec<RankTrace>>,
-}
-
-/// What one rank records about one batch.
-struct RankBatchRecord {
-    book: UnitBook,
-    /// Aggregation-cache accounting (identical on every rank — the
-    /// directory is a shared deterministic simulation).
-    hits: u64,
-    misses: u64,
-    /// Whether this batch counts as warmup for the workspace-pool book:
-    /// the first batch, or any batch right after the cache directory
-    /// changed (a changed directory reshapes the thinned exchange, so the
-    /// next batch re-warms those buffers).
-    warmup: bool,
 }
 
 /// Serve `requests` against `ds` with the weights in `snap`.
@@ -218,11 +195,6 @@ pub fn serve(
             bad.idx, bad.target
         ));
     }
-    if cfg.cache > 0 && matches!(cfg.sampler, ServeSampler::Induced { .. }) {
-        return Err("the aggregation cache requires the full-graph sampler \
-                    (induced minibatches have per-batch aggregation matrices)"
-            .into());
-    }
     if ds.adj_norm_t.is_some() && matches!(cfg.sampler, ServeSampler::Induced { .. }) {
         return Err("non-symmetric (mean) aggregation is only supported by the \
                     full-graph sampler (induced minibatches are GCN-normalised)"
@@ -267,19 +239,15 @@ pub fn serve(
         &ds.adj_norm,
     )?;
     let plan = resolved.plan.expect("RDM always resolves a plan");
-    if cfg.cache > 0 && plan.r_a != p {
-        return Err(format!(
-            "the layer-0 aggregation cache indexes the fully replicated \
-             adjacency: r_a {} < P {p} cannot cache (drop --cache or serve \
-             at full replication)",
-            plan.r_a
-        ));
-    }
-    // The cache stores the SpMM-first layer-1 intermediate; on GEMM-first
-    // first layers it is inert by design (counters stay zero).
-    let cache_inert = (cfg.cache > 0 && plan.config.forward[0] != Order::SpmmFirst)
-        .then_some("layer 0 runs GEMM first: no aggregation to cache");
-    let cache_active = cfg.cache > 0 && cache_inert.is_none();
+    // Layer 1's aggregation is a constant of the session only on the one
+    // graph a full-graph session serves, and only a plan that aggregates
+    // before its first GEMM forms it.
+    let reuse_inert = match cfg.sampler {
+        ServeSampler::Induced { .. } => Some("induced minibatches"),
+        ServeSampler::Full => {
+            (plan.config.forward[0] == Order::GemmFirst).then_some("layer 0 runs GEMM first")
+        }
+    };
 
     // The batch schedule and (for the induced sampler) each batch's vertex
     // set are pure functions of the shared inputs — computed once here,
@@ -301,23 +269,19 @@ pub fn serve(
             chunks,
             device: cfg.device,
         });
-        let mut cache =
-            cache_active.then(|| AggCache::new(n, p, ctx.rank(), cfg.cache, ds.features.cols()));
-        let mut records: Vec<RankBatchRecord> = Vec::with_capacity(batches.len());
+        // Layer 1's aggregation, row-sliced, once batch 0 has formed it.
+        let mut held = None;
+        let mut books: Vec<UnitBook> = Vec::with_capacity(batches.len());
         // This rank's induction arena: every induced batch of the session
         // is built in the same buffers.
         let mut induced = InducedBatch::default();
         let mut rows: Vec<(usize, Vec<f32>)> = Vec::new();
-        // A batch after a directory change re-warms the thinned exchange's
-        // buffer shapes; batch 0 is always warmup.
-        let mut next_is_warmup = true;
         for (batch, verts) in batches.iter().zip(&batch_verts) {
-            let warmup = next_is_warmup;
             let span = Span::Batch {
                 idx: batch.idx,
                 size: batch.requests.len(),
             };
-            let ((hits, misses), book) = book_unit(ctx, span, |ops| {
+            let ((), book) = book_unit(ctx, span, |ops| {
                 for r in &batch.requests {
                     // Admission markers: one Serve span per request, nested
                     // in the batch span, so Chrome traces show batch
@@ -327,7 +291,6 @@ pub fn serve(
                         req_id: r.req_id,
                     });
                 }
-                let skipped = cache.as_ref().map_or(0, |c| c.cached_total() as u64);
                 // Resolve what this batch runs on — the whole graph, or the
                 // subgraph induced on the sampler's vertices — and how a
                 // request's target maps to a row of its logits.
@@ -344,13 +307,7 @@ pub fn serve(
                         .binary_search(&target)
                         .expect("sampler always includes batch targets"),
                 };
-                // The aggregation cache indexes rows of the whole graph.
-                let targets: Vec<u32> = batch.requests.iter().map(|r| r.target).collect();
-                let batch_cache = match verts {
-                    None => cache.as_mut().map(|c| (c, targets.as_slice())),
-                    Some(_) => None,
-                };
-                let (logits, outcome) = forward_logits_with(
+                let logits = forward_logits_with(
                     ctx,
                     adj,
                     features,
@@ -358,17 +315,9 @@ pub fn serve(
                     &plan,
                     cfg.sparse,
                     ospec.as_ref(),
-                    batch_cache,
+                    reuse_inert.is_none().then_some(&mut held),
                     ops,
                 );
-                next_is_warmup = outcome.as_ref().is_some_and(|o| o.changed());
-                if let Some(o) = &outcome {
-                    rdm_trace::record(EventData::AggCache {
-                        hits: o.hits,
-                        misses: o.misses,
-                        skipped,
-                    });
-                }
                 let range = part_range(adj.rows(), p, ctx.rank());
                 for r in &batch.requests {
                     let li = local_index_of(r.target);
@@ -376,16 +325,10 @@ pub fn serve(
                         rows.push((r.idx, logits.local.row(li - range.start).to_vec()));
                     }
                 }
-                outcome.map_or((0, 0), |o| (o.hits, o.misses))
             });
-            records.push(RankBatchRecord {
-                book,
-                hits,
-                misses,
-                warmup,
-            });
+            books.push(book);
         }
-        (rows, records)
+        (rows, books)
     });
 
     // Assemble: every request served exactly once, by the rank owning its
@@ -417,7 +360,7 @@ pub fn serve(
         let measured: Vec<MeasuredRank> = out
             .results
             .iter()
-            .map(|(_, recs)| recs[batch.idx].book.measured())
+            .map(|(_, books)| books[batch.idx].measured())
             .collect();
         let t = cfg.device.slowest(&measured);
         let dispatch_us = batch.close_us.max(prev_completion);
@@ -461,29 +404,17 @@ pub fn serve(
     }
     request_records.sort_by_key(|r| r.idx);
 
+    // Batch 0 is the warmup batch; every later one is steady.
     let mut ws_fresh_warmup = 0;
     let mut ws_fresh_steady = 0;
     let mut ws_reused_steady = 0;
-    for (_, recs) in &out.results {
-        for r in recs.iter() {
-            if r.warmup {
-                ws_fresh_warmup += r.book.ws_fresh;
-            } else {
-                ws_fresh_steady += r.book.ws_fresh;
-                ws_reused_steady += r.book.ws_reused;
-            }
+    for (_, books) in &out.results {
+        if let Some((first, steady)) = books.split_first() {
+            ws_fresh_warmup += first.ws_fresh;
+            ws_fresh_steady += steady.iter().map(|b| b.ws_fresh).sum::<u64>();
+            ws_reused_steady += steady.iter().map(|b| b.ws_reused).sum::<u64>();
         }
     }
-    // The directory is a shared deterministic simulation: every rank
-    // reports identical hit/miss counts, so read one rank's book.
-    let (cache_hits, cache_misses) = out
-        .results
-        .first()
-        .map(|(_, recs)| {
-            recs.iter()
-                .fold((0u64, 0u64), |(h, m), r| (h + r.hits, m + r.misses))
-        })
-        .unwrap_or((0, 0));
 
     let mut stats = CommStats::default();
     for s in &out.stats {
@@ -501,15 +432,14 @@ pub fn serve(
         payload_bytes: stats.total_bytes(),
         messages: stats.total_messages(),
         retries: stats.retries,
-        cache_hits,
-        cache_misses,
         // Requested pipelining that the engine gate drops anyway (a single
         // rank, or `r_a = 1` leaving no redistribution group) is surfaced
         // on the report instead of silently serving blocking; so are a
-        // requested indexed wire and cache that the session cannot use.
+        // requested indexed wire the session cannot use and a layer-1
+        // aggregation it cannot reuse.
         overlap_inert: resolved.overlap_inert,
         sparse_inert: resolved.sparse_inert,
-        cache_inert,
+        reuse_inert,
     };
     Ok(ServeOutput {
         report,
@@ -544,6 +474,7 @@ mod tests {
     use rdm_comm::CollectiveKind;
     use rdm_core::gcn::GcnWeights;
     use rdm_graph::dataset::DatasetSpec;
+    use rdm_trace::EventData;
 
     fn setup() -> (Dataset, WeightSnapshot) {
         let ds = DatasetSpec::synthetic("demo", 96, 700, 8, 3).instantiate(1);
@@ -630,11 +561,6 @@ mod tests {
         cfg.plan = Some(Plan::from_id(0, 2, 4));
         cfg.ra = Some(2);
         assert!(serve(&ds, &snap, &reqs, &cfg).is_err());
-        // The aggregation cache indexes the fully replicated adjacency.
-        let mut cfg = ServeConfig::new(4);
-        cfg.ra = Some(2);
-        cfg.cache = 8;
-        assert!(serve(&ds, &snap, &reqs, &cfg).is_err());
         // Budget below a full batch.
         let mut cfg = ServeConfig::new(2);
         cfg.sampler = ServeSampler::Induced { budget: 4 };
@@ -651,11 +577,6 @@ mod tests {
             let out = serve(&ds, &snap, &reqs, &cfg).unwrap();
             assert_eq!(out.report.overlap_inert_reason(), Some("chunks < 2"));
         }
-        // The aggregation cache requires the full-graph sampler.
-        let mut cfg = ServeConfig::new(2);
-        cfg.sampler = ServeSampler::Induced { budget: 48 };
-        cfg.cache = 8;
-        assert!(serve(&ds, &snap, &reqs, &cfg).is_err());
     }
 
     /// Induced minibatches are GCN-normalised, so a dataset built with
@@ -713,76 +634,61 @@ mod tests {
         assert_eq!(piped.report, again.report);
     }
 
-    /// Repeating targets against a cached session: batch 0 fills the
-    /// directory (misses), every later batch hits; logits stay bitwise
-    /// identical, hits thin the redistribution payload, and once the
-    /// directory stops changing the steady-state batches are alloc-free.
+    /// A full-graph session of an SpMM-first plan aggregates `Â·H⁰` in
+    /// batch 0 only: every later batch books layer 2's SpMM alone, at every
+    /// grid, while its logits stay those of the direct forward and its
+    /// steady batches allocate nothing.
     #[test]
-    fn cached_session_hits_and_stays_bitwise_and_alloc_free() {
+    fn later_batches_reuse_layer_one_aggregation() {
         let (ds, snap) = setup();
-        let targets = [5u32, 12, 33, 47];
-        let reqs: Vec<InferRequest> = (0..16)
-            .map(|i| InferRequest {
-                idx: i,
-                client: 0,
-                req_id: i as u64,
-                target: targets[i % 4],
-                arrival_us: (i as u64 + 1) * 10,
-            })
-            .collect();
-        let mut cfg = ServeConfig::new(2);
-        cfg.policy = BatchPolicy::new(4, 10_000);
-        // Pin a plan whose first layer is SpMM-first — the cacheable shape.
-        cfg.plan = Some(Plan::from_id(5, 2, 2));
-        let base = serve(&ds, &snap, &reqs, &cfg).unwrap();
-        let mut ccfg = cfg.clone();
-        ccfg.cache = 8;
-        let cached = serve(&ds, &snap, &reqs, &ccfg).unwrap();
-        for (a, b) in base.report.requests.iter().zip(&cached.report.requests) {
-            assert_eq!(a.logits, b.logits, "cache changed request {}", a.idx);
+        let reqs = LoadGen::new(13, 2, 20, 24).generate(ds.n());
+        for r_a in [4, 2, 1] {
+            let mut cfg = ServeConfig::new(4);
+            // Plan 5 runs layer 1 SpMM-first.
+            cfg.plan = Some(Plan::from_id(5, 2, 4).with_ra(r_a));
+            cfg.trace = true;
+            let out = serve(&ds, &snap, &reqs, &cfg).unwrap();
+            assert_eq!(out.report.reuse_inert, None);
+            assert!(out.report.batches.len() >= 3, "want several batches");
+            assert_eq!(out.report.ws_fresh_steady, 0, "r_a {r_a}");
+            let spmm_per_batch = |t: &RankTrace| {
+                let mut counts = Vec::new();
+                for e in &t.events {
+                    match e.data {
+                        EventData::Begin(Span::Batch { .. }) => counts.push(0),
+                        EventData::Begin(Span::Spmm { .. }) => *counts.last_mut().unwrap() += 1,
+                        _ => {}
+                    }
+                }
+                counts
+            };
+            for t in out.traces.as_ref().unwrap() {
+                let counts = spmm_per_batch(t);
+                assert_eq!(counts[0], 2, "r_a {r_a}: batch 0 aggregates twice");
+                assert!(counts[1..].iter().all(|&c| c == 1), "r_a {r_a}: {counts:?}");
+            }
         }
-        // 4 batches of 4: the first all-new, the rest all-repeat.
-        assert_eq!(cached.report.cache_misses, 4);
-        assert_eq!(cached.report.cache_hits, 12);
-        assert_eq!(
-            cached.report.ws_fresh_steady, 0,
-            "cache-stable batches must be alloc-free"
-        );
-        let wire = |o: &ServeOutput| o.stats.bytes(CollectiveKind::Redistribute);
-        assert!(
-            wire(&cached) < wire(&base),
-            "hits must thin the exchange: {} !< {}",
-            wire(&cached),
-            wire(&base)
-        );
     }
 
-    /// On a plan whose first layer runs GEMM before SpMM there is no
-    /// reusable layer-0 aggregation, so the cache stays inert: zero
-    /// counters, identical logits, identical wire volume.
+    /// A plan whose first layer runs GEMM before SpMM never forms `Â·H⁰`,
+    /// and induced minibatches change the graph every batch: both sessions
+    /// say why nothing is reused.
     #[test]
-    fn gemm_first_plans_keep_the_cache_inert() {
+    fn gemm_first_and_induced_sessions_report_reuse_inert() {
         let (ds, snap) = setup();
         let reqs = LoadGen::new(13, 2, 20, 24).generate(ds.n());
         let mut cfg = ServeConfig::new(2);
         cfg.plan = Some(Plan::from_id(2, 2, 2));
-        let base = serve(&ds, &snap, &reqs, &cfg).unwrap();
-        let mut ccfg = cfg.clone();
-        ccfg.cache = 16;
-        let out = serve(&ds, &snap, &reqs, &ccfg).unwrap();
-        assert_eq!(out.report.cache_hits, 0);
-        assert_eq!(out.report.cache_misses, 0);
-        assert_eq!(
-            out.stats.bytes(CollectiveKind::Redistribute),
-            base.stats.bytes(CollectiveKind::Redistribute)
-        );
-        for (a, b) in base.report.requests.iter().zip(&out.report.requests) {
-            assert_eq!(a.logits, b.logits);
-        }
-        assert_eq!(
-            out.report.cache_inert,
-            Some("layer 0 runs GEMM first: no aggregation to cache")
-        );
+        let out = serve(&ds, &snap, &reqs, &cfg).unwrap();
+        assert_eq!(out.report.reuse_inert, Some("layer 0 runs GEMM first"));
+        assert!(out
+            .report
+            .render()
+            .contains("\nreuse       inert (layer 0 runs GEMM first)\n"));
+        cfg.plan = Some(Plan::from_id(5, 2, 2));
+        cfg.sampler = ServeSampler::Induced { budget: 48 };
+        let out = serve(&ds, &snap, &reqs, &cfg).unwrap();
+        assert_eq!(out.report.reuse_inert, Some("induced minibatches"));
     }
 
     /// A single rank has no redistribution to compress: the session says so

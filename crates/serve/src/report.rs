@@ -85,8 +85,8 @@ pub struct ServeReport {
     pub requests: Vec<RequestRecord>,
     /// Per-batch timings in dispatch order.
     pub batches: Vec<BatchTiming>,
-    /// Fresh workspace-pool allocations during the warmup batch (index 0),
-    /// summed over ranks.
+    /// Fresh workspace-pool allocations during the warmup batch (index 0,
+    /// the only one), summed over ranks.
     pub ws_fresh_warmup: u64,
     /// Fresh allocations in every later batch, summed over ranks. The
     /// steady-state guarantee is that this is zero: after warmup, every
@@ -101,11 +101,6 @@ pub struct ServeReport {
     pub messages: u64,
     /// Transmission attempts lost to injected faults and re-sent.
     pub retries: u64,
-    /// Aggregation-cache hits across the session (request targets whose
-    /// layer-0 aggregated row was already cached when their batch opened).
-    pub cache_hits: u64,
-    /// Aggregation-cache misses (each occurrence counts).
-    pub cache_misses: u64,
     /// Why a requested pipelined admission stayed inert (the session ran
     /// the blocking schedule), mirroring the engine's overlap gate: `None`
     /// when the pipeline ran — or was never requested.
@@ -114,10 +109,11 @@ pub struct ServeReport {
     /// no redistribution to compress); `None` when it ran or was never
     /// requested.
     pub sparse_inert: Option<&'static str>,
-    /// Why a requested aggregation cache stayed inert (a GEMM-first layer 0
-    /// has no aggregation to store); `None` when it ran or was never
-    /// requested.
-    pub cache_inert: Option<&'static str>,
+    /// Why batches after the first recompute layer 0's aggregation `Â·H⁰`
+    /// instead of reusing batch 0's: a GEMM-first layer 0 never forms it,
+    /// and induced minibatches change the graph every batch. `None` when
+    /// the session reused it.
+    pub reuse_inert: Option<&'static str>,
 }
 
 impl ServeReport {
@@ -179,16 +175,6 @@ impl ServeReport {
         self.batches.iter().map(|b| b.overlap_us).sum()
     }
 
-    /// Session-wide aggregation-cache hit rate in `[0, 1]` (`0` when the
-    /// cache is off or nothing was requested).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.cache_hits as f64 / total as f64
-    }
-
     /// Why a requested pipelined admission stayed inert, or `None` when it
     /// ran (or was never requested).
     pub fn overlap_inert_reason(&self) -> Option<&'static str> {
@@ -212,14 +198,9 @@ impl ServeReport {
             .sparse_inert
             .map(|reason| format!("sparse      inert ({reason})\n"))
             .unwrap_or_default();
-        let cache = match self.cache_inert {
+        let reuse = match self.reuse_inert {
             Some(reason) => format!("inert ({reason})"),
-            None => format!(
-                "{} hits  {} misses  (hit rate {:.2})",
-                self.cache_hits,
-                self.cache_misses,
-                self.cache_hit_rate()
-            ),
+            None => "batch 0's Â·H⁰ in every later batch".to_string(),
         };
         format!(
             "== rdm-serve report ==\n\
@@ -229,7 +210,7 @@ impl ServeReport {
              throughput  {:.1} req/s (virtual)\n\
              overlap     {}\n\
              {}\
-             agg-cache   {}\n\
+             reuse       {}\n\
              workspace   warmup fresh {}  steady fresh {}  steady reused {}\n\
              comm        {} payload bytes in {} messages  retries {}\n",
             self.dataset,
@@ -245,7 +226,7 @@ impl ServeReport {
             self.throughput_rps(),
             overlap,
             sparse,
-            cache,
+            reuse,
             self.ws_fresh_warmup,
             self.ws_fresh_steady,
             self.ws_reused_steady,
@@ -350,11 +331,9 @@ mod tests {
             payload_bytes: 4096,
             messages: 16,
             retries: 0,
-            cache_hits: 3,
-            cache_misses: 1,
             overlap_inert: None,
             sparse_inert: None,
-            cache_inert: None,
+            reuse_inert: None,
         }
     }
 
@@ -390,7 +369,7 @@ mod tests {
             "warmup fresh 12  steady fresh 0  steady reused 12",
             "4096 payload bytes in 16 messages  retries 0",
             "overlap     3 us hidden by pipelining",
-            "agg-cache   3 hits  1 misses  (hit rate 0.75)",
+            "reuse       batch 0's Â·H⁰ in every later batch",
         ] {
             assert!(a.contains(needle), "missing {needle:?} in:\n{a}");
         }
@@ -423,11 +402,9 @@ mod tests {
             payload_bytes: 0,
             messages: 0,
             retries: 0,
-            cache_hits: 0,
-            cache_misses: 0,
             overlap_inert: None,
             sparse_inert: None,
-            cache_inert: None,
+            reuse_inert: None,
         };
         assert_eq!(r.p50_us(), 0);
         assert_eq!(r.p99_us(), 0);

@@ -1,13 +1,16 @@
-//! The two reasons serving batches and pipelines at all, on the virtual
-//! (device-model) clock, so every assertion is deterministic:
+//! The reasons serving batches, pipelines and aggregates once, on the
+//! virtual (device-model) clock, so every assertion is deterministic:
 //!
 //! * under load heavy enough that per-request dispatch falls behind,
 //!   batching (`max_batch = 8`) beats batch-size-1 on throughput and tail
 //!   latency, because a batch of B requests shares one fixed-size forward;
-//! * on a saturating Zipf-skewed stream, pipelined admission with the
-//!   frozen-weight aggregation cache beats the plain batched session on
-//!   p99 and throughput: hits thin the layer-1 exchange and the pipeline
-//!   prefetches exposed communication behind the predecessor batch.
+//! * on a saturating Zipf-skewed stream, every batch after the first skips
+//!   layer 1's aggregation (`Â·H⁰` is a constant of the session), so it is
+//!   served faster than batch 0, and the session beats the capacity-bounded
+//!   row cache this reuse replaced on p99 and throughput. Pipelined, it
+//!   still matches that cache's throughput; its p99 is set by batch 0,
+//!   whose pipelined layer-1 exchange pays more per-message latency on
+//!   this tiny graph than it hides, so it is not asserted.
 
 use rdm_core::gcn::GcnWeights;
 use rdm_core::WeightSnapshot;
@@ -15,14 +18,14 @@ use rdm_graph::DatasetSpec;
 use rdm_serve::{serve, BatchPolicy, LoadGen, ServeConfig, ServeReport};
 
 /// One P = 4 session over `load`'s stream with batches capped at
-/// `max_batch`, plain or with the depth knobs (pipeline + cache) on.
-fn session(load: LoadGen, max_batch: usize, depth: bool) -> ServeReport {
+/// `max_batch`, blocking or pipelined as 2 strips.
+fn session(load: LoadGen, max_batch: usize, pipelined: bool) -> ServeReport {
     let ds = DatasetSpec::synthetic("serve-bench", 256, 2_000, 16, 4).instantiate(42);
     let snap = WeightSnapshot::from_weights(&GcnWeights::init(&[16, 16, 4], 7));
     let mut cfg = ServeConfig::new(4);
     cfg.policy = BatchPolicy::new(max_batch, 50);
-    if depth {
-        cfg = cfg.pipelined(2).cached(64);
+    if pipelined {
+        cfg = cfg.pipelined(2);
     }
     serve(&ds, &snap, &load.generate(ds.n()), &cfg)
         .expect("session must serve")
@@ -50,25 +53,39 @@ fn batching_beats_batch_size_one_under_saturating_load() {
     );
 }
 
+/// The pipelined session on this stream with the capacity-bounded FIFO
+/// row cache that full-graph reuse replaced (`pipelined(2).cached(64)`,
+/// 64 rows per rank), as that code served it: p99 and virtual throughput.
+/// The figures are virtual, so they are a deterministic function of the
+/// stream and the device model.
+const FIFO_CACHE_P99_US: u64 = 19;
+const FIFO_CACHE_RPS: f64 = 935_672.5;
+
 #[test]
-fn pipelined_cached_serving_beats_plain_on_a_zipf_stream() {
-    // Saturation is the honest setting: cross-batch prefetch only pays when
-    // a dispatched batch can hide its exposed communication behind a
-    // still-running predecessor.
+fn reuse_serves_a_zipf_stream_no_worse_than_the_fifo_cache() {
+    // Saturation is the honest setting: batches queue behind their
+    // predecessors, so service time shows in the latency tail.
     let zipf = || LoadGen::new(11, 4, 1, 160).zipf(5);
     let plain = session(zipf(), 8, false);
-    let depth = session(zipf(), 8, true);
-    assert!(depth.cache_hits > 0, "Zipf stream produced no cache hits");
+    let piped = session(zipf(), 8, true);
+    for r in [&plain, &piped] {
+        assert_eq!(r.reuse_inert, None, "the auto plan must reuse Â·H⁰");
+        let (first, later) = r.batches.split_first().expect("batches");
+        assert!(
+            later.iter().all(|b| b.service_us < first.service_us),
+            "a batch after the first was not served faster than batch 0"
+        );
+    }
     assert!(
-        depth.p99_us() < plain.p99_us(),
-        "pipelined+cached serving must cut p99 ({} us vs {} us)",
-        depth.p99_us(),
+        plain.p99_us() <= FIFO_CACHE_P99_US,
+        "p99 {} us above the FIFO cache's {FIFO_CACHE_P99_US} us",
         plain.p99_us(),
     );
-    assert!(
-        depth.throughput_rps() > plain.throughput_rps(),
-        "pipelined+cached serving must raise throughput ({:.0} rps vs {:.0} rps)",
-        depth.throughput_rps(),
-        plain.throughput_rps(),
-    );
+    for r in [&plain, &piped] {
+        assert!(
+            r.throughput_rps() >= FIFO_CACHE_RPS,
+            "{:.1} rps below the FIFO cache's {FIFO_CACHE_RPS} rps",
+            r.throughput_rps(),
+        );
+    }
 }

@@ -19,4 +19,4 @@ pub mod spmm;
 
 pub use csr::{balanced_panels, Coo, Csr, InduceScratch};
 pub use norm::{gcn_normalize, gcn_normalize_induced, mean_normalize, row_normalize};
-pub use spmm::{spmm, spmm_masked, spmm_skip};
+pub use spmm::{spmm, spmm_masked};

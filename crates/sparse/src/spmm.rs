@@ -1,12 +1,11 @@
 //! Sparse × dense matrix multiplication.
 //!
-//! Every product — plain, row-skipping, edge-masked — runs through one
-//! function (`drive`): one task per cached nnz-balanced row panel, each
-//! panel one call of a panel body. The output is written **once**: every
-//! element starts from `0.0` in a register, accumulates its terms there
-//! and is stored a single time into an uninitialised pool buffer, so no
-//! SpMM zero-fills or reads its output (skipped and empty rows are stored
-//! as zeros). Like the dense GEMM kernels, the panel body has two
+//! Every product — plain or edge-masked — runs through one function
+//! (`drive`): one task per cached nnz-balanced row panel, each panel one
+//! call of a panel body. The output is written **once**: every element
+//! starts from `0.0` in a register, accumulates its terms there and is
+//! stored a single time into an uninitialised pool buffer, so no SpMM
+//! zero-fills or reads its output (empty rows are stored as zeros). Like the dense GEMM kernels, the panel body has two
 //! implementations selected via [`rdm_dense::kernels`]: the scalar
 //! reference (one output element at a time, nonzeros ascending) and the
 //! default register-blocked fast path that walks each row in `SB`-by-`W`
@@ -14,7 +13,7 @@
 //! all of the row's nonzeros (the `SB` blocks per pass amortize each
 //! nonzero's column decode over `SB` vector FMAs). Per output element
 //! the accumulation order is nonzeros ascending from `0.0` in both, so at
-//! every width all three entry points are **bitwise** the scalar ones (the
+//! every width both entry points are **bitwise** the scalar ones (the
 //! scalar body skips nothing, so this holds for non-finite inputs too).
 //! Like the GEMM bodies, the fast panel body is compiled twice (baseline
 //! and `#[target_feature(enable = "avx2")]`, chosen at runtime) from one
@@ -37,21 +36,7 @@ use std::ops::Range;
 /// # Panics
 /// On shape mismatch.
 pub fn spmm(a: &Csr, b: &Mat) -> Mat {
-    drive::<false>("spmm", a, b, None, &[])
-}
-
-/// Row-skipping SpMM: like [`spmm`] but output rows flagged in `skip` are
-/// zero and their nonzeros do no work — the frozen-weight serving cache's
-/// kernel, where skipped rows are filled from cached aggregations instead
-/// of recomputed. Unskipped rows run the exact panel body of [`spmm`]
-/// (same mode dispatch, same accumulation order), so every computed row is
-/// bitwise identical to the full kernel's.
-///
-/// # Panics
-/// If `skip.len() != a.rows()` or shapes mismatch.
-pub fn spmm_skip(a: &Csr, b: &Mat, skip: &[bool]) -> Mat {
-    assert_eq!(skip.len(), a.rows(), "skip length must equal A's rows");
-    drive::<false>("spmm_skip", a, b, Some(skip), &[])
+    drive::<false>("spmm", a, b, &[])
 }
 
 /// Masked SpMM (§III-F): like [`spmm`] but only the entries of `A` whose
@@ -63,33 +48,26 @@ pub fn spmm_skip(a: &Csr, b: &Mat, skip: &[bool]) -> Mat {
 /// If `mask.len() != a.nnz()` or shapes mismatch.
 pub fn spmm_masked(a: &Csr, b: &Mat, mask: &[bool]) -> Mat {
     assert_eq!(mask.len(), a.nnz(), "mask length must equal nnz");
-    drive::<true>("spmm_masked", a, b, None, mask)
+    drive::<true>("spmm_masked", a, b, mask)
 }
 
-/// What every panel body reads: `A`'s arrays, the rows to skip, the
-/// nonzero mask (ignored unless `MASKED`) and `B` with its width `n`.
+/// What every panel body reads: `A`'s arrays, the nonzero mask (ignored
+/// unless `MASKED`) and `B` with its width `n`.
 #[derive(Clone, Copy)]
 struct Operands<'a> {
     indptr: &'a [usize],
     indices: &'a [u32],
     vals: &'a [f32],
-    skip: Option<&'a [bool]>,
     mask: &'a [bool],
     b: &'a [f32],
     n: usize,
 }
 
-/// The SpMM behind all three entry points: `C = A·B` over the rows not
-/// flagged in `skip`, using — when `MASKED` — only the nonzeros flagged in
-/// `mask` (indexed by nonzero position; ignored otherwise). `what` names
-/// the public entry point in the shape panics.
-fn drive<const MASKED: bool>(
-    what: &str,
-    a: &Csr,
-    b: &Mat,
-    skip: Option<&[bool]>,
-    mask: &[bool],
-) -> Mat {
+/// The SpMM behind both entry points: `C = A·B`, using — when `MASKED` —
+/// only the nonzeros flagged in `mask` (indexed by nonzero position;
+/// ignored otherwise). `what` names the public entry point in the shape
+/// panics.
+fn drive<const MASKED: bool>(what: &str, a: &Csr, b: &Mat, mask: &[bool]) -> Mat {
     let (m, n) = (a.rows(), b.cols());
     assert_eq!(
         a.cols(),
@@ -107,7 +85,6 @@ fn drive<const MASKED: bool>(
         indptr: a.indptr(),
         indices: a.indices(),
         vals: a.vals(),
-        skip,
         mask,
         b: b.as_slice(),
         n,
@@ -116,8 +93,8 @@ fn drive<const MASKED: bool>(
     // `indptr` (and cached on `A`, which is reused every epoch) so each task
     // owns ~equal nonzeros and skewed (power-law) rows still balance. Panels
     // are whole rows, so per-row accumulation order — and hence every output
-    // bit — is identical to a sequential sweep. Skips and masks only thin
-    // work; the cached partition is still the right upper bound.
+    // bit — is identical to a sequential sweep. Masks only thin work; the
+    // cached partition is still the right upper bound.
     let bounds = a.nnz_partition(task_count(m));
     // Kernel mode is read on the calling thread and captured by value;
     // pool workers never consult their own thread-local.
@@ -186,10 +163,6 @@ fn panel_body<const W: usize, const MASKED: bool>(
 ) {
     let (n, b) = (ops.n, ops.b);
     for (r, c_row) in rows.zip(c.chunks_exact_mut(n)) {
-        if ops.skip.is_some_and(|s| s[r]) {
-            c_row.fill(MaybeUninit::new(0.0));
-            continue;
-        }
         let nz = ops.indptr[r]..ops.indptr[r + 1];
         let keep = if MASKED {
             &ops.mask[nz.clone()]
@@ -409,62 +382,6 @@ mod tests {
             a.nnz_partition(8),
             &crate::balanced_panels(a.indptr(), 8)[..]
         );
-    }
-
-    #[test]
-    fn skip_rows_are_zero_and_kept_rows_are_bitwise_equal() {
-        use rand::{Rng, SeedableRng};
-        use rdm_dense::kernels::{with_mode, Mode, Width};
-        let a = random_csr(24, 24, 0.3, 13);
-        let b = Mat::random(24, 7, 1.0, 14);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
-        let skip: Vec<bool> = (0..24).map(|_| rng.gen_bool(0.4)).collect();
-        for width in Width::all() {
-            with_mode(Mode::Fast(width), || {
-                let full = spmm(&a, &b);
-                let thin = spmm_skip(&a, &b, &skip);
-                for (r, &skipped) in skip.iter().enumerate() {
-                    for j in 0..7 {
-                        if skipped {
-                            assert_eq!(thin.get(r, j), 0.0, "row {r} not zeroed");
-                        } else {
-                            assert_eq!(
-                                thin.get(r, j).to_bits(),
-                                full.get(r, j).to_bits(),
-                                "row {r} col {j} diverged at width {width:?}"
-                            );
-                        }
-                    }
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn skip_none_is_bitwise_spmm_and_degenerate_shapes_hold() {
-        let a = random_csr(16, 16, 0.3, 7);
-        let b = Mat::random(16, 6, 1.0, 8);
-        let full = spmm(&a, &b);
-        let thin = spmm_skip(&a, &b, &[false; 16]);
-        assert_eq!(full.as_slice(), thin.as_slice());
-        let all = spmm_skip(&a, &b, &[true; 16]);
-        assert!(all.as_slice().iter().all(|&v| v == 0.0));
-        assert_eq!(
-            spmm_skip(&Csr::empty(0, 6), &Mat::zeros(6, 3), &[]).shape(),
-            (0, 3)
-        );
-        assert_eq!(
-            spmm_skip(&Csr::empty(4, 6), &Mat::zeros(6, 0), &[false; 4]).shape(),
-            (4, 0)
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn skip_length_mismatch_panics() {
-        let a = Csr::empty(4, 6);
-        let b = Mat::zeros(6, 3);
-        let _ = spmm_skip(&a, &b, &[false; 3]);
     }
 
     #[test]

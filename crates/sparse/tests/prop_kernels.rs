@@ -1,12 +1,11 @@
 //! Differential property suite for the register-blocked SpMM fast path:
 //! every forced lane width vs the scalar reference, over random CSRs,
 //! hub-heavy RMAT-skewed CSRs (the adjacency shape the nnz-balanced panels
-//! exist for), masked and row-skipping variants, and degenerate shapes.
-//! The fast SpMM keeps the per-element accumulation order of the scalar
-//! sweep, so the contract is **bitwise** at every width for all three
-//! entry points. All three are one driver, so at any one width the
-//! row-skip kernel's kept rows, skipping nothing and masking nothing must
-//! also be bitwise the dense kernel (`assert_seams`). Every width also
+//! exist for), the masked variant, and degenerate shapes. The fast SpMM
+//! keeps the per-element accumulation order of the scalar sweep, so the
+//! contract is **bitwise** at every width for both entry points. Both are
+//! one driver, so at any one width masking nothing must also be bitwise
+//! the dense kernel (`assert_seams`). Every width also
 //! runs under pool shares 1, 2 and 3, each on a fresh matrix whose
 //! nnz-balanced panels are cut for that share, and inside a forced pooled
 //! job: neither the panel count nor the runner count shows in the bits.
@@ -16,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use rayon::internals::run_pooled;
 use rdm_dense::kernels::{with_mode, Mode, Width};
 use rdm_dense::{with_share, Mat};
-use rdm_sparse::{spmm, spmm_masked, spmm_skip, Coo, Csr};
+use rdm_sparse::{spmm, spmm_masked, Coo, Csr};
 use std::sync::Mutex;
 
 fn assert_bitwise(fast: &Mat, scalar: &Mat, label: &str) {
@@ -65,30 +64,11 @@ fn mask_for(a: &Csr, seed: u64) -> Vec<bool> {
     (0..a.nnz()).map(|_| rng.gen_bool(0.6)).collect()
 }
 
-/// The driver's seams at the active kernel width: the row-skip kernel
-/// leaves skipped rows exactly zero and is bitwise the dense kernel on kept
-/// rows; skipping no row and masking no nonzero are bitwise the dense
-/// kernel.
-fn assert_seams(a: &Csr, b: &Mat, seed: u64, label: &str) {
-    let full = spmm(a, b);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let skip: Vec<bool> = (0..a.rows()).map(|_| rng.gen_bool(0.4)).collect();
-    let thin = spmm_skip(a, b, &skip);
-    assert_eq!(thin.shape(), full.shape(), "{label}: skip shape");
-    for (r, &skipped) in skip.iter().enumerate() {
-        for (j, (&t, &f)) in thin.row(r).iter().zip(full.row(r)).enumerate() {
-            let expect = if skipped { 0.0f32 } else { f };
-            assert_eq!(
-                t.to_bits(),
-                expect.to_bits(),
-                "{label}: skip row {r} (skipped: {skipped}) col {j}: {t} vs {expect}"
-            );
-        }
-    }
-    let none = spmm_skip(a, b, &vec![false; a.rows()]);
-    assert_bitwise(&none, &full, &format!("{label}: skip nothing"));
+/// The driver's seam at the active kernel width: masking no nonzero is
+/// bitwise the dense kernel.
+fn assert_seams(a: &Csr, b: &Mat, label: &str) {
     let all = spmm_masked(a, b, &vec![true; a.nnz()]);
-    assert_bitwise(&all, &full, &format!("{label}: mask nothing"));
+    assert_bitwise(&all, &spmm(a, b), &format!("{label}: mask nothing"));
 }
 
 fn coo_strategy() -> impl Strategy<Value = Coo> {
@@ -104,9 +84,9 @@ fn coo_strategy() -> impl Strategy<Value = Coo> {
     })
 }
 
-/// `(spmm, spmm_masked, spmm_skip)` under the current thread's mode.
-fn all_entry_points(a: &Csr, b: &Mat, mask: &[bool], skip: &[bool]) -> [Mat; 3] {
-    [spmm(a, b), spmm_masked(a, b, mask), spmm_skip(a, b, skip)]
+/// `(spmm, spmm_masked)` under the current thread's mode.
+fn all_entry_points(a: &Csr, b: &Mat, mask: &[bool]) -> [Mat; 2] {
+    [spmm(a, b), spmm_masked(a, b, mask)]
 }
 
 /// `f` at pool shares 1, 2 and 3 (3 is above a 2-core host's cores: tasks
@@ -136,27 +116,20 @@ fn uncut(a: &Csr) -> Csr {
     Csr::from_parts(a.rows(), a.cols(), indptr, indices, vals)
 }
 
-/// Every width, at every share, against the scalar reference, all three
-/// entry points.
+/// Every width, at every share, against the scalar reference, both entry
+/// points.
 fn assert_all_widths_bitwise(a: &Csr, b: &Mat, seed: u64, label: &str) {
     let mask = mask_for(a, seed);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 1);
-    let skip: Vec<bool> = (0..a.rows()).map(|_| rng.gen_bool(0.4)).collect();
-    let scalar = with_mode(Mode::Scalar, || all_entry_points(a, b, &mask, &skip));
+    let scalar = with_mode(Mode::Scalar, || all_entry_points(a, b, &mask));
     for width in Width::all() {
         with_mode(Mode::Fast(width), || {
-            assert_seams(a, b, seed + 2, &format!("{width:?} {label}"))
+            assert_seams(a, b, &format!("{width:?} {label}"))
         });
         let runs = on_every_share(|| {
-            with_mode(Mode::Fast(width), || {
-                all_entry_points(&uncut(a), b, &mask, &skip)
-            })
+            with_mode(Mode::Fast(width), || all_entry_points(&uncut(a), b, &mask))
         });
         for (share, fast) in &runs {
-            for (name, (f, s)) in ["spmm", "masked", "skip"]
-                .iter()
-                .zip(fast.iter().zip(&scalar))
-            {
+            for (name, (f, s)) in ["spmm", "masked"].iter().zip(fast.iter().zip(&scalar)) {
                 assert_bitwise(f, s, &format!("{width:?} {share} {name} {label}"));
             }
         }
@@ -167,12 +140,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Random CSRs, ragged feature widths: every fast width is bitwise the
-    /// scalar reference — plain, masked and row-skipping.
+    /// scalar reference — plain and masked.
     #[test]
     fn every_width_is_bitwise_scalar(coo in coo_strategy(), n in 1usize..40, seed in 0u64..1000) {
         let a = coo.to_csr();
         let b = Mat::random(a.cols(), n, 1.0, seed);
-        with_mode(Mode::Scalar, || assert_seams(&a, &b, seed + 2, &format!("scalar n={n}")));
+        with_mode(Mode::Scalar, || assert_seams(&a, &b, &format!("scalar n={n}")));
         assert_all_widths_bitwise(&a, &b, seed, &format!("n={n}"));
     }
 }
@@ -200,12 +173,12 @@ fn degenerate_shapes_every_width() {
             assert_eq!(spmm(&Csr::empty(0, 5), &b).shape(), (0, 3));
             assert_eq!(spmm(&Csr::empty(7, 5), &b).shape(), (7, 3));
             assert_eq!(spmm(&Csr::empty(7, 5), &Mat::zeros(5, 0)).shape(), (7, 0));
-            assert_eq!(spmm_skip(&Csr::empty(0, 5), &b, &[]).shape(), (0, 3));
-            assert_seams(&Csr::empty(7, 5), &b, 12, &format!("{width:?} empty rows"));
+            assert_eq!(spmm_masked(&Csr::empty(0, 5), &b, &[]).shape(), (0, 3));
+            assert_seams(&Csr::empty(7, 5), &b, &format!("{width:?} empty rows"));
+            let zero_width = &Mat::zeros(5, 0);
             assert_seams(
                 &Csr::empty(7, 5),
-                &Mat::zeros(5, 0),
-                12,
+                zero_width,
                 &format!("{width:?} zero width"),
             );
             let mut coo = Coo::new(1, 5);
@@ -216,21 +189,18 @@ fn degenerate_shapes_every_width() {
             assert_eq!(got.shape(), (1, 3));
             let scalar = with_mode(Mode::Scalar, || spmm(&single, &b));
             assert_bitwise(&got, &scalar, &format!("{width:?} single row"));
-            assert_seams(&single, &b, 13, &format!("{width:?} single row"));
+            assert_seams(&single, &b, &format!("{width:?} single row"));
         });
     }
 }
 
 /// The literal scalar SpMM, kept here so no kernel rewrite touches it:
 /// `C` starts at `+0.0` and every row adds its kept nonzeros' scaled `B`
-/// rows in ascending order; skipped rows stay zero.
-fn literal_spmm(a: &Csr, b: &Mat, skip: Option<&[bool]>, mask: Option<&[bool]>) -> Vec<f32> {
+/// rows in ascending order.
+fn literal_spmm(a: &Csr, b: &Mat, mask: Option<&[bool]>) -> Vec<f32> {
     let n = b.cols();
     let mut c = vec![0.0f32; a.rows() * n];
     for r in 0..a.rows() {
-        if skip.is_some_and(|s| s[r]) {
-            continue;
-        }
         for p in a.indptr()[r]..a.indptr()[r + 1] {
             if mask.is_some_and(|m| !m[p]) {
                 continue;
@@ -261,7 +231,7 @@ fn poison_shelf(len: usize) {
 #[test]
 fn fresh_spmm_never_reads_stale_pool_memory() {
     // Every third row empty, plus `nnz = 0`; feature widths with `n % W`
-    // tails; skips of none, some and every row. At the widest `n` the
+    // tails. At the widest `n` the
     // output is large enough for share 2 to split it across pool workers.
     let mut coo = Coo::new(150, 20);
     let mut rng = rand::rngs::StdRng::seed_from_u64(31);
@@ -277,7 +247,6 @@ fn fresh_spmm_never_reads_stale_pool_memory() {
     for mode in modes {
         for (ai, a) in matrices.iter().enumerate() {
             let mask = mask_for(a, 32);
-            let some: Vec<bool> = (0..a.rows()).map(|r| r % 4 == 0).collect();
             for n in [1usize, 3, 5, 8, 13, 33, 40] {
                 let b = Mat::random(a.cols(), n, 1.0, n as u64);
                 let len = a.rows() * n;
@@ -296,21 +265,14 @@ fn fresh_spmm_never_reads_stale_pool_memory() {
                     };
                     check(
                         run(&|| spmm(&uncut(a), &b)),
-                        literal_spmm(a, &b, None, None),
+                        literal_spmm(a, &b, None),
                         "spmm",
                     );
                     check(
                         run(&|| spmm_masked(&uncut(a), &b, &mask)),
-                        literal_spmm(a, &b, None, Some(&mask)),
+                        literal_spmm(a, &b, Some(&mask)),
                         "masked",
                     );
-                    for skip in [vec![false; a.rows()], some.clone(), vec![true; a.rows()]] {
-                        check(
-                            run(&|| spmm_skip(&uncut(a), &b, &skip)),
-                            literal_spmm(a, &b, Some(&skip), None),
-                            "skip",
-                        );
-                    }
                 }
             }
         }

@@ -200,25 +200,6 @@ pub fn to_chrome_json(traces: &[RankTrace], normalized: bool) -> String {
                         seq_arg,
                     ],
                 ),
-                EventData::AggCache {
-                    hits,
-                    misses,
-                    skipped,
-                } => push_event(
-                    &mut out,
-                    &mut first,
-                    "agg-cache",
-                    'i',
-                    ts,
-                    t.rank,
-                    Some('t'),
-                    &[
-                        ("hits", hits.to_string()),
-                        ("misses", misses.to_string()),
-                        ("skipped", skipped.to_string()),
-                        seq_arg,
-                    ],
-                ),
             }
         }
     }
@@ -267,6 +248,7 @@ impl Json {
 const MAX_DEPTH: usize = 32;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Containers open around the current position.
@@ -276,6 +258,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
         Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
             depth: 0,
@@ -402,12 +385,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 is copied through verbatim.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // The run up to the next quote or escape is copied
+                    // through in one step. Both are ASCII, so the run ends
+                    // on a character boundary of the (valid UTF-8) input.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
+                    let end = self.pos + run.unwrap_or(rest.len());
+                    let text = self.src.get(self.pos..end);
+                    s.push_str(text.ok_or_else(|| self.err("invalid utf-8"))?);
+                    self.pos = end;
                 }
                 None => return Err(self.err("unterminated string")),
             }
@@ -573,6 +559,108 @@ mod tests {
                 },
             ],
         }]
+    }
+
+    /// A well-nested trace per rank, built from `ops`: each op opens a
+    /// span, closes the innermost open one, or records an instant; spans
+    /// left open are closed at the end.
+    fn generated(ranks: usize, ops: &[u64]) -> Vec<RankTrace> {
+        let trace = |rank| {
+            let (mut events, mut open) = (Vec::new(), 0usize);
+            let mut push = |data| {
+                let seq = events.len() as u64;
+                events.push(Event {
+                    seq,
+                    ts_ns: seq * 250,
+                    data,
+                });
+            };
+            for &op in ops {
+                let x = (op >> 3) as usize;
+                let data = match op % 6 {
+                    0 => EventData::Begin(Span::Batch {
+                        idx: x,
+                        size: x % 9,
+                    }),
+                    1 => EventData::Begin(Span::Spmm {
+                        rows: x,
+                        cols: x % 7,
+                        nnz: 3 * x,
+                        width: 8,
+                    }),
+                    2 => EventData::Begin(Span::Serve {
+                        client: x % 4,
+                        req_id: op,
+                    }),
+                    3 if open > 0 => EventData::End,
+                    4 => EventData::Collective {
+                        kind: TraceCollective::Redistribute,
+                        peer: x % 8,
+                        bytes: x,
+                        dense_bytes: x,
+                        msg_seq: op,
+                    },
+                    _ => EventData::OverlapStrip {
+                        idx: x % 3,
+                        hidden_ns: op,
+                    },
+                };
+                match data {
+                    EventData::Begin(_) => open += 1,
+                    EventData::End => open -= 1,
+                    _ => {}
+                }
+                push(data);
+            }
+            (0..open).for_each(|_| push(EventData::End));
+            RankTrace { rank, events }
+        };
+        (0..ranks).map(trace).collect()
+    }
+
+    /// Validation reads each string once: a multi-megabyte export
+    /// validates in well under the bound even in a debug build (a reader
+    /// that re-validates the rest of the document per character takes
+    /// minutes here).
+    #[test]
+    fn validation_is_linear_in_the_document() {
+        let ops: Vec<u64> = (0..10_000u64).map(|i| i * 2_654_435_761 % 4096).collect();
+        let json = to_chrome_json(&generated(4, &ops), false);
+        assert!(json.len() > 3 << 20, "only {} bytes", json.len());
+        let start = std::time::Instant::now();
+        assert_eq!(validate(&json), Ok(()));
+        let took = start.elapsed();
+        assert!(
+            took.as_secs() < 20,
+            "validating {} bytes took {took:?}",
+            json.len()
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Every export validates; arbitrary bytes, and truncations or bit
+        /// flips of an export, are an error or a document, never a panic.
+        #[test]
+        fn corrupted_exports_never_panic(
+            ops in proptest::collection::vec(0u64..4096, 0..120),
+            junk in proptest::collection::vec(0u8..255, 0..64),
+            cut in 0.0f64..1.0,
+            flips in proptest::collection::vec((0.0f64..1.0, 0u8..8), 1..4),
+        ) {
+            let json = to_chrome_json(&generated(2, &ops), ops.len() % 2 == 0);
+            proptest::prop_assert_eq!(validate(&json), Ok(()));
+            let _ = validate(&String::from_utf8_lossy(&junk));
+            let at = (cut * json.len() as f64) as usize;
+            let _ = validate(&json[..at]);
+            let mut bad = json.into_bytes();
+            for &(where_, bit) in &flips {
+                let i = ((where_ * bad.len() as f64) as usize).min(bad.len() - 1);
+                bad[i] ^= 1 << bit;
+            }
+            let _ = validate(&String::from_utf8_lossy(&bad));
+        }
     }
 
     #[test]

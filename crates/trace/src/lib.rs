@@ -20,10 +20,8 @@
 //!   executed inference batch / one per request inside it).
 //! * Instants — `Collective` (one per point-to-point send, carrying the
 //!   fabric sequence number), `Retry` (one per injected drop the envelope
-//!   protocol recovered from), `OverlapStrip` (one per pipelined strip,
-//!   carrying the modeled hidden time), `AggCache` (one per served batch
-//!   when the frozen-weight aggregation cache is on, carrying its
-//!   hit/miss/skip accounting).
+//!   protocol recovered from) and `OverlapStrip` (one per pipelined strip,
+//!   carrying the modeled hidden time).
 //!
 //! Only *sender-side* events are recorded: receive completion order is
 //! timing-dependent, while the send schedule is a pure function of the
@@ -170,15 +168,6 @@ pub enum EventData {
     /// One strip of a chunk-pipelined redistribution retired, with the
     /// modeled communication time it hid behind compute.
     OverlapStrip { idx: usize, hidden_ns: u64 },
-    /// One served batch's aggregation-cache accounting: how many request
-    /// targets hit / missed the frozen-weight layer-0 cache, and how many
-    /// SpMM rows the whole cluster skipped this batch (the directory's
-    /// size at batch open).
-    AggCache {
-        hits: u64,
-        misses: u64,
-        skipped: u64,
-    },
 }
 
 /// One recorded event. `seq` is strictly increasing per rank; `ts_ns` is

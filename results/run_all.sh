@@ -5,8 +5,8 @@
 cd "$(dirname "$0")/.." || exit 1
 export RDM_EPOCHS=${RDM_EPOCHS:-3}
 
-# Both binaries' modeled output: pipelined training, a pipelined + cached
-# Zipf session, and a session whose requested pipeline is inert at r_a = 1.
+# Both binaries' modeled output: pipelined training, a pipelined Zipf
+# session, and a session whose requested pipeline is inert at r_a = 1.
 # Reference kernels keep the `kernels:` line host-independent.
 cli() {
   local out=$1 bin=$2
@@ -15,8 +15,8 @@ cli() {
 }
 cli cli_train_overlap rdm-train --synthetic 4000x32000 --features 64 --classes 8 \
   --hidden 64 --ranks 4 --epochs 3 --algo rdm:15 --overlap 3
-cli cli_serve_pipelined_cached rdm-serve --synthetic 256x2000 --features 16 --classes 4 \
-  --hidden 16 --requests 64 --pipeline 3 --cache 32 --zipf 5 --quiet
+cli cli_serve_pipelined_zipf rdm-serve --synthetic 256x2000 --features 16 --classes 4 \
+  --hidden 16 --requests 64 --pipeline 3 --zipf 5 --quiet
 cli cli_serve_inert_pipeline rdm-serve --synthetic 8000x64000 --features 64 --classes 8 \
   --hidden 64 --requests 256 --mean-gap 1 --ranks 4 --ra 1 --train-epochs 1 --pipeline 3 --quiet
 [ "$1" = cli ] && exit 0

@@ -11,9 +11,11 @@
 //! snapshot (or trains one in place when `--weights` is absent), and
 //! drives a deterministic open-loop request stream through the batching
 //! engine. Latencies are virtual (device-model) time, so the report is
-//! byte-identical across machines and replays for a fixed `--seed`. The
-//! run fails if any steady-state batch needed a fresh workspace
-//! allocation — the pool must serve everything after warmup.
+//! byte-identical across machines and replays for a fixed `--seed`. A
+//! full-graph session computes layer 1's aggregation `Â·H⁰` once, in the
+//! first (warmup) batch, when the plan aggregates first. The run fails if
+//! any later batch needed a fresh workspace allocation — the pool must
+//! serve everything after warmup.
 
 use gnn_rdm::cli::CommonArgs;
 use gnn_rdm::core::{train_gcn, TrainerConfig, WeightSnapshot};
@@ -32,7 +34,6 @@ struct Args {
     max_wait: u64,
     budget: Option<usize>,
     pipeline: Option<usize>,
-    cache: usize,
     zipf: u32,
 }
 
@@ -49,7 +50,6 @@ impl Default for Args {
             max_wait: 2_000,
             budget: None,
             pipeline: None,
-            cache: 0,
             zipf: 0,
         }
     }
@@ -91,17 +91,12 @@ SERVING:
                         r < P serves from replicated row panels: the auto
                         plan is re-priced at r, group redistributions shrink
                         to (r-1)/r while dense panel broadcasts appear, and
-                        logits stay bitwise identical to full replication.
-                        Incompatible with --cache when r < P (the layer-0
-                        aggregation cache indexes the full adjacency)
+                        logits stay bitwise identical to full replication
   --sparse              ship redistributions in the sparsity-aware wire format
   --pipeline <chunks>   pipelined batch admission: chunk every redistribution
                         into <chunks> strips and hide the transfer behind
                         compute; logits stay bitwise identical. Below 2
                         chunks the session runs blocking and says so
-  --cache <rows>        per-rank row capacity of the frozen-weight layer-0
-                        aggregation cache; 0 disables [0]. Needs the
-                        full-graph sampler; inert on GEMM-first plans
   --zipf <tiers>        skew request targets toward a hot set with <tiers>
                         halving tiers; 0 keeps the stream uniform [0]
   --reference-kernels   run GEMM/SpMM on the scalar reference loops, not the
@@ -163,7 +158,6 @@ fn parse_args() -> Result<Args, String> {
             "--pipeline" => {
                 args.pipeline = Some(value("--pipeline")?.parse().map_err(|e| format!("{e}"))?)
             }
-            "--cache" => args.cache = value("--cache")?.parse().map_err(|e| format!("{e}"))?,
             "--zipf" => args.zipf = value("--zipf")?.parse().map_err(|e| format!("{e}"))?,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -248,7 +242,6 @@ fn main() -> ExitCode {
     cfg.ra = common.ra;
     cfg.sparse = common.sparse;
     cfg.pipeline = args.pipeline;
-    cfg.cache = args.cache;
     cfg = cfg.kernel_mode(common.kernel_mode());
     cfg.trace = common.trace.is_some();
     cfg.sample_seed = common.seed;

@@ -60,7 +60,7 @@ pub fn serve_snapshot() -> WeightSnapshot {
     WeightSnapshot::from_weights(&GcnWeights::init(&[12, 10, 4], 23))
 }
 
-/// A Zipf-skewed request stream, so repeated targets hit the cache.
+/// A Zipf-skewed request stream.
 pub fn zipf_requests(ds: &Dataset) -> Vec<InferRequest> {
     LoadGen::new(3, 3, 40, 40).zipf(4).generate(ds.n())
 }
@@ -166,7 +166,6 @@ pub fn session_batches(reqs: &[InferRequest], cfg: &ServeConfig) -> Vec<SessionB
     let batch = |b: &Batch| SessionBatch {
         idx: b.idx,
         requests: b.requests.iter().map(|r| (r.client, r.req_id)).collect(),
-        targets: b.requests.iter().map(|r| r.target).collect(),
     };
     planned_batches(reqs, &cfg.policy)
         .iter()
@@ -212,10 +211,8 @@ pub enum Agg {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Surface {
     Train,
-    /// Full-graph serving with a `cache`-row aggregation cache (0 = off).
-    Serve {
-        cache: usize,
-    },
+    /// Full-graph serving: an SpMM-first plan reuses batch 0's `Â·H⁰`.
+    Serve,
     /// Serving on 48-vertex induced minibatches.
     Induced,
 }
@@ -372,7 +369,7 @@ impl Config {
         (cfg.pipeline, cfg.trace) = (self.chunks, self.trace);
         cfg.faults = self.chaos.then(|| chaos(0x5EBE));
         match self.surface {
-            Surface::Serve { cache } => cfg.cache = cache,
+            Surface::Serve => {}
             Surface::Induced => cfg.sampler = ServeSampler::Induced { budget: 48 },
             Surface::Train => unreachable!("a training point has no server"),
         }
@@ -390,16 +387,15 @@ impl Config {
         Some((OrderConfig::from_id(id, self.layers), memoize))
     }
 
-    /// The kinds of [`Step`] an explicit plan's executed schedule holds.
+    /// The kinds of [`Step`] an explicit plan's executed schedule holds (a
+    /// serving batch after the first runs a subset of batch 0's).
     pub fn step_kinds(&self) -> Vec<String> {
         let Some((config, memoize)) = self.priced_plan(None) else {
             return Vec::new();
         };
-        let cache = matches!(self.surface, Surface::Serve { cache } if cache > 0);
-        let cached = cache && config.forward[0] == Order::SpmmFirst;
         let mut feats = vec![HIDDEN; self.layers + 1];
         (feats[0], feats[self.layers]) = (FEATURES, CLASSES);
-        let steps = schedule(&config, memoize, &feats, cached).expect("a valid plan");
+        let steps = schedule(&config, memoize, &feats, false).expect("a valid plan");
         let served = self.surface != Surface::Train;
         let end = steps.iter().position(|s| served && *s == Step::Loss);
         steps[..end.unwrap_or(steps.len())]
@@ -623,9 +619,18 @@ fn check_serving(cfg: &Config) -> Result<(), String> {
     same("logits", logits(out), logits(r))?;
     let book = |o: &ServeOutput| CollectiveKind::ALL.map(|k| o.stats.dense_bytes(k));
     same("dense-equivalent book", book(out), book(r))?;
-    let hits = |o: &ServeOutput| (o.report.cache_hits, o.report.cache_misses);
-    same("cache hits, misses", hits(out), hits(r))?;
     same("kinds above dense", above_dense(&out.stats), vec![])?;
+    // A rerun replays the whole report (faults may keep more buffers in
+    // flight, so a chaotic point's pool counts are left out).
+    let replay = |o: &ServeOutput| {
+        let mut r = o.report.clone();
+        if cfg.chaos {
+            (r.ws_fresh_warmup, r.ws_fresh_steady, r.ws_reused_steady) = (0, 0, 0);
+        }
+        r
+    };
+    let again = serve(ds, &snap, &reqs, &server)?;
+    same("a rerun's report", replay(&again), replay(out))?;
 
     // Served logits equal a direct forward of the graph each batch ran on.
     let mut direct = vec![Vec::new(); reqs.len()];
@@ -652,13 +657,12 @@ fn check_serving(cfg: &Config) -> Result<(), String> {
     }
     same("logits against a direct forward", logits(out), direct)?;
 
-    if let Surface::Serve { cache } = cfg.surface {
+    if cfg.surface == Surface::Serve {
         let shape = ds.shape_layers(HIDDEN, cfg.layers);
         let (config, memoize, p, r_a) = (&plan.config, plan.memoize, cfg.p, cfg.r_a);
         let batches = session_batches(&reqs, &server);
         let nnz = panel_nnz(&ds.adj_norm, p, r_a);
-        let session =
-            |rank| predict_session(&shape, config, memoize, p, r_a, rank, &batches, cache, &nnz);
+        let session = |rank| predict_session(&shape, config, memoize, p, r_a, rank, &batches, &nnz);
         let events = (0..p).map(session).collect::<Result<Vec<_>, _>>()?;
         let sched = |e| match e {
             ServeEvent::Sched(s) => Some(s),
@@ -671,15 +675,12 @@ fn check_serving(cfg: &Config) -> Result<(), String> {
             expect,
         )?;
         if let Some(traces) = &out.traces {
-            let v = check_session(traces, &shape, config, memoize, &batches, cache, r_a, &nnz)?;
+            let v = check_session(traces, &shape, config, memoize, &batches, r_a, &nnz)?;
             same("first conformance violation", first(&v), None)?;
         }
-        let idle = cache == 0 || out.report.cache_inert.is_some();
-        same(
-            "an active cache hit",
-            idle || out.report.cache_hits > 0,
-            true,
-        )?;
+        let gemm_first = config.forward[0] == Order::GemmFirst;
+        let reason = gemm_first.then_some("layer 0 runs GEMM first");
+        same("why Â·H⁰ was not reused", out.report.reuse_inert, reason)?;
     } else if let Some(traces) = &out.traces {
         traces.iter().try_for_each(RankTrace::validate_nesting)?;
     }

@@ -1,8 +1,8 @@
 //! One seeded sampler over the whole configuration space: plan id (2- and
 //! 3-layer) × system × `P ∈ 1..=8` with `r_a | P` × wire × pipeline depth ×
 //! aggregation (directed inputs included) × memoization × chaos × tracing
-//! × kernel width × surface (training, full-graph serving with and without
-//! the aggregation cache, induced serving). Every sampled point must meet
+//! × kernel width × surface (training, full-graph serving with layer 1
+//! SpMM- or GEMM-first, induced serving). Every sampled point must meet
 //! `common::check`'s invariant set against its own reference run; sampled
 //! flag vectors must make both binaries exit 0, or 1 with an `error:` line
 //! — never a panic, an abort or a hang.
@@ -135,7 +135,7 @@ fn sample(seed: u64) -> Vec<Config> {
     use System::*;
     let plan = Config::plan_id(0, 2, 1);
     let mut pts = vec![Config::train(Auto, 2, 1); TRAIN];
-    pts.extend([plan.on(Surface::Serve { cache: 0 }); SERVE]);
+    pts.extend([plan.on(Surface::Serve); SERVE]);
     pts.extend([plan.on(Surface::Induced); INDUCED]);
     let rng = SplitMix64(seed);
     let mut d = Draw { rng, pts };
@@ -161,18 +161,22 @@ fn sample(seed: u64) -> Vec<Config> {
             c.r_a = c.p;
         }
     }
-    // The aggregation cache indexes the fully replicated adjacency and
-    // stores an SpMM-first layer 1's aggregation.
-    let full = |c: &Config| matches!(c.surface, Surface::Serve { .. });
-    d.deal(full, &[0, 16], |c, cache| {
-        c.surface = Surface::Serve { cache }
-    });
-    for c in &mut d.pts {
-        if c.surface == (Surface::Serve { cache: 16 }) {
-            let id = plan_of(c).unwrap().0 & !(1 << (c.layers - 1));
-            *c = c.ra(c.p).plan(id, true);
+    // Full-graph serving reuses batch 0's Â·H⁰ when layer 1 runs SpMM
+    // first and recomputes layer 1 when it runs GEMM first: both orders,
+    // each at r_a = P and at r_a < P, with and without memoization.
+    let full = |c: &Config| c.surface == Surface::Serve;
+    let orders = [(false, false), (false, true), (true, false), (true, true)];
+    d.deal(full, &orders, |c, (gemm_first, split)| {
+        let (id, bit) = (plan_of(c).unwrap().0, 1 << (c.layers - 1));
+        *c = c.plan(if gemm_first { id | bit } else { id & !bit }, true);
+        if !split {
+            c.r_a = c.p;
+        } else if c.r_a == c.p {
+            c.p = c.p.max(2);
+            c.r_a = if c.p % 2 == 0 { c.p / 2 } else { 1 };
         }
-    }
+    });
+    d.deal(full, &[true, false], memo);
     let flags: [fn(&mut Config, bool); 3] =
         [|c, x| c.sparse = x, |c, x| c.chaos = x, |c, x| c.trace = x];
     for set in flags {
@@ -211,7 +215,7 @@ fn step_universe() -> BTreeSet<String> {
     let plans = (0..16).map(|id| (id, 2)).chain((0..64).map(|id| (id, 3)));
     let points = plans.flat_map(|(id, l)| {
         let c = Config::plan_id(id, l, 1);
-        [c, c.on(Surface::Serve { cache: 16 }), c.plan(id, false)]
+        [c, c.plan(id, false)]
     });
     points.flat_map(|c| c.step_kinds()).collect()
 }
@@ -355,10 +359,9 @@ const TRAIN_FLAGS: [&str; 5] = [
     "--agg gcn|--agg mean|--agg row",
     "--lr 0.05|--lr nan|--lr 0",
 ];
-const SERVE_FLAGS: [&str; 4] = [
+const SERVE_FLAGS: [&str; 3] = [
     "--train-epochs 1 --requests 12",
     "--pipeline 0|--pipeline 1|--pipeline 3",
-    "--cache 0|--cache 8",
     "|--budget 8|--budget 48",
 ];
 

@@ -1,8 +1,9 @@
 //! Every plan's schedule, pinned: the predicted per-rank event sequence
 //! (one `Display` line per event) of every 2-layer plan at P ∈ {1, 2, 3, 4}
 //! with and without memoization, the replicated-panel corners at P = 4,
-//! every 3-layer plan at P = 4, and one cached and one uncached serving
-//! session. A redistribution added, dropped, retagged or repriced, or a
+//! every 3-layer plan at P = 4, and two serving sessions: one whose later
+//! batches reuse batch 0's `Â·H⁰`, one whose GEMM-first layer 1 cannot. A
+//! redistribution added, dropped, retagged or repriced, or a
 //! kernel reshaped, in any plan, shows up as a diff of
 //! `tests/golden/schedules.txt`.
 //!
@@ -43,32 +44,20 @@ fn epoch(out: &mut String, s: &GnnShape, id: usize, memoize: bool, grid: (usize,
 }
 
 /// Every rank's schedule of a three-batch serving session of plan `id`.
-fn session(
-    out: &mut String,
-    s: &GnnShape,
-    id: usize,
-    grid: (usize, usize, &[usize]),
-    cache: usize,
-) {
+fn session(out: &mut String, s: &GnnShape, id: usize, grid: (usize, usize, &[usize])) {
     let (p, r_a, panel_nnz) = grid;
     let config = OrderConfig::from_id(id, s.layers());
-    let batches: Vec<SessionBatch> = [vec![3u32, 90, 140], vec![3, 90, 7], vec![90, 7, 141, 3]]
+    let batches: Vec<SessionBatch> = [3, 3, 4]
         .into_iter()
         .enumerate()
-        .map(|(idx, targets)| SessionBatch {
+        .map(|(idx, size)| SessionBatch {
             idx,
-            requests: (0..targets.len()).map(|c| (c, idx as u64)).collect(),
-            targets,
+            requests: (0..size).map(|c| (c, idx as u64)).collect(),
         })
         .collect();
     for rank in 0..p {
-        writeln!(
-            out,
-            "session id {id} P {p} r_a {r_a} cache {cache} rank {rank}"
-        )
-        .unwrap();
-        let events =
-            predict_session(s, &config, true, p, r_a, rank, &batches, cache, panel_nnz).unwrap();
+        writeln!(out, "session id {id} P {p} r_a {r_a} rank {rank}").unwrap();
+        let events = predict_session(s, &config, true, p, r_a, rank, &batches, panel_nnz).unwrap();
         for e in events {
             writeln!(out, "  {e}").unwrap();
         }
@@ -96,8 +85,8 @@ fn schedules() -> String {
     for id in 0..64 {
         epoch(&mut out, &three, id, true, (4, 4, &[NNZ]));
     }
-    session(&mut out, &two, 5, (2, 2, &[NNZ]), 4);
-    session(&mut out, &two, 10, (4, 2, &[620, 480]), 0);
+    session(&mut out, &two, 5, (2, 2, &[NNZ]));
+    session(&mut out, &two, 10, (4, 2, &[620, 480]));
     out
 }
 

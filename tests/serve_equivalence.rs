@@ -18,7 +18,7 @@ use gnn_rdm::serve::{serve, LoadGen, ServeConfig, ServeSampler};
 
 /// Full-graph serving of plan 5 on `p` ranks.
 fn served(p: usize) -> Config {
-    Config::plan_id(5, 2, p).on(Surface::Serve { cache: 0 })
+    Config::plan_id(5, 2, p).on(Surface::Serve)
 }
 
 #[test]
@@ -118,10 +118,8 @@ fn trainer_rejects_replication_factors_that_do_not_divide_p() {
             "P={p} r_a={ra}: unexpected error {err:?}"
         );
     }
-    // The serving engine accepts replicated-panel plans (r_a < P is
-    // first-class since the grid-parity PR) but enforces the same
-    // divisibility rule, and the layer-0 aggregation cache still
-    // requires full replication.
+    // The serving engine accepts replicated-panel plans but enforces the
+    // same divisibility rule.
     let snap = snapshot();
     let requests = LoadGen::new(2, 1, 10, 4).generate(ds.n());
     let mut cfg = ServeConfig::new(4);
@@ -130,10 +128,6 @@ fn trainer_rejects_replication_factors_that_do_not_divide_p() {
     cfg.plan = Some(Plan::from_id(0, 2, 4).with_ra(3));
     let err = serve(&ds, &snap, &requests, &cfg).unwrap_err();
     assert!(err.contains("must divide"), "unexpected error {err:?}");
-    cfg.plan = Some(Plan::from_id(0, 2, 4).with_ra(2));
-    cfg.cache = 16;
-    let err = serve(&ds, &snap, &requests, &cfg).unwrap_err();
-    assert!(err.contains("cannot cache"), "unexpected error {err:?}");
 }
 
 /// One plan resolution (`rdm_core::plan::resolve`) behind both entry

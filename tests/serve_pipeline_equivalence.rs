@@ -1,37 +1,36 @@
-//! Serving depth: pipelined batch admission and the frozen-weight
-//! aggregation cache are *invisible* to the math. For the same weight
-//! snapshot and request stream, a pipelined + cached session serves logits
-//! bitwise identical to the plain sequential session and to a direct
-//! engine forward, across cluster sizes, wire formats, kernel widths and
-//! fault injection (`common::check`, at every cached or pipelined point
-//! `config_space.rs` samples) — while the payload book's savings reconcile
-//! *exactly* with a directory replay of the batch schedule: every byte the
-//! cache claims to have elided left the dense-equivalent Redistribute book.
+//! Serving depth: pipelined batch admission and the reuse of batch 0's
+//! layer-1 aggregation are *invisible* to the math. For the same weight
+//! snapshot and request stream, a pipelined session that holds `Â·H⁰`
+//! serves logits bitwise identical to the plain sequential session and to
+//! a direct engine forward, across cluster sizes, replication factors,
+//! wire formats, kernel widths and fault injection (`common::check`, at
+//! every full-graph point `config_space.rs` samples) — while the session's
+//! payload book is exactly batch 0's plus every later batch's, each priced
+//! from the one schedule the engine runs.
 
 mod common;
 
 use common::zipf_requests as requests;
-use common::{check, serve_dataset as dataset, serve_snapshot as snapshot, Config, Surface};
+use common::{check, panel_nnz, session_batches, Config, Surface};
+use common::{serve_dataset as dataset, serve_snapshot as snapshot};
 use gnn_rdm::comm::CollectiveKind;
 use gnn_rdm::core::Plan;
-use gnn_rdm::dense::mat::part_range;
 use gnn_rdm::dense::{KernelMode, KernelWidth};
-use gnn_rdm::model::CacheSim;
-use gnn_rdm::serve::{planned_batches, serve, ServeConfig, ServeOutput};
+use gnn_rdm::model::{predict_session, GnnShape, SchedEvent, ServeEvent, SessionBatch};
+use gnn_rdm::serve::{serve, ServeConfig};
+use gnn_rdm::trace::TraceCollective;
 
-/// The plain sequential session (no pipeline, no cache).
+/// The plain sequential session (no pipeline).
 fn baseline_cfg(p: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new(p);
     cfg.plan = Some(Plan::from_id(5, 2, p));
     cfg
 }
 
-/// Plan 5 on `p` ranks with both depth knobs on: a 3-strip pipeline and a
-/// 16-row cache.
+/// Plan 5 (layer 1 SpMM-first, so batches after the first reuse batch 0's
+/// `Â·H⁰`) on `p` ranks behind a 3-strip pipeline.
 fn deep(p: usize) -> Config {
-    Config::plan_id(5, 2, p)
-        .on(Surface::Serve { cache: 16 })
-        .chunks(3)
+    Config::plan_id(5, 2, p).on(Surface::Serve).chunks(3)
 }
 
 #[test]
@@ -40,6 +39,8 @@ fn pipelined_cached_serving_is_bitwise_across_the_matrix() {
     check(&deep(2).sparse());
     check(&deep(4));
     check(&deep(4).sparse());
+    check(&deep(4).ra(2));
+    check(&deep(4).ra(1).sparse());
 }
 
 #[test]
@@ -57,49 +58,66 @@ fn chaos_leaves_depth_serving_and_payload_book_unchanged() {
     }
 }
 
-/// Every byte the cache elides is accounted for: the dense-equivalent
-/// Redistribute savings of a cached session equal, to the byte, what a
-/// cold directory replay of the batch schedule predicts. Rank `j`'s
-/// cached rows are skipped in every *other* rank's column strip of the
-/// layer-1 Col→Row exchange, so one skipped row of `j` saves
-/// `(f0 - len_j) * 4` bytes, priced with the directory state as of batch
-/// open (admission happens after the batch).
-#[test]
-fn cache_savings_reconcile_with_a_directory_replay() {
-    let ds = dataset();
-    let snap = snapshot();
-    let reqs = requests(&ds);
-    let f0 = ds.features.cols();
-    for p in [2usize, 4] {
-        for sparse in [false, true] {
-            let mut base = baseline_cfg(p);
-            base.sparse = sparse;
-            let mut cached = base.clone();
-            cached.cache = 32;
-            let a = serve(&ds, &snap, &reqs, &base).unwrap();
-            let b = serve(&ds, &snap, &reqs, &cached).unwrap();
-
-            let mut sim = CacheSim::new(ds.n(), p, cached.cache);
-            let mut saved = 0u64;
-            for batch in planned_batches(&reqs, &cached.policy) {
-                for j in 0..p {
-                    let len_j = part_range(f0, p, j).len();
-                    saved += sim.cached_in_rank(j) as u64 * (f0 - len_j) as u64 * 4;
-                }
-                let targets: Vec<u32> = batch.requests.iter().map(|r| r.target).collect();
-                sim.admit(&targets);
+/// Dense-equivalent Redistribute and Broadcast bytes of `batches` on
+/// every rank, as `predict_session` prices them.
+fn priced(shape: &GnnShape, cfg: &ServeConfig, r_a: usize, batches: &[SessionBatch]) -> [u64; 2] {
+    let (plan, p) = (cfg.plan.as_ref().unwrap(), cfg.p);
+    let nnz = panel_nnz(&dataset().adj_norm, p, r_a);
+    let mut book = [0, 0];
+    for rank in 0..p {
+        let events = predict_session(shape, &plan.config, true, p, r_a, rank, batches, &nnz);
+        for e in events.unwrap() {
+            match e {
+                ServeEvent::Sched(SchedEvent::Redist {
+                    kind: TraceCollective::Redistribute,
+                    bytes,
+                    ..
+                }) => book[0] += bytes,
+                ServeEvent::Sched(SchedEvent::Broadcast { bytes }) => book[1] += bytes,
+                _ => {}
             }
+        }
+    }
+    book
+}
 
-            let wire = |o: &ServeOutput| o.stats.dense_bytes(CollectiveKind::Redistribute);
-            let label = format!("P={p} sparse={sparse}");
-            assert!(saved > 0, "{label}: replay predicts no savings");
+/// A session aggregates `Â·H⁰` once: its books are batch 0's plus `B − 1`
+/// times the books of a batch that holds `T¹`, each priced by
+/// `predict_session` — which a batch after the first undercuts by layer
+/// 1's whole exchange and panel broadcasts — on every grid and both wires.
+#[test]
+fn session_books_are_batch_zero_plus_held_aggregation_batches() {
+    let (ds, snap, reqs) = (dataset(), snapshot(), requests(&dataset()));
+    let shape = ds.shape_layers(10, 2);
+    for r_a in [4, 2, 1] {
+        for sparse in [false, true] {
+            let mut cfg = baseline_cfg(4);
+            cfg.plan = Some(Plan::from_id(5, 2, 4).with_ra(r_a));
+            cfg.sparse = sparse;
+            let out = serve(&ds, &snap, &reqs, &cfg).unwrap();
+            let batches = session_batches(&reqs, &cfg);
+            let first = priced(&shape, &cfg, r_a, &batches[..1]);
+            let two = priced(&shape, &cfg, r_a, &batches[..2]);
+            let later = [two[0] - first[0], two[1] - first[1]];
+            let label = format!("r_a={r_a} sparse={sparse}");
+            // Layer 1's exchange leaves only with a group to exchange in
+            // (r_a > 1), its panel broadcasts only with panels (r_a < P).
+            let cut = [r_a > 1, r_a < 4];
+            for k in 0..2 {
+                assert_eq!(
+                    later[k] < first[k],
+                    cut[k],
+                    "{label}: {later:?} vs {first:?}"
+                );
+            }
+            let b = batches.len() as u64;
+            assert!(b > 2, "{label}: want several batches");
+            let book = |k| out.stats.dense_bytes(k);
             assert_eq!(
-                wire(&a) - wire(&b),
-                saved,
-                "{label}: payload savings do not reconcile"
+                [CollectiveKind::Redistribute, CollectiveKind::Broadcast].map(book),
+                [0, 1].map(|k| first[k] + (b - 1) * later[k]),
+                "{label}"
             );
-            assert_eq!(b.report.cache_hits, sim.hits, "{label}: hit book drifted");
-            assert_eq!(b.report.cache_misses, sim.misses, "{label}");
         }
     }
 }
@@ -109,7 +127,7 @@ fn depth_sessions_replay_byte_identically() {
     let ds = dataset();
     let snap = snapshot();
     let reqs = requests(&ds);
-    let cfg = baseline_cfg(4).pipelined(3).cached(32);
+    let cfg = baseline_cfg(4).pipelined(3);
     let a = serve(&ds, &snap, &reqs, &cfg).unwrap();
     let b = serve(&ds, &snap, &reqs, &cfg).unwrap();
     assert_eq!(a.report, b.report);

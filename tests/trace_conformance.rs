@@ -204,33 +204,26 @@ fn traced_session(
     (out.traces.expect("traced session returns traces"), batches)
 }
 
-/// Cache-pruned exchanges are priced by the directory replay, with and
-/// without the pipeline.
+/// Batches after the first are priced from the held-`Â·H⁰` schedule when
+/// layer 1 runs SpMM first (plans 0, 5), and from the plan's whole forward
+/// when it runs GEMM first (plan 15), with and without the pipeline.
 #[test]
 fn serving_sessions_conform_across_plans_cache_and_pipeline() {
-    let served = |id, cache| {
-        Config::plan_id(id, 2, 2)
-            .on(Surface::Serve { cache })
-            .traced()
-    };
-    check(&served(0, 16));
-    check(&served(5, 0).chunks(3));
-    check(&served(15, 16).chunks(3));
+    let served = |id| Config::plan_id(id, 2, 2).on(Surface::Serve).traced();
+    check(&served(0));
+    check(&served(5).chunks(3));
+    check(&served(15).chunks(3));
 }
 
 #[test]
 fn serving_conformance_survives_chaos() {
-    let served = Config::plan_id(5, 2, 2).on(Surface::Serve { cache: 16 });
+    let served = Config::plan_id(5, 2, 2).on(Surface::Serve);
     check(&served.traced().chunks(3).chaos());
 }
 
 #[test]
 fn replicated_panel_serving_sessions_conform() {
-    let served = |id, r_a| {
-        Config::plan_id(id, 2, 4)
-            .ra(r_a)
-            .on(Surface::Serve { cache: 0 })
-    };
+    let served = |id, r_a| Config::plan_id(id, 2, 4).ra(r_a).on(Surface::Serve);
     check(&served(0, 1).traced());
     check(&served(5, 2).traced().chunks(3));
     check(&served(10, 2).traced());
@@ -247,12 +240,11 @@ fn corrupting_one_batch_event_yields_one_addressed_serving_violation() {
     };
     let mut cfg = ServeConfig::new(2);
     cfg.plan = Some(Plan::from_id(5, 2, 2));
-    cfg.cache = 16;
     let (mut traces, batches) = traced_session(&ds, &snap, &cfg);
     let config = OrderConfig::from_id(5, 2);
     let nnz = [shape.nnz];
     assert!(
-        check_session(&traces, &shape, &config, true, &batches, 16, 2, &nnz)
+        check_session(&traces, &shape, &config, true, &batches, 2, &nnz)
             .unwrap()
             .is_empty()
     );
@@ -272,7 +264,7 @@ fn corrupting_one_batch_event_yields_one_addressed_serving_violation() {
     };
     *size += 1;
     let batch_idx = *batch_idx;
-    let violations = check_session(&traces, &shape, &config, true, &batches, 16, 2, &nnz).unwrap();
+    let violations = check_session(&traces, &shape, &config, true, &batches, 2, &nnz).unwrap();
     assert_eq!(
         violations.len(),
         1,
