@@ -235,7 +235,7 @@ pub(crate) fn store_row(dst: &mut [MaybeUninit<f32>], row: Option<&[f32]>) {
 /// what the sender elided).
 ///
 /// # Panics
-/// As [`Piece::unpack`].
+/// As `Piece::unpack`.
 pub fn unpack_rows(msg: Mat, expect: Expect) -> Mat {
     let piece = Piece::unpack(&msg, expect);
     if piece.at.is_some() {

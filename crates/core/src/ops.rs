@@ -11,6 +11,7 @@ use std::borrow::Cow;
 
 use crate::dist::{Dist, DistMat};
 use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution, Wire};
+use rdm_dense::kernels::{call_mode, Kernel};
 use rdm_dense::{gemm, gemm_nt, gemm_tn, Mat};
 use rdm_sparse::{spmm, spmm_masked, Csr};
 use rdm_trace::Span;
@@ -52,7 +53,7 @@ pub(crate) fn row_gemm(rows: &Mat, w: &Mat, transposed: bool, ops: &mut OpCounte
         m: rows.rows(),
         n,
         k,
-        width: rdm_dense::kernels::active_width(),
+        width: call_mode(Kernel::Gemm, n).width(),
     });
     ops.gemm_fma += rows.rows() as f64 * k as f64 * n as f64;
     if transposed {
@@ -78,7 +79,7 @@ pub fn weight_grad(a: &DistMat, b: &DistMat, ctx: &RankCtx, ops: &mut OpCounters
         m: a.cols,
         n: b.cols,
         k: a.local.rows(),
-        width: rdm_dense::kernels::active_width(),
+        width: call_mode(Kernel::Gemm, b.cols).width(),
     });
     let partial = gemm_tn(&a.local, &b.local);
     ops.gemm_fma += a.local.rows() as f64 * a.cols as f64 * b.cols as f64;
@@ -366,7 +367,7 @@ impl<'a> Topology<'a> {
             rows: panel.rows(),
             cols: tile.cols(),
             nnz: panel.nnz(),
-            width: rdm_dense::kernels::active_width(),
+            width: call_mode(Kernel::Spmm, tile.cols()).width(),
         });
         let mask = self.mask.as_deref();
         panel_spmm(self.grid, panel, mask, tile, self.n, ctx, ops)

@@ -15,17 +15,23 @@
 //!   `gemm_nt`). It is the reference every golden in the repo was
 //!   recorded with and is never changed.
 //! * The **fast** path — the default — is one register-tile body under
-//!   all three orientations: an `MR×2W` block of `C` is loaded into
-//!   accumulators, swept over one block of `k` rows, and stored back, so
-//!   `C` traffic drops from `O(m·k·n)` to `O(m·n·k/KC)` and the compiler
-//!   maps the fixed-width accumulator arrays onto vector registers.
-//!   `gemm_tn` reads `A` by columns instead of rows; sweeping `k` in
-//!   blocks keeps the `A`/`B` blocks and the `C` panel in L2 across the
-//!   panel's tiles even when `k` is the vertex count. `gemm_nt` transposes
-//!   its small `B` once and is `gemm` from there. The body is compiled
-//!   twice — at the crate's baseline target and inside an
-//!   `#[target_feature(enable = "avx2")]` wrapper chosen at runtime — but
-//!   both compilations inline the *same* code (plain mul-then-add, never
+//!   all three orientations: an `MR×2W` block of `C` is held in
+//!   accumulators, swept over one block of `k` rows, and stored, so `C`
+//!   traffic drops from `O(m·k·n)` to `O(m·n·k/KC)` and the compiler maps
+//!   the fixed-width accumulator arrays onto vector registers. A fresh
+//!   output ([`gemm`], [`gemm_tn`], [`gemm_nt`]) is written once: the first
+//!   `k` block starts its accumulators at `0.0` and stores into an
+//!   uninitialised pool buffer, and only later blocks load what the ones
+//!   before them stored (`0.0 + x` is `x`, so this is the bits of adding
+//!   onto a zeroed `C`). `gemm_tn` reads `A` by columns instead of rows;
+//!   sweeping `k` in blocks keeps the `A`/`B` blocks and the `C` panel in
+//!   L2 across the panel's tiles even when `k` is the vertex count.
+//!   `gemm_nt` transposes its small `B` once and is `gemm` from there.
+//!   Each call runs at the width [`kernels::call_mode`] picks for its `n`
+//!   (16 lanes from `n ≥ 16` under a 16-lane mode, 8 below), and the body
+//!   is compiled per [`kernels::Isa`] level — AVX-512 for the 16-lane
+//!   tiles, AVX2 for the others, the crate's baseline where neither runs —
+//!   all from the *same* inlined code (plain mul-then-add, never
 //!   contracted to FMA), so the host CPU affects speed only, never bits.
 //!
 //! Per output element both paths compute `c + a₀b₀ + a₁b₁ + …` with `k`
@@ -33,9 +39,10 @@
 //! one on finite inputs; [`crate::kernels`] states the contract and its
 //! one exception (the scalar `a == 0` skip).
 
-use crate::kernels::{self, Mode, Width};
+use crate::kernels::{self, Isa, Kernel, Mode, Width};
 use crate::mat::Mat;
 use rayon::prelude::*;
+use std::mem::MaybeUninit;
 
 /// Rows of `C` per parallel task. Large enough to amortize task overhead,
 /// small enough to load-balance skewed shapes.
@@ -56,9 +63,17 @@ const KC: usize = 128;
 /// # Panics
 /// If `A.cols() != B.rows()`.
 pub fn gemm(a: &Mat, b: &Mat) -> Mat {
-    let mut c = Mat::zeros(a.rows(), b.cols());
-    gemm_acc(a, b, &mut c);
-    c
+    let (m, k) = a.shape();
+    let (kb, n) = b.shape();
+    assert_eq!(k, kb, "gemm: A is {m}x{k} but B is {kb}x{n}");
+    match fast_width(m, k, n) {
+        Some(w) => fresh::<false>(w, m, k, n, a.as_slice(), b.as_slice()),
+        None => {
+            let mut c = Mat::zeros(m, n);
+            gemm_acc(a, b, &mut c);
+            c
+        }
+    }
 }
 
 /// `C += A · B` into an existing output.
@@ -70,15 +85,61 @@ pub fn gemm_acc(a: &Mat, b: &Mat, c: &mut Mat) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    // The kernel mode is read on the calling thread and captured by the
-    // dispatch decision here; pool workers never consult their own
-    // thread-local.
-    match kernels::mode() {
-        Mode::Scalar | Mode::Fast(Width::W1) => scalar_gemm_acc(k, n, a_data, b_data, c),
-        Mode::Fast(Width::W4) => fast_acc::<4, 8, false>(k, n, a_data, b_data, c),
-        Mode::Fast(Width::W8) => fast_acc::<8, 16, false>(k, n, a_data, b_data, c),
+    let (a_data, b_data) = (a.as_slice(), b.as_slice());
+    match fast_width(m, k, n) {
+        // SAFETY: the fast tiles store only finished accumulators.
+        Some(w) => fast::<false>(w, k, n, a_data, b_data, unsafe { as_uninit(c) }, false),
+        None => scalar_gemm_acc(k, n, a_data, b_data, c),
+    }
+}
+
+/// The fast path's lane width for one `m×n` product over `k`: `None` when
+/// the call runs the scalar kernels, or has nothing to compute. The kernel
+/// mode is read on the calling thread here; pool workers never consult
+/// their own thread-local.
+fn fast_width(m: usize, k: usize, n: usize) -> Option<Width> {
+    if m == 0 || n == 0 || k == 0 {
+        return None;
+    }
+    match kernels::call_mode(Kernel::Gemm, n) {
+        Mode::Scalar | Mode::Fast(Width::W1) => None,
+        Mode::Fast(w) => Some(w),
+    }
+}
+
+/// `op(A) · B` (`m×n`, `k > 0`) into a new matrix on the fast path, each
+/// element stored once.
+fn fresh<const TA: bool>(w: Width, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Mat {
+    // SAFETY: the tiles of `fast_acc` cover all `m · n` elements, and with
+    // `fresh` the first of its `k ≥ 1` blocks stores every one of them.
+    unsafe { Mat::write_once(m, n, |c| fast::<TA>(w, k, n, a, b, c, true)) }
+}
+
+/// An initialised `C` as the slice the fast tiles store into.
+///
+/// # Safety
+/// Only initialised values are stored through the returned slice.
+unsafe fn as_uninit(c: &mut Mat) -> &mut [MaybeUninit<f32>] {
+    let c = c.as_mut_slice();
+    // SAFETY: `MaybeUninit<f32>` has the layout of `f32`.
+    unsafe { &mut *(c as *mut [f32] as *mut [MaybeUninit<f32>]) }
+}
+
+/// [`fast_acc`] at width `w` (never `W1`, which runs the scalar kernels).
+fn fast<const TA: bool>(
+    w: Width,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [MaybeUninit<f32>],
+    fresh: bool,
+) {
+    match w {
+        Width::W4 => fast_acc::<4, 8, TA>(k, n, a, b, c, fresh),
+        Width::W8 => fast_acc::<8, 16, TA>(k, n, a, b, c, fresh),
+        Width::W16 => fast_acc::<16, 32, TA>(k, n, a, b, c, fresh),
+        Width::W1 => unreachable!("one lane runs the scalar kernels"),
     }
 }
 
@@ -106,40 +167,43 @@ fn scalar_gemm_acc(k: usize, n: usize, a_data: &[f32], b_data: &[f32], c: &mut M
         });
 }
 
-/// `C += op(A) · B` on the fast path, for both `A` orientations: `TA`
+/// `C (+)= op(A) · B` on the fast path, for both `A` orientations: `TA`
 /// reads `A` as stored `k×m` (the `gemm_tn` operand), otherwise `m×k`.
 /// `W2` is always `2 * W` (stable Rust cannot spell that in a const
-/// generic position).
+/// generic position). `c` holds the `m×n` output: a fresh one when
+/// `fresh`, else the `C` to accumulate onto.
 ///
 /// `C` is cut into row panels, one task each, and every task sweeps `k`
 /// in blocks of [`KC`] rows with the register tiles **loaded from `C` and
-/// stored back** around each block. `k` is never split across tasks and
-/// the blocks run in ascending order, so each output element is
-/// `c + a₀b₀ + a₁b₁ + …` in exactly the scalar kernel's order whatever
-/// the panel height, block size or pool size.
+/// stored back** around each block — except that a fresh output's first
+/// block starts them at `0.0` and stores every element. `k` is never split
+/// across tasks and the blocks run in ascending order, so each output
+/// element is `c + a₀b₀ + a₁b₁ + …` in exactly the scalar kernel's order
+/// whatever the panel height, block size or pool size.
 fn fast_acc<const W: usize, const W2: usize, const TA: bool>(
     k: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
-    c: &mut Mat,
+    c: &mut [MaybeUninit<f32>],
+    fresh: bool,
 ) {
-    let m = c.rows();
+    let m = c.len() / n;
     let lda = if TA { m } else { k };
     let panel = if TA { tn_panel_rows(m) } else { ROW_PANEL };
-    let avx = kernels::avx2_available();
-    c.as_mut_slice()
-        .par_chunks_mut(panel * n)
+    let isa = kernels::isa().for_lanes(W);
+    c.par_chunks_mut(panel * n)
         .enumerate()
         .for_each(|(p, c_panel)| {
             let i0 = p * panel;
             let rows_here = c_panel.len() / n;
             for k0 in (0..k).step_by(KC) {
                 let b_blk = &b[k0 * n..(k0 + KC).min(k) * n];
+                let first = fresh && k0 == 0;
                 for ii in (0..rows_here).step_by(MR) {
                     let mr = MR.min(rows_here - ii);
                     let c_rows = &mut c_panel[ii * n..(ii + mr) * n];
-                    tile::<W, W2, TA>(avx, a, lda, i0 + ii, k0, b_blk, n, c_rows);
+                    tile::<W, W2, TA>(isa, first, a, lda, i0 + ii, k0, b_blk, n, c_rows);
                 }
             }
         });
@@ -155,56 +219,85 @@ fn tn_panel_rows(m: usize) -> usize {
         .min(ROW_PANEL)
 }
 
-/// Route one tile to the AVX2 compilation when the host supports it.
+/// Route one tile to the compilation for `isa`.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn tile<const W: usize, const W2: usize, const TA: bool>(
-    avx: bool,
+    isa: Isa,
+    first: bool,
     a: &[f32],
     lda: usize,
     i: usize,
     k0: usize,
     b_blk: &[f32],
     n: usize,
-    c_rows: &mut [f32],
+    c_rows: &mut [MaybeUninit<f32>],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx {
-        // SAFETY: `avx` witnesses runtime AVX2 support.
-        return unsafe { tile_avx2::<W, W2, TA>(a, lda, i, k0, b_blk, n, c_rows) };
+    match isa {
+        // SAFETY: `isa` is at most the running CPU's level (`kernels::isa`).
+        Isa::Avx512 => {
+            return unsafe { tile_avx512::<W, W2, TA>(first, a, lda, i, k0, b_blk, n, c_rows) }
+        }
+        // SAFETY: as above.
+        Isa::Avx2 => {
+            return unsafe { tile_avx2::<W, W2, TA>(first, a, lda, i, k0, b_blk, n, c_rows) }
+        }
+        Isa::Baseline => {}
     }
-    let _ = avx;
-    tile_body::<W, W2, TA>(a, lda, i, k0, b_blk, n, c_rows)
+    let _ = isa;
+    tile_body::<W, W2, TA>(first, a, lda, i, k0, b_blk, n, c_rows)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 fn tile_avx2<const W: usize, const W2: usize, const TA: bool>(
+    first: bool,
     a: &[f32],
     lda: usize,
     i: usize,
     k0: usize,
     b_blk: &[f32],
     n: usize,
-    c_rows: &mut [f32],
+    c_rows: &mut [MaybeUninit<f32>],
 ) {
-    tile_body::<W, W2, TA>(a, lda, i, k0, b_blk, n, c_rows)
+    tile_body::<W, W2, TA>(first, a, lda, i, k0, b_blk, n, c_rows)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn tile_avx512<const W: usize, const W2: usize, const TA: bool>(
+    first: bool,
+    a: &[f32],
+    lda: usize,
+    i: usize,
+    k0: usize,
+    b_blk: &[f32],
+    n: usize,
+    c_rows: &mut [MaybeUninit<f32>],
+) {
+    tile_body::<W, W2, TA>(first, a, lda, i, k0, b_blk, n, c_rows)
 }
 
 /// The `mr = c_rows.len() / n ≤ MR` rows of `C` starting at row `i`, plus
 /// one `k` block: `C[i.., :] += op(A)[i.., k0..] · b_blk`, where `b_blk`
-/// holds rows `k0..` of `B`. A short tile (`mr < MR`) reads its last real
-/// row of `op(A)` again for the missing ones and stores only the real
+/// holds rows `k0..` of `B` — or, when `first`, `C[i.., :] = …`, the block
+/// that starts a fresh output. A short tile (`mr < MR`) reads its last
+/// real row of `op(A)` again for the missing ones and stores only the real
 /// rows, so the hot loop has no row count in it.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn tile_body<const W: usize, const W2: usize, const TA: bool>(
+    first: bool,
     a: &[f32],
     lda: usize,
     i: usize,
     k0: usize,
     b_blk: &[f32],
     n: usize,
-    c_rows: &mut [f32],
+    c_rows: &mut [MaybeUninit<f32>],
 ) {
     let (mr, kb) = (c_rows.len() / n, b_blk.len() / n);
     let rows: [usize; MR] = std::array::from_fn(|r| i + r.min(mr - 1));
@@ -212,52 +305,81 @@ fn tile_body<const W: usize, const W2: usize, const TA: bool>(
         let xs = a[k0 * lda..(k0 + kb) * lda]
             .chunks_exact(lda)
             .map(|a_row| rows.map(|r| a_row[r]));
-        col_blocks::<W, W2>(xs, b_blk, n, c_rows)
+        col_blocks::<W, W2>(first, xs, b_blk, n, c_rows)
     } else {
         let [a0, a1, a2, a3] = rows.map(|r| &a[r * lda + k0..][..kb]);
         let xs =
             (a0.iter().zip(a1).zip(a2).zip(a3)).map(|(((&x0, &x1), &x2), &x3)| [x0, x1, x2, x3]);
-        col_blocks::<W, W2>(xs, b_blk, n, c_rows)
+        col_blocks::<W, W2>(first, xs, b_blk, n, c_rows)
     }
 }
 
-/// Sweep the tile's columns in register blocks of `2W`, then `W`, then
-/// single lanes; `xs` yields the tile's `MR` values of `op(A)` per `k` row.
+/// Sweep the tile's columns in register blocks of `2W`, then `W`, then (at
+/// 16 lanes) 8, then single lanes; `xs` yields the tile's `MR` values of
+/// `op(A)` per `k` row.
 #[inline(always)]
 fn col_blocks<const W: usize, const W2: usize>(
+    first: bool,
     xs: impl Iterator<Item = [f32; MR]> + Clone,
     b_blk: &[f32],
     n: usize,
-    c_rows: &mut [f32],
+    c_rows: &mut [MaybeUninit<f32>],
+) {
+    if first {
+        col_blocks_from::<W, W2, true>(xs, b_blk, n, c_rows)
+    } else {
+        col_blocks_from::<W, W2, false>(xs, b_blk, n, c_rows)
+    }
+}
+
+/// [`col_blocks`] with the accumulators starting at `0.0` (`FIRST`) or at
+/// what `C` holds.
+#[inline(always)]
+fn col_blocks_from<const W: usize, const W2: usize, const FIRST: bool>(
+    xs: impl Iterator<Item = [f32; MR]> + Clone,
+    b_blk: &[f32],
+    n: usize,
+    c_rows: &mut [MaybeUninit<f32>],
 ) {
     let mut j = 0;
     while j + W2 <= n {
-        col_block::<W2>(xs.clone(), b_blk, n, j, c_rows);
+        col_block::<W2, FIRST>(xs.clone(), b_blk, n, j, c_rows);
         j += W2;
     }
     if j + W <= n {
-        col_block::<W>(xs.clone(), b_blk, n, j, c_rows);
+        col_block::<W, FIRST>(xs.clone(), b_blk, n, j, c_rows);
         j += W;
     }
+    // A 16-lane tile's 8 to 15 last columns: one 8-lane block rather than
+    // 8 passes of one lane, each re-reading the tile's rows of `A`.
+    if W > 8 && j + 8 <= n {
+        col_block::<8, FIRST>(xs.clone(), b_blk, n, j, c_rows);
+        j += 8;
+    }
     while j < n {
-        col_block::<1>(xs.clone(), b_blk, n, j, c_rows);
+        col_block::<1, FIRST>(xs.clone(), b_blk, n, j, c_rows);
         j += 1;
     }
 }
 
-/// One `MR×NB` register block: accumulators loaded from `C`, one
-/// mul-then-add per `k` row in ascending order, stored back.
+/// One `MR×NB` register block: accumulators at `0.0` (`FIRST`) or loaded
+/// from `C`, one mul-then-add per `k` row in ascending order, stored.
 #[inline(always)]
-fn col_block<const NB: usize>(
+fn col_block<const NB: usize, const FIRST: bool>(
     xs: impl Iterator<Item = [f32; MR]>,
     b_blk: &[f32],
     n: usize,
     j: usize,
-    c_rows: &mut [f32],
+    c_rows: &mut [MaybeUninit<f32>],
 ) {
     let mut acc = [[0.0f32; NB]; MR];
-    for (acc_r, c_row) in acc.iter_mut().zip(c_rows.chunks_exact(n)) {
-        acc_r.copy_from_slice(&c_row[j..j + NB]);
+    if !FIRST {
+        for (acc_r, c_row) in acc.iter_mut().zip(c_rows.chunks_exact(n)) {
+            // SAFETY: outside a fresh output's first block, `C` is either
+            // the caller's initialised matrix or one whose first block
+            // stored every element.
+            *acc_r = unsafe { assume_init::<NB>(&c_row[j..j + NB]) };
+        }
     }
     for (x, b_row) in xs.zip(b_blk.chunks_exact(n)) {
         let b_lanes = &b_row[j..j + NB];
@@ -268,15 +390,34 @@ fn col_block<const NB: usize>(
         }
     }
     for (acc_r, c_row) in acc.iter().zip(c_rows.chunks_exact_mut(n)) {
-        c_row[j..j + NB].copy_from_slice(acc_r);
+        c_row[j..j + NB].write_copy_of_slice(acc_r);
     }
+}
+
+/// The first `N` elements of `c` as values.
+///
+/// # Safety
+/// They are initialised.
+#[inline(always)]
+unsafe fn assume_init<const N: usize>(c: &[MaybeUninit<f32>]) -> [f32; N] {
+    let c: &[MaybeUninit<f32>; N] = c[..N].try_into().unwrap();
+    // SAFETY: the caller guarantees the elements are initialised.
+    c.map(|x| unsafe { x.assume_init() })
 }
 
 /// `C = Aᵀ · B`, allocating the output (`A: k×m`, `B: k×n`, `C: m×n`).
 pub fn gemm_tn(a: &Mat, b: &Mat) -> Mat {
-    let mut c = Mat::zeros(a.cols(), b.cols());
-    gemm_tn_acc(a, b, &mut c);
-    c
+    let (k, m) = a.shape();
+    let (kb, n) = b.shape();
+    assert_eq!(k, kb, "gemm_tn: A is {k}x{m} but B is {kb}x{n}");
+    match fast_width(m, k, n) {
+        Some(w) => fresh::<true>(w, m, k, n, a.as_slice(), b.as_slice()),
+        None => {
+            let mut c = Mat::zeros(m, n);
+            gemm_tn_acc(a, b, &mut c);
+            c
+        }
+    }
 }
 
 /// `C += Aᵀ · B`.
@@ -292,12 +433,11 @@ pub fn gemm_tn_acc(a: &Mat, b: &Mat, c: &mut Mat) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    match kernels::mode() {
-        Mode::Scalar | Mode::Fast(Width::W1) => scalar_gemm_tn_acc(k, m, n, a_data, b_data, c),
-        Mode::Fast(Width::W4) => fast_acc::<4, 8, true>(k, n, a_data, b_data, c),
-        Mode::Fast(Width::W8) => fast_acc::<8, 16, true>(k, n, a_data, b_data, c),
+    let (a_data, b_data) = (a.as_slice(), b.as_slice());
+    match fast_width(m, k, n) {
+        // SAFETY: the fast tiles store only finished accumulators.
+        Some(w) => fast::<true>(w, k, n, a_data, b_data, unsafe { as_uninit(c) }, false),
+        None => scalar_gemm_tn_acc(k, m, n, a_data, b_data, c),
     }
 }
 
@@ -338,21 +478,25 @@ pub fn gemm_nt(a: &Mat, b: &Mat) -> Mat {
     let (m, k) = a.shape();
     let (n, kb) = b.shape();
     assert_eq!(k, kb, "gemm_nt: A is {m}x{k} but B is {n}x{kb}");
-    let mut c = Mat::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return c;
-    }
-    let a_data = a.as_slice();
-    match kernels::mode() {
-        Mode::Scalar | Mode::Fast(Width::W1) => scalar_gemm_nt(k, n, a_data, b.as_slice(), &mut c),
-        Mode::Fast(Width::W4) => {
-            fast_acc::<4, 8, false>(k, n, a_data, b.transpose().as_slice(), &mut c)
+    match fast_width(m, k, n) {
+        // The output is taken from the pool before the transposed `B`:
+        // the order of a warm-up epoch's fresh allocations moves peak
+        // memory (by 1.5 MB on `train-kernels` the other way round).
+        // SAFETY: as in `fresh`.
+        Some(w) => unsafe {
+            Mat::write_once(m, n, |c| {
+                let bt = b.transpose();
+                fast::<false>(w, k, n, a.as_slice(), bt.as_slice(), c, true)
+            })
+        },
+        None => {
+            let mut c = Mat::zeros(m, n);
+            if m > 0 && n > 0 && k > 0 {
+                scalar_gemm_nt(k, n, a.as_slice(), b.as_slice(), &mut c);
+            }
+            c
         }
-        Mode::Fast(Width::W8) => {
-            fast_acc::<8, 16, false>(k, n, a_data, b.transpose().as_slice(), &mut c)
-        }
     }
-    c
 }
 
 fn scalar_gemm_nt(k: usize, n: usize, a_data: &[f32], b_data: &[f32], c: &mut Mat) {
@@ -572,7 +716,7 @@ mod tests {
         let (g, w) = (a.clone(), b.transpose());
         let scalar_nt = with_mode(Mode::Scalar, || gemm_nt(&g, &w)).get(0, 0);
         assert!(scalar_nt.is_nan(), "scalar gemm_nt adds 0·∞");
-        for width in [Width::W4, Width::W8] {
+        for width in [Width::W4, Width::W8, Width::W16] {
             let [f_nn, f_tn, f_acc] = with_mode(Mode::Fast(width), run);
             assert!(f_nn.is_nan() && f_tn.is_nan(), "{width:?} adds 0·∞");
             assert_eq!(f_acc.to_bits(), 0.0f32.to_bits(), "{width:?}: -0 + 0·1");

@@ -6,7 +6,9 @@
 //! passed through ReLU so the reference's zero-skip really skips, and a
 //! non-zero `C` under the accumulating forms. Every width also runs under
 //! pool shares 1, 2 and 3 and inside a forced pooled job: neither the
-//! panel cut nor the runner count shows in the bits.
+//! panel cut nor the runner count shows in the bits. The allocating forms
+//! write their output once, never reading it first: on a workspace pool
+//! whose shelves hold NaN-filled buffers they still equal the reference.
 
 use proptest::prelude::*;
 use rayon::internals::run_pooled;
@@ -132,4 +134,56 @@ fn pooled_panels_are_bitwise_scalar() {
     assert_all_widths_bitwise(150, 300, 40, 99);
     // Tall enough that `gemm_tn`'s panel height follows the share.
     assert_all_widths_bitwise(40, 520, 24, 98);
+}
+
+/// Park NaN-filled buffers of the size class a `len`-element output is
+/// served from on the calling thread's shelf, so a kernel that read its
+/// fresh output before writing it would surface NaN.
+fn poison_shelf(len: usize) {
+    let bufs: Vec<Vec<f32>> = (0..4)
+        .map(|_| {
+            let mut v = rdm_dense::pool::take_empty(len);
+            v.resize(v.capacity(), f32::NAN);
+            v
+        })
+        .collect();
+    bufs.into_iter().for_each(rdm_dense::pool::give);
+}
+
+#[test]
+fn fresh_gemms_never_read_stale_pool_memory() {
+    // Shapes with lane tails at every width, one `k` block and three (the
+    // later blocks load what the first stored), and outputs tall enough
+    // for share 2 to split them across pool workers.
+    let modes = std::iter::once(Mode::Scalar).chain(Width::all().map(Mode::Fast));
+    for mode in modes {
+        for (m, k, n) in [(7, 5, 3), (70, 9, 16), (130, 300, 40), (65, 129, 67)] {
+            let (a, b) = (Mat::random(m, k, 1.0, 1), Mat::random(k, n, 1.0, 2));
+            let (at, bt) = (a.transpose(), b.transpose());
+            let want = with_mode(Mode::Scalar, || {
+                [gemm(&a, &b), gemm_tn(&at, &b), gemm_nt(&a, &bt)]
+            });
+            for share in [1, 2] {
+                let run = |f: &dyn Fn() -> Mat| {
+                    poison_shelf(m * n);
+                    with_share(share, || with_mode(mode, f))
+                };
+                let got = [
+                    run(&|| gemm(&a, &b)),
+                    run(&|| gemm_tn(&at, &b)),
+                    run(&|| gemm_nt(&a, &bt)),
+                ];
+                for (name, (g, w)) in ["gemm", "gemm_tn", "gemm_nt"]
+                    .iter()
+                    .zip(got.iter().zip(&want))
+                {
+                    assert_bitwise(
+                        g,
+                        w,
+                        &format!("{mode:?} share {share} {name} ({m}x{k}x{n})"),
+                    );
+                }
+            }
+        }
+    }
 }

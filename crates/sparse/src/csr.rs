@@ -98,6 +98,10 @@ pub struct Csr {
     /// `panels`: the adjacency is static across epochs, so each scan runs
     /// once per matrix.
     support: Memo<Vec<Vec<u32>>>,
+    /// Lazily computed per-row column-block boundaries, one table per
+    /// block width asked for (see [`Csr::col_segments`]). Cached exactly
+    /// like `panels`.
+    segments: Memo<Vec<u32>>,
 }
 
 /// An append-only, thread-safe memo of values derived from a matrix, one
@@ -219,6 +223,7 @@ impl Csr {
             vals,
             panels: Memo::new(),
             support: Memo::new(),
+            segments: Memo::new(),
         }
     }
 
@@ -329,6 +334,34 @@ impl Csr {
                         .collect()
                 })
                 .collect()
+        })
+    }
+
+    /// Where each row's nonzeros cross into the next block of `block`
+    /// columns: with `nb = ⌈cols / block⌉` blocks, row `r`'s nonzeros in
+    /// block `q` are `indptr[r] + s[q - 1] .. indptr[r] + s[q]`, where `s`
+    /// is the row's slice `[r·(nb−1), (r+1)·(nb−1))` of the returned table
+    /// and `s[−1] = 0`, `s[nb − 1]` is the row's length. Only the `nb − 1`
+    /// interior boundaries are stored, as `u32` offsets from the row start,
+    /// so the table holds `rows · (nb − 1)` entries.
+    ///
+    /// Computed on first use and cached per `block`, like
+    /// [`Csr::nnz_partition`] (the adjacency is static across epochs).
+    ///
+    /// # Panics
+    /// If `block == 0`.
+    pub fn col_segments(&self, block: usize) -> &[u32] {
+        assert!(block > 0, "column blocks must be non-empty");
+        self.segments.get(block, || {
+            let inner = self.cols.div_ceil(block).saturating_sub(1);
+            let mut table = Vec::with_capacity(self.rows * inner);
+            for r in 0..self.rows {
+                let cols = self.row(r).0;
+                table.extend(
+                    (1..=inner).map(|q| cols.partition_point(|&c| (c as usize) < q * block) as u32),
+                );
+            }
+            table
         })
     }
 
@@ -501,8 +534,9 @@ impl Csr {
     }
 
     /// `A[keep, keep]`, plus `I` when `self_loops`, into `out`, whose
-    /// buffers are reused (and whose cached partitions and supports are
-    /// dropped); each row's value sum lands in `scratch.degree`.
+    /// buffers are reused (and whose cached partitions, supports and
+    /// column segments are dropped); each row's value sum lands in
+    /// `scratch.degree`.
     ///
     /// One branchless pass per kept row: every entry of the source row is
     /// written at the output cursor as `(remap[c], v)`, and the cursor
@@ -566,6 +600,7 @@ impl Csr {
         out.cols = n;
         out.panels = Memo::new();
         out.support = Memo::new();
+        out.segments = Memo::new();
         let Csr {
             indptr,
             indices,
@@ -906,6 +941,20 @@ mod tests {
         let c = m.clone();
         assert_eq!(c.col_support(2), &a[..]);
         assert_eq!(m, c);
+    }
+
+    #[test]
+    fn col_segments_split_each_row_at_block_boundaries_and_are_cached() {
+        let m = sample();
+        // Blocks of 2 columns: {0, 1} and {2}; one interior boundary a row.
+        assert_eq!(m.col_segments(2), &[1, 0, 2, 1][..]);
+        // Blocks of 1 column: two interior boundaries a row.
+        assert_eq!(m.col_segments(1), &[1, 1, 0, 0, 1, 2, 0, 1][..]);
+        // One block: nothing to store.
+        assert!(m.col_segments(3).is_empty() && m.col_segments(8).is_empty());
+        let first = m.col_segments(2).as_ptr();
+        assert_eq!(m.col_segments(2).as_ptr(), first, "cached per block");
+        assert_eq!(m.clone().col_segments(2), m.col_segments(2));
     }
 
     #[test]

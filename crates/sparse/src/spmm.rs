@@ -4,25 +4,37 @@
 //! (`drive`): one task per cached nnz-balanced row panel, each panel one
 //! call of a panel body. The output is written **once**: every element
 //! starts from `0.0` in a register, accumulates its terms there and is
-//! stored a single time into an uninitialised pool buffer, so no SpMM
-//! zero-fills or reads its output (empty rows are stored as zeros). Like the dense GEMM kernels, the panel body has two
-//! implementations selected via [`rdm_dense::kernels`]: the scalar
-//! reference (one output element at a time, nonzeros ascending) and the
-//! default register-blocked fast path that walks each row in `SB`-by-`W`
-//! column strips, holding the strips' accumulators in registers across
-//! all of the row's nonzeros (the `SB` blocks per pass amortize each
-//! nonzero's column decode over `SB` vector FMAs). Per output element
-//! the accumulation order is nonzeros ascending from `0.0` in both, so at
-//! every width both entry points are **bitwise** the scalar ones (the
-//! scalar body skips nothing, so this holds for non-finite inputs too).
-//! Like the GEMM bodies, the fast panel body is compiled twice (baseline
-//! and `#[target_feature(enable = "avx2")]`, chosen at runtime) from one
-//! inlined body — one dispatch per panel, not per row — so the host
-//! changes speed, never bits. The edge mask is a const generic of the
-//! body, so the unmasked instantiation carries no per-nonzero test.
+//! stored into an uninitialised pool buffer, so no SpMM zero-fills its
+//! output (empty rows are stored as zeros). Like the dense GEMM kernels,
+//! the panel body has two implementations selected via
+//! [`rdm_dense::kernels`]: the scalar reference (one output element at a
+//! time, nonzeros ascending) and the default register-blocked fast path
+//! that walks each row in `SB`-by-`W` column strips, holding the strips'
+//! accumulators in registers across all of the row's nonzeros (the `SB`
+//! blocks per pass amortize each nonzero's column decode over `SB` vector
+//! FMAs).
+//!
+//! Where `B` is larger than L2 and `A` dense enough to reuse it, the fast
+//! path sweeps `A`'s columns in blocks whose rows of `B` fit in L2
+//! (`TILE`): block 0 stores every row of the panel, and each later block
+//! loads the partial sums of the rows it touches, continues them over its
+//! segment of the row's nonzeros (cached per matrix by
+//! [`Csr::col_segments`]) and stores them again. An unblocked product is
+//! the one-block case of the same body. Per output element the
+//! accumulation order is nonzeros ascending from `0.0` in every case, so
+//! at every width, blocked or not, both entry points are **bitwise** the
+//! scalar ones (the scalar body skips nothing, so this holds for
+//! non-finite inputs too). Each call runs at the width
+//! [`kernels::call_mode`] picks for its `n` (16 lanes only from
+//! `n ≥ SB·16 = 64`), and the fast panel body is compiled per
+//! [`kernels::Isa`] level — AVX-512 for the 16-lane body, AVX2 for the
+//! others, the baseline where neither runs — from one inlined body, one
+//! dispatch per panel, so the host changes speed, never bits. The edge
+//! mask is a const generic of the body, so the unmasked instantiation
+//! carries no per-nonzero test.
 
 use crate::csr::Csr;
-use rdm_dense::kernels::{self, Mode, Width};
+use rdm_dense::kernels::{self, Isa, Kernel, Mode, Width, SPMM_STRIPS as SB};
 use rdm_dense::Mat;
 use std::mem::MaybeUninit;
 use std::ops::Range;
@@ -52,7 +64,9 @@ pub fn spmm_masked(a: &Csr, b: &Mat, mask: &[bool]) -> Mat {
 }
 
 /// What every panel body reads: `A`'s arrays, the nonzero mask (ignored
-/// unless `MASKED`) and `B` with its width `n`.
+/// unless `MASKED`), `B` with its width `n`, and the `nb` column blocks
+/// `A` is swept in with their per-row boundaries `seg`
+/// ([`Csr::col_segments`]; empty when `nb = 1`).
 #[derive(Clone, Copy)]
 struct Operands<'a> {
     indptr: &'a [usize],
@@ -61,6 +75,56 @@ struct Operands<'a> {
     mask: &'a [bool],
     b: &'a [f32],
     n: usize,
+    nb: usize,
+    seg: &'a [u32],
+}
+
+impl Operands<'_> {
+    /// Positions of row `r`'s nonzeros in column block `q`.
+    #[inline(always)]
+    fn segment(&self, r: usize, q: usize) -> Range<usize> {
+        let nz = self.indptr[r]..self.indptr[r + 1];
+        if self.nb == 1 {
+            return nz;
+        }
+        let s = &self.seg[r * (self.nb - 1)..][..self.nb - 1];
+        let lo = if q == 0 { 0 } else { s[q - 1] as usize };
+        let hi = if q + 1 == self.nb {
+            nz.len()
+        } else {
+            s[q] as usize
+        };
+        nz.start + lo..nz.start + hi
+    }
+}
+
+/// Bytes of `B` one column block keeps resident: half of the 2 MiB per-core
+/// L2 of the Sapphire Rapids host the blocking was measured on, leaving the
+/// other half to `A`'s arrays and the output rows streaming past. On the
+/// `train-kernels` adjacency (20 000 rows, ~1.5 M nonzeros) at `n = 64`,
+/// single-threaded, blocks of 256 KiB took 18.7 ms, 512 KiB 12.7 ms,
+/// 1 MiB 10.3–12.1 ms and 1.5 MiB 11.4–13.9 ms, against 15.3–21.2 ms
+/// unblocked.
+const TILE: usize = 1 << 20;
+
+/// How many column blocks the fast SpMM sweeps a `rows × cols` matrix with
+/// `nnz` nonzeros in against an `n`-column `B`, and their width in rows of
+/// `B`: blocks of [`TILE`] bytes of `B`, used only when there are at least
+/// 4 nonzeros per row per block on average. Below that, each block's pass
+/// over the panel's rows costs more than the cache misses it saves: the
+/// thin ledger graph (5 nonzeros a row) went 5.0 → 12.1 ms at `n = 32` in
+/// 10 blocks and 1.8 → 3.2 ms at `n = 8` in 3, while `train-kernels`
+/// (~73 a row) went 15.3–21.2 → 10.3–12.1 ms in 5 and a 50 000-vertex,
+/// 1.0 M-edge graph (~2 M nonzeros) at `n = 32` 11.1 → 8.5 ms in 7. `(1, cols)` is the
+/// unblocked sweep.
+fn col_blocks(rows: usize, cols: usize, nnz: usize, n: usize) -> (usize, usize) {
+    let block = (TILE / (4 * n)).max(1);
+    let nb = cols.div_ceil(block);
+    if nb > 1 && nnz >= 4 * nb * rows {
+        (nb, block)
+    } else {
+        (1, cols)
+    }
 }
 
 /// The SpMM behind both entry points: `C = A·B`, using — when `MASKED` —
@@ -81,6 +145,14 @@ fn drive<const MASKED: bool>(what: &str, a: &Csr, b: &Mat, mask: &[bool]) -> Mat
     if m == 0 || n == 0 || a.nnz() == 0 {
         return Mat::zeros(m, n);
     }
+    // Kernel mode is read on the calling thread and captured by value;
+    // pool workers never consult their own thread-local.
+    let mode = kernels::call_mode(Kernel::Spmm, n);
+    // The scalar oracle sweeps every row in one block.
+    let (nb, block) = match mode {
+        Mode::Scalar | Mode::Fast(Width::W1) => (1, a.cols()),
+        Mode::Fast(_) => col_blocks(m, a.cols(), a.nnz(), n),
+    };
     let ops = Operands {
         indptr: a.indptr(),
         indices: a.indices(),
@@ -88,6 +160,8 @@ fn drive<const MASKED: bool>(what: &str, a: &Csr, b: &Mat, mask: &[bool]) -> Mat
         mask,
         b: b.as_slice(),
         n,
+        nb,
+        seg: if nb > 1 { a.col_segments(block) } else { &[] },
     };
     // One task per nnz-balanced row panel: boundaries are precomputed from
     // `indptr` (and cached on `A`, which is reused every epoch) so each task
@@ -96,44 +170,42 @@ fn drive<const MASKED: bool>(what: &str, a: &Csr, b: &Mat, mask: &[bool]) -> Mat
     // bit — is identical to a sequential sweep. Masks only thin work; the
     // cached partition is still the right upper bound.
     let bounds = a.nnz_partition(task_count(m));
-    // Kernel mode is read on the calling thread and captured by value;
-    // pool workers never consult their own thread-local.
-    let mode = kernels::mode();
-    let avx = kernels::avx2_available();
+    let isa = kernels::isa();
     let fill = |c: &mut [MaybeUninit<f32>]| {
         rayon::par_partition_mut(c, bounds, n, |t, panel| {
             let rows = bounds[t]..bounds[t + 1];
             match mode {
                 Mode::Scalar | Mode::Fast(Width::W1) => panel_body::<1, MASKED>(&ops, rows, panel),
-                Mode::Fast(Width::W4) => fast_panel::<4, MASKED>(avx, &ops, rows, panel),
-                Mode::Fast(Width::W8) => fast_panel::<8, MASKED>(avx, &ops, rows, panel),
+                Mode::Fast(Width::W4) => fast_panel::<4, MASKED>(isa, &ops, rows, panel),
+                Mode::Fast(Width::W8) => fast_panel::<8, MASKED>(isa, &ops, rows, panel),
+                Mode::Fast(Width::W16) => fast_panel::<16, MASKED>(isa, &ops, rows, panel),
             }
         })
     };
     // SAFETY: the panels tile the `m × n` output (`par_partition_mut`
-    // checks that `bounds` covers it), and `panel_body` stores every
-    // element of every row of its panel.
+    // checks that `bounds` covers it), and `panel_body`'s block 0 stores
+    // every element of every row of its panel.
     unsafe { Mat::write_once(m, n, fill) }
 }
 
-/// `W`-wide strips processed together per pass over a row's nonzeros:
-/// amortizes each nonzero's column decode over `SB` register blocks.
-const SB: usize = 4;
-
-/// One row panel of the fast kernel, compiled for AVX2 when `avx`.
+/// One row panel of the fast kernel, compiled for the level `isa` allows a
+/// `W`-lane body.
 #[inline]
 fn fast_panel<const W: usize, const MASKED: bool>(
-    avx: bool,
+    isa: Isa,
     ops: &Operands<'_>,
     rows: Range<usize>,
     c: &mut [MaybeUninit<f32>],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx {
-        // SAFETY: `avx` witnesses runtime AVX2 support.
-        return unsafe { fast_panel_avx2::<W, MASKED>(ops, rows, c) };
+    match isa.for_lanes(W) {
+        // SAFETY: `isa` is the running CPU's level (`kernels::isa`).
+        Isa::Avx512 => return unsafe { fast_panel_avx512::<W, MASKED>(ops, rows, c) },
+        // SAFETY: as above.
+        Isa::Avx2 => return unsafe { fast_panel_avx2::<W, MASKED>(ops, rows, c) },
+        Isa::Baseline => {}
     }
-    let _ = avx;
+    let _ = isa;
     panel_body::<W, MASKED>(ops, rows, c)
 }
 
@@ -147,76 +219,131 @@ fn fast_panel_avx2<const W: usize, const MASKED: bool>(
     panel_body::<W, MASKED>(ops, rows, c)
 }
 
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn fast_panel_avx512<const W: usize, const MASKED: bool>(
+    ops: &Operands<'_>,
+    rows: Range<usize>,
+    c: &mut [MaybeUninit<f32>],
+) {
+    panel_body::<W, MASKED>(ops, rows, c)
+}
+
 /// Rows `rows` of `C = A·B` into `c` (their `rows.len() · n` elements),
-/// each element stored once. A row is walked in `SB·W`-wide column strips
-/// (strips outer, nonzeros inner), then `W`-wide strips, then one column
-/// at a time for the `n % W` tail; `W = 1` is the scalar reference, which
-/// is that last loop alone. Per element the accumulation starts from
-/// `0.0` and runs over the nonzeros ascending — only strip traversal, not
-/// arithmetic order, differs between widths. When `MASKED`, the mask thins
-/// nonzeros without changing their order.
+/// one column block of `A` at a time. Block 0 starts every element at
+/// `0.0` and stores every row, also rows with no nonzero in it, so the
+/// whole panel is written after it; each later block skips rows with no
+/// nonzero in it and otherwise continues the row's stored sums over its
+/// segment. Blocks cut each row's ascending nonzeros into consecutive
+/// runs, so every element still sums its terms nonzeros ascending from
+/// `0.0`.
 #[inline(always)]
 fn panel_body<const W: usize, const MASKED: bool>(
     ops: &Operands<'_>,
     rows: Range<usize>,
     c: &mut [MaybeUninit<f32>],
 ) {
+    let n = ops.n;
+    for (r, c_row) in rows.clone().zip(c.chunks_exact_mut(n)) {
+        row_segment::<W, MASKED, true>(ops, ops.segment(r, 0), c_row);
+    }
+    for q in 1..ops.nb {
+        for (r, c_row) in rows.clone().zip(c.chunks_exact_mut(n)) {
+            let nz = ops.segment(r, q);
+            if !nz.is_empty() {
+                row_segment::<W, MASKED, false>(ops, nz, c_row);
+            }
+        }
+    }
+}
+
+/// One row's nonzeros at positions `nz` into its output row `c_row`,
+/// starting from `0.0` (`FIRST`) or from the sums `c_row` holds. The row
+/// is walked in `SB·W`-wide column strips (strips outer, nonzeros inner),
+/// then `W`-wide strips, then (at 16 lanes) one 8-wide strip, then one
+/// column at a time for the rest; `W = 1` is the scalar reference, which
+/// is that last loop alone. Only strip traversal, not arithmetic order,
+/// differs between widths.
+#[inline(always)]
+fn row_segment<const W: usize, const MASKED: bool, const FIRST: bool>(
+    ops: &Operands<'_>,
+    nz: Range<usize>,
+    c_row: &mut [MaybeUninit<f32>],
+) {
+    let n = ops.n;
+    let mut j = 0;
+    if W > 1 {
+        while j + SB * W <= n {
+            strips::<W, SB, MASKED, FIRST>(ops, nz.clone(), j, c_row);
+            j += SB * W;
+        }
+        while j + W <= n {
+            strips::<W, 1, MASKED, FIRST>(ops, nz.clone(), j, c_row);
+            j += W;
+        }
+        // A 16-lane row's 8 to 15 last columns: one 8-lane strip rather
+        // than 8 passes of one lane.
+        if W > 8 && j + 8 <= n {
+            strips::<8, 1, MASKED, FIRST>(ops, nz.clone(), j, c_row);
+            j += 8;
+        }
+    }
+    while j < n {
+        strips::<1, 1, MASKED, FIRST>(ops, nz.clone(), j, c_row);
+        j += 1;
+    }
+}
+
+/// Columns `j..j + S·L` of one output row over the nonzeros at positions
+/// `nz`: `S` strips of `L` lanes held in registers together across the
+/// nonzeros, ascending, each stored once. When `MASKED`, the mask thins
+/// nonzeros without changing their order.
+#[inline(always)]
+fn strips<const L: usize, const S: usize, const MASKED: bool, const FIRST: bool>(
+    ops: &Operands<'_>,
+    nz: Range<usize>,
+    j: usize,
+    c_row: &mut [MaybeUninit<f32>],
+) {
     let (n, b) = (ops.n, ops.b);
-    for (r, c_row) in rows.zip(c.chunks_exact_mut(n)) {
-        let nz = ops.indptr[r]..ops.indptr[r + 1];
-        let keep = if MASKED {
-            &ops.mask[nz.clone()]
-        } else {
-            ops.mask
-        };
-        let (cols, vals) = (&ops.indices[nz.clone()], &ops.vals[nz]);
-        let mut j = 0;
-        if W > 1 {
-            while j + SB * W <= n {
-                let mut acc = [[0.0f32; W]; SB];
-                for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
-                    if MASKED && !keep[i] {
-                        continue;
-                    }
-                    let base = k as usize * n + j;
-                    let b_blk = &b[base..base + SB * W];
-                    for (s, acc_s) in acc.iter_mut().enumerate() {
-                        for l in 0..W {
-                            acc_s[l] += v * b_blk[s * W + l];
-                        }
-                    }
-                }
-                c_row[j..j + SB * W].write_copy_of_slice(acc.as_flattened());
-                j += SB * W;
-            }
-            while j + W <= n {
-                let mut acc = [0.0f32; W];
-                for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
-                    if MASKED && !keep[i] {
-                        continue;
-                    }
-                    let base = k as usize * n + j;
-                    let b_blk = &b[base..base + W];
-                    for l in 0..W {
-                        acc[l] += v * b_blk[l];
-                    }
-                }
-                c_row[j..j + W].write_copy_of_slice(&acc);
-                j += W;
+    let keep = if MASKED {
+        &ops.mask[nz.clone()]
+    } else {
+        ops.mask
+    };
+    let (cols, vals) = (&ops.indices[nz.clone()], &ops.vals[nz]);
+    // SAFETY: outside block 0 (`!FIRST`), block 0 has stored every
+    // element of this row.
+    let mut acc: [[f32; L]; S] =
+        std::array::from_fn(|s| unsafe { start::<L, FIRST>(&c_row[j + s * L..]) });
+    for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
+        if MASKED && !keep[i] {
+            continue;
+        }
+        let base = k as usize * n + j;
+        let b_blk = &b[base..base + S * L];
+        for (s, acc_s) in acc.iter_mut().enumerate() {
+            for l in 0..L {
+                acc_s[l] += v * b_blk[s * L + l];
             }
         }
-        // Lane tail (`n % W` columns), or the whole row at `W = 1`:
-        // width-1 strips, same nnz order.
-        while j < n {
-            let mut acc = 0.0f32;
-            for (i, (&k, &v)) in cols.iter().zip(vals).enumerate() {
-                if !MASKED || keep[i] {
-                    acc += v * b[k as usize * n + j];
-                }
-            }
-            c_row[j].write(acc);
-            j += 1;
-        }
+    }
+    c_row[j..j + S * L].write_copy_of_slice(acc.as_flattened());
+}
+
+/// The accumulators a segment starts `c[..N]` from: `0.0` in block 0
+/// (`FIRST`), else the partial sums the blocks before it stored.
+///
+/// # Safety
+/// Unless `FIRST`, the first `N` elements of `c` are initialised.
+#[inline(always)]
+unsafe fn start<const N: usize, const FIRST: bool>(c: &[MaybeUninit<f32>]) -> [f32; N] {
+    if FIRST {
+        [0.0; N]
+    } else {
+        let c: &[MaybeUninit<f32>; N] = c[..N].try_into().unwrap();
+        // SAFETY: the caller guarantees the elements are initialised.
+        c.map(|x| unsafe { x.assume_init() })
     }
 }
 
@@ -382,6 +509,26 @@ mod tests {
             a.nnz_partition(8),
             &crate::balanced_panels(a.indptr(), 8)[..]
         );
+    }
+
+    #[test]
+    fn blocking_rule_on_the_ledger_shapes() {
+        // `(rows, cols, nnz, n)` of the ledger workloads' SpMMs at P = 2,
+        // with `nnz` their adjacency's estimate (symmetrized edges plus
+        // self-loops, before duplicates merge).
+        let blocks = |rows, cols, nnz, n| col_blocks(rows, cols, nnz, n).0;
+        // train-kernels: 20 000 vertices, 800 000 edges; features and
+        // hidden 128 (n = 64 per rank), 16 classes (n = 8).
+        assert_eq!(col_blocks(20_000, 20_000, 1_620_000, 64), (5, 4096));
+        assert_eq!(blocks(20_000, 20_000, 1_620_000, 8), 1);
+        // train-thin: 80 000 vertices, 160 000 edges; n = 32 and n = 8.
+        assert_eq!(blocks(80_000, 80_000, 400_000, 32), 1);
+        assert_eq!(blocks(80_000, 80_000, 400_000, 8), 1);
+        // serve-induced: at most 4096 vertices a batch, n = 32 — one
+        // block however dense the batch.
+        assert_eq!(blocks(4096, 4096, 4096 * 4096, 32), 1);
+        // Too narrow a `B` for even one block's worth of rows.
+        assert_eq!(col_blocks(10, 7, 70, 1), (1, 7));
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //! runs under pool shares 1, 2 and 3, each on a fresh matrix whose
 //! nnz-balanced panels are cut for that share, and inside a forced pooled
 //! job: neither the panel count nor the runner count shows in the bits.
+//! Matrices wide and dense enough to be swept in L2-sized column blocks
+//! are bitwise the unblocked reference too, whichever blocks a row's
+//! nonzeros fall in.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rayon::internals::run_pooled;
 use rdm_dense::kernels::{with_mode, Mode, Width};
 use rdm_dense::{with_share, Mat};
-use rdm_sparse::{spmm, spmm_masked, Coo, Csr};
+use rdm_sparse::{gcn_normalize_induced, spmm, spmm_masked, Coo, Csr, InduceScratch};
 use std::sync::Mutex;
 
 fn assert_bitwise(fast: &Mat, scalar: &Mat, label: &str) {
@@ -153,13 +156,102 @@ proptest! {
 #[test]
 fn hub_heavy_rmat_every_width() {
     // Power-law skew at several feature widths, including n < W and
-    // n % W != 0: the register-blocked traversal must agree with scalar
+    // n % W != 0 (88 = 64 + 16 + 8 walks every strip width of the
+    // 16-lane body): the register-blocked traversal must agree with scalar
     // under the exact panel partition spmm uses for skewed matrices.
     for (scale, edges, seed) in [(7u32, 1600usize, 3u64), (8, 4000, 4)] {
         let a = rmat_csr(scale, edges, seed);
-        for n in [1usize, 3, 8, 17, 40] {
+        for n in [1usize, 3, 8, 17, 40, 88] {
             let b = Mat::random(a.cols(), n, 1.0, seed + n as u64);
             assert_all_widths_bitwise(&a, &b, seed + 7, &format!("rmat2^{scale} n={n}"));
+        }
+    }
+}
+
+/// Rows of `B` per column block of the fast SpMM at feature width `n`:
+/// 1 MiB of `B` (`TILE` in `spmm.rs`).
+fn block_rows(n: usize) -> usize {
+    (1 << 20) / (4 * n)
+}
+
+/// A `rows × ⌈(nb − ½)·block⌉` matrix that the fast SpMM sweeps in `nb`
+/// column blocks at feature width `n` (the last one ragged), with every
+/// kind of row: empty (`r % 5 == 0`), nonzeros in the first block only
+/// (`1`), in the last block only (`2`), and spread over all blocks —
+/// 40 nonzeros a row, so the density guard (4 a row per block) passes.
+fn blocked_csr(rows: usize, n: usize, nb: usize, seed: u64) -> Csr {
+    let block = block_rows(n);
+    let cols = nb * block - block / 2;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut coo = Coo::new(rows, cols);
+    for r in 0..rows {
+        let span = match r % 5 {
+            0 => continue,
+            1 => 0..block,
+            2 => (nb - 1) * block..cols,
+            _ => 0..cols,
+        };
+        for _ in 0..40 {
+            coo.push(
+                r as u32,
+                rng.gen_range(span.clone()) as u32,
+                rng.gen_range(-1.0..1.0),
+            );
+        }
+    }
+    coo.to_csr()
+}
+
+#[test]
+fn blocked_spmm_is_bitwise_the_reference() {
+    // Two and three column blocks at feature widths below, at and above
+    // the 16-lane SpMM's 64, with lane tails; masked and unmasked, shares
+    // 1, 2 and 3 and pooled, every width — and the same shapes with no
+    // nonzero at all.
+    for n in [8usize, 19, 64, 67] {
+        for nb in [2usize, 3] {
+            let a = blocked_csr(30, n, nb, (n * nb) as u64);
+            assert!(a.nnz() >= 4 * nb * a.rows(), "n={n}: too sparse to block");
+            let b = Mat::random(a.cols(), n, 1.0, n as u64);
+            assert_all_widths_bitwise(&a, &b, 5, &format!("blocked nb={nb} n={n}"));
+            let empty = Csr::empty(a.rows(), a.cols());
+            assert_all_widths_bitwise(&empty, &b, 5, &format!("nnz=0 nb={nb} n={n}"));
+        }
+    }
+}
+
+#[test]
+fn arena_reuse_never_serves_a_stale_segment_table() {
+    // Three subgraphs of one 7 000-vertex graph — 5 000, 6 000, then a
+    // different 5 000 vertices — induced into one reused matrix. Each is
+    // swept in two column blocks at n = 64, so each SpMM needs its own
+    // segment table: one left from the previous subgraph is too short, or
+    // cuts rows at the previous rows' boundaries.
+    let (v, n) = (7_000usize, 64);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    let mut coo = Coo::new(v, v);
+    for r in 0..v as u32 {
+        for _ in 0..40 {
+            coo.push(r, rng.gen_range(0..v as u32), rng.gen_range(0.0..1.0));
+        }
+    }
+    let g = coo.to_csr();
+    let b = Mat::random(6_000, n, 1.0, 42);
+    let keeps: Vec<Vec<u32>> = [(5_000, 0), (6_000, 1), (5_000, 2)]
+        .iter()
+        .map(|&(len, skip)| (0..v as u32).filter(|x| x % 7 != skip).take(len).collect())
+        .collect();
+    let (mut scratch, mut arena) = (InduceScratch::default(), Csr::empty(0, 0));
+    for width in Width::all().into_iter().skip(1) {
+        for keep in &keeps {
+            gcn_normalize_induced(&g, keep, &mut scratch, &mut arena);
+            let mut fresh = Csr::empty(0, 0);
+            gcn_normalize_induced(&g, keep, &mut InduceScratch::default(), &mut fresh);
+            let bk = b.row_block(0, keep.len());
+            let label = format!("{width:?} {} vertices", keep.len());
+            let [reused, want] =
+                [&arena, &fresh].map(|a| with_mode(Mode::Fast(width), || spmm(a, &bk)));
+            assert_bitwise(&reused, &want, &label);
         }
     }
 }
@@ -242,12 +334,19 @@ fn fresh_spmm_never_reads_stale_pool_memory() {
             }
         }
     }
-    let matrices = [coo.to_csr(), Csr::empty(150, 20)];
+    // Plus matrices swept in two and three column blocks (a later block
+    // loads what block 0 stored, so block 0 must store every row).
+    let shapes = [
+        (coo.to_csr(), vec![1usize, 3, 5, 8, 13, 33, 40]),
+        (Csr::empty(150, 20), vec![1, 3, 5, 8, 13, 33, 40]),
+        (blocked_csr(30, 64, 2, 33), vec![64]),
+        (blocked_csr(30, 19, 3, 34), vec![19]),
+    ];
     let modes = std::iter::once(Mode::Scalar).chain(Width::all().map(Mode::Fast));
     for mode in modes {
-        for (ai, a) in matrices.iter().enumerate() {
+        for (ai, (a, widths)) in shapes.iter().enumerate() {
             let mask = mask_for(a, 32);
-            for n in [1usize, 3, 5, 8, 13, 33, 40] {
+            for &n in widths {
                 let b = Mat::random(a.cols(), n, 1.0, n as u64);
                 let len = a.rows() * n;
                 for share in [1, 2] {

@@ -12,7 +12,8 @@ mod common;
 
 use common::{check, dataset, report, trajectory, Config, System};
 use gnn_rdm::core::{Plan, TrainReport, TrainerConfig};
-use gnn_rdm::dense::part_range;
+use gnn_rdm::dense::{part_range, KernelMode, KernelWidth};
+use gnn_rdm::graph::DatasetSpec;
 use gnn_rdm::trace::{chrome, EventData, RankTrace, Span, TraceCollective};
 
 /// Traced blocking and pipelined runs at Table IV's corners.
@@ -107,6 +108,43 @@ fn lane_width_is_in_the_raw_export_only() {
     assert!(json(&scalar, false).contains("\"width\":1,"));
     assert!(!json(&fast, true).contains("\"width\""));
     assert_eq!(json(&fast, true), json(&scalar, true));
+}
+
+#[test]
+fn kernel_spans_report_the_width_each_call_ran() {
+    // A 16-lane mode is a ceiling: an SpMM runs 16 lanes only from
+    // n = 64 and a GEMM from n = 16, each dropping to 8 below, and the
+    // span names the width that ran. At P = 2 with 128 features, hidden
+    // 128 and 16 classes, the column-sliced SpMMs are 64 and 8 wide.
+    let ds = DatasetSpec::synthetic("w16", 160, 1200, 128, 16).instantiate(5);
+    let mut spmm_cols = Vec::new();
+    for id in [0, 15] {
+        let mut cfg = TrainerConfig::rdm(2, Plan::from_id(id, 2, 2))
+            .hidden(128)
+            .epochs(1)
+            .trace();
+        cfg.kernels = KernelMode::Fast(KernelWidth::W16);
+        for trace in report(&ds, cfg).traces.unwrap() {
+            for e in &trace.events {
+                match e.data {
+                    EventData::Begin(Span::Spmm { cols, width, .. }) => {
+                        let want = if cols >= 64 { 16 } else { 8 };
+                        assert_eq!(width, want, "plan {id}: Spmm{{cols: {cols}}}");
+                        spmm_cols.push(cols);
+                    }
+                    EventData::Begin(Span::Gemm { n, width, .. }) => {
+                        let want = if n >= 16 { 16 } else { 8 };
+                        assert_eq!(width, want, "plan {id}: Gemm{{n: {n}}}");
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    assert!(
+        spmm_cols.contains(&8) && spmm_cols.contains(&64),
+        "{spmm_cols:?}"
+    );
 }
 
 #[test]
