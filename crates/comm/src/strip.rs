@@ -12,14 +12,17 @@
 //! Wire format (one `Mat` of shape `(k+1) × (w+1)`, `k` = surviving rows):
 //!
 //! ```text
-//! [ bits(r)      0        0      ...  0      ]   header: original row count
-//! [ bits(id_0)   v(id_0,0) v(id_0,1) ...     ]   one row per surviving row
-//! [ bits(id_1)   v(id_1,0) ...               ]   ids strictly increasing
+//! [ bits(r)      bits(!r)  0      ...  0      ]   header: original row count
+//! [ bits(id_0)   v(id_0,0) v(id_0,1) ...      ]   one row per surviving row
+//! [ bits(id_1)   v(id_1,0) ...                ]   ids strictly increasing
 //! ```
 //!
 //! Row ids and the header ride in `f32` bit patterns (`f32::from_bits`),
 //! so the strip stays an ordinary `Mat` and flows through the fabric, the
 //! fault-injection envelope protocol and the chunk pipeline unchanged.
+//! The header repeats the row count complemented: a Row→Col receiver
+//! knows only the width, so a damaged count would otherwise unpack to a
+//! piece of another height.
 //!
 //! Packing is **adaptive**: a strip is produced only when it is strictly
 //! smaller than the dense piece (`(k+1)(w+1) < r·w` elements). Otherwise
@@ -77,7 +80,8 @@ pub(crate) fn pack_block(m: &Mat, rows: Range<usize>, cols: Range<usize>) -> Opt
     let fill = |out: &mut [MaybeUninit<f32>]| {
         let (header, body) = out.split_at_mut(w + 1);
         header[0].write(f32::from_bits(r as u32));
-        header[1..].fill(MaybeUninit::new(0.0));
+        header[1].write(f32::from_bits(!(r as u32)));
+        header[2..].fill(MaybeUninit::new(0.0));
         for (dst, &i) in body.chunks_exact_mut(w + 1).zip(&keep) {
             dst[0].write(f32::from_bits(i as u32));
             dst[1..].write_copy_of_slice(row(i));
@@ -126,9 +130,10 @@ impl<'a> Piece<'a> {
     /// # Panics
     /// If `msg` is neither a raw piece matching `expect` nor a well-formed
     /// strip consistent with it (shape off by more than the strip's `+1`,
-    /// a header contradicting `expect`, or row ids out of range or not
-    /// strictly increasing) — any of which means sender and receiver
-    /// disagree about the link geometry.
+    /// a header that does not check or contradicts `expect`, or row ids out
+    /// of range or not strictly increasing) — any of which means sender
+    /// and receiver disagree about the link geometry, or the strip was
+    /// damaged.
     pub fn unpack(msg: &'a Mat, expect: Expect) -> Self {
         let (rows, cols) = match expect {
             Expect::Cols(w) => {
@@ -142,20 +147,13 @@ impl<'a> Piece<'a> {
                     msg.cols(),
                     w + 1
                 );
-                assert!(msg.rows() >= 1, "strip lost its header row");
-                (msg.get(0, 0).to_bits() as usize, w)
+                (header(msg), w)
             }
             Expect::Rows(r) => {
                 if msg.rows() == r {
                     return Self::block(msg, 0..r, 0..msg.cols());
                 }
-                assert!(
-                    msg.rows() >= 1 && msg.cols() >= 1,
-                    "strip {}×{} cannot carry a header",
-                    msg.rows(),
-                    msg.cols()
-                );
-                let header = msg.get(0, 0).to_bits() as usize;
+                let header = header(msg);
                 assert_eq!(
                     header, r,
                     "strip header says {header} original rows, link expects {r}"
@@ -213,6 +211,22 @@ impl<'a> Piece<'a> {
             None => None,
         })
     }
+}
+
+/// The original row count a strip's header carries.
+///
+/// # Panics
+/// If `msg` has no room for a header, or its two copies disagree.
+fn header(msg: &Mat) -> usize {
+    assert!(
+        msg.rows() >= 1 && msg.cols() >= 2,
+        "strip {}×{} cannot carry a header",
+        msg.rows(),
+        msg.cols()
+    );
+    let r = msg.get(0, 0).to_bits();
+    assert_eq!(!r, msg.get(0, 1).to_bits(), "strip header is corrupt");
+    r as usize
 }
 
 /// Store one row [`Piece::rows`] yielded into `dst`: its values, or

@@ -65,9 +65,12 @@ impl Plan {
 /// Pick the best plan for a shape on `p` ranks at replication factor
 /// `r_a`: price every ordering on the schedule it runs, keep the
 /// Pareto-optimal ones (communication × SpMM ops), then rank them by the
-/// clock that books executed epochs — the slowest rank's modeled time —
-/// the automated version of the paper's "execute every Pareto-optimal
-/// candidate for a few epochs and keep the fastest".
+/// clock that books executed epochs — the slowest rank's modeled time of
+/// its priced book, FMAs, bytes and messages — the model-driven version of
+/// the paper's "execute every Pareto-optimal candidate for a few epochs
+/// and keep the fastest". The one selector: every quantity it reads is
+/// one the executed epoch books, so a trial epoch would measure nothing
+/// the price does not already know.
 ///
 /// `r_a` joins the pricing (group redistributions shrink while dense panel
 /// broadcasts appear), so the best ordering at `r_a < p` can differ from
@@ -121,14 +124,12 @@ pub struct PlanRequest<'a> {
     pub device: &'a DeviceModel,
 }
 
-/// A resolved request: the plan, the row occupancy `σ` it was priced at,
-/// and why each requested optimisation that will not run is inert.
+/// A resolved request: the plan, and why each requested optimisation that
+/// will not run is inert.
 #[derive(Debug)]
 pub struct Resolution {
-    /// `None` for algorithms that read no plan; the initial plan under
-    /// dynamic selection.
+    /// `None` for algorithms that read no plan.
     pub plan: Option<Plan>,
-    pub sigma: f64,
     pub overlap_inert: Option<&'static str>,
     pub sparse_inert: Option<&'static str>,
 }
@@ -146,7 +147,6 @@ pub fn resolve(req: &PlanRequest<'_>, shape: &GnnShape, adj: &Csr) -> Result<Res
     let p = req.p;
     let (rdm, explicit) = match req.algo {
         Algo::Rdm { plan } => (true, plan.as_ref()),
-        Algo::RdmDynamic { .. } => (true, None),
         Algo::Cagnet15D { c } => {
             check_replication(*c, p)?;
             (false, None)
@@ -186,7 +186,6 @@ pub fn resolve(req: &PlanRequest<'_>, shape: &GnnShape, adj: &Csr) -> Result<Res
     });
     let overlap_inert = req.overlap.and_then(|chunks| match req.algo {
         Algo::Rdm { .. } => overlap_inert_reason(chunks, p, r_a),
-        Algo::RdmDynamic { .. } => Some("dynamic selection runs the blocking path"),
         Algo::SaintRdm { .. } | Algo::SaintDdp { .. } | Algo::SaintMasked { .. } => {
             Some("SAINT trainers run the blocking path")
         }
@@ -199,7 +198,6 @@ pub fn resolve(req: &PlanRequest<'_>, shape: &GnnShape, adj: &Csr) -> Result<Res
     };
     Ok(Resolution {
         plan,
-        sigma,
         overlap_inert,
         sparse_inert,
     })
@@ -249,10 +247,13 @@ mod tests {
     /// The price selection reads is the book the engine keeps: for every
     /// 2- and 3-layer plan on each `(P, R_A)` grid, one fault-free,
     /// blocking, dense-wire epoch books exactly the priced `Redistribute`
-    /// and `Broadcast` bytes on every rank, and the priced SpMM and GEMM
-    /// FMAs summed over ranks. The nonzeros are unevenly spread over the
-    /// panels, which the price assumes balanced, so FMAs are compared as
-    /// totals.
+    /// and `Broadcast` bytes and the priced messages on every rank — its
+    /// conversions (`Redistribute` and the mask alignments' `Other`),
+    /// panel broadcasts, weight-gradient ring all-reduces, and the loss
+    /// boundary's scalar all-reduce, which the price books at
+    /// `Step::Loss` — and the priced SpMM and GEMM FMAs summed over ranks.
+    /// The nonzeros are unevenly spread over the panels, which the price
+    /// assumes balanced, so FMAs are compared as totals.
     #[test]
     fn selection_price_is_the_executed_book() {
         use crate::metrics::book_unit;
@@ -277,6 +278,11 @@ mod tests {
                         let booked = (book.comm.bytes(Redistribute), book.comm.bytes(Broadcast));
                         let expect = (priced.redistribute, priced.broadcast);
                         assert_eq!(booked, expect, "{what} rank {rank}: bytes");
+                        let messages = book.comm.total_messages() as f64;
+                        assert_eq!(
+                            messages, priced.book.messages,
+                            "{what} rank {rank}: messages"
+                        );
                     }
                     let spmm: f64 = books.iter().map(|b| b.ops.spmm_fma).sum();
                     let gemm: f64 = books.iter().map(|b| b.ops.gemm_fma).sum();
@@ -285,6 +291,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Selection is a fixed point of execution: at three P = 4 points (two
+    /// 2-layer, one 3-layer) one executed epoch of every Pareto plan
+    /// through `train_gcn` is fastest, slowest rank against slowest rank,
+    /// for the plan `best_plan` prices fastest — all a trial epoch could
+    /// have measured. Booking no messages, the price picked the slower
+    /// plan at all three (3, 3 and 9; EXPERIMENTS.md has the table).
+    #[test]
+    fn best_plan_runs_the_fastest_executed_epoch() {
+        use crate::trainer::{train_gcn, TrainerConfig};
+        let device = DeviceModel::a6000_pcie();
+        for (n, e, f, hidden, classes, layers) in [
+            (2000, 40_000, 128, 16, 8, 2),
+            (1500, 30_000, 256, 32, 4, 2),
+            (2000, 16_000, 32, 64, 8, 3),
+        ] {
+            let spec = rdm_graph::DatasetSpec::synthetic("fixed", n, e, f, classes);
+            let ds = spec.instantiate(1);
+            let shape = ds.shape_layers(hidden, layers);
+            let executed: Vec<(f64, usize)> = rdm_model::pareto_ids(&shape, 4, 4, 1.0)
+                .into_iter()
+                .map(|id| {
+                    let cfg = TrainerConfig::rdm(4, Plan::from_id(id, layers, 4));
+                    let cfg = cfg.hidden(hidden).layers(layers).epochs(1);
+                    (train_gcn(&ds, &cfg).unwrap().epochs[0].sim.total_s, id)
+                })
+                .collect();
+            let fastest = executed.iter().min_by(|a, b| a.0.total_cmp(&b.0));
+            let pick = best_plan(&shape, 4, 4, &device, 1.0).id();
+            assert_eq!(Some(pick), fastest.map(|t| t.1), "N {n}: {executed:?}");
+        }
+    }
+
+    /// The ledger's three auto-selecting workloads (`bench/`) keep their
+    /// plans: each Pareto set is one plan, so no book the price reads can
+    /// move them. Resolved as `train_gcn` and `serve` resolve them.
+    #[test]
+    fn ledger_workloads_keep_their_plans() {
+        let device = DeviceModel::a6000_pcie();
+        let synthetic = |n, e, f| rdm_graph::DatasetSpec::synthetic("ledger", n, e, f, 16);
+        // The pick, and the Pareto set it was picked from.
+        let pick = |shape: &GnnShape, adj: &Csr, p, ra, sparse| {
+            let algo = Algo::Rdm { plan: None };
+            let (overlap, device) = (None, &device);
+            let req = PlanRequest {
+                algo: &algo,
+                p,
+                ra,
+                sparse,
+                overlap,
+                device,
+            };
+            let plan = resolve(&req, shape, adj).unwrap().plan.unwrap();
+            let sigma = if sparse {
+                1.0 - adj.empty_row_fraction()
+            } else {
+                1.0
+            };
+            (plan.id(), rdm_model::pareto_ids(shape, p, plan.r_a, sigma))
+        };
+        let k = synthetic(20_000, 800_000, 128).instantiate(1);
+        let got = pick(&k.shape_layers(128, 2), &k.adj_norm, 2, None, false);
+        assert_eq!(got, (5, vec![5]), "train-kernels");
+        let grid = synthetic(100_000, 50_000, 128).instantiate(1);
+        let grid = grid.with_row_aggregation();
+        let got = pick(&grid.shape_layers(16, 2), &grid.adj_norm, 4, Some(2), true);
+        assert_eq!(got, (10, vec![10]), "train-grid-sparse");
+        // serve-induced prices its 4096-vertex batches.
+        let serve = synthetic(50_000, 500_000, 64).instantiate(1);
+        let nnz = (serve.adj_norm.nnz() * 4096 / 50_000).max(4096);
+        let batch = GnnShape::gcn(4096, nnz, 64, 64, 16, 2);
+        let got = pick(&batch, &serve.adj_norm, 2, None, false);
+        assert_eq!(got, (5, vec![5]), "serve-induced");
     }
 
     #[test]
@@ -333,11 +413,13 @@ mod ra_selection_tests {
     /// Sigma repricing composes with `r_a`: on this tall skinny shape the
     /// dense full-replication pick is ID 10, but halving the expected row
     /// occupancy flips it to ID 3 — while the `r_a = 2` pick is ID 3
-    /// under both pricings (its broadcast share stays dense).
+    /// under both pricings (its broadcast share stays dense). Degree 20:
+    /// at degree 10 the messages plan 3's extra conversions send already
+    /// cost it the σ = 0.5 pick.
     #[test]
     fn sigma_repricing_composes_with_replication_factor() {
         let device = DeviceModel::a6000_pcie();
-        let shape = GnnShape::gcn(50_000, 500_000, 512, 8, 4, 2);
+        let shape = GnnShape::gcn(50_000, 1_000_000, 512, 8, 4, 2);
         assert_eq!(best_plan(&shape, 4, 4, &device, 1.0).id(), 10);
         assert_eq!(best_plan(&shape, 4, 4, &device, 0.5).id(), 3);
         for sigma in [1.0, 0.5] {

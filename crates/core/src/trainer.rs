@@ -8,8 +8,7 @@
 //! plan, loss, backward, Adam. GraphSAINT-DDP trains local subgraphs
 //! serially and all-reduces their gradients ([`crate::saint`]).
 //! [`train_gcn`] drives every algorithm through one per-rank trainer
-//! interface: an epoch, the weights, the plan id, and a post-epoch hook
-//! that only dynamic selection uses.
+//! interface: an epoch, the weights and the plan id.
 
 use crate::adam::Adam;
 use crate::dist::{DistMat, FormCache};
@@ -19,12 +18,12 @@ use crate::metrics::{book_unit, session, EpochMetrics, RankEpoch, TrainReport};
 use crate::ops::{dist_gemm, weight_grad, OpCounters, Topology};
 use crate::plan::{Plan, PlanRequest, Resolution};
 use crate::saint::{SaintDdpTrainer, SaintMaskedTrainer, SaintRdmTrainer};
-use rdm_comm::{CollectiveKind, CommStats, FaultPlan, RankCtx};
+use rdm_comm::{FaultPlan, RankCtx};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::{relu_backward_in_place, Mat};
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_graph::SaintSampler;
-use rdm_model::{DeviceModel, MeasuredRank};
+use rdm_model::DeviceModel;
 use rdm_trace::Span;
 
 /// Which distributed GNN system to run.
@@ -33,11 +32,6 @@ pub enum Algo {
     /// The paper's contribution. `plan: None` selects the best
     /// Pareto-optimal configuration with the device model (§IV-B).
     Rdm { plan: Option<Plan> },
-    /// The paper's *dynamic* selection (§IV-B): run every Pareto-optimal
-    /// configuration for `trial_epochs` epochs, measure, and keep the
-    /// fastest for the remaining epochs. Training proceeds during the
-    /// trials (they are real epochs, exactly as the paper describes).
-    RdmDynamic { trial_epochs: usize },
     /// CAGNET 1D (broadcast SpMM).
     Cagnet1D,
     /// CAGNET 1.5D with replication factor `c`.
@@ -59,7 +53,6 @@ impl Algo {
         match self {
             Algo::Rdm { plan: Some(pl) } => format!("RDM(id={})", pl.id()),
             Algo::Rdm { plan: None } => "RDM(auto)".to_string(),
-            Algo::RdmDynamic { trial_epochs } => format!("RDM(dynamic,trials={trial_epochs})"),
             Algo::Cagnet1D => "CAGNET-1D".to_string(),
             Algo::Cagnet15D { c } => format!("CAGNET-1.5D(c={c})"),
             Algo::Dgcl => "DGCL-like".to_string(),
@@ -93,13 +86,13 @@ pub struct TrainerConfig {
     /// bytes are bit-identical to blocking, and the hidden communication
     /// time lands in [`EpochMetrics::overlap_ns`].
     pub overlap: Option<usize>,
-    /// Adjacency replication factor for RDM plans (`Algo::Rdm` and
-    /// `Algo::RdmDynamic`): `Some(r)` prices every candidate ordering at
-    /// `price_plan(shape, cfg, p, r, σ)` — the group-redistribution and
-    /// panel-broadcast terms participate in the selection — and the chosen
-    /// plan carries `r_a = r`. `None` selects at full replication. Must
-    /// divide `P`; an explicit plan with a different `r_a`, or an
-    /// algorithm that reads no plan, is an error
+    /// Adjacency replication factor for RDM plans (`Algo::Rdm`): `Some(r)`
+    /// selects through [`crate::plan::best_plan`] at `r_a = r` — every
+    /// candidate ordering priced on its schedule at that grid, its group
+    /// redistributions, panel broadcasts and their messages included — and
+    /// the chosen plan carries `r_a = r`. `None` selects at full
+    /// replication. Must divide `P`; an explicit plan with a different
+    /// `r_a`, or an algorithm that reads no plan, is an error
     /// ([`crate::plan::resolve`]).
     pub ra: Option<usize>,
     /// Record a per-rank structured event trace of the run into
@@ -130,11 +123,6 @@ impl TrainerConfig {
     /// RDM with model-driven plan selection.
     pub fn rdm_auto(p: usize) -> Self {
         Self::base(Algo::Rdm { plan: None }, p)
-    }
-
-    /// RDM with measurement-driven dynamic selection over the Pareto set.
-    pub fn rdm_dynamic(p: usize, trial_epochs: usize) -> Self {
-        Self::base(Algo::RdmDynamic { trial_epochs }, p)
     }
 
     /// CAGNET 1.5D (the variant the paper benchmarks against) with `c = 2`
@@ -283,14 +271,10 @@ pub(crate) trait Trainer {
     /// epochs are done.
     fn weights(&self) -> &GcnWeights;
 
-    /// The Table-IV ordering the last epoch ran (RDM trainers only).
+    /// The Table-IV ordering the epochs run (RDM trainers only).
     fn plan_id(&self) -> Option<usize> {
         None
     }
-
-    /// Runs after the epoch's closing barrier with what this rank measured
-    /// in it; only dynamic selection uses it.
-    fn post_epoch(&mut self, _ctx: &RankCtx, _ops: &OpCounters, _comm: &CommStats) {}
 }
 
 /// Set up this rank's trainer for `cfg.algo`.
@@ -301,9 +285,7 @@ fn setup<'a>(
     ctx: &RankCtx,
 ) -> Box<dyn Trainer + 'a> {
     match cfg.algo {
-        Algo::Rdm { .. } | Algo::RdmDynamic { .. } => {
-            Box::new(RdmTrainer::setup(ds, cfg, resolved, ctx))
-        }
+        Algo::Rdm { .. } => Box::new(RdmTrainer::setup(ds, cfg, resolved, ctx)),
         Algo::Cagnet1D | Algo::Cagnet15D { .. } => {
             Box::new(crate::cagnet::setup(ds, cfg, resolved, ctx))
         }
@@ -464,7 +446,7 @@ impl<A: RowAggregation> Trainer for RowTrainer<A> {
     }
 }
 
-/// Full-batch RDM under a fixed plan, or under dynamic selection.
+/// Full-batch RDM under one plan.
 struct RdmTrainer<'a> {
     plan: Plan,
     topo: Topology<'a>,
@@ -473,69 +455,7 @@ struct RdmTrainer<'a> {
     input: FormCache,
     model: Model,
     targets: Targets,
-    dynamic: Option<DynSelect>,
     overlap: Option<OverlapSpec>,
-}
-
-/// Measurement-driven configuration selection (§IV-B): cycle through the
-/// Pareto candidates for a few epochs each, score them on globally
-/// all-reduced op/byte counts with the device model, then lock in the
-/// fastest. All ranks reach the same decision because they score the same
-/// aggregated measurements.
-struct DynSelect {
-    candidates: Vec<rdm_model::OrderConfig>,
-    trial_epochs: usize,
-    epoch_no: usize,
-    /// Simulated seconds accumulated per candidate during its trials.
-    scores: Vec<f64>,
-    chosen: Option<usize>,
-    device: DeviceModel,
-}
-
-impl DynSelect {
-    /// The candidate on trial this epoch.
-    fn trial(&self) -> usize {
-        (self.epoch_no / self.trial_epochs).min(self.candidates.len() - 1)
-    }
-
-    /// The configuration this epoch runs: its trial, or the winner.
-    fn current(&self) -> &rdm_model::OrderConfig {
-        &self.candidates[self.chosen.unwrap_or_else(|| self.trial())]
-    }
-
-    /// Score the finished trial epoch from globally aggregated
-    /// measurements, and decide once all trials are done.
-    fn score(&mut self, ctx: &RankCtx, ops: &OpCounters, comm: &CommStats) {
-        if self.chosen.is_some() {
-            return;
-        }
-        // Aggregate this epoch's cost across ranks so every rank scores
-        // identically (local byte counts differ by partition remainders).
-        let measured = [
-            ops.spmm_fma as f32,
-            ops.gemm_fma as f32,
-            comm.total_bytes() as f32,
-            comm.total_messages() as f32,
-        ];
-        let local = Mat::from_fn(1, 4, |_, j| measured[j]);
-        let total = ctx.all_reduce_sum(local, CollectiveKind::AllReduce);
-        let p = ctx.size() as f64;
-        let mean = |j| total.get(0, j) as f64 / p;
-        let trial = self.trial();
-        let mean_rank = MeasuredRank {
-            spmm_fma: mean(0),
-            gemm_fma: mean(1),
-            bytes_sent: mean(2),
-            messages: mean(3),
-            hidden_ns: 0,
-        };
-        self.scores[trial] += self.device.rank_time(&mean_rank).total_s;
-        self.epoch_no += 1;
-        if self.epoch_no >= self.candidates.len() * self.trial_epochs {
-            let s = &self.scores;
-            self.chosen = (0..s.len()).min_by(|&a, &b| s[a].total_cmp(&s[b]));
-        }
-    }
 }
 
 impl<'a> RdmTrainer<'a> {
@@ -546,51 +466,22 @@ impl<'a> RdmTrainer<'a> {
             Some(t) => Topology::new_asym(&ds.adj_norm, t, plan.r_a, ctx),
         };
         topo.set_sparse(cfg.sparse);
-        let dynamic = match cfg.algo {
-            Algo::RdmDynamic { trial_epochs } => {
-                // Candidates are priced as the initial plan was: at the
-                // replication factor and row occupancy the trials execute
-                // with.
-                let shape = ds.shape_layers(cfg.hidden, cfg.layers);
-                let candidates: Vec<_> =
-                    rdm_model::pareto_configs(&shape, cfg.p, plan.r_a, resolved.sigma)
-                        .into_iter()
-                        .map(|c| c.config)
-                        .collect();
-                Some(DynSelect {
-                    scores: vec![0.0; candidates.len()],
-                    candidates,
-                    trial_epochs: trial_epochs.max(1),
-                    epoch_no: 0,
-                    chosen: None,
-                    device: cfg.device,
-                })
-            }
-            _ => None,
-        };
-        // Dynamic selection scores candidates on message counts, which
-        // chunking multiplies; keep its trials on the blocking path.
-        let overlap = cfg.overlap.filter(|_| dynamic.is_none());
         RdmTrainer {
             input: input_cache(&ds.features, &topo, ctx),
             model: Model::new(ds, cfg),
             targets: Targets::of(ds),
-            overlap: overlap.map(|chunks| OverlapSpec {
+            overlap: cfg.overlap.map(|chunks| OverlapSpec {
                 chunks,
                 device: cfg.device,
             }),
             plan,
             topo,
-            dynamic,
         }
     }
 }
 
 impl Trainer for RdmTrainer<'_> {
     fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
-        if let Some(dy) = &self.dynamic {
-            self.plan.config = dy.current().clone();
-        }
         let (loss, acc) = self.model.rdm_step(
             ctx,
             &self.topo,
@@ -611,12 +502,6 @@ impl Trainer for RdmTrainer<'_> {
 
     fn plan_id(&self) -> Option<usize> {
         Some(self.plan.id())
-    }
-
-    fn post_epoch(&mut self, ctx: &RankCtx, ops: &OpCounters, comm: &CommStats) {
-        if let Some(dy) = &mut self.dynamic {
-            dy.score(ctx, ops, comm);
-        }
     }
 }
 
@@ -688,11 +573,6 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
         for idx in 0..cfg.epochs {
             let ((loss, train_acc, test_acc), book) =
                 book_unit(ctx, Span::Epoch { idx }, |ops| trainer.epoch(ctx, ops));
-            // Dynamic selection scores the epoch on globally aggregated
-            // measurements; its own small all-reduce runs after the closing
-            // barrier, outside the book (the paper does not model selection
-            // overhead).
-            trainer.post_epoch(ctx, &book.ops, &book.comm);
             epochs.push(RankEpoch {
                 loss,
                 train_acc,
@@ -749,7 +629,7 @@ pub(crate) fn on_ranks<T: Send>(
 mod tests {
     use super::*;
     use rdm_comm::{Cluster, Form};
-    use rdm_graph::dataset::{toy, DatasetSpec};
+    use rdm_graph::dataset::toy;
 
     /// The schedule never writes `H⁰`: epochs borrow the input's row and
     /// tile buffers and hand the same buffers back, unchanged and uncopied.
@@ -859,26 +739,6 @@ mod tests {
         }
     }
 
-    /// Dynamic selection trials the Pareto set its initial plan was priced
-    /// from: at `R_A < P` on the indexed wire, the σ-priced set. The raw
-    /// (symmetric, self-loop-free) adjacency keeps isolated vertices' rows
-    /// empty, so σ < 1.
-    #[test]
-    fn dynamic_selection_trials_the_sigma_priced_pareto_set() {
-        let mut ds = DatasetSpec::synthetic("isolated", 256, 100, 128, 41).instantiate(1);
-        ds.adj_norm = ds.adj.clone();
-        let sigma = 1.0 - ds.adj_norm.empty_row_fraction();
-        let shape = ds.shape_layers(64, 2);
-        let priced = rdm_model::pareto_ids(&shape, 4, 2, sigma);
-        let dense = rdm_model::pareto_ids(&shape, 4, 2, 1.0);
-        assert_ne!(dense, priced, "sigma = {sigma} must separate the sets");
-        let cfg = TrainerConfig::rdm_dynamic(4, 1).ra(2).sparse().hidden(64);
-        for e in train_gcn(&ds, &cfg.epochs(3)).unwrap().epochs {
-            let id = e.plan_id.expect("RDM epochs carry a plan id");
-            assert!(priced.contains(&id), "epoch {} ran {id}", e.epoch);
-        }
-    }
-
     #[test]
     fn rdm_full_batch_trains_to_high_accuracy() {
         let ds = toy(300, 1);
@@ -973,53 +833,6 @@ mod tests {
             let report = train_gcn(&ds, &cfg.epochs(2).hidden(8)).unwrap();
             assert_eq!(report.epochs.len(), 2);
             assert!(report.epochs[1].test_acc >= 0.0);
-        }
-    }
-
-    #[test]
-    fn dynamic_selection_converges_to_one_pareto_plan() {
-        let ds = toy(200, 11);
-        // toy widths (16, hidden, 4): with hidden=16 the pareto set has
-        // more than one candidate, so the trial phase is visible.
-        let cfg = TrainerConfig::rdm_dynamic(4, 2).hidden(16).epochs(12);
-        let report = train_gcn(&ds, &cfg).unwrap();
-        let shape = rdm_model::GnnShape {
-            n: ds.n(),
-            nnz: ds.adj_norm.nnz(),
-            feats: vec![16, 16, 4],
-        };
-        let pareto = rdm_model::pareto_ids(&shape, 4, 4, 1.0);
-        // Every epoch ran some pareto candidate.
-        for e in &report.epochs {
-            let id = e.plan_id.expect("RDM epochs carry a plan id");
-            assert!(
-                pareto.contains(&id),
-                "epoch {} ran non-pareto {id}",
-                e.epoch
-            );
-        }
-        // After the trial phase the plan stays fixed.
-        let trials = pareto.len() * 2;
-        if trials < 12 {
-            let chosen = report.epochs[trials].plan_id;
-            for e in &report.epochs[trials..] {
-                assert_eq!(e.plan_id, chosen, "plan changed after selection");
-            }
-        }
-        // Training still works through the plan switches.
-        assert!(report.epochs.last().unwrap().loss < report.epochs[0].loss);
-    }
-
-    #[test]
-    fn dynamic_and_static_reach_same_losses() {
-        // Plan choice never changes the math, only the cost — so dynamic
-        // selection must follow the same loss trajectory.
-        let ds = toy(150, 12);
-        let dynamic =
-            train_gcn(&ds, &TrainerConfig::rdm_dynamic(4, 1).hidden(8).epochs(6)).unwrap();
-        let fixed = train_gcn(&ds, &TrainerConfig::rdm_auto(4).hidden(8).epochs(6)).unwrap();
-        for (a, b) in dynamic.epochs.iter().zip(&fixed.epochs) {
-            assert!((a.loss - b.loss).abs() < 2e-3, "{} vs {}", a.loss, b.loss);
         }
     }
 

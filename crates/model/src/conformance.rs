@@ -19,10 +19,10 @@
 //! counts). At `R_A < P` redistributions are group-scoped (priced by the
 //! replicated-panel geometry of Fig. 6) and every panel SpMM carries the
 //! column group's dense tile broadcast, which the extractor books as one
-//! [`SchedEvent::Broadcast`] per product, after its SpMM. Traffic the
-//! schedule does not price (loss/accuracy scalar all-reduces, dynamic
-//! selection) appears in traces as bare `Collective` events outside any
-//! span and is ignored by the extractor. [`predict_epoch`] takes
+//! [`SchedEvent::Broadcast`] per product, after its SpMM. The loss
+//! boundary's scalar all-reduce, whose bytes the schedule does not price,
+//! appears in traces as bare `Collective` events outside any span and is
+//! ignored by the extractor. [`predict_epoch`] takes
 //! `(p, r_a)` plus the per-panel adjacency nonzero counts — full
 //! replication is `r_a = p` with one panel — and errors on inputs outside
 //! its scope instead of silently assuming full replication.
@@ -139,7 +139,8 @@ impl fmt::Display for Violation {
 
 /// Prices a schedule on one rank of the `p/r_a × r_a` grid: the
 /// schedule-level events each [`Step`] produces there, with this rank's
-/// byte and shape geometry.
+/// byte and shape geometry, and the messages the blocking collectives send
+/// for them.
 pub(crate) struct Pricer {
     /// Vertex count.
     n: usize,
@@ -151,6 +152,12 @@ pub(crate) struct Pricer {
     /// backward SpMMs multiply.
     nnz: (usize, usize),
     pub(crate) events: Vec<SchedEvent>,
+    /// Messages this rank sends on the blocking schedule: one per
+    /// row-group peer for each conversion (an empty piece is still sent),
+    /// one per other panel for each panel broadcast, `2(p-1)` for each
+    /// ring all-reduce, and `p-1` for the loss boundary's scalar
+    /// all-reduce (an all-gather; the same for every plan).
+    pub(crate) messages: usize,
 }
 
 impl Pricer {
@@ -195,6 +202,7 @@ impl Pricer {
             rank,
             nnz: (panel_nnz[rank / r_a], panel_nnz_t[rank / r_a]),
             events: Vec::new(),
+            messages: 0,
         })
     }
 
@@ -258,6 +266,7 @@ impl Pricer {
             Form::Col => self.row_to_col_bytes(f),
             Form::Row => self.col_to_row_bytes(f),
         };
+        self.messages += self.r_a - 1;
         self.events.push(SchedEvent::Redist {
             from: to.other(),
             to,
@@ -276,6 +285,7 @@ impl Pricer {
         self.events.push(SchedEvent::Spmm { rows, cols, nnz });
         if panels > 1 {
             let bytes = ((panels - 1) * rows * cols * 4) as u64;
+            self.messages += panels - 1;
             self.events.push(SchedEvent::Broadcast { bytes });
         }
     }
@@ -315,9 +325,11 @@ impl Pricer {
                         k: self.rows_r(),
                     });
                     let bytes = self.ring_bytes(f_in, f_out);
+                    self.messages += 2 * (self.p - 1);
                     self.events.push(SchedEvent::AllReduce { bytes });
                 }
-                Step::Relu { .. } | Step::ReluMask { .. } | Step::Loss | Step::Free { .. } => {}
+                Step::Loss => self.messages += self.p - 1,
+                Step::Relu { .. } | Step::ReluMask { .. } | Step::Free { .. } => {}
             }
         }
     }
@@ -608,8 +620,8 @@ pub(crate) fn walk_schedule(
 
 /// Reduce one rank's recorded trace to the schedule-level events of epoch
 /// `epoch`. Bare `Collective` sends outside a redistribution/all-reduce
-/// span (loss and accuracy scalar reductions, dynamic-selection traffic)
-/// are ignored, as are `Retry` and `OverlapStrip` instants.
+/// span (the loss boundary's scalar reduction) are ignored, as are
+/// `Retry` and `OverlapStrip` instants.
 ///
 /// Attribution is kind-aware: a redistribution frame books only sends of
 /// its own collective kind, while `Broadcast`-kind sends — the replicated

@@ -3,10 +3,11 @@
 //! A plan is priced on the schedule the engine runs: [`price_plan`]
 //! expands its [`schedule`] once and prices the step list on every rank of
 //! the `p/r_a × r_a` grid, into Table IV's three quantities ([`Cost`]) and
-//! each rank's book as the clock reads it ([`MeasuredRank`]). The Pareto
-//! filter and every selection read that one price, at the replication
-//! factor `r_a` and row-occupancy factor `sigma` they execute with
-//! (`r_a = p, sigma = 1.0` is the paper's dense, fully replicated case).
+//! each rank's book as the clock reads it ([`MeasuredRank`]: FMAs, bytes
+//! and messages). The Pareto filter reads the first (volume × SpMM ops),
+//! selection the second, both at the replication factor `r_a` and
+//! row-occupancy factor `sigma` they execute with (`r_a = p, sigma = 1.0`
+//! is the paper's dense, fully replicated case).
 //!
 //! [`config_cost`] composes the paper's per-layer rules (Tables II–IV)
 //! instead. It is the oracle the priced schedule is checked against, and
@@ -177,8 +178,9 @@ pub struct RankPrice {
     pub redistribute: u64,
     /// Bytes of this rank's panel broadcasts (`R_A < P` only).
     pub broadcast: u64,
-    /// What the clock reads: FMAs, and every byte the list sends, with
-    /// `sigma` applied to the conversions.
+    /// What the clock reads: FMAs, every byte the list sends (with
+    /// `sigma` applied to the conversions), and the messages the blocking
+    /// collectives send for it, the loss boundary's included.
     pub book: MeasuredRank,
 }
 
@@ -200,7 +202,7 @@ pub struct PlanPrice {
 /// `sigma`, the expected fraction of intermediate rows that carry data
 /// (`1.0` on the dense wire), scales the Row↔Col conversions only — op
 /// counts, panel broadcasts and weight-gradient all-reduces do not ride
-/// the indexed wire.
+/// the indexed wire, and a packed piece is still one message.
 ///
 /// # Panics
 /// If `r_a` does not divide `p`, `sigma` is outside `[0, 1]`, or `shape`
@@ -227,6 +229,7 @@ pub fn price_plan(
                 .unwrap_or_else(|e| panic!("{e}"));
             pricer.price(&steps);
             let (mut r, mut converted, mut rest) = (RankPrice::default(), 0, 0);
+            r.book.messages = pricer.messages as f64;
             for e in pricer.events {
                 match e {
                     SchedEvent::Redist { kind, bytes, .. } => {

@@ -6,10 +6,9 @@
 //! rdm-train --edge-list graph.txt --algo dgcl --ranks 4
 //! ```
 //!
-//! Algorithms: `rdm` (model-selected plan), `rdm:<id>` (explicit Table-IV
-//! ordering), `rdm-dynamic:<trial-epochs>` (measure Pareto candidates,
-//! keep the fastest — §IV-B), `cagnet1d`, `cagnet15d:<c>`, `dgcl`,
-//! `saint-rdm`, `saint-ddp`, `masked:<keep>`.
+//! Algorithms: `rdm` (the Pareto candidate whose priced epoch is fastest —
+//! §IV-B), `rdm:<id>` (explicit Table-IV ordering), `cagnet1d`,
+//! `cagnet15d:<c>`, `dgcl`, `saint-rdm`, `saint-ddp`, `masked:<keep>`.
 
 use gnn_rdm::cli::CommonArgs;
 use gnn_rdm::core::{train_gcn, Algo, Plan, TrainerConfig};
@@ -57,9 +56,10 @@ DATA:
   --scale <s>           divide a paper dataset's size by s [auto]
 
 MODEL / TRAINING:
-  --algo <a>            rdm | rdm:<id> | rdm-dynamic:<trials> | cagnet1d |
-                        cagnet15d:<c> | dgcl | saint-rdm | saint-ddp |
-                        masked:<keep>                           [rdm]
+  --algo <a>            rdm | rdm:<id> | cagnet1d | cagnet15d:<c> | dgcl |
+                        saint-rdm | saint-ddp | masked:<keep>   [rdm]
+                        rdm picks the Pareto candidate whose priced epoch
+                        (FMAs, bytes, messages; slowest rank) is fastest
   --ranks <p>           simulated GPUs [4]
   --layers <l>          GCN layers [2]
   --hidden <h>          hidden width [128]
@@ -172,15 +172,6 @@ fn build_algo(args: &Args) -> Result<Algo, String> {
                 Algo::Rdm { plan: Some(plan) }
             }
         },
-        "rdm-dynamic" => {
-            let trials: usize = param
-                .ok_or("rdm-dynamic wants trial epochs, e.g. rdm-dynamic:2")?
-                .parse()
-                .map_err(|e| format!("bad trial count: {e}"))?;
-            Algo::RdmDynamic {
-                trial_epochs: trials,
-            }
-        }
         "cagnet1d" => Algo::Cagnet1D,
         "cagnet15d" => {
             let c: usize = param

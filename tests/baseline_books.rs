@@ -1,7 +1,7 @@
-//! Bitwise books of every non-RDM algorithm (and dynamic selection): per
-//! epoch, the loss / train / test accuracy bits, the payload bytes and
-//! message count of every collective kind, and the SpMM / GEMM FMA counts,
-//! at P ∈ {1, 3, 4}, pinned in `tests/golden/baseline_books.txt`.
+//! Bitwise books of every non-RDM algorithm: per epoch, the loss / train /
+//! test accuracy bits, the payload bytes and message count of every
+//! collective kind, and the SpMM / GEMM FMA counts, at P ∈ {1, 3, 4},
+//! pinned in `tests/golden/baseline_books.txt`.
 //!
 //! The baselines are otherwise only compared to RDM within a tolerance;
 //! this pins their exact trajectory and traffic, so a refactor of their
@@ -39,7 +39,6 @@ fn algos() -> Vec<(&'static str, Algo)> {
         ("saint-rdm", Algo::SaintRdm { sampler }),
         ("saint-ddp", Algo::SaintDdp { sampler }),
         ("masked:0.5", Algo::SaintMasked { keep: 0.5 }),
-        ("rdm-dynamic:1", Algo::RdmDynamic { trial_epochs: 1 }),
     ]
 }
 

@@ -191,7 +191,6 @@ pub enum System {
         id: usize,
         memoize: bool,
     },
-    Dynamic,
     Cagnet1D,
     /// CAGNET-1.5D at `c = r_a`.
     Cagnet15D,
@@ -346,7 +345,6 @@ impl Config {
         let mut cfg = match self.system {
             System::Auto => TrainerConfig::rdm_auto(p).ra(self.r_a),
             System::Plan { .. } => TrainerConfig::rdm(p, self.explicit_plan().unwrap()),
-            System::Dynamic => TrainerConfig::rdm_dynamic(p, 1).ra(self.r_a),
             System::Cagnet1D => TrainerConfig::cagnet_1d(p),
             System::Cagnet15D => TrainerConfig {
                 algo: Algo::Cagnet15D { c: self.r_a },
@@ -531,6 +529,31 @@ fn check_training(cfg: &Config) -> Result<(), String> {
     same("dense-equivalent book", volumes(run), volumes(r))?;
     let above: Vec<_> = run.epochs.iter().map(|e| above_dense(&e.comm)).collect();
     same("kinds above dense", above, vec![vec![]; EPOCHS])?;
+    // A rerun replays the whole run: trajectory, trained weights and every
+    // epoch's book (faults may keep more buffers in flight, so a chaotic
+    // point's pool counts are left out).
+    let replay = |t: &TrainReport| {
+        let book = |e: &EpochMetrics| {
+            let kinds = CollectiveKind::ALL
+                .map(|k| (e.comm.bytes(k), e.comm.dense_bytes(k), e.comm.messages(k)));
+            let model = [
+                e.ops.spmm_fma,
+                e.ops.gemm_fma,
+                e.sim.total_s,
+                e.sim.hidden_s,
+            ];
+            let pool = (!cfg.chaos).then_some((e.ws_fresh, e.ws_reused));
+            (e.plan_id, kinds, model.map(f64::to_bits), e.retries(), pool)
+        };
+        let weights = t.weights.as_ref().map(WeightSnapshot::to_bytes);
+        (
+            trajectory(t),
+            weights,
+            t.epochs.iter().map(book).collect::<Vec<_>>(),
+        )
+    };
+    let again = train_gcn(ds, &cfg.trainer())?;
+    same("a rerun's run", replay(&again), replay(run))?;
 
     let (shape, p, r_a) = (ds.shape_layers(HIDDEN, cfg.layers), cfg.p, cfg.r_a);
     let nnz = panel_nnz(&ds.adj_norm, p, r_a);
@@ -556,7 +579,7 @@ fn check_training(cfg: &Config) -> Result<(), String> {
     }
 
     let full_batch = !matches!(cfg.system, System::SaintRdm | System::SaintDdp);
-    if !cfg.sparse && !cfg.chaos && full_batch && cfg.system != System::Dynamic {
+    if !cfg.sparse && !cfg.chaos && full_batch {
         let fresh: Vec<_> = run.epochs[1..].iter().map(EpochMetrics::ws_fresh).collect();
         same("steady fresh allocations", fresh, vec![0; EPOCHS - 1])?;
     }

@@ -114,11 +114,7 @@ fn training(c: &Config) -> bool {
 
 /// RDM with a plan the sampler draws: an explicit one, or one it prices.
 fn rdm(c: &Config) -> bool {
-    training(c)
-        && matches!(
-            c.system,
-            System::Auto | System::Plan { .. } | System::Dynamic
-        )
+    training(c) && matches!(c.system, System::Auto | System::Plan { .. })
 }
 
 /// An explicit plan that trains.
@@ -139,8 +135,8 @@ fn sample(seed: u64) -> Vec<Config> {
     pts.extend([plan.on(Surface::Induced); INDUCED]);
     let rng = SplitMix64(seed);
     let mut d = Draw { rng, pts };
-    let systems = [Auto, Dynamic, Cagnet1D, Cagnet15D, Dgcl, SaintRdm, SaintDdp];
-    let systems = [&systems[..], &[plan.system; 3]].concat();
+    let systems = [Auto, Cagnet1D, Cagnet15D, Dgcl, SaintRdm, SaintDdp];
+    let systems = [&systems[..], &[plan.system; 4]].concat();
     d.deal(training, &systems, |c, s| c.system = s);
     for served in [false, true] {
         let group = |c: &Config| plan_of(c).is_some() && training(c) != served;

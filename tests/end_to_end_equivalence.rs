@@ -41,13 +41,13 @@ fn trajectory_independent_of_ordering_plan() {
     }
 }
 
+/// Same-seed replay is a `common::check` invariant of every training
+/// point; the seed must also matter.
 #[test]
 fn determinism_same_seed_same_report() {
     let ds = dataset();
     let cfg = TrainerConfig::rdm_auto(4).hidden(8).epochs(4);
     let a = losses(&report(&ds, cfg.clone().seed(9)));
-    let b = losses(&report(&ds, cfg.clone().seed(9)));
-    assert_eq!(a, b, "same seed must reproduce bit-identical losses");
     let c = losses(&report(&ds, cfg.seed(10)));
     assert_ne!(a, c, "different seeds must differ");
 }

@@ -4,13 +4,11 @@
 //! every traced point `config_space.rs` samples to that). Two same-seed
 //! traced runs serialize to byte-identical normalized Chrome JSON, pinned
 //! by a golden snapshot; every kernel span that consumes a conversion
-//! nests in the `Redistribute` span feeding it, one span per strip; and
-//! dynamic selection's trial epochs stay blocking even when `--overlap`
-//! and `--trace` are both set.
+//! nests in the `Redistribute` span feeding it, one span per strip.
 
 mod common;
 
-use common::{check, dataset, report, trajectory, Config, System};
+use common::{check, dataset, report, trajectory, Config};
 use gnn_rdm::core::{Plan, TrainReport, TrainerConfig};
 use gnn_rdm::dense::{part_range, KernelMode, KernelWidth};
 use gnn_rdm::graph::DatasetSpec;
@@ -319,12 +317,4 @@ fn kernel_spans_nest_in_the_redistribution_that_feeds_them() {
             "id={id}: pipelined strips fold differently"
         );
     }
-}
-
-/// Dynamic selection's trial epochs measure the *blocking* schedule on
-/// purpose (a pipeline would skew the per-plan timings they rank):
-/// `--overlap --trace` together must not change that.
-#[test]
-fn dynamic_selection_trials_stay_blocking_under_overlap_and_trace() {
-    check(&Config::train(System::Dynamic, 2, 4).chunks(3).traced());
 }
