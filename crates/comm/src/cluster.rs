@@ -306,12 +306,6 @@ impl RankCtx {
         msg
     }
 
-    /// Record modeled hidden-communication time (see
-    /// `CommStats::overlap_ns`).
-    pub fn record_overlap(&self, ns: u64) {
-        self.stats.borrow_mut().record_overlap(ns);
-    }
-
     /// Block until every rank reaches the barrier. Barriers are the
     /// trace's drain points: the rank's event ring is flushed here.
     pub fn barrier(&self) {
@@ -421,17 +415,6 @@ mod tests {
                 ctx.send(0, Mat::zeros(1, 1), CollectiveKind::Other);
             }
         });
-    }
-
-    #[test]
-    fn record_overlap_lands_in_stats() {
-        let out = Cluster::new(2).run(|ctx| {
-            if ctx.rank() == 0 {
-                ctx.record_overlap(1234);
-            }
-        });
-        assert_eq!(out.stats[0].overlap_ns, 1234);
-        assert_eq!(out.stats[1].overlap_ns, 0);
     }
 
     #[test]

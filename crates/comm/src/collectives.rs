@@ -10,17 +10,16 @@
 //! Fig. 7, is a single primitive described by a value: a
 //! [`Redistribution`] names the group, the target form, the [`Wire`]
 //! format, the pipeline depth and the accounting kind, and
-//! [`RankCtx::exchange`] / [`RankCtx::redistribute`] execute it. A blocking
-//! redistribution is the 1-chunk case, a whole-cluster one passes every
-//! rank as the group, and sparsity-awareness is a property of the wire, not
-//! a second collective.
+//! [`RankCtx::redistribute`] executes it. A blocking redistribution is the
+//! 1-chunk case, a whole-cluster one passes every rank as the group, and
+//! sparsity-awareness is a property of the wire, not a second collective.
 //!
 //! Volume notes (payload of `|m|` bytes per rank, group size `g`):
 //!
 //! * `group_broadcast`: root sends `g-1` copies → `(g-1)·|m|` total — the
 //!   paper's "no hardware multicast" accounting for CAGNET's SpMM
 //!   broadcast.
-//! * `exchange` / `redistribute`: each rank ships all parts except its own
+//! * `redistribute`: each rank ships all parts except its own
 //!   → `(g-1)/g · |M|` total for a global matrix of `|M|` bytes — the RDM
 //!   redistribution volume, whatever the chunk count or wire.
 //! * `all_reduce_sum` (naive gather): `g·(g-1)·|m|` total.
@@ -75,22 +74,6 @@ impl Redistribution<'_> {
             chunks: self.chunks,
             kind: self.kind.trace_tag(),
         })
-    }
-}
-
-/// Chunk `q` of `chunks` equal-as-possible sub-blocks of `m` along the
-/// axis a redistribution to `to` strips (`part_range` splitting: empty
-/// sub-blocks when `chunks` exceeds the dimension).
-fn sub_block(m: &Mat, to: Form, chunks: usize, q: usize) -> Mat {
-    match to {
-        Form::Col => {
-            let r = part_range(m.cols(), chunks, q);
-            m.col_block(r.start, r.end)
-        }
-        Form::Row => {
-            let r = part_range(m.rows(), chunks, q);
-            m.row_block(r.start, r.end)
-        }
     }
 }
 
@@ -212,21 +195,9 @@ impl RankCtx {
         self.group_all_gather(&self.everyone(), part, kind)
     }
 
-    /// Send one redistribution piece on `wire`. Either way the stats book
-    /// `piece.nbytes()` as the dense-equivalent volume.
-    fn send_piece(&self, dst: usize, piece: Mat, wire: Wire, kind: CollectiveKind) {
-        let packed = match wire {
-            Wire::Dense => None,
-            Wire::Indexed => strip::pack_nonzero_rows(&piece),
-        };
-        match packed {
-            Some(s) => self.send_compressed(dst, s, kind, piece.nbytes()),
-            None => self.send(dst, piece, kind),
-        }
-    }
-
-    /// [`RankCtx::send_piece`] of the block `rows × cols` of `m`, packed or
-    /// copied straight from it.
+    /// Send the block `rows × cols` of `m` on `wire`, packed or copied
+    /// straight from it. Either way the stats book the block's dense bytes
+    /// as the dense-equivalent volume.
     fn send_block(
         &self,
         dst: usize,
@@ -252,101 +223,6 @@ impl RankCtx {
         }
     }
 
-    /// The send half of a redistribution's exchange: `piece(j, q)` is
-    /// chunk `q` of the part destined for the `j`-th member of `spec.group`,
-    /// sent **chunk-major** (all of chunk 0 to every peer, then all of
-    /// chunk 1, …), so the first chunk completes everywhere before later
-    /// ones are even on the wire — sends never block on this fabric. Per-link
-    /// FIFO plus this order guarantee the `q`-th receive from a peer is its
-    /// chunk `q`, faults or not.
-    fn send_chunks(
-        &self,
-        spec: &Redistribution<'_>,
-        my_idx: usize,
-        mut piece: impl FnMut(usize, usize),
-    ) {
-        for q in 0..spec.chunks {
-            for idx in (0..spec.group.len()).filter(|&idx| idx != my_idx) {
-                piece(idx, q);
-            }
-        }
-    }
-
-    /// The redistribution exchange on pre-split parts: `parts[j]` is
-    /// destined for the `j`-th member of `spec.group`, and every part is
-    /// shipped as `spec.chunks` sub-blocks chunk-major. `on_chunk(q,
-    /// pieces)` then receives chunk `q`'s sub-blocks from every member in
-    /// group order (this rank's own is sliced locally and costs no bytes),
-    /// so the caller computes on chunk `q` while chunks `q+1..` are in
-    /// flight.
-    ///
-    /// Payload **bytes** per (src, dst) pair do not depend on `chunks` —
-    /// the sub-blocks tile the part exactly — but message *counts* scale
-    /// with it (empty sub-blocks still cost a zero-byte message when
-    /// `chunks` exceeds the split dimension). A 1-chunk exchange moves
-    /// whole parts onto the wire without copying them.
-    ///
-    /// On [`Wire::Indexed`] the receiver tells strips from raw pieces by
-    /// the geometry of its own part, which every incoming piece must share
-    /// along the stripped axis (columns for `Form::Col`, rows for
-    /// `Form::Row`) — true of any Row↔Col split.
-    ///
-    /// The whole exchange, `on_chunk` calls included, is one
-    /// `Span::Redistribute` (so kernel spans a caller opens per chunk nest
-    /// inside it).
-    ///
-    /// # Panics
-    /// If `parts.len() != spec.group.len()`, `spec.chunks == 0`, or this
-    /// rank is not in the group.
-    pub fn exchange(
-        &self,
-        spec: &Redistribution<'_>,
-        mut parts: Vec<Mat>,
-        mut on_chunk: impl FnMut(usize, Vec<Mat>),
-    ) {
-        let (group, to, chunks) = (spec.group, spec.to, spec.chunks);
-        assert_eq!(
-            parts.len(),
-            group.len(),
-            "exchange needs one part per group member"
-        );
-        assert!(chunks > 0, "need at least one chunk");
-        let _span = spec.span();
-        let my_idx = self.group_index(group);
-        let take = |part: &mut Mat, q: usize| {
-            if chunks == 1 {
-                std::mem::replace(part, Mat::zeros(0, 0))
-            } else {
-                sub_block(part, to, chunks, q)
-            }
-        };
-        self.send_chunks(spec, my_idx, |idx, q| {
-            let piece = take(&mut parts[idx], q);
-            self.send_piece(group[idx], piece, spec.wire, spec.kind)
-        });
-        // Everything but this rank's own part is on the wire: free it before
-        // the receive side starts allocating strips.
-        let mut own = parts.swap_remove(my_idx);
-        drop(parts);
-        for q in 0..chunks {
-            let mine = take(&mut own, q);
-            let expect = match to {
-                Form::Col => Expect::Cols(mine.cols()),
-                Form::Row => Expect::Rows(mine.rows()),
-            };
-            let mut mine = Some(mine);
-            let pieces = group
-                .iter()
-                .map(|&src| match (src == self.rank(), spec.wire) {
-                    (true, _) => mine.take().expect("one own piece per chunk"),
-                    (false, Wire::Dense) => self.recv(src),
-                    (false, Wire::Indexed) => strip::unpack_rows(self.recv(src), expect),
-                })
-                .collect();
-            on_chunk(q, pieces);
-        }
-    }
-
     /// Redistribute `local` — this rank's slice of a global matrix in the
     /// form opposite to `spec.to` — into its slice in form `spec.to`
     /// (Fig. 7). Each piece is packed or copied straight from `local`, and
@@ -360,8 +236,15 @@ impl RankCtx {
     /// pieces of a strip are freed before `sink` sees it. With one chunk
     /// the strip *is* the returned slice; with more, each strip is copied
     /// into place once the sink is done with it. Bit-identical for every
-    /// `chunks` and `wire`; messages and both byte books are those of
-    /// [`RankCtx::exchange`] on the split parts.
+    /// `chunks` and `wire`.
+    ///
+    /// Pieces go out chunk-major, so chunk `q` is on every link before
+    /// chunk `q + 1`. Payload bytes per (src, dst) pair
+    /// do not depend on `chunks` — the sub-blocks tile the part exactly —
+    /// but messages do: `chunks · (g - 1)` per rank, empty sub-blocks
+    /// included when `chunks` exceeds the split dimension. On
+    /// [`Wire::Indexed`] the receiver tells strips from raw pieces by the
+    /// geometry of its own part.
     ///
     /// # Panics
     /// If `spec.chunks == 0`, this rank is not in the group, or a peer's
@@ -391,9 +274,14 @@ impl RankCtx {
                 Form::Row => (cut, cols.clone()),
             }
         };
-        self.send_chunks(spec, my_idx, |idx, q| {
-            self.send_block(group[idx], local, block(idx, q), spec.wire, spec.kind)
-        });
+        // Chunk-major: all of chunk 0 to every peer, then all of chunk 1,
+        // … Sends never block on this fabric, so per-link FIFO makes the
+        // `q`-th receive from a peer its chunk `q`, faults or not.
+        for q in 0..chunks {
+            for idx in (0..group.len()).filter(|&idx| idx != my_idx) {
+                self.send_block(group[idx], local, block(idx, q), spec.wire, spec.kind);
+            }
+        }
         let strip = |q: usize| {
             let (r, c) = block(my_idx, q);
             let expect = match to {
@@ -642,14 +530,17 @@ mod tests {
     }
 
     #[test]
-    fn exchange_transposes_ownership() {
+    fn redistribution_transposes_ownership() {
         let p = 4;
         let out = Cluster::new(p).run(|ctx| {
             let me = ctx.rank() as f32;
-            // parts[j] = [me, j]
-            let parts = (0..p)
-                .map(|j| Mat::from_vec(1, 2, vec![me, j as f32]))
-                .collect();
+            // Columns 2j, 2j+1 of this rank's row are [me, j]: the part
+            // addressed to rank j.
+            let local = Mat::from_fn(
+                1,
+                2 * p,
+                |_, c| if c % 2 == 0 { me } else { (c / 2) as f32 },
+            );
             let spec = Redistribution {
                 group: &ctx.everyone(),
                 to: Form::Col,
@@ -657,14 +548,12 @@ mod tests {
                 chunks: 1,
                 kind: K,
             };
-            let mut received = Vec::new();
-            ctx.exchange(&spec, parts, |_, pieces| received = pieces);
-            received
+            ctx.redistribute(&spec, &local, |_, _| {})
         });
         for (r, received) in out.results.iter().enumerate() {
-            for (s, m) in received.iter().enumerate() {
-                assert_eq!(m.get(0, 0), s as f32, "from rank");
-                assert_eq!(m.get(0, 1), r as f32, "addressed to me");
+            for s in 0..p {
+                assert_eq!(received.get(s, 0), s as f32, "from rank");
+                assert_eq!(received.get(s, 1), r as f32, "addressed to me");
             }
         }
         // Each rank sent p-1 parts of 8 bytes.

@@ -22,14 +22,15 @@
 //!   reduce-scatter over an explicit rank group (the `R_A < P` row-panel
 //!   scheme of §III-E needs subsets), and the one Row↔Col redistribution
 //!   primitive: a [`Redistribution`] value names group, target form,
-//!   [`Wire`] and pipeline depth, and [`RankCtx::exchange`] /
-//!   [`RankCtx::redistribute`] execute it.
+//!   [`Wire`] and pipeline depth, and [`RankCtx::redistribute`] executes
+//!   it.
 //! * [`strip`] — the indexed-strip wire format of sparsity-aware
 //!   redistribution: bit-zero rows are elided on the wire and zero-filled
 //!   on receive, adaptively (never above the dense byte bound) and
 //!   losslessly (bit-identical reconstruction).
-//! * [`stats`] — byte, message, wall-time, retransmission,
-//!   hidden-communication and dense-equivalent-volume accounting.
+//! * [`stats`] — byte, message, wall-time, retransmission and
+//!   dense-equivalent-volume accounting: what the fabric measured, nothing
+//!   modeled beyond the retries' backoff.
 
 pub mod cluster;
 pub mod collectives;

@@ -65,11 +65,6 @@ pub struct CommStats {
     /// Modeled exponential-backoff wait accumulated by retries, in virtual
     /// nanoseconds (accounted, never slept).
     pub backoff_ns: u64,
-    /// Modeled communication time hidden behind compute by the pipelined
-    /// redistribution path, in virtual nanoseconds. Zero on the blocking
-    /// path. Like `backoff_ns` this is device-model time, never wall time,
-    /// so it is deterministic for a given run.
-    pub overlap_ns: u64,
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -122,12 +117,6 @@ impl CommStats {
         self.backoff_ns += backoff_ns;
     }
 
-    /// Record modeled comm time hidden behind compute by an overlapped
-    /// (chunk-pipelined) collective, in virtual nanoseconds.
-    pub fn record_overlap(&mut self, ns: u64) {
-        self.overlap_ns += ns;
-    }
-
     /// Total bytes sent across all kinds.
     pub fn total_bytes(&self) -> u64 {
         self.per_kind.values().map(|k| k.bytes_sent).sum()
@@ -171,7 +160,6 @@ impl CommStats {
         self.retries += other.retries;
         self.retransmit_bytes += other.retransmit_bytes;
         self.backoff_ns += other.backoff_ns;
-        self.overlap_ns += other.overlap_ns;
     }
 
     /// `self - baseline` for every counter; used to carve an epoch's stats
@@ -191,7 +179,6 @@ impl CommStats {
             .retransmit_bytes
             .saturating_sub(baseline.retransmit_bytes);
         out.backoff_ns = self.backoff_ns.saturating_sub(baseline.backoff_ns);
-        out.overlap_ns = self.overlap_ns.saturating_sub(baseline.overlap_ns);
         out
     }
 }
@@ -280,25 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_tracked_separately_from_payload() {
-        let mut s = CommStats::default();
-        s.record_send(CollectiveKind::Redistribute, 100);
-        s.record_overlap(5_000);
-        s.record_overlap(2_500);
-        // Hidden-comm accounting never perturbs the volume counters.
-        assert_eq!(s.total_bytes(), 100);
-        assert_eq!(s.overlap_ns, 7_500);
-
-        let mut merged = CommStats::default();
-        merged.record_overlap(500);
-        merged.merge(&s);
-        assert_eq!(merged.overlap_ns, 8_000);
-
-        let d = merged.delta_since(&s);
-        assert_eq!(d.overlap_ns, 500);
-    }
-
-    #[test]
     fn delta_since_saturates_on_every_counter() {
         // An "earlier" snapshot that is ahead of `now` on every single
         // counter: each subtraction must clamp to zero independently.
@@ -307,13 +275,11 @@ mod tests {
         ahead.record_send(CollectiveKind::Redistribute, 1_000);
         ahead.record_time(Duration::from_millis(80));
         ahead.record_retransmits(9, 9_000, 90_000);
-        ahead.record_overlap(70_000);
 
         let mut now = CommStats::default();
         now.record_send(CollectiveKind::Redistribute, 300);
         now.record_time(Duration::from_millis(2));
         now.record_retransmits(1, 100, 1_000);
-        now.record_overlap(500);
 
         let d = now.delta_since(&ahead);
         assert_eq!(d.bytes(CollectiveKind::Redistribute), 0);
@@ -322,7 +288,6 @@ mod tests {
         assert_eq!(d.retries, 0);
         assert_eq!(d.retransmit_bytes, 0);
         assert_eq!(d.backoff_ns, 0);
-        assert_eq!(d.overlap_ns, 0);
         assert_eq!(d.total_bytes(), 0);
         assert_eq!(d.total_messages(), 0);
     }
@@ -333,19 +298,16 @@ mod tests {
         // normally while counters behind it clamp, in the same call.
         let mut base = CommStats::default();
         base.record_retransmits(5, 500, 5_000);
-        base.record_overlap(100);
 
         let mut now = CommStats::default();
         now.record_send(CollectiveKind::AllReduce, 64);
         now.record_retransmits(7, 300, 9_000); // retries/backoff ahead, bytes behind
-        now.record_overlap(40); // behind
 
         let d = now.delta_since(&base);
         assert_eq!(d.bytes(CollectiveKind::AllReduce), 64);
         assert_eq!(d.retries, 2);
         assert_eq!(d.retransmit_bytes, 0);
         assert_eq!(d.backoff_ns, 4_000);
-        assert_eq!(d.overlap_ns, 0);
     }
 
     #[test]

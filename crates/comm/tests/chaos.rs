@@ -53,10 +53,8 @@ fn all_collectives(p: usize) -> impl Fn(&rdm_comm::RankCtx) -> Vec<Mat> + Sync {
         // All-gather of a rank-stamped part.
         let part = Mat::from_fn(1, 4, |_, j| (me * 10 + j) as f32);
         seen.extend(ctx.all_gather(part, K));
-        // Personalized exchange, two chunks per part.
-        let parts = (0..p)
-            .map(|j| Mat::from_fn(1, 2, |_, c| (me * 1000 + j * 10 + c) as f32))
-            .collect();
+        // Personalized all-to-all: a redistribution, two strips per part.
+        let local = Mat::from_fn(1, 2 * p, |_, c| (me * 1000 + c / 2 * 10 + c % 2) as f32);
         let spec = Redistribution {
             group: &everyone,
             to: Form::Col,
@@ -64,7 +62,8 @@ fn all_collectives(p: usize) -> impl Fn(&rdm_comm::RankCtx) -> Vec<Mat> + Sync {
             chunks: 2,
             kind: K,
         };
-        ctx.exchange(&spec, parts, |_, pieces| seen.extend(pieces));
+        let got = ctx.redistribute(&spec, &local, |_, strip| seen.push(strip.clone()));
+        seen.push(got);
         // Both all-reduce algorithms.
         let m = Mat::from_fn(3, 3, |i, j| (me + i * 3 + j) as f32);
         seen.push(ctx.all_reduce_sum(m.clone(), K));

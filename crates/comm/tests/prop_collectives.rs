@@ -22,26 +22,26 @@ fn redistribute_all(ctx: &RankCtx, to: Form, local: &Mat, kind: CollectiveKind) 
     ctx.redistribute(&spec, local, |_, _| {})
 }
 
-/// The all-to-all view of the primitive: `exchange` on arbitrary pre-split
-/// parts, every sender's chunks reassembled.
-fn exchange_all(ctx: &RankCtx, spec: &Redistribution<'_>, parts: Vec<Mat>) -> Vec<Mat> {
-    let mut per_sender: Vec<Vec<Mat>> = parts.iter().map(|_| Vec::new()).collect();
-    ctx.exchange(spec, parts, |_, pieces| {
-        for (sender, piece) in pieces.into_iter().enumerate() {
-            per_sender[sender].push(piece);
-        }
-    });
-    per_sender
-        .iter()
-        .map(|c| match spec.to {
-            Form::Col => hstack(c),
-            Form::Row => vstack(c),
+/// The all-to-all view of the primitive: member `j` gets `parts[j]` of
+/// every member. The equal-shaped parts are stacked into this rank's slice
+/// — side by side for `Form::Col`, one above the other for `Form::Row` —
+/// redistributed, and the result is cut back into one piece per sender.
+fn all_to_all(ctx: &RankCtx, spec: &Redistribution<'_>, parts: Vec<Mat>) -> Vec<Mat> {
+    let (local, cut) = match spec.to {
+        Form::Col => (hstack(&parts), parts[0].rows()),
+        Form::Row => (vstack(&parts), parts[0].cols()),
+    };
+    let got = ctx.redistribute(spec, &local, |_, _| {});
+    (0..parts.len())
+        .map(|i| match spec.to {
+            Form::Col => got.row_block(i * cut, (i + 1) * cut),
+            Form::Row => got.col_block(i * cut, (i + 1) * cut),
         })
         .collect()
 }
 
-/// `exchange_all` over the whole cluster.
-fn exchange_everyone(
+/// `all_to_all` over the whole cluster.
+fn all_to_all_everyone(
     ctx: &RankCtx,
     to: Form,
     wire: Wire,
@@ -56,7 +56,7 @@ fn exchange_everyone(
         chunks,
         kind: K,
     };
-    exchange_all(ctx, &spec, parts)
+    all_to_all(ctx, &spec, parts)
 }
 
 fn chaos_base() -> u64 {
@@ -92,15 +92,15 @@ proptest! {
         }
     }
 
-    /// The blocking exchange is an ownership transpose: received[i] on
-    /// rank j equals sent[j] by rank i.
+    /// The blocking redistribution is an ownership transpose: received[i]
+    /// on rank j equals sent[j] by rank i.
     #[test]
-    fn exchange_is_a_transpose(p in 1usize..6, seed in 0u64..500) {
+    fn redistribution_is_a_transpose(p in 1usize..6, seed in 0u64..500) {
         let out = Cluster::new(p).run(move |ctx| {
             let parts: Vec<Mat> = (0..p)
                 .map(|j| Mat::random(2, 2, 1.0, seed ^ ((ctx.rank() * 31 + j) as u64)))
                 .collect();
-            exchange_everyone(ctx, Form::Col, Wire::Dense, 1, parts)
+            all_to_all_everyone(ctx, Form::Col, Wire::Dense, 1, parts)
         });
         for (j, received) in out.results.iter().enumerate() {
             for (i, m) in received.iter().enumerate() {
@@ -194,12 +194,12 @@ proptest! {
         }
     }
 
-    /// The chunked exchange is the ownership transpose for *any* chunk
-    /// count — including counts that don't divide the split axis (ragged
-    /// tails) and counts exceeding it (empty chunks) — on both axes and
-    /// both wires.
+    /// The chunked redistribution is the ownership transpose for *any*
+    /// chunk count — including counts that don't divide the split axis
+    /// (ragged tails) and counts exceeding it (empty chunks) — on both axes
+    /// and both wires.
     #[test]
-    fn chunked_exchange_is_a_transpose(
+    fn chunked_redistribution_is_a_transpose(
         p in 1usize..6,
         rows in 1usize..12,
         cols in 1usize..9,
@@ -223,7 +223,7 @@ proptest! {
                 .collect()
         };
         let chunked = Cluster::new(p)
-            .run(move |ctx| exchange_everyone(ctx, to, wire, chunks, make(ctx.rank())));
+            .run(move |ctx| all_to_all_everyone(ctx, to, wire, chunks, make(ctx.rank())));
         for (rank, got) in chunked.results.iter().enumerate() {
             for (i, m) in got.iter().enumerate() {
                 prop_assert_eq!(m, &make(i)[rank], "rank {} chunked payload from {}", rank, i);
@@ -231,7 +231,7 @@ proptest! {
         }
         // The dense-equivalent book is every part but the own one, which
         // the wire never exceeds and the dense wire carries exactly; only
-        // message counts scale with the (non-empty) chunk count.
+        // message counts scale with the chunk count, empty chunks included.
         for (me, sc) in chunked.stats.iter().enumerate() {
             let sent = make(me).iter().map(Mat::nbytes).sum::<usize>() - make(me)[me].nbytes();
             prop_assert_eq!(sc.dense_bytes(K), sent as u64);
@@ -239,13 +239,13 @@ proptest! {
             if wire == Wire::Dense {
                 prop_assert_eq!(sc.bytes(K), sent as u64);
             }
-            prop_assert!(sc.messages(K) >= (p - 1) as u64);
+            prop_assert_eq!(sc.messages(K), (chunks * (p - 1)) as u64);
         }
     }
 
     /// A chunked H→V redistribution followed by a chunked V→H one
-    /// restores every rank's slice exactly, via the same all-to-all
-    /// algebra the engine's Row→Col→Row path uses.
+    /// restores every rank's slice exactly, on the same strips the
+    /// engine's Row→Col→Row path pipelines.
     #[test]
     fn chunked_redistribution_roundtrip(
         p in 1usize..6,
@@ -260,28 +260,18 @@ proptest! {
             let me = ctx.rank();
             let r = part_range(n, p, me);
             let local = g2.row_block(r.start, r.end);
-            // H→V: split my row slice by column ownership, chunk along
-            // columns (the strips the pipelined SpMM consumes).
-            let parts: Vec<Mat> = (0..p)
-                .map(|j| {
-                    let c = part_range(f, p, j);
-                    local.col_block(c.start, c.end)
-                })
-                .collect();
-            let got = exchange_everyone(ctx, Form::Col, Wire::Dense, chunks, parts);
-            let mine = part_range(f, p, me);
-            let v = rdm_dense::vstack(&got);
-            assert_eq!(v.cols(), mine.len());
-            // V→H: split the column slice by row ownership, chunk along
-            // rows, and reassemble my original slice.
-            let back: Vec<Mat> = (0..p)
-                .map(|j| {
-                    let rr = part_range(n, p, j);
-                    v.row_block(rr.start, rr.end)
-                })
-                .collect();
-            let got = exchange_everyone(ctx, Form::Row, Wire::Dense, chunks, back);
-            rdm_dense::hstack(&got)
+            let group: Vec<usize> = (0..p).collect();
+            let to_col = Redistribution {
+                group: &group,
+                to: Form::Col,
+                wire: Wire::Dense,
+                chunks,
+                kind: K,
+            };
+            let v = ctx.redistribute(&to_col, &local, |_, _| {});
+            assert_eq!(v.cols(), part_range(f, p, me).len());
+            let to_row = Redistribution { to: Form::Row, ..to_col };
+            ctx.redistribute(&to_row, &v, |_, _| {})
         });
         for (rank, got) in out.results.iter().enumerate() {
             let r = part_range(n, p, rank);
@@ -303,7 +293,7 @@ proptest! {
             let parts: Vec<Mat> = (0..p)
                 .map(|j| Mat::random(5, 7, 1.0, (ctx.rank() * 31 + j) as u64))
                 .collect();
-            exchange_everyone(ctx, Form::Col, Wire::Dense, chunks, parts)
+            all_to_all_everyone(ctx, Form::Col, Wire::Dense, chunks, parts)
         };
         let plan = FaultPlan::new(chaos_base() ^ seed ^ 0xA17)
             .drop_rate(drop)
@@ -321,12 +311,12 @@ proptest! {
     }
 
     /// Within every row group of a `P/R_A × R_A` grid, the sparsity-aware
-    /// chunk-pipelined exchange is the group's ownership transpose — for
+    /// chunk-pipelined redistribution is the group's ownership transpose — for
     /// any chunk count (ragged tails, empty chunks), any zero-row pattern,
     /// and any chaos schedule — and its wire bytes never exceed the dense
     /// volume while the dense-equivalent book matches it exactly.
     #[test]
-    fn group_chunked_sparse_exchange_is_a_transpose(
+    fn group_chunked_sparse_redistribution_is_a_transpose(
         panels in 1usize..4,
         r_a in 1usize..4,
         rows in 1usize..10,
@@ -365,7 +355,7 @@ proptest! {
                 chunks,
                 kind: K,
             };
-            exchange_all(ctx, &spec, make(me))
+            all_to_all(ctx, &spec, make(me))
         });
         for (rank, got) in sparse.results.iter().enumerate() {
             for (i, (m, &src)) in got.iter().zip(&row_group(rank)).enumerate() {

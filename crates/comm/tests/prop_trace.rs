@@ -43,14 +43,12 @@ fn workload(ctx: &RankCtx) -> Mat {
     let v = ctx.redistribute(&to_col, &local, |_, _| {});
     let _h = ctx.redistribute(&to_row, &v, |_, _| {});
     ctx.barrier();
-    let parts: Vec<Mat> = (0..p)
-        .map(|j| Mat::random(5, 7, 1.0, (me * 31 + j) as u64))
-        .collect();
     let chunked = Redistribution {
         chunks: 3,
         ..to_col
     };
-    ctx.exchange(&chunked, parts, |_, _| {});
+    let wide = Mat::random(5, 7 * p, 1.0, (me * 31) as u64);
+    ctx.redistribute(&chunked, &wide, |_, _| {});
     ctx.all_reduce_ring(Mat::random(6, 3, 1.0, me as u64), CollectiveKind::AllReduce)
 }
 

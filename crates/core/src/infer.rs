@@ -8,7 +8,7 @@
 //! serving outputs bitwise identical to a direct engine pass.
 
 use crate::dist::{DistMat, FormCache};
-use crate::gcn::{forward_pass, input_cache, GcnWeights, OverlapSpec};
+use crate::gcn::{forward_pass, input_cache, GcnWeights};
 use crate::ops::{OpCounters, Topology};
 use crate::plan::Plan;
 use rdm_comm::RankCtx;
@@ -34,13 +34,12 @@ pub fn forward_logits(
     sparse: bool,
     ops: &mut OpCounters,
 ) -> DistMat {
-    forward_logits_with(
-        ctx, adj_norm, features, weights, plan, sparse, None, None, ops,
-    )
+    forward_logits_with(ctx, adj_norm, features, weights, plan, sparse, 1, None, ops)
 }
 
-/// [`forward_logits`] with a serving session's two knobs: an optional
-/// [`OverlapSpec`] pipelining every redistribution into its kernel, and
+/// [`forward_logits`] with a serving session's two knobs: `chunks`, the
+/// strips every fed product's redistribution pipelines into its kernel
+/// (`1`: blocking), and
 /// `held`, layer 1's aggregation `T¹ = Â·H⁰` kept across the batches of a
 /// full-graph session over one `adj_norm` and `features`.
 ///
@@ -62,7 +61,7 @@ pub fn forward_logits_with(
     weights: &GcnWeights,
     plan: &Plan,
     sparse: bool,
-    overlap: Option<&OverlapSpec>,
+    chunks: usize,
     mut held: Option<&mut Option<DistMat>>,
     ops: &mut OpCounters,
 ) -> DistMat {
@@ -82,7 +81,7 @@ pub fn forward_logits_with(
     // aggregation lives: a holding session memoizes, so batch 0 leaves
     // `T¹` behind.
     let memoize = plan.memoize || held.is_some();
-    let mut art = forward_pass(ctx, &topo, entry, weights, plan, memoize, overlap, ops);
+    let mut art = forward_pass(ctx, &topo, entry, weights, plan, memoize, chunks, ops);
     if let Some(held) = held {
         *held = Some(art.take_aggregation());
     }
@@ -125,12 +124,11 @@ mod tests {
         let weights = GcnWeights::init(&[16, 8, 4], 13);
         let p = 4;
         for r_a in [4, 2, 1] {
-            for overlap in [None, Some(3)] {
+            for chunks in [1, 3] {
                 let (adj, feats, w) = (ds.adj_norm.clone(), ds.features.clone(), weights.clone());
                 let out = Cluster::new(p).run(move |ctx| {
                     // Plan id 5 runs layer 1 SpMM-first.
                     let plan = Plan::from_id(5, 2, ctx.size()).with_ra(r_a);
-                    let spec = overlap.map(OverlapSpec::new);
                     let mut ops = OpCounters::default();
                     let direct = forward_logits(ctx, &adj, &feats, &w, &plan, false, &mut ops);
                     let mut held = None;
@@ -144,7 +142,7 @@ mod tests {
                                 &w,
                                 &plan,
                                 false,
-                                spec.as_ref(),
+                                chunks,
                                 Some(&mut held),
                                 &mut ops,
                             );
@@ -154,7 +152,7 @@ mod tests {
                     (direct.local, ops, batches)
                 });
                 for (direct, ops, batches) in &out.results {
-                    let what = format!("r_a {r_a} overlap {overlap:?}");
+                    let what = format!("r_a {r_a} chunks {chunks}");
                     for (logits, _) in batches {
                         assert_eq!(logits.as_slice(), direct.as_slice(), "{what}");
                     }
@@ -178,35 +176,26 @@ mod tests {
         let ds = toy(52, 6);
         let snap = WeightSnapshot::from_weights(&GcnWeights::init(&[16, 8, 4], 11));
         let p = 4;
-        let run = |r_a: usize, sparse: bool, overlap: Option<usize>| {
+        let run = |r_a: usize, sparse: bool, chunks: usize| {
             let (adj, feats) = (ds.adj_norm.clone(), ds.features.clone());
             let w = snap.to_weights();
             Cluster::new(p).run(move |ctx| {
                 let plan = Plan::from_id(10, 2, ctx.size()).with_ra(r_a);
-                let spec = overlap.map(OverlapSpec::new);
                 let mut ops = OpCounters::default();
                 let logits = forward_logits_with(
-                    ctx,
-                    &adj,
-                    &feats,
-                    &w,
-                    &plan,
-                    sparse,
-                    spec.as_ref(),
-                    None,
-                    &mut ops,
+                    ctx, &adj, &feats, &w, &plan, sparse, chunks, None, &mut ops,
                 );
                 logits.gather(ctx, CollectiveKind::Other)
             })
         };
-        let base = run(p, false, None);
+        let base = run(p, false, 1);
         for r_a in [1, 2] {
-            for (sparse, overlap) in [(false, None), (true, None), (true, Some(3))] {
-                let got = run(r_a, sparse, overlap);
+            for (sparse, chunks) in [(false, 1), (true, 1), (true, 3)] {
+                let got = run(r_a, sparse, chunks);
                 assert_eq!(
                     base.results[0].as_slice(),
                     got.results[0].as_slice(),
-                    "r_a={r_a} sparse={sparse} overlap={overlap:?} logits drifted"
+                    "r_a={r_a} sparse={sparse} chunks={chunks} logits drifted"
                 );
             }
         }

@@ -45,8 +45,7 @@ pub mod snapshot;
 pub mod trainer;
 
 pub use dist::{Dist, DistMat};
-pub use gcn::{overlap_inert_reason, OverlapSpec};
 pub use metrics::{EpochMetrics, TrainReport};
-pub use plan::{best_plan, best_plan_with_ra_sparsity, LayerOrder, Plan};
+pub use plan::{best_plan, best_plan_with_ra_sparsity, overlap_inert_reason, LayerOrder, Plan};
 pub use snapshot::WeightSnapshot;
 pub use trainer::{train_gcn, Algo, TrainerConfig};

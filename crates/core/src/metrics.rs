@@ -4,16 +4,19 @@
 //! cluster set-up both loops run under, and [`book_unit`] the one way a
 //! rank measures a unit: a [`UnitBook`] of wall time, communication,
 //! FMAs and workspace-pool activity between the unit's opening and
-//! closing barriers. Each rank's book prices through
+//! closing barriers. What a chunk pipeline hides is not measured but
+//! priced from the unit's schedule ([`hidden_price`]). Each rank's book,
+//! beside its priced hidden time, prices through
 //! [`DeviceModel::rank_time`] and a unit's through
 //! [`DeviceModel::slowest`] — the one clock [`EpochMetrics::from_ranks`]
 //! and the serving timeline share.
 
-use crate::ops::OpCounters;
+use crate::ops::{OpCounters, PanelGrid};
 use rdm_comm::{Cluster, CollectiveKind, CommStats, FaultPlan, RankCtx, RunOutput};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::pool;
-use rdm_model::{DeviceModel, MeasuredRank, Predicted};
+use rdm_model::{price_ranks, DeviceModel, GnnShape, MeasuredRank, Predicted, Step};
+use rdm_sparse::Csr;
 use rdm_trace::Span;
 use std::time::{Duration, Instant};
 
@@ -58,16 +61,47 @@ pub struct UnitBook {
 }
 
 impl UnitBook {
-    /// What the clock prices.
-    pub fn measured(&self) -> MeasuredRank {
+    /// What the clock prices: this book, beside `hidden_ns`, the rank's
+    /// priced pipeline hidden time for the unit ([`hidden_price`]).
+    pub fn measured(&self, hidden_ns: u64) -> MeasuredRank {
         MeasuredRank {
             spmm_fma: self.ops.spmm_fma,
             gemm_fma: self.ops.gemm_fma,
             bytes_sent: self.comm.total_bytes() as f64,
             messages: self.comm.total_messages() as f64,
-            hidden_ns: self.comm.overlap_ns,
+            hidden_ns,
         }
     }
+}
+
+/// Each rank's communication time, in virtual ns, that `chunks`-strip
+/// pipelines hide behind the kernels of `steps` run over `adj` (and
+/// `adj_t`, the transpose backward SpMMs multiply; `None` when symmetric)
+/// on `grid`: the schedule priced per rank with the real nonzeros of every
+/// panel ([`rdm_model::RankPrice::hidden_ns`]). What the clock reads beside
+/// a unit's measured books; zero on every rank when blocking.
+pub fn hidden_price(
+    steps: &[Step],
+    feats: &[usize],
+    adj: &Csr,
+    adj_t: Option<&Csr>,
+    grid: PanelGrid,
+    chunks: usize,
+    device: &DeviceModel,
+) -> Vec<u64> {
+    if chunks < 2 {
+        return vec![0; grid.p];
+    }
+    let shape = GnnShape {
+        n: adj.rows(),
+        nnz: adj.nnz(),
+        feats: feats.to_vec(),
+    };
+    let (nnz, nnz_t) = (grid.panel_nnz(adj), adj_t.map(|t| grid.panel_nnz(t)));
+    let (p, r_a, nnz_t) = (grid.p, grid.r_a, nnz_t.as_deref());
+    let ranks = price_ranks(steps, &shape, p, r_a, chunks, &nnz, nnz_t, 1.0);
+    let ranks = ranks.unwrap_or_else(|e| panic!("{e}"));
+    ranks.iter().map(|r| r.hidden_ns(device)).collect()
 }
 
 /// Run one unit of work on this rank and book it. The book opens before
@@ -105,9 +139,6 @@ pub struct RankEpoch {
     pub loss: f32,
     pub train_acc: f32,
     pub test_acc: f32,
-    /// The Table-IV ordering this epoch executed (RDM trainers; `None`
-    /// for the fixed-order baselines).
-    pub plan_id: Option<usize>,
     /// What this rank measured over the epoch.
     pub book: UnitBook,
 }
@@ -131,6 +162,9 @@ pub struct EpochMetrics {
     pub ops: OpCounters,
     /// Simulated timing on the paper's device (slowest rank).
     pub sim: Predicted,
+    /// Priced communication time the epoch's chunk pipelines hid behind
+    /// compute, summed over ranks (virtual ns; zero when blocking).
+    pub hidden_ns: u64,
     /// The Table-IV ordering this epoch executed, when applicable.
     pub plan_id: Option<usize>,
     /// Fresh workspace-pool allocations this epoch, summed over ranks.
@@ -140,18 +174,32 @@ pub struct EpochMetrics {
 }
 
 impl EpochMetrics {
-    /// Aggregate per-rank records under a device model.
-    pub fn from_ranks(epoch: usize, ranks: &[RankEpoch], device: &DeviceModel) -> Self {
+    /// Aggregate per-rank records, each beside its rank's priced hidden
+    /// time in `hidden_ns`, under a device model. The plan id is left
+    /// unset: the caller knows the plan.
+    ///
+    /// # Panics
+    /// If there are no ranks, or not one hidden time per rank.
+    pub fn from_ranks(
+        epoch: usize,
+        ranks: &[RankEpoch],
+        hidden_ns: &[u64],
+        device: &DeviceModel,
+    ) -> Self {
         assert!(!ranks.is_empty());
+        assert_eq!(ranks.len(), hidden_ns.len(), "one hidden time per rank");
         let mut comm = CommStats::default();
         let mut ops = OpCounters::default();
         for r in ranks {
             comm.merge(&r.book.comm);
             ops.add(r.book.ops);
         }
-        let measured: Vec<MeasuredRank> = ranks.iter().map(|r| r.book.measured()).collect();
+        let measured: Vec<MeasuredRank> = (ranks.iter().zip(hidden_ns))
+            .map(|(r, &hidden)| r.book.measured(hidden))
+            .collect();
         EpochMetrics {
-            plan_id: ranks[0].plan_id,
+            plan_id: None,
+            hidden_ns: hidden_ns.iter().sum(),
             ws_fresh: ranks.iter().map(|r| r.book.ws_fresh).sum(),
             ws_reused: ranks.iter().map(|r| r.book.ws_reused).sum(),
             epoch,
@@ -197,12 +245,12 @@ impl EpochMetrics {
         self.comm.retransmit_bytes
     }
 
-    /// Modeled communication time hidden behind compute by pipelined
+    /// Priced communication time hidden behind compute by pipelined
     /// redistribution this epoch (summed over ranks, virtual nanoseconds).
     /// Zero on the blocking path. What the epoch saved is the slowest
     /// rank's share, `sim.hidden_s`.
     pub fn overlap_ns(&self) -> u64 {
-        self.comm.overlap_ns
+        self.hidden_ns
     }
 
     /// Fresh workspace-pool heap allocations this epoch, summed over
@@ -310,7 +358,7 @@ impl TrainReport {
         self.epochs.iter().map(|e| e.retransmit_bytes()).sum()
     }
 
-    /// Modeled communication time hidden by pipelined redistribution over
+    /// Priced communication time hidden by pipelined redistribution over
     /// the whole run, summed over ranks, virtual nanoseconds. Zero unless
     /// the trainer ran with `overlap`.
     pub fn total_overlap_ns(&self) -> u64 {
@@ -333,7 +381,6 @@ mod tests {
         comm.record_send(CollectiveKind::Redistribute, bytes);
         comm.record_time(Duration::from_millis(ms / 4));
         RankEpoch {
-            plan_id: None,
             loss: 1.0,
             train_acc: 0.5,
             test_acc: 0.4,
@@ -352,7 +399,8 @@ mod tests {
     #[test]
     fn aggregate_takes_max_wall_and_sums_bytes() {
         let device = DeviceModel::a6000_pcie();
-        let m = EpochMetrics::from_ranks(3, &[rank(10, 100, 1e6), rank(30, 200, 2e6)], &device);
+        let ranks = [rank(10, 100, 1e6), rank(30, 200, 2e6)];
+        let m = EpochMetrics::from_ranks(3, &ranks, &[0, 0], &device);
         assert_eq!(m.epoch, 3);
         assert_eq!(m.wall, Duration::from_millis(30));
         assert_eq!(m.total_bytes, 300);
@@ -365,8 +413,8 @@ mod tests {
     #[test]
     fn report_means() {
         let device = DeviceModel::a6000_pcie();
-        let e1 = EpochMetrics::from_ranks(0, &[rank(10, 100, 1e6)], &device);
-        let e2 = EpochMetrics::from_ranks(1, &[rank(20, 300, 1e6)], &device);
+        let e1 = EpochMetrics::from_ranks(0, &[rank(10, 100, 1e6)], &[0], &device);
+        let e2 = EpochMetrics::from_ranks(1, &[rank(20, 300, 1e6)], &[0], &device);
         let r = TrainReport {
             algo: "test".into(),
             dataset: "toy".into(),

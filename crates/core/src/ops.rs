@@ -143,6 +143,15 @@ impl PanelGrid {
         use rdm_dense::part_range;
         part_range(n, self.p, first).start..part_range(n, self.p, last).end
     }
+
+    /// Nonzeros of each row panel of `adj`, in panel order.
+    pub fn panel_nnz(&self, adj: &Csr) -> Vec<usize> {
+        let indptr = adj.indptr();
+        let rows = |k| self.panel_rows(adj.rows(), k);
+        (0..self.panels())
+            .map(|k| indptr[rows(k).end] - indptr[rows(k).start])
+            .collect()
+    }
 }
 
 /// Row-panel replicated SpMM (Fig. 6): `Out = A · In` where this rank

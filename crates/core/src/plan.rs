@@ -2,7 +2,6 @@
 //! resolution of a run's request into a plan that training and serving
 //! share ([`resolve`]).
 
-use crate::gcn::overlap_inert_reason;
 use crate::trainer::Algo;
 use rdm_model::{DeviceModel, GnnShape, Order, OrderConfig};
 use rdm_sparse::Csr;
@@ -124,14 +123,35 @@ pub struct PlanRequest<'a> {
     pub device: &'a DeviceModel,
 }
 
-/// A resolved request: the plan, and why each requested optimisation that
-/// will not run is inert.
+/// A resolved request: the plan, the pipeline depth it runs at, and why
+/// each requested optimisation that will not run is inert.
 #[derive(Debug)]
 pub struct Resolution {
     /// `None` for algorithms that read no plan.
     pub plan: Option<Plan>,
+    /// Strips every fed product's conversion ships in: the requested depth
+    /// when the pipeline runs, else `1` (blocking).
+    pub chunks: usize,
     pub overlap_inert: Option<&'static str>,
     pub sparse_inert: Option<&'static str>,
+}
+
+/// Why a requested pipeline of `chunks` strips would be inert on `p` ranks
+/// at replication factor `r_a`, or `None` when it runs: no pipeline depth
+/// (`chunks < 2`), or nothing to overlap (a single rank, or `r_a = 1`,
+/// where the redistribution group is the rank alone). The one gate:
+/// [`resolve`] decides a run's depth with it, and reports say why a run
+/// stayed blocking.
+pub fn overlap_inert_reason(chunks: usize, p: usize, r_a: usize) -> Option<&'static str> {
+    if chunks < 2 {
+        Some("chunks < 2")
+    } else if p < 2 {
+        Some("single rank")
+    } else if r_a < 2 {
+        Some("r_a = 1 leaves no redistribution group to pipeline")
+    } else {
+        None
+    }
 }
 
 /// Turn a run's request into a plan — the one place training and serving
@@ -139,7 +159,8 @@ pub struct Resolution {
 /// requested one, `r_a` (and CAGNET-1.5D's `c`) dividing `P`, the plan's
 /// layer count against `shape`. Then price `σ = 1 − empty_row_fraction(adj)`
 /// under the indexed wire, select through [`best_plan`] when no plan is
-/// given, and name why a requested overlap or indexed wire stays inert.
+/// given, fix the pipeline depth, and name why a requested overlap or
+/// indexed wire stays inert.
 ///
 /// # Errors
 /// The first check the request fails, with the message both binaries print.
@@ -196,8 +217,10 @@ pub fn resolve(req: &PlanRequest<'_>, shape: &GnnShape, adj: &Csr) -> Result<Res
         (true, false) => Some("non-RDM algorithm"),
         (true, true) => (p < 2).then_some("single rank"),
     };
+    let chunks = req.overlap.filter(|_| overlap_inert.is_none()).unwrap_or(1);
     Ok(Resolution {
         plan,
+        chunks,
         overlap_inert,
         sparse_inert,
     })
@@ -293,6 +316,54 @@ mod tests {
         }
     }
 
+    /// The pipelined price is the executed book too: at `chunks` 2, 3 and
+    /// 7 on full-replication and replicated-panel grids, one fault-free
+    /// dense-wire epoch of every 2-layer plan books exactly the priced
+    /// `Redistribute` and `Broadcast` bytes and messages on every rank —
+    /// `chunks·(r_a − 1)` per fed conversion, `chunks·(P/r_a − 1)` per fed
+    /// panel broadcast — and, priced on the real panel nonzeros, the
+    /// priced FMAs. Every plan's pipelines hide time.
+    #[test]
+    fn pipelined_price_is_the_executed_book() {
+        use crate::metrics::book_unit;
+        use crate::ops::PanelGrid;
+        use crate::trainer::{on_ranks, TrainerConfig};
+        use rdm_comm::CollectiveKind::{Broadcast, Redistribute};
+        let device = DeviceModel::a6000_pcie();
+        let ds = rdm_graph::DatasetSpec::synthetic("booked", 54, 300, 10, 6).instantiate(3);
+        let shape = ds.shape_layers(8, 2);
+        for config in OrderConfig::enumerate(2) {
+            let steps = rdm_model::schedule(&config, true, &shape.feats, false).unwrap();
+            for (p, r_a) in [(4, 4), (4, 2), (8, 2)] {
+                let nnz = PanelGrid::new(p, r_a).panel_nnz(&ds.adj_norm);
+                for chunks in [2, 3, 7] {
+                    let what = format!("id {} P {p} R_A {r_a} chunks {chunks}", config.id());
+                    let price =
+                        rdm_model::price_ranks(&steps, &shape, p, r_a, chunks, &nnz, None, 1.0);
+                    let price = price.unwrap();
+                    let plan = Plan::from_id(config.id(), 2, p).with_ra(r_a);
+                    let cfg = TrainerConfig::rdm(p, plan).hidden(8).overlap(chunks);
+                    let books = on_ranks(&ds, &cfg, |t, ctx| {
+                        let idx = 0;
+                        book_unit(ctx, rdm_trace::Span::Epoch { idx }, |ops| t.epoch(ctx, ops)).1
+                    })
+                    .results;
+                    for (rank, (book, priced)) in books.iter().zip(&price).enumerate() {
+                        let (comm, ops, b) = (&book.comm, &book.ops, &priced.book);
+                        let messages = comm.total_messages() as f64;
+                        let booked = (comm.bytes(Redistribute), comm.bytes(Broadcast), messages);
+                        let expect = (priced.redistribute, priced.broadcast, b.messages);
+                        assert_eq!(booked, expect, "{what} rank {rank}: bytes, messages");
+                        let fmas = (ops.spmm_fma, ops.gemm_fma);
+                        assert_eq!(fmas, (b.spmm_fma, b.gemm_fma), "{what} rank {rank}: FMAs");
+                    }
+                    let hidden: u64 = price.iter().map(|r| r.hidden_ns(&device)).sum();
+                    assert!(hidden > 0, "{what}: the pipeline hides nothing");
+                }
+            }
+        }
+    }
+
     /// Selection is a fixed point of execution: at three P = 4 points (two
     /// 2-layer, one 3-layer) one executed epoch of every Pareto plan
     /// through `train_gcn` is fastest, slowest rank against slowest rank,
@@ -365,6 +436,18 @@ mod tests {
         let batch = GnnShape::gcn(4096, nnz, 64, 64, 16, 2);
         let got = pick(&batch, &serve.adj_norm, 2, None, false);
         assert_eq!(got, (5, vec![5]), "serve-induced");
+    }
+
+    /// One reason per gate in [`overlap_inert_reason`], in precedence order
+    /// — the strings reports print must track the gate exactly.
+    #[test]
+    fn overlap_inert_reasons_cover_every_gate() {
+        assert_eq!(overlap_inert_reason(1, 4, 4), Some("chunks < 2"));
+        assert_eq!(overlap_inert_reason(4, 1, 1), Some("single rank"));
+        let ra1 = overlap_inert_reason(4, 4, 1).expect("r_a = 1 must be inert");
+        assert!(ra1.contains("r_a = 1"), "got {ra1:?}");
+        assert_eq!(overlap_inert_reason(4, 4, 2), None);
+        assert_eq!(overlap_inert_reason(4, 4, 4), None);
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl Trainer for SaintRdmTrainer<'_> {
             let mut input = input_cache(&sd.features, &topo, ctx);
             let targets = Targets::new(sd.labels.clone(), &sd.split, c.ds.spec.labels);
             c.model
-                .rdm_step(ctx, &topo, &mut input, &plan, &targets, false, None, ops);
+                .rdm_step(ctx, &topo, &mut input, &plan, &targets, false, 1, ops);
         }
         c.finish_epoch()
     }
@@ -283,7 +283,7 @@ impl Trainer for SaintMaskedTrainer<'_> {
             self.topo.set_mask(Some(mask));
             let (topo, input, plan) = (&self.topo, &mut self.input, &self.plan);
             c.model
-                .rdm_step(ctx, topo, input, plan, &c.targets, false, None, ops);
+                .rdm_step(ctx, topo, input, plan, &c.targets, false, 1, ops);
         }
         c.finish_epoch()
     }

@@ -8,14 +8,14 @@
 //! plan, loss, backward, Adam. GraphSAINT-DDP trains local subgraphs
 //! serially and all-reduces their gradients ([`crate::saint`]).
 //! [`train_gcn`] drives every algorithm through one per-rank trainer
-//! interface: an epoch, the weights and the plan id.
+//! interface: an epoch and the weights.
 
 use crate::adam::Adam;
 use crate::dist::{DistMat, FormCache};
-use crate::gcn::{activate, input_cache, rdm_backward, rdm_forward, GcnWeights, OverlapSpec};
+use crate::gcn::{activate, input_cache, rdm_backward, rdm_forward, GcnWeights};
 use crate::loss::{score, LossSpec, Scores};
-use crate::metrics::{book_unit, session, EpochMetrics, RankEpoch, TrainReport};
-use crate::ops::{dist_gemm, weight_grad, OpCounters, Topology};
+use crate::metrics::{book_unit, hidden_price, session, EpochMetrics, RankEpoch, TrainReport};
+use crate::ops::{dist_gemm, weight_grad, OpCounters, PanelGrid, Topology};
 use crate::plan::{Plan, PlanRequest, Resolution};
 use crate::saint::{SaintDdpTrainer, SaintMaskedTrainer, SaintRdmTrainer};
 use rdm_comm::{FaultPlan, RankCtx};
@@ -23,7 +23,7 @@ use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::{relu_backward_in_place, Mat};
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_graph::SaintSampler;
-use rdm_model::DeviceModel;
+use rdm_model::{schedule, DeviceModel};
 use rdm_trace::Span;
 
 /// Which distributed GNN system to run.
@@ -83,8 +83,9 @@ pub struct TrainerConfig {
     /// Chunk count for pipelined redistribution (RDM algorithms only).
     /// `Some(c)` with `c > 1` overlaps every Row↔Col redistribution with
     /// its downstream kernel in `c`-strip chunks; results and payload
-    /// bytes are bit-identical to blocking, and the hidden communication
-    /// time lands in [`EpochMetrics::overlap_ns`].
+    /// bytes are bit-identical to blocking, and the communication time the
+    /// pipeline hides is priced from the schedule into
+    /// [`EpochMetrics::overlap_ns`].
     pub overlap: Option<usize>,
     /// Adjacency replication factor for RDM plans (`Algo::Rdm`): `Some(r)`
     /// selects through [`crate::plan::best_plan`] at `r_a = r` — every
@@ -270,11 +271,6 @@ pub(crate) trait Trainer {
     /// The current (replicated) weights — the trained model once the
     /// epochs are done.
     fn weights(&self) -> &GcnWeights;
-
-    /// The Table-IV ordering the epochs run (RDM trainers only).
-    fn plan_id(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// Set up this rank's trainer for `cfg.algo`.
@@ -322,8 +318,9 @@ impl Model {
     /// and masked-SpMM (under each edge mask) share: the forward pass under
     /// `plan`, the loss at the row-sliced logits, the backward pass and the
     /// Adam update. With `measure`, train and test accuracy are taken
-    /// between the loss and the backward pass. The schedule never writes
-    /// `H⁰`, so `input` is lent to the step and handed back uncopied.
+    /// between the loss and the backward pass, and every fed product runs
+    /// as `chunks` strips. The schedule never writes `H⁰`, so `input` is
+    /// lent to the step and handed back uncopied.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rdm_step(
         &mut self,
@@ -333,19 +330,19 @@ impl Model {
         plan: &Plan,
         targets: &Targets,
         measure: bool,
-        overlap: Option<&OverlapSpec>,
+        chunks: usize,
         ops: &mut OpCounters,
     ) -> (f32, Option<(f32, f32)>) {
         let w = &self.weights;
         let lent = std::mem::take(input);
-        let mut art = rdm_forward(ctx, topo, lent, w, plan, overlap, ops);
+        let mut art = rdm_forward(ctx, topo, lent, w, plan, chunks, ops);
         let logits = art.logits_row();
         let Scores {
             loss,
             grad,
             accuracy,
         } = targets.score(&logits, measure, ctx);
-        let back = rdm_backward(ctx, topo, &mut art, w, grad, overlap, ops);
+        let back = rdm_backward(ctx, topo, &mut art, w, grad, chunks, ops);
         *input = art.take_input();
         self.adam.step(&mut self.weights.w, &back.weight_grads);
         (loss, accuracy)
@@ -455,7 +452,8 @@ struct RdmTrainer<'a> {
     input: FormCache,
     model: Model,
     targets: Targets,
-    overlap: Option<OverlapSpec>,
+    /// The resolved pipeline depth.
+    chunks: usize,
 }
 
 impl<'a> RdmTrainer<'a> {
@@ -470,10 +468,7 @@ impl<'a> RdmTrainer<'a> {
             input: input_cache(&ds.features, &topo, ctx),
             model: Model::new(ds, cfg),
             targets: Targets::of(ds),
-            overlap: cfg.overlap.map(|chunks| OverlapSpec {
-                chunks,
-                device: cfg.device,
-            }),
+            chunks: resolved.chunks,
             plan,
             topo,
         }
@@ -489,7 +484,7 @@ impl Trainer for RdmTrainer<'_> {
             &self.plan,
             &self.targets,
             true,
-            self.overlap.as_ref(),
+            self.chunks,
             ops,
         );
         let (train_acc, test_acc) = acc.expect("full-batch steps measure accuracy");
@@ -498,10 +493,6 @@ impl Trainer for RdmTrainer<'_> {
 
     fn weights(&self) -> &GcnWeights {
         &self.model.weights
-    }
-
-    fn plan_id(&self) -> Option<usize> {
-        Some(self.plan.id())
     }
 }
 
@@ -577,7 +568,6 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
                 loss,
                 train_acc,
                 test_acc,
-                plan_id: trainer.plan_id(),
                 book,
             });
         }
@@ -587,12 +577,26 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
         (epochs, weights)
     });
 
+    // Every epoch runs the resolved plan's schedule, so its pipeline
+    // hides the same priced time each epoch.
+    let plan_id = resolved.plan.as_ref().map(Plan::id);
+    let hidden = match &resolved.plan {
+        Some(plan) => {
+            let feats = ds.shape_layers(cfg.hidden, cfg.layers).feats;
+            let steps = schedule(&plan.config, plan.memoize, &feats, false)?;
+            let (grid, adj_t) = (PanelGrid::new(cfg.p, plan.r_a), ds.adj_norm_t.as_ref());
+            let (adj, chunks, device) = (&ds.adj_norm, resolved.chunks, &cfg.device);
+            hidden_price(&steps, &feats, adj, adj_t, grid, chunks, device)
+        }
+        None => vec![0; cfg.p],
+    };
     // Aggregate per epoch across ranks.
     let mut per_rank = out.results;
     let mut epochs = Vec::with_capacity(cfg.epochs);
     for e in 0..cfg.epochs {
         let snapshot: Vec<RankEpoch> = per_rank.iter().map(|r| r.0[e].clone()).collect();
-        epochs.push(EpochMetrics::from_ranks(e, &snapshot, &cfg.device));
+        let metrics = EpochMetrics::from_ranks(e, &snapshot, &hidden, &cfg.device);
+        epochs.push(EpochMetrics { plan_id, ..metrics });
     }
     // An auto-selected plan is reported by the id it resolved to.
     let algo = match &cfg.algo {

@@ -57,7 +57,7 @@ proptest! {
             let topo = Topology::new(&adj, r_a, ctx);
             let mut ops = OpCounters::default();
             let input = input_cache(&features, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, None, &mut ops);
+            let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, 1, &mut ops);
             let logits = art.logits_row();
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
@@ -66,7 +66,7 @@ proptest! {
                 num_classes: 4,
             };
             let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-            rdm_backward(ctx, &topo, &mut art, &w2, lgrad, None, &mut ops)
+            rdm_backward(ctx, &topo, &mut art, &w2, lgrad, 1, &mut ops)
                 .weight_grads
         });
         for grads in &out.results {
@@ -106,7 +106,7 @@ proptest! {
             let topo = Topology::full(&adj, ctx);
             let mut ops = OpCounters::default();
             let input = input_cache(&features, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &weights, &plan, None, &mut ops);
+            let mut art = rdm_forward(ctx, &topo, input, &weights, &plan, 1, &mut ops);
             let logits = art.logits_row();
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
@@ -115,7 +115,7 @@ proptest! {
                 num_classes: 4,
             };
             let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
-            let _ = rdm_backward(ctx, &topo, &mut art, &weights, lgrad, None, &mut ops);
+            let _ = rdm_backward(ctx, &topo, &mut art, &weights, lgrad, 1, &mut ops);
         });
         let measured: u64 = out
             .stats

@@ -137,10 +137,22 @@ impl fmt::Display for Violation {
     }
 }
 
+/// One strip of a pipelined product on one rank: the `(bytes, messages)`
+/// this rank sends for it — its conversion pieces, one message per
+/// row-group peer, then its panel broadcast (an SpMM at `R_A < P`; none
+/// otherwise) — and the FMAs its kernel runs, on the strips
+/// `RankCtx::redistribute` hands its sink.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Strip {
+    pub sends: [(u64, usize); 2],
+    pub spmm_fma: f64,
+    pub gemm_fma: f64,
+}
+
 /// Prices a schedule on one rank of the `p/r_a × r_a` grid: the
 /// schedule-level events each [`Step`] produces there, with this rank's
-/// byte and shape geometry, and the messages the blocking collectives send
-/// for them.
+/// byte and shape geometry, and the messages the collectives send for
+/// them — a fed product's as `chunks` strips.
 pub(crate) struct Pricer {
     /// Vertex count.
     n: usize,
@@ -152,12 +164,18 @@ pub(crate) struct Pricer {
     /// backward SpMMs multiply.
     nnz: (usize, usize),
     pub(crate) events: Vec<SchedEvent>,
-    /// Messages this rank sends on the blocking schedule: one per
-    /// row-group peer for each conversion (an empty piece is still sent),
-    /// one per other panel for each panel broadcast, `2(p-1)` for each
-    /// ring all-reduce, and `p-1` for the loss boundary's scalar
-    /// all-reduce (an all-gather; the same for every plan).
+    /// Messages this rank sends: one per row-group peer for each
+    /// conversion and one per other panel for each panel broadcast —
+    /// `chunks` times over for a fed product's, one per strip (an empty
+    /// piece is still sent) — `2(p-1)` for each ring all-reduce, and `p-1`
+    /// for the loss boundary's scalar all-reduce (an all-gather; the same
+    /// for every plan).
     pub(crate) messages: usize,
+    /// Strips each fed product's conversion ships in (`1`: blocking).
+    pub(crate) chunks: usize,
+    /// The strips of every fed product, in schedule order, when
+    /// `chunks > 1` (a blocking schedule has no pipeline).
+    pub(crate) pipelines: Vec<Vec<Strip>>,
 }
 
 impl Pricer {
@@ -203,6 +221,8 @@ impl Pricer {
             nnz: (panel_nnz[rank / r_a], panel_nnz_t[rank / r_a]),
             events: Vec::new(),
             messages: 0,
+            chunks: 1,
+            pipelines: Vec::new(),
         })
     }
 
@@ -261,12 +281,12 @@ impl Pricer {
         (elems * 4) as u64
     }
 
-    fn redist(&mut self, to: Form, kind: TraceCollective, f: usize) {
+    fn redist(&mut self, to: Form, kind: TraceCollective, f: usize, chunks: usize) {
         let bytes = match to {
             Form::Col => self.row_to_col_bytes(f),
             Form::Row => self.col_to_row_bytes(f),
         };
-        self.messages += self.r_a - 1;
+        self.messages += chunks * (self.r_a - 1);
         self.events.push(SchedEvent::Redist {
             from: to.other(),
             to,
@@ -279,22 +299,59 @@ impl Pricer {
     /// `R_A = P` the panel is the whole adjacency, so the span shape is a
     /// pure function of the graph shape; at `R_A < P` the kernel runs this
     /// rank's panel and carries the column group's dense tile broadcast.
-    fn spmm(&mut self, f: usize, bwd: bool) {
+    fn spmm(&mut self, f: usize, bwd: bool, chunks: usize) {
         let (rows, cols, panels) = (self.panel_len(), self.tile_cols(f), self.p / self.r_a);
         let nnz = if bwd { self.nnz.1 } else { self.nnz.0 };
         self.events.push(SchedEvent::Spmm { rows, cols, nnz });
         if panels > 1 {
             let bytes = ((panels - 1) * rows * cols * 4) as u64;
-            self.messages += panels - 1;
+            self.messages += chunks * (panels - 1);
             self.events.push(SchedEvent::Broadcast { bytes });
         }
+    }
+
+    /// The strips of a fed `op` from width `f_in` to `f_out`: this rank
+    /// cuts the piece of its slice each row-group peer gets into `chunks`
+    /// sub-blocks along the axis the conversion splits — the columns of a
+    /// row slice feeding an SpMM, the panel rows of a tile feeding a GEMM —
+    /// and its strip `q` is the `q`-th cut of its own part.
+    fn pipeline(&mut self, op: Op, f_in: usize, f_out: usize, bwd: bool) {
+        let (g, me, chunks) = (self.r_a, self.rank % self.r_a, self.chunks);
+        let (axis, fixed) = match op {
+            Op::Spmm => (f_in, self.rows_r()),
+            Op::Gemm => (self.panel_len(), self.tile_cols(f_in)),
+        };
+        let (panels, rows, mine) = (self.p / g, self.panel_len(), part_len(axis, g, me));
+        let nnz = if bwd { self.nnz.1 } else { self.nnz.0 };
+        let strip = |q: usize| {
+            let peers = (0..g).filter(|&j| j != me);
+            let elems: usize = peers
+                .map(|j| part_len(part_len(axis, g, j), chunks, q))
+                .sum();
+            let width = part_len(mine, chunks, q);
+            let conversion = ((elems * fixed * 4) as u64, g - 1);
+            let broadcast = (((panels - 1) * rows * width * 4) as u64, panels - 1);
+            match op {
+                Op::Spmm => Strip {
+                    sends: [conversion, broadcast],
+                    spmm_fma: (nnz * width) as f64,
+                    gemm_fma: 0.0,
+                },
+                Op::Gemm => Strip {
+                    sends: [conversion, (0, 0)],
+                    spmm_fma: 0.0,
+                    gemm_fma: (width * f_in * f_out) as f64,
+                },
+            }
+        };
+        self.pipelines.push((0..chunks).map(strip).collect());
     }
 
     /// Append the events `steps` produce on this rank.
     pub(crate) fn price(&mut self, steps: &[Step]) {
         for step in steps {
             match *step {
-                Step::Convert { to, kind, f, .. } => self.redist(to, kind, f),
+                Step::Convert { to, kind, f, .. } => self.redist(to, kind, f, 1),
                 Step::Product {
                     op,
                     f_in,
@@ -303,11 +360,15 @@ impl Pricer {
                     bwd,
                     ..
                 } => {
+                    let chunks = if fed { self.chunks } else { 1 };
                     if fed {
-                        self.redist(op.form(), TraceCollective::Redistribute, f_in);
+                        self.redist(op.form(), TraceCollective::Redistribute, f_in, chunks);
+                    }
+                    if chunks > 1 {
+                        self.pipeline(op, f_in, f_out, bwd);
                     }
                     match op {
-                        Op::Spmm => self.spmm(f_in, bwd),
+                        Op::Spmm => self.spmm(f_in, bwd, chunks),
                         Op::Gemm => self.events.push(SchedEvent::Gemm {
                             m: self.rows_r(),
                             n: f_out,

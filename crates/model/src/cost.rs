@@ -14,10 +14,10 @@
 //! no selection reads it.
 
 use crate::config::{Order, OrderConfig};
-use crate::conformance::{part_len, Pricer, SchedEvent};
-use crate::device::MeasuredRank;
+use crate::conformance::{part_len, Pricer, SchedEvent, Strip};
+use crate::device::{DeviceModel, MeasuredRank};
 use crate::layer::{backward_layer_cost, forward_layer_cost, redistribution_elems, LayerDims};
-use crate::schedule::schedule;
+use crate::schedule::{schedule, Step};
 use rdm_trace::TraceCollective;
 
 /// The shape of a GCN training problem: vertex count, edge count (nnz of
@@ -171,17 +171,42 @@ pub fn config_cost(shape: &GnnShape, cfg: &OrderConfig, p: usize, r_a: usize) ->
     total
 }
 
-/// One rank's epoch of a plan, priced on its schedule.
-#[derive(Clone, Copy, Debug, Default)]
+/// One rank's share of a schedule, priced.
+#[derive(Clone, Debug, Default)]
 pub struct RankPrice {
     /// Dense payload bytes of this rank's `Redistribute` conversions.
     pub redistribute: u64,
     /// Bytes of this rank's panel broadcasts (`R_A < P` only).
     pub broadcast: u64,
     /// What the clock reads: FMAs, every byte the list sends (with
-    /// `sigma` applied to the conversions), and the messages the blocking
+    /// `sigma` applied to the conversions), and the messages the
     /// collectives send for it, the loss boundary's included.
     pub book: MeasuredRank,
+    /// The strips of each pipelined product (none when blocking).
+    pub pipelines: Vec<Vec<Strip>>,
+}
+
+impl RankPrice {
+    /// The communication time, in virtual ns, this rank's pipelines hide
+    /// behind their kernels on `device`: per product, the
+    /// [`DeviceModel::hidden_time`] of its strips' link and kernel times,
+    /// truncated to whole ns; summed. Zero on a blocking schedule.
+    pub fn hidden_ns(&self, device: &DeviceModel) -> u64 {
+        let hidden = |strips: &Vec<Strip>| {
+            let (mut comm, mut comp) = (Vec::new(), Vec::new());
+            for s in strips {
+                let [(bytes, messages), (broadcast, peers)] = s.sends;
+                let mut t = device.comm_time(bytes as f64, messages as f64);
+                if peers > 0 {
+                    t += device.comm_time(broadcast as f64, peers as f64);
+                }
+                comm.push(t);
+                comp.push(device.compute_time(s.spmm_fma, s.gemm_fma));
+            }
+            (device.hidden_time(&comm, &comp) * 1e9) as u64
+        };
+        self.pipelines.iter().map(hidden).sum()
+    }
 }
 
 /// One plan's epoch, priced on its schedule.
@@ -223,34 +248,8 @@ pub fn price_plan(
     let panel_nnz: Vec<usize> = (0..panels)
         .map(|k| part_len(shape.nnz, panels, k))
         .collect();
-    let ranks: Vec<RankPrice> = (0..p)
-        .map(|rank| {
-            let mut pricer = Pricer::new(shape, p, r_a, rank, &panel_nnz, None)
-                .unwrap_or_else(|e| panic!("{e}"));
-            pricer.price(&steps);
-            let (mut r, mut converted, mut rest) = (RankPrice::default(), 0, 0);
-            r.book.messages = pricer.messages as f64;
-            for e in pricer.events {
-                match e {
-                    SchedEvent::Redist { kind, bytes, .. } => {
-                        converted += bytes;
-                        if kind == TraceCollective::Redistribute {
-                            r.redistribute += bytes;
-                        }
-                    }
-                    SchedEvent::Broadcast { bytes } => {
-                        r.broadcast += bytes;
-                        rest += bytes;
-                    }
-                    SchedEvent::AllReduce { bytes } => rest += bytes,
-                    SchedEvent::Spmm { cols, nnz, .. } => r.book.spmm_fma += (cols * nnz) as f64,
-                    SchedEvent::Gemm { m, n, k } => r.book.gemm_fma += (m * n * k) as f64,
-                }
-            }
-            r.book.bytes_sent = sigma * converted as f64 + rest as f64;
-            r
-        })
-        .collect();
+    let ranks = price_ranks(&steps, shape, p, r_a, 1, &panel_nnz, None, sigma)
+        .unwrap_or_else(|e| panic!("{e}"));
     let bytes = |f: fn(&RankPrice) -> u64| ranks.iter().map(f).sum::<u64>() as f64;
     let cost = Cost {
         comm_elems: (sigma * bytes(|r| r.redistribute) + bytes(|r| r.broadcast)) / 4.0,
@@ -262,6 +261,60 @@ pub fn price_plan(
         cost,
         ranks,
     }
+}
+
+/// Price `steps` on every rank of the `p/r_a × r_a` grid, in rank order,
+/// with each fed product's conversion shipped as `chunks` strips (`1`:
+/// blocking) and each strip's pipeline kept for [`RankPrice::hidden_ns`].
+/// `panel_nnz[k]` is the nonzero count of panel `k`'s row slice of the
+/// adjacency, `panel_nnz_t` that of its transpose (`None`: symmetric), and
+/// `sigma` scales the conversions' bytes as in [`price_plan`].
+///
+/// # Errors
+/// If `chunks` is zero, or the grid or the panel counts do not fit `shape`
+/// (see [`crate::conformance::predict_epoch`]).
+#[allow(clippy::too_many_arguments)]
+pub fn price_ranks(
+    steps: &[Step],
+    shape: &GnnShape,
+    p: usize,
+    r_a: usize,
+    chunks: usize,
+    panel_nnz: &[usize],
+    panel_nnz_t: Option<&[usize]>,
+    sigma: f64,
+) -> Result<Vec<RankPrice>, String> {
+    if chunks == 0 {
+        return Err("a pipeline needs at least one strip".into());
+    }
+    let rank = |rank| {
+        let mut pricer = Pricer::new(shape, p, r_a, rank, panel_nnz, panel_nnz_t)?;
+        pricer.chunks = chunks;
+        pricer.price(steps);
+        let (mut r, mut converted, mut rest) = (RankPrice::default(), 0, 0);
+        r.book.messages = pricer.messages as f64;
+        for e in pricer.events {
+            match e {
+                SchedEvent::Redist { kind, bytes, .. } => {
+                    converted += bytes;
+                    if kind == TraceCollective::Redistribute {
+                        r.redistribute += bytes;
+                    }
+                }
+                SchedEvent::Broadcast { bytes } => {
+                    r.broadcast += bytes;
+                    rest += bytes;
+                }
+                SchedEvent::AllReduce { bytes } => rest += bytes,
+                SchedEvent::Spmm { cols, nnz, .. } => r.book.spmm_fma += (cols * nnz) as f64,
+                SchedEvent::Gemm { m, n, k } => r.book.gemm_fma += (m * n * k) as f64,
+            }
+        }
+        r.book.bytes_sent = sigma * converted as f64 + rest as f64;
+        r.pipelines = pricer.pipelines;
+        Ok(r)
+    };
+    (0..p).map(rank).collect()
 }
 
 /// Every configuration priced by [`price_plan`], ordered by ID.

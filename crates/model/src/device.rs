@@ -91,7 +91,9 @@ impl DeviceModel {
     /// The clock: one rank's modeled time for one unit of work (a training
     /// epoch or a served batch) from what it measured — compute, plus the
     /// communication the chunk pipeline did not hide, plus the fixed
-    /// overhead. Hidden time is capped at the rank's communication time.
+    /// overhead. The hidden time is priced, not measured
+    /// ([`crate::RankPrice::hidden_ns`]), and capped at the rank's
+    /// communication time.
     pub fn rank_time(&self, r: &MeasuredRank) -> Predicted {
         let compute = self.compute_time(r.spmm_fma, r.gemm_fma);
         let comm = self.comm_time(r.bytes_sent, r.messages);
@@ -120,15 +122,16 @@ impl DeviceModel {
 }
 
 /// What one rank did during one unit of work (filled from `rdm-comm` stats
-/// and the executors' op counters).
+/// and the executors' op counters, or priced from a schedule).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MeasuredRank {
     pub spmm_fma: f64,
     pub gemm_fma: f64,
     pub bytes_sent: f64,
     pub messages: f64,
-    /// Modeled communication time the chunk pipeline hid behind compute,
-    /// virtual nanoseconds (zero on the blocking path).
+    /// Priced communication time the unit's chunk pipelines hide behind
+    /// compute ([`crate::RankPrice::hidden_ns`]), virtual nanoseconds;
+    /// zero on the blocking path. Nothing measures it.
     pub hidden_ns: u64,
 }
 

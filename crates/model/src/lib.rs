@@ -47,14 +47,16 @@ pub mod serving;
 pub mod symbolic;
 
 pub use config::{Order, OrderConfig};
-pub use conformance::{check_run, predict_epoch, SchedEvent, Violation};
-pub use cost::{pareto_configs, pareto_ids, price_plan, Cost, GnnShape, PlanPrice, RankPrice};
+pub use conformance::{check_run, predict_epoch, SchedEvent, Strip, Violation};
+pub use cost::{
+    pareto_configs, pareto_ids, price_plan, price_ranks, Cost, GnnShape, PlanPrice, RankPrice,
+};
 pub use device::{DeviceModel, MeasuredRank, Predicted};
 pub use layer::{
     group_redistribution_elems, panel_broadcast_elems, redistribution_elems, LayerDims,
 };
 pub use memory::{cagnet_bytes_per_gpu, max_replication, rdm_bytes_per_gpu, MemoryParams};
-pub use schedule::{schedule, Op, Slot, Step};
+pub use schedule::{forward_schedule, schedule, Op, Slot, Step};
 pub use serving::{
     check_session, extract_session, predict_session, ServeEvent, ServeViolation, SessionBatch,
 };

@@ -290,6 +290,23 @@ pub fn schedule(
     Ok(b.steps)
 }
 
+/// The forward half of [`schedule`], up to the loss boundary: what a
+/// forward-only pass (a serving batch) runs.
+///
+/// # Errors
+/// As [`schedule`].
+pub fn forward_schedule(
+    config: &OrderConfig,
+    memoize: bool,
+    feats: &[usize],
+    held: bool,
+) -> Result<Vec<Step>, String> {
+    let mut steps = schedule(config, memoize, feats, held)?;
+    let loss = steps.iter().position(|s| *s == Step::Loss);
+    steps.truncate(loss.unwrap_or(steps.len()));
+    Ok(steps)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@
 use crate::config::{Order, OrderConfig};
 use crate::conformance::{walk_schedule, Pricer, SchedEvent, Walked};
 use crate::cost::GnnShape;
-use crate::schedule::{schedule, Step};
+use crate::schedule::forward_schedule;
 use rdm_trace::{RankTrace, Span};
 use std::fmt;
 
@@ -82,9 +82,8 @@ pub struct SessionBatch {
 
 /// Predict the serving-schedule event sequence rank `rank` of the
 /// `p/r_a × r_a` grid produces for a full-graph serving session of
-/// `batches` under `config`: the forward half of the plan's [`schedule`],
-/// priced per batch as [`crate::conformance::predict_epoch`] prices an
-/// epoch; `panel_nnz[k]` is the nonzero count of panel `k`'s row slice of
+/// `batches` under `config`: the plan's [`forward_schedule`], priced per
+/// batch as [`crate::conformance::predict_epoch`] prices an epoch; `panel_nnz[k]` is the nonzero count of panel `k`'s row slice of
 /// the adjacency (full replication: `r_a = p, panel_nnz = [shape.nnz]`).
 ///
 /// When layer 1 runs SpMM-first, only the first batch aggregates `Â·H⁰`;
@@ -108,12 +107,7 @@ pub fn predict_session(
     panel_nnz: &[usize],
 ) -> Result<Vec<ServeEvent>, String> {
     let mut pricer = Pricer::new(shape, p, r_a, rank, panel_nnz, None)?;
-    let forward = |held| -> Result<Vec<Step>, String> {
-        let mut steps = schedule(config, memoize, &shape.feats, held)?;
-        let loss = steps.iter().position(|s| *s == Step::Loss);
-        steps.truncate(loss.unwrap_or(steps.len()));
-        Ok(steps)
-    };
+    let forward = |held| forward_schedule(config, memoize, &shape.feats, held);
     let first = forward(false)?;
     let steady = match config.forward[0] {
         Order::SpmmFirst => forward(true)?,
@@ -232,6 +226,7 @@ pub fn check_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::schedule;
 
     fn shape() -> GnnShape {
         GnnShape {

@@ -16,8 +16,10 @@
 //!
 //! Each rank books every batch with [`book_unit`], between barriers, as
 //! the trainer books an epoch. Latency is *virtual*: a batch's service
-//! time is what [`DeviceModel::slowest`] prices its books at — the clock
-//! training epochs use — and completions follow the one-batch-at-a-time
+//! time is what [`DeviceModel::slowest`] prices its books at, beside what
+//! its pipelines hide as priced from the forward schedule the batch ran
+//! ([`hidden_price`]) — the clock training epochs use — and completions
+//! follow the one-batch-at-a-time
 //! queueing recurrence `dispatch_k = max(close_k, completion_{k-1})`. The
 //! timeline reads no wall clock, so a session replays byte-identically
 //! under a fixed seed — including under fault injection, whose
@@ -25,14 +27,16 @@
 
 use rdm_comm::{CommStats, FaultPlan};
 use rdm_core::infer::forward_logits_with;
-use rdm_core::metrics::{book_unit, session, UnitBook};
+use rdm_core::metrics::{book_unit, hidden_price, session, UnitBook};
+use rdm_core::ops::PanelGrid;
 use rdm_core::plan::{resolve, Plan, PlanRequest};
-use rdm_core::{Algo, OverlapSpec, WeightSnapshot};
+use rdm_core::{Algo, WeightSnapshot};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::mat::part_range;
 use rdm_graph::dataset::{Dataset, InducedBatch};
 use rdm_graph::sampler::Subgraph;
-use rdm_model::{DeviceModel, GnnShape, MeasuredRank, Order};
+use rdm_model::{forward_schedule, DeviceModel, GnnShape, MeasuredRank, Order};
+use rdm_sparse::{gcn_normalize_induced, Csr, InduceScratch};
 use rdm_trace::{RankTrace, Span};
 
 use crate::batch::{form_batches, Batch, BatchPolicy};
@@ -87,9 +91,9 @@ pub struct ServeConfig {
     /// mode serves logits bitwise identical to the scalar direct forward.
     pub kernels: KernelMode,
     /// Pipelined batch admission: issue every redistribution as this many
-    /// strips and run the kernels strip by strip
-    /// ([`OverlapSpec`]), hiding communication behind compute. The hidden
-    /// time lands in the virtual latency timeline (and lets a dispatched
+    /// strips and run the kernels strip by strip, hiding communication
+    /// behind compute. The hidden time is priced from each batch's
+    /// schedule into the virtual latency timeline (and lets a dispatched
     /// batch prefetch behind its predecessor; an inert pipeline is timed
     /// as the blocking session it ran); logits stay bitwise
     /// identical to sequential serving. `None` (default) is the blocking
@@ -147,6 +151,9 @@ pub struct ServeOutput {
     pub report: ServeReport,
     /// Merged communication statistics across ranks.
     pub stats: CommStats,
+    /// Priced communication time each batch's pipelines hid behind
+    /// compute, summed over ranks (virtual ns; zeros when blocking).
+    pub hidden_ns: Vec<u64>,
     /// Per-rank traces when [`ServeConfig::trace`] is set.
     pub traces: Option<Vec<RankTrace>>,
 }
@@ -265,10 +272,6 @@ pub fn serve(
 
     let out = session(p, cfg.faults, cfg.trace, cfg.kernels, |ctx| {
         let weights = snap.to_weights();
-        let ospec = cfg.pipeline.map(|chunks| OverlapSpec {
-            chunks,
-            device: cfg.device,
-        });
         // Layer 1's aggregation, row-sliced, once batch 0 has formed it.
         let mut held = None;
         let mut books: Vec<UnitBook> = Vec::with_capacity(batches.len());
@@ -314,7 +317,7 @@ pub fn serve(
                     &weights,
                     &plan,
                     cfg.sparse,
-                    ospec.as_ref(),
+                    resolved.chunks,
                     reuse_inert.is_none().then_some(&mut held),
                     ops,
                 );
@@ -345,6 +348,37 @@ pub fn serve(
         return Err(format!("request {miss} was never served"));
     }
 
+    // What each batch's pipelines hide, per rank, priced from the forward
+    // schedule it ran: batch 0's and the held-`T¹` one on the full graph,
+    // or the plan's on each induced batch's own adjacency.
+    let (grid, chunks, device) = (PanelGrid::new(p, plan.r_a), resolved.chunks, &cfg.device);
+    let memoize = plan.memoize || reuse_inert.is_none();
+    let price = |held: bool, adj: &Csr| -> Result<Vec<u64>, String> {
+        let steps = forward_schedule(&plan.config, memoize, &feats, held)?;
+        Ok(hidden_price(
+            &steps, &feats, adj, None, grid, chunks, device,
+        ))
+    };
+    let hidden: Vec<Vec<u64>> = if chunks < 2 {
+        vec![vec![0; p]; batches.len()]
+    } else if let ServeSampler::Induced { .. } = cfg.sampler {
+        let (mut scratch, mut adj) = (InduceScratch::default(), Csr::empty(0, 0));
+        let mut induced = |v: &Vec<u32>| {
+            gcn_normalize_induced(&ds.adj, v, &mut scratch, &mut adj);
+            price(false, &adj)
+        };
+        let verts = batch_verts.iter().flatten();
+        verts.map(&mut induced).collect::<Result<_, _>>()?
+    } else {
+        let first = price(false, &ds.adj_norm)?;
+        let steady = match reuse_inert {
+            None => price(true, &ds.adj_norm)?,
+            Some(_) => first.clone(),
+        };
+        let kind = |b: &Batch| if b.idx == 0 { &first } else { &steady };
+        batches.iter().map(|b| kind(b).clone()).collect()
+    };
+
     // Virtual timeline: service = the clock's slowest rank per batch, one
     // batch in flight at a time. The pipeline shortens a batch two ways:
     // within the batch, the clock takes each rank's hidden time off its
@@ -353,14 +387,12 @@ pub fn serve(
     // predecessor's compute. A blocking session — no pipeline, or one
     // `resolve` declared inert — has neither, and the recurrence is the
     // classic blocking one.
-    let prefetch = cfg.pipeline.is_some() && resolved.overlap_inert.is_none();
+    let prefetch = chunks > 1;
     let mut timings: Vec<BatchTiming> = Vec::with_capacity(batches.len());
     let mut prev_completion = 0u64;
     for batch in &batches {
-        let measured: Vec<MeasuredRank> = out
-            .results
-            .iter()
-            .map(|(_, books)| books[batch.idx].measured())
+        let measured: Vec<MeasuredRank> = (out.results.iter().zip(&hidden[batch.idx]))
+            .map(|((_, books), &hidden_ns)| books[batch.idx].measured(hidden_ns))
             .collect();
         let t = cfg.device.slowest(&measured);
         let dispatch_us = batch.close_us.max(prev_completion);
@@ -444,6 +476,7 @@ pub fn serve(
     Ok(ServeOutput {
         report,
         stats,
+        hidden_ns: hidden.iter().map(|ranks| ranks.iter().sum()).collect(),
         traces: out.traces,
     })
 }
@@ -604,8 +637,9 @@ mod tests {
     }
 
     /// Pipelined admission must keep logits bitwise identical while the
-    /// hidden communication time lands in the nanosecond-resolution comm
-    /// book and the timeline keeps its queueing invariants. (Whether the
+    /// priced hidden communication time lands in the session's
+    /// nanosecond-resolution book and the timeline keeps its queueing
+    /// invariants. (Whether the
     /// pipeline *wins* depends on shape — chunking pays a per-message
     /// latency toll — so the p99 victory is asserted by
     /// `tests/serving_claims.rs` on a realistic shape, not here on a toy
@@ -619,8 +653,11 @@ mod tests {
         for (a, b) in base.report.requests.iter().zip(&piped.report.requests) {
             assert_eq!(a.logits, b.logits, "pipelining changed request {}", a.idx);
         }
-        assert!(piped.stats.overlap_ns > 0, "pipeline hid no communication");
-        assert_eq!(base.stats.overlap_ns, 0);
+        assert!(
+            piped.hidden_ns.iter().all(|&ns| ns > 0),
+            "a batch hid nothing"
+        );
+        assert!(base.hidden_ns.iter().all(|&ns| ns == 0));
         assert_eq!(base.report.overlap_us_total(), 0);
         let mut prev_done = 0;
         for t in &piped.report.batches {
@@ -745,7 +782,7 @@ mod tests {
             );
             assert!(out.report.overlap_inert_reason().is_none());
             if pipeline.is_some() {
-                assert!(out.stats.overlap_ns > 0, "pipeline hid nothing at r_a=2");
+                assert!(out.hidden_ns.iter().all(|&ns| ns > 0), "r_a=2 hid nothing");
             }
         }
         // A one-panel-column grid (r_a = 1) has no redistribution group to

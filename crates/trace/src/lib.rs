@@ -19,9 +19,10 @@
 //!   `AllReduce`, and the serving-path `Batch` / `Serve` (one per
 //!   executed inference batch / one per request inside it).
 //! * Instants — `Collective` (one per point-to-point send, carrying the
-//!   fabric sequence number), `Retry` (one per injected drop the envelope
-//!   protocol recovered from) and `OverlapStrip` (one per pipelined strip,
-//!   carrying the modeled hidden time).
+//!   fabric sequence number) and `Retry` (one per injected drop the
+//!   envelope protocol recovered from). `OverlapStrip` stays in the
+//!   vocabulary and the Chrome codec, but no run emits it: the time a
+//!   pipeline hides is priced from the schedule, not recorded.
 //!
 //! Only *sender-side* events are recorded: receive completion order is
 //! timing-dependent, while the send schedule is a pure function of the
@@ -166,7 +167,9 @@ pub enum EventData {
         backoff_ns: u64,
     },
     /// One strip of a chunk-pipelined redistribution retired, with the
-    /// modeled communication time it hid behind compute.
+    /// modeled communication time it hid behind compute. Not emitted: the
+    /// hidden time is priced from the schedule (`rdm_model::RankPrice::
+    /// hidden_ns`); kept while the frozen `bench/src/reduce.rs` builds one.
     OverlapStrip { idx: usize, hidden_ns: u64 },
 }
 

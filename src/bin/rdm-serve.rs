@@ -110,7 +110,7 @@ CHAOS:
   --chaos <seed>        serve on a faulty fabric (seeded drops, reordering,
                         stragglers); logits and the payload book are
                         bit-identical to the fault-free run
-  --drop-rate <r>       per-attempt drop probability with --chaos [0.05]
+  --drop-rate <r>       per-attempt drop probability; needs --chaos [0.05]
 ";
 
 fn parse_args() -> Result<Args, String> {

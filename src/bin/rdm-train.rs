@@ -100,7 +100,7 @@ CHAOS:
   --chaos <seed>        train on a faulty fabric (seeded drops, reordering
                         and stragglers); losses are bit-identical to the
                         fault-free run, retransmissions are reported
-  --drop-rate <r>       per-attempt drop probability with --chaos [0.05]
+  --drop-rate <r>       per-attempt drop probability; needs --chaos [0.05]
 ";
 
 fn parse_args() -> Result<Args, String> {

@@ -19,7 +19,8 @@ pub struct CommonArgs {
     pub classes: usize,
     pub scale: Option<usize>,
     pub chaos: Option<u64>,
-    pub drop_rate: f64,
+    /// `None`: the default, 0.05.
+    pub drop_rate: Option<f64>,
     pub trace: Option<String>,
     pub reference_kernels: bool,
     pub ranks: usize,
@@ -41,7 +42,7 @@ impl Default for CommonArgs {
             classes: 16,
             scale: None,
             chaos: None,
-            drop_rate: 0.05,
+            drop_rate: None,
             trace: None,
             reference_kernels: false,
             ranks: 4,
@@ -85,13 +86,11 @@ impl CommonArgs {
             "--scale" => self.scale = Some(value("--scale")?.parse().map_err(|e| format!("{e}"))?),
             "--chaos" => self.chaos = Some(value("--chaos")?.parse().map_err(|e| format!("{e}"))?),
             "--drop-rate" => {
-                self.drop_rate = value("--drop-rate")?.parse().map_err(|e| format!("{e}"))?;
-                if !(0.0..1.0).contains(&self.drop_rate) {
-                    return Err(format!(
-                        "--drop-rate must be in [0, 1), got {}",
-                        self.drop_rate
-                    ));
+                let rate: f64 = value("--drop-rate")?.parse().map_err(|e| format!("{e}"))?;
+                if !(0.0..1.0).contains(&rate) {
+                    return Err(format!("--drop-rate must be in [0, 1), got {rate}"));
                 }
+                self.drop_rate = Some(rate);
             }
             "--trace" => self.trace = Some(value("--trace")?),
             "--reference-kernels" => self.reference_kernels = true,
@@ -122,6 +121,9 @@ impl CommonArgs {
         }
         if self.scale == Some(0) {
             return Err("--scale must be at least 1".into());
+        }
+        if self.drop_rate.is_some() && self.chaos.is_none() {
+            return Err("--drop-rate needs --chaos: without faults nothing is dropped".into());
         }
         self.ra.map_or(Ok(()), |r| check_replication(r, self.ranks))
     }
@@ -171,7 +173,7 @@ impl CommonArgs {
     pub fn fault_plan(&self) -> Option<FaultPlan> {
         self.chaos.map(|seed| {
             FaultPlan::new(seed)
-                .drop_rate(self.drop_rate)
+                .drop_rate(self.drop_rate.unwrap_or(0.05))
                 .delay(0.2, 3)
                 .straggler(0.02, 20_000)
         })
@@ -250,5 +252,15 @@ mod tests {
             let expect = format!("replication factor {ra} must divide P = 4");
             assert_eq!(validate(ra), Some(expect));
         }
+    }
+
+    #[test]
+    fn drop_rate_needs_chaos() {
+        let mut args = CommonArgs::default();
+        args.parse_flag("--drop-rate", &mut |_| Ok("0.2".into()))
+            .unwrap();
+        assert!(args.validate().unwrap_err().contains("--chaos"));
+        args.parse_flag("--chaos", &mut |_| Ok("7".into())).unwrap();
+        assert_eq!(args.validate(), Ok(()));
     }
 }

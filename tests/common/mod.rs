@@ -20,6 +20,7 @@ use gnn_rdm::dense::{kernels, part_range, KernelMode};
 use gnn_rdm::graph::dataset::Split;
 use gnn_rdm::graph::{Dataset, DatasetSpec, SaintSampler};
 use gnn_rdm::model::{check_run, check_session, predict_epoch, predict_session, schedule};
+use gnn_rdm::model::{forward_schedule, price_ranks, DeviceModel, GnnShape};
 use gnn_rdm::model::{Order, OrderConfig, SchedEvent, ServeEvent, SessionBatch, Step};
 use gnn_rdm::serve::{planned_batches, planned_vertices, serve, Batch, InferRequest, LoadGen};
 use gnn_rdm::serve::{ServeConfig, ServeOutput, ServeSampler};
@@ -484,6 +485,38 @@ fn inert(cfg: &Config, rdm: bool, given: Option<&'static str>) -> Option<&'stati
     }
 }
 
+/// The pipeline depth a point runs at: the requested one unless inert.
+fn depth(cfg: &Config, inert: Option<&str>) -> usize {
+    match (cfg.chunks, inert) {
+        (Some(chunks), None) => chunks,
+        _ => 1,
+    }
+}
+
+/// What `steps` run over `adj` (backward SpMMs over `adj_t`) at `chunks`
+/// strips hide, as the schedule prices it on every rank of `cfg`'s grid
+/// with each panel's own nonzeros, summed over ranks.
+fn priced_hidden(
+    cfg: &Config,
+    steps: &[Step],
+    feats: &[usize],
+    adj: &Csr,
+    adj_t: Option<&Csr>,
+    chunks: usize,
+) -> u64 {
+    let shape = GnnShape {
+        n: adj.rows(),
+        nnz: adj.nnz(),
+        feats: feats.to_vec(),
+    };
+    let nnz = panel_nnz(adj, cfg.p, cfg.r_a);
+    let nnz_t = adj_t.map(|t| panel_nnz(t, cfg.p, cfg.r_a));
+    let (p, r_a, nnz_t) = (cfg.p, cfg.r_a, nnz_t.as_deref());
+    let ranks = price_ranks(steps, &shape, p, r_a, chunks, &nnz, nnz_t, 1.0);
+    let device = DeviceModel::a6000_pcie();
+    ranks.unwrap().iter().map(|r| r.hidden_ns(&device)).sum()
+}
+
 /// An active pipeline hides time; an inert one says why and hides none.
 fn pipeline(cfg: &Config, inert: Option<&str>, got: (Option<&str>, u64)) -> Result<(), String> {
     if cfg.chunks.is_some() && inert.is_none() {
@@ -587,6 +620,15 @@ fn check_training(cfg: &Config) -> Result<(), String> {
     let (reason, hidden) = (run.overlap_inert_reason(), run.total_overlap_ns());
     let inert = inert(cfg, rdm, reason);
     pipeline(cfg, inert, (reason, hidden))?;
+    // What the pipeline hid is its schedule's price, every epoch.
+    if let Some((config, memoize)) = &plan {
+        let steps = schedule(config, *memoize, &shape.feats, false)?;
+        let adj_t = ds.adj_norm_t.as_ref();
+        let chunks = depth(cfg, inert);
+        let price = priced_hidden(cfg, &steps, &shape.feats, &ds.adj_norm, adj_t, chunks);
+        let got: Vec<u64> = run.epochs.iter().map(EpochMetrics::overlap_ns).collect();
+        same("hidden time against the price", got, vec![price; EPOCHS])?;
+    }
     // Row aggregation zeroes the isolated vertices' rows from the first
     // aggregation on, and every plan redistributes some of them: a blocking
     // indexed wire that redistributes at all sends less than a dense one (an
@@ -713,11 +755,38 @@ fn check_serving(cfg: &Config) -> Result<(), String> {
     }
     let inert = inert(cfg, true, None);
     let blocking = cfg.chunks.is_none() || inert.is_some();
-    pipeline(
-        cfg,
-        inert,
-        (out.report.overlap_inert_reason(), out.stats.overlap_ns),
-    )?;
+    let hidden = out.hidden_ns.iter().sum();
+    pipeline(cfg, inert, (out.report.overlap_inert_reason(), hidden))?;
+    // What each batch's pipeline hid is the price of the forward schedule
+    // it ran: batch 0's and the held-`Â·H⁰` one of a reusing full-graph
+    // session, or the plan's on each induced batch's own adjacency.
+    let chunks = depth(cfg, inert);
+    let forward = |memoize, held| forward_schedule(&plan.config, memoize, &feats, held);
+    let price = |steps: &[Step], adj: &Csr| priced_hidden(cfg, steps, &feats, adj, None, chunks);
+    let expect: Vec<u64> = if cfg.surface == Surface::Induced {
+        let steps = forward(plan.memoize, false)?;
+        let batch = |b: &Batch| {
+            let verts = planned_vertices(ds, b, 48, server.sample_seed);
+            price(&steps, &ds.induced(&verts).adj_norm)
+        };
+        planned_batches(&reqs, &server.policy)
+            .iter()
+            .map(batch)
+            .collect()
+    } else {
+        let reuse = plan.config.forward[0] == Order::SpmmFirst;
+        let first = price(&forward(plan.memoize || reuse, false)?, &ds.adj_norm);
+        let steady = match reuse {
+            true => price(&forward(true, true)?, &ds.adj_norm),
+            false => first,
+        };
+        let batches = out.report.batches.len();
+        (0..batches)
+            .map(|i| if i == 0 { first } else { steady })
+            .collect()
+    };
+    let got = out.hidden_ns.clone();
+    same("hidden time against the price", got, expect)?;
     // Faults, tracing and the kernel path move neither the timeline, a
     // book of the report, a wire byte nor hidden time (faults may keep more
     // buffers in flight); an inert pipeline on the dense wire moves none of
@@ -729,7 +798,7 @@ fn check_serving(cfg: &Config) -> Result<(), String> {
             (r.ws_fresh_warmup, r.ws_fresh_steady, r.ws_reused_steady) = (0, 0, 0);
         }
         let wire = CollectiveKind::ALL.map(|k| (o.stats.messages(k), o.stats.bytes(k)));
-        (r, wire, o.stats.overlap_ns)
+        (r, wire, o.hidden_ns.clone())
     };
     let pool = !cfg.chaos;
     same("the report, wire", seen(out, pool), seen(twin, pool))?;

@@ -306,8 +306,9 @@ fn edge_lists(test: &str) -> String {
 
 /// Inputs both binaries must reject with one identical `error:` line (CI's
 /// "Rejected once, identically" step runs this list).
-const REJECTED: [&str; 12] = [
+const REJECTED: [&str; 13] = [
     "--ranks 4 --ra 3",
+    "--drop-rate 0.2",
     "--ra 0",
     "--synthetic 1x10",
     "--synthetic 3x10 --classes 4",

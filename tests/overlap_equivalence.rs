@@ -2,8 +2,8 @@
 //! the blocking schedule — same losses, accuracies and dense-equivalent
 //! payload bytes per collective kind — across cluster sizes, Table-IV
 //! orderings, replication factors, chunk counts and chaos; only the
-//! modeled hidden time (and, under faults, the retransmission counters)
-//! may differ. `config_space.rs` samples that space; the tests below pin
+//! hidden time, priced from the schedule (and, under faults, the
+//! retransmission counters) may differ. `config_space.rs` samples that space; the tests below pin
 //! named points of it (`common::check`) beside the accounting goldens only
 //! this file holds.
 //!
@@ -121,9 +121,9 @@ fn overlap_composes_with_fault_injection() {
 
 #[test]
 fn overlap_ns_is_bounded_by_the_ideal_golden_value() {
-    // Golden check of the modeled accounting: what a pipeline can hide is
+    // Golden check of the priced accounting: what a pipeline can hide is
     // at most min(T_comm, T_compute) — computed here from the *measured*
-    // byte and FMA counters, the same inputs the trainer prices — and a
+    // byte and FMA counters, which the price equals — and a
     // c-deep pipeline on a bandwidth-dominated problem should realize a
     // good fraction of that ideal.
     let ds = DatasetSpec::synthetic("overlap-golden", 600, 6000, 64, 8).instantiate(7);
