@@ -1,11 +1,13 @@
 //! The SPMD execution driver.
 
 use crate::fault::FaultPlan;
+use crate::feed::{Feed, Intake, RING};
 use crate::mailbox::{Barrier, Fabric};
 use crate::stats::{CollectiveKind, CommStats};
 use rdm_dense::{pool, Mat};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -92,6 +94,53 @@ impl Cluster {
         T: Send,
         F: Fn(&RankCtx) -> T + Sync,
     {
+        self.run_hosted(|| Ok(()), f).1
+    }
+
+    /// [`Cluster::run`], with `host` run on the calling thread while the
+    /// ranks run: it [`Feed::fill`]s `arenas` with the items every rank
+    /// reads in order through its [`Intake`] (see [`crate::feed`]). The
+    /// arenas come back with the host's result, for the caller to keep
+    /// for its next run.
+    ///
+    /// # Panics
+    /// With the host's panic if `host` panics: every rank waiting on an
+    /// item the host never fed panics instead of hanging, and the run
+    /// re-raises the host's panic once all ranks have left.
+    pub fn run_fed<A, H, T, G, F>(
+        &self,
+        arenas: [A; RING],
+        host: G,
+        f: F,
+    ) -> (H, [A; RING], RunOutput<T>)
+    where
+        A: Send + Sync,
+        T: Send,
+        G: FnOnce(&Feed<A>) -> H,
+        F: Fn(&RankCtx, &Intake<A>) -> T + Sync,
+    {
+        let feed = Feed::new(self.p, arenas);
+        let host = || {
+            let hosted = panic::catch_unwind(AssertUnwindSafe(|| host(&feed)));
+            feed.end(hosted.is_err());
+            hosted
+        };
+        let (hosted, out) = self.run_hosted(host, |ctx| f(ctx, &feed.intake(ctx.rank())));
+        (hosted, feed.into_arenas(), out)
+    }
+
+    /// Run `f` on every rank and `host` on the calling thread meanwhile,
+    /// then join the ranks; a host that failed fails the run with its
+    /// panic once every rank has left.
+    fn run_hosted<H, T, F>(
+        &self,
+        host: impl FnOnce() -> std::thread::Result<H>,
+        f: F,
+    ) -> (H, RunOutput<T>)
+    where
+        T: Send,
+        F: Fn(&RankCtx) -> T + Sync,
+    {
         let fabric = Arc::new(Fabric::with_faults(self.p, self.plan));
         let barrier = Arc::new(Barrier::new(self.p));
         let clearing = Arc::new(Clearing::new(self.p));
@@ -99,7 +148,7 @@ impl Cluster {
         let share = rdm_dense::rank_share(self.p);
         type Slot<T> = Option<(T, CommStats, Option<rdm_trace::RankTrace>)>;
         let mut slots: Vec<Slot<T>> = (0..self.p).map(|_| None).collect();
-        std::thread::scope(|scope| {
+        let hosted = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.p);
             for (rank, slot) in slots.iter_mut().enumerate() {
                 let fabric = fabric.clone();
@@ -121,8 +170,16 @@ impl Cluster {
                     *slot = Some((out, ctx.stats.into_inner(), rdm_trace::uninstall()));
                 }));
             }
-            for h in handles {
-                h.join().expect("rank thread panicked");
+            let hosted = host();
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            match hosted {
+                Ok(h) => {
+                    for j in joined {
+                        j.expect("rank thread panicked");
+                    }
+                    h
+                }
+                Err(payload) => panic::resume_unwind(payload),
             }
         });
         assert!(
@@ -138,11 +195,12 @@ impl Cluster {
             stats.push(st);
             traces.extend(tr);
         }
-        RunOutput {
+        let out = RunOutput {
             results,
             stats,
             traces: trace.then_some(traces),
-        }
+        };
+        (hosted, out)
     }
 }
 

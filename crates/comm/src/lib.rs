@@ -10,6 +10,9 @@
 //!
 //! * [`cluster`] — [`Cluster::run`]: spawn `P` ranks, run an SPMD closure,
 //!   join, and return per-rank results plus [`CommStats`].
+//! * [`feed`] — the host feed of [`Cluster::run_fed`]: input the calling
+//!   thread builds one item ahead while the ranks run, each item built
+//!   once and read in place by every rank.
 //! * [`mailbox`] — the blocking channel fabric between rank pairs, running
 //!   a sequence-numbered envelope protocol with ack-purged retransmission
 //!   so per-link FIFO delivery survives an unreliable wire.
@@ -35,6 +38,7 @@
 pub mod cluster;
 pub mod collectives;
 pub mod fault;
+pub mod feed;
 pub mod mailbox;
 pub mod stats;
 pub mod strip;

@@ -1,7 +1,9 @@
 //! One measurement path and one price for every unit of work.
 //!
-//! A unit is a training epoch or a served batch. [`session`] is the one
-//! cluster set-up both loops run under, and [`book_unit`] the one way a
+//! A unit is a training epoch or a served batch. [`session`] is the
+//! cluster set-up training runs under — and [`fed_session`] the same one,
+//! with the calling thread feeding the ranks, serving's — and
+//! [`book_unit`] the one way a
 //! rank measures a unit: a [`UnitBook`] of wall time, communication,
 //! FMAs and workspace-pool activity between the unit's opening and
 //! closing barriers. What a chunk pipeline hides is not measured but
@@ -12,6 +14,7 @@
 //! and the serving timeline share.
 
 use crate::ops::{OpCounters, PanelGrid};
+use rdm_comm::feed::{Feed, Intake, RING};
 use rdm_comm::{Cluster, CollectiveKind, CommStats, FaultPlan, RankCtx, RunOutput};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::pool;
@@ -30,18 +33,45 @@ pub fn session<T: Send>(
     mode: KernelMode,
     body: impl Fn(&RankCtx) -> T + Sync,
 ) -> RunOutput<T> {
-    let mut cluster = match faults {
-        Some(plan) => Cluster::with_faults(p, plan),
-        None => Cluster::new(p),
-    };
-    if trace {
-        cluster = cluster.traced();
-    }
-    cluster.run(|ctx| {
+    cluster(p, faults, trace).run(|ctx| {
         // Rank threads are spawned fresh per run.
         kernels::set_mode(mode);
         body(ctx)
     })
+}
+
+/// [`session`], with `host` on the calling thread meanwhile, feeding the
+/// ranks through `arenas` ([`Cluster::run_fed`]).
+pub fn fed_session<A, H, T>(
+    p: usize,
+    faults: Option<FaultPlan>,
+    trace: bool,
+    mode: KernelMode,
+    arenas: [A; RING],
+    host: impl FnOnce(&Feed<A>) -> H,
+    body: impl Fn(&RankCtx, &Intake<A>) -> T + Sync,
+) -> (H, [A; RING], RunOutput<T>)
+where
+    A: Send + Sync,
+    T: Send,
+{
+    cluster(p, faults, trace).run_fed(arenas, host, |ctx, intake| {
+        kernels::set_mode(mode);
+        body(ctx, intake)
+    })
+}
+
+/// A `p`-rank cluster, faulty per `faults`, traced when `trace`.
+fn cluster(p: usize, faults: Option<FaultPlan>, trace: bool) -> Cluster {
+    let cluster = match faults {
+        Some(plan) => Cluster::with_faults(p, plan),
+        None => Cluster::new(p),
+    };
+    if trace {
+        cluster.traced()
+    } else {
+        cluster
+    }
 }
 
 /// What one rank measured over one unit of work.

@@ -293,9 +293,10 @@ impl Dataset {
 }
 
 /// One induced minibatch in buffers that outlive it — what
-/// [`Dataset::induced_into`] fills. A serving rank or a sampling trainer
-/// keeps one for its whole session, so inducing a batch costs no
-/// allocation in steady state.
+/// [`Dataset::induced_into`] fills. A serving session's sampler keeps two
+/// (one batch ahead of the ranks) and a sampling trainer one per rank, for
+/// the whole session, so inducing a batch costs no allocation in steady
+/// state.
 #[derive(Debug)]
 pub struct InducedBatch {
     /// `D̃^{-1/2}(A[keep, keep] + I)D̃^{-1/2}`.

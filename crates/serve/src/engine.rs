@@ -2,7 +2,7 @@
 //!
 //! [`serve`] brings up a simulated cluster once, loads the weight snapshot
 //! on every rank, and drives the whole batch schedule through a single
-//! [`session`] — the persistent worker pool and each rank's workspace
+//! [`fed_session`] — the persistent worker pool and each rank's workspace
 //! shelf live for the session, so after the first (warmup) batch every
 //! matrix the forward pass needs comes off the shelf without a fresh
 //! allocation. A full-graph session of a plan whose first layer runs
@@ -13,6 +13,16 @@
 //! stream ([`crate::form_batches`]), so all ranks compute the identical
 //! schedule with zero coordination traffic, the same shared-seed
 //! discipline the paper's §III-F uses for redistribution.
+//!
+//! The thread that calls [`serve`] is the session's sampler: while the
+//! ranks run batch `b`, it induces batch `b+1`'s minibatch
+//! ([`planned_vertices`], [`Dataset::induced_into`]) into one of the two
+//! arenas of the session's [`Feed`] — kept by the calling thread from one
+//! session to the next — once for every rank, and prices what the
+//! batch's pipelines hide on the adjacency it built. Each rank waits
+//! for its batch before the batch's book opens and borrows the arena
+//! read-only; the arena goes back to the sampler when the batch's last
+//! rank is done. A full-graph session has nothing to feed.
 //!
 //! Each rank books every batch with [`book_unit`], between barriers, as
 //! the trainer books an epoch. Latency is *virtual*: a batch's service
@@ -25,9 +35,10 @@
 //! under a fixed seed — including under fault injection, whose
 //! retransmissions never touch the payload book.
 
-use rdm_comm::{CommStats, FaultPlan};
+use rdm_comm::feed::{Feed, Intake, RING};
+use rdm_comm::{CommStats, FaultPlan, RankCtx};
 use rdm_core::infer::forward_logits_with;
-use rdm_core::metrics::{book_unit, hidden_price, session, UnitBook};
+use rdm_core::metrics::{book_unit, fed_session, hidden_price, UnitBook};
 use rdm_core::ops::PanelGrid;
 use rdm_core::plan::{resolve, Plan, PlanRequest};
 use rdm_core::{Algo, WeightSnapshot};
@@ -35,9 +46,10 @@ use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::mat::part_range;
 use rdm_graph::dataset::{Dataset, InducedBatch};
 use rdm_graph::sampler::Subgraph;
-use rdm_model::{forward_schedule, DeviceModel, GnnShape, MeasuredRank, Order};
-use rdm_sparse::{gcn_normalize_induced, Csr, InduceScratch};
+use rdm_model::{forward_schedule, DeviceModel, GnnShape, MeasuredRank, Order, Step};
+use rdm_sparse::Csr;
 use rdm_trace::{RankTrace, Span};
+use std::cell::Cell;
 
 use crate::batch::{form_batches, Batch, BatchPolicy};
 use crate::load::InferRequest;
@@ -143,6 +155,22 @@ impl ServeConfig {
         self.kernels = mode;
         self
     }
+}
+
+/// One batch's minibatch as the sampler hands it to the ranks: the vertex
+/// set it was induced on (sorted, so a target's row is a binary search
+/// away) and the subgraph induced on it.
+#[derive(Default)]
+struct Minibatch {
+    verts: Vec<u32>,
+    induced: InducedBatch,
+}
+
+thread_local! {
+    /// The sampler's ring of minibatch arenas, between the sessions of the
+    /// thread that calls [`serve`]. Refilled every batch, so what they held
+    /// never reaches a later session.
+    static ARENAS: Cell<[Minibatch; RING]> = Cell::default();
 }
 
 /// A finished serving session.
@@ -256,30 +284,63 @@ pub fn serve(
         }
     };
 
-    // The batch schedule and (for the induced sampler) each batch's vertex
-    // set are pure functions of the shared inputs — computed once here,
-    // read-only inside the cluster.
-    let batches = form_batches(requests, &cfg.policy);
-    let batch_verts: Vec<Option<Vec<u32>>> = batches
-        .iter()
-        .map(|b| match cfg.sampler {
-            ServeSampler::Full => None,
-            ServeSampler::Induced { budget } => {
-                Some(planned_vertices(ds, b, budget, cfg.sample_seed))
-            }
-        })
-        .collect();
+    // What each batch's pipelines hide, per rank, is priced from the
+    // forward schedule it runs: batch 0's and the held-`T¹` one on the full
+    // graph, or the plan's on each induced batch's own adjacency.
+    let (grid, chunks, device) = (PanelGrid::new(p, plan.r_a), resolved.chunks, &cfg.device);
+    let memoize = plan.memoize || reuse_inert.is_none();
+    let steps = forward_schedule(&plan.config, memoize, &feats, false)?;
+    let held_steps = match reuse_inert {
+        None => Some(forward_schedule(&plan.config, memoize, &feats, true)?),
+        Some(_) => None,
+    };
+    let price = |steps: &[Step], adj: &Csr| -> Vec<u64> {
+        hidden_price(steps, &feats, adj, None, grid, chunks, device)
+    };
 
-    let out = session(p, cfg.faults, cfg.trace, cfg.kernels, |ctx| {
+    // The batch schedule is a pure function of the shared inputs, read by
+    // the sampler and every rank alike.
+    let batches = form_batches(requests, &cfg.policy);
+    // The sampler, on the calling thread while the ranks run: it induces
+    // each batch's minibatch one batch ahead of the ranks, once for all of
+    // them, and prices what each batch's pipelines hide. A full-graph
+    // session has nothing to feed.
+    let sample = |feed: &Feed<Minibatch>| -> Vec<Vec<u64>> {
+        match cfg.sampler {
+            ServeSampler::Full => {
+                let first = price(&steps, &ds.adj_norm);
+                let steady = match &held_steps {
+                    Some(held) => price(held, &ds.adj_norm),
+                    None => first.clone(),
+                };
+                let kind = |b: &Batch| if b.idx == 0 { &first } else { &steady };
+                batches.iter().map(|b| kind(b).clone()).collect()
+            }
+            ServeSampler::Induced { budget } => (batches.iter())
+                .map(|b| {
+                    feed.fill(|mb| {
+                        mb.verts = planned_vertices(ds, b, budget, cfg.sample_seed);
+                        ds.induced_into(&mb.verts, &mut mb.induced);
+                        price(&steps, &mb.induced.adj_norm)
+                    })
+                })
+                .collect(),
+        }
+    };
+
+    let ranks = |ctx: &RankCtx, intake: &Intake<Minibatch>| {
         let weights = snap.to_weights();
         // Layer 1's aggregation, row-sliced, once batch 0 has formed it.
         let mut held = None;
         let mut books: Vec<UnitBook> = Vec::with_capacity(batches.len());
-        // This rank's induction arena: every induced batch of the session
-        // is built in the same buffers.
-        let mut induced = InducedBatch::default();
         let mut rows: Vec<(usize, Vec<f32>)> = Vec::new();
-        for (batch, verts) in batches.iter().zip(&batch_verts) {
+        for batch in &batches {
+            // The sampler's minibatch, borrowed read-only by every rank;
+            // waited for before the batch's book opens.
+            let fed = match cfg.sampler {
+                ServeSampler::Full => None,
+                ServeSampler::Induced { .. } => Some(intake.next()),
+            };
             let span = Span::Batch {
                 idx: batch.idx,
                 size: batch.requests.len(),
@@ -297,16 +358,13 @@ pub fn serve(
                 // Resolve what this batch runs on — the whole graph, or the
                 // subgraph induced on the sampler's vertices — and how a
                 // request's target maps to a row of its logits.
-                let (adj, features) = match verts {
+                let (adj, features) = match &fed {
                     None => (&ds.adj_norm, &ds.features),
-                    Some(v) => {
-                        ds.induced_into(v, &mut induced);
-                        (&induced.adj_norm, &induced.features)
-                    }
+                    Some(mb) => (&mb.induced.adj_norm, &mb.induced.features),
                 };
-                let local_index_of = |target: u32| match verts {
+                let local_index_of = |target: u32| match &fed {
                     None => target as usize,
-                    Some(v) => v
+                    Some(mb) => (mb.verts)
                         .binary_search(&target)
                         .expect("sampler always includes batch targets"),
                 };
@@ -330,9 +388,18 @@ pub fn serve(
                 }
             });
             books.push(book);
+            // The minibatch goes back to the sampler once every rank is
+            // done with it.
+            drop(fed);
         }
         (rows, books)
-    });
+    };
+    // The calling thread keeps the sampler's arenas from one session to
+    // the next, so their buffers are allocated once per thread.
+    let arenas = ARENAS.take();
+    let (hidden, arenas, out) =
+        fed_session(p, cfg.faults, cfg.trace, cfg.kernels, arenas, sample, ranks);
+    ARENAS.set(arenas);
 
     // Assemble: every request served exactly once, by the rank owning its
     // target's logits row.
@@ -347,37 +414,6 @@ pub fn serve(
     if let Some(miss) = logits_by_req.iter().position(|l| l.is_none()) {
         return Err(format!("request {miss} was never served"));
     }
-
-    // What each batch's pipelines hide, per rank, priced from the forward
-    // schedule it ran: batch 0's and the held-`T¹` one on the full graph,
-    // or the plan's on each induced batch's own adjacency.
-    let (grid, chunks, device) = (PanelGrid::new(p, plan.r_a), resolved.chunks, &cfg.device);
-    let memoize = plan.memoize || reuse_inert.is_none();
-    let price = |held: bool, adj: &Csr| -> Result<Vec<u64>, String> {
-        let steps = forward_schedule(&plan.config, memoize, &feats, held)?;
-        Ok(hidden_price(
-            &steps, &feats, adj, None, grid, chunks, device,
-        ))
-    };
-    let hidden: Vec<Vec<u64>> = if chunks < 2 {
-        vec![vec![0; p]; batches.len()]
-    } else if let ServeSampler::Induced { .. } = cfg.sampler {
-        let (mut scratch, mut adj) = (InduceScratch::default(), Csr::empty(0, 0));
-        let mut induced = |v: &Vec<u32>| {
-            gcn_normalize_induced(&ds.adj, v, &mut scratch, &mut adj);
-            price(false, &adj)
-        };
-        let verts = batch_verts.iter().flatten();
-        verts.map(&mut induced).collect::<Result<_, _>>()?
-    } else {
-        let first = price(false, &ds.adj_norm)?;
-        let steady = match reuse_inert {
-            None => price(true, &ds.adj_norm)?,
-            Some(_) => first.clone(),
-        };
-        let kind = |b: &Batch| if b.idx == 0 { &first } else { &steady };
-        batches.iter().map(|b| kind(b).clone()).collect()
-    };
 
     // Virtual timeline: service = the clock's slowest rank per batch, one
     // batch in flight at a time. The pipeline shortens a batch two ways:
@@ -534,12 +570,17 @@ mod tests {
         assert_eq!(a.report.render(), b.report.render());
     }
 
+    /// Steady induced batches allocate nothing, no rank builds a
+    /// minibatch of its own, and the calling thread's next session refills
+    /// the sampler's arenas instead of taking new buffers.
     #[test]
     fn induced_sampler_is_alloc_free_after_warmup() {
         let (ds, snap) = setup();
         let reqs = LoadGen::new(5, 2, 20, 64).generate(ds.n());
         let mut cfg = ServeConfig::new(2);
         cfg.sampler = ServeSampler::Induced { budget: 48 };
+        // Layer 1 GEMM-first: a full-graph session runs the same schedule.
+        cfg.plan = Some(Plan::from_id(2, 2, 2));
         let out = serve(&ds, &snap, &reqs, &cfg).unwrap();
         assert!(out.report.batches.len() >= 4, "want several steady batches");
         assert!(out.report.ws_fresh_warmup > 0, "warmup must allocate");
@@ -548,6 +589,25 @@ mod tests {
             "steady-state batches allocated fresh workspaces"
         );
         assert!(out.report.ws_reused_steady > 0);
+
+        // A second session on this thread refills the arenas the first
+        // one left here.
+        let before = rdm_dense::pool::stats();
+        let again = serve(&ds, &snap, &reqs, &cfg).unwrap();
+        assert_eq!(again.report, out.report);
+        let fresh = rdm_dense::pool::stats().fresh - before.fresh;
+        assert_eq!(fresh, 0, "the sampler's arenas took fresh pool buffers");
+
+        // The ranks' warmup takes exactly what the same forward over a
+        // whole graph of the batch's size takes: no rank holds an
+        // `InducedBatch` (its features would be one more fresh buffer).
+        let batch0 = &planned_batches(&reqs, &cfg.policy)[0];
+        let sub = ds.induced(&planned_vertices(&ds, batch0, 48, cfg.sample_seed));
+        let mut whole = cfg.clone();
+        whole.sampler = ServeSampler::Full;
+        let sub_reqs = LoadGen::new(5, 2, 20, 8).generate(sub.n());
+        let direct = serve(&sub, &snap, &sub_reqs, &whole).unwrap();
+        assert_eq!(out.report.ws_fresh_warmup, direct.report.ws_fresh_warmup);
     }
 
     #[test]

@@ -14,9 +14,14 @@ use common::zipf_requests as requests;
 use common::{check, panel_nnz, session_batches, Config, Surface};
 use common::{serve_dataset as dataset, serve_snapshot as snapshot};
 use gnn_rdm::comm::CollectiveKind;
-use gnn_rdm::core::Plan;
+use gnn_rdm::core::gcn::GcnWeights;
+use gnn_rdm::core::metrics::hidden_price;
+use gnn_rdm::core::ops::PanelGrid;
+use gnn_rdm::core::{Plan, WeightSnapshot};
 use gnn_rdm::dense::{KernelMode, KernelWidth};
-use gnn_rdm::model::{predict_session, GnnShape, SchedEvent, ServeEvent, SessionBatch};
+use gnn_rdm::graph::DatasetSpec;
+use gnn_rdm::model::{forward_schedule, predict_session, DeviceModel, GnnShape};
+use gnn_rdm::model::{SchedEvent, ServeEvent, SessionBatch};
 use gnn_rdm::serve::{serve, ServeConfig};
 use gnn_rdm::trace::TraceCollective;
 
@@ -132,4 +137,35 @@ fn depth_sessions_replay_byte_identically() {
     let b = serve(&ds, &snap, &reqs, &cfg).unwrap();
     assert_eq!(a.report, b.report);
     assert_eq!(a.report.render(), b.report.render());
+}
+
+/// A priced hidden time under 1 ns truncates to 0, so on a toy graph a
+/// batch that holds `Â·H⁰` and one that does not both hide 0 and nothing
+/// tells them apart. On a graph large enough for the held schedule to hide
+/// a nonzero time of its own, every batch after the first hides exactly
+/// that price — nonzero, and not batch 0's.
+#[test]
+fn held_batches_hide_their_own_nonzero_price() {
+    let (n, f, hidden) = (4_000, 32, 32);
+    let ds = DatasetSpec::synthetic("serve-held", n, 10 * n, f, 4).instantiate(17);
+    let feats = [f, hidden, 4];
+    let snap = WeightSnapshot::from_weights(&GcnWeights::init(&feats, 23));
+    let cfg = baseline_cfg(2).pipelined(3);
+    let out = serve(&ds, &snap, &requests(&ds), &cfg).unwrap();
+    let config = &cfg.plan.as_ref().unwrap().config;
+    let price = |held| {
+        let steps = forward_schedule(config, true, &feats, held).unwrap();
+        let (grid, device) = (PanelGrid::new(2, 2), DeviceModel::a6000_pcie());
+        let ranks = hidden_price(&steps, &feats, &ds.adj_norm, None, grid, 3, &device);
+        ranks.iter().sum::<u64>()
+    };
+    let (first, steady) = (price(false), price(true));
+    assert!(steady > 0 && steady != first, "{steady} vs {first}");
+    assert!(out.hidden_ns.len() > 2, "want several batches");
+    assert_eq!(out.hidden_ns[0], first);
+    assert!(
+        out.hidden_ns[1..].iter().all(|&ns| ns == steady),
+        "{:?}",
+        out.hidden_ns
+    );
 }
