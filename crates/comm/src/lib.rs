@@ -14,7 +14,7 @@
 //!   thread builds one item ahead while the ranks run, each item built
 //!   once and read in place by every rank.
 //! * [`mailbox`] — the blocking channel fabric between rank pairs, running
-//!   a sequence-numbered envelope protocol with ack-purged retransmission
+//!   a sequence-numbered envelope protocol with simulated retransmission
 //!   so per-link FIFO delivery survives an unreliable wire.
 //! * [`fault`] — deterministic, seed-reproducible fault injection
 //!   ([`FaultPlan`]): per-link drops, reordering delays and stragglers.

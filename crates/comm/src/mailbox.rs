@@ -3,26 +3,28 @@
 //!
 //! ## Protocol
 //!
-//! Every link runs a cumulative-ack retransmission protocol:
+//! Every link runs a sequence-numbered delivery protocol whose
+//! retransmissions are simulated:
 //!
 //! * **Envelopes.** Each payload is wrapped with a per-link sequence
 //!   number. The receiver hands payloads to the application strictly in
 //!   sequence order, so the FIFO contract of the fault-free fabric is
 //!   preserved no matter how the wire reorders copies.
-//! * **Retransmits.** The sender keeps a copy of every unacknowledged
-//!   envelope. When the [`FaultPlan`] drops transmission attempts, the
-//!   sender backs off exponentially (`base << attempt`, accounted in
-//!   virtual time) and retransmits until a copy lands; each lost attempt
-//!   is counted as a retry and its payload bytes as retransmitted bytes —
+//! * **Retransmits (simulated).** When the [`FaultPlan`] drops
+//!   transmission attempts, [`FaultPlan::resolve`] settles, before the
+//!   message lands, how many attempts were lost and the exponential
+//!   backoff (`base << attempt`, accounted in virtual time) the sender
+//!   paid; the copy that finally lands is the one enqueued. No copy is
+//!   kept for a later resend, because none happens. Each lost attempt is
+//!   counted as a retry and its payload bytes as retransmitted bytes —
 //!   separate from the payload accounting, so fault-free byte counts match
 //!   the paper's cost model exactly.
-//! * **Acks.** In-order delivery advances the link's cumulative ack, and
-//!   the sender purges its retransmit buffer up to that point on its next
-//!   send (piggybacked acking — there is no reverse ack traffic to
-//!   account).
+//! * **Acks.** The receiver's in-order delivery is the whole ack: with
+//!   every drop settled at send time there is no retransmit buffer to
+//!   purge and no reverse ack traffic to account.
 //!
 //! Faults are *simulated at the protocol level*: a drop never enqueues the
-//! copy (the sender's later "retransmit" is what finally lands), a delay
+//! copy (the sender's simulated retransmit is what lands), a delay
 //! holds the landed copy back until `k` later messages have been sent (or
 //! the receiver drains the link), and a straggler stalls the sending
 //! thread for real wall time. All decisions come from the seeded
@@ -49,10 +51,6 @@ struct Envelope {
 struct LinkState {
     /// Sender: next sequence number to assign.
     next_seq: u64,
-    /// Sender: copies awaiting acknowledgement, oldest first.
-    unacked: VecDeque<Envelope>,
-    /// Receiver: cumulative ack — every seq below this was delivered.
-    acked: u64,
     /// The wire: copies that have arrived, in arrival order.
     arrived: VecDeque<Envelope>,
     /// Copies held back by delay faults: `(release_at_seq, envelope)` —
@@ -89,9 +87,7 @@ impl LinkState {
     }
 
     /// True when no message is in flight or undelivered anywhere on the
-    /// link. The retransmit buffer is intentionally excluded: it may still
-    /// hold delivered-but-unpurged copies, because acks are only collected
-    /// on the sender's next send.
+    /// link.
     fn drained(&self) -> bool {
         self.next_deliver == self.next_seq
             && self.arrived.is_empty()
@@ -163,9 +159,10 @@ impl Fabric {
         &self.slots[src * self.p + dst]
     }
 
-    /// Transmit a message from `src` to `dst`, retransmitting through any
-    /// injected drops until a copy is on the wire. Never blocks on the
-    /// receiver; returns the delivery accounting.
+    /// Transmit a message from `src` to `dst`, through any injected drops:
+    /// the fault plan settles the lost attempts and their backoff before
+    /// the copy lands. Never blocks on the receiver; returns the delivery
+    /// accounting.
     pub fn send(&self, src: usize, dst: usize, msg: Mat) -> SendReceipt {
         let bytes = msg.nbytes();
         let resolution = self
@@ -182,19 +179,6 @@ impl Fabric {
         let mut st = slot.state.lock().unwrap();
         let seq = st.next_seq;
         st.next_seq += 1;
-        // Piggybacked ack collection: purge everything delivered so far.
-        let acked = st.acked;
-        while st.unacked.front().is_some_and(|e| e.seq < acked) {
-            st.unacked.pop_front();
-        }
-        if self.plan.is_some() {
-            // Keep a retransmit copy until the receiver's cumulative ack
-            // covers it (only needed on faulty fabrics).
-            st.unacked.push_back(Envelope {
-                seq,
-                payload: msg.clone(),
-            });
-        }
         let env = Envelope { seq, payload: msg };
         if resolution.delay > 0 {
             // The landed copy queues behind `delay` later messages: it
@@ -234,14 +218,12 @@ impl Fabric {
             // buffer from an earlier out-of-order arrival.
             if let Some(payload) = st.reorder.remove(&want) {
                 st.next_deliver += 1;
-                st.acked = st.next_deliver;
                 return payload;
             }
             // Pull arrivals off the wire until the wanted seq shows up.
             if let Some(env) = st.arrived.pop_front() {
                 if env.seq == want {
                     st.next_deliver += 1;
-                    st.acked = st.next_deliver;
                     return env.payload;
                 }
                 debug_assert!(env.seq > want, "duplicate delivery of seq {}", env.seq);
@@ -409,28 +391,6 @@ mod tests {
             retries
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn ack_purges_retransmit_buffer() {
-        let plan = FaultPlan::new(1).drop_rate(0.2);
-        let f = Fabric::with_faults(2, Some(plan));
-        for i in 0..10 {
-            f.send(0, 1, Mat::from_vec(1, 1, vec![i as f32]));
-        }
-        for _ in 0..10 {
-            let _ = f.recv(0, 1);
-        }
-        // All ten delivered; the next send must find everything acked and
-        // keep only itself in the buffer.
-        f.send(0, 1, Mat::zeros(1, 1));
-        {
-            let st = f.slot(0, 1).state.lock().unwrap();
-            assert_eq!(st.unacked.len(), 1);
-            assert_eq!(st.acked, 10);
-        }
-        let _ = f.recv(0, 1);
-        assert!(f.all_drained());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use rdm_comm::feed::{Feed, Intake, RING};
 use rdm_comm::{Cluster, CollectiveKind, CommStats, FaultPlan, RankCtx, RunOutput};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::pool;
-use rdm_model::{price_ranks, DeviceModel, GnnShape, MeasuredRank, Predicted, Step};
+use rdm_model::{price_ranks, DeviceModel, MeasuredRank, Predicted, Step};
 use rdm_sparse::Csr;
 use rdm_trace::Span;
 use std::time::{Duration, Instant};
@@ -112,7 +112,6 @@ impl UnitBook {
 /// a unit's measured books; zero on every rank when blocking.
 pub fn hidden_price(
     steps: &[Step],
-    feats: &[usize],
     adj: &Csr,
     adj_t: Option<&Csr>,
     grid: PanelGrid,
@@ -122,14 +121,8 @@ pub fn hidden_price(
     if chunks < 2 {
         return vec![0; grid.p];
     }
-    let shape = GnnShape {
-        n: adj.rows(),
-        nnz: adj.nnz(),
-        feats: feats.to_vec(),
-    };
-    let (nnz, nnz_t) = (grid.panel_nnz(adj), adj_t.map(|t| grid.panel_nnz(t)));
-    let (p, r_a, nnz_t) = (grid.p, grid.r_a, nnz_t.as_deref());
-    let ranks = price_ranks(steps, &shape, p, r_a, chunks, &nnz, nnz_t, 1.0);
+    let graph = grid.graph(adj, adj_t);
+    let ranks = price_ranks(steps, &graph, grid.p, grid.r_a, chunks, 1.0);
     let ranks = ranks.unwrap_or_else(|e| panic!("{e}"));
     ranks.iter().map(|r| r.hidden_ns(device)).collect()
 }

@@ -13,6 +13,7 @@ use crate::dist::{Dist, DistMat};
 use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution, Wire};
 use rdm_dense::kernels::{call_mode, Kernel};
 use rdm_dense::{gemm, gemm_nt, gemm_tn, Mat};
+use rdm_model::Graph;
 use rdm_sparse::{spmm, spmm_masked, Csr};
 use rdm_trace::Span;
 
@@ -144,13 +145,22 @@ impl PanelGrid {
         part_range(n, self.p, first).start..part_range(n, self.p, last).end
     }
 
-    /// Nonzeros of each row panel of `adj`, in panel order.
-    pub fn panel_nnz(&self, adj: &Csr) -> Vec<usize> {
-        let indptr = adj.indptr();
-        let rows = |k| self.panel_rows(adj.rows(), k);
-        (0..self.panels())
-            .map(|k| indptr[rows(k).end] - indptr[rows(k).start])
-            .collect()
+    /// `adj` as the schedule pricer sees it on this grid: its vertex count
+    /// and the nonzeros of each row panel, of `adj_t` too (the transpose
+    /// backward SpMMs multiply; `None` when symmetric).
+    pub fn graph(&self, adj: &Csr, adj_t: Option<&Csr>) -> Graph {
+        let panel_nnz = |adj: &Csr| -> Vec<usize> {
+            let indptr = adj.indptr();
+            let rows = |k| self.panel_rows(adj.rows(), k);
+            (0..self.panels())
+                .map(|k| indptr[rows(k).end] - indptr[rows(k).start])
+                .collect()
+        };
+        Graph {
+            n: adj.rows(),
+            panel_nnz: panel_nnz(adj),
+            panel_nnz_t: adj_t.map(panel_nnz),
+        }
     }
 }
 

@@ -335,11 +335,10 @@ mod tests {
         for config in OrderConfig::enumerate(2) {
             let steps = rdm_model::schedule(&config, true, &shape.feats, false).unwrap();
             for (p, r_a) in [(4, 4), (4, 2), (8, 2)] {
-                let nnz = PanelGrid::new(p, r_a).panel_nnz(&ds.adj_norm);
+                let graph = PanelGrid::new(p, r_a).graph(&ds.adj_norm, None);
                 for chunks in [2, 3, 7] {
                     let what = format!("id {} P {p} R_A {r_a} chunks {chunks}", config.id());
-                    let price =
-                        rdm_model::price_ranks(&steps, &shape, p, r_a, chunks, &nnz, None, 1.0);
+                    let price = rdm_model::price_ranks(&steps, &graph, p, r_a, chunks, 1.0);
                     let price = price.unwrap();
                     let plan = Plan::from_id(config.id(), 2, p).with_ra(r_a);
                     let cfg = TrainerConfig::rdm(p, plan).hidden(8).overlap(chunks);

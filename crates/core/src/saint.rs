@@ -67,25 +67,21 @@ impl<'a> SaintCommon<'a> {
         }
     }
 
-    /// A GraphSAINT trainer's shared state and sampler. The `S` draws that
-    /// roughly cover the graph once make an epoch: one optimizer step per
-    /// draw under RDM, one per `P` draws (one per rank) under DDP.
+    /// A GraphSAINT trainer's shared state and sampler: one optimizer step
+    /// per draw under RDM, one per `P` draws (one per rank) under DDP.
     fn sampling(ds: &'a Dataset, cfg: &TrainerConfig) -> (Self, SaintSampler) {
         let (sampler, draws_per_step) = match cfg.algo {
             Algo::SaintRdm { sampler } => (sampler, 1),
             Algo::SaintDdp { sampler } => (sampler, cfg.p),
             _ => unreachable!("a GraphSAINT trainer runs a GraphSAINT algorithm"),
         };
-        let draws = (ds.n() / sampler.nominal_size().max(1)).max(1);
-        let steps = (draws / draws_per_step).max(1);
+        let steps = steps_per_epoch(ds, sampler, draws_per_step);
         (Self::new(ds, cfg, steps), sampler)
     }
 
     /// The shared seed of this epoch's draw `k`, epochs `stride` apart.
     fn draw_seed(&self, stride: u64, k: usize) -> u64 {
-        self.seed
-            .wrapping_add(self.epoch_no.wrapping_mul(stride))
-            .wrapping_add(k as u64)
+        draw_seed(self.seed, self.epoch_no, stride, k)
     }
 
     /// The model-selected, fully replicated plan for a graph of `n`
@@ -109,47 +105,88 @@ impl<'a> SaintCommon<'a> {
     }
 }
 
+/// The optimizer steps of a GraphSAINT epoch: the `S` draws that roughly
+/// cover the graph once, `draws_per_step` to a step.
+fn steps_per_epoch(ds: &Dataset, sampler: SaintSampler, draws_per_step: usize) -> usize {
+    let draws = (ds.n() / sampler.nominal_size().max(1)).max(1);
+    (draws / draws_per_step).max(1)
+}
+
+/// The shared seed of epoch `epoch`'s draw `k` from run seed `seed`,
+/// epochs `stride` apart.
+fn draw_seed(seed: u64, epoch: u64, stride: u64, k: usize) -> u64 {
+    seed.wrapping_add(epoch.wrapping_mul(stride))
+        .wrapping_add(k as u64)
+}
+
+/// The subgraph steps of epoch `epoch` of GraphSAINT-RDM under `cfg` on
+/// `ds`, in order: every draw of the epoch that is not degenerate, induced
+/// into `sub` and handed to `step` with the fully replicated plan selected
+/// for it. Every rank draws the same subgraphs from the shared seeds; the
+/// trainer runs each through the RDM step, and a schedule checker prices
+/// the same subgraphs under the same plans.
+///
+/// # Panics
+/// If `cfg` does not run GraphSAINT-RDM.
+pub fn saint_rdm_steps(
+    ds: &Dataset,
+    cfg: &TrainerConfig,
+    epoch: usize,
+    sub: &mut InducedBatch,
+    mut step: impl FnMut(&InducedBatch, &Plan),
+) {
+    let Algo::SaintRdm { sampler } = cfg.algo else {
+        panic!("{} runs no GraphSAINT-RDM step", cfg.algo.label());
+    };
+    let (p, feats) = (cfg.p, ds.shape_layers(cfg.hidden, cfg.layers).feats);
+    for k in 0..steps_per_epoch(ds, sampler, 1) {
+        // Identical subgraph on every rank from the shared seed.
+        let drawn = sampler.sample(&ds.adj, draw_seed(cfg.seed, epoch as u64, 10_007, k));
+        if drawn.vertices.len() < p.max(4) {
+            continue; // degenerate draw
+        }
+        ds.induced_into(&drawn.vertices, sub);
+        let shape = GnnShape {
+            n: sub.n(),
+            nnz: sub.adj_norm.nnz(),
+            feats: feats.clone(),
+        };
+        step(sub, &best_plan(&shape, p, p, &cfg.device, 1.0));
+    }
+}
+
 /// GraphSAINT with RDM-parallel subgraph training.
 pub(crate) struct SaintRdmTrainer<'a> {
     common: SaintCommon<'a>,
-    sampler: SaintSampler,
+    cfg: TrainerConfig,
     /// Every step's subgraph is induced into the same buffers.
     sub: InducedBatch,
 }
 
 impl<'a> SaintRdmTrainer<'a> {
     pub(crate) fn setup(ds: &'a Dataset, cfg: &TrainerConfig, _: &Resolution, _: &RankCtx) -> Self {
-        let (common, sampler) = SaintCommon::sampling(ds, cfg);
         SaintRdmTrainer {
-            common,
-            sampler,
+            common: SaintCommon::sampling(ds, cfg).0,
+            cfg: cfg.clone(),
             sub: InducedBatch::default(),
         }
     }
 }
 
 impl Trainer for SaintRdmTrainer<'_> {
-    /// One epoch = `steps_per_epoch` subgraphs, each trained across all
+    /// One epoch = [`saint_rdm_steps`]' subgraphs, each trained across all
     /// ranks with the RDM step; returns a full-graph evaluation.
     fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
         let c = &mut self.common;
-        let p = ctx.size();
-        for step in 0..c.steps_per_epoch {
-            // Identical subgraph on every rank from the shared seed.
-            let sub = self.sampler.sample(&c.ds.adj, c.draw_seed(10_007, step));
-            if sub.vertices.len() < p.max(4) {
-                continue; // degenerate draw
-            }
-            let sd = &mut self.sub;
-            c.ds.induced_into(&sub.vertices, sd);
-            let plan = c.plan(sd.n(), sd.adj_norm.nnz(), p);
+        let (ds, epoch) = (c.ds, c.epoch_no as usize);
+        saint_rdm_steps(ds, &self.cfg, epoch, &mut self.sub, |sd, plan| {
             // Distribute the subgraph inputs (local slicing, no traffic).
             let topo = Topology::full(&sd.adj_norm, ctx);
             let mut input = input_cache(&sd.features, &topo, ctx);
-            let targets = Targets::new(sd.labels.clone(), &sd.split, c.ds.spec.labels);
+            let targets = Targets::new(sd.labels.clone(), &sd.split, ds.spec.labels);
             c.model
-                .rdm_step(ctx, &topo, &mut input, &plan, &targets, false, 1, ops);
-        }
+                .rdm_step(ctx, &topo, &mut input, plan, &targets, false, 1, ops);
+        });
         c.finish_epoch()
     }
 

@@ -586,7 +586,7 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
             let steps = schedule(&plan.config, plan.memoize, &feats, false)?;
             let (grid, adj_t) = (PanelGrid::new(cfg.p, plan.r_a), ds.adj_norm_t.as_ref());
             let (adj, chunks, device) = (&ds.adj_norm, resolved.chunks, &cfg.device);
-            hidden_price(&steps, &feats, adj, adj_t, grid, chunks, device)
+            hidden_price(&steps, adj, adj_t, grid, chunks, device)
         }
         None => vec![0; cfg.p],
     };

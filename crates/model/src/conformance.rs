@@ -1,17 +1,24 @@
 //! Schedule conformance: diff a recorded per-rank trace against the
-//! event sequence the model predicts for a plan.
+//! event sequence the model predicts for each unit of work it ran.
 //!
 //! One schedule, two readers. [`crate::schedule::schedule`] expands a plan
 //! into its one step list; the GCN engine executes that list, and
-//! [`predict_epoch`] prices it into the exact per-rank sequence of
-//! schedule-level events one training epoch must produce — redistribution
-//! directions and payload bytes, SpMM/GEMM kernel shapes, weight-gradient
-//! ring all-reduce bytes. [`extract_epoch`] reduces a recorded
-//! `rdm_trace::RankTrace` to the same event vocabulary, and [`check_run`]
-//! diffs the two, reporting every mismatch with its rank, epoch and event
+//! [`predict`] prices it into the exact per-rank sequence of
+//! schedule-level events a [`Unit`] must produce — redistribution
+//! directions and payload bytes, SpMM/GEMM kernel shapes, panel tile
+//! broadcasts, weight-gradient ring all-reduce bytes. [`check`] reduces
+//! every rank's recorded `rdm_trace::RankTrace` to the same vocabulary and
+//! diffs the two, reporting every mismatch with its rank, unit and event
 //! index. What the check proves is that the engine ran the list and that
 //! the pricing geometry is the wire's; the list itself is pinned by its
 //! golden and by its agreement with `config_cost` (see DESIGN §10).
+//!
+//! A unit is whatever one `Span::Epoch` or `Span::Batch` scopes: a
+//! training epoch (one part, the plan's [`crate::schedule::schedule`]), a
+//! GraphSAINT-RDM epoch (one part per subgraph step, each priced on its
+//! own subgraph), or a served batch (one part: the plan's forward half,
+//! or the held-`Â·H⁰` one, on the whole graph or on the batch's induced
+//! subgraph), with the `Span::Serve` admission markers it holds.
 //!
 //! Scope: every replication factor the engine executes — `R_A` dividing
 //! `P`, no edge mask — on symmetric and asymmetric aggregations (backward
@@ -22,23 +29,19 @@
 //! [`SchedEvent::Broadcast`] per product, after its SpMM. The loss
 //! boundary's scalar all-reduce, whose bytes the schedule does not price,
 //! appears in traces as bare `Collective` events outside any span and is
-//! ignored by the extractor. [`predict_epoch`] takes
-//! `(p, r_a)` plus the per-panel adjacency nonzero counts — full
-//! replication is `r_a = p` with one panel — and errors on inputs outside
-//! its scope instead of silently assuming full replication.
+//! ignored by the extractor, as is all traffic outside a unit (barriers).
 //!
-//! The extractor is insensitive to pipelining. A product fed by a
-//! conversion runs one kernel span per strip *inside* the `Redistribute`
+//! The extractor is insensitive to pipelining and faults. A product fed by
+//! a conversion runs one kernel span per strip *inside* the `Redistribute`
 //! span that feeds it (one strip when blocking, `chunks` when pipelined;
 //! the strips' panel broadcasts inside them), and the extractor folds
 //! those strip spans into one SpMM (`cols` summed) or GEMM (`m` summed)
 //! emitted after the redistribution; a product on an already-cached form
-//! is a top-level kernel span. A blocking and an overlapped run of the
-//! same plan therefore extract to identical schedules.
+//! is a top-level kernel span. `Retry` and `OverlapStrip` instants are
+//! transparent. A blocking, an overlapped and a chaotic run of the same
+//! plan therefore extract to identical schedules.
 
-use crate::config::OrderConfig;
-use crate::cost::GnnShape;
-use crate::schedule::{schedule, Op, Step};
+use crate::schedule::{Op, Step};
 use rdm_trace::{EventData, Form, RankTrace, Span, TraceCollective};
 use std::fmt;
 
@@ -105,29 +108,102 @@ impl fmt::Display for SchedEvent {
     }
 }
 
-/// One schedule mismatch: the trace of `rank` diverged from the predicted
-/// sequence at `index` within `epoch`.
+/// The graph a schedule runs on, as the pricer sees it on the
+/// `p/r_a × r_a` grid: its vertex count and the nonzeros of each row panel
+/// of the aggregation `Â` and of its transpose, which backward SpMMs
+/// multiply. Panel `k` spans the row slices of ranks `[k·r_a, (k+1)·r_a)`;
+/// full replication (`r_a = p`) is one panel holding every nonzero.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Graph {
+    pub n: usize,
+    pub panel_nnz: Vec<usize>,
+    /// `None`: the aggregation is symmetric.
+    pub panel_nnz_t: Option<Vec<usize>>,
+}
+
+impl Graph {
+    /// A symmetric graph of `n` vertices whose `nnz` nonzeros spread
+    /// evenly over `panels` row panels.
+    pub fn even(n: usize, nnz: usize, panels: usize) -> Self {
+        Graph {
+            n,
+            panel_nnz: (0..panels).map(|k| part_len(nnz, panels, k)).collect(),
+            panel_nnz_t: None,
+        }
+    }
+}
+
+/// One step list and the graph it runs on.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Part {
+    pub steps: Vec<Step>,
+    pub graph: Graph,
+}
+
+/// One unit of work a trace records: its scope span, the marker spans it
+/// must hold, and what it runs, in order.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Unit {
+    /// `Span::Epoch` or `Span::Batch`, compared as recorded.
+    pub scope: Span,
+    /// Spans the unit opens before its schedule, in order: a batch's
+    /// `Span::Serve` admissions.
+    pub markers: Vec<Span>,
+    pub parts: Vec<Part>,
+}
+
+/// One event of a unit, as predicted and as recorded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum UnitEvent {
+    /// The unit's scope span. Only a [`Violation`] carries it.
+    Scope(Span),
+    /// A marker span opened inside the unit.
+    Marker(Span),
+    Sched(SchedEvent),
+}
+
+impl fmt::Display for UnitEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UnitEvent::Scope(Span::Epoch { idx }) => write!(f, "epoch {idx} begin"),
+            UnitEvent::Scope(Span::Batch { idx, size }) => {
+                write!(f, "batch {idx} begin ({size} reqs)")
+            }
+            UnitEvent::Marker(Span::Serve { client, req_id }) => {
+                write!(f, "serve c{client}#{req_id}")
+            }
+            UnitEvent::Scope(s) | UnitEvent::Marker(s) => write!(f, "{}", s.name()),
+            UnitEvent::Sched(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+/// One schedule mismatch: rank `rank`'s trace diverged from the prediction
+/// at `index` of unit `unit`'s events — its markers, then its schedule
+/// events — or recorded another scope than the unit's, or a unit too few
+/// or too many (`index` 0, the scopes as the events).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     pub rank: usize,
-    pub epoch: usize,
-    /// Position in the per-epoch schedule where prediction and trace
-    /// diverge.
+    /// The unit's scope span (the recorded one for a unit the prediction
+    /// lacks).
+    pub unit: Span,
     pub index: usize,
-    /// What the model predicted at this position (`None`: trace has extra
-    /// trailing events).
-    pub expected: Option<SchedEvent>,
-    /// What the trace recorded (`None`: trace ended early).
-    pub got: Option<SchedEvent>,
+    /// What the model predicted here (`None`: the trace has extra events).
+    pub expected: Option<UnitEvent>,
+    /// What the trace recorded (`None`: the unit ended early).
+    pub got: Option<UnitEvent>,
 }
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "rank {} epoch {} event {}: ",
-            self.rank, self.epoch, self.index
-        )?;
+        write!(f, "rank {} ", self.rank)?;
+        match self.unit {
+            Span::Epoch { idx } => write!(f, "epoch {idx}")?,
+            Span::Batch { idx, .. } => write!(f, "batch {idx}")?,
+            other => write!(f, "{}", other.name())?,
+        }
+        write!(f, " event {}: ", self.index)?;
         match (&self.expected, &self.got) {
             (Some(e), Some(g)) => write!(f, "expected {e}, got {g}"),
             (Some(e), None) => write!(f, "expected {e}, but the trace ended"),
@@ -179,46 +255,37 @@ pub(crate) struct Pricer {
 }
 
 impl Pricer {
-    /// A pricer for rank `rank` of the `p/r_a × r_a` grid, with
-    /// `panel_nnz[k]` the nonzero count of panel `k`'s row slice of the
-    /// adjacency and `panel_nnz_t` that of its transpose (`None`: the
-    /// aggregation is symmetric).
-    pub(crate) fn new(
-        shape: &GnnShape,
-        p: usize,
-        r_a: usize,
-        rank: usize,
-        panel_nnz: &[usize],
-        panel_nnz_t: Option<&[usize]>,
-    ) -> Result<Self, String> {
+    /// A pricer for rank `rank` of the `p/r_a × r_a` grid on `graph`.
+    pub(crate) fn new(graph: &Graph, p: usize, r_a: usize, rank: usize) -> Result<Self, String> {
         if rank >= p {
             return Err(format!("rank {rank} out of range for P={p}"));
         }
         if r_a == 0 || !p.is_multiple_of(r_a) {
             return Err(format!("replication factor {r_a} must divide P = {p}"));
         }
-        let panel_nnz_t = panel_nnz_t.unwrap_or(panel_nnz);
-        for counts in [panel_nnz, panel_nnz_t] {
-            let (panels, sum) = (counts.len(), counts.iter().sum::<usize>());
-            if panels != p / r_a {
+        let nnz = &graph.panel_nnz;
+        let nnz_t = graph.panel_nnz_t.as_deref().unwrap_or(nnz);
+        for counts in [nnz, nnz_t] {
+            if counts.len() != p / r_a {
                 return Err(format!(
-                    "got {panels} panel nonzero counts for {} panels",
+                    "got {} panel nonzero counts for {} panels",
+                    counts.len(),
                     p / r_a
                 ));
             }
-            if sum != shape.nnz {
-                return Err(format!(
-                    "panel nonzeros sum to {sum}, shape has {}",
-                    shape.nnz
-                ));
-            }
+        }
+        let (sum, sum_t) = (nnz.iter().sum::<usize>(), nnz_t.iter().sum::<usize>());
+        if sum != sum_t {
+            return Err(format!(
+                "the transpose's panel nonzeros sum to {sum_t}, the adjacency's to {sum}"
+            ));
         }
         Ok(Pricer {
-            n: shape.n,
+            n: graph.n,
             p,
             r_a,
             rank,
-            nnz: (panel_nnz[rank / r_a], panel_nnz_t[rank / r_a]),
+            nnz: (nnz[rank / r_a], nnz_t[rank / r_a]),
             events: Vec::new(),
             messages: 0,
             chunks: 1,
@@ -396,38 +463,23 @@ impl Pricer {
     }
 }
 
-/// Predict the schedule-level event sequence rank `rank` of the
-/// `p/r_a × r_a` grid produces during one training epoch of `config` on
-/// `shape` (no edge mask): the plan's [`schedule`], priced. Every epoch of
-/// a fixed-plan run produces this same sequence: the engine rebuilds its
-/// layout caches from the (dual-form) input every epoch. Redistribution
-/// bytes are group-scoped, and at `r_a < p` every panel SpMM carries one
-/// dense tile [`SchedEvent::Broadcast`]. `panel_nnz[k]` is the nonzero
-/// count of panel `k`'s row slice of the adjacency — data-dependent, so
-/// callers read it off the partitioned graph; full replication is
-/// `r_a = p, panel_nnz = [shape.nnz]`. `panel_nnz_t` is the same for the
-/// transpose, which backward SpMMs multiply (`None` for a symmetric
-/// aggregation).
+/// Predict the events rank `rank` of the `p/r_a × r_a` grid records inside
+/// `unit`: its markers, then each part's steps priced on the part's graph.
+/// Redistribution bytes are group-scoped, and at `r_a < p` every panel
+/// SpMM carries one dense tile [`SchedEvent::Broadcast`].
 ///
 /// # Errors
-/// If `r_a` does not divide `p`, `rank` is out of range, a panel count
-/// has the wrong length or does not sum to `shape.nnz`, or `shape` does
-/// not have a width per layer boundary of `config` — inputs the predictor
-/// would otherwise silently misprice.
-#[allow(clippy::too_many_arguments)]
-pub fn predict_epoch(
-    shape: &GnnShape,
-    config: &OrderConfig,
-    memoize: bool,
-    p: usize,
-    r_a: usize,
-    rank: usize,
-    panel_nnz: &[usize],
-    panel_nnz_t: Option<&[usize]>,
-) -> Result<Vec<SchedEvent>, String> {
-    let mut pricer = Pricer::new(shape, p, r_a, rank, panel_nnz, panel_nnz_t)?;
-    pricer.price(&schedule(config, memoize, &shape.feats, false)?);
-    Ok(pricer.events)
+/// If `r_a` does not divide `p`, `rank` is out of range, or a part's panel
+/// counts do not fit the grid — inputs the predictor would otherwise
+/// silently misprice.
+pub fn predict(unit: &Unit, p: usize, r_a: usize, rank: usize) -> Result<Vec<UnitEvent>, String> {
+    let mut out: Vec<UnitEvent> = unit.markers.iter().map(|&m| UnitEvent::Marker(m)).collect();
+    for part in &unit.parts {
+        let mut pricer = Pricer::new(&part.graph, p, r_a, rank)?;
+        pricer.price(&part.steps);
+        out.extend(pricer.events.into_iter().map(UnitEvent::Sched));
+    }
+    Ok(out)
 }
 
 /// The schedule event a kernel span names. `width` is deliberately
@@ -467,36 +519,27 @@ fn fold_strip(product: Option<SchedEvent>, strip: SchedEvent) -> Option<SchedEve
     (fixed == product).then_some(folded)
 }
 
-/// One item of [`walk_schedule`]'s reduction of a trace.
-pub(crate) enum Walked {
-    /// A scope span of interest opened, or a `Serve` span opened inside one.
-    Begin(Span),
-    /// The open scope span closed.
-    ScopeEnd,
-    Sched(SchedEvent),
-}
-
-/// The trace reducer behind [`extract_epoch`] and
-/// `serving::extract_session` (whose docs say what is booked and what is
-/// ignored): walk one rank's events with a span stack and emit the
-/// schedule-level events recorded inside the spans `scope` selects
-/// (`Some(true)` = a scope to reduce, `Some(false)` = a scope span to
-/// skip, `None` = not a scope span).
+/// Reduce one rank's recorded trace to its units, in order: each
+/// `Span::Epoch` or `Span::Batch` with the marker spans and the
+/// schedule-level events recorded inside it.
 ///
-/// Returns the items and whether any selected scope was entered.
+/// Attribution is kind-aware: a redistribution frame books only sends of
+/// its own collective kind, at their dense-equivalent volume (what the
+/// predictor prices), and an all-reduce frame only all-reduce sends.
+/// `Broadcast`-kind sends — the replicated panels' tile exchange —
+/// accumulate wherever they occur (inside each strip kernel span) and are
+/// flushed as one [`SchedEvent::Broadcast`] after the SpMM product they
+/// carry. Strip kernel spans nested in a redistribution fold into one
+/// product event emitted after it.
 ///
 /// # Errors
-/// If the trace is malformed: unbalanced spans, broadcast sends with no
-/// kernel span to book them, a redistribution that sent more than its
-/// dense-equivalent bytes, or strip kernels that do not tile one product.
-pub(crate) fn walk_schedule(
-    trace: &RankTrace,
-    scope: impl Fn(Span) -> Option<bool>,
-) -> Result<(Vec<Walked>, bool), String> {
+/// If the trace is malformed: unbalanced spans, a unit opened inside
+/// another, broadcast sends with no kernel span to book them, a
+/// redistribution that sent more than its dense-equivalent bytes, or strip
+/// kernels that do not tile one product.
+fn extract(trace: &RankTrace) -> Result<Vec<(Span, Vec<UnitEvent>)>, String> {
     enum Frame {
-        Scope {
-            ours: bool,
-        },
+        Unit,
         Redist {
             from: Form,
             to: Form,
@@ -518,35 +561,36 @@ pub(crate) fn walk_schedule(
         Other,
     }
     // One broadcast event per SpMM product, after it.
-    let flush = |out: &mut Vec<Walked>, pending: &mut u64| {
+    let flush = |out: &mut Vec<UnitEvent>, pending: &mut u64| {
         if *pending > 0 {
-            out.push(Walked::Sched(SchedEvent::Broadcast { bytes: *pending }));
+            out.push(UnitEvent::Sched(SchedEvent::Broadcast { bytes: *pending }));
             *pending = 0;
         }
     };
+    let rank = trace.rank;
+    let mut units = Vec::new();
     let mut stack: Vec<Frame> = Vec::new();
-    let mut out = Vec::new();
-    let mut in_scope = false;
-    let mut found = false;
+    // The open unit's scope and the events recorded in it so far.
+    let (mut scope, mut out): (Option<Span>, Vec<UnitEvent>) = (None, Vec::new());
     let mut pending_bcast = 0u64;
     for (i, e) in trace.events.iter().enumerate() {
         match e.data {
+            EventData::Begin(span @ (Span::Epoch { .. } | Span::Batch { .. })) => {
+                if scope.replace(span).is_some() {
+                    return Err(format!(
+                        "rank {rank} event {i}: a unit opened inside another"
+                    ));
+                }
+                stack.push(Frame::Unit);
+            }
             EventData::Begin(span) => {
-                let frame = match (scope(span), span) {
-                    (Some(ours), _) => {
-                        if ours {
-                            in_scope = true;
-                            found = true;
-                            out.push(Walked::Begin(span));
-                        }
-                        Frame::Scope { ours }
-                    }
-                    (None, _) if !in_scope => Frame::Other,
-                    (None, Span::Serve { .. }) => {
-                        out.push(Walked::Begin(span));
+                let frame = match span {
+                    _ if scope.is_none() => Frame::Other,
+                    Span::Serve { .. } => {
+                        out.push(UnitEvent::Marker(span));
                         Frame::Other
                     }
-                    (None, Span::Redistribute { from, to, kind, .. }) => Frame::Redist {
+                    Span::Redistribute { from, to, kind, .. } => Frame::Redist {
                         from,
                         to,
                         kind,
@@ -554,22 +598,21 @@ pub(crate) fn walk_schedule(
                         dense: 0,
                         product: None,
                     },
-                    (None, Span::AllReduce { .. }) => Frame::AllReduce { bytes: 0 },
-                    (None, _) => match (kernel_event(span), stack.last_mut()) {
+                    Span::AllReduce { .. } => Frame::AllReduce { bytes: 0 },
+                    _ => match (kernel_event(span), stack.last_mut()) {
                         (None, _) => Frame::Other,
                         // A strip of the product its conversion feeds.
                         (Some(strip), Some(Frame::Redist { product, .. })) => {
                             *product = Some(fold_strip(*product, strip).ok_or_else(|| {
                                 format!(
-                                    "rank {} event {i}: strip {strip} does not continue the \
-                                     product of its redistribution",
-                                    trace.rank
+                                    "rank {rank} event {i}: strip {strip} does not continue the \
+                                     product of its redistribution"
                                 )
                             })?);
                             Frame::Other
                         }
                         (Some(event), _) => {
-                            out.push(Walked::Sched(event));
+                            out.push(UnitEvent::Sched(event));
                             match event {
                                 SchedEvent::Spmm { .. } => Frame::Spmm,
                                 _ => Frame::Other,
@@ -580,15 +623,13 @@ pub(crate) fn walk_schedule(
                 stack.push(frame);
             }
             EventData::End => {
-                let frame = stack.pop().ok_or_else(|| {
-                    format!("rank {} event {i}: End with no open span", trace.rank)
-                })?;
+                let frame = stack
+                    .pop()
+                    .ok_or_else(|| format!("rank {rank} event {i}: End with no open span"))?;
                 match frame {
-                    Frame::Scope { ours } => {
-                        if ours {
-                            in_scope = false;
-                            out.push(Walked::ScopeEnd);
-                        }
+                    Frame::Unit => {
+                        let span = scope.take().expect("a unit frame has a scope");
+                        units.push((span, std::mem::take(&mut out)));
                     }
                     Frame::Redist {
                         from,
@@ -602,26 +643,25 @@ pub(crate) fn walk_schedule(
                         // the sparse path may send less, never more.
                         if bytes > dense {
                             return Err(format!(
-                                "rank {}: redistribution sent {bytes} B, above its \
-                                 dense-equivalent {dense} B",
-                                trace.rank
+                                "rank {rank}: redistribution sent {bytes} B, above its \
+                                 dense-equivalent {dense} B"
                             ));
                         }
-                        out.push(Walked::Sched(SchedEvent::Redist {
+                        out.push(UnitEvent::Sched(SchedEvent::Redist {
                             from,
                             to,
                             kind,
                             bytes: dense,
                         }));
                         if let Some(product) = product {
-                            out.push(Walked::Sched(product));
+                            out.push(UnitEvent::Sched(product));
                             if let SchedEvent::Spmm { .. } = product {
                                 flush(&mut out, &mut pending_bcast);
                             }
                         }
                     }
                     Frame::AllReduce { bytes } => {
-                        out.push(Walked::Sched(SchedEvent::AllReduce { bytes }));
+                        out.push(UnitEvent::Sched(SchedEvent::AllReduce { bytes }));
                     }
                     Frame::Spmm => flush(&mut out, &mut pending_bcast),
                     Frame::Other => {}
@@ -638,7 +678,7 @@ pub(crate) fn walk_schedule(
                 // belong to that frame; broadcast sends accumulate toward
                 // the carrying SpMM; anything else (loss/accuracy scalar
                 // reductions) is unpriced traffic.
-                if in_scope && kind == TraceCollective::Broadcast {
+                if scope.is_some() && kind == TraceCollective::Broadcast {
                     pending_bcast += bytes as u64;
                 } else {
                     match stack.last_mut() {
@@ -665,129 +705,72 @@ pub(crate) fn walk_schedule(
     }
     if !stack.is_empty() {
         return Err(format!(
-            "rank {}: {} span(s) left open at end of trace",
-            trace.rank,
+            "rank {rank}: {} span(s) left open at end of trace",
             stack.len()
         ));
     }
     if pending_bcast > 0 {
         return Err(format!(
-            "rank {}: {pending_bcast} broadcast bytes with no kernel span to book them",
-            trace.rank
+            "rank {rank}: {pending_bcast} broadcast bytes with no kernel span to book them"
         ));
     }
-    Ok((out, found))
+    Ok(units)
 }
 
-/// Reduce one rank's recorded trace to the schedule-level events of epoch
-/// `epoch`. Bare `Collective` sends outside a redistribution/all-reduce
-/// span (the loss boundary's scalar reduction) are ignored, as are
-/// `Retry` and `OverlapStrip` instants.
-///
-/// Attribution is kind-aware: a redistribution frame books only sends of
-/// its own collective kind, while `Broadcast`-kind sends — the replicated
-/// panels' tile exchange — accumulate wherever they occur (inside each
-/// strip kernel span) and are flushed as one [`SchedEvent::Broadcast`]
-/// after the SpMM product they carry. Strip kernel spans nested in a
-/// redistribution fold into one product event emitted after it, so a
-/// blocking and an overlapped run of the same plan extract to identical
-/// schedules at every replication factor.
-///
-/// # Errors
-/// If the trace is malformed (unbalanced spans, broadcast sends with no
-/// kernel span to book them, strips that do not tile one product) or
-/// never enters epoch `epoch`.
-pub fn extract_epoch(trace: &RankTrace, epoch: usize) -> Result<Vec<SchedEvent>, String> {
-    let (walked, found) = walk_schedule(trace, |span| match span {
-        Span::Epoch { idx } => Some(idx == epoch),
-        _ => None,
-    })?;
-    if !found {
-        return Err(format!(
-            "rank {}: trace contains no epoch {epoch}",
-            trace.rank
-        ));
-    }
-    Ok(walked
-        .into_iter()
-        .filter_map(|w| match w {
-            Walked::Sched(e) => Some(e),
-            Walked::Begin(_) | Walked::ScopeEnd => None,
-        })
-        .collect())
+/// Every position where `expected` and `got` differ, with both sides.
+fn mismatches<'a, T: Copy + PartialEq>(
+    expected: &'a [T],
+    got: &'a [T],
+) -> impl Iterator<Item = (usize, Option<T>, Option<T>)> + 'a {
+    (0..expected.len().max(got.len()))
+        .map(|i| (i, expected.get(i).copied(), got.get(i).copied()))
+        .filter(|(_, e, g)| e != g)
 }
 
-/// Elementwise diff of a predicted and an extracted schedule.
-fn diff(rank: usize, epoch: usize, expected: &[SchedEvent], got: &[SchedEvent]) -> Vec<Violation> {
-    let mut v = Vec::new();
-    for i in 0..expected.len().max(got.len()) {
-        let (e, g) = (expected.get(i).copied(), got.get(i).copied());
-        if e != g {
-            v.push(Violation {
-                rank,
-                epoch,
-                index: i,
-                expected: e,
-                got: g,
-            });
-        }
-    }
-    v
-}
-
-/// The epochs a rank's trace recorded, in order.
-fn epochs(trace: &RankTrace) -> Vec<usize> {
-    trace
-        .events
-        .iter()
-        .filter_map(|e| match e.data {
-            EventData::Begin(Span::Epoch { idx }) => Some(idx),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Check a whole recorded run (all ranks, every epoch present in the
-/// traces) against the model's prediction for a fixed plan on the
-/// `(P, r_a, panel_nnz, panel_nnz_t)` grid (`P` is `traces.len()`; see
-/// [`predict_epoch`]). Returns the full list of schedule violations —
-/// empty means the run conformed.
+/// Check a whole recorded run (all ranks; `P` is `traces.len()`) against
+/// the prediction for `units` on the `P/r_a × r_a` grid: each rank must
+/// record exactly these units, in order, each with its scope and the events
+/// [`predict`] gives it. Returns every violation — empty means the run
+/// conformed.
 ///
 /// # Errors
-/// If there are no traces, any trace is structurally malformed (see
-/// [`extract_epoch`]), ranks disagree on the set of epochs, or the grid
-/// inputs are outside the predictor's scope.
-pub fn check_run(
-    traces: &[RankTrace],
-    shape: &GnnShape,
-    config: &OrderConfig,
-    memoize: bool,
-    r_a: usize,
-    panel_nnz: &[usize],
-    panel_nnz_t: Option<&[usize]>,
-) -> Result<Vec<Violation>, String> {
+/// If there are no traces or no units, any trace is malformed (see
+/// `extract`), or a unit is outside the predictor's scope.
+pub fn check(traces: &[RankTrace], r_a: usize, units: &[Unit]) -> Result<Vec<Violation>, String> {
     let p = traces.len();
-    let Some(first) = traces.first() else {
+    if p == 0 {
         return Err("need at least one rank trace".into());
-    };
-    let run = epochs(first);
-    if run.is_empty() {
-        return Err("rank 0 trace contains no epoch spans".into());
     }
+    if units.is_empty() {
+        return Err("need at least one unit to check".into());
+    }
+    let scopes: Vec<Span> = units.iter().map(|u| u.scope).collect();
     let mut violations = Vec::new();
     for trace in traces {
         trace.validate_nesting()?;
-        let recorded = epochs(trace);
-        if recorded != run {
-            return Err(format!(
-                "rank {} recorded epochs {recorded:?}, rank 0 {run:?}",
-                trace.rank
-            ));
-        }
         let rank = trace.rank;
-        let expected = predict_epoch(shape, config, memoize, p, r_a, rank, panel_nnz, panel_nnz_t)?;
-        for &epoch in &run {
-            violations.extend(diff(rank, epoch, &expected, &extract_epoch(trace, epoch)?));
+        let recorded = extract(trace)?;
+        let got: Vec<Span> = recorded.iter().map(|(scope, _)| *scope).collect();
+        for (_, e, g) in mismatches(&scopes, &got) {
+            violations.push(Violation {
+                rank,
+                unit: e.or(g).expect("a mismatch has a side"),
+                index: 0,
+                expected: e.map(UnitEvent::Scope),
+                got: g.map(UnitEvent::Scope),
+            });
+        }
+        for (unit, (_, got)) in units.iter().zip(&recorded) {
+            let expected = predict(unit, p, r_a, rank)?;
+            violations.extend(
+                mismatches(&expected, got).map(|(index, expected, got)| Violation {
+                    rank,
+                    unit: unit.scope,
+                    index,
+                    expected,
+                    got,
+                }),
+            );
         }
     }
     Ok(violations)
@@ -796,14 +779,63 @@ pub fn check_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OrderConfig;
+    use crate::schedule::schedule;
     use rdm_trace::Event;
 
-    fn shape() -> GnnShape {
-        GnnShape {
-            n: 140,
-            nnz: 1100,
-            feats: vec![16, 16, 5],
-        }
+    /// The test graph: 140 vertices, 1100 nonzeros, widths 16 → 16 → 5.
+    const N: usize = 140;
+    const NNZ: usize = 1100;
+    const FEATS: [usize; 3] = [16, 16, 5];
+
+    /// Epoch 0 of `cfg` on the test graph with these panel populations.
+    fn epoch_unit(
+        cfg: &OrderConfig,
+        memoize: bool,
+        nnz: &[usize],
+        nnz_t: Option<&[usize]>,
+    ) -> Result<Unit, String> {
+        let graph = Graph {
+            n: N,
+            panel_nnz: nnz.to_vec(),
+            panel_nnz_t: nnz_t.map(<[usize]>::to_vec),
+        };
+        let steps = schedule(cfg, memoize, &FEATS, false)?;
+        Ok(Unit {
+            scope: Span::Epoch { idx: 0 },
+            markers: Vec::new(),
+            parts: vec![Part { steps, graph }],
+        })
+    }
+
+    fn sched(events: Vec<UnitEvent>) -> Vec<SchedEvent> {
+        let sched = |e| match e {
+            UnitEvent::Sched(s) => Some(s),
+            _ => None,
+        };
+        events.into_iter().filter_map(sched).collect()
+    }
+
+    /// Rank `rank`'s predicted epoch schedule on the `p/r_a × r_a` grid.
+    fn predict_epoch(
+        cfg: &OrderConfig,
+        memoize: bool,
+        (p, r_a, rank): (usize, usize, usize),
+        nnz: &[usize],
+        nnz_t: Option<&[usize]>,
+    ) -> Result<Vec<SchedEvent>, String> {
+        Ok(sched(predict(
+            &epoch_unit(cfg, memoize, nnz, nnz_t)?,
+            p,
+            r_a,
+            rank,
+        )?))
+    }
+
+    /// The schedule events of the first unit `trace` recorded.
+    fn extract_epoch(trace: &RankTrace) -> Result<Vec<SchedEvent>, String> {
+        let (_, events) = extract(trace)?.into_iter().next().ok_or("no unit")?;
+        Ok(sched(events))
     }
 
     #[test]
@@ -819,7 +851,7 @@ mod tests {
     fn single_rank_prediction_moves_no_bytes() {
         for id in 0..16 {
             let cfg = OrderConfig::from_id(id, 2);
-            let ev = predict_epoch(&shape(), &cfg, true, 1, 1, 0, &[shape().nnz], None).unwrap();
+            let ev = predict_epoch(&cfg, true, (1, 1, 0), &[NNZ], None).unwrap();
             for e in &ev {
                 match e {
                     SchedEvent::Redist { bytes, .. } | SchedEvent::AllReduce { bytes } => {
@@ -843,7 +875,7 @@ mod tests {
         // All-SpMM-first: the input has both forms, so layer 1's SpMM is
         // free; each layer pays exactly one intra-layer Col→Row.
         let cfg = OrderConfig::from_id(0, 2);
-        let ev = predict_epoch(&shape(), &cfg, true, 4, 4, 1, &[shape().nnz], None).unwrap();
+        let ev = predict_epoch(&cfg, true, (4, 4, 1), &[NNZ], None).unwrap();
         // Forward slice: up to the loss boundary there are 2 layers ×
         // (Spmm, Redist, Gemm).
         assert!(matches!(ev[0], SchedEvent::Spmm { .. }));
@@ -877,8 +909,8 @@ mod tests {
         // weight grad must recompute an SpMM, so the schedules differ.
         let cfg = OrderConfig::from_id(4, 2);
         assert!(cfg.memoize_forward_spmm(1));
-        let with = predict_epoch(&shape(), &cfg, true, 4, 4, 0, &[shape().nnz], None).unwrap();
-        let without = predict_epoch(&shape(), &cfg, false, 4, 4, 0, &[shape().nnz], None).unwrap();
+        let with = predict_epoch(&cfg, true, (4, 4, 0), &[NNZ], None).unwrap();
+        let without = predict_epoch(&cfg, false, (4, 4, 0), &[NNZ], None).unwrap();
         assert_ne!(with, without);
         let spmms = |ev: &[SchedEvent]| {
             ev.iter()
@@ -892,12 +924,11 @@ mod tests {
     fn redistribution_bytes_sum_to_global_volume() {
         // Row→Col of an n × f matrix moves (p-1)/p · n · f elements in
         // total, summed over ranks, for any divisibility.
-        let s = shape();
         for p in [2usize, 3, 4, 7] {
             let cfg = OrderConfig::from_id(0, 2);
             let mut totals = [0u64; 3];
             for r in 0..p {
-                let ev = predict_epoch(&s, &cfg, true, p, p, r, &[s.nnz], None).unwrap();
+                let ev = predict_epoch(&cfg, true, (p, p, r), &[NNZ], None).unwrap();
                 for (i, e) in ev
                     .iter()
                     .filter(|e| {
@@ -920,12 +951,10 @@ mod tests {
             // First forward redistribution: Col→Row of the n × f_h layer-1
             // SpMM output.
             let expect = |f: usize| {
-                let kept: usize = (0..p)
-                    .map(|r| part_len(s.n, p, r) * part_len(f, p, r))
-                    .sum();
-                ((s.n * f - kept) * 4) as u64
+                let kept: usize = (0..p).map(|r| part_len(N, p, r) * part_len(f, p, r)).sum();
+                ((N * f - kept) * 4) as u64
             };
-            assert_eq!(totals[0], expect(s.feats[0]), "p={p}");
+            assert_eq!(totals[0], expect(FEATS[0]), "p={p}");
         }
     }
 
@@ -992,7 +1021,7 @@ mod tests {
             mk(8, EventData::End),
         ];
         let trace = RankTrace { rank: 2, events };
-        let got = extract_epoch(&trace, 0).unwrap();
+        let got = extract_epoch(&trace).unwrap();
         assert_eq!(
             got,
             vec![
@@ -1018,12 +1047,19 @@ mod tests {
                 nnz: 30,
             },
         ];
-        let v = diff(2, 0, &expected, &got);
+        let v: Vec<Violation> = mismatches(&expected, &got)
+            .map(|(index, e, g)| Violation {
+                rank: 2,
+                unit: Span::Epoch { idx: 0 },
+                index,
+                expected: e.map(UnitEvent::Sched),
+                got: g.map(UnitEvent::Sched),
+            })
+            .collect();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].index, 1);
         let msg = v[0].to_string();
-        assert!(msg.contains("rank 2"), "{msg}");
-        assert!(msg.contains("event 1"), "{msg}");
+        assert!(msg.contains("rank 2 epoch 0 event 1"), "{msg}");
         assert!(msg.contains("10x5"), "{msg}");
         assert!(msg.contains("10x4"), "{msg}");
     }
@@ -1066,7 +1102,7 @@ mod tests {
             mk(5, EventData::End),
         ];
         let trace = RankTrace { rank: 0, events };
-        let got = extract_epoch(&trace, 0).unwrap();
+        let got = extract_epoch(&trace).unwrap();
         assert_eq!(
             got,
             vec![SchedEvent::Redist {
@@ -1085,18 +1121,8 @@ mod tests {
             mk(4, EventData::End),
         ];
         let trace = RankTrace { rank: 0, events };
-        let err = extract_epoch(&trace, 0).unwrap_err();
+        let err = extract_epoch(&trace).unwrap_err();
         assert!(err.contains("above its dense-equivalent"), "{err}");
-    }
-
-    #[test]
-    fn extract_requires_the_epoch_to_exist() {
-        let trace = RankTrace {
-            rank: 0,
-            events: vec![],
-        };
-        let err = extract_epoch(&trace, 3).unwrap_err();
-        assert!(err.contains("no epoch 3"), "{err}");
     }
 
     #[test]
@@ -1104,11 +1130,10 @@ mod tests {
         // P=4, R_A=2 on the 140-vertex shape: rank 1 sits at panel 0,
         // position 1. Its panel spans rows [0, 70), its width-16 tile
         // keeps 8 columns.
-        let s = shape();
         let (p, r_a) = (4usize, 2usize);
         let panel_nnz = [620usize, 480];
         let cfg = OrderConfig::from_id(0, 2);
-        let ev = predict_epoch(&s, &cfg, true, p, r_a, 1, &panel_nnz, None).unwrap();
+        let ev = predict_epoch(&cfg, true, (p, r_a, 1), &panel_nnz, None).unwrap();
 
         // Every panel SpMM carries the column group's dense tile
         // broadcast: (P/R_A - 1) · panel_len · tile_cols · 4 bytes.
@@ -1148,7 +1173,7 @@ mod tests {
 
         // Full replication (one panel, r_a = p) carries no Broadcast
         // events.
-        let full = predict_epoch(&s, &cfg, true, p, p, 1, &[s.nnz], None).unwrap();
+        let full = predict_epoch(&cfg, true, (p, p, 1), &[NNZ], None).unwrap();
         assert!(!full
             .iter()
             .any(|e| matches!(e, SchedEvent::Broadcast { .. })));
@@ -1158,11 +1183,11 @@ mod tests {
         let parted: Vec<usize> = (0..p).map(|r| 200 + r * 50).collect();
         let parted = {
             let mut v = parted;
-            let slack = s.nnz - v.iter().sum::<usize>();
+            let slack = NNZ - v.iter().sum::<usize>();
             v[0] += slack;
             v
         };
-        let ev1 = predict_epoch(&s, &cfg, true, p, 1, 2, &parted, None).unwrap();
+        let ev1 = predict_epoch(&cfg, true, (p, 1, 2), &parted, None).unwrap();
         for e in &ev1 {
             if let SchedEvent::Redist {
                 kind: TraceCollective::Redistribute,
@@ -1180,26 +1205,27 @@ mod tests {
 
     #[test]
     fn replicated_panel_prediction_rejects_malformed_grids() {
-        let s = shape();
         let cfg = OrderConfig::from_id(0, 2);
-        let err = predict_epoch(&s, &cfg, true, 4, 3, 0, &[s.nnz], None).unwrap_err();
+        let err = predict_epoch(&cfg, true, (4, 3, 0), &[NNZ], None).unwrap_err();
         assert!(err.contains("must divide"), "{err}");
-        let err = predict_epoch(&s, &cfg, true, 4, 2, 4, &[600, 500], None).unwrap_err();
+        let err = predict_epoch(&cfg, true, (4, 2, 4), &[600, 500], None).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
-        let err = predict_epoch(&s, &cfg, true, 4, 2, 0, &[s.nnz], None).unwrap_err();
+        let err = predict_epoch(&cfg, true, (4, 2, 0), &[NNZ], None).unwrap_err();
         assert!(err.contains("panel nonzero counts"), "{err}");
-        let err = predict_epoch(&s, &cfg, true, 4, 2, 0, &[600, 600], None).unwrap_err();
-        assert!(err.contains("sum to"), "{err}");
+        let err = predict_epoch(&cfg, true, (4, 2, 0), &[600, 500], Some(&[600, 600])).unwrap_err();
+        assert!(
+            err.contains("sum to 1200, the adjacency's to 1100"),
+            "{err}"
+        );
     }
 
     #[test]
     fn transpose_panel_counts_price_backward_spmms_only() {
         // An asymmetric aggregation's transpose has its own per-panel
         // population; it prices the backward SpMMs and must be well formed.
-        let s = shape();
         let cfg = OrderConfig::from_id(0, 2);
-        let sym = predict_epoch(&s, &cfg, true, 4, 2, 1, &[620, 480], None).unwrap();
-        let asym = predict_epoch(&s, &cfg, true, 4, 2, 1, &[620, 480], Some(&[500, 600])).unwrap();
+        let sym = predict_epoch(&cfg, true, (4, 2, 1), &[620, 480], None).unwrap();
+        let asym = predict_epoch(&cfg, true, (4, 2, 1), &[620, 480], Some(&[500, 600])).unwrap();
         let spmm_nnz = |ev: &[SchedEvent]| -> Vec<usize> {
             ev.iter()
                 .filter_map(|e| match e {
@@ -1211,74 +1237,139 @@ mod tests {
         // ID 0: two forward SpMMs, then two backward ones.
         assert_eq!(spmm_nnz(&sym), vec![620; 4]);
         assert_eq!(spmm_nnz(&asym), vec![620, 620, 500, 500]);
-        let err = predict_epoch(&s, &cfg, true, 4, 2, 0, &[620, 480], Some(&[s.nnz])).unwrap_err();
+        let err = predict_epoch(&cfg, true, (4, 2, 0), &[620, 480], Some(&[NNZ])).unwrap_err();
         assert!(err.contains("panel nonzero counts"), "{err}");
+    }
+
+    /// A trace of empty epochs `idxs`, one rank.
+    fn empty_epochs(rank: usize, idxs: &[usize]) -> RankTrace {
+        let events = idxs
+            .iter()
+            .flat_map(|&idx| [EventData::Begin(Span::Epoch { idx }), EventData::End]);
+        let events = events.enumerate().map(|(i, data)| Event {
+            seq: i as u64,
+            ts_ns: i as u64,
+            data,
+        });
+        RankTrace {
+            rank,
+            events: events.collect(),
+        }
     }
 
     #[test]
     fn out_of_scope_inputs_are_errors_not_panics() {
         // A shape whose widths do not match the plan's layer count.
-        let s = shape();
         let three = OrderConfig::from_id(0, 3);
-        let err = predict_epoch(&s, &three, true, 2, 2, 0, &[s.nnz], None).unwrap_err();
+        let err = predict_epoch(&three, true, (2, 2, 0), &[NNZ], None).unwrap_err();
         assert!(err.contains("layer widths"), "{err}");
-        let epoch = |rank| RankTrace {
-            rank,
-            events: vec![
-                Event {
-                    seq: 0,
-                    ts_ns: 0,
-                    data: EventData::Begin(Span::Epoch { idx: 0 }),
-                },
-                Event {
-                    seq: 1,
-                    ts_ns: 1,
-                    data: EventData::End,
-                },
-            ],
-        };
-        let traces = [epoch(0), epoch(1)];
-        let err = check_run(&traces, &s, &three, true, 2, &[s.nnz], None).unwrap_err();
-        assert!(err.contains("layer widths"), "{err}");
-        let err = check_run(&[], &s, &three, true, 1, &[s.nnz], None).unwrap_err();
+        let unit = epoch_unit(&OrderConfig::from_id(0, 2), true, &[NNZ], None).unwrap();
+        let traces = [empty_epochs(0, &[0]), empty_epochs(1, &[0])];
+        let err = check(&traces, 3, std::slice::from_ref(&unit)).unwrap_err();
+        assert!(err.contains("must divide"), "{err}");
+        let err = check(&[], 1, &[unit]).unwrap_err();
         assert!(err.contains("at least one rank trace"), "{err}");
+        let err = check(&traces, 2, &[]).unwrap_err();
+        assert!(err.contains("at least one unit"), "{err}");
     }
 
     #[test]
-    fn ranks_that_disagree_on_the_epochs_are_an_error() {
-        // Rank 1 recorded an extra epoch that rank 0 never ran: the run is
-        // malformed, whatever the schedule inside either epoch.
-        let span = |seq: u64, idx: usize| {
-            [
-                Event {
-                    seq,
-                    ts_ns: seq,
-                    data: EventData::Begin(Span::Epoch { idx }),
-                },
-                Event {
-                    seq: seq + 1,
-                    ts_ns: seq + 1,
-                    data: EventData::End,
-                },
-            ]
-        };
-        let traces = [
-            RankTrace {
-                rank: 0,
-                events: span(0, 0).to_vec(),
-            },
-            RankTrace {
-                rank: 1,
-                events: [span(0, 0), span(2, 1)].concat(),
+    fn a_unit_missing_extra_or_rescoped_is_a_violation() {
+        // Rank 1 recorded an extra epoch that was never predicted, rank 2
+        // one too few, rank 3 another epoch than the prediction's: each is
+        // one violation on its scope, whatever the schedule inside.
+        let cfg = OrderConfig::from_id(0, 2);
+        let mut unit = epoch_unit(&cfg, true, &[NNZ], None).unwrap();
+        unit.parts.clear();
+        let units = [
+            unit.clone(),
+            Unit {
+                scope: Span::Epoch { idx: 1 },
+                ..unit
             },
         ];
-        let s = shape();
-        let cfg = OrderConfig::from_id(0, 2);
-        let err = check_run(&traces, &s, &cfg, true, 2, &[s.nnz], None).unwrap_err();
-        assert!(
-            err.contains("rank 1 recorded epochs [0, 1], rank 0 [0]"),
-            "{err}"
+        let traces = [
+            empty_epochs(0, &[0, 1]),
+            empty_epochs(1, &[0, 1, 2]),
+            empty_epochs(2, &[0]),
+            empty_epochs(3, &[0, 3]),
+        ];
+        let v = check(&traces, 4, &units).unwrap();
+        let epoch = |idx| Some(UnitEvent::Scope(Span::Epoch { idx }));
+        let got: Vec<_> = v.iter().map(|v| (v.rank, v.expected, v.got)).collect();
+        let want = [
+            (1, None, epoch(2)),
+            (2, epoch(1), None),
+            (3, epoch(1), epoch(3)),
+        ];
+        assert_eq!(got, want);
+        let msgs: Vec<String> = v.iter().map(Violation::to_string).collect();
+        assert_eq!(
+            msgs,
+            [
+                "rank 1 epoch 2 event 0: unexpected trailing event epoch 2 begin",
+                "rank 2 epoch 1 event 0: expected epoch 1 begin, but the trace ended",
+                "rank 3 epoch 1 event 0: expected epoch 1 begin, got epoch 3 begin",
+            ]
         );
+    }
+
+    /// A batch unit of `cfg`'s forward half (the held-`Â·H⁰` one with
+    /// `held`) admitting `reqs` requests.
+    fn batch_unit(cfg: &OrderConfig, held: bool, reqs: usize, graph: Graph) -> Unit {
+        let serve = |c| Span::Serve {
+            client: c,
+            req_id: 7,
+        };
+        let steps = crate::schedule::forward_schedule(cfg, true, &FEATS, held).unwrap();
+        Unit {
+            scope: Span::Batch { idx: 3, size: reqs },
+            markers: (0..reqs).map(serve).collect(),
+            parts: vec![Part { steps, graph }],
+        }
+    }
+
+    #[test]
+    fn a_batch_predicts_its_markers_then_its_forward() {
+        let cfg = OrderConfig::from_id(0, 2);
+        let ev = predict(&batch_unit(&cfg, false, 2, Graph::even(N, NNZ, 1)), 2, 2, 1).unwrap();
+        let serve = |client| UnitEvent::Marker(Span::Serve { client, req_id: 7 });
+        assert_eq!(ev[..2], [serve(0), serve(1)]);
+        assert_eq!(ev[2].to_string(), "spmm 140x8 nnz=1100");
+        assert!(ev[2..].iter().all(|e| matches!(e, UnitEvent::Sched(_))));
+    }
+
+    /// A batch that holds `Â·H⁰` prices the plan's forward from layer 1's
+    /// GEMM on: no layer-1 SpMM, panel broadcast or Col→Row exchange, on
+    /// every grid. A GEMM-first layer 1 has no held forward.
+    #[test]
+    fn a_held_batch_starts_at_layer_one_gemm() {
+        let cfg = OrderConfig::from_id(0, 2);
+        for (p, r_a, nnz) in [
+            (2, 2, vec![NNZ]),
+            (4, 2, vec![620, 480]),
+            (4, 1, vec![275; 4]),
+        ] {
+            for rank in 0..p {
+                let graph = Graph {
+                    n: N,
+                    panel_nnz: nnz.clone(),
+                    panel_nnz_t: None,
+                };
+                let priced = |held| {
+                    let unit = batch_unit(&cfg, held, 0, graph.clone());
+                    sched(predict(&unit, p, r_a, rank).unwrap())
+                };
+                let (first, later) = (priced(false), priced(true));
+                let gemm = first
+                    .iter()
+                    .position(|e| matches!(e, SchedEvent::Gemm { .. }))
+                    .unwrap();
+                assert_eq!(later[..], first[gemm..], "P {p} r_a {r_a} rank {rank}");
+            }
+        }
+        let gemm_first = OrderConfig::from_id(3, 2);
+        assert!(crate::schedule::forward_schedule(&gemm_first, true, &FEATS, true).is_err());
     }
 
     #[test]
@@ -1374,7 +1465,7 @@ mod tests {
                 ("one strip", nested(&[8], bcast)),
                 ("three strips", nested(&[3, 3, 2], bcast)),
             ] {
-                let got = extract_epoch(&trace(body), 0).unwrap();
+                let got = extract_epoch(&trace(body)).unwrap();
                 assert_eq!(got, expect, "{what}, broadcast {bcast}");
             }
         }
@@ -1394,7 +1485,7 @@ mod tests {
         }
         body.push(End);
         assert_eq!(
-            extract_epoch(&trace(body), 0).unwrap(),
+            extract_epoch(&trace(body)).unwrap(),
             vec![
                 redist_event(Form::Col, Form::Row),
                 SchedEvent::Gemm { m: 35, n: 5, k: 16 },
@@ -1409,10 +1500,10 @@ mod tests {
             spmm(4, 610, false),
             vec![End],
         ];
-        let err = extract_epoch(&trace(ragged.concat()), 0).unwrap_err();
+        let err = extract_epoch(&trace(ragged.concat())).unwrap_err();
         assert!(err.contains("does not continue"), "{err}");
         let dangling = vec![send(TraceCollective::Broadcast, 64)];
-        let err = extract_epoch(&trace(dangling), 0).unwrap_err();
+        let err = extract_epoch(&trace(dangling)).unwrap_err();
         assert!(err.contains("no kernel span"), "{err}");
     }
 }

@@ -14,7 +14,7 @@
 //! no selection reads it.
 
 use crate::config::{Order, OrderConfig};
-use crate::conformance::{part_len, Pricer, SchedEvent, Strip};
+use crate::conformance::{Graph, Pricer, SchedEvent, Strip};
 use crate::device::{DeviceModel, MeasuredRank};
 use crate::layer::{backward_layer_cost, forward_layer_cost, redistribution_elems, LayerDims};
 use crate::schedule::{schedule, Step};
@@ -244,12 +244,8 @@ pub fn price_plan(
         "sparsity factor {sigma} outside [0, 1]"
     );
     let steps = schedule(cfg, true, &shape.feats, false).unwrap_or_else(|e| panic!("{e}"));
-    let panels = p / r_a;
-    let panel_nnz: Vec<usize> = (0..panels)
-        .map(|k| part_len(shape.nnz, panels, k))
-        .collect();
-    let ranks = price_ranks(&steps, shape, p, r_a, 1, &panel_nnz, None, sigma)
-        .unwrap_or_else(|e| panic!("{e}"));
+    let graph = Graph::even(shape.n, shape.nnz, p / r_a);
+    let ranks = price_ranks(&steps, &graph, p, r_a, 1, sigma).unwrap_or_else(|e| panic!("{e}"));
     let bytes = |f: fn(&RankPrice) -> u64| ranks.iter().map(f).sum::<u64>() as f64;
     let cost = Cost {
         comm_elems: (sigma * bytes(|r| r.redistribute) + bytes(|r| r.broadcast)) / 4.0,
@@ -263,32 +259,28 @@ pub fn price_plan(
     }
 }
 
-/// Price `steps` on every rank of the `p/r_a × r_a` grid, in rank order,
-/// with each fed product's conversion shipped as `chunks` strips (`1`:
-/// blocking) and each strip's pipeline kept for [`RankPrice::hidden_ns`].
-/// `panel_nnz[k]` is the nonzero count of panel `k`'s row slice of the
-/// adjacency, `panel_nnz_t` that of its transpose (`None`: symmetric), and
-/// `sigma` scales the conversions' bytes as in [`price_plan`].
+/// Price `steps` run on `graph` on every rank of the `p/r_a × r_a` grid,
+/// in rank order, with each fed product's conversion shipped as `chunks`
+/// strips (`1`: blocking) and each strip's pipeline kept for
+/// [`RankPrice::hidden_ns`]; `sigma` scales the conversions' bytes as in
+/// [`price_plan`].
 ///
 /// # Errors
-/// If `chunks` is zero, or the grid or the panel counts do not fit `shape`
-/// (see [`crate::conformance::predict_epoch`]).
-#[allow(clippy::too_many_arguments)]
+/// If `chunks` is zero, or the grid or the panel counts do not fit
+/// (see [`crate::conformance::predict`]).
 pub fn price_ranks(
     steps: &[Step],
-    shape: &GnnShape,
+    graph: &Graph,
     p: usize,
     r_a: usize,
     chunks: usize,
-    panel_nnz: &[usize],
-    panel_nnz_t: Option<&[usize]>,
     sigma: f64,
 ) -> Result<Vec<RankPrice>, String> {
     if chunks == 0 {
         return Err("a pipeline needs at least one strip".into());
     }
     let rank = |rank| {
-        let mut pricer = Pricer::new(shape, p, r_a, rank, panel_nnz, panel_nnz_t)?;
+        let mut pricer = Pricer::new(graph, p, r_a, rank)?;
         pricer.chunks = chunks;
         pricer.price(steps);
         let (mut r, mut converted, mut rest) = (RankPrice::default(), 0, 0);

@@ -29,12 +29,10 @@
 //! * [`schedule`](mod@schedule) — one epoch's schedule as an ordered step
 //!   list, the one description of a plan that the GCN engine executes,
 //!   the checker diffs and selection prices.
-//! * [`conformance`] — the schedule-conformance checker: price a plan's
-//!   step list into the predicted per-rank event sequence and diff it
-//!   against a recorded `rdm-trace` run.
-//! * [`serving`] — the serving-session extension of the checker: the
-//!   per-batch schedule predictor/extractor for online inference traces,
-//!   where batches after the first start from layer 1's held aggregation.
+//! * [`conformance`] — the one schedule-conformance checker: price each
+//!   unit of a run (a training or GraphSAINT-RDM epoch, a full-graph or
+//!   induced serving batch) into its predicted per-rank event sequence
+//!   and diff it against a recorded `rdm-trace` run.
 
 pub mod config;
 pub mod conformance;
@@ -43,11 +41,10 @@ pub mod device;
 pub mod layer;
 pub mod memory;
 pub mod schedule;
-pub mod serving;
 pub mod symbolic;
 
 pub use config::{Order, OrderConfig};
-pub use conformance::{check_run, predict_epoch, SchedEvent, Strip, Violation};
+pub use conformance::{check, predict, Graph, Part, SchedEvent, Strip, Unit, UnitEvent, Violation};
 pub use cost::{
     pareto_configs, pareto_ids, price_plan, price_ranks, Cost, GnnShape, PlanPrice, RankPrice,
 };
@@ -57,7 +54,4 @@ pub use layer::{
 };
 pub use memory::{cagnet_bytes_per_gpu, max_replication, rdm_bytes_per_gpu, MemoryParams};
 pub use schedule::{forward_schedule, schedule, Op, Slot, Step};
-pub use serving::{
-    check_session, extract_session, predict_session, ServeEvent, ServeViolation, SessionBatch,
-};
 pub use symbolic::{table4, Table4Row};

@@ -295,7 +295,7 @@ pub fn serve(
         Some(_) => None,
     };
     let price = |steps: &[Step], adj: &Csr| -> Vec<u64> {
-        hidden_price(steps, &feats, adj, None, grid, chunks, device)
+        hidden_price(steps, adj, None, grid, chunks, device)
     };
 
     // The batch schedule is a pure function of the shared inputs, read by

@@ -289,10 +289,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     // The steady-state guarantee the workspace pool exists for: after the
-    // warmup batch, serving must be alloc-free. Fault injection is exempt:
-    // retransmission and reordering raise the peak number of concurrently
-    // live buffers past what the warmup batch could shelve.
-    if common.chaos.is_none() && report.batches.len() >= 2 && report.ws_fresh_steady > 0 {
+    // warmup batch, serving must be alloc-free, on a faulty fabric too.
+    if report.batches.len() >= 2 && report.ws_fresh_steady > 0 {
         eprintln!(
             "error: {} fresh workspace allocations after warmup (expected 0)",
             report.ws_fresh_steady

@@ -126,6 +126,17 @@ fn deep(c: &Config) -> bool {
     trained_plan(c) && c.layers == 3
 }
 
+/// The points whose traces the schedule checker holds to their units:
+/// training epochs of an explicit and of an auto-selected RDM plan,
+/// GraphSAINT-RDM epochs, and full-graph and induced serving batches.
+const UNIT_KINDS: [fn(&Config) -> bool; 5] = [
+    trained_plan,
+    |c| c.system == System::Auto,
+    |c| c.system == System::SaintRdm,
+    |c| c.surface == Surface::Serve,
+    |c| c.surface == Surface::Induced,
+];
+
 /// The sample of `seed`.
 fn sample(seed: u64) -> Vec<Config> {
     use System::*;
@@ -188,6 +199,11 @@ fn sample(seed: u64) -> Vec<Config> {
     let mut kernels = vec![KernelMode::Scalar];
     kernels.extend(KernelWidth::all().map(KernelMode::Fast));
     d.deal(|_| true, &kernels, |c, k| c.kernels = k);
+    // The schedule checker covers each kind of unit on every seed: at least
+    // one point of each kind is traced.
+    for kind in UNIT_KINDS {
+        d.deal_to(1, kind, &[true], |c, x| c.trace = x);
+    }
     // A step kind no drawn plan runs gets a 2-layer training plan redrawn.
     let mut pts = d.pts;
     for kind in step_universe() {
@@ -245,6 +261,19 @@ fn the_sample_covers_every_step_kind() {
         .flat_map(Config::step_kinds)
         .collect();
     assert_eq!(drawn, step_universe(), "seed {}", chaos_base());
+}
+
+#[test]
+fn the_sample_traces_every_unit_kind() {
+    let sample = sample(chaos_base());
+    for (k, kind) in UNIT_KINDS.iter().enumerate() {
+        let traced = sample.iter().filter(|c| c.trace && kind(c)).count();
+        assert!(
+            traced > 0,
+            "seed {}: no traced point of kind {k}",
+            chaos_base()
+        );
+    }
 }
 
 const BINS: [&str; 2] = [

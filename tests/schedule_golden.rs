@@ -12,54 +12,88 @@
 //! deliberately with:
 //!   cargo test --test schedule_golden -- --ignored regenerate_schedules
 
-use gnn_rdm::model::{predict_epoch, predict_session, GnnShape, OrderConfig, SessionBatch};
+use gnn_rdm::model::UnitEvent;
+use gnn_rdm::model::{forward_schedule, predict, schedule, Graph, Order, OrderConfig, Part, Unit};
+use gnn_rdm::trace::Span;
 use std::fmt::Write;
 
 const N: usize = 143;
 const NNZ: usize = 1100;
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/schedules.txt");
 
-fn shape(feats: &[usize]) -> GnnShape {
-    GnnShape {
+/// The `N`-vertex graph with these panel populations.
+fn graph(panel_nnz: &[usize]) -> Graph {
+    Graph {
         n: N,
-        nnz: NNZ,
-        feats: feats.to_vec(),
+        panel_nnz: panel_nnz.to_vec(),
+        panel_nnz_t: None,
     }
 }
 
 /// Every rank's epoch schedule of plan `id` on the `p/r_a × r_a` grid.
-fn epoch(out: &mut String, s: &GnnShape, id: usize, memoize: bool, grid: (usize, usize, &[usize])) {
+fn epoch(
+    out: &mut String,
+    feats: &[usize],
+    id: usize,
+    memoize: bool,
+    grid: (usize, usize, &[usize]),
+) {
     let (p, r_a, panel_nnz) = grid;
-    let config = OrderConfig::from_id(id, s.layers());
+    let config = OrderConfig::from_id(id, feats.len() - 1);
+    let steps = schedule(&config, memoize, feats, false).unwrap();
+    let unit = Unit {
+        scope: Span::Epoch { idx: 0 },
+        markers: Vec::new(),
+        parts: vec![Part {
+            steps,
+            graph: graph(panel_nnz),
+        }],
+    };
     for rank in 0..p {
         writeln!(
             out,
             "epoch id {id} P {p} r_a {r_a} memoize {memoize} rank {rank}"
         )
         .unwrap();
-        for e in predict_epoch(s, &config, memoize, p, r_a, rank, panel_nnz, None).unwrap() {
+        for e in predict(&unit, p, r_a, rank).unwrap() {
             writeln!(out, "  {e}").unwrap();
         }
     }
 }
 
-/// Every rank's schedule of a three-batch serving session of plan `id`.
-fn session(out: &mut String, s: &GnnShape, id: usize, grid: (usize, usize, &[usize])) {
+/// Every rank's schedule of a three-batch full-graph serving session of
+/// plan `id`: batch 0 runs the plan's forward half, later batches the
+/// held-`Â·H⁰` one when layer 1 runs SpMM first.
+fn session(out: &mut String, feats: &[usize], id: usize, grid: (usize, usize, &[usize])) {
     let (p, r_a, panel_nnz) = grid;
-    let config = OrderConfig::from_id(id, s.layers());
-    let batches: Vec<SessionBatch> = [3, 3, 4]
-        .into_iter()
-        .enumerate()
-        .map(|(idx, size)| SessionBatch {
-            idx,
-            requests: (0..size).map(|c| (c, idx as u64)).collect(),
-        })
-        .collect();
+    let config = OrderConfig::from_id(id, feats.len() - 1);
+    let forward = |held| forward_schedule(&config, true, feats, held).unwrap();
+    let held = config.forward[0] == Order::SpmmFirst;
+    let batch = |(idx, size): (usize, usize)| {
+        let steps = forward(held && idx > 0);
+        Unit {
+            scope: Span::Batch { idx, size },
+            markers: (0..size)
+                .map(|client| Span::Serve {
+                    client,
+                    req_id: idx as u64,
+                })
+                .collect(),
+            parts: vec![Part {
+                steps,
+                graph: graph(panel_nnz),
+            }],
+        }
+    };
+    let units: Vec<Unit> = [3, 3, 4].into_iter().enumerate().map(batch).collect();
     for rank in 0..p {
         writeln!(out, "session id {id} P {p} r_a {r_a} rank {rank}").unwrap();
-        let events = predict_session(s, &config, true, p, r_a, rank, &batches, panel_nnz).unwrap();
-        for e in events {
-            writeln!(out, "  {e}").unwrap();
+        for unit in &units {
+            writeln!(out, "  {}", UnitEvent::Scope(unit.scope)).unwrap();
+            for e in predict(unit, p, r_a, rank).unwrap() {
+                writeln!(out, "  {e}").unwrap();
+            }
+            writeln!(out, "  batch end").unwrap();
         }
     }
 }
@@ -68,7 +102,7 @@ fn schedules() -> String {
     let mut out = String::new();
     // Layer 1 widens (6 → 12) and layer 2 narrows (12 → 5), so the
     // non-memoized weight gradient recomputes on both sides.
-    let two = shape(&[6, 12, 5]);
+    let two = [6, 12, 5];
     for p in 1..=4 {
         for id in 0..16 {
             for memoize in [true, false] {
@@ -81,7 +115,7 @@ fn schedules() -> String {
             epoch(&mut out, &two, id, true, (4, r_a, panel_nnz));
         }
     }
-    let three = shape(&[12, 6, 9, 5]);
+    let three = [12, 6, 9, 5];
     for id in 0..64 {
         epoch(&mut out, &three, id, true, (4, 4, &[NNZ]));
     }

@@ -11,7 +11,7 @@
 mod common;
 
 use common::zipf_requests as requests;
-use common::{check, panel_nnz, session_batches, Config, Surface};
+use common::{check, full_graph_units, priced, Config, Surface};
 use common::{serve_dataset as dataset, serve_snapshot as snapshot};
 use gnn_rdm::comm::CollectiveKind;
 use gnn_rdm::core::gcn::GcnWeights;
@@ -20,10 +20,8 @@ use gnn_rdm::core::ops::PanelGrid;
 use gnn_rdm::core::{Plan, WeightSnapshot};
 use gnn_rdm::dense::{KernelMode, KernelWidth};
 use gnn_rdm::graph::DatasetSpec;
-use gnn_rdm::model::{forward_schedule, predict_session, DeviceModel, GnnShape};
-use gnn_rdm::model::{SchedEvent, ServeEvent, SessionBatch};
+use gnn_rdm::model::{forward_schedule, DeviceModel};
 use gnn_rdm::serve::{serve, ServeConfig};
-use gnn_rdm::trace::TraceCollective;
 
 /// The plain sequential session (no pipeline).
 fn baseline_cfg(p: usize) -> ServeConfig {
@@ -63,46 +61,23 @@ fn chaos_leaves_depth_serving_and_payload_book_unchanged() {
     }
 }
 
-/// Dense-equivalent Redistribute and Broadcast bytes of `batches` on
-/// every rank, as `predict_session` prices them.
-fn priced(shape: &GnnShape, cfg: &ServeConfig, r_a: usize, batches: &[SessionBatch]) -> [u64; 2] {
-    let (plan, p) = (cfg.plan.as_ref().unwrap(), cfg.p);
-    let nnz = panel_nnz(&dataset().adj_norm, p, r_a);
-    let mut book = [0, 0];
-    for rank in 0..p {
-        let events = predict_session(shape, &plan.config, true, p, r_a, rank, batches, &nnz);
-        for e in events.unwrap() {
-            match e {
-                ServeEvent::Sched(SchedEvent::Redist {
-                    kind: TraceCollective::Redistribute,
-                    bytes,
-                    ..
-                }) => book[0] += bytes,
-                ServeEvent::Sched(SchedEvent::Broadcast { bytes }) => book[1] += bytes,
-                _ => {}
-            }
-        }
-    }
-    book
-}
-
 /// A session aggregates `Â·H⁰` once: its books are batch 0's plus `B − 1`
-/// times the books of a batch that holds `T¹`, each priced by
-/// `predict_session` — which a batch after the first undercuts by layer
+/// times the books of a batch that holds `T¹`, each priced from its unit
+/// — which a batch after the first undercuts by layer
 /// 1's whole exchange and panel broadcasts — on every grid and both wires.
 #[test]
 fn session_books_are_batch_zero_plus_held_aggregation_batches() {
     let (ds, snap, reqs) = (dataset(), snapshot(), requests(&dataset()));
-    let shape = ds.shape_layers(10, 2);
+    let feats = ds.shape_layers(10, 2).feats;
     for r_a in [4, 2, 1] {
         for sparse in [false, true] {
             let mut cfg = baseline_cfg(4);
             cfg.plan = Some(Plan::from_id(5, 2, 4).with_ra(r_a));
             cfg.sparse = sparse;
             let out = serve(&ds, &snap, &reqs, &cfg).unwrap();
-            let batches = session_batches(&reqs, &cfg);
-            let first = priced(&shape, &cfg, r_a, &batches[..1]);
-            let two = priced(&shape, &cfg, r_a, &batches[..2]);
+            let units = full_graph_units(&ds, &feats, &reqs, &cfg).unwrap();
+            let first = priced(&units[..1], 4, r_a).unwrap();
+            let two = priced(&units[..2], 4, r_a).unwrap();
             let later = [two[0] - first[0], two[1] - first[1]];
             let label = format!("r_a={r_a} sparse={sparse}");
             // Layer 1's exchange leaves only with a group to exchange in
@@ -115,7 +90,7 @@ fn session_books_are_batch_zero_plus_held_aggregation_batches() {
                     "{label}: {later:?} vs {first:?}"
                 );
             }
-            let b = batches.len() as u64;
+            let b = units.len() as u64;
             assert!(b > 2, "{label}: want several batches");
             let book = |k| out.stats.dense_bytes(k);
             assert_eq!(
@@ -156,7 +131,7 @@ fn held_batches_hide_their_own_nonzero_price() {
     let price = |held| {
         let steps = forward_schedule(config, true, &feats, held).unwrap();
         let (grid, device) = (PanelGrid::new(2, 2), DeviceModel::a6000_pcie());
-        let ranks = hidden_price(&steps, &feats, &ds.adj_norm, None, grid, 3, &device);
+        let ranks = hidden_price(&steps, &ds.adj_norm, None, grid, 3, &device);
         ranks.iter().sum::<u64>()
     };
     let (first, steady) = (price(false), price(true));

@@ -9,11 +9,12 @@
 
 mod common;
 
-use common::{check, panel_nnz, Agg, Config};
+use common::{check, priced, Agg, Config};
+use gnn_rdm::core::ops::PanelGrid;
 use gnn_rdm::core::{train_gcn, Plan, TrainReport, TrainerConfig};
 use gnn_rdm::graph::{rmat, symmetrize, Dataset, DatasetSpec};
-use gnn_rdm::model::{predict_epoch, GnnShape, OrderConfig, SchedEvent};
-use gnn_rdm::trace::TraceCollective;
+use gnn_rdm::model::{predict, schedule, OrderConfig, Part, SchedEvent, Unit, UnitEvent};
+use gnn_rdm::trace::{Span, TraceCollective};
 
 /// The indexed wire on row aggregation of `common::compressible`, whose
 /// empty rows it elides.
@@ -147,27 +148,17 @@ fn replicated_panel_volume_reconciles_exactly_with_the_schedule_predictor() {
 
     // Predicted per-epoch totals, summed over the grid.
     let n = ds.n();
-    let shape = GnnShape {
-        n,
-        nnz: ds.adj_norm.nnz(),
-        feats: vec![ds.spec.feature_size, 32, ds.spec.labels],
-    };
+    let feats = vec![ds.spec.feature_size, 32, ds.spec.labels];
     let config = OrderConfig::from_id(10, 2);
-    let panel_nnz = panel_nnz(&ds.adj_norm, p, r_a);
-    let (mut redist, mut bcast) = (0u64, 0u64);
-    for rank in 0..p {
-        for e in predict_epoch(&shape, &config, true, p, r_a, rank, &panel_nnz, None).unwrap() {
-            match e {
-                SchedEvent::Redist {
-                    kind: TraceCollective::Redistribute,
-                    bytes,
-                    ..
-                } => redist += bytes,
-                SchedEvent::Broadcast { bytes } => bcast += bytes,
-                _ => {}
-            }
-        }
-    }
+    let unit = Unit {
+        scope: Span::Epoch { idx: 0 },
+        markers: Vec::new(),
+        parts: vec![Part {
+            steps: schedule(&config, true, &feats, false).unwrap(),
+            graph: PanelGrid::new(p, r_a).graph(&ds.adj_norm, None),
+        }],
+    };
+    let [redist, bcast] = priced(std::slice::from_ref(&unit), p, r_a).unwrap();
     assert!(redist > 0 && bcast > 0, "degenerate predicted schedule");
     for (rep, label) in [(&dense, "dense"), (&sparse, "sparse")] {
         for ep in &rep.epochs {
@@ -198,18 +189,21 @@ fn replicated_panel_volume_reconciles_exactly_with_the_schedule_predictor() {
     // (every rank runs the same control flow), so each event's grid-wide
     // total must hit one of the per-width closed-form volumes.
     use gnn_rdm::model::{group_redistribution_elems, panel_broadcast_elems};
-    let gre: Vec<u64> = shape
-        .feats
+    let gre: Vec<u64> = feats
         .iter()
         .map(|&f| (group_redistribution_elems(n, f, r_a) * 4.0) as u64)
         .collect();
-    let pbe: Vec<u64> = shape
-        .feats
+    let pbe: Vec<u64> = feats
         .iter()
         .map(|&f| (panel_broadcast_elems(n, f, p, r_a) * 4.0) as u64)
         .collect();
+    let sched = |e| match e {
+        UnitEvent::Sched(s) => Some(s),
+        _ => None,
+    };
     let per_rank: Vec<Vec<SchedEvent>> = (0..p)
-        .map(|rank| predict_epoch(&shape, &config, true, p, r_a, rank, &panel_nnz, None).unwrap())
+        .map(|rank| predict(&unit, p, r_a, rank).unwrap())
+        .map(|events| events.into_iter().filter_map(sched).collect())
         .collect();
     for (i, e) in per_rank[0].iter().enumerate() {
         let total = |pick: fn(&SchedEvent) -> Option<u64>| -> u64 {

@@ -1,23 +1,43 @@
 //! Schedule conformance: recorded traces of real runs must match the
 //! model's predicted per-rank event sequence — op kinds, redistribution
-//! directions, payload bytes, kernel shapes. `common::check` runs the
-//! checker on every traced point `config_space.rs` samples (training
-//! against `predict_epoch`, full-graph serving against `predict_session`);
-//! the tests below pin named points of the space, and hold the checker
-//! itself to account: a deliberately corrupted trace, or one checked
-//! against the wrong grid, must fail with a rank-and-index-specific diff.
+//! directions, payload bytes, kernel shapes. There is one checker,
+//! `rdm_model::check`, over units of work: `common::check` runs it on every
+//! traced RDM point `config_space.rs` samples — training epochs (explicit
+//! and auto-selected plans), GraphSAINT-RDM epochs (one part per subgraph
+//! step), full-graph and induced serving batches. The tests below pin
+//! named points of the space, and hold the checker itself to account: a
+//! deliberately corrupted trace, or one checked against the wrong grid,
+//! must fail with a rank-, unit- and index-specific diff, and breaking any
+//! span or priced send of a conforming unit of each kind never passes.
 
 mod common;
 
-use common::{
-    check, dataset, directed, panel_nnz, session_batches, traced, Config, Surface, System,
-};
+use common::{check, dataset, directed, epoch_units, full_graph_units, traced, traced_units};
+use common::{Config, Surface, System};
 use gnn_rdm::core::gcn::GcnWeights;
+use gnn_rdm::core::ops::PanelGrid;
 use gnn_rdm::core::{Plan, TrainerConfig, WeightSnapshot};
 use gnn_rdm::graph::Dataset;
-use gnn_rdm::model::{check_session, conformance, GnnShape, OrderConfig, SessionBatch};
-use gnn_rdm::serve::{serve, LoadGen, ServeConfig};
-use gnn_rdm::trace::{chrome, EventData, RankTrace, Span};
+use gnn_rdm::model::{self, schedule, OrderConfig, Unit, UnitEvent};
+use gnn_rdm::serve::{planned_batches, serve, LoadGen, ServeConfig};
+use gnn_rdm::sparse::Csr;
+use gnn_rdm::trace::{chrome, Event, EventData, RankTrace, Span};
+
+/// The first `epochs` epochs of 2-layer plan `id` at hidden width 16 on
+/// `ds`, priced on the `p/r_a × r_a` grid (backward SpMMs on `adj_t`'s
+/// panels).
+fn plan_epochs(
+    ds: &Dataset,
+    id: usize,
+    epochs: usize,
+    grid: (usize, usize),
+    adj_t: Option<&Csr>,
+) -> Vec<Unit> {
+    let feats = ds.shape_layers(16, 2).feats;
+    let steps = schedule(&OrderConfig::from_id(id, 2), true, &feats, false).unwrap();
+    let graph = PanelGrid::new(grid.0, grid.1).graph(&ds.adj_norm, adj_t);
+    epoch_units(steps, graph, epochs)
+}
 
 #[test]
 fn all_16_plans_conform_at_p_1_2_4_with_and_without_memoization() {
@@ -51,18 +71,12 @@ fn replicated_panel_corruption_yields_one_addressed_violation() {
     // checker must return exactly one violation, addressed to the rank
     // and schedule index of the corruption.
     let ds = dataset();
-    let shape = ds.shape_layers(16, 2);
     let cfg = TrainerConfig::rdm(4, Plan::from_id(10, 2, 4).with_ra(2))
         .hidden(16)
         .epochs(1);
     let mut traces = traced(&ds, cfg);
-    let config = OrderConfig::from_id(10, 2);
-    let nnz = panel_nnz(&ds.adj_norm, 4, 2);
-    assert!(
-        conformance::check_run(&traces, &shape, &config, true, 2, &nnz, None)
-            .unwrap()
-            .is_empty()
-    );
+    let units = plan_epochs(&ds, 10, 1, (4, 2), None);
+    assert!(model::check(&traces, 2, &units).unwrap().is_empty());
     // Corrupt the first SpMM span of rank 3: one wrong panel-row count.
     let victim = traces[3]
         .events
@@ -72,15 +86,16 @@ fn replicated_panel_corruption_yields_one_addressed_violation() {
     if let EventData::Begin(Span::Spmm { rows, .. }) = &mut victim.data {
         *rows += 1;
     }
-    let violations = conformance::check_run(&traces, &shape, &config, true, 2, &nnz, None).unwrap();
+    let violations = model::check(&traces, 2, &units).unwrap();
     assert_eq!(
         violations.len(),
         1,
         "one corrupted field must yield exactly one violation: {violations:?}"
     );
     assert_eq!(violations[0].rank, 3);
+    assert_eq!(violations[0].unit, Span::Epoch { idx: 0 });
     let msg = violations[0].to_string();
-    assert!(msg.contains("rank 3"), "{msg}");
+    assert!(msg.contains("rank 3 epoch 0 event"), "{msg}");
     assert!(msg.contains("expected") && msg.contains("got"), "{msg}");
 }
 
@@ -90,14 +105,11 @@ fn full_replication_traces_fail_a_mismatched_grid_prediction() {
     // prediction must surface violations (panel broadcasts that never
     // happened), not silently pass out-of-scope input.
     let ds = dataset();
-    let shape = ds.shape_layers(16, 2);
     let cfg = TrainerConfig::rdm(4, Plan::from_id(10, 2, 4))
         .hidden(16)
         .epochs(1);
     let traces = traced(&ds, cfg);
-    let config = OrderConfig::from_id(10, 2);
-    let nnz = panel_nnz(&ds.adj_norm, 4, 2);
-    let violations = conformance::check_run(&traces, &shape, &config, true, 2, &nnz, None).unwrap();
+    let violations = model::check(&traces, 2, &plan_epochs(&ds, 10, 1, (4, 2), None)).unwrap();
     assert!(
         !violations.is_empty(),
         "a full-replication trace conformed to the R_A = 2 schedule"
@@ -107,17 +119,12 @@ fn full_replication_traces_fail_a_mismatched_grid_prediction() {
 #[test]
 fn corrupting_one_event_fails_with_rank_and_index_specific_diff() {
     let ds = dataset();
-    let shape = ds.shape_layers(16, 2);
     let cfg = TrainerConfig::rdm(2, Plan::from_id(0, 2, 2))
         .hidden(16)
         .epochs(1);
     let mut traces = traced(&ds, cfg);
-    let config = OrderConfig::from_id(0, 2);
-    assert!(
-        conformance::check_run(&traces, &shape, &config, true, 2, &[shape.nnz], None)
-            .unwrap()
-            .is_empty()
-    );
+    let units = plan_epochs(&ds, 0, 1, (2, 2), None);
+    assert!(model::check(&traces, 2, &units).unwrap().is_empty());
     // Corrupt the first SpMM span of rank 1: one wrong column count.
     let victim = traces[1]
         .events
@@ -127,8 +134,7 @@ fn corrupting_one_event_fails_with_rank_and_index_specific_diff() {
     if let EventData::Begin(Span::Spmm { cols, .. }) = &mut victim.data {
         *cols += 1;
     }
-    let violations =
-        conformance::check_run(&traces, &shape, &config, true, 2, &[shape.nnz], None).unwrap();
+    let violations = model::check(&traces, 2, &units).unwrap();
     assert_eq!(
         violations.len(),
         1,
@@ -136,13 +142,12 @@ fn corrupting_one_event_fails_with_rank_and_index_specific_diff() {
     );
     let v = &violations[0];
     assert_eq!(v.rank, 1);
-    assert_eq!(v.epoch, 0);
+    assert_eq!(v.unit, Span::Epoch { idx: 0 });
     // ID 0 layer 1 is SpMM-first on a dual-form input: the SpMM is the
     // very first schedule event.
     assert_eq!(v.index, 0);
     let msg = v.to_string();
-    assert!(msg.contains("rank 1"), "{msg}");
-    assert!(msg.contains("event 0"), "{msg}");
+    assert!(msg.contains("rank 1 epoch 0 event 0"), "{msg}");
     assert!(msg.contains("expected") && msg.contains("got"), "{msg}");
 }
 
@@ -151,12 +156,10 @@ fn corrupting_payload_bytes_is_caught() {
     // Schedule conformance covers volumes, not just op kinds: retag one
     // redistribution send's byte count and the diff must surface it.
     let ds = dataset();
-    let shape = ds.shape_layers(16, 2);
     let cfg = TrainerConfig::rdm(4, Plan::from_id(10, 2, 4))
         .hidden(16)
         .epochs(1);
     let mut traces = traced(&ds, cfg);
-    let config = OrderConfig::from_id(10, 2);
     let victim = traces[2]
         .events
         .iter_mut()
@@ -168,8 +171,7 @@ fn corrupting_payload_bytes_is_caught() {
     {
         (*bytes, *dense_bytes) = (*bytes + 4, *dense_bytes + 4);
     }
-    let violations =
-        conformance::check_run(&traces, &shape, &config, true, 4, &[shape.nnz], None).unwrap();
+    let violations = model::check(&traces, 4, &plan_epochs(&ds, 10, 1, (4, 4), None)).unwrap();
     assert!(!violations.is_empty(), "byte corruption went unnoticed");
     assert!(violations.iter().all(|v| v.rank == 2));
 }
@@ -190,18 +192,19 @@ fn exported_chrome_json_passes_schema_validation() {
     }
 }
 
-/// A traced serving session plus the schedule the predictor needs.
+/// A traced serving session plus the units the checker holds it to.
 fn traced_session(
     ds: &Dataset,
     snap: &WeightSnapshot,
     cfg: &ServeConfig,
-) -> (Vec<RankTrace>, Vec<SessionBatch>) {
+) -> (Vec<RankTrace>, Vec<Unit>) {
     let reqs = LoadGen::new(41, 3, 30, 36).zipf(4).generate(ds.n());
     let mut cfg = cfg.clone();
     cfg.trace = true;
     let out = serve(ds, snap, &reqs, &cfg).unwrap();
-    let batches = session_batches(&reqs, &cfg);
-    (out.traces.expect("traced session returns traces"), batches)
+    let units = full_graph_units(ds, &snap.feats(), &reqs, &cfg).unwrap();
+    assert_eq!(units.len(), planned_batches(&reqs, &cfg.policy).len());
+    (out.traces.expect("traced session returns traces"), units)
 }
 
 /// Batches after the first are priced from the held-`Â·H⁰` schedule when
@@ -233,21 +236,10 @@ fn replicated_panel_serving_sessions_conform() {
 fn corrupting_one_batch_event_yields_one_addressed_serving_violation() {
     let ds = dataset();
     let snap = WeightSnapshot::from_weights(&GcnWeights::init(&[16, 10, 5], 23));
-    let shape = GnnShape {
-        n: ds.n(),
-        nnz: ds.adj_norm.nnz(),
-        feats: vec![16, 10, 5],
-    };
     let mut cfg = ServeConfig::new(2);
     cfg.plan = Some(Plan::from_id(5, 2, 2));
-    let (mut traces, batches) = traced_session(&ds, &snap, &cfg);
-    let config = OrderConfig::from_id(5, 2);
-    let nnz = [shape.nnz];
-    assert!(
-        check_session(&traces, &shape, &config, true, &batches, 2, &nnz)
-            .unwrap()
-            .is_empty()
-    );
+    let (mut traces, units) = traced_session(&ds, &snap, &cfg);
+    assert!(model::check(&traces, 2, &units).unwrap().is_empty());
     // Corrupt rank 1's second batch span: one wrong admission count.
     let victim = traces[1]
         .events
@@ -262,9 +254,13 @@ fn corrupting_one_batch_event_yields_one_addressed_serving_violation() {
     else {
         unreachable!()
     };
+    let scope = Span::Batch {
+        idx: *batch_idx,
+        size: *size,
+    };
     *size += 1;
     let batch_idx = *batch_idx;
-    let violations = check_session(&traces, &shape, &config, true, &batches, 2, &nnz).unwrap();
+    let violations = model::check(&traces, 2, &units).unwrap();
     assert_eq!(
         violations.len(),
         1,
@@ -272,10 +268,13 @@ fn corrupting_one_batch_event_yields_one_addressed_serving_violation() {
     );
     let v = &violations[0];
     assert_eq!(v.rank, 1);
-    assert_eq!(v.batch, batch_idx);
+    assert_eq!(v.unit, scope);
+    assert_eq!(v.expected, Some(UnitEvent::Scope(scope)));
     let msg = v.to_string();
-    assert!(msg.contains("rank 1"), "{msg}");
-    assert!(msg.contains(&format!("batch {batch_idx}")), "{msg}");
+    assert!(
+        msg.contains(&format!("rank 1 batch {batch_idx} event 0")),
+        "{msg}"
+    );
     assert!(msg.contains("expected") && msg.contains("got"), "{msg}");
 }
 
@@ -303,11 +302,11 @@ fn asymmetric_aggregations_conform_on_the_transposes_panels() {
     ];
     for (agg, ds) in cases {
         let adj_t = ds.adj_norm_t.as_ref().expect("the transpose is stored");
-        let shape = ds.shape_layers(16, 2);
         for r_a in [2usize, 4] {
-            let (nnz, nnz_t) = (panel_nnz(&ds.adj_norm, 4, r_a), panel_nnz(adj_t, 4, r_a));
+            let graph = PanelGrid::new(4, r_a).graph(&ds.adj_norm, Some(adj_t));
             let differ = agg == "directed row" && r_a == 2;
-            assert_eq!(nnz != nnz_t, differ, "{agg} r_a={r_a}: panel populations");
+            let populations = Some(&graph.panel_nnz) != graph.panel_nnz_t.as_ref();
+            assert_eq!(populations, differ, "{agg} r_a={r_a}: panel populations");
             for id in [0usize, 5, 10, 15] {
                 let cfg = TrainerConfig::rdm(4, Plan::from_id(id, 2, 4).with_ra(r_a))
                     .hidden(16)
@@ -315,12 +314,12 @@ fn asymmetric_aggregations_conform_on_the_transposes_panels() {
                     .sparse()
                     .overlap(3);
                 let traces = traced(&ds, cfg);
-                let config = OrderConfig::from_id(id, 2);
-                let check = |t: Option<&[usize]>| {
-                    conformance::check_run(&traces, &shape, &config, true, r_a, &nnz, t)
+                let check = |t: Option<&Csr>| {
+                    let units = plan_epochs(&ds, id, 2, (4, r_a), t);
+                    model::check(&traces, r_a, &units)
                         .unwrap_or_else(|e| panic!("{agg} id={id} r_a={r_a}: {e}"))
                 };
-                let violations = check(Some(&nnz_t));
+                let violations = check(Some(adj_t));
                 assert!(
                     violations.is_empty(),
                     "{agg} id={id} r_a={r_a}: {} violation(s), first: {}",
@@ -335,4 +334,144 @@ fn asymmetric_aggregations_conform_on_the_transposes_panels() {
             }
         }
     }
+}
+
+/// The index of the `End` that closes the span `events[begin]` opens.
+fn end_of(events: &[Event], begin: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, e) in events.iter().enumerate().skip(begin) {
+        match e.data {
+            EventData::Begin(_) => depth += 1,
+            EventData::End if depth == 1 => return i,
+            EventData::End => depth -= 1,
+            _ => {}
+        }
+    }
+    panic!("the span at event {begin} never closes")
+}
+
+/// `traces` with the events `drop` of rank `rank`'s trace removed.
+fn without(traces: &[RankTrace], rank: usize, drop: &[usize]) -> Vec<RankTrace> {
+    let mut out = traces.to_vec();
+    let mut i = 0;
+    out[rank].events.retain(|_| {
+        i += 1;
+        !drop.contains(&(i - 1))
+    });
+    out
+}
+
+/// Breaking unit `at` of a conforming traced run on any rank — removing
+/// one span with its `End`, or one send inside a `Redistribute` or
+/// `AllReduce` span — makes the check fail (never pass, never panic); the
+/// `Retry` and `OverlapStrip` instants change nothing.
+fn every_break_fails(what: &str, cfg: Config, at: usize) {
+    let (traces, units) = traced_units(&cfg).unwrap();
+    let check = |t: &[RankTrace]| model::check(t, cfg.r_a, &units);
+    assert_eq!(check(&traces), Ok(vec![]), "{what}: the run conforms");
+    let unit = |e: &Event| {
+        matches!(
+            e.data,
+            EventData::Begin(Span::Epoch { .. } | Span::Batch { .. })
+        )
+    };
+    let mut breaks = 0;
+    for trace in &traces {
+        let ev = &trace.events;
+        let begin = (ev.iter().enumerate())
+            .filter(|(_, e)| unit(e))
+            .nth(at)
+            .expect("the run recorded the unit")
+            .0;
+        let mut open = Vec::new();
+        for i in begin..=end_of(ev, begin) {
+            let priced = matches!(
+                open.last(),
+                Some(Span::Redistribute { .. } | Span::AllReduce { .. })
+            );
+            let drop = match ev[i].data {
+                EventData::Begin(span) => {
+                    open.push(span);
+                    vec![i, end_of(ev, i)]
+                }
+                EventData::End => {
+                    open.pop();
+                    continue;
+                }
+                EventData::Collective { .. } if priced => vec![i],
+                _ => continue,
+            };
+            let passed = check(&without(&traces, trace.rank, &drop)) == Ok(vec![]);
+            assert!(
+                !passed,
+                "{what}: rank {} passes without {drop:?}",
+                trace.rank
+            );
+            breaks += 1;
+        }
+    }
+    assert!(breaks > 0, "{what}: nothing to break");
+
+    // A chaotic run retried some sends; a recorder that marks every strip
+    // kernel's retirement adds `OverlapStrip` instants. Neither is priced.
+    let instant = |e: &Event| {
+        matches!(
+            e.data,
+            EventData::Retry { .. } | EventData::OverlapStrip { .. }
+        )
+    };
+    let retries = traces.iter().flat_map(|t| &t.events).filter(|e| instant(e));
+    assert!(retries.count() > 0, "{what}: chaos retried nothing");
+    let strips = |t: &RankTrace| {
+        let mut events = Vec::new();
+        for (i, e) in t.events.iter().enumerate() {
+            events.push(e.data);
+            if matches!(e.data, EventData::End) && i > 0 {
+                if let EventData::Begin(Span::Spmm { .. } | Span::Gemm { .. }) =
+                    t.events[i - 1].data
+                {
+                    events.push(EventData::OverlapStrip {
+                        idx: 0,
+                        hidden_ns: 1,
+                    });
+                }
+            }
+        }
+        let events = events.into_iter().enumerate().map(|(i, data)| Event {
+            seq: i as u64,
+            ts_ns: i as u64,
+            data,
+        });
+        RankTrace {
+            rank: t.rank,
+            events: events.collect(),
+        }
+    };
+    let marked: Vec<RankTrace> = traces.iter().map(strips).collect();
+    let bare = |t: &RankTrace| RankTrace {
+        rank: t.rank,
+        events: t.events.iter().filter(|e| !instant(e)).copied().collect(),
+    };
+    for (how, t) in [
+        ("marked", &marked),
+        ("bare", &traces.iter().map(bare).collect()),
+    ] {
+        assert_eq!(check(t), Ok(vec![]), "{what}: {how}");
+    }
+}
+
+/// The checker holds every kind of unit to its schedule: a training epoch
+/// (group redistributions, panel broadcasts, two-strip pipeline), a
+/// full-graph and an induced serving batch, and a GraphSAINT-RDM epoch —
+/// each chaotic, so the trace carries retries.
+#[test]
+fn breaking_any_unit_of_each_kind_fails_the_check() {
+    let epoch = Config::plan_id(10, 2, 4).ra(2).chunks(2).chaos();
+    every_break_fails("training epoch", epoch, 0);
+    let served = Config::plan_id(5, 2, 4).ra(2).on(Surface::Serve).chaos();
+    every_break_fails("full-graph batch", served, 0);
+    let induced = Config::plan_id(0, 2, 2).on(Surface::Induced).chaos();
+    every_break_fails("induced batch", induced, 1);
+    let saint = Config::train(System::SaintRdm, 2, 2).chaos();
+    every_break_fails("GraphSAINT-RDM epoch", saint, 0);
 }
