@@ -143,7 +143,7 @@ impl Cluster {
     {
         let fabric = Arc::new(Fabric::with_faults(self.p, self.plan));
         let barrier = Arc::new(Barrier::new(self.p));
-        let clearing = Arc::new(Clearing::new(self.p));
+        let clearing = Arc::new(Clearing::default());
         let trace = self.trace;
         let share = rdm_dense::rank_share(self.p);
         type Slot<T> = Option<(T, CommStats, Option<rdm_trace::RankTrace>)>;
@@ -159,6 +159,8 @@ impl Cluster {
                     if trace {
                         rdm_trace::install(rank);
                     }
+                    let reserve = clearing.clone();
+                    pool::draw_on(Some(Box::new(move |d| reserve.lend(d))));
                     let ctx = RankCtx {
                         rank,
                         fabric,
@@ -206,66 +208,42 @@ impl Cluster {
 
 /// Where the ranks' workspace pools even out, at each barrier, the buffers
 /// messages moved between them: ranks that received more buffers of a
-/// class than they sent pay idle ones in, and the last rank to arrive
-/// hands them to the ranks that sent more than they received, in rank
-/// order — so what each rank gets is a function of the run's schedule,
-/// not of thread timing. Whatever is left waits for a later barrier.
+/// class than they sent pay idle ones in before the barrier, the last
+/// rank to arrive puts them in the reserve, and any rank whose shelf is
+/// out of a class draws on it before allocating
+/// ([`rdm_dense::pool::draw_on`]). The reserve changes only while every
+/// rank waits at a barrier, so how many buffers each unit finds there is a
+/// function of the run's schedule, not of thread timing.
+#[derive(Default)]
 struct Clearing {
     state: Mutex<ClearingState>,
 }
 
 #[derive(Default)]
 struct ClearingState {
-    /// Paid-in idle buffers by size class.
+    /// Paid in since the last barrier: `(class, buffer)`.
+    paid: Vec<(usize, Vec<f32>)>,
+    /// Idle buffers any rank may draw, by size class.
     reserve: BTreeMap<usize, Vec<Vec<f32>>>,
-    /// Per rank: `(class, count)` it is short this round.
-    short: Vec<Vec<(usize, usize)>>,
-    /// Per rank: buffers allotted to it this round.
-    allotted: Vec<Vec<Vec<f32>>>,
 }
 
 impl Clearing {
-    fn new(p: usize) -> Self {
-        Clearing {
-            state: Mutex::new(ClearingState {
-                short: vec![Vec::new(); p],
-                allotted: vec![Vec::new(); p],
-                ..ClearingState::default()
-            }),
-        }
+    fn lock(&self) -> std::sync::MutexGuard<'_, ClearingState> {
+        self.state.lock().expect("no rank panics while clearing")
     }
 
-    /// Before the barrier: deposit `rank`'s settlement.
-    fn pay_in(&self, rank: usize, s: pool::Settlement) {
-        let mut st = self.state.lock().expect("no rank panics while clearing");
-        for (d, v) in s.paid {
+    /// Run by the last rank to arrive at a barrier: what was paid in
+    /// joins the reserve.
+    fn open(&self) {
+        let st = &mut *self.lock();
+        for (d, v) in st.paid.drain(..) {
             st.reserve.entry(d).or_default().push(v);
         }
-        st.short[rank] = s.short;
     }
 
-    /// Run by the last rank to arrive: fill each rank's shortfall from the
-    /// reserve, in rank order.
-    fn allot(&self) {
-        let st = &mut *self.state.lock().expect("no rank panics while clearing");
-        for (short, allotted) in st.short.iter_mut().zip(&mut st.allotted) {
-            for (d, n) in short.drain(..) {
-                if let Some(pile) = st.reserve.get_mut(&d) {
-                    allotted.extend(pile.drain(pile.len().saturating_sub(n)..));
-                }
-            }
-        }
-    }
-
-    /// After the barrier: `rank`'s allotment.
-    fn pay_out(&self, rank: usize) -> Vec<Vec<f32>> {
-        std::mem::take(
-            &mut self
-                .state
-                .lock()
-                .expect("no rank panics while clearing")
-                .allotted[rank],
-        )
+    /// An idle buffer of class `d`, if the reserve holds one.
+    fn lend(&self, d: usize) -> Option<Vec<f32>> {
+        self.lock().reserve.get_mut(&d)?.pop()
     }
 }
 
@@ -371,12 +349,9 @@ impl RankCtx {
         let t0 = Instant::now();
         // Barriers are also where the ranks' workspace pools even out the
         // buffers messages moved between them (see `rdm_dense::pool`).
-        self.clearing.pay_in(self.rank, pool::settle());
-        self.barrier.wait_then(|| self.clearing.allot());
-        self.clearing
-            .pay_out(self.rank)
-            .into_iter()
-            .for_each(pool::give);
+        let paid = pool::settle();
+        self.clearing.lock().paid.extend(paid);
+        self.barrier.wait_then(|| self.clearing.open());
         self.stats.borrow_mut().record_time(t0.elapsed());
     }
 

@@ -1,9 +1,9 @@
 //! One measurement path and one price for every unit of work.
 //!
-//! A unit is a training epoch or a served batch. [`session`] is the
-//! cluster set-up training runs under — and [`fed_session`] the same one,
-//! with the calling thread feeding the ranks, serving's — and
-//! [`book_unit`] the one way a
+//! A unit is a training epoch or a served batch. [`session`] is the one
+//! cluster set-up training and serving run under — the calling thread
+//! feeding the ranks what every rank reads whole (a GraphSAINT-RDM draw, an
+//! induced serving minibatch), or nothing — and [`book_unit`] the one way a
 //! rank measures a unit: a [`UnitBook`] of wall time, communication,
 //! FMAs and workspace-pool activity between the unit's opening and
 //! closing barriers. What a chunk pipeline hides is not measured but
@@ -25,24 +25,10 @@ use std::time::{Duration, Instant};
 
 /// Run `body` on every rank of a fresh `p`-rank cluster — on a faulty
 /// fabric per `faults`, traced when `trace` — with each rank's kernel path
-/// pinned to `mode` before any compute.
-pub fn session<T: Send>(
-    p: usize,
-    faults: Option<FaultPlan>,
-    trace: bool,
-    mode: KernelMode,
-    body: impl Fn(&RankCtx) -> T + Sync,
-) -> RunOutput<T> {
-    cluster(p, faults, trace).run(|ctx| {
-        // Rank threads are spawned fresh per run.
-        kernels::set_mode(mode);
-        body(ctx)
-    })
-}
-
-/// [`session`], with `host` on the calling thread meanwhile, feeding the
-/// ranks through `arenas` ([`Cluster::run_fed`]).
-pub fn fed_session<A, H, T>(
+/// pinned to `mode` before any compute, and `host` on the calling thread
+/// meanwhile, feeding the ranks through `arenas` ([`Cluster::run_fed`]).
+/// A host with nothing to feed returns at once.
+pub fn session<A, H, T>(
     p: usize,
     faults: Option<FaultPlan>,
     trace: bool,
@@ -55,23 +41,16 @@ where
     A: Send + Sync,
     T: Send,
 {
-    cluster(p, faults, trace).run_fed(arenas, host, |ctx, intake| {
-        kernels::set_mode(mode);
-        body(ctx, intake)
-    })
-}
-
-/// A `p`-rank cluster, faulty per `faults`, traced when `trace`.
-fn cluster(p: usize, faults: Option<FaultPlan>, trace: bool) -> Cluster {
     let cluster = match faults {
         Some(plan) => Cluster::with_faults(p, plan),
         None => Cluster::new(p),
     };
-    if trace {
-        cluster.traced()
-    } else {
-        cluster
-    }
+    let cluster = if trace { cluster.traced() } else { cluster };
+    cluster.run_fed(arenas, host, |ctx, intake| {
+        // Rank threads are spawned fresh per run.
+        kernels::set_mode(mode);
+        body(ctx, intake)
+    })
 }
 
 /// What one rank measured over one unit of work.

@@ -1,9 +1,12 @@
 //! The sampling trainers: GraphSAINT (§V-C) and masked-SpMM (§III-F).
 //!
-//! * **GraphSAINT-RDM**: every step samples *one* subgraph (all ranks draw
-//!   it from a shared seed — §III-F's trick for avoiding mask
-//!   communication) and trains on it across all `P` ranks. Weights update
-//!   after every subgraph, independent of `P`.
+//! * **GraphSAINT-RDM**: every step samples *one* subgraph and trains on
+//!   it across all `P` ranks; weights update after every subgraph,
+//!   independent of `P`. The paper's GPUs each draw it from a shared seed
+//!   (§III-F); here the training thread draws, induces and plans each step
+//!   once, a step ahead of the rank threads, which read it in place
+//!   ([`rdm_comm::feed`]). The seed is what the trainer and the schedule
+//!   checker share: both walk [`saint_rdm_draw`]'s draws.
 //! * **GraphSAINT-DDP**: every rank samples its *own* subgraph, trains it
 //!   locally, and gradients are averaged with an all-reduce — the
 //!   DGL+DistributedDataParallel setup the paper compares against. With
@@ -34,14 +37,15 @@ use crate::loss::serial as loss_serial;
 use crate::ops::{OpCounters, Topology};
 use crate::plan::{best_plan, Plan, Resolution};
 use crate::trainer::{split_mask, Algo, Model, Targets, Trainer, TrainerConfig};
+use rdm_comm::feed::{Feed, Intake};
 use rdm_comm::{CollectiveKind, RankCtx};
 use rdm_dense::Mat;
 use rdm_graph::dataset::{Dataset, InducedBatch, Split};
 use rdm_graph::SaintSampler;
-use rdm_model::{DeviceModel, GnnShape};
+use rdm_model::GnnShape;
 
 /// What every sampling trainer shares: the full graph, the model, the
-/// per-epoch draw schedule, plan selection and the serial evaluation.
+/// per-epoch draw schedule and the serial evaluation.
 struct SaintCommon<'a> {
     ds: &'a Dataset,
     model: Model,
@@ -50,8 +54,6 @@ struct SaintCommon<'a> {
     steps_per_epoch: usize,
     seed: u64,
     epoch_no: u64,
-    /// The device every per-step plan is priced on.
-    device: DeviceModel,
 }
 
 impl<'a> SaintCommon<'a> {
@@ -63,32 +65,12 @@ impl<'a> SaintCommon<'a> {
             steps_per_epoch,
             seed: cfg.seed,
             epoch_no: 0,
-            device: cfg.device,
         }
-    }
-
-    /// A GraphSAINT trainer's shared state and sampler: one optimizer step
-    /// per draw under RDM, one per `P` draws (one per rank) under DDP.
-    fn sampling(ds: &'a Dataset, cfg: &TrainerConfig) -> (Self, SaintSampler) {
-        let (sampler, draws_per_step) = match cfg.algo {
-            Algo::SaintRdm { sampler } => (sampler, 1),
-            Algo::SaintDdp { sampler } => (sampler, cfg.p),
-            _ => unreachable!("a GraphSAINT trainer runs a GraphSAINT algorithm"),
-        };
-        let steps = steps_per_epoch(ds, sampler, draws_per_step);
-        (Self::new(ds, cfg, steps), sampler)
     }
 
     /// The shared seed of this epoch's draw `k`, epochs `stride` apart.
     fn draw_seed(&self, stride: u64, k: usize) -> u64 {
         draw_seed(self.seed, self.epoch_no, stride, k)
-    }
-
-    /// The model-selected, fully replicated plan for a graph of `n`
-    /// vertices and `nnz` nonzeros on `p` ranks.
-    fn plan(&self, n: usize, nnz: usize, p: usize) -> Plan {
-        let feats = self.model.feats.clone();
-        best_plan(&GnnShape { n, nnz, feats }, p, p, &self.device, 1.0)
     }
 
     /// Close the epoch with a serial full-graph evaluation:
@@ -105,11 +87,20 @@ impl<'a> SaintCommon<'a> {
     }
 }
 
-/// The optimizer steps of a GraphSAINT epoch: the `S` draws that roughly
-/// cover the graph once, `draws_per_step` to a step.
-fn steps_per_epoch(ds: &Dataset, sampler: SaintSampler, draws_per_step: usize) -> usize {
+/// A GraphSAINT algorithm's sampler and the optimizer steps of each of
+/// its epochs: the `S` draws that roughly cover the graph once, one to a
+/// step under RDM and one per rank (`P` to a step) under DDP.
+///
+/// # Panics
+/// If `cfg` runs no GraphSAINT algorithm.
+fn sampling(ds: &Dataset, cfg: &TrainerConfig) -> (SaintSampler, usize) {
+    let (sampler, draws_per_step) = match cfg.algo {
+        Algo::SaintRdm { sampler } => (sampler, 1),
+        Algo::SaintDdp { sampler } => (sampler, cfg.p),
+        _ => panic!("{} runs no GraphSAINT sampler", cfg.algo.label()),
+    };
     let draws = (ds.n() / sampler.nominal_size().max(1)).max(1);
-    (draws / draws_per_step).max(1)
+    (sampler, (draws / draws_per_step).max(1))
 }
 
 /// The shared seed of epoch `epoch`'s draw `k` from run seed `seed`,
@@ -119,74 +110,101 @@ fn draw_seed(seed: u64, epoch: u64, stride: u64, k: usize) -> u64 {
         .wrapping_add(k as u64)
 }
 
-/// The subgraph steps of epoch `epoch` of GraphSAINT-RDM under `cfg` on
-/// `ds`, in order: every draw of the epoch that is not degenerate, induced
-/// into `sub` and handed to `step` with the fully replicated plan selected
-/// for it. Every rank draws the same subgraphs from the shared seeds; the
-/// trainer runs each through the RDM step, and a schedule checker prices
-/// the same subgraphs under the same plans.
+/// A GraphSAINT-RDM draw as the host feeds it to the ranks: its induced
+/// subgraph and its plan, `None` for a degenerate draw no rank trains.
+pub type SaintDraw = (InducedBatch, Option<Plan>);
+
+/// The draws of each GraphSAINT-RDM epoch under `cfg` on `ds`, one to an
+/// optimizer step.
+pub fn saint_rdm_draws(ds: &Dataset, cfg: &TrainerConfig) -> usize {
+    sampling(ds, cfg).1
+}
+
+/// Draw `k` of epoch `epoch` of GraphSAINT-RDM under `cfg` on `ds`, from
+/// its shared seed: unless it is too small to spread over the ranks,
+/// induced into `sub`, with the fully replicated plan selected for it. The
+/// trainer's host and a schedule checker both draw here.
 ///
 /// # Panics
 /// If `cfg` does not run GraphSAINT-RDM.
-pub fn saint_rdm_steps(
+pub fn saint_rdm_draw(
     ds: &Dataset,
     cfg: &TrainerConfig,
     epoch: usize,
+    k: usize,
     sub: &mut InducedBatch,
-    mut step: impl FnMut(&InducedBatch, &Plan),
-) {
+) -> Option<Plan> {
     let Algo::SaintRdm { sampler } = cfg.algo else {
         panic!("{} runs no GraphSAINT-RDM step", cfg.algo.label());
     };
-    let (p, feats) = (cfg.p, ds.shape_layers(cfg.hidden, cfg.layers).feats);
-    for k in 0..steps_per_epoch(ds, sampler, 1) {
-        // Identical subgraph on every rank from the shared seed.
-        let drawn = sampler.sample(&ds.adj, draw_seed(cfg.seed, epoch as u64, 10_007, k));
-        if drawn.vertices.len() < p.max(4) {
-            continue; // degenerate draw
+    let drawn = sampler.sample(&ds.adj, draw_seed(cfg.seed, epoch as u64, 10_007, k));
+    if drawn.vertices.len() < cfg.p.max(4) {
+        return None;
+    }
+    ds.induced_into(&drawn.vertices, sub);
+    let feats = ds.shape_layers(cfg.hidden, cfg.layers).feats;
+    Some(replicated_plan(sub.n(), sub.adj_norm.nnz(), feats, cfg))
+}
+
+/// The model-selected, fully replicated plan for a graph of `n` vertices
+/// and `nnz` nonzeros under `cfg`, priced on its device.
+fn replicated_plan(n: usize, nnz: usize, feats: Vec<usize>, cfg: &TrainerConfig) -> Plan {
+    best_plan(&GnnShape { n, nnz, feats }, cfg.p, cfg.p, &cfg.device, 1.0)
+}
+
+/// The host of a training run: for GraphSAINT-RDM, every draw of its
+/// `cfg.epochs` epochs, in order, degenerate ones included, so each rank
+/// reads exactly [`saint_rdm_draws`] per epoch. Every other algorithm
+/// reads nothing.
+pub(crate) fn feed_draws(ds: &Dataset, cfg: &TrainerConfig, feed: &Feed<SaintDraw>) {
+    if !matches!(cfg.algo, Algo::SaintRdm { .. }) {
+        return;
+    }
+    let draws = saint_rdm_draws(ds, cfg);
+    for epoch in 0..cfg.epochs {
+        for k in 0..draws {
+            feed.fill(|(sub, plan)| *plan = saint_rdm_draw(ds, cfg, epoch, k, sub));
         }
-        ds.induced_into(&drawn.vertices, sub);
-        let shape = GnnShape {
-            n: sub.n(),
-            nnz: sub.adj_norm.nnz(),
-            feats: feats.clone(),
-        };
-        step(sub, &best_plan(&shape, p, p, &cfg.device, 1.0));
     }
 }
 
 /// GraphSAINT with RDM-parallel subgraph training.
 pub(crate) struct SaintRdmTrainer<'a> {
     common: SaintCommon<'a>,
-    cfg: TrainerConfig,
-    /// Every step's subgraph is induced into the same buffers.
-    sub: InducedBatch,
+    /// The host's draws, read in place.
+    draws: &'a Intake<'a, SaintDraw>,
 }
 
 impl<'a> SaintRdmTrainer<'a> {
-    pub(crate) fn setup(ds: &'a Dataset, cfg: &TrainerConfig, _: &Resolution, _: &RankCtx) -> Self {
+    pub(crate) fn setup(
+        ds: &'a Dataset,
+        cfg: &TrainerConfig,
+        draws: &'a Intake<'a, SaintDraw>,
+    ) -> Self {
         SaintRdmTrainer {
-            common: SaintCommon::sampling(ds, cfg).0,
-            cfg: cfg.clone(),
-            sub: InducedBatch::default(),
+            common: SaintCommon::new(ds, cfg, saint_rdm_draws(ds, cfg)),
+            draws,
         }
     }
 }
 
 impl Trainer for SaintRdmTrainer<'_> {
-    /// One epoch = [`saint_rdm_steps`]' subgraphs, each trained across all
-    /// ranks with the RDM step; returns a full-graph evaluation.
+    /// One epoch = the host's draws, each that is not degenerate trained
+    /// across all ranks with the RDM step; returns a full-graph evaluation.
     fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
         let c = &mut self.common;
-        let (ds, epoch) = (c.ds, c.epoch_no as usize);
-        saint_rdm_steps(ds, &self.cfg, epoch, &mut self.sub, |sd, plan| {
+        for _ in 0..c.steps_per_epoch {
+            let draw = self.draws.next();
+            let (sd, Some(plan)) = &*draw else {
+                continue; // degenerate draw
+            };
             // Distribute the subgraph inputs (local slicing, no traffic).
             let topo = Topology::full(&sd.adj_norm, ctx);
             let mut input = input_cache(&sd.features, &topo, ctx);
-            let targets = Targets::new(sd.labels.clone(), &sd.split, ds.spec.labels);
+            let targets = Targets::new(sd.labels.clone(), &sd.split, c.ds.spec.labels);
             c.model
                 .rdm_step(ctx, &topo, &mut input, plan, &targets, false, 1, ops);
-        });
+        }
         c.finish_epoch()
     }
 
@@ -205,9 +223,9 @@ pub(crate) struct SaintDdpTrainer<'a> {
 
 impl<'a> SaintDdpTrainer<'a> {
     pub(crate) fn setup(ds: &'a Dataset, cfg: &TrainerConfig, _: &Resolution, _: &RankCtx) -> Self {
-        let (common, sampler) = SaintCommon::sampling(ds, cfg);
+        let (sampler, steps) = sampling(ds, cfg);
         SaintDdpTrainer {
-            common,
+            common: SaintCommon::new(ds, cfg, steps),
             sampler,
             sub: InducedBatch::default(),
         }
@@ -297,7 +315,7 @@ impl<'a> SaintMaskedTrainer<'a> {
         }
         let common = SaintCommon::new(ds, cfg, steps);
         SaintMaskedTrainer {
-            plan: common.plan(ds.n(), topo.panel.nnz(), ctx.size()),
+            plan: replicated_plan(ds.n(), topo.panel.nnz(), common.model.feats.clone(), cfg),
             input: input_cache(&ds.features, &topo, ctx),
             common,
             keep,
@@ -333,9 +351,11 @@ impl Trainer for SaintMaskedTrainer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::PanelGrid;
     use crate::train_gcn;
     use crate::trainer::on_ranks;
     use rdm_graph::dataset::toy;
+    use rdm_model::DeviceModel;
 
     fn sampler() -> SaintSampler {
         SaintSampler::Node { budget: 40 }
@@ -343,7 +363,7 @@ mod tests {
 
     /// Every rank's result of each of `epochs` epochs of `cfg`.
     fn run(ds: &Dataset, cfg: TrainerConfig, epochs: usize) -> Vec<Vec<(f32, f32, f32)>> {
-        on_ranks(ds, &cfg, |t, ctx| {
+        on_ranks(ds, &cfg.epochs(epochs), |t, ctx| {
             let mut ops = OpCounters::default();
             (0..epochs).map(|_| t.epoch(ctx, &mut ops)).collect()
         })
@@ -363,6 +383,76 @@ mod tests {
             *accs.last().unwrap() > baseline + 0.2,
             "SAINT-RDM failed to learn: {accs:?}"
         );
+    }
+
+    /// A draw too small to spread over the ranks is fed like any other
+    /// and skipped by every rank: an epoch of nothing but degenerate draws
+    /// trains nothing — no traffic, no FMAs, the initial weights — and
+    /// every rank reports the same evaluation.
+    #[test]
+    fn an_epoch_of_degenerate_draws_trains_nothing() {
+        let ds = toy(120, 5);
+        let cfg = TrainerConfig::saint_rdm(4, SaintSampler::Node { budget: 3 })
+            .hidden(8)
+            .epochs(2);
+        assert!(saint_rdm_draws(&ds, &cfg) > 1);
+        let report = train_gcn(&ds, &cfg).unwrap();
+        for e in &report.epochs {
+            assert_eq!(
+                (e.total_bytes, e.ops.spmm_fma, e.ops.gemm_fma),
+                (0, 0.0, 0.0)
+            );
+        }
+        let init = GcnWeights::init(&ds.shape_layers(8, 2).feats, cfg.seed);
+        let trained = report.weights.unwrap().to_weights();
+        assert!(trained.w.iter().zip(&init.w).all(|(a, b)| a == b));
+        let out = run(&ds, cfg, 2);
+        assert!(out.iter().all(|r| *r == out[0]), "ranks disagree: {out:?}");
+    }
+
+    /// In an epoch of mixed draws the ranks train exactly the draws that
+    /// are not degenerate: a traced run records the schedule of each of
+    /// those, under its own plan, and nothing else.
+    #[test]
+    fn a_mixed_epoch_trains_exactly_its_non_degenerate_draws() {
+        use rdm_model::{check, schedule, Part, Unit};
+        let ds = toy(120, 5);
+        let sampler = SaintSampler::RandomWalk {
+            roots: 1,
+            walk_len: 4,
+        };
+        let cfg = TrainerConfig::saint_rdm(4, sampler)
+            .hidden(8)
+            .epochs(2)
+            .trace();
+        let (feats, draws) = (ds.shape_layers(8, 2).feats, saint_rdm_draws(&ds, &cfg));
+        let mut sub = InducedBatch::default();
+        let mut units = Vec::new();
+        for idx in 0..cfg.epochs {
+            let mut parts = Vec::new();
+            for k in 0..draws {
+                if let Some(plan) = saint_rdm_draw(&ds, &cfg, idx, k, &mut sub) {
+                    let steps = schedule(&plan.config, plan.memoize, &feats, false).unwrap();
+                    let graph = PanelGrid::new(4, 4).graph(&sub.adj_norm, None);
+                    parts.push(Part { steps, graph });
+                }
+            }
+            let (scope, markers) = (rdm_trace::Span::Epoch { idx }, Vec::new());
+            units.push(Unit {
+                scope,
+                markers,
+                parts,
+            });
+        }
+        for u in &units {
+            let trained = u.parts.len();
+            assert!(
+                0 < trained && trained < draws,
+                "{trained} of {draws} draws trained"
+            );
+        }
+        let traces = train_gcn(&ds, &cfg).unwrap().traces.unwrap();
+        assert_eq!(check(&traces, 4, 1, &units), Ok(vec![]));
     }
 
     #[test]
@@ -388,7 +478,7 @@ mod tests {
         // With S subgraphs per epoch, RDM takes S optimizer steps and DDP
         // takes S/P — the §V-C batch-size effect.
         let ds = toy(400, 3);
-        let steps = |cfg| SaintCommon::sampling(&ds, &cfg).0.steps_per_epoch;
+        let steps = |cfg| sampling(&ds, &cfg).1;
         assert_eq!(steps(TrainerConfig::saint_rdm(4, sampler())), 10);
         assert_eq!(steps(TrainerConfig::saint_ddp(4, sampler())), 2);
     }
@@ -400,7 +490,7 @@ mod tests {
         let out = on_ranks(&ds, &cfg, |t, ctx| {
             t.epoch(ctx, &mut OpCounters::default());
         });
-        let steps = SaintCommon::sampling(&ds, &cfg).0.steps_per_epoch;
+        let steps = sampling(&ds, &cfg).1;
         // Per step: one all-reduce per layer; naive all-gather impl sends
         // (P-1)·|W| per rank per layer.
         // Both layers' weights: (16×16 + 16×4) f32s; P-1 = 1 copy per rank.

@@ -17,8 +17,10 @@ use crate::loss::{score, LossSpec, Scores};
 use crate::metrics::{book_unit, hidden_price, session, EpochMetrics, RankEpoch, TrainReport};
 use crate::ops::{dist_gemm, weight_grad, OpCounters, PanelGrid, Topology};
 use crate::plan::{Plan, PlanRequest, Resolution};
-use crate::saint::{SaintDdpTrainer, SaintMaskedTrainer, SaintRdmTrainer};
-use rdm_comm::{FaultPlan, RankCtx};
+use crate::saint::{feed_draws, SaintDdpTrainer, SaintDraw, SaintMaskedTrainer, SaintRdmTrainer};
+use crate::{cagnet, dgcl};
+use rdm_comm::feed::Intake;
+use rdm_comm::{FaultPlan, RankCtx, RunOutput};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::{relu_backward_in_place, Mat};
 use rdm_graph::dataset::{Dataset, Split};
@@ -271,25 +273,6 @@ pub(crate) trait Trainer {
     /// The current (replicated) weights — the trained model once the
     /// epochs are done.
     fn weights(&self) -> &GcnWeights;
-}
-
-/// Set up this rank's trainer for `cfg.algo`.
-fn setup<'a>(
-    ds: &'a Dataset,
-    cfg: &TrainerConfig,
-    resolved: &Resolution,
-    ctx: &RankCtx,
-) -> Box<dyn Trainer + 'a> {
-    match cfg.algo {
-        Algo::Rdm { .. } => Box::new(RdmTrainer::setup(ds, cfg, resolved, ctx)),
-        Algo::Cagnet1D | Algo::Cagnet15D { .. } => {
-            Box::new(crate::cagnet::setup(ds, cfg, resolved, ctx))
-        }
-        Algo::Dgcl => Box::new(crate::dgcl::setup(ds, cfg, resolved, ctx)),
-        Algo::SaintRdm { .. } => Box::new(SaintRdmTrainer::setup(ds, cfg, resolved, ctx)),
-        Algo::SaintDdp { .. } => Box::new(SaintDdpTrainer::setup(ds, cfg, resolved, ctx)),
-        Algo::SaintMasked { .. } => Box::new(SaintMaskedTrainer::setup(ds, cfg, resolved, ctx)),
-    }
 }
 
 /// The replicated weights and their optimizer, identical on every rank.
@@ -558,8 +541,7 @@ fn resolve(ds: &Dataset, cfg: &TrainerConfig) -> Result<Resolution, String> {
 /// [`crate::plan::resolve`] rejects).
 pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, String> {
     let resolved = resolve(ds, cfg)?;
-    let out = session(cfg.p, cfg.fault_plan, cfg.trace, cfg.kernels, |ctx| {
-        let mut trainer = setup(ds, cfg, &resolved, ctx);
+    let out = on_trainers(ds, cfg, &resolved, |trainer, ctx| {
         let mut epochs = Vec::with_capacity(cfg.epochs);
         for idx in 0..cfg.epochs {
             let ((loss, train_acc, test_acc), book) =
@@ -617,16 +599,42 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
     })
 }
 
-/// Set up every rank's trainer for `cfg` on `ds` and run `body` on it (the
+/// Set up every rank's trainer for `cfg` on `ds` and run `body` on it, in
+/// one [`session`] whose host feeds the ranks GraphSAINT-RDM's draws
+/// ([`crate::saint::feed_draws`]).
+fn on_trainers<T: Send>(
+    ds: &Dataset,
+    cfg: &TrainerConfig,
+    resolved: &Resolution,
+    body: impl Fn(&mut dyn Trainer, &RankCtx) -> T + Sync,
+) -> RunOutput<T> {
+    let host = |feed: &_| feed_draws(ds, cfg, feed);
+    let ranks = |ctx: &RankCtx, draws: &Intake<SaintDraw>| {
+        let (r, c) = (resolved, ctx);
+        let mut trainer: Box<dyn Trainer> = match cfg.algo {
+            Algo::Rdm { .. } => Box::new(RdmTrainer::setup(ds, cfg, r, c)),
+            Algo::Cagnet1D | Algo::Cagnet15D { .. } => Box::new(cagnet::setup(ds, cfg, r, c)),
+            Algo::Dgcl => Box::new(dgcl::setup(ds, cfg, r, c)),
+            Algo::SaintRdm { .. } => Box::new(SaintRdmTrainer::setup(ds, cfg, draws)),
+            Algo::SaintDdp { .. } => Box::new(SaintDdpTrainer::setup(ds, cfg, r, c)),
+            Algo::SaintMasked { .. } => Box::new(SaintMaskedTrainer::setup(ds, cfg, r, c)),
+        };
+        body(&mut *trainer, ctx)
+    };
+    let (p, faults, trace, mode) = (cfg.p, cfg.fault_plan, cfg.trace, cfg.kernels);
+    session(p, faults, trace, mode, Default::default(), host, ranks).2
+}
+
+/// [`on_trainers`] for a configuration known to be valid (the
 /// per-algorithm unit tests).
 #[cfg(test)]
 pub(crate) fn on_ranks<T: Send>(
     ds: &Dataset,
     cfg: &TrainerConfig,
     body: impl Fn(&mut dyn Trainer, &RankCtx) -> T + Sync,
-) -> rdm_comm::RunOutput<T> {
+) -> RunOutput<T> {
     let resolved = resolve(ds, cfg).expect("a valid test configuration");
-    rdm_comm::Cluster::new(cfg.p).run(|ctx| body(&mut *setup(ds, cfg, &resolved, ctx), ctx))
+    on_trainers(ds, cfg, &resolved, body)
 }
 
 #[cfg(test)]

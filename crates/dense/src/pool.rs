@@ -37,11 +37,15 @@
 //! pipeline strips), one rank's shelf would grow every epoch while
 //! another allocated afresh. So each thread keeps, per class, the buffers
 //! it [`received`] minus those it [`sent`], and at every barrier
-//! [`settle`]s: a surplus is paid out in idle buffers of its class, a
-//! deficit is reported, and the cluster hands what was paid to the
-//! reporting threads (see `rdm_comm`'s barrier). Where every rank sends
-//! as many buffers of each class as it receives (the even case) nothing
-//! moves.
+//! [`settle`]s: a surplus is paid out in idle buffers of its class into
+//! the cluster's reserve (see `rdm_comm`'s barrier). A take the thread's
+//! own shelf cannot serve draws on that reserve ([`draw_on`]) before it
+//! allocates. Buffers are lent on demand, not handed back to the threads
+//! that sent them: a unit that does not replay the last one's traffic
+//! (a serving batch that reuses batch 0's layer-1 aggregation skips its
+//! exchange) still finds every buffer the cluster holds. Where every rank
+//! sends as many buffers of each class as it receives (the even case)
+//! nothing moves.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -58,7 +62,7 @@ pub const MAX_PARKED_BYTES: usize = 256 << 20;
 pub struct PoolStats {
     /// Takes that had to allocate a new buffer.
     pub fresh: u64,
-    /// Takes served from the shelf without allocating.
+    /// Takes served from the shelf or the reserve without allocating.
     pub reused: u64,
 }
 
@@ -74,8 +78,25 @@ struct Shelf {
     balance: BTreeMap<usize, i64>,
 }
 
+/// Idle buffers of a size class that other threads paid in: the reserve
+/// a thread's takes draw on when its own shelf is out of the class.
+pub type Reserve = Box<dyn Fn(usize) -> Option<Vec<f32>>>;
+
 thread_local! {
     static SHELF: RefCell<Shelf> = RefCell::new(Shelf::default());
+    static RESERVE: RefCell<Option<Reserve>> = const { RefCell::new(None) };
+}
+
+/// Let the calling thread's takes draw on `reserve` when its shelf is out
+/// of a class (`None`: they allocate).
+pub fn draw_on(reserve: Option<Reserve>) {
+    RESERVE.with(|r| *r.borrow_mut() = reserve);
+}
+
+/// An idle buffer of class `d` from the calling thread's reserve.
+fn lend(d: usize) -> Option<Vec<f32>> {
+    let lent = RESERVE.try_with(|r| r.borrow().as_ref().and_then(|lend| lend(d)));
+    lent.ok().flatten()
 }
 
 /// Size class that serves a request of `len` elements: smallest `d` with
@@ -102,8 +123,14 @@ pub fn take_empty(len: usize) -> Vec<f32> {
     SHELF
         .try_with(|cell| {
             let mut shelf = cell.borrow_mut();
-            if let Some(mut v) = shelf.buckets.get_mut(d).and_then(Vec::pop) {
-                shelf.parked_bytes -= v.capacity() * std::mem::size_of::<f32>();
+            let idle = match shelf.buckets.get_mut(d).and_then(Vec::pop) {
+                Some(v) => {
+                    shelf.parked_bytes -= v.capacity() * std::mem::size_of::<f32>();
+                    Some(v)
+                }
+                None => lend(d),
+            };
+            if let Some(mut v) = idle {
                 shelf.stats.reused += 1;
                 v.clear();
                 v
@@ -162,38 +189,27 @@ pub fn sent(cap: usize) {
     book(cap, -1);
 }
 
-/// What a thread's balances come to at a barrier.
-#[derive(Debug, Default)]
-pub struct Settlement {
-    /// `(class, buffer)`: idle buffers paid out against surpluses.
-    pub paid: Vec<(usize, Vec<f32>)>,
-    /// `(class, count)`: buffers the thread sent beyond those it received.
-    pub short: Vec<(usize, usize)>,
-}
-
 /// Settle the calling thread's balances: pay each surplus in idle buffers
 /// of its class, as far as the shelf holds them (an unpaid rest stays
-/// owed), and report each deficit.
-pub fn settle() -> Settlement {
-    let mut out = Settlement::default();
+/// owed), and forget each deficit. Returns `(class, buffer)` per buffer
+/// paid.
+pub fn settle() -> Vec<(usize, Vec<f32>)> {
+    let mut paid = Vec::new();
     let _ = SHELF.try_with(|cell| {
         let shelf = &mut *cell.borrow_mut();
         for (&d, balance) in shelf.balance.iter_mut() {
-            if *balance < 0 {
-                out.short.push((d, balance.unsigned_abs() as usize));
-            }
             let bucket = shelf.buckets.get_mut(d);
             let pay = (*balance).clamp(0, bucket.as_ref().map_or(0, |b| b.len()) as i64);
             if let Some(bucket) = bucket.filter(|_| pay > 0) {
-                let paid = bucket.split_off(bucket.len() - pay as usize);
+                let out = bucket.split_off(bucket.len() - pay as usize);
                 shelf.parked_bytes -=
-                    paid.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<f32>();
-                out.paid.extend(paid.into_iter().map(|v| (d, v)));
+                    out.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<f32>();
+                paid.extend(out.into_iter().map(|v| (d, v)));
             }
             *balance = (*balance - pay).max(0);
         }
     });
-    out
+    paid
 }
 
 /// Cumulative fresh/reused counters for the calling thread.
@@ -299,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn surpluses_are_paid_in_kind_and_deficits_reported() {
+    fn surpluses_are_paid_in_kind_and_deficits_forgotten() {
         std::thread::spawn(|| {
             clear();
             give(take_empty(100)); // one idle class-1 buffer
@@ -307,19 +323,47 @@ mod tests {
             received(128);
             sent(256); // class 2: a deficit
             received(10); // too small to shelve: not booked
-            let s = settle();
-            let paid: Vec<_> = s
-                .paid
-                .iter()
+            let paid: Vec<_> = (settle().iter())
                 .map(|(d, v)| (*d, storage_class(v.capacity())))
                 .collect();
             assert_eq!(paid, [(1, Some(1))]);
-            assert_eq!(s.short, [(2, 1)]);
-            // The unpaid class-1 rest stays owed; the deficit is reported once.
+            // The unpaid class-1 rest stays owed; the deficit is gone.
             give(take_empty(100));
-            let s = settle();
-            assert_eq!((s.paid.len(), s.short.len()), (1, 0));
-            assert_eq!(stats().fresh, 2);
+            give(take_empty(200));
+            let paid: Vec<_> = settle().into_iter().map(|(d, _)| d).collect();
+            assert_eq!(paid, [1]);
+            assert_eq!(stats().fresh, 3);
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// A take the shelf cannot serve draws on the reserve before it
+    /// allocates, and counts as a reuse.
+    #[test]
+    fn takes_draw_on_the_reserve_before_allocating() {
+        std::thread::spawn(|| {
+            clear();
+            let lent = std::rc::Rc::new(std::cell::Cell::new(0));
+            let count = lent.clone();
+            draw_on(Some(Box::new(move |d| {
+                count.set(count.get() + 1);
+                (d == 1).then(|| Vec::with_capacity(MIN_CLASS << 1))
+            })));
+            let a = take_empty(100); // class 1: lent
+            let b = take_empty(10); // class 0: the reserve has none
+            give(a);
+            let c = take_empty(100); // class 1: off the shelf
+            assert_eq!(lent.get(), 2);
+            assert_eq!(
+                stats(),
+                PoolStats {
+                    fresh: 1,
+                    reused: 2
+                }
+            );
+            draw_on(None);
+            drop((b, c));
         })
         .join()
         .unwrap();

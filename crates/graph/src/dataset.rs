@@ -248,8 +248,8 @@ impl Dataset {
         }
     }
 
-    /// The subgraph induced on `keep`, into `out`'s reused buffers: the
-    /// GCN-normalised adjacency (one fused pass,
+    /// The subgraph induced on `keep`, into `out`'s reused buffers: `keep`
+    /// itself, the GCN-normalised adjacency (one fused pass,
     /// [`rdm_sparse::gcn_normalize_induced`]) and the relabelled features,
     /// labels and split. Allocates nothing once `out` has held the
     /// subgraph of a superset of `keep`'s vertices, in any order.
@@ -257,6 +257,8 @@ impl Dataset {
     /// # Panics
     /// If `keep` contains an out-of-range or duplicate vertex.
     pub fn induced_into(&self, keep: &[u32], out: &mut InducedBatch) {
+        out.verts.clear();
+        out.verts.extend_from_slice(keep);
         gcn_normalize_induced(&self.adj, keep, &mut out.scratch, &mut out.adj_norm);
         self.features.gather_rows_into(keep, &mut out.features);
         out.labels.clear();
@@ -293,12 +295,18 @@ impl Dataset {
 }
 
 /// One induced minibatch in buffers that outlive it — what
-/// [`Dataset::induced_into`] fills. A serving session's sampler keeps two
-/// (one batch ahead of the ranks) and a sampling trainer one per rank, for
-/// the whole session, so inducing a batch costs no allocation in steady
-/// state.
+/// [`Dataset::induced_into`] fills. A host that feeds a cluster (a serving
+/// session's sampler, a GraphSAINT-RDM run's) induces each minibatch once
+/// for every rank into one of two, one minibatch ahead of the ranks, and
+/// keeps them for the whole run, so inducing a minibatch costs no
+/// allocation in steady state. The GraphSAINT-DDP trainer, whose ranks
+/// draw different subgraphs, keeps one per rank.
 #[derive(Debug)]
 pub struct InducedBatch {
+    /// The kept vertices, in row order: row `i` is vertex `verts[i]` of
+    /// the full graph. Every sampler keeps them sorted, so a vertex's row
+    /// is a binary search away.
+    pub verts: Vec<u32>,
     /// `D̃^{-1/2}(A[keep, keep] + I)D̃^{-1/2}`.
     pub adj_norm: Csr,
     /// `keep.len() × f` input features (pool-backed).
@@ -312,6 +320,7 @@ pub struct InducedBatch {
 impl Default for InducedBatch {
     fn default() -> Self {
         InducedBatch {
+            verts: Vec::new(),
             adj_norm: Csr::empty(0, 0),
             features: Mat::from_vec(0, 0, Vec::new()),
             labels: Vec::new(),

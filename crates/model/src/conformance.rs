@@ -6,7 +6,9 @@
 //! [`predict`] prices it into the exact per-rank sequence of
 //! schedule-level events a [`Unit`] must produce — redistribution
 //! directions and payload bytes, SpMM/GEMM kernel shapes, panel tile
-//! broadcasts, weight-gradient ring all-reduce bytes. [`check`] reduces
+//! broadcasts, weight-gradient ring all-reduce bytes — and the messages
+//! the unit sends, so an empty piece of a pipelined conversion cannot go
+//! missing unseen. [`check`] reduces
 //! every rank's recorded `rdm_trace::RankTrace` to the same vocabulary and
 //! diffs the two, reporting every mismatch with its rank, unit and event
 //! index. What the check proves is that the engine ran the list and that
@@ -160,6 +162,9 @@ pub enum UnitEvent {
     /// A marker span opened inside the unit.
     Marker(Span),
     Sched(SchedEvent),
+    /// The messages this rank sent inside the unit, every collective's and
+    /// the loss boundary's, empty pieces included: a unit's last event.
+    Messages(usize),
 }
 
 impl fmt::Display for UnitEvent {
@@ -174,6 +179,7 @@ impl fmt::Display for UnitEvent {
             }
             UnitEvent::Scope(s) | UnitEvent::Marker(s) => write!(f, "{}", s.name()),
             UnitEvent::Sched(e) => write!(f, "{e}"),
+            UnitEvent::Messages(n) => write!(f, "messages {n}"),
         }
     }
 }
@@ -464,21 +470,33 @@ impl Pricer {
 }
 
 /// Predict the events rank `rank` of the `p/r_a × r_a` grid records inside
-/// `unit`: its markers, then each part's steps priced on the part's graph.
-/// Redistribution bytes are group-scoped, and at `r_a < p` every panel
-/// SpMM carries one dense tile [`SchedEvent::Broadcast`].
+/// `unit`: its markers, then each part's steps priced on the part's graph,
+/// then the messages they send, every fed product's conversion shipped in
+/// `chunks` strips. Redistribution bytes are group-scoped, and at
+/// `r_a < p` every panel SpMM carries one dense tile
+/// [`SchedEvent::Broadcast`].
 ///
 /// # Errors
 /// If `r_a` does not divide `p`, `rank` is out of range, or a part's panel
 /// counts do not fit the grid — inputs the predictor would otherwise
 /// silently misprice.
-pub fn predict(unit: &Unit, p: usize, r_a: usize, rank: usize) -> Result<Vec<UnitEvent>, String> {
+pub fn predict(
+    unit: &Unit,
+    p: usize,
+    r_a: usize,
+    chunks: usize,
+    rank: usize,
+) -> Result<Vec<UnitEvent>, String> {
     let mut out: Vec<UnitEvent> = unit.markers.iter().map(|&m| UnitEvent::Marker(m)).collect();
+    let mut messages = 0;
     for part in &unit.parts {
         let mut pricer = Pricer::new(&part.graph, p, r_a, rank)?;
+        pricer.chunks = chunks;
         pricer.price(&part.steps);
         out.extend(pricer.events.into_iter().map(UnitEvent::Sched));
+        messages += pricer.messages;
     }
+    out.push(UnitEvent::Messages(messages));
     Ok(out)
 }
 
@@ -521,7 +539,8 @@ fn fold_strip(product: Option<SchedEvent>, strip: SchedEvent) -> Option<SchedEve
 
 /// Reduce one rank's recorded trace to its units, in order: each
 /// `Span::Epoch` or `Span::Batch` with the marker spans and the
-/// schedule-level events recorded inside it.
+/// schedule-level events recorded inside it, then the number of sends it
+/// recorded.
 ///
 /// Attribution is kind-aware: a redistribution frame books only sends of
 /// its own collective kind, at their dense-equivalent volume (what the
@@ -572,7 +591,7 @@ fn extract(trace: &RankTrace) -> Result<Vec<(Span, Vec<UnitEvent>)>, String> {
     let mut stack: Vec<Frame> = Vec::new();
     // The open unit's scope and the events recorded in it so far.
     let (mut scope, mut out): (Option<Span>, Vec<UnitEvent>) = (None, Vec::new());
-    let mut pending_bcast = 0u64;
+    let (mut pending_bcast, mut messages) = (0u64, 0usize);
     for (i, e) in trace.events.iter().enumerate() {
         match e.data {
             EventData::Begin(span @ (Span::Epoch { .. } | Span::Batch { .. })) => {
@@ -629,6 +648,7 @@ fn extract(trace: &RankTrace) -> Result<Vec<(Span, Vec<UnitEvent>)>, String> {
                 match frame {
                     Frame::Unit => {
                         let span = scope.take().expect("a unit frame has a scope");
+                        out.push(UnitEvent::Messages(std::mem::take(&mut messages)));
                         units.push((span, std::mem::take(&mut out)));
                     }
                     Frame::Redist {
@@ -677,7 +697,9 @@ fn extract(trace: &RankTrace) -> Result<Vec<(Span, Vec<UnitEvent>)>, String> {
                 // redistribution or all-reduce span of their own kind
                 // belong to that frame; broadcast sends accumulate toward
                 // the carrying SpMM; anything else (loss/accuracy scalar
-                // reductions) is unpriced traffic.
+                // reductions) is unpriced traffic. Every send in a unit is
+                // one of its messages.
+                messages += usize::from(scope.is_some());
                 if scope.is_some() && kind == TraceCollective::Broadcast {
                     pending_bcast += bytes as u64;
                 } else {
@@ -728,7 +750,8 @@ fn mismatches<'a, T: Copy + PartialEq>(
 }
 
 /// Check a whole recorded run (all ranks; `P` is `traces.len()`) against
-/// the prediction for `units` on the `P/r_a × r_a` grid: each rank must
+/// the prediction for `units` on the `P/r_a × r_a` grid, its fed products
+/// pipelined `chunks` deep (`1`: blocking): each rank must
 /// record exactly these units, in order, each with its scope and the events
 /// [`predict`] gives it. Returns every violation — empty means the run
 /// conformed.
@@ -736,7 +759,12 @@ fn mismatches<'a, T: Copy + PartialEq>(
 /// # Errors
 /// If there are no traces or no units, any trace is malformed (see
 /// `extract`), or a unit is outside the predictor's scope.
-pub fn check(traces: &[RankTrace], r_a: usize, units: &[Unit]) -> Result<Vec<Violation>, String> {
+pub fn check(
+    traces: &[RankTrace],
+    r_a: usize,
+    chunks: usize,
+    units: &[Unit],
+) -> Result<Vec<Violation>, String> {
     let p = traces.len();
     if p == 0 {
         return Err("need at least one rank trace".into());
@@ -761,7 +789,7 @@ pub fn check(traces: &[RankTrace], r_a: usize, units: &[Unit]) -> Result<Vec<Vio
             });
         }
         for (unit, (_, got)) in units.iter().zip(&recorded) {
-            let expected = predict(unit, p, r_a, rank)?;
+            let expected = predict(unit, p, r_a, chunks, rank)?;
             violations.extend(
                 mismatches(&expected, got).map(|(index, expected, got)| Violation {
                     rank,
@@ -824,12 +852,8 @@ mod tests {
         nnz: &[usize],
         nnz_t: Option<&[usize]>,
     ) -> Result<Vec<SchedEvent>, String> {
-        Ok(sched(predict(
-            &epoch_unit(cfg, memoize, nnz, nnz_t)?,
-            p,
-            r_a,
-            rank,
-        )?))
+        let unit = epoch_unit(cfg, memoize, nnz, nnz_t)?;
+        Ok(sched(predict(&unit, p, r_a, 1, rank)?))
     }
 
     /// The schedule events of the first unit `trace` recorded.
@@ -1265,11 +1289,11 @@ mod tests {
         assert!(err.contains("layer widths"), "{err}");
         let unit = epoch_unit(&OrderConfig::from_id(0, 2), true, &[NNZ], None).unwrap();
         let traces = [empty_epochs(0, &[0]), empty_epochs(1, &[0])];
-        let err = check(&traces, 3, std::slice::from_ref(&unit)).unwrap_err();
+        let err = check(&traces, 3, 1, std::slice::from_ref(&unit)).unwrap_err();
         assert!(err.contains("must divide"), "{err}");
-        let err = check(&[], 1, &[unit]).unwrap_err();
+        let err = check(&[], 1, 1, &[unit]).unwrap_err();
         assert!(err.contains("at least one rank trace"), "{err}");
-        let err = check(&traces, 2, &[]).unwrap_err();
+        let err = check(&traces, 2, 1, &[]).unwrap_err();
         assert!(err.contains("at least one unit"), "{err}");
     }
 
@@ -1294,7 +1318,7 @@ mod tests {
             empty_epochs(2, &[0]),
             empty_epochs(3, &[0, 3]),
         ];
-        let v = check(&traces, 4, &units).unwrap();
+        let v = check(&traces, 4, 1, &units).unwrap();
         let epoch = |idx| Some(UnitEvent::Scope(Span::Epoch { idx }));
         let got: Vec<_> = v.iter().map(|v| (v.rank, v.expected, v.got)).collect();
         let want = [
@@ -1332,11 +1356,25 @@ mod tests {
     #[test]
     fn a_batch_predicts_its_markers_then_its_forward() {
         let cfg = OrderConfig::from_id(0, 2);
-        let ev = predict(&batch_unit(&cfg, false, 2, Graph::even(N, NNZ, 1)), 2, 2, 1).unwrap();
+        let ev = predict(
+            &batch_unit(&cfg, false, 2, Graph::even(N, NNZ, 1)),
+            2,
+            2,
+            1,
+            1,
+        )
+        .unwrap();
         let serve = |client| UnitEvent::Marker(Span::Serve { client, req_id: 7 });
         assert_eq!(ev[..2], [serve(0), serve(1)]);
         assert_eq!(ev[2].to_string(), "spmm 140x8 nnz=1100");
-        assert!(ev[2..].iter().all(|e| matches!(e, UnitEvent::Sched(_))));
+        let (messages, forward) = ev[2..].split_last().unwrap();
+        assert!(forward.iter().all(|e| matches!(e, UnitEvent::Sched(_))));
+        // At P = R_A = 2 each conversion is one message, and a forward
+        // sends nothing else.
+        let redists = forward
+            .iter()
+            .filter(|e| e.to_string().starts_with("redist"));
+        assert_eq!(*messages, UnitEvent::Messages(redists.count()));
     }
 
     /// A batch that holds `Â·H⁰` prices the plan's forward from layer 1's
@@ -1358,7 +1396,7 @@ mod tests {
                 };
                 let priced = |held| {
                     let unit = batch_unit(&cfg, held, 0, graph.clone());
-                    sched(predict(&unit, p, r_a, rank).unwrap())
+                    sched(predict(&unit, p, r_a, 1, rank).unwrap())
                 };
                 let (first, later) = (priced(false), priced(true));
                 let gemm = first

@@ -2,7 +2,7 @@
 //!
 //! [`serve`] brings up a simulated cluster once, loads the weight snapshot
 //! on every rank, and drives the whole batch schedule through a single
-//! [`fed_session`] — the persistent worker pool and each rank's workspace
+//! [`session`] — the persistent worker pool and each rank's workspace
 //! shelf live for the session, so after the first (warmup) batch every
 //! matrix the forward pass needs comes off the shelf without a fresh
 //! allocation. A full-graph session of a plan whose first layer runs
@@ -38,7 +38,7 @@
 use rdm_comm::feed::{Feed, Intake, RING};
 use rdm_comm::{CommStats, FaultPlan, RankCtx};
 use rdm_core::infer::forward_logits_with;
-use rdm_core::metrics::{book_unit, fed_session, hidden_price, UnitBook};
+use rdm_core::metrics::{book_unit, hidden_price, session, UnitBook};
 use rdm_core::ops::PanelGrid;
 use rdm_core::plan::{resolve, Plan, PlanRequest};
 use rdm_core::{Algo, WeightSnapshot};
@@ -157,20 +157,11 @@ impl ServeConfig {
     }
 }
 
-/// One batch's minibatch as the sampler hands it to the ranks: the vertex
-/// set it was induced on (sorted, so a target's row is a binary search
-/// away) and the subgraph induced on it.
-#[derive(Default)]
-struct Minibatch {
-    verts: Vec<u32>,
-    induced: InducedBatch,
-}
-
 thread_local! {
     /// The sampler's ring of minibatch arenas, between the sessions of the
     /// thread that calls [`serve`]. Refilled every batch, so what they held
     /// never reaches a later session.
-    static ARENAS: Cell<[Minibatch; RING]> = Cell::default();
+    static ARENAS: Cell<[InducedBatch; RING]> = Cell::default();
 }
 
 /// A finished serving session.
@@ -305,7 +296,7 @@ pub fn serve(
     // each batch's minibatch one batch ahead of the ranks, once for all of
     // them, and prices what each batch's pipelines hide. A full-graph
     // session has nothing to feed.
-    let sample = |feed: &Feed<Minibatch>| -> Vec<Vec<u64>> {
+    let sample = |feed: &Feed<InducedBatch>| -> Vec<Vec<u64>> {
         match cfg.sampler {
             ServeSampler::Full => {
                 let first = price(&steps, &ds.adj_norm);
@@ -319,16 +310,16 @@ pub fn serve(
             ServeSampler::Induced { budget } => (batches.iter())
                 .map(|b| {
                     feed.fill(|mb| {
-                        mb.verts = planned_vertices(ds, b, budget, cfg.sample_seed);
-                        ds.induced_into(&mb.verts, &mut mb.induced);
-                        price(&steps, &mb.induced.adj_norm)
+                        let verts = planned_vertices(ds, b, budget, cfg.sample_seed);
+                        ds.induced_into(&verts, mb);
+                        price(&steps, &mb.adj_norm)
                     })
                 })
                 .collect(),
         }
     };
 
-    let ranks = |ctx: &RankCtx, intake: &Intake<Minibatch>| {
+    let ranks = |ctx: &RankCtx, intake: &Intake<InducedBatch>| {
         let weights = snap.to_weights();
         // Layer 1's aggregation, row-sliced, once batch 0 has formed it.
         let mut held = None;
@@ -360,7 +351,7 @@ pub fn serve(
                 // request's target maps to a row of its logits.
                 let (adj, features) = match &fed {
                     None => (&ds.adj_norm, &ds.features),
-                    Some(mb) => (&mb.induced.adj_norm, &mb.induced.features),
+                    Some(mb) => (&mb.adj_norm, &mb.features),
                 };
                 let local_index_of = |target: u32| match &fed {
                     None => target as usize,
@@ -398,7 +389,7 @@ pub fn serve(
     // the next, so their buffers are allocated once per thread.
     let arenas = ARENAS.take();
     let (hidden, arenas, out) =
-        fed_session(p, cfg.faults, cfg.trace, cfg.kernels, arenas, sample, ranks);
+        session(p, cfg.faults, cfg.trace, cfg.kernels, arenas, sample, ranks);
     ARENAS.set(arenas);
 
     // Assemble: every request served exactly once, by the rank owning its

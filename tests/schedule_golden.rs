@@ -55,7 +55,7 @@ fn epoch(
             "epoch id {id} P {p} r_a {r_a} memoize {memoize} rank {rank}"
         )
         .unwrap();
-        for e in predict(&unit, p, r_a, rank).unwrap() {
+        for e in predict(&unit, p, r_a, 1, rank).unwrap() {
             writeln!(out, "  {e}").unwrap();
         }
     }
@@ -90,7 +90,7 @@ fn session(out: &mut String, feats: &[usize], id: usize, grid: (usize, usize, &[
         writeln!(out, "session id {id} P {p} r_a {r_a} rank {rank}").unwrap();
         for unit in &units {
             writeln!(out, "  {}", UnitEvent::Scope(unit.scope)).unwrap();
-            for e in predict(unit, p, r_a, rank).unwrap() {
+            for e in predict(unit, p, r_a, 1, rank).unwrap() {
                 writeln!(out, "  {e}").unwrap();
             }
             writeln!(out, "  batch end").unwrap();

@@ -202,7 +202,7 @@ fn replicated_panel_volume_reconciles_exactly_with_the_schedule_predictor() {
         _ => None,
     };
     let per_rank: Vec<Vec<SchedEvent>> = (0..p)
-        .map(|rank| predict(&unit, p, r_a, rank).unwrap())
+        .map(|rank| predict(&unit, p, r_a, 1, rank).unwrap())
         .map(|events| events.into_iter().filter_map(sched).collect())
         .collect();
     for (i, e) in per_rank[0].iter().enumerate() {

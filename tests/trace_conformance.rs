@@ -12,8 +12,8 @@
 
 mod common;
 
-use common::{check, dataset, directed, epoch_units, full_graph_units, traced, traced_units};
-use common::{Config, Surface, System};
+use common::{check, dataset, directed, epoch_units, full_graph_units, run_depth, traced};
+use common::{traced_units, Config, Surface, System};
 use gnn_rdm::core::gcn::GcnWeights;
 use gnn_rdm::core::ops::PanelGrid;
 use gnn_rdm::core::{Plan, TrainerConfig, WeightSnapshot};
@@ -76,7 +76,7 @@ fn replicated_panel_corruption_yields_one_addressed_violation() {
         .epochs(1);
     let mut traces = traced(&ds, cfg);
     let units = plan_epochs(&ds, 10, 1, (4, 2), None);
-    assert!(model::check(&traces, 2, &units).unwrap().is_empty());
+    assert!(model::check(&traces, 2, 1, &units).unwrap().is_empty());
     // Corrupt the first SpMM span of rank 3: one wrong panel-row count.
     let victim = traces[3]
         .events
@@ -86,7 +86,7 @@ fn replicated_panel_corruption_yields_one_addressed_violation() {
     if let EventData::Begin(Span::Spmm { rows, .. }) = &mut victim.data {
         *rows += 1;
     }
-    let violations = model::check(&traces, 2, &units).unwrap();
+    let violations = model::check(&traces, 2, 1, &units).unwrap();
     assert_eq!(
         violations.len(),
         1,
@@ -109,7 +109,7 @@ fn full_replication_traces_fail_a_mismatched_grid_prediction() {
         .hidden(16)
         .epochs(1);
     let traces = traced(&ds, cfg);
-    let violations = model::check(&traces, 2, &plan_epochs(&ds, 10, 1, (4, 2), None)).unwrap();
+    let violations = model::check(&traces, 2, 1, &plan_epochs(&ds, 10, 1, (4, 2), None)).unwrap();
     assert!(
         !violations.is_empty(),
         "a full-replication trace conformed to the R_A = 2 schedule"
@@ -124,7 +124,7 @@ fn corrupting_one_event_fails_with_rank_and_index_specific_diff() {
         .epochs(1);
     let mut traces = traced(&ds, cfg);
     let units = plan_epochs(&ds, 0, 1, (2, 2), None);
-    assert!(model::check(&traces, 2, &units).unwrap().is_empty());
+    assert!(model::check(&traces, 2, 1, &units).unwrap().is_empty());
     // Corrupt the first SpMM span of rank 1: one wrong column count.
     let victim = traces[1]
         .events
@@ -134,7 +134,7 @@ fn corrupting_one_event_fails_with_rank_and_index_specific_diff() {
     if let EventData::Begin(Span::Spmm { cols, .. }) = &mut victim.data {
         *cols += 1;
     }
-    let violations = model::check(&traces, 2, &units).unwrap();
+    let violations = model::check(&traces, 2, 1, &units).unwrap();
     assert_eq!(
         violations.len(),
         1,
@@ -171,9 +171,43 @@ fn corrupting_payload_bytes_is_caught() {
     {
         (*bytes, *dense_bytes) = (*bytes + 4, *dense_bytes + 4);
     }
-    let violations = model::check(&traces, 4, &plan_epochs(&ds, 10, 1, (4, 4), None)).unwrap();
+    let violations = model::check(&traces, 4, 1, &plan_epochs(&ds, 10, 1, (4, 4), None)).unwrap();
     assert!(!violations.is_empty(), "byte corruption went unnoticed");
     assert!(violations.iter().all(|v| v.rank == 2));
+}
+
+/// Every send is a message the schedule prices, empty ones included: a
+/// plan-0 epoch at P = 4 pipelined in 64 strips ships thousands of
+/// zero-byte pieces (strips narrower than a column), and removing any one
+/// of them fails the check on its rank's message count for the epoch.
+#[test]
+fn removing_any_empty_send_is_caught() {
+    let ds = dataset();
+    let cfg = TrainerConfig::rdm(4, Plan::from_id(0, 2, 4))
+        .hidden(16)
+        .epochs(1)
+        .overlap(64);
+    let traces = traced(&ds, cfg);
+    let units = plan_epochs(&ds, 0, 1, (4, 4), None);
+    assert_eq!(model::check(&traces, 4, 64, &units), Ok(vec![]));
+    let mut empty = 0;
+    for trace in &traces {
+        for (i, e) in trace.events.iter().enumerate() {
+            if !matches!(e.data, EventData::Collective { bytes: 0, .. }) {
+                continue;
+            }
+            let v = model::check(&without(&traces, trace.rank, &[i]), 4, 64, &units).unwrap();
+            let messages = |v: &model::Violation| match (v.expected, v.got) {
+                (Some(UnitEvent::Messages(e)), Some(UnitEvent::Messages(g))) => Some((e, g)),
+                _ => None,
+            };
+            assert_eq!(v.len(), 1, "rank {} without send {i}: {v:?}", trace.rank);
+            let (expected, got) = messages(&v[0]).expect("a message count violation");
+            assert_eq!((v[0].rank, got + 1), (trace.rank, expected));
+            empty += 1;
+        }
+    }
+    assert!(empty > 1000, "only {empty} empty sends");
 }
 
 #[test]
@@ -239,7 +273,7 @@ fn corrupting_one_batch_event_yields_one_addressed_serving_violation() {
     let mut cfg = ServeConfig::new(2);
     cfg.plan = Some(Plan::from_id(5, 2, 2));
     let (mut traces, units) = traced_session(&ds, &snap, &cfg);
-    assert!(model::check(&traces, 2, &units).unwrap().is_empty());
+    assert!(model::check(&traces, 2, 1, &units).unwrap().is_empty());
     // Corrupt rank 1's second batch span: one wrong admission count.
     let victim = traces[1]
         .events
@@ -260,7 +294,7 @@ fn corrupting_one_batch_event_yields_one_addressed_serving_violation() {
     };
     *size += 1;
     let batch_idx = *batch_idx;
-    let violations = model::check(&traces, 2, &units).unwrap();
+    let violations = model::check(&traces, 2, 1, &units).unwrap();
     assert_eq!(
         violations.len(),
         1,
@@ -316,7 +350,7 @@ fn asymmetric_aggregations_conform_on_the_transposes_panels() {
                 let traces = traced(&ds, cfg);
                 let check = |t: Option<&Csr>| {
                     let units = plan_epochs(&ds, id, 2, (4, r_a), t);
-                    model::check(&traces, r_a, &units)
+                    model::check(&traces, r_a, 3, &units)
                         .unwrap_or_else(|e| panic!("{agg} id={id} r_a={r_a}: {e}"))
                 };
                 let violations = check(Some(adj_t));
@@ -367,7 +401,7 @@ fn without(traces: &[RankTrace], rank: usize, drop: &[usize]) -> Vec<RankTrace> 
 /// `Retry` and `OverlapStrip` instants change nothing.
 fn every_break_fails(what: &str, cfg: Config, at: usize) {
     let (traces, units) = traced_units(&cfg).unwrap();
-    let check = |t: &[RankTrace]| model::check(t, cfg.r_a, &units);
+    let check = |t: &[RankTrace]| model::check(t, cfg.r_a, run_depth(&cfg), &units);
     assert_eq!(check(&traces), Ok(vec![]), "{what}: the run conforms");
     let unit = |e: &Event| {
         matches!(
