@@ -24,7 +24,6 @@
 
 use crate::dist::DistMat;
 use crate::ops::{OpCounters, Topology};
-use crate::plan::Resolution;
 use crate::trainer::{Algo, Model, RowAggregation, RowTrainer, Targets, TrainerConfig};
 use rdm_comm::{CollectiveKind, RankCtx};
 use rdm_graph::dataset::Dataset;
@@ -41,13 +40,14 @@ impl RowAggregation for Topology<'_> {
     }
 }
 
-/// CAGNET-1D, or CAGNET-1.5D at `cfg.algo`'s `c`.
+/// CAGNET-1D, or CAGNET-1.5D at `cfg.algo`'s `c`, scored against the
+/// run's `targets`.
 pub(crate) fn setup<'a>(
     ds: &'a Dataset,
     cfg: &TrainerConfig,
-    _: &Resolution,
+    targets: &'a Targets,
     ctx: &RankCtx,
-) -> RowTrainer<Topology<'a>> {
+) -> RowTrainer<'a, Topology<'a>> {
     let c = match cfg.algo {
         Algo::Cagnet15D { c } => c,
         _ => 1,
@@ -56,7 +56,7 @@ pub(crate) fn setup<'a>(
         agg: Topology::new(&ds.adj_norm, c, ctx),
         input: DistMat::scatter_rows(&ds.features, ctx.size(), ctx.rank()),
         model: Model::new(ds, cfg),
-        targets: Targets::of(ds),
+        targets,
     }
 }
 

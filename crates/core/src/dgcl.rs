@@ -11,7 +11,9 @@
 //! Here it is the aggregation of the row-sliced epoch the baselines share
 //! ([`crate::trainer`]): the graph is relabelled so each partition is one
 //! balanced row slice, and `Â · X` is a halo exchange followed by one local
-//! SpMM; everything else is CAGNET's epoch.
+//! SpMM; everything else is CAGNET's epoch. As DGCL runs METIS offline, the
+//! graph is partitioned and relabelled once per run (`Partition`); a
+//! rank's set-up slices its rows and reads its peers' rows in place.
 //!
 //! Substitutions: METIS → [`rdm_graph::greedy_bfs_partition`]; NVLink-aware
 //! transfer planning → direct owner-to-requester messages (the volume, not
@@ -19,13 +21,13 @@
 
 use crate::dist::{Dist, DistMat};
 use crate::ops::OpCounters;
-use crate::plan::Resolution;
 use crate::trainer::{Model, RowAggregation, RowTrainer, Targets, TrainerConfig};
 use rdm_comm::{CollectiveKind, RankCtx};
 use rdm_dense::{part_range, Mat};
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_graph::greedy_bfs_partition;
 use rdm_sparse::{Coo, Csr};
+use std::ops::Range;
 
 /// DGCL's aggregation `Â · X`: exchange halo rows of the row-sliced `X`,
 /// then one local SpMM against the ext-indexed panel.
@@ -51,130 +53,105 @@ fn partition_permutation(owner: &[u32], p: usize) -> Vec<u32> {
     perm.sort_by_key(|&v| (owner[v as usize], v));
     // The greedy partitioner produces exactly balanced parts, so the
     // sorted order aligns with part_range slicing.
-    let mut check = 0;
     for r in 0..p {
-        let range = part_range(owner.len(), p, r);
-        for i in range {
-            assert_eq!(
-                owner[perm[i] as usize] as usize, r,
-                "partition sizes must match the balanced slicing"
-            );
-            check += 1;
-        }
+        let mut range = part_range(owner.len(), p, r);
+        let aligned = range.all(|i| owner[perm[i] as usize] as usize == r);
+        assert!(aligned, "partition sizes must match the balanced slicing");
     }
-    assert_eq!(check, owner.len());
     perm
 }
 
-/// Partition the graph, relabel it so each partition is one balanced row
-/// slice, and build the halo exchange lists. All ranks compute the same
-/// deterministic partition, so no setup communication is needed.
-pub(crate) fn setup(
+/// The graph every DGCL rank reads, built once per run: partitioned into
+/// `P` parts and relabelled so part `r` is rank `r`'s balanced row slice.
+pub(crate) struct Partition {
+    /// `ds`'s adjacency relabelled: vertex `v` is vertex `perm[v]` of `ds`.
+    adj: Csr,
+    perm: Vec<u32>,
+    /// The relabelled labels and split.
+    targets: Targets,
+}
+
+impl Partition {
+    /// `ds` partitioned for `cfg`'s ranks: deterministic, so no rank
+    /// communicates to set up.
+    pub(crate) fn new(ds: &Dataset, cfg: &TrainerConfig) -> Self {
+        let owner = greedy_bfs_partition(&ds.adj_norm, cfg.p, cfg.seed);
+        let perm = partition_permutation(&owner, cfg.p);
+        let labels = perm.iter().map(|&v| ds.labels[v as usize]).collect();
+        let split: Vec<Split> = perm.iter().map(|&v| ds.split[v as usize]).collect();
+        Partition {
+            adj: ds.adj_norm.permute_symmetric(&perm),
+            targets: Targets::new(labels, &split, ds.spec.labels),
+            perm,
+        }
+    }
+}
+
+/// This rank's DGCL trainer: its row slice of the relabelled features and
+/// the halo structure of its rows of `partition`.
+pub(crate) fn setup<'a>(
     ds: &Dataset,
     cfg: &TrainerConfig,
-    _: &Resolution,
+    partition: &'a Partition,
     ctx: &RankCtx,
-) -> RowTrainer<Halo> {
-    let (p, me, n) = (ctx.size(), ctx.rank(), ds.n());
-    let owner = greedy_bfs_partition(&ds.adj_norm, p, cfg.seed);
-    let perm = partition_permutation(&owner, p);
-    // Vertex `v` of the relabelled graph is vertex `perm[v]` of `ds`.
-    let old = |v: usize| perm[v] as usize;
-    let labels = (0..n).map(|v| ds.labels[old(v)]).collect();
-    let split: Vec<Split> = (0..n).map(|v| ds.split[old(v)]).collect();
-    let rows = part_range(n, p, me);
+) -> RowTrainer<'a, Halo> {
+    let n = ds.n();
+    let rows = part_range(n, ctx.size(), ctx.rank());
     let mut input = Mat::zeros(rows.len(), ds.features.cols());
     for (i, v) in rows.enumerate() {
-        input.row_mut(i).copy_from_slice(ds.features.row(old(v)));
+        let old = partition.perm[v] as usize;
+        input.row_mut(i).copy_from_slice(ds.features.row(old));
     }
     RowTrainer {
-        agg: Halo::new(&ds.adj_norm.permute_symmetric(&perm), ctx),
+        agg: Halo::new(&partition.adj, ctx),
         input: DistMat::from_row_slice(input, n),
         model: Model::new(ds, cfg),
-        targets: Targets::new(labels, &split, ds.spec.labels),
+        targets: &partition.targets,
     }
 }
 
 impl Halo {
-    /// My rows of the relabelled adjacency `adj` and the halo structure.
+    /// My rows of the relabelled adjacency `adj` and the halo structure,
+    /// read from `adj` in place.
     fn new(adj: &Csr, ctx: &RankCtx) -> Self {
         let (p, me, n) = (ctx.size(), ctx.rank(), adj.rows());
-        let my_range = part_range(n, p, me);
-        let local = my_range.len();
-        let panel = adj.row_panel(my_range.start, my_range.end);
-        let owner_of = |v: usize| -> usize {
-            // part_range boundaries are monotone; binary search the owner.
-            (0..p).find(|&r| part_range(n, p, r).contains(&v)).unwrap()
+        let (mine, range) = (part_range(n, p, me), |r| part_range(n, p, r));
+        // The distinct vertices of `of` that rows `rows` reach, sorted and
+        // indexed within `of` (deterministic, so both sides of every
+        // exchange agree without communication). Empty for my own rows.
+        let reach = |rows: Range<usize>, of: Range<usize>| -> Vec<u32> {
+            if rows == of {
+                return Vec::new();
+            }
+            let cols = rows.flat_map(|r| adj.row(r).0).map(|&c| c as usize);
+            let mut vs: Vec<u32> = (cols.filter(|v| of.contains(v)))
+                .map(|v| (v - of.start) as u32)
+                .collect();
+            vs.sort_unstable();
+            vs.dedup();
+            vs
         };
-        // Distinct remote vertices appearing in my panel, grouped by owner.
-        let mut halo_of: Vec<Vec<u32>> = vec![Vec::new(); p];
-        {
-            let mut seen = vec![false; n];
-            for idx in panel.indices() {
-                let v = *idx as usize;
-                if !my_range.contains(&v) && !seen[v] {
-                    seen[v] = true;
-                    halo_of[owner_of(v)].push(v as u32);
-                }
-            }
-            for h in &mut halo_of {
-                h.sort_unstable();
-            }
-        }
-        // Global→ext remap: local vertices to 0..local, halo entries after.
+        let need: Vec<Vec<u32>> = (0..p).map(|s| reach(mine.clone(), range(s))).collect();
+        let serve = (0..p).map(|d| reach(range(d), mine.clone())).collect();
+        // Global→ext remap: my vertices to 0..local, then the halo, grouped
+        // by owner in rank order.
         let mut remap = vec![u32::MAX; n];
-        for (i, v) in my_range.clone().enumerate() {
+        let halo = (need.iter().enumerate())
+            .flat_map(|(s, h)| h.iter().map(move |&i| range(s).start + i as usize));
+        for (i, v) in mine.clone().chain(halo).enumerate() {
             remap[v] = i as u32;
         }
-        let mut ext = local as u32;
-        for h in &halo_of {
-            for &v in h {
-                remap[v as usize] = ext;
-                ext += 1;
+        let ext = mine.len() + need.iter().map(Vec::len).sum::<usize>();
+        // Rebuild my rows against the ext indexing.
+        let mut coo = Coo::new(mine.len(), ext);
+        for (r, v) in mine.enumerate() {
+            let (cs, vs) = adj.row(v);
+            for (&c, &x) in cs.iter().zip(vs) {
+                coo.push(r as u32, remap[c as usize], x);
             }
-        }
-        // Rebuild my panel against the ext indexing.
-        let mut coo = Coo::new(local, ext as usize);
-        for r in 0..local {
-            let (cs, vs) = panel.row(r);
-            for (&c, &v) in cs.iter().zip(vs) {
-                coo.push(r as u32, remap[c as usize], v);
-            }
-        }
-        let panel_ext = coo.to_csr();
-        // need[s]: indices of the halo vertices *within rank s's range*.
-        let need: Vec<Vec<u32>> = halo_of
-            .iter()
-            .enumerate()
-            .map(|(s, h)| {
-                let s0 = part_range(n, p, s).start as u32;
-                h.iter().map(|&v| v - s0).collect()
-            })
-            .collect();
-        // serve[d]: recompute rank d's needs from the shared adjacency
-        // (deterministic, so both sides agree without communication).
-        let mut serve: Vec<Vec<u32>> = vec![Vec::new(); p];
-        #[allow(clippy::needless_range_loop)] // d is a rank id
-        for d in 0..p {
-            if d == me {
-                continue;
-            }
-            let d_range = part_range(n, p, d);
-            let d_panel = adj.row_panel(d_range.start, d_range.end);
-            let mut seen = vec![false; my_range.len()];
-            let mut list = Vec::new();
-            for idx in d_panel.indices() {
-                let v = *idx as usize;
-                if my_range.contains(&v) && !seen[v - my_range.start] {
-                    seen[v - my_range.start] = true;
-                    list.push((v - my_range.start) as u32);
-                }
-            }
-            list.sort_unstable();
-            serve[d] = list;
         }
         Halo {
-            panel_ext,
+            panel_ext: coo.to_csr(),
             need,
             serve,
             n,

@@ -67,26 +67,10 @@ impl DistMat {
         }
     }
 
-    /// Wrap an already-local column slice.
-    pub fn from_col_slice(local: Mat, global_cols: usize) -> Self {
-        DistMat {
-            dist: Dist::Col,
-            rows: local.rows(),
-            cols: global_cols,
-            local,
-        }
-    }
-
     /// The global row range this rank owns under `Row` distribution.
     pub fn my_rows(&self, ctx: &RankCtx) -> std::ops::Range<usize> {
         assert_eq!(self.dist, Dist::Row);
         part_range(self.rows, ctx.size(), ctx.rank())
-    }
-
-    /// The global column range this rank owns under `Col` distribution.
-    pub fn my_cols(&self, ctx: &RankCtx) -> std::ops::Range<usize> {
-        assert_eq!(self.dist, Dist::Col);
-        part_range(self.cols, ctx.size(), ctx.rank())
     }
 
     /// The Row↔Col conversion described by `spec`, through the one
@@ -188,15 +172,6 @@ impl FormCache {
         FormCache {
             row: Some(m),
             col: None,
-        }
-    }
-
-    /// Cache holding only a col-form tensor.
-    pub fn of_col(m: DistMat) -> Self {
-        assert_eq!(m.dist, Dist::Col);
-        FormCache {
-            row: None,
-            col: Some(m),
         }
     }
 
@@ -337,21 +312,19 @@ mod tests {
         let mut cache = FormCache::of(DistMat::from_row_slice(Mat::zeros(2, 4), 8));
         assert_eq!(cache.get(Dist::Row).rows, 8);
         assert!(cache.col.is_none());
-        cache.put(DistMat::from_col_slice(Mat::zeros(8, 1), 4));
+        cache.put(DistMat::scatter_cols(&Mat::zeros(8, 4), 4, 0));
         assert_eq!(cache.get(Dist::Col).cols, 4);
         *cache.layout(Dist::Row) = None;
         assert!(cache.row.is_none());
     }
 
     #[test]
-    fn my_rows_and_cols_match_part_range() {
+    fn my_rows_match_part_range() {
         let global = Mat::zeros(10, 10);
         Cluster::new(3).run(move |ctx| {
             let r = DistMat::scatter_rows(&global, ctx.size(), ctx.rank());
             assert_eq!(r.my_rows(ctx), part_range(10, 3, ctx.rank()));
             assert_eq!(r.local.rows(), r.my_rows(ctx).len());
-            let c = DistMat::scatter_cols(&global, ctx.size(), ctx.rank());
-            assert_eq!(c.my_cols(ctx), part_range(10, 3, ctx.rank()));
         });
     }
 

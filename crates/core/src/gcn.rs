@@ -831,13 +831,10 @@ mod tests {
             if edge_mask {
                 let rows = topo.tile_rows(ctx.rank());
                 let indptr = ds.adj_norm.indptr();
-                topo.set_mask(Some(keep[indptr[rows.start]..indptr[rows.end]].to_vec()));
+                topo.set_mask(&keep[indptr[rows.start]..indptr[rows.end]]);
             }
             let nnz = topo.panel.nnz();
-            let kept = topo
-                .mask
-                .as_ref()
-                .map_or(nnz, |m| m.iter().filter(|&&k| k).count());
+            let kept = topo.mask.map_or(nnz, |m| m.iter().filter(|&&k| k).count());
             let mut ops = OpCounters::default();
             let input = input_cache(&ds.features, &topo, ctx);
             let mut art = rdm_forward(ctx, &topo, input, weights, plan, chunks, &mut ops);

@@ -47,6 +47,6 @@ pub mod trainer;
 pub use dist::{Dist, DistMat};
 pub use metrics::{EpochMetrics, TrainReport};
 pub use plan::{best_plan, best_plan_with_ra_sparsity, overlap_inert_reason, LayerOrder, Plan};
-pub use saint::{saint_rdm_draw, saint_rdm_draws};
+pub use saint::{masked_spmm_draw, saint_rdm_draw, saint_steps};
 pub use snapshot::WeightSnapshot;
 pub use trainer::{train_gcn, Algo, TrainerConfig};

@@ -170,9 +170,10 @@ impl PanelGrid {
 /// matrix, i.e. `N/P_i` rows × `f/R_A` columns. Each column group
 /// broadcasts its tiles so every member assembles the full rows of its
 /// column slice, then multiplies its panel — over the nonzeros flagged in
-/// `mask` only, when one is given (§III-F). The output keeps the same 2-D
-/// tiling. This is the only place the engine assembles a column slice and
-/// the only place it multiplies a panel.
+/// `mask` only, when one is given (§III-F), inside an `Spmm` span that
+/// records the nonzeros multiplied. The output keeps the same 2-D tiling.
+/// This is the only place the engine assembles a column slice and the only
+/// place it multiplies a panel.
 ///
 /// Total traffic per product: `(P/R_A - 1) · N · f` elements (§III-E);
 /// at full replication the column group is this rank alone and the tile
@@ -186,6 +187,13 @@ pub fn panel_spmm(
     ctx: &RankCtx,
     ops: &mut OpCounters,
 ) -> Mat {
+    let nnz = mask.map_or(panel.nnz(), |m| m.iter().filter(|&&keep| keep).count());
+    let _span = rdm_trace::span(Span::Spmm {
+        rows: panel.rows(),
+        cols: tile.cols(),
+        nnz,
+        width: call_mode(Kernel::Spmm, tile.cols()).width(),
+    });
     let col_group = grid.col_group(ctx.rank());
     // Assemble the full column slice: stack the tiles of every panel in
     // vertical order. Each member broadcasts its own tile to the group.
@@ -208,12 +216,9 @@ pub fn panel_spmm(
         global_rows,
         "assembled slice must span all rows"
     );
-    let (out, nnz) = match mask {
-        None => (spmm(panel, col_slice), panel.nnz()),
-        Some(m) => (
-            spmm_masked(panel, col_slice, m),
-            m.iter().filter(|&&keep| keep).count(),
-        ),
+    let out = match mask {
+        None => spmm(panel, col_slice),
+        Some(m) => spmm_masked(panel, col_slice, m),
     };
     ops.spmm_fma += nnz as f64 * col_slice.cols() as f64;
     out
@@ -229,6 +234,7 @@ pub fn panel_spmm(
 /// (zero traffic) and the group redistributions span all ranks — exactly
 /// the base RDM scheme. The GCN engine is written against this type only,
 /// so one code path executes both regimes.
+#[derive(Clone)]
 pub struct Topology<'a> {
     pub grid: PanelGrid,
     /// This rank's row panel of the normalized adjacency: the caller's
@@ -239,9 +245,9 @@ pub struct Topology<'a> {
     pub n: usize,
     /// Optional per-nonzero edge mask (§III-F): when set, every SpMM runs
     /// the masked kernel over the sampled neighbors. Indexed by nonzero
-    /// position in `panel`. Generated from a shared seed on every rank,
-    /// so it costs no communication.
-    pub mask: Option<Vec<bool>>,
+    /// position in `panel`. Drawn from a shared seed, once per step for
+    /// every rank, so it costs no communication; every rank borrows it.
+    pub mask: Option<&'a [bool]>,
     /// Row panel of `Âᵀ` when the aggregation matrix is not symmetric
     /// (mean/GraphSAGE normalization): the backward pass must multiply by
     /// the transpose. `None` for the symmetric GCN normalization. Borrowed
@@ -296,19 +302,18 @@ impl<'a> Topology<'a> {
         topo
     }
 
-    /// Install or clear the §III-F edge mask (one flag per panel nonzero).
+    /// Install the §III-F edge mask (one flag per panel nonzero).
     ///
     /// # Panics
-    /// If the mask length does not match the panel's nonzero count.
-    pub fn set_mask(&mut self, mask: Option<Vec<bool>>) {
-        if let Some(m) = &mask {
-            assert_eq!(m.len(), self.panel.nnz(), "mask/panel nnz mismatch");
-            assert!(
-                self.panel_t.is_none(),
-                "edge masks are only supported with symmetric aggregation"
-            );
-        }
-        self.mask = mask;
+    /// If the mask length does not match the panel's nonzero count, or the
+    /// aggregation is not symmetric.
+    pub fn set_mask(&mut self, mask: &'a [bool]) {
+        assert_eq!(mask.len(), self.panel.nnz(), "mask/panel nnz mismatch");
+        assert!(
+            self.panel_t.is_none(),
+            "edge masks are only supported with symmetric aggregation"
+        );
+        self.mask = Some(mask);
     }
 
     /// Enable or disable sparsity-aware redistribution (see
@@ -344,15 +349,6 @@ impl<'a> Topology<'a> {
         }
     }
 
-    /// The panel an aggregation multiplies by: `Â`'s, or — for the
-    /// backward pass (`bwd`) of a non-symmetric aggregation — `Âᵀ`'s.
-    pub(crate) fn aggregator(&self, bwd: bool) -> &Csr {
-        match &self.panel_t {
-            Some(t) if bwd => t,
-            _ => &self.panel,
-        }
-    }
-
     /// Distributed SpMM `Out = Â·In` on a tiled input (Fig. 6) — or, for
     /// the backward pass (`bwd`), `Out = Âᵀ·In`, which differs only under
     /// mean/GraphSAGE aggregation: broadcast tiles within the column
@@ -372,8 +368,8 @@ impl<'a> Topology<'a> {
 
     /// The local product of [`Topology::spmm`] on any block of whole
     /// columns of this rank's tile — the tile, or one strip of it as a
-    /// redistribution delivers it — inside an `Spmm` span shaped as that
-    /// block.
+    /// redistribution delivers it — by `Â`'s panel, or — for the backward
+    /// pass (`bwd`) of a non-symmetric aggregation — by `Âᵀ`'s.
     pub(crate) fn spmm_tile(
         &self,
         tile: &Mat,
@@ -381,15 +377,11 @@ impl<'a> Topology<'a> {
         ctx: &RankCtx,
         ops: &mut OpCounters,
     ) -> Mat {
-        let panel = self.aggregator(bwd);
-        let _span = rdm_trace::span(Span::Spmm {
-            rows: panel.rows(),
-            cols: tile.cols(),
-            nnz: panel.nnz(),
-            width: call_mode(Kernel::Spmm, tile.cols()).width(),
-        });
-        let mask = self.mask.as_deref();
-        panel_spmm(self.grid, panel, mask, tile, self.n, ctx, ops)
+        let panel = match &self.panel_t {
+            Some(t) if bwd => t,
+            _ => &self.panel,
+        };
+        panel_spmm(self.grid, panel, self.mask, tile, self.n, ctx, ops)
     }
 
     /// The Row↔tile conversion of this topology: one redistribution inside

@@ -2,11 +2,7 @@
 //!
 //! * **GraphSAINT-RDM**: every step samples *one* subgraph and trains on
 //!   it across all `P` ranks; weights update after every subgraph,
-//!   independent of `P`. The paper's GPUs each draw it from a shared seed
-//!   (§III-F); here the training thread draws, induces and plans each step
-//!   once, a step ahead of the rank threads, which read it in place
-//!   ([`rdm_comm::feed`]). The seed is what the trainer and the schedule
-//!   checker share: both walk [`saint_rdm_draw`]'s draws.
+//!   independent of `P`.
 //! * **GraphSAINT-DDP**: every rank samples its *own* subgraph, trains it
 //!   locally, and gradients are averaged with an all-reduce — the
 //!   DGL+DistributedDataParallel setup the paper compares against. With
@@ -24,8 +20,14 @@
 //!   aggregation is an unbiased estimator of the full one.
 //!
 //! GraphSAINT-RDM and masked-SpMM train through the RDM step full-batch RDM
-//! runs ([`crate::trainer`]), under plans selected for each step's graph on
-//! the configured device ([`TrainerConfig::device`]).
+//! runs ([`crate::trainer`]), under plans selected on the configured device
+//! ([`TrainerConfig::device`]). What the paper's GPUs each derive from the
+//! shared seed is built once, on the thread calling [`crate::train_gcn`]:
+//! masked SpMM's scaled adjacency and plan (`ScaledGraph`), and each
+//! step's draw — a subgraph with its targets and plan, or an edge mask —
+//! one step ahead of the ranks, which read it in place ([`rdm_comm::feed`]).
+//! The trainer and the schedule checker both walk [`saint_rdm_draw`]'s and
+//! [`masked_spmm_draw`]'s draws.
 //!
 //! Held-out evaluation runs as a *serial local forward* on the full graph
 //! (weights are replicated, the graph fits every rank at our scale), so it
@@ -35,7 +37,7 @@ use crate::dist::FormCache;
 use crate::gcn::{input_cache, serial, GcnWeights};
 use crate::loss::serial as loss_serial;
 use crate::ops::{OpCounters, Topology};
-use crate::plan::{best_plan, Plan, Resolution};
+use crate::plan::{best_plan, Plan};
 use crate::trainer::{split_mask, Algo, Model, Targets, Trainer, TrainerConfig};
 use rdm_comm::feed::{Feed, Intake};
 use rdm_comm::{CollectiveKind, RankCtx};
@@ -43,6 +45,7 @@ use rdm_dense::Mat;
 use rdm_graph::dataset::{Dataset, InducedBatch, Split};
 use rdm_graph::SaintSampler;
 use rdm_model::GnnShape;
+use rdm_sparse::Csr;
 
 /// What every sampling trainer shares: the full graph, the model, the
 /// per-epoch draw schedule and the serial evaluation.
@@ -50,34 +53,29 @@ struct SaintCommon<'a> {
     ds: &'a Dataset,
     model: Model,
     /// The full graph's labels and split.
-    targets: Targets,
+    targets: &'a Targets,
     steps_per_epoch: usize,
     seed: u64,
     epoch_no: u64,
 }
 
 impl<'a> SaintCommon<'a> {
-    fn new(ds: &'a Dataset, cfg: &TrainerConfig, steps_per_epoch: usize) -> Self {
+    fn new(ds: &'a Dataset, cfg: &TrainerConfig, targets: &'a Targets) -> Self {
         SaintCommon {
             ds,
             model: Model::new(ds, cfg),
-            targets: Targets::of(ds),
-            steps_per_epoch,
+            targets,
+            steps_per_epoch: saint_steps(ds, cfg),
             seed: cfg.seed,
             epoch_no: 0,
         }
-    }
-
-    /// The shared seed of this epoch's draw `k`, epochs `stride` apart.
-    fn draw_seed(&self, stride: u64, k: usize) -> u64 {
-        draw_seed(self.seed, self.epoch_no, stride, k)
     }
 
     /// Close the epoch with a serial full-graph evaluation:
     /// (train loss, train acc, test acc).
     fn finish_epoch(&mut self) -> (f32, f32, f32) {
         self.epoch_no += 1;
-        let (ds, t) = (self.ds, &self.targets);
+        let (ds, t) = (self.ds, self.targets);
         let h = serial::forward(&ds.adj_norm, &ds.features, &self.model.weights);
         let logits = h.last().unwrap();
         let (loss, _) = loss_serial::softmax_xent(logits, &t.labels, &t.train);
@@ -87,20 +85,22 @@ impl<'a> SaintCommon<'a> {
     }
 }
 
-/// A GraphSAINT algorithm's sampler and the optimizer steps of each of
-/// its epochs: the `S` draws that roughly cover the graph once, one to a
-/// step under RDM and one per rank (`P` to a step) under DDP.
+/// The optimizer steps of each epoch of `cfg`'s sampling trainer on `ds`:
+/// GraphSAINT's `S` draws, which roughly cover the graph once, one to a
+/// step under RDM and one per rank (`P` to a step) under DDP; masked SpMM's
+/// `⌈1/keep⌉` masks, which touch every edge once in expectation.
 ///
 /// # Panics
-/// If `cfg` runs no GraphSAINT algorithm.
-fn sampling(ds: &Dataset, cfg: &TrainerConfig) -> (SaintSampler, usize) {
+/// If `cfg` runs no sampling trainer.
+pub fn saint_steps(ds: &Dataset, cfg: &TrainerConfig) -> usize {
     let (sampler, draws_per_step) = match cfg.algo {
         Algo::SaintRdm { sampler } => (sampler, 1),
         Algo::SaintDdp { sampler } => (sampler, cfg.p),
-        _ => panic!("{} runs no GraphSAINT sampler", cfg.algo.label()),
+        Algo::SaintMasked { keep } => return (1.0 / keep as f64).ceil() as usize,
+        _ => panic!("{} runs no sampling trainer", cfg.algo.label()),
     };
     let draws = (ds.n() / sampler.nominal_size().max(1)).max(1);
-    (sampler, (draws / draws_per_step).max(1))
+    (draws / draws_per_step).max(1)
 }
 
 /// The shared seed of epoch `epoch`'s draw `k` from run seed `seed`,
@@ -108,16 +108,6 @@ fn sampling(ds: &Dataset, cfg: &TrainerConfig) -> (SaintSampler, usize) {
 fn draw_seed(seed: u64, epoch: u64, stride: u64, k: usize) -> u64 {
     seed.wrapping_add(epoch.wrapping_mul(stride))
         .wrapping_add(k as u64)
-}
-
-/// A GraphSAINT-RDM draw as the host feeds it to the ranks: its induced
-/// subgraph and its plan, `None` for a degenerate draw no rank trains.
-pub type SaintDraw = (InducedBatch, Option<Plan>);
-
-/// The draws of each GraphSAINT-RDM epoch under `cfg` on `ds`, one to an
-/// optimizer step.
-pub fn saint_rdm_draws(ds: &Dataset, cfg: &TrainerConfig) -> usize {
-    sampling(ds, cfg).1
 }
 
 /// Draw `k` of epoch `epoch` of GraphSAINT-RDM under `cfg` on `ds`, from
@@ -142,28 +132,69 @@ pub fn saint_rdm_draw(
         return None;
     }
     ds.induced_into(&drawn.vertices, sub);
-    let feats = ds.shape_layers(cfg.hidden, cfg.layers).feats;
-    Some(replicated_plan(sub.n(), sub.adj_norm.nnz(), feats, cfg))
+    Some(replicated_plan(sub.n(), sub.adj_norm.nnz(), ds, cfg))
+}
+
+/// Step `k` of epoch `epoch` of masked SpMM under `cfg` on `ds`: its
+/// shared-seed edge mask, one flag per nonzero of `Â`, drawn into `mask`.
+/// The trainer's host and a schedule checker both draw here.
+///
+/// # Panics
+/// If `cfg` does not run masked SpMM.
+pub fn masked_spmm_draw(
+    ds: &Dataset,
+    cfg: &TrainerConfig,
+    epoch: usize,
+    k: usize,
+    mask: &mut Vec<bool>,
+) {
+    use rand::{Rng, SeedableRng};
+    let Algo::SaintMasked { keep } = cfg.algo else {
+        panic!("{} runs no masked-SpMM step", cfg.algo.label());
+    };
+    let seed = draw_seed(cfg.seed, epoch as u64, 30_029, k);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    mask.clear();
+    mask.extend((0..ds.adj_norm.nnz()).map(|_| rng.gen_bool(keep as f64)));
 }
 
 /// The model-selected, fully replicated plan for a graph of `n` vertices
-/// and `nnz` nonzeros under `cfg`, priced on its device.
-fn replicated_plan(n: usize, nnz: usize, feats: Vec<usize>, cfg: &TrainerConfig) -> Plan {
+/// and `nnz` nonzeros with `ds`'s widths under `cfg`, priced on its device.
+fn replicated_plan(n: usize, nnz: usize, ds: &Dataset, cfg: &TrainerConfig) -> Plan {
+    let feats = ds.shape_layers(cfg.hidden, cfg.layers).feats;
     best_plan(&GnnShape { n, nnz, feats }, cfg.p, cfg.p, &cfg.device, 1.0)
 }
 
-/// The host of a training run: for GraphSAINT-RDM, every draw of its
-/// `cfg.epochs` epochs, in order, degenerate ones included, so each rank
-/// reads exactly [`saint_rdm_draws`] per epoch. Every other algorithm
-/// reads nothing.
-pub(crate) fn feed_draws(ds: &Dataset, cfg: &TrainerConfig, feed: &Feed<SaintDraw>) {
-    if !matches!(cfg.algo, Algo::SaintRdm { .. }) {
+/// One optimizer step's draw, as the host feeds it to every rank: a
+/// GraphSAINT-RDM subgraph with its targets and plan (`None` for a
+/// degenerate draw no rank trains), or a masked-SpMM step's edge mask.
+#[derive(Default)]
+pub(crate) struct Draw {
+    sub: InducedBatch,
+    targets: Targets,
+    plan: Option<Plan>,
+    mask: Vec<bool>,
+}
+
+/// The host of a training run: for GraphSAINT-RDM and masked SpMM, every
+/// draw of its epochs in order, degenerate ones included, so each rank reads
+/// exactly [`saint_steps`] per epoch. Other algorithms read nothing.
+pub(crate) fn feed_draws(ds: &Dataset, cfg: &TrainerConfig, feed: &Feed<Draw>) {
+    if !matches!(cfg.algo, Algo::SaintRdm { .. } | Algo::SaintMasked { .. }) {
         return;
     }
-    let draws = saint_rdm_draws(ds, cfg);
+    let steps = saint_steps(ds, cfg);
     for epoch in 0..cfg.epochs {
-        for k in 0..draws {
-            feed.fill(|(sub, plan)| *plan = saint_rdm_draw(ds, cfg, epoch, k, sub));
+        for k in 0..steps {
+            feed.fill(|d| {
+                if let Algo::SaintMasked { .. } = cfg.algo {
+                    return masked_spmm_draw(ds, cfg, epoch, k, &mut d.mask);
+                }
+                d.plan = saint_rdm_draw(ds, cfg, epoch, k, &mut d.sub);
+                if d.plan.is_some() {
+                    d.targets = Targets::new(d.sub.labels.clone(), &d.sub.split, ds.spec.labels);
+                }
+            });
         }
     }
 }
@@ -172,17 +203,18 @@ pub(crate) fn feed_draws(ds: &Dataset, cfg: &TrainerConfig, feed: &Feed<SaintDra
 pub(crate) struct SaintRdmTrainer<'a> {
     common: SaintCommon<'a>,
     /// The host's draws, read in place.
-    draws: &'a Intake<'a, SaintDraw>,
+    draws: &'a Intake<'a, Draw>,
 }
 
 impl<'a> SaintRdmTrainer<'a> {
     pub(crate) fn setup(
         ds: &'a Dataset,
         cfg: &TrainerConfig,
-        draws: &'a Intake<'a, SaintDraw>,
+        targets: &'a Targets,
+        draws: &'a Intake<'a, Draw>,
     ) -> Self {
         SaintRdmTrainer {
-            common: SaintCommon::new(ds, cfg, saint_rdm_draws(ds, cfg)),
+            common: SaintCommon::new(ds, cfg, targets),
             draws,
         }
     }
@@ -195,15 +227,14 @@ impl Trainer for SaintRdmTrainer<'_> {
         let c = &mut self.common;
         for _ in 0..c.steps_per_epoch {
             let draw = self.draws.next();
-            let (sd, Some(plan)) = &*draw else {
+            let Some(plan) = &draw.plan else {
                 continue; // degenerate draw
             };
             // Distribute the subgraph inputs (local slicing, no traffic).
-            let topo = Topology::full(&sd.adj_norm, ctx);
-            let mut input = input_cache(&sd.features, &topo, ctx);
-            let targets = Targets::new(sd.labels.clone(), &sd.split, c.ds.spec.labels);
+            let topo = Topology::full(&draw.sub.adj_norm, ctx);
+            let mut input = input_cache(&draw.sub.features, &topo, ctx);
             c.model
-                .rdm_step(ctx, &topo, &mut input, plan, &targets, false, 1, ops);
+                .rdm_step(ctx, &topo, &mut input, plan, &draw.targets, false, 1, ops);
         }
         c.finish_epoch()
     }
@@ -222,10 +253,12 @@ pub(crate) struct SaintDdpTrainer<'a> {
 }
 
 impl<'a> SaintDdpTrainer<'a> {
-    pub(crate) fn setup(ds: &'a Dataset, cfg: &TrainerConfig, _: &Resolution, _: &RankCtx) -> Self {
-        let (sampler, steps) = sampling(ds, cfg);
+    pub(crate) fn setup(ds: &'a Dataset, cfg: &TrainerConfig, targets: &'a Targets) -> Self {
+        let Algo::SaintDdp { sampler } = cfg.algo else {
+            unreachable!("the DDP trainer runs GraphSAINT-DDP")
+        };
         SaintDdpTrainer {
-            common: SaintCommon::new(ds, cfg, steps),
+            common: SaintCommon::new(ds, cfg, targets),
             sampler,
             sub: InducedBatch::default(),
         }
@@ -239,9 +272,8 @@ impl Trainer for SaintDdpTrainer<'_> {
         let c = &mut self.common;
         let p = ctx.size();
         for step in 0..c.steps_per_epoch {
-            let sub = self
-                .sampler
-                .sample(&c.ds.adj, c.draw_seed(20_011, step * p + ctx.rank()));
+            let seed = draw_seed(c.seed, c.epoch_no, 20_011, step * p + ctx.rank());
+            let sub = self.sampler.sample(&c.ds.adj, seed);
             let (w, feats) = (&c.model.weights, &c.model.feats);
             let grads: Vec<Mat> = if sub.vertices.len() >= 4 {
                 let sd = &mut self.sub;
@@ -282,44 +314,57 @@ impl Trainer for SaintDdpTrainer<'_> {
     }
 }
 
+/// Masked SpMM's full graph, built once for every rank of a run: `Â` with
+/// values scaled by `1/keep`, and its fully replicated plan.
+pub(crate) struct ScaledGraph {
+    adj: Csr,
+    plan: Plan,
+}
+
+impl ScaledGraph {
+    /// `None` unless `cfg` runs masked SpMM.
+    pub(crate) fn of(ds: &Dataset, cfg: &TrainerConfig) -> Option<Self> {
+        let Algo::SaintMasked { keep } = cfg.algo else {
+            return None;
+        };
+        let mut adj = ds.adj_norm.clone();
+        let inv = (1.0 / keep as f64) as f32;
+        for v in adj.vals_mut() {
+            *v *= inv;
+        }
+        let plan = replicated_plan(ds.n(), adj.nnz(), ds, cfg);
+        Some(ScaledGraph { adj, plan })
+    }
+}
+
 /// Sampling by masked SpMM: `⌈1/keep⌉` steps per epoch, each the RDM step
-/// on the full graph under a fresh shared-seed edge mask.
+/// on the full graph under the host's shared-seed edge mask.
 pub(crate) struct SaintMaskedTrainer<'a> {
     common: SaintCommon<'a>,
-    /// Edge keep probability `q ∈ (0, 1]`.
-    keep: f64,
-    /// The fully replicated adjacency with values scaled by `1/q`; every
-    /// step installs its own mask.
+    /// The run's scaled adjacency, borrowed; each step installs its mask.
     topo: Topology<'a>,
     input: FormCache,
-    plan: Plan,
+    plan: &'a Plan,
+    /// The host's masks, read in place.
+    draws: &'a Intake<'a, Draw>,
 }
 
 impl<'a> SaintMaskedTrainer<'a> {
     pub(crate) fn setup(
         ds: &'a Dataset,
         cfg: &TrainerConfig,
-        _: &Resolution,
+        targets: &'a Targets,
+        scaled: &'a ScaledGraph,
+        draws: &'a Intake<'a, Draw>,
         ctx: &RankCtx,
     ) -> Self {
-        let Algo::SaintMasked { keep } = cfg.algo else {
-            unreachable!("the masked trainer runs masked-SpMM sampling")
-        };
-        let keep = keep as f64;
-        // One epoch touches every edge once in expectation.
-        let steps = (1.0 / keep).ceil() as usize;
-        let mut topo = Topology::full(&ds.adj_norm, ctx);
-        let inv = (1.0 / keep) as f32;
-        for v in topo.panel.to_mut().vals_mut() {
-            *v *= inv;
-        }
-        let common = SaintCommon::new(ds, cfg, steps);
+        let topo = Topology::full(&scaled.adj, ctx);
         SaintMaskedTrainer {
-            plan: replicated_plan(ds.n(), topo.panel.nnz(), common.model.feats.clone(), cfg),
+            common: SaintCommon::new(ds, cfg, targets),
             input: input_cache(&ds.features, &topo, ctx),
-            common,
-            keep,
             topo,
+            plan: &scaled.plan,
+            draws,
         }
     }
 }
@@ -328,17 +373,14 @@ impl Trainer for SaintMaskedTrainer<'_> {
     /// One epoch = `⌈1/keep⌉` masked full-graph steps; returns an unmasked
     /// evaluation.
     fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
-        use rand::{Rng, SeedableRng};
         let c = &mut self.common;
-        for step in 0..c.steps_per_epoch {
-            // The shared-seed mask: identical on every rank, no traffic.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(c.draw_seed(30_029, step));
-            let nnz = self.topo.panel.nnz();
-            let mask = (0..nnz).map(|_| rng.gen_bool(self.keep)).collect();
-            self.topo.set_mask(Some(mask));
-            let (topo, input, plan) = (&self.topo, &mut self.input, &self.plan);
+        for _ in 0..c.steps_per_epoch {
+            let draw = self.draws.next();
+            let mut topo = self.topo.clone();
+            topo.set_mask(&draw.mask);
+            let (input, plan) = (&mut self.input, self.plan);
             c.model
-                .rdm_step(ctx, topo, input, plan, &c.targets, false, 1, ops);
+                .rdm_step(ctx, &topo, input, plan, c.targets, false, 1, ops);
         }
         c.finish_epoch()
     }
@@ -395,7 +437,7 @@ mod tests {
         let cfg = TrainerConfig::saint_rdm(4, SaintSampler::Node { budget: 3 })
             .hidden(8)
             .epochs(2);
-        assert!(saint_rdm_draws(&ds, &cfg) > 1);
+        assert!(saint_steps(&ds, &cfg) > 1);
         let report = train_gcn(&ds, &cfg).unwrap();
         for e in &report.epochs {
             assert_eq!(
@@ -425,7 +467,7 @@ mod tests {
             .hidden(8)
             .epochs(2)
             .trace();
-        let (feats, draws) = (ds.shape_layers(8, 2).feats, saint_rdm_draws(&ds, &cfg));
+        let (feats, draws) = (ds.shape_layers(8, 2).feats, saint_steps(&ds, &cfg));
         let mut sub = InducedBatch::default();
         let mut units = Vec::new();
         for idx in 0..cfg.epochs {
@@ -478,7 +520,7 @@ mod tests {
         // With S subgraphs per epoch, RDM takes S optimizer steps and DDP
         // takes S/P — the §V-C batch-size effect.
         let ds = toy(400, 3);
-        let steps = |cfg| sampling(&ds, &cfg).1;
+        let steps = |cfg| saint_steps(&ds, &cfg);
         assert_eq!(steps(TrainerConfig::saint_rdm(4, sampler())), 10);
         assert_eq!(steps(TrainerConfig::saint_ddp(4, sampler())), 2);
     }
@@ -490,7 +532,7 @@ mod tests {
         let out = on_ranks(&ds, &cfg, |t, ctx| {
             t.epoch(ctx, &mut OpCounters::default());
         });
-        let steps = sampling(&ds, &cfg).1;
+        let steps = saint_steps(&ds, &cfg);
         // Per step: one all-reduce per layer; naive all-gather impl sends
         // (P-1)·|W| per rank per layer.
         // Both layers' weights: (16×16 + 16×4) f32s; P-1 = 1 copy per rank.
@@ -514,6 +556,27 @@ mod tests {
         for r in &out {
             assert_eq!(r[7].2, acc, "ranks disagree");
         }
+    }
+
+    /// Every rank of a masked run borrows the one scaled adjacency built
+    /// for the run: no rank copies or scales it.
+    #[test]
+    fn every_masked_rank_borrows_one_scaled_adjacency() {
+        use crate::metrics::session;
+        let ds = toy(120, 8);
+        let cfg = TrainerConfig::saint_masked(4, 0.5).hidden(8).epochs(1);
+        let (targets, scaled) = (
+            Targets::new(ds.labels.clone(), &ds.split, ds.spec.labels),
+            ScaledGraph::of(&ds, &cfg).unwrap(),
+        );
+        let host = |feed: &_| feed_draws(&ds, &cfg, feed);
+        let ranks = |ctx: &RankCtx, draws: &Intake<Draw>| {
+            let t = SaintMaskedTrainer::setup(&ds, &cfg, &targets, &scaled, draws, ctx);
+            &*t.topo.panel as *const Csr as usize
+        };
+        let (_, _, out) = session(4, None, false, cfg.kernels, Default::default(), host, ranks);
+        let shared = &scaled.adj as *const Csr as usize;
+        assert_eq!(out.results, vec![shared; 4]);
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! serially and all-reduces their gradients ([`crate::saint`]).
 //! [`train_gcn`] drives every algorithm through one per-rank trainer
 //! interface: an epoch and the weights.
+//!
+//! A rank's set-up only slices: what every rank would compute identically
+//! (the full graph's targets, DGCL's partition, masked SpMM's scaled graph,
+//! each sampled step's draw) is built once per run, on the thread calling
+//! [`train_gcn`], and borrowed.
 
 use crate::adam::Adam;
 use crate::dist::{DistMat, FormCache};
@@ -17,7 +22,8 @@ use crate::loss::{score, LossSpec, Scores};
 use crate::metrics::{book_unit, hidden_price, session, EpochMetrics, RankEpoch, TrainReport};
 use crate::ops::{dist_gemm, weight_grad, OpCounters, PanelGrid, Topology};
 use crate::plan::{Plan, PlanRequest, Resolution};
-use crate::saint::{feed_draws, SaintDdpTrainer, SaintDraw, SaintMaskedTrainer, SaintRdmTrainer};
+use crate::saint::ScaledGraph;
+use crate::saint::{feed_draws, Draw, SaintDdpTrainer, SaintMaskedTrainer, SaintRdmTrainer};
 use crate::{cagnet, dgcl};
 use rdm_comm::feed::Intake;
 use rdm_comm::{FaultPlan, RankCtx, RunOutput};
@@ -340,6 +346,7 @@ pub(crate) fn split_mask(split: &[Split], set: Split) -> Vec<bool> {
 
 /// What a step scores its logits against: every vertex's label and the
 /// train / test masks.
+#[derive(Default)]
 pub(crate) struct Targets {
     pub(crate) labels: Vec<u32>,
     pub(crate) train: Vec<bool>,
@@ -355,11 +362,6 @@ impl Targets {
             test: split_mask(split, Split::Test),
             classes,
         }
-    }
-
-    /// `ds`'s own labels and split.
-    pub(crate) fn of(ds: &Dataset) -> Self {
-        Self::new(ds.labels.clone(), &ds.split, ds.spec.labels)
     }
 
     /// Loss and gradient of row-sliced logits over the training set and,
@@ -383,15 +385,15 @@ pub(crate) trait RowAggregation {
 /// The baselines' epoch (CAGNET, DGCL): activations and gradients stay
 /// row-sliced, every layer aggregates first — in both passes — and
 /// multiplies the replicated weights locally; only `agg` differs.
-pub(crate) struct RowTrainer<A> {
+pub(crate) struct RowTrainer<'a, A> {
     pub(crate) agg: A,
     /// This rank's row slice of the input features.
     pub(crate) input: DistMat,
     pub(crate) model: Model,
-    pub(crate) targets: Targets,
+    pub(crate) targets: &'a Targets,
 }
 
-impl<A: RowAggregation> Trainer for RowTrainer<A> {
+impl<A: RowAggregation> Trainer for RowTrainer<'_, A> {
     fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
         let w = &self.model.weights.w;
         let layers = w.len();
@@ -434,13 +436,19 @@ struct RdmTrainer<'a> {
     /// free).
     input: FormCache,
     model: Model,
-    targets: Targets,
+    targets: &'a Targets,
     /// The resolved pipeline depth.
     chunks: usize,
 }
 
 impl<'a> RdmTrainer<'a> {
-    fn setup(ds: &'a Dataset, cfg: &TrainerConfig, resolved: &Resolution, ctx: &RankCtx) -> Self {
+    fn setup(
+        ds: &'a Dataset,
+        cfg: &TrainerConfig,
+        targets: &'a Targets,
+        resolved: &Resolution,
+        ctx: &RankCtx,
+    ) -> Self {
         let plan = resolved.plan.clone().expect("RDM always resolves a plan");
         let mut topo = match &ds.adj_norm_t {
             None => Topology::new(&ds.adj_norm, plan.r_a, ctx),
@@ -450,7 +458,7 @@ impl<'a> RdmTrainer<'a> {
         RdmTrainer {
             input: input_cache(&ds.features, &topo, ctx),
             model: Model::new(ds, cfg),
-            targets: Targets::of(ds),
+            targets,
             chunks: resolved.chunks,
             plan,
             topo,
@@ -465,7 +473,7 @@ impl Trainer for RdmTrainer<'_> {
             &self.topo,
             &mut self.input,
             &self.plan,
-            &self.targets,
+            self.targets,
             true,
             self.chunks,
             ops,
@@ -600,7 +608,7 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
 }
 
 /// Set up every rank's trainer for `cfg` on `ds` and run `body` on it, in
-/// one [`session`] whose host feeds the ranks GraphSAINT-RDM's draws
+/// one [`session`] whose host feeds the ranks every sampled step's draw
 /// ([`crate::saint::feed_draws`]).
 fn on_trainers<T: Send>(
     ds: &Dataset,
@@ -608,16 +616,22 @@ fn on_trainers<T: Send>(
     resolved: &Resolution,
     body: impl Fn(&mut dyn Trainer, &RankCtx) -> T + Sync,
 ) -> RunOutput<T> {
+    let targets = Targets::new(ds.labels.clone(), &ds.split, ds.spec.labels);
+    let partition = matches!(cfg.algo, Algo::Dgcl).then(|| dgcl::Partition::new(ds, cfg));
+    let scaled = ScaledGraph::of(ds, cfg);
     let host = |feed: &_| feed_draws(ds, cfg, feed);
-    let ranks = |ctx: &RankCtx, draws: &Intake<SaintDraw>| {
-        let (r, c) = (resolved, ctx);
+    let ranks = |ctx: &RankCtx, draws: &Intake<Draw>| {
+        let (r, c, t, built) = (resolved, ctx, &targets, "built before the session");
         let mut trainer: Box<dyn Trainer> = match cfg.algo {
-            Algo::Rdm { .. } => Box::new(RdmTrainer::setup(ds, cfg, r, c)),
-            Algo::Cagnet1D | Algo::Cagnet15D { .. } => Box::new(cagnet::setup(ds, cfg, r, c)),
-            Algo::Dgcl => Box::new(dgcl::setup(ds, cfg, r, c)),
-            Algo::SaintRdm { .. } => Box::new(SaintRdmTrainer::setup(ds, cfg, draws)),
-            Algo::SaintDdp { .. } => Box::new(SaintDdpTrainer::setup(ds, cfg, r, c)),
-            Algo::SaintMasked { .. } => Box::new(SaintMaskedTrainer::setup(ds, cfg, r, c)),
+            Algo::Rdm { .. } => Box::new(RdmTrainer::setup(ds, cfg, t, r, c)),
+            Algo::Cagnet1D | Algo::Cagnet15D { .. } => Box::new(cagnet::setup(ds, cfg, t, c)),
+            Algo::Dgcl => Box::new(dgcl::setup(ds, cfg, partition.as_ref().expect(built), c)),
+            Algo::SaintRdm { .. } => Box::new(SaintRdmTrainer::setup(ds, cfg, t, draws)),
+            Algo::SaintDdp { .. } => Box::new(SaintDdpTrainer::setup(ds, cfg, t)),
+            Algo::SaintMasked { .. } => {
+                let scaled = scaled.as_ref().expect(built);
+                Box::new(SaintMaskedTrainer::setup(ds, cfg, t, scaled, draws, c))
+            }
         };
         body(&mut *trainer, ctx)
     };
@@ -650,8 +664,9 @@ mod tests {
         let ds = toy(60, 3);
         let cfg = TrainerConfig::rdm_auto(2).epochs(2).hidden(8);
         let resolved = resolve(&ds, &cfg).expect("a valid configuration");
+        let targets = Targets::new(ds.labels.clone(), &ds.split, ds.spec.labels);
         Cluster::new(2).run(|ctx| {
-            let mut t = RdmTrainer::setup(&ds, &cfg, &resolved, ctx);
+            let mut t = RdmTrainer::setup(&ds, &cfg, &targets, &resolved, ctx);
             let layouts = |t: &RdmTrainer| {
                 [Form::Row, Form::Col].map(|f| t.input.get(f).local.as_slice().as_ptr() as usize)
             };

@@ -140,12 +140,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consume into the flat buffer (which leaves the pool with it).
-    pub fn into_vec(self) -> Vec<f32> {
-        let mut this = std::mem::ManuallyDrop::new(self);
-        std::mem::take(&mut this.data)
-    }
-
     /// Row `i` as a contiguous slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f32] {
@@ -172,11 +166,6 @@ impl Mat {
     pub fn set(&mut self, i: usize, j: usize, v: f32) {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i * self.cols + j] = v;
-    }
-
-    /// Set every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
     }
 
     /// `out = self[rows, :]`: row `i` of `out` is row `rows[i]` of `self`.

@@ -50,12 +50,6 @@ impl DatasetSpec {
         }
     }
 
-    /// Same spec with a different planted feature-signal strength.
-    pub fn with_feature_signal(mut self, signal: f32) -> Self {
-        self.feature_signal = signal;
-        self
-    }
-
     /// Scale vertex and edge counts down by `factor` (≥ 1), keeping feature
     /// and label widths — the communication/compute *ratios* the cost model
     /// cares about are preserved because both N and nnz shrink together.
@@ -67,22 +61,6 @@ impl DatasetSpec {
             edges: (self.edges / factor).max(256),
             ..self.clone()
         }
-    }
-
-    /// The model-facing shape of a GCN over this dataset.
-    ///
-    /// `nnz` is estimated as symmetrized edges plus self-loops, matching
-    /// what [`DatasetSpec::instantiate`] materializes (up to duplicate
-    /// collisions).
-    pub fn shape_with(&self, hidden: usize, layers: usize) -> GnnShape {
-        GnnShape::gcn(
-            self.vertices,
-            2 * self.edges + self.vertices,
-            self.feature_size,
-            hidden,
-            self.labels,
-            layers,
-        )
     }
 
     /// Materialize a dataset: generate the graph (half RMAT for degree
@@ -504,8 +482,6 @@ mod tests {
         assert_eq!(sh.n, 300);
         assert_eq!(sh.nnz, d.adj_norm.nnz());
         assert_eq!(sh.feats, vec![24, 128, 6]);
-        // The a-priori estimate is an upper bound (duplicates collide).
-        assert!(spec.shape_with(128, 2).nnz >= sh.nnz);
     }
 
     #[test]
@@ -554,9 +530,11 @@ mod tests {
     #[test]
     fn feature_signal_knob_controls_identifiability() {
         let strong = DatasetSpec::synthetic("s", 400, 3000, 16, 4).instantiate(9);
-        let weak = DatasetSpec::synthetic("s", 400, 3000, 16, 4)
-            .with_feature_signal(0.1)
-            .instantiate(9);
+        let weak = DatasetSpec {
+            feature_signal: 0.1,
+            ..DatasetSpec::synthetic("s", 400, 3000, 16, 4)
+        }
+        .instantiate(9);
         let hit_rate = |d: &Dataset| {
             let mut hits = 0;
             for v in 0..d.n() {

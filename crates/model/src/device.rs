@@ -146,13 +146,6 @@ pub struct Predicted {
     pub total_s: f64,
 }
 
-impl Predicted {
-    /// Training throughput in epochs per second.
-    pub fn epochs_per_sec(&self) -> f64 {
-        1.0 / self.total_s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,16 +277,5 @@ mod tests {
     fn no_ranks_is_the_default() {
         let d = DeviceModel::a6000_pcie();
         assert_eq!(d.slowest(&[]), Predicted::default());
-    }
-
-    #[test]
-    fn epochs_per_sec_inverts_total() {
-        let p = Predicted {
-            compute_s: 0.2,
-            comm_s: 0.3,
-            hidden_s: 0.0,
-            total_s: 0.5,
-        };
-        assert!((p.epochs_per_sec() - 2.0).abs() < 1e-12);
     }
 }

@@ -365,21 +365,6 @@ impl Csr {
         })
     }
 
-    /// Fraction of columns no row of this panel touches — the structural
-    /// upper bound on how much of a redistribution towards this panel's
-    /// SpMM is dead weight. `0.0` for an empty column dimension.
-    pub fn empty_col_fraction(&self) -> f64 {
-        if self.cols == 0 {
-            return 0.0;
-        }
-        let mut present = vec![false; self.cols];
-        for &c in &self.indices {
-            present[c as usize] = true;
-        }
-        let empty = present.iter().filter(|&&p| !p).count();
-        empty as f64 / self.cols as f64
-    }
-
     /// Fraction of rows with no stored nonzeros. For an aggregation matrix
     /// `Â` this is the fraction of vertices whose aggregated output is
     /// exactly zero — rows the sparsity-aware redistribution never ships.
@@ -958,13 +943,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_fractions_count_structural_zeros() {
-        let m = sample(); // row 1 empty; all columns touched
+    fn empty_row_fraction_counts_structural_zeros() {
+        let m = sample(); // row 1 empty
         assert!((m.empty_row_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(m.empty_col_fraction(), 0.0);
         let e = Csr::empty(3, 4);
         assert_eq!(e.empty_row_fraction(), 1.0);
-        assert_eq!(e.empty_col_fraction(), 1.0);
         assert_eq!(Csr::empty(0, 0).empty_row_fraction(), 0.0);
     }
 }

@@ -71,14 +71,6 @@ proptest! {
         touched.dedup();
         prop_assert_eq!(total, touched.len());
     }
-
-    #[test]
-    fn empty_fraction_consistent_with_support(coo in coo_strategy()) {
-        let m = coo.to_csr();
-        let touched: usize = m.col_support(1)[0].len();
-        let expect = (m.cols() - touched) as f64 / m.cols() as f64;
-        prop_assert!((m.empty_col_fraction() - expect).abs() < 1e-12);
-    }
 }
 
 #[test]
@@ -89,7 +81,6 @@ fn empty_panel_has_empty_support_everywhere() {
         let support = m.col_support(parts);
         assert_eq!(support.len(), parts);
         assert!(support.iter().all(|c| c.is_empty()));
-        assert_eq!(m.empty_col_fraction(), 1.0);
     }
 }
 
@@ -108,7 +99,6 @@ fn full_support_panel_lists_every_column() {
             let expect: Vec<u32> = (r.start as u32..r.end as u32).collect();
             assert_eq!(cols, &expect, "parts={parts} j={j}");
         }
-        assert_eq!(m.empty_col_fraction(), 0.0);
     }
 }
 
@@ -119,7 +109,6 @@ fn single_row_single_entry() {
     let m = coo.to_csr();
     assert_eq!(m.col_support(7), reference_support(&m, 7));
     assert_eq!(m.col_support(7)[4], vec![4]);
-    assert!((m.empty_col_fraction() - 6.0 / 7.0).abs() < 1e-12);
 }
 
 #[test]

@@ -14,8 +14,9 @@ use gnn_rdm::core::gcn::{serial, GcnWeights};
 use gnn_rdm::core::infer::forward_logits;
 use gnn_rdm::core::loss::serial as loss_serial;
 use gnn_rdm::core::ops::{OpCounters, PanelGrid};
-use gnn_rdm::core::{overlap_inert_reason, train_gcn, Algo, Plan, TrainReport, TrainerConfig};
-use gnn_rdm::core::{saint_rdm_draw, saint_rdm_draws, EpochMetrics, WeightSnapshot};
+use gnn_rdm::core::{best_plan, overlap_inert_reason, train_gcn, Algo, Plan, TrainReport};
+use gnn_rdm::core::{masked_spmm_draw, saint_rdm_draw, saint_steps, TrainerConfig};
+use gnn_rdm::core::{EpochMetrics, WeightSnapshot};
 use gnn_rdm::dense::{kernels, part_range, KernelMode};
 use gnn_rdm::graph::dataset::{InducedBatch, Split};
 use gnn_rdm::graph::{Dataset, DatasetSpec, SaintSampler};
@@ -271,6 +272,9 @@ pub enum System {
     Dgcl,
     SaintRdm,
     SaintDdp,
+    /// Masked SpMM at keep probability 0.5 (named points only: the
+    /// sampler never deals it).
+    SaintMasked,
 }
 
 /// The aggregation matrix: symmetric GCN, or (RDM only) mean or row.
@@ -427,6 +431,7 @@ impl Config {
             System::Dgcl => TrainerConfig::dgcl(p),
             System::SaintRdm => TrainerConfig::saint_rdm(p, saint),
             System::SaintDdp => TrainerConfig::saint_ddp(p, saint),
+            System::SaintMasked => TrainerConfig::saint_masked(p, 0.5),
         };
         cfg = cfg.layers(self.layers).hidden(HIDDEN).epochs(EPOCHS).lr(LR);
         (cfg.sparse, cfg.overlap, cfg.trace, cfg.kernels) =
@@ -591,30 +596,38 @@ fn priced_hidden(cfg: &Config, part: &Part, chunks: usize) -> Result<u64, String
 
 /// The epochs a training run of `cfg` on `ds` records, each with what it
 /// runs: an RDM plan's schedule (the plan `run` reports when selected) on
-/// the whole graph, or every GraphSAINT-RDM subgraph step under its own
-/// plan. Empty for the systems the checker does not cover.
+/// the whole graph, every GraphSAINT-RDM subgraph step under its own plan,
+/// or every masked-SpMM step under the one plan on the nonzeros its mask
+/// keeps. Empty for the systems the checker does not cover.
 pub fn training_units(cfg: &Config, ds: &Dataset, run: &TrainReport) -> Result<Vec<Unit>, String> {
-    let feats = ds.shape_layers(HIDDEN, cfg.layers).feats;
+    let (feats, trainer) = (ds.shape_layers(HIDDEN, cfg.layers).feats, cfg.trainer());
     if cfg.system == System::SaintRdm {
-        let (trainer, mut sub) = (cfg.trainer(), InducedBatch::default());
-        let mut epoch = |idx| {
-            let mut parts = Vec::new();
-            for k in 0..saint_rdm_draws(ds, &trainer) {
-                let Some(plan) = saint_rdm_draw(ds, &trainer, idx, k, &mut sub) else {
-                    continue;
-                };
-                let steps = schedule(&plan.config, plan.memoize, &feats, false)?;
-                let graph = PanelGrid::new(cfg.p, cfg.p).graph(&sub.adj_norm, None);
-                parts.push(Part { steps, graph });
-            }
-            let scope = Span::Epoch { idx };
-            Ok(Unit {
-                scope,
-                markers: Vec::new(),
-                parts,
-            })
-        };
-        return (0..EPOCHS).map(&mut epoch).collect();
+        let mut sub = InducedBatch::default();
+        return sampled_units(ds, &trainer, |idx, k| {
+            let Some(plan) = saint_rdm_draw(ds, &trainer, idx, k, &mut sub) else {
+                return Ok(None);
+            };
+            let steps = schedule(&plan.config, plan.memoize, &feats, false)?;
+            let graph = PanelGrid::new(cfg.p, cfg.p).graph(&sub.adj_norm, None);
+            Ok(Some(Part { steps, graph }))
+        });
+    }
+    if cfg.system == System::SaintMasked {
+        let shape = ds.shape_layers(HIDDEN, cfg.layers);
+        let plan = best_plan(&shape, cfg.p, cfg.p, &trainer.device, 1.0);
+        let steps = schedule(&plan.config, plan.memoize, &feats, false)?;
+        let mut mask = Vec::new();
+        return sampled_units(ds, &trainer, |idx, k| {
+            masked_spmm_draw(ds, &trainer, idx, k, &mut mask);
+            let kept = mask.iter().filter(|&&keep| keep).count();
+            let (n, steps) = (ds.n(), steps.clone());
+            let graph = Graph {
+                n,
+                panel_nnz: vec![kept],
+                panel_nnz_t: None,
+            };
+            Ok(Some(Part { steps, graph }))
+        });
     }
     let Some((config, memoize)) = cfg.priced_plan(Some(run)) else {
         return Ok(Vec::new());
@@ -623,6 +636,28 @@ pub fn training_units(cfg: &Config, ds: &Dataset, run: &TrainReport) -> Result<V
     let grid = PanelGrid::new(cfg.p, cfg.r_a);
     let graph = grid.graph(&ds.adj_norm, ds.adj_norm_t.as_ref());
     Ok(epoch_units(steps, graph, EPOCHS))
+}
+
+/// The epochs of a sampling trainer: epoch `idx` holds `draw(idx, k)` for
+/// each of its steps `k` that trains.
+fn sampled_units(
+    ds: &Dataset,
+    trainer: &TrainerConfig,
+    mut draw: impl FnMut(usize, usize) -> Result<Option<Part>, String>,
+) -> Result<Vec<Unit>, String> {
+    let mut epoch = |idx| {
+        let mut parts = Vec::new();
+        for k in 0..saint_steps(ds, trainer) {
+            parts.extend(draw(idx, k)?);
+        }
+        let scope = Span::Epoch { idx };
+        Ok(Unit {
+            scope,
+            markers: Vec::new(),
+            parts,
+        })
+    };
+    (0..EPOCHS).map(&mut epoch).collect()
 }
 
 /// A traced run of `cfg` (training, or a session of the harness's
@@ -738,7 +773,10 @@ fn check_training(cfg: &Config) -> Result<(), String> {
         same("dense bytes against the schedule", got, expect)?;
     }
 
-    let full_batch = !matches!(cfg.system, System::SaintRdm | System::SaintDdp);
+    let full_batch = !matches!(
+        cfg.system,
+        System::SaintRdm | System::SaintDdp | System::SaintMasked
+    );
     if !cfg.sparse && full_batch {
         let fresh: Vec<_> = run.epochs[1..].iter().map(EpochMetrics::ws_fresh).collect();
         same("steady fresh allocations", fresh, vec![0; EPOCHS - 1])?;

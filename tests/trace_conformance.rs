@@ -496,8 +496,8 @@ fn every_break_fails(what: &str, cfg: Config, at: usize) {
 
 /// The checker holds every kind of unit to its schedule: a training epoch
 /// (group redistributions, panel broadcasts, two-strip pipeline), a
-/// full-graph and an induced serving batch, and a GraphSAINT-RDM epoch —
-/// each chaotic, so the trace carries retries.
+/// full-graph and an induced serving batch, a GraphSAINT-RDM epoch and a
+/// masked-SpMM epoch — each chaotic, so the trace carries retries.
 #[test]
 fn breaking_any_unit_of_each_kind_fails_the_check() {
     let epoch = Config::plan_id(10, 2, 4).ra(2).chunks(2).chaos();
@@ -508,4 +508,6 @@ fn breaking_any_unit_of_each_kind_fails_the_check() {
     every_break_fails("induced batch", induced, 1);
     let saint = Config::train(System::SaintRdm, 2, 2).chaos();
     every_break_fails("GraphSAINT-RDM epoch", saint, 0);
+    let masked = Config::train(System::SaintMasked, 2, 2).chaos();
+    every_break_fails("masked-SpMM epoch", masked, 0);
 }
