@@ -74,7 +74,9 @@ mod tests {
     fn losses(ds: &Dataset, cfg: TrainerConfig, epochs: usize) -> Vec<Vec<f32>> {
         on_ranks(ds, &cfg.hidden(8), |t, ctx| {
             let mut ops = OpCounters::default();
-            (0..epochs).map(|_| t.epoch(ctx, &mut ops).0).collect()
+            (0..epochs)
+                .map(|_| t.epoch(ctx, &mut ops).expect("scored").loss)
+                .collect()
         })
         .results
     }

@@ -12,8 +12,9 @@
 //! ([`crate::trainer`]): the graph is relabelled so each partition is one
 //! balanced row slice, and `Â · X` is a halo exchange followed by one local
 //! SpMM; everything else is CAGNET's epoch. As DGCL runs METIS offline, the
-//! graph is partitioned and relabelled once per run (`Partition`); a
-//! rank's set-up slices its rows and reads its peers' rows in place.
+//! graph is partitioned and relabelled once per run (`Partition`), and
+//! every rank's halo lists are found in the same pass over it: a rank's
+//! set-up slices its rows and borrows the lists.
 //!
 //! Substitutions: METIS → [`rdm_graph::greedy_bfs_partition`]; NVLink-aware
 //! transfer planning → direct owner-to-requester messages (the volume, not
@@ -27,21 +28,19 @@ use rdm_dense::{part_range, Mat};
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_graph::greedy_bfs_partition;
 use rdm_sparse::{Coo, Csr};
-use std::ops::Range;
 
 /// DGCL's aggregation `Â · X`: exchange halo rows of the row-sliced `X`,
 /// then one local SpMM against the ext-indexed panel.
-pub(crate) struct Halo {
+pub(crate) struct Halo<'a> {
     /// My adjacency rows with columns remapped to `[0, local + halo)`:
     /// index `< local` is a local vertex, `local + k` is the `k`-th halo
     /// entry.
     panel_ext: Csr,
-    /// Halo request lists: `need[s]` = local row indices *on rank `s`* of
-    /// the vertices I must receive from `s` each exchange (empty for `me`).
-    need: Vec<Vec<u32>>,
-    /// What I must send: `serve[d]` = local row indices of my vertices that
-    /// rank `d` needs.
-    serve: Vec<Vec<u32>>,
+    /// Every rank's halo lists, borrowed from the partition: `need[r][s]`
+    /// holds the local row indices *on rank `s`* of the vertices rank `r`
+    /// receives from `s` each exchange. I receive `need[me][s]` from `s` and
+    /// send `need[d][me]` to `d`.
+    need: &'a [Vec<Vec<u32>>],
     n: usize,
 }
 
@@ -69,6 +68,8 @@ pub(crate) struct Partition {
     perm: Vec<u32>,
     /// The relabelled labels and split.
     targets: Targets,
+    /// Every rank's halo lists ([`Halo::need`]).
+    need: Vec<Vec<Vec<u32>>>,
 }
 
 impl Partition {
@@ -79,12 +80,41 @@ impl Partition {
         let perm = partition_permutation(&owner, cfg.p);
         let labels = perm.iter().map(|&v| ds.labels[v as usize]).collect();
         let split: Vec<Split> = perm.iter().map(|&v| ds.split[v as usize]).collect();
+        let adj = ds.adj_norm.permute_symmetric(&perm);
         Partition {
-            adj: ds.adj_norm.permute_symmetric(&perm),
+            need: halo_lists(&adj, cfg.p),
+            adj,
             targets: Targets::new(labels, &split, ds.spec.labels),
             perm,
         }
     }
+}
+
+/// Every rank's halo lists over `adj` row-sliced `p` ways, in one pass
+/// over its nonzeros: `need[r][s]` holds, sorted and distinct, the
+/// vertices of rank `s`'s slice that rank `r`'s rows reach, indexed within
+/// that slice (deterministic, so both sides of every exchange agree
+/// without communication). Empty for `s == r`.
+fn halo_lists(adj: &Csr, p: usize) -> Vec<Vec<Vec<u32>>> {
+    let n = adj.rows();
+    let starts: Vec<usize> = (0..p).map(|r| part_range(n, p, r).start).collect();
+    let mut need = vec![vec![Vec::new(); p]; p];
+    for (r, lists) in need.iter_mut().enumerate() {
+        for v in part_range(n, p, r) {
+            for &c in adj.row(v).0 {
+                let c = c as usize;
+                let s = starts.partition_point(|&start| start <= c) - 1;
+                if s != r {
+                    lists[s].push((c - starts[s]) as u32);
+                }
+            }
+        }
+        for list in lists {
+            list.sort_unstable();
+            list.dedup();
+        }
+    }
+    need
 }
 
 /// This rank's DGCL trainer: its row slice of the relabelled features and
@@ -94,7 +124,7 @@ pub(crate) fn setup<'a>(
     cfg: &TrainerConfig,
     partition: &'a Partition,
     ctx: &RankCtx,
-) -> RowTrainer<'a, Halo> {
+) -> RowTrainer<'a, Halo<'a>> {
     let n = ds.n();
     let rows = part_range(n, ctx.size(), ctx.rank());
     let mut input = Mat::zeros(rows.len(), ds.features.cols());
@@ -103,45 +133,29 @@ pub(crate) fn setup<'a>(
         input.row_mut(i).copy_from_slice(ds.features.row(old));
     }
     RowTrainer {
-        agg: Halo::new(&partition.adj, ctx),
+        agg: Halo::new(partition, ctx),
         input: DistMat::from_row_slice(input, n),
         model: Model::new(ds, cfg),
         targets: &partition.targets,
     }
 }
 
-impl Halo {
-    /// My rows of the relabelled adjacency `adj` and the halo structure,
-    /// read from `adj` in place.
-    fn new(adj: &Csr, ctx: &RankCtx) -> Self {
-        let (p, me, n) = (ctx.size(), ctx.rank(), adj.rows());
+impl<'a> Halo<'a> {
+    /// My rows of `partition`'s adjacency, remapped against my halo, read
+    /// in place with the partition's halo lists.
+    fn new(partition: &'a Partition, ctx: &RankCtx) -> Self {
+        let (p, me, adj) = (ctx.size(), ctx.rank(), &partition.adj);
+        let (n, need) = (adj.rows(), &partition.need);
         let (mine, range) = (part_range(n, p, me), |r| part_range(n, p, r));
-        // The distinct vertices of `of` that rows `rows` reach, sorted and
-        // indexed within `of` (deterministic, so both sides of every
-        // exchange agree without communication). Empty for my own rows.
-        let reach = |rows: Range<usize>, of: Range<usize>| -> Vec<u32> {
-            if rows == of {
-                return Vec::new();
-            }
-            let cols = rows.flat_map(|r| adj.row(r).0).map(|&c| c as usize);
-            let mut vs: Vec<u32> = (cols.filter(|v| of.contains(v)))
-                .map(|v| (v - of.start) as u32)
-                .collect();
-            vs.sort_unstable();
-            vs.dedup();
-            vs
-        };
-        let need: Vec<Vec<u32>> = (0..p).map(|s| reach(mine.clone(), range(s))).collect();
-        let serve = (0..p).map(|d| reach(range(d), mine.clone())).collect();
         // Global→ext remap: my vertices to 0..local, then the halo, grouped
         // by owner in rank order.
         let mut remap = vec![u32::MAX; n];
-        let halo = (need.iter().enumerate())
+        let halo = (need[me].iter().enumerate())
             .flat_map(|(s, h)| h.iter().map(move |&i| range(s).start + i as usize));
         for (i, v) in mine.clone().chain(halo).enumerate() {
             remap[v] = i as u32;
         }
-        let ext = mine.len() + need.iter().map(Vec::len).sum::<usize>();
+        let ext = mine.len() + need[me].iter().map(Vec::len).sum::<usize>();
         // Rebuild my rows against the ext indexing.
         let mut coo = Coo::new(mine.len(), ext);
         for (r, v) in mine.enumerate() {
@@ -153,13 +167,12 @@ impl Halo {
         Halo {
             panel_ext: coo.to_csr(),
             need,
-            serve,
             n,
         }
     }
 }
 
-impl RowAggregation for Halo {
+impl RowAggregation for Halo<'_> {
     fn aggregate(&self, x: &DistMat, ctx: &RankCtx, ops: &mut OpCounters) -> DistMat {
         assert_eq!(x.dist, Dist::Row);
         let p = ctx.size();
@@ -167,22 +180,23 @@ impl RowAggregation for Halo {
         let f = x.cols;
         // Send requested rows to each peer.
         for d in 0..p {
-            if d == me || self.serve[d].is_empty() {
+            let serve = &self.need[d][me];
+            if d == me || serve.is_empty() {
                 continue;
             }
-            let mut block = Mat::zeros(self.serve[d].len(), f);
-            for (i, &r) in self.serve[d].iter().enumerate() {
+            let mut block = Mat::zeros(serve.len(), f);
+            for (i, &r) in serve.iter().enumerate() {
                 block.row_mut(i).copy_from_slice(x.local.row(r as usize));
             }
             ctx.send(d, block, CollectiveKind::Halo);
         }
         // Assemble the extended input: local rows then halo rows in owner
         // order.
-        let halo_total: usize = self.need.iter().map(Vec::len).sum();
+        let halo_total: usize = self.need[me].iter().map(Vec::len).sum();
         let mut x_ext = Mat::zeros(x.local.rows() + halo_total, f);
         x_ext.set_block(0, 0, &x.local);
         let mut at = x.local.rows();
-        for (s, list) in self.need.iter().enumerate() {
+        for (s, list) in self.need[me].iter().enumerate() {
             if s == me || list.is_empty() {
                 continue;
             }
@@ -220,7 +234,7 @@ mod tests {
         let out = on_ranks(ds, &cfg.hidden(8).seed(5), |t, ctx| {
             let mut ops = OpCounters::default();
             (0..epochs)
-                .map(|_| t.epoch(ctx, &mut ops).0)
+                .map(|_| t.epoch(ctx, &mut ops).expect("scored").loss)
                 .collect::<Vec<f32>>()
         });
         let bytes = out.stats.iter().map(|s| s.bytes(kind)).sum();
@@ -271,6 +285,31 @@ mod tests {
         let v2 = vol(2);
         let v8 = vol(8);
         assert!(v8 > v2, "halo volume at P=8 ({v8}) not above P=2 ({v2})");
+    }
+
+    /// The one-pass halo lists are each rank's own scan: the distinct
+    /// vertices of every peer's slice that its rows reach, sorted.
+    #[test]
+    fn one_pass_halo_lists_match_each_ranks_scan() {
+        let ds = toy(90, 4);
+        for p in [1, 2, 3, 4, 7] {
+            let cfg = TrainerConfig::dgcl(p);
+            let part = Partition::new(&ds, &cfg);
+            let n = part.adj.rows();
+            for r in 0..p {
+                for s in 0..p {
+                    let of = part_range(n, p, s);
+                    let mut want: Vec<u32> = (part_range(n, p, r))
+                        .flat_map(|v| part.adj.row(v).0.iter().map(|&c| c as usize))
+                        .filter(|c| r != s && of.contains(c))
+                        .map(|c| (c - of.start) as u32)
+                        .collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    assert_eq!(part.need[r][s], want, "p {p}: rank {r} from rank {s}");
+                }
+            }
+        }
     }
 
     #[test]

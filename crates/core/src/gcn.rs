@@ -6,7 +6,9 @@
 //! The engine decides nothing about the schedule. A plan expands into
 //! one ordered step list (`rdm_model::schedule`) — the list the
 //! conformance checker prices — and the engine interprets it over one
-//! [`FormCache`] per tensor, freeing a layout where a `Free` step says.
+//! [`FormCache`] per tensor the list writes, freeing a layout where a
+//! `Free` step says. The input `H⁰`, which the list only reads, is
+//! borrowed in the layouts it reads ([`RankInput`]).
 //! A `Convert` step is one blocking group all-to-all, tagged
 //! [`CollectiveKind::Redistribute`] where Table IV prices it (mismatched
 //! adjacent orders, loss boundary, non-memoized weight gradient) and
@@ -18,62 +20,95 @@
 //!
 //! A layer is two products — the aggregation (SpMM on the tile layout)
 //! and the update (GEMM on row slices) — in the plan's order; the forward
-//! and the backward pass (`Âᵀ`, `Wᵀ`) both run them. Both products have
-//! one body, `fed_product`: a product on a cached layout runs on it, and
-//! a product the step marks as fed converts the layout it has through the
-//! one redistribution primitive, running the kernel on each strip as it
-//! lands. Blocking is the one-strip
-//! pipeline, so every kernel span times the kernel it names, nested in the
-//! `Redistribute` span that feeds it.
+//! and the backward pass (`Âᵀ`, `Wᵀ`) both run them. A product on a held
+//! layout runs its kernel on it; a product the step marks as fed
+//! (`fed_product`) converts the layout it has through the one
+//! redistribution primitive, running the kernel on each strip as it lands
+//! and storing each strip's output once, in place. Blocking is the
+//! one-strip pipeline, so every kernel span times the kernel it names,
+//! nested in the `Redistribute` span that feeds it.
 
 use crate::dist::{DistMat, FormCache};
 use crate::ops::{row_gemm, weight_grad, OpCounters, Topology};
 use crate::plan::Plan;
 use rdm_comm::{CollectiveKind, Form, RankCtx};
-use rdm_dense::{hstack, relu_backward_in_place, relu_in_place, vstack, Mat};
-use rdm_model::{schedule, Op, Slot, Step};
+use rdm_dense::{part_range, relu_backward_in_place, relu_in_place, Mat, MatRef};
+use rdm_model::{reads, schedule, Op, Slot, Step};
 use rdm_trace::TraceCollective;
 use std::collections::BTreeMap;
+use std::mem::MaybeUninit;
 
-/// The one body of a product: `kernel` applied to `cache`'s form `to` —
-/// the tile form for the aggregation, row slices for the update —
-/// returning this rank's block of the product in that same form.
+/// The product of a fed step: `kernel` applied to `cache`'s form
+/// `to.other()` converted into form `to` — the tile form for the
+/// aggregation, row slices for the update — returning this rank's block of
+/// the width-`f_out` product in form `to`.
 ///
-/// Unless `fed`, the kernel runs on the cached form. Otherwise the other
-/// form is converted as `chunks` strips — blocking is the one-strip
+/// The conversion ships `chunks` strips — blocking is the one-strip
 /// pipeline — and the kernel runs on each strip as it lands, opening its
 /// own kernel span inside the `Redistribute` span that feeds it while
 /// later strips are in flight. Both kernels are strip-separable (SpMM
 /// output columns, GEMM output rows), so the product is bitwise the same
-/// for every strip count; one strip is moved out, not copied. The
-/// converted form lands in `cache`. What the pipeline hides is priced from
-/// the schedule (`rdm_model::RankPrice::hidden_ns`), not here.
+/// for every strip count. One strip's output is the product itself; with
+/// more, the product is allocated once, uninitialised, and each strip's
+/// output is stored at its offset as the strip lands and dropped before
+/// the next. The converted form lands in `cache`. What the pipeline hides
+/// is priced from the schedule (`rdm_model::RankPrice::hidden_ns`), not
+/// here.
 #[allow(clippy::too_many_arguments)]
 fn fed_product(
     ctx: &RankCtx,
     topo: &Topology,
     cache: &mut FormCache,
     to: Form,
-    fed: bool,
+    f_out: usize,
     chunks: usize,
     ops: &mut OpCounters,
-    mut kernel: impl FnMut(&Mat, &mut OpCounters) -> Mat,
+    mut kernel: impl FnMut(MatRef<'_>, &mut OpCounters) -> Mat,
 ) -> Mat {
-    if !fed {
-        return kernel(&cache.get(to).local, ops);
-    }
     let src = cache.get(to.other());
-    let mut outs: Vec<Mat> = Vec::with_capacity(chunks);
     let kind = CollectiveKind::Redistribute;
-    let converted = topo.convert(src, to, ctx, kind, chunks, |_, strip| {
-        outs.push(kernel(strip, ops))
-    });
-    cache.put(converted);
-    match (outs.len(), to) {
-        (1, _) => outs.pop().expect("one strip"),
-        (_, Form::Col) => hstack(&outs),
-        (_, Form::Row) => vstack(&outs),
+    if chunks == 1 {
+        let mut product = None;
+        let converted = topo.convert(src, to, ctx, kind, 1, |_, strip| {
+            product = Some(kernel(strip.into(), ops))
+        });
+        cache.put(converted);
+        return product.expect("one strip");
     }
+    let (rows, cols) = topo.local_shape(to, f_out, ctx.rank());
+    let mut converted = None;
+    let fill = |out: &mut [MaybeUninit<f32>]| {
+        // Rows (row slices) or columns (tiles) of the product stored so far.
+        let mut at = 0;
+        let landed = topo.convert(src, to, ctx, kind, chunks, |q, strip| {
+            let part = kernel(strip.into(), ops);
+            match to {
+                Form::Row => {
+                    assert_eq!(part.cols(), cols, "strip {q} has the wrong width");
+                    out[at * cols..][..part.len()].write_copy_of_slice(part.as_slice());
+                    at += part.rows();
+                }
+                Form::Col => {
+                    assert_eq!(part.rows(), rows, "strip {q} has the wrong height");
+                    for i in 0..rows {
+                        out[i * cols + at..][..part.cols()].write_copy_of_slice(part.row(i));
+                    }
+                    at += part.cols();
+                }
+            }
+        });
+        let extent = match to {
+            Form::Row => rows,
+            Form::Col => cols,
+        };
+        assert_eq!(at, extent, "the strips do not cover the product");
+        converted = Some(landed);
+    };
+    // SAFETY: `fill` returns only once its strips, side by side along the
+    // axis they cut, have stored every element of the `rows × cols` block.
+    let product = unsafe { Mat::write_once(rows, cols, fill) };
+    cache.put(converted.expect("the conversion landed"));
+    product
 }
 
 /// Replicated GCN weights, `w[l-1]` has shape `feats[l-1] × feats[l]`.
@@ -103,33 +138,125 @@ impl GcnWeights {
     pub fn shapes(&self) -> Vec<(usize, usize)> {
         self.w.iter().map(|m| m.shape()).collect()
     }
+
+    /// The layer widths `f_0 … f_L` the weights map between.
+    pub(crate) fn widths(&self) -> Vec<usize> {
+        std::iter::once(self.w[0].rows())
+            .chain(self.w.iter().map(Mat::cols))
+            .collect()
+    }
+}
+
+/// `H⁰` as one rank holds it for one schedule, in the layouts the schedule
+/// reads and no other: its row slice, a view into the features borrowed
+/// where some step reads `H⁰` row-sliced, and its tile, copied once where
+/// some step reads the tile layout — which only a layer 1 that aggregates
+/// first does (or a non-memoized weight gradient recomputing `Â·H⁰`). The
+/// schedule never writes, converts or frees `H⁰`, so epochs borrow one
+/// `RankInput` for a whole run (the initial distribution is free, §IV-B).
+pub struct RankInput<'a> {
+    /// This rank's row slice, read in place from the features.
+    pub(crate) row: Option<MatRef<'a>>,
+    /// This rank's tile of the features.
+    pub(crate) tile: Option<Mat>,
+}
+
+impl<'a> RankInput<'a> {
+    /// `features`' layouts on this rank that `steps` read, on `topo`.
+    pub(crate) fn new(features: &'a Mat, topo: &Topology, steps: &[Step], ctx: &RankCtx) -> Self {
+        let h0 = Slot::H(0);
+        let row = reads(steps, h0, Form::Row).then(|| {
+            let r = part_range(features.rows(), ctx.size(), ctx.rank());
+            features.row_view(r.start, r.end)
+        });
+        let tile = reads(steps, h0, Form::Col).then(|| topo.scatter_tile(features, ctx).local);
+        RankInput { row, tile }
+    }
+
+    /// `features`' layouts that the training epochs of `plan` with
+    /// `weights` read.
+    ///
+    /// # Panics
+    /// If the weights do not match the plan's layers.
+    pub fn for_plan(
+        features: &'a Mat,
+        topo: &Topology,
+        plan: &Plan,
+        weights: &GcnWeights,
+        ctx: &RankCtx,
+    ) -> Self {
+        let steps = plan_schedule(plan, plan.memoize, weights, false);
+        Self::new(features, topo, &steps, ctx)
+    }
+
+    /// Layout `form`.
+    ///
+    /// # Panics
+    /// If the schedule this input was made for never reads it.
+    fn get(&self, form: Form) -> MatRef<'_> {
+        match form {
+            Form::Row => self.row,
+            Form::Col => self.tile.as_ref().map(MatRef::from),
+        }
+        .expect("the schedule never reads this layout of H⁰")
+    }
+}
+
+/// `plan`'s schedule for `weights`' widths, memoized or not, from the input
+/// or (`held`) from layer 1's held aggregation.
+///
+/// # Panics
+/// If the weights do not match the plan's layers, or `held` is asked of a
+/// plan whose layer 1 is GEMM-first.
+fn plan_schedule(plan: &Plan, memoize: bool, weights: &GcnWeights, held: bool) -> Vec<Step> {
+    schedule(&plan.config, memoize, &weights.widths(), held)
+        .unwrap_or_else(|e| panic!("weights do not fit the plan: {e}"))
 }
 
 /// One epoch's schedule in execution: the plan's step list, how far it
-/// has run, and the tensors it has not freed. The forward pass runs it to
-/// the loss boundary; the backward pass runs the rest.
-pub struct ForwardArtifacts {
+/// has run, the borrowed input and the tensors it has not freed. The
+/// forward pass runs it to the loss boundary; the backward pass runs the
+/// rest.
+pub struct ForwardArtifacts<'a> {
     steps: Vec<Step>,
     /// Index of the next step to run.
     next: usize,
-    /// Ordered, so the tensors an epoch leaves behind are freed in one
-    /// order every run (the workspace pool's counts depend on it).
+    /// `H⁰`, read in place; `None` when the schedule starts from a held
+    /// `T¹` and never reads it.
+    input: Option<&'a RankInput<'a>>,
+    /// Every tensor the schedule writes. Ordered, so the tensors an epoch
+    /// leaves behind are freed in one order every run (the workspace pool's
+    /// counts depend on it).
     slots: BTreeMap<Slot, FormCache>,
     layers: usize,
 }
 
-impl ForwardArtifacts {
+/// Layout `form` of `slot`: `H⁰` from the borrowed input, every other
+/// tensor from its slot.
+fn layout<'s>(
+    input: Option<&'s RankInput<'_>>,
+    slots: &'s BTreeMap<Slot, FormCache>,
+    slot: Slot,
+    form: Form,
+) -> MatRef<'s> {
+    match slot {
+        Slot::H(0) => input.expect("the schedule reads H⁰").get(form),
+        _ => (&slots[&slot].get(form).local).into(),
+    }
+}
+
+impl<'a> ForwardArtifacts<'a> {
     /// The logits as a row-sliced matrix (the schedule converted them at
     /// the loss boundary of §IV-A.1 if the last layer left them
-    /// tile-sliced).
-    pub fn logits_row(&self) -> DistMat {
-        self.slots[&Slot::H(self.layers)].get(Form::Row).clone()
+    /// tile-sliced), borrowed: the backward pass still owns them.
+    pub fn logits_row(&self) -> &DistMat {
+        self.slots[&Slot::H(self.layers)].get(Form::Row)
     }
 
-    /// Hand back the input `H⁰`: the schedule reads it and never writes
-    /// or frees it.
-    pub(crate) fn take_input(&mut self) -> FormCache {
-        self.slots.remove(&Slot::H(0)).expect("the input")
+    /// The row-sliced logits, moved out of a pass that is done.
+    pub(crate) fn into_logits(mut self) -> DistMat {
+        let logits = self.slots.remove(&Slot::H(self.layers)).and_then(|h| h.row);
+        logits.expect("the logits, row-sliced")
     }
 
     /// Hand back layer 1's aggregation `T¹ = Â·H⁰`, row-sliced: what layer
@@ -151,8 +278,7 @@ impl ForwardArtifacts {
         ops: &mut OpCounters,
     ) {
         while let Some(&step) = self.steps.get(self.next) {
-            let slots = &mut self.slots;
-            let slot = |s: Slot| &slots[&s];
+            let (input, slots) = (self.input, &mut self.slots);
             match step {
                 Step::Loss => break,
                 Step::Convert {
@@ -162,7 +288,7 @@ impl ForwardArtifacts {
                         TraceCollective::Redistribute => CollectiveKind::Redistribute,
                         _ => CollectiveKind::Other,
                     };
-                    let m = topo.convert(slot(s).get(to.other()), to, ctx, kind, 1, |_, _| {});
+                    let m = topo.convert(slots[&s].get(to.other()), to, ctx, kind, 1, |_, _| {});
                     slots.get_mut(&s).expect("converted slot").put(m);
                 }
                 Step::Product {
@@ -175,17 +301,21 @@ impl ForwardArtifacts {
                     bwd,
                     ..
                 } => {
-                    let kernel = |m: &Mat, ops: &mut OpCounters| match op {
+                    let kernel = |m: MatRef<'_>, ops: &mut OpCounters| match op {
                         Op::Spmm => topo.spmm_tile(m, bwd, ctx, ops),
                         Op::Gemm => row_gemm(m, &weights.w[layer - 1], bwd, ops),
                     };
-                    let c = slots.get_mut(&src).expect("product source");
-                    let local = fed_product(ctx, topo, c, op.form(), fed, chunks, ops, kernel);
-                    let (dist, rows, cols) = (op.form(), topo.n, f_out);
+                    let (form, rows, cols) = (op.form(), topo.n, f_out);
+                    let local = if fed {
+                        let c = slots.get_mut(&src).expect("product source");
+                        fed_product(ctx, topo, c, form, f_out, chunks, ops, kernel)
+                    } else {
+                        kernel(layout(input, slots, src, form), ops)
+                    };
                     slots.insert(
                         dst,
                         FormCache::of(DistMat {
-                            dist,
+                            dist: form,
                             rows,
                             cols,
                             local,
@@ -193,8 +323,8 @@ impl ForwardArtifacts {
                     );
                 }
                 Step::WeightGrad { layer, a, b, .. } => {
-                    let (a, b) = (slot(a).get(Form::Row), slot(b).get(Form::Row));
-                    grads[layer - 1] = weight_grad(a, b, ctx, ops);
+                    let a = layout(input, slots, a, Form::Row);
+                    grads[layer - 1] = weight_grad(a, &slots[&b].get(Form::Row).local, ctx, ops);
                 }
                 Step::Relu { layer, form } => {
                     let z = slots.get_mut(&Slot::H(layer)).expect("activation");
@@ -228,59 +358,64 @@ pub(crate) fn activate(mut z: DistMat, apply: bool) -> DistMat {
 
 /// Run the forward pass of eq. (1)–(2) under `plan`.
 ///
-/// `input` must hold *both* layouts of `H^0` (the initial distribution is
-/// free — data is loaded wherever the plan wants it, §IV-B). Every
-/// product a conversion feeds runs as `chunks` strips (`1`: the classic
-/// blocking schedule); results and payload bytes are identical either way.
+/// `input` must hold the layouts of `H⁰` that the plan's epoch reads
+/// ([`RankInput::for_plan`]); the pass borrows it. Every product a
+/// conversion feeds runs as `chunks` strips (`1`: the classic blocking
+/// schedule); results and payload bytes are identical either way.
 /// `plan::resolve` decides `chunks` once per run.
-pub fn rdm_forward(
+pub fn rdm_forward<'a>(
     ctx: &RankCtx,
     topo: &Topology,
-    input: FormCache,
+    input: &'a RankInput<'a>,
     weights: &GcnWeights,
     plan: &Plan,
     chunks: usize,
     ops: &mut OpCounters,
-) -> ForwardArtifacts {
-    let entry = (Slot::H(0), input);
+) -> ForwardArtifacts<'a> {
+    let entry = Entry::Input(input);
     forward_pass(ctx, topo, entry, weights, plan, plan.memoize, chunks, ops)
 }
 
+/// Where a forward pass starts.
+pub(crate) enum Entry<'a> {
+    /// The input `H⁰`, borrowed.
+    Input(&'a RankInput<'a>),
+    /// Layer 1's held aggregation `T¹`, row-sliced: a full-graph serving
+    /// batch after the first starts at layer 1's GEMM.
+    Held(DistMat),
+}
+
 /// The one forward loop: `plan`'s schedule, memoized or not, run to the
-/// loss boundary from `entry`. The entry is the dual-form input `H⁰` —
-/// or, in a full-graph serving batch after the first, layer 1's held
-/// aggregation `T¹`, row-sliced, from which the `held` schedule starts at
-/// layer 1's GEMM.
+/// loss boundary from `entry`.
 ///
 /// # Panics
 /// If the weights do not match the plan's layers, the plan's replication
 /// factor is not the topology's, or `T¹` is held by a plan whose first
 /// layer is GEMM-first.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_pass(
+pub(crate) fn forward_pass<'a>(
     ctx: &RankCtx,
     topo: &Topology,
-    entry: (Slot, FormCache),
+    entry: Entry<'a>,
     weights: &GcnWeights,
     plan: &Plan,
     memoize: bool,
     chunks: usize,
     ops: &mut OpCounters,
-) -> ForwardArtifacts {
+) -> ForwardArtifacts<'a> {
     assert_eq!(
         plan.r_a, topo.grid.r_a,
         "plan replication factor does not match the topology"
     );
-    let feats: Vec<usize> = std::iter::once(weights.w[0].rows())
-        .chain(weights.w.iter().map(Mat::cols))
-        .collect();
-    let held = entry.0 == Slot::T(1);
-    let steps = schedule(&plan.config, memoize, &feats, held)
-        .unwrap_or_else(|e| panic!("weights do not fit the plan: {e}"));
+    let (input, slots) = match entry {
+        Entry::Input(input) => (Some(input), BTreeMap::new()),
+        Entry::Held(t) => (None, BTreeMap::from([(Slot::T(1), FormCache::of_row(t))])),
+    };
     let mut art = ForwardArtifacts {
-        steps,
+        steps: plan_schedule(plan, memoize, weights, input.is_none()),
         next: 0,
-        slots: BTreeMap::from([entry]),
+        input,
+        slots,
         layers: weights.layers(),
     };
     art.run(ctx, topo, weights, chunks, &mut [], ops);
@@ -303,7 +438,7 @@ pub struct BackwardResult {
 pub fn rdm_backward(
     ctx: &RankCtx,
     topo: &Topology,
-    artifacts: &mut ForwardArtifacts,
+    artifacts: &mut ForwardArtifacts<'_>,
     weights: &GcnWeights,
     loss_grad: DistMat,
     chunks: usize,
@@ -392,14 +527,6 @@ pub mod serial {
     }
 }
 
-/// Build the input [`FormCache`] for a topology: both layouts of the
-/// feature matrix, sliced locally (the initial distribution is free).
-pub fn input_cache(features: &Mat, topo: &Topology, ctx: &RankCtx) -> FormCache {
-    let mut c = FormCache::of_row(DistMat::scatter_rows(features, ctx.size(), ctx.rank()));
-    c.put(topo.scatter_tile(features, ctx));
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,8 +557,8 @@ mod tests {
             let out = Cluster::new(4).run(move |ctx| {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
-                let input = input_cache(&feats, &topo, ctx);
-                let art = rdm_forward(ctx, &topo, input, &w2, &plan, 1, &mut ops);
+                let input = RankInput::for_plan(&feats, &topo, &plan, &w2, ctx);
+                let art = rdm_forward(ctx, &topo, &input, &w2, &plan, 1, &mut ops);
                 let logits = art.logits_row();
                 logits.gather(ctx, CollectiveKind::Other)
             });
@@ -464,15 +591,15 @@ mod tests {
             let out = Cluster::new(4).run(move |ctx| {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
-                let input = input_cache(&feats, &topo, ctx);
-                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, 1, &mut ops);
+                let input = RankInput::for_plan(&feats, &topo, &plan, &w2, ctx);
+                let mut art = rdm_forward(ctx, &topo, &input, &w2, &plan, 1, &mut ops);
                 let logits = art.logits_row();
                 let spec = LossSpec {
                     labels: &labels,
                     mask: &m2,
                     num_classes: 4,
                 };
-                let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
+                let (_, lgrad) = softmax_xent(logits, &spec, ctx);
                 let back = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, 1, &mut ops);
                 let g0 = match back.g0.dist {
                     Dist::Row => back.g0.gather(ctx, CollectiveKind::Other),
@@ -521,15 +648,15 @@ mod tests {
             let out = Cluster::new(4).run(move |ctx| {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
-                let input = input_cache(&feats, &topo, ctx);
-                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, 1, &mut ops);
+                let input = RankInput::for_plan(&feats, &topo, &plan, &w2, ctx);
+                let mut art = rdm_forward(ctx, &topo, &input, &w2, &plan, 1, &mut ops);
                 let logits = art.logits_row();
                 let spec = LossSpec {
                     labels: &labels,
                     mask: &m2,
                     num_classes: 4,
                 };
-                let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
+                let (_, lgrad) = softmax_xent(logits, &spec, ctx);
                 let back = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, 1, &mut ops);
                 back.weight_grads
             });
@@ -573,15 +700,15 @@ mod tests {
                 let out = Cluster::new(p).run(move |ctx| {
                     let topo = Topology::new(&adj, r_a, ctx);
                     let mut ops = OpCounters::default();
-                    let input = input_cache(&feats, &topo, ctx);
-                    let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, 1, &mut ops);
+                    let input = RankInput::for_plan(&feats, &topo, &plan, &w2, ctx);
+                    let mut art = rdm_forward(ctx, &topo, &input, &w2, &plan, 1, &mut ops);
                     let logits = art.logits_row();
                     let spec = LossSpec {
                         labels: &labels,
                         mask: &m2,
                         num_classes: 4,
                     };
-                    let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
+                    let (_, lgrad) = softmax_xent(logits, &spec, ctx);
                     let back = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, 1, &mut ops);
                     back.weight_grads
                 });
@@ -621,8 +748,8 @@ mod tests {
             Cluster::new(4).run(move |ctx| {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
-                let input = input_cache(&feats, &topo, ctx);
-                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, 1, &mut ops);
+                let input = RankInput::for_plan(&feats, &topo, &plan, &w2, ctx);
+                let mut art = rdm_forward(ctx, &topo, &input, &w2, &plan, 1, &mut ops);
                 let logits = art.logits_row();
                 let mask = vec![true; labels.len()];
                 let spec = LossSpec {
@@ -630,7 +757,7 @@ mod tests {
                     mask: &mask,
                     num_classes: 4,
                 };
-                let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
+                let (_, lgrad) = softmax_xent(logits, &spec, ctx);
                 let back = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, 1, &mut ops);
                 (back.weight_grads, ops)
             })
@@ -675,8 +802,8 @@ mod tests {
             let out = Cluster::new(p).run(move |ctx| {
                 let topo = Topology::full(&adj, ctx);
                 let mut ops = OpCounters::default();
-                let input = input_cache(&feats, &topo, ctx);
-                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, 1, &mut ops);
+                let input = RankInput::for_plan(&feats, &topo, &plan, &w2, ctx);
+                let mut art = rdm_forward(ctx, &topo, &input, &w2, &plan, 1, &mut ops);
                 let logits = art.logits_row();
                 let mask = vec![true; labels.len()];
                 let spec = LossSpec {
@@ -684,7 +811,7 @@ mod tests {
                     mask: &mask,
                     num_classes: 4,
                 };
-                let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
+                let (_, lgrad) = softmax_xent(logits, &spec, ctx);
                 let _ = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, 1, &mut ops);
                 ops
             });
@@ -736,8 +863,8 @@ mod tests {
             let out = Cluster::new(p).run(move |ctx| {
                 let topo = Topology::new(&adj, r_a, ctx);
                 let mut ops = OpCounters::default();
-                let input = input_cache(&feats, &topo, ctx);
-                let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, 1, &mut ops);
+                let input = RankInput::for_plan(&feats, &topo, &plan, &w2, ctx);
+                let mut art = rdm_forward(ctx, &topo, &input, &w2, &plan, 1, &mut ops);
                 let logits = art.logits_row();
                 let mask = vec![true; labels.len()];
                 let spec = LossSpec {
@@ -745,7 +872,7 @@ mod tests {
                     mask: &mask,
                     num_classes: 4,
                 };
-                let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
+                let (_, lgrad) = softmax_xent(logits, &spec, ctx);
                 let _ = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, 1, &mut ops);
             });
             let measured: u64 = out
@@ -779,8 +906,8 @@ mod tests {
         let out = Cluster::new(p).run(move |ctx| {
             let topo = Topology::full(&adj, ctx);
             let mut ops = OpCounters::default();
-            let input = input_cache(&feats, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, 1, &mut ops);
+            let input = RankInput::for_plan(&feats, &topo, &plan, &w2, ctx);
+            let mut art = rdm_forward(ctx, &topo, &input, &w2, &plan, 1, &mut ops);
             let logits = art.logits_row();
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
@@ -788,7 +915,7 @@ mod tests {
                 mask: &mask,
                 num_classes: 4,
             };
-            let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
+            let (_, lgrad) = softmax_xent(logits, &spec, ctx);
             let _ = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, 1, &mut ops);
         });
         let redistribute: u64 = out
@@ -836,8 +963,8 @@ mod tests {
             let nnz = topo.panel.nnz();
             let kept = topo.mask.map_or(nnz, |m| m.iter().filter(|&&k| k).count());
             let mut ops = OpCounters::default();
-            let input = input_cache(&ds.features, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, weights, plan, chunks, &mut ops);
+            let input = RankInput::for_plan(&ds.features, &topo, plan, weights, ctx);
+            let mut art = rdm_forward(ctx, &topo, &input, weights, plan, chunks, &mut ops);
             let logits = art.logits_row();
             let mask = vec![true; ds.labels.len()];
             let lspec = LossSpec {
@@ -845,7 +972,7 @@ mod tests {
                 mask: &mask,
                 num_classes: 4,
             };
-            let (loss, lgrad) = softmax_xent(&logits, &lspec, ctx);
+            let (loss, lgrad) = softmax_xent(logits, &lspec, ctx);
             let back = rdm_backward(ctx, &topo, &mut art, weights, lgrad, chunks, &mut ops);
             let g0 = match back.g0.dist {
                 Dist::Row => back.g0.gather(ctx, CollectiveKind::Other),
@@ -927,6 +1054,25 @@ mod tests {
             }
             assert_masked_fmas(&blocking_runs[0], &blocking_runs[1], &format!("id {id}"));
         }
+    }
+
+    /// A pipelined product is written once: at `P = 4`, `R_A = 2` and 3
+    /// strips, plan 10's warm-up epoch takes exactly 72 fresh workspace
+    /// buffers over its ranks — 88 while every strip's output was kept for a
+    /// closing concatenation and the logits were cloned to be scored — and
+    /// a steady epoch none.
+    #[test]
+    fn pipelined_products_are_written_once_from_the_warm_up_epoch_on() {
+        let ds = toy(64, 5);
+        let plan = Plan::from_id(10, 2, 4).with_ra(2);
+        let cfg = crate::TrainerConfig::rdm(4, plan)
+            .overlap(3)
+            .hidden(8)
+            .epochs(3);
+        let report = crate::train_gcn(&ds, &cfg).expect("a valid configuration");
+        assert_eq!(report.overlap_inert_reason(), None, "the pipeline must run");
+        let fresh: Vec<u64> = report.epochs.iter().map(|e| e.ws_fresh()).collect();
+        assert_eq!(fresh, [72, 0, 0]);
     }
 
     /// Replicated-panel parity: at `R_A < P` the pipelined engine (dense

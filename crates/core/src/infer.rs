@@ -7,13 +7,13 @@
 //! forward half runs. That shared implementation is what makes the
 //! serving outputs bitwise identical to a direct engine pass.
 
-use crate::dist::{DistMat, FormCache};
-use crate::gcn::{forward_pass, input_cache, GcnWeights};
+use crate::dist::DistMat;
+use crate::gcn::{forward_pass, Entry, GcnWeights, RankInput};
 use crate::ops::{OpCounters, Topology};
 use crate::plan::Plan;
 use rdm_comm::RankCtx;
 use rdm_dense::Mat;
-use rdm_model::Slot;
+use rdm_model::forward_schedule;
 use rdm_sparse::Csr;
 
 /// One forward-only pass over a (sub)graph: aggregate `adj_norm`, apply
@@ -46,9 +46,12 @@ pub fn forward_logits(
 /// Frozen weights and a fixed graph make `T¹` a constant of the session.
 /// An empty `held` (batch 0) runs the whole forward and is then filled
 /// with `T¹`'s row slice, moved out of the pass; a filled one seeds the
-/// pass instead of the input, which is then never built, and layer 1
-/// starts at its GEMM. `T¹`'s row slice exists on every grid (`r_a | p`),
-/// and both knobs keep the logits bitwise identical to a direct forward.
+/// pass instead of the input, which is then never read, and layer 1
+/// starts at its GEMM. A pass from the input borrows `features`' row
+/// slice where it reads one and copies its tile only where layer 1
+/// aggregates first ([`RankInput`]). `T¹`'s row slice exists on every
+/// grid (`r_a | p`), and both knobs keep the logits bitwise identical to
+/// a direct forward.
 ///
 /// # Panics
 /// If `plan.r_a` does not divide `p`, or `held` is supplied for a plan
@@ -73,19 +76,25 @@ pub fn forward_logits_with(
     );
     let mut topo = Topology::new(adj_norm, plan.r_a, ctx);
     topo.set_sparse(sparse);
-    let entry = match held.as_deref_mut().and_then(Option::take) {
-        Some(t) => (Slot::T(1), FormCache::of_row(t)),
-        None => (Slot::H(0), input_cache(features, &topo, ctx)),
-    };
     // Without a backward pass, memoization only decides how long each
     // aggregation lives: a holding session memoizes, so batch 0 leaves
     // `T¹` behind.
     let memoize = plan.memoize || held.is_some();
+    let input;
+    let entry = match held.as_deref_mut().and_then(Option::take) {
+        Some(t) => Entry::Held(t),
+        None => {
+            let steps = forward_schedule(&plan.config, memoize, &weights.widths(), false)
+                .unwrap_or_else(|e| panic!("weights do not fit the plan: {e}"));
+            input = RankInput::new(features, &topo, &steps, ctx);
+            Entry::Input(&input)
+        }
+    };
     let mut art = forward_pass(ctx, &topo, entry, weights, plan, memoize, chunks, ops);
     if let Some(held) = held {
         *held = Some(art.take_aggregation());
     }
-    art.logits_row()
+    art.into_logits()
 }
 
 #[cfg(test)]

@@ -134,13 +134,22 @@ pub fn book_unit<R>(
     (out, book)
 }
 
+/// An epoch's evaluation: the training loss and the train and test
+/// accuracy.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct EpochScore {
+    pub loss: f32,
+    pub train_acc: f32,
+    pub test_acc: f32,
+}
+
 /// What one rank recorded during one epoch (returned from inside the SPMD
 /// closure; aggregated into [`EpochMetrics`] by the trainer).
 #[derive(Clone, Debug)]
 pub struct RankEpoch {
-    pub loss: f32,
-    pub train_acc: f32,
-    pub test_acc: f32,
+    /// The epoch's score, where this rank evaluated it: rank 0 always
+    /// does, the other ranks of a sampling trainer never (`None`).
+    pub score: Option<EpochScore>,
     /// What this rank measured over the epoch.
     pub book: UnitBook,
 }
@@ -177,11 +186,12 @@ pub struct EpochMetrics {
 
 impl EpochMetrics {
     /// Aggregate per-rank records, each beside its rank's priced hidden
-    /// time in `hidden_ns`, under a device model. The plan id is left
-    /// unset: the caller knows the plan.
+    /// time in `hidden_ns`, under a device model, scored by rank 0. The
+    /// plan id is left unset: the caller knows the plan.
     ///
     /// # Panics
-    /// If there are no ranks, or not one hidden time per rank.
+    /// If there are no ranks, not one hidden time per rank, or rank 0 did
+    /// not score the epoch.
     pub fn from_ranks(
         epoch: usize,
         ranks: &[RankEpoch],
@@ -190,6 +200,7 @@ impl EpochMetrics {
     ) -> Self {
         assert!(!ranks.is_empty());
         assert_eq!(ranks.len(), hidden_ns.len(), "one hidden time per rank");
+        let score = ranks[0].score.expect("rank 0 scores every epoch");
         let mut comm = CommStats::default();
         let mut ops = OpCounters::default();
         for r in ranks {
@@ -205,9 +216,9 @@ impl EpochMetrics {
             ws_fresh: ranks.iter().map(|r| r.book.ws_fresh).sum(),
             ws_reused: ranks.iter().map(|r| r.book.ws_reused).sum(),
             epoch,
-            loss: ranks[0].loss,
-            train_acc: ranks[0].train_acc,
-            test_acc: ranks[0].test_acc,
+            loss: score.loss,
+            train_acc: score.train_acc,
+            test_acc: score.test_acc,
             wall: ranks.iter().map(|r| r.book.wall).max().unwrap(),
             comm_wall: ranks.iter().map(|r| r.book.comm.comm_time).max().unwrap(),
             total_bytes: comm.total_bytes(),
@@ -383,9 +394,11 @@ mod tests {
         comm.record_send(CollectiveKind::Redistribute, bytes);
         comm.record_time(Duration::from_millis(ms / 4));
         RankEpoch {
-            loss: 1.0,
-            train_acc: 0.5,
-            test_acc: 0.4,
+            score: Some(EpochScore {
+                loss: 1.0,
+                train_acc: 0.5,
+                test_acc: 0.4,
+            }),
             book: UnitBook {
                 wall: Duration::from_millis(ms),
                 comm,

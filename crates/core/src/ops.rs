@@ -12,7 +12,7 @@ use std::borrow::Cow;
 use crate::dist::{Dist, DistMat};
 use rdm_comm::{CollectiveKind, Form, RankCtx, Redistribution, Wire};
 use rdm_dense::kernels::{call_mode, Kernel};
-use rdm_dense::{gemm, gemm_nt, gemm_tn, Mat};
+use rdm_dense::{gemm, gemm_nt, gemm_tn, Mat, MatRef};
 use rdm_model::Graph;
 use rdm_sparse::{spmm, spmm_masked, Csr};
 use rdm_trace::Span;
@@ -41,9 +41,15 @@ pub fn dist_gemm(input: &DistMat, w: &Mat, transposed: bool, ops: &mut OpCounter
 }
 
 /// The local product of [`dist_gemm`] on any block of whole rows — a row
-/// slice, or one strip of it as a redistribution delivers it — inside a
-/// `Gemm` span shaped as that block.
-pub(crate) fn row_gemm(rows: &Mat, w: &Mat, transposed: bool, ops: &mut OpCounters) -> Mat {
+/// slice, owned or borrowed, or one strip of it as a redistribution
+/// delivers it — inside a `Gemm` span shaped as that block.
+pub(crate) fn row_gemm<'a>(
+    rows: impl Into<MatRef<'a>>,
+    w: &Mat,
+    transposed: bool,
+    ops: &mut OpCounters,
+) -> Mat {
+    let rows = rows.into();
     let (k, n) = if transposed {
         (w.cols(), w.rows())
     } else {
@@ -64,26 +70,26 @@ pub(crate) fn row_gemm(rows: &Mat, w: &Mat, transposed: bool, ops: &mut OpCounte
     }
 }
 
-/// Weight gradient `Y = AᵀB` for two row-sliced matrices with identical
-/// row distributions: local partial product plus an all-reduce of the
-/// small `f_a × f_b` result. Returns the replicated gradient.
-pub fn weight_grad(a: &DistMat, b: &DistMat, ctx: &RankCtx, ops: &mut OpCounters) -> Mat {
-    assert_eq!(a.dist, Dist::Row, "weight_grad needs row-sliced operands");
-    assert_eq!(b.dist, Dist::Row, "weight_grad needs row-sliced operands");
-    assert_eq!(a.rows, b.rows, "weight_grad: row spaces differ");
-    assert_eq!(
-        a.local.rows(),
-        b.local.rows(),
-        "weight_grad: local row blocks differ"
-    );
+/// Weight gradient `Y = AᵀB` from this rank's row slices of two matrices
+/// with identical row distributions (`A`'s owned or borrowed): local
+/// partial product plus an all-reduce of the small `f_a × f_b` result.
+/// Returns the replicated gradient.
+pub fn weight_grad<'a>(
+    a: impl Into<MatRef<'a>>,
+    b: &Mat,
+    ctx: &RankCtx,
+    ops: &mut OpCounters,
+) -> Mat {
+    let a = a.into();
+    assert_eq!(a.rows(), b.rows(), "weight_grad: local row blocks differ");
     let _span = rdm_trace::span(Span::Gemm {
-        m: a.cols,
-        n: b.cols,
-        k: a.local.rows(),
-        width: call_mode(Kernel::Gemm, b.cols).width(),
+        m: a.cols(),
+        n: b.cols(),
+        k: a.rows(),
+        width: call_mode(Kernel::Gemm, b.cols()).width(),
     });
-    let partial = gemm_tn(&a.local, &b.local);
-    ops.gemm_fma += a.local.rows() as f64 * a.cols as f64 * b.cols as f64;
+    let partial = gemm_tn(a, b);
+    ops.gemm_fma += a.rows() as f64 * a.cols() as f64 * b.cols() as f64;
     // Ring all-reduce: 2·(P-1)/P·|Y| per rank, the NCCL-style
     // bandwidth-optimal schedule (the naive gather would grow the total
     // volume quadratically in P).
@@ -178,15 +184,16 @@ impl PanelGrid {
 /// Total traffic per product: `(P/R_A - 1) · N · f` elements (§III-E);
 /// at full replication the column group is this rank alone and the tile
 /// *is* the column slice, multiplied in place.
-pub fn panel_spmm(
+pub fn panel_spmm<'a>(
     grid: PanelGrid,
     panel: &Csr,
     mask: Option<&[bool]>,
-    tile: &Mat,
+    tile: impl Into<MatRef<'a>>,
     global_rows: usize,
     ctx: &RankCtx,
     ops: &mut OpCounters,
 ) -> Mat {
+    let tile = tile.into();
     let nnz = mask.map_or(panel.nnz(), |m| m.iter().filter(|&&keep| keep).count());
     let _span = rdm_trace::span(Span::Spmm {
         rows: panel.rows(),
@@ -204,12 +211,12 @@ pub fn panel_spmm(
         let parts: Vec<Mat> = col_group
             .iter()
             .map(|&root| {
-                let payload = (root == ctx.rank()).then(|| tile.clone());
+                let payload = (root == ctx.rank()).then(|| tile.to_mat());
                 ctx.group_broadcast(&col_group, root, payload, CollectiveKind::Broadcast)
             })
             .collect();
         assembled = rdm_dense::vstack(&parts);
-        &assembled
+        MatRef::from(&assembled)
     };
     assert_eq!(
         col_slice.rows(),
@@ -337,7 +344,16 @@ impl<'a> Topology<'a> {
         self.grid.panel_rows(self.n, self.grid.panel_of(rank))
     }
 
-    /// Take this rank's tile of a global matrix (setup/tests only).
+    /// The shape of `rank`'s block of a width-`f` matrix in form `form`:
+    /// its row slice, or its tile.
+    pub(crate) fn local_shape(&self, form: Form, f: usize, rank: usize) -> (usize, usize) {
+        match form {
+            Form::Row => (rdm_dense::part_range(self.n, self.grid.p, rank).len(), f),
+            Form::Col => (self.tile_rows(rank).len(), self.tile_cols(f, rank).len()),
+        }
+    }
+
+    /// Take this rank's tile of a global matrix (set-up only).
     pub fn scatter_tile(&self, global: &Mat, ctx: &RankCtx) -> DistMat {
         let r = self.tile_rows(ctx.rank());
         let c = self.tile_cols(global.cols(), ctx.rank());
@@ -370,9 +386,9 @@ impl<'a> Topology<'a> {
     /// columns of this rank's tile — the tile, or one strip of it as a
     /// redistribution delivers it — by `Â`'s panel, or — for the backward
     /// pass (`bwd`) of a non-symmetric aggregation — by `Âᵀ`'s.
-    pub(crate) fn spmm_tile(
+    pub(crate) fn spmm_tile<'t>(
         &self,
-        tile: &Mat,
+        tile: impl Into<MatRef<'t>>,
         bwd: bool,
         ctx: &RankCtx,
         ops: &mut OpCounters,
@@ -555,7 +571,7 @@ mod tests {
             let mut ops = OpCounters::default();
             let da = DistMat::scatter_rows(&a, ctx.size(), ctx.rank());
             let db = DistMat::scatter_rows(&b, ctx.size(), ctx.rank());
-            weight_grad(&da, &db, ctx, &mut ops)
+            weight_grad(&da.local, &db.local, ctx, &mut ops)
         });
         for got in &out.results {
             assert!(allclose(got, &expect, 1e-4));

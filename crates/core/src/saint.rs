@@ -32,10 +32,11 @@
 //! Held-out evaluation runs as a *serial local forward* on the full graph
 //! (weights are replicated, the graph fits every rank at our scale), so it
 //! adds no inter-rank traffic and is excluded from timed communication.
+//! Rank 0 alone runs it: the weights it scores are every rank's.
 
-use crate::dist::FormCache;
-use crate::gcn::{input_cache, serial, GcnWeights};
+use crate::gcn::{serial, GcnWeights, RankInput};
 use crate::loss::serial as loss_serial;
+use crate::metrics::EpochScore;
 use crate::ops::{OpCounters, Topology};
 use crate::plan::{best_plan, Plan};
 use crate::trainer::{split_mask, Algo, Model, Targets, Trainer, TrainerConfig};
@@ -71,17 +72,22 @@ impl<'a> SaintCommon<'a> {
         }
     }
 
-    /// Close the epoch with a serial full-graph evaluation:
-    /// (train loss, train acc, test acc).
-    fn finish_epoch(&mut self) -> (f32, f32, f32) {
+    /// Close the epoch; on rank 0, score it with a serial full-graph
+    /// evaluation of the replicated weights.
+    fn finish_epoch(&mut self, ctx: &RankCtx) -> Option<EpochScore> {
         self.epoch_no += 1;
+        if ctx.rank() != 0 {
+            return None;
+        }
         let (ds, t) = (self.ds, self.targets);
         let h = serial::forward(&ds.adj_norm, &ds.features, &self.model.weights);
         let logits = h.last().unwrap();
         let (loss, _) = loss_serial::softmax_xent(logits, &t.labels, &t.train);
-        let tr = loss_serial::accuracy(logits, &t.labels, &t.train);
-        let te = loss_serial::accuracy(logits, &t.labels, &t.test);
-        (loss, tr, te)
+        Some(EpochScore {
+            loss,
+            train_acc: loss_serial::accuracy(logits, &t.labels, &t.train),
+            test_acc: loss_serial::accuracy(logits, &t.labels, &t.test),
+        })
     }
 }
 
@@ -222,21 +228,23 @@ impl<'a> SaintRdmTrainer<'a> {
 
 impl Trainer for SaintRdmTrainer<'_> {
     /// One epoch = the host's draws, each that is not degenerate trained
-    /// across all ranks with the RDM step; returns a full-graph evaluation.
-    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
+    /// across all ranks with the RDM step; rank 0 scores the epoch on the
+    /// full graph.
+    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> Option<EpochScore> {
         let c = &mut self.common;
         for _ in 0..c.steps_per_epoch {
             let draw = self.draws.next();
             let Some(plan) = &draw.plan else {
                 continue; // degenerate draw
             };
-            // Distribute the subgraph inputs (local slicing, no traffic).
+            // The subgraph's inputs, sliced or borrowed locally (no traffic).
             let topo = Topology::full(&draw.sub.adj_norm, ctx);
-            let mut input = input_cache(&draw.sub.features, &topo, ctx);
+            let features = &draw.sub.features;
+            let input = RankInput::for_plan(features, &topo, plan, &c.model.weights, ctx);
             c.model
-                .rdm_step(ctx, &topo, &mut input, plan, &draw.targets, false, 1, ops);
+                .rdm_step(ctx, &topo, &input, plan, &draw.targets, false, 1, ops);
         }
-        c.finish_epoch()
+        c.finish_epoch(ctx)
     }
 
     fn weights(&self) -> &GcnWeights {
@@ -268,7 +276,7 @@ impl<'a> SaintDdpTrainer<'a> {
 impl Trainer for SaintDdpTrainer<'_> {
     /// One epoch; every step trains `P` subgraphs (one per rank) and takes
     /// a single averaged optimizer step.
-    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
+    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> Option<EpochScore> {
         let c = &mut self.common;
         let p = ctx.size();
         for step in 0..c.steps_per_epoch {
@@ -306,7 +314,7 @@ impl Trainer for SaintDdpTrainer<'_> {
             let m = &mut c.model;
             m.adam.step(&mut m.weights.w, &avg);
         }
-        c.finish_epoch()
+        c.finish_epoch(ctx)
     }
 
     fn weights(&self) -> &GcnWeights {
@@ -343,7 +351,8 @@ pub(crate) struct SaintMaskedTrainer<'a> {
     common: SaintCommon<'a>,
     /// The run's scaled adjacency, borrowed; each step installs its mask.
     topo: Topology<'a>,
-    input: FormCache,
+    /// The layouts of the input features the plan reads, for every step.
+    input: RankInput<'a>,
     plan: &'a Plan,
     /// The host's masks, read in place.
     draws: &'a Intake<'a, Draw>,
@@ -359,9 +368,11 @@ impl<'a> SaintMaskedTrainer<'a> {
         ctx: &RankCtx,
     ) -> Self {
         let topo = Topology::full(&scaled.adj, ctx);
+        let common = SaintCommon::new(ds, cfg, targets);
+        let weights = &common.model.weights;
         SaintMaskedTrainer {
-            common: SaintCommon::new(ds, cfg, targets),
-            input: input_cache(&ds.features, &topo, ctx),
+            input: RankInput::for_plan(&ds.features, &topo, &scaled.plan, weights, ctx),
+            common,
             topo,
             plan: &scaled.plan,
             draws,
@@ -370,19 +381,19 @@ impl<'a> SaintMaskedTrainer<'a> {
 }
 
 impl Trainer for SaintMaskedTrainer<'_> {
-    /// One epoch = `⌈1/keep⌉` masked full-graph steps; returns an unmasked
-    /// evaluation.
-    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
+    /// One epoch = `⌈1/keep⌉` masked full-graph steps; rank 0 scores the
+    /// epoch unmasked.
+    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> Option<EpochScore> {
         let c = &mut self.common;
         for _ in 0..c.steps_per_epoch {
             let draw = self.draws.next();
             let mut topo = self.topo.clone();
             topo.set_mask(&draw.mask);
-            let (input, plan) = (&mut self.input, self.plan);
+            let (input, plan) = (&self.input, self.plan);
             c.model
                 .rdm_step(ctx, &topo, input, plan, c.targets, false, 1, ops);
         }
-        c.finish_epoch()
+        c.finish_epoch(ctx)
     }
 
     fn weights(&self) -> &GcnWeights {
@@ -403,13 +414,20 @@ mod tests {
         SaintSampler::Node { budget: 40 }
     }
 
-    /// Every rank's result of each of `epochs` epochs of `cfg`.
-    fn run(ds: &Dataset, cfg: TrainerConfig, epochs: usize) -> Vec<Vec<(f32, f32, f32)>> {
-        on_ranks(ds, &cfg.epochs(epochs), |t, ctx| {
+    /// Rank 0's score of each of `epochs` epochs of `cfg`, once every rank
+    /// has ended on the same weights and no other rank has scored.
+    fn run(ds: &Dataset, cfg: TrainerConfig, epochs: usize) -> Vec<EpochScore> {
+        let out = on_ranks(ds, &cfg.epochs(epochs), |t, ctx| {
             let mut ops = OpCounters::default();
-            (0..epochs).map(|_| t.epoch(ctx, &mut ops)).collect()
+            let scores: Vec<_> = (0..epochs).map(|_| t.epoch(ctx, &mut ops)).collect();
+            (scores, t.weights().w.clone())
         })
-        .results
+        .results;
+        for (rank, (scores, w)) in out.iter().enumerate().skip(1) {
+            assert_eq!(*w, out[0].1, "rank {rank}'s weights drifted");
+            assert!(scores.iter().all(Option::is_none), "rank {rank} scored");
+        }
+        out[0].0.iter().map(|s| s.expect("rank 0 scores")).collect()
     }
 
     #[test]
@@ -419,7 +437,7 @@ mod tests {
             .hidden(16)
             .lr(0.02)
             .seed(3);
-        let accs: Vec<f32> = run(&ds, cfg, 6)[0].iter().map(|e| e.2).collect();
+        let accs: Vec<f32> = run(&ds, cfg, 6).iter().map(|e| e.test_acc).collect();
         let baseline = 1.0 / 4.0; // 4 classes
         assert!(
             *accs.last().unwrap() > baseline + 0.2,
@@ -429,8 +447,8 @@ mod tests {
 
     /// A draw too small to spread over the ranks is fed like any other
     /// and skipped by every rank: an epoch of nothing but degenerate draws
-    /// trains nothing — no traffic, no FMAs, the initial weights — and
-    /// every rank reports the same evaluation.
+    /// trains nothing — no traffic, no FMAs, the initial weights on every
+    /// rank.
     #[test]
     fn an_epoch_of_degenerate_draws_trains_nothing() {
         let ds = toy(120, 5);
@@ -448,8 +466,7 @@ mod tests {
         let init = GcnWeights::init(&ds.shape_layers(8, 2).feats, cfg.seed);
         let trained = report.weights.unwrap().to_weights();
         assert!(trained.w.iter().zip(&init.w).all(|(a, b)| a == b));
-        let out = run(&ds, cfg, 2);
-        assert!(out.iter().all(|r| *r == out[0]), "ranks disagree: {out:?}");
+        run(&ds, cfg, 2);
     }
 
     /// In an epoch of mixed draws the ranks train exactly the draws that
@@ -504,15 +521,8 @@ mod tests {
             .hidden(16)
             .lr(0.02)
             .seed(3);
-        let out = run(&ds, cfg, 6);
-        let first = out[0][5];
-        for r in &out {
-            assert!(
-                (r[5].2 - first.2).abs() < 1e-6,
-                "ranks disagree on accuracy"
-            );
-        }
-        assert!(first.2 > 0.45, "SAINT-DDP failed to learn: {first:?}");
+        let last = run(&ds, cfg, 6)[5];
+        assert!(last.test_acc > 0.45, "SAINT-DDP failed to learn: {last:?}");
     }
 
     #[test]
@@ -550,12 +560,8 @@ mod tests {
             .hidden(16)
             .lr(0.02)
             .seed(3);
-        let out = run(&ds, cfg, 8);
-        let acc = out[0][7].2;
+        let acc = run(&ds, cfg, 8)[7].test_acc;
         assert!(acc > 0.5, "masked-SpMM training failed to learn: {acc}");
-        for r in &out {
-            assert_eq!(r[7].2, acc, "ranks disagree");
-        }
     }
 
     /// Every rank of a masked run borrows the one scaled adjacency built
@@ -629,8 +635,12 @@ mod tests {
             let (l2, _) = loss_serial::softmax_xent(h2.last().unwrap(), &ds.labels, &train_mask);
             expect.push(l2);
         }
-        for (a, b) in masked[0].iter().zip(&expect) {
-            assert!((a.0 - b).abs() < 1e-3, "masked {} vs full-batch {b}", a.0);
+        for (a, b) in masked.iter().zip(&expect) {
+            assert!(
+                (a.loss - b).abs() < 1e-3,
+                "masked {} vs full-batch {b}",
+                a.loss
+            );
         }
     }
 

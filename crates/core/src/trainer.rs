@@ -16,10 +16,12 @@
 //! [`train_gcn`], and borrowed.
 
 use crate::adam::Adam;
-use crate::dist::{DistMat, FormCache};
-use crate::gcn::{activate, input_cache, rdm_backward, rdm_forward, GcnWeights};
+use crate::dist::DistMat;
+use crate::gcn::{activate, rdm_backward, rdm_forward, GcnWeights, RankInput};
 use crate::loss::{score, LossSpec, Scores};
-use crate::metrics::{book_unit, hidden_price, session, EpochMetrics, RankEpoch, TrainReport};
+use crate::metrics::{
+    book_unit, hidden_price, session, EpochMetrics, EpochScore, RankEpoch, TrainReport,
+};
 use crate::ops::{dist_gemm, weight_grad, OpCounters, PanelGrid, Topology};
 use crate::plan::{Plan, PlanRequest, Resolution};
 use crate::saint::ScaledGraph;
@@ -273,8 +275,10 @@ impl TrainerConfig {
 
 /// One rank's training state, as [`train_gcn`] drives it.
 pub(crate) trait Trainer {
-    /// One epoch; returns (loss, train accuracy, test accuracy).
-    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32);
+    /// One epoch, and its score where this rank evaluates it: on every
+    /// rank of a full-batch trainer (its loss is a collective), on rank 0
+    /// alone of a sampling trainer (a serial full-graph evaluation).
+    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> Option<EpochScore>;
 
     /// The current (replicated) weights — the trained model once the
     /// epochs are done.
@@ -308,14 +312,14 @@ impl Model {
     /// `plan`, the loss at the row-sliced logits, the backward pass and the
     /// Adam update. With `measure`, train and test accuracy are taken
     /// between the loss and the backward pass, and every fed product runs
-    /// as `chunks` strips. The schedule never writes `H⁰`, so `input` is
-    /// lent to the step and handed back uncopied.
+    /// as `chunks` strips. The schedule never writes `H⁰`, so the step
+    /// borrows `input`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rdm_step(
         &mut self,
         ctx: &RankCtx,
         topo: &Topology,
-        input: &mut FormCache,
+        input: &RankInput<'_>,
         plan: &Plan,
         targets: &Targets,
         measure: bool,
@@ -323,16 +327,13 @@ impl Model {
         ops: &mut OpCounters,
     ) -> (f32, Option<(f32, f32)>) {
         let w = &self.weights;
-        let lent = std::mem::take(input);
-        let mut art = rdm_forward(ctx, topo, lent, w, plan, chunks, ops);
-        let logits = art.logits_row();
+        let mut art = rdm_forward(ctx, topo, input, w, plan, chunks, ops);
         let Scores {
             loss,
             grad,
             accuracy,
-        } = targets.score(&logits, measure, ctx);
+        } = targets.score(art.logits_row(), measure, ctx);
         let back = rdm_backward(ctx, topo, &mut art, w, grad, chunks, ops);
-        *input = art.take_input();
         self.adam.step(&mut self.weights.w, &back.weight_grads);
         (loss, accuracy)
     }
@@ -387,22 +388,26 @@ pub(crate) trait RowAggregation {
 /// multiplies the replicated weights locally; only `agg` differs.
 pub(crate) struct RowTrainer<'a, A> {
     pub(crate) agg: A,
-    /// This rank's row slice of the input features.
+    /// This rank's row slice of the input features, read by every epoch.
     pub(crate) input: DistMat,
     pub(crate) model: Model,
     pub(crate) targets: &'a Targets,
 }
 
 impl<A: RowAggregation> Trainer for RowTrainer<'_, A> {
-    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
+    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> Option<EpochScore> {
         let w = &self.model.weights.w;
         let layers = w.len();
-        let mut h: Vec<DistMat> = vec![self.input.clone()];
+        // `hs[l - 1]` is `Hˡ`; the input `H⁰` is borrowed.
+        let mut hs: Vec<DistMat> = Vec::with_capacity(layers);
         for l in 1..=layers {
-            let t = self.agg.aggregate(&h[l - 1], ctx, ops);
-            h.push(activate(dist_gemm(&t, &w[l - 1], false, ops), l < layers));
+            let t = self
+                .agg
+                .aggregate(hs.last().unwrap_or(&self.input), ctx, ops);
+            hs.push(activate(dist_gemm(&t, &w[l - 1], false, ops), l < layers));
         }
-        let scores = self.targets.score(&h[layers], true, ctx);
+        let h = |l: usize| if l == 0 { &self.input } else { &hs[l - 1] };
+        let scores = self.targets.score(h(layers), true, ctx);
         let (train_acc, test_acc) = scores.accuracy.expect("a measured score has accuracies");
         // Backward: reuse Â·Gˡ for both the weight gradient and the
         // propagated gradient.
@@ -410,17 +415,21 @@ impl<A: RowAggregation> Trainer for RowTrainer<'_, A> {
         let mut g = scores.grad;
         for l in (1..=layers).rev() {
             let t = self.agg.aggregate(&g, ctx, ops);
-            grads.push(weight_grad(&h[l - 1], &t, ctx, ops));
+            grads.push(weight_grad(&h(l - 1).local, &t.local, ctx, ops));
             if l > 1 {
                 let mut gp = dist_gemm(&t, &w[l - 1], true, ops);
-                relu_backward_in_place(&mut gp.local, &h[l - 1].local);
+                relu_backward_in_place(&mut gp.local, &h(l - 1).local);
                 g = gp;
             }
         }
         grads.reverse();
         let m = &mut self.model;
         m.adam.step(&mut m.weights.w, &grads);
-        (scores.loss, train_acc, test_acc)
+        Some(EpochScore {
+            loss: scores.loss,
+            train_acc,
+            test_acc,
+        })
     }
 
     fn weights(&self) -> &GcnWeights {
@@ -432,9 +441,8 @@ impl<A: RowAggregation> Trainer for RowTrainer<'_, A> {
 struct RdmTrainer<'a> {
     plan: Plan,
     topo: Topology<'a>,
-    /// Both layouts of the input features (the initial distribution is
-    /// free).
-    input: FormCache,
+    /// The layouts of the input features the plan reads, for every epoch.
+    input: RankInput<'a>,
     model: Model,
     targets: &'a Targets,
     /// The resolved pipeline depth.
@@ -455,9 +463,10 @@ impl<'a> RdmTrainer<'a> {
             Some(t) => Topology::new_asym(&ds.adj_norm, t, plan.r_a, ctx),
         };
         topo.set_sparse(cfg.sparse);
+        let model = Model::new(ds, cfg);
         RdmTrainer {
-            input: input_cache(&ds.features, &topo, ctx),
-            model: Model::new(ds, cfg),
+            input: RankInput::for_plan(&ds.features, &topo, &plan, &model.weights, ctx),
+            model,
             targets,
             chunks: resolved.chunks,
             plan,
@@ -467,11 +476,11 @@ impl<'a> RdmTrainer<'a> {
 }
 
 impl Trainer for RdmTrainer<'_> {
-    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> (f32, f32, f32) {
+    fn epoch(&mut self, ctx: &RankCtx, ops: &mut OpCounters) -> Option<EpochScore> {
         let (loss, acc) = self.model.rdm_step(
             ctx,
             &self.topo,
-            &mut self.input,
+            &self.input,
             &self.plan,
             self.targets,
             true,
@@ -479,7 +488,11 @@ impl Trainer for RdmTrainer<'_> {
             ops,
         );
         let (train_acc, test_acc) = acc.expect("full-batch steps measure accuracy");
-        (loss, train_acc, test_acc)
+        Some(EpochScore {
+            loss,
+            train_acc,
+            test_acc,
+        })
     }
 
     fn weights(&self) -> &GcnWeights {
@@ -552,14 +565,8 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
     let out = on_trainers(ds, cfg, &resolved, |trainer, ctx| {
         let mut epochs = Vec::with_capacity(cfg.epochs);
         for idx in 0..cfg.epochs {
-            let ((loss, train_acc, test_acc), book) =
-                book_unit(ctx, Span::Epoch { idx }, |ops| trainer.epoch(ctx, ops));
-            epochs.push(RankEpoch {
-                loss,
-                train_acc,
-                test_acc,
-                book,
-            });
+            let (score, book) = book_unit(ctx, Span::Epoch { idx }, |ops| trainer.epoch(ctx, ops));
+            epochs.push(RankEpoch { score, book });
         }
         // Weights are replicated, so rank 0's copy is the trained model.
         let weights = (ctx.rank() == 0)
@@ -616,21 +623,24 @@ fn on_trainers<T: Send>(
     resolved: &Resolution,
     body: impl Fn(&mut dyn Trainer, &RankCtx) -> T + Sync,
 ) -> RunOutput<T> {
-    let targets = Targets::new(ds.labels.clone(), &ds.split, ds.spec.labels);
-    let partition = matches!(cfg.algo, Algo::Dgcl).then(|| dgcl::Partition::new(ds, cfg));
+    // DGCL scores against its relabelled graph's targets.
+    let dgcl = matches!(cfg.algo, Algo::Dgcl);
+    let targets = (!dgcl).then(|| Targets::new(ds.labels.clone(), &ds.split, ds.spec.labels));
+    let partition = dgcl.then(|| dgcl::Partition::new(ds, cfg));
     let scaled = ScaledGraph::of(ds, cfg);
     let host = |feed: &_| feed_draws(ds, cfg, feed);
     let ranks = |ctx: &RankCtx, draws: &Intake<Draw>| {
-        let (r, c, t, built) = (resolved, ctx, &targets, "built before the session");
+        let (r, c, built) = (resolved, ctx, "built before the session");
+        let t = || targets.as_ref().expect(built);
         let mut trainer: Box<dyn Trainer> = match cfg.algo {
-            Algo::Rdm { .. } => Box::new(RdmTrainer::setup(ds, cfg, t, r, c)),
-            Algo::Cagnet1D | Algo::Cagnet15D { .. } => Box::new(cagnet::setup(ds, cfg, t, c)),
+            Algo::Rdm { .. } => Box::new(RdmTrainer::setup(ds, cfg, t(), r, c)),
+            Algo::Cagnet1D | Algo::Cagnet15D { .. } => Box::new(cagnet::setup(ds, cfg, t(), c)),
             Algo::Dgcl => Box::new(dgcl::setup(ds, cfg, partition.as_ref().expect(built), c)),
-            Algo::SaintRdm { .. } => Box::new(SaintRdmTrainer::setup(ds, cfg, t, draws)),
-            Algo::SaintDdp { .. } => Box::new(SaintDdpTrainer::setup(ds, cfg, t)),
+            Algo::SaintRdm { .. } => Box::new(SaintRdmTrainer::setup(ds, cfg, t(), draws)),
+            Algo::SaintDdp { .. } => Box::new(SaintDdpTrainer::setup(ds, cfg, t())),
             Algo::SaintMasked { .. } => {
                 let scaled = scaled.as_ref().expect(built);
-                Box::new(SaintMaskedTrainer::setup(ds, cfg, t, scaled, draws, c))
+                Box::new(SaintMaskedTrainer::setup(ds, cfg, t(), scaled, draws, c))
             }
         };
         body(&mut *trainer, ctx)
@@ -654,32 +664,51 @@ pub(crate) fn on_ranks<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdm_comm::{Cluster, Form};
+    use rdm_comm::Cluster;
     use rdm_graph::dataset::toy;
 
-    /// The schedule never writes `H⁰`: epochs borrow the input's row and
-    /// tile buffers and hand the same buffers back, unchanged and uncopied.
+    /// A rank holds `H⁰` in the layouts its plan's schedule reads and no
+    /// others, and never copies its row slice: under a GEMM-first layer 1
+    /// (id 10) it holds no tile, and the row view it reads lies inside
+    /// `ds.features`' buffer; under a memoized SpMM-first layer 1 whose
+    /// backward multiplies first (id 4) it holds the tile and no row view.
+    /// Epochs read both in place.
     #[test]
-    fn epochs_lend_the_input_without_copying_it() {
+    fn a_rank_holds_only_the_input_layouts_its_schedule_reads() {
         let ds = toy(60, 3);
-        let cfg = TrainerConfig::rdm_auto(2).epochs(2).hidden(8);
-        let resolved = resolve(&ds, &cfg).expect("a valid configuration");
         let targets = Targets::new(ds.labels.clone(), &ds.split, ds.spec.labels);
-        Cluster::new(2).run(|ctx| {
-            let mut t = RdmTrainer::setup(&ds, &cfg, &targets, &resolved, ctx);
-            let layouts = |t: &RdmTrainer| {
-                [Form::Row, Form::Col].map(|f| t.input.get(f).local.as_slice().as_ptr() as usize)
-            };
-            let (before, snapshot) = (layouts(&t), t.input.clone());
-            let mut ops = OpCounters::default();
-            for _ in 0..2 {
-                t.epoch(ctx, &mut ops);
-            }
-            assert_eq!(layouts(&t), before, "an epoch copied the input");
-            for f in [Form::Row, Form::Col] {
-                assert_eq!(t.input.get(f).local, snapshot.get(f).local, "{f:?} changed");
-            }
-        });
+        for (id, row, tile) in [(10, true, false), (4, false, true)] {
+            let cfg = TrainerConfig::rdm(2, Plan::from_id(id, 2, 2))
+                .epochs(2)
+                .hidden(8);
+            let resolved = resolve(&ds, &cfg).expect("a valid configuration");
+            Cluster::new(2).run(|ctx| {
+                let mut t = RdmTrainer::setup(&ds, &cfg, &targets, &resolved, ctx);
+                let input = &t.input;
+                assert_eq!(
+                    (input.row.is_some(), input.tile.is_some()),
+                    (row, tile),
+                    "id {id}"
+                );
+                if let Some(view) = input.row {
+                    let rows = rdm_dense::part_range(ds.n(), 2, ctx.rank());
+                    let first = ds.features.row(rows.start).as_ptr();
+                    assert_eq!(
+                        view.as_slice().as_ptr(),
+                        first,
+                        "id {id}: a copied row slice"
+                    );
+                    assert_eq!(view.shape(), (rows.len(), ds.features.cols()));
+                }
+                let tile_at = |t: &RdmTrainer| t.input.tile.as_ref().map(|m| m.as_slice().as_ptr());
+                let before = tile_at(&t);
+                let mut ops = OpCounters::default();
+                for _ in 0..2 {
+                    t.epoch(ctx, &mut ops);
+                }
+                assert_eq!(tile_at(&t), before, "id {id}: an epoch rebuilt the tile");
+            });
+        }
     }
 
     /// Every overlap gate reason must surface in the report instead of a

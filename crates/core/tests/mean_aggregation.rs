@@ -5,7 +5,7 @@
 //! against the serial reference.
 
 use rdm_comm::Cluster;
-use rdm_core::gcn::{input_cache, rdm_backward, rdm_forward, serial, GcnWeights};
+use rdm_core::gcn::{rdm_backward, rdm_forward, serial, GcnWeights, RankInput};
 use rdm_core::loss::{serial as loss_serial, softmax_xent, LossSpec};
 use rdm_core::ops::{OpCounters, Topology};
 use rdm_core::{train_gcn, Plan, TrainerConfig};
@@ -105,8 +105,8 @@ fn distributed_mean_aggregation_matches_serial_all_configs() {
         let out = Cluster::new(4).run(move |ctx| {
             let topo = Topology::new_asym(&adj, &adj_t, 4, ctx);
             let mut ops = OpCounters::default();
-            let input = input_cache(&features, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, 1, &mut ops);
+            let input = RankInput::for_plan(&features, &topo, &plan, &w2, ctx);
+            let mut art = rdm_forward(ctx, &topo, &input, &w2, &plan, 1, &mut ops);
             let logits = art.logits_row();
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
@@ -114,7 +114,7 @@ fn distributed_mean_aggregation_matches_serial_all_configs() {
                 mask: &mask,
                 num_classes: 4,
             };
-            let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
+            let (_, lgrad) = softmax_xent(logits, &spec, ctx);
             rdm_backward(ctx, &topo, &mut art, &w2, lgrad, 1, &mut ops).weight_grads
         });
         for grads in &out.results {
@@ -163,8 +163,8 @@ fn mean_aggregation_with_replication_factor() {
     let out = Cluster::new(4).run(move |ctx| {
         let topo = Topology::new_asym(&ds.adj_norm, &m_t, 2, ctx);
         let mut ops = OpCounters::default();
-        let input = input_cache(&ds.features, &topo, ctx);
-        let mut art = rdm_forward(ctx, &topo, input, &weights, &plan, 1, &mut ops);
+        let input = RankInput::for_plan(&ds.features, &topo, &plan, &weights, ctx);
+        let mut art = rdm_forward(ctx, &topo, &input, &weights, &plan, 1, &mut ops);
         let logits = art.logits_row();
         let mask = vec![true; ds.labels.len()];
         let spec = LossSpec {
@@ -172,7 +172,7 @@ fn mean_aggregation_with_replication_factor() {
             mask: &mask,
             num_classes: 4,
         };
-        let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
+        let (_, lgrad) = softmax_xent(logits, &spec, ctx);
         rdm_backward(ctx, &topo, &mut art, &weights, lgrad, 1, &mut ops).weight_grads
     });
     for grads in &out.results {

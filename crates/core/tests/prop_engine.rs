@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rdm_comm::{Cluster, CollectiveKind};
-use rdm_core::gcn::{input_cache, rdm_backward, rdm_forward, serial, GcnWeights};
+use rdm_core::gcn::{rdm_backward, rdm_forward, serial, GcnWeights, RankInput};
 use rdm_core::loss::{serial as loss_serial, softmax_xent, LossSpec};
 use rdm_core::ops::{OpCounters, Topology};
 use rdm_core::Plan;
@@ -56,8 +56,8 @@ proptest! {
         let out = Cluster::new(p).run(move |ctx| {
             let topo = Topology::new(&adj, r_a, ctx);
             let mut ops = OpCounters::default();
-            let input = input_cache(&features, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &w2, &plan, 1, &mut ops);
+            let input = RankInput::for_plan(&features, &topo, &plan, &w2, ctx);
+            let mut art = rdm_forward(ctx, &topo, &input, &w2, &plan, 1, &mut ops);
             let logits = art.logits_row();
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
@@ -65,7 +65,7 @@ proptest! {
                 mask: &mask,
                 num_classes: 4,
             };
-            let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
+            let (_, lgrad) = softmax_xent(logits, &spec, ctx);
             rdm_backward(ctx, &topo, &mut art, &w2, lgrad, 1, &mut ops)
                 .weight_grads
         });
@@ -105,8 +105,8 @@ proptest! {
         let out = Cluster::new(p).run(move |ctx| {
             let topo = Topology::full(&adj, ctx);
             let mut ops = OpCounters::default();
-            let input = input_cache(&features, &topo, ctx);
-            let mut art = rdm_forward(ctx, &topo, input, &weights, &plan, 1, &mut ops);
+            let input = RankInput::for_plan(&features, &topo, &plan, &weights, ctx);
+            let mut art = rdm_forward(ctx, &topo, &input, &weights, &plan, 1, &mut ops);
             let logits = art.logits_row();
             let mask = vec![true; labels.len()];
             let spec = LossSpec {
@@ -114,7 +114,7 @@ proptest! {
                 mask: &mask,
                 num_classes: 4,
             };
-            let (_, lgrad) = softmax_xent(&logits, &spec, ctx);
+            let (_, lgrad) = softmax_xent(logits, &spec, ctx);
             let _ = rdm_backward(ctx, &topo, &mut art, &weights, lgrad, 1, &mut ops);
         });
         let measured: u64 = out

@@ -40,7 +40,7 @@
 //! one exception (the scalar `a == 0` skip).
 
 use crate::kernels::{self, Isa, Kernel, Mode, Width};
-use crate::mat::Mat;
+use crate::mat::{Mat, MatRef};
 use rayon::prelude::*;
 use std::mem::MaybeUninit;
 
@@ -58,11 +58,13 @@ const MR: usize = 4;
 /// them.
 const KC: usize = 128;
 
-/// `C = A · B`, allocating the output.
+/// `C = A · B`, allocating the output. `A` is read in place: an owned
+/// [`Mat`] or a borrowed [`MatRef`].
 ///
 /// # Panics
 /// If `A.cols() != B.rows()`.
-pub fn gemm(a: &Mat, b: &Mat) -> Mat {
+pub fn gemm<'a>(a: impl Into<MatRef<'a>>, b: &Mat) -> Mat {
+    let a = a.into();
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm: A is {m}x{k} but B is {kb}x{n}");
@@ -77,7 +79,8 @@ pub fn gemm(a: &Mat, b: &Mat) -> Mat {
 }
 
 /// `C += A · B` into an existing output.
-pub fn gemm_acc(a: &Mat, b: &Mat, c: &mut Mat) {
+pub fn gemm_acc<'a>(a: impl Into<MatRef<'a>>, b: &Mat, c: &mut Mat) {
+    let a = a.into();
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm: A is {m}x{k} but B is {kb}x{n}");
@@ -406,7 +409,9 @@ unsafe fn assume_init<const N: usize>(c: &[MaybeUninit<f32>]) -> [f32; N] {
 }
 
 /// `C = Aᵀ · B`, allocating the output (`A: k×m`, `B: k×n`, `C: m×n`).
-pub fn gemm_tn(a: &Mat, b: &Mat) -> Mat {
+/// `A` is read in place, as in [`gemm`].
+pub fn gemm_tn<'a>(a: impl Into<MatRef<'a>>, b: &Mat) -> Mat {
+    let a = a.into();
     let (k, m) = a.shape();
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm_tn: A is {k}x{m} but B is {kb}x{n}");
@@ -425,7 +430,8 @@ pub fn gemm_tn(a: &Mat, b: &Mat) -> Mat {
 /// Parallelized over row panels of `C` (i.e. column panels of `A`): each
 /// task scans all `k` rows of `A`/`B` but only touches its own columns of
 /// `A`, keeping writes disjoint.
-pub fn gemm_tn_acc(a: &Mat, b: &Mat, c: &mut Mat) {
+pub fn gemm_tn_acc<'a>(a: impl Into<MatRef<'a>>, b: &Mat, c: &mut Mat) {
+    let a = a.into();
     let (k, m) = a.shape();
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm_tn: A is {k}x{m} but B is {kb}x{n}");
@@ -473,8 +479,9 @@ fn scalar_gemm_tn_acc(k: usize, m: usize, n: usize, a_data: &[f32], b_data: &[f3
 /// rows, summed in `k` order. The fast path transposes `B` — a weight
 /// matrix wherever a GCN layer calls this — once into pool-backed scratch
 /// and runs the [`gemm`] tiles on it: the same `k`-ascending sum, so the
-/// same bits.
-pub fn gemm_nt(a: &Mat, b: &Mat) -> Mat {
+/// same bits. `A` is read in place, as in [`gemm`].
+pub fn gemm_nt<'a>(a: impl Into<MatRef<'a>>, b: &Mat) -> Mat {
+    let a = a.into();
     let (m, k) = a.shape();
     let (n, kb) = b.shape();
     assert_eq!(k, kb, "gemm_nt: A is {m}x{k} but B is {n}x{kb}");

@@ -27,7 +27,7 @@ pub mod split;
 
 pub use gemm::{gemm, gemm_acc, gemm_nt, gemm_tn, gemm_tn_acc};
 pub use kernels::{Mode as KernelMode, Width as KernelWidth};
-pub use mat::{part_range, Mat};
+pub use mat::{part_range, Mat, MatRef};
 pub use ops::{
     add_assign, allclose, hadamard, log_softmax_rows, max_abs_diff, relu, relu_backward,
     relu_backward_in_place, relu_in_place, scale, softmax_rows,

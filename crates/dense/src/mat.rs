@@ -30,13 +30,7 @@ impl Drop for Mat {
 
 impl Clone for Mat {
     fn clone(&self) -> Self {
-        let mut data = pool::take_empty(self.data.len());
-        data.extend_from_slice(&self.data);
-        Mat {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
+        MatRef::from(self).to_mat()
     }
 }
 
@@ -282,6 +276,79 @@ impl Mat {
     #[inline]
     pub fn nbytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
+    }
+
+    /// Rows `r0..r1` read in place: a contiguous block of a row-major
+    /// matrix needs no copy.
+    pub fn row_view(&self, r0: usize, r1: usize) -> MatRef<'_> {
+        assert!(r0 <= r1 && r1 <= self.rows, "rows {r0}..{r1} out of bounds");
+        MatRef {
+            rows: r1 - r0,
+            cols: self.cols,
+            data: &self.data[r0 * self.cols..r1 * self.cols],
+        }
+    }
+}
+
+/// A contiguous, row-major, read-only view of `rows × cols` values: a whole
+/// [`Mat`], or a block of whole rows of one ([`Mat::row_view`]). What a
+/// kernel reads when its operand is borrowed rather than owned.
+#[derive(Clone, Copy, Debug)]
+pub struct MatRef<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f32],
+}
+
+impl<'a> MatRef<'a> {
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// `(rows, cols)`.
+    #[inline]
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// The flat row-major values.
+    #[inline]
+    pub fn as_slice(&self) -> &'a [f32] {
+        self.data
+    }
+
+    /// Row `i` as a contiguous slice.
+    #[inline]
+    pub fn row(&self, i: usize) -> &'a [f32] {
+        debug_assert!(i < self.rows);
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// An owned copy in a pool buffer.
+    pub fn to_mat(&self) -> Mat {
+        let mut data = pool::take_empty(self.data.len());
+        data.extend_from_slice(self.data);
+        Mat {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
+    }
+}
+
+impl<'a> From<&'a Mat> for MatRef<'a> {
+    fn from(m: &'a Mat) -> Self {
+        MatRef {
+            rows: m.rows,
+            cols: m.cols,
+            data: &m.data,
+        }
     }
 }
 

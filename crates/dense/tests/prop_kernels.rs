@@ -9,11 +9,13 @@
 //! panel cut nor the runner count shows in the bits. The allocating forms
 //! write their output once, never reading it first: on a workspace pool
 //! whose shelves hold NaN-filled buffers they still equal the reference.
+//! An `A` borrowed as a row view of a taller matrix is read exactly as an
+//! owned copy of those rows, at every width.
 
 use proptest::prelude::*;
 use rayon::internals::run_pooled;
 use rdm_dense::kernels::{with_mode, Mode, Width};
-use rdm_dense::{gemm, gemm_acc, gemm_nt, gemm_tn, gemm_tn_acc, relu, with_share, Mat};
+use rdm_dense::{gemm, gemm_acc, gemm_nt, gemm_tn, gemm_tn_acc, relu, with_share, Mat, MatRef};
 use std::sync::Mutex;
 
 fn assert_bitwise(fast: &Mat, scalar: &Mat, label: &str) {
@@ -87,8 +89,46 @@ fn assert_all_widths_bitwise(m: usize, k: usize, n: usize, seed: u64) {
     }
 }
 
+/// All five variants with each `A` borrowed as rows `lo..` of a taller
+/// matrix (`A` for `gemm`/`gemm_nt`/`gemm_acc`, `Aᵀ`'s stored `k×m` for
+/// the `tn` forms), then on owned copies of the same rows, under `mode`.
+fn views_and_copies(m: usize, k: usize, n: usize, seed: u64, mode: Mode) -> [[Mat; 5]; 2] {
+    let lo = (seed % 4) as usize;
+    let tall = relu(&Mat::random(lo + m + 3, k, 1.0, seed));
+    let tall_t = relu(&Mat::random(lo + k + 3, m, 1.0, seed + 2));
+    let b = Mat::random(k, n, 1.0, seed + 1);
+    let bt = Mat::random(n, k, 1.0, seed + 3);
+    let c0 = Mat::random(m, n, 1.0, seed + 4);
+    let run = |a: MatRef<'_>, at: MatRef<'_>| {
+        let (mut acc, mut acc_tn) = (c0.clone(), c0.clone());
+        gemm_acc(a, &b, &mut acc);
+        gemm_tn_acc(at, &b, &mut acc_tn);
+        [gemm(a, &b), gemm_tn(at, &b), gemm_nt(a, &bt), acc, acc_tn]
+    };
+    let (a, at) = (tall.row_block(lo, lo + m), tall_t.row_block(lo, lo + k));
+    with_mode(mode, || {
+        let views = run(tall.row_view(lo, lo + m), tall_t.row_view(lo, lo + k));
+        [views, run((&a).into(), (&at).into())]
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A borrowed operand gives bitwise what the owned one does, under the
+    /// scalar reference and at every width.
+    #[test]
+    fn borrowed_operands_are_bitwise_owned_ones(
+        m in 1usize..22, k in 1usize..140, n in 1usize..22, seed in 0u64..1000,
+    ) {
+        let modes = std::iter::once(Mode::Scalar).chain(Width::all().map(Mode::Fast));
+        for mode in modes {
+            let [views, copies] = views_and_copies(m, k, n, seed, mode);
+            for (v, (b, o)) in views.iter().zip(&copies).enumerate() {
+                assert_bitwise(b, o, &format!("{mode:?} variant {v} ({m}x{k}x{n})"));
+            }
+        }
+    }
 
     /// Ragged sweep: shapes straddling the lane width and the row tile.
     #[test]

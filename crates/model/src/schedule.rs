@@ -290,6 +290,25 @@ pub fn schedule(
     Ok(b.steps)
 }
 
+/// Whether any of `steps` reads layout `form` of `slot`: a product's
+/// source in the layout its kernel reads (the other one when fed), a
+/// weight gradient's row slices, a conversion's source, or the activation
+/// a ReLU mask aligns to. What an executor must hold of a tensor it only
+/// reads — the input `H⁰` — follows from it.
+pub fn reads(steps: &[Step], slot: Slot, form: Form) -> bool {
+    steps.iter().any(|&step| match step {
+        Step::Product { op, src, fed, .. } => {
+            src == slot && form == if fed { op.form().other() } else { op.form() }
+        }
+        Step::WeightGrad { a, b, .. } => form == Form::Row && (a == slot || b == slot),
+        Step::Convert { slot: s, to, .. } => s == slot && form == to.other(),
+        Step::ReluMask { layer, form: f } => {
+            f == form && (slot == Slot::H(layer - 1) || slot == Slot::G(layer - 1))
+        }
+        Step::Relu { .. } | Step::Loss | Step::Free { .. } => false,
+    })
+}
+
 /// The forward half of [`schedule`], up to the loss boundary: what a
 /// forward-only pass (a serving batch) runs.
 ///
@@ -312,6 +331,30 @@ mod tests {
     use super::*;
     use crate::cost::{config_cost, price_plan, GnnShape};
     use crate::layer::{group_redistribution_elems, redistribution_elems};
+
+    /// The input's tile is read exactly when layer 1 aggregates first
+    /// (memoized), and a forward pass reads its row slices exactly when
+    /// layer 1 multiplies first. A memoized SpMM-first layer 1 whose
+    /// backward is GEMM-first lets `Â·H⁰` stand in for `H⁰` in the weight
+    /// gradient, so its epoch never reads `H⁰` row-sliced at all.
+    #[test]
+    fn the_input_is_read_in_the_layouts_layer_1_multiplies() {
+        let feats = [16, 8, 4];
+        let h0 = Slot::H(0);
+        for config in OrderConfig::enumerate(2) {
+            let spmm_first = config.forward[0] == Order::SpmmFirst;
+            let epoch = schedule(&config, true, &feats, false).unwrap();
+            let forward = forward_schedule(&config, true, &feats, false).unwrap();
+            let id = config.id();
+            assert_eq!(reads(&epoch, h0, Form::Col), spmm_first, "id {id}");
+            assert_eq!(reads(&forward, h0, Form::Row), !spmm_first, "id {id}");
+        }
+        let id4 = OrderConfig::from_id(4, 2);
+        let epoch = schedule(&id4, true, &feats, false).unwrap();
+        assert!(reads(&epoch, h0, Form::Col) && !reads(&epoch, h0, Form::Row));
+        let held = schedule(&id4, true, &feats, true).unwrap();
+        assert!(!reads(&held, h0, Form::Col) && !reads(&held, h0, Form::Row));
+    }
 
     /// The `(P, R_A)` grids the priced schedule is checked on.
     const GRIDS: [(usize, usize); 6] = [(2, 2), (4, 4), (8, 8), (4, 2), (4, 1), (8, 2)];

@@ -35,7 +35,7 @@
 
 use crate::csr::Csr;
 use rdm_dense::kernels::{self, Isa, Kernel, Mode, Width, SPMM_STRIPS as SB};
-use rdm_dense::Mat;
+use rdm_dense::{Mat, MatRef};
 use std::mem::MaybeUninit;
 use std::ops::Range;
 
@@ -43,12 +43,12 @@ use std::ops::Range;
 ///
 /// Parallelized over row panels of `C`; each output row accumulates scaled
 /// rows of `B` in registers. This is the aggregation kernel of a GCN
-/// layer.
+/// layer. `B` is read in place: an owned [`Mat`] or a borrowed [`MatRef`].
 ///
 /// # Panics
 /// On shape mismatch.
-pub fn spmm(a: &Csr, b: &Mat) -> Mat {
-    drive::<false>("spmm", a, b, &[])
+pub fn spmm<'b>(a: &Csr, b: impl Into<MatRef<'b>>) -> Mat {
+    drive::<false>("spmm", a, b.into(), &[])
 }
 
 /// Masked SpMM (§III-F): like [`spmm`] but only the entries of `A` whose
@@ -58,9 +58,9 @@ pub fn spmm(a: &Csr, b: &Mat) -> Mat {
 ///
 /// # Panics
 /// If `mask.len() != a.nnz()` or shapes mismatch.
-pub fn spmm_masked(a: &Csr, b: &Mat, mask: &[bool]) -> Mat {
+pub fn spmm_masked<'b>(a: &Csr, b: impl Into<MatRef<'b>>, mask: &[bool]) -> Mat {
     assert_eq!(mask.len(), a.nnz(), "mask length must equal nnz");
-    drive::<true>("spmm_masked", a, b, mask)
+    drive::<true>("spmm_masked", a, b.into(), mask)
 }
 
 /// What every panel body reads: `A`'s arrays, the nonzero mask (ignored
@@ -131,7 +131,7 @@ fn col_blocks(rows: usize, cols: usize, nnz: usize, n: usize) -> (usize, usize) 
 /// only the nonzeros flagged in `mask` (indexed by nonzero position;
 /// ignored otherwise). `what` names the public entry point in the shape
 /// panics.
-fn drive<const MASKED: bool>(what: &str, a: &Csr, b: &Mat, mask: &[bool]) -> Mat {
+fn drive<const MASKED: bool>(what: &str, a: &Csr, b: MatRef<'_>, mask: &[bool]) -> Mat {
     let (m, n) = (a.rows(), b.cols());
     assert_eq!(
         a.cols(),
@@ -445,6 +445,28 @@ mod tests {
                     assert!(allclose(&spmm_masked(&a, &bn, &mask), &c_ref, 1e-4));
                 }
             });
+        }
+    }
+
+    /// A borrowed `B` — rows of a taller matrix — is read exactly as an
+    /// owned copy of those rows, masked or not, at every width.
+    #[test]
+    fn a_borrowed_b_is_bitwise_an_owned_one() {
+        use rdm_dense::kernels::{with_mode, Mode, Width};
+        let modes = std::iter::once(Mode::Scalar).chain(Width::all().map(Mode::Fast));
+        for mode in modes {
+            for n in [3usize, 16, 70] {
+                let a = random_csr(30, 24, 0.3, n as u64);
+                let tall = Mat::random(29, n, 1.0, (n + 7) as u64);
+                let (view, owned) = (tall.row_view(2, 26), tall.row_block(2, 26));
+                let mask: Vec<bool> = (0..a.nnz()).map(|i| i % 3 != 0).collect();
+                with_mode(mode, || {
+                    assert_eq!(spmm(&a, view), spmm(&a, &owned), "{mode:?} n={n}");
+                    let (masked, masked_owned) =
+                        (spmm_masked(&a, view, &mask), spmm_masked(&a, &owned, &mask));
+                    assert_eq!(masked, masked_owned, "{mode:?} n={n} masked");
+                });
+            }
         }
     }
 
