@@ -29,7 +29,7 @@
 use crate::cluster::RankCtx;
 use crate::stats::CollectiveKind;
 use crate::strip::{self, Expect, Piece};
-use rdm_dense::{add_assign, part_range, Mat};
+use rdm_dense::{add_assign, part_range, Mat, MatRef};
 use rdm_trace::{Form, Span};
 use std::mem::MaybeUninit;
 use std::ops::Range;
@@ -201,7 +201,7 @@ impl RankCtx {
     fn send_block(
         &self,
         dst: usize,
-        m: &Mat,
+        m: MatRef<'_>,
         (rows, cols): (Range<usize>, Range<usize>),
         wire: Wire,
         kind: CollectiveKind,
@@ -224,11 +224,12 @@ impl RankCtx {
     }
 
     /// Redistribute `local` — this rank's slice of a global matrix in the
-    /// form opposite to `spec.to` — into its slice in form `spec.to`
-    /// (Fig. 7). Each piece is packed or copied straight from `local`, and
-    /// each strip of the destination lands in one write-once buffer: this
-    /// rank's own piece and every received piece (raw, or an indexed strip
-    /// expanded on the fly) are stored once, at their final offsets. As
+    /// form opposite to `spec.to`, owned or borrowed — into its slice in
+    /// form `spec.to` (Fig. 7). Each piece is packed or copied straight
+    /// from `local`, and each strip of the destination lands in one
+    /// write-once buffer: this rank's own piece and every received piece
+    /// (raw, or an indexed strip expanded on the fly) are stored once, at
+    /// their final offsets. As
     /// strip `q` completes it is handed to `sink(q, strip)`: strip `q` of a
     /// Row→Col redistribution is the column sub-range
     /// `part_range(my_cols, chunks, q)` of the final column slice with all
@@ -249,12 +250,13 @@ impl RankCtx {
     /// # Panics
     /// If `spec.chunks == 0`, this rank is not in the group, or a peer's
     /// piece does not fit this rank's geometry.
-    pub fn redistribute(
+    pub fn redistribute<'m>(
         &self,
         spec: &Redistribution<'_>,
-        local: &Mat,
+        local: impl Into<MatRef<'m>>,
         mut sink: impl FnMut(usize, &Mat),
     ) -> Mat {
+        let local = local.into();
         let (group, to, chunks) = (spec.group, spec.to, spec.chunks);
         assert!(chunks > 0, "need at least one chunk");
         let _span = spec.span();

@@ -35,7 +35,7 @@
 //! profitability implies a strip has `k+1 < r` rows — `(k+1)(w+1) < r·w`
 //! gives `k+1 < r` for any `w ≥ 1`, and `w = 0` pieces never pack).
 
-use rdm_dense::Mat;
+use rdm_dense::{Mat, MatRef};
 use std::mem::MaybeUninit;
 use std::ops::Range;
 
@@ -64,9 +64,15 @@ pub fn pack_nonzero_rows(m: &Mat) -> Option<Mat> {
     pack_block(m, 0..m.rows(), 0..m.cols())
 }
 
-/// [`pack_nonzero_rows`] of the block `rows × cols` of `m`, read in place:
-/// a redistribution packs each piece straight from its local block.
-pub(crate) fn pack_block(m: &Mat, rows: Range<usize>, cols: Range<usize>) -> Option<Mat> {
+/// [`pack_nonzero_rows`] of the block `rows × cols` of `m`, owned or
+/// borrowed, read in place: a redistribution packs each piece straight
+/// from its local block.
+pub(crate) fn pack_block<'m>(
+    m: impl Into<MatRef<'m>>,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) -> Option<Mat> {
+    let m = m.into();
     let (r, w) = (rows.len(), cols.len());
     if r == 0 || w == 0 {
         return None;
@@ -97,7 +103,7 @@ pub(crate) fn pack_block(m: &Mat, rows: Range<usize>, cols: Range<usize>) -> Opt
 /// the original piece row by row, so a receiver can store it straight at
 /// its final offset.
 pub(crate) struct Piece<'a> {
-    src: &'a Mat,
+    src: MatRef<'a>,
     /// Original shape.
     rows: usize,
     cols: usize,
@@ -107,11 +113,12 @@ pub(crate) struct Piece<'a> {
 }
 
 impl<'a> Piece<'a> {
-    /// The block `rows × cols` of a raw matrix.
+    /// The block `rows × cols` of a raw matrix, owned or borrowed.
     ///
     /// # Panics
     /// If the block is out of bounds.
-    pub fn block(src: &'a Mat, rows: Range<usize>, cols: Range<usize>) -> Self {
+    pub fn block(src: impl Into<MatRef<'a>>, rows: Range<usize>, cols: Range<usize>) -> Self {
+        let src = src.into();
         assert!(
             rows.end <= src.rows() && cols.end <= src.cols(),
             "piece block out of bounds"
@@ -177,7 +184,7 @@ impl<'a> Piece<'a> {
             prev = Some(i);
         }
         Piece {
-            src: msg,
+            src: msg.into(),
             rows,
             cols,
             at: None,
@@ -204,7 +211,7 @@ impl<'a> Piece<'a> {
         let mut next = 1;
         (0..self.rows).map(move |i| match self.at {
             Some((r0, c0)) => Some(&src.row(r0 + i)[c0..c0 + self.cols]),
-            None if next < src.rows() && src.get(next, 0).to_bits() as usize == i => {
+            None if next < src.rows() && src.row(next)[0].to_bits() as usize == i => {
                 next += 1;
                 Some(&src.row(next - 1)[1..])
             }

@@ -196,17 +196,20 @@ impl FormCache {
         }
     }
 
+    /// Layout `form`, if it is held.
+    pub(crate) fn held(&self, form: Dist) -> Option<&DistMat> {
+        match form {
+            Dist::Row => self.row.as_ref(),
+            Dist::Col => self.col.as_ref(),
+        }
+    }
+
     /// Layout `form`.
     ///
     /// # Panics
     /// If it was never materialized.
     pub(crate) fn get(&self, form: Dist) -> &DistMat {
-        match form {
-            Dist::Row => &self.row,
-            Dist::Col => &self.col,
-        }
-        .as_ref()
-        .expect("FormCache lacks the layout")
+        self.held(form).expect("FormCache lacks the layout")
     }
 }
 
@@ -240,9 +243,18 @@ mod tests {
         let out = Cluster::new(4).run(move |ctx| {
             let topo = crate::ops::Topology::full(&adj, ctx);
             let r = DistMat::scatter_rows(&g, ctx.size(), ctx.rank());
-            let c = topo.row_to_tile(&r, ctx, K);
-            assert_eq!(c.dist, Dist::Col);
-            let r2 = topo.tile_to_row(&c, ctx, K);
+            let local = topo.convert(&r.local, Form::Col, ctx, K, 1, |_, _| {});
+            let c = DistMat {
+                dist: Dist::Col,
+                local,
+                ..r
+            };
+            let local = topo.convert(&c.local, Form::Row, ctx, K, 1, |_, _| {});
+            let r2 = DistMat {
+                dist: Dist::Row,
+                local,
+                ..r
+            };
             (c.gather(ctx, K), r2.gather(ctx, K))
         });
         for (gc, gr) in &out.results {
@@ -269,7 +281,7 @@ mod tests {
                         kind: K,
                     };
                     let r = DistMat::scatter_rows(&global, ctx.size(), ctx.rank());
-                    let blocking = topo.row_to_tile(&r, ctx, K);
+                    let blocking = topo.convert(&r.local, Form::Col, ctx, K, 1, |_, _| {});
                     let mut strips = 0usize;
                     let pipelined = r.convert(ctx, &to_col, |q, strip| {
                         assert_eq!(q, strips);
@@ -277,15 +289,15 @@ mod tests {
                         strips += 1;
                     });
                     assert_eq!(strips, chunks);
-                    assert_eq!(blocking.local, pipelined.local, "p={p} chunks={chunks}");
+                    assert_eq!(blocking, pipelined.local, "p={p} chunks={chunks}");
                     // And the reverse direction.
                     let to_row = Redistribution {
                         to: Form::Row,
                         ..to_col
                     };
-                    let back = topo.tile_to_row(&blocking, ctx, K);
+                    let back = topo.convert(&blocking, Form::Row, ctx, K, 1, |_, _| {});
                     let back_p = pipelined.convert(ctx, &to_row, |_, _| {});
-                    assert_eq!(back.local, back_p.local);
+                    assert_eq!(back, back_p.local);
                 });
                 drop(out);
             }

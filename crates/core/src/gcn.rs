@@ -33,15 +33,16 @@ use crate::ops::{row_gemm, weight_grad, OpCounters, Topology};
 use crate::plan::Plan;
 use rdm_comm::{CollectiveKind, Form, RankCtx};
 use rdm_dense::{part_range, relu_backward_in_place, relu_in_place, Mat, MatRef};
-use rdm_model::{reads, schedule, Op, Slot, Step};
+use rdm_model::{reads, schedule, Entry, Op, Slot, Step};
 use rdm_trace::TraceCollective;
 use std::collections::BTreeMap;
 use std::mem::MaybeUninit;
 
-/// The product of a fed step: `kernel` applied to `cache`'s form
-/// `to.other()` converted into form `to` — the tile form for the
-/// aggregation, row slices for the update — returning this rank's block of
-/// the width-`f_out` product in form `to`.
+/// The product of a fed step: `kernel` applied to `src`, this rank's block
+/// of a tensor in form `to.other()`, converted into form `to` — the tile
+/// form for the aggregation, row slices for the update. Returns this rank's
+/// block of the width-`f_out` product in form `to`, and of the converted
+/// tensor.
 ///
 /// The conversion ships `chunks` strips — blocking is the one-strip
 /// pipeline — and the kernel runs on each strip as it lands, opening its
@@ -51,29 +52,26 @@ use std::mem::MaybeUninit;
 /// for every strip count. One strip's output is the product itself; with
 /// more, the product is allocated once, uninitialised, and each strip's
 /// output is stored at its offset as the strip lands and dropped before
-/// the next. The converted form lands in `cache`. What the pipeline hides
-/// is priced from the schedule (`rdm_model::RankPrice::hidden_ns`), not
-/// here.
+/// the next. What the pipeline hides is priced from the schedule
+/// (`rdm_model::RankPrice::hidden_ns`), not here.
 #[allow(clippy::too_many_arguments)]
 fn fed_product(
     ctx: &RankCtx,
     topo: &Topology,
-    cache: &mut FormCache,
+    src: MatRef<'_>,
     to: Form,
     f_out: usize,
     chunks: usize,
     ops: &mut OpCounters,
     mut kernel: impl FnMut(MatRef<'_>, &mut OpCounters) -> Mat,
-) -> Mat {
-    let src = cache.get(to.other());
+) -> (Mat, Mat) {
     let kind = CollectiveKind::Redistribute;
     if chunks == 1 {
         let mut product = None;
         let converted = topo.convert(src, to, ctx, kind, 1, |_, strip| {
             product = Some(kernel(strip.into(), ops))
         });
-        cache.put(converted);
-        return product.expect("one strip");
+        return (product.expect("one strip"), converted);
     }
     let (rows, cols) = topo.local_shape(to, f_out, ctx.rank());
     let mut converted = None;
@@ -107,8 +105,7 @@ fn fed_product(
     // SAFETY: `fill` returns only once its strips, side by side along the
     // axis they cut, have stored every element of the `rows × cols` block.
     let product = unsafe { Mat::write_once(rows, cols, fill) };
-    cache.put(converted.expect("the conversion landed"));
-    product
+    (product, converted.expect("the conversion landed"))
 }
 
 /// Replicated GCN weights, `w[l-1]` has shape `feats[l-1] × feats[l]`.
@@ -152,8 +149,10 @@ impl GcnWeights {
 /// where some step reads `H⁰` row-sliced, and its tile, copied once where
 /// some step reads the tile layout — which only a layer 1 that aggregates
 /// first does (or a non-memoized weight gradient recomputing `Â·H⁰`). The
-/// schedule never writes, converts or frees `H⁰`, so epochs borrow one
-/// `RankInput` for a whole run (the initial distribution is free, §IV-B).
+/// schedule never writes `H⁰`, so epochs borrow one `RankInput` for a whole
+/// run (the initial distribution is free, §IV-B). A schedule that starts
+/// from the row slice alone (CAGNET's) converts the borrowed view each
+/// epoch; the tile it makes is the epoch's, freed after layer 1.
 pub struct RankInput<'a> {
     /// This rank's row slice, read in place from the features.
     pub(crate) row: Option<MatRef<'a>>,
@@ -202,15 +201,22 @@ impl<'a> RankInput<'a> {
     }
 }
 
-/// `plan`'s schedule for `weights`' widths, memoized or not, from the input
-/// or (`held`) from layer 1's held aggregation.
+/// `plan`'s schedule for `weights`' widths, memoized or not, from the
+/// plan's entry or (`held`) from layer 1's held aggregation.
 ///
 /// # Panics
 /// If the weights do not match the plan's layers, or `held` is asked of a
 /// plan whose layer 1 is GEMM-first.
 fn plan_schedule(plan: &Plan, memoize: bool, weights: &GcnWeights, held: bool) -> Vec<Step> {
-    schedule(&plan.config, memoize, &weights.widths(), held)
-        .unwrap_or_else(|e| panic!("weights do not fit the plan: {e}"))
+    let entry = if held { Entry::Held } else { plan.entry };
+    schedule(
+        &plan.config,
+        memoize,
+        &weights.widths(),
+        entry,
+        plan.input_grad,
+    )
+    .unwrap_or_else(|e| panic!("weights do not fit the plan: {e}"))
 }
 
 /// One epoch's schedule in execution: the plan's step list, how far it
@@ -231,18 +237,36 @@ pub struct ForwardArtifacts<'a> {
     layers: usize,
 }
 
-/// Layout `form` of `slot`: `H⁰` from the borrowed input, every other
-/// tensor from its slot.
+/// Layout `form` of `slot`: from its slot, or — for a layout of `H⁰` no
+/// step converted — from the borrowed input.
 fn layout<'s>(
     input: Option<&'s RankInput<'_>>,
     slots: &'s BTreeMap<Slot, FormCache>,
     slot: Slot,
     form: Form,
 ) -> MatRef<'s> {
-    match slot {
-        Slot::H(0) => input.expect("the schedule reads H⁰").get(form),
-        _ => (&slots[&slot].get(form).local).into(),
+    match (slots.get(&slot).and_then(|c| c.held(form)), slot) {
+        (Some(m), _) => (&m.local).into(),
+        (None, Slot::H(0)) => input.expect("the schedule reads H⁰").get(form),
+        (None, _) => panic!("the schedule reads {form:?} of {slot:?}, which no step made"),
     }
+}
+
+/// Keep `local`, this rank's block of the `n × f` `slot` converted to form
+/// `form`, beside the layout it was converted from.
+fn put_converted(
+    slots: &mut BTreeMap<Slot, FormCache>,
+    slot: Slot,
+    form: Form,
+    (n, f): (usize, usize),
+    local: Mat,
+) {
+    slots.entry(slot).or_default().put(DistMat {
+        dist: form,
+        rows: n,
+        cols: f,
+        local,
+    });
 }
 
 impl<'a> ForwardArtifacts<'a> {
@@ -282,24 +306,28 @@ impl<'a> ForwardArtifacts<'a> {
             match step {
                 Step::Loss => break,
                 Step::Convert {
-                    slot: s, to, kind, ..
+                    slot: s,
+                    to,
+                    kind,
+                    f,
                 } => {
                     let kind = match kind {
                         TraceCollective::Redistribute => CollectiveKind::Redistribute,
                         _ => CollectiveKind::Other,
                     };
-                    let m = topo.convert(slots[&s].get(to.other()), to, ctx, kind, 1, |_, _| {});
-                    slots.get_mut(&s).expect("converted slot").put(m);
+                    let from = layout(input, slots, s, to.other());
+                    let m = topo.convert(from, to, ctx, kind, 1, |_, _| {});
+                    put_converted(slots, s, to, (topo.n, f), m);
                 }
                 Step::Product {
                     op,
                     layer,
                     src,
                     dst,
+                    f_in,
                     f_out,
                     fed,
                     bwd,
-                    ..
                 } => {
                     let kernel = |m: MatRef<'_>, ops: &mut OpCounters| match op {
                         Op::Spmm => topo.spmm_tile(m, bwd, ctx, ops),
@@ -307,8 +335,11 @@ impl<'a> ForwardArtifacts<'a> {
                     };
                     let (form, rows, cols) = (op.form(), topo.n, f_out);
                     let local = if fed {
-                        let c = slots.get_mut(&src).expect("product source");
-                        fed_product(ctx, topo, c, form, f_out, chunks, ops, kernel)
+                        let from = layout(input, slots, src, form.other());
+                        let (product, converted) =
+                            fed_product(ctx, topo, from, form, f_out, chunks, ops, kernel);
+                        put_converted(slots, src, form, (topo.n, f_in), converted);
+                        product
                     } else {
                         kernel(layout(input, slots, src, form), ops)
                     };
@@ -372,12 +403,12 @@ pub fn rdm_forward<'a>(
     chunks: usize,
     ops: &mut OpCounters,
 ) -> ForwardArtifacts<'a> {
-    let entry = Entry::Input(input);
-    forward_pass(ctx, topo, entry, weights, plan, plan.memoize, chunks, ops)
+    let start = Start::Input(input);
+    forward_pass(ctx, topo, start, weights, plan, plan.memoize, chunks, ops)
 }
 
 /// Where a forward pass starts.
-pub(crate) enum Entry<'a> {
+pub(crate) enum Start<'a> {
     /// The input `H⁰`, borrowed.
     Input(&'a RankInput<'a>),
     /// Layer 1's held aggregation `T¹`, row-sliced: a full-graph serving
@@ -386,7 +417,7 @@ pub(crate) enum Entry<'a> {
 }
 
 /// The one forward loop: `plan`'s schedule, memoized or not, run to the
-/// loss boundary from `entry`.
+/// loss boundary from `start`.
 ///
 /// # Panics
 /// If the weights do not match the plan's layers, the plan's replication
@@ -396,7 +427,7 @@ pub(crate) enum Entry<'a> {
 pub(crate) fn forward_pass<'a>(
     ctx: &RankCtx,
     topo: &Topology,
-    entry: Entry<'a>,
+    start: Start<'a>,
     weights: &GcnWeights,
     plan: &Plan,
     memoize: bool,
@@ -407,9 +438,9 @@ pub(crate) fn forward_pass<'a>(
         plan.r_a, topo.grid.r_a,
         "plan replication factor does not match the topology"
     );
-    let (input, slots) = match entry {
-        Entry::Input(input) => (Some(input), BTreeMap::new()),
-        Entry::Held(t) => (None, BTreeMap::from([(Slot::T(1), FormCache::of_row(t))])),
+    let (input, slots) = match start {
+        Start::Input(input) => (Some(input), BTreeMap::new()),
+        Start::Held(t) => (None, BTreeMap::from([(Slot::T(1), FormCache::of_row(t))])),
     };
     let mut art = ForwardArtifacts {
         steps: plan_schedule(plan, memoize, weights, input.is_none()),
@@ -426,8 +457,9 @@ pub(crate) fn forward_pass<'a>(
 pub struct BackwardResult {
     /// Replicated, already all-reduced weight gradients (one per layer).
     pub weight_grads: Vec<Mat>,
-    /// Gradient with respect to the input features (`G^0` in Fig. 4).
-    pub g0: DistMat,
+    /// Gradient with respect to the input features (`G^0` in Fig. 4);
+    /// `None` under a plan that does not propagate it.
+    pub g0: Option<DistMat>,
 }
 
 /// Run the backward pass of eq. (3)–(4): the rest of the forward pass's
@@ -458,13 +490,10 @@ pub fn rdm_backward(
         .map(|w| Mat::zeros(w.rows(), w.cols()))
         .collect();
     artifacts.run(ctx, topo, weights, chunks, &mut weight_grads, ops);
-    let g0 = artifacts
-        .slots
-        .remove(&Slot::G(0))
-        .expect("layer 1 always produces G^0");
+    let g0 = artifacts.slots.remove(&Slot::G(0));
     BackwardResult {
         weight_grads,
-        g0: g0.row.or(g0.col).expect("G^0 has a layout"),
+        g0: g0.map(|g0| g0.row.or(g0.col).expect("G^0 has a layout")),
     }
 }
 
@@ -536,7 +565,6 @@ mod tests {
     use rdm_comm::{Cluster, RunOutput};
     use rdm_dense::allclose;
     use rdm_graph::dataset::{toy, Dataset};
-    use rdm_model::OrderConfig;
 
     /// Distributed forward under every 2-layer plan must equal the serial
     /// forward.
@@ -601,9 +629,10 @@ mod tests {
                 };
                 let (_, lgrad) = softmax_xent(logits, &spec, ctx);
                 let back = rdm_backward(ctx, &topo, &mut art, &w2, lgrad, 1, &mut ops);
-                let g0 = match back.g0.dist {
-                    Dist::Row => back.g0.gather(ctx, CollectiveKind::Other),
-                    Dist::Col => topo.gather_tile(&back.g0, ctx, CollectiveKind::Other),
+                let g0 = back.g0.expect("RDM propagates G⁰");
+                let g0 = match g0.dist {
+                    Dist::Row => g0.gather(ctx, CollectiveKind::Other),
+                    Dist::Col => topo.gather_tile(&g0, ctx, CollectiveKind::Other),
                 };
                 (back.weight_grads, g0)
             });
@@ -633,11 +662,7 @@ mod tests {
         // Sample of IDs including ones that hit the pathological reuse
         // paths; running all 64 here would be slow in debug builds.
         for id in [0usize, 5, 10, 21, 42, 63, 38, 27] {
-            let plan = Plan {
-                config: OrderConfig::from_id(id, 3),
-                r_a: 4,
-                memoize: true,
-            };
+            let plan = Plan::from_id(id, 3, 4);
             let (adj, feats, w2, labels) = (
                 ds.adj_norm.clone(),
                 ds.features.clone(),
@@ -685,11 +710,7 @@ mod tests {
         let (serial_grads, _) = serial::backward(&ds.adj_norm, &serial_h, &weights, &lg);
         for (p, r_a) in [(4usize, 2usize), (8, 2), (8, 4)] {
             for id in 0..16 {
-                let plan = Plan {
-                    config: OrderConfig::from_id(id, 2),
-                    r_a,
-                    memoize: true,
-                };
+                let plan = Plan::from_id(id, 2, r_a);
                 let (adj, feats, w2, labels) = (
                     ds.adj_norm.clone(),
                     ds.features.clone(),
@@ -735,9 +756,8 @@ mod tests {
         // memoized case.
         let run = |memoize: bool| {
             let plan = Plan {
-                config: OrderConfig::from_id(8, 2),
-                r_a: 4,
                 memoize,
+                ..Plan::from_id(8, 2, 4)
             };
             let (adj, feats, w2, labels) = (
                 ds.adj_norm.clone(),
@@ -848,11 +868,7 @@ mod tests {
             feats: feats_dims.clone(),
         };
         for id in [0usize, 5, 10] {
-            let plan = Plan {
-                config: OrderConfig::from_id(id, 2),
-                r_a,
-                memoize: true,
-            };
+            let plan = Plan::from_id(id, 2, r_a);
             let expect = rdm_model::cost::config_cost(&shape, &plan.config, p, r_a);
             let (adj, feats, w2, labels) = (
                 ds.adj_norm.clone(),
@@ -974,9 +990,10 @@ mod tests {
             };
             let (loss, lgrad) = softmax_xent(logits, &lspec, ctx);
             let back = rdm_backward(ctx, &topo, &mut art, weights, lgrad, chunks, &mut ops);
-            let g0 = match back.g0.dist {
-                Dist::Row => back.g0.gather(ctx, CollectiveKind::Other),
-                Dist::Col => topo.gather_tile(&back.g0, ctx, CollectiveKind::Other),
+            let g0 = back.g0.expect("RDM propagates G⁰");
+            let g0 = match g0.dist {
+                Dist::Row => g0.gather(ctx, CollectiveKind::Other),
+                Dist::Col => topo.gather_tile(&g0, ctx, CollectiveKind::Other),
             };
             (loss, back.weight_grads, g0, ops, (kept, nnz))
         })

@@ -8,12 +8,12 @@
 //! serving outputs bitwise identical to a direct engine pass.
 
 use crate::dist::DistMat;
-use crate::gcn::{forward_pass, Entry, GcnWeights, RankInput};
+use crate::gcn::{forward_pass, GcnWeights, RankInput, Start};
 use crate::ops::{OpCounters, Topology};
 use crate::plan::Plan;
 use rdm_comm::RankCtx;
 use rdm_dense::Mat;
-use rdm_model::forward_schedule;
+use rdm_model::{forward_schedule, Entry};
 use rdm_sparse::Csr;
 
 /// One forward-only pass over a (sub)graph: aggregate `adj_norm`, apply
@@ -81,16 +81,16 @@ pub fn forward_logits_with(
     // `T¹` behind.
     let memoize = plan.memoize || held.is_some();
     let input;
-    let entry = match held.as_deref_mut().and_then(Option::take) {
-        Some(t) => Entry::Held(t),
+    let start = match held.as_deref_mut().and_then(Option::take) {
+        Some(t) => Start::Held(t),
         None => {
-            let steps = forward_schedule(&plan.config, memoize, &weights.widths(), false)
+            let steps = forward_schedule(&plan.config, memoize, &weights.widths(), Entry::Both)
                 .unwrap_or_else(|e| panic!("weights do not fit the plan: {e}"));
             input = RankInput::new(features, &topo, &steps, ctx);
-            Entry::Input(&input)
+            Start::Input(&input)
         }
     };
-    let mut art = forward_pass(ctx, &topo, entry, weights, plan, memoize, chunks, ops);
+    let mut art = forward_pass(ctx, &topo, start, weights, plan, memoize, chunks, ops);
     if let Some(held) = held {
         *held = Some(art.take_aggregation());
     }

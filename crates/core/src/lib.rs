@@ -16,22 +16,21 @@
 //!   resolution of a run's request into a plan ([`plan::resolve`]) that
 //!   training and serving share.
 //! * [`gcn`] — the RDM forward/backward engine that executes any plan and
-//!   charges exactly the redistributions of §IV-A.
-//! * [`cagnet`] — the CAGNET baselines' aggregation: the row-panel SpMM on
-//!   the RDM topology at `R_A = c`, 1D being 1.5D at `c = 1`.
+//!   charges exactly the redistributions of §IV-A. The CAGNET baselines
+//!   run on it too: CAGNET-1.5D is RDM plan 0 at `R_A = c` with a row-only
+//!   entry and no `G⁰` ([`Plan::cagnet`]), 1D being 1.5D at `c = 1`.
 //! * [`dgcl`] — the vertex-partitioned, halo-exchange baseline (DGCL-like).
 //! * [`saint`] — GraphSAINT-RDM, GraphSAINT-DDP (§V-C) and masked-SpMM
 //!   sampling (§III-F).
 //! * [`metrics`] / [`trainer`] — epoch accounting and the public
 //!   [`train_gcn`] entry point, which drives every algorithm through one of
-//!   two step bodies: the row-sliced epoch CAGNET and DGCL share, and the
-//!   RDM step full-batch RDM, GraphSAINT-RDM and masked-SpMM share.
+//!   two step bodies: the RDM step full-batch RDM, both CAGNETs,
+//!   GraphSAINT-RDM and masked-SpMM share, and DGCL's row-sliced epoch.
 //! * [`snapshot`] / [`infer`] — byte-exact trained-weight export/import
 //!   and the forward-only entry point the serving path runs on, which can
 //!   hold layer 1's aggregation `Â·H⁰` across a serving session.
 
 pub mod adam;
-pub mod cagnet;
 pub mod dgcl;
 pub mod dist;
 pub mod gcn;

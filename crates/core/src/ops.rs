@@ -365,27 +365,14 @@ impl<'a> Topology<'a> {
         }
     }
 
-    /// Distributed SpMM `Out = Â·In` on a tiled input (Fig. 6) — or, for
-    /// the backward pass (`bwd`), `Out = Âᵀ·In`, which differs only under
-    /// mean/GraphSAGE aggregation: broadcast tiles within the column
-    /// group, multiply this rank's panel (under the edge mask, if one is
-    /// installed). Output keeps the tile layout. Traffic:
+    /// This rank's block of the distributed SpMM `Out = Â·In` on a tiled
+    /// input (Fig. 6) — or, for the backward pass (`bwd`), `Out = Âᵀ·In`,
+    /// which differs only under mean/GraphSAGE aggregation — on any block
+    /// of whole columns of its tile: the tile, or one strip of it as a
+    /// redistribution delivers it. Tiles are broadcast within the column
+    /// group and this rank's panel multiplies them (under the edge mask, if
+    /// one is installed); the output keeps the tile layout. Traffic:
     /// `(P/R_A - 1)·N·f` elements total; zero when `r_a == p`.
-    pub fn spmm(&self, input: &DistMat, bwd: bool, ctx: &RankCtx, ops: &mut OpCounters) -> DistMat {
-        assert_eq!(input.dist, Dist::Col, "topology spmm needs the tile layout");
-        assert_eq!(self.n, input.rows, "vertex count mismatch");
-        DistMat {
-            dist: Dist::Col,
-            rows: self.n,
-            cols: input.cols,
-            local: self.spmm_tile(&input.local, bwd, ctx, ops),
-        }
-    }
-
-    /// The local product of [`Topology::spmm`] on any block of whole
-    /// columns of this rank's tile — the tile, or one strip of it as a
-    /// redistribution delivers it — by `Â`'s panel, or — for the backward
-    /// pass (`bwd`) of a non-symmetric aggregation — by `Âᵀ`'s.
     pub(crate) fn spmm_tile<'t>(
         &self,
         tile: impl Into<MatRef<'t>>,
@@ -400,20 +387,22 @@ impl<'a> Topology<'a> {
         panel_spmm(self.grid, panel, self.mask, tile, self.n, ctx, ops)
     }
 
-    /// The Row↔tile conversion of this topology: one redistribution inside
-    /// this rank's row group on [`Topology::wire`], `(R_A-1)/R_A·N·f`
-    /// elements in total, shipped as `chunks` strips with strip `q` of the
-    /// destination handed to `sink` as it completes (`chunks == 1` is the
-    /// blocking conversion).
-    pub(crate) fn convert(
+    /// The Row↔tile conversion of this topology: this rank's block `local`
+    /// (owned or borrowed) of a matrix in the form opposite to `to`,
+    /// redistributed inside its row group on [`Topology::wire`] —
+    /// `(R_A-1)/R_A·N·f` elements in total — into its block in form `to`,
+    /// shipped as `chunks` strips with strip `q` of the destination handed
+    /// to `sink` as it completes (`chunks == 1` is the blocking
+    /// conversion).
+    pub fn convert<'m>(
         &self,
-        m: &DistMat,
+        local: impl Into<MatRef<'m>>,
         to: Form,
         ctx: &RankCtx,
         kind: CollectiveKind,
         chunks: usize,
         sink: impl FnMut(usize, &Mat),
-    ) -> DistMat {
+    ) -> Mat {
         let spec = Redistribution {
             group: &self.grid.row_group(ctx.rank()),
             to,
@@ -421,20 +410,7 @@ impl<'a> Topology<'a> {
             chunks,
             kind,
         };
-        m.convert(ctx, &spec, sink)
-    }
-
-    /// Convert a tile-layout matrix to `P`-way row slices.
-    pub fn tile_to_row(&self, m: &DistMat, ctx: &RankCtx, kind: CollectiveKind) -> DistMat {
-        assert_eq!(m.dist, Dist::Col, "tile_to_row needs the tile layout");
-        self.convert(m, Form::Row, ctx, kind, 1, |_, _| {})
-    }
-
-    /// Convert `P`-way row slices to the tile layout (inverse of
-    /// [`Topology::tile_to_row`], same volume).
-    pub fn row_to_tile(&self, m: &DistMat, ctx: &RankCtx, kind: CollectiveKind) -> DistMat {
-        assert_eq!(m.dist, Dist::Row, "row_to_tile needs row slices");
-        self.convert(m, Form::Col, ctx, kind, 1, |_, _| {})
+        ctx.redistribute(&spec, local, sink)
     }
 
     /// Gather a tile-layout matrix onto every rank (tests only).
@@ -492,8 +468,8 @@ mod tests {
         let out = Cluster::new(4).run(move |ctx| {
             let mut ops = OpCounters::default();
             let input = DistMat::scatter_cols(&h2, ctx.size(), ctx.rank());
-            let result = Topology::full(&a2, ctx).spmm(&input, false, ctx, &mut ops);
-            assert_eq!(result.dist, Dist::Col);
+            let local = Topology::full(&a2, ctx).spmm_tile(&input.local, false, ctx, &mut ops);
+            let result = DistMat { local, ..input };
             (result.gather(ctx, K), ops)
         });
         for (g, ops) in &out.results {
@@ -513,7 +489,7 @@ mod tests {
         let out = Cluster::new(4).run(move |ctx| {
             let mut ops = OpCounters::default();
             let input = DistMat::scatter_cols(&h, ctx.size(), ctx.rank());
-            let _ = Topology::full(&adj, ctx).spmm(&input, false, ctx, &mut ops);
+            let _ = Topology::full(&adj, ctx).spmm_tile(&input.local, false, ctx, &mut ops);
         });
         for st in &out.stats {
             assert_eq!(st.total_bytes(), 0, "Fig 2a product must move no bytes");

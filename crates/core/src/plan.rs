@@ -3,14 +3,17 @@
 //! share ([`resolve`]).
 
 use crate::trainer::Algo;
-use rdm_model::{DeviceModel, GnnShape, Order, OrderConfig};
+use rdm_model::{DeviceModel, Entry, GnnShape, Order, OrderConfig, Step};
 use rdm_sparse::Csr;
 
 /// Re-export: the per-layer, per-pass order (SpMM-first / GEMM-first).
 pub type LayerOrder = Order;
 
-/// A complete execution plan for the RDM trainer: the SpMM/GEMM ordering
-/// plus the adjacency replication factor.
+/// A complete execution plan for the RDM engine: the SpMM/GEMM ordering,
+/// the adjacency replication factor, memoization, and how an epoch starts
+/// and ends. RDM's plans hold `H⁰` in both layouts and propagate `G⁰`;
+/// CAGNET's epoch is plan 0 with a row-only entry and no `G⁰`
+/// ([`Plan::cagnet`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Plan {
     pub config: OrderConfig,
@@ -22,24 +25,47 @@ pub struct Plan {
     /// memory for an extra SpMM — the ablation Table III's N.M. rows
     /// price.
     pub memoize: bool,
+    /// What an epoch holds of `H⁰` at entry: both layouts
+    /// ([`Entry::Both`], RDM's free initial distribution, §IV-B) or its row
+    /// slice ([`Entry::Row`], CAGNET's). A serving batch that holds `T¹`
+    /// starts from it ([`Entry::Held`]) whatever the plan says.
+    pub(crate) entry: Entry,
+    /// Whether the backward pass propagates the input gradient `G⁰`. With
+    /// `entry`, set apart from RDM's only by [`Plan::cagnet`].
+    pub(crate) input_grad: bool,
 }
 
 impl Plan {
     /// Plan from a Table-IV configuration ID with full replication.
     pub fn from_id(id: usize, layers: usize, p: usize) -> Self {
+        Self::of(OrderConfig::from_id(id, layers), p)
+    }
+
+    /// RDM's plan of `config` at replication factor `r_a`, memoized.
+    fn of(config: OrderConfig, r_a: usize) -> Self {
         Plan {
-            config: OrderConfig::from_id(id, layers),
-            r_a: p,
+            config,
+            r_a,
             memoize: true,
+            entry: Entry::Both,
+            input_grad: true,
         }
     }
 
-    /// The CAGNET-equivalent all-SpMM-first plan.
+    /// The all-SpMM-first plan (id 0) with full replication.
     pub fn all_spmm_first(layers: usize, p: usize) -> Self {
+        Self::of(OrderConfig::all_spmm_first(layers), p)
+    }
+
+    /// CAGNET-1.5D with replication factor `c` (CAGNET-1D at `c = 1`,
+    /// Tripathy et al.): plan 0 at `r_a = c`, not memoized — memoization
+    /// is RDM's (§III-C) — from a row-sliced `H⁰`, which each epoch
+    /// converts to tiles, and propagating no `G⁰`.
+    pub fn cagnet(layers: usize, c: usize) -> Self {
         Plan {
-            config: OrderConfig::all_spmm_first(layers),
-            r_a: p,
-            memoize: true,
+            entry: Entry::Row,
+            input_grad: false,
+            ..Self::all_spmm_first(layers, c).no_memoize()
         }
     }
 
@@ -58,6 +84,15 @@ impl Plan {
     /// Table-IV ID of the ordering.
     pub fn id(&self) -> usize {
         self.config.id()
+    }
+
+    /// The step list of one epoch of this plan over layer widths `feats`.
+    ///
+    /// # Errors
+    /// As [`rdm_model::schedule()`].
+    pub fn schedule(&self, feats: &[usize]) -> Result<Vec<Step>, String> {
+        let (memoize, entry) = (self.memoize, self.entry);
+        rdm_model::schedule(&self.config, memoize, feats, entry, self.input_grad)
     }
 }
 
@@ -86,11 +121,7 @@ pub fn best_plan(shape: &GnnShape, p: usize, r_a: usize, device: &DeviceModel, s
         .into_iter()
         .min_by(|a, b| time(a).total_cmp(&time(b)))
         .expect("pareto set is never empty");
-    Plan {
-        config: best.config,
-        r_a,
-        memoize: true,
-    }
+    Plan::of(best.config, r_a)
 }
 
 /// [`best_plan`] under the name the frozen benchmark calls.
@@ -127,7 +158,7 @@ pub struct PlanRequest<'a> {
 /// each requested optimisation that will not run is inert.
 #[derive(Debug)]
 pub struct Resolution {
-    /// `None` for algorithms that read no plan.
+    /// `None` for algorithms that run no one plan every epoch.
     pub plan: Option<Plan>,
     /// Strips every fed product's conversion ships in: the requested depth
     /// when the pipeline runs, else `1` (blocking).
@@ -160,19 +191,21 @@ pub fn overlap_inert_reason(chunks: usize, p: usize, r_a: usize) -> Option<&'sta
 /// layer count against `shape`. Then price `σ = 1 − empty_row_fraction(adj)`
 /// under the indexed wire, select through [`best_plan`] when no plan is
 /// given, fix the pipeline depth, and name why a requested overlap or
-/// indexed wire stays inert.
+/// indexed wire stays inert. Both CAGNET baselines resolve to
+/// [`Plan::cagnet`], which runs blocking on the dense wire.
 ///
 /// # Errors
 /// The first check the request fails, with the message both binaries print.
 pub fn resolve(req: &PlanRequest<'_>, shape: &GnnShape, adj: &Csr) -> Result<Resolution, String> {
     let p = req.p;
-    let (rdm, explicit) = match req.algo {
-        Algo::Rdm { plan } => (true, plan.as_ref()),
+    let (rdm, explicit, cagnet) = match req.algo {
+        Algo::Rdm { plan } => (true, plan.as_ref(), None),
+        Algo::Cagnet1D => (false, None, Some(1)),
         Algo::Cagnet15D { c } => {
             check_replication(*c, p)?;
-            (false, None)
+            (false, None, Some(*c))
         }
-        _ => (false, None),
+        _ => (false, None, None),
     };
     match (rdm, explicit, req.ra) {
         (false, _, Some(r)) => Err(format!(
@@ -200,11 +233,14 @@ pub fn resolve(req: &PlanRequest<'_>, shape: &GnnShape, adj: &Csr) -> Result<Res
     } else {
         1.0
     };
-    let plan = rdm.then(|| {
-        explicit
-            .cloned()
-            .unwrap_or_else(|| best_plan(shape, p, r_a, req.device, sigma))
-    });
+    let plan = match cagnet {
+        Some(c) => Some(Plan::cagnet(shape.layers(), c)),
+        None => rdm.then(|| {
+            explicit
+                .cloned()
+                .unwrap_or_else(|| best_plan(shape, p, r_a, req.device, sigma))
+        }),
+    };
     let overlap_inert = req.overlap.and_then(|chunks| match req.algo {
         Algo::Rdm { .. } => overlap_inert_reason(chunks, p, r_a),
         Algo::SaintRdm { .. } | Algo::SaintDdp { .. } | Algo::SaintMasked { .. } => {
@@ -333,7 +369,9 @@ mod tests {
         let ds = rdm_graph::DatasetSpec::synthetic("booked", 54, 300, 10, 6).instantiate(3);
         let shape = ds.shape_layers(8, 2);
         for config in OrderConfig::enumerate(2) {
-            let steps = rdm_model::schedule(&config, true, &shape.feats, false).unwrap();
+            let steps = Plan::from_id(config.id(), 2, 1)
+                .schedule(&shape.feats)
+                .unwrap();
             for (p, r_a) in [(4, 4), (4, 2), (8, 2)] {
                 let graph = PanelGrid::new(p, r_a).graph(&ds.adj_norm, None);
                 for chunks in [2, 3, 7] {

@@ -474,7 +474,7 @@ mod tests {
     /// those, under its own plan, and nothing else.
     #[test]
     fn a_mixed_epoch_trains_exactly_its_non_degenerate_draws() {
-        use rdm_model::{check, schedule, Part, Unit};
+        use rdm_model::{check, Part, Unit};
         let ds = toy(120, 5);
         let sampler = SaintSampler::RandomWalk {
             roots: 1,
@@ -491,7 +491,7 @@ mod tests {
             let mut parts = Vec::new();
             for k in 0..draws {
                 if let Some(plan) = saint_rdm_draw(&ds, &cfg, idx, k, &mut sub) {
-                    let steps = schedule(&plan.config, plan.memoize, &feats, false).unwrap();
+                    let steps = plan.schedule(&feats).unwrap();
                     let graph = PanelGrid::new(4, 4).graph(&sub.adj_norm, None);
                     parts.push(Part { steps, graph });
                 }

@@ -1,12 +1,14 @@
 //! The public training entry point: pick an algorithm, a cluster size and
 //! an epoch budget, get back a [`TrainReport`] with per-epoch metrics.
 //!
-//! Every algorithm trains through one of two step bodies. The baselines
-//! (CAGNET 1D / 1.5D and DGCL) share one row-sliced epoch whose only
-//! per-algorithm part is the aggregation `Â·X`; full-batch RDM,
-//! GraphSAINT-RDM and masked-SpMM share one RDM step — forward under a
-//! plan, loss, backward, Adam. GraphSAINT-DDP trains local subgraphs
-//! serially and all-reduces their gradients ([`crate::saint`]).
+//! Every algorithm trains through one of two step bodies. Full-batch RDM,
+//! both CAGNETs, GraphSAINT-RDM and masked-SpMM share one RDM step —
+//! forward under a plan, loss, backward, Adam; CAGNET-1.5D is RDM plan 0
+//! at `R_A = c` with a row-only entry and no `G⁰` ([`Plan::cagnet`]),
+//! CAGNET-1D the same at `c = 1`. DGCL trains a row-sliced epoch whose
+//! only own part is its halo-exchange aggregation `Â·X`. GraphSAINT-DDP
+//! trains local subgraphs serially and all-reduces their gradients
+//! ([`crate::saint`]).
 //! [`train_gcn`] drives every algorithm through one per-rank trainer
 //! interface: an epoch and the weights.
 //!
@@ -16,6 +18,7 @@
 //! [`train_gcn`], and borrowed.
 
 use crate::adam::Adam;
+use crate::dgcl;
 use crate::dist::DistMat;
 use crate::gcn::{activate, rdm_backward, rdm_forward, GcnWeights, RankInput};
 use crate::loss::{score, LossSpec, Scores};
@@ -26,14 +29,13 @@ use crate::ops::{dist_gemm, weight_grad, OpCounters, PanelGrid, Topology};
 use crate::plan::{Plan, PlanRequest, Resolution};
 use crate::saint::ScaledGraph;
 use crate::saint::{feed_draws, Draw, SaintDdpTrainer, SaintMaskedTrainer, SaintRdmTrainer};
-use crate::{cagnet, dgcl};
 use rdm_comm::feed::Intake;
 use rdm_comm::{FaultPlan, RankCtx, RunOutput};
 use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::{relu_backward_in_place, Mat};
 use rdm_graph::dataset::{Dataset, Split};
 use rdm_graph::SaintSampler;
-use rdm_model::{schedule, DeviceModel};
+use rdm_model::DeviceModel;
 use rdm_trace::Span;
 
 /// Which distributed GNN system to run.
@@ -377,15 +379,16 @@ impl Targets {
     }
 }
 
-/// The one per-algorithm part of a row-sliced baseline: the aggregation
-/// `Â·X` of a row-sliced `X`, returned row-sliced.
+/// The one per-algorithm part of a row-sliced epoch: the aggregation `Â·X`
+/// of a row-sliced `X`, returned row-sliced.
 pub(crate) trait RowAggregation {
     fn aggregate(&self, x: &DistMat, ctx: &RankCtx, ops: &mut OpCounters) -> DistMat;
 }
 
-/// The baselines' epoch (CAGNET, DGCL): activations and gradients stay
+/// The row-sliced epoch (DGCL's): activations and gradients stay
 /// row-sliced, every layer aggregates first — in both passes — and
-/// multiplies the replicated weights locally; only `agg` differs.
+/// multiplies the replicated weights locally; only `agg` is the
+/// algorithm's own.
 pub(crate) struct RowTrainer<'a, A> {
     pub(crate) agg: A,
     /// This rank's row slice of the input features, read by every epoch.
@@ -437,7 +440,8 @@ impl<A: RowAggregation> Trainer for RowTrainer<'_, A> {
     }
 }
 
-/// Full-batch RDM under one plan.
+/// Full-batch training under one plan: RDM's, or CAGNET's
+/// ([`Plan::cagnet`]).
 struct RdmTrainer<'a> {
     plan: Plan,
     topo: Topology<'a>,
@@ -457,12 +461,15 @@ impl<'a> RdmTrainer<'a> {
         resolved: &Resolution,
         ctx: &RankCtx,
     ) -> Self {
-        let plan = resolved.plan.clone().expect("RDM always resolves a plan");
+        let plan = resolved
+            .plan
+            .clone()
+            .expect("a full-batch run resolves a plan");
         let mut topo = match &ds.adj_norm_t {
             None => Topology::new(&ds.adj_norm, plan.r_a, ctx),
             Some(t) => Topology::new_asym(&ds.adj_norm, t, plan.r_a, ctx),
         };
-        topo.set_sparse(cfg.sparse);
+        topo.set_sparse(cfg.sparse && resolved.sparse_inert.is_none());
         let model = Model::new(ds, cfg);
         RdmTrainer {
             input: RankInput::for_plan(&ds.features, &topo, &plan, &model.weights, ctx),
@@ -576,16 +583,27 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
 
     // Every epoch runs the resolved plan's schedule, so its pipeline
     // hides the same priced time each epoch.
-    let plan_id = resolved.plan.as_ref().map(Plan::id);
     let hidden = match &resolved.plan {
         Some(plan) => {
             let feats = ds.shape_layers(cfg.hidden, cfg.layers).feats;
-            let steps = schedule(&plan.config, plan.memoize, &feats, false)?;
+            let steps = plan.schedule(&feats)?;
             let (grid, adj_t) = (PanelGrid::new(cfg.p, plan.r_a), ds.adj_norm_t.as_ref());
             let (adj, chunks, device) = (&ds.adj_norm, resolved.chunks, &cfg.device);
             hidden_price(&steps, adj, adj_t, grid, chunks, device)
         }
         None => vec![0; cfg.p],
+    };
+    // An auto-selected plan is reported by the id it resolved to; other
+    // algorithms name no RDM plan.
+    let (algo, plan_id) = match &cfg.algo {
+        Algo::Rdm { .. } => {
+            let plan = resolved.plan;
+            (
+                Algo::Rdm { plan: plan.clone() },
+                plan.as_ref().map(Plan::id),
+            )
+        }
+        algo => (algo.clone(), None),
     };
     // Aggregate per epoch across ranks.
     let mut per_rank = out.results;
@@ -595,13 +613,6 @@ pub fn train_gcn(ds: &Dataset, cfg: &TrainerConfig) -> Result<TrainReport, Strin
         let metrics = EpochMetrics::from_ranks(e, &snapshot, &hidden, &cfg.device);
         epochs.push(EpochMetrics { plan_id, ..metrics });
     }
-    // An auto-selected plan is reported by the id it resolved to.
-    let algo = match &cfg.algo {
-        Algo::Rdm { .. } => Algo::Rdm {
-            plan: resolved.plan,
-        },
-        algo => algo.clone(),
-    };
     Ok(TrainReport {
         algo: algo.label(),
         dataset: ds.spec.name.clone(),
@@ -633,8 +644,9 @@ fn on_trainers<T: Send>(
         let (r, c, built) = (resolved, ctx, "built before the session");
         let t = || targets.as_ref().expect(built);
         let mut trainer: Box<dyn Trainer> = match cfg.algo {
-            Algo::Rdm { .. } => Box::new(RdmTrainer::setup(ds, cfg, t(), r, c)),
-            Algo::Cagnet1D | Algo::Cagnet15D { .. } => Box::new(cagnet::setup(ds, cfg, t(), c)),
+            Algo::Rdm { .. } | Algo::Cagnet1D | Algo::Cagnet15D { .. } => {
+                Box::new(RdmTrainer::setup(ds, cfg, t(), r, c))
+            }
             Algo::Dgcl => Box::new(dgcl::setup(ds, cfg, partition.as_ref().expect(built), c)),
             Algo::SaintRdm { .. } => Box::new(SaintRdmTrainer::setup(ds, cfg, t(), draws)),
             Algo::SaintDdp { .. } => Box::new(SaintDdpTrainer::setup(ds, cfg, t())),
@@ -708,6 +720,72 @@ mod tests {
                 }
                 assert_eq!(tile_at(&t), before, "id {id}: an epoch rebuilt the tile");
             });
+        }
+    }
+
+    /// A CAGNET rank — 1D, and 1.5D at `c = 2` — trains through the RDM
+    /// engine on [`Plan::cagnet`] and reads `H⁰`'s row slice in place from
+    /// `ds.features`: its row view points into the features' buffer, and
+    /// it holds no tile of `H⁰` before, between or after epochs (1.5D
+    /// converts the view each epoch and frees the tile after layer 1).
+    #[test]
+    fn a_cagnet_rank_borrows_its_row_slice_and_holds_no_tile() {
+        let ds = toy(60, 3);
+        let targets = Targets::new(ds.labels.clone(), &ds.split, ds.spec.labels);
+        for (cfg, c) in [
+            (TrainerConfig::cagnet_1d(4), 1),
+            (TrainerConfig::cagnet(4), 2),
+        ] {
+            let cfg = cfg.epochs(2).hidden(8);
+            let resolved = resolve(&ds, &cfg).expect("a valid configuration");
+            assert_eq!(resolved.plan, Some(Plan::cagnet(2, c)), "c = {c}");
+            Cluster::new(4).run(|ctx| {
+                let mut t = RdmTrainer::setup(&ds, &cfg, &targets, &resolved, ctx);
+                let rows = rdm_dense::part_range(ds.n(), 4, ctx.rank());
+                let first = ds.features.row(rows.start).as_ptr();
+                let mut ops = OpCounters::default();
+                for epoch in 0..=2 {
+                    let view = t.input.row.expect("CAGNET reads H⁰ row-sliced");
+                    let what = format!("c = {c} before epoch {epoch}");
+                    assert_eq!(
+                        view.as_slice().as_ptr(),
+                        first,
+                        "{what}: a copied row slice"
+                    );
+                    assert_eq!(view.shape(), (rows.len(), ds.features.cols()), "{what}");
+                    assert!(t.input.tile.is_none(), "{what}: a tile of H⁰ is held");
+                    if epoch < 2 {
+                        t.epoch(ctx, &mut ops);
+                    }
+                }
+            });
+        }
+    }
+
+    /// Every full-batch algorithm keeps its replicated weights bitwise
+    /// identical on every rank, epoch after epoch.
+    #[test]
+    fn weights_stay_identical_across_ranks() {
+        let ds = toy(40, 8);
+        for cfg in [
+            TrainerConfig::rdm_auto(3),
+            TrainerConfig::cagnet_1d(3),
+            TrainerConfig::cagnet(4),
+            TrainerConfig::dgcl(3),
+        ] {
+            let label = cfg.algo.label();
+            let out = on_ranks(&ds, &cfg.hidden(8).seed(5), |t, ctx| {
+                let mut ops = OpCounters::default();
+                for _ in 0..2 {
+                    t.epoch(ctx, &mut ops);
+                }
+                t.weights().w.clone()
+            });
+            for (rank, w) in out.results.iter().enumerate() {
+                for (a, b) in w.iter().zip(&out.results[0]) {
+                    assert_eq!(a.as_slice(), b.as_slice(), "{label}: rank {rank} diverged");
+                }
+            }
         }
     }
 

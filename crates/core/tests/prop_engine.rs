@@ -2,14 +2,14 @@
 //! orderings, cluster sizes and replication factors.
 
 use proptest::prelude::*;
-use rdm_comm::{Cluster, CollectiveKind};
+use rdm_comm::CollectiveKind::{self, Other};
+use rdm_comm::{Cluster, Form};
 use rdm_core::gcn::{rdm_backward, rdm_forward, serial, GcnWeights, RankInput};
 use rdm_core::loss::{serial as loss_serial, softmax_xent, LossSpec};
 use rdm_core::ops::{OpCounters, Topology};
 use rdm_core::Plan;
 use rdm_dense::allclose;
 use rdm_graph::DatasetSpec;
-use rdm_model::OrderConfig;
 
 /// Divisor pairs (p, r_a) with r_a | p, small enough for fast cases.
 fn grid_strategy() -> impl Strategy<Value = (usize, usize)> {
@@ -45,11 +45,7 @@ proptest! {
         let mask = vec![true; ds.n()];
         let (_, lg) = loss_serial::softmax_xent(serial_h.last().unwrap(), &ds.labels, &mask);
         let (serial_grads, _) = serial::backward(&ds.adj_norm, &serial_h, &weights, &lg);
-        let plan = Plan {
-            config: OrderConfig::from_id(id, 2),
-            r_a,
-            memoize: true,
-        };
+        let plan = Plan::from_id(id, 2, r_a);
         let (adj, features, labels) =
             (ds.adj_norm.clone(), ds.features.clone(), ds.labels.clone());
         let w2 = weights.clone();
@@ -146,7 +142,7 @@ proptest! {
         let out = Cluster::new(p).run(move |ctx| {
             let topo = Topology::new(&adj, r_a, ctx);
             let tile = topo.scatter_tile(&g2, ctx);
-            topo.gather_tile(&tile, ctx, CollectiveKind::Other)
+            topo.gather_tile(&tile, ctx, Other)
         });
         for got in &out.results {
             prop_assert_eq!(got, &global);
@@ -213,9 +209,9 @@ proptest! {
         let out = Cluster::new(p).run(move |ctx| {
             let topo = Topology::new(&adj, r_a, ctx);
             let tile = topo.scatter_tile(&global, ctx);
-            let row = topo.tile_to_row(&tile, ctx, CollectiveKind::Other);
-            let back = topo.row_to_tile(&row, ctx, CollectiveKind::Other);
-            (tile.local, back.local)
+            let convert = |m: &rdm_dense::Mat, to| topo.convert(m, to, ctx, Other, 1, |_, _| {});
+            let back = convert(&convert(&tile.local, Form::Row), Form::Col);
+            (tile.local, back)
         });
         for (orig, back) in &out.results {
             prop_assert_eq!(orig, back);

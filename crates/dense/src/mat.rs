@@ -192,24 +192,7 @@ impl Mat {
     /// Copy of the block of rows `r0..r1` and columns `c0..c1` as a new
     /// matrix, in one strided pass.
     pub fn block(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Mat {
-        assert!(
-            r0 <= r1 && r1 <= self.rows && c0 <= c1 && c1 <= self.cols,
-            "block {r0}..{r1} x {c0}..{c1} out of bounds"
-        );
-        let w = c1 - c0;
-        let mut data = pool::take_empty((r1 - r0) * w);
-        if w == self.cols {
-            data.extend_from_slice(&self.data[r0 * w..r1 * w]);
-        } else {
-            for i in r0..r1 {
-                data.extend_from_slice(&self.row(i)[c0..c1]);
-            }
-        }
-        Mat {
-            rows: r1 - r0,
-            cols: w,
-            data,
-        }
+        MatRef::from(self).block(r0, r1, c0, c1)
     }
 
     /// An `rows × cols` matrix whose elements `fill` writes into an
@@ -328,6 +311,29 @@ impl<'a> MatRef<'a> {
     pub fn row(&self, i: usize) -> &'a [f32] {
         debug_assert!(i < self.rows);
         &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Copy of the block of rows `r0..r1` and columns `c0..c1` as a new
+    /// matrix, in one strided pass.
+    pub fn block(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Mat {
+        assert!(
+            r0 <= r1 && r1 <= self.rows && c0 <= c1 && c1 <= self.cols,
+            "block {r0}..{r1} x {c0}..{c1} out of bounds"
+        );
+        let w = c1 - c0;
+        let mut data = pool::take_empty((r1 - r0) * w);
+        if w == self.cols {
+            data.extend_from_slice(&self.data[r0 * w..r1 * w]);
+        } else {
+            for i in r0..r1 {
+                data.extend_from_slice(&self.row(i)[c0..c1]);
+            }
+        }
+        Mat {
+            rows: r1 - r0,
+            cols: w,
+            data,
+        }
     }
 
     /// An owned copy in a pool buffer.

@@ -808,7 +808,7 @@ pub fn check(
 mod tests {
     use super::*;
     use crate::config::OrderConfig;
-    use crate::schedule::schedule;
+    use crate::schedule::{schedule, Entry};
     use rdm_trace::Event;
 
     /// The test graph: 140 vertices, 1100 nonzeros, widths 16 → 16 → 5.
@@ -828,7 +828,7 @@ mod tests {
             panel_nnz: nnz.to_vec(),
             panel_nnz_t: nnz_t.map(<[usize]>::to_vec),
         };
-        let steps = schedule(cfg, memoize, &FEATS, false)?;
+        let steps = schedule(cfg, memoize, &FEATS, Entry::Both, true)?;
         Ok(Unit {
             scope: Span::Epoch { idx: 0 },
             markers: Vec::new(),
@@ -1345,7 +1345,8 @@ mod tests {
             client: c,
             req_id: 7,
         };
-        let steps = crate::schedule::forward_schedule(cfg, true, &FEATS, held).unwrap();
+        let entry = if held { Entry::Held } else { Entry::Both };
+        let steps = crate::schedule::forward_schedule(cfg, true, &FEATS, entry).unwrap();
         Unit {
             scope: Span::Batch { idx: 3, size: reqs },
             markers: (0..reqs).map(serve).collect(),
@@ -1407,7 +1408,8 @@ mod tests {
             }
         }
         let gemm_first = OrderConfig::from_id(3, 2);
-        assert!(crate::schedule::forward_schedule(&gemm_first, true, &FEATS, true).is_err());
+        let held = crate::schedule::forward_schedule(&gemm_first, true, &FEATS, Entry::Held);
+        assert!(held.is_err());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::config::{Order, OrderConfig};
 use crate::conformance::{Graph, Pricer, SchedEvent, Strip};
 use crate::device::{DeviceModel, MeasuredRank};
 use crate::layer::{backward_layer_cost, forward_layer_cost, redistribution_elems, LayerDims};
-use crate::schedule::{schedule, Step};
+use crate::schedule::{schedule, Entry, Step};
 use rdm_trace::TraceCollective;
 
 /// The shape of a GCN training problem: vertex count, edge count (nnz of
@@ -243,7 +243,8 @@ pub fn price_plan(
         (0.0..=1.0).contains(&sigma),
         "sparsity factor {sigma} outside [0, 1]"
     );
-    let steps = schedule(cfg, true, &shape.feats, false).unwrap_or_else(|e| panic!("{e}"));
+    let steps = schedule(cfg, true, &shape.feats, Entry::Both, true);
+    let steps = steps.unwrap_or_else(|e| panic!("{e}"));
     let graph = Graph::even(shape.n, shape.nnz, p / r_a);
     let ranks = price_ranks(&steps, &graph, p, r_a, 1, sigma).unwrap_or_else(|e| panic!("{e}"));
     let bytes = |f: fn(&RankPrice) -> u64| ranks.iter().map(f).sum::<u64>() as f64;

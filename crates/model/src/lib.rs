@@ -53,5 +53,5 @@ pub use layer::{
     group_redistribution_elems, panel_broadcast_elems, redistribution_elems, LayerDims,
 };
 pub use memory::{cagnet_bytes_per_gpu, max_replication, rdm_bytes_per_gpu, MemoryParams};
-pub use schedule::{forward_schedule, reads, schedule, Op, Slot, Step};
+pub use schedule::{forward_schedule, reads, schedule, Entry, Op, Slot, Step};
 pub use symbolic::{table4, Table4Row};

@@ -148,26 +148,43 @@ impl Builder {
     }
 }
 
+/// What a unit's schedule holds when it starts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Entry {
+    /// `H⁰` in both layouts: RDM's initial distribution is free (§IV-B).
+    Both,
+    /// `H⁰` row-sliced only, as CAGNET holds it. A layer 1 that aggregates
+    /// first then runs a fed product: one `Redistribute` conversion of `H⁰`
+    /// per epoch (CAGNET-1.5D's row-to-tile), whose tile is freed once
+    /// layer 1 is done.
+    Row,
+    /// Layer 1's aggregation `T¹ = Â·H⁰`, row-sliced, instead of the input:
+    /// a full-graph serving batch after the first, whose frozen weights and
+    /// adjacency make `T¹` a constant of the session. Layer 1 then runs its
+    /// GEMM alone, on `T¹`'s row slice, and the schedule never frees `T¹`
+    /// (the session keeps it, as a memoized plan keeps its `T`). Such a
+    /// schedule is forward-only: it ends at the loss boundary.
+    Held,
+}
+
 /// The schedule of one epoch of `config` over layer widths `feats`
-/// (`feats.len() = L + 1`): the forward pass through the loss boundary,
-/// then the backward pass. With `memoize` an SpMM-first forward layer's
-/// `Â·Hˡ⁻¹` is kept for the weight gradient (§III-C).
-///
-/// With `held`, layer 1's aggregation `T¹ = Â·H⁰` is held row-sliced at
-/// entry instead of the input: a full-graph serving batch after the first,
-/// whose frozen weights and adjacency make `T¹` a constant of the session.
-/// Layer 1 then runs its GEMM alone, on `T¹`'s row slice, and the schedule
-/// never frees `T¹` (the session keeps it, as a memoized plan keeps its
-/// `T`). Such a schedule is forward-only: it ends at the loss boundary.
+/// (`feats.len() = L + 1`), starting from `entry`: the forward pass
+/// through the loss boundary, then the backward pass. With `memoize` an
+/// SpMM-first forward layer's `Â·Hˡ⁻¹` is kept for the weight gradient
+/// (§III-C). With `input_grad` the backward pass propagates the gradient
+/// into `G⁰`; without it layer 1's backward products serve its weight
+/// gradient alone — an SpMM-first layer 1 converts `Âᵀ·G¹` to row slices
+/// where the dead GEMM into `G⁰` would have.
 ///
 /// # Errors
-/// If `feats` does not have `L + 1` widths, or `held` is asked of a plan
-/// whose first layer is GEMM-first (its layer 1 never forms `Â·H⁰`).
+/// If `feats` does not have `L + 1` widths, or [`Entry::Held`] is asked of
+/// a plan whose first layer is GEMM-first (its layer 1 never forms `Â·H⁰`).
 pub fn schedule(
     config: &OrderConfig,
     memoize: bool,
     feats: &[usize],
-    held: bool,
+    entry: Entry,
+    input_grad: bool,
 ) -> Result<Vec<Step>, String> {
     use Slot::{Tb, G, H, R, T};
     use TraceCollective::{Other, Redistribute};
@@ -177,16 +194,15 @@ pub fn schedule(
         let widths = feats.len();
         return Err(format!("{widths} layer widths for a {layers}-layer plan"));
     }
+    let held = entry == Entry::Held;
     if held && config.forward[0] == Order::GemmFirst {
         return Err("a GEMM-first layer 1 never forms the aggregation Â·H⁰".into());
     }
     let mut b = Builder::default();
-    if held {
-        b.held.insert((T(1), Form::Row));
-    } else {
-        // The input holds both layouts: the initial distribution is free
-        // (§IV-B).
-        b.held.extend([(H(0), Form::Row), (H(0), Form::Col)]);
+    match entry {
+        Entry::Both => b.held.extend([(H(0), Form::Row), (H(0), Form::Col)]),
+        Entry::Row => _ = b.held.insert((H(0), Form::Row)),
+        Entry::Held => _ = b.held.insert((T(1), Form::Row)),
     }
     for l in 1..=layers {
         let (f_in, f_out) = (feats[l - 1], feats[l]);
@@ -214,6 +230,10 @@ pub fn schedule(
         if !(memoize || held && l == 1) {
             b.free(T(l), BOTH);
         }
+        // A tile of H⁰ converted at entry lives through layer 1 only.
+        if l == 1 && entry == Entry::Row {
+            b.free(H(0), &[Form::Col]);
+        }
     }
     b.require(H(layers), Form::Row, Redistribute, feats[layers]);
     b.steps.push(Step::Loss);
@@ -224,32 +244,44 @@ pub fn schedule(
     for l in (1..=layers).rev() {
         let (f_in, f_out) = (feats[l - 1], feats[l]);
         let backward = config.backward[l - 1];
-        // Gˡ⁻¹ = Âᵀ·Gˡ·Wˡᵀ in the plan's order.
-        let form = match backward {
-            // Âᵀ·Gˡ's row slices may still feed the weight gradient.
-            Order::SpmmFirst => {
-                b.product(Op::Spmm, l, G(l), Tb(l), (f_out, f_out));
-                let form = b.product(Op::Gemm, l, Tb(l), G(l - 1), (f_out, f_in));
-                b.free(Tb(l), &[Form::Col]);
-                form
-            }
-            Order::GemmFirst => {
-                b.product(Op::Gemm, l, G(l), Tb(l), (f_out, f_in));
-                let form = b.product(Op::Spmm, l, Tb(l), G(l - 1), (f_in, f_in));
-                b.free(Tb(l), BOTH);
-                form
-            }
-        };
         // The weight gradient Yˡ = (Hˡ⁻¹)ᵀ·Âᵀ·Gˡ = (Â·Hˡ⁻¹)ᵀ·Gˡ by its
-        // cheapest valid product.
+        // cheapest valid product. The memoized Â·Hˡ⁻¹ stands in for the
+        // backward SpMM (or for converting Hˡ⁻¹); the forward GEMM left its
+        // row slices. (The layouts this reads are ones layer l's backward
+        // products leave as they are.)
         let memo = memoize && config.forward[l - 1] == Order::SpmmFirst;
         let stand_in = memo
             && (backward == Order::GemmFirst
                 || (!b.held.contains(&(H(l - 1), Form::Row))
                     && b.held.contains(&(G(l), Form::Row))));
+        // Gˡ⁻¹ = Âᵀ·Gˡ·Wˡᵀ in the plan's order, and the layout it lands in.
+        let form = if l > 1 || input_grad {
+            Some(match backward {
+                // Âᵀ·Gˡ's row slices may still feed the weight gradient.
+                Order::SpmmFirst => {
+                    b.product(Op::Spmm, l, G(l), Tb(l), (f_out, f_out));
+                    let form = b.product(Op::Gemm, l, Tb(l), G(l - 1), (f_out, f_in));
+                    b.free(Tb(l), &[Form::Col]);
+                    form
+                }
+                Order::GemmFirst => {
+                    b.product(Op::Gemm, l, G(l), Tb(l), (f_out, f_in));
+                    let form = b.product(Op::Spmm, l, Tb(l), G(l - 1), (f_in, f_in));
+                    b.free(Tb(l), BOTH);
+                    form
+                }
+            })
+        } else {
+            // No G⁰: only an SpMM-first weight gradient reads a product of
+            // layer 1's backward pass, Âᵀ·G¹, row-sliced.
+            if backward == Order::SpmmFirst && !stand_in {
+                b.product(Op::Spmm, l, G(l), Tb(l), (f_out, f_out));
+                b.require(Tb(l), Form::Row, Redistribute, f_out);
+                b.free(Tb(l), &[Form::Col]);
+            }
+            None
+        };
         let (a, g) = if stand_in {
-            // The memoized Â·Hˡ⁻¹ stands in for the backward SpMM (or for
-            // converting Hˡ⁻¹); the forward GEMM left its row slices.
             (T(l), G(l))
         } else if backward == Order::SpmmFirst {
             // Âᵀ·Gˡ is already row-sliced; Hˡ⁻¹ may need converting (only
@@ -280,7 +312,7 @@ pub fn schedule(
         });
         b.free(R(l), BOTH);
         // σ'(Hˡ⁻¹) aligned to the gradient's layout; none into the input.
-        if l > 1 {
+        if let Some(form) = form.filter(|_| l > 1) {
             b.require(H(l - 1), form, Other, f_in);
             b.steps.push(Step::ReluMask { layer: l, form });
         }
@@ -318,9 +350,9 @@ pub fn forward_schedule(
     config: &OrderConfig,
     memoize: bool,
     feats: &[usize],
-    held: bool,
+    entry: Entry,
 ) -> Result<Vec<Step>, String> {
-    let mut steps = schedule(config, memoize, feats, held)?;
+    let mut steps = schedule(config, memoize, feats, entry, true)?;
     let loss = steps.iter().position(|s| *s == Step::Loss);
     steps.truncate(loss.unwrap_or(steps.len()));
     Ok(steps)
@@ -329,7 +361,8 @@ pub fn forward_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{config_cost, price_plan, GnnShape};
+    use crate::conformance::Graph;
+    use crate::cost::{config_cost, price_plan, price_ranks, GnnShape, RankPrice};
     use crate::layer::{group_redistribution_elems, redistribution_elems};
 
     /// The input's tile is read exactly when layer 1 aggregates first
@@ -343,17 +376,87 @@ mod tests {
         let h0 = Slot::H(0);
         for config in OrderConfig::enumerate(2) {
             let spmm_first = config.forward[0] == Order::SpmmFirst;
-            let epoch = schedule(&config, true, &feats, false).unwrap();
-            let forward = forward_schedule(&config, true, &feats, false).unwrap();
+            let epoch = schedule(&config, true, &feats, Entry::Both, true).unwrap();
+            let forward = forward_schedule(&config, true, &feats, Entry::Both).unwrap();
             let id = config.id();
             assert_eq!(reads(&epoch, h0, Form::Col), spmm_first, "id {id}");
             assert_eq!(reads(&forward, h0, Form::Row), !spmm_first, "id {id}");
         }
         let id4 = OrderConfig::from_id(4, 2);
-        let epoch = schedule(&id4, true, &feats, false).unwrap();
+        let epoch = schedule(&id4, true, &feats, Entry::Both, true).unwrap();
         assert!(reads(&epoch, h0, Form::Col) && !reads(&epoch, h0, Form::Row));
-        let held = schedule(&id4, true, &feats, true).unwrap();
+        let held = schedule(&id4, true, &feats, Entry::Held, true).unwrap();
         assert!(!reads(&held, h0, Form::Col) && !reads(&held, h0, Form::Row));
+    }
+
+    /// CAGNET's epoch — plan 0, not memoized, from a row-sliced `H⁰`,
+    /// propagating no `G⁰` — priced at `P ∈ {4, 8}` and `c ∈ {1, 2}` on a
+    /// P-divisible shape moves, summed over ranks, exactly `(P/c − 1)·N·f`
+    /// broadcast and `2·(c − 1)/c·N·f` redistributed elements per
+    /// aggregation of width `f` (§II, §III-E): `f₀ … f_{L−1}` forward and
+    /// `f_L … f₁` backward. Propagating `G⁰` adds exactly the `N·f₁·f₀`
+    /// GEMM FMAs of `Âᵀ·G¹·W¹ᵀ` and moves nothing else. The epoch reads
+    /// `H⁰` row-sliced only, frees the tile it converts, and writes no
+    /// `G⁰`.
+    #[test]
+    fn cagnet_is_priced_in_closed_form() {
+        let n = 96;
+        for feats in [vec![16, 12, 8], vec![16, 12, 8, 4]] {
+            let layers = feats.len() - 1;
+            let cagnet = |input_grad| {
+                let config = OrderConfig::all_spmm_first(layers);
+                schedule(&config, false, &feats, Entry::Row, input_grad).unwrap()
+            };
+            let steps = cagnet(false);
+            let h0 = Slot::H(0);
+            assert!(reads(&steps, h0, Form::Row) && !reads(&steps, h0, Form::Col));
+            let free = Step::Free {
+                slot: h0,
+                form: Form::Col,
+            };
+            assert!(
+                steps.contains(&free),
+                "{layers} layers: the tile of H⁰ is kept"
+            );
+            let writes_g0 = |s: &Step| {
+                matches!(
+                    s,
+                    Step::Product {
+                        dst: Slot::G(0),
+                        ..
+                    }
+                )
+            };
+            assert!(!steps.iter().any(writes_g0), "{layers} layers: a G⁰");
+            let aggregated: usize = feats[..layers].iter().chain(&feats[1..]).sum();
+            for (p, c) in [(4, 1), (4, 2), (8, 1), (8, 2)] {
+                let what = format!("{layers} layers P {p} c {c}");
+                let graph = Graph::even(n, 960, p / c);
+                let price = |steps| price_ranks(steps, &graph, p, c, 1, 1.0).unwrap();
+                let (ranks, with_g0) = (price(&steps), price(&cagnet(true)));
+                let total = |f: fn(&RankPrice) -> u64| ranks.iter().map(f).sum::<u64>();
+                let elems = n * aggregated;
+                let broadcast = (p / c - 1) * elems * 4;
+                assert_eq!(
+                    total(|r| r.broadcast),
+                    broadcast as u64,
+                    "{what}: broadcast"
+                );
+                let redistribute = 2 * (c - 1) * elems / c * 4;
+                let redistributed = total(|r| r.redistribute);
+                assert_eq!(redistributed, redistribute as u64, "{what}: redistribution");
+                let gemm = |ranks: &[RankPrice]| ranks.iter().map(|r| r.book.gemm_fma).sum::<f64>();
+                let dead = gemm(&with_g0) - gemm(&ranks);
+                assert_eq!(dead, (n * feats[1] * feats[0]) as f64, "{what}: G⁰ FMAs");
+                for (rank, (a, b)) in ranks.iter().zip(&with_g0).enumerate() {
+                    let moved = |r: &RankPrice| {
+                        let book = (r.book.spmm_fma, r.book.messages);
+                        (r.redistribute, r.broadcast, book)
+                    };
+                    assert_eq!(moved(a), moved(b), "{what} rank {rank}: G⁰ moved");
+                }
+            }
+        }
     }
 
     /// The `(P, R_A)` grids the priced schedule is checked on.

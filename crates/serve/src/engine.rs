@@ -46,7 +46,7 @@ use rdm_dense::kernels::{self, Mode as KernelMode};
 use rdm_dense::mat::part_range;
 use rdm_graph::dataset::{Dataset, InducedBatch};
 use rdm_graph::sampler::Subgraph;
-use rdm_model::{forward_schedule, DeviceModel, GnnShape, MeasuredRank, Order, Step};
+use rdm_model::{forward_schedule, DeviceModel, Entry, GnnShape, MeasuredRank, Order, Step};
 use rdm_sparse::Csr;
 use rdm_trace::{RankTrace, Span};
 use std::cell::Cell;
@@ -280,9 +280,14 @@ pub fn serve(
     // graph, or the plan's on each induced batch's own adjacency.
     let (grid, chunks, device) = (PanelGrid::new(p, plan.r_a), resolved.chunks, &cfg.device);
     let memoize = plan.memoize || reuse_inert.is_none();
-    let steps = forward_schedule(&plan.config, memoize, &feats, false)?;
+    let steps = forward_schedule(&plan.config, memoize, &feats, Entry::Both)?;
     let held_steps = match reuse_inert {
-        None => Some(forward_schedule(&plan.config, memoize, &feats, true)?),
+        None => Some(forward_schedule(
+            &plan.config,
+            memoize,
+            &feats,
+            Entry::Held,
+        )?),
         Some(_) => None,
     };
     let price = |steps: &[Step], adj: &Csr| -> Vec<u64> {

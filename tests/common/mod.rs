@@ -20,8 +20,8 @@ use gnn_rdm::core::{EpochMetrics, WeightSnapshot};
 use gnn_rdm::dense::{kernels, part_range, KernelMode};
 use gnn_rdm::graph::dataset::{InducedBatch, Split};
 use gnn_rdm::graph::{Dataset, DatasetSpec, SaintSampler};
-use gnn_rdm::model::{self, forward_schedule, predict, price_ranks, schedule, DeviceModel};
-use gnn_rdm::model::{Graph, Order, OrderConfig, Part, SchedEvent, Step, Unit, UnitEvent};
+use gnn_rdm::model::{self, forward_schedule, predict, price_ranks, DeviceModel, Entry};
+use gnn_rdm::model::{Graph, Order, Part, SchedEvent, Step, Unit, UnitEvent};
 use gnn_rdm::serve::{planned_batches, planned_vertices, serve, Batch, InferRequest, LoadGen};
 use gnn_rdm::serve::{ServeConfig, ServeOutput, ServeSampler};
 use gnn_rdm::sparse::Coo;
@@ -178,9 +178,13 @@ pub fn full_graph_units(
 ) -> Result<Vec<Unit>, String> {
     let plan = cfg.plan.as_ref().expect("an explicit plan");
     let reuse = plan.config.forward[0] == Order::SpmmFirst;
-    let forward = |held| forward_schedule(&plan.config, plan.memoize || reuse, feats, held);
-    let first = forward(false)?;
-    let steady = if reuse { forward(true)? } else { first.clone() };
+    let forward = |entry| forward_schedule(&plan.config, plan.memoize || reuse, feats, entry);
+    let first = forward(Entry::Both)?;
+    let steady = if reuse {
+        forward(Entry::Held)?
+    } else {
+        first.clone()
+    };
     let graph = PanelGrid::new(cfg.p, plan.r_a).graph(&ds.adj_norm, None);
     let unit = |b: &Batch| {
         let steps = if b.idx == 0 { &first } else { &steady };
@@ -214,7 +218,7 @@ pub fn induced_units(
         return Err("a full-graph session induces no minibatch".into());
     };
     let plan = cfg.plan.as_ref().expect("an explicit plan");
-    let steps = forward_schedule(&plan.config, plan.memoize, feats, false)?;
+    let steps = forward_schedule(&plan.config, plan.memoize, feats, Entry::Both)?;
     let grid = PanelGrid::new(cfg.p, plan.r_a);
     let mut unit = |b: &Batch| {
         let verts = planned_vertices(ds, b, budget, cfg.sample_seed);
@@ -453,26 +457,41 @@ impl Config {
         cfg
     }
 
-    /// The plan whose schedule the run executes and the checker prices:
-    /// an explicit plan, or the auto-selected one the report names.
-    fn priced_plan(&self, report: Option<&TrainReport>) -> Option<(OrderConfig, bool)> {
-        let (id, memoize) = match (self.system, report) {
-            (System::Plan { id, memoize }, _) => (id, memoize),
-            (System::Auto, Some(r)) => (r.epochs[0].plan_id.expect("RDM names its plan"), true),
-            _ => return None,
-        };
-        Some((OrderConfig::from_id(id, self.layers), memoize))
+    /// The replication factor the run executes at: CAGNET-1D is 1.5D at
+    /// `c = 1`.
+    pub fn run_ra(&self) -> usize {
+        match self.system {
+            System::Cagnet1D => 1,
+            _ => self.r_a,
+        }
+    }
+
+    /// The plan whose schedule a full-batch run executes every epoch and
+    /// the checker prices: an explicit plan, the auto-selected one the
+    /// report names, or CAGNET's (RDM plan 0 at `r_a = c`, from a row-only
+    /// `H⁰`, with no `G⁰`).
+    fn priced_plan(&self, report: &TrainReport) -> Option<Plan> {
+        let (layers, p) = (self.layers, self.p);
+        match self.system {
+            System::Plan { .. } => self.explicit_plan(),
+            System::Auto => {
+                let id = report.epochs[0].plan_id.expect("RDM names its plan");
+                Some(Plan::from_id(id, layers, p).with_ra(self.r_a))
+            }
+            System::Cagnet1D | System::Cagnet15D => Some(Plan::cagnet(layers, self.run_ra())),
+            _ => None,
+        }
     }
 
     /// The kinds of [`Step`] an explicit plan's executed schedule holds (a
     /// serving batch after the first runs a subset of batch 0's).
     pub fn step_kinds(&self) -> Vec<String> {
-        let Some((config, memoize)) = self.priced_plan(None) else {
+        let Some(plan) = self.explicit_plan() else {
             return Vec::new();
         };
         let mut feats = vec![HIDDEN; self.layers + 1];
         (feats[0], feats[self.layers]) = (FEATURES, CLASSES);
-        let steps = schedule(&config, memoize, &feats, false).expect("a valid plan");
+        let steps = plan.schedule(&feats).expect("a valid plan");
         let served = self.surface != Surface::Train;
         let end = steps.iter().position(|s| served && *s == Step::Loss);
         steps[..end.unwrap_or(steps.len())]
@@ -595,10 +614,11 @@ fn priced_hidden(cfg: &Config, part: &Part, chunks: usize) -> Result<u64, String
 }
 
 /// The epochs a training run of `cfg` on `ds` records, each with what it
-/// runs: an RDM plan's schedule (the plan `run` reports when selected) on
-/// the whole graph, every GraphSAINT-RDM subgraph step under its own plan,
-/// or every masked-SpMM step under the one plan on the nonzeros its mask
-/// keeps. Empty for the systems the checker does not cover.
+/// runs: an RDM plan's schedule (the plan `run` reports when selected) or
+/// CAGNET's on the whole graph, every GraphSAINT-RDM subgraph step under
+/// its own plan, or every masked-SpMM step under the one plan on the
+/// nonzeros its mask keeps. Empty for the systems the checker does not
+/// cover.
 pub fn training_units(cfg: &Config, ds: &Dataset, run: &TrainReport) -> Result<Vec<Unit>, String> {
     let (feats, trainer) = (ds.shape_layers(HIDDEN, cfg.layers).feats, cfg.trainer());
     if cfg.system == System::SaintRdm {
@@ -607,7 +627,7 @@ pub fn training_units(cfg: &Config, ds: &Dataset, run: &TrainReport) -> Result<V
             let Some(plan) = saint_rdm_draw(ds, &trainer, idx, k, &mut sub) else {
                 return Ok(None);
             };
-            let steps = schedule(&plan.config, plan.memoize, &feats, false)?;
+            let steps = plan.schedule(&feats)?;
             let graph = PanelGrid::new(cfg.p, cfg.p).graph(&sub.adj_norm, None);
             Ok(Some(Part { steps, graph }))
         });
@@ -615,7 +635,7 @@ pub fn training_units(cfg: &Config, ds: &Dataset, run: &TrainReport) -> Result<V
     if cfg.system == System::SaintMasked {
         let shape = ds.shape_layers(HIDDEN, cfg.layers);
         let plan = best_plan(&shape, cfg.p, cfg.p, &trainer.device, 1.0);
-        let steps = schedule(&plan.config, plan.memoize, &feats, false)?;
+        let steps = plan.schedule(&feats)?;
         let mut mask = Vec::new();
         return sampled_units(ds, &trainer, |idx, k| {
             masked_spmm_draw(ds, &trainer, idx, k, &mut mask);
@@ -629,11 +649,11 @@ pub fn training_units(cfg: &Config, ds: &Dataset, run: &TrainReport) -> Result<V
             Ok(Some(Part { steps, graph }))
         });
     }
-    let Some((config, memoize)) = cfg.priced_plan(Some(run)) else {
+    let Some(plan) = cfg.priced_plan(run) else {
         return Ok(Vec::new());
     };
-    let steps = schedule(&config, memoize, &feats, false)?;
-    let grid = PanelGrid::new(cfg.p, cfg.r_a);
+    let steps = plan.schedule(&feats)?;
+    let grid = PanelGrid::new(cfg.p, plan.r_a);
     let graph = grid.graph(&ds.adj_norm, ds.adj_norm_t.as_ref());
     Ok(epoch_units(steps, graph, EPOCHS))
 }
@@ -725,13 +745,14 @@ fn check_training(cfg: &Config) -> Result<(), String> {
     let (run, twin, base) = &runs(cfg, |c| train_gcn(ds, &c.trainer()))?;
     let twin = twin.as_ref().unwrap_or(run);
     let r = base.as_ref().unwrap_or(twin);
-    // A traced RDM epoch, GraphSAINT-RDM's included, records exactly its
-    // schedule, checked first: a drifted schedule says where.
+    // A traced epoch that runs a step list, GraphSAINT-RDM's and CAGNET's
+    // included, records exactly its schedule, checked first: a drifted
+    // schedule says where.
     let units = training_units(cfg, ds, run)?;
     if let Some(traces) = &run.traces {
         traces.iter().try_for_each(RankTrace::validate_nesting)?;
         if !units.is_empty() {
-            let v = model::check(traces, cfg.r_a, run_depth(cfg), &units)?;
+            let v = model::check(traces, cfg.run_ra(), run_depth(cfg), &units)?;
             same("first conformance violation", first(&v), None)?;
         }
     }
@@ -764,10 +785,10 @@ fn check_training(cfg: &Config) -> Result<(), String> {
     let again = train_gcn(ds, &cfg.trainer())?;
     same("a rerun's run", replay(&again), replay(run))?;
 
-    // Every RDM epoch, GraphSAINT-RDM's included, moves what its schedule
-    // prices.
+    // Every epoch that runs a step list, GraphSAINT-RDM's and CAGNET's
+    // included, moves what its schedule prices.
     if !units.is_empty() {
-        let expect = units.chunks(1).map(|u| priced(u, cfg.p, cfg.r_a));
+        let expect = units.chunks(1).map(|u| priced(u, cfg.p, cfg.run_ra()));
         let expect = expect.collect::<Result<Vec<_>, _>>()?;
         let got: Vec<_> = run.epochs.iter().map(|e| measured(&e.comm)).collect();
         same("dense bytes against the schedule", got, expect)?;

@@ -128,13 +128,15 @@ fn deep(c: &Config) -> bool {
 
 /// The points whose traces the schedule checker holds to their units:
 /// training epochs of an explicit and of an auto-selected RDM plan,
-/// GraphSAINT-RDM epochs, and full-graph and induced serving batches.
-const UNIT_KINDS: [fn(&Config) -> bool; 5] = [
+/// GraphSAINT-RDM epochs, full-graph and induced serving batches, and
+/// CAGNET epochs (RDM plan 0's list from a row-sliced `H⁰`).
+const UNIT_KINDS: [fn(&Config) -> bool; 6] = [
     trained_plan,
     |c| c.system == System::Auto,
     |c| c.system == System::SaintRdm,
     |c| c.surface == Surface::Serve,
     |c| c.surface == Surface::Induced,
+    |c| matches!(c.system, System::Cagnet1D | System::Cagnet15D),
 ];
 
 /// The sample of `seed`.

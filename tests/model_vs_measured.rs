@@ -119,11 +119,7 @@ fn three_layer_spmm_ops_match_model() {
         feats: vec![9, 6, 6, 3],
     };
     for id in [0usize, 21, 42, 63, 10, 38] {
-        let plan = Plan {
-            config: gnn_rdm::model::OrderConfig::from_id(id, 3),
-            r_a: p,
-            memoize: true,
-        };
+        let plan = Plan::from_id(id, 3, p);
         let cfg = TrainerConfig::rdm(p, plan.clone())
             .hidden(6)
             .layers(3)

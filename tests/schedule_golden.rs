@@ -12,8 +12,8 @@
 //! deliberately with:
 //!   cargo test --test schedule_golden -- --ignored regenerate_schedules
 
-use gnn_rdm::model::UnitEvent;
-use gnn_rdm::model::{forward_schedule, predict, schedule, Graph, Order, OrderConfig, Part, Unit};
+use gnn_rdm::model::{forward_schedule, predict, schedule, Entry, Graph, Order, OrderConfig};
+use gnn_rdm::model::{Part, Unit, UnitEvent};
 use gnn_rdm::trace::Span;
 use std::fmt::Write;
 
@@ -40,7 +40,7 @@ fn epoch(
 ) {
     let (p, r_a, panel_nnz) = grid;
     let config = OrderConfig::from_id(id, feats.len() - 1);
-    let steps = schedule(&config, memoize, feats, false).unwrap();
+    let steps = schedule(&config, memoize, feats, Entry::Both, true).unwrap();
     let unit = Unit {
         scope: Span::Epoch { idx: 0 },
         markers: Vec::new(),
@@ -67,7 +67,10 @@ fn epoch(
 fn session(out: &mut String, feats: &[usize], id: usize, grid: (usize, usize, &[usize])) {
     let (p, r_a, panel_nnz) = grid;
     let config = OrderConfig::from_id(id, feats.len() - 1);
-    let forward = |held| forward_schedule(&config, true, feats, held).unwrap();
+    let forward = |held| {
+        let entry = if held { Entry::Held } else { Entry::Both };
+        forward_schedule(&config, true, feats, entry).unwrap()
+    };
     let held = config.forward[0] == Order::SpmmFirst;
     let batch = |(idx, size): (usize, usize)| {
         let steps = forward(held && idx > 0);

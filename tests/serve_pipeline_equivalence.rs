@@ -20,7 +20,7 @@ use gnn_rdm::core::ops::PanelGrid;
 use gnn_rdm::core::{Plan, WeightSnapshot};
 use gnn_rdm::dense::{KernelMode, KernelWidth};
 use gnn_rdm::graph::DatasetSpec;
-use gnn_rdm::model::{forward_schedule, DeviceModel};
+use gnn_rdm::model::{forward_schedule, DeviceModel, Entry};
 use gnn_rdm::serve::{serve, ServeConfig};
 
 /// The plain sequential session (no pipeline).
@@ -129,7 +129,8 @@ fn held_batches_hide_their_own_nonzero_price() {
     let out = serve(&ds, &snap, &requests(&ds), &cfg).unwrap();
     let config = &cfg.plan.as_ref().unwrap().config;
     let price = |held| {
-        let steps = forward_schedule(config, true, &feats, held).unwrap();
+        let entry = if held { Entry::Held } else { Entry::Both };
+        let steps = forward_schedule(config, true, &feats, entry).unwrap();
         let (grid, device) = (PanelGrid::new(2, 2), DeviceModel::a6000_pcie());
         let ranks = hidden_price(&steps, &ds.adj_norm, None, grid, 3, &device);
         ranks.iter().sum::<u64>()

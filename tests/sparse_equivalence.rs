@@ -13,7 +13,7 @@ use common::{check, priced, Agg, Config};
 use gnn_rdm::core::ops::PanelGrid;
 use gnn_rdm::core::{train_gcn, Plan, TrainReport, TrainerConfig};
 use gnn_rdm::graph::{rmat, symmetrize, Dataset, DatasetSpec};
-use gnn_rdm::model::{predict, schedule, OrderConfig, Part, SchedEvent, Unit, UnitEvent};
+use gnn_rdm::model::{predict, schedule, Entry, OrderConfig, Part, SchedEvent, Unit, UnitEvent};
 use gnn_rdm::trace::{Span, TraceCollective};
 
 /// The indexed wire on row aggregation of `common::compressible`, whose
@@ -154,7 +154,7 @@ fn replicated_panel_volume_reconciles_exactly_with_the_schedule_predictor() {
         scope: Span::Epoch { idx: 0 },
         markers: Vec::new(),
         parts: vec![Part {
-            steps: schedule(&config, true, &feats, false).unwrap(),
+            steps: schedule(&config, true, &feats, Entry::Both, true).unwrap(),
             graph: PanelGrid::new(p, r_a).graph(&ds.adj_norm, None),
         }],
     };

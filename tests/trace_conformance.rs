@@ -18,7 +18,7 @@ use gnn_rdm::core::gcn::GcnWeights;
 use gnn_rdm::core::ops::PanelGrid;
 use gnn_rdm::core::{Plan, TrainerConfig, WeightSnapshot};
 use gnn_rdm::graph::Dataset;
-use gnn_rdm::model::{self, schedule, OrderConfig, Unit, UnitEvent};
+use gnn_rdm::model::{self, Unit, UnitEvent};
 use gnn_rdm::serve::{planned_batches, serve, LoadGen, ServeConfig};
 use gnn_rdm::sparse::Csr;
 use gnn_rdm::trace::{chrome, Event, EventData, RankTrace, Span};
@@ -34,7 +34,7 @@ fn plan_epochs(
     adj_t: Option<&Csr>,
 ) -> Vec<Unit> {
     let feats = ds.shape_layers(16, 2).feats;
-    let steps = schedule(&OrderConfig::from_id(id, 2), true, &feats, false).unwrap();
+    let steps = Plan::from_id(id, 2, 1).schedule(&feats).unwrap();
     let graph = PanelGrid::new(grid.0, grid.1).graph(&ds.adj_norm, adj_t);
     epoch_units(steps, graph, epochs)
 }
@@ -401,7 +401,7 @@ fn without(traces: &[RankTrace], rank: usize, drop: &[usize]) -> Vec<RankTrace> 
 /// `Retry` and `OverlapStrip` instants change nothing.
 fn every_break_fails(what: &str, cfg: Config, at: usize) {
     let (traces, units) = traced_units(&cfg).unwrap();
-    let check = |t: &[RankTrace]| model::check(t, cfg.r_a, run_depth(&cfg), &units);
+    let check = |t: &[RankTrace]| model::check(t, cfg.run_ra(), run_depth(&cfg), &units);
     assert_eq!(check(&traces), Ok(vec![]), "{what}: the run conforms");
     let unit = |e: &Event| {
         matches!(
@@ -496,12 +496,15 @@ fn every_break_fails(what: &str, cfg: Config, at: usize) {
 
 /// The checker holds every kind of unit to its schedule: a training epoch
 /// (group redistributions, panel broadcasts, two-strip pipeline), a
+/// CAGNET-1.5D epoch (its per-epoch conversion of `H⁰`, no `G⁰`), a
 /// full-graph and an induced serving batch, a GraphSAINT-RDM epoch and a
 /// masked-SpMM epoch — each chaotic, so the trace carries retries.
 #[test]
 fn breaking_any_unit_of_each_kind_fails_the_check() {
     let epoch = Config::plan_id(10, 2, 4).ra(2).chunks(2).chaos();
     every_break_fails("training epoch", epoch, 0);
+    let cagnet = Config::train(System::Cagnet15D, 2, 4).ra(2).chaos();
+    every_break_fails("CAGNET-1.5D epoch", cagnet, 0);
     let served = Config::plan_id(5, 2, 4).ra(2).on(Surface::Serve).chaos();
     every_break_fails("full-graph batch", served, 0);
     let induced = Config::plan_id(0, 2, 2).on(Surface::Induced).chaos();
